@@ -1,16 +1,12 @@
-// Command benchguard asserts that the observability instrumentation,
-// the transfer retry layer, and the pluggable-backend interface
-// indirection stay within their overhead budgets on the parallel pull
-// path.
+// Command benchguard asserts that the observability instrumentation and
+// the transfer retry layer stay within their overhead budgets on the
+// parallel pull path.
 //
 // It stages the same rig as cmd/pullbench (round-robin block placement,
 // simulated one-sided read latencies) and times full-domain retrievals
 // in-process, alternating disabled and enabled batches of each toggle:
-// the metrics registry, the transfer retry policy on a fault-free
-// fabric, and — independently — forced routing of every operation
-// through the Backend interface (the in-process backend is semantics-
-// preserving, so the toggle isolates the pure interface-dispatch cost;
-// its budget is a tighter 2%). The overhead estimate is the median of the
+// the metrics registry and the transfer retry policy on a fault-free
+// fabric. The overhead estimate is the median of the
 // per-pair duration differences relative to the median disabled batch;
 // the process exits 1 when it exceeds -threshold (default 5%) AND a
 // supermajority of pairs agree the enabled batch was slower (a paired
@@ -25,10 +21,10 @@
 // nanoseconds are not portable across machines, so drift against the
 // baseline is reported but never fails the guard.
 //
-// A fourth, deterministic gate runs the pull engine over the TCP
+// A deterministic gate (guard 4) runs the pull engine over the TCP
 // loopback backend and asserts the scatter-gather protocol ships exactly
-// the schedule-predicted clipped bytes (±2% for framing tweaks), one
-// request frame per owning peer, and no whole-block fallback reads.
+// the schedule-predicted clipped bytes (±2% for framing tweaks) in one
+// request frame per owning peer.
 //
 // Three further paired gates run on the TCP loopback pull path: the
 // distributed observability plane (registry, wire-mirror counters, span
@@ -310,9 +306,6 @@ func wireByteGate() error {
 	if int(frames) != len(remoteOwners) {
 		return fmt.Errorf("scatter-gather sent %d request frames for %d owning peers (want one per peer)",
 			frames, len(remoteOwners))
-	}
-	if s1.ReadRequests != s0.ReadRequests {
-		return fmt.Errorf("clipped pull fell back to %d whole-block reads", s1.ReadRequests-s0.ReadRequests)
 	}
 	return nil
 }
@@ -943,18 +936,6 @@ func run(baseline string, reps int, threshold float64) error {
 	fmt.Printf("pull %d transfers, %d workers: retry overhead %+.2f%% (slower in %.0f%% of pairs; budget %.0f%%)\n",
 		transfers, workers, 100*retryOverhead, 100*slowRetry, 100*threshold)
 
-	// Guard 3: the Backend interface on the in-process path. Forcing every
-	// operation through the interface — instead of the routeLocal fast path
-	// that skips it — exposes exactly the indirection the pluggable-backend
-	// split added, so it gets its own, tighter budget.
-	const indirectionBudget = 0.02
-	_, indirOverhead, slowIndir, err := pairedOverhead(consumer, region, reps, sp.Fabric().ForceBackendRouting)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("pull %d transfers, %d workers: backend indirection overhead %+.2f%% (slower in %.0f%% of pairs; budget %.0f%%)\n",
-		transfers, workers, 100*indirOverhead, 100*slowIndir, 100*indirectionBudget)
-
 	if base, ok := loadBaseline(baseline); ok {
 		drift := float64(off.Nanoseconds()/pullBatch-base) / float64(base)
 		fmt.Printf("committed baseline %s: %.3f ms (%+.2f%% vs this machine; informational only)\n",
@@ -970,10 +951,6 @@ func run(baseline string, reps int, threshold float64) error {
 	if retryOverhead > threshold && slowRetry >= signBar {
 		return fmt.Errorf("retry-layer overhead %.2f%% exceeds budget %.0f%% (slower in %.0f%% of pairs)",
 			100*retryOverhead, 100*threshold, 100*slowRetry)
-	}
-	if indirOverhead > indirectionBudget && slowIndir >= signBar {
-		return fmt.Errorf("backend indirection overhead %.2f%% exceeds budget %.0f%% (slower in %.0f%% of pairs)",
-			100*indirOverhead, 100*indirectionBudget, 100*slowIndir)
 	}
 
 	// Guard 4: the scatter-gather wire protocol moves only what the

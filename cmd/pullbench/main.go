@@ -35,10 +35,8 @@ import (
 	"github.com/insitu/cods/internal/cods"
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/obs"
-	"github.com/insitu/cods/internal/retry"
 	"github.com/insitu/cods/internal/sfc"
 	"github.com/insitu/cods/internal/transport"
-	"github.com/insitu/cods/internal/transport/tcpnet"
 )
 
 const (
@@ -67,23 +65,6 @@ type spanResult struct {
 	Speedup       float64 `json:"speedup"`
 }
 
-// tcpResult is one TCP-backend row: the staged pull of an inset region
-// (every boundary block is clipped) over real loopback sockets, measured
-// under one wire protocol. The scatter-gather protocol batches the routed
-// transfers per owning peer and ships owner-clipped segments; the
-// whole-block ablation ships each stored block in full and clips on the
-// puller.
-type tcpResult struct {
-	Transfers      int    `json:"transfers"`
-	Protocol       string `json:"protocol"`
-	NsPerOp        int64  `json:"ns_per_op"`
-	WireBytes      int64  `json:"wire_bytes_per_op"`
-	RequestFrames  int64  `json:"read_request_frames_per_op"`
-	SegmentBytes   int64  `json:"segment_bytes_per_op"`
-	PredictedBytes int64  `json:"schedule_predicted_bytes"`
-	MeteredMatches bool   `json:"metered_equals_predicted"`
-}
-
 type report struct {
 	GeneratedBy    string       `json:"generated_by"`
 	GOMAXPROCS     int          `json:"gomaxprocs"`
@@ -94,7 +75,6 @@ type report struct {
 	BytesIdentical bool         `json:"bytes_identical_across_workers"`
 	Pull           []pullResult `json:"pull"`
 	Spans          spanResult   `json:"spans"`
-	TCP            []tcpResult  `json:"tcp,omitempty"`
 }
 
 // rig is a staged space ready for repeated full-domain retrievals.
@@ -219,152 +199,6 @@ func runPull(reps int, curve string) ([]pullResult, bool, fabricTotals, error) {
 		totals.add(r.fabric)
 	}
 	return out, identical, totals, nil
-}
-
-// tcpRig stages the same round-robin blocks behind the TCP loopback
-// backend (every node listens on a real socket; cross-node pulls travel
-// the wire). No simulated latency is injected — the wall times are real
-// socket round trips. The retrieved region is inset by half a block on
-// every side, so each boundary block contributes a clipped sub-box and
-// the two wire protocols move different byte counts.
-type tcpRig struct {
-	sp        *cods.Space
-	fabric    *transport.Fabric
-	backend   *tcpnet.Backend
-	consumer  *cods.Handle
-	region    geometry.BBox
-	predicted int64 // schedule-predicted network bytes per retrieval
-}
-
-func buildTCPRig(transfers int, curve string) (*tcpRig, error) {
-	nx := 1
-	for nx*nx < transfers {
-		nx *= 2
-	}
-	ny := transfers / nx
-	m, err := cluster.NewMachine(nodes, coresPerNode)
-	if err != nil {
-		return nil, err
-	}
-	f := transport.NewFabric(m)
-	p := retry.Default()
-	p.Deadline = 10 * time.Second
-	b, err := tcpnet.NewLoopback(f, tcpnet.Config{Retry: p, IOTimeout: 10 * time.Second})
-	if err != nil {
-		return nil, err
-	}
-	f.SetBackend(b)
-	sp, err := cods.NewSpaceWithCurve(f, geometry.BoxFromSize([]int{nx * side, ny * side}), curve)
-	if err != nil {
-		b.Close()
-		return nil, err
-	}
-	region := geometry.NewBBox(
-		geometry.Point{side / 2, side / 2},
-		geometry.Point{nx*side - side/2, ny*side - side/2})
-	cores := m.TotalCores()
-	var predicted int64
-	n := 0
-	for bx := 0; bx < nx; bx++ {
-		for by := 0; by < ny; by++ {
-			blk := geometry.NewBBox(
-				geometry.Point{bx * side, by * side},
-				geometry.Point{(bx + 1) * side, (by + 1) * side})
-			data := make([]float64, blk.Volume())
-			for i := range data {
-				// Full-mantissa values, like real field data: an integer
-				// ramp would let gob's trailing-zero float compaction
-				// flatter the whole-block baseline.
-				data[i] = float64(n+i+1) / 3.0
-			}
-			owner := cluster.CoreID(n % cores)
-			h := sp.HandleAt(owner, 1, "put")
-			if err := h.PutSequential("u", 0, blk, data); err != nil {
-				b.Close()
-				return nil, err
-			}
-			// The consumer sits on core 0; every block on another node
-			// crosses the wire, and the schedule clips it to the region.
-			if m.NodeOf(owner) != m.NodeOf(0) {
-				if sub, ok := blk.Intersect(region); ok {
-					predicted += int64(sub.Volume() * cods.ElemSize)
-				}
-			}
-			n++
-		}
-	}
-	return &tcpRig{
-		sp:        sp,
-		fabric:    f,
-		backend:   b,
-		consumer:  sp.HandleAt(0, 2, "get"),
-		region:    region,
-		predicted: predicted,
-	}, nil
-}
-
-func (r *tcpRig) close() {
-	r.fabric.SetBackend(nil)
-	r.backend.Close()
-}
-
-// timeTCP measures the inset retrieval under one wire protocol: median
-// wall time plus per-retrieval wire-counter deltas (each retrieval is
-// identical, so the deltas divide evenly across reps).
-func (r *tcpRig) timeTCP(batched bool, reps int) (tcpResult, error) {
-	r.sp.SetBatchedPulls(batched)
-	protocol := "whole-block"
-	if batched {
-		protocol = "scatter-gather"
-	}
-	// Warm the schedule cache and the connection pool.
-	if _, err := r.consumer.GetSequential("u", 0, r.region); err != nil {
-		return tcpResult{}, err
-	}
-	s0 := r.backend.WireStats()
-	net0 := r.fabric.MediumBytes(cluster.Network)
-	times := make([]time.Duration, 0, reps)
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		if _, err := r.consumer.GetSequential("u", 0, r.region); err != nil {
-			return tcpResult{}, err
-		}
-		times = append(times, time.Since(start))
-	}
-	s1 := r.backend.WireStats()
-	netPerOp := (r.fabric.MediumBytes(cluster.Network) - net0) / int64(reps)
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	return tcpResult{
-		Protocol:       protocol,
-		NsPerOp:        times[len(times)/2].Nanoseconds(),
-		WireBytes:      (s1.BytesOut + s1.BytesIn - s0.BytesOut - s0.BytesIn) / int64(reps),
-		RequestFrames:  (s1.ReadRequests + s1.ReadMultiRequests - s0.ReadRequests - s0.ReadMultiRequests) / int64(reps),
-		SegmentBytes:   (s1.SegmentBytesServed - s0.SegmentBytesServed) / int64(reps),
-		PredictedBytes: r.predicted,
-		MeteredMatches: netPerOp == r.predicted,
-	}, nil
-}
-
-func runPullTCP(reps int, curve string) ([]tcpResult, error) {
-	var out []tcpResult
-	for _, transfers := range []int{16, 64} {
-		r, err := buildTCPRig(transfers, curve)
-		if err != nil {
-			return nil, err
-		}
-		r.sp.SetPullWorkers(4)
-		for _, batched := range []bool{true, false} {
-			res, err := r.timeTCP(batched, reps)
-			if err != nil {
-				r.close()
-				return nil, err
-			}
-			res.Transfers = transfers
-			out = append(out, res)
-		}
-		r.close()
-	}
-	return out, nil
 }
 
 func runSpans(reps int) (spanResult, error) {
@@ -535,7 +369,6 @@ func main() {
 	reps := flag.Int("reps", 7, "timing repetitions per configuration (median kept)")
 	obsReport := flag.Bool("report", false, "enable the metrics registry and write a reconciled report")
 	obsReportPath := flag.String("report-path", filepath.Join("results", "report.json"), "where -report writes the JSON report")
-	backend := flag.String("backend", "", `also benchmark a real backend ("tcp": loopback sockets, scatter-gather vs whole-block)`)
 	curve := flag.String("curve", "", `lookup linearization policy: hilbert (default), morton or rowmajor; "all" sweeps every policy`)
 	curvesOut := flag.String("curves-o", filepath.Join("results", "BENCH_curves.json"), `where -curve=all writes the sweep`)
 	flag.Parse()
@@ -564,18 +397,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pullbench: %v\n", err)
 		os.Exit(1)
 	}
-	var tcp []tcpResult
-	switch *backend {
-	case "":
-	case "tcp":
-		if tcp, err = runPullTCP(*reps, rigCurve); err != nil {
-			fmt.Fprintf(os.Stderr, "pullbench: %v\n", err)
-			os.Exit(1)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "pullbench: unknown -backend %q (want \"tcp\")\n", *backend)
-		os.Exit(1)
-	}
 	rep := report{
 		GeneratedBy:    "cmd/pullbench",
 		GOMAXPROCS:     runtime.GOMAXPROCS(0),
@@ -586,7 +407,6 @@ func main() {
 		BytesIdentical: identical,
 		Pull:           pull,
 		Spans:          spans,
-		TCP:            tcp,
 	}
 	if err := os.MkdirAll(filepath.Dir(*out), 0o755); err != nil {
 		fmt.Fprintf(os.Stderr, "pullbench: %v\n", err)
@@ -609,10 +429,6 @@ func main() {
 	}
 	fmt.Printf("  spans cached %.1f us vs raw %.1f us  speedup %.2fx\n",
 		float64(spans.CachedNsPerOp)/1e3, float64(spans.RawNsPerOp)/1e3, spans.Speedup)
-	for _, tr := range tcp {
-		fmt.Printf("  tcp  transfers=%-4d %-14s %10.3f ms/op  wire %8d B  frames %3d  metered=%v\n",
-			tr.Transfers, tr.Protocol, float64(tr.NsPerOp)/1e6, tr.WireBytes, tr.RequestFrames, tr.MeteredMatches)
-	}
 
 	if sweep {
 		curves, curvesIdentical, err := runCurves(*reps)

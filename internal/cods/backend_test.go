@@ -1,0 +1,181 @@
+package cods
+
+import (
+	"errors"
+	"sync/atomic"
+	"testing"
+
+	"github.com/insitu/cods/internal/cluster"
+	"github.com/insitu/cods/internal/geometry"
+	"github.com/insitu/cods/internal/transport"
+)
+
+// fakeBackend is a transport.Backend that executes every routed operation
+// on the fabric's own Local* side, standing in for a wire: remote decides
+// what is routed, and the first failures buffer-state round trips
+// (Exposed/Unexpose) fail the way a dropped connection would.
+type fakeBackend struct {
+	f        *transport.Fabric
+	remote   func(initiator, target cluster.CoreID) bool
+	failures atomic.Int32
+}
+
+var errRoundTrip = errors.New("fake backend: connection reset")
+
+func (b *fakeBackend) roundTrip() error {
+	if b.failures.Add(-1) >= 0 {
+		return errRoundTrip
+	}
+	return nil
+}
+
+func (b *fakeBackend) Name() string { return "fake" }
+func (b *fakeBackend) Remote(initiator, target cluster.CoreID) bool {
+	return b.remote(initiator, target)
+}
+func (b *fakeBackend) Close() error { return nil }
+
+func (b *fakeBackend) Send(src, dst cluster.CoreID, tag uint64, payload []byte, m transport.Meter) error {
+	return b.f.LocalSend(src, dst, tag, payload, m)
+}
+
+func (b *fakeBackend) Recv(on, src cluster.CoreID, tag uint64) (transport.Message, error) {
+	return b.f.LocalRecv(on, src, tag)
+}
+
+func (b *fakeBackend) ReadMulti(reader cluster.CoreID, specs []transport.ReadSpec, m transport.Meter, deliver transport.SegmentFunc) error {
+	return b.f.LocalReadMulti(reader, specs, m, deliver)
+}
+
+func (b *fakeBackend) Call(src, dst cluster.CoreID, service string, request any, m transport.Meter, reqBytes, respBytes int64) (any, error) {
+	return b.f.LocalCall(src, dst, service, request, m, reqBytes, respBytes)
+}
+
+func (b *fakeBackend) Expose(owner cluster.CoreID, key transport.BufKey, payload any) error {
+	return b.f.LocalExpose(owner, key, payload)
+}
+
+func (b *fakeBackend) Unexpose(owner cluster.CoreID, key transport.BufKey) (bool, error) {
+	if err := b.roundTrip(); err != nil {
+		return false, err
+	}
+	return b.f.LocalUnexpose(owner, key)
+}
+
+func (b *fakeBackend) Exposed(owner cluster.CoreID, key transport.BufKey) (bool, error) {
+	if err := b.roundTrip(); err != nil {
+		return false, err
+	}
+	return b.f.LocalExposed(owner, key)
+}
+
+// TestDiscardSurvivesFailedRoundTrip is the regression test for the
+// staging-memory leak: when the first buffer-state round trip of a discard
+// fails, the error must surface, nothing may be released or withdrawn
+// behind the caller's back, and the retried discard must return the core's
+// staging memory to zero so later puts fit under the limit again.
+func TestDiscardSurvivesFailedRoundTrip(t *testing.T) {
+	_, sp := testRig(t, 1, 2, []int{8, 8})
+	be := &fakeBackend{f: sp.Fabric(), remote: func(_, _ cluster.CoreID) bool { return true }}
+	sp.Fabric().SetBackend(be)
+	blk := geometry.BoxFromSize([]int{8, 8})
+	sp.SetMemoryLimit(blk.Volume() * ElemSize)
+	h := sp.HandleAt(0, 1, "p")
+	if err := h.PutSequential("v", 0, blk, fillRegion(blk)); err != nil {
+		t.Fatal(err)
+	}
+
+	be.failures.Store(1)
+	if err := h.DiscardSequential("v", 0, blk); !errors.Is(err, errRoundTrip) {
+		t.Fatalf("discard over a failing round trip: err = %v, want the round-trip error", err)
+	}
+	if err := h.DiscardSequential("v", 0, blk); err != nil {
+		t.Fatalf("retried discard: %v", err)
+	}
+	if got := sp.MemoryUsed(0); got != 0 {
+		t.Fatalf("MemoryUsed after retried discard = %d, want 0", got)
+	}
+	if err := h.PutSequential("v", 1, blk, fillRegion(blk)); err != nil {
+		t.Fatalf("put after retried discard: %v", err)
+	}
+}
+
+// TestPartitionPulls pins the work-item shape of the pull engine: every
+// unrouted transfer is an item of its own (the pool overlaps them), the
+// routed ones form exactly one batch per owning node, and schedule order
+// survives inside every item.
+func TestPartitionPulls(t *testing.T) {
+	// 4 nodes x 2 cores; the puller sits on core 0 (node 0) and everything
+	// on another node is routed.
+	for _, tc := range []struct {
+		name    string
+		inproc  bool
+		owners  []cluster.CoreID
+		singles int
+		batches int
+	}{
+		{name: "empty schedule"},
+		{name: "all unrouted", owners: []cluster.CoreID{0, 1, 1, 0}, singles: 4},
+		{name: "one remote node", owners: []cluster.CoreID{2, 3, 2}, batches: 1},
+		{name: "interleaved", owners: []cluster.CoreID{0, 2, 4, 1, 3, 6, 5, 0, 7}, singles: 3, batches: 3},
+		{name: "remote first", owners: []cluster.CoreID{6, 0, 7, 2}, singles: 1, batches: 2},
+		{name: "no backend routes nothing", inproc: true, owners: []cluster.CoreID{0, 2, 4, 6, 7}, singles: 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, sp := testRig(t, 4, 2, []int{16})
+			if !tc.inproc {
+				sp.Fabric().SetBackend(&fakeBackend{f: sp.Fabric(),
+					remote: func(i, tg cluster.CoreID) bool { return !m.SameNode(i, tg) }})
+			}
+			sched := make([]transfer, len(tc.owners))
+			for i, o := range tc.owners {
+				sub := geometry.NewBBox(geometry.Point{i}, geometry.Point{i + 1})
+				sched[i] = transfer{Owner: o, StoredBox: sub, Sub: sub}
+			}
+			items := sp.HandleAt(0, 2, "get").partitionPulls(sched)
+
+			singles, batches := 0, 0
+			seen := make(map[int]bool)
+			nodes := make(map[cluster.NodeID]bool)
+			for _, item := range items {
+				if len(item) == 0 {
+					t.Fatal("empty work item")
+				}
+				routed := !tc.inproc && !m.SameNode(0, item[0].Owner)
+				if !routed {
+					singles++
+					if len(item) != 1 {
+						t.Fatalf("unrouted item carries %d transfers, want 1", len(item))
+					}
+				} else {
+					batches++
+					node := m.NodeOf(item[0].Owner)
+					if nodes[node] {
+						t.Fatalf("node %d got a second batch", node)
+					}
+					nodes[node] = true
+				}
+				last := -1
+				for _, tr := range item {
+					pos := tr.Sub.Min[0]
+					if routed && m.NodeOf(tr.Owner) != m.NodeOf(item[0].Owner) {
+						t.Fatalf("batch mixes nodes %d and %d", m.NodeOf(item[0].Owner), m.NodeOf(tr.Owner))
+					}
+					if pos <= last {
+						t.Fatalf("schedule order broken inside an item: position %d after %d", pos, last)
+					}
+					if seen[pos] {
+						t.Fatalf("transfer %d scheduled twice", pos)
+					}
+					seen[pos], last = true, pos
+				}
+			}
+			if singles != tc.singles || batches != tc.batches {
+				t.Fatalf("got %d single-spec items + %d batches, want %d + %d", singles, batches, tc.singles, tc.batches)
+			}
+			if len(seen) != len(sched) {
+				t.Fatalf("%d of %d transfers scheduled", len(seen), len(sched))
+			}
+		})
+	}
+}

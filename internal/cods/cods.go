@@ -170,13 +170,6 @@ type Space struct {
 	// handles on other goroutines observe tuning immediately.
 	pullWorkers atomic.Int32
 
-	// batchedPulls gates scatter-gather batching: transfers the fabric
-	// routes through its backend are grouped by owning node and issued as
-	// one ReadMulti per peer (default on). Off is the whole-block ablation
-	// baseline: every routed transfer ships the full stored block and the
-	// puller clips.
-	batchedPulls atomic.Bool
-
 	// Schedule invalidation state: epoch is bumped by Clear (everything
 	// stale), varGen[v] by DiscardSequential of variable v (that
 	// variable's cached schedules stale). Handles stamp cached schedules
@@ -228,23 +221,13 @@ func NewSpaceWithCurve(f *transport.Fabric, domain geometry.BBox, curveName stri
 	if err != nil {
 		return nil, fmt.Errorf("cods: %w", err)
 	}
-	sp := &Space{
+	return &Space{
 		fabric:  f,
 		lookup:  dht.NewService(f, curve),
 		memUsed: make(map[cluster.CoreID]int64),
 		varGen:  make(map[string]uint64),
-	}
-	sp.batchedPulls.Store(true)
-	return sp, nil
+	}, nil
 }
-
-// SetBatchedPulls toggles scatter-gather batching of routed transfers
-// (on by default). Off restores the unbatched whole-block protocol — the
-// ablation baseline pullbench measures the clipped path against.
-func (sp *Space) SetBatchedPulls(on bool) { sp.batchedPulls.Store(on) }
-
-// BatchedPulls reports whether routed transfers are batched per peer.
-func (sp *Space) BatchedPulls() bool { return sp.batchedPulls.Load() }
 
 // SetPullWorkers bounds the number of concurrent transfers the pull engine
 // issues per get. n <= 0 restores the default, runtime.GOMAXPROCS(0);
@@ -750,14 +733,13 @@ func transferSeed(core cluster.CoreID, tr transfer, version int) uint64 {
 }
 
 // pull executes a schedule: a receiver-driven pull of every piece,
-// assembling the row-major result. Transfers are issued by a bounded pool
-// of workers (Space.SetPullWorkers, default GOMAXPROCS); since schedule
-// sub-boxes are disjoint, each worker assembles into its own disjoint
-// cells of the output without locking, so the result is byte-identical to
-// the serial path regardless of completion order — and regardless of how
-// many times an individual transfer was retried, since a failed attempt
-// errors before the payload copy and a repeated copy writes the same
-// cells.
+// assembling the row-major result. The batches of partitionPulls are
+// issued by a bounded pool of workers (Space.SetPullWorkers, default
+// GOMAXPROCS); since schedule sub-boxes are disjoint, each worker
+// assembles into its own disjoint cells of the output without locking, so
+// the result is byte-identical to the serial path regardless of completion
+// order — and regardless of how many times a batch was retried, since a
+// repeated copy writes the same cells.
 func (h *Handle) pull(v string, version int, region geometry.BBox, sched []transfer) ([]float64, error) {
 	if obs.Enabled() {
 		start := time.Now()
@@ -777,11 +759,8 @@ func (h *Handle) pull(v string, version int, region geometry.BBox, sched []trans
 	}
 	pol := h.sp.RetryPolicy()
 	items := h.partitionPulls(sched)
-	do := func(item pullItem) error {
-		if item.batched {
-			return h.pullBatch(out, region, v, version, item.batch, m, pol)
-		}
-		return h.pullOne(out, region, v, version, item.batch[0], m, pol)
+	do := func(batch []transfer) error {
+		return h.pullBatch(out, region, v, version, batch, m, pol)
 	}
 	workers := h.sp.PullWorkers()
 	if workers > len(items) {
@@ -826,32 +805,20 @@ func (h *Handle) pull(v string, version int, region geometry.BBox, sched []trans
 	return out, nil
 }
 
-// pullItem is one unit of work for the pull worker pool: a single
-// unbatched transfer, or a per-peer batch of routed transfers executed as
-// one scatter-gather read.
-type pullItem struct {
-	batch   []transfer
-	batched bool
-}
-
-// partitionPulls groups the transfers the fabric routes through its
-// backend by owning node — one scatter-gather batch per peer, so a
-// coalesced schedule costs one request frame per owner instead of one per
-// sub-box. Unrouted transfers (same-process payload sharing) keep the
-// direct read path; schedule order is preserved within every item.
-func (h *Handle) partitionPulls(sched []transfer) []pullItem {
-	items := make([]pullItem, 0, len(sched))
-	if !h.sp.BatchedPulls() {
-		for _, tr := range sched {
-			items = append(items, pullItem{batch: []transfer{tr}})
-		}
-		return items
-	}
+// partitionPulls splits a schedule into the work items of the pull worker
+// pool. Transfers the fabric routes through its backend are grouped by
+// owning node — one scatter-gather batch per peer, so a coalesced schedule
+// costs one request frame per owner instead of one per sub-box. Every
+// unrouted transfer (same-process payload sharing) is a batch of its own,
+// so the pool overlaps them; schedule order is preserved within every
+// batch.
+func (h *Handle) partitionPulls(sched []transfer) [][]transfer {
+	items := make([][]transfer, 0, len(sched))
 	machine := h.sp.fabric.Machine()
 	byNode := make(map[cluster.NodeID]int)
 	for _, tr := range sched {
 		if !h.sp.fabric.Routed(h.core, tr.Owner) {
-			items = append(items, pullItem{batch: []transfer{tr}})
+			items = append(items, []transfer{tr})
 			continue
 		}
 		node := machine.NodeOf(tr.Owner)
@@ -859,20 +826,23 @@ func (h *Handle) partitionPulls(sched []transfer) []pullItem {
 		if !ok {
 			i = len(items)
 			byNode[node] = i
-			items = append(items, pullItem{batched: true})
+			items = append(items, nil)
 		}
-		items[i].batch = append(items[i].batch, tr)
+		items[i] = append(items[i], tr)
 	}
 	return items
 }
 
-// pullBatch executes one per-peer batch as a single scatter-gather read:
-// one request frame carries every sub-box, the owner clips each region
-// server-side and streams the segments back, and the delivery callback
-// scatters them straight into the output slots. The whole batch shares
-// one retry budget (seeded from its first transfer); the in-process
-// fallback delivers full payloads, which are clipped here exactly like
-// the unbatched path.
+// pullBatch executes one batch as a single ReadMulti, copying the pulled
+// cells into their slots of the output buffer. Over a network backend one
+// request frame carries every sub-box, the owner clips each region
+// server-side and streams the segments back; in process the read delivers
+// each owner's full payload and the region is clipped here. Under a retry
+// policy a failed batch is re-attempted as a whole with exponential
+// backoff (jitter seeded from its first transfer) until the attempt budget
+// or per-operation deadline runs out; a closed owner endpoint stops the
+// attempts immediately. The ultimate failure is a *PullError naming the
+// batch's first sub-box.
 func (h *Handle) pullBatch(out []float64, region geometry.BBox, v string, version int, batch []transfer, m transport.Meter, pol retry.Policy) error {
 	specs := make([]transport.ReadSpec, len(batch))
 	for i, tr := range batch {
@@ -906,49 +876,6 @@ func (h *Handle) pullBatch(out []float64, region geometry.BBox, v string, versio
 				return copySegment(out, region, clipped, tr.Sub)
 			})
 			if !start.IsZero() {
-				obsTransferNs.Observe(time.Since(start).Nanoseconds())
-			}
-			return rerr
-		})
-	if err != nil {
-		return &PullError{Var: v, Version: version, Sub: batch[0].Sub, Owner: batch[0].Owner,
-			Attempts: attempts, Err: err}
-	}
-	if attempts > 1 {
-		obsPullRecoveries.Inc()
-		if t := h.sp.tracer.Load(); t != nil {
-			t.Event(h.spanParent, "recovered:pull:"+v)
-		}
-	}
-	return nil
-}
-
-// pullOne performs one receiver-driven transfer of a schedule, copying the
-// pulled cells into their slot of the output buffer. Under a retry policy
-// a failed transfer is re-attempted with exponential backoff until the
-// attempt budget or per-operation deadline runs out; a closed owner
-// endpoint stops the attempts immediately. The ultimate failure is a
-// *PullError naming the sub-box.
-func (h *Handle) pullOne(out []float64, region geometry.BBox, v string, version int, tr transfer, m transport.Meter, pol retry.Policy) error {
-	attempts, err := retry.Do(pol, transferSeed(h.core, tr, version), retryableTransfer,
-		func(d time.Duration) { obsPullBackoffNs.Observe(d.Nanoseconds()) },
-		func(attempt int) error {
-			if attempt > 1 {
-				obsPullRetries.Inc()
-				if t := h.sp.tracer.Load(); t != nil {
-					t.Event(h.spanParent, "retry:pull:"+v)
-				}
-			}
-			var start time.Time
-			if obs.Enabled() {
-				start = time.Now()
-			}
-			rerr := h.endpoint().Read(tr.Owner, bufKey(v, tr.StoredBox, version), m,
-				tr.Sub.Volume()*ElemSize, func(payload any) {
-					obj := payload.(*StoredObject)
-					copyRegion(out, region, obj.Data, obj.Region, tr.Sub)
-				})
-			if !start.IsZero() {
 				// Includes the blocking wait for the producer's Expose and
 				// any simulated read latency: it is the consumer-observed
 				// transfer latency, the quantity the pull worker pool
@@ -958,7 +885,7 @@ func (h *Handle) pullOne(out []float64, region geometry.BBox, v string, version 
 			return rerr
 		})
 	if err != nil {
-		return &PullError{Var: v, Version: version, Sub: tr.Sub, Owner: tr.Owner,
+		return &PullError{Var: v, Version: version, Sub: batch[0].Sub, Owner: batch[0].Owner,
 			Attempts: attempts, Err: err}
 	}
 	if attempts > 1 {
@@ -1016,12 +943,15 @@ func (h *Handle) TryGetSequential(v string, version int, region geometry.BBox) (
 }
 
 // Discard withdraws a previously put block so its memory slot can be
-// reused (between iterations).
-func (h *Handle) Discard(v string, version int, region geometry.BBox) {
-	if h.endpoint().Exposed(bufKey(v, region, version)) {
+// reused (between iterations). The staging memory is released iff the
+// block was still exposed; on an error nothing was released and the
+// discard can be retried.
+func (h *Handle) Discard(v string, version int, region geometry.BBox) error {
+	existed, err := h.endpoint().Unexpose(bufKey(v, region, version))
+	if existed {
 		h.sp.release(h.core, region.Volume()*ElemSize)
 	}
-	h.endpoint().Unexpose(bufKey(v, region, version))
+	return err
 }
 
 // DiscardSequential garbage-collects a sequentially stored block: the
@@ -1033,14 +963,16 @@ func (h *Handle) Discard(v string, version int, region geometry.BBox) {
 // stale cached schedule. Iterative producers call it on versions no
 // consumer will read again.
 func (h *Handle) DiscardSequential(v string, version int, region geometry.BBox) error {
-	h.Discard(v, version, region)
-	err := h.lookupClient().Remove(h.phase, h.app,
+	// A failed withdrawal does not stop the location record from being
+	// removed: consumers must stop being routed to the block either way.
+	derr := h.Discard(v, version, region)
+	rerr := h.lookupClient().Remove(h.phase, h.app,
 		dht.Entry{Var: v, Version: version, Region: region, Owner: h.core})
 	h.sp.InvalidateSchedules(v)
 	if r := h.sp.putRecorder.Load(); r != nil {
 		(*r).RecordDiscard(v, version, region, h.core)
 	}
-	return err
+	return errors.Join(derr, rerr)
 }
 
 // schedKey builds the cache key for a schedule: operator, owning app,

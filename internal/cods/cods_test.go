@@ -279,7 +279,9 @@ func TestDiscardFreesSlot(t *testing.T) {
 	if err := h.PutConcurrent("v", 0, blk, fillRegion(blk)); err != nil {
 		t.Fatal(err)
 	}
-	h.Discard("v", 0, blk)
+	if err := h.Discard("v", 0, blk); err != nil {
+		t.Fatal(err)
+	}
 	if err := h.PutConcurrent("v", 0, blk, fillRegion(blk)); err != nil {
 		t.Fatalf("put after discard failed: %v", err)
 	}
@@ -476,7 +478,9 @@ func TestMemoryLimit(t *testing.T) {
 		t.Fatal("over-budget put accepted")
 	}
 	// Discarding the first version frees the space.
-	h.Discard("v", 0, blk)
+	if err := h.Discard("v", 0, blk); err != nil {
+		t.Fatal(err)
+	}
 	if got := sp.MemoryUsed(0); got != 0 {
 		t.Fatalf("MemoryUsed after discard = %d", got)
 	}
@@ -500,7 +504,9 @@ func TestDiscardOnlyReleasesExposed(t *testing.T) {
 	blk := geometry.BoxFromSize([]int{4})
 	h := sp.HandleAt(0, 1, "p")
 	// Discarding something never put must not drive usage negative.
-	h.Discard("ghost", 0, blk)
+	if err := h.Discard("ghost", 0, blk); err != nil {
+		t.Fatal(err)
+	}
 	if err := h.PutConcurrent("v", 0, blk, fillRegion(blk)); err != nil {
 		t.Fatal(err)
 	}

@@ -465,7 +465,9 @@ func (h *Handle) stageStreamVersion(v string, version int, region geometry.BBox,
 	pol := h.sp.RetryPolicy()
 	op := func(attempt int) error {
 		if attempt > 1 {
-			h.Discard(v, version, region)
+			if err := h.Discard(v, version, region); err != nil {
+				return err
+			}
 		}
 		return h.PutSequential(v, version, region, data)
 	}

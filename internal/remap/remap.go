@@ -223,7 +223,7 @@ func Apply(sp *cods.Space, ledger *membership.Ledger, plan Plan, app int, phase 
 			// location record registered (and skip the schedule
 			// invalidation that rides on the removal), so lookups keep
 			// naming the pre-migration owner after the epoch bump.
-			from.Discard(b.Var, b.Version, b.Region)
+			_ = from.Discard(b.Var, b.Version, b.Region)
 		} else if err := from.DiscardSequential(b.Var, b.Version, b.Region); err != nil {
 			return moved, fmt.Errorf("remap: discarding %q v%d at core %d: %w",
 				b.Var, b.Version, b.Owner, err)

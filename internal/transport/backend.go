@@ -1,9 +1,9 @@
 package transport
 
 // The fabric's data movement is pluggable: every choke point — Send/Recv
-// messaging, the one-sided Read, the RPC Call, and the buffer-exposure
-// state ops — funnels through a Backend once the op is determined to be
-// remote. The default backend is the in-process one (this file); the
+// messaging, the one-sided ReadMulti, the RPC Call, and the
+// buffer-exposure state ops — funnels through a Backend once the op is
+// determined to be remote. An in-process fabric has no backend; the
 // internal/transport/tcpnet package provides a real TCP implementation
 // that runs each simulated node as its own endpoint group over sockets
 // (DESIGN §5f). The Local* methods on Fabric are the executing side of
@@ -27,7 +27,7 @@ import (
 // buffers, RPC handlers) and for metering it there, via the Local* methods
 // of the owning fabric.
 type Backend interface {
-	// Name identifies the backend ("inproc", "tcp") in logs and reports.
+	// Name identifies the backend ("tcp") in logs and reports.
 	Name() string
 	// Remote reports whether an operation initiated by core initiator
 	// against the state or data of core target must traverse the backend.
@@ -37,26 +37,21 @@ type Backend interface {
 	// Recv blocks until a message matching (src, tag) is available in on's
 	// inbox; src may be AnySource.
 	Recv(on, src cluster.CoreID, tag uint64) (Message, error)
-	// Read pulls the buffer key exposed by owner on behalf of reader. With
-	// wait it blocks until the buffer is published; without, ok reports
-	// whether it was.
-	Read(reader, owner cluster.CoreID, key BufKey, m Meter, n int64, wait bool) (payload any, ok bool, err error)
-	// ReadMulti pulls several exposed sub-regions in one batched
+	// ReadMulti pulls one or more exposed sub-regions in one batched
 	// operation, blocking until every buffer is published. All specs must
 	// target owners whose endpoint state lives behind the same peer, so a
 	// network backend can serve the whole batch with a single request
-	// frame. Each spec is metered individually on the executing side,
-	// exactly as a Read of spec.Bytes would be. deliver is invoked once
-	// per spec, in spec order, with either the owner's full exposed
-	// payload (an in-process backend, where the reader clips) or the
-	// owner-clipped raw cell bytes of spec.Sub (a network backend); the
+	// frame. Each spec is metered at spec.Bytes on the executing side.
+	// deliver is invoked once per spec, in spec order, with the
+	// owner-clipped raw cell bytes of spec.Sub (see SegmentFunc); the
 	// clipped slice is only valid for the duration of the call.
 	ReadMulti(reader cluster.CoreID, specs []ReadSpec, m Meter, deliver SegmentFunc) error
 	// Call performs a synchronous RPC against a service on dst.
 	Call(src, dst cluster.CoreID, service string, request any, m Meter, reqBytes, respBytes int64) (any, error)
-	// Expose / Unexpose / Exposed manage owner's one-sided buffers.
+	// Expose / Unexpose / Exposed manage owner's one-sided buffers;
+	// Unexpose reports whether the buffer existed.
 	Expose(owner cluster.CoreID, key BufKey, payload any) error
-	Unexpose(owner cluster.CoreID, key BufKey) error
+	Unexpose(owner cluster.CoreID, key BufKey) (existed bool, err error)
 	Exposed(owner cluster.CoreID, key BufKey) (bool, error)
 	// Close releases the backend's resources (connections, listeners).
 	Close() error
@@ -64,8 +59,8 @@ type Backend interface {
 
 // ReadSpec is one element of a batched ReadMulti: pull the cells of Sub
 // out of the buffer Key exposed by Owner. Bytes is the metered volume of
-// the transfer — like Read's n argument, it is what the executing side
-// records, so schedule-predicted accounting is identical across backends.
+// the transfer — it is what the executing side records, so
+// schedule-predicted accounting is identical across backends.
 type ReadSpec struct {
 	Owner cluster.CoreID
 	Key   BufKey
@@ -75,7 +70,7 @@ type ReadSpec struct {
 
 // SegmentFunc consumes the result of one ReadSpec of a batch. Exactly one
 // of payload and clipped is set: payload is the owner's full exposed
-// buffer (the reader clips, as with Read), clipped is the owner-clipped
+// buffer (in-process, where the reader clips), clipped is the owner-clipped
 // raw cell data of the spec's sub-box — Sub intersected with the exposed
 // region, row-major, big-endian float64 bits. clipped is only valid until
 // the callback returns; implementations reuse the buffer.
@@ -90,81 +85,27 @@ type RegionClipper interface {
 	ClipRegion(dst []byte, sub geometry.BBox) ([]byte, error)
 }
 
-// Routing modes. routeLocal is the fast path: no backend consulted at all.
-const (
-	routeLocal  int32 = iota // in-process backend, ops execute directly
-	routeRemote              // consult Backend.Remote per operation
-	routeAll                 // force every op through the backend interface
-)
+// SetBackend installs a network backend; nil restores in-process
+// execution. It must be called before any endpoint traffic starts —
+// installation is not synchronized with in-flight operations.
+func (f *Fabric) SetBackend(b Backend) { f.backend = b }
 
-// SetBackend installs a network backend; nil restores the in-process one.
-// It must be called before any endpoint traffic starts — installation is
-// not synchronized with in-flight operations.
-func (f *Fabric) SetBackend(b Backend) {
-	if b == nil {
-		f.backend = localBackend{f}
-		f.routeMode.Store(routeLocal)
-		return
-	}
-	f.backend = b
-	f.routeMode.Store(routeRemote)
-}
-
-// Backend returns the installed backend (the in-process one by default).
-func (f *Fabric) Backend() Backend { return f.backend }
-
-// ForceBackendRouting routes every operation through the Backend interface
-// even when it would execute locally. The in-process backend is semantics-
-// preserving, so forcing it on measures exactly the indirection cost of
-// the interface — cmd/benchguard holds it under its budget.
-func (f *Fabric) ForceBackendRouting(on bool) {
-	switch {
-	case on:
-		f.routeMode.Store(routeAll)
-	default:
-		if _, local := f.backend.(localBackend); local {
-			f.routeMode.Store(routeLocal)
-		} else {
-			f.routeMode.Store(routeRemote)
-		}
-	}
-}
-
-// routed reports whether an operation from initiator against target must
-// go through the backend. One atomic load on the fast path.
-func (f *Fabric) routed(initiator, target cluster.CoreID) bool {
-	switch f.routeMode.Load() {
-	case routeLocal:
-		return false
-	case routeAll:
-		return true
-	default:
-		return f.backend.Remote(initiator, target)
-	}
-}
-
-// Routed reports whether data initiated by initiator against the state
-// of target would traverse a real wire — the backend's Remote predicate.
-// The pull engine uses it to group remote transfers into batched per-peer
-// reads while keeping in-process transfers on the direct path. Unlike the
-// internal dispatch decision it deliberately ignores ForceBackendRouting:
-// that toggle changes how an operation is dispatched, not where the data
-// lives, and batching in-process transfers would serialize reads that the
-// worker pool otherwise overlaps.
+// Routed reports whether an operation initiated by initiator against the
+// state of target traverses the backend — the backend's Remote predicate,
+// false on an in-process fabric. It is both the fabric's dispatch decision
+// and what the pull engine groups remote transfers into per-peer batches
+// by.
 func (f *Fabric) Routed(initiator, target cluster.CoreID) bool {
-	if f.routeMode.Load() == routeLocal {
-		return false
-	}
-	return f.backend.Remote(initiator, target)
+	return f.backend != nil && f.backend.Remote(initiator, target)
 }
 
 // LocalReadMulti is the executing side of ReadMulti against owner
 // endpoints in this process: each spec is a blocking LocalRead metered at
 // spec.Bytes, delivered as the full exposed payload for the reader to
-// clip — observationally identical to issuing the Reads one by one.
+// clip.
 func (f *Fabric) LocalReadMulti(reader cluster.CoreID, specs []ReadSpec, m Meter, deliver SegmentFunc) error {
 	for i, spec := range specs {
-		payload, _, err := f.LocalRead(reader, spec.Owner, spec.Key, m, spec.Bytes, true)
+		payload, err := f.LocalRead(reader, spec.Owner, spec.Key, m, spec.Bytes, 0)
 		if err != nil {
 			return err
 		}
@@ -210,74 +151,44 @@ func (f *Fabric) LocalRecv(on, src cluster.CoreID, tag uint64) (Message, error) 
 	}
 }
 
-// LocalRead is the executing side of Read/TryRead against an owner endpoint
-// in this process: it waits for the buffer (when wait), sleeps the
-// simulated read latency, meters the pull and returns the exposed payload
-// for the reader to copy from.
-func (f *Fabric) LocalRead(reader, owner cluster.CoreID, key BufKey, m Meter, n int64, wait bool) (any, bool, error) {
-	oe := f.endpoints[int(owner)]
-	oe.exportMu.Lock()
-	for {
-		if oe.exportClosed {
-			oe.exportMu.Unlock()
-			return nil, false, fmt.Errorf("transport: reading %v from endpoint %d: %w", key, owner, ErrEndpointClosed)
-		}
-		if e, ok := oe.exports[key]; ok {
-			payload := e.payload
-			oe.exportMu.Unlock()
-			if wait {
-				// TryRead is a cheap existence probe; only the blocking
-				// pull models the RDMA round-trip latency.
-				f.sleepReadLatency(f.medium(owner, reader))
-			}
-			f.record(m, owner, reader, n)
-			return payload, true, nil
-		}
-		if !wait {
-			oe.exportMu.Unlock()
-			return nil, false, nil
-		}
-		oe.exportCond.Wait()
-	}
-}
-
-// LocalReadDeadline is LocalRead with a bounded deferred wait: when the
-// buffer is not exposed within patience the read fails with
-// ErrReadPatience instead of blocking indefinitely. Zero patience is the
-// plain waiting LocalRead. Serving processes that can be replaced mid-run
-// use the bounded form — a read routed to a process that will never
-// receive the buffer (staged before the replacement, re-staged elsewhere)
-// must surface a retryable error rather than hold the exchange open
-// forever while the reader's retry layer sees no failure.
-func (f *Fabric) LocalReadDeadline(reader, owner cluster.CoreID, key BufKey, m Meter, n int64, patience time.Duration) (any, bool, error) {
-	if patience <= 0 {
-		return f.LocalRead(reader, owner, key, m, n, true)
-	}
+// LocalRead is the executing side of one read spec against an owner
+// endpoint in this process: it waits for the buffer to be exposed, sleeps
+// the simulated read latency, meters the pull and returns the exposed
+// payload for the reader to copy from. patience bounds the deferred wait
+// (0 waits forever): a buffer not exposed within it fails the read with
+// ErrReadPatience. Serving processes that can be replaced mid-run use the
+// bounded form — a read routed to a process that will never receive the
+// buffer (staged before the replacement, re-staged elsewhere) must surface
+// a retryable error rather than hold the exchange open forever while the
+// reader's retry layer sees no failure.
+func (f *Fabric) LocalRead(reader, owner cluster.CoreID, key BufKey, m Meter, n int64, patience time.Duration) (any, error) {
 	oe := f.endpoints[int(owner)]
 	expired := false
-	timer := time.AfterFunc(patience, func() {
-		oe.exportMu.Lock()
-		expired = true
-		oe.exportMu.Unlock()
-		oe.exportCond.Broadcast()
-	})
-	defer timer.Stop()
+	if patience > 0 {
+		timer := time.AfterFunc(patience, func() {
+			oe.exportMu.Lock()
+			expired = true
+			oe.exportMu.Unlock()
+			oe.exportCond.Broadcast()
+		})
+		defer timer.Stop()
+	}
 	oe.exportMu.Lock()
 	for {
 		if oe.exportClosed {
 			oe.exportMu.Unlock()
-			return nil, false, fmt.Errorf("transport: reading %v from endpoint %d: %w", key, owner, ErrEndpointClosed)
+			return nil, fmt.Errorf("transport: reading %v from endpoint %d: %w", key, owner, ErrEndpointClosed)
 		}
 		if e, ok := oe.exports[key]; ok {
 			payload := e.payload
 			oe.exportMu.Unlock()
 			f.sleepReadLatency(f.medium(owner, reader))
 			f.record(m, owner, reader, n)
-			return payload, true, nil
+			return payload, nil
 		}
 		if expired {
 			oe.exportMu.Unlock()
-			return nil, false, fmt.Errorf("transport: reading %v from endpoint %d after %s: %w", key, owner, patience, ErrReadPatience)
+			return nil, fmt.Errorf("transport: reading %v from endpoint %d after %s: %w", key, owner, patience, ErrReadPatience)
 		}
 		oe.exportCond.Wait()
 	}
@@ -344,13 +255,14 @@ func (f *Fabric) LocalExpose(owner cluster.CoreID, key BufKey, payload any) erro
 }
 
 // LocalUnexpose withdraws a buffer published on an owner endpoint in this
-// process.
-func (f *Fabric) LocalUnexpose(owner cluster.CoreID, key BufKey) error {
+// process and reports whether it existed.
+func (f *Fabric) LocalUnexpose(owner cluster.CoreID, key BufKey) (existed bool, err error) {
 	oe := f.endpoints[int(owner)]
 	oe.exportMu.Lock()
 	defer oe.exportMu.Unlock()
+	_, existed = oe.exports[key]
 	delete(oe.exports, key)
-	return nil
+	return existed, nil
 }
 
 // LocalExposed reports whether key is published on an owner endpoint in
@@ -362,49 +274,6 @@ func (f *Fabric) LocalExposed(owner cluster.CoreID, key BufKey) (bool, error) {
 	_, ok := oe.exports[key]
 	return ok, nil
 }
-
-// localBackend adapts the fabric's own Local* execution to the Backend
-// interface. Nothing is ever Remote, so it is only exercised under
-// ForceBackendRouting — where it must be observationally identical to the
-// direct path.
-type localBackend struct{ f *Fabric }
-
-func (b localBackend) Name() string                                 { return "inproc" }
-func (b localBackend) Remote(initiator, target cluster.CoreID) bool { return false }
-
-func (b localBackend) Send(src, dst cluster.CoreID, tag uint64, payload []byte, m Meter) error {
-	return b.f.LocalSend(src, dst, tag, payload, m)
-}
-
-func (b localBackend) Recv(on, src cluster.CoreID, tag uint64) (Message, error) {
-	return b.f.LocalRecv(on, src, tag)
-}
-
-func (b localBackend) Read(reader, owner cluster.CoreID, key BufKey, m Meter, n int64, wait bool) (any, bool, error) {
-	return b.f.LocalRead(reader, owner, key, m, n, wait)
-}
-
-func (b localBackend) ReadMulti(reader cluster.CoreID, specs []ReadSpec, m Meter, deliver SegmentFunc) error {
-	return b.f.LocalReadMulti(reader, specs, m, deliver)
-}
-
-func (b localBackend) Call(src, dst cluster.CoreID, service string, request any, m Meter, reqBytes, respBytes int64) (any, error) {
-	return b.f.LocalCall(src, dst, service, request, m, reqBytes, respBytes)
-}
-
-func (b localBackend) Expose(owner cluster.CoreID, key BufKey, payload any) error {
-	return b.f.LocalExpose(owner, key, payload)
-}
-
-func (b localBackend) Unexpose(owner cluster.CoreID, key BufKey) error {
-	return b.f.LocalUnexpose(owner, key)
-}
-
-func (b localBackend) Exposed(owner cluster.CoreID, key BufKey) (bool, error) {
-	return b.f.LocalExposed(owner, key)
-}
-
-func (b localBackend) Close() error { return nil }
 
 // MergeMediumStats folds the per-medium transfer totals recorded by
 // another process's fabric (a codsnode child) into this one, mirroring
@@ -461,8 +330,8 @@ func DecodePayload(data []byte) (any, error) {
 // its successor; the publish and advance responses return the node's
 // recorded watermark so an elastic replacement resumes streams from live
 // positions. The in-process fabric has no remote stream tables, so the
-// passthroughs below degrade to no-ops when the backend does not
-// implement the interface.
+// passthroughs below degrade to no-ops when there is no backend or it does
+// not implement the interface.
 type StreamBackend interface {
 	// StreamPublish records watermark version of stream v on node and
 	// returns the node's resulting recorded watermark.

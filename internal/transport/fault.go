@@ -1,8 +1,8 @@
 // Deterministic fault injection for the fabric (the chaos-test substrate).
 //
 // A FaultPlan is a list of rules matched against every fabric operation
-// (Send, Recv, Read, Call) by operation kind, medium and endpoint cores. A
-// matching rule fires either probabilistically — the decision for the
+// (Send, Recv, ReadMulti, Call) by operation kind, medium and endpoint
+// cores. A matching rule fires either probabilistically — the decision for the
 // rule's n-th match is a pure function of (plan seed, rule index, n), so
 // the number of faults injected out of N matched operations is identical
 // across runs — or on an explicit scripted window of match sequence
@@ -94,7 +94,7 @@ type FaultRule struct {
 	// or "any" (default). Recv from AnySource has no determinable medium
 	// and only matches medium-agnostic rules.
 	Medium string `json:"medium,omitempty"`
-	// Src/Dst restrict the rule to an initiating / serving core (for Read,
+	// Src/Dst restrict the rule to an initiating / serving core (for a read,
 	// Dst is the owner of the buffer; for Recv, Dst is the receiving
 	// core). nil matches any core.
 	Src *int `json:"src,omitempty"`

@@ -52,12 +52,12 @@ func TestFaultWindowFailsReadsThenHeals(t *testing.T) {
 	f.SetFaultPlan(mustPlan(t, FaultRule{Op: "read", Dst: intp(0), Mode: "error", FromOp: 0, ToOp: 3}))
 	m := Meter{Phase: "t", Class: cluster.InterApp}
 	for i := 0; i < 3; i++ {
-		err := f.Endpoint(1).Read(0, key, m, 8, nil)
+		err := readOne(f.Endpoint(1), 0, key, m, 8, nil)
 		if !errors.Is(err, ErrInjected) {
 			t.Fatalf("read %d: err = %v, want ErrInjected", i, err)
 		}
 	}
-	if err := f.Endpoint(1).Read(0, key, m, 8, nil); err != nil {
+	if err := readOne(f.Endpoint(1), 0, key, m, 8, nil); err != nil {
 		t.Fatalf("read after window: %v", err)
 	}
 	if got := f.FaultsInjected(); got != 3 {
@@ -87,7 +87,7 @@ func TestFaultProbabilisticDeterministicCount(t *testing.T) {
 		f.SetFaultPlan(p)
 		m := Meter{Phase: "t"}
 		for i := 0; i < n; i++ {
-			_ = f.Endpoint(1).Read(0, key, m, 1, nil)
+			_ = readOne(f.Endpoint(1), 0, key, m, 1, nil)
 		}
 		return p.Injected()
 	}
@@ -115,7 +115,7 @@ func TestFaultMaxBoundsFires(t *testing.T) {
 	m := Meter{Phase: "t"}
 	fails := 0
 	for i := 0; i < 10; i++ {
-		if err := f.Endpoint(1).Read(0, key, m, 1, nil); err != nil {
+		if err := readOne(f.Endpoint(1), 0, key, m, 1, nil); err != nil {
 			fails++
 		}
 	}
@@ -153,13 +153,13 @@ func TestFaultMatchScoping(t *testing.T) {
 	// Only network reads initiated by core 2 fail.
 	f.SetFaultPlan(mustPlan(t, FaultRule{Op: "read", Medium: "network", Src: intp(2), Mode: "error", Prob: 1}))
 	m := Meter{Phase: "t"}
-	if err := f.Endpoint(1).Read(0, key, m, 1, nil); err != nil {
+	if err := readOne(f.Endpoint(1), 0, key, m, 1, nil); err != nil {
 		t.Fatalf("shm read from core 1 failed: %v", err)
 	}
-	if err := f.Endpoint(3).Read(0, key, m, 1, nil); err != nil {
+	if err := readOne(f.Endpoint(3), 0, key, m, 1, nil); err != nil {
 		t.Fatalf("network read from core 3 failed: %v", err)
 	}
-	if err := f.Endpoint(2).Read(0, key, m, 1, nil); !errors.Is(err, ErrInjected) {
+	if err := readOne(f.Endpoint(2), 0, key, m, 1, nil); !errors.Is(err, ErrInjected) {
 		t.Fatalf("network read from core 2: err = %v, want ErrInjected", err)
 	}
 	// Calls are unaffected by a read rule.
@@ -177,11 +177,11 @@ func TestFaultPlanRemoval(t *testing.T) {
 	}
 	f.SetFaultPlan(mustPlan(t, FaultRule{Op: "read", Mode: "error", Prob: 1}))
 	m := Meter{Phase: "t"}
-	if err := f.Endpoint(1).Read(0, key, m, 1, nil); err == nil {
+	if err := readOne(f.Endpoint(1), 0, key, m, 1, nil); err == nil {
 		t.Fatal("fault plan not applied")
 	}
 	f.SetFaultPlan(nil)
-	if err := f.Endpoint(1).Read(0, key, m, 1, nil); err != nil {
+	if err := readOne(f.Endpoint(1), 0, key, m, 1, nil); err != nil {
 		t.Fatalf("read after plan removal: %v", err)
 	}
 }
@@ -248,11 +248,8 @@ func TestEndpointClosedTypedErrors(t *testing.T) {
 	// Read and Call against a closed endpoint are the regression this test
 	// pins: both must surface the typed sentinel, even though the buffer
 	// was exposed and the handler registered before the close.
-	if err := f.Endpoint(0).Read(1, key, m, 1, nil); !errors.Is(err, ErrEndpointClosed) {
+	if err := readOne(f.Endpoint(0), 1, key, m, 1, nil); !errors.Is(err, ErrEndpointClosed) {
 		t.Fatalf("Read from closed endpoint: %v, want ErrEndpointClosed", err)
-	}
-	if ok, err := f.Endpoint(0).TryRead(1, key, m, 1, nil); ok || !errors.Is(err, ErrEndpointClosed) {
-		t.Fatalf("TryRead from closed endpoint: ok=%v err=%v, want ErrEndpointClosed", ok, err)
 	}
 	if _, err := f.Endpoint(0).Call(1, "svc", nil, m, 1, 1); !errors.Is(err, ErrEndpointClosed) {
 		t.Fatalf("Call to closed endpoint: %v, want ErrEndpointClosed", err)
@@ -276,7 +273,7 @@ func TestFaultInjectionConcurrentSafe(t *testing.T) {
 		go func(c int) {
 			var fails int64
 			for i := 0; i < 200; i++ {
-				if err := f.Endpoint(cluster.CoreID(c)).Read(0, key, m, 1, nil); err != nil {
+				if err := readOne(f.Endpoint(cluster.CoreID(c)), 0, key, m, 1, nil); err != nil {
 					fails++
 				}
 			}

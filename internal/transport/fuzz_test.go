@@ -32,10 +32,13 @@ func FuzzParseFaultPlan(f *testing.F) {
 		// A parsed plan must be usable: install it and run one faultable
 		// operation of every kind without panicking.
 		f2 := testFuzzFabric(t)
+		if err := f2.Endpoint(1).Expose(BufKey{Name: "b"}, 1); err != nil {
+			t.Fatal(err)
+		}
 		f2.SetFaultPlan(p)
 		m := Meter{Phase: "fuzz"}
 		_ = f2.Endpoint(0).Send(1, 1, nil, m)
-		_, _ = f2.Endpoint(0).TryRead(1, BufKey{Name: "missing"}, m, 1, nil)
+		_ = readOne(f2.Endpoint(0), 1, BufKey{Name: "b"}, m, 1, nil)
 		_, _ = f2.Endpoint(0).Call(1, "missing", nil, m, 1, 1)
 	})
 }

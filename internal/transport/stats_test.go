@@ -19,10 +19,10 @@ func TestMediumCountersTrackReads(t *testing.T) {
 	}
 	meter := Meter{Phase: "t", Class: cluster.InterApp, DstApp: 1}
 	// Core 1 shares node 0 with the owner; core 2 is on node 1.
-	if err := f.Endpoint(1).Read(0, BufKey{Name: "b", Version: 0}, meter, 100, nil); err != nil {
+	if err := readOne(f.Endpoint(1), 0, BufKey{Name: "b", Version: 0}, meter, 100, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Endpoint(2).Read(0, BufKey{Name: "b", Version: 0}, meter, 7, nil); err != nil {
+	if err := readOne(f.Endpoint(2), 0, BufKey{Name: "b", Version: 0}, meter, 7, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.MediumBytes(cluster.SharedMemory); got != 100 {
@@ -60,7 +60,7 @@ func TestMediumCountersConcurrent(t *testing.T) {
 			defer wg.Done()
 			ep := f.Endpoint(cluster.CoreID(r))
 			for i := 0; i < perReader; i++ {
-				if err := ep.Read(0, BufKey{Name: "b", Version: 0}, meter, 10, nil); err != nil {
+				if err := readOne(ep, 0, BufKey{Name: "b", Version: 0}, meter, 10, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -126,7 +126,7 @@ func TestResetMediumStatsRace(t *testing.T) {
 			defer readersWG.Done()
 			ep := f.Endpoint(cluster.CoreID(r))
 			for i := 0; i < perReader; i++ {
-				if err := ep.Read(0, BufKey{Name: "b", Version: 0}, meter, 10, nil); err != nil {
+				if err := readOne(ep, 0, BufKey{Name: "b", Version: 0}, meter, 10, nil); err != nil {
 					t.Error(err)
 					return
 				}

@@ -84,45 +84,49 @@ func TestReadMultiClipsOnOwner(t *testing.T) {
 
 // TestBatchedPullFrameCount is the frame-count probe of the acceptance
 // criteria: a coalesced multi-transfer pull over the TCP backend issues
-// exactly one scatter-gather request per owning peer and zero whole-block
-// reads, and the bytes its server clips equal the schedule-predicted byte
-// count. Turning batching off restores one whole-block read per transfer
-// and moves strictly more bytes over the wire.
+// exactly one scatter-gather request per owning peer, and the bytes its
+// server clips equal the schedule-predicted byte count. The same get on an
+// in-process fabric must return the same cells and meter the same bytes
+// per medium — the wire changes how the bytes move, not which.
 func TestBatchedPullFrameCount(t *testing.T) {
-	f, b := newLoopbackFabric(t, 2, 2)
-	sp, err := cods.NewSpace(f, geometry.BoxFromSize([]int{16}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two producer blocks, both owned by node 1.
-	for i, core := range []cluster.CoreID{2, 3} {
-		blk := geometry.NewBBox(geometry.Point{8 * i}, geometry.Point{8 * (i + 1)})
-		h := sp.HandleAt(core, 1, "put")
-		if err := h.PutSequential("v", 0, blk, fillCells(blk)); err != nil {
-			t.Fatal(err)
-		}
-	}
 	// An inset get region: both sub-boxes are smaller than their stored
 	// blocks, so clipping must shrink the wire traffic.
 	get := geometry.NewBBox(geometry.Point{3}, geometry.Point{13})
-	h := sp.HandleAt(0, 2, "get")
-	before := b.WireStats()
-	out, err := h.GetSequential("v", 0, get)
-	if err != nil {
-		t.Fatal(err)
+	// stagedGet stages two producer blocks, both owned by node 1, and
+	// retrieves get from core 0.
+	stagedGet := func(f *transport.Fabric) []float64 {
+		t.Helper()
+		sp, err := cods.NewSpace(f, geometry.BoxFromSize([]int{16}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, core := range []cluster.CoreID{2, 3} {
+			blk := geometry.NewBBox(geometry.Point{8 * i}, geometry.Point{8 * (i + 1)})
+			h := sp.HandleAt(core, 1, "put")
+			if err := h.PutSequential("v", 0, blk, fillCells(blk)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f.ResetMediumStats()
+		out, err := sp.HandleAt(0, 2, "get").GetSequential("v", 0, get)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
+
+	f, b := newLoopbackFabric(t, 2, 2)
+	before := b.WireStats()
+	out := stagedGet(f)
+	after := b.WireStats()
 	want := fillCells(get)
 	for i := range want {
 		if out[i] != want[i] {
 			t.Fatalf("cell %d = %v, want %v", i, out[i], want[i])
 		}
 	}
-	after := b.WireStats()
 	if n := after.ReadMultiRequests - before.ReadMultiRequests; n != 1 {
 		t.Errorf("batched pull issued %d scatter-gather requests, want 1 (one per owning peer)", n)
-	}
-	if n := after.ReadRequests - before.ReadRequests; n != 0 {
-		t.Errorf("batched pull issued %d whole-block reads, want 0", n)
 	}
 	predicted := get.Volume() * cods.ElemSize
 	if n := after.SegmentBytesServed - before.SegmentBytesServed; n != predicted {
@@ -131,49 +135,48 @@ func TestBatchedPullFrameCount(t *testing.T) {
 	if n := after.SegmentsServed - before.SegmentsServed; n != 2 {
 		t.Errorf("served %d segments, want 2", n)
 	}
-	batchedWire := (after.BytesIn - before.BytesIn) + (after.BytesOut - before.BytesOut)
 
-	// Ablation: the whole-block protocol for the same pull.
-	sp.SetBatchedPulls(false)
-	h2 := sp.HandleAt(1, 2, "get")
-	before = b.WireStats()
-	if _, err := h2.GetSequential("v", 0, get); err != nil {
-		t.Fatal(err)
+	inproc := transport.NewFabric(f.Machine())
+	ref := stagedGet(inproc)
+	for i := range ref {
+		if out[i] != ref[i] {
+			t.Fatalf("cell %d = %v over TCP, %v in process", i, out[i], ref[i])
+		}
 	}
-	after = b.WireStats()
-	if n := after.ReadRequests - before.ReadRequests; n != 2 {
-		t.Errorf("unbatched pull issued %d whole-block reads, want 2", n)
-	}
-	if n := after.ReadMultiRequests - before.ReadMultiRequests; n != 0 {
-		t.Errorf("unbatched pull issued %d scatter-gather requests, want 0", n)
-	}
-	wholeBlockWire := (after.BytesIn - before.BytesIn) + (after.BytesOut - before.BytesOut)
-	if wholeBlockWire <= batchedWire {
-		t.Errorf("whole-block protocol moved %d wire bytes, batched clipped path %d — clipping saved nothing",
-			wholeBlockWire, batchedWire)
+	for _, md := range []cluster.Medium{cluster.SharedMemory, cluster.Network} {
+		if tcp, in := f.MediumBytes(md), inproc.MediumBytes(md); tcp != in {
+			t.Errorf("%v: %d bytes metered over TCP, %d in process", md, tcp, in)
+		}
+		if tcp, in := f.MediumOps(md), inproc.MediumOps(md); tcp != in {
+			t.Errorf("%v: %d ops metered over TCP, %d in process", md, tcp, in)
+		}
 	}
 }
 
 // TestHandshakeRejectsOldWireVersion proves the old-peer policy of DESIGN
-// §5f: a v1 client is turned away at the handshake with a version error —
-// there is no per-op fallback that could strand it mid-stream.
+// §5f: a client speaking any earlier wire version — the first, or the one
+// just before the current — is turned away at the handshake with a version
+// error; there is no per-op fallback that could strand it mid-stream.
 func TestHandshakeRejectsOldWireVersion(t *testing.T) {
 	_, b := newLoopbackFabric(t, 1, 1)
-	c, err := net.Dial("tcp", b.Addr(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	hello := &frame{Op: opHello, Dst: 0, Tag: helloMagic, Version: 1, Bytes: 1, Bytes2: 1}
-	if err := writeFrame(c, hello); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := readFrame(c, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != statusErr || !strings.Contains(resp.Err, "wire version") {
-		t.Fatalf("v1 hello answered with status %d, err %q; want a wire version rejection", resp.Status, resp.Err)
+	for _, version := range []int64{1, int64(wireVersion) - 1} {
+		c, err := net.Dial("tcp", b.Addr(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		hello := &frame{Op: opHello, Dst: 0, Tag: helloMagic, Version: version, Bytes: 1, Bytes2: 1}
+		if err := writeFrame(c, hello); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := readFrame(c, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != statusErr || !strings.Contains(resp.Err, "wire version") {
+			t.Fatalf("v%d hello answered with status %d, err %q; want a wire version rejection",
+				version, resp.Status, resp.Err)
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ func TestRemoteSpanCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := transport.Meter{Phase: "test", Class: cluster.InterApp, DstApp: 2, Span: 42}
-	if err := f.Endpoint(0).Read(3, key, m, 8, func(any) {}); err != nil {
+	if _, err := readOne(f.Endpoint(0), 3, key, m, 8, 1); err != nil {
 		t.Fatal(err)
 	}
 	f.Endpoint(2).RegisterHandler("echo", func(_ cluster.CoreID, req any) (any, error) { return req, nil })
@@ -32,7 +32,7 @@ func TestRemoteSpanCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Context-free operations must not produce spans.
-	if err := f.Endpoint(0).Read(3, key, transport.Meter{Class: cluster.InterApp}, 8, func(any) {}); err != nil {
+	if _, err := readOne(f.Endpoint(0), 3, key, transport.Meter{Class: cluster.InterApp}, 8, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -57,7 +57,7 @@ func TestRemoteSpanCapture(t *testing.T) {
 	if len(begins) != 2 {
 		t.Fatalf("captured %d distinct spans, want read + call only: %v", len(begins), begins)
 	}
-	read := begins["remote:read:var"]
+	read := begins["remote:readmulti:1"]
 	if read.Parent != 42 || read.Node != "node1" {
 		t.Fatalf("read span parent=%d node=%q, want 42/node1", read.Parent, read.Node)
 	}
@@ -123,7 +123,7 @@ func TestRemoteSpanDrainRace(t *testing.T) {
 			for i := 0; i < opsPer; i++ {
 				m := transport.Meter{Phase: "test", Class: cluster.InterApp,
 					Span: uint64(1000 + w*opsPer + i)}
-				if err := f.Endpoint(0).Read(2, key, m, 8, func(any) {}); err != nil {
+				if _, err := readOne(f.Endpoint(0), 2, key, m, 8, 1); err != nil {
 					t.Error(err)
 					return
 				}

@@ -1,6 +1,7 @@
 package tcpnet
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -124,7 +125,7 @@ func TestHandshakeRejectsV4Peer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	hello := &frame{Op: opHello, Dst: 0, Tag: helloMagic, Version: int64(wireVersion) - 1, Bytes: 1, Bytes2: 1}
+	hello := &frame{Op: opHello, Dst: 0, Tag: helloMagic, Version: 4, Bytes: 1, Bytes2: 1}
 	if err := writeFrame(c, hello); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestHandshakeRejectsV4Peer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Status != statusErr || !strings.Contains(resp.Err, "wire version 4, want 5") {
+	if resp.Status != statusErr || !strings.Contains(resp.Err, fmt.Sprintf("wire version 4, want %d", wireVersion)) {
 		t.Fatalf("v4 hello answered with status %d, err %q; want a wire version rejection", resp.Status, resp.Err)
 	}
 }

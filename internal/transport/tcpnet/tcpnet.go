@@ -29,7 +29,6 @@ import (
 var (
 	obsWireBytesOut      = obs.C("tcpnet.bytes_out")
 	obsWireBytesIn       = obs.C("tcpnet.bytes_in")
-	obsWireReadReqs      = obs.C("tcpnet.read.requests")
 	obsWireReadMultiReqs = obs.C("tcpnet.readmulti.requests")
 	obsWireSegments      = obs.C("tcpnet.segments.served")
 	obsWireSegmentBytes  = obs.C("tcpnet.segments.bytes_served")
@@ -44,7 +43,7 @@ type Config struct {
 	// IOTimeout bounds each frame write and each non-blocking response
 	// read on an established connection; 0 falls back to Retry.Deadline
 	// (and to none when that is 0 too). Blocking operations — a Recv, a
-	// waiting Read — legitimately block until a peer produces data, so
+	// ReadMulti — legitimately block until a peer produces data, so
 	// their response reads never carry a deadline; the layers above bound
 	// them (the conformance watchdog, task-level retry deadlines).
 	IOTimeout time.Duration
@@ -57,15 +56,14 @@ type Config struct {
 	// silently served by a peer with empty state. 0 disables the check (the
 	// loopback and plain-driver configurations).
 	Incarnation uint64
-	// ReadPatience bounds the deferred wait of a serving-side waiting read
-	// (opRead with flagWait, every opReadMulti segment): a buffer not
-	// exposed within the window fails the read with a retryable error
-	// instead of holding the exchange open indefinitely. Elastic clusters
-	// set it on every codsnode so a read that raced a node replacement —
-	// routed to a process that never receives the buffer — is bounced back
-	// to the reader's retry layer, which re-pulls against the reconciled
-	// routing. 0 (the default) waits forever, the classic in-situ
-	// deferred-read semantics.
+	// ReadPatience bounds the deferred wait of a serving-side read (every
+	// opReadMulti segment): a buffer not exposed within the window fails
+	// the read with a retryable error instead of holding the exchange open
+	// indefinitely. Elastic clusters set it on every codsnode so a read
+	// that raced a node replacement — routed to a process that never
+	// receives the buffer — is bounced back to the reader's retry layer,
+	// which re-pulls against the reconciled routing. 0 (the default) waits
+	// forever, the classic in-situ deferred-read semantics.
 	ReadPatience time.Duration
 }
 
@@ -102,9 +100,9 @@ type Backend struct {
 	closed    atomic.Bool
 
 	stats struct {
-		bytesOut, bytesIn           atomic.Int64
-		readRequests, readMultiReqs atomic.Int64
-		segments, segmentBytes      atomic.Int64
+		bytesOut, bytesIn      atomic.Int64
+		readMultiReqs          atomic.Int64
+		segments, segmentBytes atomic.Int64
 	}
 
 	// spanTracer, when set, emits a handler span for every remote
@@ -160,13 +158,15 @@ func (s *spanSink) drain() []byte {
 
 // WireStats is a snapshot of a backend's wire-level counters: the bytes
 // written to and read from its dialed (client-side) connections,
-// handshakes included; the one-sided read request frames it issued, by
-// kind; and the scatter-gather segments its server side clipped and
-// streamed. In loopback mode one backend is both sides, so a probe sees
-// the whole exchange; in a multi-process deployment each process reports
-// its own half.
+// handshakes included; the one-sided read request frames it issued; and
+// the scatter-gather segments its server side clipped and streamed. In
+// loopback mode one backend is both sides, so a probe sees the whole
+// exchange; in a multi-process deployment each process reports its own
+// half.
 type WireStats struct {
-	BytesOut, BytesIn               int64
+	BytesOut, BytesIn int64
+	// ReadRequests is always 0: bench/tcp.go still reads it; a benchmark
+	// PR may drop it.
 	ReadRequests, ReadMultiRequests int64
 	SegmentsServed                  int64
 	SegmentBytesServed              int64
@@ -177,7 +177,6 @@ func (b *Backend) WireStats() WireStats {
 	return WireStats{
 		BytesOut:           b.stats.bytesOut.Load(),
 		BytesIn:            b.stats.bytesIn.Load(),
-		ReadRequests:       b.stats.readRequests.Load(),
 		ReadMultiRequests:  b.stats.readMultiReqs.Load(),
 		SegmentsServed:     b.stats.segments.Load(),
 		SegmentBytesServed: b.stats.segmentBytes.Load(),
@@ -186,7 +185,7 @@ func (b *Backend) WireStats() WireStats {
 
 // EnableSpanCapture starts emitting a node-labelled handler span for
 // every remote operation served here that carries trace context
-// (opRead/opReadMulti/opCall with a nonzero Span field). The spans are
+// (opReadMulti/opCall with a nonzero Span field). The spans are
 // buffered in-process and shipped to the driver on demand (opSpans /
 // DrainRemoteSpans). Span IDs are namespaced per process — node k's
 // spans start above (k+1)<<48 — so merged traces never collide with the
@@ -623,35 +622,6 @@ func (b *Backend) Recv(on, src cluster.CoreID, tag uint64) (transport.Message, e
 	return transport.Message{Src: cluster.CoreID(resp.Src), Tag: resp.Tag, Payload: resp.Payload}, nil
 }
 
-// Read implements transport.Backend: the single-buffer read ships the
-// whole exposed buffer and the reader's callback copies its region out,
-// exactly like the in-process payload sharing. Sub-box reads that should
-// move only clipped bytes go through ReadMulti (DESIGN §5f).
-func (b *Backend) Read(reader, owner cluster.CoreID, key transport.BufKey, m transport.Meter, n int64, wait bool) (any, bool, error) {
-	b.stats.readRequests.Add(1)
-	obsWireReadReqs.Inc()
-	fr := &frame{Op: opRead, Src: int32(reader), Dst: int32(owner), Name: key.Name, Version: int64(key.Version), Bytes: n}
-	meterFrame(fr, m)
-	if wait {
-		fr.Flags |= flagWait
-	}
-	resp, err := b.roundTrip(b.machine.NodeOf(owner), fr, wait)
-	if err != nil {
-		return nil, false, err
-	}
-	if resp.Status == statusNotFound {
-		return nil, false, nil
-	}
-	if err := respErr(resp); err != nil {
-		return nil, false, err
-	}
-	payload, err := transport.DecodePayload(resp.Payload)
-	if err != nil {
-		return nil, false, err
-	}
-	return payload, true, nil
-}
-
 // ReadMulti implements transport.Backend: one scatter-gather request
 // frame carries the whole batch to the node serving the owners; the
 // response header announces the segment count and the pipelined stream
@@ -703,7 +673,7 @@ func (b *Backend) readMultiExchange(c net.Conn, fr *frame, specs []transport.Rea
 		return false, err
 	}
 	// The stream legitimately blocks until every buffer is exposed; no
-	// read deadline, exactly like a waiting opRead.
+	// read deadline.
 	c.SetReadDeadline(time.Time{})
 	resp, err := readFrame(c, b.cfg.MaxFrame)
 	if err != nil {
@@ -784,13 +754,13 @@ func (b *Backend) Expose(owner cluster.CoreID, key transport.BufKey, payload any
 }
 
 // Unexpose implements transport.Backend.
-func (b *Backend) Unexpose(owner cluster.CoreID, key transport.BufKey) error {
+func (b *Backend) Unexpose(owner cluster.CoreID, key transport.BufKey) (bool, error) {
 	fr := &frame{Op: opUnexpose, Dst: int32(owner), Name: key.Name, Version: int64(key.Version)}
 	resp, err := b.roundTrip(b.machine.NodeOf(owner), fr, false)
 	if err != nil {
-		return err
+		return false, err
 	}
-	return respErr(resp)
+	return resp.Status == statusOK, respErr(resp)
 }
 
 // Exposed implements transport.Backend.
@@ -1046,9 +1016,9 @@ func (b *Backend) serveConn(c net.Conn) {
 // serveReadMulti executes one scatter-gather read: validate the batch,
 // announce the segment count in an ordinary response frame, then clip
 // each requested sub-box out of its exposed buffer and stream the
-// segments. Each spec is metered through LocalRead exactly as its
-// unbatched read would be — on this side, the side moving the bytes. The
-// return value reports whether the connection is still in protocol sync;
+// segments. Each spec is metered through LocalRead on this side, the side
+// moving the bytes. The return value reports whether the connection is
+// still in protocol sync;
 // a failure after the header frame is not (the client was promised
 // segments), so the stream is aborted with an error segment and the
 // connection dropped.
@@ -1093,7 +1063,7 @@ func (b *Backend) serveReadMulti(c net.Conn, fr *frame) bool {
 	m := frameMeter(fr)
 	reader := cluster.CoreID(fr.Src)
 	clip := func(spec transport.ReadSpec, dst []byte) ([]byte, error) {
-		payload, _, err := b.fabric.LocalReadDeadline(reader, spec.Owner, spec.Key, m, spec.Bytes, b.cfg.ReadPatience)
+		payload, err := b.fabric.LocalRead(reader, spec.Owner, spec.Key, m, spec.Bytes, b.cfg.ReadPatience)
 		if err != nil {
 			return nil, err
 		}
@@ -1189,17 +1159,12 @@ func (b *Backend) checkTarget(c int32) error {
 }
 
 // execute runs one decoded request against the local fabric and builds
-// the response frame. With span capture enabled, data operations that
-// carry trace context get a handler span parented under the requesting
-// driver span, labelled with the serving node.
+// the response frame. With span capture enabled, a call that carries
+// trace context gets a handler span parented under the requesting driver
+// span, labelled with the serving node.
 func (b *Backend) execute(fr *frame) *frame {
-	if tr := b.spanTracer.Load(); tr != nil && fr.Span != 0 {
-		switch fr.Op {
-		case opRead:
-			defer tr.StartNode(obs.SpanID(fr.Span), "remote:read:"+fr.Name, b.nodeLabel(fr.Dst)).End()
-		case opCall:
-			defer tr.StartNode(obs.SpanID(fr.Span), "remote:call:"+fr.Name, b.nodeLabel(fr.Dst)).End()
-		}
+	if tr := b.spanTracer.Load(); tr != nil && fr.Span != 0 && fr.Op == opCall {
+		defer tr.StartNode(obs.SpanID(fr.Span), "remote:call:"+fr.Name, b.nodeLabel(fr.Dst)).End()
 	}
 	resp := &frame{Op: opResp}
 	fail := func(err error) *frame {
@@ -1237,33 +1202,6 @@ func (b *Backend) execute(fr *frame) *frame {
 		resp.Src = int32(msg.Src)
 		resp.Tag = msg.Tag
 		resp.Payload = msg.Payload
-	case opRead:
-		if err := b.checkCore(fr.Src, false); err != nil {
-			return fail(err)
-		}
-		if err := b.checkTarget(fr.Dst); err != nil {
-			return fail(err)
-		}
-		var payload any
-		var ok bool
-		var err error
-		if fr.Flags&flagWait != 0 {
-			payload, ok, err = b.fabric.LocalReadDeadline(cluster.CoreID(fr.Src), cluster.CoreID(fr.Dst), key, frameMeter(fr), fr.Bytes, b.cfg.ReadPatience)
-		} else {
-			payload, ok, err = b.fabric.LocalRead(cluster.CoreID(fr.Src), cluster.CoreID(fr.Dst), key, frameMeter(fr), fr.Bytes, false)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		if !ok {
-			resp.Status = statusNotFound
-			return resp
-		}
-		enc, err := transport.EncodePayload(payload)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Payload = enc
 	case opCall:
 		if err := b.checkCore(fr.Src, false); err != nil {
 			return fail(err)
@@ -1299,8 +1237,12 @@ func (b *Backend) execute(fr *frame) *frame {
 		if err := b.checkTarget(fr.Dst); err != nil {
 			return fail(err)
 		}
-		if err := b.fabric.LocalUnexpose(cluster.CoreID(fr.Dst), key); err != nil {
+		existed, err := b.fabric.LocalUnexpose(cluster.CoreID(fr.Dst), key)
+		if err != nil {
 			return fail(err)
+		}
+		if !existed {
+			resp.Status = statusNotFound
 		}
 	case opExposed:
 		if err := b.checkTarget(fr.Dst); err != nil {

@@ -2,7 +2,9 @@ package tcpnet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -24,6 +26,37 @@ type echoPayload struct {
 type blockPayload struct {
 	Text string
 	Vals []float64
+}
+
+// ClipRegion implements transport.RegionClipper over the 1-D index range
+// of Vals, in the wire's cell format (big-endian float64 bits).
+func (p *blockPayload) ClipRegion(dst []byte, sub geometry.BBox) ([]byte, error) {
+	clip, ok := sub.Intersect(geometry.BoxFromSize([]int{len(p.Vals)}))
+	if !ok {
+		return dst, nil
+	}
+	for _, v := range p.Vals[clip.Min[0]:clip.Max[0]] {
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	return dst, nil
+}
+
+// readOne issues a single-spec ReadMulti of n metered bytes for the cells
+// [0, cells) of the buffer key exposed by owner and returns what was
+// delivered: the owner-clipped cells off the wire.
+func readOne(ep *transport.Endpoint, owner cluster.CoreID, key transport.BufKey, m transport.Meter, n int64, cells int) ([]float64, error) {
+	var got []float64
+	spec := transport.ReadSpec{Owner: owner, Key: key, Sub: geometry.BoxFromSize([]int{cells}), Bytes: n}
+	err := ep.ReadMulti([]transport.ReadSpec{spec}, m, func(_ int, payload any, clipped []byte) error {
+		if payload != nil {
+			return errors.New("full payload delivered over the wire")
+		}
+		for ; len(clipped) >= 8; clipped = clipped[8:] {
+			got = append(got, math.Float64frombits(binary.BigEndian.Uint64(clipped)))
+		}
+		return nil
+	})
+	return got, err
 }
 
 func init() {
@@ -62,13 +95,10 @@ func sampleFrames() []*frame {
 		{Op: opSend, Src: 0, Dst: 5, Tag: 42, MeterClass: uint8(cluster.InterApp), DstApp: 2,
 			Phase: "couple:1", Payload: []byte("hello")},
 		{Op: opRecv, Src: -1, Dst: 3, Tag: 7},
-		{Op: opRead, Src: 2, Dst: 6, Name: "temperature", Version: 3, Bytes: 4096,
-			Flags: flagWait, MeterClass: uint8(cluster.InterApp), DstApp: 2, Phase: "couple:3",
-			Span: 0x123456789A},
 		{Op: opCall, Src: 1, Dst: 0, Name: "cods.dht", Bytes: 64, Bytes2: 128,
 			MeterClass: uint8(cluster.Control), Payload: []byte{1, 2, 3}, Span: 7},
 		{Op: opSpans},
-		{Op: opResp, Status: statusOK, Payload: []byte(`{"ev":"b","id":1,"name":"remote:read:t"}` + "\n")},
+		{Op: opResp, Status: statusOK, Payload: []byte(`{"ev":"b","id":1,"name":"remote:readmulti:1"}` + "\n")},
 		{Op: opResp, Status: statusErr, Err: "transport: endpoint closed"},
 		{Op: opResp, Status: statusOK, Payload: bytes.Repeat([]byte{0xAB}, 1024)},
 		{Op: opReadMulti, Src: 2, Dst: 6, MeterClass: uint8(cluster.InterApp), DstApp: 2,
@@ -197,33 +227,38 @@ func TestLoopbackSendRecv(t *testing.T) {
 }
 
 func TestLoopbackExposeReadCall(t *testing.T) {
-	f, _ := newLoopbackFabric(t, 2, 2)
+	f, b := newLoopbackFabric(t, 2, 2)
 	m := transport.Meter{Phase: "test", Class: cluster.InterApp, DstApp: 2}
 	key := transport.BufKey{Name: "var", Version: 1}
 	owner, reader := f.Endpoint(1), f.Endpoint(3)
 
-	if ok, err := reader.TryRead(1, key, m, 8, func(any) {}); err != nil || ok {
-		t.Fatalf("TryRead before expose: ok=%v err=%v", ok, err)
-	}
 	want := &blockPayload{Text: "block", Vals: []float64{1, 2, 3}}
 	if err := owner.Expose(key, want); err != nil {
 		t.Fatal(err)
 	}
-	if !owner.Exposed(key) {
-		t.Fatal("Exposed() false after Expose")
+	if ok, err := b.Exposed(1, key); err != nil || !ok {
+		t.Fatalf("Exposed over the wire after Expose = %v, %v", ok, err)
 	}
-	var got *blockPayload
-	if err := reader.Read(1, key, m, 24, func(p any) { got = p.(*blockPayload) }); err != nil {
+	got, err := readOne(reader, 1, key, m, 24, len(want.Vals))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("read %+v, want %+v", got, want)
+	if !reflect.DeepEqual(want.Vals, got) {
+		t.Fatalf("read %v, want %v", got, want.Vals)
 	}
-	if err := owner.Unexpose(key); err != nil {
-		t.Fatal(err)
+	if f.MediumBytes(cluster.Network) != 24 {
+		t.Fatalf("cross-node read metered %d network bytes, want 24", f.MediumBytes(cluster.Network))
 	}
-	if owner.Exposed(key) {
-		t.Fatal("Exposed() true after Unexpose")
+	// Unexpose over the wire reports whether the buffer existed
+	// (statusNotFound on the second withdrawal).
+	if existed, err := b.Unexpose(1, key); err != nil || !existed {
+		t.Fatalf("Unexpose of an exposed buffer = %v, %v", existed, err)
+	}
+	if ok, err := b.Exposed(1, key); err != nil || ok {
+		t.Fatalf("Exposed over the wire after Unexpose = %v, %v", ok, err)
+	}
+	if existed, err := b.Unexpose(1, key); err != nil || existed {
+		t.Fatalf("second Unexpose = %v, %v, want absent", existed, err)
 	}
 
 	f.Endpoint(0).RegisterHandler("echo", func(src cluster.CoreID, req any) (any, error) {

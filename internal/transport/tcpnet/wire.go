@@ -28,7 +28,6 @@ const (
 	opResp
 	opSend
 	opRecv
-	opRead
 	opCall
 	opExpose
 	opUnexpose
@@ -53,33 +52,19 @@ const (
 	statusOK uint8 = iota
 	statusErr
 	statusClosed   // the target endpoint is closed (transport.ErrEndpointClosed)
-	statusNotFound // TryRead/Exposed miss: not an error, just absent
-)
-
-// Frame flags.
-const (
-	flagWait uint8 = 1 << iota // opRead: block until the buffer is exposed
+	statusNotFound // Exposed/Unexpose of an absent buffer: not an error
 )
 
 // Handshake constants. helloMagic rides in the Tag field of the opHello
 // frame; bumping wireVersion invalidates cached connections from older
-// binaries at the handshake instead of corrupting mid-stream. Version 2
-// added the opReadMulti scatter-gather read and its segment stream;
-// version 3 added the fixed Span trace-context field to every frame
-// header and the opSpans drain; version 4 added the membership ops
-// (join/lease/depart/transfer) and the incarnation id carried in the
-// hello exchange (the client's expectation in the request Span field,
-// the server's actual incarnation in the response Tag); version 5 added
-// the streaming ops (publish-notify/cursor-advance/version-GC), each
-// incarnation-fenced like a lease probe so an elastic replacement resumes
-// streams while its stale predecessor cannot acknowledge them. A
+// binaries at the handshake instead of corrupting mid-stream. A
 // mismatched peer is rejected at the handshake (there is no per-op
 // fallback — a driver must match its codsnode children), which is a clean
 // fast failure instead of an old server hanging on a frame layout it
-// cannot decode.
+// cannot decode. DESIGN §5f lists what each version changed.
 const (
 	helloMagic  uint64 = 0x434F44534E455400 // "CODSNET\0"
-	wireVersion uint8  = 5
+	wireVersion uint8  = 6
 )
 
 // maxFrameDefault bounds a frame body (64 MiB) so a corrupted length
@@ -93,9 +78,9 @@ const maxFrameDefault = 64 << 20
 //	Src/Dst      initiating and target core (Dst also the owner for
 //	             buffer ops); Src is -1 for AnySource receives
 //	Tag          message tag (send/recv), helloMagic (hello)
-//	Version      BufKey version (read/expose/...), wire version (hello)
-//	Bytes/Bytes2 metered sizes: payload volume (read), req/resp (call),
-//	             machine shape nodes/cores (hello)
+//	Version      BufKey version (expose/...), wire version (hello)
+//	Bytes/Bytes2 metered sizes: req/resp (call), machine shape
+//	             nodes/cores (hello)
 //	MeterClass   cluster.Class of the carried Meter
 //	DstApp       Meter.DstApp
 //	Span         requesting-side span id (Meter.Span), 0 = no span;
@@ -162,7 +147,7 @@ var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b 
 
 // maxPooledBuf bounds the capacity of a buffer the pool will keep (64
 // KiB): typical frames — control RPCs, clipped segments, spec lists — fit
-// comfortably; whole-block payloads above it take the allocate path.
+// comfortably; exposed-block payloads above it take the allocate path.
 const maxPooledBuf = 64 << 10
 
 func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
@@ -326,9 +311,9 @@ func readFrame(r io.Reader, max int) (*frame, error) {
 	return decodeFrame(body)
 }
 
-// Scatter-gather read codec (wire version 2). An opReadMulti request frame
-// carries the reader in Src, the owning peer's first core in Dst, and its
-// Payload encodes the spec list:
+// Scatter-gather read codec. An opReadMulti request frame carries the
+// reader in Src, the owning peer's first core in Dst, and its Payload
+// encodes the spec list:
 //
 //	u32  count
 //	per spec:

@@ -26,7 +26,7 @@ import (
 )
 
 // ErrEndpointClosed marks operations against an endpoint that has been
-// closed: Send to it, Recv on it, Read of its buffers, Call of its
+// closed: Send to it, Recv on it, ReadMulti of its buffers, Call of its
 // services. Callers test for it with errors.Is; it is terminal, not
 // transient — retry layers give up on it immediately.
 var ErrEndpointClosed = errors.New("endpoint closed")
@@ -90,7 +90,7 @@ type BufKey struct {
 const AnySource cluster.CoreID = -1
 
 // mediumStats counts transfers through one medium. The fields are updated
-// atomically so the parallel pull engine's concurrent Reads never contend
+// atomically so the parallel pull engine's concurrent reads never contend
 // on a lock just to be counted.
 type mediumStats struct {
 	bytes atomic.Int64
@@ -109,7 +109,7 @@ type Fabric struct {
 
 	// readLatency is an optional simulated one-sided-read round-trip
 	// latency per medium, in nanoseconds (0 = off, the default). When set,
-	// every Read blocks that long before its payload callback, modelling
+	// every read blocks that long before its payload callback, modelling
 	// the blocking RDMA get of the paper's DART; it is what the parallel
 	// pull engine overlaps. Byte accounting is unaffected.
 	readLatency [2]atomic.Int64
@@ -120,17 +120,14 @@ type Fabric struct {
 	faultsInjected atomic.Int64
 
 	// backend executes operations whose target state lives outside this
-	// process; routeMode (routeLocal/routeRemote/routeAll) gates whether
-	// an op consults it at all, so the in-process fast path costs one
-	// atomic load. See backend.go.
-	backend   Backend
-	routeMode atomic.Int32
+	// process; nil on an in-process fabric, where every op executes
+	// directly. See backend.go.
+	backend Backend
 }
 
 // NewFabric creates a fabric with one endpoint per core of the machine.
 func NewFabric(m *cluster.Machine) *Fabric {
 	f := &Fabric{machine: m, endpoints: make([]*Endpoint, m.TotalCores())}
-	f.backend = localBackend{f}
 	for c := 0; c < m.TotalCores(); c++ {
 		ep := &Endpoint{
 			core:    cluster.CoreID(c),
@@ -247,7 +244,7 @@ func (ep *Endpoint) Send(dst cluster.CoreID, tag uint64, payload []byte, m Meter
 	if err := ep.fabric.inject(FaultSend, int(ep.fabric.medium(ep.core, dst)), ep.core, dst); err != nil {
 		return err
 	}
-	if ep.fabric.routed(ep.core, dst) {
+	if ep.fabric.Routed(ep.core, dst) {
 		return ep.fabric.backend.Send(ep.core, dst, tag, payload, m)
 	}
 	return ep.fabric.LocalSend(ep.core, dst, tag, payload, m)
@@ -268,7 +265,7 @@ func (ep *Endpoint) Recv(src cluster.CoreID, tag uint64) (Message, error) {
 	}
 	// The target state is this endpoint's own inbox: it is remote only
 	// when this process does not own the endpoint (a driver fabric).
-	if ep.fabric.routed(ep.core, ep.core) {
+	if ep.fabric.Routed(ep.core, ep.core) {
 		return ep.fabric.backend.Recv(ep.core, src, tag)
 	}
 	return ep.fabric.LocalRecv(ep.core, src, tag)
@@ -291,72 +288,34 @@ func (ep *Endpoint) Close() {
 }
 
 // Expose publishes a one-sided buffer under key. Readers on any core can
-// pull from it with Read. Re-exposing an existing key is an error (versions
-// distinguish iterations).
+// pull from it with ReadMulti. Re-exposing an existing key is an error
+// (versions distinguish iterations).
 func (ep *Endpoint) Expose(key BufKey, payload any) error {
-	if ep.fabric.routed(ep.core, ep.core) {
+	if ep.fabric.Routed(ep.core, ep.core) {
 		return ep.fabric.backend.Expose(ep.core, key, payload)
 	}
 	return ep.fabric.LocalExpose(ep.core, key, payload)
 }
 
-// Unexpose withdraws a published buffer, freeing its slot.
-func (ep *Endpoint) Unexpose(key BufKey) error {
-	if ep.fabric.routed(ep.core, ep.core) {
+// Unexpose withdraws a published buffer, freeing its slot; existed reports
+// whether key was published on this endpoint.
+func (ep *Endpoint) Unexpose(key BufKey) (existed bool, err error) {
+	if ep.fabric.Routed(ep.core, ep.core) {
 		return ep.fabric.backend.Unexpose(ep.core, key)
 	}
 	return ep.fabric.LocalUnexpose(ep.core, key)
 }
 
-// Exposed reports whether key is currently published on this endpoint.
-func (ep *Endpoint) Exposed(key BufKey) bool {
-	if ep.fabric.routed(ep.core, ep.core) {
-		ok, err := ep.fabric.backend.Exposed(ep.core, key)
-		return err == nil && ok
-	}
-	ok, _ := ep.fabric.LocalExposed(ep.core, key)
-	return ok
-}
-
-// Read performs a receiver-driven one-sided pull of bytes bytes from the
-// buffer key exposed by owner, blocking until the buffer is published. The
-// read callback receives the owner's payload to copy the needed region out
-// of; the bytes argument is the volume actually moved and is what gets
-// metered.
-func (ep *Endpoint) Read(owner cluster.CoreID, key BufKey, m Meter, bytes int64, read func(payload any)) error {
-	if int(owner) < 0 || int(owner) >= len(ep.fabric.endpoints) {
-		return fmt.Errorf("transport: owner core %d out of range", owner)
-	}
-	if err := ep.fabric.inject(FaultRead, int(ep.fabric.medium(owner, ep.core)), ep.core, owner); err != nil {
-		return err
-	}
-	var payload any
-	var err error
-	if ep.fabric.routed(ep.core, owner) {
-		payload, _, err = ep.fabric.backend.Read(ep.core, owner, key, m, bytes, true)
-	} else {
-		payload, _, err = ep.fabric.LocalRead(ep.core, owner, key, m, bytes, true)
-	}
-	if err != nil {
-		return err
-	}
-	if read != nil {
-		read(payload)
-	}
-	return nil
-}
-
-// ReadMulti performs a batched receiver-driven pull of several exposed
-// sub-regions in one operation, blocking until every buffer is
+// ReadMulti is the one-sided read: a receiver-driven pull of one or more
+// exposed sub-regions in one operation, blocking until every buffer is
 // published. All specs must target owner endpoints living behind the
 // same peer (for the network backends, owners on one node), which lets a
 // network backend issue a single request frame for the whole batch and
 // clip every region on the owning side. Each spec is metered at
-// spec.Bytes on the executing side, exactly like an individual Read, and
-// each spec matches fault rules individually, so a batch observes the
-// same injected faults as the equivalent sequence of Reads. deliver runs
-// once per spec in spec order; see SegmentFunc for the payload-vs-clipped
-// contract.
+// spec.Bytes on the executing side and matches fault rules individually,
+// so a batch observes the same injected faults as the equivalent sequence
+// of single-spec reads. deliver runs once per spec in spec order; see
+// SegmentFunc for the payload-vs-clipped contract.
 func (ep *Endpoint) ReadMulti(specs []ReadSpec, m Meter, deliver SegmentFunc) error {
 	if len(specs) == 0 {
 		return nil
@@ -369,36 +328,10 @@ func (ep *Endpoint) ReadMulti(specs []ReadSpec, m Meter, deliver SegmentFunc) er
 			return err
 		}
 	}
-	if ep.fabric.routed(ep.core, specs[0].Owner) {
+	if ep.fabric.Routed(ep.core, specs[0].Owner) {
 		return ep.fabric.backend.ReadMulti(ep.core, specs, m, deliver)
 	}
 	return ep.fabric.LocalReadMulti(ep.core, specs, m, deliver)
-}
-
-// TryRead is Read without blocking: it returns false when the buffer is not
-// yet published.
-func (ep *Endpoint) TryRead(owner cluster.CoreID, key BufKey, m Meter, bytes int64, read func(payload any)) (bool, error) {
-	if int(owner) < 0 || int(owner) >= len(ep.fabric.endpoints) {
-		return false, fmt.Errorf("transport: owner core %d out of range", owner)
-	}
-	if err := ep.fabric.inject(FaultRead, int(ep.fabric.medium(owner, ep.core)), ep.core, owner); err != nil {
-		return false, err
-	}
-	var payload any
-	var ok bool
-	var err error
-	if ep.fabric.routed(ep.core, owner) {
-		payload, ok, err = ep.fabric.backend.Read(ep.core, owner, key, m, bytes, false)
-	} else {
-		payload, ok, err = ep.fabric.LocalRead(ep.core, owner, key, m, bytes, false)
-	}
-	if err != nil || !ok {
-		return false, err
-	}
-	if read != nil {
-		read(payload)
-	}
-	return true, nil
 }
 
 // Handler processes an RPC request on the serving core and returns a
@@ -430,7 +363,7 @@ func (ep *Endpoint) Call(dst cluster.CoreID, service string, request any, m Mete
 	if err := ep.fabric.inject(FaultCall, int(ep.fabric.medium(ep.core, dst)), ep.core, dst); err != nil {
 		return nil, err
 	}
-	if ep.fabric.routed(ep.core, dst) {
+	if ep.fabric.Routed(ep.core, dst) {
 		return ep.fabric.backend.Call(ep.core, dst, service, request, m, reqBytes, respBytes)
 	}
 	return ep.fabric.LocalCall(ep.core, dst, service, request, m, reqBytes, respBytes)

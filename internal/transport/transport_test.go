@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -19,6 +20,19 @@ func fabric(t testing.TB, nodes, cores int) *Fabric {
 }
 
 var testMeter = Meter{Phase: "test", Class: cluster.InterApp, DstApp: 1}
+
+// readOne issues a single-spec ReadMulti of n metered bytes against the
+// buffer key exposed by owner, handing the delivered payload to read (nil
+// to ignore it).
+func readOne(ep *Endpoint, owner cluster.CoreID, key BufKey, m Meter, n int64, read func(payload any)) error {
+	return ep.ReadMulti([]ReadSpec{{Owner: owner, Key: key, Bytes: n}}, m,
+		func(_ int, payload any, _ []byte) error {
+			if read != nil {
+				read(payload)
+			}
+			return nil
+		})
+}
 
 func TestSendRecvBasic(t *testing.T) {
 	f := fabric(t, 2, 2)
@@ -117,7 +131,7 @@ func TestExposeReadRoundTrip(t *testing.T) {
 		t.Fatal("double expose accepted")
 	}
 	var got []float64
-	if err := reader.Read(0, key, testMeter, 24, func(p any) {
+	if err := readOne(reader, 0, key, testMeter, 24, func(p any) {
 		got = p.([]float64)
 	}); err != nil {
 		t.Fatal(err)
@@ -128,9 +142,14 @@ func TestExposeReadRoundTrip(t *testing.T) {
 	if b := f.Machine().Metrics().Bytes(cluster.InterApp, cluster.Network); b != 24 {
 		t.Fatalf("metered %d bytes", b)
 	}
-	owner.Unexpose(key)
-	if owner.Exposed(key) {
+	if existed, err := owner.Unexpose(key); err != nil || !existed {
+		t.Fatalf("Unexpose of an exposed buffer = %v, %v", existed, err)
+	}
+	if ok, _ := f.LocalExposed(0, key); ok {
 		t.Fatal("Unexpose did not remove buffer")
+	}
+	if existed, err := owner.Unexpose(key); err != nil || existed {
+		t.Fatalf("second Unexpose = %v, %v, want absent", existed, err)
 	}
 }
 
@@ -140,7 +159,7 @@ func TestReadBlocksUntilExpose(t *testing.T) {
 	key := BufKey{Name: "v", Version: 0}
 	got := make(chan struct{})
 	go func() {
-		if err := reader.Read(0, key, testMeter, 1, nil); err != nil {
+		if err := readOne(reader, 0, key, testMeter, 1, nil); err != nil {
 			t.Error(err)
 		}
 		close(got)
@@ -160,21 +179,58 @@ func TestReadBlocksUntilExpose(t *testing.T) {
 	}
 }
 
-func TestTryRead(t *testing.T) {
-	f := fabric(t, 1, 2)
-	owner, reader := f.Endpoint(0), f.Endpoint(1)
+// TestLocalReadWaits pins the serving-side wait of a read spec: patience 0
+// blocks until the buffer is exposed, a positive patience gives up with
+// ErrReadPatience, and a closed endpoint fails with ErrEndpointClosed
+// under either.
+func TestLocalReadWaits(t *testing.T) {
 	key := BufKey{Name: "v", Version: 0}
-	ok, err := reader.TryRead(0, key, testMeter, 1, nil)
-	if err != nil || ok {
-		t.Fatalf("TryRead before expose = %v, %v", ok, err)
-	}
-	if err := owner.Expose(key, 99); err != nil {
-		t.Fatal(err)
-	}
-	var got any
-	ok, err = reader.TryRead(0, key, testMeter, 1, func(p any) { got = p })
-	if err != nil || !ok || got != 99 {
-		t.Fatalf("TryRead after expose = %v, %v, payload %v", ok, err, got)
+	for _, tc := range []struct {
+		name     string
+		patience time.Duration
+		unblock  func(owner *Endpoint) // nil: the read must return on its own
+		want     error
+	}{
+		{"patience 0 blocks until Expose", 0, func(o *Endpoint) { o.Expose(key, 99) }, nil},
+		{"patience expires", 10 * time.Millisecond, nil, ErrReadPatience},
+		{"patience outlasts Expose", time.Minute, func(o *Endpoint) { o.Expose(key, 99) }, nil},
+		{"closed endpoint, patience 0", 0, (*Endpoint).Close, ErrEndpointClosed},
+		{"closed endpoint, patience > 0", time.Minute, (*Endpoint).Close, ErrEndpointClosed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := fabric(t, 1, 2)
+			type result struct {
+				payload any
+				err     error
+			}
+			done := make(chan result, 1)
+			go func() {
+				p, err := f.LocalRead(1, 0, key, testMeter, 8, tc.patience)
+				done <- result{p, err}
+			}()
+			if tc.unblock != nil {
+				select {
+				case r := <-done:
+					t.Fatalf("LocalRead returned (%v, %v) before the buffer was exposed", r.payload, r.err)
+				case <-time.After(20 * time.Millisecond):
+				}
+				tc.unblock(f.Endpoint(0))
+			}
+			select {
+			case r := <-done:
+				if !errors.Is(r.err, tc.want) {
+					t.Fatalf("err = %v, want %v", r.err, tc.want)
+				}
+				if tc.want == nil && r.payload != 99 {
+					t.Fatalf("payload = %v, want 99", r.payload)
+				}
+				if ops := f.MediumOps(cluster.SharedMemory); (tc.want == nil) != (ops == 1) {
+					t.Fatalf("metered %d ops for err %v", ops, r.err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("LocalRead never returned")
+			}
+		})
 	}
 }
 
@@ -191,7 +247,7 @@ func TestCloseUnblocksRecvAndRead(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		if err := f.Endpoint(0).Read(1, BufKey{Name: "x"}, testMeter, 1, nil); err == nil {
+		if err := readOne(f.Endpoint(0), 1, BufKey{Name: "x"}, testMeter, 1, nil); err == nil {
 			t.Error("Read returned nil error after Close")
 		}
 	}()
@@ -296,11 +352,13 @@ func TestReadAfterUnexposeBlocksUntilReexpose(t *testing.T) {
 	if err := owner.Expose(key, 1); err != nil {
 		t.Fatal(err)
 	}
-	owner.Unexpose(key)
+	if _, err := owner.Unexpose(key); err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan any, 1)
 	go func() {
 		var got any
-		if err := reader.Read(0, key, testMeter, 1, func(p any) { got = p }); err != nil {
+		if err := readOne(reader, 0, key, testMeter, 1, func(p any) { got = p }); err != nil {
 			done <- err
 			return
 		}
