@@ -524,8 +524,8 @@ func elasticGate(reps int) error {
 // cursor read and a cursor advance (which retires the version through the
 // same DiscardSequential) on the other. The measured difference is pure
 // stream bookkeeping — watermark and cursor accounting under the stream
-// lock, the per-node mirror notifications, retirement routing — and must
-// stay within the same 5% budget as the instrumentation gates.
+// lock, retirement routing — and must stay within the same 5% budget as
+// the instrumentation gates.
 const streamingBudget = 0.05
 
 func streamingGate(reps int) error {

@@ -187,12 +187,6 @@ func (el *elastic) converge(expired []cluster.NodeID) {
 	for _, node := range expired {
 		el.fw.RestoreNode(int(node))
 	}
-	// Replacements come up with empty stream tables; re-announce every
-	// stream's live watermark, floor and cursor positions so they resume
-	// mid-stream instead of at zero.
-	if n := space.ResyncStreams(); n > 0 {
-		fmt.Printf("membership: resynced %d stream table(s) after replacement\n", n)
-	}
 	fmt.Printf("membership: reconciled %d node(s): re-staged %d blocks (%d B), re-registered %d records\n",
 		len(res.Affected), res.RestagedCount, res.MigratedBytes, res.Reinserted)
 }

@@ -1,12 +1,15 @@
 package cods
 
 import (
+	"bytes"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/geometry"
+	"github.com/insitu/cods/internal/obs"
 	"github.com/insitu/cods/internal/transport"
 )
 
@@ -97,6 +100,59 @@ func TestDiscardSurvivesFailedRoundTrip(t *testing.T) {
 	}
 	if err := h.PutSequential("v", 1, blk, fillRegion(blk)); err != nil {
 		t.Fatalf("put after retried discard: %v", err)
+	}
+}
+
+// TestRetireCountsFailedDiscard is the regression test for the dropped
+// retirement error: when the withdrawal of a retired stream block fails,
+// the stream still moves on (no retry, the advance succeeds), but the
+// failure is counted in cods.stream.retire_errors and traced as a
+// retire-failed:<var> event instead of vanishing.
+func TestRetireCountsFailedDiscard(t *testing.T) {
+	prev := obs.Enabled()
+	obs.Enable(true)
+	t.Cleanup(func() { obs.Enable(prev) })
+	_, sp := testRig(t, 1, 2, []int{8})
+	be := &fakeBackend{f: sp.Fabric(), remote: func(_, _ cluster.CoreID) bool { return true }}
+	sp.Fabric().SetBackend(be)
+	var spans bytes.Buffer
+	tr := obs.NewTracer(&spans)
+	sp.SetTracer(tr)
+	region := geometry.BoxFromSize([]int{8})
+	if err := sp.DeclareStream("u", StreamConfig{Producers: 1, MaxLag: 2}); err != nil {
+		t.Fatal(err)
+	}
+	prod := sp.HandleAt(0, 1, "prod")
+	cur, err := sp.HandleAt(1, 2, "cons").Subscribe("u")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ver := 0; ver < 2; ver++ {
+		if _, err := prod.Publish("u", 0, region, streamFill(region, ver)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs := obs.C("cods.stream.retire_errors")
+	before := errs.Value()
+
+	be.failures.Store(1)
+	if err := cur.Advance(1); err != nil {
+		t.Fatalf("advance over a failing withdrawal: %v", err)
+	}
+	if got := errs.Value() - before; got != 1 {
+		t.Fatalf("retire_errors moved by %d after one failed withdrawal, want 1", got)
+	}
+	if err := cur.Advance(2); err != nil {
+		t.Fatal(err)
+	}
+	if got := errs.Value() - before; got != 1 {
+		t.Fatalf("retire_errors moved by %d after a clean withdrawal, want still 1", got)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(spans.String(), `"retire-failed:u"`); got != 1 {
+		t.Fatalf("%d retire-failed:u events traced, want 1:\n%s", got, spans.String())
 	}
 }
 

@@ -36,12 +36,13 @@ import (
 )
 
 // Streaming registry instruments: versions published across all streams,
-// versions acknowledged by cursors, and versions skipped by lagging
-// cursors under the drop-oldest policy.
+// versions acknowledged by cursors, versions skipped by lagging cursors
+// under the drop-oldest policy, and retired blocks whose withdrawal failed.
 var (
-	obsStreamPublished = obs.C("cods.stream.published")
-	obsStreamConsumed  = obs.C("cods.stream.consumed")
-	obsStreamDropped   = obs.C("cods.stream.dropped")
+	obsStreamPublished    = obs.C("cods.stream.published")
+	obsStreamConsumed     = obs.C("cods.stream.consumed")
+	obsStreamDropped      = obs.C("cods.stream.dropped")
+	obsStreamRetireErrors = obs.C("cods.stream.retire_errors")
 )
 
 // ErrStreamEnded reports an operation against a stream whose producers
@@ -212,37 +213,6 @@ func (sp *Space) StreamState(v string) (latest, floor int, err error) {
 	return s.latest, s.floor, nil
 }
 
-// ResyncStreams re-notifies every node of each stream's watermark and
-// floor over the backend's streaming ops. The membership reconcile loop
-// calls it after replacing a crashed node, so the replacement's stream
-// table resumes at the live positions instead of zero (the ops carry the
-// driver's incarnation, so a stale node cannot acknowledge them). It
-// returns the number of streams resynced; per-node notify failures are
-// ignored — the driver state is authoritative and nodes are mirrors.
-func (sp *Space) ResyncStreams() int {
-	sp.streamMu.Lock()
-	streams := make([]*stream, 0, len(sp.streams))
-	for _, s := range sp.streams {
-		streams = append(streams, s)
-	}
-	sp.streamMu.Unlock()
-	nodes := sp.fabric.Machine().NumNodes()
-	for _, s := range streams {
-		s.mu.Lock()
-		latest, floor := s.latest, s.floor
-		s.mu.Unlock()
-		for n := 0; n < nodes; n++ {
-			if latest >= 0 {
-				sp.fabric.StreamPublish(cluster.NodeID(n), s.v, int64(latest))
-			}
-			if floor > 0 {
-				sp.fabric.StreamRetire(cluster.NodeID(n), s.v, int64(floor))
-			}
-		}
-	}
-	return len(streams)
-}
-
 // ClosePublisher marks producer rank's version sequence finished. Once
 // every rank has closed, the stream has ended: blocked windowed gets
 // return ErrStreamEnded past the final watermark and further publishes
@@ -358,25 +328,18 @@ func (s *stream) dropOldestLocked() []retirement {
 }
 
 // retire discards the blocks of retired versions — buffer, staging memory,
-// DHT record — and notifies each distinct owning node's stream table.
-// Called outside the stream lock.
+// DHT record. Called outside the stream lock. A failed withdrawal leaves
+// the block's staging memory reserved; it is counted and traced, not
+// retried — a discard against a dead node legitimately fails.
 func (s *stream) retire(rets []retirement) {
-	if len(rets) == 0 {
-		return
-	}
-	nodes := make(map[cluster.NodeID]bool)
 	for _, r := range rets {
 		for _, b := range r.blocks {
 			h := s.sp.HandleAt(b.owner, b.app, "stream:gc")
-			h.DiscardSequential(s.v, r.version, b.region)
-			nodes[s.sp.fabric.Machine().NodeOf(b.owner)] = true
+			if err := h.DiscardSequential(s.v, r.version, b.region); err != nil {
+				obsStreamRetireErrors.Inc()
+				s.sp.tracer.Load().Event(0, "retire-failed:"+s.v)
+			}
 		}
-	}
-	s.mu.Lock()
-	floor := s.floor
-	s.mu.Unlock()
-	for n := range nodes {
-		s.sp.fabric.StreamRetire(n, s.v, int64(floor))
 	}
 }
 
@@ -446,14 +409,10 @@ func (h *Handle) Publish(v string, producer int, region geometry.BBox, data []fl
 			s.updateLagLocked(c)
 		}
 	}
-	latest := s.latest
 	s.cond.Broadcast()
 	s.mu.Unlock()
 
 	s.retire(rets)
-	if advanced {
-		h.sp.fabric.StreamPublish(h.sp.fabric.Machine().NodeOf(h.core), v, int64(latest))
-	}
 	return ver, nil
 }
 
@@ -662,11 +621,9 @@ func (c *Cursor) Advance(to int) error {
 	s.updateLagLocked(c)
 	rets := s.gcConsumedLocked()
 	s.cond.Broadcast()
-	pos := c.pos
 	s.mu.Unlock()
 
 	s.retire(rets)
-	s.sp.fabric.StreamAdvance(s.sp.fabric.Machine().NodeOf(c.h.core), s.v, int64(c.id), int64(pos))
 	return nil
 }
 

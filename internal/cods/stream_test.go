@@ -407,24 +407,3 @@ func TestStreamCursorValidation(t *testing.T) {
 		t.Error("out-of-range publisher close accepted")
 	}
 }
-
-// TestStreamResync pins the elastic resume hook: resyncing re-notifies
-// every node of each stream's recorded watermark and floor (a no-op on
-// the in-process fabric) and reports how many streams it walked.
-func TestStreamResync(t *testing.T) {
-	_, sp := testRig(t, 2, 2, []int{8})
-	region := geometry.BoxFromSize([]int{8})
-	if err := sp.DeclareStream("u", StreamConfig{Producers: 1, MaxLag: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if got := sp.ResyncStreams(); got != 1 {
-		t.Fatalf("resynced %d streams, want 1", got)
-	}
-	prod := sp.HandleAt(0, 1, "prod")
-	if _, err := prod.Publish("u", 0, region, streamFill(region, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if got := sp.ResyncStreams(); got != 1 {
-		t.Fatalf("resynced %d streams, want 1", got)
-	}
-}

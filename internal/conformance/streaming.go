@@ -138,7 +138,6 @@ func runStreamLockstep(sc genwf.Scenario, opts Options, machine *cluster.Machine
 			if err := migrateStreamNode(sc, machine, space, v, pubs, ms, model, sc.Kill-1); err != nil {
 				return err
 			}
-			space.ResyncStreams()
 			if err := checkStreamOwners(sc, machine, space, v, cons, model, ms.Latest()); err != nil {
 				return err
 			}

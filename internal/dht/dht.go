@@ -29,11 +29,7 @@ import (
 	"github.com/insitu/cods/internal/transport"
 )
 
-// Registry instruments for the lookup service. The per-shard op counters
-// are a contention proxy: a heavily skewed distribution means most
-// requests serialize on one shard lock, a flat one means the sharding is
-// doing its job (there is no cheap portable way to measure lock wait
-// directly, so we count the operations that take each lock).
+// Registry instruments for the lookup service.
 var (
 	obsQueryNs     = obs.H("dht.query_ns", obs.DefaultLatencyBounds())
 	obsQueryOps    = obs.C("dht.query.ops")
@@ -42,19 +38,10 @@ var (
 	obsRemoveOps   = obs.C("dht.remove.ops")
 	obsShardReads  = obs.C("dht.table.shard_reads")
 	obsShardWrites = obs.C("dht.table.shard_writes")
-	obsShardOps    = shardOpCounters()
 	obsRetries     = obs.C("dht.retry.attempts")
 	obsRecoveries  = obs.C("dht.retry.recoveries")
 	obsBackoffNs   = obs.H("dht.retry.backoff_ns", obs.DefaultLatencyBounds())
 )
-
-func shardOpCounters() [tableShards]*obs.Counter {
-	var out [tableShards]*obs.Counter
-	for i := range out {
-		out[i] = obs.C(fmt.Sprintf("dht.table.shard%02d.ops", i))
-	}
-	return out
-}
 
 // Entry is one location record: data for Region of variable Var at Version
 // is stored in the memory of core Owner.
@@ -142,13 +129,8 @@ func shardIndex(v string) int {
 	return int(h & (tableShards - 1))
 }
 
-// shardOf returns the shard holding a variable's entries, counting the
-// access so shard-balance is observable.
-func (t *table) shardOf(v string) *tableShard {
-	i := shardIndex(v)
-	obsShardOps[i].Inc()
-	return &t.shards[i]
-}
+// shardOf returns the shard holding a variable's entries.
+func (t *table) shardOf(v string) *tableShard { return &t.shards[shardIndex(v)] }
 
 func tkey(v string, version int) string { return fmt.Sprintf("%s\x00%d", v, version) }
 

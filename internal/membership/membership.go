@@ -1,9 +1,8 @@
 // Package membership implements the elastic cluster layer: serving
 // processes (codsnode) register with the driver, hold a TTL lease renewed
-// by heartbeat probes, and leave either gracefully (depart) or by lease
-// expiry (crash). A desired-state reconcile loop — the operator-controller
-// idiom: observe the current state, diff it against the desired member
-// set, converge — re-splits the DHT intervals and re-stages or
+// by heartbeat probes, and leave by lease expiry (crash). A desired-state
+// reconcile loop — the operator-controller idiom: observe the current
+// state, diff it against the desired member set, converge — re-splits the DHT intervals and re-stages or
 // re-registers the staged variables recorded in the put ledger, while
 // in-flight pulls retry against the updated routing table.
 //
@@ -30,7 +29,6 @@ import (
 // counters the driver report reconciles against the reconciler's result.
 var (
 	obsJoins       = obs.C("membership.joins")
-	obsDeparts     = obs.C("membership.departs")
 	obsExpirations = obs.C("membership.expirations")
 	obsRenewals    = obs.C("membership.leases_renewed")
 	obsMigBytes    = obs.C("membership.migrated_bytes")
@@ -46,8 +44,6 @@ const (
 	Alive State = iota
 	// Expired: the lease ran out without renewal (a crash).
 	Expired
-	// Departed: the member left gracefully.
-	Departed
 )
 
 func (s State) String() string {
@@ -56,8 +52,6 @@ func (s State) String() string {
 		return "alive"
 	case Expired:
 		return "expired"
-	case Departed:
-		return "departed"
 	default:
 		return fmt.Sprintf("state(%d)", int(s))
 	}
@@ -117,7 +111,7 @@ func (r *Registry) SetClock(now func() time.Time) {
 
 // SetEventHook installs a callback invoked (outside the registry lock is
 // NOT guaranteed — keep it cheap) on every membership event: "join",
-// "renew", "depart", "expire".
+// "renew", "expire".
 func (r *Registry) SetEventHook(fn func(event string, node cluster.NodeID)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -157,7 +151,7 @@ func (r *Registry) Join(node cluster.NodeID, addr string, incarnation uint64) er
 // Renew extends a member's lease. The renewal must carry the incarnation
 // the lease was granted to: a heartbeat from a superseded process does
 // not keep its successor's slot alive, and a member that already expired
-// or departed must re-join instead of renewing.
+// must re-join instead of renewing.
 func (r *Registry) Renew(node cluster.NodeID, incarnation uint64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -176,22 +170,6 @@ func (r *Registry) Renew(node cluster.NodeID, incarnation uint64) error {
 	m.renewals++
 	obsRenewals.Inc()
 	r.emit("renew", node)
-	return nil
-}
-
-// Depart marks a member as gracefully gone.
-func (r *Registry) Depart(node cluster.NodeID) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, ok := r.members[node]
-	if !ok {
-		return fmt.Errorf("membership: depart for unknown node %d", node)
-	}
-	if m.state == Alive {
-		m.state = Departed
-		obsDeparts.Inc()
-		r.emit("depart", node)
-	}
 	return nil
 }
 
@@ -386,7 +364,7 @@ func NewReconciler(reg *Registry, ledger *Ledger, m *cluster.Machine, acts Actio
 }
 
 // Reconcile converges after the given nodes lost their serving process
-// (crash + replacement join, or graceful depart + rejoin). Every ledger
+// (crash + replacement join). Every ledger
 // block owned by a core of an affected node is re-staged; every other
 // block has its location records re-registered (they may have lived on an
 // affected member's DHT interval); routing is re-split when the member

@@ -94,22 +94,6 @@ func TestRenewRequiresMatchingIncarnation(t *testing.T) {
 	}
 }
 
-func TestDepartedMemberLeavesAliveSet(t *testing.T) {
-	r := NewRegistry(time.Second)
-	_ = r.Join(0, "a", 1)
-	_ = r.Join(1, "b", 1)
-	if err := r.Depart(1); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Alive(); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("alive %v after depart, want [0]", got)
-	}
-	ms := r.Members()
-	if len(ms) != 2 || ms[1].State != "departed" {
-		t.Fatalf("members %+v", ms)
-	}
-}
-
 func TestEventHookSeesTransitions(t *testing.T) {
 	clk := newFakeClock()
 	r := NewRegistry(time.Second)

@@ -321,52 +321,3 @@ func DecodePayload(data []byte) (any, error) {
 	}
 	return v, nil
 }
-
-// StreamBackend is the optional interface a network backend implements to
-// mirror streaming control state onto owning nodes (wire v5): publish
-// notifications carrying the new complete watermark, cursor advances, and
-// version retirements. Every op is incarnation-fenced like a lease probe,
-// so a node that was replaced cannot acknowledge stream state addressed to
-// its successor; the publish and advance responses return the node's
-// recorded watermark so an elastic replacement resumes streams from live
-// positions. The in-process fabric has no remote stream tables, so the
-// passthroughs below degrade to no-ops when there is no backend or it does
-// not implement the interface.
-type StreamBackend interface {
-	// StreamPublish records watermark version of stream v on node and
-	// returns the node's resulting recorded watermark.
-	StreamPublish(node cluster.NodeID, v string, version int64) (int64, error)
-	// StreamAdvance records consumer's cursor position on node and
-	// returns the node's recorded watermark.
-	StreamAdvance(node cluster.NodeID, v string, consumer, pos int64) (int64, error)
-	// StreamRetire raises the retained floor of stream v on node:
-	// versions below are retired.
-	StreamRetire(node cluster.NodeID, v string, below int64) error
-}
-
-// StreamPublish forwards a watermark advance of stream v to node's stream
-// table when the backend maintains one; otherwise the version is echoed.
-func (f *Fabric) StreamPublish(node cluster.NodeID, v string, version int64) (int64, error) {
-	if sb, ok := f.backend.(StreamBackend); ok {
-		return sb.StreamPublish(node, v, version)
-	}
-	return version, nil
-}
-
-// StreamAdvance forwards a cursor advance to node's stream table when the
-// backend maintains one; otherwise the position is echoed.
-func (f *Fabric) StreamAdvance(node cluster.NodeID, v string, consumer, pos int64) (int64, error) {
-	if sb, ok := f.backend.(StreamBackend); ok {
-		return sb.StreamAdvance(node, v, consumer, pos)
-	}
-	return pos, nil
-}
-
-// StreamRetire forwards a floor advance to node's stream table when the
-// backend maintains one.
-func (f *Fabric) StreamRetire(node cluster.NodeID, v string, below int64) error {
-	if sb, ok := f.backend.(StreamBackend); ok {
-		return sb.StreamRetire(node, v, below)
-	}
-	return nil
-}

@@ -32,15 +32,13 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(lease[4 : fixedHeaderLen/2])
 	join, _ := marshalFrame(&frame{Op: opJoin, Dst: 2, Name: "127.0.0.1:9042", Tag: 7})
 	f.Add(append(append([]byte(nil), join[4:]...), join[4:]...))
-	// Streaming-op adversarial seeds (wire v5): a cursor advance truncated
-	// mid-frame (a consumer killed mid-write) and a duplicate publish
-	// notification — two complete bodies back to back, which the strict
-	// decoder must reject as trailing data rather than silently applying
-	// the first watermark announcement.
-	cursor, _ := marshalFrame(&frame{Op: opCursor, Dst: 1, Name: "u", Version: 3, Bytes: 1, Tag: 2})
-	f.Add(cursor[4 : fixedHeaderLen/2])
-	pub, _ := marshalFrame(&frame{Op: opPublish, Dst: 1, Name: "u", Version: 4, Tag: 2})
-	f.Add(append(append([]byte(nil), pub[4:]...), pub[4:]...))
+	// The v6 op codes of the five ops wire v7 removed: otherwise
+	// well-formed bodies the decoder must now reject as invalid ops.
+	for op := opMax; op < v6OpMax; op++ {
+		old := append([]byte(nil), lease[4:]...)
+		old[0] = op
+		f.Add(old)
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fr, err := decodeFrame(body)

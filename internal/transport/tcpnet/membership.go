@@ -2,6 +2,7 @@ package tcpnet
 
 import (
 	"errors"
+	"slices"
 
 	"github.com/insitu/cods/internal/cluster"
 )
@@ -10,8 +11,8 @@ import (
 // incarnation differs from the one this backend last observed: the node
 // restarted behind the same address with empty endpoint state, or the
 // route points at a replacement the membership layer has not installed
-// yet. Dialing does not retry it — only SetPeerIncarnation/UpdatePeer
-// (driven by the membership reconcile loop) clears the condition.
+// yet. Dialing does not retry it — only UpdatePeer (driven by the
+// membership reconcile loop) clears the condition.
 var ErrStaleIncarnation = errors.New("tcpnet: peer incarnation changed")
 
 // PeerIncarnation returns the incarnation this backend expects node to be
@@ -21,21 +22,6 @@ func (b *Backend) PeerIncarnation(node cluster.NodeID) uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.peerInc[node]
-}
-
-// SetPeerIncarnation installs the incarnation node is now expected to
-// serve under and drops the pooled connections that still talk to the
-// previous process. The next operation redials and the handshake accepts
-// the new identity.
-func (b *Backend) SetPeerIncarnation(node cluster.NodeID, inc uint64) {
-	b.mu.Lock()
-	b.peerInc[node] = inc
-	stale := b.pools[node]
-	delete(b.pools, node)
-	b.mu.Unlock()
-	for _, c := range stale {
-		c.Close()
-	}
 }
 
 // UpdatePeer installs a replacement identity for node: its new address
@@ -57,32 +43,20 @@ func (b *Backend) UpdatePeer(node cluster.NodeID, addr string, inc uint64) {
 
 // PushJoin announces a replacement identity for joined to every other
 // remote peer process (and installs it locally first), so handlers on any
-// node reach the new process instead of the dead one. Mirrors PushPeers'
-// one-frame-per-distinct-process fan-out.
+// node reach the new process instead of the dead one.
 func (b *Backend) PushJoin(joined cluster.NodeID, addr string, inc uint64) error {
 	b.UpdatePeer(joined, addr, inc)
 	fr := &frame{Op: opJoin, Dst: int32(joined), Name: addr, Tag: inc}
-	seen := make(map[string]bool)
-	for node := range b.owned {
-		if b.owned[node] || cluster.NodeID(node) == joined {
-			continue
+	return b.eachPeer(func(_ string, nodes []int) error {
+		if slices.Contains(nodes, int(joined)) {
+			return nil
 		}
-		b.mu.Lock()
-		peerAddr := b.addrs[cluster.NodeID(node)]
-		b.mu.Unlock()
-		if peerAddr == "" || seen[peerAddr] {
-			continue
-		}
-		seen[peerAddr] = true
-		resp, err := b.roundTrip(cluster.NodeID(node), fr, false)
+		resp, err := b.roundTrip(cluster.NodeID(nodes[0]), fr, false)
 		if err != nil {
 			return err
 		}
-		if err := respErr(resp); err != nil {
-			return err
-		}
-	}
-	return nil
+		return respErr(resp)
+	})
 }
 
 // ProbeLease performs one lease probe/renewal round trip against node,
@@ -100,44 +74,3 @@ func (b *Backend) ProbeLease(node cluster.NodeID, inc uint64) (uint64, error) {
 	}
 	return resp.Tag, nil
 }
-
-// DepartPeer asks the process serving node to leave the cluster
-// gracefully and exit. Unlike ShutdownPeers it targets one node and
-// reports the error: a failed depart means the membership layer must fall
-// back to lease expiry.
-func (b *Backend) DepartPeer(node cluster.NodeID) error {
-	resp, err := b.roundTrip(node, &frame{Op: opDepart, Dst: int32(node)}, false)
-	if err != nil {
-		return err
-	}
-	return respErr(resp)
-}
-
-// TransferEntries ships a batch of handed-off lookup entries (an opaque
-// payload agreed with the receiving side's transfer handler) to the
-// process serving node and returns the number of entries it adopted.
-func (b *Backend) TransferEntries(node cluster.NodeID, payload []byte) (int64, error) {
-	resp, err := b.roundTrip(node, &frame{Op: opTransfer, Dst: int32(node), Payload: payload}, false)
-	if err != nil {
-		return 0, err
-	}
-	if err := respErr(resp); err != nil {
-		return 0, err
-	}
-	return resp.Bytes, nil
-}
-
-// SetTransferHandler installs the function that applies an opTransfer
-// payload on this serving process (nil uninstalls). The handler returns
-// the number of entries adopted, echoed to the sender.
-func (b *Backend) SetTransferHandler(h func([]byte) (int64, error)) {
-	if h == nil {
-		b.transferHandler.Store(nil)
-		return
-	}
-	b.transferHandler.Store(&h)
-}
-
-// Incarnation returns the incarnation this backend's own serving process
-// announces in handshakes (0 when elastic identity is disabled).
-func (b *Backend) Incarnation() uint64 { return b.cfg.Incarnation }

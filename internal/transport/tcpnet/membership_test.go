@@ -1,7 +1,6 @@
 package tcpnet
 
 import (
-	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -103,7 +102,7 @@ func TestRedialAfterCrashRejectsStaleIncarnation(t *testing.T) {
 	}
 
 	// The membership layer acknowledges the new identity; traffic resumes.
-	client.SetPeerIncarnation(1, 2)
+	client.UpdatePeer(1, "", 2)
 	inc, err = client.ProbeLease(1, 2)
 	if err != nil || inc != 2 {
 		t.Fatalf("probe after join: inc=%d err=%v, want 2, nil", inc, err)
@@ -125,43 +124,5 @@ func TestLeaseProbeAssertsIncarnation(t *testing.T) {
 	}
 	if _, err := client.ProbeLease(1, 2); err == nil {
 		t.Fatal("renewal against a stale incarnation succeeded")
-	}
-}
-
-// TestTransferAndDepart exercises the ownership-transfer and graceful
-// departure wire ops end to end.
-func TestTransferAndDepart(t *testing.T) {
-	m, err := cluster.NewMachine(2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := serveNode(t, m, 1)
-	client := connectDriver(t, m, s.Addr(1))
-
-	var got []byte
-	s.SetTransferHandler(func(p []byte) (int64, error) {
-		got = append([]byte(nil), p...)
-		return 5, nil
-	})
-	payload := []byte("entries batch")
-	adopted, err := client.TransferEntries(1, payload)
-	if err != nil || adopted != 5 {
-		t.Fatalf("transfer: adopted=%d err=%v", adopted, err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("handler saw %q, want %q", got, payload)
-	}
-	s.SetTransferHandler(nil)
-	if _, err := client.TransferEntries(1, payload); err == nil {
-		t.Fatal("transfer without a handler succeeded")
-	}
-
-	if err := client.DepartPeer(1); err != nil {
-		t.Fatalf("depart: %v", err)
-	}
-	select {
-	case <-s.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("depart did not trigger the serving process's shutdown")
 	}
 }

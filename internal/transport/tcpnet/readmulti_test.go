@@ -1,6 +1,7 @@
 package tcpnet
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -154,12 +155,14 @@ func TestBatchedPullFrameCount(t *testing.T) {
 }
 
 // TestHandshakeRejectsOldWireVersion proves the old-peer policy of DESIGN
-// §5f: a client speaking any earlier wire version — the first, or the one
-// just before the current — is turned away at the handshake with a version
-// error; there is no per-op fallback that could strand it mid-stream.
+// §5f: a client speaking any earlier wire version — the first, v4
+// (membership, no streaming), or the one just before the current — is
+// turned away at the handshake with an error naming both versions; there
+// is no per-op fallback or mixed-version mode that could strand it
+// mid-stream.
 func TestHandshakeRejectsOldWireVersion(t *testing.T) {
 	_, b := newLoopbackFabric(t, 1, 1)
-	for _, version := range []int64{1, int64(wireVersion) - 1} {
+	for _, version := range []int64{1, 4, int64(wireVersion) - 1} {
 		c, err := net.Dial("tcp", b.Addr(0))
 		if err != nil {
 			t.Fatal(err)
@@ -173,9 +176,10 @@ func TestHandshakeRejectsOldWireVersion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.Status != statusErr || !strings.Contains(resp.Err, "wire version") {
-			t.Fatalf("v%d hello answered with status %d, err %q; want a wire version rejection",
-				version, resp.Status, resp.Err)
+		want := fmt.Sprintf("wire version %d, want %d", version, wireVersion)
+		if resp.Status != statusErr || !strings.Contains(resp.Err, want) {
+			t.Fatalf("v%d hello answered with status %d, err %q; want a rejection saying %q",
+				version, resp.Status, resp.Err, want)
 		}
 	}
 }

@@ -88,12 +88,8 @@ type Backend struct {
 	// peerInc records the last incarnation observed for each peer node
 	// (0 = none yet). A handshake that reports a different incarnation
 	// fails with ErrStaleIncarnation until the membership layer installs
-	// the new identity via SetPeerIncarnation/UpdatePeer.
+	// the new identity via UpdatePeer.
 	peerInc map[cluster.NodeID]uint64
-
-	// transferHandler, when set, applies an opTransfer payload (a batch of
-	// handed-off lookup entries) and returns the number of entries adopted.
-	transferHandler atomic.Pointer[func([]byte) (int64, error)]
 
 	listeners []net.Listener
 	wg        sync.WaitGroup
@@ -114,12 +110,6 @@ type Backend struct {
 	// accounts is the per-peer accounting collected by the last
 	// MergeRemoteStats fan-out, guarded by mu.
 	accounts []NodeAccount
-
-	// streams is this node's stream table (streaming.go): the watermark,
-	// retained floor and cursor positions mirrored from the driver through
-	// the incarnation-fenced wire v5 streaming ops, guarded by streamMu.
-	streamMu sync.Mutex
-	streams  map[string]*nodeStream
 
 	shutdownOnce sync.Once
 	shutdownCh   chan struct{}
@@ -229,24 +219,12 @@ func (b *Backend) drainSpans() []byte {
 
 // DrainRemoteSpans collects the handler spans every peer process
 // buffered — plus this process's own captured spans in loopback mode —
-// and splices them into tr (the driver's trace file). Like
-// MergeRemoteStats, each distinct peer process is queried once. Call it
-// after the workflow completes and before flushing the trace.
+// and splices them into tr (the driver's trace file). Call it after the
+// workflow completes and before flushing the trace.
 func (b *Backend) DrainRemoteSpans(tr *obs.Tracer) error {
 	tr.AppendRaw(b.drainSpans())
-	seen := make(map[string]bool)
-	for node := range b.owned {
-		if b.owned[node] {
-			continue
-		}
-		b.mu.Lock()
-		addr := b.addrs[cluster.NodeID(node)]
-		b.mu.Unlock()
-		if addr == "" || seen[addr] {
-			continue
-		}
-		seen[addr] = true
-		resp, err := b.roundTrip(cluster.NodeID(node), &frame{Op: opSpans}, false)
+	return b.eachPeer(func(_ string, nodes []int) error {
+		resp, err := b.roundTrip(cluster.NodeID(nodes[0]), &frame{Op: opSpans}, false)
 		if err != nil {
 			return err
 		}
@@ -254,8 +232,8 @@ func (b *Backend) DrainRemoteSpans(tr *obs.Tracer) error {
 			return err
 		}
 		tr.AppendRaw(resp.Payload)
-	}
-	return nil
+		return nil
+	})
 }
 
 // countingConn charges every read and write on a dialed connection to the
@@ -813,30 +791,43 @@ func (b *Backend) NodeAccounts() []NodeAccount {
 	return append([]NodeAccount(nil), b.accounts...)
 }
 
+// eachPeer calls fn once per distinct remote peer process, in node order,
+// with the process's address and the nodes it serves (a peer owning
+// several nodes is visited once and reached through nodes[0]). It stops at
+// the first error fn returns.
+func (b *Backend) eachPeer(fn func(addr string, nodes []int) error) error {
+	b.mu.Lock()
+	var addrs []string
+	served := make(map[string][]int)
+	for node, owned := range b.owned {
+		addr := b.addrs[cluster.NodeID(node)]
+		if owned || addr == "" {
+			continue
+		}
+		if served[addr] == nil {
+			addrs = append(addrs, addr)
+		}
+		served[addr] = append(served[addr], node)
+	}
+	b.mu.Unlock()
+	for _, addr := range addrs {
+		if err := fn(addr, served[addr]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // MergeRemoteStats pulls the transfer accounting every remote peer
 // recorded while executing this process's operations and folds it into
-// the local fabric and machine metrics. Each distinct peer process is
-// queried once (a peer owning several nodes answers for all of them), so
-// the merged totals equal what a single-process run records. Call it
-// after the workflow completes and before reading any traffic report.
+// the local fabric and machine metrics. Each peer process answers once for
+// all the nodes it serves, so the merged totals equal what a
+// single-process run records. Call it after the workflow completes and
+// before reading any traffic report.
 func (b *Backend) MergeRemoteStats() error {
-	seen := make(map[string]int)
 	var accounts []NodeAccount
-	for node := range b.owned {
-		if b.owned[node] {
-			continue
-		}
-		b.mu.Lock()
-		addr := b.addrs[cluster.NodeID(node)]
-		b.mu.Unlock()
-		if addr == "" {
-			continue
-		}
-		if i, ok := seen[addr]; ok {
-			accounts[i].Nodes = append(accounts[i].Nodes, node)
-			continue
-		}
-		resp, err := b.roundTrip(cluster.NodeID(node), &frame{Op: opStats}, false)
+	err := b.eachPeer(func(addr string, nodes []int) error {
+		resp, err := b.roundTrip(cluster.NodeID(nodes[0]), &frame{Op: opStats}, false)
 		if err != nil {
 			return err
 		}
@@ -845,20 +836,23 @@ func (b *Backend) MergeRemoteStats() error {
 		}
 		var ns nodeStats
 		if err := gob.NewDecoder(bytes.NewReader(resp.Payload)).Decode(&ns); err != nil {
-			return fmt.Errorf("tcpnet: decoding stats from node %d: %w", node, err)
+			return fmt.Errorf("tcpnet: decoding stats from node %d: %w", nodes[0], err)
 		}
 		b.fabric.MergeMediumStats(ns.ShmBytes, ns.ShmOps, ns.NetBytes, ns.NetOps)
 		b.machine.Metrics().Merge(ns.Metrics)
 		accounts = append(accounts, NodeAccount{
 			Addr:     addr,
-			Nodes:    []int{node},
+			Nodes:    nodes,
 			ShmBytes: ns.ShmBytes, ShmOps: ns.ShmOps,
 			NetBytes: ns.NetBytes, NetOps: ns.NetOps,
 			Metrics:  ns.Metrics,
 			Registry: ns.Registry,
 			Wire:     ns.Wire,
 		})
-		seen[addr] = len(accounts) - 1
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	b.mu.Lock()
 	b.accounts = accounts
@@ -880,41 +874,22 @@ func (b *Backend) PushPeers() error {
 	if err := gob.NewEncoder(&buf).Encode(table); err != nil {
 		return err
 	}
-	seen := make(map[string]bool)
-	for node := range b.owned {
-		if b.owned[node] || seen[table[cluster.NodeID(node)]] {
-			continue
-		}
-		seen[table[cluster.NodeID(node)]] = true
-		resp, err := b.roundTrip(cluster.NodeID(node), &frame{Op: opPeers, Payload: buf.Bytes()}, false)
+	return b.eachPeer(func(_ string, nodes []int) error {
+		resp, err := b.roundTrip(cluster.NodeID(nodes[0]), &frame{Op: opPeers, Payload: buf.Bytes()}, false)
 		if err != nil {
 			return err
 		}
-		if err := respErr(resp); err != nil {
-			return err
-		}
-	}
-	return nil
+		return respErr(resp)
+	})
 }
 
-// ShutdownPeers asks every remote peer process to exit. Errors are
-// collected but do not stop the fan-out — a peer that already exited is
-// not a failure.
+// ShutdownPeers asks every remote peer process to exit. Errors do not
+// stop the fan-out — a peer that already exited is not a failure.
 func (b *Backend) ShutdownPeers() {
-	seen := make(map[string]bool)
-	for node := range b.owned {
-		if b.owned[node] {
-			continue
-		}
-		b.mu.Lock()
-		addr := b.addrs[cluster.NodeID(node)]
-		b.mu.Unlock()
-		if addr == "" || seen[addr] {
-			continue
-		}
-		seen[addr] = true
-		_, _ = b.roundTrip(cluster.NodeID(node), &frame{Op: opShutdown}, false)
-	}
+	_ = b.eachPeer(func(_ string, nodes []int) error {
+		_, _ = b.roundTrip(cluster.NodeID(nodes[0]), &frame{Op: opShutdown}, false)
+		return nil
+	})
 }
 
 // Close implements transport.Backend: it stops the listeners, closes all
@@ -1006,7 +981,7 @@ func (b *Backend) serveConn(c net.Conn) {
 		if err := writeFrame(c, resp); err != nil {
 			return
 		}
-		if fr.Op == opShutdown || fr.Op == opDepart {
+		if fr.Op == opShutdown {
 			b.shutdownOnce.Do(func() { close(b.shutdownCh) })
 			return
 		}
@@ -1297,51 +1272,7 @@ func (b *Backend) execute(fr *frame) *frame {
 			return fail(fmt.Errorf("lease for incarnation %d, serving %d", fr.Tag, b.cfg.Incarnation))
 		}
 		resp.Tag = b.cfg.Incarnation
-	case opTransfer:
-		h := b.transferHandler.Load()
-		if h == nil {
-			return fail(fmt.Errorf("no transfer handler installed"))
-		}
-		adopted, err := (*h)(fr.Payload)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Bytes = adopted
-	case opPublish:
-		// Stream fr.Name's complete watermark reached fr.Version. Fenced
-		// like a lease: a notification addressed to a previous incarnation
-		// of this node must not be acknowledged by its replacement.
-		if b.cfg.Incarnation != 0 && fr.Tag != 0 && fr.Tag != b.cfg.Incarnation {
-			return fail(fmt.Errorf("stream publish for incarnation %d, serving %d", fr.Tag, b.cfg.Incarnation))
-		}
-		if fr.Name == "" {
-			return fail(fmt.Errorf("stream publish without a variable name"))
-		}
-		resp.Tag = b.cfg.Incarnation
-		resp.Version = b.streamPublishLocal(fr.Name, fr.Version)
-	case opCursor:
-		// Consumer fr.Bytes of stream fr.Name advanced to position
-		// fr.Version; the response returns the recorded watermark so an
-		// elastic replacement can resume the stream from live positions.
-		if b.cfg.Incarnation != 0 && fr.Tag != 0 && fr.Tag != b.cfg.Incarnation {
-			return fail(fmt.Errorf("cursor advance for incarnation %d, serving %d", fr.Tag, b.cfg.Incarnation))
-		}
-		if fr.Name == "" {
-			return fail(fmt.Errorf("cursor advance without a variable name"))
-		}
-		resp.Tag = b.cfg.Incarnation
-		resp.Version = b.streamAdvanceLocal(fr.Name, fr.Bytes, fr.Version)
-	case opStreamGC:
-		// Versions of stream fr.Name below fr.Version are retired.
-		if b.cfg.Incarnation != 0 && fr.Tag != 0 && fr.Tag != b.cfg.Incarnation {
-			return fail(fmt.Errorf("stream gc for incarnation %d, serving %d", fr.Tag, b.cfg.Incarnation))
-		}
-		if fr.Name == "" {
-			return fail(fmt.Errorf("stream gc without a variable name"))
-		}
-		resp.Tag = b.cfg.Incarnation
-		resp.Version = b.streamRetireLocal(fr.Name, fr.Version)
-	case opShutdown, opDepart:
+	case opShutdown:
 		// Acknowledged here; serveConn triggers the shutdown channel after
 		// the response is on the wire.
 	default:

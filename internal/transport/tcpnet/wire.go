@@ -39,11 +39,6 @@ const (
 	opSpans     // drain the node's buffered remote span events (JSON Lines)
 	opJoin      // membership: node Dst now serves at Name with incarnation Tag
 	opLease     // membership: lease probe/renewal against incarnation Tag
-	opDepart    // membership: graceful departure of the serving node
-	opTransfer  // membership: adopt a batch of handed-off lookup entries
-	opPublish   // streaming: stream Name's complete watermark reached Version
-	opCursor    // streaming: consumer Bytes of stream Name advanced to Version
-	opStreamGC  // streaming: stream Name's versions below Version are retired
 	opMax       // one past the last valid op
 )
 
@@ -64,7 +59,7 @@ const (
 // cannot decode. DESIGN §5f lists what each version changed.
 const (
 	helloMagic  uint64 = 0x434F44534E455400 // "CODSNET\0"
-	wireVersion uint8  = 6
+	wireVersion uint8  = 7
 )
 
 // maxFrameDefault bounds a frame body (64 MiB) so a corrupted length
@@ -76,23 +71,26 @@ const maxFrameDefault = 64 << 20
 // Field use per op:
 //
 //	Src/Dst      initiating and target core (Dst also the owner for
-//	             buffer ops); Src is -1 for AnySource receives
-//	Tag          message tag (send/recv), helloMagic (hello)
+//	             buffer ops, the node for hello/join/lease); Src is -1
+//	             for AnySource receives
+//	Tag          message tag (send/recv), helloMagic (hello request),
+//	             incarnation (join, lease, hello and lease responses)
 //	Version      BufKey version (expose/...), wire version (hello)
 //	Bytes/Bytes2 metered sizes: req/resp (call), machine shape
-//	             nodes/cores (hello)
+//	             nodes/cores (hello); Bytes is the segment count in a
+//	             readmulti response
 //	MeterClass   cluster.Class of the carried Meter
 //	DstApp       Meter.DstApp
 //	Span         requesting-side span id (Meter.Span), 0 = no span;
-//	             trace context only, never metered
-//	Name         BufKey name or RPC service name
+//	             trace context only, never metered; the incarnation the
+//	             client expects (hello request)
+//	Name         BufKey name, RPC service name, or peer address (join)
 //	Phase        Meter.Phase
 //	Err          error text (opResp with statusErr/statusClosed)
 //	Payload      message bytes, encoded RPC payload, or exposed buffer
 type frame struct {
 	Op         uint8
 	Status     uint8
-	Flags      uint8
 	MeterClass uint8
 	Src        int32
 	Dst        int32
@@ -109,7 +107,7 @@ type frame struct {
 }
 
 // fixedHeaderLen is the byte length of the fixed part of a frame body.
-const fixedHeaderLen = 4 + 3*4 + 8 + 3*8 + 8
+const fixedHeaderLen = 3 + 3*4 + 8 + 3*8 + 8
 
 // errShortFrame rejects bodies that end before their declared content;
 // errTrailingData rejects bodies that continue past it. Both make the
@@ -121,7 +119,7 @@ var (
 
 // appendFrame encodes fr's body (without the length prefix) onto dst.
 func appendFrame(dst []byte, fr *frame) []byte {
-	dst = append(dst, fr.Op, fr.Status, fr.Flags, fr.MeterClass)
+	dst = append(dst, fr.Op, fr.Status, fr.MeterClass)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(fr.Src))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(fr.Dst))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(fr.DstApp))
@@ -220,8 +218,7 @@ func decodeFrame(body []byte) (*frame, error) {
 	fr := &frame{
 		Op:         body[0],
 		Status:     body[1],
-		Flags:      body[2],
-		MeterClass: body[3],
+		MeterClass: body[2],
 	}
 	if fr.Op == 0 || fr.Op >= opMax {
 		return nil, fmt.Errorf("tcpnet: invalid op %d", fr.Op)
@@ -229,14 +226,14 @@ func decodeFrame(body []byte) (*frame, error) {
 	if fr.MeterClass > uint8(cluster.Control) {
 		return nil, fmt.Errorf("tcpnet: invalid meter class %d", fr.MeterClass)
 	}
-	fr.Src = int32(binary.BigEndian.Uint32(body[4:]))
-	fr.Dst = int32(binary.BigEndian.Uint32(body[8:]))
-	fr.DstApp = int32(binary.BigEndian.Uint32(body[12:]))
-	fr.Tag = binary.BigEndian.Uint64(body[16:])
-	fr.Version = int64(binary.BigEndian.Uint64(body[24:]))
-	fr.Bytes = int64(binary.BigEndian.Uint64(body[32:]))
-	fr.Bytes2 = int64(binary.BigEndian.Uint64(body[40:]))
-	fr.Span = binary.BigEndian.Uint64(body[48:])
+	fr.Src = int32(binary.BigEndian.Uint32(body[3:]))
+	fr.Dst = int32(binary.BigEndian.Uint32(body[7:]))
+	fr.DstApp = int32(binary.BigEndian.Uint32(body[11:]))
+	fr.Tag = binary.BigEndian.Uint64(body[15:])
+	fr.Version = int64(binary.BigEndian.Uint64(body[23:]))
+	fr.Bytes = int64(binary.BigEndian.Uint64(body[31:]))
+	fr.Bytes2 = int64(binary.BigEndian.Uint64(body[39:]))
+	fr.Span = binary.BigEndian.Uint64(body[47:])
 	rest := body[fixedHeaderLen:]
 	for _, dst := range []*string{&fr.Name, &fr.Phase, &fr.Err} {
 		if len(rest) < 2 {
