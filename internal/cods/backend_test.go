@@ -16,11 +16,13 @@ import (
 // fakeBackend is a transport.Backend that executes every routed operation
 // on the fabric's own Local* side, standing in for a wire: remote decides
 // what is routed, and the first failures buffer-state round trips
-// (Exposed/Unexpose) fail the way a dropped connection would.
+// (Exposed/Unexpose) and the first callFailures RPCs fail the way a dropped
+// connection would.
 type fakeBackend struct {
-	f        *transport.Fabric
-	remote   func(initiator, target cluster.CoreID) bool
-	failures atomic.Int32
+	f            *transport.Fabric
+	remote       func(initiator, target cluster.CoreID) bool
+	failures     atomic.Int32
+	callFailures atomic.Int32
 }
 
 var errRoundTrip = errors.New("fake backend: connection reset")
@@ -51,6 +53,9 @@ func (b *fakeBackend) ReadMulti(reader cluster.CoreID, specs []transport.ReadSpe
 }
 
 func (b *fakeBackend) Call(src, dst cluster.CoreID, service string, request any, m transport.Meter, reqBytes, respBytes int64) (any, error) {
+	if b.callFailures.Add(-1) >= 0 {
+		return nil, errRoundTrip
+	}
 	return b.f.LocalCall(src, dst, service, request, m, reqBytes, respBytes)
 }
 
@@ -101,6 +106,53 @@ func TestDiscardSurvivesFailedRoundTrip(t *testing.T) {
 	if err := h.PutSequential("v", 1, blk, fillRegion(blk)); err != nil {
 		t.Fatalf("put after retried discard: %v", err)
 	}
+}
+
+// putLog is a PutRecorder counting the blocks currently on record.
+type putLog struct{ live atomic.Int32 }
+
+func (l *putLog) RecordPut(string, int, geometry.BBox, cluster.CoreID, []float64) { l.live.Add(1) }
+func (l *putLog) RecordDiscard(string, int, geometry.BBox, cluster.CoreID)        { l.live.Add(-1) }
+
+// TestPutSequentialUndoesFailedInsert is the regression test for the
+// leaked put: when the lookup registration of a staged block fails, the
+// block must not stay exposed, reserved and on the put ledger — the error
+// surfaces, and the retried put succeeds against a single reservation
+// instead of failing with "already exposed".
+func TestPutSequentialUndoesFailedInsert(t *testing.T) {
+	_, sp := testRig(t, 1, 2, []int{8, 8})
+	be := &fakeBackend{f: sp.Fabric(), remote: func(_, _ cluster.CoreID) bool { return true }}
+	sp.Fabric().SetBackend(be)
+	ledger := &putLog{}
+	sp.SetPutRecorder(ledger)
+	blk := geometry.BoxFromSize([]int{8, 8})
+	sp.SetMemoryLimit(blk.Volume() * ElemSize)
+	h := sp.HandleAt(0, 1, "p")
+
+	be.callFailures.Store(1)
+	if err := h.PutSequential("v", 0, blk, fillRegion(blk)); !errors.Is(err, errRoundTrip) {
+		t.Fatalf("put over a failing insert: err = %v, want the round-trip error", err)
+	}
+	if got := sp.MemoryUsed(0); got != 0 {
+		t.Fatalf("MemoryUsed after the failed put = %d, want 0", got)
+	}
+	if ok, err := be.Exposed(0, bufKey("v", blk, 0)); err != nil || ok {
+		t.Fatalf("block still exposed after the failed put (exposed=%v, err=%v)", ok, err)
+	}
+	if got := ledger.live.Load(); got != 0 {
+		t.Fatalf("put ledger holds %d records after the failed put, want 0", got)
+	}
+	if err := h.PutSequential("v", 0, blk, fillRegion(blk)); err != nil {
+		t.Fatalf("retried put: %v", err)
+	}
+	if got, want := sp.MemoryUsed(0), blk.Volume()*ElemSize; got != want {
+		t.Fatalf("MemoryUsed after the retried put = %d, want one reservation of %d", got, want)
+	}
+	got, err := sp.HandleAt(1, 2, "g").GetSequential("v", 0, blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRegion(t, blk, got)
 }
 
 // TestRetireCountsFailedDiscard is the regression test for the dropped

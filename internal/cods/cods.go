@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -75,9 +76,91 @@ type StoredObject struct {
 }
 
 func init() {
-	// Stored blocks are exposed as *StoredObject and must survive the wire
-	// codec when a TCP backend ships them between processes.
-	transport.RegisterWireType(&StoredObject{})
+	// Stored blocks cross a network backend in the block wire form below;
+	// the serving process rebuilds them through this decoder.
+	transport.RegisterBlockDecoder(decodeBlock)
+}
+
+// Block wire form — the one codec stored blocks use in both directions:
+//
+//	u8        dim (>= 1)
+//	per dim:  i64 min, i64 max   (the block's region, min < max)
+//	cells:    big-endian float64 bits, row-major over the region
+//
+// The cell section is exactly what ClipRegion emits for the block's own
+// region and what copySegment scatters, so a put is the mirror of a get.
+
+// AppendBlock implements transport.BlockPayload.
+func (o *StoredObject) AppendBlock(dst []byte) ([]byte, error) {
+	dim := o.Region.Dim()
+	if dim == 0 || dim > 0xFF {
+		return nil, fmt.Errorf("cods: block rank %d outside the wire range 1..255", dim)
+	}
+	if int64(len(o.Data)) != o.Region.Volume() || len(o.Data) == 0 {
+		return nil, fmt.Errorf("cods: block %v carries %d cells, want %d (and at least one)",
+			o.Region, len(o.Data), o.Region.Volume())
+	}
+	dst = slices.Grow(dst, 1+16*dim+len(o.Data)*ElemSize)
+	dst = append(dst, uint8(dim))
+	for d := 0; d < dim; d++ {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(o.Region.Min[d]))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(o.Region.Max[d]))
+	}
+	return o.ClipRegion(dst, o.Region)
+}
+
+// decodeBlock strictly decodes the block wire form into a fresh
+// *StoredObject; wire is not retained. Every check runs before the one
+// allocation sized by wire data, and that allocation equals the cell
+// section's length, which the transport already bounded (MaxFrame).
+func decodeBlock(wire []byte) (any, error) {
+	if len(wire) < 1 {
+		return nil, fmt.Errorf("cods: block wire form: missing rank")
+	}
+	dim := int(wire[0])
+	if dim == 0 {
+		return nil, fmt.Errorf("cods: block wire form: rank 0")
+	}
+	if len(wire) < 1+16*dim {
+		return nil, fmt.Errorf("cods: block wire form: %d bytes cannot hold a rank-%d region", len(wire), dim)
+	}
+	cells := wire[1+16*dim:]
+	if len(cells)%ElemSize != 0 {
+		return nil, fmt.Errorf("cods: block wire form: %d cell bytes is not a whole number of cells", len(cells))
+	}
+	// The volume is checked against the cells actually present dimension by
+	// dimension, so a hostile region can neither overflow the product nor
+	// size the allocation.
+	budget := uint64(len(cells) / ElemSize)
+	region := geometry.BBox{Min: make(geometry.Point, dim), Max: make(geometry.Point, dim)}
+	volume := uint64(1)
+	for d := 0; d < dim; d++ {
+		lo := int64(binary.BigEndian.Uint64(wire[1+16*d:]))
+		hi := int64(binary.BigEndian.Uint64(wire[1+16*d+8:]))
+		if hi <= lo {
+			return nil, fmt.Errorf("cods: block wire form: dimension %d is empty or inverted [%d,%d)", d, lo, hi)
+		}
+		size := uint64(hi) - uint64(lo)
+		if size > budget/volume {
+			return nil, fmt.Errorf("cods: block wire form: region needs more than the %d cells carried", budget)
+		}
+		volume *= size
+		region.Min[d], region.Max[d] = int(lo), int(hi)
+	}
+	if volume != budget {
+		return nil, fmt.Errorf("cods: block wire form: region of %d cells carries %d", volume, budget)
+	}
+	obj := &StoredObject{Region: region, Data: make([]float64, volume)}
+	if err := copySegment(obj.Data, region, cells, region); err != nil {
+		return nil, err
+	}
+	if mutate.Enabled(mutate.TCPBlockShift) {
+		// Seeded defect: the block lands one cell over along its last
+		// dimension — right bytes, wrong coordinates.
+		obj.Region.Min[dim-1]++
+		obj.Region.Max[dim-1]++
+	}
+	return obj, nil
 }
 
 // ClipRegion implements transport.RegionClipper: it appends the cells of
@@ -93,6 +176,9 @@ func (o *StoredObject) ClipRegion(dst []byte, sub geometry.BBox) ([]byte, error)
 	if !ok {
 		return dst, nil
 	}
+	// One growth to the final size: a pooled staging buffer that is too
+	// short is replaced once instead of doubling its way up.
+	dst = slices.Grow(dst, int(clip.Volume())*ElemSize)
 	last := clip.Dim() - 1
 	runLen := clip.Size(last)
 	p := clip.Min.Clone()
@@ -600,7 +686,11 @@ func (h *Handle) PutSequential(v string, version int, region geometry.BBox, data
 	}
 	cl := h.lookupClient()
 	if err := cl.Insert(h.phase, h.app, dht.Entry{Var: v, Version: version, Region: region, Owner: h.core}); err != nil {
-		return err
+		// The block is exposed, reserved and in the ledger but cannot be
+		// found: undo all three (and any location record a partial insert
+		// left behind), so a retried put starts clean instead of failing
+		// with "already exposed" on top of a doubled reservation.
+		return errors.Join(err, h.DiscardSequential(v, version, region))
 	}
 	return nil
 }

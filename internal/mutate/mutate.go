@@ -49,6 +49,12 @@ const (
 	// segments while keeping their indices intact: the stream stays
 	// protocol-valid but delivers the wrong bytes into each slot.
 	TCPSGReorder = "tcp-sg-reorder"
+	// TCPBlockShift makes the owning process decode an exposed block's
+	// region shifted by one cell along its last dimension, so the put half
+	// of the block wire codec lands the right bytes at the wrong
+	// coordinates. It only exists where an expose crosses a process
+	// boundary (a driver staging on a codsnode), never in process.
+	TCPBlockShift = "tcp-block-shift"
 	// ObsFlowMisattribute credits every cross-node cell of the aggregated
 	// flow matrix to the wrong destination node (dst+1), leaving per-cell
 	// and total byte counts intact — the observability-plane twin of
@@ -92,7 +98,7 @@ const (
 // Names lists every seeded defect, in a stable order.
 func Names() []string {
 	return []string{GeomIntersect, SfcSpanSplit, DropCoalesce, StaleEpoch, SwapFlow, NoRequery,
-		TCPTruncFrame, TCPMeterClass, TCPSGDrop, TCPSGReorder, ObsFlowMisattribute,
+		TCPTruncFrame, TCPMeterClass, TCPSGDrop, TCPSGReorder, TCPBlockShift, ObsFlowMisattribute,
 		StaleRouteAfterResplit, LeaseExpiryIgnored,
 		StaleWatermarkServed, GCBeforeConsume, VersionSkipOnResubscribe,
 		RemapStaleOwner, MortonBitSwap}

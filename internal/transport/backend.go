@@ -49,7 +49,8 @@ type Backend interface {
 	// Call performs a synchronous RPC against a service on dst.
 	Call(src, dst cluster.CoreID, service string, request any, m Meter, reqBytes, respBytes int64) (any, error)
 	// Expose / Unexpose / Exposed manage owner's one-sided buffers;
-	// Unexpose reports whether the buffer existed.
+	// Unexpose reports whether the buffer existed. A backend that moves the
+	// payload to another process requires it to be a BlockPayload.
 	Expose(owner cluster.CoreID, key BufKey, payload any) error
 	Unexpose(owner cluster.CoreID, key BufKey) (existed bool, err error)
 	Exposed(owner cluster.CoreID, key BufKey) (bool, error)
@@ -83,6 +84,42 @@ type SegmentFunc func(i int, payload any, clipped []byte) error
 // only the requested bytes on the wire instead of the whole buffer.
 type RegionClipper interface {
 	ClipRegion(dst []byte, sub geometry.BBox) ([]byte, error)
+}
+
+// BlockPayload is implemented by exposed payloads a network backend can
+// ship between processes: AppendBlock appends the payload's whole wire form
+// — its region header, then every cell in the row-major big-endian float64
+// format ClipRegion produces — to dst and returns the extended slice. The
+// receiving process turns the bytes back into a payload through the decoder
+// installed with RegisterBlockDecoder, so the backend itself never learns
+// the payload's type (tcpnet must not import cods).
+type BlockPayload interface {
+	RegionClipper
+	AppendBlock(dst []byte) ([]byte, error)
+}
+
+// blockDecoder reverses BlockPayload.AppendBlock in the receiving process;
+// set once, from the init of the package that owns the block type.
+var blockDecoder func(wire []byte) (any, error)
+
+// RegisterBlockDecoder installs the decoder of the block wire form. It is
+// called from init by the one package whose payloads cross the wire as
+// blocks; a second registration is a programming error.
+func RegisterBlockDecoder(dec func(wire []byte) (any, error)) {
+	if blockDecoder != nil {
+		panic("transport: block decoder registered twice")
+	}
+	blockDecoder = dec
+}
+
+// DecodeBlock rebuilds an exposed payload from the bytes AppendBlock
+// produced. The decoder must not retain wire: network backends hand it a
+// pooled buffer.
+func DecodeBlock(wire []byte) (any, error) {
+	if blockDecoder == nil {
+		return nil, fmt.Errorf("transport: no block decoder registered")
+	}
+	return blockDecoder(wire)
 }
 
 // SetBackend installs a network backend; nil restores in-process
@@ -291,10 +328,11 @@ func (f *Fabric) MergeMediumStats(shmBytes, shmOps, netBytes, netOps int64) {
 	obsOps[cluster.Network].Add(netOps)
 }
 
-// RegisterWireType registers a payload type crossing process boundaries
-// through a network backend (RPC requests/responses, exposed buffers).
-// Packages register their wire types from init, mirroring gob semantics:
-// concrete types carried inside `any` values must be known to both sides.
+// RegisterWireType registers an RPC request or response type crossing
+// process boundaries through a network backend (exposed buffers do not use
+// gob: see BlockPayload). Packages register their wire types from init,
+// mirroring gob semantics: concrete types carried inside `any` values must
+// be known to both sides.
 func RegisterWireType(v any) { gob.Register(v) }
 
 // EncodePayload serializes an `any` payload for the wire. A nil payload

@@ -1,0 +1,205 @@
+package tcpnet
+
+import (
+	"bytes"
+	"runtime"
+	"runtime/debug"
+	"sort"
+	"testing"
+
+	"github.com/insitu/cods/internal/cluster"
+	"github.com/insitu/cods/internal/cods"
+	"github.com/insitu/cods/internal/geometry"
+	"github.com/insitu/cods/internal/transport"
+)
+
+// The block data path over loopback sockets, without cods above it: an
+// expose through Backend.Expose always crosses the wire (the conformance
+// loopback exposes in process, so only these tests, the multi-process
+// smokes and the repo benchmark ship blocks), and a ReadMulti from another
+// node streams owner-clipped segments back.
+
+const (
+	exposeSide  = 512 // 512 x 512 float64 = 2 MiB, a stream-lockstep-tcp block
+	segmentSide = 256 // 256 x 256 float64 = 512 KiB, a seq-bulk-tcp segment
+	segments    = 16
+)
+
+var dataMeter = transport.Meter{Phase: "bench", Class: cluster.InterApp, DstApp: 2}
+
+// stageSegments exposes `segments` blocks of segmentSide² cells on core 1
+// (node 1) over the wire and returns the specs reading each of them whole.
+func stageSegments(tb testing.TB, b *Backend) []transport.ReadSpec {
+	tb.Helper()
+	specs := make([]transport.ReadSpec, segments)
+	for i := range specs {
+		region := geometry.NewBBox(geometry.Point{i * segmentSide, 0}, geometry.Point{(i + 1) * segmentSide, segmentSide})
+		key := transport.BufKey{Name: "seg|" + region.String(), Version: 1}
+		if err := b.Expose(1, key, &cods.StoredObject{Region: region, Data: fillCells(region)}); err != nil {
+			tb.Fatal(err)
+		}
+		specs[i] = transport.ReadSpec{Owner: 1, Key: key, Sub: region, Bytes: region.Volume() * cods.ElemSize}
+	}
+	return specs
+}
+
+// BenchmarkExposeBlock ships one 2 MiB block to its owner and withdraws it
+// again: encode, one vectored write, the owner's staged read and decode.
+func BenchmarkExposeBlock(b *testing.B) {
+	_, be := newLoopbackFabric(b, 2, 1)
+	region := geometry.BoxFromSize([]int{exposeSide, exposeSide})
+	obj := &cods.StoredObject{Region: region, Data: fillCells(region)}
+	key := transport.BufKey{Name: "blk", Version: 1}
+	b.SetBytes(region.Volume() * cods.ElemSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := be.Expose(1, key, obj); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := be.Unexpose(1, key); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadMultiBlocks pulls 16 segments of 512 KiB in one
+// scatter-gather request and discards them, as the benchmark's
+// tcpnet.readmulti probe does.
+func BenchmarkReadMultiBlocks(b *testing.B) {
+	f, be := newLoopbackFabric(b, 2, 1)
+	specs := stageSegments(b, be)
+	var total int64
+	for _, spec := range specs {
+		total += spec.Bytes
+	}
+	discard := func(int, any, []byte) error { return nil }
+	b.SetBytes(total)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := f.Endpoint(0).ReadMulti(specs, dataMeter, discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestSegmentStagingAllocatesHeaderOnly pins the steady state of the read
+// path: once the staging pool is warm, serving and receiving a 512 KiB
+// segment allocates a few hundred bytes of header bookkeeping on both
+// sides together — never a buffer sized by the segment.
+func TestSegmentStagingAllocatesHeaderOnly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds buffers at random under the race detector")
+	}
+	f, be := newLoopbackFabric(t, 2, 1)
+	specs := stageSegments(t, be)
+	delivered := 0
+	count := func(_ int, _ any, clipped []byte) error {
+		delivered += len(clipped)
+		return nil
+	}
+	read := func() {
+		if err := f.Endpoint(0).ReadMulti(specs, dataMeter, count); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read() // dial, and hand each side its first staging buffer
+	// A collection in the window would empty the pools; the window itself
+	// allocates next to nothing, so switching the collector off is safe.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// sync.Pool keeps one buffer per P out of the other Ps' reach, so a
+	// round that migrates to a cold P still allocates once; the median
+	// round is the steady state.
+	const rounds = 9
+	perRound := make([]uint64, rounds)
+	for i := range perRound {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		read()
+		runtime.ReadMemStats(&after)
+		perRound[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	if want := (rounds + 1) * segments * segmentSide * segmentSide * cods.ElemSize; delivered != want {
+		t.Fatalf("delivered %d bytes, want %d", delivered, want)
+	}
+	sort.Slice(perRound, func(i, j int) bool { return perRound[i] < perRound[j] })
+	perSegment := perRound[rounds/2] / segments
+	if perSegment > 1024 {
+		t.Fatalf("%d bytes allocated per 512 KiB segment (both sides), want header-sized (<= 1 KiB); rounds: %v",
+			perSegment, perRound)
+	}
+	t.Logf("%d bytes per segment, server and client together", perSegment)
+}
+
+// TestBlockBytesNeverAliased holds the two ownership rules of the block
+// path: an expose over the wire copies — scribbling on the caller's slice
+// afterwards changes nothing the owner serves — and the clipped slice of a
+// SegmentFunc is scratch: a reader that keeps it past the callback and
+// overwrites it cannot corrupt what a later read delivers.
+func TestBlockBytesNeverAliased(t *testing.T) {
+	f, be := newLoopbackFabric(t, 2, 1)
+	region := geometry.BoxFromSize([]int{64, 64}) // 32 KiB: vectored write, staged read
+	obj := &cods.StoredObject{Region: region, Data: fillCells(region)}
+	want, err := obj.ClipRegion(nil, region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := transport.BufKey{Name: "blk", Version: 1}
+	if err := be.Expose(1, key, obj); err != nil {
+		t.Fatal(err)
+	}
+	for i := range obj.Data {
+		obj.Data[i] = -1
+	}
+	spec := []transport.ReadSpec{{Owner: 1, Key: key, Sub: region, Bytes: region.Volume() * cods.ElemSize}}
+	var kept []byte
+	for round := 0; round < 3; round++ {
+		err := f.Endpoint(0).ReadMulti(spec, dataMeter, func(_ int, _ any, clipped []byte) error {
+			if !bytes.Equal(clipped, want) {
+				t.Errorf("read %d delivered bytes that differ from the block as exposed", round)
+			}
+			kept = clipped
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range kept {
+			kept[i] = 0xEE // the callback has returned: this is the pool's buffer now
+		}
+	}
+}
+
+// TestLargeFrameRoundTrip sends messages on both sides of maxInlineBody
+// through the frame path — inlined behind the header, and vectored behind
+// it — and checks they arrive intact, stay intact while later traffic
+// reuses every pooled buffer, and are charged to the wire counters byte
+// for byte.
+func TestLargeFrameRoundTrip(t *testing.T) {
+	f, be := newLoopbackFabric(t, 2, 1)
+	m := transport.Meter{Phase: "t", Class: cluster.IntraApp, DstApp: 1}
+	var got []transport.Message
+	var sent [][]byte
+	for tag, size := range []int{0, 1, maxInlineBody, maxInlineBody + 1, 1 << 20} {
+		payload := bytes.Repeat([]byte{byte(tag + 1)}, size)
+		sent = append(sent, payload)
+		before := be.WireStats()
+		if err := f.Endpoint(0).Send(1, uint64(tag), payload, m); err != nil {
+			t.Fatal(err)
+		}
+		if out := be.WireStats().BytesOut - before.BytesOut; out < int64(size) || out > int64(size)+256 {
+			t.Fatalf("a %d-byte message put %d bytes on the wire", size, out)
+		}
+		msg, err := f.Endpoint(1).Recv(0, uint64(tag))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, msg)
+	}
+	for i, msg := range got {
+		if !bytes.Equal(msg.Payload, sent[i]) {
+			t.Fatalf("message %d (%d bytes) changed after later frames reused the buffers", i, len(sent[i]))
+		}
+	}
+}

@@ -40,6 +40,11 @@ func FuzzWireFrame(f *testing.F) {
 		f.Add(old)
 	}
 
+	// A payload kind past the last defined one (wire v8's typed field).
+	kind := append([]byte(nil), valid[4:]...)
+	kind[3] = payloadKindMax
+	f.Add(kind)
+
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fr, err := decodeFrame(body)
 		if err != nil {

@@ -156,13 +156,14 @@ func TestBatchedPullFrameCount(t *testing.T) {
 
 // TestHandshakeRejectsOldWireVersion proves the old-peer policy of DESIGN
 // §5f: a client speaking any earlier wire version — the first, v4
-// (membership, no streaming), or the one just before the current — is
-// turned away at the handshake with an error naming both versions; there
-// is no per-op fallback or mixed-version mode that could strand it
-// mid-stream.
+// (membership, no streaming), v7 (the last to gob-encode exposed blocks,
+// spelled out so a later bump cannot quietly re-admit it), or the one just
+// before the current — is turned away at the handshake with an error
+// naming both versions; there is no per-op fallback or mixed-version mode
+// that could strand it mid-stream.
 func TestHandshakeRejectsOldWireVersion(t *testing.T) {
 	_, b := newLoopbackFabric(t, 1, 1)
-	for _, version := range []int64{1, 4, int64(wireVersion) - 1} {
+	for _, version := range []int64{1, 4, 7, int64(wireVersion) - 1} {
 		c, err := net.Dial("tcp", b.Addr(0))
 		if err != nil {
 			t.Fatal(err)

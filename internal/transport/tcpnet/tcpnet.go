@@ -257,6 +257,15 @@ func (c countingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// writeBuffers implements buffersWriter: the vectored write goes to the
+// wrapped connection (a writev on TCP) and is charged like any other.
+func (c countingConn) writeBuffers(bufs *net.Buffers) (int64, error) {
+	n, err := bufs.WriteTo(c.Conn)
+	c.out.Add(n)
+	obsWireBytesOut.Add(n)
+	return n, err
+}
+
 func newBackend(f *transport.Fabric, cfg Config) *Backend {
 	if cfg.Retry == (retry.Policy{}) {
 		// An unconfigured backend still gets bounded dials: the default
@@ -666,8 +675,8 @@ func (b *Backend) readMultiExchange(c net.Conn, fr *frame, specs []transport.Rea
 	if int(resp.Bytes) != len(specs) {
 		return true, fmt.Errorf("response announces %d segments, want %d", resp.Bytes, len(specs))
 	}
-	bp := getBuf()
-	defer putBuf(bp)
+	bp := getStage()
+	defer putStage(bp)
 	for i := range specs {
 		status, index, length, err := readSegmentHeader(c, b.cfg.MaxFrame)
 		if err != nil {
@@ -676,12 +685,7 @@ func (b *Backend) readMultiExchange(c net.Conn, fr *frame, specs []transport.Rea
 		if index != i {
 			return true, fmt.Errorf("segment %d arrived at position %d", index, i)
 		}
-		var body []byte
-		if length <= maxPooledBuf {
-			body = grownBuf(bp, length)
-		} else {
-			body = make([]byte, length)
-		}
+		body := grownBuf(bp, length)
 		if _, err := io.ReadFull(c, body); err != nil {
 			return true, err
 		}
@@ -705,7 +709,7 @@ func (b *Backend) Call(src, dst cluster.CoreID, service string, request any, m t
 	if err != nil {
 		return nil, err
 	}
-	fr := &frame{Op: opCall, Src: int32(src), Dst: int32(dst), Name: service, Bytes: reqBytes, Bytes2: respBytes, Payload: enc}
+	fr := &frame{Op: opCall, Kind: payloadGob, Src: int32(src), Dst: int32(dst), Name: service, Bytes: reqBytes, Bytes2: respBytes, Payload: enc}
 	meterFrame(fr, m)
 	resp, err := b.roundTrip(b.machine.NodeOf(dst), fr, true)
 	if err != nil {
@@ -717,13 +721,31 @@ func (b *Backend) Call(src, dst cluster.CoreID, service string, request any, m t
 	return transport.DecodePayload(resp.Payload)
 }
 
-// Expose implements transport.Backend.
+// checkKind rejects a frame whose payload is not of the kind its op
+// carries, before any codec touches the bytes.
+func checkKind(fr *frame, want uint8) error {
+	if fr.Kind != want {
+		return fmt.Errorf("tcpnet: op %d carries payload kind %d, want %d", fr.Op, fr.Kind, want)
+	}
+	return nil
+}
+
+// Expose implements transport.Backend: the block's wire form is built once
+// in a pooled staging buffer and leaves behind the frame header in the same
+// vectored write. The caller's payload is not referenced after the call.
 func (b *Backend) Expose(owner cluster.CoreID, key transport.BufKey, payload any) error {
-	enc, err := transport.EncodePayload(payload)
+	block, ok := payload.(transport.BlockPayload)
+	if !ok {
+		return fmt.Errorf("tcpnet: exposing %T on core %d: not a transport.BlockPayload", payload, owner)
+	}
+	bp := getStage()
+	defer putStage(bp)
+	wire, err := block.AppendBlock((*bp)[:0])
 	if err != nil {
 		return err
 	}
-	fr := &frame{Op: opExpose, Dst: int32(owner), Name: key.Name, Version: int64(key.Version), Payload: enc}
+	*bp = wire[:0]
+	fr := &frame{Op: opExpose, Kind: payloadBlock, Dst: int32(owner), Name: key.Name, Version: int64(key.Version), Payload: wire}
 	resp, err := b.roundTrip(b.machine.NodeOf(owner), fr, false)
 	if err != nil {
 		return err
@@ -875,7 +897,7 @@ func (b *Backend) PushPeers() error {
 		return err
 	}
 	return b.eachPeer(func(_ string, nodes []int) error {
-		resp, err := b.roundTrip(cluster.NodeID(nodes[0]), &frame{Op: opPeers, Payload: buf.Bytes()}, false)
+		resp, err := b.roundTrip(cluster.NodeID(nodes[0]), &frame{Op: opPeers, Kind: payloadGob, Payload: buf.Bytes()}, false)
 		if err != nil {
 			return err
 		}
@@ -978,6 +1000,9 @@ func (b *Backend) serveConn(c net.Conn) {
 			continue
 		}
 		resp := b.execute(fr)
+		// Every handler is done with the request's payload by now; only an
+		// exposed block's body is pooled (readFrame).
+		fr.release()
 		if err := writeFrame(c, resp); err != nil {
 			return
 		}
@@ -1068,20 +1093,18 @@ func (b *Backend) serveReadMulti(c net.Conn, fr *frame) bool {
 		}
 		return true
 	}
-	bp := getBuf()
-	defer putBuf(bp)
+	bp := getStage()
+	defer putStage(bp)
 	for i, spec := range specs {
 		body, err := clip(spec, (*bp)[:0])
 		if err != nil {
 			_ = b.writeErrSegment(c, i, err)
 			return false
 		}
+		// The clip may have replaced the staging buffer with a longer one.
+		*bp = body[:0]
 		if err := b.writeDataSegment(c, i, body); err != nil {
 			return false
-		}
-		// The clip may have grown the staging buffer; keep the larger one.
-		if cap(body) > cap(*bp) {
-			*bp = body[:0]
 		}
 	}
 	return true
@@ -1184,6 +1207,9 @@ func (b *Backend) execute(fr *frame) *frame {
 		if err := b.checkTarget(fr.Dst); err != nil {
 			return fail(err)
 		}
+		if err := checkKind(fr, payloadGob); err != nil {
+			return fail(err)
+		}
 		req, err := transport.DecodePayload(fr.Payload)
 		if err != nil {
 			return fail(err)
@@ -1196,12 +1222,17 @@ func (b *Backend) execute(fr *frame) *frame {
 		if err != nil {
 			return fail(err)
 		}
-		resp.Payload = enc
+		resp.Kind, resp.Payload = payloadGob, enc
 	case opExpose:
 		if err := b.checkTarget(fr.Dst); err != nil {
 			return fail(err)
 		}
-		payload, err := transport.DecodePayload(fr.Payload)
+		// Only the raw block codec is accepted: a gob-encoded block from a
+		// stale sender is refused, not decoded.
+		if err := checkKind(fr, payloadBlock); err != nil {
+			return fail(err)
+		}
+		payload, err := transport.DecodeBlock(fr.Payload)
 		if err != nil {
 			return fail(err)
 		}
@@ -1231,6 +1262,9 @@ func (b *Backend) execute(fr *frame) *frame {
 			resp.Status = statusNotFound
 		}
 	case opPeers:
+		if err := checkKind(fr, payloadGob); err != nil {
+			return fail(err)
+		}
 		var table map[cluster.NodeID]string
 		if err := gob.NewDecoder(bytes.NewReader(fr.Payload)).Decode(&table); err != nil {
 			return fail(err)
@@ -1250,7 +1284,7 @@ func (b *Backend) execute(fr *frame) *frame {
 		if err := gob.NewEncoder(&buf).Encode(ns); err != nil {
 			return fail(err)
 		}
-		resp.Payload = buf.Bytes()
+		resp.Kind, resp.Payload = payloadGob, buf.Bytes()
 	case opSpans:
 		resp.Payload = b.drainSpans()
 	case opJoin:

@@ -3,6 +3,7 @@ package tcpnet
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"math"
 	"net"
@@ -12,14 +13,16 @@ import (
 	"time"
 
 	"github.com/insitu/cods/internal/cluster"
+	"github.com/insitu/cods/internal/cods"
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/retry"
 	"github.com/insitu/cods/internal/transport"
 )
 
 // echoPayload is a representative RPC payload, registered by value like
-// the dht and lock request types; blockPayload is a representative
-// exposed buffer, registered as a pointer like cods.StoredObject.
+// the dht and lock request types; blockPayload is an exposed buffer that
+// can be clipped but not shipped — enough for a loopback owner, which
+// exposes in process.
 type echoPayload struct {
 	Text string
 	Vals []float64
@@ -63,7 +66,6 @@ func readOne(ep *transport.Endpoint, owner cluster.CoreID, key transport.BufKey,
 
 func init() {
 	transport.RegisterWireType(echoPayload{})
-	transport.RegisterWireType(&blockPayload{})
 }
 
 func testConfig() Config {
@@ -72,7 +74,7 @@ func testConfig() Config {
 	return Config{Retry: p, IOTimeout: 5 * time.Second}
 }
 
-func newLoopbackFabric(t *testing.T, nodes, cores int) (*transport.Fabric, *Backend) {
+func newLoopbackFabric(t testing.TB, nodes, cores int) (*transport.Fabric, *Backend) {
 	t.Helper()
 	m, err := cluster.NewMachine(nodes, cores)
 	if err != nil {
@@ -102,7 +104,7 @@ func sampleFrames() []*frame {
 		{Op: opSend, Src: 0, Dst: 5, Tag: 42, MeterClass: uint8(cluster.InterApp), DstApp: 2,
 			Phase: "couple:1", Payload: []byte("hello")},
 		{Op: opRecv, Src: -1, Dst: 3, Tag: 7},
-		{Op: opCall, Src: 1, Dst: 0, Name: "cods.dht", Bytes: 64, Bytes2: 128,
+		{Op: opCall, Kind: payloadGob, Src: 1, Dst: 0, Name: "cods.dht", Bytes: 64, Bytes2: 128,
 			MeterClass: uint8(cluster.Control), Payload: []byte{1, 2, 3}, Span: 7},
 		{Op: opSpans},
 		{Op: opResp, Status: statusOK, Payload: []byte(`{"ev":"b","id":1,"name":"remote:readmulti:1"}` + "\n")},
@@ -120,12 +122,13 @@ func sampleFrames() []*frame {
 		{Op: opJoin, Dst: 2, Name: "127.0.0.1:9042", Tag: 7},
 		{Op: opLease, Dst: 1, Tag: 3},
 		{Op: opResp, Status: statusOK, Tag: 12},
-		// Buffer-state and driver control ops.
-		{Op: opExpose, Dst: 1, Name: "u|[0,8)", Version: 2, Payload: []byte{0x0a, 0x0b}},
+		// Buffer-state and driver control ops. The expose carries its block
+		// in the raw block codec, announced by the payload-kind field.
+		{Op: opExpose, Kind: payloadBlock, Dst: 1, Name: "u|[0,8)", Version: 2, Payload: sampleBlockPayload()},
 		{Op: opUnexpose, Dst: 1, Name: "u|[0,8)", Version: 2},
 		{Op: opExposed, Dst: 1, Name: "u|[0,8)", Version: 2},
 		{Op: opResp, Status: statusNotFound},
-		{Op: opPeers, Payload: []byte{0x01, 0x02}},
+		{Op: opPeers, Kind: payloadGob, Payload: []byte{0x01, 0x02}},
 		{Op: opStats},
 		{Op: opShutdown},
 	}
@@ -173,6 +176,16 @@ func TestEveryOpHandled(t *testing.T) {
 			t.Errorf("op %d answered with op %d, err %q; want a handler's response", op, resp.Op, resp.Err)
 		}
 	}
+}
+
+// sampleBlockPayload is the wire form of a representative exposed block.
+func sampleBlockPayload() []byte {
+	region := geometry.NewBBox(geometry.Point{0}, geometry.Point{8})
+	wire, err := (&cods.StoredObject{Region: region, Data: fillCells(region)}).AppendBlock(nil)
+	if err != nil {
+		panic(err)
+	}
+	return wire
 }
 
 // sampleSpecPayload is the encoded spec list of a representative
@@ -242,6 +255,44 @@ func TestWireStrictDecode(t *testing.T) {
 	bad[2] = uint8(cluster.Control) + 1
 	if _, err := decodeFrame(bad); err == nil {
 		t.Fatal("decode accepted out-of-range meter class")
+	}
+	bad[2] = 0
+	bad[3] = payloadKindMax
+	if _, err := decodeFrame(bad); err == nil {
+		t.Fatal("decode accepted out-of-range payload kind")
+	}
+}
+
+// TestExposeAcceptsOnlyRawBlocks pins the replace-not-fork rule of wire
+// v8: an opExpose whose payload-kind field says anything but "raw block"
+// — a gob-encoded block from a v7-minded sender, or the same bytes sent as
+// opaque — is refused before any codec runs, and nothing gets exposed.
+func TestExposeAcceptsOnlyRawBlocks(t *testing.T) {
+	_, b := newLoopbackFabric(t, 1, 1)
+	region := geometry.NewBBox(geometry.Point{0}, geometry.Point{8})
+	var gobbed bytes.Buffer
+	if err := gob.NewEncoder(&gobbed).Encode(&cods.StoredObject{Region: region, Data: fillCells(region)}); err != nil {
+		t.Fatal(err)
+	}
+	key := transport.BufKey{Name: "u|[0,8)", Version: 2}
+	for kind, payload := range map[uint8][]byte{payloadGob: gobbed.Bytes(), payloadRaw: sampleBlockPayload()} {
+		resp := b.execute(&frame{Op: opExpose, Kind: kind, Name: key.Name, Version: int64(key.Version), Payload: payload})
+		if resp.Status != statusErr || !strings.Contains(resp.Err, "payload kind") {
+			t.Fatalf("expose with payload kind %d answered status %d, err %q; want a payload-kind rejection",
+				kind, resp.Status, resp.Err)
+		}
+	}
+	if ok, err := b.Exposed(0, key); err != nil || ok {
+		t.Fatalf("a rejected expose left the buffer published (exposed=%v, err=%v)", ok, err)
+	}
+	resp := b.execute(&frame{Op: opExpose, Kind: payloadBlock, Name: key.Name, Version: int64(key.Version), Payload: sampleBlockPayload()})
+	if resp.Status != statusOK {
+		t.Fatalf("raw-block expose answered status %d, err %q", resp.Status, resp.Err)
+	}
+	// A payload the backend cannot ship is refused on the sending side.
+	if err := b.Expose(0, transport.BufKey{Name: "opaque"}, &blockPayload{Vals: []float64{1}}); err == nil ||
+		!strings.Contains(err.Error(), "BlockPayload") {
+		t.Fatalf("exposing a non-block payload over the wire: err = %v, want a BlockPayload rejection", err)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 
 	"github.com/insitu/cods/internal/cluster"
@@ -59,7 +60,17 @@ const (
 // cannot decode. DESIGN §5f lists what each version changed.
 const (
 	helloMagic  uint64 = 0x434F44534E455400 // "CODSNET\0"
-	wireVersion uint8  = 7
+	wireVersion uint8  = 8
+)
+
+// Payload kinds: what the bytes in a frame's Payload section are. The kind
+// travels in its own header field, so a handler never guesses a codec from
+// the op — an opExpose carrying anything but a raw block is refused.
+const (
+	payloadRaw   uint8 = iota // opaque bytes or none: messages, spec lists, span lines
+	payloadGob                // encoding/gob: RPC requests and responses, the peer table, node stats
+	payloadBlock              // transport.BlockPayload wire form: an exposed block
+	payloadKindMax
 )
 
 // maxFrameDefault bounds a frame body (64 MiB) so a corrupted length
@@ -67,9 +78,10 @@ const (
 const maxFrameDefault = 64 << 20
 
 // frame is the unit of the wire protocol: a 4-byte big-endian body length
-// followed by a fixed header and three length-prefixed variable sections.
-// Field use per op:
+// followed by a fixed header, three length-prefixed strings and the
+// length-prefixed payload. Field use per op:
 //
+//	Kind         what Payload holds (payloadRaw, payloadGob, payloadBlock)
 //	Src/Dst      initiating and target core (Dst also the owner for
 //	             buffer ops, the node for hello/join/lease); Src is -1
 //	             for AnySource receives
@@ -87,11 +99,17 @@ const maxFrameDefault = 64 << 20
 //	Name         BufKey name, RPC service name, or peer address (join)
 //	Phase        Meter.Phase
 //	Err          error text (opResp with statusErr/statusClosed)
-//	Payload      message bytes, encoded RPC payload, or exposed buffer
+//	Payload      message bytes or a spec list (raw), an RPC payload, peer
+//	             table or stats (gob), an exposed block (block)
+//
+// A decoded frame's Payload aliases the body it was decoded from; staged is
+// set by readFrame when that body is a pooled staging buffer, which the
+// handler hands back with release once nothing references Payload.
 type frame struct {
 	Op         uint8
 	Status     uint8
 	MeterClass uint8
+	Kind       uint8
 	Src        int32
 	Dst        int32
 	DstApp     int32
@@ -104,10 +122,22 @@ type frame struct {
 	Phase      string
 	Err        string
 	Payload    []byte
+
+	staged *[]byte
+}
+
+// release returns the frame's pooled body, if it has one, to the staging
+// pool. Payload must not be read afterwards: the buffer's next user
+// overwrites it.
+func (fr *frame) release() {
+	if fr.staged != nil {
+		putStage(fr.staged)
+		fr.staged = nil
+	}
 }
 
 // fixedHeaderLen is the byte length of the fixed part of a frame body.
-const fixedHeaderLen = 3 + 3*4 + 8 + 3*8 + 8
+const fixedHeaderLen = 4 + 3*4 + 8 + 3*8 + 8
 
 // errShortFrame rejects bodies that end before their declared content;
 // errTrailingData rejects bodies that continue past it. Both make the
@@ -117,9 +147,10 @@ var (
 	errTrailingData = errors.New("tcpnet: trailing data after frame")
 )
 
-// appendFrame encodes fr's body (without the length prefix) onto dst.
-func appendFrame(dst []byte, fr *frame) []byte {
-	dst = append(dst, fr.Op, fr.Status, fr.MeterClass)
+// appendFrameHeader encodes fr's body up to and including the payload
+// length — everything but the payload bytes — onto dst.
+func appendFrameHeader(dst []byte, fr *frame) []byte {
+	dst = append(dst, fr.Op, fr.Status, fr.MeterClass, fr.Kind)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(fr.Src))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(fr.Dst))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(fr.DstApp))
@@ -132,21 +163,29 @@ func appendFrame(dst []byte, fr *frame) []byte {
 		dst = binary.BigEndian.AppendUint16(dst, uint16(len(s)))
 		dst = append(dst, s...)
 	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(fr.Payload)))
-	dst = append(dst, fr.Payload...)
-	return dst
+	return binary.BigEndian.AppendUint32(dst, uint32(len(fr.Payload)))
 }
 
-// bufPool recycles the per-frame encode buffers, the small readFrame body
-// buffers and the segment staging buffers of the scatter-gather path.
-// Oversized buffers are not returned, so one huge frame cannot pin its
+// appendFrame encodes fr's whole body (without the length prefix) onto dst.
+func appendFrame(dst []byte, fr *frame) []byte {
+	return append(appendFrameHeader(dst, fr), fr.Payload...)
+}
+
+// bufPool recycles the encode buffers of the write path: frame and segment
+// headers with their inlined small bodies, and spec lists. Oversized
+// buffers are not returned, so one huge string section cannot pin its
 // allocation in the pool forever.
 var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
-// maxPooledBuf bounds the capacity of a buffer the pool will keep (64
-// KiB): typical frames — control RPCs, clipped segments, spec lists — fit
-// comfortably; exposed-block payloads above it take the allocate path.
+// maxPooledBuf bounds the capacity of an encode buffer the pool will keep
+// (64 KiB): a header plus an inlined body (maxInlineBody) fits with room
+// to spare.
 const maxPooledBuf = 64 << 10
+
+// maxInlineBody is the largest payload or segment body copied behind its
+// header into the encode buffer and sent with a single write; a larger one
+// is never copied — header and body leave as one vectored write.
+const maxInlineBody = 16 << 10
 
 func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
 
@@ -156,6 +195,30 @@ func putBuf(bp *[]byte) {
 	}
 	*bp = (*bp)[:0]
 	bufPool.Put(bp)
+}
+
+// stagePool recycles the staging buffers block bytes pass through, one per
+// side: the wire form of a block being exposed (sender) and the frame body
+// it arrives in (owner), the segment an owner clips before writing it and
+// the segment a reader receives before scattering it. A buffer grows to
+// the largest body it has held, so in steady state none of the four
+// allocates.
+var stagePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxStagedBuf bounds the capacity of a staging buffer the pool will keep
+// (8 MiB, four times the benchmark's largest block); a larger body is
+// staged in a one-off allocation the collector reclaims, so the pool's
+// footprint is at most maxStagedBuf per concurrently served connection.
+const maxStagedBuf = 8 << 20
+
+func getStage() *[]byte { return stagePool.Get().(*[]byte) }
+
+func putStage(bp *[]byte) {
+	if cap(*bp) > maxStagedBuf {
+		return
+	}
+	*bp = (*bp)[:0]
+	stagePool.Put(bp)
 }
 
 // grownBuf returns a length-n slice backed by *bp, growing the buffer
@@ -169,19 +232,24 @@ func grownBuf(bp *[]byte, n int) []byte {
 }
 
 // marshalFrameInto encodes a full frame — length prefix plus body — onto
-// dst. The string sections are bounded by their u16 length prefix;
-// oversized ones are a caller bug surfaced as an error rather than silent
+// dst and returns it as head; a payload above maxInlineBody is not copied
+// but returned as tail, to be written right behind head (writeVectored).
+// The string sections are bounded by their u16 length prefix; oversized
+// ones are a caller bug surfaced as an error rather than silent
 // truncation. Two seeded wire defects live here, compiled out of normal
 // builds: a one-byte body truncation and an InterApp<->Control
 // meter-class swap.
-func marshalFrameInto(dst []byte, fr *frame) ([]byte, error) {
+func marshalFrameInto(dst []byte, fr *frame) (head, tail []byte, err error) {
 	for _, s := range []string{fr.Name, fr.Phase, fr.Err} {
 		if len(s) > 0xFFFF {
-			return nil, fmt.Errorf("tcpnet: string section of %d bytes exceeds wire limit", len(s))
+			return nil, nil, fmt.Errorf("tcpnet: string section of %d bytes exceeds wire limit", len(s))
 		}
 	}
 	if fr.Op == 0 || fr.Op >= opMax {
-		return nil, fmt.Errorf("tcpnet: invalid op %d", fr.Op)
+		return nil, nil, fmt.Errorf("tcpnet: invalid op %d", fr.Op)
+	}
+	if fr.Kind >= payloadKindMax {
+		return nil, nil, fmt.Errorf("tcpnet: invalid payload kind %d", fr.Kind)
 	}
 	send := *fr
 	if mutate.Enabled(mutate.TCPMeterClass) && send.Op != opHello {
@@ -194,31 +262,53 @@ func marshalFrameInto(dst []byte, fr *frame) ([]byte, error) {
 	}
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
-	body := appendFrame(dst, &send)
+	head = appendFrameHeader(dst, &send)
+	tail = send.Payload
+	if len(tail) <= maxInlineBody {
+		head, tail = append(head, tail...), nil
+	}
 	if mutate.Enabled(mutate.TCPTruncFrame) && send.Op != opHello {
 		// The length prefix is computed over the already-truncated body, so
 		// the peer's strict decoder fails fast instead of blocking on a
 		// byte that never comes.
-		body = body[:len(body)-1]
+		if len(tail) > 0 {
+			tail = tail[:len(tail)-1]
+		} else {
+			head = head[:len(head)-1]
+		}
 	}
-	binary.BigEndian.PutUint32(body[start:start+4], uint32(len(body)-start-4))
-	return body, nil
+	binary.BigEndian.PutUint32(head[start:start+4], uint32(len(head)-start-4+len(tail)))
+	return head, tail, nil
 }
 
-// marshalFrame is marshalFrameInto onto a fresh buffer (tests and seed
-// corpora; the hot write path uses the pooled writeFrame).
-func marshalFrame(fr *frame) ([]byte, error) { return marshalFrameInto(nil, fr) }
+// marshalFrame is marshalFrameInto onto a fresh contiguous buffer (tests
+// and seed corpora; the hot write path is writeFrame).
+func marshalFrame(fr *frame) ([]byte, error) {
+	head, tail, err := marshalFrameInto(nil, fr)
+	return append(head, tail...), err
+}
 
 // decodeFrame strictly decodes one frame body: every declared section must
-// be fully present and no bytes may remain.
+// be fully present and no bytes may remain. The returned frame's Payload
+// aliases body.
 func decodeFrame(body []byte) (*frame, error) {
 	if len(body) < fixedHeaderLen {
 		return nil, errShortFrame
 	}
+	fr, err := decodeFixedHeader(body[:fixedHeaderLen])
+	if err != nil {
+		return nil, err
+	}
+	return fr, decodeSections(fr, body[fixedHeaderLen:])
+}
+
+// decodeFixedHeader decodes the fixed part of a frame body.
+func decodeFixedHeader(hdr []byte) (*frame, error) {
 	fr := &frame{
-		Op:         body[0],
-		Status:     body[1],
-		MeterClass: body[2],
+		Op:         hdr[0],
+		Status:     hdr[1],
+		MeterClass: hdr[2],
+		Kind:       hdr[3],
 	}
 	if fr.Op == 0 || fr.Op >= opMax {
 		return nil, fmt.Errorf("tcpnet: invalid op %d", fr.Op)
@@ -226,86 +316,131 @@ func decodeFrame(body []byte) (*frame, error) {
 	if fr.MeterClass > uint8(cluster.Control) {
 		return nil, fmt.Errorf("tcpnet: invalid meter class %d", fr.MeterClass)
 	}
-	fr.Src = int32(binary.BigEndian.Uint32(body[3:]))
-	fr.Dst = int32(binary.BigEndian.Uint32(body[7:]))
-	fr.DstApp = int32(binary.BigEndian.Uint32(body[11:]))
-	fr.Tag = binary.BigEndian.Uint64(body[15:])
-	fr.Version = int64(binary.BigEndian.Uint64(body[23:]))
-	fr.Bytes = int64(binary.BigEndian.Uint64(body[31:]))
-	fr.Bytes2 = int64(binary.BigEndian.Uint64(body[39:]))
-	fr.Span = binary.BigEndian.Uint64(body[47:])
-	rest := body[fixedHeaderLen:]
+	if fr.Kind >= payloadKindMax {
+		return nil, fmt.Errorf("tcpnet: invalid payload kind %d", fr.Kind)
+	}
+	fr.Src = int32(binary.BigEndian.Uint32(hdr[4:]))
+	fr.Dst = int32(binary.BigEndian.Uint32(hdr[8:]))
+	fr.DstApp = int32(binary.BigEndian.Uint32(hdr[12:]))
+	fr.Tag = binary.BigEndian.Uint64(hdr[16:])
+	fr.Version = int64(binary.BigEndian.Uint64(hdr[24:]))
+	fr.Bytes = int64(binary.BigEndian.Uint64(hdr[32:]))
+	fr.Bytes2 = int64(binary.BigEndian.Uint64(hdr[40:]))
+	fr.Span = binary.BigEndian.Uint64(hdr[48:])
+	return fr, nil
+}
+
+// decodeSections decodes what follows the fixed header — the three strings
+// and the payload — into fr. The strings are copied; Payload aliases rest.
+func decodeSections(fr *frame, rest []byte) error {
 	for _, dst := range []*string{&fr.Name, &fr.Phase, &fr.Err} {
 		if len(rest) < 2 {
-			return nil, errShortFrame
+			return errShortFrame
 		}
 		n := int(binary.BigEndian.Uint16(rest))
 		rest = rest[2:]
 		if len(rest) < n {
-			return nil, errShortFrame
+			return errShortFrame
 		}
 		*dst = string(rest[:n])
 		rest = rest[n:]
 	}
 	if len(rest) < 4 {
-		return nil, errShortFrame
+		return errShortFrame
 	}
 	n := int(binary.BigEndian.Uint32(rest))
 	rest = rest[4:]
 	if len(rest) < n {
-		return nil, errShortFrame
-	}
-	if n > 0 {
-		fr.Payload = append([]byte(nil), rest[:n]...)
+		return errShortFrame
 	}
 	if len(rest) != n {
-		return nil, errTrailingData
+		return errTrailingData
 	}
-	return fr, nil
+	if n > 0 {
+		fr.Payload = rest
+	}
+	return nil
 }
 
-// writeFrame marshals and writes one frame through a pooled encode buffer.
+// buffersWriter is implemented by writers that can send several buffers
+// in one vectored write while keeping their own accounting (countingConn).
+type buffersWriter interface {
+	writeBuffers(*net.Buffers) (int64, error)
+}
+
+// writeVectored writes head and then tail as one operation: a single
+// writev on a TCP connection, so a large body is never copied behind its
+// header and the header never leaves in a packet of its own.
+func writeVectored(w io.Writer, head, tail []byte) error {
+	if len(tail) == 0 {
+		_, err := w.Write(head)
+		return err
+	}
+	bufs := net.Buffers{head, tail}
+	if bw, ok := w.(buffersWriter); ok {
+		_, err := bw.writeBuffers(&bufs)
+		return err
+	}
+	_, err := bufs.WriteTo(w)
+	return err
+}
+
+// writeFrame marshals one frame through a pooled encode buffer and writes
+// it, a large payload straight from the caller's slice.
 func writeFrame(w io.Writer, fr *frame) error {
 	bp := getBuf()
-	buf, err := marshalFrameInto((*bp)[:0], fr)
+	head, tail, err := marshalFrameInto((*bp)[:0], fr)
 	if err != nil {
 		putBuf(bp)
 		return err
 	}
-	_, werr := w.Write(buf)
-	*bp = buf[:0]
+	werr := writeVectored(w, head, tail)
+	*bp = head[:0]
 	putBuf(bp)
 	return werr
 }
 
-// readFrame reads one length-prefixed frame, bounding the body at max.
-// Small bodies land in a pooled buffer: decodeFrame copies every variable
-// section (strings and Payload) out of the body, so the buffer is free for
-// reuse the moment decoding returns.
+// readFrame reads one length-prefixed frame, bounding the body at max. The
+// length prefix and the fixed header arrive in one read, so the op is known
+// before the rest of the body is given a buffer: an exposed block — the one
+// large payload its handler fully consumes before answering — is read into
+// a pooled staging buffer (see frame.release); every other body gets an
+// allocation of its own, which Payload may alias for as long as it likes
+// (a message sits in an inbox until received).
 func readFrame(r io.Reader, max int) (*frame, error) {
-	var prefix [4]byte
-	if _, err := io.ReadFull(r, prefix[:]); err != nil {
+	var fixed [4 + fixedHeaderLen]byte
+	if _, err := io.ReadFull(r, fixed[:]); err != nil {
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint32(prefix[:]))
+	n := int(binary.BigEndian.Uint32(fixed[:4]))
 	if max <= 0 {
 		max = maxFrameDefault
 	}
 	if n > max {
 		return nil, fmt.Errorf("tcpnet: frame of %d bytes exceeds limit %d", n, max)
 	}
-	var body []byte
-	if n <= maxPooledBuf {
-		bp := getBuf()
-		defer putBuf(bp)
-		body = grownBuf(bp, n)
-	} else {
-		body = make([]byte, n)
+	if n < fixedHeaderLen {
+		return nil, errShortFrame
 	}
-	if _, err := io.ReadFull(r, body); err != nil {
+	fr, err := decodeFixedHeader(fixed[4:])
+	if err != nil {
 		return nil, err
 	}
-	return decodeFrame(body)
+	var rest []byte
+	if fr.Op == opExpose {
+		fr.staged = getStage()
+		rest = grownBuf(fr.staged, n-fixedHeaderLen)
+	} else {
+		rest = make([]byte, n-fixedHeaderLen)
+	}
+	if _, err = io.ReadFull(r, rest); err == nil {
+		err = decodeSections(fr, rest)
+	}
+	if err != nil {
+		fr.release()
+		return nil, err
+	}
+	return fr, nil
 }
 
 // Scatter-gather read codec. An opReadMulti request frame carries the
@@ -407,26 +542,19 @@ func decodeReadSpecs(body []byte) ([]transport.ReadSpec, error) {
 }
 
 // writeSegment writes one raw segment (header plus body) of the
-// scatter-gather response stream.
+// scatter-gather response stream: a small body inlined behind the header,
+// a large one vectored behind it uncopied.
 func writeSegment(w io.Writer, status uint8, index int, body []byte) error {
 	bp := getBuf()
 	defer putBuf(bp)
-	buf := append(*bp, status)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(index))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(body)))
-	if len(body) <= maxPooledBuf {
-		buf = append(buf, body...)
-		_, err := w.Write(buf)
-		*bp = buf[:0]
-		return err
+	head := append((*bp)[:0], status)
+	head = binary.BigEndian.AppendUint32(head, uint32(index))
+	head = binary.BigEndian.AppendUint32(head, uint32(len(body)))
+	if len(body) <= maxInlineBody {
+		head, body = append(head, body...), nil
 	}
-	if _, err := w.Write(buf); err != nil {
-		*bp = buf[:0]
-		return err
-	}
-	*bp = buf[:0]
-	_, err := w.Write(body)
-	return err
+	*bp = head[:0]
+	return writeVectored(w, head, body)
 }
 
 // readSegmentHeader reads one segment header, bounding the body length.

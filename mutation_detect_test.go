@@ -16,6 +16,8 @@ import (
 	"testing"
 	"time"
 
+	cods "github.com/insitu/cods"
+	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/conformance"
 	"github.com/insitu/cods/internal/decomp"
 	"github.com/insitu/cods/internal/genwf"
@@ -23,6 +25,7 @@ import (
 	"github.com/insitu/cods/internal/membership"
 	"github.com/insitu/cods/internal/mutate"
 	"github.com/insitu/cods/internal/sfc"
+	"github.com/insitu/cods/internal/transport/tcpnet"
 )
 
 // mutationScenario returns the directed scenario detecting one seeded
@@ -275,6 +278,95 @@ func detectLeaseExpiryIgnored(t *testing.T) {
 	t.Logf("detected %q: %v", mutate.LeaseExpiryIgnored, err)
 }
 
+// detectTCPBlockShift proves the put half of the block wire codec is
+// watched. The conformance loopback never ships a block — an owner it
+// serves exposes in process — so the defect (the owning process decodes an
+// exposed region one cell over) only exists where codsrun -backend=tcp and
+// the repo benchmark run: a driver that owns no node, staging on separate
+// serving processes. The probe builds that shape inside this process — one
+// framework and tcpnet.Serve backend per node, a tcpnet.Connect driver —
+// stages a block on each node and requires the driver's get to match the
+// same put/get on an in-process fabric cell for cell: cross-backend
+// identity, on the one deployment shape where expose crosses the wire.
+func detectTCPBlockShift(t *testing.T) {
+	cfg := cods.Config{Nodes: 2, CoresPerNode: 1, Domain: []int{8, 8}}
+	putGet := func(fw *cods.Framework) ([]float64, error) {
+		sp := fw.SharedSpace()
+		for core := 0; core < 2; core++ {
+			blk := geometry.NewBBox(geometry.Point{4 * core, 0}, geometry.Point{4 * (core + 1), 8})
+			data := make([]float64, blk.Volume())
+			for i := range data {
+				data[i] = float64(100*core + i)
+			}
+			if err := sp.HandleAt(cluster.CoreID(core), 1, "put").PutSequential("v", 0, blk, data); err != nil {
+				return nil, err
+			}
+		}
+		// An interior get: every sub-box is strictly inside its block, so a
+		// shifted block still covers it — with its neighbours' values.
+		return sp.HandleAt(0, 2, "get").GetSequential("v", 0, geometry.NewBBox(geometry.Point{1, 2}, geometry.Point{7, 6}))
+	}
+	probe := func() error {
+		ref, err := cods.New(cfg)
+		if err != nil {
+			return err
+		}
+		want, err := putGet(ref)
+		if err != nil {
+			return fmt.Errorf("in-process leg: %w", err)
+		}
+		peers := make(map[cluster.NodeID]string)
+		for node := 0; node < cfg.Nodes; node++ {
+			fw, err := cods.New(cfg)
+			if err != nil {
+				return err
+			}
+			be, err := tcpnet.Serve(fw.TransportFabric(), cluster.NodeID(node), "127.0.0.1:0", tcpnet.Config{})
+			if err != nil {
+				return err
+			}
+			defer be.Close()
+			fw.TransportFabric().SetBackend(be)
+			peers[cluster.NodeID(node)] = be.Addr(cluster.NodeID(node))
+		}
+		driver, err := cods.New(cfg)
+		if err != nil {
+			return err
+		}
+		be, err := tcpnet.Connect(driver.TransportFabric(), peers, tcpnet.Config{})
+		if err != nil {
+			return err
+		}
+		defer be.Close()
+		if err := be.PushPeers(); err != nil {
+			return err
+		}
+		driver.TransportFabric().SetBackend(be)
+		got, err := putGet(driver)
+		if err != nil {
+			return fmt.Errorf("tcp leg: %w", err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				return fmt.Errorf("cell %d = %v through a driver and two serving nodes, %v in process", i, got[i], want[i])
+			}
+		}
+		return nil
+	}
+	if err := probe(); err != nil {
+		t.Fatalf("split-process put/get fails even without the mutation: %v", err)
+	}
+	t.Setenv("CODS_MUTATION", mutate.TCPBlockShift)
+	if !mutate.Enabled(mutate.TCPBlockShift) {
+		t.Fatal("mutation hooks not compiled in (missing -tags conformance_mutations?)")
+	}
+	err := probe()
+	if err == nil {
+		t.Fatalf("cross-backend identity did not detect seeded defect %q", mutate.TCPBlockShift)
+	}
+	t.Logf("detected %q: %v", mutate.TCPBlockShift, err)
+}
+
 // detectMortonBitSwap proves the linearizer suite catches a transposed
 // Morton bit interleave. The defect is a consistent relabeling of the
 // index space: DHT inserts and queries route through the same mutated
@@ -338,6 +430,12 @@ func TestMutationDetection(t *testing.T) {
 				// The lease registry lives outside the scenario pipeline;
 				// its detection drives the membership layer directly.
 				detectLeaseExpiryIgnored(t)
+				return
+			}
+			if name == mutate.TCPBlockShift {
+				// The loopback leg of the sweep exposes in process; the block
+				// codec's put half needs the driver-plus-nodes shape.
+				detectTCPBlockShift(t)
 				return
 			}
 			if name == mutate.MortonBitSwap {
