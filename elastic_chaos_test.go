@@ -13,7 +13,6 @@ package cods_test
 import (
 	"encoding/json"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -33,7 +32,7 @@ func TestElasticChaos(t *testing.T) {
 	// The producer stages 4 blocks (blocked 2x2), so -chaos-after 4 kills
 	// node 1 exactly when staging is done and consumption begins. The
 	// retry budget must outlive lease expiry plus replacement spawn.
-	cmd := exec.Command(filepath.Join(bin, "codsrun"),
+	text := runCodsrun(t, bin,
 		"-backend", "tcp",
 		"-nodes", "2", "-cores", "2", "-domain", "8x8",
 		"-dag", dag,
@@ -45,11 +44,6 @@ func TestElasticChaos(t *testing.T) {
 		"-task-retry", "3", "-task-remap",
 		"-verify",
 		"-report", "-report-path", reportPath)
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("codsrun: %v\n%s", err, out)
-	}
-	text := string(out)
 	for _, want := range []string{
 		"elastic membership: 2 leases",
 		"chaos: killing codsnode 1",

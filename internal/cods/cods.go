@@ -966,10 +966,9 @@ func (h *Handle) pullBatch(out []float64, region geometry.BBox, v string, versio
 				return copySegment(out, region, clipped, tr.Sub)
 			})
 			if !start.IsZero() {
-				// Includes the blocking wait for the producer's Expose and
-				// any simulated read latency: it is the consumer-observed
-				// transfer latency, the quantity the pull worker pool
-				// overlaps.
+				// Includes the blocking wait for the producer's Expose: it
+				// is the consumer-observed transfer latency, the quantity
+				// the pull worker pool overlaps.
 				obsTransferNs.Observe(time.Since(start).Nanoseconds())
 			}
 			return rerr
@@ -985,51 +984,6 @@ func (h *Handle) pullBatch(out []float64, region geometry.BBox, v string, versio
 		}
 	}
 	return nil
-}
-
-// Exists reports whether any data of the variable version overlapping
-// region has been registered with the lookup service. It is the
-// coordination primitive sequentially coupled applications use to test for
-// their input without blocking.
-func (h *Handle) Exists(v string, version int, region geometry.BBox) (bool, error) {
-	if region.Empty() {
-		return false, fmt.Errorf("cods: empty region for %q", v)
-	}
-	entries, err := h.lookupClient().Query(h.phase, h.app, v, version, region)
-	if err != nil {
-		return false, err
-	}
-	return len(entries) > 0, nil
-}
-
-// TryGetSequential is GetSequential without blocking semantics: when the
-// stored data does not (yet) cover the region it returns (nil, false, nil)
-// instead of an error, so pollers can retry.
-func (h *Handle) TryGetSequential(v string, version int, region geometry.BBox) ([]float64, bool, error) {
-	if region.Empty() {
-		return nil, false, fmt.Errorf("cods: empty get region for %q", v)
-	}
-	key := h.schedKey("seq", v, region)
-	sched, ok := h.cachedSchedule(key, v)
-	if !ok {
-		epoch, gen := h.sp.scheduleStamp(v)
-		var err error
-		sched, err = h.sequentialSchedule(v, version, region)
-		if err != nil {
-			// Incomplete coverage is the retry case; other errors are
-			// real.
-			if _, qerr := h.lookupClient().Query(h.phase, h.app, v, version, region); qerr != nil {
-				return nil, false, qerr
-			}
-			return nil, false, nil
-		}
-		h.storeSchedule(key, v, sched, epoch, gen)
-	}
-	out, err := h.pull(v, version, region, sched)
-	if err != nil {
-		return nil, false, err
-	}
-	return out, true, nil
 }
 
 // Discard withdraws a previously put block so its memory slot can be

@@ -313,71 +313,6 @@ func TestGetSubcellFromMultipleVersions(t *testing.T) {
 	}
 }
 
-func TestExists(t *testing.T) {
-	_, sp := testRig(t, 2, 2, []int{8, 8})
-	blk := geometry.BoxFromSize([]int{8, 8})
-	h := sp.HandleAt(0, 1, "p")
-	g := sp.HandleAt(2, 2, "g")
-	ok, err := g.Exists("v", 0, blk)
-	if err != nil || ok {
-		t.Fatalf("Exists before put = %v, %v", ok, err)
-	}
-	if err := h.PutSequential("v", 0, blk, fillRegion(blk)); err != nil {
-		t.Fatal(err)
-	}
-	ok, err = g.Exists("v", 0, blk)
-	if err != nil || !ok {
-		t.Fatalf("Exists after put = %v, %v", ok, err)
-	}
-	// Other version still absent.
-	ok, err = g.Exists("v", 1, blk)
-	if err != nil || ok {
-		t.Fatalf("Exists other version = %v, %v", ok, err)
-	}
-	if _, err := g.Exists("v", 0, geometry.NewBBox(geometry.Point{0, 0}, geometry.Point{0, 0})); err == nil {
-		t.Fatal("empty region accepted")
-	}
-}
-
-func TestTryGetSequential(t *testing.T) {
-	_, sp := testRig(t, 2, 2, []int{8, 8})
-	full := geometry.BoxFromSize([]int{8, 8})
-	half := geometry.NewBBox(geometry.Point{0, 0}, geometry.Point{4, 8})
-	g := sp.HandleAt(3, 2, "g")
-
-	// Nothing stored yet: not ready, no error.
-	data, ready, err := g.TryGetSequential("v", 0, full)
-	if err != nil || ready || data != nil {
-		t.Fatalf("TryGet empty = %v, %v, %v", data, ready, err)
-	}
-
-	// Half stored: full-region get still not ready; half-region get works.
-	h := sp.HandleAt(0, 1, "p")
-	if err := h.PutSequential("v", 0, half, fillRegion(half)); err != nil {
-		t.Fatal(err)
-	}
-	_, ready, err = g.TryGetSequential("v", 0, full)
-	if err != nil || ready {
-		t.Fatalf("TryGet partial coverage = ready %v, %v", ready, err)
-	}
-	data, ready, err = g.TryGetSequential("v", 0, half)
-	if err != nil || !ready {
-		t.Fatalf("TryGet covered region = %v, %v", ready, err)
-	}
-	checkRegion(t, half, data)
-
-	// Complete the domain: full get becomes ready.
-	other := geometry.NewBBox(geometry.Point{4, 0}, geometry.Point{8, 8})
-	if err := h.PutSequential("v", 0, other, fillRegion(other)); err != nil {
-		t.Fatal(err)
-	}
-	data, ready, err = g.TryGetSequential("v", 0, full)
-	if err != nil || !ready {
-		t.Fatalf("TryGet after completion = %v, %v", ready, err)
-	}
-	checkRegion(t, full, data)
-}
-
 func TestCopyRegionRuns(t *testing.T) {
 	srcBox := geometry.BoxFromSize([]int{4, 4})
 	dstBox := geometry.NewBBox(geometry.Point{1, 1}, geometry.Point{4, 4})

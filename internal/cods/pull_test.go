@@ -183,8 +183,8 @@ func TestClearInvalidatesCachedSchedule(t *testing.T) {
 
 // TestConcurrentPutGetDiscardStress hammers the space from many goroutines
 // (intended to run under -race): each owns a variable and loops
-// put/get/discard, while readers poll other variables with
-// TryGetSequential. Only coverage gaps are tolerated.
+// put/get/discard, while readers query the lookup service for other
+// goroutines' variables. Only coverage gaps are tolerated.
 func TestConcurrentPutGetDiscardStress(t *testing.T) {
 	_, sp := testRig(t, 4, 4, []int{32, 32})
 	sp.SetPullWorkers(4)
@@ -232,8 +232,9 @@ func TestConcurrentPutGetDiscardStress(t *testing.T) {
 		}(w)
 	}
 	// Readers retrieve the stable variable (full-domain parallel pulls)
-	// and probe the churning variables without pulling them: Exists and a
-	// failed-coverage TryGetSequential must never error or wedge.
+	// and probe the churning variables without pulling them: a lookup
+	// query racing the writers' inserts and removes must never error or
+	// wedge.
 	for r := 0; r < writers; r++ {
 		wg.Add(1)
 		go func(r int) {
@@ -250,8 +251,8 @@ func TestConcurrentPutGetDiscardStress(t *testing.T) {
 					errCh <- fmt.Errorf("reader %d: short read %d", r, len(out))
 					return
 				}
-				if _, err := h.Exists(churn, it, blkOf((r+1)%writers)); err != nil {
-					errCh <- fmt.Errorf("reader %d exists: %w", r, err)
+				if _, err := h.lookupClient().Query(h.phase, h.app, churn, it, blkOf((r+1)%writers)); err != nil {
+					errCh <- fmt.Errorf("reader %d query: %w", r, err)
 					return
 				}
 			}

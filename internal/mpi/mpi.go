@@ -36,7 +36,6 @@ const (
 	kindBarrier
 	kindBcast
 	kindGather
-	kindScatter
 	kindReduce
 	kindSplit
 )
@@ -249,106 +248,6 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 	}
 	return out, nil
 }
-
-// Scatter distributes parts[i] from root to rank i and returns the local
-// part on every rank. On non-root ranks parts is ignored.
-func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
-	n := len(c.cores)
-	if root < 0 || root >= n {
-		return nil, fmt.Errorf("mpi: scatter root %d out of range", root)
-	}
-	if c.rank == root {
-		if len(parts) != n {
-			return nil, fmt.Errorf("mpi: scatter needs %d parts, got %d", n, len(parts))
-		}
-		for r := 0; r < n; r++ {
-			if r == root {
-				continue
-			}
-			if err := c.isend(r, kindScatter, r, parts[r]); err != nil {
-				return nil, err
-			}
-		}
-		return append([]byte(nil), parts[root]...), nil
-	}
-	return c.irecv(root, kindScatter, c.rank)
-}
-
-// Allgather collects every rank's data on every rank (index = rank). It is
-// implemented as a gather at rank 0 followed by a broadcast of the
-// length-prefixed concatenation.
-func (c *Comm) Allgather(data []byte) ([][]byte, error) {
-	parts, err := c.Gather(0, data)
-	if err != nil {
-		return nil, err
-	}
-	var packed []byte
-	if c.rank == 0 {
-		for _, p := range parts {
-			var hdr [8]byte
-			binary.LittleEndian.PutUint64(hdr[:], uint64(len(p)))
-			packed = append(packed, hdr[:]...)
-			packed = append(packed, p...)
-		}
-	}
-	packed, err = c.Bcast(0, packed)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, 0, len(c.cores))
-	for pos := 0; pos < len(packed); {
-		if pos+8 > len(packed) {
-			return nil, fmt.Errorf("mpi: corrupt allgather packing")
-		}
-		l := int(binary.LittleEndian.Uint64(packed[pos : pos+8]))
-		pos += 8
-		if pos+l > len(packed) {
-			return nil, fmt.Errorf("mpi: corrupt allgather packing")
-		}
-		out = append(out, packed[pos:pos+l])
-		pos += l
-	}
-	if len(out) != len(c.cores) {
-		return nil, fmt.Errorf("mpi: allgather produced %d parts for %d ranks", len(out), len(c.cores))
-	}
-	return out, nil
-}
-
-// Alltoallv sends send[r] to every rank r and returns what every rank sent
-// here (index = source rank). This is the M x N redistribution primitive.
-// Unlike the internal collectives, the payloads are application data and
-// are metered as such.
-func (c *Comm) Alltoallv(send [][]byte) ([][]byte, error) {
-	n := len(c.cores)
-	if len(send) != n {
-		return nil, fmt.Errorf("mpi: alltoallv needs %d buffers, got %d", n, len(send))
-	}
-	// Post all sends (asynchronous), then receive in a deterministic
-	// order, offsetting by own rank to spread load.
-	for off := 0; off < n; off++ {
-		dst := (c.rank + off) % n
-		if dst == c.rank {
-			continue
-		}
-		if err := c.Send(dst, alltoallTag, send[dst]); err != nil {
-			return nil, err
-		}
-	}
-	out := make([][]byte, n)
-	out[c.rank] = append([]byte(nil), send[c.rank]...)
-	for off := 1; off < n; off++ {
-		src := (c.rank - off + n) % n
-		payload, _, err := c.Recv(src, alltoallTag)
-		if err != nil {
-			return nil, err
-		}
-		out[src] = payload
-	}
-	return out, nil
-}
-
-// alltoallTag is the reserved user tag of Alltoallv traffic.
-const alltoallTag = 1<<24 - 1
 
 // Op is a reduction operator over float64.
 type Op int

@@ -290,94 +290,6 @@ func TestCommSplitUndefined(t *testing.T) {
 	})
 }
 
-func TestScatter(t *testing.T) {
-	runRanks(t, 2, 3, 5, func(c *Comm) error {
-		var parts [][]byte
-		if c.Rank() == 2 {
-			for r := 0; r < 5; r++ {
-				parts = append(parts, []byte{byte(r * 3)})
-			}
-		}
-		got, err := c.Scatter(2, parts)
-		if err != nil {
-			return err
-		}
-		if len(got) != 1 || got[0] != byte(c.Rank()*3) {
-			return fmt.Errorf("rank %d scatter = %v", c.Rank(), got)
-		}
-		return nil
-	})
-}
-
-func TestScatterValidation(t *testing.T) {
-	runRanks(t, 1, 2, 2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			if _, err := c.Scatter(0, [][]byte{{1}}); err == nil {
-				return fmt.Errorf("wrong part count accepted")
-			}
-			// Complete the collective properly so rank 1 unblocks.
-			_, err := c.Scatter(0, [][]byte{{1}, {2}})
-			return err
-		}
-		_, err := c.Scatter(0, nil)
-		return err
-	})
-}
-
-func TestAllgather(t *testing.T) {
-	runRanks(t, 2, 2, 4, func(c *Comm) error {
-		data := []byte(fmt.Sprintf("rank-%d", c.Rank()))
-		if c.Rank() == 3 {
-			data = nil // zero-length contribution must survive packing
-		}
-		parts, err := c.Allgather(data)
-		if err != nil {
-			return err
-		}
-		if len(parts) != 4 {
-			return fmt.Errorf("parts = %d", len(parts))
-		}
-		for r := 0; r < 3; r++ {
-			if string(parts[r]) != fmt.Sprintf("rank-%d", r) {
-				return fmt.Errorf("parts[%d] = %q", r, parts[r])
-			}
-		}
-		if len(parts[3]) != 0 {
-			return fmt.Errorf("parts[3] = %q, want empty", parts[3])
-		}
-		return nil
-	})
-}
-
-func TestAlltoallv(t *testing.T) {
-	runRanks(t, 2, 3, 6, func(c *Comm) error {
-		send := make([][]byte, 6)
-		for r := range send {
-			send[r] = []byte{byte(c.Rank()*10 + r)}
-		}
-		got, err := c.Alltoallv(send)
-		if err != nil {
-			return err
-		}
-		for src := range got {
-			want := byte(src*10 + c.Rank())
-			if len(got[src]) != 1 || got[src][0] != want {
-				return fmt.Errorf("rank %d from %d = %v, want %d", c.Rank(), src, got[src], want)
-			}
-		}
-		return nil
-	})
-}
-
-func TestAlltoallvWrongLength(t *testing.T) {
-	runRanks(t, 1, 1, 1, func(c *Comm) error {
-		if _, err := c.Alltoallv(nil); err == nil {
-			return fmt.Errorf("wrong buffer count accepted")
-		}
-		return nil
-	})
-}
-
 func TestIntraAppMetering(t *testing.T) {
 	m := runRanks(t, 2, 1, 2, func(c *Comm) error {
 		if c.Rank() == 0 {

@@ -427,122 +427,6 @@ func (s *Simulator) assignRates(active []*mergedFlow) {
 	}
 }
 
-// TimedFlow is a flow with an explicit start time, for simulating
-// pipelined phases whose transfers do not all begin together.
-type TimedFlow struct {
-	cluster.Flow
-	Start float64
-}
-
-// SimulateTimed computes completion times for flows with individual start
-// times. Unlike Simulate, flows are not merged per node pair (different
-// start times would break the aggregation); use it for moderate flow
-// counts.
-func (s *Simulator) SimulateTimed(flows []TimedFlow) Result {
-	res := Result{Completion: make([]float64, len(flows))}
-	type live struct {
-		*mergedFlow
-		idx int
-	}
-	var pending []live
-	for i, f := range flows {
-		if f.Bytes < 0 || f.Start < 0 {
-			panic("netsim: negative flow size or start")
-		}
-		if f.Src == f.Dst {
-			res.ShmBytes += f.Bytes
-			res.Completion[i] = f.Start + s.cfg.ShmLatency + s.cfg.PerFlowOverhead +
-				float64(f.Bytes)/s.cfg.ShmBandwidth
-			if res.Completion[i] > res.Makespan {
-				res.Makespan = res.Completion[i]
-			}
-			continue
-		}
-		res.NetworkBytes += f.Bytes
-		path := s.torus.Route(f.Src, f.Dst)
-		res.TotalHopBytes += f.Bytes * int64(len(path))
-		pending = append(pending, live{
-			mergedFlow: &mergedFlow{
-				path:      path,
-				hops:      len(path),
-				remaining: float64(f.Bytes),
-				weight:    1,
-				overhead:  s.cfg.PerFlowOverhead,
-				inputs:    []int{i},
-			},
-			idx: i,
-		})
-	}
-	if len(pending) == 0 {
-		return res
-	}
-	sort.SliceStable(pending, func(i, j int) bool { return flows[pending[i].idx].Start < flows[pending[j].idx].Start })
-
-	var active []*mergedFlow
-	now := 0.0
-	nextArrival := 0
-	remaining := len(pending)
-	for remaining > 0 {
-		// Admit flows whose start time has come.
-		for nextArrival < len(pending) && flows[pending[nextArrival].idx].Start <= now+1e-15 {
-			active = append(active, pending[nextArrival].mergedFlow)
-			nextArrival++
-		}
-		s.assignRates(active)
-		// Time to the next event: a completion or an arrival.
-		dt := math.MaxFloat64
-		for _, m := range active {
-			if m.done || m.rate <= 0 {
-				continue
-			}
-			if t := m.remaining / m.rate; t < dt {
-				dt = t
-			}
-		}
-		if nextArrival < len(pending) {
-			if t := flows[pending[nextArrival].idx].Start - now; t < dt {
-				dt = t
-			}
-		}
-		if dt == math.MaxFloat64 {
-			dt = 0
-		}
-		now += dt
-		for _, m := range active {
-			if m.done {
-				continue
-			}
-			if m.rate > 0 {
-				m.remaining -= m.rate * dt
-			}
-			if m.remaining <= 1e-6 && m.rate > 0 {
-				m.done = true
-				remaining--
-				finish := now + s.cfg.LinkLatency*float64(m.hops) + m.overhead
-				for _, i := range m.inputs {
-					res.Completion[i] = finish
-					if finish > res.Makespan {
-						res.Makespan = finish
-					}
-				}
-			}
-		}
-	}
-	// Link load accounting.
-	linkBytes := make(map[int]int64)
-	for _, p := range pending {
-		for _, l := range p.path {
-			linkBytes[l] += int64(flows[p.idx].Bytes)
-		}
-	}
-	for _, b := range linkBytes {
-		if b > res.MaxLinkBytes {
-			res.MaxLinkBytes = b
-		}
-	}
-	return res
-}
-
 // PhaseTime is a convenience that simulates the flows carrying the given
 // phase prefix from a metrics object and returns the makespan.
 func (s *Simulator) PhaseTime(m *cluster.Metrics, phasePrefix string) float64 {

@@ -317,66 +317,3 @@ func TestLinkLoadAccounting(t *testing.T) {
 		t.Fatalf("shm flow loaded links: %+v", res)
 	}
 }
-
-func TestSimulateTimedMatchesSimulateAtZeroStart(t *testing.T) {
-	s := sim(t, 8)
-	flows := []cluster.Flow{
-		{Src: 0, Dst: 1, Bytes: 1 << 20},
-		{Src: 2, Dst: 3, Bytes: 1 << 21},
-		{Src: 4, Dst: 4, Bytes: 1 << 19},
-	}
-	timed := make([]TimedFlow, len(flows))
-	for i, f := range flows {
-		timed[i] = TimedFlow{Flow: f}
-	}
-	a := s.Simulate(flows)
-	b := s.SimulateTimed(timed)
-	for i := range flows {
-		if math.Abs(a.Completion[i]-b.Completion[i]) > 1e-9 {
-			t.Fatalf("flow %d: %v vs %v", i, a.Completion[i], b.Completion[i])
-		}
-	}
-	if a.NetworkBytes != b.NetworkBytes || a.ShmBytes != b.ShmBytes {
-		t.Fatalf("byte accounting differs: %+v vs %+v", a, b)
-	}
-}
-
-func TestSimulateTimedStaggeredAvoidsSharing(t *testing.T) {
-	s := sim(t, 8)
-	cfg := DefaultConfig()
-	bytes := int64(cfg.LinkBandwidth / 10) // 100 ms alone
-	together := s.SimulateTimed([]TimedFlow{
-		{Flow: cluster.Flow{Src: 0, Dst: 1, Bytes: bytes}},
-		{Flow: cluster.Flow{Src: 0, Dst: 1, Bytes: bytes}},
-	})
-	staggered := s.SimulateTimed([]TimedFlow{
-		{Flow: cluster.Flow{Src: 0, Dst: 1, Bytes: bytes}},
-		{Flow: cluster.Flow{Src: 0, Dst: 1, Bytes: bytes}, Start: 0.2},
-	})
-	// Together they share the link (~200 ms makespan); staggered the
-	// second starts after the first finished (~300 ms wall, but each takes
-	// only ~100 ms of transfer).
-	if staggered.Completion[0] >= together.Completion[0] {
-		t.Fatalf("first staggered flow %v not faster than shared %v",
-			staggered.Completion[0], together.Completion[0])
-	}
-	want := 0.2 + 0.1 // start + lone transfer
-	if math.Abs(staggered.Completion[1]-want) > 0.01 {
-		t.Fatalf("second staggered flow completion %v, want ~%v", staggered.Completion[1], want)
-	}
-}
-
-func TestSimulateTimedArrivalDuringTransfer(t *testing.T) {
-	s := sim(t, 8)
-	cfg := DefaultConfig()
-	bytes := int64(cfg.LinkBandwidth / 10)
-	res := s.SimulateTimed([]TimedFlow{
-		{Flow: cluster.Flow{Src: 0, Dst: 1, Bytes: bytes}},
-		{Flow: cluster.Flow{Src: 0, Dst: 1, Bytes: bytes}, Start: 0.05},
-	})
-	// The first flow runs alone for 50 ms (half done), then shares: it
-	// needs ~100 ms more, finishing around 150 ms.
-	if res.Completion[0] < 0.14 || res.Completion[0] > 0.17 {
-		t.Fatalf("first flow completion %v, want ~0.15", res.Completion[0])
-	}
-}

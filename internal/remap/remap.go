@@ -20,7 +20,6 @@ import (
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/membership"
 	"github.com/insitu/cods/internal/mutate"
-	"github.com/insitu/cods/internal/netsim"
 	"github.com/insitu/cods/internal/obs"
 )
 
@@ -54,10 +53,6 @@ func (b Block) key() string {
 type Move struct {
 	Block Block
 	To    cluster.CoreID
-	// Shares[n] is the observed inter-app byte volume node n pulled of
-	// this block, apportioned from the flow matrix by block volume. The
-	// move's gain and the netsim what-if evaluation both derive from it.
-	Shares []int64
 	// Gain is the predicted inter-node byte reduction of this move under
 	// a repeat of the observed traffic: the destination's share becomes
 	// node-local while the old node's local share moves onto the network.
@@ -72,14 +67,6 @@ type Plan struct {
 	// planned one, assuming the traffic pattern repeats.
 	StaticNetBytes  int64
 	PlannedNetBytes int64
-}
-
-// Reduction is the predicted fractional inter-node byte reduction.
-func (p Plan) Reduction() float64 {
-	if p.StaticNetBytes == 0 {
-		return 0
-	}
-	return float64(p.StaticNetBytes-p.PlannedNetBytes) / float64(p.StaticNetBytes)
 }
 
 // Options tune the planner.
@@ -147,27 +134,24 @@ func Propose(m *cluster.Machine, fm obs.FlowMatrix, blocks []Block, opts Options
 		if volByNode[src] == 0 || vol == 0 {
 			continue
 		}
-		shares := make([]int64, numNodes)
+		// share is the volume node dst pulled of this block: the source
+		// node's outgoing bytes apportioned by block volume.
+		share := func(dst int) int64 { return traffic[src][dst] * vol / volByNode[src] }
 		best, bestBytes := src, int64(-1)
 		for dst := 0; dst < numNodes; dst++ {
-			shares[dst] = traffic[src][dst] * vol / volByNode[src]
-			if dst == src {
-				continue
-			}
-			if shares[dst] > bestBytes {
-				best, bestBytes = dst, shares[dst]
+			if dst != src && share(dst) > bestBytes {
+				best, bestBytes = dst, share(dst)
 			}
 		}
-		gain := bestBytes - shares[src]
+		gain := bestBytes - share(src)
 		if best == src || gain <= 0 {
 			continue
 		}
 		slot := int(b.Owner) % m.CoresPerNode()
 		cands = append(cands, Move{
-			Block:  b,
-			To:     m.CoreOn(cluster.NodeID(best), slot),
-			Shares: shares,
-			Gain:   gain,
+			Block: b,
+			To:    m.CoreOn(cluster.NodeID(best), slot),
+			Gain:  gain,
 		})
 	}
 	// Largest gains first; ties keep ledger order (stable sort).
@@ -250,84 +234,6 @@ func Apply(sp *cods.Space, ledger *membership.Ledger, plan Plan, app int, phase 
 	// owner; the epoch bump forces recomputation from the fresh tables.
 	sp.InvalidateAll()
 	return moved, nil
-}
-
-// Cost is one placement's price under the torus cost model.
-type Cost struct {
-	NetworkBytes int64
-	ShmBytes     int64
-	Makespan     float64
-	MaxLinkBytes int64
-}
-
-// Evaluate prices the static and the planned mapping through the netsim
-// cost model: the observed inter-app cells are replayed as one flow per
-// (src,dst) node pair, and each planned move re-homes its apportioned
-// share vector from the old owner's node to the new one (remote readers
-// switch links, the destination's share becomes a memory copy). This is
-// the what-if the codsrun report surfaces next to a plan.
-func Evaluate(sim *netsim.Simulator, m *cluster.Machine, fm obs.FlowMatrix, p Plan) (static, planned Cost) {
-	n := m.NumNodes()
-	base := make([][]int64, n)
-	for i := range base {
-		base[i] = make([]int64, n)
-	}
-	for _, c := range fm.Cells {
-		if c.Class != cluster.InterApp.String() {
-			continue
-		}
-		if c.Src < 0 || c.Src >= n || c.Dst < 0 || c.Dst >= n {
-			continue
-		}
-		base[c.Src][c.Dst] += c.Bytes
-	}
-	adj := make([][]int64, n)
-	for i := range adj {
-		adj[i] = append([]int64(nil), base[i]...)
-	}
-	for _, mv := range p.Moves {
-		src := int(m.NodeOf(mv.Block.Owner))
-		dst := int(m.NodeOf(mv.To))
-		for reader, bytes := range mv.Shares {
-			if bytes == 0 || reader >= n {
-				continue
-			}
-			adj[src][reader] -= bytes
-			adj[dst][reader] += bytes
-		}
-	}
-	return price(sim, base), price(sim, adj)
-}
-
-// price runs one traffic matrix through the simulator.
-func price(sim *netsim.Simulator, mat [][]int64) Cost {
-	var flows []cluster.Flow
-	for src := range mat {
-		for dst, bytes := range mat[src] {
-			if bytes <= 0 {
-				continue
-			}
-			medium := cluster.Network
-			if src == dst {
-				medium = cluster.SharedMemory
-			}
-			flows = append(flows, cluster.Flow{
-				Phase:  "remap-eval",
-				Src:    cluster.NodeID(src),
-				Dst:    cluster.NodeID(dst),
-				Bytes:  bytes,
-				Medium: medium.String(),
-				Class:  cluster.InterApp.String(),
-			})
-		}
-	}
-	res := sim.Simulate(flows)
-	return Cost{
-		NetworkBytes: res.NetworkBytes,
-		ShmBytes:     res.ShmBytes,
-		Makespan:     res.Makespan,
-		MaxLinkBytes: res.MaxLinkBytes,
-	}
 }
 
 // LedgerBlocks converts a put ledger's snapshot into the planner's block

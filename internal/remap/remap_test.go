@@ -2,14 +2,16 @@ package remap
 
 import (
 	"testing"
+	"time"
 
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/cods"
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/membership"
-	"github.com/insitu/cods/internal/netsim"
 	"github.com/insitu/cods/internal/obs"
+	"github.com/insitu/cods/internal/retry"
 	"github.com/insitu/cods/internal/transport"
+	"github.com/insitu/cods/internal/transport/tcpnet"
 )
 
 func mustMachine(t *testing.T, nodes, cores int) *cluster.Machine {
@@ -53,9 +55,6 @@ func TestProposeMovesHotBlockToItsReader(t *testing.T) {
 	}
 	if p.StaticNetBytes != 1024 || p.PlannedNetBytes != 0 {
 		t.Fatalf("scores static=%d planned=%d, want 1024/0", p.StaticNetBytes, p.PlannedNetBytes)
-	}
-	if r := p.Reduction(); r != 1 {
-		t.Fatalf("reduction %v, want 1", r)
 	}
 }
 
@@ -117,103 +116,130 @@ func TestProposeMaxMovesTakesLargestGains(t *testing.T) {
 	}
 }
 
-// TestApplyMigratesByteIdentically drives the full loop on an in-process
-// fabric: stage on node 0, pull from node 1 (observing the skew), plan,
-// apply, and require the re-pull to be byte-identical with zero inter-node
-// coupled bytes.
+// TestApplyMigratesByteIdentically drives the full loop — stage away from
+// the consumer's node, pull (observing the skew), plan, apply, re-pull — on
+// an in-process fabric and over loopback sockets, where every block starts
+// on nodes 1..3 of a 4x4 machine and the only consumer sits on node 0. The
+// re-pull must be cell-identical, every block must have followed its
+// reader, and the inter-node coupled bytes of one pull must fall by the
+// row's floor.
 func TestApplyMigratesByteIdentically(t *testing.T) {
-	m := mustMachine(t, 2, 2)
-	f := transport.NewFabric(m)
-	domain := geometry.BoxFromSize([]int{8, 8})
-	sp, err := cods.NewSpace(f, domain)
-	if err != nil {
-		t.Fatalf("NewSpace: %v", err)
-	}
-	ledger := membership.NewLedger()
-	sp.SetPutRecorder(ledger)
-
 	const prodApp, consApp = 1, 2
-	halves := []geometry.BBox{
-		geometry.NewBBox(geometry.Point{0, 0}, geometry.Point{4, 8}),
-		geometry.NewBBox(geometry.Point{4, 0}, geometry.Point{8, 8}),
+	rows := []struct {
+		name         string
+		nodes, cores int
+		loopback     bool
+		grid, side   [2]int // blocks per dimension, cells per block side
+		owner        func(m *cluster.Machine, n int) cluster.CoreID
+		consumer     func(m *cluster.Machine) cluster.CoreID
+		minReduction float64
+	}{
+		{
+			name: "inproc", nodes: 2, cores: 2,
+			grid: [2]int{2, 1}, side: [2]int{4, 8},
+			owner:        func(m *cluster.Machine, n int) cluster.CoreID { return m.CoreOn(0, n) },
+			consumer:     func(m *cluster.Machine) cluster.CoreID { return m.CoreOn(1, 0) },
+			minReduction: 1,
+		},
+		{
+			name: "tcp-loopback-skewed", nodes: 4, cores: 4, loopback: true,
+			grid: [2]int{4, 4}, side: [2]int{32, 32},
+			owner: func(m *cluster.Machine, n int) cluster.CoreID {
+				remote := m.TotalCores() - m.CoresPerNode()
+				return cluster.CoreID(m.CoresPerNode() + n%remote)
+			},
+			consumer:     func(m *cluster.Machine) cluster.CoreID { return 0 },
+			minReduction: 0.15,
+		},
 	}
-	for i, rg := range halves {
-		h := sp.HandleAt(m.CoreOn(0, i), prodApp, "put")
-		data := make([]float64, rg.Volume())
-		for j := range data {
-			data[j] = float64(i*1000 + j)
-		}
-		if err := h.PutSequential("u", 0, rg, data); err != nil {
-			t.Fatalf("PutSequential: %v", err)
-		}
-	}
-	consumer := sp.HandleAt(m.CoreOn(1, 0), consApp, "get")
-	before, err := consumer.GetSequential("u", 0, domain)
-	if err != nil {
-		t.Fatalf("GetSequential (static): %v", err)
-	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			m := mustMachine(t, row.nodes, row.cores)
+			f := transport.NewFabric(m)
+			if row.loopback {
+				be, err := tcpnet.NewLoopback(f, tcpnet.Config{Retry: retry.Default(), IOTimeout: 10 * time.Second})
+				if err != nil {
+					t.Fatalf("NewLoopback: %v", err)
+				}
+				f.SetBackend(be)
+				defer func() {
+					f.SetBackend(nil)
+					be.Close()
+				}()
+			}
+			domain := geometry.BoxFromSize([]int{row.grid[0] * row.side[0], row.grid[1] * row.side[1]})
+			sp, err := cods.NewSpace(f, domain)
+			if err != nil {
+				t.Fatalf("NewSpace: %v", err)
+			}
+			ledger := membership.NewLedger()
+			sp.SetPutRecorder(ledger)
 
-	fm := obs.BuildFlowMatrix(m.Metrics().Flows(""))
-	plan := Propose(m, fm, LedgerBlocks(ledger), Options{})
-	if len(plan.Moves) != 2 {
-		t.Fatalf("planned %d moves, want both staged halves: %+v", len(plan.Moves), plan)
-	}
-	moved, err := Apply(sp, ledger, plan, consApp, "remap")
-	if err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
-	if moved != 2 {
-		t.Fatalf("moved %d blocks, want 2", moved)
-	}
+			n := 0
+			for bx := 0; bx < row.grid[0]; bx++ {
+				for by := 0; by < row.grid[1]; by++ {
+					rg := geometry.NewBBox(
+						geometry.Point{bx * row.side[0], by * row.side[1]},
+						geometry.Point{(bx + 1) * row.side[0], (by + 1) * row.side[1]})
+					data := make([]float64, rg.Volume())
+					for j := range data {
+						data[j] = float64(n*1000 + j)
+					}
+					h := sp.HandleAt(row.owner(m, n), prodApp, "put")
+					if err := h.PutSequential("u", 0, rg, data); err != nil {
+						t.Fatalf("PutSequential: %v", err)
+					}
+					n++
+				}
+			}
+			consumer := sp.HandleAt(row.consumer(m), consApp, "get")
+			coupledNet := func() int64 { return m.Metrics().Bytes(cluster.InterApp, cluster.Network) }
+			before, err := consumer.GetSequential("u", 0, domain)
+			if err != nil {
+				t.Fatalf("GetSequential (static): %v", err)
+			}
+			staticNet := coupledNet()
+			if staticNet == 0 {
+				t.Fatal("the skewed staging moved no inter-node coupled bytes")
+			}
 
-	netBefore := m.Metrics().Bytes(cluster.InterApp, cluster.Network)
-	after, err := consumer.GetSequential("u", 0, domain)
-	if err != nil {
-		t.Fatalf("GetSequential (remapped): %v", err)
-	}
-	if len(after) != len(before) {
-		t.Fatalf("result length changed: %d vs %d", len(after), len(before))
-	}
-	for i := range after {
-		if after[i] != before[i] {
-			t.Fatalf("cell %d differs after remap: %v vs %v", i, after[i], before[i])
-		}
-	}
-	if d := m.Metrics().Bytes(cluster.InterApp, cluster.Network) - netBefore; d != 0 {
-		t.Fatalf("remapped pull still moved %d inter-node coupled bytes, want 0", d)
-	}
-	// The ledger must have followed the migration.
-	for _, b := range ledger.Blocks() {
-		if got := m.NodeOf(b.Owner); got != 1 {
-			t.Fatalf("ledger block %q still owned on node %d, want 1", b.Var, got)
-		}
-	}
-}
+			fm := obs.BuildFlowMatrix(m.Metrics().Flows(""))
+			plan := Propose(m, fm, LedgerBlocks(ledger), Options{})
+			if len(plan.Moves) != n {
+				t.Fatalf("planned %d moves, want all %d staged blocks: %+v", len(plan.Moves), n, plan)
+			}
+			moved, err := Apply(sp, ledger, plan, consApp, "remap")
+			if err != nil {
+				t.Fatalf("Apply: %v", err)
+			}
+			if moved != n {
+				t.Fatalf("moved %d blocks, want %d", moved, n)
+			}
 
-func TestEvaluatePricesPlannedBelowStatic(t *testing.T) {
-	m := mustMachine(t, 2, 2)
-	sim, err := netsim.New(netsim.DefaultConfig(), m.NumNodes())
-	if err != nil {
-		t.Fatalf("netsim.New: %v", err)
-	}
-	box := geometry.BoxFromSize([]int{4, 4})
-	blocks := []Block{{Var: "u", Version: 0, Region: box, Owner: m.CoreOn(0, 0)}}
-	fm := obs.FlowMatrix{Cells: []obs.FlowCell{matrixCell(0, 1, 1<<20)}}
-	plan := Propose(m, fm, blocks, Options{})
-	if len(plan.Moves) != 1 {
-		t.Fatalf("planned %d moves, want 1", len(plan.Moves))
-	}
-	static, planned := Evaluate(sim, m, fm, plan)
-	if static.NetworkBytes != 1<<20 {
-		t.Fatalf("static network bytes %d, want %d", static.NetworkBytes, 1<<20)
-	}
-	if planned.NetworkBytes != 0 {
-		t.Fatalf("planned network bytes %d, want 0 (the reader owns the block now)", planned.NetworkBytes)
-	}
-	if planned.ShmBytes != 1<<20 {
-		t.Fatalf("planned shm bytes %d, want %d", planned.ShmBytes, 1<<20)
-	}
-	if planned.Makespan >= static.Makespan {
-		t.Fatalf("planned makespan %v not below static %v", planned.Makespan, static.Makespan)
+			after, err := consumer.GetSequential("u", 0, domain)
+			if err != nil {
+				t.Fatalf("GetSequential (remapped): %v", err)
+			}
+			if len(after) != len(before) {
+				t.Fatalf("result length changed: %d vs %d", len(after), len(before))
+			}
+			for i := range after {
+				if after[i] != before[i] {
+					t.Fatalf("cell %d differs after remap: %v vs %v", i, after[i], before[i])
+				}
+			}
+			remapNet := coupledNet() - staticNet
+			if reduction := 1 - float64(remapNet)/float64(staticNet); reduction < row.minReduction {
+				t.Fatalf("inter-node coupled bytes per pull %d -> %d (-%.1f%%), want at least -%.0f%%",
+					staticNet, remapNet, 100*reduction, 100*row.minReduction)
+			}
+			// The ledger must have followed the migration.
+			home := m.NodeOf(row.consumer(m))
+			for _, b := range ledger.Blocks() {
+				if got := m.NodeOf(b.Owner); got != home {
+					t.Fatalf("ledger block %v still owned on node %d, want %d", b.Region, got, home)
+				}
+			}
+		})
 	}
 }

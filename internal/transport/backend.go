@@ -189,15 +189,15 @@ func (f *Fabric) LocalRecv(on, src cluster.CoreID, tag uint64) (Message, error) 
 }
 
 // LocalRead is the executing side of one read spec against an owner
-// endpoint in this process: it waits for the buffer to be exposed, sleeps
-// the simulated read latency, meters the pull and returns the exposed
-// payload for the reader to copy from. patience bounds the deferred wait
-// (0 waits forever): a buffer not exposed within it fails the read with
-// ErrReadPatience. Serving processes that can be replaced mid-run use the
-// bounded form — a read routed to a process that will never receive the
-// buffer (staged before the replacement, re-staged elsewhere) must surface
-// a retryable error rather than hold the exchange open forever while the
-// reader's retry layer sees no failure.
+// endpoint in this process: it waits for the buffer to be exposed, meters
+// the pull and returns the exposed payload for the reader to copy from.
+// patience bounds the deferred wait (0 waits forever): a buffer not
+// exposed within it fails the read with ErrReadPatience. Serving
+// processes that can be replaced mid-run use the bounded form — a read
+// routed to a process that will never receive the buffer (staged before
+// the replacement, re-staged elsewhere) must surface a retryable error
+// rather than hold the exchange open forever while the reader's retry
+// layer sees no failure.
 func (f *Fabric) LocalRead(reader, owner cluster.CoreID, key BufKey, m Meter, n int64, patience time.Duration) (any, error) {
 	oe := f.endpoints[int(owner)]
 	expired := false
@@ -216,10 +216,8 @@ func (f *Fabric) LocalRead(reader, owner cluster.CoreID, key BufKey, m Meter, n 
 			oe.exportMu.Unlock()
 			return nil, fmt.Errorf("transport: reading %v from endpoint %d: %w", key, owner, ErrEndpointClosed)
 		}
-		if e, ok := oe.exports[key]; ok {
-			payload := e.payload
+		if payload, ok := oe.exports[key]; ok {
 			oe.exportMu.Unlock()
-			f.sleepReadLatency(f.medium(owner, reader))
 			f.record(m, owner, reader, n)
 			return payload, nil
 		}
@@ -286,7 +284,7 @@ func (f *Fabric) LocalExpose(owner cluster.CoreID, key BufKey, payload any) erro
 	if _, ok := oe.exports[key]; ok {
 		return fmt.Errorf("transport: buffer %v already exposed on core %d", key, owner)
 	}
-	oe.exports[key] = &export{payload: payload}
+	oe.exports[key] = payload
 	oe.exportCond.Broadcast()
 	return nil
 }

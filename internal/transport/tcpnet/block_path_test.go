@@ -2,6 +2,7 @@ package tcpnet
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -81,6 +82,49 @@ func BenchmarkReadMultiBlocks(b *testing.B) {
 		if err := f.Endpoint(0).ReadMulti(specs, dataMeter, discard); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPullWorkers sweeps the pull worker pool over one full-domain
+// get of 64 transfers: 8 KiB blocks staged round-robin over a 4x4 machine,
+// so adjacent blocks have different owners, coalescing cannot shrink the
+// schedule, and three of every four transfers cross a loopback socket,
+// batched into one scatter-gather request per owning node. Compare
+// workers=N against workers=1.
+func BenchmarkPullWorkers(b *testing.B) {
+	const grid, side = 8, 32 // 8 x 8 blocks of 32 x 32 cells
+	f, _ := newLoopbackFabric(b, 4, 4)
+	region := geometry.BoxFromSize([]int{grid * side, grid * side})
+	sp, err := cods.NewSpace(f, region)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for n := 0; n < grid*grid; n++ {
+		blk := geometry.NewBBox(
+			geometry.Point{n / grid * side, n % grid * side},
+			geometry.Point{(n/grid + 1) * side, (n%grid + 1) * side})
+		h := sp.HandleAt(cluster.CoreID(n%f.Machine().TotalCores()), 1, "put")
+		if err := h.PutSequential("u", 0, blk, fillCells(blk)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	consumer := sp.HandleAt(0, 2, "get")
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			sp.SetPullWorkers(workers)
+			// Warm the schedule cache and the connection pool.
+			if _, err := consumer.GetSequential("u", 0, region); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(region.Volume() * cods.ElemSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := consumer.GetSequential("u", 0, region); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/mutate"
@@ -107,13 +106,6 @@ type Fabric struct {
 	// source of truth for the figures) with cheap fabric-level telemetry.
 	stats [2]mediumStats
 
-	// readLatency is an optional simulated one-sided-read round-trip
-	// latency per medium, in nanoseconds (0 = off, the default). When set,
-	// every read blocks that long before its payload callback, modelling
-	// the blocking RDMA get of the paper's DART; it is what the parallel
-	// pull engine overlaps. Byte accounting is unaffected.
-	readLatency [2]atomic.Int64
-
 	// fault is the installed fault plan (nil = none); faultsInjected
 	// counts error faults across all plans this fabric has carried.
 	fault          atomic.Pointer[FaultPlan]
@@ -132,7 +124,7 @@ func NewFabric(m *cluster.Machine) *Fabric {
 		ep := &Endpoint{
 			core:    cluster.CoreID(c),
 			fabric:  f,
-			exports: make(map[BufKey]*export),
+			exports: make(map[BufKey]any),
 			done:    make(chan struct{}),
 		}
 		ep.inboxCond = sync.NewCond(&ep.mu)
@@ -190,27 +182,6 @@ func (f *Fabric) ResetMediumStats() {
 	}
 }
 
-// SetReadLatency configures the simulated one-sided-read latency per
-// medium (0 disables, the default). Safe to call concurrently with
-// readers; it only affects wall-clock timing, never byte accounting.
-func (f *Fabric) SetReadLatency(shm, network time.Duration) {
-	f.readLatency[cluster.SharedMemory].Store(int64(shm))
-	f.readLatency[cluster.Network].Store(int64(network))
-}
-
-// sleepReadLatency blocks for the configured simulated latency of a
-// medium, if any.
-func (f *Fabric) sleepReadLatency(md cluster.Medium) {
-	if d := f.readLatency[md].Load(); d > 0 {
-		time.Sleep(time.Duration(d))
-	}
-}
-
-// export is a one-sided buffer published by a core.
-type export struct {
-	payload any
-}
-
 // Endpoint is the per-core attachment point to the fabric.
 type Endpoint struct {
 	core   cluster.CoreID
@@ -225,7 +196,7 @@ type Endpoint struct {
 	done chan struct{}
 
 	exportMu     sync.Mutex
-	exports      map[BufKey]*export
+	exports      map[BufKey]any
 	exportCond   *sync.Cond
 	exportClosed bool
 

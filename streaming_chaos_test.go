@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -42,7 +41,7 @@ func TestStreamingChaos(t *testing.T) {
 	// through the ledger restage, and a re-run would re-stamp versions the
 	// stream already advanced past. The retry budget must outlive lease
 	// expiry plus replacement spawn plus the read-patience bounce.
-	cmd := exec.Command(filepath.Join(bin, "codsrun"),
+	text := runCodsrun(t, bin,
 		"-backend", "tcp",
 		"-nodes", "2", "-cores", "3", "-domain", "8x8",
 		"-dag", dag,
@@ -54,11 +53,6 @@ func TestStreamingChaos(t *testing.T) {
 		"-chaos-kill", "1", "-chaos-after", "4",
 		"-retry", "attempts=100,base=5ms,cap=50ms,deadline=60s",
 		"-report", "-report-path", reportPath)
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("codsrun: %v\n%s", err, out)
-	}
-	text := string(out)
 	for _, want := range []string{
 		"elastic membership: 2 leases",
 		"chaos: killing codsnode 1",

@@ -8,12 +8,15 @@ package cods_test
 // report.
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/insitu/cods/internal/obs"
 	"github.com/insitu/cods/internal/trace"
@@ -31,6 +34,33 @@ func buildTCPBinaries(t *testing.T) string {
 		}
 	}
 	return dir
+}
+
+// codsrunDeadline bounds one codsrun child of a test. The slowest of them
+// (the chaos runs under -race) finish in seconds; go test's own package
+// timeout is ten minutes and reports no transcript.
+const codsrunDeadline = 2 * time.Minute
+
+// runCodsrun runs the built codsrun with args and returns its transcript
+// (stdout and stderr), failing the test with it when the run exits
+// non-zero or outlives codsrunDeadline. A run past the deadline is killed;
+// WaitDelay then closes the output pipe a second later, so a codsnode the
+// killed driver orphaned, which still holds the pipe's write end, cannot
+// keep the test waiting for EOF.
+func runCodsrun(t *testing.T, bin string, args ...string) string {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), codsrunDeadline)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, filepath.Join(bin, "codsrun"), args...)
+	cmd.WaitDelay = time.Second
+	out, err := cmd.CombinedOutput()
+	if err != nil && ctx.Err() != nil {
+		err = fmt.Errorf("still running after %s, killed: %w", codsrunDeadline, err)
+	}
+	if err != nil {
+		t.Fatalf("codsrun %v: %v\n%s", args, err, out)
+	}
+	return string(out)
 }
 
 // trafficLines extracts the deterministic data-volume lines of a codsrun
@@ -65,16 +95,13 @@ func TestTCPDistributedTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	spansPath := filepath.Join(dir, "spans.jsonl")
-	cmd := exec.Command(filepath.Join(bin, "codsrun"),
+	runCodsrun(t, bin,
 		"-backend", "tcp",
 		"-nodes", "2", "-cores", "2", "-domain", "8x8",
 		"-dag", dag,
 		"-app", "1:blocked:2x2", "-app", "2:blocked:2x1",
 		"-policy", "round-robin",
 		"-spans", spansPath)
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("codsrun: %v\n%s", err, out)
-	}
 
 	f, err := os.Open(spansPath)
 	if err != nil {
@@ -138,18 +165,13 @@ func TestTCPBackendSmoke(t *testing.T) {
 
 	run := func(backend, reportPath string) string {
 		t.Helper()
-		cmd := exec.Command(filepath.Join(bin, "codsrun"),
+		return runCodsrun(t, bin,
 			"-backend", backend,
 			"-nodes", "2", "-cores", "2", "-domain", "8x8",
 			"-dag", dag,
 			"-app", "1:blocked:2x2", "-app", "2:blocked:2x1",
 			"-policy", "round-robin", "-verify",
 			"-report", "-report-path", reportPath)
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			t.Fatalf("codsrun -backend=%s: %v\n%s", backend, err, out)
-		}
-		return string(out)
 	}
 
 	dir := t.TempDir()
