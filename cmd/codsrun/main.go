@@ -770,6 +770,7 @@ func (tc *tcpCluster) spawnNode(node int, inc uint64) (string, error) {
 	}
 	cmd := exec.Command(tc.bin, args...)
 	cmd.Stderr = os.Stderr
+	dieWithParent(cmd)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		return "", err

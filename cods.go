@@ -356,10 +356,6 @@ func (f *Framework) AppTraffic(app int) (coupledShm, coupledNet, intraShm, intra
 // instrumented hot path.
 func EnableObservability(on bool) { obs.Enable(on) }
 
-// WriteMetrics renders the current registry contents to w in a stable
-// line-oriented text form (one counter/gauge/histogram per line).
-func (f *Framework) WriteMetrics(w io.Writer) error { return obs.Default.WriteText(w) }
-
 // SetSpanTrace starts span tracing: begin/end events for the workflow run,
 // every bundle group, every task and every CoDS pull are written to w as
 // JSON Lines, parent-linked so a reader can rebuild the execution tree.

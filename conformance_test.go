@@ -39,15 +39,15 @@ func TestConformanceSweep(t *testing.T) {
 }
 
 // TestConformanceFaultsConcurrentPulls is the sweep pinned to the
-// hardest configuration: parallel pull workers combined with a
-// recoverable fault plan, so retries, backoff and the requery path run
-// under contention. Results must still be byte-identical — recovered
+// hardest configuration: a recoverable fault plan on both backends, so
+// that on the TCP leg — where a get's batches to its remote owning nodes
+// run concurrently — retries, backoff and the requery path run under
+// per-peer contention. Results must still be byte-identical — recovered
 // faults may never change data or double-meter traffic.
 func TestConformanceFaultsConcurrentPulls(t *testing.T) {
 	n := conformanceSeeds(t, 12)
 	for seed := uint64(1); seed <= n; seed++ {
 		sc := genwf.Generate(1000 + seed)
-		sc.PullWorkers = 4
 		sc.Retry = 4
 		sc.Remap = false // remap rounds exclude fault plans; this sweep pins faults
 		if sc.Faults == "" {
@@ -56,8 +56,8 @@ func TestConformanceFaultsConcurrentPulls(t *testing.T) {
 		if err := sc.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if err := conformance.Run(sc); err != nil {
-			reportShrunk(t, sc, err)
+		if err := conformance.RunCross(sc); err != nil {
+			reportShrunkCross(t, sc, err)
 		}
 	}
 }
@@ -149,21 +149,11 @@ func TestConformanceStreaming(t *testing.T) {
 	}
 }
 
-// reportShrunk shrinks a failing scenario and fails the test with the
-// minimal reproduction: the original error, the runnable Go literal and
-// the .dag-style repro.
-func reportShrunk(t *testing.T, sc genwf.Scenario, err error) {
-	t.Helper()
-	fails := func(c genwf.Scenario) bool {
-		return conformance.RunOpts(c, conformance.Options{Timeout: 20 * time.Second}) != nil
-	}
-	min := genwf.Shrink(sc, fails)
-	t.Fatalf("conformance failure: %v\n\nminimal failing scenario:\n%s\n\nrepro DAG:\n%s", err, min.GoLiteral(), min.DAG())
-}
-
-// reportShrunkCross is reportShrunk with the cross-backend runner as the
-// shrinking predicate, so failures only one backend exhibits keep
-// reproducing while the scenario is minimized.
+// reportShrunkCross shrinks a failing scenario and fails the test with
+// the minimal reproduction: the original error, the runnable Go literal
+// and the .dag-style repro. The cross-backend runner is the shrinking
+// predicate, so failures only one backend exhibits keep reproducing while
+// the scenario is minimized.
 func reportShrunkCross(t *testing.T, sc genwf.Scenario, err error) {
 	t.Helper()
 	fails := func(c genwf.Scenario) bool {

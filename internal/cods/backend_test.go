@@ -3,9 +3,12 @@ package cods
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/geometry"
@@ -208,10 +211,10 @@ func TestRetireCountsFailedDiscard(t *testing.T) {
 	}
 }
 
-// TestPartitionPulls pins the work-item shape of the pull engine: every
-// unrouted transfer is an item of its own (the pool overlaps them), the
-// routed ones form exactly one batch per owning node, and schedule order
-// survives inside every item.
+// TestPartitionPulls pins the batch shape of the pull engine: every
+// unrouted transfer is a batch of its own, the routed ones form exactly
+// one batch per owning node, and schedule order survives inside every
+// batch.
 func TestPartitionPulls(t *testing.T) {
 	// 4 nodes x 2 cores; the puller sits on core 0 (node 0) and everything
 	// on another node is routed.
@@ -285,5 +288,189 @@ func TestPartitionPulls(t *testing.T) {
 				t.Fatalf("%d of %d transfers scheduled", len(seen), len(sched))
 			}
 		})
+	}
+}
+
+// peerBackend is a fakeBackend over a 4-node x 2-core machine that routes
+// everything off the initiator's node and makes ReadMulti observable and
+// steerable per owning node: it counts the calls and the most that were
+// ever in flight together, runs hold (when set) with the owning node
+// before serving, fails the nodes in fail with errRoundTrip, and closes
+// returned[node] when that node's call has returned.
+type peerBackend struct {
+	fakeBackend
+	m                  *cluster.Machine
+	reads, maxInFlight atomic.Int32
+	inFlight           atomic.Int32
+	hold               func(node cluster.NodeID)
+	fail               map[cluster.NodeID]bool
+	returned           map[cluster.NodeID]chan struct{}
+}
+
+func (b *peerBackend) ReadMulti(reader cluster.CoreID, specs []transport.ReadSpec, m transport.Meter, deliver transport.SegmentFunc) error {
+	node := b.m.NodeOf(specs[0].Owner)
+	b.reads.Add(1)
+	n := b.inFlight.Add(1)
+	for prev := b.maxInFlight.Load(); n > prev && !b.maxInFlight.CompareAndSwap(prev, n); {
+		prev = b.maxInFlight.Load()
+	}
+	defer close(b.returned[node])
+	defer b.inFlight.Add(-1)
+	if b.hold != nil {
+		b.hold(node)
+	}
+	if b.fail[node] {
+		return errRoundTrip
+	}
+	return b.f.LocalReadMulti(reader, specs, m, deliver)
+}
+
+// peerRig stages a 32-cell variable as eight 4-cell blocks, block i on
+// core i, behind a peerBackend: for a reader on core 0, blocks 0-1 are
+// unrouted and nodes 1-3 own two routed blocks each.
+func peerRig(t *testing.T) (*Space, *peerBackend, []geometry.BBox) {
+	t.Helper()
+	m, sp := testRig(t, 4, 2, []int{32})
+	be := &peerBackend{m: m, returned: make(map[cluster.NodeID]chan struct{})}
+	be.f = sp.Fabric()
+	be.remote = func(i, tg cluster.CoreID) bool { return !m.SameNode(i, tg) }
+	for n := 0; n < m.NumNodes(); n++ {
+		be.returned[cluster.NodeID(n)] = make(chan struct{})
+	}
+	sp.Fabric().SetBackend(be)
+	blocks := make([]geometry.BBox, m.TotalCores())
+	for i := range blocks {
+		blocks[i] = geometry.NewBBox(geometry.Point{4 * i}, geometry.Point{4 * (i + 1)})
+		if err := sp.HandleAt(cluster.CoreID(i), 1, "put").PutSequential("v", 0, blocks[i], fillRegion(blocks[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sp, be, blocks
+}
+
+// awaitOr waits for ch, failing the test after 10 s: a pull executor that
+// serialises what these tests expect overlapped would otherwise hang.
+func awaitOr(t *testing.T, ch <-chan struct{}, what string) {
+	select {
+	case <-ch:
+	case <-time.After(10 * time.Second):
+		t.Errorf("timed out waiting for %s", what)
+	}
+}
+
+// spawnedByPull counts the live goroutines Handle.pull started, read off
+// the "created by" line of every goroutine's stack: unlike a difference of
+// runtime.NumGoroutine samples it ignores the RPC handler goroutines of
+// earlier puts that are still winding down.
+func spawnedByPull() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return bytes.Count(buf, []byte("created by github.com/insitu/cods/internal/cods.(*Handle).pull in goroutine"))
+}
+
+// TestPullOverlapsRemotePeers: a get whose blocks sit on three remote
+// nodes has all three ReadMulti calls in flight together, on two
+// goroutines beyond the caller's.
+func TestPullOverlapsRemotePeers(t *testing.T) {
+	sp, be, _ := peerRig(t)
+	var arrived sync.WaitGroup
+	arrived.Add(3)
+	all := make(chan struct{})
+	var spawned int
+	go func() {
+		arrived.Wait()
+		spawned = spawnedByPull()
+		close(all)
+	}()
+	be.hold = func(cluster.NodeID) {
+		arrived.Done()
+		awaitOr(t, all, "three overlapped ReadMulti calls")
+	}
+	region := geometry.BoxFromSize([]int{32})
+	out, err := sp.HandleAt(0, 2, "get").GetSequential("v", 0, region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRegion(t, region, out)
+	if got := be.reads.Load(); got != 3 {
+		t.Fatalf("%d ReadMulti calls, want one per remote owning node = 3", got)
+	}
+	if got := be.maxInFlight.Load(); got != 3 {
+		t.Fatalf("at most %d ReadMulti calls in flight together, want 3", got)
+	}
+	if spawned != 2 {
+		t.Fatalf("get spawned %d goroutines, want remote owning nodes - 1 = 2", spawned)
+	}
+}
+
+// TestPullLocalRunsInline: a get whose blocks are all unrouted never
+// calls the backend's ReadMulti and spawns nothing — sampled while the
+// get is blocked inside its last transfer.
+func TestPullLocalRunsInline(t *testing.T) {
+	sp, be, blocks := peerRig(t)
+	owner := sp.HandleAt(1, 1, "put")
+	if err := owner.Discard("v", 0, blocks[1]); err != nil {
+		t.Fatal(err)
+	}
+	region := geometry.NewBBox(geometry.Point{0}, geometry.Point{8})
+	shm := func() int64 { return sp.Fabric().Machine().Metrics().Bytes(cluster.InterApp, cluster.SharedMemory) }
+	pulled := shm()
+	type result struct {
+		out []float64
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		out, err := sp.HandleAt(0, 2, "get").GetSequential("v", 0, region)
+		done <- result{out, err}
+	}()
+	// Block 0 metered and block 1 withdrawn: the get is inside (or about
+	// to enter) its blocking read of block 1.
+	for deadline := time.Now().Add(10 * time.Second); shm() != pulled+blocks[0].Volume()*ElemSize; {
+		if time.Now().After(deadline) {
+			t.Fatal("the get never pulled its first block")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := spawnedByPull(); got != 0 {
+		t.Errorf("an all-local get spawned %d goroutines, want 0", got)
+	}
+	if err := owner.PutSequential("v", 0, blocks[1], fillRegion(blocks[1])); err != nil {
+		t.Fatal(err)
+	}
+	res := <-done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	checkRegion(t, region, res.out)
+	if got := be.reads.Load(); got != 0 {
+		t.Fatalf("all-local get made %d backend ReadMulti calls, want 0", got)
+	}
+}
+
+// TestPullFirstErrorByBatchIndex: when the batches of nodes 2 and 3 both
+// fail — node 3's first — the get reports node 2's, the lower-indexed
+// batch, as a *PullError naming that batch's first sub-box, and only after
+// every batch (node 1's succeeds last) has finished.
+func TestPullFirstErrorByBatchIndex(t *testing.T) {
+	for rep := 0; rep < 50; rep++ {
+		sp, be, blocks := peerRig(t)
+		be.fail = map[cluster.NodeID]bool{2: true, 3: true}
+		be.hold = func(node cluster.NodeID) {
+			if node < 3 {
+				awaitOr(t, be.returned[node+1], "the next peer's ReadMulti to return")
+			}
+		}
+		_, err := sp.HandleAt(0, 2, "get").GetSequential("v", 0, geometry.BoxFromSize([]int{32}))
+		var pe *PullError
+		if !errors.As(err, &pe) || !errors.Is(err, errRoundTrip) {
+			t.Fatalf("rep %d: err = %v, want a *PullError wrapping the round-trip error", rep, err)
+		}
+		if pe.Owner != 4 || !pe.Sub.Equal(blocks[4]) {
+			t.Fatalf("rep %d: PullError names %v on core %d, want node 2's first sub-box %v on core 4", rep, pe.Sub, pe.Owner, blocks[4])
+		}
+		if reads, inFlight := be.reads.Load(), be.inFlight.Load(); reads != 3 || inFlight != 0 {
+			t.Fatalf("rep %d: get returned with %d of %d ReadMulti calls still in flight, want 0 of 3", rep, inFlight, reads)
+		}
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -251,11 +250,6 @@ type Space struct {
 	memMu    sync.Mutex
 	memUsed  map[cluster.CoreID]int64
 
-	// pullWorkers bounds the concurrency of communication-schedule
-	// execution; <= 0 selects runtime.GOMAXPROCS(0). Stored atomically so
-	// handles on other goroutines observe tuning immediately.
-	pullWorkers atomic.Int32
-
 	// Schedule invalidation state: epoch is bumped by Clear (everything
 	// stale), varGen[v] by DiscardSequential of variable v (that
 	// variable's cached schedules stale). Handles stamp cached schedules
@@ -315,11 +309,6 @@ func NewSpaceWithCurve(f *transport.Fabric, domain geometry.BBox, curveName stri
 	}, nil
 }
 
-// SetPullWorkers bounds the number of concurrent transfers the pull engine
-// issues per get. n <= 0 restores the default, runtime.GOMAXPROCS(0);
-// n == 1 forces the serial pull path (the ablation baseline).
-func (sp *Space) SetPullWorkers(n int) { sp.pullWorkers.Store(int32(n)) }
-
 // SetTracer attaches a span tracer: every schedule execution emits a
 // "pull:<var>" span (parented under the task span when the runtime wired
 // one). nil detaches.
@@ -342,14 +331,6 @@ func (sp *Space) RetryPolicy() retry.Policy {
 		return *p
 	}
 	return retry.Policy{}
-}
-
-// PullWorkers returns the effective pull concurrency bound.
-func (sp *Space) PullWorkers() int {
-	if n := int(sp.pullWorkers.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // InvalidateSchedules marks every cached communication schedule of a
@@ -823,13 +804,17 @@ func transferSeed(core cluster.CoreID, tr transfer, version int) uint64 {
 }
 
 // pull executes a schedule: a receiver-driven pull of every piece,
-// assembling the row-major result. The batches of partitionPulls are
-// issued by a bounded pool of workers (Space.SetPullWorkers, default
-// GOMAXPROCS); since schedule sub-boxes are disjoint, each worker
-// assembles into its own disjoint cells of the output without locking, so
-// the result is byte-identical to the serial path regardless of completion
-// order — and regardless of how many times a batch was retried, since a
-// repeated copy writes the same cells.
+// assembling the row-major result. The schedule's owning peers set the
+// concurrency: of the batches of partitionPulls, this goroutine runs every
+// unrouted transfer and the first routed batch, and each further routed
+// batch gets a goroutine of its own, so the requests to all owning nodes
+// are in flight together — a get over an in-process fabric spawns nothing,
+// a get over a network backend at most (owning nodes - 1). Since schedule
+// sub-boxes are disjoint, each batch assembles into its own cells of the
+// output without locking, so the result does not depend on completion
+// order — nor on how many times a batch was retried, since a repeated copy
+// writes the same cells. Every started batch has finished when pull
+// returns; the error is that of the lowest-indexed failing batch.
 func (h *Handle) pull(v string, version int, region geometry.BBox, sched []transfer) ([]float64, error) {
 	if obs.Enabled() {
 		start := time.Now()
@@ -849,59 +834,47 @@ func (h *Handle) pull(v string, version int, region geometry.BBox, sched []trans
 	}
 	pol := h.sp.RetryPolicy()
 	items := h.partitionPulls(sched)
-	do := func(batch []transfer) error {
-		return h.pullBatch(out, region, v, version, batch, m, pol)
+	errs := make([]error, len(items))
+	run := func(i int) bool {
+		errs[i] = h.pullBatch(out, region, v, version, items[i], m, pol)
+		return errs[i] == nil
 	}
-	workers := h.sp.PullWorkers()
-	if workers > len(items) {
-		workers = len(items)
-	}
-	if workers <= 1 {
-		for _, item := range items {
-			if err := do(item); err != nil {
-				return nil, err
-			}
+	var wg sync.WaitGroup
+	own := -1 // the first routed batch, run here once the others are in flight
+	ok := true
+	for i := 0; i < len(items) && ok; i++ {
+		switch {
+		case !h.sp.fabric.Routed(h.core, items[i][0].Owner):
+			ok = run(i)
+		case own < 0:
+			own = i
+		default:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run(i)
+			}()
 		}
-		return out, nil
 	}
-	var (
-		wg      sync.WaitGroup
-		next    atomic.Int64
-		stop    atomic.Bool
-		errOnce sync.Once
-		pullErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(items) {
-					return
-				}
-				if err := do(items[i]); err != nil {
-					errOnce.Do(func() { pullErr = err })
-					stop.Store(true)
-					return
-				}
-			}
-		}()
+	if ok && own >= 0 {
+		run(own)
 	}
 	wg.Wait()
-	if pullErr != nil {
-		return nil, pullErr
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
 
-// partitionPulls splits a schedule into the work items of the pull worker
-// pool. Transfers the fabric routes through its backend are grouped by
-// owning node — one scatter-gather batch per peer, so a coalesced schedule
-// costs one request frame per owner instead of one per sub-box. Every
-// unrouted transfer (same-process payload sharing) is a batch of its own,
-// so the pool overlaps them; schedule order is preserved within every
-// batch.
+// partitionPulls splits a schedule into the batches pull executes.
+// Transfers the fabric routes through its backend are grouped by owning
+// node — one scatter-gather batch per peer, so a coalesced schedule costs
+// one request frame per owner instead of one per sub-box. Every unrouted
+// transfer (same-process payload sharing) is a batch of its own, so each
+// keeps its own fault draw and retry budget; schedule order is preserved
+// within every batch.
 func (h *Handle) partitionPulls(sched []transfer) [][]transfer {
 	items := make([][]transfer, 0, len(sched))
 	machine := h.sp.fabric.Machine()
@@ -967,8 +940,8 @@ func (h *Handle) pullBatch(out []float64, region geometry.BBox, v string, versio
 			})
 			if !start.IsZero() {
 				// Includes the blocking wait for the producer's Expose: it
-				// is the consumer-observed transfer latency, the quantity
-				// the pull worker pool overlaps.
+				// is the consumer-observed latency of one batch, the
+				// quantity pull overlaps across owning peers.
 				obsTransferNs.Observe(time.Since(start).Nanoseconds())
 			}
 			return rerr

@@ -31,54 +31,6 @@ func stageGrid(t testing.TB, sp *Space, v string, version, nx, ny, side int) geo
 	return geometry.BoxFromSize([]int{nx * side, ny * side})
 }
 
-// TestParallelPullMatchesSerial runs the same staged retrieval once with
-// the serial pull path and once per parallel worker count, asserting the
-// output bytes and all metered byte counts are identical.
-func TestParallelPullMatchesSerial(t *testing.T) {
-	run := func(workers int) ([]float64, TrafficSnapshot) {
-		m, sp := testRig(t, 4, 4, []int{32, 32})
-		sp.SetPullWorkers(workers)
-		region := stageGrid(t, sp, "v", 0, 8, 8, 4) // 64 transfers
-		g := sp.HandleAt(0, 2, "get")
-		out, err := g.GetSequential("v", 0, region)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out, snapshotTraffic(m)
-	}
-	serialOut, serialBytes := run(1)
-	for _, workers := range []int{2, 4, 8} {
-		out, bytes := run(workers)
-		if len(out) != len(serialOut) {
-			t.Fatalf("workers=%d: output length %d != serial %d", workers, len(out), len(serialOut))
-		}
-		for i := range out {
-			if out[i] != serialOut[i] {
-				t.Fatalf("workers=%d: cell %d = %v, serial %v", workers, i, out[i], serialOut[i])
-			}
-		}
-		if bytes != serialBytes {
-			t.Fatalf("workers=%d: traffic %+v != serial %+v", workers, bytes, serialBytes)
-		}
-	}
-}
-
-// TrafficSnapshot captures every byte counter of a machine for equality
-// comparison.
-type TrafficSnapshot struct {
-	counts [3][2]int64
-}
-
-func snapshotTraffic(m *cluster.Machine) TrafficSnapshot {
-	var s TrafficSnapshot
-	for _, cl := range []cluster.Class{cluster.InterApp, cluster.IntraApp, cluster.Control} {
-		for _, md := range []cluster.Medium{cluster.SharedMemory, cluster.Network} {
-			s.counts[cl][md] = m.Metrics().Bytes(cl, md)
-		}
-	}
-	return s
-}
-
 // TestNormalizeScheduleCoalesces verifies that abutting sub-boxes of the
 // same stored block merge into one transfer with the volume preserved.
 func TestNormalizeScheduleCoalesces(t *testing.T) {
@@ -187,7 +139,6 @@ func TestClearInvalidatesCachedSchedule(t *testing.T) {
 // goroutines' variables. Only coverage gaps are tolerated.
 func TestConcurrentPutGetDiscardStress(t *testing.T) {
 	_, sp := testRig(t, 4, 4, []int{32, 32})
-	sp.SetPullWorkers(4)
 	const (
 		writers    = 8
 		iterations = 20
@@ -198,8 +149,8 @@ func TestConcurrentPutGetDiscardStress(t *testing.T) {
 			geometry.Point{(w%4 + 1) * 8, (w/4 + 1) * 8})
 	}
 	// A stable variable the readers retrieve while the writers churn:
-	// retrievals run the parallel pull engine concurrently with the
-	// writers' DHT inserts/removes and buffer discards.
+	// retrievals run the pull engine concurrently with the writers' DHT
+	// inserts/removes and buffer discards.
 	stable := stageGrid(t, sp, "stable", 0, 4, 4, 8)
 	var wg sync.WaitGroup
 	errCh := make(chan error, writers*2)
@@ -231,7 +182,7 @@ func TestConcurrentPutGetDiscardStress(t *testing.T) {
 			}
 		}(w)
 	}
-	// Readers retrieve the stable variable (full-domain parallel pulls)
+	// Readers retrieve the stable variable (full-domain pulls)
 	// and probe the churning variables without pulling them: a lookup
 	// query racing the writers' inserts and removes must never error or
 	// wedge.
@@ -262,22 +213,5 @@ func TestConcurrentPutGetDiscardStress(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)
-	}
-}
-
-// TestPullWorkersDefault checks the knob semantics: <=0 resolves to
-// GOMAXPROCS, explicit values are honoured.
-func TestPullWorkersDefault(t *testing.T) {
-	_, sp := testRig(t, 1, 1, []int{4})
-	if sp.PullWorkers() < 1 {
-		t.Fatalf("default PullWorkers = %d, want >= 1", sp.PullWorkers())
-	}
-	sp.SetPullWorkers(3)
-	if sp.PullWorkers() != 3 {
-		t.Fatalf("PullWorkers = %d, want 3", sp.PullWorkers())
-	}
-	sp.SetPullWorkers(0)
-	if sp.PullWorkers() < 1 {
-		t.Fatalf("reset PullWorkers = %d, want >= 1", sp.PullWorkers())
 	}
 }

@@ -136,9 +136,6 @@ func run(sc genwf.Scenario, opts Options) error {
 		ledger = membership.NewLedger()
 		space.SetPutRecorder(ledger)
 	}
-	if sc.PullWorkers > 0 {
-		space.SetPullWorkers(sc.PullWorkers)
-	}
 	if sc.Retry > 0 {
 		space.SetRetryPolicy(retry.Policy{
 			MaxAttempts: sc.Retry,

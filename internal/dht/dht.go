@@ -36,8 +36,8 @@ var (
 	obsQueryFanout = obs.C("dht.query.fanout_calls")
 	obsInsertOps   = obs.C("dht.insert.ops")
 	obsRemoveOps   = obs.C("dht.remove.ops")
-	obsShardReads  = obs.C("dht.table.shard_reads")
-	obsShardWrites = obs.C("dht.table.shard_writes")
+	obsTableReads  = obs.C("dht.table.reads")
+	obsTableWrites = obs.C("dht.table.writes")
 	obsRetries     = obs.C("dht.retry.attempts")
 	obsRecoveries  = obs.C("dht.retry.recoveries")
 	obsBackoffNs   = obs.H("dht.retry.backoff_ns", obs.DefaultLatencyBounds())
@@ -93,44 +93,14 @@ func init() {
 	transport.RegisterWireType(clearReq{})
 }
 
-// tableShards is the number of independently locked shards of one node's
-// location table. Entries are sharded by variable name, so inserts,
-// removes and queries for different variables on the same DHT core do not
-// contend on one mutex. Must be a power of two.
-const tableShards = 16
-
-// tableShard is one lock domain of a node's location table.
-type tableShard struct {
+// table is one DHT core's location table. Writes lock it exclusively;
+// queries share the read lock.
+type table struct {
 	mu      sync.RWMutex
 	entries map[string][]Entry // key: var\x00version
 }
 
-// table is one DHT core's location table, sharded by variable.
-type table struct {
-	shards [tableShards]tableShard
-}
-
-func newTable() *table {
-	t := &table{}
-	for i := range t.shards {
-		t.shards[i].entries = make(map[string][]Entry)
-	}
-	return t
-}
-
-// shardIndex picks the shard slot holding a variable's entries (FNV-1a
-// over the variable name).
-func shardIndex(v string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(v); i++ {
-		h ^= uint32(v[i])
-		h *= 16777619
-	}
-	return int(h & (tableShards - 1))
-}
-
-// shardOf returns the shard holding a variable's entries.
-func (t *table) shardOf(v string) *tableShard { return &t.shards[shardIndex(v)] }
+func newTable() *table { return &table{entries: make(map[string][]Entry)} }
 
 func tkey(v string, version int) string { return fmt.Sprintf("%s\x00%d", v, version) }
 
@@ -344,73 +314,64 @@ func (s *Service) DHTCore(node int) cluster.CoreID {
 }
 
 // serve processes one RPC on the DHT core of node. Writes take the
-// affected variable's shard lock exclusively; queries only read-lock it,
-// so concurrent lookups of the same variable proceed in parallel.
+// table lock exclusively; queries and dumps only read-lock it, so
+// concurrent lookups proceed in parallel.
 func (s *Service) serve(node int, req any) (any, error) {
 	t := s.tables[node]
 	switch r := req.(type) {
 	case insertReq:
-		obsShardWrites.Inc()
-		sh := t.shardOf(r.Entry.Var)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
+		obsTableWrites.Inc()
+		t.mu.Lock()
+		defer t.mu.Unlock()
 		k := tkey(r.Entry.Var, r.Entry.Version)
-		for _, e := range sh.entries[k] {
+		for _, e := range t.entries[k] {
 			if e.Owner == r.Entry.Owner && e.Region.Equal(r.Entry.Region) {
 				return nil, nil // idempotent re-insert
 			}
 		}
-		sh.entries[k] = append(sh.entries[k], r.Entry)
+		t.entries[k] = append(t.entries[k], r.Entry)
 		return nil, nil
 	case removeReq:
-		obsShardWrites.Inc()
-		sh := t.shardOf(r.Entry.Var)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
+		obsTableWrites.Inc()
+		t.mu.Lock()
+		defer t.mu.Unlock()
 		k := tkey(r.Entry.Var, r.Entry.Version)
-		entries := sh.entries[k]
+		entries := t.entries[k]
 		for i, e := range entries {
 			if e.Owner == r.Entry.Owner && e.Region.Equal(r.Entry.Region) {
-				sh.entries[k] = append(entries[:i], entries[i+1:]...)
+				t.entries[k] = append(entries[:i], entries[i+1:]...)
 				break
 			}
 		}
-		if len(sh.entries[k]) == 0 {
-			delete(sh.entries, k)
+		if len(t.entries[k]) == 0 {
+			delete(t.entries, k)
 		}
 		return nil, nil
 	case queryReq:
-		obsShardReads.Inc()
-		sh := t.shardOf(r.Var)
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
+		obsTableReads.Inc()
+		t.mu.RLock()
+		defer t.mu.RUnlock()
 		var out []Entry
-		for _, e := range sh.entries[tkey(r.Var, r.Version)] {
+		for _, e := range t.entries[tkey(r.Var, r.Version)] {
 			if e.Region.Overlaps(r.Region) {
 				out = append(out, e)
 			}
 		}
 		return queryResp{Entries: out}, nil
 	case dumpReq:
-		obsShardReads.Inc()
+		obsTableReads.Inc()
+		t.mu.RLock()
+		defer t.mu.RUnlock()
 		var out []Entry
-		for i := range t.shards {
-			sh := &t.shards[i]
-			sh.mu.RLock()
-			for _, es := range sh.entries {
-				out = append(out, es...)
-			}
-			sh.mu.RUnlock()
+		for _, es := range t.entries {
+			out = append(out, es...)
 		}
 		return dumpResp{Entries: out}, nil
 	case clearReq:
-		obsShardWrites.Inc()
-		for i := range t.shards {
-			sh := &t.shards[i]
-			sh.mu.Lock()
-			sh.entries = make(map[string][]Entry)
-			sh.mu.Unlock()
-		}
+		obsTableWrites.Inc()
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		t.entries = make(map[string][]Entry)
 		return nil, nil
 	default:
 		return nil, fmt.Errorf("dht: unknown request type %T", req)
@@ -666,14 +627,11 @@ func (cl *Client) Resplit(phase string, app int, alive []int) (int, error) {
 // holds (for tests and diagnostics).
 func (s *Service) TableSize(node int) int {
 	t := s.tables[node]
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	n := 0
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.RLock()
-		for _, es := range sh.entries {
-			n += len(es)
-		}
-		sh.mu.RUnlock()
+	for _, es := range t.entries {
+		n += len(es)
 	}
 	return n
 }
@@ -682,12 +640,9 @@ func (s *Service) TableSize(node int) int {
 // stages of independent experiments).
 func (s *Service) Clear() {
 	for _, t := range s.tables {
-		for i := range t.shards {
-			sh := &t.shards[i]
-			sh.mu.Lock()
-			sh.entries = make(map[string][]Entry)
-			sh.mu.Unlock()
-		}
+		t.mu.Lock()
+		t.entries = make(map[string][]Entry)
+		t.mu.Unlock()
 	}
 }
 

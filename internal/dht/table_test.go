@@ -11,7 +11,7 @@ import (
 	"github.com/insitu/cods/internal/transport"
 )
 
-func shardRig(t testing.TB, nodes, cores, dim, bits int) *Service {
+func tableRig(t testing.TB, nodes, cores, dim, bits int) *Service {
 	t.Helper()
 	m, err := cluster.NewMachine(nodes, cores)
 	if err != nil {
@@ -24,10 +24,10 @@ func shardRig(t testing.TB, nodes, cores, dim, bits int) *Service {
 	return NewService(transport.NewFabric(m), curve)
 }
 
-// TestShardedTableConsistency: entries of many variables land in different
-// shards, yet TableSize, Query and Clear see the union.
-func TestShardedTableConsistency(t *testing.T) {
-	s := shardRig(t, 2, 2, 2, 4)
+// TestTableManyVariablesConsistency: with entries of 64 variables in the
+// tables, TableSize, Query and Clear see the union.
+func TestTableManyVariablesConsistency(t *testing.T) {
+	s := tableRig(t, 2, 2, 2, 4)
 	cl := s.ClientAt(0)
 	region := geometry.BoxFromSize([]int{16, 16})
 	const vars = 64
@@ -63,10 +63,10 @@ func TestShardedTableConsistency(t *testing.T) {
 	}
 }
 
-// TestConcurrentInsertQueryRemove hammers the sharded tables from many
+// TestConcurrentInsertQueryRemove hammers the tables from many
 // goroutines touching distinct variables (run under -race).
 func TestConcurrentInsertQueryRemove(t *testing.T) {
-	s := shardRig(t, 4, 4, 2, 5)
+	s := tableRig(t, 4, 4, 2, 5)
 	region := geometry.BoxFromSize([]int{32, 32})
 	const goroutines = 16
 	const iterations = 25
@@ -113,9 +113,9 @@ func TestConcurrentInsertQueryRemove(t *testing.T) {
 }
 
 // TestConcurrentQuerySameVariable: parallel readers of one variable share
-// the shard read-lock and must all see the same answer.
+// the table read-lock and must all see the same answer.
 func TestConcurrentQuerySameVariable(t *testing.T) {
-	s := shardRig(t, 2, 4, 2, 4)
+	s := tableRig(t, 2, 4, 2, 4)
 	region := geometry.BoxFromSize([]int{16, 16})
 	if err := s.ClientAt(0).Insert("t", 1, Entry{Var: "hot", Version: 7, Region: region, Owner: 3}); err != nil {
 		t.Fatal(err)

@@ -89,9 +89,6 @@ type Scenario struct {
 	// Mapping places the tasks.
 	Mapping Policy
 
-	// PullWorkers bounds the pull engine concurrency (0 = default).
-	PullWorkers int
-
 	// SpanCache is the global SFC span-cache capacity for the run
 	// (0 disables caching).
 	SpanCache int
@@ -258,7 +255,7 @@ func (sc Scenario) Validate() error {
 	if sc.Vars < 1 || sc.Vars > 2 {
 		return fmt.Errorf("genwf: vars = %d", sc.Vars)
 	}
-	if sc.Ghost < 0 || sc.Versions < 1 || sc.SpanCache < 0 || sc.PullWorkers < 0 {
+	if sc.Ghost < 0 || sc.Versions < 1 || sc.SpanCache < 0 {
 		return fmt.Errorf("genwf: negative tuning field")
 	}
 	switch sc.Mapping {
@@ -454,7 +451,6 @@ func generate(r *rng, seed uint64) Scenario {
 		Domain:       make([]int, dim),
 		Vars:         1,
 		Versions:     1 + r.intn(3),
-		PullWorkers:  r.pick(0, 1, 2, 4),
 		SpanCache:    r.pick(sfc.DefaultSpanCacheCapacity, sfc.DefaultSpanCacheCapacity, 0, 2),
 	}
 	for d := range sc.Domain {
@@ -609,8 +605,8 @@ func (sc Scenario) GoLiteral() string {
 		kindLiteral(sc.ConsKind), intsLiteral(sc.ConsGrid), intsLiteral(sc.ConsBlock))
 	fmt.Fprintf(&b, "\tVars: %d, Ghost: %d, Versions: %d, Mapping: %s,\n",
 		sc.Vars, sc.Ghost, sc.Versions, policyLiteral(sc.Mapping))
-	fmt.Fprintf(&b, "\tPullWorkers: %d, SpanCache: %d, Staged: %v, Restage: %v,\n",
-		sc.PullWorkers, sc.SpanCache, sc.Staged, sc.Restage)
+	fmt.Fprintf(&b, "\tSpanCache: %d, Staged: %v, Restage: %v,\n",
+		sc.SpanCache, sc.Staged, sc.Restage)
 	if sc.Curve != "" {
 		fmt.Fprintf(&b, "\tCurve: %q,\n", sc.Curve)
 	}
@@ -638,8 +634,8 @@ func (sc Scenario) DAG() string {
 	fmt.Fprintf(&b, "# machine: %d nodes x %d cores, domain %v\n", sc.Nodes, sc.CoresPerNode, sc.Domain)
 	fmt.Fprintf(&b, "# producer: %s grid=%v block=%v\n", sc.ProdKind, sc.ProdGrid, sc.ProdBlock)
 	fmt.Fprintf(&b, "# consumer: %s grid=%v block=%v ghost=%d\n", sc.ConsKind, sc.ConsGrid, sc.ConsBlock, sc.Ghost)
-	fmt.Fprintf(&b, "# vars=%d versions=%d mapping=%s workers=%d spancache=%d staged=%v restage=%v\n",
-		sc.Vars, sc.Versions, sc.Mapping, sc.PullWorkers, sc.SpanCache, sc.Staged, sc.Restage)
+	fmt.Fprintf(&b, "# vars=%d versions=%d mapping=%s spancache=%d staged=%v restage=%v\n",
+		sc.Vars, sc.Versions, sc.Mapping, sc.SpanCache, sc.Staged, sc.Restage)
 	if sc.Curve != "" {
 		fmt.Fprintf(&b, "# curve: %s\n", sc.Curve)
 	}

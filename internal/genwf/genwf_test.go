@@ -128,7 +128,7 @@ func TestShrinkReachesMinimalScenario(t *testing.T) {
 		t.Errorf("domain not reduced to 1-D: %v", min.Domain)
 	}
 	if min.Versions != 1 || min.Vars != 1 || min.Ghost != 0 || min.Faults != "" ||
-		min.Restage || min.Mapping != Consecutive || min.PullWorkers != 1 ||
+		min.Restage || min.Mapping != Consecutive ||
 		min.SpanCache != sfc.DefaultSpanCacheCapacity ||
 		min.ProdKind != decomp.Blocked || min.ConsKind != decomp.Blocked {
 		t.Errorf("not fully shrunk:\n%s", min.GoLiteral())

@@ -110,9 +110,6 @@ func candidates(sc Scenario) []Scenario {
 	if sc.SpanCache != sfc.DefaultSpanCacheCapacity {
 		add(func(c *Scenario) { c.SpanCache = sfc.DefaultSpanCacheCapacity })
 	}
-	if sc.PullWorkers != 1 {
-		add(func(c *Scenario) { c.PullWorkers = 1 })
-	}
 	if sc.Mapping != Consecutive {
 		add(func(c *Scenario) { c.Mapping = Consecutive })
 	}

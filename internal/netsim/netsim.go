@@ -133,9 +133,6 @@ func (t Torus) linkID(node cluster.NodeID, dim, dir int) int {
 	return (int(node)*3+dim)*2 + dir
 }
 
-// NumLinks returns the number of directed links in the torus.
-func (t Torus) NumLinks() int { return t.Nodes() * 6 }
-
 // step moves one hop along dim in direction dir with wrap-around.
 func (t Torus) step(x, y, z, dim, dir int) (int, int, int) {
 	d := 1

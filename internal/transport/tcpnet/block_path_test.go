@@ -85,46 +85,45 @@ func BenchmarkReadMultiBlocks(b *testing.B) {
 	}
 }
 
-// BenchmarkPullWorkers sweeps the pull worker pool over one full-domain
-// get of 64 transfers: 8 KiB blocks staged round-robin over a 4x4 machine,
-// so adjacent blocks have different owners, coalescing cannot shrink the
-// schedule, and three of every four transfers cross a loopback socket,
-// batched into one scatter-gather request per owning node. Compare
-// workers=N against workers=1.
-func BenchmarkPullWorkers(b *testing.B) {
-	const grid, side = 8, 32 // 8 x 8 blocks of 32 x 32 cells
-	f, _ := newLoopbackFabric(b, 4, 4)
-	region := geometry.BoxFromSize([]int{grid * side, grid * side})
-	sp, err := cods.NewSpace(f, region)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for n := 0; n < grid*grid; n++ {
-		blk := geometry.NewBBox(
-			geometry.Point{n / grid * side, n % grid * side},
-			geometry.Point{(n/grid + 1) * side, (n%grid + 1) * side})
-		h := sp.HandleAt(cluster.CoreID(n%f.Machine().TotalCores()), 1, "put")
-		if err := h.PutSequential("u", 0, blk, fillCells(blk)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	consumer := sp.HandleAt(0, 2, "get")
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			sp.SetPullWorkers(workers)
-			// Warm the schedule cache and the connection pool.
-			if _, err := consumer.GetSequential("u", 0, region); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(region.Volume() * cods.ElemSize)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+// BenchmarkPullPeers times one full-domain get of 12 blocks on the 4x4
+// loopback fabric with the blocks owned by 1, 2 and 3 remote nodes, at
+// 8 KiB and at 512 KiB blocks. The get sends one scatter-gather request
+// per owning node and has them all in flight together, so at equal bytes
+// the rows of one block size differ only in how many peers serve them: it
+// is the in-repo witness of how much that overlap is worth per block size.
+func BenchmarkPullPeers(b *testing.B) {
+	const blocks = 12
+	for _, side := range []int{32, 256} { // 32² float64 = 8 KiB, 256² = 512 KiB
+		for peers := 1; peers <= 3; peers++ {
+			b.Run(fmt.Sprintf("block=%dKiB/peers=%d", side*side*cods.ElemSize>>10, peers), func(b *testing.B) {
+				f, _ := newLoopbackFabric(b, 4, 4)
+				region := geometry.BoxFromSize([]int{blocks * side, side})
+				sp, err := cods.NewSpace(f, region)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for n := 0; n < blocks; n++ {
+					blk := geometry.NewBBox(geometry.Point{n * side, 0}, geometry.Point{(n + 1) * side, side})
+					owner := f.Machine().CoreOn(cluster.NodeID(1+n%peers), n/peers%f.Machine().CoresPerNode())
+					if err := sp.HandleAt(owner, 1, "put").PutSequential("u", 0, blk, fillCells(blk)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				consumer := sp.HandleAt(0, 2, "get")
+				// Warm the schedule cache and the connection pool.
 				if _, err := consumer.GetSequential("u", 0, region); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				b.SetBytes(region.Volume() * cods.ElemSize)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := consumer.GetSequential("u", 0, region); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -86,22 +86,26 @@ func TestReadMultiClipsOnOwner(t *testing.T) {
 // TestBatchedPullFrameCount is the frame-count probe of the acceptance
 // criteria: a coalesced multi-transfer pull over the TCP backend issues
 // exactly one scatter-gather request per owning peer, and the bytes its
-// server clips equal the schedule-predicted byte count. The same get on an
-// in-process fabric must return the same cells and meter the same bytes
-// per medium — the wire changes how the bytes move, not which.
+// servers clip equal the schedule-predicted byte count. It is also the
+// serial reference of the pull executor: over loopback the three peers'
+// requests run concurrently, on an in-process fabric the same get runs
+// transfer by transfer on the calling goroutine, and the two must return
+// the same cells and meter the same bytes and ops in every class and
+// medium — the wire changes how the bytes move, not which.
 func TestBatchedPullFrameCount(t *testing.T) {
-	// An inset get region: both sub-boxes are smaller than their stored
-	// blocks, so clipping must shrink the wire traffic.
-	get := geometry.NewBBox(geometry.Point{3}, geometry.Point{13})
-	// stagedGet stages two producer blocks, both owned by node 1, and
-	// retrieves get from core 0.
+	// An inset get region: its first and last sub-boxes are smaller than
+	// their stored blocks, so clipping must shrink the wire traffic.
+	get := geometry.NewBBox(geometry.Point{3}, geometry.Point{37})
+	// stagedGet stages five producer blocks — one on the reader's node,
+	// two on node 1, one each on nodes 2 and 3 — and retrieves get from
+	// core 0.
 	stagedGet := func(f *transport.Fabric) []float64 {
 		t.Helper()
-		sp, err := cods.NewSpace(f, geometry.BoxFromSize([]int{16}))
+		sp, err := cods.NewSpace(f, geometry.BoxFromSize([]int{40}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, core := range []cluster.CoreID{2, 3} {
+		for i, core := range []cluster.CoreID{1, 2, 3, 4, 6} {
 			blk := geometry.NewBBox(geometry.Point{8 * i}, geometry.Point{8 * (i + 1)})
 			h := sp.HandleAt(core, 1, "put")
 			if err := h.PutSequential("v", 0, blk, fillCells(blk)); err != nil {
@@ -109,6 +113,7 @@ func TestBatchedPullFrameCount(t *testing.T) {
 			}
 		}
 		f.ResetMediumStats()
+		f.Machine().Metrics().Reset()
 		out, err := sp.HandleAt(0, 2, "get").GetSequential("v", 0, get)
 		if err != nil {
 			t.Fatal(err)
@@ -116,7 +121,7 @@ func TestBatchedPullFrameCount(t *testing.T) {
 		return out
 	}
 
-	f, b := newLoopbackFabric(t, 2, 2)
+	f, b := newLoopbackFabric(t, 4, 2)
 	before := b.WireStats()
 	out := stagedGet(f)
 	after := b.WireStats()
@@ -126,18 +131,22 @@ func TestBatchedPullFrameCount(t *testing.T) {
 			t.Fatalf("cell %d = %v, want %v", i, out[i], want[i])
 		}
 	}
-	if n := after.ReadMultiRequests - before.ReadMultiRequests; n != 1 {
-		t.Errorf("batched pull issued %d scatter-gather requests, want 1 (one per owning peer)", n)
+	if n := after.ReadMultiRequests - before.ReadMultiRequests; n != 3 {
+		t.Errorf("batched pull issued %d scatter-gather requests, want 3 (one per owning peer)", n)
 	}
-	predicted := get.Volume() * cods.ElemSize
-	if n := after.SegmentBytesServed - before.SegmentBytesServed; n != predicted {
+	predicted := (get.Max[0] - 8) * cods.ElemSize // everything past the reader's own node
+	if n := after.SegmentBytesServed - before.SegmentBytesServed; n != int64(predicted) {
 		t.Errorf("served %d clipped bytes, want the schedule-predicted %d", n, predicted)
 	}
-	if n := after.SegmentsServed - before.SegmentsServed; n != 2 {
-		t.Errorf("served %d segments, want 2", n)
+	if n := after.SegmentsServed - before.SegmentsServed; n != 4 {
+		t.Errorf("served %d segments, want 4", n)
 	}
 
-	inproc := transport.NewFabric(f.Machine())
+	m, err := cluster.NewMachine(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inproc := transport.NewFabric(m)
 	ref := stagedGet(inproc)
 	for i := range ref {
 		if out[i] != ref[i] {
@@ -150,6 +159,11 @@ func TestBatchedPullFrameCount(t *testing.T) {
 		}
 		if tcp, in := f.MediumOps(md), inproc.MediumOps(md); tcp != in {
 			t.Errorf("%v: %d ops metered over TCP, %d in process", md, tcp, in)
+		}
+		for _, cl := range []cluster.Class{cluster.InterApp, cluster.IntraApp, cluster.Control} {
+			if tcp, in := f.Machine().Metrics().Bytes(cl, md), m.Metrics().Bytes(cl, md); tcp != in {
+				t.Errorf("%v over %v: %d bytes metered over TCP, %d in process", cl, md, tcp, in)
+			}
 		}
 	}
 }

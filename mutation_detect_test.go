@@ -43,7 +43,7 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2, 2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2, 2},
 			Vars: 1, Ghost: 1, Versions: 1, Mapping: genwf.Consecutive,
-			PullWorkers: 1, SpanCache: sfc.DefaultSpanCacheCapacity,
+			SpanCache: sfc.DefaultSpanCacheCapacity,
 		}
 	case mutate.SfcSpanSplit:
 		// 1-D domain of 16 over 8 lookup nodes (two SFC indices each).
@@ -56,7 +56,7 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2},
 			Vars: 1, Ghost: 1, Versions: 1, Mapping: genwf.Consecutive,
-			PullWorkers: 1, SpanCache: sfc.DefaultSpanCacheCapacity,
+			SpanCache: sfc.DefaultSpanCacheCapacity,
 		}
 	case mutate.DropCoalesce:
 		// One consumer pulling the whole domain from two producer blocks:
@@ -68,7 +68,7 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{1},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			PullWorkers: 1, SpanCache: sfc.DefaultSpanCacheCapacity,
+			SpanCache: sfc.DefaultSpanCacheCapacity,
 		}
 	case mutate.StaleEpoch:
 		// Restaging moves every block one node over; a schedule cache
@@ -80,8 +80,8 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			PullWorkers: 1, SpanCache: sfc.DefaultSpanCacheCapacity,
-			Restage: true,
+			SpanCache: sfc.DefaultSpanCacheCapacity,
+			Restage:   true,
 		}
 	case mutate.SwapFlow:
 		// Producers fill node 0, consumers node 1: all coupling flows
@@ -93,7 +93,7 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind: decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			PullWorkers: 1, SpanCache: sfc.DefaultSpanCacheCapacity,
+			SpanCache: sfc.DefaultSpanCacheCapacity,
 		}
 	case mutate.NoRequery:
 		// A single-transfer schedule under a fault window that outlasts
@@ -106,9 +106,9 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind:   decomp.Blocked, ProdGrid: []int{1},
 			ConsKind: decomp.Blocked, ConsGrid: []int{1},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			PullWorkers: 1, SpanCache: sfc.DefaultSpanCacheCapacity,
-			Faults: `{"seed": 1, "rules": [{"op": "read", "mode": "error", "from_op": 0, "to_op": 2}]}`,
-			Retry:  2,
+			SpanCache: sfc.DefaultSpanCacheCapacity,
+			Faults:    `{"seed": 1, "rules": [{"op": "read", "mode": "error", "from_op": 0, "to_op": 2}]}`,
+			Retry:     2,
 		}
 	case mutate.TCPTruncFrame:
 		// Producer block on node 1, single consumer on node 0: the pull and
@@ -122,7 +122,7 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{1},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			PullWorkers: 1, SpanCache: sfc.DefaultSpanCacheCapacity,
+			SpanCache: sfc.DefaultSpanCacheCapacity,
 		}
 	case mutate.TCPMeterClass:
 		// Same cross-node shape: the swapped class byte books the coupled
@@ -135,7 +135,7 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{1},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			PullWorkers: 1, SpanCache: sfc.DefaultSpanCacheCapacity,
+			SpanCache: sfc.DefaultSpanCacheCapacity,
 		}
 	case mutate.ObsFlowMisattribute:
 		// Producers fill node 0, consumers node 1: the coupling flows
@@ -149,7 +149,7 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind: decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			PullWorkers: 1, SpanCache: sfc.DefaultSpanCacheCapacity,
+			SpanCache: sfc.DefaultSpanCacheCapacity,
 		}
 	case mutate.TCPSGDrop, mutate.TCPSGReorder:
 		// Four producer blocks over a 2x2 machine, consumer on core 0:
@@ -164,7 +164,7 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind:   decomp.Blocked, ProdGrid: []int{4},
 			ConsKind: decomp.Blocked, ConsGrid: []int{1},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			PullWorkers: 1, SpanCache: sfc.DefaultSpanCacheCapacity,
+			SpanCache: sfc.DefaultSpanCacheCapacity,
 		}
 	case mutate.StaleRouteAfterResplit:
 		// Killing node 1 migrates its blocks to node 0, re-splits the
@@ -179,8 +179,8 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			PullWorkers: 1, SpanCache: sfc.DefaultSpanCacheCapacity,
-			Kill: 2,
+			SpanCache: sfc.DefaultSpanCacheCapacity,
+			Kill:      2,
 		}
 	case mutate.StaleWatermarkServed:
 		// Three rounds, lag bound three, consumers striding every third
@@ -194,8 +194,8 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			PullWorkers: 1, SpanCache: sfc.DefaultSpanCacheCapacity,
-			Stream: true, Drop: true, Rounds: 3, MaxLag: 3, ConsumeEvery: 3,
+			SpanCache: sfc.DefaultSpanCacheCapacity,
+			Stream:    true, Drop: true, Rounds: 3, MaxLag: 3, ConsumeEvery: 3,
 		}
 	case mutate.GCBeforeConsume:
 		// Lag bound two with a stride of two: the clean run never drops
@@ -209,8 +209,8 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			PullWorkers: 1, SpanCache: sfc.DefaultSpanCacheCapacity,
-			Stream: true, Drop: true, Rounds: 4, MaxLag: 2, ConsumeEvery: 2,
+			SpanCache: sfc.DefaultSpanCacheCapacity,
+			Stream:    true, Drop: true, Rounds: 4, MaxLag: 2, ConsumeEvery: 2,
 		}
 	case mutate.RemapStaleOwner:
 		// One adaptive remap round migrates every staged block across
@@ -224,8 +224,8 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			PullWorkers: 1, SpanCache: sfc.DefaultSpanCacheCapacity,
-			Remap: true,
+			SpanCache: sfc.DefaultSpanCacheCapacity,
+			Remap:     true,
 		}
 	case mutate.VersionSkipOnResubscribe:
 		// Keep-up consumers resubscribe after round 2 from position 1: the
@@ -238,8 +238,8 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			PullWorkers: 1, SpanCache: sfc.DefaultSpanCacheCapacity,
-			Stream: true, Drop: true, Rounds: 3, MaxLag: 2, ConsumeEvery: 1, Resub: 2,
+			SpanCache: sfc.DefaultSpanCacheCapacity,
+			Stream:    true, Drop: true, Rounds: 3, MaxLag: 2, ConsumeEvery: 1, Resub: 2,
 		}
 	default:
 		panic("unknown mutation " + name)

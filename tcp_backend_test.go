@@ -8,12 +8,15 @@ package cods_test
 // report.
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -43,10 +46,12 @@ const codsrunDeadline = 2 * time.Minute
 
 // runCodsrun runs the built codsrun with args and returns its transcript
 // (stdout and stderr), failing the test with it when the run exits
-// non-zero or outlives codsrunDeadline. A run past the deadline is killed;
-// WaitDelay then closes the output pipe a second later, so a codsnode the
-// killed driver orphaned, which still holds the pipe's write end, cannot
-// keep the test waiting for EOF.
+// non-zero or outlives codsrunDeadline. A run past the deadline is killed,
+// and on Linux its codsnode children die with it
+// (TestTCPKilledDriverTakesChildren); WaitDelay closes the output pipe a
+// second later, so where there is no parent-death signal an orphaned
+// codsnode, which still holds the pipe's write end, cannot keep the test
+// waiting for EOF.
 func runCodsrun(t *testing.T, bin string, args ...string) string {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), codsrunDeadline)
@@ -150,6 +155,68 @@ func TestTCPDistributedTrace(t *testing.T) {
 	}
 	if len(tree.Roots) != 1 || tree.Roots[0].Name != "workflow:round-robin" {
 		t.Fatalf("trace roots = %+v", tree.Roots)
+	}
+}
+
+// TestTCPKilledDriverTakesChildren kills a codsrun driver mid-run — the
+// way runCodsrun's deadline or a user's kill -9 does — and asserts that
+// the codsnode children of that run, identified by the listen addresses
+// the driver announced, stop serving: a killed driver leaves no orphans.
+func TestTCPKilledDriverTakesChildren(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping multi-process smoke test in -short mode")
+	}
+	if runtime.GOOS != "linux" {
+		t.Skip("codsnode children die with their driver only where there is a parent-death signal")
+	}
+	bin := buildTCPBinaries(t)
+	dag := filepath.Join(t.TempDir(), "wf.dag")
+	if err := os.WriteFile(dag, []byte("APP_ID 1\nAPP_ID 2\nBUNDLE 1 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Far more coupling iterations than finish before the kill below.
+	cmd := exec.Command(filepath.Join(bin, "codsrun"),
+		"-backend", "tcp", "-nodes", "2", "-cores", "2", "-domain", "64x64",
+		"-dag", dag, "-app", "1:blocked:2x1", "-app", "2:blocked:2x1",
+		"-iterations", "10000000")
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var addrs []string
+	for sc := bufio.NewScanner(stdout); len(addrs) < 2 && sc.Scan(); {
+		if _, addr, ok := strings.Cut(sc.Text(), " serving at "); ok {
+			addrs = append(addrs, addr)
+		}
+	}
+	for _, addr := range addrs {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Errorf("codsnode at %s not serving before the kill: %v", addr, err)
+			continue
+		}
+		c.Close()
+	}
+	cmd.Process.Kill()
+	cmd.Wait()
+	if len(addrs) != 2 {
+		t.Fatalf("driver announced %d codsnode addresses before exiting, want 2", len(addrs))
+	}
+	for _, addr := range addrs {
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			c, err := net.Dial("tcp", addr)
+			if err != nil {
+				break
+			}
+			c.Close()
+			if time.Now().After(deadline) {
+				t.Errorf("codsnode at %s still serving 10 s after its driver was killed", addr)
+				break
+			}
+		}
 	}
 }
 
