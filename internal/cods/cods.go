@@ -24,12 +24,12 @@
 package cods
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,8 +82,7 @@ func init() {
 
 // Block wire form — the one codec stored blocks use in both directions:
 //
-//	u8        dim (>= 1)
-//	per dim:  i64 min, i64 max   (the block's region, min < max)
+//	box       the block's region (geometry.AppendBox)
 //	cells:    big-endian float64 bits, row-major over the region
 //
 // The cell section is exactly what ClipRegion emits for the block's own
@@ -100,12 +99,7 @@ func (o *StoredObject) AppendBlock(dst []byte) ([]byte, error) {
 			o.Region, len(o.Data), o.Region.Volume())
 	}
 	dst = slices.Grow(dst, 1+16*dim+len(o.Data)*ElemSize)
-	dst = append(dst, uint8(dim))
-	for d := 0; d < dim; d++ {
-		dst = binary.BigEndian.AppendUint64(dst, uint64(o.Region.Min[d]))
-		dst = binary.BigEndian.AppendUint64(dst, uint64(o.Region.Max[d]))
-	}
-	return o.ClipRegion(dst, o.Region)
+	return o.ClipRegion(geometry.AppendBox(dst, o.Region), o.Region)
 }
 
 // decodeBlock strictly decodes the block wire form into a fresh
@@ -113,17 +107,10 @@ func (o *StoredObject) AppendBlock(dst []byte) ([]byte, error) {
 // allocation sized by wire data, and that allocation equals the cell
 // section's length, which the transport already bounded (MaxFrame).
 func decodeBlock(wire []byte) (any, error) {
-	if len(wire) < 1 {
-		return nil, fmt.Errorf("cods: block wire form: missing rank")
+	region, cells, err := geometry.ReadBox(wire)
+	if err != nil {
+		return nil, fmt.Errorf("cods: block wire form: %w", err)
 	}
-	dim := int(wire[0])
-	if dim == 0 {
-		return nil, fmt.Errorf("cods: block wire form: rank 0")
-	}
-	if len(wire) < 1+16*dim {
-		return nil, fmt.Errorf("cods: block wire form: %d bytes cannot hold a rank-%d region", len(wire), dim)
-	}
-	cells := wire[1+16*dim:]
 	if len(cells)%ElemSize != 0 {
 		return nil, fmt.Errorf("cods: block wire form: %d cell bytes is not a whole number of cells", len(cells))
 	}
@@ -131,20 +118,13 @@ func decodeBlock(wire []byte) (any, error) {
 	// dimension, so a hostile region can neither overflow the product nor
 	// size the allocation.
 	budget := uint64(len(cells) / ElemSize)
-	region := geometry.BBox{Min: make(geometry.Point, dim), Max: make(geometry.Point, dim)}
 	volume := uint64(1)
-	for d := 0; d < dim; d++ {
-		lo := int64(binary.BigEndian.Uint64(wire[1+16*d:]))
-		hi := int64(binary.BigEndian.Uint64(wire[1+16*d+8:]))
-		if hi <= lo {
-			return nil, fmt.Errorf("cods: block wire form: dimension %d is empty or inverted [%d,%d)", d, lo, hi)
-		}
-		size := uint64(hi) - uint64(lo)
+	for d := range region.Min {
+		size := uint64(region.Max[d]) - uint64(region.Min[d])
 		if size > budget/volume {
 			return nil, fmt.Errorf("cods: block wire form: region needs more than the %d cells carried", budget)
 		}
 		volume *= size
-		region.Min[d], region.Max[d] = int(lo), int(hi)
 	}
 	if volume != budget {
 		return nil, fmt.Errorf("cods: block wire form: region of %d cells carries %d", volume, budget)
@@ -156,6 +136,7 @@ func decodeBlock(wire []byte) (any, error) {
 	if mutate.Enabled(mutate.TCPBlockShift) {
 		// Seeded defect: the block lands one cell over along its last
 		// dimension — right bytes, wrong coordinates.
+		dim := region.Dim()
 		obj.Region.Min[dim-1]++
 		obj.Region.Max[dim-1]++
 	}
@@ -592,47 +573,42 @@ func normalizeSchedule(sched []transfer) []transfer {
 	if len(sched) < 2 {
 		return sched
 	}
-	type group struct {
-		owner  cluster.CoreID
-		stored geometry.BBox
-		subs   []geometry.BBox
-	}
-	var groups []*group
-	index := make(map[string]*group, len(sched))
-	for _, tr := range sched {
-		k := fmt.Sprintf("%d|%s", tr.Owner, tr.StoredBox.String())
-		g := index[k]
-		if g == nil {
-			g = &group{owner: tr.Owner, stored: tr.StoredBox}
-			index[k] = g
-			groups = append(groups, g)
+	// Group by (owner, stored block); stable, so Coalesce sees schedule order.
+	slices.SortStableFunc(sched, func(a, b transfer) int {
+		if a.Owner != b.Owner {
+			return cmp.Compare(a.Owner, b.Owner)
 		}
-		g.subs = append(g.subs, tr.Sub)
-	}
+		return geometry.Compare(a.StoredBox, b.StoredBox)
+	})
 	raw := len(sched)
-	out := sched[:0]
-	for _, g := range groups {
-		for _, sub := range geometry.Coalesce(g.subs) {
-			out = append(out, transfer{Owner: g.owner, StoredBox: g.stored, Sub: sub})
+	out := sched[:0] // never ahead of the group being read
+	var subs []geometry.BBox
+	for lo := 0; lo < raw; {
+		g := sched[lo]
+		subs = subs[:0]
+		for ; lo < raw && sched[lo].Owner == g.Owner && sched[lo].StoredBox.Equal(g.StoredBox); lo++ {
+			subs = append(subs, sched[lo].Sub)
+		}
+		if len(subs) == 1 && !g.Sub.Empty() {
+			out = append(out, g) // nothing to merge with
+			continue
+		}
+		for _, sub := range geometry.Coalesce(subs) {
+			out = append(out, transfer{Owner: g.Owner, StoredBox: g.StoredBox, Sub: sub})
 		}
 	}
-	sortSchedule(out)
+	// Deterministic order: by owner, then by the sub-box corners.
+	slices.SortFunc(out, func(a, b transfer) int {
+		if a.Owner != b.Owner {
+			return cmp.Compare(a.Owner, b.Owner)
+		}
+		return geometry.Compare(a.Sub, b.Sub)
+	})
 	obsSchedCoalesced.Add(int64(raw - len(out)))
 	if mutate.Enabled(mutate.DropCoalesce) && len(out) > 1 {
 		out = out[:len(out)-1] // seeded defect: merge swallowed a sub-box
 	}
 	return out
-}
-
-// sortSchedule orders transfers deterministically: by owner, then by the
-// sub-box corners (numeric, not the allocation-heavy String rendering).
-func sortSchedule(sched []transfer) {
-	sort.Slice(sched, func(i, j int) bool {
-		if sched[i].Owner != sched[j].Owner {
-			return sched[i].Owner < sched[j].Owner
-		}
-		return geometry.Compare(sched[i].Sub, sched[j].Sub) < 0
-	})
 }
 
 // PutSequential stores one block of a variable in the space: the data

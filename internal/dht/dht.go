@@ -13,8 +13,10 @@
 package dht
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -82,27 +84,20 @@ type dumpResp struct{ Entries []Entry }
 
 type clearReq struct{}
 
-func init() {
-	// DHT RPC payloads cross process boundaries under a TCP backend.
-	transport.RegisterWireType(insertReq{})
-	transport.RegisterWireType(removeReq{})
-	transport.RegisterWireType(queryReq{})
-	transport.RegisterWireType(queryResp{})
-	transport.RegisterWireType(dumpReq{})
-	transport.RegisterWireType(dumpResp{})
-	transport.RegisterWireType(clearReq{})
+// tableKey names one variable version in a location table.
+type tableKey struct {
+	v       string
+	version int
 }
 
 // table is one DHT core's location table. Writes lock it exclusively;
 // queries share the read lock.
 type table struct {
 	mu      sync.RWMutex
-	entries map[string][]Entry // key: var\x00version
+	entries map[tableKey][]Entry
 }
 
-func newTable() *table { return &table{entries: make(map[string][]Entry)} }
-
-func tkey(v string, version int) string { return fmt.Sprintf("%s\x00%d", v, version) }
+func newTable() *table { return &table{entries: make(map[tableKey][]Entry)} }
 
 // routing is one immutable interval assignment of the linearized index
 // space: the alive member nodes, sorted ascending, split the curve's
@@ -313,17 +308,31 @@ func (s *Service) DHTCore(node int) cluster.CoreID {
 	return s.fabric.Machine().CoreOn(cluster.NodeID(node), 0)
 }
 
+// checkRegion refuses a region no entry of a core's table can hold or match:
+// empty, or of another rank than the curve. Requests arrive off a socket;
+// the scans in serve rely on this to compare boxes of one rank only.
+func (s *Service) checkRegion(b geometry.BBox) error {
+	if b.Dim() != s.curve.Dim() || b.Empty() {
+		return fmt.Errorf("dht: region %v is empty or not of the curve's rank %d", b, s.curve.Dim())
+	}
+	return nil
+}
+
 // serve processes one RPC on the DHT core of node. Writes take the
 // table lock exclusively; queries and dumps only read-lock it, so
-// concurrent lookups proceed in parallel.
+// concurrent lookups proceed in parallel. A query scans the entries of its
+// variable version, one corner comparison each, and allocates only the answer.
 func (s *Service) serve(node int, req any) (any, error) {
 	t := s.tables[node]
 	switch r := req.(type) {
 	case insertReq:
+		if err := s.checkRegion(r.Entry.Region); err != nil {
+			return nil, err
+		}
 		obsTableWrites.Inc()
 		t.mu.Lock()
 		defer t.mu.Unlock()
-		k := tkey(r.Entry.Var, r.Entry.Version)
+		k := tableKey{r.Entry.Var, r.Entry.Version}
 		for _, e := range t.entries[k] {
 			if e.Owner == r.Entry.Owner && e.Region.Equal(r.Entry.Region) {
 				return nil, nil // idempotent re-insert
@@ -332,10 +341,13 @@ func (s *Service) serve(node int, req any) (any, error) {
 		t.entries[k] = append(t.entries[k], r.Entry)
 		return nil, nil
 	case removeReq:
+		if err := s.checkRegion(r.Entry.Region); err != nil {
+			return nil, err
+		}
 		obsTableWrites.Inc()
 		t.mu.Lock()
 		defer t.mu.Unlock()
-		k := tkey(r.Entry.Var, r.Entry.Version)
+		k := tableKey{r.Entry.Var, r.Entry.Version}
 		entries := t.entries[k]
 		for i, e := range entries {
 			if e.Owner == r.Entry.Owner && e.Region.Equal(r.Entry.Region) {
@@ -348,11 +360,14 @@ func (s *Service) serve(node int, req any) (any, error) {
 		}
 		return nil, nil
 	case queryReq:
+		if err := s.checkRegion(r.Region); err != nil {
+			return nil, err
+		}
 		obsTableReads.Inc()
 		t.mu.RLock()
 		defer t.mu.RUnlock()
 		var out []Entry
-		for _, e := range t.entries[tkey(r.Var, r.Version)] {
+		for _, e := range t.entries[tableKey{r.Var, r.Version}] {
 			if e.Region.Overlaps(r.Region) {
 				out = append(out, e)
 			}
@@ -371,7 +386,7 @@ func (s *Service) serve(node int, req any) (any, error) {
 		obsTableWrites.Inc()
 		t.mu.Lock()
 		defer t.mu.Unlock()
-		t.entries = make(map[string][]Entry)
+		t.entries = make(map[tableKey][]Entry)
 		return nil, nil
 	default:
 		return nil, fmt.Errorf("dht: unknown request type %T", req)
@@ -511,11 +526,11 @@ func (cl *Client) Query(phase string, app int, v string, version int, region geo
 	}
 	// Deduplicate: the same entry is registered on every DHT core its
 	// spans touch.
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Owner != all[j].Owner {
-			return all[i].Owner < all[j].Owner
+	slices.SortFunc(all, func(a, b Entry) int {
+		if a.Owner != b.Owner {
+			return cmp.Compare(a.Owner, b.Owner)
 		}
-		return geometry.Compare(all[i].Region, all[j].Region) < 0
+		return geometry.Compare(a.Region, b.Region)
 	})
 	out := all[:0]
 	for i, e := range all {
@@ -641,7 +656,7 @@ func (s *Service) TableSize(node int) int {
 func (s *Service) Clear() {
 	for _, t := range s.tables {
 		t.mu.Lock()
-		t.entries = make(map[string][]Entry)
+		t.entries = make(map[tableKey][]Entry)
 		t.mu.Unlock()
 	}
 }

@@ -1,0 +1,78 @@
+package dht
+
+import (
+	"strings"
+	"testing"
+
+	"github.com/insitu/cods/internal/cluster"
+	"github.com/insitu/cods/internal/geometry"
+	"github.com/insitu/cods/internal/transport"
+	"github.com/insitu/cods/internal/transport/tcpnet"
+)
+
+// TestServeRejectsRankMismatch sends a DHT core, over real loopback
+// sockets, the requests a malformed or hostile frame could carry: an
+// insert, a remove and a query whose region has another rank than the
+// curve, and ones whose region is empty. Each must come back as an ordinary
+// error — not as a handler panic the fabric happened to recover — the table
+// must be untouched, and the same connection must keep serving.
+func TestServeRejectsRankMismatch(t *testing.T) {
+	s, f := service(t, 2, 1, 2, 4)
+	be, err := tcpnet.NewLoopback(f, tcpnet.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.SetBackend(be)
+	defer func() {
+		f.SetBackend(nil)
+		be.Close()
+	}()
+	m := transport.Meter{Phase: "t", Class: cluster.Control}
+	call := func(req any) (any, error) { return f.Endpoint(0).Call(s.DHTCore(1), serviceName, req, m, 8, 8) }
+
+	stored := Entry{Var: "u", Version: 1, Owner: 1, Region: geometry.NewBBox(geometry.Point{8, 8}, geometry.Point{16, 16})}
+	if _, err := call(insertReq{stored}); err != nil {
+		t.Fatal(err)
+	}
+	line := geometry.NewBBox(geometry.Point{8}, geometry.Point{16})
+	flat := geometry.NewBBox(geometry.Point{8, 8}, geometry.Point{16, 8})
+	for _, bad := range []struct {
+		req  any
+		want string
+	}{
+		{insertReq{Entry{Var: "u", Version: 1, Owner: 0, Region: line}}, "not of the curve's rank 2"},
+		{removeReq{Entry{Var: "u", Version: 1, Owner: 1, Region: line}}, "not of the curve's rank 2"},
+		{queryReq{Var: "u", Version: 1, Region: line}, "not of the curve's rank 2"},
+		// An empty box never leaves a sender: the box codec refuses it on the
+		// way in, before the core sees the request.
+		{queryReq{Var: "u", Version: 1, Region: flat}, "empty or inverted"},
+	} {
+		_, err := call(bad.req)
+		if err == nil || !strings.Contains(err.Error(), bad.want) || strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("%#v: err = %v, want an ordinary error saying %q", bad.req, err, bad.want)
+		}
+	}
+	// In process the same requests reach the core undecoded, empty region
+	// included.
+	if _, err := s.serve(1, queryReq{Var: "u", Version: 1, Region: flat}); err == nil || !strings.Contains(err.Error(), "is empty or not") {
+		t.Fatalf("empty region in process: err = %v", err)
+	}
+	if n := s.TableSize(1); n != 1 {
+		t.Fatalf("node 1 holds %d entries after the rejected requests, want the 1 stored before", n)
+	}
+	// The rejections left the pooled connection in protocol sync: the next
+	// query costs exactly the bytes of the one after it, with no second
+	// handshake in between.
+	var cost [2]int64
+	for i := range cost {
+		before := be.WireStats().BytesOut
+		resp, err := call(queryReq{Var: "u", Version: 1, Region: stored.Region})
+		if err != nil || len(resp.(queryResp).Entries) != 1 {
+			t.Fatalf("valid query after the rejections: %v, %v", resp, err)
+		}
+		cost[i] = be.WireStats().BytesOut - before
+	}
+	if cost[0] != cost[1] {
+		t.Fatalf("the first valid query sent %d bytes, the next %d: it redialled instead of reusing the connection", cost[0], cost[1])
+	}
+}

@@ -10,6 +10,7 @@
 package geometry
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -170,10 +171,16 @@ func (b BBox) Intersect(o BBox) (BBox, bool) {
 	return r, true
 }
 
-// Overlaps reports whether the two boxes share at least one cell.
+// Overlaps reports whether the two boxes share at least one cell, comparing
+// corners only: it allocates nothing (a DHT core calls it per table entry).
 func (b BBox) Overlaps(o BBox) bool {
-	_, ok := b.Intersect(o)
-	return ok
+	mustSameDim(b.Dim(), o.Dim())
+	for d := range b.Min {
+		if maxInt(b.Min[d], o.Min[d]) >= minInt(b.Max[d], o.Max[d]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Cover returns the smallest box containing both b and o.
@@ -384,6 +391,46 @@ func Compare(a, b BBox) int {
 		}
 	}
 	return 0
+}
+
+// AppendBox appends the wire form of b to dst — u8 dim, then per dimension
+// i64 min, i64 max, big-endian: the one encoding of a box every binary codec
+// in the tree uses (stored blocks, read specs, control messages). The caller
+// has checked that b's rank fits the u8.
+func AppendBox(dst []byte, b BBox) []byte {
+	dst = append(dst, uint8(b.Dim()))
+	for d := range b.Min {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(b.Min[d]))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(b.Max[d]))
+	}
+	return dst
+}
+
+// ReadBox strictly decodes one box from the front of src and returns the
+// bytes behind it. Rank 0, a short input and an empty or inverted dimension
+// are errors; both corners share one allocation, made after the length check.
+func ReadBox(src []byte) (BBox, []byte, error) {
+	if len(src) < 1 {
+		return BBox{}, nil, fmt.Errorf("geometry: box wire form: missing rank")
+	}
+	dim := int(src[0])
+	if dim == 0 {
+		return BBox{}, nil, fmt.Errorf("geometry: box wire form: rank 0")
+	}
+	if len(src) < 1+16*dim {
+		return BBox{}, nil, fmt.Errorf("geometry: box wire form: %d bytes cannot hold a rank-%d box", len(src), dim)
+	}
+	corners := make(Point, 2*dim)
+	b := BBox{Min: corners[:dim:dim], Max: corners[dim:]}
+	for d := range b.Min {
+		lo := int64(binary.BigEndian.Uint64(src[1+16*d:]))
+		hi := int64(binary.BigEndian.Uint64(src[9+16*d:]))
+		if hi <= lo {
+			return BBox{}, nil, fmt.Errorf("geometry: box wire form: dimension %d is empty or inverted [%d,%d)", d, lo, hi)
+		}
+		b.Min[d], b.Max[d] = int(lo), int(hi)
+	}
+	return b, src[1+16*dim:], nil
 }
 
 // TotalVolume sums the volumes of a box list.

@@ -433,3 +433,75 @@ func TestQuickCoalescePreservesCells(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOverlapsMatchesIntersect holds Overlaps, which compares corners only,
+// to the answer Intersect gives — on random boxes, empty and touching ones
+// included — and to its two contracts: it allocates nothing, and boxes of
+// different rank are still a programming error.
+func TestOverlapsMatchesIntersect(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		dim := 1 + r.Intn(3)
+		a, b := randomBox(r, dim), randomBox(r, dim)
+		if _, want := a.Intersect(b); a.Overlaps(b) != want || b.Overlaps(a) != want {
+			t.Fatalf("%v overlaps %v = %v, Intersect says %v", a, b, a.Overlaps(b), want)
+		}
+	}
+	x, y := box(0, 0, 0, 128, 128, 128), box(64, 64, 64, 192, 192, 192)
+	if n := testing.AllocsPerRun(100, func() { overlapSink = x.Overlaps(y) }); n != 0 {
+		t.Fatalf("Overlaps allocates %v times per call, want 0", n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on dimension mismatch")
+		}
+	}()
+	x.Overlaps(box(0, 1))
+}
+
+var overlapSink bool
+
+func BenchmarkOverlaps(b *testing.B) {
+	x := box(0, 0, 0, 128, 128, 128)
+	y := box(64, 64, 64, 192, 192, 192)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		overlapSink = x.Overlaps(y)
+	}
+}
+
+// TestBoxWireForm pins the one box codec: encode/decode is the identity
+// and hands back what follows the box, both corners come out of a single
+// allocation, and the decoder rejects rank 0, every truncation, and a
+// dimension that is empty or inverted.
+func TestBoxWireForm(t *testing.T) {
+	want := box(-3, 4, 1<<40, 5, 9, 1<<40+1)
+	wire := AppendBox([]byte{0xAA}, want)[1:]
+	if len(wire) != 1+16*3 {
+		t.Fatalf("a rank-3 box takes %d bytes, want %d", len(wire), 1+16*3)
+	}
+	got, rest, err := ReadBox(append(wire[:len(wire):len(wire)], 0xBB, 0xCC))
+	if err != nil || !got.Equal(want) || len(rest) != 2 || rest[0] != 0xBB {
+		t.Fatalf("ReadBox = %v, rest %x, err %v; want %v and the two bytes behind it", got, rest, err, want)
+	}
+	if got.Min = append(got.Min, 99); got.Max[0] == 99 {
+		t.Fatal("appending to Min overwrote Max: the corners must not share capacity")
+	}
+	if n := testing.AllocsPerRun(100, func() { ReadBox(wire) }); n != 1 {
+		t.Fatalf("ReadBox allocates %v times per box, want 1", n)
+	}
+	for n := 0; n < len(wire); n++ {
+		if _, _, err := ReadBox(wire[:n]); err == nil {
+			t.Fatalf("ReadBox accepted a %d-byte prefix of a %d-byte box", n, len(wire))
+		}
+	}
+	for name, b := range map[string]BBox{
+		"rank 0":   {},
+		"empty":    box(0, 0, 4, 0),
+		"inverted": box(0, 5, 4, 2),
+	} {
+		if _, _, err := ReadBox(AppendBox(nil, b)); err == nil {
+			t.Errorf("ReadBox accepted a %s box", name)
+		}
+	}
+}

@@ -17,6 +17,7 @@
 package lock
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -74,11 +75,53 @@ type acquireResp struct {
 	Granted bool
 }
 
+// The three lock messages share one wire form (DESIGN §5f, *Control
+// messages*): the tag byte, one argument byte — an acquire's mode (0 read,
+// 1 write), 0 in a release, a response's granted flag (0 or 1) — then the
+// lock name as a u32 length and exactly that many bytes, which end the
+// message (a response names no lock).
+const (
+	tagAcquire uint8 = iota + 8
+	tagRelease
+	tagAcquireResp
+)
+
+func appendMessage(dst []byte, tag, arg uint8, name string) []byte {
+	dst = binary.BigEndian.AppendUint32(append(dst, tag, arg), uint32(len(name)))
+	return append(dst, name...)
+}
+
+func (r acquireReq) AppendWire(dst []byte) []byte {
+	return appendMessage(dst, tagAcquire, uint8(r.Mode), r.Name)
+}
+
+func (r releaseReq) AppendWire(dst []byte) []byte { return appendMessage(dst, tagRelease, 0, r.Name) }
+
+func (r acquireResp) AppendWire(dst []byte) []byte {
+	if r.Granted {
+		return appendMessage(dst, tagAcquireResp, 1, "")
+	}
+	return appendMessage(dst, tagAcquireResp, 0, "")
+}
+
 func init() {
-	// Lock RPC payloads cross process boundaries under a TCP backend.
-	transport.RegisterWireType(acquireReq{})
-	transport.RegisterWireType(releaseReq{})
-	transport.RegisterWireType(acquireResp{})
+	type msg = transport.WireMessage
+	// register installs a strict decoder of the shared form: the argument at
+	// most maxArg, the name exactly the rest (and empty unless named).
+	register := func(tag uint8, sample msg, maxArg uint8, named bool, build func(arg uint8, name string) msg) {
+		transport.RegisterMessage(tag, sample, func(b []byte) (msg, error) {
+			if len(b) < 5 || b[0] > maxArg || uint64(binary.BigEndian.Uint32(b[1:])) != uint64(len(b)-5) || !named && len(b) > 5 {
+				return nil, fmt.Errorf("lock: malformed message of %d bytes under tag %d", 1+len(b), tag)
+			}
+			return build(b[0], string(b[5:])), nil
+		})
+	}
+	register(tagAcquire, acquireReq{Name: "u", Mode: Write}, uint8(Write), true,
+		func(arg uint8, name string) msg { return acquireReq{Name: name, Mode: Mode(arg)} })
+	register(tagRelease, releaseReq{Name: "u"}, 0, true,
+		func(_ uint8, name string) msg { return releaseReq{Name: name} })
+	register(tagAcquireResp, acquireResp{Granted: true}, 1, false,
+		func(arg uint8, _ string) msg { return acquireResp{Granted: arg == 1} })
 }
 
 // Service is the lock manager.

@@ -55,6 +55,10 @@ const (
 	// coordinates. It only exists where an expose crosses a process
 	// boundary (a driver staging on a codsnode), never in process.
 	TCPBlockShift = "tcp-block-shift"
+	// TCPMsgEntryDrop makes the decoder of a DHT query response forget the
+	// last of two or more entries — every byte still consumed, so the strict
+	// codec stays silent. It only exists where a lookup crosses the wire.
+	TCPMsgEntryDrop = "tcp-msg-entry-drop"
 	// ObsFlowMisattribute credits every cross-node cell of the aggregated
 	// flow matrix to the wrong destination node (dst+1), leaving per-cell
 	// and total byte counts intact — the observability-plane twin of
@@ -98,7 +102,7 @@ const (
 // Names lists every seeded defect, in a stable order.
 func Names() []string {
 	return []string{GeomIntersect, SfcSpanSplit, DropCoalesce, StaleEpoch, SwapFlow, NoRequery,
-		TCPTruncFrame, TCPMeterClass, TCPSGDrop, TCPSGReorder, TCPBlockShift, ObsFlowMisattribute,
+		TCPTruncFrame, TCPMeterClass, TCPSGDrop, TCPSGReorder, TCPBlockShift, TCPMsgEntryDrop, ObsFlowMisattribute,
 		StaleRouteAfterResplit, LeaseExpiryIgnored,
 		StaleWatermarkServed, GCBeforeConsume, VersionSkipOnResubscribe,
 		RemapStaleOwner, MortonBitSwap}

@@ -11,8 +11,6 @@ package transport
 // exactly once, in the process that actually moves the data.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"time"
 
@@ -326,34 +324,63 @@ func (f *Fabric) MergeMediumStats(shmBytes, shmOps, netBytes, netOps int64) {
 	obsOps[cluster.Network].Add(netOps)
 }
 
-// RegisterWireType registers an RPC request or response type crossing
-// process boundaries through a network backend (exposed buffers do not use
-// gob: see BlockPayload). Packages register their wire types from init,
-// mirroring gob semantics: concrete types carried inside `any` values must
-// be known to both sides.
-func RegisterWireType(v any) { gob.Register(v) }
+// WireMessage is an RPC request or response that crosses process boundaries
+// through a network backend. AppendWire appends the message's whole wire
+// form — its registered tag byte, then its fields — to dst and returns the
+// extended slice; the decoder registered under the tag reverses it.
+type WireMessage interface {
+	AppendWire(dst []byte) []byte
+}
 
-// EncodePayload serializes an `any` payload for the wire. A nil payload
-// encodes to an empty buffer.
+// messages maps a tag to the strict decoder of the fields behind it and to a
+// representative value (what the codec's tests and fuzz seeds round-trip);
+// filled from inits, read-only afterwards. Tag 0 is the nil, empty payload.
+var messages [256]struct {
+	sample WireMessage
+	decode func(fields []byte) (WireMessage, error)
+}
+
+// RegisterMessage installs the decoder of one control message under its tag,
+// from the init of the package that owns the type; a zero or duplicate tag,
+// or a sample that writes another tag than this one, is a programming error.
+func RegisterMessage(tag uint8, sample WireMessage, decode func(fields []byte) (WireMessage, error)) {
+	if tag == 0 || messages[tag].decode != nil {
+		panic(fmt.Sprintf("transport: message tag %d (%T) is zero or already registered", tag, sample))
+	}
+	if wire := sample.AppendWire(nil); len(wire) == 0 || wire[0] != tag {
+		panic(fmt.Sprintf("transport: message %T does not write its tag %d first", sample, tag))
+	}
+	messages[tag].sample, messages[tag].decode = sample, decode
+}
+
+// EncodePayload serializes an RPC payload for the wire: nil encodes to an
+// empty buffer, a registered WireMessage to its tagged binary form, and
+// anything else is an error naming the type.
 func EncodePayload(v any) ([]byte, error) {
 	if v == nil {
 		return nil, nil
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		return nil, fmt.Errorf("transport: encoding payload %T: %w", v, err)
+	if m, ok := v.(WireMessage); ok {
+		if wire := m.AppendWire(nil); len(wire) > 0 && messages[wire[0]].decode != nil {
+			return wire, nil
+		}
 	}
-	return buf.Bytes(), nil
+	return nil, fmt.Errorf("transport: encoding payload %T: not a registered wire message", v)
 }
 
-// DecodePayload reverses EncodePayload; empty input decodes to nil.
+// DecodePayload reverses EncodePayload; empty input decodes to nil. The
+// tag's decoder is strict: every byte of data is accounted for or it fails.
 func DecodePayload(data []byte) (any, error) {
 	if len(data) == 0 {
 		return nil, nil
 	}
-	var v any
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v); err != nil {
-		return nil, fmt.Errorf("transport: decoding payload: %w", err)
+	decode := messages[data[0]].decode
+	if decode == nil {
+		return nil, fmt.Errorf("transport: decoding payload: unknown message tag %d", data[0])
 	}
-	return v, nil
+	m, err := decode(data[1:])
+	if err != nil {
+		return nil, fmt.Errorf("transport: decoding message tag %d: %w", data[0], err)
+	}
+	return m, nil
 }

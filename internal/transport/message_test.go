@@ -1,0 +1,159 @@
+package transport_test
+
+import (
+	"bytes"
+	"reflect"
+	"strings"
+	"testing"
+
+	// The two packages whose RPCs cross the wire: importing them fills the
+	// message registry exactly as a codsnode's link does.
+	_ "github.com/insitu/cods/internal/dht"
+	_ "github.com/insitu/cods/internal/lock"
+	"github.com/insitu/cods/internal/transport"
+)
+
+// testMsg is a message of the tests' own: tag 0xF0, then its one byte.
+type testMsg struct{ b byte }
+
+const tagTest = 0xF0
+
+func (m testMsg) AppendWire(dst []byte) []byte { return append(dst, tagTest, m.b) }
+
+// strayMsg implements WireMessage under a tag nobody registered.
+type strayMsg struct{}
+
+func (strayMsg) AppendWire(dst []byte) []byte { return append(dst, 0xF1) }
+
+func decodeTest(b []byte) (transport.WireMessage, error) {
+	if len(b) != 1 {
+		return nil, transport.ErrEndpointClosed // any error will do
+	}
+	return testMsg{b[0]}, nil
+}
+
+func init() { transport.RegisterMessage(tagTest, testMsg{}, decodeTest) }
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
+// TestEveryMessageRoundTrips walks the registry: each of the ten control
+// messages (seven DHT, three lock; and the test message above) encodes to its tag plus fields and
+// decodes back to a deep-equal value of the same by-value type Backend.Call
+// hands a handler. Around them, the registry's rules: nil is the empty
+// payload in both directions, a zero, duplicate or mismatched tag panics at
+// registration, a value that is no registered message is an error naming
+// its type on the sending side, an unknown tag an error on the receiving
+// side.
+func TestEveryMessageRoundTrips(t *testing.T) {
+	samples := transport.MessageSamples()
+	if len(samples) != 11 {
+		t.Fatalf("%d messages registered, want the 10 of dht and lock and this file's own", len(samples))
+	}
+	for _, m := range samples {
+		wire, err := transport.EncodePayload(m)
+		if err != nil {
+			t.Fatalf("%T: %v", m, err)
+		}
+		if !bytes.Equal(wire, m.AppendWire(nil)) {
+			t.Fatalf("%T: EncodePayload is not the message's own wire form", m)
+		}
+		got, err := transport.DecodePayload(wire)
+		if err != nil {
+			t.Fatalf("%T: decoding %x: %v", m, wire, err)
+		}
+		if !reflect.DeepEqual(got, any(m)) {
+			t.Fatalf("%T round-tripped to %#v, want %#v", m, got, m)
+		}
+	}
+
+	if wire, err := transport.EncodePayload(nil); err != nil || len(wire) != 0 {
+		t.Fatalf("nil encodes to %x, %v; want the empty payload", wire, err)
+	}
+	for _, empty := range [][]byte{nil, {}} {
+		if v, err := transport.DecodePayload(empty); err != nil || v != nil {
+			t.Fatalf("the empty payload decodes to %v, %v; want nil", v, err)
+		}
+	}
+
+	mustPanic(t, "registering tag 0", func() { transport.RegisterMessage(0, testMsg{}, decodeTest) })
+	mustPanic(t, "registering a sample under another tag than it writes", func() {
+		transport.RegisterMessage(tagTest+2, testMsg{}, decodeTest)
+	})
+	mustPanic(t, "registering a tag twice", func() { transport.RegisterMessage(tagTest, testMsg{}, decodeTest) })
+	if v, err := transport.DecodePayload([]byte{tagTest, 7}); err != nil || v != (testMsg{7}) {
+		t.Fatalf("test message decodes to %v, %v", v, err)
+	}
+
+	for _, v := range []any{struct{ X int }{1}, "text", strayMsg{}} {
+		if _, err := transport.EncodePayload(v); err == nil || !strings.Contains(err.Error(), reflect.TypeOf(v).String()) {
+			t.Errorf("encoding unregistered %T: err = %v, want an error naming the type", v, err)
+		}
+	}
+	if _, err := transport.DecodePayload([]byte{0xF1, 1, 2}); err == nil || !strings.Contains(err.Error(), "unknown message tag 241") {
+		t.Errorf("decoding an unregistered tag: err = %v", err)
+	}
+}
+
+// TestMessageStrictDecode holds every registered decoder to the frame
+// codec's bar: each proper prefix of a valid message fails, a trailing byte
+// fails, and an entry list whose count exceeds what the remaining bytes
+// could hold fails on the count — four billion entries are never allocated.
+func TestMessageStrictDecode(t *testing.T) {
+	for _, m := range transport.MessageSamples() {
+		wire := m.AppendWire(nil)
+		for n := 1; n < len(wire); n++ {
+			if v, err := transport.DecodePayload(wire[:n]); err == nil {
+				t.Errorf("%T: %d-byte prefix of %x decoded to %#v", m, n, wire, v)
+			}
+		}
+		if v, err := transport.DecodePayload(append(wire[:len(wire):len(wire)], 0)); err == nil {
+			t.Errorf("%T: a trailing byte was accepted: %#v", m, v)
+		}
+	}
+	const tagQueryResp, tagDumpResp = 4, 6
+	for _, tag := range []byte{tagQueryResp, tagDumpResp} {
+		hostile := append([]byte{tag, 0xFF, 0xFF, 0xFF, 0xFF}, make([]byte, 256)...)
+		if _, err := transport.DecodePayload(hostile); err == nil {
+			t.Errorf("tag %d: a count of 2^32-1 entries over 256 bytes was accepted", tag)
+		}
+	}
+}
+
+// FuzzMessageCodec throws arbitrary payloads at DecodePayload: no input may
+// panic a decoder, and whatever decodes is canonical — it re-encodes to
+// exactly the bytes it came from.
+func FuzzMessageCodec(f *testing.F) {
+	for _, m := range transport.MessageSamples() {
+		wire := m.AppendWire(nil)
+		f.Add(wire)
+		f.Add(wire[:len(wire)/2])
+		f.Add(append(wire[:len(wire):len(wire)], 0xFF))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{4, 0xFF, 0xFF, 0xFF, 0xFF})                        // a hostile entry count
+	f.Add([]byte{5, 0, 0, 0, 1})                                    // a dump request that claims an entry
+	f.Add(append([]byte{1, 0, 0, 0, 1}, make([]byte, 33)...))       // an insert whose box has rank 0
+	f.Add(append([]byte{1, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF}, 0)) // a name longer than the message
+	f.Add([]byte{8, 2, 0, 0, 0, 0})                                 // a lock mode past Write
+	f.Fuzz(func(t *testing.T, wire []byte) {
+		v, err := transport.DecodePayload(wire)
+		if err != nil || v == nil {
+			return
+		}
+		out, err := transport.EncodePayload(v)
+		if err != nil {
+			t.Fatalf("decoded %#v does not re-encode: %v", v, err)
+		}
+		if !bytes.Equal(out, wire) {
+			t.Fatalf("accepted payload is not canonical:\nin  %x\nout %x", wire, out)
+		}
+	})
+}

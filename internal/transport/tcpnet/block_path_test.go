@@ -3,6 +3,7 @@ package tcpnet
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -123,6 +124,76 @@ func BenchmarkPullPeers(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkGetMiss times one uncached small get in the deployment shape of
+// the repo benchmark's seq-lookup-tcp workload, inside one process: a
+// driver that owns no node (Connect) and two serving nodes (Serve), a
+// 512x512 domain staged as 1024 blocks of 16x16 round-robin over the four
+// cores, and seeded regions of 17-32 cells a side that never repeat, read
+// with the schedule cache off. Every get pays the span walk, the DHT query
+// over the wire, the schedule and a scatter-gather read of a few 1-2 KiB
+// segments per node: it is the in-repo witness of what a lookup miss
+// costs, allocations included.
+func BenchmarkGetMiss(b *testing.B) {
+	const side, block = 512, 16
+	domain := geometry.BoxFromSize([]int{side, side})
+	newSpace := func() (*transport.Fabric, *cods.Space) {
+		m, err := cluster.NewMachine(2, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		f := transport.NewFabric(m)
+		sp, err := cods.NewSpace(f, domain)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return f, sp
+	}
+	peers := make(map[cluster.NodeID]string)
+	for node := cluster.NodeID(0); node < 2; node++ {
+		f, _ := newSpace() // the node's DHT core registers on its own fabric
+		be, err := Serve(f, node, "127.0.0.1:0", testConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer be.Close()
+		f.SetBackend(be)
+		peers[node] = be.Addr(node)
+	}
+	f, sp := newSpace()
+	be, err := Connect(f, peers, testConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer be.Close()
+	if err := be.PushPeers(); err != nil {
+		b.Fatal(err)
+	}
+	f.SetBackend(be)
+	for n := 0; n < (side/block)*(side/block); n++ {
+		x, y := n/(side/block)*block, n%(side/block)*block
+		blk := geometry.NewBBox(geometry.Point{x, y}, geometry.Point{x + block, y + block})
+		if err := sp.HandleAt(cluster.CoreID(n%4), 1, "put").PutSequential("u", 0, blk, fillCells(blk)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	consumer := sp.HandleAt(0, 2, "get")
+	consumer.CacheEnabled = false
+	rng := rand.New(rand.NewSource(1))
+	regions := make([]geometry.BBox, 4096)
+	for i := range regions {
+		w, h := 17+rng.Intn(16), 17+rng.Intn(16)
+		x, y := rng.Intn(side-w+1), rng.Intn(side-h+1)
+		regions[i] = geometry.NewBBox(geometry.Point{x, y}, geometry.Point{x + w, y + h})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := consumer.GetSequential("u", 0, regions[i%len(regions)]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -40,10 +40,13 @@ func FuzzWireFrame(f *testing.F) {
 		f.Add(old)
 	}
 
-	// A payload kind past the last defined one (wire v8's typed field).
+	// A payload kind past the last defined one, and the code payloadMsg
+	// took in wire v9 on a frame that is otherwise a v8 gob call.
 	kind := append([]byte(nil), valid[4:]...)
 	kind[3] = payloadKindMax
 	f.Add(kind)
+	call, _ := marshalFrame(&frame{Op: opCall, Kind: payloadGob, Src: 1, Name: "cods.dht", Payload: []byte{1, 2, 3}})
+	f.Add(call[4:])
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fr, err := decodeFrame(body)

@@ -1,10 +1,13 @@
 package tcpnet
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/cods"
@@ -168,16 +171,126 @@ func TestBatchedPullFrameCount(t *testing.T) {
 	}
 }
 
+// writeCounter counts the Write calls made on a connection.
+type writeCounter struct {
+	net.Conn
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Conn.Write(p)
+}
+
+// TestSmallSegmentsShareOneWrite pins the coalescing rule of the
+// scatter-gather server: the response frame and every run of segments that
+// fit maxInlineBody leave in one write, an error segment behind them
+// included; the gather buffer is flushed when the next segment would take
+// it past maxPooledBuf and before a segment too large to inline (which
+// still leaves on its own, uncopied) — and whatever the grouping, the
+// client reads the same stream: the announced count, then the segments in
+// order with the owner-clipped bytes.
+func TestSmallSegmentsShareOneWrite(t *testing.T) {
+	f, b := newLoopbackFabric(t, 1, 1)
+	b.cfg.ReadPatience = 20 * time.Millisecond
+	m := transport.Meter{Phase: "t", Class: cluster.InterApp, DstApp: 2}
+	row := func(i, cells int) (transport.ReadSpec, []byte) {
+		region := geometry.NewBBox(geometry.Point{i, 0}, geometry.Point{i + 1, cells})
+		obj := &cods.StoredObject{Region: region, Data: fillCells(region)}
+		key := transport.BufKey{Name: fmt.Sprintf("row%d", i), Version: cells}
+		if ok, _ := f.LocalExposed(0, key); !ok {
+			if err := f.Endpoint(0).Expose(key, obj); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := obj.ClipRegion(nil, region)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return transport.ReadSpec{Owner: 0, Key: key, Sub: region, Bytes: int64(len(want))}, want
+	}
+	const small, full, large = 32, maxInlineBody / cods.ElemSize, maxInlineBody/cods.ElemSize + 1
+	missing := transport.ReadSpec{Owner: 0, Key: transport.BufKey{Name: "never exposed"}, Sub: geometry.BoxFromSize([]int{1, 1}), Bytes: 8}
+	for _, tc := range []struct {
+		name   string
+		cells  []int // per segment; 0 = the buffer nobody exposes
+		writes int
+		sync   bool
+	}{
+		{"eight small segments", []int{small, small, small, small, small, small, small, small}, 1, true},
+		// Header + three 16 KiB segments fit 64 KiB, the fourth does not.
+		{"five full-size inline segments", []int{full, full, full, full, full}, 2, true},
+		// A pipe has no writev: the large segment's header and body are two
+		// writes there, one vectored write on a socket.
+		{"small, large, small", []int{small, large, small}, 1 + 2 + 1, true},
+		{"small, then a failing read", []int{small, 0}, 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			specs := make([]transport.ReadSpec, len(tc.cells))
+			want := make([][]byte, len(tc.cells))
+			for i, cells := range tc.cells {
+				if specs[i] = missing; cells > 0 {
+					specs[i], want[i] = row(i, cells)
+				}
+			}
+			payload, err := appendReadSpecs(nil, specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fr := &frame{Op: opReadMulti, Payload: payload}
+			meterFrame(fr, m)
+			client, server := net.Pipe()
+			defer client.Close()
+			counted := &writeCounter{Conn: server}
+			done := make(chan bool, 1)
+			go func() {
+				done <- b.serveReadMulti(counted, fr)
+				server.Close()
+			}()
+			resp, err := readFrame(client, 0)
+			if err != nil || resp.Status != statusOK || int(resp.Bytes) != len(specs) {
+				t.Fatalf("response frame %+v, %v; want OK announcing %d segments", resp, err, len(specs))
+			}
+			for i := range specs {
+				status, index, length, err := readSegmentHeader(client, 0)
+				if err != nil || index != i {
+					t.Fatalf("segment %d: header says index %d, %v", i, index, err)
+				}
+				body := make([]byte, length)
+				if _, err := io.ReadFull(client, body); err != nil {
+					t.Fatal(err)
+				}
+				if want[i] == nil {
+					if status != statusErr || !strings.Contains(string(body), "patience") {
+						t.Fatalf("segment %d: status %d, body %q; want the read's error", i, status, body)
+					}
+					continue
+				}
+				if status != statusOK || !bytes.Equal(body, want[i]) {
+					t.Fatalf("segment %d: status %d, %d bytes; want the %d clipped bytes", i, status, len(body), len(want[i]))
+				}
+			}
+			if inSync := <-done; inSync != tc.sync {
+				t.Fatalf("serveReadMulti reported in-sync=%v, want %v", inSync, tc.sync)
+			}
+			if counted.writes != tc.writes {
+				t.Fatalf("%d writes for segments of %v cells, want %d", counted.writes, tc.cells, tc.writes)
+			}
+		})
+	}
+}
+
 // TestHandshakeRejectsOldWireVersion proves the old-peer policy of DESIGN
 // §5f: a client speaking any earlier wire version — the first, v4
-// (membership, no streaming), v7 (the last to gob-encode exposed blocks,
-// spelled out so a later bump cannot quietly re-admit it), or the one just
-// before the current — is turned away at the handshake with an error
+// (membership, no streaming), v7 (the last to gob-encode exposed blocks)
+// and v8 (the last to gob-encode RPC payloads), both spelled out so a later
+// bump cannot quietly re-admit them, or the one just before the current —
+// is turned away at the handshake with an error
 // naming both versions; there is no per-op fallback or mixed-version mode
 // that could strand it mid-stream.
 func TestHandshakeRejectsOldWireVersion(t *testing.T) {
 	_, b := newLoopbackFabric(t, 1, 1)
-	for _, version := range []int64{1, 4, 7, int64(wireVersion) - 1} {
+	for _, version := range []int64{1, 4, 7, 8, int64(wireVersion) - 1} {
 		c, err := net.Dial("tcp", b.Addr(0))
 		if err != nil {
 			t.Fatal(err)

@@ -520,9 +520,7 @@ func (b *Backend) release(node cluster.NodeID, c net.Conn) {
 // fresh connection; any later failure is not, since the operation may
 // already have executed remotely.
 func (b *Backend) exchange(c net.Conn, fr *frame, blocking bool) (resp *frame, wrote bool, err error) {
-	if d := b.ioTimeout(); d > 0 {
-		c.SetWriteDeadline(time.Now().Add(d))
-	}
+	b.armWrite(c)
 	if err := writeFrame(c, fr); err != nil {
 		return nil, false, err
 	}
@@ -653,9 +651,7 @@ func (b *Backend) ReadMulti(reader cluster.CoreID, specs []transport.ReadSpec, m
 // response stream, delivering each segment through a pooled staging
 // buffer that is only valid for the duration of the callback.
 func (b *Backend) readMultiExchange(c net.Conn, fr *frame, specs []transport.ReadSpec, deliver transport.SegmentFunc) (wrote bool, err error) {
-	if d := b.ioTimeout(); d > 0 {
-		c.SetWriteDeadline(time.Now().Add(d))
-	}
+	b.armWrite(c)
 	if err := writeFrame(c, fr); err != nil {
 		return false, err
 	}
@@ -709,13 +705,16 @@ func (b *Backend) Call(src, dst cluster.CoreID, service string, request any, m t
 	if err != nil {
 		return nil, err
 	}
-	fr := &frame{Op: opCall, Kind: payloadGob, Src: int32(src), Dst: int32(dst), Name: service, Bytes: reqBytes, Bytes2: respBytes, Payload: enc}
+	fr := &frame{Op: opCall, Kind: payloadMsg, Src: int32(src), Dst: int32(dst), Name: service, Bytes: reqBytes, Bytes2: respBytes, Payload: enc}
 	meterFrame(fr, m)
 	resp, err := b.roundTrip(b.machine.NodeOf(dst), fr, true)
 	if err != nil {
 		return nil, err
 	}
 	if err := respErr(resp); err != nil {
+		return nil, err
+	}
+	if err := checkKind(resp, payloadMsg); err != nil {
 		return nil, err
 	}
 	return transport.DecodePayload(resp.Payload)
@@ -1016,12 +1015,15 @@ func (b *Backend) serveConn(c net.Conn) {
 // serveReadMulti executes one scatter-gather read: validate the batch,
 // announce the segment count in an ordinary response frame, then clip
 // each requested sub-box out of its exposed buffer and stream the
-// segments. Each spec is metered through LocalRead on this side, the side
-// moving the bytes. The return value reports whether the connection is
-// still in protocol sync;
-// a failure after the header frame is not (the client was promised
-// segments), so the stream is aborted with an error segment and the
-// connection dropped.
+// segments, each metered through LocalRead on this side, the side moving
+// the bytes. The response frame and every segment whose body fits
+// maxInlineBody gather in one pooled buffer that leaves in one write — at
+// the end, behind an error segment, or when the next segment would take it
+// past maxPooledBuf; a larger segment flushes the buffer and leaves
+// uncopied, header and body one vectored write. The return value reports
+// whether the connection is still in protocol sync; a failure after the
+// header frame is not (the client was promised segments), so the stream is
+// aborted with an error segment and the connection dropped.
 func (b *Backend) serveReadMulti(c net.Conn, fr *frame) bool {
 	headerFail := func(err error) bool {
 		resp := &frame{Op: opResp, Err: err.Error()}
@@ -1057,8 +1059,20 @@ func (b *Backend) serveReadMulti(c net.Conn, fr *frame) bool {
 		count--
 		specs = specs[:count]
 	}
-	if err := writeFrame(c, &frame{Op: opResp, Status: statusOK, Bytes: int64(count)}); err != nil {
+	out := getBuf()
+	defer putBuf(out)
+	pending, _, err := marshalFrameInto((*out)[:0], &frame{Op: opResp, Status: statusOK, Bytes: int64(count)})
+	if err != nil {
 		return false
+	}
+	flush := func() bool {
+		if len(pending) == 0 {
+			return true
+		}
+		b.armWrite(c)
+		_, err := c.Write(pending)
+		*out, pending = pending[:0], pending[:0]
+		return err == nil
 	}
 	m := frameMeter(fr)
 	reader := cluster.CoreID(fr.Src)
@@ -1073,63 +1087,52 @@ func (b *Backend) serveReadMulti(c net.Conn, fr *frame) bool {
 		}
 		return clipper.ClipRegion(dst, spec.Sub)
 	}
-	if mutate.Enabled(mutate.TCPSGReorder) && count >= 2 {
-		// Seeded defect: the stream keeps its indices but exchanges the
-		// first two payloads — protocol-valid, wrong bytes in each slot.
-		bodies := make([][]byte, count)
-		for i, spec := range specs {
-			body, err := clip(spec, nil)
-			if err != nil {
-				_ = b.writeErrSegment(c, i, err)
-				return false
-			}
-			bodies[i] = body
-		}
-		bodies[0], bodies[1] = bodies[1], bodies[0]
-		for i, body := range bodies {
-			if err := b.writeDataSegment(c, i, body); err != nil {
-				return false
-			}
-		}
-		return true
-	}
 	bp := getStage()
 	defer putStage(bp)
 	for i, spec := range specs {
+		if mutate.Enabled(mutate.TCPSGReorder) && count >= 2 && i < 2 {
+			// Seeded defect: the first two segments keep their indices but
+			// exchange payloads — protocol-valid, wrong bytes in each slot.
+			spec = specs[1-i]
+		}
 		body, err := clip(spec, (*bp)[:0])
 		if err != nil {
-			_ = b.writeErrSegment(c, i, err)
+			status, text := statusErr, err.Error()
+			if errors.Is(err, transport.ErrEndpointClosed) {
+				status = statusClosed
+			}
+			pending = append(appendSegmentHeader(pending, status, i, len(text)), text...)
+			flush()
 			return false
 		}
 		// The clip may have replaced the staging buffer with a longer one.
 		*bp = body[:0]
-		if err := b.writeDataSegment(c, i, body); err != nil {
+		b.stats.segments.Add(1)
+		b.stats.segmentBytes.Add(int64(len(body)))
+		obsWireSegments.Inc()
+		obsWireSegmentBytes.Add(int64(len(body)))
+		if (len(body) > maxInlineBody || len(pending)+segHeaderLen+len(body) > maxPooledBuf) && !flush() {
+			return false
+		}
+		pending = appendSegmentHeader(pending, statusOK, i, len(body))
+		if len(body) <= maxInlineBody {
+			pending = append(pending, body...)
+			continue
+		}
+		b.armWrite(c)
+		err = writeVectored(c, pending, body)
+		if pending = pending[:0]; err != nil {
 			return false
 		}
 	}
-	return true
+	return flush()
 }
 
-func (b *Backend) writeDataSegment(c net.Conn, i int, body []byte) error {
-	b.stats.segments.Add(1)
-	b.stats.segmentBytes.Add(int64(len(body)))
-	obsWireSegments.Inc()
-	obsWireSegmentBytes.Add(int64(len(body)))
+// armWrite gives the next write on c the per-frame deadline.
+func (b *Backend) armWrite(c net.Conn) {
 	if d := b.ioTimeout(); d > 0 {
 		c.SetWriteDeadline(time.Now().Add(d))
 	}
-	return writeSegment(c, statusOK, i, body)
-}
-
-func (b *Backend) writeErrSegment(c net.Conn, i int, err error) error {
-	status := statusErr
-	if errors.Is(err, transport.ErrEndpointClosed) {
-		status = statusClosed
-	}
-	if d := b.ioTimeout(); d > 0 {
-		c.SetWriteDeadline(time.Now().Add(d))
-	}
-	return writeSegment(c, status, i, []byte(err.Error()))
 }
 
 // checkCore validates a wire-supplied core id; allowAny admits the
@@ -1207,7 +1210,7 @@ func (b *Backend) execute(fr *frame) *frame {
 		if err := b.checkTarget(fr.Dst); err != nil {
 			return fail(err)
 		}
-		if err := checkKind(fr, payloadGob); err != nil {
+		if err := checkKind(fr, payloadMsg); err != nil {
 			return fail(err)
 		}
 		req, err := transport.DecodePayload(fr.Payload)
@@ -1222,7 +1225,7 @@ func (b *Backend) execute(fr *frame) *frame {
 		if err != nil {
 			return fail(err)
 		}
-		resp.Kind, resp.Payload = payloadGob, enc
+		resp.Kind, resp.Payload = payloadMsg, enc
 	case opExpose:
 		if err := b.checkTarget(fr.Dst); err != nil {
 			return fail(err)

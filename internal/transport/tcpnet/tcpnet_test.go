@@ -19,13 +19,42 @@ import (
 	"github.com/insitu/cods/internal/transport"
 )
 
-// echoPayload is a representative RPC payload, registered by value like
-// the dht and lock request types; blockPayload is an exposed buffer that
-// can be clipped but not shipped — enough for a loopback owner, which
-// exposes in process.
+// echoPayload is a representative RPC payload, a by-value wire message
+// like the dht and lock request types (registered under a tag of the
+// tests' own); blockPayload is an exposed buffer that can be clipped but
+// not shipped — enough for a loopback owner, which exposes in process.
 type echoPayload struct {
 	Text string
 	Vals []float64
+}
+
+const tagEcho uint8 = 0xE0
+
+// AppendWire implements transport.WireMessage: u16 text length, the text,
+// then the values as float64 bits to the end of the message.
+func (p echoPayload) AppendWire(dst []byte) []byte {
+	dst = append(dst, tagEcho)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(p.Text)))
+	dst = append(dst, p.Text...)
+	for _, v := range p.Vals {
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	return dst
+}
+
+func decodeEcho(b []byte) (transport.WireMessage, error) {
+	if len(b) < 2 || len(b) < 2+int(binary.BigEndian.Uint16(b)) {
+		return nil, errShortFrame
+	}
+	n := 2 + int(binary.BigEndian.Uint16(b))
+	p := echoPayload{Text: string(b[2:n])}
+	if b = b[n:]; len(b)%8 != 0 {
+		return nil, errTrailingData
+	}
+	for ; len(b) > 0; b = b[8:] {
+		p.Vals = append(p.Vals, math.Float64frombits(binary.BigEndian.Uint64(b)))
+	}
+	return p, nil
 }
 
 type blockPayload struct {
@@ -65,7 +94,7 @@ func readOne(ep *transport.Endpoint, owner cluster.CoreID, key transport.BufKey,
 }
 
 func init() {
-	transport.RegisterWireType(echoPayload{})
+	transport.RegisterMessage(tagEcho, echoPayload{}, decodeEcho)
 }
 
 func testConfig() Config {
@@ -104,8 +133,11 @@ func sampleFrames() []*frame {
 		{Op: opSend, Src: 0, Dst: 5, Tag: 42, MeterClass: uint8(cluster.InterApp), DstApp: 2,
 			Phase: "couple:1", Payload: []byte("hello")},
 		{Op: opRecv, Src: -1, Dst: 3, Tag: 7},
-		{Op: opCall, Kind: payloadGob, Src: 1, Dst: 0, Name: "cods.dht", Bytes: 64, Bytes2: 128,
-			MeterClass: uint8(cluster.Control), Payload: []byte{1, 2, 3}, Span: 7},
+		// An RPC carries its request as a tagged message (wire v9); the
+		// response answers in the same kind.
+		{Op: opCall, Kind: payloadMsg, Src: 1, Dst: 0, Name: "echo", Bytes: 64, Bytes2: 128,
+			MeterClass: uint8(cluster.Control), Payload: echoPayload{Text: "ping", Vals: []float64{9}}.AppendWire(nil), Span: 7},
+		{Op: opResp, Status: statusOK, Kind: payloadMsg, Payload: echoPayload{Text: "ping!"}.AppendWire(nil)},
 		{Op: opSpans},
 		{Op: opResp, Status: statusOK, Payload: []byte(`{"ev":"b","id":1,"name":"remote:readmulti:1"}` + "\n")},
 		{Op: opResp, Status: statusErr, Err: "transport: endpoint closed"},
@@ -263,10 +295,11 @@ func TestWireStrictDecode(t *testing.T) {
 	}
 }
 
-// TestExposeAcceptsOnlyRawBlocks pins the replace-not-fork rule of wire
-// v8: an opExpose whose payload-kind field says anything but "raw block"
-// — a gob-encoded block from a v7-minded sender, or the same bytes sent as
-// opaque — is refused before any codec runs, and nothing gets exposed.
+// TestExposeAcceptsOnlyRawBlocks pins the replace-not-fork rule of the
+// block codec: an opExpose whose payload-kind field says anything but "raw
+// block" — a gob-encoded block from a v7-minded sender, or the same bytes
+// sent as opaque or as a message — is refused before any codec runs, and
+// nothing gets exposed.
 func TestExposeAcceptsOnlyRawBlocks(t *testing.T) {
 	_, b := newLoopbackFabric(t, 1, 1)
 	region := geometry.NewBBox(geometry.Point{0}, geometry.Point{8})
@@ -275,7 +308,7 @@ func TestExposeAcceptsOnlyRawBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := transport.BufKey{Name: "u|[0,8)", Version: 2}
-	for kind, payload := range map[uint8][]byte{payloadGob: gobbed.Bytes(), payloadRaw: sampleBlockPayload()} {
+	for kind, payload := range map[uint8][]byte{payloadGob: gobbed.Bytes(), payloadRaw: sampleBlockPayload(), payloadMsg: sampleBlockPayload()} {
 		resp := b.execute(&frame{Op: opExpose, Kind: kind, Name: key.Name, Version: int64(key.Version), Payload: payload})
 		if resp.Status != statusErr || !strings.Contains(resp.Err, "payload kind") {
 			t.Fatalf("expose with payload kind %d answered status %d, err %q; want a payload-kind rejection",
@@ -293,6 +326,47 @@ func TestExposeAcceptsOnlyRawBlocks(t *testing.T) {
 	if err := b.Expose(0, transport.BufKey{Name: "opaque"}, &blockPayload{Vals: []float64{1}}); err == nil ||
 		!strings.Contains(err.Error(), "BlockPayload") {
 		t.Fatalf("exposing a non-block payload over the wire: err = %v, want a BlockPayload rejection", err)
+	}
+}
+
+// TestCallAcceptsOnlyMessages is the same rule for RPCs (wire v9): an
+// opCall whose payload-kind field says anything but "tagged message" — the
+// gob encoding a v8 sender would ship, or a well-formed message mislabelled
+// as opaque bytes or as a block — is refused before a decoder or the
+// handler runs; the same bytes under the right kind reach the handler, and
+// a payload whose tag nobody registered is an ordinary error.
+func TestCallAcceptsOnlyMessages(t *testing.T) {
+	f, b := newLoopbackFabric(t, 1, 1)
+	calls := 0
+	f.Endpoint(0).RegisterHandler("echo", func(_ cluster.CoreID, req any) (any, error) {
+		calls++
+		return req, nil
+	})
+	req := echoPayload{Text: "ping", Vals: []float64{9}}
+	var gobbed bytes.Buffer
+	var asAny any = req
+	gob.Register(req)
+	if err := gob.NewEncoder(&gobbed).Encode(&asAny); err != nil {
+		t.Fatal(err)
+	}
+	wire := req.AppendWire(nil)
+	for kind, payload := range map[uint8][]byte{payloadGob: gobbed.Bytes(), payloadRaw: wire, payloadBlock: wire} {
+		resp := b.execute(&frame{Op: opCall, Kind: kind, Name: "echo", Payload: payload})
+		if resp.Status != statusErr || !strings.Contains(resp.Err, "payload kind") {
+			t.Fatalf("call with payload kind %d answered status %d, err %q; want a payload-kind rejection",
+				kind, resp.Status, resp.Err)
+		}
+	}
+	if calls != 0 {
+		t.Fatalf("a refused call reached the handler %d times", calls)
+	}
+	resp := b.execute(&frame{Op: opCall, Kind: payloadMsg, Name: "echo", Payload: wire})
+	if resp.Status != statusOK || resp.Kind != payloadMsg || !bytes.Equal(resp.Payload, wire) || calls != 1 {
+		t.Fatalf("message call answered status %d kind %d err %q after %d handler calls", resp.Status, resp.Kind, resp.Err, calls)
+	}
+	resp = b.execute(&frame{Op: opCall, Kind: payloadMsg, Name: "echo", Payload: []byte{0xEF, 1, 2}})
+	if resp.Status != statusErr || !strings.Contains(resp.Err, "unknown message tag 239") || calls != 1 {
+		t.Fatalf("unregistered tag answered status %d, err %q", resp.Status, resp.Err)
 	}
 }
 

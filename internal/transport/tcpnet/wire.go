@@ -60,16 +60,18 @@ const (
 // cannot decode. DESIGN §5f lists what each version changed.
 const (
 	helloMagic  uint64 = 0x434F44534E455400 // "CODSNET\0"
-	wireVersion uint8  = 8
+	wireVersion uint8  = 9
 )
 
 // Payload kinds: what the bytes in a frame's Payload section are. The kind
 // travels in its own header field, so a handler never guesses a codec from
-// the op — an opExpose carrying anything but a raw block is refused.
+// the op — an opExpose of anything but a block, an opCall of anything but a
+// message is refused.
 const (
 	payloadRaw   uint8 = iota // opaque bytes or none: messages, spec lists, span lines
-	payloadGob                // encoding/gob: RPC requests and responses, the peer table, node stats
+	payloadGob                // gob: the peer table and node stats, once per run
 	payloadBlock              // transport.BlockPayload wire form: an exposed block
+	payloadMsg                // transport.WireMessage tagged binary form: RPC requests and responses
 	payloadKindMax
 )
 
@@ -81,7 +83,8 @@ const maxFrameDefault = 64 << 20
 // followed by a fixed header, three length-prefixed strings and the
 // length-prefixed payload. Field use per op:
 //
-//	Kind         what Payload holds (payloadRaw, payloadGob, payloadBlock)
+//	Kind         what Payload holds (payloadRaw, payloadGob, payloadBlock,
+//	             payloadMsg)
 //	Src/Dst      initiating and target core (Dst also the owner for
 //	             buffer ops, the node for hello/join/lease); Src is -1
 //	             for AnySource receives
@@ -99,8 +102,9 @@ const maxFrameDefault = 64 << 20
 //	Name         BufKey name, RPC service name, or peer address (join)
 //	Phase        Meter.Phase
 //	Err          error text (opResp with statusErr/statusClosed)
-//	Payload      message bytes or a spec list (raw), an RPC payload, peer
-//	             table or stats (gob), an exposed block (block)
+//	Payload      message bytes or a spec list (raw), the peer table or
+//	             stats (gob), an exposed block (block), an RPC request or
+//	             response (msg)
 //
 // A decoded frame's Payload aliases the body it was decoded from; staged is
 // set by readFrame when that body is a pooled staging buffer, which the
@@ -453,8 +457,7 @@ func readFrame(r io.Reader, max int) (*frame, error) {
 //	  u16+bytes  buffer name
 //	  i64        version
 //	  i64        metered bytes
-//	  u8         dim
-//	  per dim:   i64 min, i64 max   (the requested sub-box)
+//	  box        the requested sub-box (geometry.AppendBox)
 //
 // The response is an opResp header frame whose Bytes field is the segment
 // count, followed by count raw segments outside frame framing:
@@ -474,19 +477,16 @@ func appendReadSpecs(dst []byte, specs []transport.ReadSpec) ([]byte, error) {
 		if len(spec.Key.Name) > 0xFFFF {
 			return nil, fmt.Errorf("tcpnet: buffer name of %d bytes exceeds wire limit", len(spec.Key.Name))
 		}
-		if spec.Sub.Dim() > 0xFF {
-			return nil, fmt.Errorf("tcpnet: sub-box rank %d exceeds wire limit", spec.Sub.Dim())
+		// A box overlaps itself unless one of its dimensions is empty.
+		if dim := spec.Sub.Dim(); dim == 0 || dim > 0xFF || !spec.Sub.Overlaps(spec.Sub) {
+			return nil, fmt.Errorf("tcpnet: sub-box of rank %d is empty or outside the wire range 1..255", dim)
 		}
 		dst = binary.BigEndian.AppendUint32(dst, uint32(spec.Owner))
 		dst = binary.BigEndian.AppendUint16(dst, uint16(len(spec.Key.Name)))
 		dst = append(dst, spec.Key.Name...)
 		dst = binary.BigEndian.AppendUint64(dst, uint64(spec.Key.Version))
 		dst = binary.BigEndian.AppendUint64(dst, uint64(spec.Bytes))
-		dst = append(dst, uint8(spec.Sub.Dim()))
-		for d := 0; d < spec.Sub.Dim(); d++ {
-			dst = binary.BigEndian.AppendUint64(dst, uint64(spec.Sub.Min[d]))
-			dst = binary.BigEndian.AppendUint64(dst, uint64(spec.Sub.Max[d]))
-		}
+		dst = geometry.AppendBox(dst, spec.Sub)
 	}
 	return dst, nil
 }
@@ -500,9 +500,9 @@ func decodeReadSpecs(body []byte) ([]transport.ReadSpec, error) {
 	count := int(binary.BigEndian.Uint32(body))
 	rest := body[4:]
 	// Every spec occupies at least its fixed fields (owner, name length,
-	// version, bytes, dim), so a count the body cannot possibly hold is a
-	// short frame — rejected before it sizes an allocation.
-	const minSpecLen = 4 + 2 + 8 + 8 + 1
+	// version, bytes) and a rank-1 box, so a count the body cannot possibly
+	// hold is a short frame — rejected before it sizes an allocation.
+	const minSpecLen = 4 + 2 + 8 + 8 + 1 + 16
 	if count > len(rest)/minSpecLen {
 		return nil, errShortFrame
 	}
@@ -515,23 +515,16 @@ func decodeReadSpecs(body []byte) ([]transport.ReadSpec, error) {
 		spec.Owner = cluster.CoreID(int32(binary.BigEndian.Uint32(rest)))
 		n := int(binary.BigEndian.Uint16(rest[4:]))
 		rest = rest[6:]
-		if len(rest) < n+8+8+1 {
+		if len(rest) < n+8+8 {
 			return nil, errShortFrame
 		}
 		spec.Key.Name = string(rest[:n])
 		rest = rest[n:]
 		spec.Key.Version = int(int64(binary.BigEndian.Uint64(rest)))
 		spec.Bytes = int64(binary.BigEndian.Uint64(rest[8:]))
-		dim := int(rest[16])
-		rest = rest[17:]
-		if len(rest) < dim*16 {
-			return nil, errShortFrame
-		}
-		spec.Sub = geometry.BBox{Min: make([]int, dim), Max: make([]int, dim)}
-		for d := 0; d < dim; d++ {
-			spec.Sub.Min[d] = int(int64(binary.BigEndian.Uint64(rest)))
-			spec.Sub.Max[d] = int(int64(binary.BigEndian.Uint64(rest[8:])))
-			rest = rest[16:]
+		var err error
+		if spec.Sub, rest, err = geometry.ReadBox(rest[16:]); err != nil {
+			return nil, fmt.Errorf("tcpnet: read spec %d: %w", i, err)
 		}
 		specs = append(specs, spec)
 	}
@@ -541,20 +534,11 @@ func decodeReadSpecs(body []byte) ([]transport.ReadSpec, error) {
 	return specs, nil
 }
 
-// writeSegment writes one raw segment (header plus body) of the
-// scatter-gather response stream: a small body inlined behind the header,
-// a large one vectored behind it uncopied.
-func writeSegment(w io.Writer, status uint8, index int, body []byte) error {
-	bp := getBuf()
-	defer putBuf(bp)
-	head := append((*bp)[:0], status)
-	head = binary.BigEndian.AppendUint32(head, uint32(index))
-	head = binary.BigEndian.AppendUint32(head, uint32(len(body)))
-	if len(body) <= maxInlineBody {
-		head, body = append(head, body...), nil
-	}
-	*bp = head[:0]
-	return writeVectored(w, head, body)
+// appendSegmentHeader appends the header of one raw response segment to dst.
+func appendSegmentHeader(dst []byte, status uint8, index, length int) []byte {
+	dst = append(dst, status)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(index))
+	return binary.BigEndian.AppendUint32(dst, uint32(length))
 }
 
 // readSegmentHeader reads one segment header, bounding the body length.

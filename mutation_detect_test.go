@@ -151,13 +151,17 @@ func mutationScenario(name string) genwf.Scenario {
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
 			SpanCache: sfc.DefaultSpanCacheCapacity,
 		}
-	case mutate.TCPSGDrop, mutate.TCPSGReorder:
+	case mutate.TCPSGDrop, mutate.TCPSGReorder, mutate.TCPMsgEntryDrop:
 		// Four producer blocks over a 2x2 machine, consumer on core 0:
 		// the blocks on node 1 become one scatter-gather batch of two
 		// segments with different cell data. The drop defect announces and
 		// streams one segment short (the client's count check fails the
 		// pull); the reorder defect swaps the two payloads under intact
-		// indices, which only the cross-backend byte-identity catches.
+		// indices, which only the cross-backend byte-identity catches. The
+		// same two blocks are the two entries node 1's DHT core answers the
+		// consumer's query with — the one lookup that crosses the wire — so
+		// a response decoder that forgets its last entry leaves the get a
+		// quarter of the domain short of coverage.
 		return genwf.Scenario{
 			Seed: 0x12, Nodes: 2, CoresPerNode: 2, Domain: []int{32},
 			Sequential: true,
@@ -457,7 +461,7 @@ func TestMutationDetection(t *testing.T) {
 			// the cross-backend dimension of the sweep must catch.
 			runScenario := conformance.RunOpts
 			switch name {
-			case mutate.TCPTruncFrame, mutate.TCPMeterClass, mutate.TCPSGDrop, mutate.TCPSGReorder:
+			case mutate.TCPTruncFrame, mutate.TCPMeterClass, mutate.TCPSGDrop, mutate.TCPSGReorder, mutate.TCPMsgEntryDrop:
 				runScenario = conformance.RunCrossOpts
 			}
 
