@@ -1,9 +1,12 @@
 // Command codsnode serves one simulated node of a coupled-workflow machine
 // over TCP. A driver (codsrun -backend=tcp) launches one codsnode per
-// node; each child builds the full runtime for the shared machine shape —
-// transport fabric, CoDS space, lookup and lock services — but owns only
-// its own node's endpoint state, which it serves to the driver and to the
-// other children through the tcpnet wire protocol.
+// node; each child builds HybridDART and CoDS for the shared machine shape
+// — the transport fabric and the CoDS space, whose lookup (DHT) cores
+// register their handlers on it — and nothing of the layers above them: it
+// maps no task and runs none. It owns only its own node's endpoint state
+// (exposed buffers, DHT records, mailboxes), which it serves to the driver
+// through the tcpnet wire protocol. A codsnode answers operations; it never
+// initiates one, learns no peer's address and dials nobody.
 //
 // The child prints one line to stdout once it accepts operations:
 //
@@ -13,21 +16,24 @@
 //
 //	CODSNODE OBS <address>
 //
-// The driver scrapes those lines, distributes the full address table to
-// every child, runs the workflow, collects each child's transfer
-// accounting (and, with -spans, its captured handler spans), and asks the
-// children to exit.
+// The driver scrapes those lines, runs the workflow, collects each child's
+// transfer accounting (and, with -spans, its captured handler spans), and
+// asks the children to exit.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 	"time"
 
-	cods "github.com/insitu/cods"
 	"github.com/insitu/cods/internal/cluster"
+	"github.com/insitu/cods/internal/cods"
+	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/obs"
+	"github.com/insitu/cods/internal/transport"
 	"github.com/insitu/cods/internal/transport/tcpnet"
 )
 
@@ -38,7 +44,6 @@ func main() {
 		cores      = flag.Int("cores", 0, "cores per node (required)")
 		domainSpec = flag.String("domain", "", "coupled domain size, e.g. 32x32x32 (required)")
 		listen     = flag.String("listen", "127.0.0.1:0", "TCP listen address")
-		seed       = flag.Int64("seed", 1, "mapping seed; must match the driver")
 		curve      = flag.String("curve", "", "lookup linearization policy: hilbert (default), morton or rowmajor; "+
 			"must match the driver")
 		obsOn = flag.Bool("obs", false, "enable the metrics registry from process start "+
@@ -56,7 +61,7 @@ func main() {
 	flag.Parse()
 	if err := run(nodeOptions{
 		node: *node, nodes: *nodes, cores: *cores,
-		domainSpec: *domainSpec, listen: *listen, seed: *seed, curve: *curve,
+		domainSpec: *domainSpec, listen: *listen, curve: *curve,
 		obs: *obsOn, spans: *spans, obsHTTP: *obsHTTP, pprof: *pprof,
 		readPatience: *readPatience, incarnation: *incarnation,
 	}); err != nil {
@@ -68,7 +73,6 @@ func main() {
 type nodeOptions struct {
 	node, nodes, cores int
 	domainSpec, listen string
-	seed               int64
 	curve              string
 	obs                bool
 	spans              bool
@@ -90,14 +94,20 @@ func run(o nodeOptions) error {
 	// path counts from the first byte and the driver's per-node
 	// reconciliation closes with zero delta.
 	if o.obs || o.obsHTTP != "" {
-		cods.EnableObservability(true)
-		defer cods.EnableObservability(false)
+		obs.Enable(true)
+		defer obs.Enable(false)
 	}
-	fw, err := cods.New(cods.Config{Nodes: o.nodes, CoresPerNode: o.cores, Domain: domain, Seed: o.seed, Curve: o.curve})
+	m, err := cluster.NewMachine(o.nodes, o.cores)
 	if err != nil {
 		return err
 	}
-	fabric := fw.TransportFabric()
+	fabric := transport.NewFabric(m)
+	// The space is never used directly: building it registers its lookup
+	// cores' DHT handlers on the fabric (and linking it, the block decoder
+	// an opExpose needs).
+	if _, err := cods.NewSpaceWithCurve(fabric, geometry.BoxFromSize(domain), o.curve); err != nil {
+		return err
+	}
 	be, err := tcpnet.Serve(fabric, cluster.NodeID(o.node), o.listen,
 		tcpnet.Config{Incarnation: o.incarnation, ReadPatience: o.readPatience})
 	if err != nil {
@@ -109,7 +119,7 @@ func run(o nodeOptions) error {
 	}
 	if o.obsHTTP != "" {
 		h := obs.NewHandler(obs.Default, obs.HandlerOpts{
-			Flows: func() []cluster.Flow { return fw.MachineInfo().Metrics().Flows("") },
+			Flows: func() []cluster.Flow { return m.Metrics().Flows("") },
 			Pprof: o.pprof,
 		})
 		srv, err := obs.Serve(o.obsHTTP, h)
@@ -119,36 +129,24 @@ func run(o nodeOptions) error {
 		defer srv.Close()
 		fmt.Printf("CODSNODE OBS %s\n", srv.Addr())
 	}
-	// Handlers on this node (lookup inserts forwarding results, lock
-	// grants) may themselves target other nodes, so the child routes
-	// through the backend too. Installed before the address is announced:
-	// no operation can arrive while the fabric still routes everything
-	// locally.
-	fabric.SetBackend(be)
+	// The fabric gets no backend: every handler here touches this node's own
+	// state, so nothing this process runs ever crosses the wire outward.
 	fmt.Printf("CODSNODE LISTEN %s\n", be.Addr(cluster.NodeID(o.node)))
 	<-be.Done()
 	return nil
 }
 
+// parseDomain reads the extents of an AxBxC size. Every field must be a
+// positive integer that fits an int: an empty field, a stray character, an
+// overflowing literal, zero or a negative extent is refused here.
 func parseDomain(spec string) ([]int, error) {
 	var out []int
-	cur := 0
-	seen := false
-	for i := 0; i <= len(spec); i++ {
-		if i == len(spec) || spec[i] == 'x' {
-			if !seen {
-				return nil, fmt.Errorf("bad -domain %q", spec)
-			}
-			out = append(out, cur)
-			cur, seen = 0, false
-			continue
-		}
-		c := spec[i]
-		if c < '0' || c > '9' {
+	for _, field := range strings.Split(spec, "x") {
+		n, err := strconv.Atoi(field)
+		if err != nil || n < 1 {
 			return nil, fmt.Errorf("bad -domain %q", spec)
 		}
-		cur = cur*10 + int(c-'0')
-		seen = true
+		out = append(out, n)
 	}
 	return out, nil
 }

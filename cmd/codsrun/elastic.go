@@ -4,9 +4,10 @@ package main
 // codsnode registers in a lease registry, a monitor renews the leases by
 // probing the children over the wire, and a reconcile loop sweeps for
 // expired leases — a crash — then converges: reap the corpse, spawn a
-// replacement at a higher incarnation, push the join to every peer, and
-// re-stage the crashed node's staged blocks from the driver's put ledger
-// while in-flight pulls retry against the re-validated routing.
+// replacement at a higher incarnation, install its route on the driver's
+// backend (the only process that dials), and re-stage the crashed node's
+// staged blocks from the driver's put ledger while in-flight pulls retry
+// against the re-validated routing.
 
 import (
 	"encoding/json"
@@ -17,6 +18,7 @@ import (
 
 	cods "github.com/insitu/cods"
 	"github.com/insitu/cods/internal/cluster"
+	icods "github.com/insitu/cods/internal/cods"
 	"github.com/insitu/cods/internal/dht"
 	"github.com/insitu/cods/internal/membership"
 )
@@ -131,11 +133,11 @@ func (el *elastic) loop(interval time.Duration) {
 }
 
 // converge replaces each expired node's process — reap, spawn at the next
-// incarnation, announce to every peer, re-join — then runs the reconciler
-// so the crashed processes' staged blocks are re-staged and every lookup
-// record and cached schedule reflects the new processes. The replacement
-// takes the dead node's slot, so the interval assignment is unchanged and
-// the reconciler's re-split step is skipped.
+// incarnation, route the driver's backend to it, re-join — then runs the
+// reconciler so the crashed processes' staged blocks are re-staged and
+// every lookup record and cached schedule reflects the new processes. The
+// replacement takes the dead node's slot, so the interval assignment is
+// unchanged and the reconciler's re-split step is skipped.
 func (el *elastic) converge(expired []cluster.NodeID) {
 	el.converging.Store(true)
 	defer el.converging.Store(false)
@@ -150,25 +152,15 @@ func (el *elastic) converge(expired []cluster.NodeID) {
 			el.fail(fmt.Errorf("membership: replacing node %d: %w", node, err))
 			return
 		}
-		if err := el.tc.be.PushJoin(node, addr, inc); err != nil {
-			el.fail(fmt.Errorf("membership: announcing node %d replacement: %w", node, err))
-			return
-		}
+		el.tc.be.UpdatePeer(node, addr, inc)
 		if err := el.reg.Join(node, addr, inc); err != nil {
 			el.fail(err)
 			return
 		}
 	}
-	if err := el.tc.be.PushPeers(); err != nil {
-		el.fail(fmt.Errorf("membership: distributing peer addresses: %w", err))
-		return
-	}
 	space := el.fw.SharedSpace()
 	rc := membership.NewReconciler(el.reg, el.ledger, el.fw.MachineInfo(), membership.Actions{
-		Restage: func(b membership.Block) error {
-			return space.HandleAt(b.Owner, el.appOf(b.Var), "elastic").
-				PutSequential(b.Var, b.Version, b.Region, b.Data)
-		},
+		Restage: func(b membership.Block) error { return restage(space, el.appOf(b.Var), b) },
 		Reinsert: func(b membership.Block) error {
 			return space.Lookup().ClientAt(b.Owner).Insert("elastic", el.appOf(b.Var), dht.Entry{
 				Var: b.Var, Version: b.Version, Region: b.Region, Owner: b.Owner,
@@ -189,6 +181,18 @@ func (el *elastic) converge(expired []cluster.NodeID) {
 	}
 	fmt.Printf("membership: reconciled %d node(s): re-staged %d blocks (%d B), re-registered %d records\n",
 		len(res.Affected), res.RestagedCount, res.MigratedBytes, res.Reinserted)
+}
+
+// restage stages b again at its owner whatever is there already: the
+// producer's own retry may have re-staged the block first, so any exposure
+// of (var, version, region) is withdrawn before the put — an absent buffer
+// is not an error — as stageStreamVersion does on its retries.
+func restage(space *icods.Space, app int, b membership.Block) error {
+	h := space.HandleAt(b.Owner, app, "elastic")
+	if err := h.Discard(b.Var, b.Version, b.Region); err != nil {
+		return err
+	}
+	return h.PutSequential(b.Var, b.Version, b.Region, b.Data)
 }
 
 // appOf maps a staged variable to the application whose namespace it

@@ -561,7 +561,8 @@ func run(o options) error {
 // point. With -backend=tcp the report additionally carries one section
 // per codsnode process, each reconciling that child's shipped registry
 // snapshot against the fabric stats and wire counters shipped in the
-// same stats reply, plus a driver-side check of the wire-mirror counters
+// same stats reply — and its dialed-connection bytes against 0, since a
+// codsnode never dials — plus a driver-side check of the wire-mirror counters
 // against the backend's own byte accounting. With -elastic the report also
 // reconciles the membership counters — joins, expirations, migrated bytes
 // and blocks, re-registered records — against the reconciler's summed
@@ -625,8 +626,12 @@ func writeReport(fw *cods.Framework, d *cods.DAG, o options, rep *cods.Report, t
 			n.AddCheck("transport.shm.ops", c["transport.shm.ops"], acct.ShmOps)
 			n.AddCheck("transport.network.bytes", c["transport.network.bytes"], acct.NetBytes)
 			n.AddCheck("transport.network.ops", c["transport.network.ops"], acct.NetOps)
-			n.AddCheck("tcpnet.bytes_out", c["tcpnet.bytes_out"], acct.Wire.BytesOut)
-			n.AddCheck("tcpnet.bytes_in", c["tcpnet.bytes_in"], acct.Wire.BytesIn)
+			// These two count dialed connections only, and a serving process
+			// never dials: reconciled against the literal 0, not the node's
+			// own Wire copy, so a node that ever initiates an operation fails
+			// the report.
+			n.AddCheck("tcpnet.bytes_out", c["tcpnet.bytes_out"], 0)
+			n.AddCheck("tcpnet.bytes_in", c["tcpnet.bytes_in"], 0)
 			n.AddCheck("tcpnet.segments.served", c["tcpnet.segments.served"], acct.Wire.SegmentsServed)
 			n.AddCheck("tcpnet.segments.bytes_served", c["tcpnet.segments.bytes_served"], acct.Wire.SegmentBytesServed)
 		}
@@ -685,10 +690,10 @@ type tcpCluster struct {
 }
 
 // startTCPBackend launches one codsnode child per node, collects their
-// listen addresses, distributes the address table so children can reach
-// each other, and installs the connected TCP backend on the framework's
-// fabric. With -elastic every child starts at incarnation 1, so a
-// replacement can supersede it with a strictly higher one.
+// listen addresses and installs the connected TCP backend on the
+// framework's fabric; the children learn nothing of each other. With
+// -elastic every child starts at incarnation 1, so a replacement can
+// supersede it with a strictly higher one.
 func startTCPBackend(fw *cods.Framework, o options, domain []int) (*tcpCluster, error) {
 	bin, err := findCodsnode(o)
 	if err != nil {
@@ -750,10 +755,6 @@ func startTCPBackend(fw *cods.Framework, o options, domain []int) (*tcpCluster, 
 	be, err := tcpnet.Connect(fw.TransportFabric(), peers, tcpnet.Config{})
 	if err != nil {
 		return fail(err)
-	}
-	if err := be.PushPeers(); err != nil {
-		be.Close()
-		return fail(fmt.Errorf("distributing peer addresses: %w", err))
 	}
 	tc.be = be
 	fw.TransportFabric().SetBackend(be)

@@ -3,9 +3,15 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"github.com/insitu/cods/internal/cluster"
+	icods "github.com/insitu/cods/internal/cods"
+	"github.com/insitu/cods/internal/geometry"
+	"github.com/insitu/cods/internal/membership"
 	"github.com/insitu/cods/internal/obs"
+	"github.com/insitu/cods/internal/transport"
 )
 
 func writeDAG(t *testing.T, content string) string {
@@ -133,5 +139,56 @@ func TestRunErrors(t *testing.T) {
 		if c.err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
+	}
+}
+
+// TestRestageIsIdempotent: the reconciler re-stages a block that may be
+// exposed already — the producer's own retry can win the race — so restage
+// must succeed over an existing exposure and leave exactly one block: one
+// reservation of staging memory, one location record, the same cells.
+func TestRestageIsIdempotent(t *testing.T) {
+	m, err := cluster.NewMachine(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space, err := icods.NewSpace(transport.NewFabric(m), geometry.BoxFromSize([]int{8, 8}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const app, owner = 1, cluster.CoreID(3)
+	region := geometry.NewBBox(geometry.Point{0, 4}, geometry.Point{4, 8})
+	data := make([]float64, region.Volume())
+	for i := range data {
+		data[i] = float64(i) + 0.5
+	}
+	b := membership.Block{Var: "data.1", Version: 2, Region: region, Owner: owner, Data: data}
+	if err := space.HandleAt(owner, app, "stage").PutSequential(b.Var, b.Version, b.Region, b.Data); err != nil {
+		t.Fatal(err)
+	}
+	records := space.Lookup().TableSize(0) + space.Lookup().TableSize(1)
+	for i := 1; i <= 2; i++ {
+		if err := restage(space, app, b); err != nil {
+			t.Fatalf("restage %d over an exposed block: %v", i, err)
+		}
+	}
+	got, err := space.HandleAt(0, app, "get").GetSequential(b.Var, b.Version, region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, data) {
+		t.Fatalf("restaged block reads back %v, want %v", got, data)
+	}
+	if used := space.MemoryUsed(owner); used != b.Bytes() {
+		t.Fatalf("owner holds %d staging bytes, want one block's %d", used, b.Bytes())
+	}
+	entries, err := space.Lookup().ClientAt(0).Query("get", app, b.Var, b.Version, region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Owner != owner {
+		t.Fatalf("lookup answers %+v, want the one record at core %d", entries, owner)
+	}
+	if now := space.Lookup().TableSize(0) + space.Lookup().TableSize(1); now != records {
+		t.Fatalf("%d location records after two restages, %d after the put", now, records)
 	}
 }

@@ -24,7 +24,10 @@
 // staging through the distributed in-memory store. All transfers run on
 // HybridDART, which picks shared memory or the (simulated) network fabric
 // per transfer and meters every byte; a flow-level 3-D torus network
-// simulator turns the recorded transfers into transfer times.
+// simulator turns the recorded transfers into transfer times. Producers
+// and consumers are ordered by the workflow (DAG edges, bundles), by the
+// version in every buffer key and by the receiver-driven read, which waits
+// until its buffer is exposed: tasks take no locks.
 //
 // # Quick start
 //
@@ -48,7 +51,6 @@ import (
 	icods "github.com/insitu/cods/internal/cods"
 	"github.com/insitu/cods/internal/decomp"
 	"github.com/insitu/cods/internal/geometry"
-	"github.com/insitu/cods/internal/lock"
 	"github.com/insitu/cods/internal/netsim"
 	"github.com/insitu/cods/internal/obs"
 	"github.com/insitu/cods/internal/retry"
@@ -84,10 +86,6 @@ type (
 	// ProducerInfo describes a concurrently coupled producer for
 	// GetConcurrent.
 	ProducerInfo = icods.ProducerInfo
-	// LockClient is a task's handle on the distributed reader/writer lock
-	// service (AppContext.Locks), for lock-on-write / lock-on-read
-	// coordination of shared variables.
-	LockClient = lock.Client
 	// FaultPlan is a compiled set of deterministic fault-injection rules
 	// for the transport fabric (see ParseFaultPlan).
 	FaultPlan = transport.FaultPlan

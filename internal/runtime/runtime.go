@@ -28,7 +28,6 @@ import (
 	"github.com/insitu/cods/internal/decomp"
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/graph"
-	"github.com/insitu/cods/internal/lock"
 	"github.com/insitu/cods/internal/mapping"
 	"github.com/insitu/cods/internal/mpi"
 	"github.com/insitu/cods/internal/obs"
@@ -89,10 +88,6 @@ type AppContext struct {
 	// Producers describes the other applications of the same bundle, for
 	// GetConcurrent against a concurrently coupled producer.
 	Producers map[int]cods.ProducerInfo
-	// Locks is this task's handle on the distributed reader/writer lock
-	// service, for lock-on-write / lock-on-read coordination of shared
-	// variables.
-	Locks *lock.Client
 	// Machine gives access to topology and metrics.
 	Machine *cluster.Machine
 }
@@ -127,9 +122,9 @@ type AppSpec struct {
 // cannot be saved by re-running it, so retries are opt-in).
 type TaskRetryPolicy struct {
 	retry.Policy
-	// Remap rebinds a retried task's data operations (its CoDS handle and
-	// lock client) to a spare idle core, so a task whose own endpoint went
-	// bad can make progress from a healthy one. The task's communicator
+	// Remap rebinds a retried task's data operations (its CoDS handle) to a
+	// spare idle core, so a task whose own endpoint went bad can make
+	// progress from a healthy one. The task's communicator
 	// rank is unchanged.
 	Remap bool
 }
@@ -174,7 +169,6 @@ type Server struct {
 	machine *cluster.Machine
 	fabric  *transport.Fabric
 	space   *cods.Space
-	locks   *lock.Service
 	apps    map[int]AppSpec
 	seed    int64
 
@@ -206,7 +200,6 @@ func NewServerWithCurve(m *cluster.Machine, domain geometry.BBox, seed int64, cu
 		machine: m,
 		fabric:  f,
 		space:   sp,
-		locks:   lock.NewService(f),
 		apps:    make(map[int]AppSpec),
 		seed:    seed,
 		clients: make(map[cluster.CoreID]clientState),
@@ -556,7 +549,6 @@ func (s *Server) launchGroup(appIDs []int, pl *cluster.Placement, parent obs.Spa
 					Space:     h,
 					Decomp:    spec.Decomp,
 					Producers: others,
-					Locks:     s.locks.ClientAt(core),
 					Machine:   s.machine,
 				}
 				return spec.Run(ctx)

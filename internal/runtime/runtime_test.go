@@ -339,89 +339,3 @@ func TestClientRegistration(t *testing.T) {
 		t.Fatalf("ClientCount = %d", s.ClientCount())
 	}
 }
-
-// Tasks can coordinate through the distributed lock service: the producer
-// holds the write lock while updating, consumers read-lock before pulling.
-func TestLockCoordinationAcrossApps(t *testing.T) {
-	size := []int{4, 4}
-	s := newServer(t, 2, 4, size)
-	if err := s.RegisterApp(runtime_TestSpecProducer(t, size)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RegisterApp(runtime_TestSpecConsumer(t, size)); err != nil {
-		t.Fatal(err)
-	}
-	d, err := workflow.New([]int{1, 2}, nil, [][]int{{1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(d, DataCentric); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// The DataSpaces coordination pattern: rank 0 holds the application-wide
-// lock while the whole application's ranks put (or get), synchronized
-// with barriers. Taking the lock per rank would deadlock — a consumer
-// holding the read lock would wait for data a producer rank cannot
-// publish until the readers release.
-func runtime_TestSpecProducer(t *testing.T, size []int) AppSpec {
-	return AppSpec{
-		ID: 1, Decomp: mustDecomp(t, decomp.Blocked, size, []int{2, 1}),
-		Run: func(ctx *AppContext) error {
-			if ctx.Rank == 0 {
-				if err := ctx.Locks.AcquireWrite("field"); err != nil {
-					return err
-				}
-			}
-			if err := ctx.Comm.Barrier(); err != nil {
-				return err
-			}
-			for _, blk := range ctx.Decomp.Region(ctx.Rank) {
-				if err := ctx.Space.PutConcurrent("field", 0, blk, fillRegion(blk)); err != nil {
-					return err
-				}
-			}
-			if err := ctx.Comm.Barrier(); err != nil {
-				return err
-			}
-			if ctx.Rank == 0 {
-				return ctx.Locks.Release("field")
-			}
-			return nil
-		},
-	}
-}
-
-func runtime_TestSpecConsumer(t *testing.T, size []int) AppSpec {
-	return AppSpec{
-		ID: 2, Decomp: mustDecomp(t, decomp.Blocked, size, []int{1, 2}),
-		Run: func(ctx *AppContext) error {
-			if ctx.Rank == 0 {
-				if err := ctx.Locks.AcquireRead("field"); err != nil {
-					return err
-				}
-			}
-			if err := ctx.Comm.Barrier(); err != nil {
-				return err
-			}
-			info := ctx.Producers[1]
-			for _, region := range ctx.Decomp.Region(ctx.Rank) {
-				got, err := ctx.Space.GetConcurrent(info, "field", 0, region)
-				if err != nil {
-					return err
-				}
-				if err := verifyRegion(region, got); err != nil {
-					return err
-				}
-			}
-			if err := ctx.Comm.Barrier(); err != nil {
-				return err
-			}
-			if ctx.Rank == 0 {
-				return ctx.Locks.Release("field")
-			}
-			return nil
-		},
-	}
-}

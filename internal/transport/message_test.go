@@ -6,10 +6,9 @@ import (
 	"strings"
 	"testing"
 
-	// The two packages whose RPCs cross the wire: importing them fills the
+	// The one package whose RPCs cross the wire: importing it fills the
 	// message registry exactly as a codsnode's link does.
 	_ "github.com/insitu/cods/internal/dht"
-	_ "github.com/insitu/cods/internal/lock"
 	"github.com/insitu/cods/internal/transport"
 )
 
@@ -44,18 +43,18 @@ func mustPanic(t *testing.T, what string, fn func()) {
 	fn()
 }
 
-// TestEveryMessageRoundTrips walks the registry: each of the ten control
-// messages (seven DHT, three lock; and the test message above) encodes to its tag plus fields and
-// decodes back to a deep-equal value of the same by-value type Backend.Call
+// TestEveryMessageRoundTrips walks the registry: each of the seven DHT
+// control messages (and the test message above) encodes to its tag plus
+// fields and decodes back to a deep-equal value of the same by-value type Backend.Call
 // hands a handler. Around them, the registry's rules: nil is the empty
 // payload in both directions, a zero, duplicate or mismatched tag panics at
 // registration, a value that is no registered message is an error naming
-// its type on the sending side, an unknown tag an error on the receiving
-// side.
+// its type on the sending side, an unknown tag — the lock service's 8 to 10,
+// retired with wire v10, like any other — an error on the receiving side.
 func TestEveryMessageRoundTrips(t *testing.T) {
 	samples := transport.MessageSamples()
-	if len(samples) != 11 {
-		t.Fatalf("%d messages registered, want the 10 of dht and lock and this file's own", len(samples))
+	if len(samples) != 8 {
+		t.Fatalf("%d messages registered, want the 7 of dht and this file's own", len(samples))
 	}
 	for _, m := range samples {
 		wire, err := transport.EncodePayload(m)
@@ -100,6 +99,10 @@ func TestEveryMessageRoundTrips(t *testing.T) {
 	if _, err := transport.DecodePayload([]byte{0xF1, 1, 2}); err == nil || !strings.Contains(err.Error(), "unknown message tag 241") {
 		t.Errorf("decoding an unregistered tag: err = %v", err)
 	}
+	// A v9 lock acquire (write, name "u"): well formed then, refused now.
+	if _, err := transport.DecodePayload([]byte{8, 1, 0, 0, 0, 1, 'u'}); err == nil || !strings.Contains(err.Error(), "unknown message tag 8") {
+		t.Errorf("decoding retired tag 8: err = %v", err)
+	}
 }
 
 // TestMessageStrictDecode holds every registered decoder to the frame
@@ -131,18 +134,34 @@ func TestMessageStrictDecode(t *testing.T) {
 // panic a decoder, and whatever decodes is canonical — it re-encodes to
 // exactly the bytes it came from.
 func FuzzMessageCodec(f *testing.F) {
+	const tagQuery = 3
 	for _, m := range transport.MessageSamples() {
 		wire := m.AppendWire(nil)
 		f.Add(wire)
 		f.Add(wire[:len(wire)/2])
 		f.Add(append(wire[:len(wire):len(wire)], 0xFF))
+		if wire[0] == tagQuery {
+			owned := bytes.Clone(wire)
+			owned[1+4+4+1+8+3] = 5 // a query that names an owner: the last byte of its i32
+			f.Add(owned)
+		}
 	}
 	f.Add([]byte{})
+	f.Add([]byte{0})                                                // tag 0, which no message may take
+	f.Add([]byte{tagQuery})                                         // a tag and nothing else
+	f.Add([]byte{4, 0, 0, 0, 0})                                    // an answer of no entries: valid, and canonical
+	f.Add([]byte{6, 0, 0, 0, 0})                                    // likewise a dump of an empty table
+	f.Add([]byte{7, 0, 0, 0, 1})                                    // a clear that claims an entry
 	f.Add([]byte{4, 0xFF, 0xFF, 0xFF, 0xFF})                        // a hostile entry count
 	f.Add([]byte{5, 0, 0, 0, 1})                                    // a dump request that claims an entry
 	f.Add(append([]byte{1, 0, 0, 0, 1}, make([]byte, 33)...))       // an insert whose box has rank 0
 	f.Add(append([]byte{1, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF}, 0)) // a name longer than the message
-	f.Add([]byte{8, 2, 0, 0, 0, 0})                                 // a lock mode past Write
+	f.Add(append([]byte{1, 0, 0, 0, 2}, make([]byte, 66)...))       // an insert of two entries
+	// Tags 8 to 10 are unknown: the v9 forms of the three lock messages
+	// (acquire write "u", release "u", granted) decode to nothing.
+	f.Add([]byte{8, 1, 0, 0, 0, 1, 'u'})
+	f.Add([]byte{9, 0, 0, 0, 0, 1, 'u'})
+	f.Add([]byte{10, 1, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, wire []byte) {
 		v, err := transport.DecodePayload(wire)
 		if err != nil || v == nil {

@@ -159,8 +159,7 @@ func BenchmarkGetMiss(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer be.Close()
-		f.SetBackend(be)
+		defer be.Close() // serves f; f itself gets no backend: a node never dials
 		peers[node] = be.Addr(node)
 	}
 	f, sp := newSpace()
@@ -169,9 +168,6 @@ func BenchmarkGetMiss(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer be.Close()
-	if err := be.PushPeers(); err != nil {
-		b.Fatal(err)
-	}
 	f.SetBackend(be)
 	for n := 0; n < (side/block)*(side/block); n++ {
 		x, y := n/(side/block)*block, n%(side/block)*block

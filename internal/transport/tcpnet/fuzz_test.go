@@ -24,16 +24,13 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(append(append([]byte(nil), valid[4:]...), 0xFF))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, fixedHeaderLen+10))
-	// Membership-op adversarial seeds: a lease renewal truncated mid-tag
-	// (the classic short heartbeat write) and a duplicate join — two
-	// complete join bodies back to back, which the strict decoder must
-	// reject as trailing data rather than silently applying the first.
+	// Membership-op adversarial seed: a lease renewal truncated mid-tag
+	// (the classic short heartbeat write).
 	lease, _ := marshalFrame(&frame{Op: opLease, Dst: 1, Tag: 3})
 	f.Add(lease[4 : fixedHeaderLen/2])
-	join, _ := marshalFrame(&frame{Op: opJoin, Dst: 2, Name: "127.0.0.1:9042", Tag: 7})
-	f.Add(append(append([]byte(nil), join[4:]...), join[4:]...))
-	// The v6 op codes of the five ops wire v7 removed: otherwise
-	// well-formed bodies the decoder must now reject as invalid ops.
+	// The op codes earlier wire versions used past today's opMax (the five
+	// ops v7 removed, the two v10 removed): otherwise well-formed bodies the
+	// decoder must reject as invalid ops.
 	for op := opMax; op < v6OpMax; op++ {
 		old := append([]byte(nil), lease[4:]...)
 		old[0] = op

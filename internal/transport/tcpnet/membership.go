@@ -2,7 +2,6 @@ package tcpnet
 
 import (
 	"errors"
-	"slices"
 
 	"github.com/insitu/cods/internal/cluster"
 )
@@ -39,24 +38,6 @@ func (b *Backend) UpdatePeer(node cluster.NodeID, addr string, inc uint64) {
 	for _, c := range stale {
 		c.Close()
 	}
-}
-
-// PushJoin announces a replacement identity for joined to every other
-// remote peer process (and installs it locally first), so handlers on any
-// node reach the new process instead of the dead one.
-func (b *Backend) PushJoin(joined cluster.NodeID, addr string, inc uint64) error {
-	b.UpdatePeer(joined, addr, inc)
-	fr := &frame{Op: opJoin, Dst: int32(joined), Name: addr, Tag: inc}
-	return b.eachPeer(func(_ string, nodes []int) error {
-		if slices.Contains(nodes, int(joined)) {
-			return nil
-		}
-		resp, err := b.roundTrip(cluster.NodeID(nodes[0]), fr, false)
-		if err != nil {
-			return err
-		}
-		return respErr(resp)
-	})
 }
 
 // ProbeLease performs one lease probe/renewal round trip against node,

@@ -73,7 +73,9 @@ func TestRedialAfterCrashRejectsStaleIncarnation(t *testing.T) {
 	// higher incarnation) starts serving the node's route.
 	s1.Close()
 	s2 := serveNode(t, m, 2)
-	client.SetPeers(map[cluster.NodeID]string{1: s2.Addr(1)})
+	client.mu.Lock()
+	client.addrs[1] = s2.Addr(1) // the route only: no incarnation, no pool flush
+	client.mu.Unlock()
 
 	// Concurrent operations race the dead pooled connection and the
 	// redial. The one that drew the dead connection surfaces a plain

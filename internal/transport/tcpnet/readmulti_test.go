@@ -282,15 +282,16 @@ func TestSmallSegmentsShareOneWrite(t *testing.T) {
 
 // TestHandshakeRejectsOldWireVersion proves the old-peer policy of DESIGN
 // §5f: a client speaking any earlier wire version — the first, v4
-// (membership, no streaming), v7 (the last to gob-encode exposed blocks)
-// and v8 (the last to gob-encode RPC payloads), both spelled out so a later
-// bump cannot quietly re-admit them, or the one just before the current —
-// is turned away at the handshake with an error
-// naming both versions; there is no per-op fallback or mixed-version mode
-// that could strand it mid-stream.
+// (membership, no streaming), v7 (the last to gob-encode exposed blocks),
+// v8 (the last to gob-encode RPC payloads) and v9 (the last with a
+// node-to-node plane: a peer-table op and a join op), all spelled out so a
+// later bump cannot quietly re-admit them, or the one just before the
+// current — is turned away at the handshake with an error naming both
+// versions; there is no per-op fallback or mixed-version mode that could
+// strand it mid-stream.
 func TestHandshakeRejectsOldWireVersion(t *testing.T) {
 	_, b := newLoopbackFabric(t, 1, 1)
-	for _, version := range []int64{1, 4, 7, 8, int64(wireVersion) - 1} {
+	for _, version := range []int64{1, 4, 7, 8, 9, int64(wireVersion) - 1} {
 		c, err := net.Dial("tcp", b.Addr(0))
 		if err != nil {
 			t.Fatal(err)

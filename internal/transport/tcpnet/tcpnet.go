@@ -301,8 +301,8 @@ func NewLoopback(f *transport.Fabric, cfg Config) (*Backend, error) {
 }
 
 // Serve owns a single node of the machine, listening on addr — the
-// codsnode child configuration. Peer addresses arrive later through an
-// opPeers frame (SetPeers).
+// codsnode child configuration. It learns no peer address: a serving
+// process answers operations on the cores it owns and never dials.
 func Serve(f *transport.Fabric, node cluster.NodeID, addr string, cfg Config) (*Backend, error) {
 	b := newBackend(f, cfg)
 	if int(node) < 0 || int(node) >= len(b.owned) {
@@ -355,18 +355,6 @@ func (b *Backend) Addr(node cluster.NodeID) string {
 		return ""
 	}
 	return b.addrs[node]
-}
-
-// SetPeers installs the addresses of nodes served elsewhere, so handlers
-// running in this process (a lock grant, a forwarded op) can reach them.
-func (b *Backend) SetPeers(peers map[cluster.NodeID]string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for node, addr := range peers {
-		if int(node) >= 0 && int(node) < len(b.owned) && !b.owned[int(node)] {
-			b.addrs[node] = addr
-		}
-	}
 }
 
 // Done is closed when a peer asks this backend's process to shut down.
@@ -881,28 +869,10 @@ func (b *Backend) MergeRemoteStats() error {
 	return nil
 }
 
-// PushPeers distributes the full node address table to every remote peer,
-// so peers can reach each other (a handler on one node sending to
-// another).
-func (b *Backend) PushPeers() error {
-	b.mu.Lock()
-	table := make(map[cluster.NodeID]string, len(b.addrs))
-	for node, addr := range b.addrs {
-		table[node] = addr
-	}
-	b.mu.Unlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(table); err != nil {
-		return err
-	}
-	return b.eachPeer(func(_ string, nodes []int) error {
-		resp, err := b.roundTrip(cluster.NodeID(nodes[0]), &frame{Op: opPeers, Kind: payloadGob, Payload: buf.Bytes()}, false)
-		if err != nil {
-			return err
-		}
-		return respErr(resp)
-	})
-}
+// PushPeers does nothing: no process but the driver dials, so there is no
+// address table to distribute. bench/nodes.go still calls it; a benchmark
+// PR may drop it.
+func (b *Backend) PushPeers() error { return nil }
 
 // ShutdownPeers asks every remote peer process to exit. Errors do not
 // stop the fan-out — a peer that already exited is not a failure.
@@ -1264,15 +1234,6 @@ func (b *Backend) execute(fr *frame) *frame {
 		if !ok {
 			resp.Status = statusNotFound
 		}
-	case opPeers:
-		if err := checkKind(fr, payloadGob); err != nil {
-			return fail(err)
-		}
-		var table map[cluster.NodeID]string
-		if err := gob.NewDecoder(bytes.NewReader(fr.Payload)).Decode(&table); err != nil {
-			return fail(err)
-		}
-		b.SetPeers(table)
 	case opStats:
 		ns := nodeStats{
 			ShmBytes: b.fabric.MediumBytes(cluster.SharedMemory),
@@ -1290,17 +1251,6 @@ func (b *Backend) execute(fr *frame) *frame {
 		resp.Kind, resp.Payload = payloadGob, buf.Bytes()
 	case opSpans:
 		resp.Payload = b.drainSpans()
-	case opJoin:
-		// Node fr.Dst is now served at address fr.Name with incarnation
-		// fr.Tag: install the route and identity, dropping any pooled
-		// connections to the node's previous process.
-		if int(fr.Dst) < 0 || int(fr.Dst) >= len(b.owned) {
-			return fail(fmt.Errorf("join for node %d out of range", fr.Dst))
-		}
-		if b.owned[int(fr.Dst)] {
-			return fail(fmt.Errorf("join for node %d, which is served here", fr.Dst))
-		}
-		b.UpdatePeer(cluster.NodeID(fr.Dst), fr.Name, fr.Tag)
 	case opLease:
 		// A lease probe/renewal: succeeds only when the prober's notion of
 		// this process's incarnation is current, so a renewal addressed to a

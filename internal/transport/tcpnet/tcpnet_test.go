@@ -122,9 +122,10 @@ func newLoopbackFabric(t testing.TB, nodes, cores int) (*transport.Fabric, *Back
 	return f, b
 }
 
-// v6OpMax is opMax as wire v6 had it: the five ops v7 removed (depart,
-// transfer, publish, cursor, stream-gc) held the codes from today's opMax
-// up to it, and the decoder must now reject them as invalid ops.
+// v6OpMax is opMax as wire v6 had it, the largest it has ever been: the
+// five ops v7 removed (depart, transfer, publish, cursor, stream-gc) and
+// the two v10 removed (peers, join) leave the codes from today's opMax up
+// to it unused, and the decoder must reject them as invalid ops.
 const v6OpMax = 21
 
 func sampleFrames() []*frame {
@@ -147,11 +148,9 @@ func sampleFrames() []*frame {
 		// The scatter-gather response header: Bytes announces the segment
 		// count of the raw stream that follows the frame.
 		{Op: opResp, Status: statusOK, Bytes: 2},
-		// Membership ops (wire v4): a join announcement carrying the new
-		// address and incarnation, a lease renewal asserting the granted
+		// The membership op (wire v4): a lease renewal asserting the granted
 		// incarnation, and the handshake/lease acceptance echoing the
 		// server's incarnation in Tag.
-		{Op: opJoin, Dst: 2, Name: "127.0.0.1:9042", Tag: 7},
 		{Op: opLease, Dst: 1, Tag: 3},
 		{Op: opResp, Status: statusOK, Tag: 12},
 		// Buffer-state and driver control ops. The expose carries its block
@@ -160,8 +159,9 @@ func sampleFrames() []*frame {
 		{Op: opUnexpose, Dst: 1, Name: "u|[0,8)", Version: 2},
 		{Op: opExposed, Dst: 1, Name: "u|[0,8)", Version: 2},
 		{Op: opResp, Status: statusNotFound},
-		{Op: opPeers, Kind: payloadGob, Payload: []byte{0x01, 0x02}},
+		// The one gob payload left: a node's answer to opStats.
 		{Op: opStats},
+		{Op: opResp, Status: statusOK, Kind: payloadGob, Payload: []byte{0x01, 0x02}},
 		{Op: opShutdown},
 	}
 }
@@ -207,6 +207,65 @@ func TestEveryOpHandled(t *testing.T) {
 		if resp.Op != opResp || strings.Contains(resp.Err, "unhandled op") {
 			t.Errorf("op %d answered with op %d, err %q; want a handler's response", op, resp.Op, resp.Err)
 		}
+	}
+}
+
+// TestServingNodeRefusesForeignCore pins "a codsnode serves, it never
+// dials": a Serve backend for node 0, which knows no peer address, answers
+// an opSend, opCall or opReadMulti aimed at a core of node 1 with an error
+// naming the core — it does not forward, dial or hang — and the connection
+// stays in protocol sync for the next request.
+func TestServingNodeRefusesForeignCore(t *testing.T) {
+	m, err := cluster.NewMachine(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Serve(transport.NewFabric(m), 0, "127.0.0.1:0", testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	c, err := net.Dial("tcp", b.Addr(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ask := func(fr *frame) *frame {
+		t.Helper()
+		if err := writeFrame(c, fr); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := readFrame(c, 0)
+		if err != nil {
+			t.Fatalf("op %d: connection lost: %v", fr.Op, err)
+		}
+		return resp
+	}
+	hello := &frame{Op: opHello, Dst: 0, Tag: helloMagic, Version: int64(wireVersion), Bytes: 2, Bytes2: 2}
+	if resp := ask(hello); resp.Status != statusOK {
+		t.Fatalf("handshake refused: %q", resp.Err)
+	}
+	const foreign = 3 // node 1's second core
+	specs, err := appendReadSpecs(nil, []transport.ReadSpec{{Owner: foreign, Key: transport.BufKey{Name: "u"},
+		Sub: geometry.NewBBox(geometry.Point{0}, geometry.Point{1}), Bytes: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fr := range []*frame{
+		{Op: opSend, Src: 0, Dst: foreign, Tag: 1, Payload: []byte("x")},
+		{Op: opCall, Kind: payloadMsg, Src: 0, Dst: foreign, Name: "echo", Payload: echoPayload{Text: "ping"}.AppendWire(nil)},
+		{Op: opReadMulti, Src: 0, Dst: foreign, Payload: specs},
+	} {
+		resp := ask(fr)
+		if want := "core 3 is not served here"; resp.Status != statusErr || resp.Err != want {
+			t.Errorf("op %d at a foreign core: status %d, err %q; want statusErr, %q", fr.Op, resp.Status, resp.Err, want)
+		}
+	}
+	if resp := ask(&frame{Op: opLease, Dst: 0}); resp.Status != statusOK {
+		t.Fatalf("connection unusable after the refusals: status %d, err %q", resp.Status, resp.Err)
+	}
+	if ws := b.WireStats(); ws.BytesOut != 0 || ws.BytesIn != 0 {
+		t.Fatalf("the serving backend dialed: %+v", ws)
 	}
 }
 
@@ -275,8 +334,8 @@ func TestWireStrictDecode(t *testing.T) {
 	if _, err := decodeFrame(bad); err == nil {
 		t.Fatal("decode accepted op 0")
 	}
-	// opMax and everything above it, up to the v6 codes of the five ops
-	// wire v7 removed.
+	// opMax and everything above it, up to the largest code any wire
+	// version has used.
 	for op := opMax; op < v6OpMax; op++ {
 		bad[0] = op
 		if _, err := decodeFrame(bad); err == nil {

@@ -23,7 +23,9 @@ import (
 
 // Wire operations. opResp is the single response op; the request op a
 // response answers is implied by the connection's strict request/response
-// discipline.
+// discipline. Every request is initiated by a process that runs tasks (a
+// driver, or the loopback backend on behalf of its own cores): no op
+// carries a peer address, so a serving process answers and never dials.
 const (
 	opHello uint8 = iota + 1
 	opResp
@@ -33,12 +35,10 @@ const (
 	opExpose
 	opUnexpose
 	opExposed
-	opPeers
 	opStats
 	opShutdown
 	opReadMulti // batched scatter-gather read: one frame out, segment stream back
 	opSpans     // drain the node's buffered remote span events (JSON Lines)
-	opJoin      // membership: node Dst now serves at Name with incarnation Tag
 	opLease     // membership: lease probe/renewal against incarnation Tag
 	opMax       // one past the last valid op
 )
@@ -60,7 +60,7 @@ const (
 // cannot decode. DESIGN §5f lists what each version changed.
 const (
 	helloMagic  uint64 = 0x434F44534E455400 // "CODSNET\0"
-	wireVersion uint8  = 9
+	wireVersion uint8  = 10
 )
 
 // Payload kinds: what the bytes in a frame's Payload section are. The kind
@@ -69,7 +69,7 @@ const (
 // message is refused.
 const (
 	payloadRaw   uint8 = iota // opaque bytes or none: messages, spec lists, span lines
-	payloadGob                // gob: the peer table and node stats, once per run
+	payloadGob                // gob: the opStats reply, once per run
 	payloadBlock              // transport.BlockPayload wire form: an exposed block
 	payloadMsg                // transport.WireMessage tagged binary form: RPC requests and responses
 	payloadKindMax
@@ -86,10 +86,10 @@ const maxFrameDefault = 64 << 20
 //	Kind         what Payload holds (payloadRaw, payloadGob, payloadBlock,
 //	             payloadMsg)
 //	Src/Dst      initiating and target core (Dst also the owner for
-//	             buffer ops, the node for hello/join/lease); Src is -1
+//	             buffer ops, the node for hello/lease); Src is -1
 //	             for AnySource receives
 //	Tag          message tag (send/recv), helloMagic (hello request),
-//	             incarnation (join, lease, hello and lease responses)
+//	             incarnation (lease, hello and lease responses)
 //	Version      BufKey version (expose/...), wire version (hello)
 //	Bytes/Bytes2 metered sizes: req/resp (call), machine shape
 //	             nodes/cores (hello); Bytes is the segment count in a
@@ -99,12 +99,12 @@ const maxFrameDefault = 64 << 20
 //	Span         requesting-side span id (Meter.Span), 0 = no span;
 //	             trace context only, never metered; the incarnation the
 //	             client expects (hello request)
-//	Name         BufKey name, RPC service name, or peer address (join)
+//	Name         BufKey name or RPC service name
 //	Phase        Meter.Phase
 //	Err          error text (opResp with statusErr/statusClosed)
-//	Payload      message bytes or a spec list (raw), the peer table or
-//	             stats (gob), an exposed block (block), an RPC request or
-//	             response (msg)
+//	Payload      message bytes or a spec list (raw), a stats reply (gob),
+//	             an exposed block (block), an RPC request or response
+//	             (msg)
 //
 // A decoded frame's Payload aliases the body it was decoded from; staged is
 // set by readFrame when that body is a pooled staging buffer, which the

@@ -329,8 +329,7 @@ func detectTCPBlockShift(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			defer be.Close()
-			fw.TransportFabric().SetBackend(be)
+			defer be.Close() // serves fw's fabric, which gets no backend: a node never dials
 			peers[cluster.NodeID(node)] = be.Addr(cluster.NodeID(node))
 		}
 		driver, err := cods.New(cfg)
@@ -342,9 +341,6 @@ func detectTCPBlockShift(t *testing.T) {
 			return err
 		}
 		defer be.Close()
-		if err := be.PushPeers(); err != nil {
-			return err
-		}
 		driver.TransportFabric().SetBackend(be)
 		got, err := putGet(driver)
 		if err != nil {
