@@ -3,9 +3,9 @@
 // node; each child builds HybridDART and CoDS for the shared machine shape
 // — the transport fabric and the CoDS space, whose lookup (DHT) cores
 // register their handlers on it — and nothing of the layers above them: it
-// maps no task and runs none. It owns only its own node's endpoint state
-// (exposed buffers, DHT records, mailboxes), which it serves to the driver
-// through the tcpnet wire protocol. A codsnode answers operations; it never
+// maps no task and runs none. It owns only its own node's exposed buffers
+// and DHT records (mailboxes live with the tasks, in the driver), which it
+// serves to the driver through the tcpnet wire protocol. A codsnode answers operations; it never
 // initiates one, learns no peer's address and dials nobody.
 //
 // The child prints one line to stdout once it accepts operations:

@@ -98,7 +98,7 @@ func main() {
 	flag.BoolVar(&o.pprof, "pprof", false, "also serve net/http/pprof handlers on the -obs-http and -node-obs-http listeners")
 	flag.StringVar(&o.faultsPath, "faults", "", "JSON fault plan to inject into the fabric (see ParseFaultPlan)")
 	flag.StringVar(&o.retrySpec, "retry", "", "transfer retry policy: attempt count (e.g. 4) or "+
-		"attempts=4,base=200us,cap=50ms,jitter=0.2,deadline=5s")
+		"attempts=4,base=200us,cap=50ms,multiplier=2,jitter=0.2,deadline=5s")
 	flag.IntVar(&o.taskRetry, "task-retry", 0, "re-run a failed task up to this many attempts (0 disables)")
 	flag.BoolVar(&o.taskRemap, "task-remap", false, "remap retried tasks' data operations to a spare core")
 	flag.StringVar(&o.backend, "backend", "inproc", "transport backend: inproc (single process) or "+

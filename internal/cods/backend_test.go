@@ -43,14 +43,6 @@ func (b *fakeBackend) Remote(initiator, target cluster.CoreID) bool {
 }
 func (b *fakeBackend) Close() error { return nil }
 
-func (b *fakeBackend) Send(src, dst cluster.CoreID, tag uint64, payload []byte, m transport.Meter) error {
-	return b.f.LocalSend(src, dst, tag, payload, m)
-}
-
-func (b *fakeBackend) Recv(on, src cluster.CoreID, tag uint64) (transport.Message, error) {
-	return b.f.LocalRecv(on, src, tag)
-}
-
 func (b *fakeBackend) ReadMulti(reader cluster.CoreID, specs []transport.ReadSpec, m transport.Meter, deliver transport.SegmentFunc) error {
 	return b.f.LocalReadMulti(reader, specs, m, deliver)
 }

@@ -105,7 +105,7 @@ func (o *StoredObject) AppendBlock(dst []byte) ([]byte, error) {
 // decodeBlock strictly decodes the block wire form into a fresh
 // *StoredObject; wire is not retained. Every check runs before the one
 // allocation sized by wire data, and that allocation equals the cell
-// section's length, which the transport already bounded (MaxFrame).
+// section's length, which the transport already bounded (64 MiB a frame).
 func decodeBlock(wire []byte) (any, error) {
 	region, cells, err := geometry.ReadBox(wire)
 	if err != nil {

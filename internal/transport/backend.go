@@ -1,14 +1,16 @@
 package transport
 
-// The fabric's data movement is pluggable: every choke point — Send/Recv
-// messaging, the one-sided ReadMulti, the RPC Call, and the
+// The fabric's data movement is pluggable: every choke point on state a
+// node holds — the one-sided ReadMulti, the RPC Call, and the
 // buffer-exposure state ops — funnels through a Backend once the op is
-// determined to be remote. An in-process fabric has no backend; the
-// internal/transport/tcpnet package provides a real TCP implementation
-// that runs each simulated node as its own endpoint group over sockets
-// (DESIGN §5f). The Local* methods on Fabric are the executing side of
-// every operation: they contain the metering, so an op records its bytes
-// exactly once, in the process that actually moves the data.
+// determined to be remote. Send/Recv messaging is not among them: mailboxes
+// live in the process that runs the tasks (Endpoint.Send). An in-process
+// fabric has no backend; the internal/transport/tcpnet package provides a
+// real TCP implementation that runs each simulated node as its own endpoint
+// group over sockets (DESIGN §5f). The Local* methods on Fabric are the
+// executing side of every routed operation: they contain the metering, so
+// an op records its bytes exactly once, in the process that actually moves
+// the data.
 
 import (
 	"fmt"
@@ -21,20 +23,15 @@ import (
 // Backend moves data between endpoints on behalf of the fabric. Initiating
 // endpoints call it only for operations Remote reports as crossing the
 // process or node boundary; the backend is then responsible for executing
-// the operation where the target endpoint's state lives (inbox, exposed
-// buffers, RPC handlers) and for metering it there, via the Local* methods
-// of the owning fabric.
+// the operation where the target endpoint's state lives (exposed buffers,
+// RPC handlers) and for metering it there, via the Local* methods of the
+// owning fabric.
 type Backend interface {
 	// Name identifies the backend ("tcp") in logs and reports.
 	Name() string
 	// Remote reports whether an operation initiated by core initiator
 	// against the state or data of core target must traverse the backend.
 	Remote(initiator, target cluster.CoreID) bool
-	// Send delivers a tagged message into dst's inbox.
-	Send(src, dst cluster.CoreID, tag uint64, payload []byte, m Meter) error
-	// Recv blocks until a message matching (src, tag) is available in on's
-	// inbox; src may be AnySource.
-	Recv(on, src cluster.CoreID, tag uint64) (Message, error)
 	// ReadMulti pulls one or more exposed sub-regions in one batched
 	// operation, blocking until every buffer is published. All specs must
 	// target owners whose endpoint state lives behind the same peer, so a
@@ -149,41 +146,6 @@ func (f *Fabric) LocalReadMulti(reader cluster.CoreID, specs []ReadSpec, m Meter
 		}
 	}
 	return nil
-}
-
-// LocalSend is the executing side of Send: it meters the transfer and
-// appends the message to dst's inbox in this process.
-func (f *Fabric) LocalSend(src, dst cluster.CoreID, tag uint64, payload []byte, m Meter) error {
-	f.record(m, src, dst, int64(len(payload)))
-	de := f.endpoints[int(dst)]
-	de.mu.Lock()
-	defer de.mu.Unlock()
-	if de.closed {
-		return fmt.Errorf("transport: sending to endpoint %d: %w", dst, ErrEndpointClosed)
-	}
-	de.inbox = append(de.inbox, Message{Src: src, Tag: tag, Payload: payload})
-	de.inboxCond.Broadcast()
-	return nil
-}
-
-// LocalRecv is the executing side of Recv: it blocks on the inbox of the
-// endpoint on, which must live in this process.
-func (f *Fabric) LocalRecv(on, src cluster.CoreID, tag uint64) (Message, error) {
-	ep := f.endpoints[int(on)]
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	for {
-		for i, msg := range ep.inbox {
-			if (src == AnySource || msg.Src == src) && msg.Tag == tag {
-				ep.inbox = append(ep.inbox[:i], ep.inbox[i+1:]...)
-				return msg, nil
-			}
-		}
-		if ep.closed {
-			return Message{}, fmt.Errorf("transport: receiving on endpoint %d: %w", on, ErrEndpointClosed)
-		}
-		ep.inboxCond.Wait()
-	}
 }
 
 // LocalRead is the executing side of one read spec against an owner

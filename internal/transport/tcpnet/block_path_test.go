@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/insitu/cods/internal/cluster"
@@ -281,35 +282,39 @@ func TestBlockBytesNeverAliased(t *testing.T) {
 	}
 }
 
-// TestLargeFrameRoundTrip sends messages on both sides of maxInlineBody
+// TestLargeFrameRoundTrip sends RPC payloads on both sides of maxInlineBody
 // through the frame path — inlined behind the header, and vectored behind
-// it — and checks they arrive intact, stay intact while later traffic
-// reuses every pooled buffer, and are charged to the wire counters byte
-// for byte.
+// it — and checks that each comes back intact from an echoing handler,
+// stays intact while later traffic reuses every pooled buffer, and is
+// charged to the wire counters byte for byte in both directions.
 func TestLargeFrameRoundTrip(t *testing.T) {
 	f, be := newLoopbackFabric(t, 2, 1)
-	m := transport.Meter{Phase: "t", Class: cluster.IntraApp, DstApp: 1}
-	var got []transport.Message
-	var sent [][]byte
-	for tag, size := range []int{0, 1, maxInlineBody, maxInlineBody + 1, 1 << 20} {
-		payload := bytes.Repeat([]byte{byte(tag + 1)}, size)
-		sent = append(sent, payload)
+	m := transport.Meter{Phase: "t", Class: cluster.Control, DstApp: 1}
+	f.Endpoint(1).RegisterHandler("echo", func(_ cluster.CoreID, req any) (any, error) { return req, nil })
+	var sent, got []echoPayload
+	for i, size := range []int{3, 11, maxInlineBody, maxInlineBody + 1, 1 << 20} {
+		// Tag byte, u16 text length, text, then 8 bytes a value: size on the wire.
+		req := echoPayload{Text: strings.Repeat("x", (size-3)%8), Vals: make([]float64, (size-3)/8)}
+		for j := range req.Vals {
+			req.Vals[j] = float64(i + 1)
+		}
+		sent = append(sent, req)
 		before := be.WireStats()
-		if err := f.Endpoint(0).Send(1, uint64(tag), payload, m); err != nil {
-			t.Fatal(err)
-		}
-		if out := be.WireStats().BytesOut - before.BytesOut; out < int64(size) || out > int64(size)+256 {
-			t.Fatalf("a %d-byte message put %d bytes on the wire", size, out)
-		}
-		msg, err := f.Endpoint(1).Recv(0, uint64(tag))
+		resp, err := f.Endpoint(0).Call(1, "echo", req, m, 8, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, msg)
+		after := be.WireStats()
+		for _, n := range []int64{after.BytesOut - before.BytesOut, after.BytesIn - before.BytesIn} {
+			if n < int64(size) || n > int64(size)+256 {
+				t.Fatalf("a %d-byte payload and its echo put %d bytes on the wire one way", size, n)
+			}
+		}
+		got = append(got, resp.(echoPayload))
 	}
-	for i, msg := range got {
-		if !bytes.Equal(msg.Payload, sent[i]) {
-			t.Fatalf("message %d (%d bytes) changed after later frames reused the buffers", i, len(sent[i]))
+	for i := range sent {
+		if !bytes.Equal(got[i].AppendWire(nil), sent[i].AppendWire(nil)) {
+			t.Fatalf("payload %d (%d values) changed after later frames reused the buffers", i, len(sent[i].Vals))
 		}
 	}
 }

@@ -9,9 +9,10 @@ import (
 // properties must hold: the decoder never panics, and any body it accepts
 // re-encodes to exactly the same bytes (the codec is canonical — a decoded
 // frame carries no information outside its wire form). The seed corpus is
-// the recorded encoding of every representative frame shape.
+// the recorded encoding of every representative frame shape, and of the two
+// message frames of wire v10 under the ops their codes name today.
 func FuzzWireFrame(f *testing.F) {
-	for _, fr := range sampleFrames() {
+	for _, fr := range append(sampleFrames(), v10MessageFrames()...) {
 		buf, err := marshalFrame(fr)
 		if err != nil {
 			f.Fatal(err)
@@ -29,8 +30,8 @@ func FuzzWireFrame(f *testing.F) {
 	lease, _ := marshalFrame(&frame{Op: opLease, Dst: 1, Tag: 3})
 	f.Add(lease[4 : fixedHeaderLen/2])
 	// The op codes earlier wire versions used past today's opMax (the five
-	// ops v7 removed, the two v10 removed): otherwise well-formed bodies the
-	// decoder must reject as invalid ops.
+	// ops v7 removed, the two v10 removed, the two v11 removed): otherwise
+	// well-formed bodies the decoder must reject as invalid ops.
 	for op := opMax; op < v6OpMax; op++ {
 		old := append([]byte(nil), lease[4:]...)
 		old[0] = op

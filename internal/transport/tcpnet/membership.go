@@ -46,7 +46,7 @@ func (b *Backend) UpdatePeer(node cluster.NodeID, addr string, inc uint64) {
 // error means the node is unreachable, not serving, or serving under a
 // different incarnation — in every case the lease must not be renewed.
 func (b *Backend) ProbeLease(node cluster.NodeID, inc uint64) (uint64, error) {
-	resp, err := b.roundTrip(node, &frame{Op: opLease, Dst: int32(node), Tag: inc}, false)
+	resp, err := b.roundTrip(node, &frame{Op: opLease, Dst: int32(node), Tag: inc})
 	if err != nil {
 		return 0, err
 	}

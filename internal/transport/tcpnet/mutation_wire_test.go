@@ -18,7 +18,7 @@ import (
 // prefix computed over the truncated body (so the strict decoder rejects
 // it without blocking), the meter-class swap in the header.
 func TestMutationDetectionVectoredFrame(t *testing.T) {
-	fr := &frame{Op: opSend, Src: 0, Dst: 1, Tag: 7, MeterClass: uint8(cluster.InterApp),
+	fr := &frame{Op: opExpose, Kind: payloadBlock, Dst: 1, Name: "u", MeterClass: uint8(cluster.InterApp),
 		Payload: bytes.Repeat([]byte{0xAB}, maxInlineBody+1)}
 	marshal := func() (head, tail []byte) {
 		t.Helper()

@@ -247,12 +247,12 @@ func TestSmallSegmentsShareOneWrite(t *testing.T) {
 				done <- b.serveReadMulti(counted, fr)
 				server.Close()
 			}()
-			resp, err := readFrame(client, 0)
+			resp, err := readFrame(client)
 			if err != nil || resp.Status != statusOK || int(resp.Bytes) != len(specs) {
 				t.Fatalf("response frame %+v, %v; want OK announcing %d segments", resp, err, len(specs))
 			}
 			for i := range specs {
-				status, index, length, err := readSegmentHeader(client, 0)
+				status, index, length, err := readSegmentHeader(client)
 				if err != nil || index != i {
 					t.Fatalf("segment %d: header says index %d, %v", i, index, err)
 				}
@@ -283,15 +283,16 @@ func TestSmallSegmentsShareOneWrite(t *testing.T) {
 // TestHandshakeRejectsOldWireVersion proves the old-peer policy of DESIGN
 // §5f: a client speaking any earlier wire version — the first, v4
 // (membership, no streaming), v7 (the last to gob-encode exposed blocks),
-// v8 (the last to gob-encode RPC payloads) and v9 (the last with a
-// node-to-node plane: a peer-table op and a join op), all spelled out so a
+// v8 (the last to gob-encode RPC payloads), v9 (the last with a
+// node-to-node plane: a peer-table op and a join op) and v10 (the last whose
+// nodes held mailboxes: a send op and a recv op), all spelled out so a
 // later bump cannot quietly re-admit them, or the one just before the
 // current — is turned away at the handshake with an error naming both
 // versions; there is no per-op fallback or mixed-version mode that could
 // strand it mid-stream.
 func TestHandshakeRejectsOldWireVersion(t *testing.T) {
 	_, b := newLoopbackFabric(t, 1, 1)
-	for _, version := range []int64{1, 4, 7, 8, 9, int64(wireVersion) - 1} {
+	for _, version := range []int64{1, 4, 7, 8, 9, 10, int64(wireVersion) - 1} {
 		c, err := net.Dial("tcp", b.Addr(0))
 		if err != nil {
 			t.Fatal(err)
@@ -301,7 +302,7 @@ func TestHandshakeRejectsOldWireVersion(t *testing.T) {
 		if err := writeFrame(c, hello); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := readFrame(c, 0)
+		resp, err := readFrame(c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,15 +41,13 @@ type Config struct {
 	// each connection attempt (dial + handshake) must finish within. The
 	// zero value means a single attempt with no deadline.
 	Retry retry.Policy
-	// IOTimeout bounds each frame write and each non-blocking response
-	// read on an established connection; 0 falls back to Retry.Deadline
-	// (and to none when that is 0 too). Blocking operations — a Recv, a
-	// ReadMulti — legitimately block until a peer produces data, so
-	// their response reads never carry a deadline; the layers above bound
-	// them (the conformance watchdog, task-level retry deadlines).
+	// IOTimeout bounds each frame write and each response read on an
+	// established connection; 0 falls back to Retry.Deadline (and to none
+	// when that is 0 too). The one exception is a ReadMulti's response
+	// stream: a deferred read legitimately blocks until the owner exposes
+	// the buffer, so it carries no deadline; ReadPatience and the layers
+	// above bound it (the conformance watchdog, task-level retry deadlines).
 	IOTimeout time.Duration
-	// MaxFrame bounds a frame body (default 64 MiB).
-	MaxFrame int
 	// Incarnation identifies this serving process's lifetime: a replacement
 	// process for the same node must carry a higher value. It is announced
 	// in every handshake response and checked by reconnecting clients, so a
@@ -224,7 +223,7 @@ func (b *Backend) drainSpans() []byte {
 func (b *Backend) DrainRemoteSpans(tr *obs.Tracer) error {
 	tr.AppendRaw(b.drainSpans())
 	return b.eachPeer(func(_ string, nodes []int) error {
-		resp, err := b.roundTrip(cluster.NodeID(nodes[0]), &frame{Op: opSpans}, false)
+		resp, err := b.roundTrip(cluster.NodeID(nodes[0]), &frame{Op: opSpans})
 		if err != nil {
 			return err
 		}
@@ -371,7 +370,7 @@ func (b *Backend) Remote(initiator, target cluster.CoreID) bool {
 	return !b.machine.SameNode(initiator, target)
 }
 
-// ioTimeout is the per-frame deadline for writes and non-blocking reads.
+// ioTimeout is the per-frame deadline for writes and response reads.
 func (b *Backend) ioTimeout() time.Duration {
 	if b.cfg.IOTimeout > 0 {
 		return b.cfg.IOTimeout
@@ -435,7 +434,7 @@ func (b *Backend) handshake(c net.Conn, node cluster.NodeID) error {
 	if err := writeFrame(c, hello); err != nil {
 		return err
 	}
-	resp, err := readFrame(c, b.cfg.MaxFrame)
+	resp, err := readFrame(c)
 	if err != nil {
 		return err
 	}
@@ -502,47 +501,55 @@ func (b *Backend) release(node cluster.NodeID, c net.Conn) {
 	b.mu.Unlock()
 }
 
-// exchange writes one request frame and reads its response. wrote reports
-// whether the request hit the wire — a false wrote on a cached connection
-// means the peer closed it while pooled, which is safe to retry on a
-// fresh connection; any later failure is not, since the operation may
-// already have executed remotely.
-func (b *Backend) exchange(c net.Conn, fr *frame, blocking bool) (resp *frame, wrote bool, err error) {
-	b.armWrite(c)
-	if err := writeFrame(c, fr); err != nil {
-		return nil, false, err
-	}
-	if d := b.ioTimeout(); d > 0 && !blocking {
-		c.SetReadDeadline(time.Now().Add(d))
-	} else {
-		c.SetReadDeadline(time.Time{})
-	}
-	resp, err = readFrame(c, b.cfg.MaxFrame)
-	return resp, true, err
-}
-
-// roundTrip performs one request/response exchange against the server of
-// node, reusing pooled connections.
-func (b *Backend) roundTrip(node cluster.NodeID, fr *frame, blocking bool) (*frame, error) {
+// onConn runs one exchange — a request written, its response consumed —
+// against the server of node on a pooled connection, dialing when the pool
+// is empty. exchange reports whether the request hit the wire: a false
+// wrote on a cached connection means the peer closed it while pooled, which
+// is safe to retry on a fresh connection; any later failure is not, since
+// the operation may already have executed remotely.
+func (b *Backend) onConn(node cluster.NodeID, exchange func(c net.Conn) (wrote bool, err error)) error {
 	for {
 		c, cached, err := b.conn(node)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		resp, wrote, err := b.exchange(c, fr, blocking)
+		wrote, err := exchange(c)
 		if err != nil {
 			c.Close()
 			if cached && !wrote {
 				continue // stale pooled connection; redial
 			}
-			return nil, fmt.Errorf("tcpnet: exchange with node %d: %w", node, err)
+			return fmt.Errorf("tcpnet: exchange with node %d: %w", node, err)
 		}
 		b.release(node, c)
-		if resp.Op != opResp {
-			return nil, fmt.Errorf("tcpnet: unexpected response op %d from node %d", resp.Op, node)
-		}
-		return resp, nil
+		return nil
 	}
+}
+
+// roundTrip performs one request/response frame exchange against the
+// server of node. The response read carries the IO deadline: no handler
+// behind a frame exchange waits on another task, so a node that does not
+// answer in time is a transient failure, not a wait.
+func (b *Backend) roundTrip(node cluster.NodeID, fr *frame) (*frame, error) {
+	var resp *frame
+	err := b.onConn(node, func(c net.Conn) (wrote bool, err error) {
+		b.armWrite(c)
+		if err := writeFrame(c, fr); err != nil {
+			return false, err
+		}
+		if d := b.ioTimeout(); d > 0 {
+			c.SetReadDeadline(time.Now().Add(d))
+		}
+		resp, err = readFrame(c)
+		return true, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if resp.Op != opResp {
+		return nil, fmt.Errorf("tcpnet: unexpected response op %d from node %d", resp.Op, node)
+	}
+	return resp, nil
 }
 
 // respErr maps a response status to the caller-visible error, preserving
@@ -570,37 +577,10 @@ func frameMeter(fr *frame) transport.Meter {
 	return transport.Meter{Phase: fr.Phase, Class: cluster.Class(fr.MeterClass), DstApp: int(fr.DstApp), Span: fr.Span}
 }
 
-// Send implements transport.Backend.
-func (b *Backend) Send(src, dst cluster.CoreID, tag uint64, payload []byte, m transport.Meter) error {
-	fr := &frame{Op: opSend, Src: int32(src), Dst: int32(dst), Tag: tag, Payload: payload}
-	meterFrame(fr, m)
-	resp, err := b.roundTrip(b.machine.NodeOf(dst), fr, false)
-	if err != nil {
-		return err
-	}
-	return respErr(resp)
-}
-
-// Recv implements transport.Backend. The response read carries no
-// deadline: a receive legitimately blocks until a matching send.
-func (b *Backend) Recv(on, src cluster.CoreID, tag uint64) (transport.Message, error) {
-	fr := &frame{Op: opRecv, Src: int32(src), Dst: int32(on), Tag: tag}
-	resp, err := b.roundTrip(b.machine.NodeOf(on), fr, true)
-	if err != nil {
-		return transport.Message{}, err
-	}
-	if err := respErr(resp); err != nil {
-		return transport.Message{}, err
-	}
-	return transport.Message{Src: cluster.CoreID(resp.Src), Tag: resp.Tag, Payload: resp.Payload}, nil
-}
-
 // ReadMulti implements transport.Backend: one scatter-gather request
 // frame carries the whole batch to the node serving the owners; the
 // response header announces the segment count and the pipelined stream
 // behind it delivers each owner-clipped sub-box straight to the caller.
-// The redial rule matches roundTrip: only a request that never hit the
-// wire on a cached connection is retried on a fresh one.
 func (b *Backend) ReadMulti(reader cluster.CoreID, specs []transport.ReadSpec, m transport.Meter, deliver transport.SegmentFunc) error {
 	if len(specs) == 0 {
 		return nil
@@ -617,22 +597,9 @@ func (b *Backend) ReadMulti(reader cluster.CoreID, specs []transport.ReadSpec, m
 	meterFrame(fr, m)
 	b.stats.readMultiReqs.Add(1)
 	obsWireReadMultiReqs.Inc()
-	for {
-		c, cached, err := b.conn(node)
-		if err != nil {
-			return err
-		}
-		wrote, err := b.readMultiExchange(c, fr, specs, deliver)
-		if err != nil {
-			c.Close()
-			if cached && !wrote {
-				continue // stale pooled connection; redial
-			}
-			return fmt.Errorf("tcpnet: scatter-gather read from node %d: %w", node, err)
-		}
-		b.release(node, c)
-		return nil
-	}
+	return b.onConn(node, func(c net.Conn) (bool, error) {
+		return b.readMultiExchange(c, fr, specs, deliver)
+	})
 }
 
 // readMultiExchange writes one scatter-gather request and consumes its
@@ -643,10 +610,10 @@ func (b *Backend) readMultiExchange(c net.Conn, fr *frame, specs []transport.Rea
 	if err := writeFrame(c, fr); err != nil {
 		return false, err
 	}
-	// The stream legitimately blocks until every buffer is exposed; no
-	// read deadline.
+	// The stream legitimately blocks until every buffer is exposed: the one
+	// response read without a deadline.
 	c.SetReadDeadline(time.Time{})
-	resp, err := readFrame(c, b.cfg.MaxFrame)
+	resp, err := readFrame(c)
 	if err != nil {
 		return true, err
 	}
@@ -662,7 +629,7 @@ func (b *Backend) readMultiExchange(c net.Conn, fr *frame, specs []transport.Rea
 	bp := getStage()
 	defer putStage(bp)
 	for i := range specs {
-		status, index, length, err := readSegmentHeader(c, b.cfg.MaxFrame)
+		status, index, length, err := readSegmentHeader(c)
 		if err != nil {
 			return true, err
 		}
@@ -695,7 +662,7 @@ func (b *Backend) Call(src, dst cluster.CoreID, service string, request any, m t
 	}
 	fr := &frame{Op: opCall, Kind: payloadMsg, Src: int32(src), Dst: int32(dst), Name: service, Bytes: reqBytes, Bytes2: respBytes, Payload: enc}
 	meterFrame(fr, m)
-	resp, err := b.roundTrip(b.machine.NodeOf(dst), fr, true)
+	resp, err := b.roundTrip(b.machine.NodeOf(dst), fr)
 	if err != nil {
 		return nil, err
 	}
@@ -733,7 +700,7 @@ func (b *Backend) Expose(owner cluster.CoreID, key transport.BufKey, payload any
 	}
 	*bp = wire[:0]
 	fr := &frame{Op: opExpose, Kind: payloadBlock, Dst: int32(owner), Name: key.Name, Version: int64(key.Version), Payload: wire}
-	resp, err := b.roundTrip(b.machine.NodeOf(owner), fr, false)
+	resp, err := b.roundTrip(b.machine.NodeOf(owner), fr)
 	if err != nil {
 		return err
 	}
@@ -743,7 +710,7 @@ func (b *Backend) Expose(owner cluster.CoreID, key transport.BufKey, payload any
 // Unexpose implements transport.Backend.
 func (b *Backend) Unexpose(owner cluster.CoreID, key transport.BufKey) (bool, error) {
 	fr := &frame{Op: opUnexpose, Dst: int32(owner), Name: key.Name, Version: int64(key.Version)}
-	resp, err := b.roundTrip(b.machine.NodeOf(owner), fr, false)
+	resp, err := b.roundTrip(b.machine.NodeOf(owner), fr)
 	if err != nil {
 		return false, err
 	}
@@ -753,7 +720,7 @@ func (b *Backend) Unexpose(owner cluster.CoreID, key transport.BufKey) (bool, er
 // Exposed implements transport.Backend.
 func (b *Backend) Exposed(owner cluster.CoreID, key transport.BufKey) (bool, error) {
 	fr := &frame{Op: opExposed, Dst: int32(owner), Name: key.Name, Version: int64(key.Version)}
-	resp, err := b.roundTrip(b.machine.NodeOf(owner), fr, false)
+	resp, err := b.roundTrip(b.machine.NodeOf(owner), fr)
 	if err != nil {
 		return false, err
 	}
@@ -836,7 +803,7 @@ func (b *Backend) eachPeer(fn func(addr string, nodes []int) error) error {
 func (b *Backend) MergeRemoteStats() error {
 	var accounts []NodeAccount
 	err := b.eachPeer(func(addr string, nodes []int) error {
-		resp, err := b.roundTrip(cluster.NodeID(nodes[0]), &frame{Op: opStats}, false)
+		resp, err := b.roundTrip(cluster.NodeID(nodes[0]), &frame{Op: opStats})
 		if err != nil {
 			return err
 		}
@@ -878,16 +845,15 @@ func (b *Backend) PushPeers() error { return nil }
 // stop the fan-out — a peer that already exited is not a failure.
 func (b *Backend) ShutdownPeers() {
 	_ = b.eachPeer(func(_ string, nodes []int) error {
-		_, _ = b.roundTrip(cluster.NodeID(nodes[0]), &frame{Op: opShutdown}, false)
+		_, _ = b.roundTrip(cluster.NodeID(nodes[0]), &frame{Op: opShutdown})
 		return nil
 	})
 }
 
 // Close implements transport.Backend: it stops the listeners, closes all
-// cached and serving connections and waits for the accept loops. Server
-// goroutines blocked inside an operation (a Recv with no sender) exit
-// when their connection close surfaces; ones blocked on fabric state are
-// released by the endpoints' own teardown.
+// cached and serving connections and waits for the accept loops. A server
+// goroutine parked in a deferred read is not waited for: the owning
+// endpoint's teardown (or ReadPatience) releases it.
 func (b *Backend) Close() error {
 	if !b.closed.CompareAndSwap(false, true) {
 		return nil
@@ -910,12 +876,22 @@ func (b *Backend) Close() error {
 	return nil
 }
 
+// acceptRetryPause spaces the retries of a failing Accept.
+const acceptRetryPause = 10 * time.Millisecond
+
 func (b *Backend) acceptLoop(ln net.Listener) {
 	defer b.wg.Done()
 	for {
 		c, err := ln.Accept()
 		if err != nil {
-			return
+			if errors.Is(err, net.ErrClosed) || b.closed.Load() {
+				return
+			}
+			// Anything else (EMFILE, ECONNABORTED) is transient: a live
+			// process must not be left with a dead listener.
+			fmt.Fprintf(os.Stderr, "tcpnet: accept on %s: %v; retrying\n", ln.Addr(), err)
+			time.Sleep(acceptRetryPause)
+			continue
 		}
 		b.mu.Lock()
 		if b.closed.Load() {
@@ -936,12 +912,12 @@ func (b *Backend) forgetConn(c net.Conn) {
 }
 
 // serveConn drives one client connection: handshake, then a strict
-// request/response loop. Blocking operations block this goroutine only —
-// the client holds the connection out of its pool for the duration.
+// request/response loop. A deferred read blocks this goroutine only — the
+// client holds the connection out of its pool for the duration.
 func (b *Backend) serveConn(c net.Conn) {
 	defer c.Close()
 	defer b.forgetConn(c)
-	hello, err := readFrame(c, b.cfg.MaxFrame)
+	hello, err := readFrame(c)
 	if err != nil {
 		return
 	}
@@ -955,7 +931,7 @@ func (b *Backend) serveConn(c net.Conn) {
 		return
 	}
 	for {
-		fr, err := readFrame(c, b.cfg.MaxFrame)
+		fr, err := readFrame(c)
 		if err != nil {
 			return
 		}
@@ -1006,7 +982,7 @@ func (b *Backend) serveReadMulti(c net.Conn, fr *frame) bool {
 		// the connection stays usable.
 		return writeFrame(c, resp) == nil
 	}
-	if err := b.checkCore(fr.Src, false); err != nil {
+	if err := b.checkCore(fr.Src); err != nil {
 		return headerFail(err)
 	}
 	specs, err := decodeReadSpecs(fr.Payload)
@@ -1105,12 +1081,8 @@ func (b *Backend) armWrite(c net.Conn) {
 	}
 }
 
-// checkCore validates a wire-supplied core id; allowAny admits the
-// AnySource wildcard.
-func (b *Backend) checkCore(c int32, allowAny bool) error {
-	if allowAny && cluster.CoreID(c) == transport.AnySource {
-		return nil
-	}
+// checkCore validates a wire-supplied core id.
+func (b *Backend) checkCore(c int32) error {
 	if int(c) < 0 || int(c) >= b.machine.TotalCores() {
 		return fmt.Errorf("core %d out of range", c)
 	}
@@ -1120,7 +1092,7 @@ func (b *Backend) checkCore(c int32, allowAny bool) error {
 // checkTarget validates that the target core of an operation is served by
 // this process.
 func (b *Backend) checkTarget(c int32) error {
-	if err := b.checkCore(c, false); err != nil {
+	if err := b.checkCore(c); err != nil {
 		return err
 	}
 	if !b.owned[int(b.machine.NodeOf(cluster.CoreID(c)))] {
@@ -1149,32 +1121,8 @@ func (b *Backend) execute(fr *frame) *frame {
 	}
 	key := transport.BufKey{Name: fr.Name, Version: int(fr.Version)}
 	switch fr.Op {
-	case opSend:
-		if err := b.checkCore(fr.Src, false); err != nil {
-			return fail(err)
-		}
-		if err := b.checkTarget(fr.Dst); err != nil {
-			return fail(err)
-		}
-		if err := b.fabric.LocalSend(cluster.CoreID(fr.Src), cluster.CoreID(fr.Dst), fr.Tag, fr.Payload, frameMeter(fr)); err != nil {
-			return fail(err)
-		}
-	case opRecv:
-		if err := b.checkCore(fr.Src, true); err != nil {
-			return fail(err)
-		}
-		if err := b.checkTarget(fr.Dst); err != nil {
-			return fail(err)
-		}
-		msg, err := b.fabric.LocalRecv(cluster.CoreID(fr.Dst), cluster.CoreID(fr.Src), fr.Tag)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Src = int32(msg.Src)
-		resp.Tag = msg.Tag
-		resp.Payload = msg.Payload
 	case opCall:
-		if err := b.checkCore(fr.Src, false); err != nil {
+		if err := b.checkCore(fr.Src); err != nil {
 			return fail(err)
 		}
 		if err := b.checkTarget(fr.Dst); err != nil {

@@ -123,17 +123,29 @@ func newLoopbackFabric(t testing.TB, nodes, cores int) (*transport.Fabric, *Back
 }
 
 // v6OpMax is opMax as wire v6 had it, the largest it has ever been: the
-// five ops v7 removed (depart, transfer, publish, cursor, stream-gc) and
-// the two v10 removed (peers, join) leave the codes from today's opMax up
-// to it unused, and the decoder must reject them as invalid ops.
+// five ops v7 removed (depart, transfer, publish, cursor, stream-gc), the
+// two v10 removed (peers, join) and the two v11 removed (send, recv) leave
+// the codes from today's opMax up to it unused, and the decoder must reject
+// them as invalid ops.
 const v6OpMax = 21
+
+// v10MessageFrames are the two frames of the messaging plane wire v11
+// removed, coded as a v10 peer sent them: ops 3 (send) and 4 (recv), today
+// the codes of opCall and opExpose. They decode as those ops, under a
+// payload kind neither accepts, so a handler that met one would refuse it
+// (TestCallAcceptsOnlyMessages, TestExposeAcceptsOnlyRawBlocks); the
+// handshake turns a v10 peer away long before.
+func v10MessageFrames() []*frame {
+	return []*frame{
+		{Op: 3, Src: 0, Dst: 5, Tag: 42, MeterClass: uint8(cluster.InterApp), DstApp: 2,
+			Phase: "couple:1", Payload: []byte("hello")},
+		{Op: 4, Src: -1, Dst: 3, Tag: 7},
+	}
+}
 
 func sampleFrames() []*frame {
 	return []*frame{
 		{Op: opHello, Dst: 1, Tag: helloMagic, Version: int64(wireVersion), Bytes: 2, Bytes2: 4},
-		{Op: opSend, Src: 0, Dst: 5, Tag: 42, MeterClass: uint8(cluster.InterApp), DstApp: 2,
-			Phase: "couple:1", Payload: []byte("hello")},
-		{Op: opRecv, Src: -1, Dst: 3, Tag: 7},
 		// An RPC carries its request as a tagged message (wire v9); the
 		// response answers in the same kind.
 		{Op: opCall, Kind: payloadMsg, Src: 1, Dst: 0, Name: "echo", Bytes: 64, Bytes2: 128,
@@ -173,6 +185,9 @@ func sampleFrames() []*frame {
 // branch answers. The 1x1 machine makes every row with a nonzero core
 // fail its range check, so no sampled op can block.
 func TestEveryOpHandled(t *testing.T) {
+	if n := int(opMax) - 1; n != 11 {
+		t.Fatalf("%d wire ops, want the 11 of wire v11", n)
+	}
 	_, b := newLoopbackFabric(t, 1, 1)
 	sampled := make(map[uint8]*frame)
 	for _, fr := range sampleFrames() {
@@ -198,7 +213,7 @@ func TestEveryOpHandled(t *testing.T) {
 				server.Close()
 			}()
 			var err error
-			if resp, err = readFrame(client, 0); err != nil {
+			if resp, err = readFrame(client); err != nil {
 				t.Fatalf("op %d: %v", op, err)
 			}
 		} else {
@@ -212,7 +227,7 @@ func TestEveryOpHandled(t *testing.T) {
 
 // TestServingNodeRefusesForeignCore pins "a codsnode serves, it never
 // dials": a Serve backend for node 0, which knows no peer address, answers
-// an opSend, opCall or opReadMulti aimed at a core of node 1 with an error
+// an opExpose, opCall or opReadMulti aimed at a core of node 1 with an error
 // naming the core — it does not forward, dial or hang — and the connection
 // stays in protocol sync for the next request.
 func TestServingNodeRefusesForeignCore(t *testing.T) {
@@ -235,7 +250,7 @@ func TestServingNodeRefusesForeignCore(t *testing.T) {
 		if err := writeFrame(c, fr); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := readFrame(c, 0)
+		resp, err := readFrame(c)
 		if err != nil {
 			t.Fatalf("op %d: connection lost: %v", fr.Op, err)
 		}
@@ -252,7 +267,7 @@ func TestServingNodeRefusesForeignCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, fr := range []*frame{
-		{Op: opSend, Src: 0, Dst: foreign, Tag: 1, Payload: []byte("x")},
+		{Op: opExpose, Kind: payloadBlock, Dst: foreign, Name: "u", Payload: sampleBlockPayload()},
 		{Op: opCall, Kind: payloadMsg, Src: 0, Dst: foreign, Name: "echo", Payload: echoPayload{Text: "ping"}.AppendWire(nil)},
 		{Op: opReadMulti, Src: 0, Dst: foreign, Payload: specs},
 	} {
@@ -342,7 +357,7 @@ func TestWireStrictDecode(t *testing.T) {
 			t.Fatalf("decode accepted op %d (opMax %d)", op, opMax)
 		}
 	}
-	bad[0] = opSend
+	bad[0] = opCall
 	bad[2] = uint8(cluster.Control) + 1
 	if _, err := decodeFrame(bad); err == nil {
 		t.Fatal("decode accepted out-of-range meter class")
@@ -440,8 +455,11 @@ func TestLoopbackRemotePredicate(t *testing.T) {
 	}
 }
 
+// TestLoopbackSendRecv: a message between cores of two nodes is delivered
+// and metered as a network flow under a loopback backend, and puts nothing
+// on the wire — mailboxes live in the process that runs the tasks.
 func TestLoopbackSendRecv(t *testing.T) {
-	f, _ := newLoopbackFabric(t, 2, 2)
+	f, b := newLoopbackFabric(t, 2, 2)
 	m := transport.Meter{Phase: "test", Class: cluster.InterApp, DstApp: 2}
 	done := make(chan transport.Message, 1)
 	go func() {
@@ -451,15 +469,19 @@ func TestLoopbackSendRecv(t *testing.T) {
 		}
 		done <- msg
 	}()
-	if err := f.Endpoint(0).Send(2, 42, []byte("over the wire"), m); err != nil {
+	payload := []byte("across nodes")
+	if err := f.Endpoint(0).Send(2, 42, payload, m); err != nil {
 		t.Fatal(err)
 	}
 	msg := <-done
-	if string(msg.Payload) != "over the wire" || msg.Src != 0 || msg.Tag != 42 {
+	if string(msg.Payload) != string(payload) || msg.Src != 0 || msg.Tag != 42 {
 		t.Fatalf("got %+v", msg)
 	}
-	if f.MediumBytes(cluster.Network) == 0 {
-		t.Error("cross-node send recorded no network bytes")
+	if got := f.MediumBytes(cluster.Network); got != int64(len(payload)) {
+		t.Errorf("cross-node send recorded %d network bytes, want %d", got, len(payload))
+	}
+	if ws := b.WireStats(); ws.BytesOut != 0 || ws.BytesIn != 0 {
+		t.Errorf("a message crossed the wire: %+v", ws)
 	}
 }
 
@@ -515,7 +537,7 @@ func TestLoopbackExposeReadCall(t *testing.T) {
 func TestClosedEndpointErrorCrossesWire(t *testing.T) {
 	f, _ := newLoopbackFabric(t, 2, 1)
 	f.Endpoint(1).Close()
-	err := f.Endpoint(0).Send(1, 1, []byte("x"), transport.Meter{Class: cluster.IntraApp})
+	_, err := f.Endpoint(0).Call(1, "echo", echoPayload{Text: "x"}, transport.Meter{Class: cluster.Control}, 1, 1)
 	if !errors.Is(err, transport.ErrEndpointClosed) {
 		t.Fatalf("got %v, want ErrEndpointClosed through the wire", err)
 	}
@@ -545,12 +567,15 @@ func TestHandshakeRejectsShapeMismatch(t *testing.T) {
 func TestStatsMergeAcrossProcessShapes(t *testing.T) {
 	// Loopback owns every node, so MergeRemoteStats must be a no-op there.
 	f, b := newLoopbackFabric(t, 2, 2)
-	m := transport.Meter{Phase: "t", Class: cluster.InterApp, DstApp: 2}
-	go func() { _, _ = f.Endpoint(2).Recv(0, 9) }()
-	if err := f.Endpoint(0).Send(2, 9, []byte("abcd"), m); err != nil {
+	m := transport.Meter{Phase: "t", Class: cluster.Control, DstApp: 2}
+	f.Endpoint(2).RegisterHandler("echo", func(_ cluster.CoreID, req any) (any, error) { return req, nil })
+	if _, err := f.Endpoint(0).Call(2, "echo", echoPayload{Text: "abcd"}, m, 4, 4); err != nil {
 		t.Fatal(err)
 	}
 	before := f.MediumBytes(cluster.Network)
+	if before != 8 {
+		t.Fatalf("cross-node call metered %d network bytes, want 8", before)
+	}
 	if err := b.MergeRemoteStats(); err != nil {
 		t.Fatal(err)
 	}

@@ -29,8 +29,6 @@ import (
 const (
 	opHello uint8 = iota + 1
 	opResp
-	opSend
-	opRecv
 	opCall
 	opExpose
 	opUnexpose
@@ -60,7 +58,7 @@ const (
 // cannot decode. DESIGN §5f lists what each version changed.
 const (
 	helloMagic  uint64 = 0x434F44534E455400 // "CODSNET\0"
-	wireVersion uint8  = 10
+	wireVersion uint8  = 11
 )
 
 // Payload kinds: what the bytes in a frame's Payload section are. The kind
@@ -68,16 +66,16 @@ const (
 // the op — an opExpose of anything but a block, an opCall of anything but a
 // message is refused.
 const (
-	payloadRaw   uint8 = iota // opaque bytes or none: messages, spec lists, span lines
+	payloadRaw   uint8 = iota // opaque bytes or none: spec lists, span lines
 	payloadGob                // gob: the opStats reply, once per run
 	payloadBlock              // transport.BlockPayload wire form: an exposed block
 	payloadMsg                // transport.WireMessage tagged binary form: RPC requests and responses
 	payloadKindMax
 )
 
-// maxFrameDefault bounds a frame body (64 MiB) so a corrupted length
-// prefix cannot make a reader allocate unboundedly.
-const maxFrameDefault = 64 << 20
+// maxFrame bounds a frame body and a segment body (64 MiB) so a corrupted
+// length prefix cannot make a reader allocate unboundedly.
+const maxFrame = 64 << 20
 
 // frame is the unit of the wire protocol: a 4-byte big-endian body length
 // followed by a fixed header, three length-prefixed strings and the
@@ -86,10 +84,9 @@ const maxFrameDefault = 64 << 20
 //	Kind         what Payload holds (payloadRaw, payloadGob, payloadBlock,
 //	             payloadMsg)
 //	Src/Dst      initiating and target core (Dst also the owner for
-//	             buffer ops, the node for hello/lease); Src is -1
-//	             for AnySource receives
-//	Tag          message tag (send/recv), helloMagic (hello request),
-//	             incarnation (lease, hello and lease responses)
+//	             buffer ops, the node for hello/lease)
+//	Tag          helloMagic (hello request), incarnation (lease, hello
+//	             and lease responses)
 //	Version      BufKey version (expose/...), wire version (hello)
 //	Bytes/Bytes2 metered sizes: req/resp (call), machine shape
 //	             nodes/cores (hello); Bytes is the segment count in a
@@ -102,9 +99,8 @@ const maxFrameDefault = 64 << 20
 //	Name         BufKey name or RPC service name
 //	Phase        Meter.Phase
 //	Err          error text (opResp with statusErr/statusClosed)
-//	Payload      message bytes or a spec list (raw), a stats reply (gob),
-//	             an exposed block (block), an RPC request or response
-//	             (msg)
+//	Payload      a spec list or span lines (raw), a stats reply (gob), an
+//	             exposed block (block), an RPC request or response (msg)
 //
 // A decoded frame's Payload aliases the body it was decoded from; staged is
 // set by readFrame when that body is a pooled staging buffer, which the
@@ -404,24 +400,21 @@ func writeFrame(w io.Writer, fr *frame) error {
 	return werr
 }
 
-// readFrame reads one length-prefixed frame, bounding the body at max. The
-// length prefix and the fixed header arrive in one read, so the op is known
-// before the rest of the body is given a buffer: an exposed block — the one
-// large payload its handler fully consumes before answering — is read into
-// a pooled staging buffer (see frame.release); every other body gets an
-// allocation of its own, which Payload may alias for as long as it likes
-// (a message sits in an inbox until received).
-func readFrame(r io.Reader, max int) (*frame, error) {
+// readFrame reads one length-prefixed frame, bounding the body at maxFrame.
+// The length prefix and the fixed header arrive in one read, so the op is
+// known before the rest of the body is given a buffer: an exposed block —
+// the one large payload its handler fully consumes before answering — is
+// read into a pooled staging buffer (see frame.release); every other body
+// gets an allocation of its own, which Payload may alias for as long as it
+// likes.
+func readFrame(r io.Reader) (*frame, error) {
 	var fixed [4 + fixedHeaderLen]byte
 	if _, err := io.ReadFull(r, fixed[:]); err != nil {
 		return nil, err
 	}
 	n := int(binary.BigEndian.Uint32(fixed[:4]))
-	if max <= 0 {
-		max = maxFrameDefault
-	}
-	if n > max {
-		return nil, fmt.Errorf("tcpnet: frame of %d bytes exceeds limit %d", n, max)
+	if n > maxFrame {
+		return nil, fmt.Errorf("tcpnet: frame of %d bytes exceeds limit %d", n, maxFrame)
 	}
 	if n < fixedHeaderLen {
 		return nil, errShortFrame
@@ -542,7 +535,7 @@ func appendSegmentHeader(dst []byte, status uint8, index, length int) []byte {
 }
 
 // readSegmentHeader reads one segment header, bounding the body length.
-func readSegmentHeader(r io.Reader, max int) (status uint8, index int, length int, err error) {
+func readSegmentHeader(r io.Reader) (status uint8, index int, length int, err error) {
 	var hdr [segHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, 0, err
@@ -550,11 +543,8 @@ func readSegmentHeader(r io.Reader, max int) (status uint8, index int, length in
 	status = hdr[0]
 	index = int(binary.BigEndian.Uint32(hdr[1:]))
 	length = int(binary.BigEndian.Uint32(hdr[5:]))
-	if max <= 0 {
-		max = maxFrameDefault
-	}
-	if length > max {
-		return 0, 0, 0, fmt.Errorf("tcpnet: segment of %d bytes exceeds limit %d", length, max)
+	if length > maxFrame {
+		return 0, 0, 0, fmt.Errorf("tcpnet: segment of %d bytes exceeds limit %d", length, maxFrame)
 	}
 	return status, index, length, nil
 }

@@ -208,22 +208,34 @@ func (ep *Endpoint) Core() cluster.CoreID { return ep.core }
 
 // Send delivers a tagged message to dst asynchronously. The payload is
 // owned by the receiver after the call; callers must not modify it.
+//
+// Messaging never traverses a backend: every task of a run executes in the
+// process that holds the fabric's endpoints, so a mailbox lives where its
+// tasks run and a message is metered and queued here, under every backend.
 func (ep *Endpoint) Send(dst cluster.CoreID, tag uint64, payload []byte, m Meter) error {
-	if int(dst) < 0 || int(dst) >= len(ep.fabric.endpoints) {
+	f := ep.fabric
+	if int(dst) < 0 || int(dst) >= len(f.endpoints) {
 		return fmt.Errorf("transport: destination core %d out of range", dst)
 	}
-	if err := ep.fabric.inject(FaultSend, int(ep.fabric.medium(ep.core, dst)), ep.core, dst); err != nil {
+	if err := f.inject(FaultSend, int(f.medium(ep.core, dst)), ep.core, dst); err != nil {
 		return err
 	}
-	if ep.fabric.Routed(ep.core, dst) {
-		return ep.fabric.backend.Send(ep.core, dst, tag, payload, m)
+	f.record(m, ep.core, dst, int64(len(payload)))
+	de := f.endpoints[int(dst)]
+	de.mu.Lock()
+	defer de.mu.Unlock()
+	if de.closed {
+		return fmt.Errorf("transport: sending to endpoint %d: %w", dst, ErrEndpointClosed)
 	}
-	return ep.fabric.LocalSend(ep.core, dst, tag, payload, m)
+	de.inbox = append(de.inbox, Message{Src: ep.core, Tag: tag, Payload: payload})
+	de.inboxCond.Broadcast()
+	return nil
 }
 
-// Recv blocks until a message matching (src, tag) is available and returns
-// it. Pass AnySource to match any sender. Messages from the same sender
-// with the same tag are delivered in send order.
+// Recv blocks until a message matching (src, tag) is available in this
+// endpoint's inbox and returns it. Pass AnySource to match any sender.
+// Messages from the same sender with the same tag are delivered in send
+// order.
 func (ep *Endpoint) Recv(src cluster.CoreID, tag uint64) (Message, error) {
 	// A receive from AnySource has no determinable medium; it only matches
 	// medium-agnostic fault rules.
@@ -234,12 +246,20 @@ func (ep *Endpoint) Recv(src cluster.CoreID, tag uint64) (Message, error) {
 	if err := ep.fabric.inject(FaultRecv, md, src, ep.core); err != nil {
 		return Message{}, err
 	}
-	// The target state is this endpoint's own inbox: it is remote only
-	// when this process does not own the endpoint (a driver fabric).
-	if ep.fabric.Routed(ep.core, ep.core) {
-		return ep.fabric.backend.Recv(ep.core, src, tag)
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	for {
+		for i, msg := range ep.inbox {
+			if (src == AnySource || msg.Src == src) && msg.Tag == tag {
+				ep.inbox = append(ep.inbox[:i], ep.inbox[i+1:]...)
+				return msg, nil
+			}
+		}
+		if ep.closed {
+			return Message{}, fmt.Errorf("transport: receiving on endpoint %d: %w", ep.core, ErrEndpointClosed)
+		}
+		ep.inboxCond.Wait()
 	}
-	return ep.fabric.LocalRecv(ep.core, src, tag)
 }
 
 // Close wakes all blocked receivers of this endpoint with an error. It is
