@@ -18,8 +18,6 @@ import (
 
 	cods "github.com/insitu/cods"
 	"github.com/insitu/cods/internal/cluster"
-	icods "github.com/insitu/cods/internal/cods"
-	"github.com/insitu/cods/internal/dht"
 	"github.com/insitu/cods/internal/membership"
 )
 
@@ -31,11 +29,6 @@ type elastic struct {
 	reg    *membership.Registry
 	ledger *membership.Ledger
 	mon    *membership.Monitor
-
-	// varApp maps a staged variable back to the application that stages
-	// it, so a re-staged block lands in the same lookup namespace.
-	varApp map[string]int
-	defApp int
 
 	stop chan struct{}
 	done chan struct{}
@@ -53,39 +46,13 @@ type elastic struct {
 
 // startElastic joins every codsnode into the lease registry, installs the
 // put ledger, and starts the lease monitor and the reconcile loop.
-func startElastic(fw *cods.Framework, o options, d *cods.DAG, tc *tcpCluster) (*elastic, error) {
+func startElastic(fw *cods.Framework, o options, tc *tcpCluster) (*elastic, error) {
 	el := &elastic{
 		o: o, fw: fw, tc: tc,
 		reg:    membership.NewRegistry(o.leaseTTL),
 		ledger: membership.NewLedger(),
-		varApp: make(map[string]int),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
-	}
-	inBundle := make(map[int]bool)
-	for _, b := range d.Bundles {
-		if len(b) > 1 {
-			for _, a := range b {
-				inBundle[a] = true
-			}
-		}
-	}
-	for _, id := range d.Apps {
-		if el.defApp == 0 {
-			el.defApp = id
-		}
-		if len(d.Parents(id)) == 0 && !inBundle[id] {
-			el.varApp[fmt.Sprintf("data.%d", id)] = id
-		}
-	}
-	// With -stream a bundle's head stages its stream versions through the
-	// sequential path; re-staged blocks keep its namespace.
-	if o.stream {
-		for _, b := range d.Bundles {
-			if len(b) > 1 {
-				el.varApp[fmt.Sprintf("data.%d", b[0])] = b[0]
-			}
-		}
 	}
 	// Membership events become trace spans when the run traces at all, so
 	// a crash and its recovery are visible inline with the pulls they
@@ -133,11 +100,10 @@ func (el *elastic) loop(interval time.Duration) {
 }
 
 // converge replaces each expired node's process — reap, spawn at the next
-// incarnation, route the driver's backend to it, re-join — then runs the
-// reconciler so the crashed processes' staged blocks are re-staged and
-// every lookup record and cached schedule reflects the new processes. The
-// replacement takes the dead node's slot, so the interval assignment is
-// unchanged and the reconciler's re-split step is skipped.
+// incarnation, route the driver's backend to it, re-join — then reconciles,
+// so the crashed processes' staged blocks are re-staged and every lookup
+// record and cached schedule reflects the new processes. The replacement
+// takes the dead node's slot, so who owns which DHT interval is unchanged.
 func (el *elastic) converge(expired []cluster.NodeID) {
 	el.converging.Store(true)
 	defer el.converging.Store(false)
@@ -158,17 +124,7 @@ func (el *elastic) converge(expired []cluster.NodeID) {
 			return
 		}
 	}
-	space := el.fw.SharedSpace()
-	rc := membership.NewReconciler(el.reg, el.ledger, el.fw.MachineInfo(), membership.Actions{
-		Restage: func(b membership.Block) error { return restage(space, el.appOf(b.Var), b) },
-		Reinsert: func(b membership.Block) error {
-			return space.Lookup().ClientAt(b.Owner).Insert("elastic", el.appOf(b.Var), dht.Entry{
-				Var: b.Var, Version: b.Version, Region: b.Region, Owner: b.Owner,
-			})
-		},
-		Invalidate: space.InvalidateAll,
-	})
-	res, err := rc.Reconcile(expired)
+	res, err := membership.Reconcile(el.fw.SharedSpace(), el.ledger, expired)
 	if err != nil {
 		el.fail(err)
 		return
@@ -181,27 +137,6 @@ func (el *elastic) converge(expired []cluster.NodeID) {
 	}
 	fmt.Printf("membership: reconciled %d node(s): re-staged %d blocks (%d B), re-registered %d records\n",
 		len(res.Affected), res.RestagedCount, res.MigratedBytes, res.Reinserted)
-}
-
-// restage stages b again at its owner whatever is there already: the
-// producer's own retry may have re-staged the block first, so any exposure
-// of (var, version, region) is withdrawn before the put — an absent buffer
-// is not an error — as stageStreamVersion does on its retries.
-func restage(space *icods.Space, app int, b membership.Block) error {
-	h := space.HandleAt(b.Owner, app, "elastic")
-	if err := h.Discard(b.Var, b.Version, b.Region); err != nil {
-		return err
-	}
-	return h.PutSequential(b.Var, b.Version, b.Region, b.Data)
-}
-
-// appOf maps a staged variable to the application whose namespace it
-// lives in.
-func (el *elastic) appOf(v string) int {
-	if id, ok := el.varApp[v]; ok {
-		return id
-	}
-	return el.defApp
 }
 
 func (el *elastic) fail(err error) {
@@ -231,7 +166,6 @@ func (el *elastic) totals() membership.Result {
 		tot.RestagedCount += r.RestagedCount
 		tot.MigratedBytes += r.MigratedBytes
 		tot.Reinserted += r.Reinserted
-		tot.MovedRecords += r.MovedRecords
 	}
 	return tot
 }

@@ -336,7 +336,7 @@ func run(o options) error {
 	// re-stages their data while the workflow keeps running.
 	var el *elastic
 	if o.elastic {
-		el, err = startElastic(fw, o, d, tc)
+		el, err = startElastic(fw, o, tc)
 		if err != nil {
 			return err
 		}

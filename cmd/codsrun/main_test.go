@@ -142,10 +142,11 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestRestageIsIdempotent: the reconciler re-stages a block that may be
-// exposed already — the producer's own retry can win the race — so restage
-// must succeed over an existing exposure and leave exactly one block: one
-// reservation of staging memory, one location record, the same cells.
+// TestRestageIsIdempotent: the reconcile re-stages a block that may be
+// exposed already — the producer's own retry can win the race — so
+// membership.Restage must succeed over an existing exposure and leave
+// exactly one block: one reservation of staging memory, one location
+// record, the same cells.
 func TestRestageIsIdempotent(t *testing.T) {
 	m, err := cluster.NewMachine(2, 2)
 	if err != nil {
@@ -161,13 +162,13 @@ func TestRestageIsIdempotent(t *testing.T) {
 	for i := range data {
 		data[i] = float64(i) + 0.5
 	}
-	b := membership.Block{Var: "data.1", Version: 2, Region: region, Owner: owner, Data: data}
+	b := membership.Block{Var: "data.1", Version: 2, Region: region, Owner: owner, App: app, Data: data}
 	if err := space.HandleAt(owner, app, "stage").PutSequential(b.Var, b.Version, b.Region, b.Data); err != nil {
 		t.Fatal(err)
 	}
 	records := space.Lookup().TableSize(0) + space.Lookup().TableSize(1)
 	for i := 1; i <= 2; i++ {
-		if err := restage(space, app, b); err != nil {
+		if err := membership.Restage(space, b, owner, "elastic"); err != nil {
 			t.Fatalf("restage %d over an exposed block: %v", i, err)
 		}
 	}

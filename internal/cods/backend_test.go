@@ -106,8 +106,10 @@ func TestDiscardSurvivesFailedRoundTrip(t *testing.T) {
 // putLog is a PutRecorder counting the blocks currently on record.
 type putLog struct{ live atomic.Int32 }
 
-func (l *putLog) RecordPut(string, int, geometry.BBox, cluster.CoreID, []float64) { l.live.Add(1) }
-func (l *putLog) RecordDiscard(string, int, geometry.BBox, cluster.CoreID)        { l.live.Add(-1) }
+func (l *putLog) RecordPut(string, int, geometry.BBox, cluster.CoreID, int, []float64) {
+	l.live.Add(1)
+}
+func (l *putLog) RecordDiscard(string, int, geometry.BBox, cluster.CoreID) { l.live.Add(-1) }
 
 // TestPutSequentialUndoesFailedInsert is the regression test for the
 // leaked put: when the lookup registration of a staged block fails, the

@@ -261,9 +261,11 @@ type Space struct {
 
 // PutRecorder observes sequentially staged blocks as they are stored and
 // discarded. Implementations must be safe for concurrent use; RecordPut
-// must not retain data beyond the call unless it copies it.
+// must not retain data beyond the call unless it copies it. app is the
+// application of the staging handle — the lookup namespace a re-stage of
+// the block must keep.
 type PutRecorder interface {
-	RecordPut(v string, version int, region geometry.BBox, owner cluster.CoreID, data []float64)
+	RecordPut(v string, version int, region geometry.BBox, owner cluster.CoreID, app int, data []float64)
 	RecordDiscard(v string, version int, region geometry.BBox, owner cluster.CoreID)
 }
 
@@ -383,6 +385,24 @@ func (sp *Space) release(c cluster.CoreID, n int64) {
 	if sp.memUsed[c] < 0 {
 		sp.memUsed[c] = 0
 	}
+}
+
+// ResetNode makes the space what a crash of the node's serving process
+// leaves of it: the node's exposed buffers and its DHT core's location
+// table are dropped where that state lives in this process (an in-process
+// fabric, a loopback backend — there this is the crash), and the staging
+// memory booked on the node's cores is zeroed everywhere, since whatever
+// was staged there is gone whether or not a discard ever says so. In a
+// driver that only dials, the account is all there is to reset.
+func (sp *Space) ResetNode(node cluster.NodeID) {
+	sp.fabric.ResetNode(node)
+	sp.lookup.ResetNode(int(node))
+	m := sp.fabric.Machine()
+	sp.memMu.Lock()
+	for slot := 0; slot < m.CoresPerNode(); slot++ {
+		delete(sp.memUsed, m.CoreOn(node, slot))
+	}
+	sp.memMu.Unlock()
 }
 
 // Lookup exposes the data lookup service (used by the client-side task
@@ -632,7 +652,7 @@ func (h *Handle) PutSequential(v string, version int, region geometry.BBox, data
 	// lookup registration lands post-reconcile and the data is gone for
 	// good.
 	if r := h.sp.putRecorder.Load(); r != nil {
-		(*r).RecordPut(v, version, region, h.core, data)
+		(*r).RecordPut(v, version, region, h.core, h.app, data)
 	}
 	if err := h.endpoint().Expose(bufKey(v, region, version), obj); err != nil {
 		if r := h.sp.putRecorder.Load(); r != nil {
@@ -664,7 +684,9 @@ const maxRequeries = 2
 // is treated as an owner-lookup failure: the cached schedule is dropped,
 // the lookup service is re-queried (the data may have been restaged at a
 // different owner since the schedule was computed) and the pull is re-run
-// against the fresh schedule, up to maxRequeries times.
+// against the fresh schedule, up to maxRequeries times. A lookup answer
+// that does not cover the region is retried under the same policy
+// (sequentialSchedule).
 func (h *Handle) GetSequential(v string, version int, region geometry.BBox) ([]float64, error) {
 	if region.Empty() {
 		return nil, fmt.Errorf("cods: empty get region for %q", v)
@@ -710,26 +732,48 @@ func (h *Handle) GetSequential(v string, version int, region geometry.BBox) ([]f
 	return out, nil
 }
 
+// coverageError reports a lookup answer whose records do not cover a get's
+// region.
+type coverageError string
+
+func (e coverageError) Error() string { return string(e) }
+
 // sequentialSchedule queries the lookup service and converts the location
-// entries into a transfer list covering the region exactly.
+// entries into a transfer list covering the region exactly. An answer that
+// falls short is re-queried under the retry policy's backoff and budget:
+// between a replacement process coming up and the reconcile re-registering
+// what its DHT core held, the records of live data are missing from the
+// table, and a consumer that asks in that window must wait it out like any
+// other transient failure. With no policy, and for data that is really
+// absent once the budget is spent, the shortfall is the error.
 func (h *Handle) sequentialSchedule(v string, version int, region geometry.BBox) ([]transfer, error) {
-	entries, err := h.lookupClient().Query(h.phase, h.app, v, version, region)
+	var sched []transfer
+	_, err := retry.Do(h.sp.RetryPolicy(), uint64(h.core)<<32^uint64(uint32(version)),
+		func(err error) bool { return errors.As(err, new(coverageError)) },
+		func(d time.Duration) { obsPullBackoffNs.Observe(d.Nanoseconds()) },
+		func(int) error {
+			entries, err := h.lookupClient().Query(h.phase, h.app, v, version, region)
+			if err != nil {
+				return err
+			}
+			sched = sched[:0]
+			var covered int64
+			for _, e := range entries {
+				sub, ok := e.Region.Intersect(region)
+				if !ok {
+					continue
+				}
+				covered += sub.Volume()
+				sched = append(sched, transfer{Owner: e.Owner, StoredBox: e.Region, Sub: sub})
+			}
+			if covered != region.Volume() {
+				return coverageError(fmt.Sprintf("cods: %q v%d: stored data covers %d of %d cells of %v",
+					v, version, covered, region.Volume(), region))
+			}
+			return nil
+		})
 	if err != nil {
 		return nil, err
-	}
-	var sched []transfer
-	var covered int64
-	for _, e := range entries {
-		sub, ok := e.Region.Intersect(region)
-		if !ok {
-			continue
-		}
-		covered += sub.Volume()
-		sched = append(sched, transfer{Owner: e.Owner, StoredBox: e.Region, Sub: sub})
-	}
-	if covered != region.Volume() {
-		return nil, fmt.Errorf("cods: %q v%d: stored data covers %d of %d cells of %v",
-			v, version, covered, region.Volume(), region)
 	}
 	return normalizeSchedule(sched), nil
 }

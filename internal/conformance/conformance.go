@@ -130,9 +130,10 @@ func run(sc genwf.Scenario, opts Options) error {
 		return err
 	}
 	var ledger *membership.Ledger
-	if sc.Remap {
-		// The remap planner reads staged blocks from the put ledger; the
-		// recorder must be installed before the producer stages anything.
+	if sc.Remap || sc.Kill != 0 {
+		// The remap planner and the node-loss reconcile read staged blocks
+		// from the put ledger; the recorder must be installed before the
+		// producer stages anything.
 		ledger = membership.NewLedger()
 		space.SetPutRecorder(ledger)
 	}
@@ -167,7 +168,7 @@ func run(sc genwf.Scenario, opts Options) error {
 	pred := newPredictor(machine)
 
 	if sc.Stream {
-		err = runStreaming(sc, opts, machine, space, prodApp, consApp, model, pred)
+		err = runStreaming(sc, opts, machine, space, ledger, prodApp, consApp, model, pred)
 	} else if sc.Sequential {
 		err = runSequential(sc, opts, machine, space, ledger, prodApp, consApp, model, pred)
 	} else {
@@ -438,7 +439,7 @@ func runSequential(sc genwf.Scenario, opts Options, machine *cluster.Machine, sp
 			}
 		}
 	}
-	if err := checkOwners(sc, machine, space, cons, model); err != nil {
+	if err := checkOwners(sc, machine, space, cons, model, sc.Versions, -1); err != nil {
 		return err
 	}
 
@@ -473,42 +474,52 @@ func runSequential(sc genwf.Scenario, opts Options, machine *cluster.Machine, sp
 		if err := restage(sc, machine, space, prod, prodPl, model); err != nil {
 			return err
 		}
-		if err := checkOwners(sc, machine, space, cons, model); err != nil {
+		if err := checkOwners(sc, machine, space, cons, model, sc.Versions, -1); err != nil {
 			return err
 		}
-		for _, c := range consumers {
-			for _, v := range sc.VarNames() {
-				for _, region := range c.regions {
-					pred.addGet(model, v, 0, region, c.h.Core())
-				}
-			}
-		}
-		if err := consumeRound(sc, opts, consumers, model, get, 1); err != nil {
+		if err := reget(sc, opts, consumers, model, get, pred); err != nil {
 			return err
 		}
 	}
 
 	if sc.Kill != 0 {
-		killed := sc.Kill - 1
-		if err := elasticRound(sc, opts, machine, space, prod, prodPl, cons,
-			model, pred, consumers, get, killed, false, 1); err != nil {
+		// The node's serving process is lost and replaced in its slot: the
+		// model is untouched because ownership is where it was, and the
+		// re-gets must return byte-identical data through schedules the
+		// reconcile's epoch bump forced to be recomputed.
+		if err := loseNode(sc, machine, space, ledger, cons, model, sc.Versions); err != nil {
 			return err
 		}
-		if sc.Rejoin {
-			if err := elasticRound(sc, opts, machine, space, prod, prodPl, cons,
-				model, pred, consumers, get, killed, true, 2); err != nil {
-				return err
-			}
+		if err := reget(sc, opts, consumers, model, get, pred); err != nil {
+			return err
 		}
 	}
 	return checkInvariants(sc, machine, space, pred, consumers, prodPl, consPl, prodApp, consApp)
 }
 
+// reget is the second get round every ownership event of a single-version
+// scenario ends with — a restage, a remap, a node loss: the model's current
+// ownership predicts the round's traffic into each given predictor, then
+// every consumer re-gets everything as round 1.
+func reget(sc genwf.Scenario, opts Options, consumers []*consumer, model *refmodel.Model,
+	get func(c *consumer, v string, version int, region geometry.BBox) ([]float64, error), preds ...*predictor) error {
+	for _, c := range consumers {
+		for _, v := range sc.VarNames() {
+			for _, region := range c.regions {
+				for _, p := range preds {
+					p.addGet(model, v, 0, region, c.h.Core())
+				}
+			}
+		}
+	}
+	return consumeRound(sc, opts, consumers, model, get, 1)
+}
+
 // remapRound runs one adaptive traffic-driven remap between get rounds:
 // the planner consumes the flow matrix observed during round 0 together
 // with the put ledger, the executor migrates the chosen blocks through the
-// elastic machinery (restage at the target, interval re-split, epoch
-// bump), and a second full get round must return byte-identical data. The
+// elastic machinery (membership.Restage at the target, epoch bump), and a
+// second full get round must return byte-identical data. The
 // flow deltas across the remap epoch must equal exactly what the model
 // predicts for the re-pull under the new ownership — migration itself
 // books no coupled bytes. When the planner finds no profitable move (the
@@ -542,7 +553,7 @@ func remapRound(sc genwf.Scenario, opts Options, machine *cluster.Machine, space
 			return err
 		}
 	}
-	moved, err := remap.Apply(space, ledger, plan, consAppID, "remap")
+	moved, err := remap.Apply(space, ledger, plan, "remap")
 	if err != nil {
 		return fmt.Errorf("conformance: remap apply: %w\n%s", err, sc.GoLiteral())
 	}
@@ -550,22 +561,14 @@ func remapRound(sc genwf.Scenario, opts Options, machine *cluster.Machine, space
 		return fmt.Errorf("conformance: remap applied %d of %d planned moves\n%s",
 			moved, len(plan.Moves), sc.GoLiteral())
 	}
-	if err := checkOwners(sc, machine, space, cons, model); err != nil {
+	if err := checkOwners(sc, machine, space, cons, model, sc.Versions, -1); err != nil {
 		return err
 	}
 	// Predict the post-remap round twice: into the cumulative predictor
 	// (invariants 1-4b run over the whole scenario) and into a fresh one
 	// holding only this epoch, compared against the window deltas below.
 	epoch := newPredictor(machine)
-	for _, c := range consumers {
-		for _, v := range sc.VarNames() {
-			for _, region := range c.regions {
-				pred.addGet(model, v, 0, region, c.h.Core())
-				epoch.addGet(model, v, 0, region, c.h.Core())
-			}
-		}
-	}
-	if err := consumeRound(sc, opts, consumers, model, get, 1); err != nil {
+	if err := reget(sc, opts, consumers, model, get, pred, epoch); err != nil {
 		return err
 	}
 	after := obs.BuildFlowMatrix(machine.Metrics().Flows(""))
@@ -583,85 +586,30 @@ func remapRound(sc genwf.Scenario, opts Options, machine *cluster.Machine, space
 	return nil
 }
 
-// elasticRound applies one topology change and re-runs a full get round
-// against it. rejoin=false crashes the node: every block it staged moves
-// to the next surviving node (the elastic driver replays these from its
-// ledger) and the lookup intervals re-split over the survivors.
-// rejoin=true admits the replacement: blocks migrate home and the
-// intervals re-split back to the full set. Either way every cached
-// schedule is invalidated — the epoch bump a real reconcile performs —
-// and the subsequent gets must return byte-identical data via the new
-// routing.
-func elasticRound(sc genwf.Scenario, opts Options, machine *cluster.Machine, space *cods.Space,
-	prod *decomp.Decomposition, prodPl *cluster.Placement, cons *decomp.Decomposition,
-	model *refmodel.Model, pred *predictor, consumers []*consumer,
-	get func(c *consumer, v string, version int, region geometry.BBox) ([]float64, error),
-	killed int, rejoin bool, round int) error {
-	if err := migrateNode(sc, machine, space, prod, prodPl, model, killed, rejoin); err != nil {
-		return err
+// loseNode is the node loss of the lock-step elastic round and of the
+// mid-stream kill, recovered by the function codsrun -elastic runs once the
+// replacement process has joined in the dead node's slot. ResetNode is the
+// crash: the node's buffers and its DHT core's table are gone. Before the
+// reconcile the loss must be visible — the lost table empty, and every
+// lookup short by exactly the records the model says only that table held —
+// so a ResetNode that silently does nothing fails here instead of passing
+// the rounds that follow. After membership.Reconcile the lookup must again
+// answer with the model's owners, which never changed. versions bounds the
+// versions checked.
+func loseNode(sc genwf.Scenario, machine *cluster.Machine, space *cods.Space, ledger *membership.Ledger,
+	cons *decomp.Decomposition, model *refmodel.Model, versions int) error {
+	killed := sc.Kill - 1
+	space.ResetNode(cluster.NodeID(killed))
+	if n := space.Lookup().TableSize(killed); n != 0 {
+		return fmt.Errorf("conformance: lost node %d still holds %d location records\n%s", killed, n, sc.GoLiteral())
 	}
-	alive := make([]int, 0, machine.NumNodes())
-	for n := 0; n < machine.NumNodes(); n++ {
-		if rejoin || n != killed {
-			alive = append(alive, n)
-		}
+	if err := checkOwners(sc, machine, space, cons, model, versions, killed); err != nil {
+		return fmt.Errorf("after losing node %d, before the reconcile: %w", killed, err)
 	}
-	cl := space.Lookup().ClientAt(machine.CoreOn(cluster.NodeID(alive[0]), 0))
-	if _, err := cl.Resplit("elastic", consAppID, alive); err != nil {
-		return fmt.Errorf("conformance: resplit over %v: %w\n%s", alive, err, sc.GoLiteral())
+	if _, err := membership.Reconcile(space, ledger, []cluster.NodeID{cluster.NodeID(killed)}); err != nil {
+		return fmt.Errorf("conformance: reconcile after losing node %d: %w\n%s", killed, err, sc.GoLiteral())
 	}
-	space.InvalidateAll()
-	if err := checkOwners(sc, machine, space, cons, model); err != nil {
-		return err
-	}
-	for _, c := range consumers {
-		for _, v := range sc.VarNames() {
-			for _, region := range c.regions {
-				pred.addGet(model, v, 0, region, c.h.Core())
-			}
-		}
-	}
-	return consumeRound(sc, opts, consumers, model, get, round)
-}
-
-// migrateNode moves every block staged on the killed node to the next
-// surviving node's matching core slot (back=false), or back home again
-// once the replacement rejoined (back=true): discard at the source,
-// re-stage at the destination, mirrored into the model.
-func migrateNode(sc genwf.Scenario, machine *cluster.Machine, space *cods.Space,
-	prod *decomp.Decomposition, prodPl *cluster.Placement, model *refmodel.Model,
-	killed int, back bool) error {
-	refugeNode := cluster.NodeID((killed + 1) % machine.NumNodes())
-	for r := 0; r < prod.NumTasks(); r++ {
-		home := prodPl.MustCoreOf(cluster.TaskID{App: prodAppID, Rank: r})
-		if int(machine.NodeOf(home)) != killed {
-			continue
-		}
-		refuge := machine.CoreOn(refugeNode, int(home)%machine.CoresPerNode())
-		src, dst := home, refuge
-		if back {
-			src, dst = refuge, home
-		}
-		hSrc := space.HandleAt(src, prodAppID, "elastic")
-		hDst := space.HandleAt(dst, prodAppID, "elastic")
-		for _, v := range sc.VarNames() {
-			for _, piece := range prod.Region(r) {
-				if err := hSrc.DiscardSequential(v, 0, piece); err != nil {
-					return fmt.Errorf("conformance: elastic discard %q %v: %w", v, piece, err)
-				}
-				if err := model.Discard(v, 0, piece, int(src)); err != nil {
-					return err
-				}
-				if err := hDst.PutSequential(v, 0, piece, sc.FillRegion(v, 0, piece)); err != nil {
-					return fmt.Errorf("conformance: elastic put %q %v: %w", v, piece, err)
-				}
-				if err := model.Put(v, 0, piece, int(dst), sc.FillRegion(v, 0, piece)); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
+	return checkOwners(sc, machine, space, cons, model, versions, -1)
 }
 
 // restage moves every stored block one node over (one core over on a

@@ -22,9 +22,9 @@ package conformance
 //     nothing dropped, everything retired) is checked analytically, with
 //     the flow prediction rebuilt sequentially afterwards.
 //
-// In both modes retirement is verified through the lookup: retired
-// versions must have no DHT records left, retained versions must answer
-// with exactly the model's owner set.
+// In both modes retirement is verified through the lookup (checkOwners):
+// retired versions must have no DHT records left, retained versions must
+// answer with exactly the model's owner set.
 
 import (
 	"errors"
@@ -37,6 +37,7 @@ import (
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/graph"
 	"github.com/insitu/cods/internal/mapping"
+	"github.com/insitu/cods/internal/membership"
 	"github.com/insitu/cods/internal/refmodel"
 )
 
@@ -55,7 +56,7 @@ type publisher struct {
 // sequential stage publish sc.Rounds versions of the single stream
 // variable and the consumers follow through bounded-lag cursors.
 func runStreaming(sc genwf.Scenario, opts Options, machine *cluster.Machine, space *cods.Space,
-	prodApp, consApp graph.App, model *refmodel.Model, pred *predictor) error {
+	ledger *membership.Ledger, prodApp, consApp graph.App, model *refmodel.Model, pred *predictor) error {
 	v := sc.VarNames()[0]
 	prod, cons := prodApp.Decomp, consApp.Decomp
 	prodPl, err := mapping.Consecutive(machine, []graph.App{prodApp}, nil)
@@ -96,7 +97,7 @@ func runStreaming(sc genwf.Scenario, opts Options, machine *cluster.Machine, spa
 	}
 
 	if sc.Drop {
-		return runStreamLockstep(sc, opts, machine, space, v, pubs, consumers, cons, model, pred)
+		return runStreamLockstep(sc, opts, machine, space, ledger, v, pubs, consumers, cons, model, pred)
 	}
 	return runStreamConcurrent(sc, opts, machine, space, v, pubs, consumers, cons, model, pred)
 }
@@ -104,7 +105,7 @@ func runStreaming(sc genwf.Scenario, opts Options, machine *cluster.Machine, spa
 // runStreamLockstep drives a drop-oldest scenario one round at a time,
 // mirroring every operation into the stream reference model.
 func runStreamLockstep(sc genwf.Scenario, opts Options, machine *cluster.Machine, space *cods.Space,
-	v string, pubs []*publisher, consumers []*consumer, cons *decomp.Decomposition,
+	ledger *membership.Ledger, v string, pubs []*publisher, consumers []*consumer, cons *decomp.Decomposition,
 	model *refmodel.Model, pred *predictor) error {
 	ms := refmodel.NewStream(model, v, len(pubs), sc.MaxLag, true)
 
@@ -125,9 +126,11 @@ func runStreamLockstep(sc genwf.Scenario, opts Options, machine *cluster.Machine
 		curs[i], ids[i] = cur, id
 	}
 
-	// A mid-stream kill lands at the half-way round: the node's retained
-	// blocks are re-staged (the elastic ledger replay) before publishing
-	// continues through the reconciled routing.
+	// A mid-stream kill lands at the half-way round: the node's serving
+	// process is lost and replaced in its slot, the reconcile re-stages its
+	// retained blocks from the ledger — the stream layer's block records
+	// stay valid because the replacement serves the same cores — and
+	// publishing continues.
 	killAt := -1
 	if sc.Kill != 0 {
 		killAt = sc.Rounds / 2
@@ -135,10 +138,7 @@ func runStreamLockstep(sc genwf.Scenario, opts Options, machine *cluster.Machine
 
 	for r := 0; r < sc.Rounds; r++ {
 		if r == killAt {
-			if err := migrateStreamNode(sc, machine, space, v, pubs, ms, model, sc.Kill-1); err != nil {
-				return err
-			}
-			if err := checkStreamOwners(sc, machine, space, v, cons, model, ms.Latest()); err != nil {
+			if err := loseNode(sc, machine, space, ledger, cons, model, ms.Latest()+1); err != nil {
 				return err
 			}
 		}
@@ -235,7 +235,7 @@ func runStreamLockstep(sc genwf.Scenario, opts Options, machine *cluster.Machine
 		return fmt.Errorf("conformance: stream stats published/consumed/dropped = %d/%d/%d, model says %d/%d/%d\n%s",
 			published, consumed, dropped, mp, mc, md, sc.GoLiteral())
 	}
-	if err := checkStreamOwners(sc, machine, space, v, cons, model, ms.Latest()); err != nil {
+	if err := checkOwners(sc, machine, space, cons, model, ms.Latest()+1, -1); err != nil {
 		return err
 	}
 	return checkFlowAccounting(sc, machine, space, pred)
@@ -498,7 +498,7 @@ func runStreamConcurrent(sc genwf.Scenario, opts Options, machine *cluster.Machi
 			}
 		}
 	}
-	if err := checkStreamOwners(sc, machine, space, v, cons, model, sc.Rounds-1); err != nil {
+	if err := checkOwners(sc, machine, space, cons, model, sc.Rounds, -1); err != nil {
 		return err
 	}
 	return checkFlowAccounting(sc, machine, space, pred)
@@ -524,68 +524,6 @@ func checkStreamSync(sc genwf.Scenario, v string, space *cods.Space,
 		if pos := cur.Pos(); pos != mpos {
 			return fmt.Errorf("conformance: stream %q cursor %d at %d, model says %d\n%s",
 				v, i, pos, mpos, sc.GoLiteral())
-		}
-	}
-	return nil
-}
-
-// checkStreamOwners asserts the lookup agrees with the model for every
-// stream version up to the watermark: retained versions answer with
-// exactly the model's owner set, retired versions answer with nothing —
-// their records are gone from the DHT, not merely ignored.
-func checkStreamOwners(sc genwf.Scenario, machine *cluster.Machine, space *cods.Space, v string,
-	cons *decomp.Decomposition, model *refmodel.Model, latest int) error {
-	cl := space.Lookup().ClientAt(machine.CoreOn(0, 0))
-	for r := 0; r < cons.NumTasks(); r++ {
-		for _, region := range getRegions(cons, r, sc.Ghost) {
-			for ver := 0; ver <= latest; ver++ {
-				entries, err := cl.Query("check", consAppID, v, ver, region)
-				if err != nil {
-					return fmt.Errorf("conformance: lookup %q v%d %v: %w", v, ver, region, err)
-				}
-				want := model.Owners(v, ver, region)
-				if len(entries) != len(want) {
-					return fmt.Errorf("conformance: lookup %q v%d %v returned %d owners, model predicts %d\n%s",
-						v, ver, region, len(entries), len(want), sc.GoLiteral())
-				}
-				for i, e := range entries {
-					if int(e.Owner) != want[i].Owner || !e.Region.Equal(want[i].Region) {
-						return fmt.Errorf("conformance: lookup %q v%d %v entry %d = owner %d %v, model predicts owner %d %v\n%s",
-							v, ver, region, i, e.Owner, e.Region, want[i].Owner, want[i].Region, sc.GoLiteral())
-					}
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// migrateStreamNode re-stages every retained stream block owned by the
-// killed node at its original cores, the way the elastic driver's ledger
-// replay restores a replaced node: discard, re-put, mirrored into the
-// model. The stream layer's block records stay valid because the
-// replacement serves the same cores.
-func migrateStreamNode(sc genwf.Scenario, machine *cluster.Machine, space *cods.Space,
-	v string, pubs []*publisher, ms *refmodel.Stream, model *refmodel.Model, killed int) error {
-	floor, latest := ms.Floor(), ms.Latest()
-	for _, p := range pubs {
-		if int(machine.NodeOf(p.h.Core())) != killed {
-			continue
-		}
-		h := space.HandleAt(p.h.Core(), prodAppID, "stream:elastic")
-		for ver := floor; ver <= latest; ver++ {
-			if err := h.DiscardSequential(v, ver, p.piece); err != nil {
-				return fmt.Errorf("conformance: stream elastic discard %q v%d %v: %w", v, ver, p.piece, err)
-			}
-			if err := model.Discard(v, ver, p.piece, int(p.h.Core())); err != nil {
-				return err
-			}
-			if err := h.PutSequential(v, ver, p.piece, sc.FillRegion(v, ver, p.piece)); err != nil {
-				return fmt.Errorf("conformance: stream elastic put %q v%d %v: %w", v, ver, p.piece, err)
-			}
-			if err := model.Put(v, ver, p.piece, int(p.h.Core()), sc.FillRegion(v, ver, p.piece)); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -4,9 +4,10 @@
 //
 // The application's n-dimensional Cartesian domain is linearized with a
 // Hilbert space-filling curve; the resulting 1-D index space is divided
-// into contiguous intervals, one per compute node. The first core of each
-// node acts as that node's DHT core and maintains a location table mapping
-// (variable, version, region) to the core storing the data. Clients
+// into contiguous intervals, one per compute node, once: a lost node is
+// replaced in its slot, so the assignment never changes. The first core of
+// each node acts as that node's DHT core and maintains a location table
+// mapping (variable, version, region) to the core storing the data. Clients
 // translate geometric descriptors into index spans, route inserts and
 // queries to the DHT cores responsible for the overlapping intervals, and
 // merge the answers.
@@ -24,7 +25,6 @@ import (
 
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/geometry"
-	"github.com/insitu/cods/internal/mutate"
 	"github.com/insitu/cods/internal/obs"
 	"github.com/insitu/cods/internal/retry"
 	"github.com/insitu/cods/internal/sfc"
@@ -76,14 +76,6 @@ type queryReq struct {
 
 type queryResp struct{ Entries []Entry }
 
-// dumpReq asks a DHT core for every entry it holds (the observe step of a
-// re-split); clearReq empties its table (a member leaving the set).
-type dumpReq struct{}
-
-type dumpResp struct{ Entries []Entry }
-
-type clearReq struct{}
-
 // tableKey names one variable version in a location table.
 type tableKey struct {
 	v       string
@@ -99,83 +91,19 @@ type table struct {
 
 func newTable() *table { return &table{entries: make(map[tableKey][]Entry)} }
 
-// routing is one immutable interval assignment of the linearized index
-// space: the alive member nodes, sorted ascending, split the curve's
-// Total() indices into contiguous intervals, the remainder spread over
-// the first rem members. A topology change never mutates a routing — the
-// reconcile loop builds a new one and swaps the pointer, so a concurrent
-// fan-out sees either the old assignment or the new one, never a blend.
-type routing struct {
-	alive []int
-	chunk uint64
-	rem   uint64
-}
-
-func newRouting(alive []int, total uint64) *routing {
-	sorted := append([]int(nil), alive...)
-	sort.Ints(sorted)
-	n := uint64(len(sorted))
-	return &routing{alive: sorted, chunk: total / n, rem: total % n}
-}
-
-// interval returns the index interval [lo, hi) of the i-th member.
-func (r *routing) interval(i int) (uint64, uint64) {
-	ui := uint64(i)
-	lo := ui*r.chunk + minU64(ui, r.rem)
-	hi := lo + r.chunk
-	if ui < r.rem {
-		hi++
-	}
-	return lo, hi
-}
-
-// memberOfIndex returns the position into alive of the member whose
-// interval contains idx.
-func (r *routing) memberOfIndex(idx uint64) int {
-	big := r.chunk + 1
-	if idx < r.rem*big {
-		return int(idx / big)
-	}
-	if r.chunk == 0 {
-		return int(r.rem) // degenerate: more members than indices
-	}
-	return int(r.rem + (idx-r.rem*big)/r.chunk)
-}
-
-func (r *routing) nodeOfIndex(idx uint64) int { return r.alive[r.memberOfIndex(idx)] }
-
-// nodesForRegion returns the sorted set of member nodes responsible for
-// any part of the region's index spans under this assignment.
-func (r *routing) nodesForRegion(curve sfc.Linearizer, b geometry.BBox) []int {
-	seen := map[int]bool{}
-	for _, span := range curve.Spans(b) {
-		first := r.memberOfIndex(span.Start)
-		last := r.memberOfIndex(span.End - 1)
-		for i := first; i <= last; i++ {
-			seen[r.alive[i]] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Service is the machine-wide lookup service. One DHT core per member node
-// serves the interval of the linearized index space assigned to it by the
-// current routing.
+// Service is the machine-wide lookup service. One DHT core per node serves
+// one contiguous interval of the linearized index space.
 type Service struct {
 	fabric *transport.Fabric
 	curve  sfc.Linearizer
 	tables []*table // per node
 
-	// route is the current interval assignment; prevRoute keeps the one
-	// it replaced (consulted only by the StaleRouteAfterResplit seeded
-	// defect, which pins the query fan-out to the pre-migration owners).
-	route     atomic.Pointer[routing]
-	prevRoute atomic.Pointer[routing]
+	// chunk and rem are the interval assignment, fixed for the life of the
+	// service: the curve's Total() indices split over the nodes in node
+	// order, the remainder spread over the first rem of them. A lost node
+	// is replaced in its slot (DESIGN §5h), so who owns an index never
+	// changes and nothing here needs a lock.
+	chunk, rem uint64
 
 	// retryPol bounds the retrying of control RPCs against DHT cores
 	// (nil = single attempt). Stored atomically so the policy can be
@@ -188,16 +116,14 @@ type Service struct {
 // workflow's coupled data domain.
 func NewService(f *transport.Fabric, curve sfc.Linearizer) *Service {
 	m := f.Machine()
+	n := uint64(m.NumNodes())
 	s := &Service{
 		fabric: f,
 		curve:  curve,
-		tables: make([]*table, m.NumNodes()),
+		tables: make([]*table, n),
+		chunk:  curve.Total() / n,
+		rem:    curve.Total() % n,
 	}
-	all := make([]int, m.NumNodes())
-	for i := range all {
-		all[i] = i
-	}
-	s.route.Store(newRouting(all, curve.Total()))
 	for node := 0; node < m.NumNodes(); node++ {
 		s.tables[node] = newTable()
 		core := m.CoreOn(cluster.NodeID(node), 0)
@@ -262,45 +188,44 @@ func doCall(pol retry.Policy, seed uint64, op func() (any, error)) (int, any, er
 	return attempts, resp, nil
 }
 
-// Members returns the node ids of the current member set, ascending.
-func (s *Service) Members() []int {
-	return append([]int(nil), s.route.Load().alive...)
-}
-
-// intervalOf returns the index interval [lo, hi) owned by a node under the
-// current routing ((0, 0) when the node is not a member).
+// intervalOf returns the index interval [lo, hi) owned by a node.
 func (s *Service) intervalOf(node int) (uint64, uint64) {
-	r := s.route.Load()
-	for i, n := range r.alive {
-		if n == node {
-			return r.interval(i)
-		}
+	n := uint64(node)
+	lo := n*s.chunk + min(n, s.rem)
+	hi := lo + s.chunk
+	if n < s.rem {
+		hi++
 	}
-	return 0, 0
+	return lo, hi
 }
 
 // nodeOfIndex returns the node whose interval contains idx.
 func (s *Service) nodeOfIndex(idx uint64) int {
-	return s.route.Load().nodeOfIndex(idx)
+	big := s.chunk + 1
+	if idx < s.rem*big {
+		return int(idx / big)
+	}
+	if s.chunk == 0 {
+		return int(s.rem) // degenerate: more nodes than indices
+	}
+	return int(s.rem + (idx-s.rem*big)/s.chunk)
 }
 
 // nodesForRegion returns the sorted set of nodes responsible for any part
-// of the region's index spans under the current routing.
+// of the region's index spans.
 func (s *Service) nodesForRegion(b geometry.BBox) []int {
-	return s.route.Load().nodesForRegion(s.curve, b)
-}
-
-// queryRouting is the assignment the query fan-out consults. The seeded
-// StaleRouteAfterResplit defect pins it to the routing that predates the
-// last re-split, so lookups go to the pre-migration interval owners —
-// including departed members whose tables were handed off and cleared.
-func (s *Service) queryRouting() *routing {
-	if mutate.Enabled(mutate.StaleRouteAfterResplit) {
-		if old := s.prevRoute.Load(); old != nil {
-			return old
+	seen := map[int]bool{}
+	for _, span := range s.curve.Spans(b) {
+		for n, last := s.nodeOfIndex(span.Start), s.nodeOfIndex(span.End-1); n <= last; n++ {
+			seen[n] = true
 		}
 	}
-	return s.route.Load()
+	out := make([]int, 0, len(seen))
+	for n := range seen {
+		out = append(out, n)
+	}
+	sort.Ints(out)
+	return out
 }
 
 // DHTCore returns the core acting as the DHT core of a node.
@@ -319,8 +244,8 @@ func (s *Service) checkRegion(b geometry.BBox) error {
 }
 
 // serve processes one RPC on the DHT core of node. Writes take the
-// table lock exclusively; queries and dumps only read-lock it, so
-// concurrent lookups proceed in parallel. A query scans the entries of its
+// table lock exclusively; queries only read-lock it, so concurrent
+// lookups proceed in parallel. A query scans the entries of its
 // variable version, one corner comparison each, and allocates only the answer.
 func (s *Service) serve(node int, req any) (any, error) {
 	t := s.tables[node]
@@ -373,21 +298,6 @@ func (s *Service) serve(node int, req any) (any, error) {
 			}
 		}
 		return queryResp{Entries: out}, nil
-	case dumpReq:
-		obsTableReads.Inc()
-		t.mu.RLock()
-		defer t.mu.RUnlock()
-		var out []Entry
-		for _, es := range t.entries {
-			out = append(out, es...)
-		}
-		return dumpResp{Entries: out}, nil
-	case clearReq:
-		obsTableWrites.Inc()
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		t.entries = make(map[tableKey][]Entry)
-		return nil, nil
 	default:
 		return nil, fmt.Errorf("dht: unknown request type %T", req)
 	}
@@ -474,7 +384,7 @@ func (cl *Client) Query(phase string, app int, v string, version int, region geo
 	}
 	req := queryReq{Var: v, Version: version, Region: region}
 	reqSize := int64(len(v)) + 8 + int64(16*region.Dim())
-	nodes := cl.svc.queryRouting().nodesForRegion(cl.svc.curve, region)
+	nodes := cl.svc.nodesForRegion(region)
 	// Meter the whole fan-out — span translation, the concurrent per-node
 	// RPCs, and the deduplicating merge — as one query latency sample.
 	var queryStart time.Time
@@ -542,102 +452,6 @@ func (cl *Client) Query(phase string, app int, v string, version int, region geo
 	return out, nil
 }
 
-// Resplit converges the location tables onto a new member set — the
-// migrate half of the membership reconcile loop's observe → diff →
-// converge step. Every surviving entry is re-registered with the members
-// responsible for its region under the new interval assignment (inserts
-// are idempotent, so overlap with the old assignment is harmless),
-// departed members have their tables cleared, and surviving members drop
-// the entries that moved away from them. Entries held only by an
-// unreachable departed member (a crash, not a graceful departure) cannot
-// be observed here — the caller's staged-block ledger re-registers them.
-// Returns the number of entry handoffs (re-registrations) performed.
-//
-// The routing swap happens between the re-registration and the pruning,
-// so a concurrent query sees either the old assignment with the old
-// tables intact or the new assignment with the entries already in place.
-func (cl *Client) Resplit(phase string, app int, alive []int) (int, error) {
-	s := cl.svc
-	if len(alive) == 0 {
-		return 0, fmt.Errorf("dht: resplit to an empty member set")
-	}
-	for _, n := range alive {
-		if n < 0 || n >= s.fabric.Machine().NumNodes() {
-			return 0, fmt.Errorf("dht: resplit member %d out of range", n)
-		}
-	}
-	old := s.route.Load()
-	next := newRouting(alive, s.curve.Total())
-	aliveSet := make(map[int]bool, len(next.alive))
-	for _, n := range next.alive {
-		aliveSet[n] = true
-	}
-	// Observe: dump every old member's table. A departed member that is
-	// already unreachable is skipped — its records are lost with it.
-	type dumped struct {
-		node    int
-		entries []Entry
-	}
-	var dumps []dumped
-	for _, node := range old.alive {
-		resp, err := cl.call(node, dumpReq{}, cl.meter(phase, app), 8, 8,
-			rpcSeed(cl.ep.Core(), node, 4))
-		if err != nil {
-			if aliveSet[node] {
-				return 0, fmt.Errorf("dht: dumping node %d: %w", node, err)
-			}
-			continue
-		}
-		dumps = append(dumps, dumped{node, resp.(dumpResp).Entries})
-	}
-	// Converge: register each surviving record with its new owners.
-	moved := 0
-	for _, d := range dumps {
-		for _, e := range d.entries {
-			for _, node := range next.nodesForRegion(s.curve, e.Region) {
-				if node == d.node {
-					continue
-				}
-				if _, err := cl.call(node, insertReq{Entry: e},
-					cl.meter(phase, app), entrySize(e), 8, rpcSeed(cl.ep.Core(), node, 1)); err != nil {
-					return moved, fmt.Errorf("dht: handing off to node %d: %w", node, err)
-				}
-				moved++
-			}
-		}
-	}
-	// Swap the assignment, keeping the old one for the seeded
-	// stale-route defect to consult.
-	s.prevRoute.Store(old)
-	s.route.Store(next)
-	// Prune: departed members drop everything (best effort — the process
-	// may already be gone), survivors drop what moved away from them.
-	for _, d := range dumps {
-		if !aliveSet[d.node] {
-			_, _ = cl.call(d.node, clearReq{}, cl.meter(phase, app), 8, 8,
-				rpcSeed(cl.ep.Core(), d.node, 5))
-			continue
-		}
-		for _, e := range d.entries {
-			still := false
-			for _, node := range next.nodesForRegion(s.curve, e.Region) {
-				if node == d.node {
-					still = true
-					break
-				}
-			}
-			if still {
-				continue
-			}
-			if _, err := cl.call(d.node, removeReq{Entry: e},
-				cl.meter(phase, app), entrySize(e), 8, rpcSeed(cl.ep.Core(), d.node, 2)); err != nil {
-				return moved, fmt.Errorf("dht: pruning node %d: %w", d.node, err)
-			}
-		}
-	}
-	return moved, nil
-}
-
 // TableSize reports how many entries the DHT core of a node currently
 // holds (for tests and diagnostics).
 func (s *Service) TableSize(node int) int {
@@ -651,19 +465,21 @@ func (s *Service) TableSize(node int) int {
 	return n
 }
 
+// ResetNode empties the location table of one node's DHT core — what a
+// crash of that node's process leaves of it. The table lives in the
+// process that serves the node: in a driver that only dials there is
+// nothing here to drop.
+func (s *Service) ResetNode(node int) {
+	t := s.tables[node]
+	t.mu.Lock()
+	t.entries = make(map[tableKey][]Entry)
+	t.mu.Unlock()
+}
+
 // Clear removes all entries from every location table (between workflow
 // stages of independent experiments).
 func (s *Service) Clear() {
-	for _, t := range s.tables {
-		t.mu.Lock()
-		t.entries = make(map[tableKey][]Entry)
-		t.mu.Unlock()
+	for node := range s.tables {
+		s.ResetNode(node)
 	}
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,10 +1,10 @@
 package dht
 
-// The seven DHT control messages share one wire form (DESIGN §5f, *Control
+// The four DHT control messages share one wire form (DESIGN §5f, *Control
 // messages*): the tag byte, a u32 entry count, then per entry the variable
 // name (u32 length + bytes), i64 version, i32 owner core and the region as a
 // box (geometry.AppendBox). insert, remove and query carry exactly one entry
-// (a query's owner is 0), dump and clear none, the two responses any number.
+// (a query's owner is 0), the query response any number.
 // The decoder is strict: another count than the tag allows, a count the
 // remaining bytes cannot hold (checked before the slice is allocated), a
 // field that ends early or a byte left over fails the message.
@@ -25,9 +25,6 @@ const (
 	tagRemove
 	tagQuery
 	tagQueryResp
-	tagDump
-	tagDumpResp
-	tagClear
 )
 
 var errMalformed = errors.New("dht: message is cut short, overlong, or not what its tag encodes")
@@ -72,9 +69,6 @@ func init() {
 		}
 		return queryResp{es}
 	})
-	register(tagDump, dumpReq{}, 0, func([]Entry) msg { return dumpReq{} })
-	register(tagDumpResp, dumpResp{[]Entry{f, e}}, -1, func(es []Entry) msg { return dumpResp{es} })
-	register(tagClear, clearReq{}, 0, func([]Entry) msg { return clearReq{} })
 }
 
 func (r insertReq) AppendWire(dst []byte) []byte { return appendEntries(dst, tagInsert, r.Entry) }
@@ -85,9 +79,6 @@ func (r queryReq) AppendWire(dst []byte) []byte {
 func (r queryResp) AppendWire(dst []byte) []byte {
 	return appendEntries(dst, tagQueryResp, r.Entries...)
 }
-func (dumpReq) AppendWire(dst []byte) []byte    { return appendEntries(dst, tagDump) }
-func (r dumpResp) AppendWire(dst []byte) []byte { return appendEntries(dst, tagDumpResp, r.Entries...) }
-func (clearReq) AppendWire(dst []byte) []byte   { return appendEntries(dst, tagClear) }
 
 // appendEntries appends one message, growing dst once to its exact length.
 func appendEntries(dst []byte, tag uint8, es ...Entry) []byte {

@@ -119,19 +119,13 @@ type Scenario struct {
 	// schedule-cache invalidation and DHT removal.
 	Restage bool
 
-	// Kill names a node (1-based, so 0 disables) that crashes after the
-	// first get round of a sequential single-version scenario: every
-	// block staged on it is re-staged onto a surviving node (the elastic
-	// driver replays these from its ledger), the lookup intervals are
-	// re-split over the survivors, cached schedules are invalidated, and
-	// a second get round must still return byte-identical data.
+	// Kill names a node (1-based, so 0 disables) whose serving process is
+	// lost after the first get round of a sequential single-version
+	// scenario and replaced in its slot: its exposed buffers and its DHT
+	// table are gone, membership.Reconcile re-stages its blocks from the
+	// put ledger and re-registers the survivors' records, and a second get
+	// round must still return byte-identical data.
 	Kill int
-
-	// Rejoin, for a Kill scenario, admits a replacement into the crashed
-	// node's slot after the post-kill round: the migrated blocks move
-	// home, the intervals re-split back to the full member set, and a
-	// third get round runs.
-	Rejoin bool
 
 	// Faults is an optional transport fault-plan JSON ("" = none). The
 	// generator only emits recoverable plans: every error window or
@@ -305,9 +299,6 @@ func (sc Scenario) Validate() error {
 			return fmt.Errorf("genwf: kill and restage are exclusive")
 		}
 	}
-	if sc.Rejoin && sc.Kill == 0 {
-		return fmt.Errorf("genwf: rejoin without kill")
-	}
 	if sc.Faults != "" && sc.Retry < 2 {
 		return fmt.Errorf("genwf: fault plan without a retry budget")
 	}
@@ -318,8 +309,8 @@ func (sc Scenario) Validate() error {
 		if sc.Vars != 1 {
 			return fmt.Errorf("genwf: streaming couples one stream variable")
 		}
-		if sc.Restage || sc.Rejoin {
-			return fmt.Errorf("genwf: streaming excludes restage/rejoin")
+		if sc.Restage {
+			return fmt.Errorf("genwf: streaming excludes restage")
 		}
 		if sc.Mapping != Consecutive && sc.Mapping != RoundRobin {
 			return fmt.Errorf("genwf: streaming consumers subscribe before data exists; data-centric mapping undefined")
@@ -421,7 +412,6 @@ func streamize(r *rng, sc *Scenario) {
 	sc.Versions = 1
 	sc.Vars = 1
 	sc.Restage = false
-	sc.Rejoin = false
 	sc.Remap = false
 	if sc.Mapping != Consecutive && sc.Mapping != RoundRobin {
 		sc.Mapping = Policy(r.pick(int(Consecutive), int(RoundRobin)))
@@ -478,7 +468,6 @@ func generate(r *rng, seed uint64) Scenario {
 		sc.Restage = sc.Versions == 1 && r.intn(4) == 0
 		if sc.Nodes > 1 && sc.Versions == 1 && !sc.Restage && r.intn(2) == 0 {
 			sc.Kill = 1 + r.intn(sc.Nodes)
-			sc.Rejoin = r.intn(2) == 0
 		}
 		if sc.Nodes > 1 && sc.Versions == 1 && !sc.Restage && sc.Kill == 0 && r.intn(4) == 0 {
 			sc.Remap = true
@@ -614,7 +603,7 @@ func (sc Scenario) GoLiteral() string {
 		fmt.Fprintf(&b, "\tRemap: true,\n")
 	}
 	if sc.Kill != 0 {
-		fmt.Fprintf(&b, "\tKill: %d, Rejoin: %v,\n", sc.Kill, sc.Rejoin)
+		fmt.Fprintf(&b, "\tKill: %d,\n", sc.Kill)
 	}
 	if sc.Stream {
 		fmt.Fprintf(&b, "\tStream: true, Drop: %v, Rounds: %d, MaxLag: %d, ConsumeEvery: %d, Resub: %d,\n",
@@ -643,7 +632,7 @@ func (sc Scenario) DAG() string {
 		fmt.Fprintf(&b, "# remap: one adaptive traffic-driven round after round 0\n")
 	}
 	if sc.Kill != 0 {
-		fmt.Fprintf(&b, "# elastic: kill node %d after round 0, rejoin=%v\n", sc.Kill-1, sc.Rejoin)
+		fmt.Fprintf(&b, "# elastic: node %d lost and replaced after round 0\n", sc.Kill-1)
 	}
 	if sc.Stream {
 		policy := "backpressure"

@@ -78,11 +78,8 @@ func candidates(sc Scenario) []Scenario {
 		add(func(c *Scenario) { c.MaxLag = 1 })
 		add(func(c *Scenario) { c.MaxLag-- })
 	}
-	if sc.Rejoin {
-		add(func(c *Scenario) { c.Rejoin = false })
-	}
 	if sc.Kill != 0 {
-		add(func(c *Scenario) { c.Kill, c.Rejoin = 0, false })
+		add(func(c *Scenario) { c.Kill = 0 })
 		if sc.Kill > 1 {
 			add(func(c *Scenario) { c.Kill = 1 })
 		}

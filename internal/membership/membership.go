@@ -1,16 +1,12 @@
 // Package membership implements the elastic cluster layer: serving
 // processes (codsnode) register with the driver, hold a TTL lease renewed
-// by heartbeat probes, and leave by lease expiry (crash). A desired-state
-// reconcile loop — the operator-controller idiom: observe the current
-// state, diff it against the desired member set, converge — re-splits the DHT intervals and re-stages or
-// re-registers the staged variables recorded in the put ledger, while
-// in-flight pulls retry against the updated routing table.
-//
-// The package is deliberately mechanism-only: it owns the registry, the
-// ledger, the lease monitor and the reconcile bookkeeping, and delegates
-// the actual convergence actions (re-stage a block, re-insert a location
-// record, re-split intervals) to callbacks bound by the embedding driver,
-// so it stays free of transport and pull-engine dependencies.
+// by heartbeat probes, and leave by lease expiry (crash). A lost process is
+// replaced in its node's slot, so the DHT interval assignment never changes
+// and recovery is one function: Reconcile re-stages the lost node's blocks
+// from the put ledger and re-registers every other block's location records
+// (some lived in the lost node's table), while in-flight pulls retry. The
+// elastic driver, the remap executor and the conformance harness all move a
+// ledger block through the same Restage.
 package membership
 
 import (
@@ -20,6 +16,8 @@ import (
 	"time"
 
 	"github.com/insitu/cods/internal/cluster"
+	"github.com/insitu/cods/internal/cods"
+	"github.com/insitu/cods/internal/dht"
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/mutate"
 	"github.com/insitu/cods/internal/obs"
@@ -210,8 +208,7 @@ func (r *Registry) Incarnation(node cluster.NodeID) uint64 {
 }
 
 // Alive returns the node ids of the members currently holding a live
-// lease, ascending — the desired member set the reconcile loop converges
-// the routing onto.
+// lease, ascending.
 func (r *Registry) Alive() []int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -246,12 +243,14 @@ func (r *Registry) Members() []Member {
 }
 
 // Block is one ledger record of a sequentially staged block: enough to
-// re-stage it byte-identically at a replacement owner.
+// re-stage it byte-identically, in the lookup namespace of the application
+// that staged it, at the same owner or another.
 type Block struct {
 	Var     string
 	Version int
 	Region  geometry.BBox
 	Owner   cluster.CoreID
+	App     int
 	Data    []float64
 }
 
@@ -277,8 +276,8 @@ func NewLedger() *Ledger {
 }
 
 // RecordPut stores a copy of a staged block (cods.PutRecorder).
-func (l *Ledger) RecordPut(v string, version int, region geometry.BBox, owner cluster.CoreID, data []float64) {
-	b := Block{Var: v, Version: version, Region: region.Clone(), Owner: owner,
+func (l *Ledger) RecordPut(v string, version int, region geometry.BBox, owner cluster.CoreID, app int, data []float64) {
+	b := Block{Var: v, Version: version, Region: region.Clone(), Owner: owner, App: app,
 		Data: append([]float64(nil), data...)}
 	l.mu.Lock()
 	l.blocks[blockKey(v, version, region, owner)] = b
@@ -316,27 +315,6 @@ func (l *Ledger) Len() int {
 	return len(l.blocks)
 }
 
-// Actions binds the reconciler's convergence steps to the embedding
-// driver's mechanisms.
-type Actions struct {
-	// Restage re-stages one ledger block whose owning process restarted:
-	// the buffer must be exposed again at the owner core and its location
-	// re-registered. Re-staging is idempotent on the lookup side.
-	Restage func(b Block) error
-	// Reinsert re-registers the location records of a block whose owner
-	// survived — records that lived on a dead member's DHT interval were
-	// lost with it, and inserts are idempotent where they were not.
-	Reinsert func(b Block) error
-	// Resplit converges the DHT interval assignment onto the alive member
-	// set, handing surviving entries off; returns the number of records
-	// moved. Nil skips the step (a replacement took the dead node's slot,
-	// so the assignment is unchanged).
-	Resplit func(alive []int) (int, error)
-	// Invalidate drops every cached communication schedule, so pulls
-	// re-query the converged routing instead of a pre-change owner.
-	Invalidate func()
-}
-
 // Result is the accounting of one reconcile pass. MigratedBytes must
 // reconcile delta-0 against the membership.migrated_bytes counter.
 type Result struct {
@@ -344,49 +322,53 @@ type Result struct {
 	RestagedCount int64
 	MigratedBytes int64
 	Reinserted    int64
-	MovedRecords  int64
 }
 
-// Reconciler converges the data plane onto the registry's desired member
-// set: observe (registry state + ledger), diff (which owners live on
-// affected nodes), converge (re-stage, re-insert, re-split, invalidate).
-type Reconciler struct {
-	reg     *Registry
-	ledger  *Ledger
-	machine *cluster.Machine
-	acts    Actions
+// Restage is the one way a ledger block is moved: its exposure and location
+// record are withdrawn at the recorded owner, then the ledger's copy is put
+// at core to — the same core after a crash (Reconcile), another one for a
+// remap (remap.Apply). An absent buffer is no error: the owner's process
+// may be gone, or the producer's own retry re-staged the block first. The
+// space's put recorder follows the move (the discard drops the record, the
+// put writes it again under the new owner); like any failed PutSequential,
+// a failed re-stage leaves the block off the ledger.
+func Restage(sp *cods.Space, b Block, to cluster.CoreID, phase string) error {
+	from := sp.HandleAt(b.Owner, b.App, phase)
+	if mutate.Enabled(mutate.RemapStaleOwner) && to != b.Owner {
+		// Seeded defect: free the old copy's bytes but leave its location
+		// record registered (and skip the schedule invalidation that rides
+		// on the removal), so lookups keep naming the pre-migration owner.
+		_ = from.Discard(b.Var, b.Version, b.Region)
+	} else if err := from.DiscardSequential(b.Var, b.Version, b.Region); err != nil {
+		return fmt.Errorf("membership: withdrawing %q v%d %v at core %d: %w", b.Var, b.Version, b.Region, b.Owner, err)
+	}
+	if err := sp.HandleAt(to, b.App, phase).PutSequential(b.Var, b.Version, b.Region, b.Data); err != nil {
+		return fmt.Errorf("membership: re-staging %q v%d %v at core %d: %w", b.Var, b.Version, b.Region, to, err)
+	}
+	return nil
 }
 
-// NewReconciler binds a reconciler to its observation sources and
-// convergence actions.
-func NewReconciler(reg *Registry, ledger *Ledger, m *cluster.Machine, acts Actions) *Reconciler {
-	return &Reconciler{reg: reg, ledger: ledger, machine: m, acts: acts}
-}
-
-// Reconcile converges after the given nodes lost their serving process
-// (crash + replacement join). Every ledger
-// block owned by a core of an affected node is re-staged; every other
-// block has its location records re-registered (they may have lived on an
-// affected member's DHT interval); routing is re-split when the member
-// set itself changed; finally every cached schedule is invalidated so
-// in-flight and future pulls route against the converged state.
-func (rc *Reconciler) Reconcile(affected []cluster.NodeID) (Result, error) {
+// Reconcile converges the space after the affected nodes lost their serving
+// process and a replacement took each one's slot. The space is first made
+// what the crash left (Space.ResetNode: where the lost state lived in this
+// process it is dropped for real; everywhere, the lost cores' staging
+// account is zeroed). Then every ledger block owned by a core of an affected
+// node is re-staged in place; every other block has its location record
+// re-registered — it may have lived in an affected node's table, and
+// inserts are idempotent where it did not; finally every cached schedule is
+// invalidated so in-flight and future pulls see the converged state.
+func Reconcile(sp *cods.Space, ledger *Ledger, affected []cluster.NodeID) (Result, error) {
 	res := Result{Affected: append([]cluster.NodeID(nil), affected...)}
 	hit := make(map[cluster.NodeID]bool, len(affected))
 	for _, n := range affected {
 		hit[n] = true
+		sp.ResetNode(n)
 	}
-	if rc.acts.Resplit != nil {
-		moved, err := rc.acts.Resplit(rc.reg.Alive())
-		if err != nil {
-			return res, fmt.Errorf("membership: resplit: %w", err)
-		}
-		res.MovedRecords = int64(moved)
-	}
-	for _, b := range rc.ledger.Blocks() {
-		if hit[rc.machine.NodeOf(b.Owner)] {
-			if err := rc.acts.Restage(b); err != nil {
-				return res, fmt.Errorf("membership: restaging %s v%d %s: %w", b.Var, b.Version, b.Region, err)
+	machine := sp.Fabric().Machine()
+	for _, b := range ledger.Blocks() {
+		if hit[machine.NodeOf(b.Owner)] {
+			if err := Restage(sp, b, b.Owner, "elastic"); err != nil {
+				return res, err
 			}
 			res.RestagedCount++
 			res.MigratedBytes += b.Bytes()
@@ -394,17 +376,18 @@ func (rc *Reconciler) Reconcile(affected []cluster.NodeID) (Result, error) {
 			obsMigBytes.Add(b.Bytes())
 			continue
 		}
-		if rc.acts.Reinsert != nil {
-			if err := rc.acts.Reinsert(b); err != nil {
-				return res, fmt.Errorf("membership: re-registering %s v%d %s: %w", b.Var, b.Version, b.Region, err)
-			}
-			res.Reinserted++
-			obsReinserts.Inc()
+		if mutate.Enabled(mutate.ReconcileSkipReinsert) {
+			continue // seeded defect: the survivors' records stay lost
 		}
+		err := sp.Lookup().ClientAt(b.Owner).Insert("elastic", b.App,
+			dht.Entry{Var: b.Var, Version: b.Version, Region: b.Region, Owner: b.Owner})
+		if err != nil {
+			return res, fmt.Errorf("membership: re-registering %q v%d %v: %w", b.Var, b.Version, b.Region, err)
+		}
+		res.Reinserted++
+		obsReinserts.Inc()
 	}
-	if rc.acts.Invalidate != nil {
-		rc.acts.Invalidate()
-	}
+	sp.InvalidateAll()
 	return res, nil
 }
 

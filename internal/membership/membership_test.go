@@ -2,12 +2,17 @@ package membership
 
 import (
 	"errors"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/insitu/cods/internal/cluster"
+	"github.com/insitu/cods/internal/cods"
 	"github.com/insitu/cods/internal/geometry"
+	"github.com/insitu/cods/internal/retry"
+	"github.com/insitu/cods/internal/transport"
 )
 
 // fakeClock is an injectable time source driven by the test.
@@ -117,112 +122,176 @@ func TestEventHookSeesTransitions(t *testing.T) {
 	}
 }
 
-func block(v string, version int, owner cluster.CoreID, lo, hi int) Block {
-	return Block{Var: v, Version: version, Owner: owner,
-		Region: geometry.NewBBox(geometry.Point{lo, 0}, geometry.Point{hi, 4}),
-		Data:   make([]float64, (hi-lo)*4)}
-}
-
 func TestLedgerRecordsAndDiscards(t *testing.T) {
 	l := NewLedger()
-	b := block("rho", 0, 2, 0, 4)
-	l.RecordPut(b.Var, b.Version, b.Region, b.Owner, b.Data)
-	l.RecordPut("rho", 0, b.Region, 3, b.Data) // same region, different owner
+	region := geometry.NewBBox(geometry.Point{0, 0}, geometry.Point{4, 4})
+	data := make([]float64, region.Volume())
+	l.RecordPut("rho", 0, region, 2, 7, data)
+	l.RecordPut("rho", 0, region, 3, 7, data) // same region, different owner
 	if l.Len() != 2 {
 		t.Fatalf("ledger has %d blocks, want 2", l.Len())
 	}
 	// The ledger must copy: mutating the caller's slice later must not
-	// corrupt the recorded payload.
-	b.Data[0] = 99
-	if got := l.Blocks()[0].Data[0]; got != 0 {
-		t.Fatalf("ledger shares the caller's slice (saw %v)", got)
+	// corrupt the recorded payload. It keeps the staging app.
+	data[0] = 99
+	if got := l.Blocks()[0]; got.Data[0] != 0 || got.App != 7 {
+		t.Fatalf("ledger shares the caller's slice or lost the app (saw %v, app %d)", got.Data[0], got.App)
 	}
-	l.RecordDiscard("rho", 0, b.Region, 3)
+	l.RecordDiscard("rho", 0, region, 3)
 	if l.Len() != 1 {
 		t.Fatalf("ledger has %d blocks after discard, want 1", l.Len())
 	}
 }
 
-func TestReconcileRestagesAffectedAndReinsertsRest(t *testing.T) {
-	m, err := cluster.NewMachine(3, 2) // cores 0,1 on node 0; 2,3 on node 1; 4,5 on node 2
+// stagedSpace builds an in-process nodes x cores space over an 8x8 domain
+// with a ledger installed and stages one block of variable "rho" (app 1)
+// per given owner: the domain cut into as many column strips as owners,
+// cell (x, y) holding 100*x + y.
+func stagedSpace(t *testing.T, nodes, cores int, owners ...cluster.CoreID) (*cods.Space, *Ledger, []geometry.BBox) {
+	t.Helper()
+	m, err := cluster.NewMachine(nodes, cores)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk := newFakeClock()
-	reg := NewRegistry(time.Second)
-	reg.SetClock(clk.now)
-	for n := 0; n < 3; n++ {
-		_ = reg.Join(cluster.NodeID(n), "x", 1)
+	sp, err := cods.NewSpace(transport.NewFabric(m), geometry.BoxFromSize([]int{8, 8}))
+	if err != nil {
+		t.Fatal(err)
 	}
 	l := NewLedger()
-	onDead := block("rho", 0, 2, 0, 4)  // owner core 2 → node 1
-	onDead2 := block("rho", 0, 3, 4, 8) // owner core 3 → node 1
-	onLive := block("rho", 0, 4, 8, 12) // owner core 4 → node 2
-	for _, b := range []Block{onDead, onDead2, onLive} {
-		l.RecordPut(b.Var, b.Version, b.Region, b.Owner, b.Data)
+	sp.SetPutRecorder(l)
+	w := 8 / len(owners)
+	regions := make([]geometry.BBox, len(owners))
+	for i, owner := range owners {
+		regions[i] = geometry.NewBBox(geometry.Point{i * w, 0}, geometry.Point{(i + 1) * w, 8})
+		if err := sp.HandleAt(owner, 1, "stage").PutSequential("rho", 0, regions[i], cells(regions[i])); err != nil {
+			t.Fatal(err)
+		}
 	}
+	return sp, l, regions
+}
 
-	var restaged, reinserted []Block
-	var resplitWith []int
-	invalidated := false
-	rc := NewReconciler(reg, l, m, Actions{
-		Restage:  func(b Block) error { restaged = append(restaged, b); return nil },
-		Reinsert: func(b Block) error { reinserted = append(reinserted, b); return nil },
-		Resplit: func(alive []int) (int, error) {
-			resplitWith = append([]int(nil), alive...)
-			return 7, nil
-		},
-		Invalidate: func() { invalidated = true },
-	})
+func cells(region geometry.BBox) []float64 {
+	var out []float64
+	region.Each(func(p geometry.Point) { out = append(out, float64(100*p[0]+p[1])) })
+	return out
+}
 
-	// Node 1 crashes: it stops renewing while the others heartbeat, so
-	// only its lease runs out. A replacement then joins its slot.
-	clk.advance(700 * time.Millisecond)
-	_ = reg.Renew(0, 1)
-	_ = reg.Renew(2, 1)
-	clk.advance(700 * time.Millisecond)
-	expired := reg.Sweep()
-	if len(expired) != 1 || expired[0] != 1 {
-		t.Fatalf("expired %v, want [1]", expired)
+func records(sp *cods.Space) int {
+	n := 0
+	for node := 0; node < sp.Fabric().Machine().NumNodes(); node++ {
+		n += sp.Lookup().TableSize(node)
 	}
-	if err := reg.Join(1, "x2", 2); err != nil {
+	return n
+}
+
+// TestReconcileRestagesAffectedAndReinsertsRest loses node 1 of a real 3x2
+// in-process space — two of the four staged blocks and a DHT table — under
+// a staging-memory limit of exactly one block per core. The reconcile must
+// re-stage the two lost blocks (a re-stage that booked them twice would
+// exhaust the limit), re-register the survivors' records, and leave the
+// space as it was: a reader's cached handle re-gets the whole domain
+// cell-identically, with as many location records, ledger blocks and
+// staging bytes as before the loss.
+func TestReconcileRestagesAffectedAndReinsertsRest(t *testing.T) {
+	// cores 0,1 on node 0; 2,3 on node 1; 4,5 on node 2: two owners on the
+	// node to lose, two on a survivor.
+	owners := []cluster.CoreID{2, 3, 4, 5}
+	sp, l, regions := stagedSpace(t, 3, 2, owners...)
+	blockBytes := regions[0].Volume() * cods.ElemSize
+	sp.SetMemoryLimit(blockBytes)
+	domain := geometry.BoxFromSize([]int{8, 8})
+	reader := sp.HandleAt(0, 2, "get")
+	if _, err := reader.GetSequential("rho", 0, domain); err != nil {
 		t.Fatal(err)
 	}
-	res, err := rc.Reconcile(expired)
+	recsBefore, blocksBefore := records(sp), l.Len()
+	if sp.Lookup().TableSize(1) == 0 {
+		t.Fatal("node 1's table is empty before the loss: the test would prove nothing about re-registration")
+	}
+
+	sp.ResetNode(1)
+	if n := sp.Lookup().TableSize(1); n != 0 {
+		t.Fatalf("node 1 holds %d records after ResetNode", n)
+	}
+	res, err := Reconcile(sp, l, []cluster.NodeID{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(restaged) != 2 || len(reinserted) != 1 {
-		t.Fatalf("restaged %d, reinserted %d; want 2, 1", len(restaged), len(reinserted))
+	if res.RestagedCount != 2 || res.MigratedBytes != 2*blockBytes || res.Reinserted != 2 {
+		t.Fatalf("result %+v, want 2 blocks / %d bytes re-staged and 2 records re-registered", res, 2*blockBytes)
 	}
-	wantBytes := onDead.Bytes() + onDead2.Bytes()
-	if res.RestagedCount != 2 || res.MigratedBytes != wantBytes {
-		t.Fatalf("result %+v, want 2 blocks / %d bytes", res, wantBytes)
+	misses := reader.CacheMisses
+	got, err := reader.GetSequential("rho", 0, domain)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.MovedRecords != 7 {
-		t.Fatalf("moved records %d, want the resplit's count", res.MovedRecords)
+	if !slices.Equal(got, cells(domain)) {
+		t.Fatal("the re-get through the cached handle differs from the staged cells")
 	}
-	if len(resplitWith) != 3 {
-		t.Fatalf("resplit saw alive=%v, want all three (replacement joined)", resplitWith)
+	if reader.CacheMisses != misses+1 {
+		t.Fatal("the reader's cached schedule survived the reconcile")
 	}
-	if !invalidated {
-		t.Fatal("reconcile did not invalidate cached schedules")
+	if now := records(sp); now != recsBefore || l.Len() != blocksBefore {
+		t.Fatalf("%d location records and %d ledger blocks after the reconcile, %d and %d before the loss",
+			now, l.Len(), recsBefore, blocksBefore)
+	}
+	for _, owner := range owners {
+		if used := sp.MemoryUsed(owner); used != blockBytes {
+			t.Fatalf("core %d holds %d staging bytes after the reconcile, want one block's %d", owner, used, blockBytes)
+		}
 	}
 }
 
+// TestReconcileStopsOnRestageFailure: a re-stage that cannot reserve its
+// staging memory stops the pass with the put's error.
 func TestReconcileStopsOnRestageFailure(t *testing.T) {
-	m, _ := cluster.NewMachine(2, 1)
-	reg := NewRegistry(time.Second)
-	_ = reg.Join(0, "a", 1)
-	l := NewLedger()
-	b := block("rho", 0, 1, 0, 4) // owner core 1 → node 1
-	l.RecordPut(b.Var, b.Version, b.Region, b.Owner, b.Data)
-	boom := errors.New("boom")
-	rc := NewReconciler(reg, l, m, Actions{
-		Restage: func(Block) error { return boom },
-	})
-	if _, err := rc.Reconcile([]cluster.NodeID{1}); !errors.Is(err, boom) {
-		t.Fatalf("got %v, want the restage failure", err)
+	sp, l, _ := stagedSpace(t, 2, 1, 1) // owner core 1 → node 1
+	sp.SetMemoryLimit(1)
+	res, err := Reconcile(sp, l, []cluster.NodeID{1})
+	if err == nil || !strings.Contains(err.Error(), "staging memory exhausted") {
+		t.Fatalf("got %v, want the re-stage's reservation failure", err)
+	}
+	if res.RestagedCount != 0 {
+		t.Fatalf("result %+v counts a block that was not re-staged", res)
+	}
+}
+
+// TestGetSequentialRidesOutNodeLoss: between a replacement coming up and
+// the reconcile re-registering records its DHT table is empty, so a
+// consumer's lookup comes back short for data that is alive. Under a retry
+// policy the get must wait that window out instead of failing at once with
+// "stored data covers 0 of 32 cells".
+func TestGetSequentialRidesOutNodeLoss(t *testing.T) {
+	// Both blocks live on node 0; the record of the second is kept by node
+	// 1's DHT core alone.
+	sp, l, regions := stagedSpace(t, 2, 2, 0, 1)
+	region := regions[1]
+	if a, b := sp.Lookup().TableSize(0), sp.Lookup().TableSize(1); a != 1 || b != 1 {
+		t.Fatalf("tables hold %d and %d records, want one block's record each", a, b)
+	}
+	sp.SetRetryPolicy(retry.Policy{MaxAttempts: 50, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Multiplier: 2})
+	sp.ResetNode(1)
+	if _, err := sp.Lookup().ClientAt(0).Query("check", 2, "rho", 0, region); err != nil {
+		t.Fatal(err)
+	}
+	if n := sp.Lookup().TableSize(1); n != 0 {
+		t.Fatalf("node 1 holds %d records after ResetNode", n)
+	}
+	done := make(chan error, 1)
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		_, err := Reconcile(sp, l, []cluster.NodeID{1})
+		done <- err
+	}()
+	got, err := sp.HandleAt(3, 2, "get").GetSequential("rho", 0, region)
+	if err != nil {
+		t.Fatalf("get across the node loss: %v", err)
+	}
+	if !slices.Equal(got, cells(region)) {
+		t.Fatal("the get across the node loss differs from the staged cells")
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 

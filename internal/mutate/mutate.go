@@ -64,11 +64,11 @@ const (
 	// and total byte counts intact — the observability-plane twin of
 	// SwapFlow, living in the aggregation instead of the recording.
 	ObsFlowMisattribute = "obs-flow-misattribute"
-	// StaleRouteAfterResplit keeps the DHT query fan-out on the routing
-	// table that predates the last interval re-split, so lookups after a
-	// topology change are sent to the pre-migration interval owners —
-	// including departed nodes whose tables were handed off and cleared.
-	StaleRouteAfterResplit = "stale-route-after-resplit"
+	// ReconcileSkipReinsert makes the membership reconcile re-stage the
+	// lost node's blocks but skip re-registering the survivors', so every
+	// location record that lived only in the lost node's DHT table stays
+	// lost and lookups over its index interval come back short.
+	ReconcileSkipReinsert = "reconcile-skip-reinsert"
 	// LeaseExpiryIgnored makes the membership registry's expiry sweep treat
 	// every lease as live, so a crashed node that stopped renewing is never
 	// marked expired and the reconcile loop never converges around it.
@@ -86,11 +86,12 @@ const (
 	// past the position it asked for, so the first unconsumed version is
 	// silently skipped across a Close/SubscribeFrom boundary.
 	VersionSkipOnResubscribe = "version-skip-on-resubscribe"
-	// RemapStaleOwner makes the remap executor leave the pre-migration
-	// owner's location record registered while its copy of the block is
-	// already discarded, so even after the epoch bump lookups keep routing
-	// pulls to the old owner — the adaptive-remapping twin of StaleEpoch,
-	// living in the lookup plane instead of the schedule cache.
+	// RemapStaleOwner makes a re-stage at another core (the remap
+	// executor's move) leave the pre-migration owner's location record
+	// registered while its copy of the block is already discarded, so even
+	// after the epoch bump lookups keep routing pulls to the old owner —
+	// the adaptive-remapping twin of StaleEpoch, living in the lookup plane
+	// instead of the schedule cache.
 	RemapStaleOwner = "remap-stale-owner"
 	// MortonBitSwap transposes the Morton bit interleave: bit l of
 	// dimension d lands at l*dim+d instead of l*dim+(dim-1-d), so Encode
@@ -103,7 +104,7 @@ const (
 func Names() []string {
 	return []string{GeomIntersect, SfcSpanSplit, DropCoalesce, StaleEpoch, SwapFlow, NoRequery,
 		TCPTruncFrame, TCPMeterClass, TCPSGDrop, TCPSGReorder, TCPBlockShift, TCPMsgEntryDrop, ObsFlowMisattribute,
-		StaleRouteAfterResplit, LeaseExpiryIgnored,
+		ReconcileSkipReinsert, LeaseExpiryIgnored,
 		StaleWatermarkServed, GCBeforeConsume, VersionSkipOnResubscribe,
 		RemapStaleOwner, MortonBitSwap}
 }

@@ -3,11 +3,11 @@
 // per-(src,dst)/per-medium flow matrix (obs.BuildFlowMatrix over the
 // fabric's flow log), scores the current block→core mapping against the
 // inter-node coupled bytes it actually moved, and emits a migration plan.
-// The executor applies the plan through the staged-block machinery the
-// elastic plane already trusts — put-ledger restage at the new owner,
-// discard at the old, a DHT Resplit to converge the location tables and an
-// epoch bump fencing out every cached schedule — so in-flight pulls
-// converge on the new placement with no correctness change.
+// The executor applies the plan through the one block move the elastic
+// plane already trusts — membership.Restage from the put ledger: withdrawn
+// at the old owner, put at the new — and an epoch bump fencing out every
+// cached schedule, so in-flight pulls converge on the new placement with no
+// correctness change.
 package remap
 
 import (
@@ -19,7 +19,6 @@ import (
 	"github.com/insitu/cods/internal/cods"
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/membership"
-	"github.com/insitu/cods/internal/mutate"
 	"github.com/insitu/cods/internal/obs"
 )
 
@@ -175,14 +174,14 @@ func Propose(m *cluster.Machine, fm obs.FlowMatrix, blocks []Block, opts Options
 	return plan
 }
 
-// Apply executes a migration plan: every moved block is discarded at its
-// old owner and restaged byte-identically at the new one from the put
-// ledger's copy, the lookup tables are re-converged with a Resplit over
-// the unchanged member set, and an epoch bump fences out every consumer's
-// cached schedule so no in-flight pull can be served from pre-migration
-// state. Returns the number of blocks migrated. The space's put recorder
-// must be the given ledger, so the restage re-records itself.
-func Apply(sp *cods.Space, ledger *membership.Ledger, plan Plan, app int, phase string) (int, error) {
+// Apply executes a migration plan: every moved block is re-staged
+// byte-identically at its new owner from the put ledger's copy
+// (membership.Restage — the location record moves with the block), and an
+// epoch bump fences out every consumer's cached schedule so no in-flight
+// pull can be served from pre-migration state. Returns the number of blocks
+// migrated. The space's put recorder must be the given ledger, so the
+// restage re-records itself.
+func Apply(sp *cods.Space, ledger *membership.Ledger, plan Plan, phase string) (int, error) {
 	if len(plan.Moves) == 0 {
 		return 0, nil
 	}
@@ -201,34 +200,11 @@ func Apply(sp *cods.Space, ledger *membership.Ledger, plan Plan, app int, phase 
 			return moved, fmt.Errorf("remap: block %q v%d %v at core %d not in the put ledger",
 				b.Var, b.Version, b.Region, b.Owner)
 		}
-		from := sp.HandleAt(b.Owner, app, phase)
-		if mutate.Enabled(mutate.RemapStaleOwner) {
-			// Seeded defect: free the old copy's bytes but leave its
-			// location record registered (and skip the schedule
-			// invalidation that rides on the removal), so lookups keep
-			// naming the pre-migration owner after the epoch bump.
-			_ = from.Discard(b.Var, b.Version, b.Region)
-		} else if err := from.DiscardSequential(b.Var, b.Version, b.Region); err != nil {
-			return moved, fmt.Errorf("remap: discarding %q v%d at core %d: %w",
-				b.Var, b.Version, b.Owner, err)
-		}
-		to := sp.HandleAt(mv.To, app, phase)
-		if err := to.PutSequential(b.Var, b.Version, b.Region, rec.Data); err != nil {
-			return moved, fmt.Errorf("remap: restaging %q v%d at core %d: %w",
-				b.Var, b.Version, mv.To, err)
+		if err := membership.Restage(sp, rec, mv.To, phase); err != nil {
+			return moved, fmt.Errorf("remap: %w", err)
 		}
 		moved++
 		obsMoved.Inc()
-	}
-	// Converge: the member set is unchanged, but entries moved between
-	// intervals' owners — the re-split re-registers every surviving record
-	// with the DHT cores responsible for it (inserts are idempotent).
-	members := sp.Lookup().Members()
-	if len(members) > 0 {
-		cl := sp.Lookup().ClientAt(sp.Fabric().Machine().CoreOn(cluster.NodeID(members[0]), 0))
-		if _, err := cl.Resplit(phase, app, members); err != nil {
-			return moved, fmt.Errorf("remap: resplit: %w", err)
-		}
 	}
 	// Fence: any schedule computed before the migration may name an old
 	// owner; the epoch bump forces recomputation from the fresh tables.

@@ -208,7 +208,7 @@ func TestApplyMigratesByteIdentically(t *testing.T) {
 			if len(plan.Moves) != n {
 				t.Fatalf("planned %d moves, want all %d staged blocks: %+v", len(plan.Moves), n, plan)
 			}
-			moved, err := Apply(sp, ledger, plan, consApp, "remap")
+			moved, err := Apply(sp, ledger, plan, "remap")
 			if err != nil {
 				t.Fatalf("Apply: %v", err)
 			}

@@ -260,6 +260,18 @@ func (f *Fabric) LocalUnexpose(owner cluster.CoreID, key BufKey) (existed bool, 
 	return existed, nil
 }
 
+// ResetNode drops every buffer exposed on the node's endpoints in this
+// process — what a crash of the node's serving process leaves of them.
+// Where the node is served by another process there is nothing here to drop.
+func (f *Fabric) ResetNode(node cluster.NodeID) {
+	for slot := 0; slot < f.machine.CoresPerNode(); slot++ {
+		oe := f.endpoints[int(f.machine.CoreOn(node, slot))]
+		oe.exportMu.Lock()
+		clear(oe.exports)
+		oe.exportMu.Unlock()
+	}
+}
+
 // LocalExposed reports whether key is published on an owner endpoint in
 // this process.
 func (f *Fabric) LocalExposed(owner cluster.CoreID, key BufKey) (bool, error) {

@@ -43,18 +43,19 @@ func mustPanic(t *testing.T, what string, fn func()) {
 	fn()
 }
 
-// TestEveryMessageRoundTrips walks the registry: each of the seven DHT
+// TestEveryMessageRoundTrips walks the registry: each of the four DHT
 // control messages (and the test message above) encodes to its tag plus
 // fields and decodes back to a deep-equal value of the same by-value type Backend.Call
 // hands a handler. Around them, the registry's rules: nil is the empty
 // payload in both directions, a zero, duplicate or mismatched tag panics at
 // registration, a value that is no registered message is an error naming
 // its type on the sending side, an unknown tag — the lock service's 8 to 10,
-// retired with wire v10, like any other — an error on the receiving side.
+// retired with wire v10, the DHT's dump, dump response and clear (5 to 7),
+// retired with v12, like any other — an error on the receiving side.
 func TestEveryMessageRoundTrips(t *testing.T) {
 	samples := transport.MessageSamples()
-	if len(samples) != 8 {
-		t.Fatalf("%d messages registered, want the 7 of dht and this file's own", len(samples))
+	if len(samples) != 5 {
+		t.Fatalf("%d messages registered, want the 4 of dht and this file's own", len(samples))
 	}
 	for _, m := range samples {
 		wire, err := transport.EncodePayload(m)
@@ -99,10 +100,23 @@ func TestEveryMessageRoundTrips(t *testing.T) {
 	if _, err := transport.DecodePayload([]byte{0xF1, 1, 2}); err == nil || !strings.Contains(err.Error(), "unknown message tag 241") {
 		t.Errorf("decoding an unregistered tag: err = %v", err)
 	}
-	// A v9 lock acquire (write, name "u"): well formed then, refused now.
+	// A v9 lock acquire (write, name "u") and a v11 dump request: well
+	// formed then, refused now.
 	if _, err := transport.DecodePayload([]byte{8, 1, 0, 0, 0, 1, 'u'}); err == nil || !strings.Contains(err.Error(), "unknown message tag 8") {
 		t.Errorf("decoding retired tag 8: err = %v", err)
 	}
+	if _, err := transport.DecodePayload(v11Retired()[0]); err == nil || !strings.Contains(err.Error(), "unknown message tag 5") {
+		t.Errorf("decoding retired tag 5: err = %v", err)
+	}
+}
+
+// v11Retired are the v11 codings of the three messages wire v12 removed with
+// the DHT re-split — a dump request (tag 5, no entries), a dump response
+// (tag 6, here one entry: "u" v3, owner 5, <0,8; 8,16>) and a clear (tag 7,
+// no entries). Their tags are unknown now.
+func v11Retired() [][]byte {
+	insert := transport.MessageSamples()[0].AppendWire(nil) // same entry list under tag 1
+	return [][]byte{{5, 0, 0, 0, 0}, append([]byte{6}, insert[1:]...), {7, 0, 0, 0, 0}}
 }
 
 // TestMessageStrictDecode holds every registered decoder to the frame
@@ -121,12 +135,10 @@ func TestMessageStrictDecode(t *testing.T) {
 			t.Errorf("%T: a trailing byte was accepted: %#v", m, v)
 		}
 	}
-	const tagQueryResp, tagDumpResp = 4, 6
-	for _, tag := range []byte{tagQueryResp, tagDumpResp} {
-		hostile := append([]byte{tag, 0xFF, 0xFF, 0xFF, 0xFF}, make([]byte, 256)...)
-		if _, err := transport.DecodePayload(hostile); err == nil {
-			t.Errorf("tag %d: a count of 2^32-1 entries over 256 bytes was accepted", tag)
-		}
+	const tagQueryResp = 4
+	hostile := append([]byte{tagQueryResp, 0xFF, 0xFF, 0xFF, 0xFF}, make([]byte, 256)...)
+	if _, err := transport.DecodePayload(hostile); err == nil {
+		t.Errorf("a count of 2^32-1 entries over 256 bytes was accepted")
 	}
 }
 
@@ -150,10 +162,10 @@ func FuzzMessageCodec(f *testing.F) {
 	f.Add([]byte{0})                                                // tag 0, which no message may take
 	f.Add([]byte{tagQuery})                                         // a tag and nothing else
 	f.Add([]byte{4, 0, 0, 0, 0})                                    // an answer of no entries: valid, and canonical
-	f.Add([]byte{6, 0, 0, 0, 0})                                    // likewise a dump of an empty table
-	f.Add([]byte{7, 0, 0, 0, 1})                                    // a clear that claims an entry
+	f.Add([]byte{6, 0, 0, 0, 0})                                    // a v11 dump of an empty table
+	f.Add([]byte{7, 0, 0, 0, 1})                                    // a v11 clear that claims an entry
 	f.Add([]byte{4, 0xFF, 0xFF, 0xFF, 0xFF})                        // a hostile entry count
-	f.Add([]byte{5, 0, 0, 0, 1})                                    // a dump request that claims an entry
+	f.Add([]byte{5, 0, 0, 0, 1})                                    // a v11 dump request that claims an entry
 	f.Add(append([]byte{1, 0, 0, 0, 1}, make([]byte, 33)...))       // an insert whose box has rank 0
 	f.Add(append([]byte{1, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF}, 0)) // a name longer than the message
 	f.Add(append([]byte{1, 0, 0, 0, 2}, make([]byte, 66)...))       // an insert of two entries
@@ -162,6 +174,13 @@ func FuzzMessageCodec(f *testing.F) {
 	f.Add([]byte{8, 1, 0, 0, 0, 1, 'u'})
 	f.Add([]byte{9, 0, 0, 0, 0, 1, 'u'})
 	f.Add([]byte{10, 1, 0, 0, 0, 0})
+	// Tags 5 to 7 likewise since v12: the three retired DHT messages, whole,
+	// cut in half and with a byte too many, as the live ones are seeded above.
+	for _, wire := range v11Retired() {
+		f.Add(wire)
+		f.Add(wire[:len(wire)/2])
+		f.Add(append(wire[:len(wire):len(wire)], 0xFF))
+	}
 	f.Fuzz(func(t *testing.T, wire []byte) {
 		v, err := transport.DecodePayload(wire)
 		if err != nil || v == nil {

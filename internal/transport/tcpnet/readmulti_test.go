@@ -284,15 +284,16 @@ func TestSmallSegmentsShareOneWrite(t *testing.T) {
 // §5f: a client speaking any earlier wire version — the first, v4
 // (membership, no streaming), v7 (the last to gob-encode exposed blocks),
 // v8 (the last to gob-encode RPC payloads), v9 (the last with a
-// node-to-node plane: a peer-table op and a join op) and v10 (the last whose
-// nodes held mailboxes: a send op and a recv op), all spelled out so a
-// later bump cannot quietly re-admit them, or the one just before the
-// current — is turned away at the handshake with an error naming both
+// node-to-node plane: a peer-table op and a join op), v10 (the last whose
+// nodes held mailboxes: a send op and a recv op) and v11 (the last whose DHT
+// cores answered dump and clear messages), all spelled out so a later bump
+// cannot quietly re-admit them, or the one just before the current — is
+// turned away at the handshake with an error naming both
 // versions; there is no per-op fallback or mixed-version mode that could
 // strand it mid-stream.
 func TestHandshakeRejectsOldWireVersion(t *testing.T) {
 	_, b := newLoopbackFabric(t, 1, 1)
-	for _, version := range []int64{1, 4, 7, 8, 9, 10, int64(wireVersion) - 1} {
+	for _, version := range []int64{1, 4, 7, 8, 9, 10, 11, int64(wireVersion) - 1} {
 		c, err := net.Dial("tcp", b.Addr(0))
 		if err != nil {
 			t.Fatal(err)

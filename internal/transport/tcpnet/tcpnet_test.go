@@ -186,7 +186,7 @@ func sampleFrames() []*frame {
 // fail its range check, so no sampled op can block.
 func TestEveryOpHandled(t *testing.T) {
 	if n := int(opMax) - 1; n != 11 {
-		t.Fatalf("%d wire ops, want the 11 of wire v11", n)
+		t.Fatalf("%d wire ops, want the 11 of wire v11 and v12", n)
 	}
 	_, b := newLoopbackFabric(t, 1, 1)
 	sampled := make(map[uint8]*frame)

@@ -55,10 +55,10 @@ const (
 // mismatched peer is rejected at the handshake (there is no per-op
 // fallback — a driver must match its codsnode children), which is a clean
 // fast failure instead of an old server hanging on a frame layout it
-// cannot decode. DESIGN §5f lists what each version changed.
+// cannot decode. CHANGES.md (Wire versions) lists what each version changed.
 const (
 	helloMagic  uint64 = 0x434F44534E455400 // "CODSNET\0"
-	wireVersion uint8  = 11
+	wireVersion uint8  = 12
 )
 
 // Payload kinds: what the bytes in a frame's Payload section are. The kind

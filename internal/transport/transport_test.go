@@ -153,6 +153,28 @@ func TestExposeReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestResetNodeDropsThatNodesBuffers: a node's crash takes the buffers of
+// every core of that node and of no other, and the freed keys can be exposed
+// again by the replacement.
+func TestResetNodeDropsThatNodesBuffers(t *testing.T) {
+	f := fabric(t, 2, 2)
+	key := BufKey{Name: "v", Version: 1}
+	for core := cluster.CoreID(0); core < 4; core++ {
+		if err := f.Endpoint(core).Expose(key, int(core)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.ResetNode(1)
+	for core := cluster.CoreID(0); core < 4; core++ {
+		if ok, _ := f.LocalExposed(core, key); ok != (core < 2) {
+			t.Fatalf("core %d exposes the buffer after node 1 was reset: %v", core, ok)
+		}
+	}
+	if err := f.Endpoint(3).Expose(key, 3); err != nil {
+		t.Fatalf("re-exposing on the reset node: %v", err)
+	}
+}
+
 func TestReadBlocksUntilExpose(t *testing.T) {
 	f := fabric(t, 1, 2)
 	owner, reader := f.Endpoint(0), f.Endpoint(1)

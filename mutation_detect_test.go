@@ -170,13 +170,14 @@ func mutationScenario(name string) genwf.Scenario {
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
 			SpanCache: sfc.DefaultSpanCacheCapacity,
 		}
-	case mutate.StaleRouteAfterResplit:
-		// Killing node 1 migrates its blocks to node 0, re-splits the
-		// lookup intervals onto the survivor and clears the departed
-		// table. A query path still routing by the pre-resplit intervals
-		// asks the cleared node for the upper half of the index space and
-		// comes back empty-handed — the owner check sees fewer entries
-		// than the model predicts.
+	case mutate.ReconcileSkipReinsert:
+		// Both producer blocks are staged on node 0; the record of the
+		// second, [4,8), lies in the upper half of the index space and so
+		// in node 1's table alone. Node 1 is lost: a reconcile that
+		// re-stages the lost node's blocks (there are none) but skips
+		// re-registering the survivors' leaves that record lost, and the
+		// owner check after the reconcile sees no entry where the model
+		// predicts one.
 		return genwf.Scenario{
 			Seed: 0x14, Nodes: 2, CoresPerNode: 2, Domain: []int{8},
 			Sequential: true,
@@ -218,8 +219,8 @@ func mutationScenario(name string) genwf.Scenario {
 		}
 	case mutate.RemapStaleOwner:
 		// One adaptive remap round migrates every staged block across
-		// nodes. The defective executor discards the source copy but leaves
-		// its location record registered, so the post-remap owner check
+		// nodes. The defective move (membership.Restage to another core)
+		// discards the source copy but leaves its location record registered, so the post-remap owner check
 		// sees one entry more than the model predicts — and a pull routed
 		// to the stale owner would double-cover its region.
 		return genwf.Scenario{
