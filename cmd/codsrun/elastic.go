@@ -214,8 +214,11 @@ func (el *elastic) allAlive() bool {
 
 // startChaos arms the crash hook: once the put ledger shows staging done —
 // at least `after` blocks, or no growth across ten polls when after is 0 —
-// the node's codsnode child is hard-killed, and recovery is left entirely
-// to lease expiry and the reconcile loop.
+// and a block the doomed node owns is fully staged there (stagedOn), the
+// node's codsnode child is hard-killed in that same poll, and recovery is
+// left entirely to lease expiry and the reconcile loop. A ledger record
+// alone proves nothing: it is written before the expose, and every record
+// may belong to a surviving node.
 func (el *elastic) startChaos(node, after int) {
 	el.chaosArmed.Add(1)
 	go func() {
@@ -242,11 +245,38 @@ func (el *elastic) startChaos(node, after int) {
 					continue
 				}
 			}
+			if !el.stagedOn(cluster.NodeID(node)) {
+				continue
+			}
 			fmt.Printf("chaos: killing codsnode %d (%d blocks staged)\n", node, n)
 			el.tc.kill(node)
 			return
 		}
 	}()
+}
+
+// stagedOn reports whether some ledger block owned by a core of node is
+// fully staged: the lookup answers a query for its region with its record.
+// The insert follows the acknowledged expose, so the record's presence
+// means the node's current process holds the block — a kill now strands it.
+func (el *elastic) stagedOn(node cluster.NodeID) bool {
+	sp := el.fw.SharedSpace()
+	m := sp.Fabric().Machine()
+	for _, b := range el.ledger.Blocks() {
+		if m.NodeOf(b.Owner) != node {
+			continue
+		}
+		entries, err := sp.Lookup().ClientAt(b.Owner).Query("chaos", b.App, b.Var, b.Version, b.Region)
+		if err != nil {
+			continue // not answerable yet: poll again
+		}
+		for _, e := range entries {
+			if e.Owner == b.Owner && e.Region.Equal(b.Region) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Stop halts the monitor and the reconcile loop and detaches the ledger.

@@ -112,10 +112,10 @@ func main() {
 	flag.DurationVar(&o.readPatience, "read-patience", 2*time.Second, "with -elastic, bound each codsnode's "+
 		"deferred-read wait so reads that raced a node replacement are retried against the reconciled "+
 		"routing instead of blocking forever (0: wait forever)")
-	flag.IntVar(&o.chaosKill, "chaos-kill", -1, "with -elastic, kill this node's codsnode child once staging is done, "+
-		"to exercise crash recovery under live traffic (-1 disables)")
-	flag.IntVar(&o.chaosAfter, "chaos-after", 0, "with -chaos-kill, fire once the put ledger holds at least this many "+
-		"blocks (0: fire when the ledger stops growing)")
+	flag.IntVar(&o.chaosKill, "chaos-kill", -1, "with -elastic, kill this node's codsnode child once staging is done "+
+		"and a block it owns is fully staged, to exercise crash recovery under live traffic (-1 disables)")
+	flag.IntVar(&o.chaosAfter, "chaos-after", 0, "with -chaos-kill, fire no earlier than the put ledger holding this many "+
+		"blocks (0: no earlier than the ledger stops growing)")
 	flag.BoolVar(&o.stream, "stream", false, "couple multi-application bundles through a bounded-lag version stream "+
 		"(publish/subscribe cursors) instead of lock-step iterations")
 	flag.IntVar(&o.streamRounds, "stream-rounds", 8, "with -stream, versions each producer publishes")

@@ -142,12 +142,6 @@ func (p *Placement) NodeOfTask(t TaskID) (NodeID, bool) {
 	return p.m.NodeOf(c), true
 }
 
-// TaskOn returns the task occupying core c, if any.
-func (p *Placement) TaskOn(c CoreID) (TaskID, bool) {
-	t, ok := p.used[c]
-	return t, ok
-}
-
 // Len returns the number of placed tasks.
 func (p *Placement) Len() int { return len(p.coreOf) }
 
@@ -163,17 +157,6 @@ func (p *Placement) Tasks() []TaskID {
 		}
 		return out[i].Rank < out[j].Rank
 	})
-	return out
-}
-
-// FreeCores returns the cores without an assigned task, ascending.
-func (p *Placement) FreeCores() []CoreID {
-	var out []CoreID
-	for c := 0; c < p.m.TotalCores(); c++ {
-		if _, ok := p.used[CoreID(c)]; !ok {
-			out = append(out, CoreID(c))
-		}
-	}
 	return out
 }
 

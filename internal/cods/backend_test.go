@@ -232,10 +232,10 @@ func TestPartitionPulls(t *testing.T) {
 				sp.Fabric().SetBackend(&fakeBackend{f: sp.Fabric(),
 					remote: func(i, tg cluster.CoreID) bool { return !m.SameNode(i, tg) }})
 			}
-			sched := make([]transfer, len(tc.owners))
+			sched := make([]transport.ReadSpec, len(tc.owners))
 			for i, o := range tc.owners {
 				sub := geometry.NewBBox(geometry.Point{i}, geometry.Point{i + 1})
-				sched[i] = transfer{Owner: o, StoredBox: sub, Sub: sub}
+				sched[i] = readSpec(o, "v", sub, sub)
 			}
 			items := sp.HandleAt(0, 2, "get").partitionPulls(sched)
 

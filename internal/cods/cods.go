@@ -18,9 +18,10 @@
 //
 // Both paths are receiver-driven and use HybridDART, so a pull whose
 // endpoints share a compute node is a shared-memory transfer and is
-// metered as such. Communication schedules are cached per client and
-// reused across iterations (versions), as coupling patterns repeat in
-// iterative simulations.
+// metered as such. A communication schedule is the list of
+// transport.ReadSpec that Endpoint.ReadMulti executes, one spec per stored
+// block; schedules are cached per client and reused across iterations
+// (versions), as coupling patterns repeat in iterative simulations.
 package cods
 
 import (
@@ -51,8 +52,7 @@ import (
 var (
 	obsSchedHits      = obs.C("cods.sched.cache.hits")
 	obsSchedMisses    = obs.C("cods.sched.cache.misses")
-	obsSchedRaw       = obs.C("cods.sched.transfers_raw")
-	obsSchedCoalesced = obs.C("cods.sched.transfers_coalesced")
+	obsSchedTransfers = obs.C("cods.sched.transfers")
 	obsPullOps        = obs.C("cods.pull.ops")
 	obsPullTransfers  = obs.C("cods.pull.transfers")
 	obsPullBytes      = obs.C("cods.pull.bytes")
@@ -231,8 +231,8 @@ type Space struct {
 	memMu    sync.Mutex
 	memUsed  map[cluster.CoreID]int64
 
-	// Schedule invalidation state: epoch is bumped by Clear (everything
-	// stale), varGen[v] by DiscardSequential of variable v (that
+	// Schedule invalidation state: epoch is bumped by InvalidateAll
+	// (everything stale), varGen[v] by DiscardSequential of variable v (that
 	// variable's cached schedules stale). Handles stamp cached schedules
 	// with both and recompute when either moved, so a discard-then-restage
 	// at a different owner can never be served from a stale schedule.
@@ -412,29 +412,14 @@ func (sp *Space) Lookup() *dht.Service { return sp.lookup }
 // Fabric returns the underlying transport fabric.
 func (sp *Space) Fabric() *transport.Fabric { return sp.fabric }
 
-// Clear drops all lookup entries (between independent experiments) and
-// invalidates every cached communication schedule.
-func (sp *Space) Clear() {
-	sp.lookup.Clear()
-	sp.invMu.Lock()
-	sp.epoch++
-	sp.varGen = make(map[string]uint64)
-	sp.invMu.Unlock()
-}
-
-// transfer is one element of a communication schedule: pull the cells of
-// Sub out of the block StoredBox exposed by core Owner.
-type transfer struct {
-	Owner     cluster.CoreID
-	StoredBox geometry.BBox
-	Sub       geometry.BBox
-}
-
 // schedEntry is one cached communication schedule together with the
-// invalidation stamp it was computed under.
+// invalidation stamp it was computed under. A schedule is the read list
+// Endpoint.ReadMulti executes: one spec per stored block holding cells of
+// the region, ordered by (Owner, Sub), its keys versionless (Version 0)
+// because coupling patterns repeat across versions — pullBatch stamps the
+// version of the get it serves.
 type schedEntry struct {
-	sched      []transfer
-	v          string
+	sched      []transport.ReadSpec
 	epoch, gen uint64
 }
 
@@ -451,8 +436,8 @@ type Handle struct {
 	// (Section IV-A). The phase tag is deliberately not part of the key:
 	// it is a metering label that rotates every iteration and schedules do
 	// not depend on it. Entries carry the space's invalidation stamp and
-	// are dropped when Clear or DiscardSequential moves it. The ablation
-	// benchmarks disable the cache.
+	// are dropped when InvalidateAll or DiscardSequential moves it. The
+	// ablation benchmarks disable the cache.
 	schedCache   map[string]schedEntry
 	CacheEnabled bool
 
@@ -553,82 +538,58 @@ func (h *Handle) GetConcurrent(info ProducerInfo, v string, version int, region 
 	if region.Empty() {
 		return nil, fmt.Errorf("cods: empty get region for %q", v)
 	}
-	key := h.schedKey("cont", v, region)
-	sched, ok := h.cachedSchedule(key, v)
-	if !ok {
-		epoch, gen := h.sp.scheduleStamp(v)
-		sched = h.concurrentSchedule(info, region)
-		h.storeSchedule(key, v, sched, epoch, gen)
+	sched, err := h.schedule(h.schedKey("cont", v, region), v, func() ([]transport.ReadSpec, error) {
+		return h.concurrentSchedule(info, v, region), nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return h.pull(v, version, region, sched)
 }
 
-// concurrentSchedule computes the transfer list against the producer's
+// concurrentSchedule computes the read list against the producer's
 // decomposition: for every producer rank owning part of the region, one
-// transfer per maximal stored block intersected with the region.
-func (h *Handle) concurrentSchedule(info ProducerInfo, region geometry.BBox) []transfer {
-	var sched []transfer
+// spec per maximal stored block intersected with the region.
+func (h *Handle) concurrentSchedule(info ProducerInfo, v string, region geometry.BBox) []transport.ReadSpec {
+	var sched []transport.ReadSpec
 	dc := info.Decomp
 	for rank := 0; rank < dc.NumTasks(); rank++ {
 		for _, sub := range dc.Pieces(rank, region) {
-			stored := dc.BlockContaining(sub.Min)
-			sched = append(sched, transfer{
-				Owner:     info.CoreOf(rank),
-				StoredBox: stored,
-				Sub:       sub,
-			})
+			sched = append(sched, readSpec(info.CoreOf(rank), v, dc.BlockContaining(sub.Min), sub))
 		}
 	}
-	return normalizeSchedule(sched)
+	return orderSchedule(sched)
 }
 
-// normalizeSchedule coalesces transfers that pull from the same stored
-// block of the same owner and whose sub-boxes abut in the row-major layout
-// into single larger reads, then orders the result deterministically
-// (owner, then sub-box corners). Coalescing preserves the total cell
-// volume exactly, so the byte accounting of a normalized schedule is
-// identical to the raw one — there are just fewer, larger pulls.
-func normalizeSchedule(sched []transfer) []transfer {
-	obsSchedRaw.Add(int64(len(sched)))
-	if len(sched) < 2 {
-		return sched
+// readSpec is the one place a schedule element is made: read the cells of
+// sub out of the block of variable v that owner exposes under the region
+// stored. The key name and the metered bytes are computed here, once per
+// schedule, so a cached schedule is executed without re-deriving either.
+func readSpec(owner cluster.CoreID, v string, stored, sub geometry.BBox) transport.ReadSpec {
+	return transport.ReadSpec{
+		Owner: owner,
+		Key:   bufKey(v, stored, 0),
+		Sub:   sub,
+		Bytes: sub.Volume() * ElemSize,
 	}
-	// Group by (owner, stored block); stable, so Coalesce sees schedule order.
-	slices.SortStableFunc(sched, func(a, b transfer) int {
-		if a.Owner != b.Owner {
-			return cmp.Compare(a.Owner, b.Owner)
-		}
-		return geometry.Compare(a.StoredBox, b.StoredBox)
-	})
-	raw := len(sched)
-	out := sched[:0] // never ahead of the group being read
-	var subs []geometry.BBox
-	for lo := 0; lo < raw; {
-		g := sched[lo]
-		subs = subs[:0]
-		for ; lo < raw && sched[lo].Owner == g.Owner && sched[lo].StoredBox.Equal(g.StoredBox); lo++ {
-			subs = append(subs, sched[lo].Sub)
-		}
-		if len(subs) == 1 && !g.Sub.Empty() {
-			out = append(out, g) // nothing to merge with
-			continue
-		}
-		for _, sub := range geometry.Coalesce(subs) {
-			out = append(out, transfer{Owner: g.Owner, StoredBox: g.StoredBox, Sub: sub})
-		}
-	}
-	// Deterministic order: by owner, then by the sub-box corners.
-	slices.SortFunc(out, func(a, b transfer) int {
+}
+
+// orderSchedule puts a schedule in its one fixed order: by owner, then by
+// the sub-box corners. Both builders emit one spec per stored block and the
+// sub-boxes of a schedule are disjoint, so the order is total — it is the
+// spec order on the wire and what makes PullError's "first sub-box" stable.
+func orderSchedule(sched []transport.ReadSpec) []transport.ReadSpec {
+	obsSchedTransfers.Add(int64(len(sched)))
+	slices.SortFunc(sched, func(a, b transport.ReadSpec) int {
 		if a.Owner != b.Owner {
 			return cmp.Compare(a.Owner, b.Owner)
 		}
 		return geometry.Compare(a.Sub, b.Sub)
 	})
-	obsSchedCoalesced.Add(int64(raw - len(out)))
-	if mutate.Enabled(mutate.DropCoalesce) && len(out) > 1 {
-		out = out[:len(out)-1] // seeded defect: merge swallowed a sub-box
+	if mutate.Enabled(mutate.SchedDropTransfer) && len(sched) > 1 {
+		sched = sched[:len(sched)-1] // seeded defect: the ordering step lost a spec
 	}
-	return out
+	return sched
 }
 
 // PutSequential stores one block of a variable in the space: the data
@@ -692,15 +653,10 @@ func (h *Handle) GetSequential(v string, version int, region geometry.BBox) ([]f
 		return nil, fmt.Errorf("cods: empty get region for %q", v)
 	}
 	key := h.schedKey("seq", v, region)
-	sched, ok := h.cachedSchedule(key, v)
-	if !ok {
-		epoch, gen := h.sp.scheduleStamp(v)
-		var err error
-		sched, err = h.sequentialSchedule(v, version, region)
-		if err != nil {
-			return nil, err
-		}
-		h.storeSchedule(key, v, sched, epoch, gen)
+	build := func() ([]transport.ReadSpec, error) { return h.sequentialSchedule(v, version, region) }
+	sched, err := h.schedule(key, v, build)
+	if err != nil {
+		return nil, err
 	}
 	out, err := h.pull(v, version, region, sched)
 	for requery := 0; err != nil && requery < maxRequeries; requery++ {
@@ -716,14 +672,12 @@ func (h *Handle) GetSequential(v string, version int, region geometry.BBox) ([]f
 			t.Event(h.spanParent, "requery:"+v)
 		}
 		delete(h.schedCache, key)
-		epoch, gen := h.sp.scheduleStamp(v)
-		sched, serr := h.sequentialSchedule(v, version, region)
+		sched, serr := h.schedule(key, v, build)
 		if serr != nil {
 			// The lookup has no full coverage either: the original pull
 			// failure is the more informative error.
 			return nil, err
 		}
-		h.storeSchedule(key, v, sched, epoch, gen)
 		out, err = h.pull(v, version, region, sched)
 	}
 	if err != nil {
@@ -739,15 +693,15 @@ type coverageError string
 func (e coverageError) Error() string { return string(e) }
 
 // sequentialSchedule queries the lookup service and converts the location
-// entries into a transfer list covering the region exactly. An answer that
+// entries into a read list covering the region exactly. An answer that
 // falls short is re-queried under the retry policy's backoff and budget:
 // between a replacement process coming up and the reconcile re-registering
 // what its DHT core held, the records of live data are missing from the
 // table, and a consumer that asks in that window must wait it out like any
 // other transient failure. With no policy, and for data that is really
 // absent once the budget is spent, the shortfall is the error.
-func (h *Handle) sequentialSchedule(v string, version int, region geometry.BBox) ([]transfer, error) {
-	var sched []transfer
+func (h *Handle) sequentialSchedule(v string, version int, region geometry.BBox) ([]transport.ReadSpec, error) {
+	var sched []transport.ReadSpec
 	_, err := retry.Do(h.sp.RetryPolicy(), uint64(h.core)<<32^uint64(uint32(version)),
 		func(err error) bool { return errors.As(err, new(coverageError)) },
 		func(d time.Duration) { obsPullBackoffNs.Observe(d.Nanoseconds()) },
@@ -764,7 +718,7 @@ func (h *Handle) sequentialSchedule(v string, version int, region geometry.BBox)
 					continue
 				}
 				covered += sub.Volume()
-				sched = append(sched, transfer{Owner: e.Owner, StoredBox: e.Region, Sub: sub})
+				sched = append(sched, readSpec(e.Owner, v, e.Region, sub))
 			}
 			if covered != region.Volume() {
 				return coverageError(fmt.Sprintf("cods: %q v%d: stored data covers %d of %d cells of %v",
@@ -775,7 +729,7 @@ func (h *Handle) sequentialSchedule(v string, version int, region geometry.BBox)
 	if err != nil {
 		return nil, err
 	}
-	return normalizeSchedule(sched), nil
+	return orderSchedule(sched), nil
 }
 
 // PullError reports the transfer of a schedule that ultimately failed:
@@ -815,7 +769,7 @@ func retryableTransfer(err error) bool {
 
 // transferSeed derives the deterministic jitter seed of one transfer from
 // its coordinates, so backoff schedules are reproducible run to run.
-func transferSeed(core cluster.CoreID, tr transfer, version int) uint64 {
+func transferSeed(core cluster.CoreID, tr transport.ReadSpec, version int) uint64 {
 	s := uint64(core)<<32 ^ uint64(uint32(tr.Owner))<<16 ^ uint64(uint32(version))
 	for _, x := range tr.Sub.Min {
 		s = s*0x100000001b3 + uint64(uint32(x))
@@ -835,7 +789,7 @@ func transferSeed(core cluster.CoreID, tr transfer, version int) uint64 {
 // order — nor on how many times a batch was retried, since a repeated copy
 // writes the same cells. Every started batch has finished when pull
 // returns; the error is that of the lowest-indexed failing batch.
-func (h *Handle) pull(v string, version int, region geometry.BBox, sched []transfer) ([]float64, error) {
+func (h *Handle) pull(v string, version int, region geometry.BBox, sched []transport.ReadSpec) ([]float64, error) {
 	if obs.Enabled() {
 		start := time.Now()
 		obsPullOps.Inc()
@@ -890,18 +844,18 @@ func (h *Handle) pull(v string, version int, region geometry.BBox, sched []trans
 
 // partitionPulls splits a schedule into the batches pull executes.
 // Transfers the fabric routes through its backend are grouped by owning
-// node — one scatter-gather batch per peer, so a coalesced schedule costs
-// one request frame per owner instead of one per sub-box. Every unrouted
+// node — one scatter-gather batch per peer, so a schedule costs one request
+// frame per owning node instead of one per sub-box. Every unrouted
 // transfer (same-process payload sharing) is a batch of its own, so each
 // keeps its own fault draw and retry budget; schedule order is preserved
 // within every batch.
-func (h *Handle) partitionPulls(sched []transfer) [][]transfer {
-	items := make([][]transfer, 0, len(sched))
+func (h *Handle) partitionPulls(sched []transport.ReadSpec) [][]transport.ReadSpec {
+	items := make([][]transport.ReadSpec, 0, len(sched))
 	machine := h.sp.fabric.Machine()
 	byNode := make(map[cluster.NodeID]int)
 	for _, tr := range sched {
 		if !h.sp.fabric.Routed(h.core, tr.Owner) {
-			items = append(items, []transfer{tr})
+			items = append(items, []transport.ReadSpec{tr})
 			continue
 		}
 		node := machine.NodeOf(tr.Owner)
@@ -926,15 +880,12 @@ func (h *Handle) partitionPulls(sched []transfer) [][]transfer {
 // or per-operation deadline runs out; a closed owner endpoint stops the
 // attempts immediately. The ultimate failure is a *PullError naming the
 // batch's first sub-box.
-func (h *Handle) pullBatch(out []float64, region geometry.BBox, v string, version int, batch []transfer, m transport.Meter, pol retry.Policy) error {
-	specs := make([]transport.ReadSpec, len(batch))
-	for i, tr := range batch {
-		specs[i] = transport.ReadSpec{
-			Owner: tr.Owner,
-			Key:   bufKey(v, tr.StoredBox, version),
-			Sub:   tr.Sub,
-			Bytes: tr.Sub.Volume() * ElemSize,
-		}
+func (h *Handle) pullBatch(out []float64, region geometry.BBox, v string, version int, batch []transport.ReadSpec, m transport.Meter, pol retry.Policy) error {
+	// The batch belongs to a cached, versionless schedule that other gets
+	// share: stamp this get's version on a copy.
+	specs := slices.Clone(batch)
+	for i := range specs {
+		specs[i].Key.Version = version
 	}
 	attempts, err := retry.Do(pol, transferSeed(h.core, batch[0], version), retryableTransfer,
 		func(d time.Duration) { obsPullBackoffNs.Observe(d.Nanoseconds()) },
@@ -1019,7 +970,28 @@ func (h *Handle) schedKey(op, v string, region geometry.BBox) string {
 	return fmt.Sprintf("%s|%d|%s|%s", op, h.app, v, region.String())
 }
 
-func (h *Handle) cachedSchedule(key, v string) ([]transfer, bool) {
+// schedule returns the communication schedule cached under key, or builds
+// one and caches it. The invalidation stamp is captured before the build,
+// so an invalidation racing with it leaves the entry already stale instead
+// of masked.
+func (h *Handle) schedule(key, v string, build func() ([]transport.ReadSpec, error)) ([]transport.ReadSpec, error) {
+	if sched, ok := h.cachedSchedule(key, v); ok {
+		return sched, nil
+	}
+	epoch, gen := h.sp.scheduleStamp(v)
+	sched, err := build()
+	if err != nil {
+		return nil, err
+	}
+	h.CacheMisses++
+	obsSchedMisses.Inc()
+	if h.CacheEnabled {
+		h.schedCache[key] = schedEntry{sched: sched, epoch: epoch, gen: gen}
+	}
+	return sched, nil
+}
+
+func (h *Handle) cachedSchedule(key, v string) ([]transport.ReadSpec, bool) {
 	if !h.CacheEnabled {
 		return nil, false
 	}
@@ -1035,17 +1007,6 @@ func (h *Handle) cachedSchedule(key, v string) ([]transfer, bool) {
 	h.CacheHits++
 	obsSchedHits.Inc()
 	return e.sched, true
-}
-
-// storeSchedule caches a schedule under the invalidation stamp captured
-// before the schedule was computed, so an invalidation racing with the
-// computation leaves the entry already-stale instead of masked.
-func (h *Handle) storeSchedule(key, v string, sched []transfer, epoch, gen uint64) {
-	h.CacheMisses++
-	obsSchedMisses.Inc()
-	if h.CacheEnabled {
-		h.schedCache[key] = schedEntry{sched: sched, v: v, epoch: epoch, gen: gen}
-	}
 }
 
 // copyRegion copies the cells of sub from src (row-major over srcBox) to

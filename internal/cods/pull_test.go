@@ -1,13 +1,17 @@
 package cods
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/insitu/cods/internal/cluster"
+	"github.com/insitu/cods/internal/decomp"
 	"github.com/insitu/cods/internal/geometry"
+	"github.com/insitu/cods/internal/transport"
 )
 
 // stageGrid stages an nx x ny grid of blocks of the given side as one
@@ -31,38 +35,92 @@ func stageGrid(t testing.TB, sp *Space, v string, version, nx, ny, side int) geo
 	return geometry.BoxFromSize([]int{nx * side, ny * side})
 }
 
-// TestNormalizeScheduleCoalesces verifies that abutting sub-boxes of the
-// same stored block merge into one transfer with the volume preserved.
-func TestNormalizeScheduleCoalesces(t *testing.T) {
-	storedA := geometry.BoxFromSize([]int{8, 8})
-	storedB := geometry.NewBBox(geometry.Point{8, 0}, geometry.Point{16, 8})
-	sched := []transfer{
-		{Owner: 3, StoredBox: storedA, Sub: geometry.NewBBox(geometry.Point{0, 0}, geometry.Point{4, 8})},
-		{Owner: 3, StoredBox: storedA, Sub: geometry.NewBBox(geometry.Point{4, 0}, geometry.Point{8, 8})},
-		{Owner: 5, StoredBox: storedB, Sub: geometry.NewBBox(geometry.Point{8, 0}, geometry.Point{12, 8})},
+// TestScheduleReadsEachStoredBlockOnce states the invariant a schedule
+// rests on: whatever the producer's decomposition and the get region, both
+// operators build a read list with at most one spec per stored block —
+// there is never anything to merge — that covers the region exactly and is
+// in (owner, sub-box) order, every spec lying inside the block its key
+// names and metering exactly its cells.
+func TestScheduleReadsEachStoredBlockOnce(t *testing.T) {
+	for _, kind := range []decomp.Kind{decomp.Blocked, decomp.Cyclic, decomp.BlockCyclic} {
+		for _, size := range [][]int{{12}, {12, 10}, {8, 6, 6}} {
+			dim := len(size)
+			grid, block, consGrid := []int{3, 2, 2}[:dim], []int{2, 2, 2}[:dim], []int{2, 2, 2}[:dim]
+			dom := geometry.BoxFromSize(size)
+			_, sp := testRig(t, 4, 3, size)
+			dc, err := decomp.New(kind, dom, grid, block)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cons, err := decomp.New(decomp.Blocked, dom, consGrid, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coreOf := func(r int) cluster.CoreID { return cluster.CoreID(r) }
+			putAll(t, sp, dc, coreOf, "v", 0, true)
+			info := ProducerInfo{Decomp: dc, CoreOf: coreOf}
+			h := sp.HandleAt(0, 2, "get")
+			for rank := 0; rank < cons.NumTasks(); rank++ {
+				owned := cons.Region(rank)[0]
+				for _, region := range []geometry.BBox{owned, owned.Expand(-1, dom), owned.Expand(1, dom)} {
+					if region.Empty() {
+						continue
+					}
+					name := fmt.Sprintf("%v %dD %v", kind, dim, region)
+					cont := h.concurrentSchedule(info, "v", region)
+					seq, err := h.sequentialSchedule("v", 0, region)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					for op, sched := range map[string][]transport.ReadSpec{"cont": cont, "seq": seq} {
+						checkSchedule(t, name+" "+op, dc, coreOf, region, sched)
+					}
+				}
+			}
+		}
 	}
-	var before int64
-	for _, tr := range sched {
-		before += tr.Sub.Volume()
+}
+
+// checkSchedule holds one schedule for region to the producer's layout.
+func checkSchedule(t *testing.T, name string, dc *decomp.Decomposition, coreOf func(int) cluster.CoreID,
+	region geometry.BBox, sched []transport.ReadSpec) {
+	t.Helper()
+	type block struct {
+		owner cluster.CoreID
+		key   string
 	}
-	out := normalizeSchedule(sched)
-	if len(out) != 2 {
-		t.Fatalf("normalized to %d transfers, want 2: %+v", len(out), out)
+	seen := make(map[block]bool)
+	subs := make([]geometry.BBox, 0, len(sched))
+	for _, s := range sched {
+		stored, owner := dc.BlockContaining(s.Sub.Min), coreOf(dc.OwnerOf(s.Sub.Min))
+		if want := bufKey("v", stored, 0); s.Key != want || s.Owner != owner {
+			t.Fatalf("%s: spec %+v reads %v of core %d, the cells live in %v of core %d",
+				name, s.Sub, s.Key, s.Owner, want, owner)
+		}
+		if !stored.ContainsBox(s.Sub) || !region.ContainsBox(s.Sub) || s.Sub.Empty() {
+			t.Fatalf("%s: sub-box %v leaves its block %v or the region", name, s.Sub, stored)
+		}
+		if s.Bytes != s.Sub.Volume()*ElemSize {
+			t.Fatalf("%s: sub-box %v metered as %d bytes", name, s.Sub, s.Bytes)
+		}
+		b := block{s.Owner, s.Key.Name}
+		if seen[b] {
+			t.Fatalf("%s: block %s of core %d is read twice", name, s.Key.Name, s.Owner)
+		}
+		seen[b] = true
+		subs = append(subs, s.Sub)
 	}
-	var after int64
-	subs := make([]geometry.BBox, 0, len(out))
-	for _, tr := range out {
-		after += tr.Sub.Volume()
-		subs = append(subs, tr.Sub)
+	if !geometry.Disjoint(subs) || geometry.TotalVolume(subs) != region.Volume() {
+		t.Fatalf("%s: sub-boxes cover %d of %d cells (disjoint: %v)",
+			name, geometry.TotalVolume(subs), region.Volume(), geometry.Disjoint(subs))
 	}
-	if after != before {
-		t.Fatalf("coalescing changed volume: %d -> %d", before, after)
-	}
-	if !geometry.Disjoint(subs) {
-		t.Fatalf("normalized subs overlap: %v", subs)
-	}
-	if out[0].Owner > out[1].Owner {
-		t.Fatalf("normalized schedule not sorted by owner: %+v", out)
+	if !slices.IsSortedFunc(sched, func(a, b transport.ReadSpec) int {
+		if a.Owner != b.Owner {
+			return cmp.Compare(a.Owner, b.Owner)
+		}
+		return geometry.Compare(a.Sub, b.Sub)
+	}) {
+		t.Fatalf("%s: schedule is not in (owner, sub-box) order", name)
 	}
 }
 
@@ -114,8 +172,8 @@ func TestDiscardInvalidatesCachedSchedule(t *testing.T) {
 	}
 }
 
-// TestClearInvalidatesCachedSchedule: Clear drops the lookup tables, so
-// cached schedules must not survive it either.
+// TestClearInvalidatesCachedSchedule: a topology change (InvalidateAll)
+// may have moved any owner, so no cached schedule survives it.
 func TestClearInvalidatesCachedSchedule(t *testing.T) {
 	_, sp := testRig(t, 1, 2, []int{4})
 	blk := geometry.BoxFromSize([]int{4})
@@ -127,9 +185,9 @@ func TestClearInvalidatesCachedSchedule(t *testing.T) {
 	if _, err := g.GetSequential("v", 0, blk); err != nil {
 		t.Fatal(err)
 	}
-	sp.Clear()
+	sp.InvalidateAll()
 	if _, ok := g.cachedSchedule(g.schedKey("seq", "v", blk), "v"); ok {
-		t.Fatal("cached schedule survived Clear")
+		t.Fatal("cached schedule survived InvalidateAll")
 	}
 }
 

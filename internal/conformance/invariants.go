@@ -38,8 +38,8 @@ func newPredictor(m *cluster.Machine) *predictor {
 // addGet predicts the transfers of one consumer get from the model's
 // current block ownership: every stored block overlapping the region
 // contributes its intersection volume, pulled from the block owner's node
-// to the consumer core's node. Schedule coalescing in the real pipeline
-// merges sub-boxes but never changes these per-owner volumes.
+// to the consumer core's node — one read per stored block, which is what a
+// schedule of the real pipeline holds.
 func (p *predictor) addGet(model *refmodel.Model, v string, version int, region geometry.BBox, consCore cluster.CoreID) {
 	dst := p.m.NodeOf(consCore)
 	for _, b := range model.Owners(v, version, region) {

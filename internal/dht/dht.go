@@ -376,6 +376,22 @@ func (cl *Client) Remove(phase string, app int, e Entry) error {
 	return nil
 }
 
+// queryNode asks one DHT core for its entries. The reply is whatever the
+// node sent back — over a network backend any registered message, or none,
+// decodes cleanly — so its type is checked, not assumed.
+func (cl *Client) queryNode(node int, req queryReq, phase string, app int) ([]Entry, error) {
+	reqSize := int64(len(req.Var)) + 8 + int64(16*req.Region.Dim())
+	resp, err := cl.call(node, req, cl.meter(phase, app), reqSize, 8, rpcSeed(cl.ep.Core(), node, 3))
+	if err != nil {
+		return nil, err
+	}
+	qr, ok := resp.(queryResp)
+	if !ok {
+		return nil, fmt.Errorf("unexpected reply %T", resp)
+	}
+	return qr.Entries, nil
+}
+
 // Query returns the deduplicated location entries overlapping the region
 // for a variable version, gathered from all responsible DHT cores.
 func (cl *Client) Query(phase string, app int, v string, version int, region geometry.BBox) ([]Entry, error) {
@@ -383,7 +399,6 @@ func (cl *Client) Query(phase string, app int, v string, version int, region geo
 		return nil, fmt.Errorf("dht: querying empty region for %q", v)
 	}
 	req := queryReq{Var: v, Version: version, Region: region}
-	reqSize := int64(len(v)) + 8 + int64(16*region.Dim())
 	nodes := cl.svc.nodesForRegion(region)
 	// Meter the whole fan-out — span translation, the concurrent per-node
 	// RPCs, and the deduplicating merge — as one query latency sample.
@@ -400,26 +415,14 @@ func (cl *Client) Query(phase string, app int, v string, version int, region geo
 	results := make([][]Entry, len(nodes))
 	errs := make([]error, len(nodes))
 	if len(nodes) == 1 {
-		resp, err := cl.call(nodes[0], req, cl.meter(phase, app), reqSize, 8,
-			rpcSeed(cl.ep.Core(), nodes[0], 3))
-		if err != nil {
-			errs[0] = err
-		} else {
-			results[0] = resp.(queryResp).Entries
-		}
+		results[0], errs[0] = cl.queryNode(nodes[0], req, phase, app)
 	} else {
 		var wg sync.WaitGroup
 		for i, node := range nodes {
 			wg.Add(1)
 			go func(i, node int) {
 				defer wg.Done()
-				resp, err := cl.call(node, req, cl.meter(phase, app), reqSize, 8,
-					rpcSeed(cl.ep.Core(), node, 3))
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				results[i] = resp.(queryResp).Entries
+				results[i], errs[i] = cl.queryNode(node, req, phase, app)
 			}(i, node)
 		}
 		wg.Wait()
@@ -474,12 +477,4 @@ func (s *Service) ResetNode(node int) {
 	t.mu.Lock()
 	t.entries = make(map[tableKey][]Entry)
 	t.mu.Unlock()
-}
-
-// Clear removes all entries from every location table (between workflow
-// stages of independent experiments).
-func (s *Service) Clear() {
-	for node := range s.tables {
-		s.ResetNode(node)
-	}
 }

@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -188,16 +189,49 @@ func TestControlTrafficMetered(t *testing.T) {
 	}
 }
 
+// TestClear: ResetNode — the one way a table is emptied — drops one node's
+// table and leaves the others.
 func TestClear(t *testing.T) {
 	s, _ := service(t, 2, 2, 2, 3)
 	cl := s.ClientAt(0)
+	// The full domain spans both nodes' intervals: one record on each.
 	if err := cl.Insert("p", 1, Entry{Var: "v", Region: geometry.BoxFromSize([]int{8, 8}), Owner: 0}); err != nil {
 		t.Fatal(err)
 	}
-	s.Clear()
-	for n := 0; n < 2; n++ {
-		if s.TableSize(n) != 0 {
-			t.Fatalf("table %d not cleared", n)
+	s.ResetNode(1)
+	if got := s.TableSize(1); got != 0 {
+		t.Fatalf("table 1 holds %d entries after ResetNode(1)", got)
+	}
+	if got := s.TableSize(0); got != 1 {
+		t.Fatalf("table 0 holds %d entries after ResetNode(1), want 1", got)
+	}
+}
+
+// TestQueryRejectsForeignReply: a query's reply is outside input — over a
+// network backend an acknowledgement decodes to nil and any registered
+// message decodes cleanly — so a DHT core that answers with something else
+// fails the query, naming the node, instead of panicking the caller.
+func TestQueryRejectsForeignReply(t *testing.T) {
+	s, f := service(t, 2, 2, 2, 3)
+	cl := s.ClientAt(0)
+	region := geometry.BoxFromSize([]int{8, 8}) // spans both nodes' intervals
+	lower := geometry.NewBBox(geometry.Point{0, 0}, geometry.Point{1, 1})
+	if nodes := s.nodesForRegion(lower); len(nodes) != 1 || nodes[0] != 0 {
+		t.Fatalf("cell (0,0) routes to nodes %v, want [0]", nodes)
+	}
+	for _, reply := range []any{nil, insertReq{}} {
+		for _, node := range []int{0, 1} {
+			core := f.Machine().CoreOn(cluster.NodeID(node), 0)
+			f.Endpoint(core).RegisterHandler(serviceName, func(cluster.CoreID, any) (any, error) {
+				return reply, nil
+			})
+		}
+		// Both the single-node call and the fan-out.
+		for _, q := range []geometry.BBox{lower, region} {
+			_, err := cl.Query("p", 1, "v", 0, q)
+			if err == nil || !strings.Contains(err.Error(), "dht: query on node 0: unexpected reply") {
+				t.Fatalf("query of %v answered with %T: err = %v, want it to name node 0", q, reply, err)
+			}
 		}
 	}
 }

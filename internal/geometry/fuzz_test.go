@@ -2,8 +2,8 @@ package geometry_test
 
 // Differential fuzzing of the region arithmetic against the conformance
 // harness's naive reference implementation (internal/refmodel): geometry
-// computes intersections, subtractions and coalesced unions with interval
-// arithmetic; refmodel materializes cell sets. Any divergence on the small
+// computes intersections and subtractions with interval arithmetic;
+// refmodel materializes cell sets. Any divergence on the small
 // boxes fuzzed here is a bug in one of them. The test lives in an external
 // package because refmodel imports geometry.
 
@@ -71,24 +71,6 @@ func FuzzRegionOpsAgainstModel(f *testing.F) {
 		}
 		if v := refmodel.IntersectionVolume(a, b); v != int64(len(wantInter)) {
 			t.Fatalf("refmodel.IntersectionVolume(%v, %v) = %d, cell set has %d", a, b, v, len(wantInter))
-		}
-
-		// Union via Coalesce: merged boxes must cover exactly the union
-		// cell set, with no overlap between merged boxes.
-		merged := geometry.Coalesce([]geometry.BBox{a, b})
-		if got, want := refmodel.UnionVolume(merged), refmodel.UnionVolume([]geometry.BBox{a, b}); got != want {
-			t.Fatalf("Coalesce(%v, %v) covers %d cells, union has %d", a, b, got, want)
-		}
-		// Coalesce never splits overlapping inputs, so its output is only
-		// guaranteed disjoint when the inputs are.
-		if len(wantInter) == 0 {
-			var total int64
-			for _, m := range merged {
-				total += m.Volume()
-			}
-			if total != refmodel.UnionVolume([]geometry.BBox{a, b}) {
-				t.Fatalf("Coalesce(%v, %v) boxes overlap: volumes sum to %d", a, b, total)
-			}
 		}
 
 		// Subtraction: a \ b piece volumes must sum to the cell-set

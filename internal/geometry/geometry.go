@@ -301,67 +301,6 @@ func (b BBox) Expand(width int, within BBox) BBox {
 	return r
 }
 
-// Coalesce merges boxes that abut along exactly one dimension and agree in
-// all others, repeating until no merge applies. The input boxes must be
-// pairwise disjoint; the result covers exactly the same cells with as few
-// or fewer boxes. Used to shrink communication schedules: fewer, larger
-// transfers.
-func Coalesce(boxes []BBox) []BBox {
-	out := make([]BBox, 0, len(boxes))
-	for _, b := range boxes {
-		if !b.Empty() {
-			out = append(out, b.Clone())
-		}
-	}
-	for {
-		merged := false
-	scan:
-		for i := 0; i < len(out); i++ {
-			for j := i + 1; j < len(out); j++ {
-				if d, ok := mergeableDim(out[i], out[j]); ok {
-					if out[j].Min[d] == out[i].Max[d] {
-						out[i].Max[d] = out[j].Max[d]
-					} else {
-						out[i].Min[d] = out[j].Min[d]
-					}
-					out = append(out[:j], out[j+1:]...)
-					merged = true
-					break scan
-				}
-			}
-		}
-		if !merged {
-			return out
-		}
-	}
-}
-
-// mergeableDim reports the single dimension along which a and b abut while
-// matching exactly in every other dimension.
-func mergeableDim(a, b BBox) (int, bool) {
-	if a.Dim() != b.Dim() {
-		return 0, false
-	}
-	dim := -1
-	for d := 0; d < a.Dim(); d++ {
-		if a.Min[d] == b.Min[d] && a.Max[d] == b.Max[d] {
-			continue
-		}
-		if dim != -1 {
-			return 0, false
-		}
-		if a.Max[d] == b.Min[d] || b.Max[d] == a.Min[d] {
-			dim = d
-			continue
-		}
-		return 0, false
-	}
-	if dim == -1 {
-		return 0, false // identical boxes (not disjoint input)
-	}
-	return dim, true
-}
-
 // Compare orders two boxes lexicographically by Min, then Max. It is the
 // allocation-free replacement for comparing String() renderings in hot
 // sorting paths (string ordering also differs from numeric ordering for

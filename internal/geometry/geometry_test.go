@@ -350,90 +350,6 @@ func TestQuickExpandContainsOriginal(t *testing.T) {
 	}
 }
 
-func TestCoalesceSimpleRow(t *testing.T) {
-	in := []BBox{box(0, 0, 2, 2), box(2, 0, 4, 2), box(4, 0, 6, 2)}
-	out := Coalesce(in)
-	if len(out) != 1 || !out[0].Equal(box(0, 0, 6, 2)) {
-		t.Fatalf("Coalesce = %v", out)
-	}
-}
-
-func TestCoalesceGrid(t *testing.T) {
-	// Four quadrants of a square coalesce fully (two merges along one dim,
-	// then one along the other).
-	in := []BBox{box(0, 0, 2, 2), box(2, 0, 4, 2), box(0, 2, 2, 4), box(2, 2, 4, 4)}
-	out := Coalesce(in)
-	if len(out) != 1 || !out[0].Equal(box(0, 0, 4, 4)) {
-		t.Fatalf("Coalesce = %v", out)
-	}
-}
-
-func TestCoalesceKeepsDisjoint(t *testing.T) {
-	in := []BBox{box(0, 0, 2, 2), box(3, 0, 5, 2)} // gap between them
-	out := Coalesce(in)
-	if len(out) != 2 {
-		t.Fatalf("Coalesce merged non-adjacent boxes: %v", out)
-	}
-	// Misaligned neighbours must not merge either.
-	in = []BBox{box(0, 0, 2, 2), box(2, 1, 4, 3)}
-	if out := Coalesce(in); len(out) != 2 {
-		t.Fatalf("Coalesce merged misaligned boxes: %v", out)
-	}
-}
-
-func TestCoalesceDropsEmpty(t *testing.T) {
-	in := []BBox{box(0, 0, 2, 2), NewBBox(Point{5, 5}, Point{5, 9})}
-	out := Coalesce(in)
-	if len(out) != 1 {
-		t.Fatalf("Coalesce = %v", out)
-	}
-}
-
-func TestQuickCoalescePreservesCells(t *testing.T) {
-	r := rand.New(rand.NewSource(29))
-	f := func() bool {
-		// Build disjoint boxes by slicing a grid region.
-		var boxes []BBox
-		for i := 0; i < 3; i++ {
-			for j := 0; j < 3; j++ {
-				if r.Intn(3) > 0 {
-					boxes = append(boxes, box(i*2, j*2, i*2+2, j*2+2))
-				}
-			}
-		}
-		out := Coalesce(boxes)
-		if TotalVolume(out) != TotalVolume(boxes) {
-			return false
-		}
-		if !Disjoint(out) {
-			return false
-		}
-		// Every original cell is covered.
-		for _, b := range boxes {
-			covered := true
-			b.Each(func(p Point) {
-				found := false
-				for _, o := range out {
-					if o.Contains(p) {
-						found = true
-						break
-					}
-				}
-				if !found {
-					covered = false
-				}
-			})
-			if !covered {
-				return false
-			}
-		}
-		return len(out) <= len(boxes)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestOverlapsMatchesIntersect holds Overlaps, which compares corners only,
 // to the answer Intersect gives — on random boxes, empty and touching ones
 // included — and to its two contracts: it allocates nothing, and boxes of

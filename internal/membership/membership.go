@@ -207,21 +207,6 @@ func (r *Registry) Incarnation(node cluster.NodeID) uint64 {
 	return 0
 }
 
-// Alive returns the node ids of the members currently holding a live
-// lease, ascending.
-func (r *Registry) Alive() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []int
-	for node, m := range r.members {
-		if m.state == Alive {
-			out = append(out, int(node))
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Members returns a snapshot of every registered member, ascending by
 // node — the payload of the obs /members endpoint.
 func (r *Registry) Members() []Member {

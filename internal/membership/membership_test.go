@@ -35,6 +35,16 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
+// states renders the lease state of every member, ascending by node, as
+// the /members snapshot reports it.
+func states(r *Registry) string {
+	var out []string
+	for _, m := range r.Members() {
+		out = append(out, m.State)
+	}
+	return strings.Join(out, " ")
+}
+
 func TestLeaseLifecycle(t *testing.T) {
 	clk := newFakeClock()
 	r := NewRegistry(time.Second)
@@ -46,8 +56,8 @@ func TestLeaseLifecycle(t *testing.T) {
 	if err := r.Join(1, "b:1", 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Alive(); len(got) != 2 {
-		t.Fatalf("alive %v, want both members", got)
+	if got := states(r); got != "alive alive" {
+		t.Fatalf("members are %q, want both alive", got)
 	}
 	// Renewal within the TTL keeps the lease; time passes, node 1 stops
 	// renewing and expires while node 0's renewed lease survives.
@@ -60,8 +70,8 @@ func TestLeaseLifecycle(t *testing.T) {
 	if len(expired) != 1 || expired[0] != 1 {
 		t.Fatalf("sweep returned %v, want [1]", expired)
 	}
-	if got := r.Alive(); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("alive %v, want [0]", got)
+	if got := states(r); got != "alive expired" {
+		t.Fatalf("members are %q, want node 1 expired", got)
 	}
 	// A second sweep reports nothing new.
 	if again := r.Sweep(); len(again) != 0 {
@@ -78,8 +88,8 @@ func TestLeaseLifecycle(t *testing.T) {
 	if err := r.Join(1, "b:2", 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Alive(); len(got) != 2 {
-		t.Fatalf("alive %v after rejoin, want both", got)
+	if got := states(r); got != "alive alive" {
+		t.Fatalf("members are %q after rejoin, want both alive", got)
 	}
 	if inc := r.Incarnation(1); inc != 2 {
 		t.Fatalf("incarnation %d after rejoin, want 2", inc)

@@ -22,9 +22,9 @@ const (
 	// span is dropped (or a lone span shortened), so DHT routing misses
 	// the tail of the linearized index range.
 	SfcSpanSplit = "sfc-span-split"
-	// DropCoalesce loses the last transfer of a coalesced communication
-	// schedule, as if the merge had swallowed a sub-box.
-	DropCoalesce = "drop-coalesce"
+	// SchedDropTransfer loses the last read of a communication schedule in
+	// the step that orders it, so one stored block's cells never arrive.
+	SchedDropTransfer = "sched-drop-transfer"
 	// StaleEpoch ignores the schedule-cache invalidation stamp, serving
 	// cached schedules that point at discarded or restaged owners.
 	StaleEpoch = "stale-epoch"
@@ -43,7 +43,7 @@ const (
 	TCPMeterClass = "tcp-meter-class"
 	// TCPSGDrop makes the scatter-gather server announce and stream one
 	// segment fewer than requested, as if the batch had swallowed its last
-	// sub-box — the batched twin of DropCoalesce, living on the wire.
+	// sub-box — the batched twin of SchedDropTransfer, living on the wire.
 	TCPSGDrop = "tcp-sg-drop"
 	// TCPSGReorder swaps the payloads of the first two scatter-gather
 	// segments while keeping their indices intact: the stream stays
@@ -102,7 +102,7 @@ const (
 
 // Names lists every seeded defect, in a stable order.
 func Names() []string {
-	return []string{GeomIntersect, SfcSpanSplit, DropCoalesce, StaleEpoch, SwapFlow, NoRequery,
+	return []string{GeomIntersect, SfcSpanSplit, SchedDropTransfer, StaleEpoch, SwapFlow, NoRequery,
 		TCPTruncFrame, TCPMeterClass, TCPSGDrop, TCPSGReorder, TCPBlockShift, TCPMsgEntryDrop, ObsFlowMisattribute,
 		ReconcileSkipReinsert, LeaseExpiryIgnored,
 		StaleWatermarkServed, GCBeforeConsume, VersionSkipOnResubscribe,

@@ -5,7 +5,7 @@
 //
 // Everything here is deliberately naive and self-contained: region
 // arithmetic is written out over BBox corners cell by cell, with no calls
-// into geometry's Intersect/Coalesce/Offset, no SFC, no DHT, no schedule
+// into geometry's Intersect/Subtract/Offset, no SFC, no DHT, no schedule
 // caching and no transport. The two implementations share only the BBox
 // struct itself, so a seeded defect in any layer of the real pipeline
 // (internal/mutate) diverges from the model instead of cancelling out.

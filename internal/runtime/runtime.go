@@ -241,13 +241,6 @@ func (s *Server) Space() *cods.Space { return s.space }
 // Fabric returns the transport fabric.
 func (s *Server) Fabric() *transport.Fabric { return s.fabric }
 
-// ClientCount returns the number of registered execution clients.
-func (s *Server) ClientCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.clients)
-}
-
 // RegisterApp declares an application; all applications of a workflow must
 // be registered before Run.
 func (s *Server) RegisterApp(spec AppSpec) error {

@@ -335,7 +335,7 @@ func TestCommSplitRanksMatchTaskRanks(t *testing.T) {
 
 func TestClientRegistration(t *testing.T) {
 	s := newServer(t, 3, 4, []int{4, 4})
-	if s.ClientCount() != 12 {
-		t.Fatalf("ClientCount = %d", s.ClientCount())
+	if len(s.clients) != 12 {
+		t.Fatalf("%d clients registered, want one per core (12)", len(s.clients))
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"github.com/insitu/cods/internal/cluster"
@@ -83,52 +82,4 @@ func Read(r io.Reader) ([]cluster.Flow, error) {
 			return nil, fmt.Errorf("trace: %w", rerr)
 		}
 	}
-}
-
-// PhaseStat summarizes the flows of one phase tag.
-type PhaseStat struct {
-	Phase string
-	Flows int
-	// NetworkBytes and LocalBytes split the phase's volume by medium:
-	// flows labeled "network" vs "shm". Unlabeled flows (old traces,
-	// synthesized what-if flows) fall back to the Src != Dst heuristic.
-	NetworkBytes int64
-	LocalBytes   int64
-	// ByClass totals the phase's bytes per recorded traffic class;
-	// unlabeled flows are omitted (nil map when no flow carries a class).
-	ByClass map[string]int64
-}
-
-// Summarize aggregates a flow list per phase, sorted by phase name.
-func Summarize(flows []cluster.Flow) []PhaseStat {
-	byPhase := make(map[string]*PhaseStat)
-	for _, f := range flows {
-		st := byPhase[f.Phase]
-		if st == nil {
-			st = &PhaseStat{Phase: f.Phase}
-			byPhase[f.Phase] = st
-		}
-		st.Flows++
-		network := f.Src != f.Dst
-		if f.Medium != "" {
-			network = f.Medium == cluster.Network.String()
-		}
-		if network {
-			st.NetworkBytes += f.Bytes
-		} else {
-			st.LocalBytes += f.Bytes
-		}
-		if f.Class != "" {
-			if st.ByClass == nil {
-				st.ByClass = make(map[string]int64)
-			}
-			st.ByClass[f.Class] += f.Bytes
-		}
-	}
-	out := make([]PhaseStat, 0, len(byPhase))
-	for _, st := range byPhase {
-		out = append(out, *st)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Phase < out[j].Phase })
-	return out
 }

@@ -101,52 +101,3 @@ func TestMediumClassRoundTrip(t *testing.T) {
 		t.Fatalf("legacy read = %+v, %v", out, err)
 	}
 }
-
-// TestSummarizeByMedium: labeled flows are split by their recorded medium
-// rather than the Src == Dst heuristic, and class totals are gathered.
-func TestSummarizeByMedium(t *testing.T) {
-	flows := []cluster.Flow{
-		// Same node, but explicitly labeled network: label wins.
-		{Phase: "p", Src: 1, Dst: 1, Bytes: 10, Medium: "network", Class: "control"},
-		{Phase: "p", Src: 0, Dst: 1, Bytes: 20, Medium: "network", Class: "inter-app"},
-		{Phase: "p", Src: 2, Dst: 2, Bytes: 30, Medium: "shm", Class: "inter-app"},
-		// Unlabeled: falls back to Src != Dst.
-		{Phase: "p", Src: 0, Dst: 2, Bytes: 5},
-	}
-	stats := Summarize(flows)
-	if len(stats) != 1 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	st := stats[0]
-	if st.NetworkBytes != 35 || st.LocalBytes != 30 || st.Flows != 4 {
-		t.Fatalf("stat = %+v", st)
-	}
-	if st.ByClass["inter-app"] != 50 || st.ByClass["control"] != 10 {
-		t.Fatalf("ByClass = %+v", st.ByClass)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	flows := []cluster.Flow{
-		{Phase: "b", Src: 0, Dst: 1, Bytes: 10},
-		{Phase: "a", Src: 1, Dst: 1, Bytes: 5},
-		{Phase: "b", Src: 2, Dst: 2, Bytes: 7},
-		{Phase: "b", Src: 0, Dst: 2, Bytes: 3},
-	}
-	stats := Summarize(flows)
-	if len(stats) != 2 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	if stats[0].Phase != "a" || stats[0].LocalBytes != 5 || stats[0].NetworkBytes != 0 || stats[0].Flows != 1 {
-		t.Fatalf("stats[0] = %+v", stats[0])
-	}
-	if stats[1].Phase != "b" || stats[1].NetworkBytes != 13 || stats[1].LocalBytes != 7 || stats[1].Flows != 3 {
-		t.Fatalf("stats[1] = %+v", stats[1])
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	if got := Summarize(nil); len(got) != 0 {
-		t.Fatalf("Summarize(nil) = %v", got)
-	}
-}

@@ -87,7 +87,7 @@ func TestReadMultiClipsOnOwner(t *testing.T) {
 }
 
 // TestBatchedPullFrameCount is the frame-count probe of the acceptance
-// criteria: a coalesced multi-transfer pull over the TCP backend issues
+// criteria: a multi-transfer pull over the TCP backend issues
 // exactly one scatter-gather request per owning peer, and the bytes its
 // servers clip equal the schedule-predicted byte count. It is also the
 // serial reference of the pull executor: over loopback the three peers'

@@ -58,7 +58,7 @@ func mutationScenario(name string) genwf.Scenario {
 			Vars: 1, Ghost: 1, Versions: 1, Mapping: genwf.Consecutive,
 			SpanCache: sfc.DefaultSpanCacheCapacity,
 		}
-	case mutate.DropCoalesce:
+	case mutate.SchedDropTransfer:
 		// One consumer pulling the whole domain from two producer blocks:
 		// a two-transfer schedule, so dropping the last transfer leaves
 		// half the cells zero.
