@@ -207,8 +207,9 @@ func TestRetireCountsFailedDiscard(t *testing.T) {
 
 // TestPartitionPulls pins the batch shape of the pull engine: every
 // unrouted transfer is a batch of its own, the routed ones form exactly
-// one batch per owning node, and schedule order survives inside every
-// batch.
+// one batch per owning node, schedule order survives inside every batch,
+// and every spec of a batch reads the get's version while the schedule it
+// came from stays versionless.
 func TestPartitionPulls(t *testing.T) {
 	// 4 nodes x 2 cores; the puller sits on core 0 (node 0) and everything
 	// on another node is routed.
@@ -237,7 +238,13 @@ func TestPartitionPulls(t *testing.T) {
 				sub := geometry.NewBBox(geometry.Point{i}, geometry.Point{i + 1})
 				sched[i] = readSpec(o, "v", sub, sub)
 			}
-			items := sp.HandleAt(0, 2, "get").partitionPulls(sched)
+			const version = 7
+			items := sp.HandleAt(0, 2, "get").partitionPulls(sched, version)
+			for _, spec := range sched {
+				if spec.Key.Version != 0 {
+					t.Fatalf("partitioning stamped version %d on the cached schedule", spec.Key.Version)
+				}
+			}
 
 			singles, batches := 0, 0
 			seen := make(map[int]bool)
@@ -271,6 +278,9 @@ func TestPartitionPulls(t *testing.T) {
 					}
 					if seen[pos] {
 						t.Fatalf("transfer %d scheduled twice", pos)
+					}
+					if tr.Key.Version != version {
+						t.Fatalf("transfer %d reads version %d, want the get's %d", pos, tr.Key.Version, version)
 					}
 					seen[pos], last = true, pos
 				}

@@ -1,6 +1,11 @@
 package cods
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/insitu/cods/internal/geometry"
@@ -127,6 +132,147 @@ func TestClipRegionErrors(t *testing.T) {
 	}
 	if err := copySegment(dst, region, append(seg, 0), sub); err == nil {
 		t.Fatal("overlong segment accepted")
+	}
+}
+
+// clipCases returns, for a block region, the sub-boxes every clip must
+// serve alike: the whole block, its interior, boxes straddling its lower
+// and upper corners, a disjoint box, and single cells at the corner and
+// inside.
+func clipCases(region geometry.BBox) map[string]geometry.BBox {
+	// near is the box [at+lo, at+hi) in every dimension.
+	near := func(at geometry.Point, lo, hi int) geometry.BBox {
+		b := geometry.BBox{Min: make(geometry.Point, len(at)), Max: make(geometry.Point, len(at))}
+		for d, x := range at {
+			b.Min[d], b.Max[d] = x+lo, x+hi
+		}
+		return b
+	}
+	return map[string]geometry.BBox{
+		"whole":          region,
+		"interior":       region.Expand(-1, region),
+		"straddle-lower": near(region.Min, -2, 2),
+		"straddle-upper": near(region.Max, -2, 3),
+		"disjoint":       near(region.Max, 0, 2),
+		"corner-cell":    near(region.Min, 0, 1),
+		"inner-cell":     near(region.Min, 1, 2),
+	}
+}
+
+// TestWireBlockClipMatchesStoredObject holds the owner's two clips to one
+// output: a block decoded from the wire and the StoredObject it was sent
+// from append the same bytes, onto a kept prefix, for 1-3-D blocks against
+// every sub-box of clipCases; a rank mismatch is an error on both.
+func TestWireBlockClipMatchesStoredObject(t *testing.T) {
+	for _, region := range []geometry.BBox{
+		geometry.NewBBox(geometry.Point{3}, geometry.Point{11}),
+		geometry.NewBBox(geometry.Point{4, 2}, geometry.Point{9, 8}),
+		geometry.NewBBox(geometry.Point{1, 0, 2}, geometry.Point{4, 5, 6}),
+	} {
+		obj := &StoredObject{Region: region, Data: fillRegion(region)}
+		wire, err := obj.AppendBlock(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeBlock(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blk := got.(*wireBlock)
+		for name, sub := range clipCases(region) {
+			prefix := []byte{0xDE, 0xAD}
+			want, err := obj.ClipRegion(slices.Clone(prefix), sub)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clip, err := blk.ClipRegion(slices.Clone(prefix), sub)
+			if err != nil {
+				t.Fatalf("%v %s: %v", region, name, err)
+			}
+			if !bytes.Equal(clip, want) {
+				t.Fatalf("%v %s (%v): wire block clips %d bytes %x, stored object %d bytes %x",
+					region, name, sub, len(clip), clip, len(want), want)
+			}
+		}
+		other := geometry.BoxFromSize(make([]int, region.Dim()%3+1))
+		if _, err := blk.ClipRegion(nil, other); err == nil {
+			t.Fatalf("%v: a rank-%d clip was accepted", region, other.Dim())
+		}
+	}
+}
+
+// TestCopySegmentKernel holds the strided row decode to a per-cell
+// reference: random cell bits scattered into 1-3-D destinations, for rows
+// of 1 to 7 cells (either side of the four-cell unroll), at offsets inside
+// the destination and as the whole of it. Only sub's cells change. A
+// sub-box that leaves the destination or has another rank is an error,
+// not a panic, and a scatter allocates at most once.
+func TestCopySegmentKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	check := func(dstBox, sub geometry.BBox) {
+		t.Helper()
+		seg := make([]byte, sub.Volume()*ElemSize)
+		rng.Read(seg)
+		dst := make([]float64, dstBox.Volume())
+		for i := range dst {
+			dst[i] = -1
+		}
+		want := slices.Clone(dst)
+		k := 0
+		sub.Each(func(p geometry.Point) {
+			want[dstBox.Offset(p)] = math.Float64frombits(binary.BigEndian.Uint64(seg[k:]))
+			k += ElemSize
+		})
+		if err := copySegment(dst, dstBox, seg, sub); err != nil {
+			t.Fatalf("%v into %v: %v", sub, dstBox, err)
+		}
+		for i := range want {
+			if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%v into %v: cell %d = %x, want %x", sub, dstBox, i, math.Float64bits(dst[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+	boxes := []geometry.BBox{
+		geometry.NewBBox(geometry.Point{0}, geometry.Point{16}),
+		geometry.NewBBox(geometry.Point{2, 3}, geometry.Point{12, 13}),
+		geometry.NewBBox(geometry.Point{1, 0, 2}, geometry.Point{6, 5, 11}),
+	}
+	for _, dstBox := range boxes {
+		check(dstBox, dstBox)
+		for cells := 1; cells <= 7; cells++ {
+			sub := dstBox.Clone()
+			for d := range sub.Min {
+				sub.Min[d]++
+				sub.Max[d] = sub.Min[d] + 2
+			}
+			last := sub.Dim() - 1
+			sub.Max[last] = sub.Min[last] + cells
+			check(dstBox, sub)
+		}
+	}
+
+	dstBox := boxes[1]
+	dst := make([]float64, dstBox.Volume())
+	for _, sub := range []geometry.BBox{
+		geometry.NewBBox(geometry.Point{1, 3}, geometry.Point{4, 6}),   // starts before dstBox
+		geometry.NewBBox(geometry.Point{10, 3}, geometry.Point{13, 6}), // ends past it
+		geometry.NewBBox(geometry.Point{2}, geometry.Point{6}),         // another rank
+	} {
+		if err := copySegment(dst, dstBox, make([]byte, sub.Volume()*ElemSize), sub); err == nil {
+			t.Fatalf("%v scattered into %v without an error", sub, dstBox)
+		}
+	}
+
+	dstBox = boxes[2]
+	sub := geometry.NewBBox(geometry.Point{2, 1, 3}, geometry.Point{5, 4, 10})
+	seg := make([]byte, sub.Volume()*ElemSize)
+	dst = make([]float64, dstBox.Volume())
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := copySegment(dst, dstBox, seg, sub); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Fatalf("copySegment allocates %v times per scatter, want at most 1", allocs)
 	}
 }
 

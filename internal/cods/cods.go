@@ -87,6 +87,9 @@ func init() {
 //
 // The cell section is exactly what ClipRegion emits for the block's own
 // region and what copySegment scatters, so a put is the mirror of a get.
+// Cells are converted once, by the reader: the serving process keeps the
+// cell section it received (wireBlock) and clips it by copying rows, and
+// only copySegment, in the process that asked for the cells, decodes them.
 
 // AppendBlock implements transport.BlockPayload.
 func (o *StoredObject) AppendBlock(dst []byte) ([]byte, error) {
@@ -102,10 +105,9 @@ func (o *StoredObject) AppendBlock(dst []byte) ([]byte, error) {
 	return o.ClipRegion(geometry.AppendBox(dst, o.Region), o.Region)
 }
 
-// decodeBlock strictly decodes the block wire form into a fresh
-// *StoredObject; wire is not retained. Every check runs before the one
-// allocation sized by wire data, and that allocation equals the cell
-// section's length, which the transport already bounded (64 MiB a frame).
+// decodeBlock strictly decodes the block wire form into a *wireBlock that
+// retains wire's cell section: nothing is copied or converted, and nothing
+// sized by wire data is allocated.
 func decodeBlock(wire []byte) (any, error) {
 	region, cells, err := geometry.ReadBox(wire)
 	if err != nil {
@@ -115,8 +117,7 @@ func decodeBlock(wire []byte) (any, error) {
 		return nil, fmt.Errorf("cods: block wire form: %d cell bytes is not a whole number of cells", len(cells))
 	}
 	// The volume is checked against the cells actually present dimension by
-	// dimension, so a hostile region can neither overflow the product nor
-	// size the allocation.
+	// dimension, so a hostile region cannot overflow the product.
 	budget := uint64(len(cells) / ElemSize)
 	volume := uint64(1)
 	for d := range region.Min {
@@ -129,18 +130,54 @@ func decodeBlock(wire []byte) (any, error) {
 	if volume != budget {
 		return nil, fmt.Errorf("cods: block wire form: region of %d cells carries %d", volume, budget)
 	}
-	obj := &StoredObject{Region: region, Data: make([]float64, volume)}
-	if err := copySegment(obj.Data, region, cells, region); err != nil {
-		return nil, err
-	}
 	if mutate.Enabled(mutate.TCPBlockShift) {
 		// Seeded defect: the block lands one cell over along its last
 		// dimension — right bytes, wrong coordinates.
 		dim := region.Dim()
-		obj.Region.Min[dim-1]++
-		obj.Region.Max[dim-1]++
+		region.Min[dim-1]++
+		region.Max[dim-1]++
 	}
-	return obj, nil
+	return &wireBlock{Region: region, Cells: cells}, nil
+}
+
+// wireBlock is a stored block as a serving process keeps it: its region
+// and the cell section of the expose body it arrived in, in the wire's
+// cell format.
+type wireBlock struct {
+	Region geometry.BBox
+	Cells  []byte
+}
+
+// ClipRegion implements transport.RegionClipper, byte for byte like
+// StoredObject.ClipRegion: the whole block is one append, any other
+// intersection one append per row, and no cell is converted.
+func (b *wireBlock) ClipRegion(dst []byte, sub geometry.BBox) ([]byte, error) {
+	if sub.Dim() != b.Region.Dim() {
+		return nil, fmt.Errorf("cods: clip rank %d against stored rank %d", sub.Dim(), b.Region.Dim())
+	}
+	clip, ok := sub.Intersect(b.Region)
+	if !ok {
+		return dst, nil
+	}
+	if clip.Equal(b.Region) {
+		return append(dst, b.Cells...), nil
+	}
+	dst = slices.Grow(dst, int(clip.Volume())*ElemSize)
+	run := int64(clip.Size(clip.Dim()-1)) * ElemSize
+	p := append(make([]int, 0, 4), clip.Min...)
+	at := b.Region.Offset(clip.Min) * ElemSize
+	for row := 0; ; row++ {
+		from := at
+		if row > 0 && mutate.Enabled(mutate.TCPClipRowSkew) && from+run < int64(len(b.Cells)) {
+			from += ElemSize // seeded defect: every row after the first starts one cell late
+		}
+		dst = append(dst, b.Cells[from:from+run]...)
+		step, more := nextRow(p, clip, b.Region)
+		if !more {
+			return dst, nil
+		}
+		at += step * ElemSize
+	}
 }
 
 // ClipRegion implements transport.RegionClipper: it appends the cells of
@@ -184,39 +221,67 @@ func (o *StoredObject) ClipRegion(dst []byte, sub geometry.BBox) ([]byte, error)
 
 // copySegment scatters an owner-clipped segment — big-endian float64 cell
 // bits, row-major over sub, as ClipRegion produces — into dst (row-major
-// over dstBox). The segment must carry exactly sub's cells: the schedule
-// guarantees every requested sub-box lies inside the stored block, so a
-// shorter segment means the wire lost data.
+// over dstBox). sub must lie inside dstBox and the segment carry exactly
+// sub's cells: the schedule guarantees every requested sub-box lies inside
+// the stored block, so a shorter segment means the wire lost data. The
+// checks run once; each row is then one decodeRow at an offset advanced
+// by dstBox's strides.
 func copySegment(dst []float64, dstBox geometry.BBox, seg []byte, sub geometry.BBox) error {
+	if sub.Dim() != dstBox.Dim() || !dstBox.ContainsBox(sub) {
+		return fmt.Errorf("cods: segment for %v does not lie inside %v", sub, dstBox)
+	}
 	if want := sub.Volume() * ElemSize; int64(len(seg)) != want {
 		return fmt.Errorf("cods: segment for %v carries %d bytes, want %d", sub, len(seg), want)
 	}
 	if sub.Empty() {
 		return nil
 	}
-	last := sub.Dim() - 1
-	runLen := sub.Size(last)
-	p := sub.Min.Clone()
-	off := 0
+	run := int64(sub.Size(sub.Dim() - 1))
+	p := append(make([]int, 0, 4), sub.Min...)
+	at := dstBox.Offset(sub.Min)
 	for {
-		do := dstBox.Offset(p)
-		for i := int64(0); i < int64(runLen); i++ {
-			dst[do+i] = math.Float64frombits(binary.BigEndian.Uint64(seg[off:]))
-			off += ElemSize
-		}
-		d := last - 1
-		for d >= 0 {
-			p[d]++
-			if p[d] < sub.Max[d] {
-				break
-			}
-			p[d] = sub.Min[d]
-			d--
-		}
-		if d < 0 {
+		decodeRow(dst[at:at+run], seg[:run*ElemSize])
+		seg = seg[run*ElemSize:]
+		step, more := nextRow(p, sub, dstBox)
+		if !more {
 			return nil
 		}
+		at += step
 	}
+}
+
+// decodeRow converts one row of wire cells, len(dst)*ElemSize bytes of src,
+// into dst. Four cells a step, the lengths checked once per step, so the
+// compiler drops every per-cell bounds check.
+func decodeRow(dst []float64, src []byte) {
+	for len(dst) >= 4 && len(src) >= 4*ElemSize {
+		dst[0] = math.Float64frombits(binary.BigEndian.Uint64(src[0:8]))
+		dst[1] = math.Float64frombits(binary.BigEndian.Uint64(src[8:16]))
+		dst[2] = math.Float64frombits(binary.BigEndian.Uint64(src[16:24]))
+		dst[3] = math.Float64frombits(binary.BigEndian.Uint64(src[24:32]))
+		dst, src = dst[4:], src[4*ElemSize:]
+	}
+	for len(dst) > 0 && len(src) >= ElemSize {
+		dst[0] = math.Float64frombits(binary.BigEndian.Uint64(src[0:8]))
+		dst, src = dst[1:], src[ElemSize:]
+	}
+}
+
+// nextRow moves the row odometer p (the first cell of the current row of
+// sub; its last coordinate never moves) to the next row and returns how
+// many cells further along it starts in row-major box, which contains sub;
+// more is false once the last row is done.
+func nextRow(p []int, sub, box geometry.BBox) (step int64, more bool) {
+	stride := int64(box.Size(len(p) - 1))
+	for d := len(p) - 2; d >= 0; d-- {
+		if p[d]++; p[d] < sub.Max[d] {
+			return step + stride, true
+		}
+		p[d] = sub.Min[d]
+		step -= int64(sub.Size(d)-1) * stride
+		stride *= int64(box.Size(d))
+	}
+	return 0, false
 }
 
 // Space is the machine-wide CoDS instance.
@@ -787,8 +852,11 @@ func transferSeed(core cluster.CoreID, tr transport.ReadSpec, version int) uint6
 // sub-boxes are disjoint, each batch assembles into its own cells of the
 // output without locking, so the result does not depend on completion
 // order — nor on how many times a batch was retried, since a repeated copy
-// writes the same cells. Every started batch has finished when pull
-// returns; the error is that of the lowest-indexed failing batch.
+// writes the same cells. The output is allocated by the first segment
+// delivered (lazyOutput), so zeroing it overlaps the owners' clipping and
+// sending instead of delaying the requests. Every started batch has
+// finished when pull returns; the error is that of the lowest-indexed
+// failing batch.
 func (h *Handle) pull(v string, version int, region geometry.BBox, sched []transport.ReadSpec) ([]float64, error) {
 	if obs.Enabled() {
 		start := time.Now()
@@ -797,7 +865,7 @@ func (h *Handle) pull(v string, version int, region geometry.BBox, sched []trans
 		obsPullBytes.Add(region.Volume() * ElemSize)
 		defer func() { obsPullNs.Observe(time.Since(start).Nanoseconds()) }()
 	}
-	out := make([]float64, region.Volume())
+	out := &lazyOutput{n: region.Volume()}
 	m := h.meter()
 	if tr := h.sp.tracer.Load(); tr != nil {
 		span := tr.Start(h.spanParent, "pull:"+v)
@@ -807,7 +875,7 @@ func (h *Handle) pull(v string, version int, region geometry.BBox, sched []trans
 		m.Span = uint64(span.ID())
 	}
 	pol := h.sp.RetryPolicy()
-	items := h.partitionPulls(sched)
+	items := h.partitionPulls(sched, version)
 	errs := make([]error, len(items))
 	run := func(i int) bool {
 		errs[i] = h.pullBatch(out, region, v, version, items[i], m, pol)
@@ -839,7 +907,20 @@ func (h *Handle) pull(v string, version int, region geometry.BBox, sched []trans
 			return nil, err
 		}
 	}
-	return out, nil
+	return out.cells(), nil
+}
+
+// lazyOutput is the row-major result buffer of one get, shared by its
+// batches: the first call to cells allocates it, whichever batch makes it.
+type lazyOutput struct {
+	once sync.Once
+	n    int64
+	buf  []float64
+}
+
+func (o *lazyOutput) cells() []float64 {
+	o.once.Do(func() { o.buf = make([]float64, o.n) })
+	return o.buf
 }
 
 // partitionPulls splits a schedule into the batches pull executes.
@@ -848,12 +929,14 @@ func (h *Handle) pull(v string, version int, region geometry.BBox, sched []trans
 // frame per owning node instead of one per sub-box. Every unrouted
 // transfer (same-process payload sharing) is a batch of its own, so each
 // keeps its own fault draw and retry budget; schedule order is preserved
-// within every batch.
-func (h *Handle) partitionPulls(sched []transport.ReadSpec) [][]transport.ReadSpec {
+// within every batch. The batches are private copies of the specs, stamped
+// with the version of the get: the cached schedule stays versionless.
+func (h *Handle) partitionPulls(sched []transport.ReadSpec, version int) [][]transport.ReadSpec {
 	items := make([][]transport.ReadSpec, 0, len(sched))
 	machine := h.sp.fabric.Machine()
 	byNode := make(map[cluster.NodeID]int)
 	for _, tr := range sched {
+		tr.Key.Version = version
 		if !h.sp.fabric.Routed(h.core, tr.Owner) {
 			items = append(items, []transport.ReadSpec{tr})
 			continue
@@ -880,13 +963,7 @@ func (h *Handle) partitionPulls(sched []transport.ReadSpec) [][]transport.ReadSp
 // or per-operation deadline runs out; a closed owner endpoint stops the
 // attempts immediately. The ultimate failure is a *PullError naming the
 // batch's first sub-box.
-func (h *Handle) pullBatch(out []float64, region geometry.BBox, v string, version int, batch []transport.ReadSpec, m transport.Meter, pol retry.Policy) error {
-	// The batch belongs to a cached, versionless schedule that other gets
-	// share: stamp this get's version on a copy.
-	specs := slices.Clone(batch)
-	for i := range specs {
-		specs[i].Key.Version = version
-	}
+func (h *Handle) pullBatch(out *lazyOutput, region geometry.BBox, v string, version int, batch []transport.ReadSpec, m transport.Meter, pol retry.Policy) error {
 	attempts, err := retry.Do(pol, transferSeed(h.core, batch[0], version), retryableTransfer,
 		func(d time.Duration) { obsPullBackoffNs.Observe(d.Nanoseconds()) },
 		func(attempt int) error {
@@ -900,14 +977,24 @@ func (h *Handle) pullBatch(out []float64, region geometry.BBox, v string, versio
 			if obs.Enabled() {
 				start = time.Now()
 			}
-			rerr := h.endpoint().ReadMulti(specs, m, func(i int, payload any, clipped []byte) error {
-				tr := batch[i]
-				if payload != nil {
-					obj := payload.(*StoredObject)
-					copyRegion(out, region, obj.Data, obj.Region, tr.Sub)
+			rerr := h.endpoint().ReadMulti(batch, m, func(i int, payload any, clipped []byte) error {
+				sub := batch[i].Sub
+				switch obj := payload.(type) {
+				case nil: // clipped by its owner in another process
+				case *StoredObject:
+					copyRegion(out.cells(), region, obj.Data, obj.Region, sub)
 					return nil
+				case transport.RegionClipper:
+					// A block this process received over the wire, kept in
+					// wire form.
+					var err error
+					if clipped, err = obj.ClipRegion(nil, sub); err != nil {
+						return err
+					}
+				default:
+					return fmt.Errorf("cods: exposed payload %T cannot be read", payload)
 				}
-				return copySegment(out, region, clipped, tr.Sub)
+				return copySegment(out.cells(), region, clipped, sub)
 			})
 			if !start.IsZero() {
 				// Includes the blocking wait for the producer's Expose: it

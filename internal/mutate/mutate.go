@@ -55,6 +55,12 @@ const (
 	// coordinates. It only exists where an expose crosses a process
 	// boundary (a driver staging on a codsnode), never in process.
 	TCPBlockShift = "tcp-block-shift"
+	// TCPClipRowSkew makes the owning process clip a block it received over
+	// the wire with every row after the first copied from one cell further
+	// along: the segment keeps its length and its first row, the rest of its
+	// cells are their neighbours'. Like TCPBlockShift it only exists where an
+	// expose crosses a process boundary.
+	TCPClipRowSkew = "tcp-clip-row-skew"
 	// TCPMsgEntryDrop makes the decoder of a DHT query response forget the
 	// last of two or more entries — every byte still consumed, so the strict
 	// codec stays silent. It only exists where a lookup crosses the wire.
@@ -103,7 +109,7 @@ const (
 // Names lists every seeded defect, in a stable order.
 func Names() []string {
 	return []string{GeomIntersect, SfcSpanSplit, SchedDropTransfer, StaleEpoch, SwapFlow, NoRequery,
-		TCPTruncFrame, TCPMeterClass, TCPSGDrop, TCPSGReorder, TCPBlockShift, TCPMsgEntryDrop, ObsFlowMisattribute,
+		TCPTruncFrame, TCPMeterClass, TCPSGDrop, TCPSGReorder, TCPBlockShift, TCPClipRowSkew, TCPMsgEntryDrop, ObsFlowMisattribute,
 		ReconcileSkipReinsert, LeaseExpiryIgnored,
 		StaleWatermarkServed, GCBeforeConsume, VersionSkipOnResubscribe,
 		RemapStaleOwner, MortonBitSwap}

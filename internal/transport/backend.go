@@ -85,9 +85,9 @@ type RegionClipper interface {
 // ship between processes: AppendBlock appends the payload's whole wire form
 // — its region header, then every cell in the row-major big-endian float64
 // format ClipRegion produces — to dst and returns the extended slice. The
-// receiving process turns the bytes back into a payload through the decoder
-// installed with RegisterBlockDecoder, so the backend itself never learns
-// the payload's type (tcpnet must not import cods).
+// receiving process turns the bytes into a payload that can clip regions
+// through the decoder installed with RegisterBlockDecoder, so the backend
+// itself never learns the payload's type (tcpnet must not import cods).
 type BlockPayload interface {
 	RegionClipper
 	AppendBlock(dst []byte) ([]byte, error)
@@ -99,7 +99,9 @@ var blockDecoder func(wire []byte) (any, error)
 
 // RegisterBlockDecoder installs the decoder of the block wire form. It is
 // called from init by the one package whose payloads cross the wire as
-// blocks; a second registration is a programming error.
+// blocks; a second registration is a programming error. The decoder may
+// retain its input: the payload it returns may be wire itself, clipped in
+// the form it arrived in.
 func RegisterBlockDecoder(dec func(wire []byte) (any, error)) {
 	if blockDecoder != nil {
 		panic("transport: block decoder registered twice")
@@ -107,9 +109,9 @@ func RegisterBlockDecoder(dec func(wire []byte) (any, error)) {
 	blockDecoder = dec
 }
 
-// DecodeBlock rebuilds an exposed payload from the bytes AppendBlock
-// produced. The decoder must not retain wire: network backends hand it a
-// pooled buffer.
+// DecodeBlock rebuilds an exposed payload, a RegionClipper, from the bytes
+// AppendBlock produced. The payload may retain wire, so a caller hands over
+// a buffer nothing else will write to.
 func DecodeBlock(wire []byte) (any, error) {
 	if blockDecoder == nil {
 		return nil, fmt.Errorf("transport: no block decoder registered")

@@ -47,7 +47,8 @@ func stageSegments(tb testing.TB, b *Backend) []transport.ReadSpec {
 }
 
 // BenchmarkExposeBlock ships one 2 MiB block to its owner and withdraws it
-// again: encode, one vectored write, the owner's staged read and decode.
+// again: encode, one vectored write, the owner's read of the body it keeps
+// as the block.
 func BenchmarkExposeBlock(b *testing.B) {
 	_, be := newLoopbackFabric(b, 2, 1)
 	region := geometry.BoxFromSize([]int{exposeSide, exposeSide})
@@ -279,6 +280,67 @@ func TestBlockBytesNeverAliased(t *testing.T) {
 		for i := range kept {
 			kept[i] = 0xEE // the callback has returned: this is the pool's buffer now
 		}
+	}
+}
+
+// exposedSubBoxMismatch exposes 1-3-D blocks on core 1 through
+// Backend.Expose, so each crosses the loopback wire and its owner keeps the
+// block it decoded, then reads sub-boxes of each back from core 0 in one
+// ReadMulti a block: the whole block, its interior, boxes straddling its
+// lower and upper corners, a single cell and a disjoint box. It returns
+// the first segment that differs from StoredObject.ClipRegion of the same
+// cells.
+func exposedSubBoxMismatch(tb testing.TB) error {
+	// near is the box [at+lo, at+hi) in every dimension.
+	near := func(at geometry.Point, lo, hi int) geometry.BBox {
+		b := geometry.BBox{Min: make(geometry.Point, len(at)), Max: make(geometry.Point, len(at))}
+		for d, x := range at {
+			b.Min[d], b.Max[d] = x+lo, x+hi
+		}
+		return b
+	}
+	f, be := newLoopbackFabric(tb, 2, 1)
+	for _, region := range []geometry.BBox{
+		geometry.NewBBox(geometry.Point{5}, geometry.Point{37}),
+		geometry.NewBBox(geometry.Point{8, 4}, geometry.Point{20, 14}),
+		geometry.NewBBox(geometry.Point{0, 3, 1}, geometry.Point{5, 9, 8}),
+	} {
+		obj := &cods.StoredObject{Region: region, Data: fillCells(region)}
+		key := transport.BufKey{Name: "blk|" + region.String(), Version: 1}
+		if err := be.Expose(1, key, obj); err != nil {
+			return err
+		}
+		subs := []geometry.BBox{region, region.Expand(-1, region), near(region.Min, -2, 3),
+			near(region.Max, -3, 2), near(region.Min, 1, 2), near(region.Max, 0, 2)}
+		specs := make([]transport.ReadSpec, len(subs))
+		for i, sub := range subs {
+			clip, _ := sub.Intersect(region)
+			specs[i] = transport.ReadSpec{Owner: 1, Key: key, Sub: sub, Bytes: clip.Volume() * cods.ElemSize}
+		}
+		err := f.Endpoint(0).ReadMulti(specs, dataMeter, func(i int, _ any, clipped []byte) error {
+			want, err := obj.ClipRegion(nil, subs[i])
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(clipped, want) {
+				return fmt.Errorf("block %v, sub-box %v: the owner served %d bytes that differ from the %d of the block as exposed",
+					region, subs[i], len(clipped), len(want))
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestExposedBlockServesSubBoxes holds the block a serving process decoded
+// to the block it was sent: every sub-box of exposedSubBoxMismatch reads
+// back byte for byte as the sender's own clip.
+func TestExposedBlockServesSubBoxes(t *testing.T) {
+	if err := exposedSubBoxMismatch(t); err != nil {
+		t.Fatal(err)
 	}
 }
 

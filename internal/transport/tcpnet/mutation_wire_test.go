@@ -59,3 +59,18 @@ func TestMutationDetectionVectoredFrame(t *testing.T) {
 		t.Fatalf("%s left meter class %d on the vectored frame, want the swap to Control", mutate.TCPMeterClass, swapped.MeterClass)
 	}
 }
+
+// TestMutationDetectionClipRowSkew holds the seeded owner-clip defect to
+// TestExposedBlockServesSubBoxes: blocks that crossed the wire must serve
+// their sub-boxes as exposed, which every multi-row clip breaks.
+func TestMutationDetectionClipRowSkew(t *testing.T) {
+	if err := exposedSubBoxMismatch(t); err != nil {
+		t.Fatalf("exposed blocks serve wrong sub-boxes even without the mutation: %v", err)
+	}
+	t.Setenv("CODS_MUTATION", mutate.TCPClipRowSkew)
+	err := exposedSubBoxMismatch(t)
+	if err == nil {
+		t.Fatalf("exposed sub-box reads did not detect seeded defect %q", mutate.TCPClipRowSkew)
+	}
+	t.Logf("detected %q: %v", mutate.TCPClipRowSkew, err)
+}

@@ -945,9 +945,6 @@ func (b *Backend) serveConn(c net.Conn) {
 			continue
 		}
 		resp := b.execute(fr)
-		// Every handler is done with the request's payload by now; only an
-		// exposed block's body is pooled (readFrame).
-		fr.release()
 		if err := writeFrame(c, resp); err != nil {
 			return
 		}
@@ -1153,6 +1150,8 @@ func (b *Backend) execute(fr *frame) *frame {
 		if err := checkKind(fr, payloadBlock); err != nil {
 			return fail(err)
 		}
+		// The block keeps fr.Payload: a body readFrame allocated for this
+		// frame alone.
 		payload, err := transport.DecodeBlock(fr.Payload)
 		if err != nil {
 			return fail(err)

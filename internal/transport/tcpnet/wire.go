@@ -102,9 +102,7 @@ const maxFrame = 64 << 20
 //	Payload      a spec list or span lines (raw), a stats reply (gob), an
 //	             exposed block (block), an RPC request or response (msg)
 //
-// A decoded frame's Payload aliases the body it was decoded from; staged is
-// set by readFrame when that body is a pooled staging buffer, which the
-// handler hands back with release once nothing references Payload.
+// A decoded frame's Payload aliases the body it was decoded from.
 type frame struct {
 	Op         uint8
 	Status     uint8
@@ -122,18 +120,6 @@ type frame struct {
 	Phase      string
 	Err        string
 	Payload    []byte
-
-	staged *[]byte
-}
-
-// release returns the frame's pooled body, if it has one, to the staging
-// pool. Payload must not be read afterwards: the buffer's next user
-// overwrites it.
-func (fr *frame) release() {
-	if fr.staged != nil {
-		putStage(fr.staged)
-		fr.staged = nil
-	}
 }
 
 // fixedHeaderLen is the byte length of the fixed part of a frame body.
@@ -197,12 +183,12 @@ func putBuf(bp *[]byte) {
 	bufPool.Put(bp)
 }
 
-// stagePool recycles the staging buffers block bytes pass through, one per
-// side: the wire form of a block being exposed (sender) and the frame body
-// it arrives in (owner), the segment an owner clips before writing it and
-// the segment a reader receives before scattering it. A buffer grows to
-// the largest body it has held, so in steady state none of the four
-// allocates.
+// stagePool recycles the staging buffers block bytes pass through: the wire
+// form of a block being exposed (sender), the segment an owner clips before
+// writing it and the segment a reader receives before scattering it. A
+// buffer grows to the largest body it has held, so in steady state none of
+// the three allocates. The frame body an exposed block arrives in is not
+// staged: the owner keeps it as the block (transport.DecodeBlock).
 var stagePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxStagedBuf bounds the capacity of a staging buffer the pool will keep
@@ -401,12 +387,9 @@ func writeFrame(w io.Writer, fr *frame) error {
 }
 
 // readFrame reads one length-prefixed frame, bounding the body at maxFrame.
-// The length prefix and the fixed header arrive in one read, so the op is
-// known before the rest of the body is given a buffer: an exposed block —
-// the one large payload its handler fully consumes before answering — is
-// read into a pooled staging buffer (see frame.release); every other body
-// gets an allocation of its own, which Payload may alias for as long as it
-// likes.
+// The length prefix and the fixed header arrive in one read; the rest of
+// the body gets an allocation of its own, which Payload may alias for as
+// long as it likes — an exposed block's owner keeps it as the block.
 func readFrame(r io.Reader) (*frame, error) {
 	var fixed [4 + fixedHeaderLen]byte
 	if _, err := io.ReadFull(r, fixed[:]); err != nil {
@@ -423,18 +406,11 @@ func readFrame(r io.Reader) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rest []byte
-	if fr.Op == opExpose {
-		fr.staged = getStage()
-		rest = grownBuf(fr.staged, n-fixedHeaderLen)
-	} else {
-		rest = make([]byte, n-fixedHeaderLen)
+	rest := make([]byte, n-fixedHeaderLen)
+	if _, err := io.ReadFull(r, rest); err != nil {
+		return nil, err
 	}
-	if _, err = io.ReadFull(r, rest); err == nil {
-		err = decodeSections(fr, rest)
-	}
-	if err != nil {
-		fr.release()
+	if err := decodeSections(fr, rest); err != nil {
 		return nil, err
 	}
 	return fr, nil

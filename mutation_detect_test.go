@@ -283,17 +283,19 @@ func detectLeaseExpiryIgnored(t *testing.T) {
 	t.Logf("detected %q: %v", mutate.LeaseExpiryIgnored, err)
 }
 
-// detectTCPBlockShift proves the put half of the block wire codec is
-// watched. The conformance loopback never ships a block — an owner it
-// serves exposes in process — so the defect (the owning process decodes an
-// exposed region one cell over) only exists where codsrun -backend=tcp and
-// the repo benchmark run: a driver that owns no node, staging on separate
-// serving processes. The probe builds that shape inside this process — one
+// detectSplitProcess proves a defect in a block a serving process received
+// over the wire is watched: tcp-block-shift (the owning process decodes an
+// exposed region one cell over) and tcp-clip-row-skew (it clips the block
+// it kept with every row after the first one cell late). The conformance
+// loopback never ships a block — an owner it serves exposes in process —
+// so these defects only exist where codsrun -backend=tcp and the repo
+// benchmark run: a driver that owns no node, staging on separate serving
+// processes. The probe builds that shape inside this process — one
 // framework and tcpnet.Serve backend per node, a tcpnet.Connect driver —
 // stages a block on each node and requires the driver's get to match the
 // same put/get on an in-process fabric cell for cell: cross-backend
 // identity, on the one deployment shape where expose crosses the wire.
-func detectTCPBlockShift(t *testing.T) {
+func detectSplitProcess(t *testing.T, name string) {
 	cfg := cods.Config{Nodes: 2, CoresPerNode: 1, Domain: []int{8, 8}}
 	putGet := func(fw *cods.Framework) ([]float64, error) {
 		sp := fw.SharedSpace()
@@ -308,7 +310,8 @@ func detectTCPBlockShift(t *testing.T) {
 			}
 		}
 		// An interior get: every sub-box is strictly inside its block, so a
-		// shifted block still covers it — with its neighbours' values.
+		// shifted block still covers it — with its neighbours' values — and
+		// each is a clip of several rows.
 		return sp.HandleAt(0, 2, "get").GetSequential("v", 0, geometry.NewBBox(geometry.Point{1, 2}, geometry.Point{7, 6}))
 	}
 	probe := func() error {
@@ -357,15 +360,15 @@ func detectTCPBlockShift(t *testing.T) {
 	if err := probe(); err != nil {
 		t.Fatalf("split-process put/get fails even without the mutation: %v", err)
 	}
-	t.Setenv("CODS_MUTATION", mutate.TCPBlockShift)
-	if !mutate.Enabled(mutate.TCPBlockShift) {
+	t.Setenv("CODS_MUTATION", name)
+	if !mutate.Enabled(name) {
 		t.Fatal("mutation hooks not compiled in (missing -tags conformance_mutations?)")
 	}
 	err := probe()
 	if err == nil {
-		t.Fatalf("cross-backend identity did not detect seeded defect %q", mutate.TCPBlockShift)
+		t.Fatalf("cross-backend identity did not detect seeded defect %q", name)
 	}
-	t.Logf("detected %q: %v", mutate.TCPBlockShift, err)
+	t.Logf("detected %q: %v", name, err)
 }
 
 // detectMortonBitSwap proves the linearizer suite catches a transposed
@@ -433,10 +436,10 @@ func TestMutationDetection(t *testing.T) {
 				detectLeaseExpiryIgnored(t)
 				return
 			}
-			if name == mutate.TCPBlockShift {
-				// The loopback leg of the sweep exposes in process; the block
-				// codec's put half needs the driver-plus-nodes shape.
-				detectTCPBlockShift(t)
+			if name == mutate.TCPBlockShift || name == mutate.TCPClipRowSkew {
+				// The loopback leg of the sweep exposes in process; a block
+				// that crossed the wire needs the driver-plus-nodes shape.
+				detectSplitProcess(t, name)
 				return
 			}
 			if name == mutate.MortonBitSwap {
