@@ -196,26 +196,18 @@ func (o *StoredObject) ClipRegion(dst []byte, sub geometry.BBox) ([]byte, error)
 	// One growth to the final size: a pooled staging buffer that is too
 	// short is replaced once instead of doubling its way up.
 	dst = slices.Grow(dst, int(clip.Volume())*ElemSize)
-	last := clip.Dim() - 1
-	runLen := clip.Size(last)
-	p := clip.Min.Clone()
+	run := int64(clip.Size(clip.Dim() - 1))
+	p := append(make([]int, 0, 4), clip.Min...)
+	at := o.Region.Offset(clip.Min)
 	for {
-		so := o.Region.Offset(p)
-		for i := int64(0); i < int64(runLen); i++ {
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(o.Data[so+i]))
+		for _, v := range o.Data[at : at+run] {
+			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
 		}
-		d := last - 1
-		for d >= 0 {
-			p[d]++
-			if p[d] < clip.Max[d] {
-				break
-			}
-			p[d] = clip.Min[d]
-			d--
-		}
-		if d < 0 {
+		step, more := nextRow(p, clip, o.Region)
+		if !more {
 			return dst, nil
 		}
+		at += step
 	}
 }
 
@@ -1098,32 +1090,23 @@ func (h *Handle) cachedSchedule(key, v string) ([]transport.ReadSpec, bool) {
 
 // copyRegion copies the cells of sub from src (row-major over srcBox) to
 // dst (row-major over dstBox) using contiguous runs along the last
-// dimension.
+// dimension. Each box has its own row odometer: both visit the rows of sub
+// in the same order, each advancing by its own box's strides.
 func copyRegion(dst []float64, dstBox geometry.BBox, src []float64, srcBox geometry.BBox, sub geometry.BBox) {
 	if sub.Empty() {
 		return
 	}
-	dim := sub.Dim()
-	last := dim - 1
-	runLen := sub.Size(last)
-	// Iterate over all coordinates of sub except the last dimension.
-	p := sub.Min.Clone()
+	run := int64(sub.Size(sub.Dim() - 1))
+	ps := append(make([]int, 0, 4), sub.Min...)
+	pd := append(make([]int, 0, 4), sub.Min...)
+	from, to := srcBox.Offset(sub.Min), dstBox.Offset(sub.Min)
 	for {
-		so := srcBox.Offset(p)
-		do := dstBox.Offset(p)
-		copy(dst[do:do+int64(runLen)], src[so:so+int64(runLen)])
-		// Odometer over dims 0..last-1.
-		d := last - 1
-		for d >= 0 {
-			p[d]++
-			if p[d] < sub.Max[d] {
-				break
-			}
-			p[d] = sub.Min[d]
-			d--
-		}
-		if d < 0 {
+		copy(dst[to:to+run], src[from:from+run])
+		srcStep, more := nextRow(ps, sub, srcBox)
+		if !more {
 			return
 		}
+		dstStep, _ := nextRow(pd, sub, dstBox)
+		from, to = from+srcStep, to+dstStep
 	}
 }

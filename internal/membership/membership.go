@@ -384,8 +384,9 @@ func Reconcile(sp *cods.Space, ledger *Ledger, affected []cluster.NodeID) (Resul
 // transient dial failure during a neighbor's replacement does not eat a
 // healthy lease. A probe that fails every attempt is still not an error —
 // the lease simply is not renewed, and expiry surfaces the crash on the
-// next Sweep. The steady-state overhead of a running monitor is what
-// benchguard's elastic gate bounds.
+// next Sweep. What one renewal pass costs at steady state — wire bytes, no
+// flow, allocations per probe — is held by TestPlaneCosts/elastic
+// (internal/transport/tcpnet).
 type Monitor struct {
 	reg      *Registry
 	interval time.Duration

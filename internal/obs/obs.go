@@ -14,8 +14,11 @@
 // hot-path update is one atomic add guarded by one atomic load of the
 // global enable flag. With observability disabled (the default) the update
 // is just that load-and-branch, which is why the pull engine can stay
-// instrumented permanently; cmd/benchguard asserts the enabled overhead
-// stays under budget. All operations are safe under -race.
+// instrumented permanently. TestPlaneCosts/distributed-obs
+// (internal/transport/tcpnet) holds the enabled plane to the wire bytes and
+// flows of a disabled one and to a bounded number of allocations per get;
+// its time is the repo benchmark's trace.overhead_ratio. All operations are
+// safe under -race.
 package obs
 
 import (

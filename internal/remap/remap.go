@@ -24,8 +24,9 @@ import (
 
 // Registry instruments for the remap plane: how often plans are computed
 // and how long that takes (the planner runs on the coupling path between
-// iterations, so its cost is budgeted by benchguard), how many moves were
-// planned and how many blocks actually migrated.
+// iterations; TestPlaneCosts/remap-planner in internal/transport/tcpnet
+// holds a pass to no wire traffic and a fixed number of allocations), how
+// many moves were planned and how many blocks actually migrated.
 var (
 	obsPlans   = obs.C("remap.plans")
 	obsPlanNs  = obs.H("remap.plan_ns", obs.DefaultLatencyBounds())

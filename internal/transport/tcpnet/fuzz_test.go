@@ -3,6 +3,9 @@ package tcpnet
 import (
 	"bytes"
 	"testing"
+
+	"github.com/insitu/cods/internal/geometry"
+	"github.com/insitu/cods/internal/transport"
 )
 
 // FuzzWireFrame throws arbitrary bodies at the strict frame decoder. Two
@@ -60,7 +63,7 @@ func FuzzWireFrame(f *testing.F) {
 
 // FuzzReadSpecs holds the scatter-gather spec codec to the same bar: the
 // strict decoder never panics, and any spec list it accepts re-encodes to
-// exactly the input bytes.
+// exactly the input bytes and meters no negative size.
 func FuzzReadSpecs(f *testing.F) {
 	f.Add(sampleSpecPayload())
 	empty, _ := appendReadSpecs(nil, nil)
@@ -69,10 +72,18 @@ func FuzzReadSpecs(f *testing.F) {
 	f.Add(append(append([]byte(nil), empty...), 0x01)) // trailing byte
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})              // hostile count
 	f.Add(bytes.Repeat([]byte{0x00}, 64))              // zero soup
+	negative, _ := appendReadSpecs(nil, []transport.ReadSpec{{Owner: 1, Key: transport.BufKey{Name: "u"},
+		Sub: geometry.NewBBox(geometry.Point{0}, geometry.Point{1}), Bytes: -8}})
+	f.Add(negative) // a negative metered size, which the decoder refuses
 	f.Fuzz(func(t *testing.T, body []byte) {
 		specs, err := decodeReadSpecs(body)
 		if err != nil {
 			return
+		}
+		for i, spec := range specs {
+			if spec.Bytes < 0 {
+				t.Fatalf("accepted spec %d meters %d bytes", i, spec.Bytes)
+			}
 		}
 		out, err := appendReadSpecs(nil, specs)
 		if err != nil {

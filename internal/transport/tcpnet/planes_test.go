@@ -1,0 +1,451 @@
+package tcpnet
+
+import (
+	"bytes"
+	"io"
+	"runtime"
+	"runtime/debug"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/insitu/cods/internal/cluster"
+	"github.com/insitu/cods/internal/cods"
+	"github.com/insitu/cods/internal/geometry"
+	"github.com/insitu/cods/internal/membership"
+	"github.com/insitu/cods/internal/obs"
+	"github.com/insitu/cods/internal/remap"
+	"github.com/insitu/cods/internal/retry"
+	"github.com/insitu/cods/internal/transport"
+)
+
+// The optional planes on the pull path, each held to what it costs in
+// units that do not vary from run to run — wire bytes, request frames,
+// segments, flows, allocations — on one rig: a 4x4 machine behind the
+// loopback backend, sixteen 32x32 blocks (8 KiB) placed round-robin so
+// adjacent blocks always live on different cores, and a consumer on core 0
+// reading the half-block-inset region, which every boundary block's owner
+// has to clip. What the planes cost in time is measured end to end by the
+// repo benchmark's paired runs (`bash bench/run.sh`): trace.overhead_ratio
+// of its traced run for observability, stream-lockstep-tcp for streaming.
+const (
+	planeGrid  = 4  // blocks per domain side
+	planeBlock = 32 // cells per block side
+
+	// planeRuns is how many repetitions testing.AllocsPerRun averages.
+	planeRuns = 200
+)
+
+// Allocation bounds, each the value measured when its clause was written
+// (go1.24.0, without -race).
+const (
+	warmGetAllocs = 141 // one warm get of the inset, every plane off
+	obsGetAllocs  = 15  // what the observability plane adds to it
+	probeAllocs   = 7   // one lease probe and its answer, both sides
+	plannerAllocs = 444 // one flow-matrix build and remap proposal
+)
+
+// allocsPinned reports whether this build is held to the allocation
+// bounds: not under -race, where sync.Pool drops what it is given at
+// random, and on the compiler release they were measured with, since
+// another may allocate differently.
+var allocsPinned = !raceEnabled && strings.HasPrefix(runtime.Version(), "go1.24")
+
+// planeCost is what a stretch of work put on the wire — the WireStats
+// deltas of the loopback backend, which sees both sides of every exchange —
+// and into the machine's flow log.
+type planeCost struct {
+	Wire           WireStats
+	Flows, Control int
+}
+
+type planeRig struct {
+	f        *transport.Fabric
+	b        *Backend
+	sp       *cods.Space
+	domain   geometry.BBox
+	inset    geometry.BBox
+	blocks   []geometry.BBox
+	data     [][]float64
+	owners   []*cods.Handle
+	consumer *cods.Handle
+}
+
+// newPlaneRig builds the rig with every plane off. The backend serves
+// incarnation 1, the one the elastic subtest's lease probes name.
+func newPlaneRig(t *testing.T) *planeRig {
+	t.Helper()
+	wasOn := obs.Enabled()
+	obs.Enable(false)
+	t.Cleanup(func() { obs.Enable(wasOn) })
+	m, err := cluster.NewMachine(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := transport.NewFabric(m)
+	cfg := testConfig()
+	cfg.Incarnation = 1
+	b, err := NewLoopback(f, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.SetBackend(b)
+	t.Cleanup(func() {
+		f.SetBackend(nil)
+		b.Close()
+	})
+	side := planeGrid * planeBlock
+	r := &planeRig{
+		f:      f,
+		b:      b,
+		domain: geometry.BoxFromSize([]int{side, side}),
+		inset: geometry.NewBBox(geometry.Point{planeBlock / 2, planeBlock / 2},
+			geometry.Point{side - planeBlock/2, side - planeBlock/2}),
+	}
+	if r.sp, err = cods.NewSpace(f, r.domain); err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < planeGrid*planeGrid; n++ {
+		x, y := n/planeGrid*planeBlock, n%planeGrid*planeBlock
+		blk := geometry.NewBBox(geometry.Point{x, y}, geometry.Point{x + planeBlock, y + planeBlock})
+		r.blocks = append(r.blocks, blk)
+		r.data = append(r.data, fillCells(blk))
+		r.owners = append(r.owners, r.sp.HandleAt(cluster.CoreID(n%m.TotalCores()), 1, "put"))
+	}
+	r.consumer = r.sp.HandleAt(0, 2, "get")
+	return r
+}
+
+// stage puts every block as version 0 of "u" and gets the inset once, which
+// fills the consumer's schedule cache and the connection pools: a get after
+// it is pull execution alone.
+func (r *planeRig) stage(t *testing.T) {
+	t.Helper()
+	for i, h := range r.owners {
+		if err := h.PutSequential("u", 0, r.blocks[i], r.data[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.get(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func (r *planeRig) get() error {
+	_, err := r.consumer.GetSequential("u", 0, r.inset)
+	return err
+}
+
+func (r *planeRig) cost(t *testing.T, work func() error) planeCost {
+	t.Helper()
+	metrics := r.f.Machine().Metrics()
+	before, logged := r.b.WireStats(), len(metrics.Flows(""))
+	if err := work(); err != nil {
+		t.Fatal(err)
+	}
+	after := r.b.WireStats()
+	c := planeCost{Wire: WireStats{
+		BytesOut:           after.BytesOut - before.BytesOut,
+		BytesIn:            after.BytesIn - before.BytesIn,
+		ReadMultiRequests:  after.ReadMultiRequests - before.ReadMultiRequests,
+		SegmentsServed:     after.SegmentsServed - before.SegmentsServed,
+		SegmentBytesServed: after.SegmentBytesServed - before.SegmentBytesServed,
+	}}
+	for _, fl := range metrics.Flows("")[logged:] {
+		c.Flows++
+		if fl.Class == cluster.Control.String() {
+			c.Control++
+		}
+	}
+	return c
+}
+
+// allocs is testing.AllocsPerRun of work, with the collector off: a
+// collection would empty the buffer pools the data path recycles.
+func allocs(t *testing.T, work func() error) float64 {
+	t.Helper()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return testing.AllocsPerRun(planeRuns, func() {
+		if err := work(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// getAllocs is allocs of one warm get, from an empty flow log so that the
+// log's growth costs every measurement alike.
+func (r *planeRig) getAllocs(t *testing.T) float64 {
+	t.Helper()
+	r.f.Machine().Metrics().Reset()
+	return allocs(t, r.get)
+}
+
+// warmGet is the cost of one warm get of the inset from core 0: one
+// scatter-gather request to each of nodes 1-3, the twelve blocks they own
+// clipped to the inset (7,680 cells), and one flow per block, the four
+// blocks of node 0 included.
+var warmGet = planeCost{
+	Wire: WireStats{BytesOut: 1087, BytesIn: 61758, ReadMultiRequests: 3,
+		SegmentsServed: 12, SegmentBytesServed: 61440},
+	Flows: 16,
+}
+
+// TestPlaneCosts holds each optional plane of the pull path to its cost on
+// the rig; one subtest per plane. The allocation clauses run where
+// allocsPinned.
+func TestPlaneCosts(t *testing.T) {
+	// The registry on, with its wire-mirror counters, plus a tracer — every
+	// pull stamps its span id into the request frames — and span capture,
+	// so every served request emits a handler span. None of it may change a
+	// byte on the wire or a flow, the handler spans must be exactly one per
+	// request frame, and the whole plane costs a bounded number of
+	// allocations per get.
+	t.Run("distributed-obs", func(t *testing.T) {
+		r := newPlaneRig(t)
+		r.stage(t)
+		off := r.cost(t, r.get)
+		var offAllocs float64
+		if allocsPinned {
+			offAllocs = r.getAllocs(t)
+		}
+
+		r.b.EnableSpanCapture()
+		r.sp.SetTracer(obs.NewTracer(io.Discard))
+		obs.Enable(true)
+		mirrorOut, mirrorIn := obsWireBytesOut.Value(), obsWireBytesIn.Value()
+		on := r.cost(t, r.get)
+		if out, in := obsWireBytesOut.Value()-mirrorOut, obsWireBytesIn.Value()-mirrorIn; out != on.Wire.BytesOut || in != on.Wire.BytesIn {
+			t.Errorf("registry mirrors %d B out, %d B in; the wire counters %d, %d", out, in, on.Wire.BytesOut, on.Wire.BytesIn)
+		}
+		if off != warmGet || on != warmGet {
+			t.Errorf("a warm get costs %+v with the plane off, %+v on; want %+v both", off, on, warmGet)
+		}
+		var lines bytes.Buffer
+		sink := obs.NewTracer(&lines)
+		if err := r.b.DrainRemoteSpans(sink); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		evs, err := obs.ReadSpans(&lines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handlers := 0
+		for _, ev := range evs {
+			if ev.Ev == "b" && strings.HasPrefix(ev.Name, "remote:") {
+				handlers++
+			}
+		}
+		if int64(handlers) != on.Wire.ReadMultiRequests {
+			t.Errorf("%d handler spans for %d request frames", handlers, on.Wire.ReadMultiRequests)
+		}
+
+		if !allocsPinned {
+			return
+		}
+		onAllocs := r.getAllocs(t)
+		if offAllocs > warmGetAllocs || onAllocs > offAllocs+obsGetAllocs {
+			t.Errorf("a warm get allocates %v times with the plane off, %v on; want <= %d and <= off + %d",
+				offAllocs, onAllocs, warmGetAllocs, obsGetAllocs)
+		}
+	})
+
+	// An enabled retry policy on a fault-free fabric: no attempt fails, so
+	// the policy may cost nothing — no byte, no flow, no allocation — and
+	// retry nothing.
+	t.Run("retry", func(t *testing.T) {
+		r := newPlaneRig(t)
+		r.stage(t)
+		off := r.cost(t, r.get)
+		var offAllocs float64
+		if allocsPinned {
+			offAllocs = r.getAllocs(t)
+		}
+
+		r.sp.SetRetryPolicy(retry.Default())
+		on := r.cost(t, r.get)
+		if off != warmGet || on != warmGet {
+			t.Errorf("a warm get costs %+v without a retry policy, %+v with one; want %+v both", off, on, warmGet)
+		}
+		retries := obs.C("cods.pull.retries")
+		obs.Enable(true)
+		before := retries.Value()
+		if err := r.get(); err != nil {
+			t.Fatal(err)
+		}
+		obs.Enable(false)
+		if n := retries.Value() - before; n != 0 {
+			t.Errorf("a fault-free get retried %d times", n)
+		}
+
+		if !allocsPinned {
+			return
+		}
+		if onAllocs := r.getAllocs(t); offAllocs > warmGetAllocs || onAllocs != offAllocs {
+			t.Errorf("a warm get allocates %v times without a retry policy, %v with one; want <= %d, equal",
+				offAllocs, onAllocs, warmGetAllocs)
+		}
+	})
+
+	// One lease renewal pass, as membership.Monitor runs it at steady
+	// state: a probe of each of the four members, then its renewal. A pass
+	// costs four exchanges of 70-byte frames (length prefix, fixed header,
+	// empty sections) and books no flow, since a lease is not a transfer.
+	t.Run("elastic", func(t *testing.T) {
+		r := newPlaneRig(t)
+		reg := membership.NewRegistry(time.Minute)
+		for node := cluster.NodeID(0); node < 4; node++ {
+			if err := reg.Join(node, "", 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		renew := func() error {
+			for _, mem := range reg.Members() {
+				if _, err := r.b.ProbeLease(mem.Node, mem.Incarnation); err != nil {
+					return err
+				}
+				if err := reg.Renew(mem.Node, mem.Incarnation); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		if err := renew(); err != nil { // dials each node once
+			t.Fatal(err)
+		}
+		want := planeCost{Wire: WireStats{BytesOut: 4 * 70, BytesIn: 4 * 70}}
+		if c := r.cost(t, renew); c != want {
+			t.Errorf("a renewal pass costs %+v, want %+v", c, want)
+		}
+		if expired := reg.Sweep(); len(expired) != 0 {
+			t.Errorf("nodes %v expired at steady state", expired)
+		}
+
+		if !allocsPinned {
+			return
+		}
+		probe := func() error {
+			_, err := r.b.ProbeLease(1, 1)
+			return err
+		}
+		if n := allocs(t, probe); n > probeAllocs {
+			t.Errorf("a lease probe allocates %v times, want <= %d", n, probeAllocs)
+		}
+	})
+
+	// Two lock-step versions of a stream — a publish per block, a windowed
+	// read, an advance that retires the version — against the classic
+	// sequence they generalize: a put per block, a get, a discard per block.
+	// The two move the same bytes in the same frames and book the same
+	// flows; the classic discards run under the retire phase, "stream:gc",
+	// because the phase rides in every frame.
+	t.Run("streaming", func(t *testing.T) {
+		r := newPlaneRig(t)
+		const versions = 2
+		var gc []*cods.Handle
+		for _, h := range r.owners {
+			gc = append(gc, r.sp.HandleAt(h.Core(), 1, "stream:gc"))
+		}
+		classic := func(v string) error {
+			for ver := 0; ver < versions; ver++ {
+				for i, h := range r.owners {
+					if err := h.PutSequential(v, ver, r.blocks[i], r.data[i]); err != nil {
+						return err
+					}
+				}
+				if _, err := r.consumer.GetSequential(v, ver, r.domain); err != nil {
+					return err
+				}
+				for i, h := range gc {
+					if err := h.DiscardSequential(v, ver, r.blocks[i]); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		}
+		streamed := func(v string) error {
+			err := r.sp.DeclareStream(v, cods.StreamConfig{
+				Producers: len(r.owners), MaxLag: versions, Policy: cods.Backpressure})
+			if err != nil {
+				return err
+			}
+			cur, err := r.consumer.Subscribe(v)
+			if err != nil {
+				return err
+			}
+			for ver := 0; ver < versions; ver++ {
+				for i, h := range r.owners {
+					if _, err := h.Publish(v, i, r.blocks[i], r.data[i]); err != nil {
+						return err
+					}
+				}
+				if _, err := cur.GetWindow(r.domain, ver, ver); err != nil {
+					return err
+				}
+				if err := cur.Advance(ver + 1); err != nil {
+					return err
+				}
+			}
+			for i, h := range r.owners {
+				if err := h.ClosePublisher(v, i); err != nil {
+					return err
+				}
+			}
+			return cur.Close()
+		}
+		// One round of each fills the connection pools.
+		if err := classic("w0"); err != nil {
+			t.Fatal(err)
+		}
+		if err := streamed("w1"); err != nil {
+			t.Fatal(err)
+		}
+		want := planeCost{
+			Wire: WireStats{BytesOut: 7500, BytesIn: 201158, ReadMultiRequests: 6,
+				SegmentsServed: 24, SegmentBytesServed: 196608},
+			Flows: 176, Control: 144,
+		}
+		classicCost := r.cost(t, func() error { return classic("c0") })
+		streamCost := r.cost(t, func() error { return streamed("s0") })
+		if classicCost != want || streamCost != want {
+			t.Errorf("two versions cost %+v classic, %+v streamed; want %+v both", classicCost, streamCost, want)
+		}
+	})
+
+	// One pass of the remap planner over the staged blocks — the flow
+	// matrix rebuilt from the machine's flow log, the mapping re-scored
+	// against it — as an adaptive driver runs it between iterations. It
+	// reads only process state: no byte on the wire, no flow.
+	t.Run("remap-planner", func(t *testing.T) {
+		r := newPlaneRig(t)
+		ledger := membership.NewLedger()
+		r.sp.SetPutRecorder(ledger)
+		r.stage(t)
+		m := r.f.Machine()
+		blocks := remap.LedgerBlocks(ledger)
+		var cells, moves int
+		pass := func() error {
+			fm := obs.BuildFlowMatrix(m.Metrics().Flows(""))
+			plan := remap.Propose(m, fm, blocks, remap.Options{})
+			cells, moves = len(fm.Cells), len(plan.Moves)
+			return nil
+		}
+		if c := r.cost(t, pass); c != (planeCost{}) {
+			t.Errorf("a planner pass costs %+v, want nothing", c)
+		}
+		if len(blocks) != 16 || cells != 16 || moves != 12 {
+			t.Errorf("the planner scored %d blocks against %d flow cells and planned %d moves; want 16, 16, 12",
+				len(blocks), cells, moves)
+		}
+
+		if !allocsPinned {
+			return
+		}
+		if n := allocs(t, pass); n > plannerAllocs {
+			t.Errorf("a planner pass allocates %v times, want <= %d", n, plannerAllocs)
+		}
+	})
+}

@@ -1128,6 +1128,9 @@ func (b *Backend) execute(fr *frame) *frame {
 		if err := checkKind(fr, payloadMsg); err != nil {
 			return fail(err)
 		}
+		if fr.Bytes < 0 || fr.Bytes2 < 0 {
+			return fail(fmt.Errorf("negative metered size %d/%d", fr.Bytes, fr.Bytes2))
+		}
 		req, err := transport.DecodePayload(fr.Payload)
 		if err != nil {
 			return fail(err)

@@ -231,35 +231,7 @@ func TestEveryOpHandled(t *testing.T) {
 // naming the core — it does not forward, dial or hang — and the connection
 // stays in protocol sync for the next request.
 func TestServingNodeRefusesForeignCore(t *testing.T) {
-	m, err := cluster.NewMachine(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Serve(transport.NewFabric(m), 0, "127.0.0.1:0", testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	c, err := net.Dial("tcp", b.Addr(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ask := func(fr *frame) *frame {
-		t.Helper()
-		if err := writeFrame(c, fr); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := readFrame(c)
-		if err != nil {
-			t.Fatalf("op %d: connection lost: %v", fr.Op, err)
-		}
-		return resp
-	}
-	hello := &frame{Op: opHello, Dst: 0, Tag: helloMagic, Version: int64(wireVersion), Bytes: 2, Bytes2: 2}
-	if resp := ask(hello); resp.Status != statusOK {
-		t.Fatalf("handshake refused: %q", resp.Err)
-	}
+	_, b, ask := dialServingNode(t)
 	const foreign = 3 // node 1's second core
 	specs, err := appendReadSpecs(nil, []transport.ReadSpec{{Owner: foreign, Key: transport.BufKey{Name: "u"},
 		Sub: geometry.NewBBox(geometry.Point{0}, geometry.Point{1}), Bytes: 8}})
@@ -281,6 +253,77 @@ func TestServingNodeRefusesForeignCore(t *testing.T) {
 	}
 	if ws := b.WireStats(); ws.BytesOut != 0 || ws.BytesIn != 0 {
 		t.Fatalf("the serving backend dialed: %+v", ws)
+	}
+}
+
+// dialServingNode starts a Serve backend for node 0 of a 2x2 machine —
+// the codsnode configuration — and returns its fabric, the backend and a
+// function that sends one request frame on a connection that completed the
+// handshake and returns the response.
+func dialServingNode(t *testing.T) (*transport.Fabric, *Backend, func(*frame) *frame) {
+	t.Helper()
+	m, err := cluster.NewMachine(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := transport.NewFabric(m)
+	b, err := Serve(f, 0, "127.0.0.1:0", testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	c, err := net.Dial("tcp", b.Addr(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	ask := func(fr *frame) *frame {
+		t.Helper()
+		if err := writeFrame(c, fr); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := readFrame(c)
+		if err != nil {
+			t.Fatalf("op %d: connection lost: %v", fr.Op, err)
+		}
+		return resp
+	}
+	hello := &frame{Op: opHello, Dst: 0, Tag: helloMagic, Version: int64(wireVersion), Bytes: 2, Bytes2: 2}
+	if resp := ask(hello); resp.Status != statusOK {
+		t.Fatalf("handshake refused: %q", resp.Err)
+	}
+	return f, b, ask
+}
+
+// TestServingNodeRefusesNegativeMeteredSize: metered sizes arrive from the
+// wire and the metrics they are recorded in panic on a negative one, so a
+// serving node answers a read spec or a call that declares one with an
+// ordinary error — the buffer is exposed and the handler registered, so
+// nothing else refuses the request first — and the connection stays in
+// protocol sync.
+func TestServingNodeRefusesNegativeMeteredSize(t *testing.T) {
+	f, _, ask := dialServingNode(t)
+	if resp := ask(&frame{Op: opExpose, Kind: payloadBlock, Dst: 1, Name: "u", Payload: sampleBlockPayload()}); resp.Status != statusOK {
+		t.Fatalf("expose refused: %q", resp.Err)
+	}
+	f.Endpoint(1).RegisterHandler("echo", func(_ cluster.CoreID, req any) (any, error) { return req, nil })
+	specs, err := appendReadSpecs(nil, []transport.ReadSpec{{Owner: 1, Key: transport.BufKey{Name: "u"},
+		Sub: geometry.NewBBox(geometry.Point{0}, geometry.Point{1}), Bytes: -8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	call := echoPayload{Text: "ping"}.AppendWire(nil)
+	for _, fr := range []*frame{
+		{Op: opReadMulti, Src: 0, Dst: 1, Payload: specs},
+		{Op: opCall, Kind: payloadMsg, Src: 0, Dst: 1, Name: "echo", Bytes: -1, Bytes2: 8, Payload: call},
+		{Op: opCall, Kind: payloadMsg, Src: 0, Dst: 1, Name: "echo", Bytes: 8, Bytes2: -1, Payload: call},
+	} {
+		if resp := ask(fr); resp.Status != statusErr || !strings.Contains(resp.Err, "negative metered size") {
+			t.Errorf("op %d with a negative size: status %d, err %q; want a refusal", fr.Op, resp.Status, resp.Err)
+		}
+	}
+	if resp := ask(&frame{Op: opLease, Dst: 0}); resp.Status != statusOK {
+		t.Fatalf("connection unusable after the refusals: status %d, err %q", resp.Status, resp.Err)
 	}
 }
 

@@ -461,7 +461,7 @@ func appendReadSpecs(dst []byte, specs []transport.ReadSpec) ([]byte, error) {
 }
 
 // decodeReadSpecs strictly decodes a spec list: every spec fully present,
-// no trailing bytes.
+// its metered size not negative, no trailing bytes.
 func decodeReadSpecs(body []byte) ([]transport.ReadSpec, error) {
 	if len(body) < 4 {
 		return nil, errShortFrame
@@ -491,6 +491,9 @@ func decodeReadSpecs(body []byte) ([]transport.ReadSpec, error) {
 		rest = rest[n:]
 		spec.Key.Version = int(int64(binary.BigEndian.Uint64(rest)))
 		spec.Bytes = int64(binary.BigEndian.Uint64(rest[8:]))
+		if spec.Bytes < 0 {
+			return nil, fmt.Errorf("tcpnet: read spec %d: negative metered size %d", i, spec.Bytes)
+		}
 		var err error
 		if spec.Sub, rest, err = geometry.ReadBox(rest[16:]); err != nil {
 			return nil, fmt.Errorf("tcpnet: read spec %d: %w", i, err)
