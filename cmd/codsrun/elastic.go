@@ -34,10 +34,14 @@ type elastic struct {
 	done chan struct{}
 
 	converging atomic.Bool
-	// chaosArmed counts armed crash hooks; Settle refuses to declare the
-	// topology settled until at least that many nodes were reconciled,
-	// even when every pull happened to complete before the kill landed.
-	chaosArmed atomic.Int64
+	// The crash hooks: Settle sets chaosOff and waits on chaosHooks, so no
+	// kill fires once it judges. chaosKills counts the kills that fired;
+	// Settle refuses to declare the topology settled until at least that
+	// many nodes were reconciled, even when every pull happened to complete
+	// before the kill landed.
+	chaosOff   atomic.Bool
+	chaosHooks sync.WaitGroup
+	chaosKills atomic.Int64
 
 	mu      sync.Mutex
 	results []membership.Result
@@ -182,18 +186,21 @@ func (el *elastic) membersJSON() string {
 	return string(data)
 }
 
-// Settle waits until no convergence is in flight and every member holds a
-// live lease, then surfaces any convergence failure — called between the
+// Settle stops the crash hooks, then waits until no convergence is in
+// flight, every member holds a live lease and every kill that fired was
+// recovered, then surfaces any convergence failure — called between the
 // workflow and stats collection so the driver only talks to settled
 // children.
 func (el *elastic) Settle(timeout time.Duration) error {
+	el.chaosOff.Store(true)
+	el.chaosHooks.Wait()
 	deadline := time.Now().Add(timeout)
 	for {
 		if err := el.Err(); err != nil {
 			return err
 		}
 		recovered := int64(len(el.totals().Affected))
-		if !el.converging.Load() && el.allAlive() && recovered >= el.chaosArmed.Load() {
+		if !el.converging.Load() && el.allAlive() && recovered >= el.chaosKills.Load() {
 			return nil
 		}
 		if time.Now().After(deadline) {
@@ -213,16 +220,21 @@ func (el *elastic) allAlive() bool {
 }
 
 // startChaos arms the crash hook: once the put ledger shows staging done —
-// at least `after` blocks, or no growth across ten polls when after is 0 —
-// and a block the doomed node owns is fully staged there (stagedOn), the
-// node's codsnode child is hard-killed in that same poll, and recovery is
-// left entirely to lease expiry and the reconcile loop. A ledger record
-// alone proves nothing: it is written before the expose, and every record
-// may belong to a surviving node.
+// at least `after` blocks, or no growth for 50 ms when after is 0 — and a
+// block the doomed node owns is fully staged there (stagedOn), the node's
+// codsnode child is hard-killed in that same poll, and recovery is left
+// entirely to lease expiry and the reconcile loop. A ledger record alone
+// proves nothing: it is written before the expose, and every record may
+// belong to a surviving node. The hook polls every millisecond: a small
+// stream stages and retires all its versions in about five. Once Settle
+// begins, the hook polls one last time, without the 50 ms wait: it fires
+// if a doomed block is staged then, and otherwise never — the stream may
+// have ended and retired every block the doomed node held.
 func (el *elastic) startChaos(node, after int) {
-	el.chaosArmed.Add(1)
+	el.chaosHooks.Add(1)
 	go func() {
-		t := time.NewTicker(5 * time.Millisecond)
+		defer el.chaosHooks.Done()
+		t := time.NewTicker(time.Millisecond)
 		defer t.Stop()
 		last, stable := -1, 0
 		for {
@@ -231,26 +243,23 @@ func (el *elastic) startChaos(node, after int) {
 				return
 			case <-t.C:
 			}
+			final := el.chaosOff.Load()
 			n := el.ledger.Len()
-			if after > 0 {
-				if n < after {
-					continue
-				}
+			if after == 0 && n != last {
+				last, stable = n, 0
 			} else {
-				if n == 0 || n != last {
-					last, stable = n, 0
-					continue
-				}
-				if stable++; stable < 10 {
-					continue
-				}
+				stable++
 			}
-			if !el.stagedOn(cluster.NodeID(node)) {
-				continue
+			ready := n > 0 && n >= after && (after > 0 || final || stable >= 50)
+			if ready && el.stagedOn(cluster.NodeID(node)) {
+				fmt.Printf("chaos: killing codsnode %d (%d blocks staged)\n", node, n)
+				el.chaosKills.Add(1)
+				el.tc.kill(node)
+				return
 			}
-			fmt.Printf("chaos: killing codsnode %d (%d blocks staged)\n", node, n)
-			el.tc.kill(node)
-			return
+			if final {
+				return
+			}
 		}
 	}()
 }
@@ -284,5 +293,6 @@ func (el *elastic) Stop() {
 	el.mon.Stop()
 	close(el.stop)
 	<-el.done
+	el.chaosHooks.Wait()
 	el.fw.SharedSpace().SetPutRecorder(nil)
 }

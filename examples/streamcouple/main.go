@@ -95,6 +95,12 @@ func main() {
 				return err
 			}
 			defer cur.Close()
+			// Meet the other consumer rank before reading: a cursor opened
+			// after its sibling advanced would start past the versions the
+			// stream already retired.
+			if err := ctx.Comm.Barrier(); err != nil {
+				return err
+			}
 			observed := 0
 			for {
 				pos := cur.Pos()

@@ -116,22 +116,35 @@ type StreamConsumerConfig struct {
 //
 // which the chaos suite parses: under backpressure the sequence must be
 // gap-free even across a mid-stream node replacement.
+//
+// Every rank subscribes, then meets the app's other ranks at a barrier
+// before its first read: the stream retires whatever all current cursors
+// have passed, so a cursor opened after another rank advanced would start
+// at the retired floor and miss versions. The barrier orders the cursors
+// of one app only; a bundle with several consumer apps can still retire
+// versions before a late app subscribes.
 func NewStreamConsumer(cfg StreamConsumerConfig) runtime.AppFunc {
 	return func(ctx *runtime.AppContext) error {
 		regions := ctx.Decomp.Region(ctx.Rank)
-		if len(regions) == 0 {
-			// A rank owning nothing neither reads nor subscribes — an idle
-			// cursor would throttle the producers forever.
+		// A rank owning nothing neither reads nor subscribes — an idle
+		// cursor would throttle the producers forever.
+		var cur *cods.Cursor
+		if len(regions) > 0 {
+			var err error
+			if cur, err = ctx.Space.Subscribe(cfg.Var); err != nil {
+				return err
+			}
+			defer cur.Close()
+		}
+		if err := ctx.Comm.Barrier(); err != nil {
+			return err
+		}
+		if cur == nil {
 			if !cfg.Quiet {
 				fmt.Printf("stream consumer %d.%d observed 0 versions [] gaps 0\n", ctx.AppID, ctx.Rank)
 			}
 			return nil
 		}
-		cur, err := ctx.Space.Subscribe(cfg.Var)
-		if err != nil {
-			return err
-		}
-		defer cur.Close()
 		first, last, observed, gaps := -1, -1, 0, 0
 		for {
 			ctx.Space.SetPhase(fmt.Sprintf("couple:%d:%d", ctx.AppID, cur.Pos()))

@@ -156,7 +156,7 @@ func sequentialScenario(t testing.TB) (*cluster.Machine, *dht.Service, *cluster.
 	m := machine(t, 8, 4)
 	f := transport.NewFabric(m)
 	size := []int{16, 16, 16}
-	curve, err := sfc.CurveForDomain(size)
+	curve, err := sfc.ForDomain("", size)
 	if err != nil {
 		t.Fatal(err)
 	}

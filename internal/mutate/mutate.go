@@ -99,10 +99,11 @@ const (
 	// the adaptive-remapping twin of StaleEpoch, living in the lookup plane
 	// instead of the schedule cache.
 	RemapStaleOwner = "remap-stale-owner"
-	// MortonBitSwap transposes the Morton bit interleave: bit l of
-	// dimension d lands at l*dim+d instead of l*dim+(dim-1-d), so Encode
-	// and Spans disagree about which cells an aligned index range covers
-	// (Decode keeps the correct layout, breaking the round trip).
+	// MortonBitSwap transposes the z-order decode of a Morton curve (the
+	// one de-interleave its Decode and span walk share): bit l of
+	// dimension d is read from l*dim+d instead of l*dim+(dim-1-d), so
+	// Decode no longer inverts Encode and Spans covers the mirrored cells
+	// of a box. Hilbert curves are untouched.
 	MortonBitSwap = "morton-bit-swap"
 )
 

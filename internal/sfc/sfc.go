@@ -5,12 +5,14 @@
 // 1-D index space (Section IV-A, Figure 6).
 //
 // Curve implements the n-dimensional Hilbert transform following Skilling,
-// "Programming the Hilbert curve" (AIP Conf. Proc. 707, 2004). RowMajor is
-// an alternative naive linearizer kept for the ablation benchmarks.
+// "Programming the Hilbert curve" (AIP Conf. Proc. 707, 2004); with the
+// transform left out the same Curve is the Morton (z-order) curve. Morton
+// and the naive RowMajor linearizer are kept for the ablation benchmarks.
 package sfc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/insitu/cods/internal/geometry"
@@ -46,56 +48,89 @@ type Linearizer interface {
 	Spans(b geometry.BBox) []Span
 }
 
-// Curve is an n-dimensional Hilbert curve over a grid of side 2^bits.
-type Curve struct {
+// grid is the padded cubic grid every linearizer covers: dim dimensions of
+// side 2^bits.
+type grid struct {
 	dim  int
 	bits int
+}
+
+// newGrid validates a grid's parameters. dim*bits must not exceed 63 so
+// indices fit in uint64 with headroom.
+func newGrid(dim, bits int) (grid, error) {
+	if dim < 1 {
+		return grid{}, fmt.Errorf("sfc: dimension %d < 1", dim)
+	}
+	if bits < 1 {
+		return grid{}, fmt.Errorf("sfc: bits %d < 1", bits)
+	}
+	if dim*bits > 63 {
+		return grid{}, fmt.Errorf("sfc: dim*bits = %d exceeds 63", dim*bits)
+	}
+	return grid{dim: dim, bits: bits}, nil
+}
+
+// Dim returns the grid's dimensionality.
+func (g grid) Dim() int { return g.dim }
+
+// Bits returns the bits per dimension.
+func (g grid) Bits() int { return g.bits }
+
+// Total returns the size of the 1-D index space.
+func (g grid) Total() uint64 { return 1 << uint(g.dim*g.bits) }
+
+// Domain returns the cubic grid.
+func (g grid) Domain() geometry.BBox {
+	size := make([]int, g.dim)
+	for d := range size {
+		size[d] = 1 << uint(g.bits)
+	}
+	return geometry.BoxFromSize(size)
+}
+
+// checkPoint panics unless p is a cell of the grid.
+func (g grid) checkPoint(p geometry.Point) {
+	if len(p) != g.dim {
+		panic(fmt.Sprintf("sfc: point dimension %d, curve dimension %d", len(p), g.dim))
+	}
+	for _, v := range p {
+		if v < 0 || v >= (1<<uint(g.bits)) {
+			panic(fmt.Sprintf("sfc: coordinate %d out of range [0,%d)", v, 1<<uint(g.bits)))
+		}
+	}
+}
+
+// checkIndex panics unless idx is an index of the grid.
+func (g grid) checkIndex(idx uint64) {
+	if idx >= g.Total() {
+		panic(fmt.Sprintf("sfc: index %d out of range [0,%d)", idx, g.Total()))
+	}
+}
+
+// Curve is an n-dimensional Hilbert or Morton curve over a grid of side
+// 2^bits. Both interleave coordinate bits into the index, the first
+// dimension owning the most significant bit of each level; Hilbert first
+// applies Skilling's transform, Morton does not.
+type Curve struct {
+	grid
+	kind uint8 // kindHilbert or kindMorton; also the span-cache family
 }
 
 // NewCurve creates a Hilbert curve for dim dimensions with bits bits per
 // dimension. dim*bits must not exceed 63 so indices fit in uint64 with
 // headroom. It returns an error for degenerate parameters.
-func NewCurve(dim, bits int) (*Curve, error) {
-	if dim < 1 {
-		return nil, fmt.Errorf("sfc: dimension %d < 1", dim)
-	}
-	if bits < 1 {
-		return nil, fmt.Errorf("sfc: bits %d < 1", bits)
-	}
-	if dim*bits > 63 {
-		return nil, fmt.Errorf("sfc: dim*bits = %d exceeds 63", dim*bits)
-	}
-	return &Curve{dim: dim, bits: bits}, nil
-}
+func NewCurve(dim, bits int) (*Curve, error) { return newCurve(kindHilbert, dim, bits) }
 
-// CurveForDomain builds the smallest Hilbert curve whose grid covers the
-// given domain sizes (each dimension padded to the next power of two; all
-// dimensions share the largest bit width, as the transform requires a cubic
-// grid).
-func CurveForDomain(size []int) (*Curve, error) {
-	dim, bits, err := domainParams(size)
+// NewMorton creates a Morton (z-order) curve: the Hilbert curve's bit
+// interleave without the transform. Parameter constraints match NewCurve.
+func NewMorton(dim, bits int) (*Curve, error) { return newCurve(kindMorton, dim, bits) }
+
+func newCurve(kind uint8, dim, bits int) (*Curve, error) {
+	g, err := newGrid(dim, bits)
 	if err != nil {
 		return nil, err
 	}
-	return NewCurve(dim, bits)
-}
-
-// domainParams derives the (dim, bits) of the padded cubic grid covering
-// the given domain sizes.
-func domainParams(size []int) (dim, bits int, err error) {
-	if len(size) == 0 {
-		return 0, 0, fmt.Errorf("sfc: empty domain")
-	}
-	bits = 1
-	for _, s := range size {
-		if s < 1 {
-			return 0, 0, fmt.Errorf("sfc: domain extent %d < 1", s)
-		}
-		if b := bitsFor(s); b > bits {
-			bits = b
-		}
-	}
-	return len(size), bits, nil
+	return &Curve{grid: g, kind: kind}, nil
 }
 
 // The selectable linearization policies (DESIGN §5j). Hilbert is the
@@ -110,75 +145,53 @@ const (
 // CurveNames lists the selectable linearizer names, default first.
 func CurveNames() []string { return []string{CurveHilbert, CurveMorton, CurveRowMajor} }
 
-// ForDomain builds the named linearizer over the smallest padded cubic
-// grid covering the given domain sizes. The empty name selects Hilbert.
+// ForDomain builds the named linearizer over the smallest grid covering the
+// given domain sizes: each dimension padded to the next power of two, all
+// sharing the largest bit width, as the Hilbert transform requires a cubic
+// grid. The empty name selects Hilbert.
 func ForDomain(name string, size []int) (Linearizer, error) {
-	dim, bits, err := domainParams(size)
-	if err != nil {
-		return nil, err
+	if len(size) == 0 {
+		return nil, fmt.Errorf("sfc: empty domain")
+	}
+	bits := 1
+	for _, s := range size {
+		if s < 1 {
+			return nil, fmt.Errorf("sfc: domain extent %d < 1", s)
+		}
+		for (1 << bits) < s {
+			bits++
+		}
 	}
 	switch name {
 	case "", CurveHilbert:
-		return NewCurve(dim, bits)
+		return NewCurve(len(size), bits)
 	case CurveMorton:
-		return NewMorton(dim, bits)
+		return NewMorton(len(size), bits)
 	case CurveRowMajor:
-		return NewRowMajor(dim, bits)
+		return NewRowMajor(len(size), bits)
 	default:
 		return nil, fmt.Errorf("sfc: unknown curve %q (want one of %v)", name, CurveNames())
 	}
 }
 
-// bitsFor returns the minimum b with 2^b >= s (at least 1).
-func bitsFor(s int) int {
-	b := 1
-	for (1 << b) < s {
-		b++
-	}
-	return b
-}
-
-// Dim returns the curve's dimensionality.
-func (c *Curve) Dim() int { return c.dim }
-
-// Bits returns the bits per dimension.
-func (c *Curve) Bits() int { return c.bits }
-
-// Total returns the size of the 1-D index space.
-func (c *Curve) Total() uint64 { return 1 << uint(c.dim*c.bits) }
-
-// Domain returns the cubic grid covered by the curve.
-func (c *Curve) Domain() geometry.BBox {
-	size := make([]int, c.dim)
-	for d := range size {
-		size[d] = 1 << uint(c.bits)
-	}
-	return geometry.BoxFromSize(size)
-}
-
-// Encode maps point p to its Hilbert index.
+// Encode maps point p to its index.
 func (c *Curve) Encode(p geometry.Point) uint64 {
-	if len(p) != c.dim {
-		panic(fmt.Sprintf("sfc: point dimension %d, curve dimension %d", len(p), c.dim))
-	}
+	c.checkPoint(p)
 	x := make([]uint64, c.dim)
 	for d, v := range p {
-		if v < 0 || v >= (1<<uint(c.bits)) {
-			panic(fmt.Sprintf("sfc: coordinate %d out of range [0,%d)", v, 1<<uint(c.bits)))
-		}
 		x[d] = uint64(v)
 	}
-	c.axesToTranspose(x)
+	if c.kind == kindHilbert {
+		c.axesToTranspose(x)
+	}
 	return c.interleave(x)
 }
 
-// Decode maps a Hilbert index back to its point.
+// Decode maps an index back to its point.
 func (c *Curve) Decode(idx uint64) geometry.Point {
-	if idx >= c.Total() {
-		panic(fmt.Sprintf("sfc: index %d out of range [0,%d)", idx, c.Total()))
-	}
-	x := c.deinterleave(idx)
-	c.transposeToAxes(x)
+	c.checkIndex(idx)
+	x := make([]uint64, c.dim)
+	c.decodeInto(idx, x)
 	p := make(geometry.Point, c.dim)
 	for d := range p {
 		p[d] = int(x[d])
@@ -245,9 +258,8 @@ func (c *Curve) transposeToAxes(x []uint64) {
 	}
 }
 
-// interleave packs the transpose representation into a single index: the
-// most significant bit of the result is bit bits-1 of x[0], then bit bits-1
-// of x[1], and so on.
+// interleave packs x into a single index: the most significant bit of the
+// result is bit bits-1 of x[0], then bit bits-1 of x[1], and so on.
 func (c *Curve) interleave(x []uint64) uint64 {
 	var h uint64
 	for l := c.bits - 1; l >= 0; l-- {
@@ -258,15 +270,21 @@ func (c *Curve) interleave(x []uint64) uint64 {
 	return h
 }
 
-// deinterleave is the inverse of interleave.
-func (c *Curve) deinterleave(h uint64) []uint64 {
-	x := make([]uint64, c.dim)
+// decodeInto is the inverse of Encode into the caller-provided coordinates,
+// which must be zeroed and of length dim.
+func (c *Curve) decodeInto(h uint64, x []uint64) {
 	c.deinterleaveInto(h, x)
-	return x
+	if c.kind == kindHilbert {
+		c.transposeToAxes(x)
+	} else if mutate.Enabled(mutate.MortonBitSwap) {
+		// Seeded defect: transposed z-order decode — dimension d reads the
+		// bits of dimension dim-1-d, so Decode and the span walk disagree
+		// with Encode about the bit layout.
+		slices.Reverse(x)
+	}
 }
 
-// deinterleaveInto de-interleaves h into the caller-provided slice, which
-// must be zeroed and of length dim.
+// deinterleaveInto is the inverse of interleave.
 func (c *Curve) deinterleaveInto(h uint64, x []uint64) {
 	shift := uint(c.dim*c.bits - 1)
 	for l := c.bits - 1; l >= 0; l-- {
@@ -280,10 +298,11 @@ func (c *Curve) deinterleaveInto(h uint64, x []uint64) {
 // Spans decomposes the query box (clipped to the curve's grid) into a
 // minimal sorted list of index spans. It walks the implicit orthant tree of
 // the curve: an aligned index range of length 2^(dim*level) always covers
-// one axis-aligned cube of side 2^level, so subtrees fully inside the query
-// emit one span and disjoint subtrees are pruned. Results are memoized in a
-// bounded process-wide LRU (see SetSpanCacheCapacity), as iterative
-// workflows re-translate identical regions every version.
+// one axis-aligned cube of side 2^level, under Hilbert and Morton alike, so
+// subtrees fully inside the query emit one span and disjoint subtrees are
+// pruned. Results are memoized in a bounded process-wide LRU (see
+// SetSpanCacheCapacity) keyed by the curve family, as iterative workflows
+// re-translate identical regions every version.
 func (c *Curve) Spans(b geometry.BBox) []Span {
 	query, ok := b.Intersect(c.Domain())
 	if !ok {
@@ -292,19 +311,22 @@ func (c *Curve) Spans(b geometry.BBox) []Span {
 	if mutate.Enabled(mutate.SfcSpanSplit) {
 		// Seeded defect: recompute uncached (never poison the LRU) and
 		// lose the tail of the span decomposition.
-		w := curveWalker{c: c, query: query, spans: make([]Span, 0, 64), x: make([]uint64, c.dim)}
-		w.walk(0, c.bits)
-		return mutateSpans(MergeSpans(w.spans))
+		return mutateSpans(c.walk(query))
 	}
-	key := spanKey{kind: kindHilbert, dim: c.dim, bits: c.bits, box: boxKey(query)}
+	key := spanKey{kind: c.kind, dim: c.dim, bits: c.bits, box: boxKey(query)}
 	if spans, ok := globalSpanCache.get(key); ok {
 		return spans
 	}
-	w := curveWalker{c: c, query: query, spans: make([]Span, 0, 64), x: make([]uint64, c.dim)}
-	w.walk(0, c.bits)
-	spans := MergeSpans(w.spans)
+	spans := c.walk(query)
 	globalSpanCache.put(key, spans)
 	return spans
+}
+
+// walk decomposes a query already clipped to the grid, bypassing the LRU.
+func (c *Curve) walk(query geometry.BBox) []Span {
+	w := curveWalker{c: c, query: query, spans: make([]Span, 0, 64), x: make([]uint64, c.dim)}
+	w.walk(0, c.bits)
+	return MergeSpans(w.spans)
 }
 
 // mutateSpans applies the sfc-span-split seeded defect: drop the last span,
@@ -340,8 +362,7 @@ func (w *curveWalker) walk(start uint64, level int) {
 	for i := range x {
 		x[i] = 0
 	}
-	c.deinterleaveInto(start, x)
-	c.transposeToAxes(x)
+	c.decodeInto(start, x)
 	contained := true
 	for d := 0; d < c.dim; d++ {
 		cmin := int(x[d]) &^ (side - 1)
@@ -409,59 +430,33 @@ func TotalLen(spans []Span) uint64 {
 // RowMajor is a naive row-major (last dimension fastest) linearizer over
 // the same padded cubic grid as Curve. It exists to quantify, in the
 // ablation benchmarks, how much the Hilbert curve reduces the number of
-// spans per box query.
-type RowMajor struct {
-	dim  int
-	bits int
-}
+// spans per box query. Its aligned index ranges are rows, not cubes, so it
+// keeps its own span decomposition.
+type RowMajor struct{ grid }
 
 // NewRowMajor creates a row-major linearizer; the parameter constraints
 // match NewCurve.
 func NewRowMajor(dim, bits int) (*RowMajor, error) {
-	if dim < 1 || bits < 1 || dim*bits > 63 {
-		return nil, fmt.Errorf("sfc: invalid row-major parameters dim=%d bits=%d", dim, bits)
+	g, err := newGrid(dim, bits)
+	if err != nil {
+		return nil, err
 	}
-	return &RowMajor{dim: dim, bits: bits}, nil
-}
-
-// Dim returns the dimensionality.
-func (r *RowMajor) Dim() int { return r.dim }
-
-// Bits returns the bits per dimension.
-func (r *RowMajor) Bits() int { return r.bits }
-
-// Total returns the index-space size.
-func (r *RowMajor) Total() uint64 { return 1 << uint(r.dim*r.bits) }
-
-// Domain returns the cubic grid covered by the linearizer.
-func (r *RowMajor) Domain() geometry.BBox {
-	size := make([]int, r.dim)
-	for d := range size {
-		size[d] = 1 << uint(r.bits)
-	}
-	return geometry.BoxFromSize(size)
+	return &RowMajor{g}, nil
 }
 
 // Encode maps a point to its row-major index.
 func (r *RowMajor) Encode(p geometry.Point) uint64 {
-	if len(p) != r.dim {
-		panic(fmt.Sprintf("sfc: point dimension %d, linearizer dimension %d", len(p), r.dim))
-	}
+	r.checkPoint(p)
 	var idx uint64
-	for d := 0; d < r.dim; d++ {
-		if p[d] < 0 || p[d] >= (1<<uint(r.bits)) {
-			panic(fmt.Sprintf("sfc: coordinate %d out of range", p[d]))
-		}
-		idx = (idx << uint(r.bits)) | uint64(p[d])
+	for _, v := range p {
+		idx = (idx << uint(r.bits)) | uint64(v)
 	}
 	return idx
 }
 
 // Decode maps a row-major index back to its point.
 func (r *RowMajor) Decode(idx uint64) geometry.Point {
-	if idx >= r.Total() {
-		panic(fmt.Sprintf("sfc: index %d out of range", idx))
-	}
+	r.checkIndex(idx)
 	p := make(geometry.Point, r.dim)
 	mask := uint64(1<<uint(r.bits)) - 1
 	for d := r.dim - 1; d >= 0; d-- {
@@ -503,146 +498,7 @@ func (r *RowMajor) Spans(b geometry.BBox) []Span {
 	return spans
 }
 
-// Morton is a Z-order (bit-interleaving) linearizer over the same padded
-// cubic grid. It preserves locality better than row-major but worse than
-// Hilbert (Z-order has long jumps at quadrant boundaries); the ablation
-// benchmarks compare all three.
-type Morton struct {
-	dim  int
-	bits int
-}
-
-// NewMorton creates a Z-order linearizer; parameter constraints match
-// NewCurve.
-func NewMorton(dim, bits int) (*Morton, error) {
-	if dim < 1 || bits < 1 || dim*bits > 63 {
-		return nil, fmt.Errorf("sfc: invalid morton parameters dim=%d bits=%d", dim, bits)
-	}
-	return &Morton{dim: dim, bits: bits}, nil
-}
-
-// Dim returns the dimensionality.
-func (m *Morton) Dim() int { return m.dim }
-
-// Bits returns the bits per dimension.
-func (m *Morton) Bits() int { return m.bits }
-
-// Total returns the index-space size.
-func (m *Morton) Total() uint64 { return 1 << uint(m.dim*m.bits) }
-
-// Domain returns the cubic grid covered by the linearizer.
-func (m *Morton) Domain() geometry.BBox {
-	size := make([]int, m.dim)
-	for d := range size {
-		size[d] = 1 << uint(m.bits)
-	}
-	return geometry.BoxFromSize(size)
-}
-
-// Encode interleaves the coordinate bits: bit l of dimension d lands at
-// index bit l*dim + (dim-1-d).
-func (m *Morton) Encode(p geometry.Point) uint64 {
-	if len(p) != m.dim {
-		panic(fmt.Sprintf("sfc: point dimension %d, linearizer dimension %d", len(p), m.dim))
-	}
-	var idx uint64
-	for d, v := range p {
-		if v < 0 || v >= (1<<uint(m.bits)) {
-			panic(fmt.Sprintf("sfc: coordinate %d out of range", v))
-		}
-		for l := 0; l < m.bits; l++ {
-			bit := (uint64(v) >> uint(l)) & 1
-			idx |= bit << uint(l*m.dim+(m.dim-1-d))
-		}
-	}
-	return idx
-}
-
-// Decode de-interleaves an index back to its point.
-func (m *Morton) Decode(idx uint64) geometry.Point {
-	if idx >= m.Total() {
-		panic(fmt.Sprintf("sfc: index %d out of range", idx))
-	}
-	p := make(geometry.Point, m.dim)
-	for d := 0; d < m.dim; d++ {
-		pos := l2pos(m.dim, d)
-		if mutate.Enabled(mutate.MortonBitSwap) {
-			// Seeded defect: transposed interleave — bit l of dimension d
-			// is read from l*dim+d instead of l*dim+(dim-1-d), so Decode
-			// disagrees with Encode about the bit layout.
-			pos = d
-		}
-		var v uint64
-		for l := 0; l < m.bits; l++ {
-			bit := (idx >> uint(l*m.dim+pos)) & 1
-			v |= bit << uint(l)
-		}
-		p[d] = int(v)
-	}
-	return p
-}
-
-// l2pos is the within-level bit position of dimension d in the Morton
-// interleave: the first dimension owns the most significant lane.
-func l2pos(dim, d int) int { return dim - 1 - d }
-
-// Spans decomposes a box query using the same aligned-orthant walk as the
-// Hilbert curve: every aligned index range of length 2^(dim*level) covers
-// one axis-aligned cube under Z-order too. Results are memoized in the
-// process-wide span LRU, keyed by the curve family so a cached Hilbert
-// decomposition of the same box is never served for a Morton query.
-func (m *Morton) Spans(b geometry.BBox) []Span {
-	query, ok := b.Intersect(m.Domain())
-	if !ok {
-		return nil
-	}
-	if mutate.Enabled(mutate.MortonBitSwap) {
-		// Seeded defect path: recompute uncached (never poison the LRU)
-		// through the transposed-interleave Decode.
-		var spans []Span
-		m.spanWalk(0, m.bits, query, &spans)
-		return MergeSpans(spans)
-	}
-	key := spanKey{kind: kindMorton, dim: m.dim, bits: m.bits, box: boxKey(query)}
-	if spans, ok := globalSpanCache.get(key); ok {
-		return spans
-	}
-	var spans []Span
-	m.spanWalk(0, m.bits, query, &spans)
-	spans = MergeSpans(spans)
-	globalSpanCache.put(key, spans)
-	return spans
-}
-
-func (m *Morton) spanWalk(start uint64, level int, query geometry.BBox, spans *[]Span) {
-	length := uint64(1) << uint(m.dim*level)
-	side := 1 << uint(level)
-	corner := m.Decode(start)
-	cell := geometry.BBox{Min: make(geometry.Point, m.dim), Max: make(geometry.Point, m.dim)}
-	for d := 0; d < m.dim; d++ {
-		cell.Min[d] = corner[d] &^ (side - 1)
-		cell.Max[d] = cell.Min[d] + side
-	}
-	inter, ok := cell.Intersect(query)
-	if !ok {
-		return
-	}
-	if inter.Equal(cell) {
-		*spans = append(*spans, Span{Start: start, End: start + length})
-		return
-	}
-	if level == 0 {
-		*spans = append(*spans, Span{Start: start, End: start + 1})
-		return
-	}
-	childLen := length >> uint(m.dim)
-	for j := uint64(0); j < (1 << uint(m.dim)); j++ {
-		m.spanWalk(start+j*childLen, level-1, query, spans)
-	}
-}
-
 var (
 	_ Linearizer = (*Curve)(nil)
 	_ Linearizer = (*RowMajor)(nil)
-	_ Linearizer = (*Morton)(nil)
 )

@@ -1,7 +1,6 @@
 package sfc
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -34,7 +33,7 @@ func TestNewCurveValidation(t *testing.T) {
 }
 
 func TestCurveForDomain(t *testing.T) {
-	c, err := CurveForDomain([]int{100, 256, 3})
+	c, err := ForDomain("", []int{100, 256, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,10 +43,10 @@ func TestCurveForDomain(t *testing.T) {
 	if c.Bits() != 8 { // max extent 256 = 2^8
 		t.Fatalf("Bits = %d, want 8", c.Bits())
 	}
-	if _, err := CurveForDomain(nil); err == nil {
+	if _, err := ForDomain("", nil); err == nil {
 		t.Error("empty domain accepted")
 	}
-	if _, err := CurveForDomain([]int{4, 0}); err == nil {
+	if _, err := ForDomain("", []int{4, 0}); err == nil {
 		t.Error("zero extent accepted")
 	}
 }
@@ -386,24 +385,43 @@ func TestLinearizerLocalityOrdering(t *testing.T) {
 
 // TestForDomainSelectsCurve: the named factory builds the right
 // linearizer for each policy name, defaults to Hilbert, and rejects
-// unknown names.
+// unknown names. Curves are told apart by their indices: Morton's is the
+// plain bit interleave (dimension 0 most significant in each level),
+// row-major's concatenates the coordinates, Hilbert's is neither.
 func TestForDomainSelectsCurve(t *testing.T) {
 	size := []int{8, 8}
+	interleave := func(p geometry.Point) uint64 {
+		var idx uint64
+		for l := 2; l >= 0; l-- {
+			for _, v := range p {
+				idx = idx<<1 | uint64(v>>l&1)
+			}
+		}
+		return idx
+	}
+	rowMajor := func(p geometry.Point) uint64 { return uint64(p[0]<<3 | p[1]) }
 	for _, tc := range []struct {
-		name string
-		want string
+		name             string
+		zOrder, rowMajor bool
 	}{
-		{"", "*sfc.Curve"},
-		{CurveHilbert, "*sfc.Curve"},
-		{CurveMorton, "*sfc.Morton"},
-		{CurveRowMajor, "*sfc.RowMajor"},
+		{"", false, false},
+		{CurveHilbert, false, false},
+		{CurveMorton, true, false},
+		{CurveRowMajor, false, true},
 	} {
 		l, err := ForDomain(tc.name, size)
 		if err != nil {
 			t.Fatalf("ForDomain(%q): %v", tc.name, err)
 		}
-		if got := fmt.Sprintf("%T", l); got != tc.want {
-			t.Fatalf("ForDomain(%q) built %s, want %s", tc.name, got, tc.want)
+		zOrder, rows := true, true
+		geometry.BoxFromSize(size).Each(func(p geometry.Point) {
+			idx := l.Encode(p)
+			zOrder = zOrder && idx == interleave(p)
+			rows = rows && idx == rowMajor(p)
+		})
+		if zOrder != tc.zOrder || rows != tc.rowMajor {
+			t.Fatalf("ForDomain(%q): index is the bit interleave %v (want %v), row-major %v (want %v)",
+				tc.name, zOrder, tc.zOrder, rows, tc.rowMajor)
 		}
 		if l.Dim() != 2 || l.Bits() != 3 {
 			t.Fatalf("ForDomain(%q) dim=%d bits=%d, want 2/3", tc.name, l.Dim(), l.Bits())
@@ -414,6 +432,30 @@ func TestForDomainSelectsCurve(t *testing.T) {
 	}
 	if len(CurveNames()) != 3 {
 		t.Fatalf("CurveNames() = %v, want the three policies", CurveNames())
+	}
+}
+
+// TestSpansWalkAllocations pins the cost of an uncached span walk: one
+// 24x28 box on a 512x512 grid allocates the same small constant on both
+// interleaved curves, which share one orthant walk and differ only in
+// whether Skilling's transform runs.
+func TestSpansWalkAllocations(t *testing.T) {
+	resetCache(t)
+	SetSpanCacheCapacity(0)
+	q := geometry.NewBBox(geometry.Point{37, 101}, geometry.Point{61, 129})
+	allocs := map[string]float64{}
+	for _, name := range []string{CurveHilbert, CurveMorton} {
+		l, err := ForDomain(name, []int{512, 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := TotalLen(l.Spans(q)); got != uint64(q.Volume()) {
+			t.Fatalf("%s: spans cover %d cells, want %d", name, got, q.Volume())
+		}
+		allocs[name] = testing.AllocsPerRun(20, func() { l.Spans(q) })
+	}
+	if h, m := allocs[CurveHilbert], allocs[CurveMorton]; h != m || h > 16 {
+		t.Fatalf("uncached Spans allocations: hilbert %v, morton %v; want equal and at most 16", h, m)
 	}
 }
 

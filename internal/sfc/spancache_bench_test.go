@@ -46,7 +46,8 @@ func BenchmarkSpansCached(b *testing.B) {
 }
 
 // BenchmarkSpansUncached measures the raw recursive orthant walk (cache
-// disabled), the cost every repeated query paid before the cache.
+// disabled), the cost every repeated query paid before the cache, on both
+// interleaved curves.
 func BenchmarkSpansUncached(b *testing.B) {
 	ResetSpanCache()
 	SetSpanCacheCapacity(0)
@@ -54,18 +55,22 @@ func BenchmarkSpansUncached(b *testing.B) {
 		ResetSpanCache()
 		SetSpanCacheCapacity(DefaultSpanCacheCapacity)
 	}()
-	c, err := NewCurve(2, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	qs := benchQueries()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, q := range qs {
-			if len(c.Spans(q)) == 0 {
-				b.Fatal("empty spans")
+	for _, name := range []string{CurveHilbert, CurveMorton} {
+		b.Run(name, func(b *testing.B) {
+			c, err := ForDomain(name, []int{256, 256})
+			if err != nil {
+				b.Fatal(err)
 			}
-		}
+			qs := benchQueries()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, q := range qs {
+					if len(c.Spans(q)) == 0 {
+						b.Fatal("empty spans")
+					}
+				}
+			}
+		})
 	}
 }
