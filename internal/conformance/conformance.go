@@ -26,7 +26,6 @@ import (
 	"github.com/insitu/cods/internal/refmodel"
 	"github.com/insitu/cods/internal/remap"
 	"github.com/insitu/cods/internal/retry"
-	"github.com/insitu/cods/internal/sfc"
 	"github.com/insitu/cods/internal/transport"
 	"github.com/insitu/cods/internal/transport/tcpnet"
 )
@@ -95,15 +94,6 @@ func run(sc genwf.Scenario, opts Options) error {
 	if err := sc.Validate(); err != nil {
 		return err
 	}
-
-	// The SFC span cache is process-global: reset it and install the
-	// scenario's capacity, restoring the default afterwards.
-	sfc.SetSpanCacheCapacity(sc.SpanCache)
-	sfc.ResetSpanCache()
-	defer func() {
-		sfc.SetSpanCacheCapacity(sfc.DefaultSpanCacheCapacity)
-		sfc.ResetSpanCache()
-	}()
 
 	machine, err := cluster.NewMachine(sc.Nodes, sc.CoresPerNode)
 	if err != nil {

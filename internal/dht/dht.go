@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,12 +97,13 @@ type Service struct {
 	curve  sfc.Linearizer
 	tables []*table // per node
 
-	// chunk and rem are the interval assignment, fixed for the life of the
-	// service: the curve's Total() indices split over the nodes in node
-	// order, the remainder spread over the first rem of them. A lost node
-	// is replaced in its slot (DESIGN §5h), so who owns an index never
-	// changes and nothing here needs a lock.
-	chunk, rem uint64
+	// cuts is the interval assignment, fixed for the life of the service:
+	// node n owns [cuts[n-1], cuts[n]), the first node from 0, the last up
+	// to the curve's Total(). The indices are split over the nodes in node
+	// order, the remainder spread over the first nodes. A lost node is
+	// replaced in its slot (DESIGN §5h), so who owns an index never changes
+	// and nothing here needs a lock.
+	cuts []uint64
 
 	// retryPol bounds the retrying of control RPCs against DHT cores
 	// (nil = single attempt). Stored atomically so the policy can be
@@ -117,12 +117,15 @@ type Service struct {
 func NewService(f *transport.Fabric, curve sfc.Linearizer) *Service {
 	m := f.Machine()
 	n := uint64(m.NumNodes())
+	chunk, rem := curve.Total()/n, curve.Total()%n
 	s := &Service{
 		fabric: f,
 		curve:  curve,
 		tables: make([]*table, n),
-		chunk:  curve.Total() / n,
-		rem:    curve.Total() % n,
+		cuts:   make([]uint64, n-1),
+	}
+	for node := uint64(1); node < n; node++ {
+		s.cuts[node-1] = node*chunk + min(node, rem)
 	}
 	for node := 0; node < m.NumNodes(); node++ {
 		s.tables[node] = newTable()
@@ -190,41 +193,38 @@ func doCall(pol retry.Policy, seed uint64, op func() (any, error)) (int, any, er
 
 // intervalOf returns the index interval [lo, hi) owned by a node.
 func (s *Service) intervalOf(node int) (uint64, uint64) {
-	n := uint64(node)
-	lo := n*s.chunk + min(n, s.rem)
-	hi := lo + s.chunk
-	if n < s.rem {
-		hi++
+	lo, hi := uint64(0), s.curve.Total()
+	if node > 0 {
+		lo = s.cuts[node-1]
+	}
+	if node < len(s.cuts) {
+		hi = s.cuts[node]
 	}
 	return lo, hi
 }
 
-// nodeOfIndex returns the node whose interval contains idx.
+// nodeOfIndex returns the node whose interval contains idx: the number of
+// cuts at or below it (an empty interval has no index to claim).
 func (s *Service) nodeOfIndex(idx uint64) int {
-	big := s.chunk + 1
-	if idx < s.rem*big {
-		return int(idx / big)
-	}
-	if s.chunk == 0 {
-		return int(s.rem) // degenerate: more nodes than indices
-	}
-	return int(s.rem + (idx-s.rem*big)/s.chunk)
+	n, _ := slices.BinarySearch(s.cuts, idx+1)
+	return n
 }
 
 // nodesForRegion returns the sorted set of nodes responsible for any part
-// of the region's index spans.
+// of the region's index spans. The curve's cover of the region meets the
+// same intervals as its exact spans at a fraction of the walk; its spans
+// are sorted, so the nodes they reach come out in order.
 func (s *Service) nodesForRegion(b geometry.BBox) []int {
-	seen := map[int]bool{}
-	for _, span := range s.curve.Spans(b) {
-		for n, last := s.nodeOfIndex(span.Start), s.nodeOfIndex(span.End-1); n <= last; n++ {
-			seen[n] = true
+	out := make([]int, 0, len(s.tables))
+	for _, span := range s.curve.Cover(b, s.cuts) {
+		n := s.nodeOfIndex(span.Start)
+		if len(out) > 0 {
+			n = max(n, out[len(out)-1]+1)
+		}
+		for last := s.nodeOfIndex(span.End - 1); n <= last; n++ {
+			out = append(out, n)
 		}
 	}
-	out := make([]int, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Ints(out)
 	return out
 }
 

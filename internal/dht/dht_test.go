@@ -1,6 +1,8 @@
 package dht
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -265,10 +267,13 @@ func TestConcurrentInsertQuery(t *testing.T) {
 	}
 }
 
+// BenchmarkQuery times lookups of never-repeated regions against a blocked
+// layout of 64 regions of 16³ at version 0. Every region has its corners
+// in [1,16) and [33,48) on each axis, so each answer is the 27 blocks that
+// [8,40)³ overlaps.
 func BenchmarkQuery(b *testing.B) {
 	s, _ := service(b, 8, 4, 3, 6)
 	cl := s.ClientAt(0)
-	// Populate with a blocked layout of 64 regions.
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
 			for k := 0; k < 4; k++ {
@@ -281,13 +286,81 @@ func BenchmarkQuery(b *testing.B) {
 			}
 		}
 	}
-	q := geometry.NewBBox(geometry.Point{8, 8, 8}, geometry.Point{40, 40, 40})
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := cl.Query("p", 1, "v", 1, q); err != nil {
+		// The six corners are the base-15 digits of i: no region repeats
+		// within 15^6 iterations.
+		q := geometry.BBox{Min: make(geometry.Point, 3), Max: make(geometry.Point, 3)}
+		for d, k := 0, i; d < 3; d++ {
+			q.Min[d], k = 1+k%15, k/15
+			q.Max[d], k = 33+k%15, k/15
+		}
+		got, err := cl.Query("p", 1, "v", 0, q)
+		if err != nil {
 			b.Fatal(err)
 		}
+		if len(got) != 27 {
+			b.Fatalf("query %v found %d entries, want 27", q, len(got))
+		}
+	}
+}
+
+// TestNodesForRegionMatchesExactSpans: routing by the curve's cover reaches
+// exactly the nodes whose intervals the region's exact spans meet, on every
+// curve, for 1–9 nodes. Nine nodes over the 8 indices of the 1-D grid leave
+// the last interval empty. The intervals are written out from the rule —
+// the index space split evenly in node order, the remainder over the first
+// nodes — not read from the service.
+func TestNodesForRegionMatchesExactSpans(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for _, name := range sfc.CurveNames() {
+		for _, size := range [][]int{{8}, {16, 16}, {8, 8, 8}} {
+			curve, err := sfc.ForDomain(name, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for nodes := 1; nodes <= 9; nodes++ {
+				m, err := cluster.NewMachine(nodes, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := NewService(transport.NewFabric(m), curve)
+				total, n := curve.Total(), uint64(nodes)
+				lo := func(node int) uint64 { return uint64(node)*(total/n) + min(uint64(node), total%n) }
+				for i := 0; i < 40; i++ {
+					box := geometry.BBox{Min: make(geometry.Point, len(size)), Max: make(geometry.Point, len(size))}
+					for d, ext := range size {
+						box.Min[d] = r.Intn(ext)
+						box.Max[d] = box.Min[d] + 1 + r.Intn(ext-box.Min[d])
+					}
+					var want []int
+					for node := 0; node < nodes; node++ {
+						for _, span := range curve.Spans(box) {
+							if lo(node) < span.End && span.Start < lo(node+1) {
+								want = append(want, node)
+								break
+							}
+						}
+					}
+					if got := s.nodesForRegion(box); !slices.Equal(got, want) {
+						t.Fatalf("%s %v over %d nodes: routed to %v, exact spans meet %v", name, box, nodes, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRouteAllocations: one route of a 24x28 box on a 512x512 grid over two
+// nodes walks the cover, which allocates less than the exact spans would.
+func TestRouteAllocations(t *testing.T) {
+	s, _ := service(t, 2, 1, 2, 9)
+	q := geometry.NewBBox(geometry.Point{37, 101}, geometry.Point{61, 129})
+	route := testing.AllocsPerRun(50, func() { s.nodesForRegion(q) })
+	spans := testing.AllocsPerRun(50, func() { s.curve.Spans(q) })
+	if route >= spans {
+		t.Fatalf("a route allocates %v times, the exact spans of its region %v", route, spans)
 	}
 }
 

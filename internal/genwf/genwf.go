@@ -89,10 +89,6 @@ type Scenario struct {
 	// Mapping places the tasks.
 	Mapping Policy
 
-	// SpanCache is the global SFC span-cache capacity for the run
-	// (0 disables caching).
-	SpanCache int
-
 	// Staged makes a concurrent scenario run its producers to completion
 	// before starting consumers; false overlaps them, with consumers
 	// blocking on exposure. Ignored for sequential scenarios (which are
@@ -249,7 +245,7 @@ func (sc Scenario) Validate() error {
 	if sc.Vars < 1 || sc.Vars > 2 {
 		return fmt.Errorf("genwf: vars = %d", sc.Vars)
 	}
-	if sc.Ghost < 0 || sc.Versions < 1 || sc.SpanCache < 0 {
+	if sc.Ghost < 0 || sc.Versions < 1 {
 		return fmt.Errorf("genwf: negative tuning field")
 	}
 	switch sc.Mapping {
@@ -374,7 +370,6 @@ func Generate(seed uint64) Scenario {
 		ProdKind: decomp.Blocked, ProdGrid: []int{2},
 		ConsKind: decomp.Blocked, ConsGrid: []int{2},
 		Vars: 1, Versions: 1, Mapping: Consecutive, Staged: true,
-		SpanCache: sfc.DefaultSpanCacheCapacity,
 	}
 }
 
@@ -398,8 +393,7 @@ func GenerateStreaming(seed uint64) Scenario {
 		ProdKind: decomp.Blocked, ProdGrid: []int{2},
 		ConsKind: decomp.Blocked, ConsGrid: []int{2},
 		Vars: 1, Versions: 1, Mapping: Consecutive, Sequential: true,
-		SpanCache: sfc.DefaultSpanCacheCapacity,
-		Stream:    true, Rounds: 3, MaxLag: 2, ConsumeEvery: 1,
+		Stream: true, Rounds: 3, MaxLag: 2, ConsumeEvery: 1,
 	}
 }
 
@@ -441,7 +435,6 @@ func generate(r *rng, seed uint64) Scenario {
 		Domain:       make([]int, dim),
 		Vars:         1,
 		Versions:     1 + r.intn(3),
-		SpanCache:    r.pick(sfc.DefaultSpanCacheCapacity, sfc.DefaultSpanCacheCapacity, 0, 2),
 	}
 	for d := range sc.Domain {
 		sc.Domain[d] = 3 + r.intn(10)
@@ -594,8 +587,7 @@ func (sc Scenario) GoLiteral() string {
 		kindLiteral(sc.ConsKind), intsLiteral(sc.ConsGrid), intsLiteral(sc.ConsBlock))
 	fmt.Fprintf(&b, "\tVars: %d, Ghost: %d, Versions: %d, Mapping: %s,\n",
 		sc.Vars, sc.Ghost, sc.Versions, policyLiteral(sc.Mapping))
-	fmt.Fprintf(&b, "\tSpanCache: %d, Staged: %v, Restage: %v,\n",
-		sc.SpanCache, sc.Staged, sc.Restage)
+	fmt.Fprintf(&b, "\tStaged: %v, Restage: %v,\n", sc.Staged, sc.Restage)
 	if sc.Curve != "" {
 		fmt.Fprintf(&b, "\tCurve: %q,\n", sc.Curve)
 	}
@@ -623,8 +615,8 @@ func (sc Scenario) DAG() string {
 	fmt.Fprintf(&b, "# machine: %d nodes x %d cores, domain %v\n", sc.Nodes, sc.CoresPerNode, sc.Domain)
 	fmt.Fprintf(&b, "# producer: %s grid=%v block=%v\n", sc.ProdKind, sc.ProdGrid, sc.ProdBlock)
 	fmt.Fprintf(&b, "# consumer: %s grid=%v block=%v ghost=%d\n", sc.ConsKind, sc.ConsGrid, sc.ConsBlock, sc.Ghost)
-	fmt.Fprintf(&b, "# vars=%d versions=%d mapping=%s spancache=%d staged=%v restage=%v\n",
-		sc.Vars, sc.Versions, sc.Mapping, sc.SpanCache, sc.Staged, sc.Restage)
+	fmt.Fprintf(&b, "# vars=%d versions=%d mapping=%s staged=%v restage=%v\n",
+		sc.Vars, sc.Versions, sc.Mapping, sc.Staged, sc.Restage)
 	if sc.Curve != "" {
 		fmt.Fprintf(&b, "# curve: %s\n", sc.Curve)
 	}

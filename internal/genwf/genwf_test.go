@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/insitu/cods/internal/decomp"
-	"github.com/insitu/cods/internal/sfc"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -129,7 +128,6 @@ func TestShrinkReachesMinimalScenario(t *testing.T) {
 	}
 	if min.Versions != 1 || min.Vars != 1 || min.Ghost != 0 || min.Faults != "" ||
 		min.Restage || min.Mapping != Consecutive ||
-		min.SpanCache != sfc.DefaultSpanCacheCapacity ||
 		min.ProdKind != decomp.Blocked || min.ConsKind != decomp.Blocked {
 		t.Errorf("not fully shrunk:\n%s", min.GoLiteral())
 	}

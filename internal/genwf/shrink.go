@@ -2,7 +2,6 @@ package genwf
 
 import (
 	"github.com/insitu/cods/internal/decomp"
-	"github.com/insitu/cods/internal/sfc"
 )
 
 // Shrink reduces a failing scenario to a (locally) minimal one that still
@@ -103,9 +102,6 @@ func candidates(sc Scenario) []Scenario {
 	if sc.Ghost > 0 {
 		add(func(c *Scenario) { c.Ghost = 0 })
 		add(func(c *Scenario) { c.Ghost-- })
-	}
-	if sc.SpanCache != sfc.DefaultSpanCacheCapacity {
-		add(func(c *Scenario) { c.SpanCache = sfc.DefaultSpanCacheCapacity })
 	}
 	if sc.Mapping != Consecutive {
 		add(func(c *Scenario) { c.Mapping = Consecutive })

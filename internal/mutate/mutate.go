@@ -18,9 +18,10 @@ const (
 	// GeomIntersect shrinks every non-degenerate intersection by one cell
 	// along dimension 0 (the classic inclusive/exclusive bound slip).
 	GeomIntersect = "geom-intersect"
-	// SfcSpanSplit mangles the span decomposition of a region: the last
-	// span is dropped (or a lone span shortened), so DHT routing misses
-	// the tail of the linearized index range.
+	// SfcSpanSplit mangles the orthant walk's answer for a region, exact
+	// spans and routing cover alike: the last span is dropped (or a lone
+	// span shortened), so DHT routing misses the tail of the linearized
+	// index range.
 	SfcSpanSplit = "sfc-span-split"
 	// SchedDropTransfer loses the last read of a communication schedule in
 	// the step that orders it, so one stored block's cells never arrive.

@@ -46,6 +46,12 @@ type Linearizer interface {
 	// Spans decomposes the cells of box b (clipped to the curve's domain)
 	// into a sorted, merged list of index spans.
 	Spans(b geometry.BBox) []Span
+	// Cover answers which parts of a partition of the index space box b
+	// meets, without the exact decomposition. cuts are the partition's
+	// sorted interior boundaries (repeats allowed). The sorted, disjoint
+	// spans returned contain every span of Spans(b) and meet exactly the
+	// parts those spans meet.
+	Cover(b geometry.BBox, cuts []uint64) []Span
 }
 
 // grid is the padded cubic grid every linearizer covers: dim dimensions of
@@ -113,24 +119,24 @@ func (g grid) checkIndex(idx uint64) {
 // applies Skilling's transform, Morton does not.
 type Curve struct {
 	grid
-	kind uint8 // kindHilbert or kindMorton; also the span-cache family
+	hilbert bool // false: Morton
 }
 
 // NewCurve creates a Hilbert curve for dim dimensions with bits bits per
 // dimension. dim*bits must not exceed 63 so indices fit in uint64 with
 // headroom. It returns an error for degenerate parameters.
-func NewCurve(dim, bits int) (*Curve, error) { return newCurve(kindHilbert, dim, bits) }
+func NewCurve(dim, bits int) (*Curve, error) { return newCurve(true, dim, bits) }
 
 // NewMorton creates a Morton (z-order) curve: the Hilbert curve's bit
 // interleave without the transform. Parameter constraints match NewCurve.
-func NewMorton(dim, bits int) (*Curve, error) { return newCurve(kindMorton, dim, bits) }
+func NewMorton(dim, bits int) (*Curve, error) { return newCurve(false, dim, bits) }
 
-func newCurve(kind uint8, dim, bits int) (*Curve, error) {
+func newCurve(hilbert bool, dim, bits int) (*Curve, error) {
 	g, err := newGrid(dim, bits)
 	if err != nil {
 		return nil, err
 	}
-	return &Curve{grid: g, kind: kind}, nil
+	return &Curve{grid: g, hilbert: hilbert}, nil
 }
 
 // The selectable linearization policies (DESIGN §5j). Hilbert is the
@@ -181,7 +187,7 @@ func (c *Curve) Encode(p geometry.Point) uint64 {
 	for d, v := range p {
 		x[d] = uint64(v)
 	}
-	if c.kind == kindHilbert {
+	if c.hilbert {
 		c.axesToTranspose(x)
 	}
 	return c.interleave(x)
@@ -274,7 +280,7 @@ func (c *Curve) interleave(x []uint64) uint64 {
 // which must be zeroed and of length dim.
 func (c *Curve) decodeInto(h uint64, x []uint64) {
 	c.deinterleaveInto(h, x)
-	if c.kind == kindHilbert {
+	if c.hilbert {
 		c.transposeToAxes(x)
 	} else if mutate.Enabled(mutate.MortonBitSwap) {
 		// Seeded defect: transposed z-order decode — dimension d reads the
@@ -300,33 +306,34 @@ func (c *Curve) deinterleaveInto(h uint64, x []uint64) {
 // the curve: an aligned index range of length 2^(dim*level) always covers
 // one axis-aligned cube of side 2^level, under Hilbert and Morton alike, so
 // subtrees fully inside the query emit one span and disjoint subtrees are
-// pruned. Results are memoized in a bounded process-wide LRU (see
-// SetSpanCacheCapacity) keyed by the curve family, as iterative workflows
-// re-translate identical regions every version.
-func (c *Curve) Spans(b geometry.BBox) []Span {
-	query, ok := b.Intersect(c.Domain())
-	if !ok {
+// pruned.
+func (c *Curve) Spans(b geometry.BBox) []Span { return MergeSpans(c.walk(b, nil, false)) }
+
+// Cover is the same walk with a coarser stopping rule: an orthant that
+// meets the query is emitted whole once its index range holds no cut
+// strictly inside, so every span lies in one part of the partition. Only
+// the orthants a cut passes through are split — at most len(cuts)·2^dim
+// visits per level — where Spans descends to every partially covered cell.
+func (c *Curve) Cover(b geometry.BBox, cuts []uint64) []Span { return c.walk(b, cuts, true) }
+
+// walk runs the orthant walk over b, with Cover's stopping rule when cover
+// is set, and returns the spans it emitted in index order, unmerged. The
+// orthants lie inside the grid, so comparing them against b itself clips b
+// to the grid.
+func (c *Curve) walk(b geometry.BBox, cuts []uint64, cover bool) []Span {
+	if b.Dim() != c.dim {
+		panic(fmt.Sprintf("sfc: box dimension %d, curve dimension %d", b.Dim(), c.dim))
+	}
+	if b.Empty() {
 		return nil
 	}
-	if mutate.Enabled(mutate.SfcSpanSplit) {
-		// Seeded defect: recompute uncached (never poison the LRU) and
-		// lose the tail of the span decomposition.
-		return mutateSpans(c.walk(query))
-	}
-	key := spanKey{kind: c.kind, dim: c.dim, bits: c.bits, box: boxKey(query)}
-	if spans, ok := globalSpanCache.get(key); ok {
-		return spans
-	}
-	spans := c.walk(query)
-	globalSpanCache.put(key, spans)
-	return spans
-}
-
-// walk decomposes a query already clipped to the grid, bypassing the LRU.
-func (c *Curve) walk(query geometry.BBox) []Span {
-	w := curveWalker{c: c, query: query, spans: make([]Span, 0, 64), x: make([]uint64, c.dim)}
+	w := curveWalker{c: c, query: b, cuts: cuts, cover: cover,
+		spans: make([]Span, 0, 16), x: make([]uint64, c.dim)}
 	w.walk(0, c.bits)
-	return MergeSpans(w.spans)
+	if mutate.Enabled(mutate.SfcSpanSplit) {
+		return mutateSpans(w.spans)
+	}
+	return w.spans
 }
 
 // mutateSpans applies the sfc-span-split seeded defect: drop the last span,
@@ -341,17 +348,21 @@ func mutateSpans(spans []Span) []Span {
 	return spans
 }
 
-// curveWalker carries the query and scratch buffers through the recursive
-// orthant walk so a Spans call allocates only its result slice.
+// curveWalker carries the query and scratch through the recursive orthant
+// walk so visiting an orthant allocates nothing.
 type curveWalker struct {
 	c     *Curve
 	query geometry.BBox
+	cuts  []uint64
+	cover bool // Cover's stopping rule, not Spans'
 	spans []Span
 	x     []uint64 // decode scratch
 }
 
 // walk visits the orthant subtree whose indices start at start with side
-// 2^level, appending covered spans.
+// 2^level. An orthant that meets the query is emitted whole when the
+// stopping rule holds and split into its 2^dim children otherwise; a cell
+// (level 0) always satisfies both rules.
 func (w *curveWalker) walk(start uint64, level int) {
 	c := w.c
 	length := uint64(1) << uint(c.dim*level)
@@ -359,11 +370,9 @@ func (w *curveWalker) walk(start uint64, level int) {
 	// The cube covered by this index range is the alignment cube of any
 	// point in it; decode into scratch to avoid per-node allocation.
 	x := w.x
-	for i := range x {
-		x[i] = 0
-	}
+	clear(x)
 	c.decodeInto(start, x)
-	contained := true
+	stop := true // Spans: the orthant lies inside the query
 	for d := 0; d < c.dim; d++ {
 		cmin := int(x[d]) &^ (side - 1)
 		cmax := cmin + side
@@ -371,17 +380,16 @@ func (w *curveWalker) walk(start uint64, level int) {
 			return // disjoint from the query
 		}
 		if cmin < w.query.Min[d] || cmax > w.query.Max[d] {
-			contained = false
+			stop = false
 		}
 	}
-	if contained {
-		w.spans = append(w.spans, Span{Start: start, End: start + length})
-		return
+	if w.cover {
+		// Cover: no cut falls strictly inside [start, start+length).
+		i, _ := slices.BinarySearch(w.cuts, start+1)
+		stop = i == len(w.cuts) || w.cuts[i] >= start+length
 	}
-	if level == 0 {
-		// Single cell partially matched cannot happen (volume 1), but be
-		// safe: it intersects, so include it.
-		w.spans = append(w.spans, Span{Start: start, End: start + 1})
+	if stop {
+		w.spans = append(w.spans, Span{Start: start, End: start + length})
 		return
 	}
 	childLen := length >> uint(c.dim)
@@ -467,9 +475,7 @@ func (r *RowMajor) Decode(idx uint64) geometry.Point {
 }
 
 // Spans decomposes a box into row-major index spans: one contiguous run per
-// fixed prefix of leading coordinates. Results share the process-wide span
-// LRU with the other linearizers, keyed by the curve family so a cached
-// Hilbert or Morton decomposition of the same box is never served here.
+// fixed prefix of leading coordinates.
 func (r *RowMajor) Spans(b geometry.BBox) []Span {
 	query, ok := b.Intersect(r.Domain())
 	if !ok {
@@ -478,10 +484,6 @@ func (r *RowMajor) Spans(b geometry.BBox) []Span {
 	// Runs vary along the last dimension; iterate the leading dims.
 	if r.dim == 1 {
 		return []Span{{Start: uint64(query.Min[0]), End: uint64(query.Max[0])}}
-	}
-	key := spanKey{kind: kindRowMajor, dim: r.dim, bits: r.bits, box: boxKey(query)}
-	if spans, ok := globalSpanCache.get(key); ok {
-		return spans
 	}
 	prefix := geometry.BBox{Min: query.Min[:r.dim-1], Max: query.Max[:r.dim-1]}
 	var spans []Span
@@ -493,10 +495,17 @@ func (r *RowMajor) Spans(b geometry.BBox) []Span {
 		start := r.Encode(full)
 		spans = append(spans, Span{Start: start, End: start + uint64(query.Size(last))})
 	})
-	spans = MergeSpans(spans)
-	globalSpanCache.put(key, spans)
-	return spans
+	return MergeSpans(spans)
 }
+
+// Cover returns the exact rows: a row-major range aligns to rows, not
+// cubes, so the walk has no coarser unit to stop at.
+func (r *RowMajor) Cover(b geometry.BBox, _ []uint64) []Span { return r.Spans(b) }
+
+// SpanCacheStats reports zeros: spans are no longer cached, DHT routing
+// walks Cover instead. bench/tcp.go still calls it; a benchmark PR may
+// drop it.
+func SpanCacheStats() (hits, misses uint64, size int) { return 0, 0, 0 }
 
 var (
 	_ Linearizer = (*Curve)(nil)

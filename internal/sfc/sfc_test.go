@@ -315,6 +315,32 @@ func BenchmarkSpans3D(b *testing.B) {
 	}
 }
 
+// BenchmarkSpansAndCover times the exact walk against the routing cover of
+// one 24x28 box on a 512x512 grid, the cover split at the one cut of a
+// two-node interval assignment, on both interleaved curves.
+func BenchmarkSpansAndCover(b *testing.B) {
+	q := geometry.NewBBox(geometry.Point{37, 101}, geometry.Point{61, 129})
+	for _, name := range []string{CurveHilbert, CurveMorton} {
+		l, err := ForDomain(name, []int{512, 512})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cuts := []uint64{l.Total() / 2}
+		b.Run(name+"/spans", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				l.Spans(q)
+			}
+		})
+		b.Run(name+"/cover", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				l.Cover(q, cuts)
+			}
+		})
+	}
+}
+
 func TestMortonRoundTrip(t *testing.T) {
 	m, err := NewMorton(3, 4)
 	if err != nil {
@@ -435,13 +461,11 @@ func TestForDomainSelectsCurve(t *testing.T) {
 	}
 }
 
-// TestSpansWalkAllocations pins the cost of an uncached span walk: one
-// 24x28 box on a 512x512 grid allocates the same small constant on both
-// interleaved curves, which share one orthant walk and differ only in
-// whether Skilling's transform runs.
+// TestSpansWalkAllocations pins the cost of a span walk: one 24x28 box on
+// a 512x512 grid allocates the same small constant on both interleaved
+// curves, which share one orthant walk and differ only in whether
+// Skilling's transform runs.
 func TestSpansWalkAllocations(t *testing.T) {
-	resetCache(t)
-	SetSpanCacheCapacity(0)
 	q := geometry.NewBBox(geometry.Point{37, 101}, geometry.Point{61, 129})
 	allocs := map[string]float64{}
 	for _, name := range []string{CurveHilbert, CurveMorton} {

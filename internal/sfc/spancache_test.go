@@ -5,22 +5,15 @@ import (
 	"testing"
 
 	"github.com/insitu/cods/internal/geometry"
-	"github.com/insitu/cods/internal/obs"
 )
 
-// resetCache restores the default cache state after a test.
-func resetCache(t testing.TB) {
-	t.Helper()
-	ResetSpanCache()
-	SetSpanCacheCapacity(DefaultSpanCacheCapacity)
-	t.Cleanup(func() {
-		ResetSpanCache()
-		SetSpanCacheCapacity(DefaultSpanCacheCapacity)
-	})
-}
+// Spans once answered repeated queries from a process-wide LRU. The cache
+// is gone — DHT routing walks Cover, which needs no memo — and these tests
+// keep the guarantees callers had from it: a repeated query returns the
+// same spans, a returned slice belongs to the caller, curves never share
+// answers, concurrent calls are safe, and SpanCacheStats reads zero.
 
 func TestSpanCacheHitReturnsEqualSpans(t *testing.T) {
-	resetCache(t)
 	c, err := NewCurve(2, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -29,23 +22,21 @@ func TestSpanCacheHitReturnsEqualSpans(t *testing.T) {
 	first := c.Spans(q)
 	second := c.Spans(q)
 	if len(first) != len(second) {
-		t.Fatalf("cached spans differ in length: %d vs %d", len(first), len(second))
+		t.Fatalf("repeated spans differ in length: %d vs %d", len(first), len(second))
 	}
 	for i := range first {
 		if first[i] != second[i] {
 			t.Fatalf("span %d: %v != %v", i, first[i], second[i])
 		}
 	}
-	hits, misses, _ := SpanCacheStats()
-	if hits < 1 || misses < 1 {
-		t.Fatalf("stats hits=%d misses=%d, want at least one of each", hits, misses)
+	if hits, misses, size := SpanCacheStats(); hits != 0 || misses != 0 || size != 0 {
+		t.Fatalf("stats hits=%d misses=%d size=%d, want zeros", hits, misses, size)
 	}
 }
 
 // TestSpanCacheCopySemantics: a caller mutating a returned slice must not
 // corrupt later answers.
 func TestSpanCacheCopySemantics(t *testing.T) {
-	resetCache(t)
 	c, _ := NewCurve(2, 4)
 	q := geometry.NewBBox(geometry.Point{1, 1}, geometry.Point{7, 7})
 	first := c.Spans(q)
@@ -58,45 +49,27 @@ func TestSpanCacheCopySemantics(t *testing.T) {
 	again := c.Spans(q)
 	for i := range want {
 		if again[i] != want[i] {
-			t.Fatalf("cache corrupted by caller mutation: span %d = %v, want %v", i, again[i], want[i])
+			t.Fatalf("answer corrupted by caller mutation: span %d = %v, want %v", i, again[i], want[i])
 		}
 	}
 }
 
-func TestSpanCacheEviction(t *testing.T) {
-	resetCache(t)
-	SetSpanCacheCapacity(4)
-	c, _ := NewCurve(2, 5)
-	for i := 0; i < 10; i++ {
-		q := geometry.NewBBox(geometry.Point{i, 0}, geometry.Point{i + 3, 5})
-		c.Spans(q)
-	}
-	_, _, size := SpanCacheStats()
-	if size > 4 {
-		t.Fatalf("cache size %d exceeds capacity 4", size)
-	}
-}
-
 func TestSpanCacheDisabled(t *testing.T) {
-	resetCache(t)
-	SetSpanCacheCapacity(0)
 	c, _ := NewCurve(2, 4)
 	q := geometry.NewBBox(geometry.Point{0, 0}, geometry.Point{5, 5})
 	a := c.Spans(q)
 	b := c.Spans(q)
 	if TotalLen(a) != TotalLen(b) || TotalLen(a) != uint64(q.Volume()) {
-		t.Fatalf("disabled cache changed results: %d vs %d (volume %d)", TotalLen(a), TotalLen(b), uint64(q.Volume()))
+		t.Fatalf("repeated query changed results: %d vs %d (volume %d)", TotalLen(a), TotalLen(b), uint64(q.Volume()))
 	}
-	_, _, size := SpanCacheStats()
-	if size != 0 {
-		t.Fatalf("disabled cache stored %d entries", size)
+	if _, _, size := SpanCacheStats(); size != 0 {
+		t.Fatalf("SpanCacheStats reports %d entries", size)
 	}
 }
 
-// TestSpanCacheKeyedByCurve: curves with different bits must not share
-// entries even for the same query box.
+// TestSpanCacheKeyedByCurve: curves with different bits answer the same
+// query box from their own grids.
 func TestSpanCacheKeyedByCurve(t *testing.T) {
-	resetCache(t)
 	c4, _ := NewCurve(2, 4)
 	c5, _ := NewCurve(2, 5)
 	q := geometry.NewBBox(geometry.Point{0, 0}, geometry.Point{16, 16})
@@ -105,96 +78,18 @@ func TestSpanCacheKeyedByCurve(t *testing.T) {
 	if TotalLen(a) != 256 || TotalLen(b) != 256 {
 		t.Fatalf("span volumes %d / %d, want 256 / 256", TotalLen(a), TotalLen(b))
 	}
-	if len(a) == len(b) && a[0] == b[0] && len(a) == 1 && a[0].End == b[0].End {
-		// Both being the single identical span would mean the cache
-		// conflated the two curves (c4's is [0,256), c5's quadrant is not
-		// guaranteed to start at 0 — compare defensively).
-		t.Log("identical spans for different curves; verifying independently")
+	if len(a) != 1 || a[0] != (Span{0, 256}) {
+		t.Fatalf("c4 spans of its whole domain = %v, want [{0 256}]", a)
 	}
-	// Recompute with cache disabled and compare.
-	SetSpanCacheCapacity(0)
-	a2 := c4.Spans(q)
-	b2 := c5.Spans(q)
+	a2, b2 := c4.Spans(q), c5.Spans(q)
 	if len(a) != len(a2) || len(b) != len(b2) {
-		t.Fatalf("cached results differ from uncached: %v/%v vs %v/%v", a, b, a2, b2)
+		t.Fatalf("repeated answers differ: %v/%v vs %v/%v", a, b, a2, b2)
 	}
 }
 
-// TestSpanCacheCountersConcurrent: with observability on, every Spans call
-// lands in exactly one of the hit/miss registry counters even when callers
-// race (run under -race), and the registry deltas agree with the cache's
-// own stats.
-func TestSpanCacheCountersConcurrent(t *testing.T) {
-	resetCache(t)
-	prev := obs.Enabled()
-	obs.Enable(true)
-	t.Cleanup(func() { obs.Enable(prev) })
-	baseHits, baseMisses := obsHits.Value(), obsMisses.Value()
-
-	c, err := NewCurve(2, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const goroutines = 8
-	const perGoroutine = 50
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perGoroutine; i++ {
-				// A small set of distinct queries so every goroutine mixes
-				// first-time misses with repeat hits.
-				q := geometry.NewBBox(
-					geometry.Point{(g + i) % 8, i % 8},
-					geometry.Point{(g+i)%8 + 4, i%8 + 4})
-				c.Spans(q)
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	dHits := obsHits.Value() - baseHits
-	dMisses := obsMisses.Value() - baseMisses
-	if dHits+dMisses != goroutines*perGoroutine {
-		t.Fatalf("hits %d + misses %d = %d, want %d calls",
-			dHits, dMisses, dHits+dMisses, goroutines*perGoroutine)
-	}
-	if dMisses == 0 {
-		t.Fatal("expected at least one miss for first-time queries")
-	}
-	hits, misses, _ := SpanCacheStats()
-	if int64(hits) != dHits || int64(misses) != dMisses {
-		t.Fatalf("registry deltas (%d/%d) disagree with cache stats (%d/%d)",
-			dHits, dMisses, hits, misses)
-	}
-}
-
-// TestSpanCacheEvictionCounter: over-capacity inserts of distinct keys must
-// be counted one eviction each.
-func TestSpanCacheEvictionCounter(t *testing.T) {
-	resetCache(t)
-	prev := obs.Enabled()
-	obs.Enable(true)
-	t.Cleanup(func() { obs.Enable(prev) })
-	base := obsEvictions.Value()
-
-	SetSpanCacheCapacity(4)
-	c, _ := NewCurve(2, 5)
-	const queries = 10
-	for i := 0; i < queries; i++ {
-		q := geometry.NewBBox(geometry.Point{i, 0}, geometry.Point{i + 3, 5})
-		c.Spans(q)
-	}
-	if got := obsEvictions.Value() - base; got != queries-4 {
-		t.Fatalf("evictions = %d, want %d", got, queries-4)
-	}
-}
-
-// TestSpanCacheConcurrent exercises the cache from many goroutines (run
-// under -race).
+// TestSpanCacheConcurrent exercises Spans from many goroutines (run under
+// -race).
 func TestSpanCacheConcurrent(t *testing.T) {
-	resetCache(t)
 	c, _ := NewCurve(2, 6)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -220,31 +115,28 @@ func TestSpanCacheConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSpanCacheKeyedByCurveKind: the cache key must carry the curve's
-// identity, not just its geometry — Hilbert, Morton and row-major curves
-// of identical dim/bits produce different decompositions for the same
-// box, and a curve switch mid-process (the -curve policy is selectable
-// end to end) must never serve one curve's spans to another. Each curve
-// first populates the cache, then every answer is compared against an
-// uncached recomputation.
+// TestSpanCacheKeyedByCurveKind: Hilbert, Morton and row-major curves of
+// identical dim/bits decompose the same box differently, and a curve
+// switch mid-process (the -curve policy is selectable end to end) must
+// never serve one curve's spans to another. Each curve answers twice,
+// interleaved with the others, and must agree with itself.
 func TestSpanCacheKeyedByCurveKind(t *testing.T) {
-	resetCache(t)
 	h, _ := NewCurve(2, 4)
 	m, _ := NewMorton(2, 4)
 	r, _ := NewRowMajor(2, 4)
 	q := geometry.NewBBox(geometry.Point{1, 2}, geometry.Point{7, 11})
+	curves := map[string]Linearizer{"hilbert": h, "morton": m, "rowmajor": r}
 
-	cached := map[string][]Span{
-		"hilbert":  h.Spans(q), // miss: populates the shared cache
-		"morton":   m.Spans(q), // would hit hilbert's entry if kind were unkeyed
-		"rowmajor": r.Spans(q),
+	first := map[string][]Span{}
+	for name, l := range curves {
+		first[name] = l.Spans(q)
 	}
 	// The three decompositions are genuinely distinct for this box, so a
-	// conflated key could not go unnoticed.
-	if len(cached["hilbert"]) == len(cached["morton"]) {
+	// conflated answer could not go unnoticed.
+	if len(first["hilbert"]) == len(first["morton"]) {
 		hEqual := true
-		for i := range cached["hilbert"] {
-			if cached["hilbert"][i] != cached["morton"][i] {
+		for i := range first["hilbert"] {
+			if first["hilbert"][i] != first["morton"][i] {
 				hEqual = false
 				break
 			}
@@ -253,17 +145,16 @@ func TestSpanCacheKeyedByCurveKind(t *testing.T) {
 			t.Fatal("hilbert and morton spans identical; pick a different probe box")
 		}
 	}
-	SetSpanCacheCapacity(0) // recompute below bypasses the cache entirely
-	for name, l := range map[string]Linearizer{"hilbert": h, "morton": m, "rowmajor": r} {
-		fresh := l.Spans(q)
-		got := cached[name]
-		if len(got) != len(fresh) {
-			t.Fatalf("%s: cached %d spans, uncached %d", name, len(got), len(fresh))
+	for name, l := range curves {
+		again := l.Spans(q)
+		got := first[name]
+		if len(got) != len(again) {
+			t.Fatalf("%s: first answer %d spans, second %d", name, len(got), len(again))
 		}
-		for i := range fresh {
-			if got[i] != fresh[i] {
-				t.Fatalf("%s span %d: cached %v, uncached %v (cache served another curve's entry)",
-					name, i, got[i], fresh[i])
+		for i := range again {
+			if got[i] != again[i] {
+				t.Fatalf("%s span %d: first %v, second %v (served another curve's answer)",
+					name, i, got[i], again[i])
 			}
 		}
 	}

@@ -43,7 +43,6 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2, 2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2, 2},
 			Vars: 1, Ghost: 1, Versions: 1, Mapping: genwf.Consecutive,
-			SpanCache: sfc.DefaultSpanCacheCapacity,
 		}
 	case mutate.SfcSpanSplit:
 		// 1-D domain of 16 over 8 lookup nodes (two SFC indices each).
@@ -56,7 +55,6 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2},
 			Vars: 1, Ghost: 1, Versions: 1, Mapping: genwf.Consecutive,
-			SpanCache: sfc.DefaultSpanCacheCapacity,
 		}
 	case mutate.SchedDropTransfer:
 		// One consumer pulling the whole domain from two producer blocks:
@@ -68,7 +66,6 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{1},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			SpanCache: sfc.DefaultSpanCacheCapacity,
 		}
 	case mutate.StaleEpoch:
 		// Restaging moves every block one node over; a schedule cache
@@ -80,8 +77,7 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			SpanCache: sfc.DefaultSpanCacheCapacity,
-			Restage:   true,
+			Restage: true,
 		}
 	case mutate.SwapFlow:
 		// Producers fill node 0, consumers node 1: all coupling flows
@@ -93,7 +89,6 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind: decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			SpanCache: sfc.DefaultSpanCacheCapacity,
 		}
 	case mutate.NoRequery:
 		// A single-transfer schedule under a fault window that outlasts
@@ -106,9 +101,8 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind:   decomp.Blocked, ProdGrid: []int{1},
 			ConsKind: decomp.Blocked, ConsGrid: []int{1},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			SpanCache: sfc.DefaultSpanCacheCapacity,
-			Faults:    `{"seed": 1, "rules": [{"op": "read", "mode": "error", "from_op": 0, "to_op": 2}]}`,
-			Retry:     2,
+			Faults: `{"seed": 1, "rules": [{"op": "read", "mode": "error", "from_op": 0, "to_op": 2}]}`,
+			Retry:  2,
 		}
 	case mutate.TCPTruncFrame:
 		// Producer block on node 1, single consumer on node 0: the pull and
@@ -122,7 +116,6 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{1},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			SpanCache: sfc.DefaultSpanCacheCapacity,
 		}
 	case mutate.TCPMeterClass:
 		// Same cross-node shape: the swapped class byte books the coupled
@@ -135,7 +128,6 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{1},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			SpanCache: sfc.DefaultSpanCacheCapacity,
 		}
 	case mutate.ObsFlowMisattribute:
 		// Producers fill node 0, consumers node 1: the coupling flows
@@ -149,7 +141,6 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind: decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			SpanCache: sfc.DefaultSpanCacheCapacity,
 		}
 	case mutate.TCPSGDrop, mutate.TCPSGReorder, mutate.TCPMsgEntryDrop:
 		// Four producer blocks over a 2x2 machine, consumer on core 0:
@@ -168,7 +159,6 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind:   decomp.Blocked, ProdGrid: []int{4},
 			ConsKind: decomp.Blocked, ConsGrid: []int{1},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			SpanCache: sfc.DefaultSpanCacheCapacity,
 		}
 	case mutate.ReconcileSkipReinsert:
 		// Both producer blocks are staged on node 0; the record of the
@@ -184,8 +174,7 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			SpanCache: sfc.DefaultSpanCacheCapacity,
-			Kill:      2,
+			Kill: 2,
 		}
 	case mutate.StaleWatermarkServed:
 		// Three rounds, lag bound three, consumers striding every third
@@ -199,8 +188,7 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			SpanCache: sfc.DefaultSpanCacheCapacity,
-			Stream:    true, Drop: true, Rounds: 3, MaxLag: 3, ConsumeEvery: 3,
+			Stream: true, Drop: true, Rounds: 3, MaxLag: 3, ConsumeEvery: 3,
 		}
 	case mutate.GCBeforeConsume:
 		// Lag bound two with a stride of two: the clean run never drops
@@ -214,8 +202,7 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			SpanCache: sfc.DefaultSpanCacheCapacity,
-			Stream:    true, Drop: true, Rounds: 4, MaxLag: 2, ConsumeEvery: 2,
+			Stream: true, Drop: true, Rounds: 4, MaxLag: 2, ConsumeEvery: 2,
 		}
 	case mutate.RemapStaleOwner:
 		// One adaptive remap round migrates every staged block across
@@ -229,8 +216,7 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			SpanCache: sfc.DefaultSpanCacheCapacity,
-			Remap:     true,
+			Remap: true,
 		}
 	case mutate.VersionSkipOnResubscribe:
 		// Keep-up consumers resubscribe after round 2 from position 1: the
@@ -243,8 +229,7 @@ func mutationScenario(name string) genwf.Scenario {
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			SpanCache: sfc.DefaultSpanCacheCapacity,
-			Stream:    true, Drop: true, Rounds: 3, MaxLag: 2, ConsumeEvery: 1, Resub: 2,
+			Stream: true, Drop: true, Rounds: 3, MaxLag: 2, ConsumeEvery: 1, Resub: 2,
 		}
 	default:
 		panic("unknown mutation " + name)
@@ -417,8 +402,6 @@ func detectMortonBitSwap(t *testing.T) {
 	if !mutate.Enabled(mutate.MortonBitSwap) {
 		t.Fatal("mutation hooks not compiled in (missing -tags conformance_mutations?)")
 	}
-	sfc.ResetSpanCache() // never compare against spans cached pre-mutation
-	defer sfc.ResetSpanCache()
 	err := probe()
 	if err == nil {
 		t.Fatalf("linearizer suite did not detect seeded defect %q", mutate.MortonBitSwap)
