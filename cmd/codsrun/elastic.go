@@ -112,9 +112,6 @@ func (el *elastic) converge(expired []cluster.NodeID) {
 	el.converging.Store(true)
 	defer el.converging.Store(false)
 	for _, node := range expired {
-		el.fw.RetireNode(int(node))
-	}
-	for _, node := range expired {
 		el.tc.reap(int(node))
 		inc := el.reg.Incarnation(node) + 1
 		addr, err := el.tc.spawnNode(int(node), inc)
@@ -136,9 +133,6 @@ func (el *elastic) converge(expired []cluster.NodeID) {
 	el.mu.Lock()
 	el.results = append(el.results, res)
 	el.mu.Unlock()
-	for _, node := range expired {
-		el.fw.RestoreNode(int(node))
-	}
 	fmt.Printf("membership: reconciled %d node(s): re-staged %d blocks (%d B), re-registered %d records\n",
 		len(res.Affected), res.RestagedCount, res.MigratedBytes, res.Reinserted)
 }

@@ -62,8 +62,6 @@ type options struct {
 	appSpecs         []string
 	faultsPath       string
 	retrySpec        string
-	taskRetry        int
-	taskRemap        bool
 	backend          string
 	codsnodePath     string
 	elastic          bool
@@ -97,10 +95,8 @@ func main() {
 		"on this address (use port 0 to pick a free port per child)")
 	flag.BoolVar(&o.pprof, "pprof", false, "also serve net/http/pprof handlers on the -obs-http and -node-obs-http listeners")
 	flag.StringVar(&o.faultsPath, "faults", "", "JSON fault plan to inject into the fabric (see ParseFaultPlan)")
-	flag.StringVar(&o.retrySpec, "retry", "", "transfer retry policy: attempt count (e.g. 4) or "+
+	flag.StringVar(&o.retrySpec, "retry", "", "retry policy of gets, puts and lookups: attempt count (e.g. 4) or "+
 		"attempts=4,base=200us,cap=50ms,multiplier=2,jitter=0.2,deadline=5s")
-	flag.IntVar(&o.taskRetry, "task-retry", 0, "re-run a failed task up to this many attempts (0 disables)")
-	flag.BoolVar(&o.taskRemap, "task-remap", false, "remap retried tasks' data operations to a spare core")
 	flag.StringVar(&o.backend, "backend", "inproc", "transport backend: inproc (single process) or "+
 		"tcp (one codsnode child process per node, operations over loopback TCP)")
 	flag.StringVar(&o.codsnodePath, "codsnode", "", "path to the codsnode binary for -backend=tcp "+
@@ -323,13 +319,6 @@ func run(o options) error {
 		}
 		fw.SetRetryPolicy(pol)
 	}
-	if o.taskRetry > 0 {
-		pol := cods.DefaultRetryPolicy()
-		pol.MaxAttempts = o.taskRetry
-		fw.SetTaskRetry(cods.TaskRetryPolicy{Policy: pol, Remap: o.taskRemap})
-	} else if o.taskRemap {
-		return fmt.Errorf("-task-remap needs -task-retry > 0")
-	}
 
 	// Elastic membership: leases on every codsnode, a monitor renewing
 	// them, and a reconcile loop that replaces crashed processes and
@@ -500,8 +489,7 @@ func run(o options) error {
 	fmt.Printf("\nworkflow complete: %d bundles, %d tasks, policy %s\n",
 		rep.BundlesRun, rep.TasksRun, rep.Policy)
 	if plan != nil {
-		fmt.Printf("faults: %d errors + %d delays injected; task attempts %d (retries %d, recoveries %d)\n",
-			plan.Injected(), plan.Delayed(), rep.TaskAttempts, rep.TaskRetries, rep.TaskRecoveries)
+		fmt.Printf("faults: %d errors + %d delays injected\n", plan.Injected(), plan.Delayed())
 	}
 	if o.verbose {
 		printed := map[*cluster.Placement]bool{}
@@ -574,9 +562,6 @@ func writeReport(fw *cods.Framework, d *cods.DAG, o options, rep *cods.Report, t
 	r.SetMeta("platform", fmt.Sprintf("%d nodes x %d cores", o.nodes, o.cores))
 	r.SetMeta("bundles_run", strconv.Itoa(rep.BundlesRun))
 	r.SetMeta("tasks_run", strconv.Itoa(rep.TasksRun))
-	r.SetMeta("task_attempts", strconv.Itoa(rep.TaskAttempts))
-	r.SetMeta("task_retries", strconv.Itoa(rep.TaskRetries))
-	r.SetMeta("task_recoveries", strconv.Itoa(rep.TaskRecoveries))
 	r.SetMeta("faults_injected", strconv.FormatInt(rep.FaultsInjected, 10))
 	ms := fw.MediumStats()
 	r.AddCheck("transport.shm.bytes", r.Metrics.Counters["transport.shm.bytes"], ms.ShmBytes)

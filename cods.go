@@ -92,13 +92,10 @@ type (
 	// RetryPolicy bounds retried fabric operations: attempt budget,
 	// exponential backoff with deterministic jitter, per-operation deadline.
 	RetryPolicy = retry.Policy
-	// TaskRetryPolicy extends RetryPolicy with task-level remapping; it
-	// governs the re-running of failed computation tasks.
-	TaskRetryPolicy = runtime.TaskRetryPolicy
 	// PullError reports a data retrieval whose transfer ultimately failed;
 	// it unwraps to the transport-level cause.
 	PullError = icods.PullError
-	// TaskError reports a computation task that failed all its attempts.
+	// TaskError reports a computation task that failed; tasks run once.
 	TaskError = runtime.TaskError
 	// StreamConfig declares a stream's shape: producer rank count, lag
 	// bound and the policy applied when the bound would be exceeded.
@@ -381,16 +378,11 @@ func (f *Framework) SpanTracer() *obs.Tracer { return f.tracer }
 // installed the only cost is one atomic pointer load per operation.
 func (f *Framework) SetFaultPlan(p *FaultPlan) { f.server.Fabric().SetFaultPlan(p) }
 
-// SetRetryPolicy installs the transfer retry policy on the CoDS pull
-// engine and the lookup service's RPC fan-out. The zero policy (the
+// SetRetryPolicy installs the retry policy of the data operations: the
+// CoDS pulls, sequential puts and the lookup service's RPC fan-out. It is
+// the one retry layer — tasks are never re-run. The zero policy (the
 // default) disables retrying.
 func (f *Framework) SetRetryPolicy(p RetryPolicy) { f.server.Space().SetRetryPolicy(p) }
-
-// SetTaskRetry installs the task retry policy: a failed computation task
-// is re-run up to the policy's attempt budget and optionally remapped to a
-// spare core. The zero policy (the default) disables task retrying; see
-// TaskRetryPolicy for the restartability requirement on subroutines.
-func (f *Framework) SetTaskRetry(p TaskRetryPolicy) { f.server.SetTaskRetry(p) }
 
 // FaultsInjected returns the total number of error faults injected into
 // the fabric since the framework was created, across all installed plans.
@@ -427,12 +419,3 @@ func (f *Framework) StreamStats() (published, consumed, dropped int64) {
 func (f *Framework) StreamState(v string) (latest, floor int, err error) {
 	return f.server.Space().StreamState(v)
 }
-
-// RetireNode withdraws a crashed node's execution clients from the task
-// remap spare pool, so retried tasks only land on surviving cores while
-// the node has no serving process.
-func (f *Framework) RetireNode(node int) { f.server.RetireNode(cluster.NodeID(node)) }
-
-// RestoreNode re-admits a node's execution clients to the remap spare
-// pool once a replacement process serves it again.
-func (f *Framework) RestoreNode(node int) { f.server.RestoreNode(cluster.NodeID(node)) }

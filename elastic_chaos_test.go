@@ -31,7 +31,8 @@ func TestElasticChaos(t *testing.T) {
 	reportPath := filepath.Join(dir, "report.json")
 	// The producer stages 4 blocks (blocked 2x2), so -chaos-after 4 kills
 	// node 1 exactly when staging is done and consumption begins. The
-	// retry budget must outlive lease expiry plus replacement spawn.
+	// retry budget must outlive lease expiry plus replacement spawn: the
+	// operations ride out the loss, and no task is ever re-run.
 	text := runCodsrun(t, bin,
 		"-backend", "tcp",
 		"-nodes", "2", "-cores", "2", "-domain", "8x8",
@@ -41,7 +42,6 @@ func TestElasticChaos(t *testing.T) {
 		"-elastic", "-lease-ttl", "250ms",
 		"-chaos-kill", "1", "-chaos-after", "4",
 		"-retry", "attempts=100,base=5ms,cap=50ms,deadline=60s",
-		"-task-retry", "3", "-task-remap",
 		"-verify",
 		"-report", "-report-path", reportPath)
 	for _, want := range []string{

@@ -3,6 +3,7 @@ package cods
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -13,19 +14,21 @@ import (
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/obs"
+	"github.com/insitu/cods/internal/retry"
 	"github.com/insitu/cods/internal/transport"
 )
 
 // fakeBackend is a transport.Backend that executes every routed operation
 // on the fabric's own Local* side, standing in for a wire: remote decides
 // what is routed, and the first failures buffer-state round trips
-// (Exposed/Unexpose) and the first callFailures RPCs fail the way a dropped
-// connection would.
+// (Exposed/Unexpose), the first exposeFailures exposes and the first
+// callFailures RPCs fail the way a dropped connection would.
 type fakeBackend struct {
-	f            *transport.Fabric
-	remote       func(initiator, target cluster.CoreID) bool
-	failures     atomic.Int32
-	callFailures atomic.Int32
+	f              *transport.Fabric
+	remote         func(initiator, target cluster.CoreID) bool
+	failures       atomic.Int32
+	exposeFailures atomic.Int32
+	callFailures   atomic.Int32
 }
 
 var errRoundTrip = errors.New("fake backend: connection reset")
@@ -55,6 +58,9 @@ func (b *fakeBackend) Call(src, dst cluster.CoreID, service string, request any,
 }
 
 func (b *fakeBackend) Expose(owner cluster.CoreID, key transport.BufKey, payload any) error {
+	if b.exposeFailures.Add(-1) >= 0 {
+		return errRoundTrip
+	}
 	return b.f.LocalExpose(owner, key, payload)
 }
 
@@ -150,6 +156,65 @@ func TestPutSequentialUndoesFailedInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkRegion(t, blk, got)
+}
+
+// TestPutSequentialRetriesFailedExpose: under a retry policy a put whose
+// expose fails three times is staged by its fourth attempt — one exposure,
+// one location record, the block on the put ledger, one block's staging
+// memory, and each re-attempt counted in cods.put.retries and traced as a
+// retry:put:<var> event. With the policy disabled the first failure is
+// returned and nothing is left behind.
+func TestPutSequentialRetriesFailedExpose(t *testing.T) {
+	prev := obs.Enabled()
+	obs.Enable(true)
+	t.Cleanup(func() { obs.Enable(prev) })
+	const failures = 3
+	for _, pol := range []retry.Policy{{}, fastPolicy(failures + 1)} {
+		_, sp := testRig(t, 1, 2, []int{8, 8})
+		be := &fakeBackend{f: sp.Fabric(), remote: func(_, _ cluster.CoreID) bool { return true }}
+		sp.Fabric().SetBackend(be)
+		ledger := &putLog{}
+		sp.SetPutRecorder(ledger)
+		sp.SetRetryPolicy(pol)
+		var spans bytes.Buffer
+		tr := obs.NewTracer(&spans)
+		sp.SetTracer(tr)
+		blk := geometry.BoxFromSize([]int{8, 8})
+		retries := obs.C("cods.put.retries")
+		before := retries.Value()
+
+		be.exposeFailures.Store(failures)
+		err := sp.HandleAt(0, 1, "p").PutSequential("v", 0, blk, fillRegion(blk))
+		exposed, xerr := be.Exposed(0, bufKey("v", blk, 0))
+		if xerr != nil {
+			t.Fatal(xerr)
+		}
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		state := fmt.Sprintf("exposed=%v, %d records, %d on the ledger, %d B staged, %d retries, %d events",
+			exposed, sp.Lookup().TableSize(0), ledger.live.Load(), sp.MemoryUsed(0),
+			retries.Value()-before, strings.Count(spans.String(), `"retry:put:v"`))
+		if !pol.Enabled() {
+			if !errors.Is(err, errRoundTrip) || state != "exposed=false, 0 records, 0 on the ledger, 0 B staged, 0 retries, 0 events" {
+				t.Fatalf("without a policy: err = %v, %s; want the expose's error and nothing left", err, state)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("put over %d failed exposes: %v", failures, err)
+		}
+		want := fmt.Sprintf("exposed=true, 1 records, 1 on the ledger, %d B staged, %d retries, %d events",
+			blk.Volume()*ElemSize, failures, failures)
+		if state != want {
+			t.Fatalf("after the retried put: %s; want %s", state, want)
+		}
+		got, err := sp.HandleAt(1, 2, "g").GetSequential("v", 0, blk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRegion(t, blk, got)
+	}
 }
 
 // TestRetireCountsFailedDiscard is the regression test for the dropped

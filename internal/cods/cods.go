@@ -62,6 +62,7 @@ var (
 	obsPullRecoveries = obs.C("cods.pull.recoveries")
 	obsPullRequeries  = obs.C("cods.pull.requeries")
 	obsPullBackoffNs  = obs.H("cods.pull.backoff_ns", obs.DefaultLatencyBounds())
+	obsPutRetries     = obs.C("cods.put.retries")
 )
 
 // ElemSize is the size of one domain cell in bytes (float64 fields).
@@ -318,7 +319,8 @@ type Space struct {
 
 // PutRecorder observes sequentially staged blocks as they are stored and
 // discarded. Implementations must be safe for concurrent use; RecordPut
-// must not retain data beyond the call unless it copies it. app is the
+// may keep data without copying it, since a put hands its slice to the
+// space (PutSequential) and nothing writes to it again. app is the
 // application of the staging handle — the lookup namespace a re-stage of
 // the block must keep.
 type PutRecorder interface {
@@ -355,10 +357,11 @@ func NewSpaceWithCurve(f *transport.Fabric, domain geometry.BBox, curveName stri
 func (sp *Space) SetTracer(tr *obs.Tracer) { sp.tracer.Store(tr) }
 
 // SetRetryPolicy installs the transfer retry policy: failed pulls are
-// retried with exponential backoff up to the policy's attempt budget, and
+// retried with exponential backoff up to the policy's attempt budget,
 // sequential gets whose owner turned out to be gone re-query the lookup
-// service for a restaged copy. The same policy governs the lookup
-// service's RPC fan-out. The zero policy (the default) disables retrying.
+// service for a restaged copy, and a failed sequential put is staged
+// again. The same policy governs the lookup service's RPC fan-out. The
+// zero policy (the default) disables retrying.
 func (sp *Space) SetRetryPolicy(p retry.Policy) {
 	sp.retryPol.Store(&p)
 	sp.lookup.SetRetryPolicy(p)
@@ -652,11 +655,41 @@ func orderSchedule(sched []transport.ReadSpec) []transport.ReadSpec {
 // PutSequential stores one block of a variable in the space: the data
 // stays in this core's memory, is exposed for remote pulls, and its
 // location is registered with the lookup service so consumers launched
-// after this application completes can find it.
+// after this application completes can find it. The data slice is owned by
+// the space afterwards: the exposed block and the put recorder both keep
+// it, uncopied.
+//
+// Under the space's retry policy a failed staging is attempted again with
+// backoff, so a put whose owner is lost mid-put waits out the replacement
+// and the reconcile instead of failing its task (tasks are never re-run).
+// An attempt after the first starts by withdrawing the buffer: an expose
+// whose acknowledgement was lost may have landed.
 func (h *Handle) PutSequential(v string, version int, region geometry.BBox, data []float64) error {
 	if err := validatePut(v, region, data); err != nil {
 		return err
 	}
+	pol := h.sp.RetryPolicy()
+	if !pol.Enabled() {
+		return h.putAttempt(v, version, region, data)
+	}
+	_, err := retry.Do(pol, putSeed(h.core, v, version), retryableTransfer,
+		func(d time.Duration) { obsPullBackoffNs.Observe(d.Nanoseconds()) },
+		func(attempt int) error {
+			if attempt > 1 {
+				obsPutRetries.Inc()
+				h.sp.tracer.Load().Event(h.spanParent, "retry:put:"+v)
+				if err := h.Discard(v, version, region); err != nil {
+					return err
+				}
+			}
+			return h.putAttempt(v, version, region, data)
+		})
+	return err
+}
+
+// putAttempt is one staging of a validated block: reserve, record, expose,
+// register — undone on failure, so another attempt starts clean.
+func (h *Handle) putAttempt(v string, version int, region geometry.BBox, data []float64) error {
 	if err := h.sp.reserve(h.core, region.Volume()*ElemSize); err != nil {
 		return err
 	}
@@ -683,7 +716,7 @@ func (h *Handle) PutSequential(v string, version int, region geometry.BBox, data
 	if err := cl.Insert(h.phase, h.app, dht.Entry{Var: v, Version: version, Region: region, Owner: h.core}); err != nil {
 		// The block is exposed, reserved and in the ledger but cannot be
 		// found: undo all three (and any location record a partial insert
-		// left behind), so a retried put starts clean instead of failing
+		// left behind), so another attempt starts clean instead of failing
 		// with "already exposed" on top of a doubled reservation.
 		return errors.Join(err, h.DiscardSequential(v, version, region))
 	}
@@ -822,6 +855,16 @@ func (e *PullError) Unwrap() error { return e.Err }
 // faults included — is worth another attempt.
 func retryableTransfer(err error) bool {
 	return !errors.Is(err, transport.ErrEndpointClosed)
+}
+
+// putSeed derives the deterministic backoff seed of one put from its
+// coordinates, mirroring transferSeed.
+func putSeed(core cluster.CoreID, v string, version int) uint64 {
+	s := uint64(core)<<32 ^ uint64(uint32(version))
+	for _, ch := range v {
+		s = s*0x100000001b3 + uint64(ch)
+	}
+	return s
 }
 
 // transferSeed derives the deterministic jitter seed of one transfer from

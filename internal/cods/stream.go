@@ -26,13 +26,11 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"time"
 
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/mutate"
 	"github.com/insitu/cods/internal/obs"
-	"github.com/insitu/cods/internal/retry"
 )
 
 // Streaming registry instruments: versions published across all streams,
@@ -343,26 +341,16 @@ func (s *stream) retire(rets []retirement) {
 	}
 }
 
-// streamSeed derives the deterministic backoff seed of one publish from
-// its coordinates, mirroring transferSeed.
-func streamSeed(core cluster.CoreID, v string, version int) uint64 {
-	s := uint64(core)<<32 ^ uint64(uint32(version))
-	for _, ch := range v {
-		s = s*0x100000001b3 + uint64(ch)
-	}
-	return s
-}
-
 // Publish stamps the next version of producer rank's sequence with one
-// block and stages it through the sequential path (exposed buffer + DHT
-// record). It returns the version stamped. Under the Backpressure policy
-// the call blocks while the slowest cursor is MaxLag versions behind.
+// block and stages it with PutSequential (exposed buffer + DHT record),
+// which owns data afterwards. It returns the version stamped. Under the
+// Backpressure policy the call blocks while the slowest cursor is MaxLag
+// versions behind.
 //
-// Staging is retried internally under the space's retry policy — a
-// producer whose staging node is being replaced mid-stream resumes against
-// the reconciled routing without restarting the task (a task-level retry
-// would re-stamp versions). Publish for a given rank must be called from a
-// single goroutine; distinct ranks may publish concurrently.
+// The put rides out a staging node replaced mid-stream under the space's
+// retry policy, so the version is stamped once and the task keeps running.
+// Publish for a given rank must be called from a single goroutine; distinct
+// ranks may publish concurrently.
 func (h *Handle) Publish(v string, producer int, region geometry.BBox, data []float64) (int, error) {
 	s, err := h.sp.stream(v)
 	if err != nil {
@@ -388,7 +376,7 @@ func (h *Handle) Publish(v string, producer int, region geometry.BBox, data []fl
 	}
 	s.mu.Unlock()
 
-	if err := h.stageStreamVersion(v, ver, region, data); err != nil {
+	if err := h.PutSequential(v, ver, region, data); err != nil {
 		return 0, err
 	}
 
@@ -414,28 +402,6 @@ func (h *Handle) Publish(v string, producer int, region geometry.BBox, data []fl
 
 	s.retire(rets)
 	return ver, nil
-}
-
-// stageStreamVersion runs the sequential staging of one published block,
-// retrying the whole sequence under the space's retry policy. A retry
-// first withdraws any partial exposure from the failed attempt, so the
-// re-stage starts clean.
-func (h *Handle) stageStreamVersion(v string, version int, region geometry.BBox, data []float64) error {
-	pol := h.sp.RetryPolicy()
-	op := func(attempt int) error {
-		if attempt > 1 {
-			if err := h.Discard(v, version, region); err != nil {
-				return err
-			}
-		}
-		return h.PutSequential(v, version, region, data)
-	}
-	if !pol.Enabled() {
-		return op(1)
-	}
-	_, err := retry.Do(pol, streamSeed(h.core, v, version), retryableTransfer,
-		func(d time.Duration) { obsPullBackoffNs.Observe(d.Nanoseconds()) }, op)
-	return err
 }
 
 // ClosePublisher marks producer rank's sequence finished through this

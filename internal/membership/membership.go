@@ -260,10 +260,10 @@ func NewLedger() *Ledger {
 	return &Ledger{blocks: make(map[string]Block)}
 }
 
-// RecordPut stores a copy of a staged block (cods.PutRecorder).
+// RecordPut records a staged block (cods.PutRecorder). The block keeps the
+// put's data slice, which the space owns: the ledger holds no second copy.
 func (l *Ledger) RecordPut(v string, version int, region geometry.BBox, owner cluster.CoreID, app int, data []float64) {
-	b := Block{Var: v, Version: version, Region: region.Clone(), Owner: owner, App: app,
-		Data: append([]float64(nil), data...)}
+	b := Block{Var: v, Version: version, Region: region.Clone(), Owner: owner, App: app, Data: data}
 	l.mu.Lock()
 	l.blocks[blockKey(v, version, region, owner)] = b
 	l.mu.Unlock()
@@ -310,7 +310,7 @@ type Result struct {
 }
 
 // Restage is the one way a ledger block is moved: its exposure and location
-// record are withdrawn at the recorded owner, then the ledger's copy is put
+// record are withdrawn at the recorded owner, then the ledger's block is put
 // at core to — the same core after a crash (Reconcile), another one for a
 // remap (remap.Apply). An absent buffer is no error: the owner's process
 // may be gone, or the producer's own retry re-staged the block first. The

@@ -2,9 +2,11 @@ package membership
 
 import (
 	"errors"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -141,15 +143,37 @@ func TestLedgerRecordsAndDiscards(t *testing.T) {
 	if l.Len() != 2 {
 		t.Fatalf("ledger has %d blocks, want 2", l.Len())
 	}
-	// The ledger must copy: mutating the caller's slice later must not
-	// corrupt the recorded payload. It keeps the staging app.
-	data[0] = 99
-	if got := l.Blocks()[0]; got.Data[0] != 0 || got.App != 7 {
-		t.Fatalf("ledger shares the caller's slice or lost the app (saw %v, app %d)", got.Data[0], got.App)
+	// The ledger keeps the staging app.
+	if got := l.Blocks()[0]; got.App != 7 {
+		t.Fatalf("ledger lost the staging app (app %d)", got.App)
 	}
 	l.RecordDiscard("rho", 0, region, 3)
 	if l.Len() != 1 {
 		t.Fatalf("ledger has %d blocks after discard, want 1", l.Len())
+	}
+}
+
+// TestLedgerKeepsThePutsSlice: the put hands its slice to the space, so the
+// ledger records a 4 KiB block without copying it — a record allocates
+// bytes for its key and region, never a second []float64 of the block.
+func TestLedgerKeepsThePutsSlice(t *testing.T) {
+	l := NewLedger()
+	region := geometry.BoxFromSize([]int{32, 16})
+	data := make([]float64, region.Volume())
+	blockBytes := uint64(len(data) * cods.ElemSize)
+	l.RecordPut("rho", 0, region, 2, 7, data) // the map entry exists from here on
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		l.RecordPut("rho", 0, region, 2, 7, data)
+	}
+	runtime.ReadMemStats(&after)
+	if perRecord := (after.TotalAlloc - before.TotalAlloc) / runs; perRecord >= blockBytes {
+		t.Fatalf("a record allocates %d B, at least the %d B block: the ledger copies it", perRecord, blockBytes)
+	}
+	if got := l.Blocks()[0].Data; &got[0] != &data[0] {
+		t.Fatal("the ledger holds a copy of the put's slice")
 	}
 }
 
@@ -302,6 +326,129 @@ func TestGetSequentialRidesOutNodeLoss(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// lossBackend routes every operation on node 1's state through a wire that
+// the node's loss cuts: the first expose after crashOnExpose is set lands
+// and then loses its acknowledgement as the node goes down, and every
+// operation on node 1 fails from then on until the test brings the
+// replacement up.
+type lossBackend struct {
+	f             *transport.Fabric
+	crashOnExpose atomic.Bool
+	down          atomic.Bool
+	failed        atomic.Int32
+}
+
+var errCut = errors.New("lossBackend: connection reset")
+
+func (b *lossBackend) cut() error {
+	if b.down.Load() {
+		b.failed.Add(1)
+		return errCut
+	}
+	return nil
+}
+
+func (b *lossBackend) Name() string { return "loss" }
+func (b *lossBackend) Remote(_, target cluster.CoreID) bool {
+	return b.f.Machine().NodeOf(target) == 1
+}
+func (b *lossBackend) Close() error { return nil }
+
+func (b *lossBackend) ReadMulti(reader cluster.CoreID, specs []transport.ReadSpec, m transport.Meter, deliver transport.SegmentFunc) error {
+	if err := b.cut(); err != nil {
+		return err
+	}
+	return b.f.LocalReadMulti(reader, specs, m, deliver)
+}
+
+func (b *lossBackend) Call(src, dst cluster.CoreID, service string, request any, m transport.Meter, reqBytes, respBytes int64) (any, error) {
+	if err := b.cut(); err != nil {
+		return nil, err
+	}
+	return b.f.LocalCall(src, dst, service, request, m, reqBytes, respBytes)
+}
+
+func (b *lossBackend) Expose(owner cluster.CoreID, key transport.BufKey, payload any) error {
+	if err := b.cut(); err != nil {
+		return err
+	}
+	err := b.f.LocalExpose(owner, key, payload)
+	if b.crashOnExpose.CompareAndSwap(true, false) {
+		b.down.Store(true)
+		b.failed.Add(1)
+		return errCut
+	}
+	return err
+}
+
+func (b *lossBackend) Unexpose(owner cluster.CoreID, key transport.BufKey) (bool, error) {
+	if err := b.cut(); err != nil {
+		return false, err
+	}
+	return b.f.LocalUnexpose(owner, key)
+}
+
+func (b *lossBackend) Exposed(owner cluster.CoreID, key transport.BufKey) (bool, error) {
+	if err := b.cut(); err != nil {
+		return false, err
+	}
+	return b.f.LocalExposed(owner, key)
+}
+
+// TestPutSequentialRidesOutNodeLoss: the owner of a put is lost mid-put —
+// its expose lands, the node goes down before acknowledging it, and the
+// put's next attempts fail against the dead node. Under a retry policy the
+// put must wait out the replacement and the reconcile running beside it,
+// and leave the block staged exactly once: one location record, one ledger
+// block, one block's staging memory, and a get that returns its cells.
+func TestPutSequentialRidesOutNodeLoss(t *testing.T) {
+	m, err := cluster.NewMachine(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := cods.NewSpace(transport.NewFabric(m), geometry.BoxFromSize([]int{8, 8}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := NewLedger()
+	sp.SetPutRecorder(l)
+	be := &lossBackend{f: sp.Fabric()}
+	sp.Fabric().SetBackend(be)
+	sp.SetRetryPolicy(retry.Policy{MaxAttempts: 50, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Multiplier: 2})
+	region := geometry.NewBBox(geometry.Point{4, 0}, geometry.Point{8, 8})
+	const owner = cluster.CoreID(2) // node 1
+
+	be.crashOnExpose.Store(true)
+	done := make(chan error, 1)
+	go func() {
+		// The replacement comes up once the put has failed against the lost
+		// node at least twice: the lost acknowledgement, then a re-attempt.
+		for be.failed.Load() < 2 {
+			time.Sleep(time.Millisecond)
+		}
+		be.down.Store(false)
+		_, err := Reconcile(sp, l, []cluster.NodeID{1})
+		done <- err
+	}()
+	if err := sp.HandleAt(owner, 1, "put").PutSequential("rho", 0, region, cells(region)); err != nil {
+		t.Fatalf("put across the node loss: %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n, blocks, used := records(sp), l.Len(), sp.MemoryUsed(owner); n != 1 || blocks != 1 || used != region.Volume()*cods.ElemSize {
+		t.Fatalf("%d location records, %d ledger blocks and %d staged bytes after the put; want 1, 1 and one block's %d",
+			n, blocks, used, region.Volume()*cods.ElemSize)
+	}
+	got, err := sp.HandleAt(0, 2, "get").GetSequential("rho", 0, region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, cells(region)) {
+		t.Fatal("the get after the node loss differs from the put's cells")
 	}
 }
 

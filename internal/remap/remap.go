@@ -176,7 +176,7 @@ func Propose(m *cluster.Machine, fm obs.FlowMatrix, blocks []Block, opts Options
 }
 
 // Apply executes a migration plan: every moved block is re-staged
-// byte-identically at its new owner from the put ledger's copy
+// byte-identically at its new owner from the put ledger's record
 // (membership.Restage — the location record moves with the block), and an
 // epoch bump fences out every consumer's cached schedule so no in-flight
 // pull can be served from pre-migration state. Returns the number of blocks

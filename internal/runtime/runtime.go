@@ -16,7 +16,6 @@
 package runtime
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -31,7 +30,6 @@ import (
 	"github.com/insitu/cods/internal/mapping"
 	"github.com/insitu/cods/internal/mpi"
 	"github.com/insitu/cods/internal/obs"
-	"github.com/insitu/cods/internal/retry"
 	"github.com/insitu/cods/internal/transport"
 	"github.com/insitu/cods/internal/workflow"
 )
@@ -46,10 +44,6 @@ var (
 	obsBundlesRun  = obs.C("runtime.bundles_run")
 	obsTasksRun    = obs.C("runtime.tasks_run")
 	obsTasksActive = obs.G("runtime.tasks_active")
-	obsTaskRetries = obs.C("runtime.task.retries")
-	obsTaskRecovs  = obs.C("runtime.task.recoveries")
-	obsTaskRemaps  = obs.C("runtime.task.remaps")
-	obsTaskBackoff = obs.H("runtime.task.backoff_ns", obs.DefaultLatencyBounds())
 )
 
 // Policy selects the task mapping strategy for a run.
@@ -112,56 +106,25 @@ type AppSpec struct {
 	ReadsVersion int
 }
 
-// TaskRetryPolicy bounds the re-running of failed computation tasks. The
-// embedded retry.Policy supplies the attempt budget and the backoff slept
-// between attempts. Task retry assumes restartable subroutines: a
-// subroutine must tolerate being invoked again from the top (the put/get
-// operators are idempotent — re-exposing an existing buffer fails
-// harmlessly and re-inserting a location record is deduplicated — but a
-// subroutine blocked inside a collective with already-finished peers
-// cannot be saved by re-running it, so retries are opt-in).
-type TaskRetryPolicy struct {
-	retry.Policy
-	// Remap rebinds a retried task's data operations (its CoDS handle) to a
-	// spare idle core, so a task whose own endpoint went bad can make
-	// progress from a healthy one. The task's communicator
-	// rank is unchanged.
-	Remap bool
-}
-
-// TaskError reports a computation task that failed all its attempts. It
-// unwraps to the subroutine's final error, so errors.Is/As reach through
-// to PullError and the transport sentinels.
+// TaskError reports a computation task that failed. It unwraps to the
+// subroutine's error, so errors.Is/As reach through to PullError and the
+// transport sentinels.
 type TaskError struct {
-	// Task identifies the failed task; Core is the core its last attempt
-	// ran its data operations from.
+	// Task identifies the failed task; Core is the core it ran its data
+	// operations from.
 	Task cluster.TaskID
 	Core cluster.CoreID
-	// Attempts is the number of times the subroutine was invoked.
-	Attempts int
-	// Err is the last attempt's failure.
+	// Err is the subroutine's failure.
 	Err error
 }
 
 // Error formats the failure.
 func (e *TaskError) Error() string {
-	return fmt.Sprintf("runtime: task %d.%d on core %d failed after %d attempt(s): %v",
-		e.Task.App, e.Task.Rank, e.Core, e.Attempts, e.Err)
+	return fmt.Sprintf("runtime: task %d.%d on core %d failed: %v", e.Task.App, e.Task.Rank, e.Core, e.Err)
 }
 
 // Unwrap exposes the subroutine's error.
 func (e *TaskError) Unwrap() error { return e.Err }
-
-// clientState tracks one execution client in the management server.
-type clientState int
-
-const (
-	clientIdle clientState = iota
-	clientBusy
-	// clientRetired marks a core whose node left the member set: it is
-	// never picked as a remap spare until the node rejoins (RestoreNode).
-	clientRetired
-)
 
 // Server is the workflow management server plus the shared substrate
 // (fabric, CoDS space) of one simulated machine.
@@ -172,18 +135,13 @@ type Server struct {
 	apps    map[int]AppSpec
 	seed    int64
 
-	mu      sync.Mutex
-	clients map[cluster.CoreID]clientState
-
-	tracer    atomic.Pointer[obs.Tracer]
-	taskRetry atomic.Pointer[TaskRetryPolicy]
+	tracer atomic.Pointer[obs.Tracer]
 }
 
 // NewServer bootstraps the framework on a machine for a coupled data
-// domain: it builds the HybridDART fabric, the CoDS space (with its lookup
-// service) and registers one execution client per core. The space
-// linearizes with the default Hilbert curve; NewServerWithCurve selects
-// another policy.
+// domain: it builds the HybridDART fabric and the CoDS space (with its
+// lookup service). The space linearizes with the default Hilbert curve;
+// NewServerWithCurve selects another policy.
 func NewServer(m *cluster.Machine, domain geometry.BBox, seed int64) (*Server, error) {
 	return NewServerWithCurve(m, domain, seed, "")
 }
@@ -196,18 +154,7 @@ func NewServerWithCurve(m *cluster.Machine, domain geometry.BBox, seed int64, cu
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		machine: m,
-		fabric:  f,
-		space:   sp,
-		apps:    make(map[int]AppSpec),
-		seed:    seed,
-		clients: make(map[cluster.CoreID]clientState),
-	}
-	for c := 0; c < m.TotalCores(); c++ {
-		s.clients[cluster.CoreID(c)] = clientIdle
-	}
-	return s, nil
+	return &Server{machine: m, fabric: f, space: sp, apps: make(map[int]AppSpec), seed: seed}, nil
 }
 
 // SetTracer routes span events from the workflow engine — and from the
@@ -216,20 +163,6 @@ func NewServerWithCurve(m *cluster.Machine, domain geometry.BBox, seed int64, cu
 func (s *Server) SetTracer(tr *obs.Tracer) {
 	s.tracer.Store(tr)
 	s.space.SetTracer(tr)
-}
-
-// SetTaskRetry installs the task retry policy: a failed task is re-run up
-// to the policy's attempt budget, with backoff between attempts and
-// optionally remapped to a spare core. The zero policy (the default)
-// disables task retrying.
-func (s *Server) SetTaskRetry(p TaskRetryPolicy) { s.taskRetry.Store(&p) }
-
-// taskRetryPolicy returns the installed policy (zero when none).
-func (s *Server) taskRetryPolicy() TaskRetryPolicy {
-	if p := s.taskRetry.Load(); p != nil {
-		return *p
-	}
-	return TaskRetryPolicy{}
 }
 
 // Machine returns the underlying machine.
@@ -264,14 +197,6 @@ type Report struct {
 	TasksRun   int
 	// PlacementOf records the placement each application ran under.
 	PlacementOf map[int]*cluster.Placement
-
-	// TaskAttempts counts every subroutine invocation, retries included;
-	// it equals TasksRun when nothing failed.
-	TaskAttempts int
-	// TaskRetries counts re-invocations after a failed attempt.
-	TaskRetries int
-	// TaskRecoveries counts tasks that succeeded after >= 1 failure.
-	TaskRecoveries int
 	// FaultsInjected is the fabric's injected-error total at run end
 	// (across the fabric's lifetime, not just this run).
 	FaultsInjected int64
@@ -337,10 +262,7 @@ func (s *Server) Run(d *workflow.DAG, policy Policy) (*Report, error) {
 				groupStart = time.Now()
 				obsBundlesRun.Add(int64(len(grp)))
 			}
-			gstats, err := s.launchGroup(appIDs, pl, gs.ID())
-			rep.TaskAttempts += gstats.attempts
-			rep.TaskRetries += gstats.retries
-			rep.TaskRecoveries += gstats.recoveries
+			err = s.launchGroup(appIDs, pl, gs.ID())
 			gs.End()
 			if err != nil {
 				rep.FaultsInjected = s.fabric.FaultsInjected()
@@ -442,26 +364,18 @@ func sameBundle(d *workflow.DAG, appIDs []int) bool {
 	return false
 }
 
-// groupStats tallies the retry activity of one launched group.
-type groupStats struct {
-	attempts   int
-	retries    int
-	recoveries int
-}
-
 // launchGroup runs every task of the group's applications on its placed
 // core: a bundle-wide communicator is created, each execution client
 // colors itself with its application id and splits into the per-app
-// communicator, then runs the registered subroutine. When a task retry
-// policy is installed, a failed subroutine is re-invoked up to the attempt
-// budget with backoff between attempts; the communicator split happens
-// once, before the first attempt, because a torn-down group cannot be
-// re-colored without its peers.
-func (s *Server) launchGroup(appIDs []int, pl *cluster.Placement, parent obs.SpanID) (groupStats, error) {
+// communicator, then invokes the registered subroutine — once. A task that
+// has met a collective cannot be restarted without its peers, so a failed
+// task fails the run as a *TaskError; riding out a lost node is the job of
+// the data operations and their retry policy.
+func (s *Server) launchGroup(appIDs []int, pl *cluster.Placement, parent obs.SpanID) error {
 	// Deterministic task order defines bundle-comm ranks.
 	tasks := pl.Tasks()
 	if len(tasks) == 0 {
-		return groupStats{}, fmt.Errorf("runtime: empty placement")
+		return fmt.Errorf("runtime: empty placement")
 	}
 	cores := make([]cluster.CoreID, len(tasks))
 	for i, t := range tasks {
@@ -469,7 +383,7 @@ func (s *Server) launchGroup(appIDs []int, pl *cluster.Placement, parent obs.Spa
 	}
 	bundleComms, err := mpi.NewComms(s.fabric, cores, 0, "setup")
 	if err != nil {
-		return groupStats{}, err
+		return err
 	}
 	// Producer info for concurrent coupling inside the group.
 	producers := make(map[int]cods.ProducerInfo, len(appIDs))
@@ -482,13 +396,9 @@ func (s *Server) launchGroup(appIDs []int, pl *cluster.Placement, parent obs.Spa
 			},
 		}
 	}
-	s.markClients(cores, clientBusy)
-	defer s.markClients(cores, clientIdle)
 
-	pol := s.taskRetryPolicy()
 	tr := s.tracer.Load()
 	errs := make([]error, len(tasks))
-	stats := make([]groupStats, len(tasks))
 	var wg sync.WaitGroup
 	for i, t := range tasks {
 		wg.Add(1)
@@ -496,7 +406,7 @@ func (s *Server) launchGroup(appIDs []int, pl *cluster.Placement, parent obs.Spa
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
-					errs[i] = fmt.Errorf("runtime: task %v panicked: %v", t, r)
+					errs[i] = &TaskError{Task: t, Core: cores[i], Err: fmt.Errorf("panic: %v", r)}
 				}
 			}()
 			ts := tr.Start(parent, fmt.Sprintf("task:%d.%d", t.App, t.Rank))
@@ -510,11 +420,10 @@ func (s *Server) launchGroup(appIDs []int, pl *cluster.Placement, parent obs.Spa
 					obsTaskNs.Observe(time.Since(taskStart).Nanoseconds())
 				}()
 			}
-			// Coloring: same app id -> same process group. Split errors are
-			// not retried: the peers have already formed the group.
+			// Coloring: same app id -> same process group.
 			sub, err := bundleComms[i].CommSplit(t.App, t.Rank)
 			if err != nil {
-				errs[i] = err
+				errs[i] = &TaskError{Task: t, Core: cores[i], Err: err}
 				return
 			}
 			spec := s.apps[t.App]
@@ -524,132 +433,26 @@ func (s *Server) launchGroup(appIDs []int, pl *cluster.Placement, parent obs.Spa
 					others[a] = info
 				}
 			}
-			// core is where the task's data operations bind; a remap moves
-			// it to a spare execution client between attempts.
-			core := cores[i]
-			runAttempt := func() (err error) {
-				defer func() {
-					if r := recover(); r != nil {
-						err = fmt.Errorf("runtime: task %v panicked: %v", t, r)
-					}
-				}()
-				h := s.space.HandleAt(core, t.App, fmt.Sprintf("app:%d", t.App))
-				h.SetSpanParent(ts.ID())
-				ctx := &AppContext{
-					AppID:     t.App,
-					Rank:      t.Rank,
-					Comm:      sub,
-					Space:     h,
-					Decomp:    spec.Decomp,
-					Producers: others,
-					Machine:   s.machine,
-				}
-				return spec.Run(ctx)
-			}
-			seed := uint64(uint32(t.App))<<32 | uint64(uint32(t.Rank))
-			attempts, err := retry.Do(pol.Policy, seed, nil,
-				func(d time.Duration) {
-					obsTaskBackoff.Observe(d.Nanoseconds())
-				},
-				func(attempt int) error {
-					if attempt > 1 {
-						stats[i].retries++
-						obsTaskRetries.Inc()
-						tr.Event(ts.ID(), fmt.Sprintf("retry:task:%d.%d", t.App, t.Rank))
-						if pol.Remap {
-							if spare, ok := s.spareCore(core); ok {
-								core = spare
-								obsTaskRemaps.Inc()
-							}
-						}
-					}
-					stats[i].attempts++
-					return runAttempt()
-				})
-			if err != nil {
-				errs[i] = &TaskError{Task: t, Core: core, Attempts: attempts, Err: err}
-				return
-			}
-			if attempts > 1 {
-				stats[i].recoveries++
-				obsTaskRecovs.Inc()
-				tr.Event(ts.ID(), fmt.Sprintf("recovered:task:%d.%d", t.App, t.Rank))
+			h := s.space.HandleAt(cores[i], t.App, fmt.Sprintf("app:%d", t.App))
+			h.SetSpanParent(ts.ID())
+			if err := spec.Run(&AppContext{
+				AppID:     t.App,
+				Rank:      t.Rank,
+				Comm:      sub,
+				Space:     h,
+				Decomp:    spec.Decomp,
+				Producers: others,
+				Machine:   s.machine,
+			}); err != nil {
+				errs[i] = &TaskError{Task: t, Core: cores[i], Err: err}
 			}
 		}(i, t)
 	}
 	wg.Wait()
-	var gs groupStats
-	for _, st := range stats {
-		gs.attempts += st.attempts
-		gs.retries += st.retries
-		gs.recoveries += st.recoveries
-	}
-	for i, err := range errs {
+	for _, err := range errs {
 		if err != nil {
-			var te *TaskError
-			if errors.As(err, &te) {
-				return gs, err
-			}
-			return gs, fmt.Errorf("runtime: task %v: %w", tasks[i], err)
+			return err
 		}
 	}
-	return gs, nil
-}
-
-// spareCore picks an idle execution client other than busy, for remapping a
-// retried task's data operations. Spares are not marked busy: a handle on a
-// shared core is harmless (every endpoint operation is concurrency-safe),
-// and marking would starve sibling retries on small machines.
-func (s *Server) spareCore(busy cluster.CoreID) (cluster.CoreID, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	best, found := cluster.CoreID(0), false
-	for c, st := range s.clients {
-		if st != clientIdle || c == busy {
-			continue
-		}
-		if !found || c < best {
-			best, found = c, true
-		}
-	}
-	return best, found
-}
-
-// markClients flips the registration state of a core set. Retired cores
-// keep their state: a group teardown racing a node retirement must not
-// resurrect the departed node's clients.
-func (s *Server) markClients(cores []cluster.CoreID, st clientState) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range cores {
-		if s.clients[c] == clientRetired {
-			continue
-		}
-		s.clients[c] = st
-	}
-}
-
-// RetireNode withdraws every execution client on a node from the remap
-// spare pool — the node's serving process left the member set, so a
-// retried task must move to a surviving core, never onto the dead node.
-func (s *Server) RetireNode(node cluster.NodeID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for c := 0; c < s.machine.TotalCores(); c++ {
-		if s.machine.NodeOf(cluster.CoreID(c)) == node {
-			s.clients[cluster.CoreID(c)] = clientRetired
-		}
-	}
-}
-
-// RestoreNode re-registers a node's execution clients after a replacement
-// process joined its slot.
-func (s *Server) RestoreNode(node cluster.NodeID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for c := 0; c < s.machine.TotalCores(); c++ {
-		if s.machine.NodeOf(cluster.CoreID(c)) == node && s.clients[cluster.CoreID(c)] == clientRetired {
-			s.clients[cluster.CoreID(c)] = clientIdle
-		}
-	}
+	return nil
 }

@@ -1,8 +1,11 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/insitu/cods/internal/cluster"
@@ -290,8 +293,9 @@ func TestAppPanicIsCaptured(t *testing.T) {
 	}
 	d, _ := workflow.New([]int{1}, nil, nil)
 	_, err := s.Run(d, DataCentric)
-	if err == nil || !strings.Contains(err.Error(), "kaboom") {
-		t.Fatalf("panic not captured: %v", err)
+	var te *TaskError
+	if !errors.As(err, &te) || !strings.Contains(err.Error(), "kaboom") {
+		t.Fatalf("panic not captured as a *TaskError: %v", err)
 	}
 }
 
@@ -333,9 +337,82 @@ func TestCommSplitRanksMatchTaskRanks(t *testing.T) {
 	}
 }
 
+// TestClientRegistration: one execution client per core — a 12-task
+// application on a 3x4 machine runs every task from a core of its own.
 func TestClientRegistration(t *testing.T) {
-	s := newServer(t, 3, 4, []int{4, 4})
-	if len(s.clients) != 12 {
-		t.Fatalf("%d clients registered, want one per core (12)", len(s.clients))
+	size := []int{12, 12}
+	s := newServer(t, 3, 4, size)
+	var mu sync.Mutex
+	cores := map[cluster.CoreID]int{}
+	if err := s.RegisterApp(AppSpec{
+		ID: 1, Decomp: mustDecomp(t, decomp.Blocked, size, []int{4, 3}),
+		Run: func(ctx *AppContext) error {
+			mu.Lock()
+			cores[ctx.Space.Core()]++
+			mu.Unlock()
+			return nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := workflow.New([]int{1}, nil, nil)
+	if _, err := s.Run(d, DataCentric); err != nil {
+		t.Fatal(err)
+	}
+	if len(cores) != 12 {
+		t.Fatalf("12 tasks ran from %d distinct cores %v, want one each", len(cores), cores)
+	}
+}
+
+// TestTaskRunsOnce: a failed subroutine is never invoked again — it fails
+// the run as a *TaskError naming the task and its core, unwrapping to the
+// subroutine's error.
+func TestTaskRunsOnce(t *testing.T) {
+	size := []int{4, 4}
+	s := newServer(t, 2, 2, size)
+	boom := errors.New("boom")
+	var calls atomic.Int32
+	if err := s.RegisterApp(AppSpec{
+		ID: 1, Decomp: mustDecomp(t, decomp.Blocked, size, []int{1, 1}),
+		Run: func(*AppContext) error {
+			calls.Add(1)
+			return boom
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := workflow.New([]int{1}, nil, nil)
+	_, err := s.Run(d, DataCentric)
+	var te *TaskError
+	if !errors.As(err, &te) || !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want a *TaskError wrapping the subroutine's error", err)
+	}
+	if te.Task != (cluster.TaskID{App: 1, Rank: 0}) {
+		t.Fatalf("TaskError names task %v, want 1.0", te.Task)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("the failed subroutine ran %d times, want once", n)
+	}
+}
+
+func TestTaskErrorContract(t *testing.T) {
+	boom := errors.New("boom")
+	te := &TaskError{
+		Task: cluster.TaskID{App: 3, Rank: 5},
+		Core: 7,
+		Err:  fmt.Errorf("wrapped: %w", boom),
+	}
+	if !errors.Is(te, boom) {
+		t.Fatal("errors.Is does not reach the cause through TaskError")
+	}
+	var got *TaskError
+	if !errors.As(error(te), &got) || got.Task.App != 3 || got.Core != 7 {
+		t.Fatalf("errors.As round-trip = %+v", got)
+	}
+	msg := te.Error()
+	for _, want := range []string{"3.5", "core 7", "boom"} {
+		if !strings.Contains(msg, want) {
+			t.Fatalf("Error() = %q, missing %q", msg, want)
+		}
 	}
 }

@@ -37,9 +37,8 @@ func TestStreamingChaos(t *testing.T) {
 	// Producer tasks land on cores 0-3, consumers on 4-5, so node 1
 	// (cores 3-5) owns one producer piece and one consumer; -chaos-after 4
 	// kills it once the first version is fully staged and the next is in
-	// flight. No -task-retry: a producer's versions survive the kill
-	// through the ledger restage, and a re-run would re-stamp versions the
-	// stream already advanced past. The retry budget must outlive lease
+	// flight. A producer's versions survive the kill through the ledger
+	// restage and the put's own retry. The retry budget must outlive lease
 	// expiry plus replacement spawn plus the read-patience bounce.
 	text := runCodsrun(t, bin,
 		"-backend", "tcp",
