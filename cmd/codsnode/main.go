@@ -2,7 +2,8 @@
 // over TCP. A driver (codsrun -backend=tcp) launches one codsnode per
 // node; each child builds HybridDART and CoDS for the shared machine shape
 // — the transport fabric and the CoDS space, whose lookup (DHT) cores
-// register their handlers on it — and nothing of the layers above them: it
+// register their handlers on it, through node.Start, the constructor the
+// in-process test cluster shares — and nothing of the layers above them: it
 // maps no task and runs none. It owns only its own node's exposed buffers
 // and DHT records (mailboxes live with the tasks, in the driver), which it
 // serves to the driver through the tcpnet wire protocol. A codsnode answers operations; it never
@@ -30,10 +31,9 @@ import (
 	"time"
 
 	"github.com/insitu/cods/internal/cluster"
-	"github.com/insitu/cods/internal/cods"
 	"github.com/insitu/cods/internal/geometry"
+	"github.com/insitu/cods/internal/node"
 	"github.com/insitu/cods/internal/obs"
-	"github.com/insitu/cods/internal/transport"
 	"github.com/insitu/cods/internal/transport/tcpnet"
 )
 
@@ -101,19 +101,13 @@ func run(o nodeOptions) error {
 	if err != nil {
 		return err
 	}
-	fabric := transport.NewFabric(m)
-	// The space is never used directly: building it registers its lookup
-	// cores' DHT handlers on the fabric (and linking it, the block decoder
-	// an opExpose needs).
-	if _, err := cods.NewSpaceWithCurve(fabric, geometry.BoxFromSize(domain), o.curve); err != nil {
-		return err
-	}
-	be, err := tcpnet.Serve(fabric, cluster.NodeID(o.node), o.listen,
+	n, err := node.Start(m, cluster.NodeID(o.node), o.listen, geometry.BoxFromSize(domain), o.curve,
 		tcpnet.Config{Incarnation: o.incarnation, ReadPatience: o.readPatience})
 	if err != nil {
 		return err
 	}
-	defer be.Close()
+	defer n.Close()
+	be := n.Backend()
 	if o.spans {
 		be.EnableSpanCapture()
 	}
@@ -129,9 +123,7 @@ func run(o nodeOptions) error {
 		defer srv.Close()
 		fmt.Printf("CODSNODE OBS %s\n", srv.Addr())
 	}
-	// The fabric gets no backend: every handler here touches this node's own
-	// state, so nothing this process runs ever crosses the wire outward.
-	fmt.Printf("CODSNODE LISTEN %s\n", be.Addr(cluster.NodeID(o.node)))
+	fmt.Printf("CODSNODE LISTEN %s\n", be.Addr())
 	<-be.Done()
 	return nil
 }

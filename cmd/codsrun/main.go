@@ -598,11 +598,7 @@ func writeReport(fw *cods.Framework, d *cods.DAG, o options, rep *cods.Report, t
 		r.AddCheck("tcpnet.bytes_out", r.Metrics.Counters["tcpnet.bytes_out"], ws.BytesOut)
 		r.AddCheck("tcpnet.bytes_in", r.Metrics.Counters["tcpnet.bytes_in"], ws.BytesIn)
 		for _, acct := range tcpBE.NodeAccounts() {
-			names := make([]string, len(acct.Nodes))
-			for i, nd := range acct.Nodes {
-				names[i] = fmt.Sprintf("node%d", nd)
-			}
-			n := r.AddNode(strings.Join(names, "+"), acct.Addr, acct.Registry)
+			n := r.AddNode(fmt.Sprintf("node%d", acct.Node), acct.Addr, acct.Registry)
 			if !acct.Registry.Enabled {
 				continue // child ran without -obs; nothing to reconcile
 			}

@@ -25,9 +25,11 @@ func conformanceSeeds(t *testing.T, full int) uint64 {
 // concurrent coupling, every mapping policy, halos, multiple versions,
 // restaging, fault plans — and requires byte identity with the reference
 // model plus every cross-layer invariant. Every scenario runs on both
-// transport backends (in-process and TCP loopback) and must produce
-// byte-identical gets and equal metered traffic on each. On failure the
-// scenario is shrunk to a minimal reproduction before reporting.
+// transport backends — in process, and over TCP in the shape that ships: a
+// driver and one serving node per machine node, so every expose, read and
+// lookup crosses a socket — and must produce byte-identical gets and equal
+// metered traffic on each. On failure the scenario is shrunk to a minimal
+// reproduction before reporting.
 func TestConformanceSweep(t *testing.T) {
 	n := conformanceSeeds(t, 24)
 	for seed := uint64(1); seed <= n; seed++ {
@@ -63,11 +65,12 @@ func TestConformanceFaultsConcurrentPulls(t *testing.T) {
 }
 
 // TestConformanceElastic is the sweep pinned to node-loss scenarios:
-// after the first get round a node's serving process is lost — its exposed
-// buffers and its DHT table are gone (Space.ResetNode), which the harness
-// first proves through the lookup — and replaced in its slot; the recovery
-// is the membership.Reconcile that codsrun -elastic runs, from the put
-// ledger. The re-get round must stay byte-identical to the reference model,
+// after the first get round a node's serving process is lost and replaced
+// in its slot — its exposed buffers and its DHT table are gone
+// (Space.ResetNode in process; on the TCP leg node.Cluster.Replace closes
+// the serving node and starts a fresh one at the next incarnation), which
+// the harness first proves through the lookup; the recovery is the
+// membership.Reconcile that codsrun -elastic runs, from the put ledger. The re-get round must stay byte-identical to the reference model,
 // whose ownership never changed, on both backends, with all accounting
 // invariants intact.
 func TestConformanceElastic(t *testing.T) {

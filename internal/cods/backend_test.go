@@ -18,17 +18,18 @@ import (
 	"github.com/insitu/cods/internal/transport"
 )
 
-// fakeBackend is a transport.Backend that executes every routed operation
-// on the fabric's own Local* side, standing in for a wire: remote decides
-// what is routed, and the first failures buffer-state round trips
-// (Exposed/Unexpose), the first exposeFailures exposes and the first
-// callFailures RPCs fail the way a dropped connection would.
+// fakeBackend is a transport.Backend that executes every operation on the
+// fabric's own Local* side, standing in for a wire: the first failures
+// buffer-state round trips (Exposed/Unexpose), the first exposeFailures
+// exposes and the first callFailures RPCs fail the way a dropped connection
+// would, and the first lostAcks exposes that get through land and then
+// fail, the way a lost acknowledgement would.
 type fakeBackend struct {
 	f              *transport.Fabric
-	remote         func(initiator, target cluster.CoreID) bool
 	failures       atomic.Int32
 	exposeFailures atomic.Int32
 	callFailures   atomic.Int32
+	lostAcks       atomic.Int32
 }
 
 var errRoundTrip = errors.New("fake backend: connection reset")
@@ -41,9 +42,6 @@ func (b *fakeBackend) roundTrip() error {
 }
 
 func (b *fakeBackend) Name() string { return "fake" }
-func (b *fakeBackend) Remote(initiator, target cluster.CoreID) bool {
-	return b.remote(initiator, target)
-}
 func (b *fakeBackend) Close() error { return nil }
 
 func (b *fakeBackend) ReadMulti(reader cluster.CoreID, specs []transport.ReadSpec, m transport.Meter, deliver transport.SegmentFunc) error {
@@ -61,7 +59,11 @@ func (b *fakeBackend) Expose(owner cluster.CoreID, key transport.BufKey, payload
 	if b.exposeFailures.Add(-1) >= 0 {
 		return errRoundTrip
 	}
-	return b.f.LocalExpose(owner, key, payload)
+	err := b.f.LocalExpose(owner, key, payload)
+	if b.lostAcks.Add(-1) >= 0 {
+		return errRoundTrip
+	}
+	return err
 }
 
 func (b *fakeBackend) Unexpose(owner cluster.CoreID, key transport.BufKey) (bool, error) {
@@ -85,7 +87,7 @@ func (b *fakeBackend) Exposed(owner cluster.CoreID, key transport.BufKey) (bool,
 // staging memory to zero so later puts fit under the limit again.
 func TestDiscardSurvivesFailedRoundTrip(t *testing.T) {
 	_, sp := testRig(t, 1, 2, []int{8, 8})
-	be := &fakeBackend{f: sp.Fabric(), remote: func(_, _ cluster.CoreID) bool { return true }}
+	be := &fakeBackend{f: sp.Fabric()}
 	sp.Fabric().SetBackend(be)
 	blk := geometry.BoxFromSize([]int{8, 8})
 	sp.SetMemoryLimit(blk.Volume() * ElemSize)
@@ -124,7 +126,7 @@ func (l *putLog) RecordDiscard(string, int, geometry.BBox, cluster.CoreID) { l.l
 // instead of failing with "already exposed".
 func TestPutSequentialUndoesFailedInsert(t *testing.T) {
 	_, sp := testRig(t, 1, 2, []int{8, 8})
-	be := &fakeBackend{f: sp.Fabric(), remote: func(_, _ cluster.CoreID) bool { return true }}
+	be := &fakeBackend{f: sp.Fabric()}
 	sp.Fabric().SetBackend(be)
 	ledger := &putLog{}
 	sp.SetPutRecorder(ledger)
@@ -171,7 +173,7 @@ func TestPutSequentialRetriesFailedExpose(t *testing.T) {
 	const failures = 3
 	for _, pol := range []retry.Policy{{}, fastPolicy(failures + 1)} {
 		_, sp := testRig(t, 1, 2, []int{8, 8})
-		be := &fakeBackend{f: sp.Fabric(), remote: func(_, _ cluster.CoreID) bool { return true }}
+		be := &fakeBackend{f: sp.Fabric()}
 		sp.Fabric().SetBackend(be)
 		ledger := &putLog{}
 		sp.SetPutRecorder(ledger)
@@ -217,6 +219,50 @@ func TestPutSequentialRetriesFailedExpose(t *testing.T) {
 	}
 }
 
+// TestRetriedPutReservesOnce: a core already holds block A when the put of
+// B fails once and is re-attempted. Whether B's expose landed and lost its
+// acknowledgement, or its registration and then its withdrawal failed, the
+// failed attempt gave its reservation back, so the re-attempt must not
+// give it back a second time: the core holds A + B afterwards, and the
+// memory limit still bounds it.
+func TestRetriedPutReservesOnce(t *testing.T) {
+	a := geometry.NewBBox(geometry.Point{0, 0}, geometry.Point{4, 8})
+	b := geometry.NewBBox(geometry.Point{4, 0}, geometry.Point{8, 8})
+	for _, tc := range []struct {
+		name string
+		fail func(be *fakeBackend)
+	}{
+		{"lost expose acknowledgement", func(be *fakeBackend) { be.lostAcks.Store(1) }},
+		{"failed insert, then failed withdrawal", func(be *fakeBackend) {
+			be.callFailures.Store(2) // both attempts of the DHT client's own retry
+			be.failures.Store(1)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, sp := testRig(t, 1, 2, []int{8, 8})
+			be := &fakeBackend{f: sp.Fabric()}
+			sp.Fabric().SetBackend(be)
+			sp.SetRetryPolicy(fastPolicy(2))
+			h := sp.HandleAt(0, 1, "p")
+			if err := h.PutSequential("v", 0, a, fillRegion(a)); err != nil {
+				t.Fatal(err)
+			}
+			tc.fail(be)
+			if err := h.PutSequential("v", 0, b, fillRegion(b)); err != nil {
+				t.Fatalf("re-attempted put: %v", err)
+			}
+			if got, want := sp.MemoryUsed(0), (a.Volume()+b.Volume())*ElemSize; got != want {
+				t.Fatalf("MemoryUsed after the re-attempted put = %d, want A + B = %d", got, want)
+			}
+			got, err := sp.HandleAt(1, 2, "g").GetSequential("v", 0, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRegion(t, b, got)
+		})
+	}
+}
+
 // TestRetireCountsFailedDiscard is the regression test for the dropped
 // retirement error: when the withdrawal of a retired stream block fails,
 // the stream still moves on (no retry, the advance succeeds), but the
@@ -227,7 +273,7 @@ func TestRetireCountsFailedDiscard(t *testing.T) {
 	obs.Enable(true)
 	t.Cleanup(func() { obs.Enable(prev) })
 	_, sp := testRig(t, 1, 2, []int{8})
-	be := &fakeBackend{f: sp.Fabric(), remote: func(_, _ cluster.CoreID) bool { return true }}
+	be := &fakeBackend{f: sp.Fabric()}
 	sp.Fabric().SetBackend(be)
 	var spans bytes.Buffer
 	tr := obs.NewTracer(&spans)
@@ -270,14 +316,13 @@ func TestRetireCountsFailedDiscard(t *testing.T) {
 	}
 }
 
-// TestPartitionPulls pins the batch shape of the pull engine: every
-// unrouted transfer is a batch of its own, the routed ones form exactly
-// one batch per owning node, schedule order survives inside every batch,
-// and every spec of a batch reads the get's version while the schedule it
-// came from stays versionless.
+// TestPartitionPulls pins the batch shape of the pull engine: on a driver's
+// fabric the transfers form exactly one batch per owning node, in process
+// every transfer is a batch of its own, schedule order survives inside
+// every batch, and every spec of a batch reads the get's version while the
+// schedule it came from stays versionless.
 func TestPartitionPulls(t *testing.T) {
-	// 4 nodes x 2 cores; the puller sits on core 0 (node 0) and everything
-	// on another node is routed.
+	// 4 nodes x 2 cores; the puller sits on core 0 (node 0).
 	for _, tc := range []struct {
 		name    string
 		inproc  bool
@@ -286,17 +331,14 @@ func TestPartitionPulls(t *testing.T) {
 		batches int
 	}{
 		{name: "empty schedule"},
-		{name: "all unrouted", owners: []cluster.CoreID{0, 1, 1, 0}, singles: 4},
 		{name: "one remote node", owners: []cluster.CoreID{2, 3, 2}, batches: 1},
-		{name: "interleaved", owners: []cluster.CoreID{0, 2, 4, 1, 3, 6, 5, 0, 7}, singles: 3, batches: 3},
-		{name: "remote first", owners: []cluster.CoreID{6, 0, 7, 2}, singles: 1, batches: 2},
+		{name: "interleaved", owners: []cluster.CoreID{0, 2, 4, 1, 3, 6, 5, 0, 7}, batches: 4},
 		{name: "no backend routes nothing", inproc: true, owners: []cluster.CoreID{0, 2, 4, 6, 7}, singles: 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, sp := testRig(t, 4, 2, []int{16})
 			if !tc.inproc {
-				sp.Fabric().SetBackend(&fakeBackend{f: sp.Fabric(),
-					remote: func(i, tg cluster.CoreID) bool { return !m.SameNode(i, tg) }})
+				sp.Fabric().SetBackend(&fakeBackend{f: sp.Fabric()})
 			}
 			sched := make([]transport.ReadSpec, len(tc.owners))
 			for i, o := range tc.owners {
@@ -318,7 +360,7 @@ func TestPartitionPulls(t *testing.T) {
 				if len(item) == 0 {
 					t.Fatal("empty work item")
 				}
-				routed := !tc.inproc && !m.SameNode(0, item[0].Owner)
+				routed := !tc.inproc
 				if !routed {
 					singles++
 					if len(item) != 1 {
@@ -360,9 +402,8 @@ func TestPartitionPulls(t *testing.T) {
 	}
 }
 
-// peerBackend is a fakeBackend over a 4-node x 2-core machine that routes
-// everything off the initiator's node and makes ReadMulti observable and
-// steerable per owning node: it counts the calls and the most that were
+// peerBackend is a fakeBackend over a 4-node x 2-core machine that makes
+// ReadMulti observable and steerable per owning node: it counts the calls and the most that were
 // ever in flight together, runs hold (when set) with the owning node
 // before serving, fails the nodes in fail with errRoundTrip, and closes
 // returned[node] when that node's call has returned.
@@ -395,14 +436,13 @@ func (b *peerBackend) ReadMulti(reader cluster.CoreID, specs []transport.ReadSpe
 }
 
 // peerRig stages a 32-cell variable as eight 4-cell blocks, block i on
-// core i, behind a peerBackend: for a reader on core 0, blocks 0-1 are
-// unrouted and nodes 1-3 own two routed blocks each.
+// core i, behind a peerBackend: each node owns two blocks, and nodes 1-3
+// own the cells [8, 32) — three peers of a reader on core 0.
 func peerRig(t *testing.T) (*Space, *peerBackend, []geometry.BBox) {
 	t.Helper()
 	m, sp := testRig(t, 4, 2, []int{32})
 	be := &peerBackend{m: m, returned: make(map[cluster.NodeID]chan struct{})}
 	be.f = sp.Fabric()
-	be.remote = func(i, tg cluster.CoreID) bool { return !m.SameNode(i, tg) }
 	for n := 0; n < m.NumNodes(); n++ {
 		be.returned[cluster.NodeID(n)] = make(chan struct{})
 	}
@@ -437,9 +477,9 @@ func spawnedByPull() int {
 	return bytes.Count(buf, []byte("created by github.com/insitu/cods/internal/cods.(*Handle).pull in goroutine"))
 }
 
-// TestPullOverlapsRemotePeers: a get whose blocks sit on three remote
-// nodes has all three ReadMulti calls in flight together, on two
-// goroutines beyond the caller's.
+// TestPullOverlapsRemotePeers: a get whose blocks sit on three nodes has
+// all three ReadMulti calls in flight together, on two goroutines beyond
+// the caller's.
 func TestPullOverlapsRemotePeers(t *testing.T) {
 	sp, be, _ := peerRig(t)
 	var arrived sync.WaitGroup
@@ -455,28 +495,29 @@ func TestPullOverlapsRemotePeers(t *testing.T) {
 		arrived.Done()
 		awaitOr(t, all, "three overlapped ReadMulti calls")
 	}
-	region := geometry.BoxFromSize([]int{32})
+	region := geometry.NewBBox(geometry.Point{8}, geometry.Point{32})
 	out, err := sp.HandleAt(0, 2, "get").GetSequential("v", 0, region)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkRegion(t, region, out)
 	if got := be.reads.Load(); got != 3 {
-		t.Fatalf("%d ReadMulti calls, want one per remote owning node = 3", got)
+		t.Fatalf("%d ReadMulti calls, want one per owning node = 3", got)
 	}
 	if got := be.maxInFlight.Load(); got != 3 {
 		t.Fatalf("at most %d ReadMulti calls in flight together, want 3", got)
 	}
 	if spawned != 2 {
-		t.Fatalf("get spawned %d goroutines, want remote owning nodes - 1 = 2", spawned)
+		t.Fatalf("get spawned %d goroutines, want owning nodes - 1 = 2", spawned)
 	}
 }
 
-// TestPullLocalRunsInline: a get whose blocks are all unrouted never
-// calls the backend's ReadMulti and spawns nothing — sampled while the
+// TestPullLocalRunsInline: a get on an in-process fabric runs its
+// transfers on the calling goroutine and spawns nothing — sampled while the
 // get is blocked inside its last transfer.
 func TestPullLocalRunsInline(t *testing.T) {
-	sp, be, blocks := peerRig(t)
+	sp, _, blocks := peerRig(t)
+	sp.Fabric().SetBackend(nil) // the staged buffers stay: they live on this fabric
 	owner := sp.HandleAt(1, 1, "put")
 	if err := owner.Discard("v", 0, blocks[1]); err != nil {
 		t.Fatal(err)
@@ -512,15 +553,12 @@ func TestPullLocalRunsInline(t *testing.T) {
 		t.Fatal(res.err)
 	}
 	checkRegion(t, region, res.out)
-	if got := be.reads.Load(); got != 0 {
-		t.Fatalf("all-local get made %d backend ReadMulti calls, want 0", got)
-	}
 }
 
-// TestPullFirstErrorByBatchIndex: when the batches of nodes 2 and 3 both
-// fail — node 3's first — the get reports node 2's, the lower-indexed
-// batch, as a *PullError naming that batch's first sub-box, and only after
-// every batch (node 1's succeeds last) has finished.
+// TestPullFirstErrorByBatchIndex: when the batches of nodes 2 and 3 of a
+// get of [8, 32) both fail — node 3's first — the get reports node 2's, the
+// lower-indexed batch, as a *PullError naming that batch's first sub-box,
+// and only after every batch (node 1's succeeds last) has finished.
 func TestPullFirstErrorByBatchIndex(t *testing.T) {
 	for rep := 0; rep < 50; rep++ {
 		sp, be, blocks := peerRig(t)
@@ -530,7 +568,7 @@ func TestPullFirstErrorByBatchIndex(t *testing.T) {
 				awaitOr(t, be.returned[node+1], "the next peer's ReadMulti to return")
 			}
 		}
-		_, err := sp.HandleAt(0, 2, "get").GetSequential("v", 0, geometry.BoxFromSize([]int{32}))
+		_, err := sp.HandleAt(0, 2, "get").GetSequential("v", 0, geometry.NewBBox(geometry.Point{8}, geometry.Point{32}))
 		var pe *PullError
 		if !errors.As(err, &pe) || !errors.Is(err, errRoundTrip) {
 			t.Fatalf("rep %d: err = %v, want a *PullError wrapping the round-trip error", rep, err)

@@ -448,12 +448,12 @@ func (sp *Space) release(c cluster.CoreID, n int64) {
 }
 
 // ResetNode makes the space what a crash of the node's serving process
-// leaves of it: the node's exposed buffers and its DHT core's location
-// table are dropped where that state lives in this process (an in-process
-// fabric, a loopback backend — there this is the crash), and the staging
-// memory booked on the node's cores is zeroed everywhere, since whatever
-// was staged there is gone whether or not a discard ever says so. In a
-// driver that only dials, the account is all there is to reset.
+// leaves of it: on an in-process fabric the node's exposed buffers and its
+// DHT core's location table are dropped (there this is the crash), and the
+// staging memory booked on the node's cores is zeroed everywhere, since
+// whatever was staged there is gone whether or not a discard ever says so.
+// A driver's space holds neither buffers nor tables — they went with the
+// serving process — so there the account is all there is to reset.
 func (sp *Space) ResetNode(node cluster.NodeID) {
 	sp.fabric.ResetNode(node)
 	sp.lookup.ResetNode(int(node))
@@ -663,7 +663,8 @@ func orderSchedule(sched []transport.ReadSpec) []transport.ReadSpec {
 // backoff, so a put whose owner is lost mid-put waits out the replacement
 // and the reconcile instead of failing its task (tasks are never re-run).
 // An attempt after the first starts by withdrawing the buffer: an expose
-// whose acknowledgement was lost may have landed.
+// whose acknowledgement was lost may have landed. The withdrawal releases
+// nothing, since the failed attempt released its reservation itself.
 func (h *Handle) PutSequential(v string, version int, region geometry.BBox, data []float64) error {
 	if err := validatePut(v, region, data); err != nil {
 		return err
@@ -678,7 +679,7 @@ func (h *Handle) PutSequential(v string, version int, region geometry.BBox, data
 			if attempt > 1 {
 				obsPutRetries.Inc()
 				h.sp.tracer.Load().Event(h.spanParent, "retry:put:"+v)
-				if err := h.Discard(v, version, region); err != nil {
+				if _, err := h.endpoint().Unexpose(bufKey(v, region, version)); err != nil {
 					return err
 				}
 			}
@@ -688,7 +689,9 @@ func (h *Handle) PutSequential(v string, version int, region geometry.BBox, data
 }
 
 // putAttempt is one staging of a validated block: reserve, record, expose,
-// register — undone on failure, so another attempt starts clean.
+// register — undone on failure, so another attempt starts clean. A failed
+// attempt never holds its reservation, whether or not its buffer could be
+// withdrawn.
 func (h *Handle) putAttempt(v string, version int, region geometry.BBox, data []float64) error {
 	if err := h.sp.reserve(h.core, region.Volume()*ElemSize); err != nil {
 		return err
@@ -718,7 +721,9 @@ func (h *Handle) putAttempt(v string, version int, region geometry.BBox, data []
 		// found: undo all three (and any location record a partial insert
 		// left behind), so another attempt starts clean instead of failing
 		// with "already exposed" on top of a doubled reservation.
-		return errors.Join(err, h.DiscardSequential(v, version, region))
+		h.sp.release(h.core, region.Volume()*ElemSize)
+		_, uerr := h.endpoint().Unexpose(bufKey(v, region, version))
+		return errors.Join(err, uerr, h.unregister(v, version, region))
 	}
 	return nil
 }
@@ -879,11 +884,11 @@ func transferSeed(core cluster.CoreID, tr transport.ReadSpec, version int) uint6
 
 // pull executes a schedule: a receiver-driven pull of every piece,
 // assembling the row-major result. The schedule's owning peers set the
-// concurrency: of the batches of partitionPulls, this goroutine runs every
-// unrouted transfer and the first routed batch, and each further routed
-// batch gets a goroutine of its own, so the requests to all owning nodes
-// are in flight together — a get over an in-process fabric spawns nothing,
-// a get over a network backend at most (owning nodes - 1). Since schedule
+// concurrency: in process this goroutine runs the batches of
+// partitionPulls in turn and spawns nothing; on a driver's fabric it runs
+// the first batch and each further batch gets a goroutine of its own, so
+// the requests to all owning nodes are in flight together — at most
+// (owning nodes - 1) goroutines. Since schedule
 // sub-boxes are disjoint, each batch assembles into its own cells of the
 // output without locking, so the result does not depend on completion
 // order — nor on how many times a batch was retried, since a repeated copy
@@ -919,9 +924,10 @@ func (h *Handle) pull(v string, version int, region geometry.BBox, sched []trans
 	var wg sync.WaitGroup
 	own := -1 // the first routed batch, run here once the others are in flight
 	ok := true
+	routed := h.sp.fabric.Routed()
 	for i := 0; i < len(items) && ok; i++ {
 		switch {
-		case !h.sp.fabric.Routed(h.core, items[i][0].Owner):
+		case !routed:
 			ok = run(i)
 		case own < 0:
 			own = i
@@ -958,21 +964,22 @@ func (o *lazyOutput) cells() []float64 {
 	return o.buf
 }
 
-// partitionPulls splits a schedule into the batches pull executes.
-// Transfers the fabric routes through its backend are grouped by owning
-// node — one scatter-gather batch per peer, so a schedule costs one request
-// frame per owning node instead of one per sub-box. Every unrouted
-// transfer (same-process payload sharing) is a batch of its own, so each
-// keeps its own fault draw and retry budget; schedule order is preserved
-// within every batch. The batches are private copies of the specs, stamped
-// with the version of the get: the cached schedule stays versionless.
+// partitionPulls splits a schedule into the batches pull executes. On a
+// driver's fabric the transfers are grouped by owning node — one
+// scatter-gather batch per peer, so a schedule costs one request frame per
+// owning node instead of one per sub-box. In process (same-process payload
+// sharing) every transfer is a batch of its own, so each keeps its own
+// fault draw and retry budget; schedule order is preserved within every
+// batch. The batches are private copies of the specs, stamped with the
+// version of the get: the cached schedule stays versionless.
 func (h *Handle) partitionPulls(sched []transport.ReadSpec, version int) [][]transport.ReadSpec {
 	items := make([][]transport.ReadSpec, 0, len(sched))
 	machine := h.sp.fabric.Machine()
 	byNode := make(map[cluster.NodeID]int)
+	routed := h.sp.fabric.Routed()
 	for _, tr := range sched {
 		tr.Key.Version = version
-		if !h.sp.fabric.Routed(h.core, tr.Owner) {
+		if !routed {
 			items = append(items, []transport.ReadSpec{tr})
 			continue
 		}
@@ -1076,13 +1083,20 @@ func (h *Handle) DiscardSequential(v string, version int, region geometry.BBox) 
 	// A failed withdrawal does not stop the location record from being
 	// removed: consumers must stop being routed to the block either way.
 	derr := h.Discard(v, version, region)
-	rerr := h.lookupClient().Remove(h.phase, h.app,
+	return errors.Join(derr, h.unregister(v, version, region))
+}
+
+// unregister is the bookkeeping half of a sequential discard: the block's
+// location record is removed, every cached schedule of the variable is
+// invalidated and the put recorder drops the block.
+func (h *Handle) unregister(v string, version int, region geometry.BBox) error {
+	err := h.lookupClient().Remove(h.phase, h.app,
 		dht.Entry{Var: v, Version: version, Region: region, Owner: h.core})
 	h.sp.InvalidateSchedules(v)
 	if r := h.sp.putRecorder.Load(); r != nil {
 		(*r).RecordDiscard(v, version, region, h.core)
 	}
-	return errors.Join(derr, rerr)
+	return err
 }
 
 // schedKey builds the cache key for a schedule: operator, owning app,

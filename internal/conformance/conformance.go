@@ -22,6 +22,7 @@ import (
 	"github.com/insitu/cods/internal/graph"
 	"github.com/insitu/cods/internal/mapping"
 	"github.com/insitu/cods/internal/membership"
+	"github.com/insitu/cods/internal/node"
 	"github.com/insitu/cods/internal/obs"
 	"github.com/insitu/cods/internal/refmodel"
 	"github.com/insitu/cods/internal/remap"
@@ -50,14 +51,27 @@ type Options struct {
 	CorruptGet bool
 
 	// Backend selects the transport backend: "" or "inproc" keeps every
-	// operation in-process; "tcp" installs the loopback TCP backend, so
-	// every cross-node operation of the scenario makes a real round trip
-	// through sockets and the wire codec.
+	// operation in-process; "tcp" runs the scenario's space as a driver
+	// over one serving node per machine node (node.Cluster), the shape
+	// codsrun -backend=tcp deploys, so every operation on node-held state —
+	// an expose included — makes a real round trip through sockets and the
+	// wire codec.
 	Backend string
 
 	// stats, when non-nil, collects the run's observable outcome — get
 	// digests and metered byte totals — for cross-backend comparison.
 	stats *RunStats
+	// nodes is the TCP leg's cluster (nil in process).
+	nodes *node.Cluster
+}
+
+// mediumBytes is what the run's fabrics metered on md: the space's own in
+// process, the driver's and every serving node's on the TCP leg.
+func (o Options) mediumBytes(space *cods.Space, md cluster.Medium) int64 {
+	if o.nodes != nil {
+		return o.nodes.MediumBytes(md)
+	}
+	return space.Fabric().MediumBytes(md)
 }
 
 // Run executes the scenario and returns nil when the real pipeline agrees
@@ -103,15 +117,13 @@ func run(sc genwf.Scenario, opts Options) error {
 	switch opts.Backend {
 	case "", "inproc":
 	case "tcp":
-		be, err := tcpnet.NewLoopback(fabric, tcpnet.Config{Retry: retry.Default(), IOTimeout: 10 * time.Second})
+		nodes, err := node.NewCluster(fabric, sc.DomainBox(), sc.Curve,
+			tcpnet.Config{Retry: retry.Default(), IOTimeout: 10 * time.Second})
 		if err != nil {
-			return fmt.Errorf("conformance: tcp loopback backend: %w", err)
+			return fmt.Errorf("conformance: tcp cluster: %w", err)
 		}
-		fabric.SetBackend(be)
-		defer func() {
-			fabric.SetBackend(nil)
-			be.Close()
-		}()
+		defer nodes.Close()
+		opts.nodes = nodes
 	default:
 		return fmt.Errorf("conformance: unknown backend %q", opts.Backend)
 	}
@@ -169,8 +181,8 @@ func run(sc genwf.Scenario, opts Options) error {
 	}
 	if opts.stats != nil {
 		opts.stats.MediumBytes = [2]int64{
-			fabric.MediumBytes(cluster.SharedMemory),
-			fabric.MediumBytes(cluster.Network),
+			opts.mediumBytes(space, cluster.SharedMemory),
+			opts.mediumBytes(space, cluster.Network),
 		}
 		opts.stats.InterApp = [2]int64{
 			machine.Metrics().Bytes(cluster.InterApp, cluster.SharedMemory),
@@ -386,7 +398,7 @@ func runConcurrent(sc genwf.Scenario, opts Options, machine *cluster.Machine, sp
 			return cerr
 		}
 	}
-	return checkInvariants(sc, machine, space, pred, consumers, pl, pl, prodApp, consApp)
+	return checkInvariants(sc, opts, machine, space, pred, consumers, pl, pl, prodApp, consApp)
 }
 
 // runSequential executes a sequentially coupled scenario: the producer
@@ -477,14 +489,14 @@ func runSequential(sc genwf.Scenario, opts Options, machine *cluster.Machine, sp
 		// model is untouched because ownership is where it was, and the
 		// re-gets must return byte-identical data through schedules the
 		// reconcile's epoch bump forced to be recomputed.
-		if err := loseNode(sc, machine, space, ledger, cons, model, sc.Versions); err != nil {
+		if err := loseNode(sc, opts, machine, space, ledger, cons, model, sc.Versions); err != nil {
 			return err
 		}
 		if err := reget(sc, opts, consumers, model, get, pred); err != nil {
 			return err
 		}
 	}
-	return checkInvariants(sc, machine, space, pred, consumers, prodPl, consPl, prodApp, consApp)
+	return checkInvariants(sc, opts, machine, space, pred, consumers, prodPl, consPl, prodApp, consApp)
 }
 
 // reget is the second get round every ownership event of a single-version
@@ -578,19 +590,29 @@ func remapRound(sc genwf.Scenario, opts Options, machine *cluster.Machine, space
 
 // loseNode is the node loss of the lock-step elastic round and of the
 // mid-stream kill, recovered by the function codsrun -elastic runs once the
-// replacement process has joined in the dead node's slot. ResetNode is the
-// crash: the node's buffers and its DHT core's table are gone. Before the
+// replacement process has joined in the dead node's slot. The crash is
+// Space.ResetNode in process and Cluster.Replace on the TCP leg: either way
+// the node's buffers and its DHT core's table are gone. Before the
 // reconcile the loss must be visible — the lost table empty, and every
 // lookup short by exactly the records the model says only that table held —
-// so a ResetNode that silently does nothing fails here instead of passing
-// the rounds that follow. After membership.Reconcile the lookup must again
-// answer with the model's owners, which never changed. versions bounds the
-// versions checked.
-func loseNode(sc genwf.Scenario, machine *cluster.Machine, space *cods.Space, ledger *membership.Ledger,
+// so a crash that silently leaves state behind fails here instead of
+// passing the rounds that follow. After membership.Reconcile the lookup
+// must again answer with the model's owners, which never changed. versions
+// bounds the versions checked.
+func loseNode(sc genwf.Scenario, opts Options, machine *cluster.Machine, space *cods.Space, ledger *membership.Ledger,
 	cons *decomp.Decomposition, model *refmodel.Model, versions int) error {
 	killed := sc.Kill - 1
-	space.ResetNode(cluster.NodeID(killed))
-	if n := space.Lookup().TableSize(killed); n != 0 {
+	lost := space // where the lost table lives
+	if opts.nodes != nil {
+		n, err := opts.nodes.Replace(cluster.NodeID(killed))
+		if err != nil {
+			return fmt.Errorf("conformance: replacing node %d: %w", killed, err)
+		}
+		lost = n.Space()
+	} else {
+		space.ResetNode(cluster.NodeID(killed))
+	}
+	if n := lost.Lookup().TableSize(killed); n != 0 {
 		return fmt.Errorf("conformance: lost node %d still holds %d location records\n%s", killed, n, sc.GoLiteral())
 	}
 	if err := checkOwners(sc, machine, space, cons, model, versions, killed); err != nil {

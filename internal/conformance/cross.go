@@ -46,9 +46,9 @@ func (s *RunStats) recordGet(key string, data []float64) {
 	s.mu.Unlock()
 }
 
-// RunCross runs the scenario on the in-process backend and again on the
-// TCP loopback backend and asserts both produce byte-identical gets and
-// identical metered traffic. It is the backend dimension of the
+// RunCross runs the scenario on the in-process backend and again over TCP,
+// a driver and one serving node per machine node on loopback sockets, and
+// asserts both produce byte-identical gets and identical metered traffic. It is the backend dimension of the
 // conformance sweep: every operation the scenario performs must mean the
 // same thing whether it stays in-process or crosses real sockets.
 func RunCross(sc genwf.Scenario) error { return RunCrossOpts(sc, Options{}) }

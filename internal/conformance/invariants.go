@@ -122,10 +122,10 @@ func recordedBeside(curve sfc.Linearizer, nodes, lost int, region, block geometr
 
 // checkInvariants runs the cross-layer accounting checks after all rounds
 // completed.
-func checkInvariants(sc genwf.Scenario, machine *cluster.Machine, space *cods.Space,
+func checkInvariants(sc genwf.Scenario, opts Options, machine *cluster.Machine, space *cods.Space,
 	pred *predictor, consumers []*consumer, prodPl, consPl *cluster.Placement,
 	prodApp, consApp graph.App) error {
-	if err := checkFlowAccounting(sc, machine, space, pred); err != nil {
+	if err := checkFlowAccounting(sc, opts, machine, space, pred); err != nil {
 		return err
 	}
 
@@ -198,7 +198,7 @@ func checkInvariants(sc genwf.Scenario, machine *cluster.Machine, space *cods.Sp
 // runner: metered inter-app bytes against the model prediction, fabric
 // counter reconciliation, intra-app silence, and the per-(src, dst) flow
 // aggregation in both the metrics plane and the obs flow matrix.
-func checkFlowAccounting(sc genwf.Scenario, machine *cluster.Machine, space *cods.Space,
+func checkFlowAccounting(sc genwf.Scenario, opts Options, machine *cluster.Machine, space *cods.Space,
 	pred *predictor) error {
 	mx := machine.Metrics()
 
@@ -209,10 +209,10 @@ func checkFlowAccounting(sc genwf.Scenario, machine *cluster.Machine, space *cod
 			return fmt.Errorf("conformance: inter-app %s bytes = %d, model predicts %d\n%s",
 				md, got, want, sc.GoLiteral())
 		}
-		// 2. The fabric's independent medium counters reconcile with the
+		// 2. The fabrics' independent medium counters reconcile with the
 		// per-class metrics.
 		sum := mx.Bytes(cluster.InterApp, md) + mx.Bytes(cluster.IntraApp, md) + mx.Bytes(cluster.Control, md)
-		if got := space.Fabric().MediumBytes(md); got != sum {
+		if got := opts.mediumBytes(space, md); got != sum {
 			return fmt.Errorf("conformance: fabric %s bytes = %d, metrics classes sum to %d\n%s",
 				md, got, sum, sc.GoLiteral())
 		}

@@ -138,7 +138,7 @@ func runStreamLockstep(sc genwf.Scenario, opts Options, machine *cluster.Machine
 
 	for r := 0; r < sc.Rounds; r++ {
 		if r == killAt {
-			if err := loseNode(sc, machine, space, ledger, cons, model, ms.Latest()+1); err != nil {
+			if err := loseNode(sc, opts, machine, space, ledger, cons, model, ms.Latest()+1); err != nil {
 				return err
 			}
 		}
@@ -238,7 +238,7 @@ func runStreamLockstep(sc genwf.Scenario, opts Options, machine *cluster.Machine
 	if err := checkOwners(sc, machine, space, cons, model, ms.Latest()+1, -1); err != nil {
 		return err
 	}
-	return checkFlowAccounting(sc, machine, space, pred)
+	return checkFlowAccounting(sc, opts, machine, space, pred)
 }
 
 // consumeStreamStride runs one lock-step consume: every cursor reads the
@@ -501,7 +501,7 @@ func runStreamConcurrent(sc genwf.Scenario, opts Options, machine *cluster.Machi
 	if err := checkOwners(sc, machine, space, cons, model, sc.Rounds, -1); err != nil {
 		return err
 	}
-	return checkFlowAccounting(sc, machine, space, pred)
+	return checkFlowAccounting(sc, opts, machine, space, pred)
 }
 
 // checkStreamSync asserts the real stream and the model agree on the

@@ -469,9 +469,10 @@ func (s *Service) TableSize(node int) int {
 }
 
 // ResetNode empties the location table of one node's DHT core — what a
-// crash of that node's process leaves of it. The table lives in the
-// process that serves the node: in a driver that only dials there is
-// nothing here to drop.
+// crash of that node's process leaves of it, on an in-process fabric. Over
+// TCP the table lives in the process that serves the node, so a driver's
+// service has nothing here to drop, and a replacement node starts with an
+// empty table of its own.
 func (s *Service) ResetNode(node int) {
 	t := s.tables[node]
 	t.mu.Lock()

@@ -11,24 +11,33 @@ import (
 )
 
 // TestServeRejectsRankMismatch sends a DHT core, over real loopback
-// sockets, the requests a malformed or hostile frame could carry: an
+// sockets from a driver, the requests a malformed or hostile frame could carry: an
 // insert, a remove and a query whose region has another rank than the
 // curve, and ones whose region is empty. Each must come back as an ordinary
 // error — not as a handler panic the fabric happened to recover — the table
 // must be untouched, and the same connection must keep serving.
 func TestServeRejectsRankMismatch(t *testing.T) {
+	// The service's fabric is served node by node; a driver on a fabric of
+	// its own sends the requests, as codsrun -backend=tcp does.
 	s, f := service(t, 2, 1, 2, 4)
-	be, err := tcpnet.NewLoopback(f, tcpnet.Config{})
+	peers := make(map[cluster.NodeID]string)
+	for node := cluster.NodeID(0); node < 2; node++ {
+		srv, err := tcpnet.Serve(f, node, "127.0.0.1:0", tcpnet.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		peers[node] = srv.Addr()
+	}
+	driver := transport.NewFabric(f.Machine())
+	be, err := tcpnet.Connect(driver, peers, tcpnet.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.SetBackend(be)
-	defer func() {
-		f.SetBackend(nil)
-		be.Close()
-	}()
+	defer be.Close()
+	driver.SetBackend(be)
 	m := transport.Meter{Phase: "t", Class: cluster.Control}
-	call := func(req any) (any, error) { return f.Endpoint(0).Call(s.DHTCore(1), serviceName, req, m, 8, 8) }
+	call := func(req any) (any, error) { return driver.Endpoint(0).Call(s.DHTCore(1), serviceName, req, m, 8, 8) }
 
 	stored := Entry{Var: "u", Version: 1, Owner: 1, Region: geometry.NewBBox(geometry.Point{8, 8}, geometry.Point{16, 16})}
 	if _, err := call(insertReq{stored}); err != nil {

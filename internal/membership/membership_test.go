@@ -329,11 +329,10 @@ func TestGetSequentialRidesOutNodeLoss(t *testing.T) {
 	}
 }
 
-// lossBackend routes every operation on node 1's state through a wire that
-// the node's loss cuts: the first expose after crashOnExpose is set lands
-// and then loses its acknowledgement as the node goes down, and every
-// operation on node 1 fails from then on until the test brings the
-// replacement up.
+// lossBackend carries every operation over a wire that node 1's loss cuts:
+// the first expose after crashOnExpose is set lands and then loses its
+// acknowledgement as the node goes down, and every operation on node 1
+// fails from then on until the test brings the replacement up.
 type lossBackend struct {
 	f             *transport.Fabric
 	crashOnExpose atomic.Bool
@@ -343,8 +342,9 @@ type lossBackend struct {
 
 var errCut = errors.New("lossBackend: connection reset")
 
-func (b *lossBackend) cut() error {
-	if b.down.Load() {
+// cut fails an operation on target's state while node 1 is down.
+func (b *lossBackend) cut(target cluster.CoreID) error {
+	if b.f.Machine().NodeOf(target) == 1 && b.down.Load() {
 		b.failed.Add(1)
 		return errCut
 	}
@@ -352,27 +352,24 @@ func (b *lossBackend) cut() error {
 }
 
 func (b *lossBackend) Name() string { return "loss" }
-func (b *lossBackend) Remote(_, target cluster.CoreID) bool {
-	return b.f.Machine().NodeOf(target) == 1
-}
 func (b *lossBackend) Close() error { return nil }
 
 func (b *lossBackend) ReadMulti(reader cluster.CoreID, specs []transport.ReadSpec, m transport.Meter, deliver transport.SegmentFunc) error {
-	if err := b.cut(); err != nil {
+	if err := b.cut(specs[0].Owner); err != nil {
 		return err
 	}
 	return b.f.LocalReadMulti(reader, specs, m, deliver)
 }
 
 func (b *lossBackend) Call(src, dst cluster.CoreID, service string, request any, m transport.Meter, reqBytes, respBytes int64) (any, error) {
-	if err := b.cut(); err != nil {
+	if err := b.cut(dst); err != nil {
 		return nil, err
 	}
 	return b.f.LocalCall(src, dst, service, request, m, reqBytes, respBytes)
 }
 
 func (b *lossBackend) Expose(owner cluster.CoreID, key transport.BufKey, payload any) error {
-	if err := b.cut(); err != nil {
+	if err := b.cut(owner); err != nil {
 		return err
 	}
 	err := b.f.LocalExpose(owner, key, payload)
@@ -385,14 +382,14 @@ func (b *lossBackend) Expose(owner cluster.CoreID, key transport.BufKey, payload
 }
 
 func (b *lossBackend) Unexpose(owner cluster.CoreID, key transport.BufKey) (bool, error) {
-	if err := b.cut(); err != nil {
+	if err := b.cut(owner); err != nil {
 		return false, err
 	}
 	return b.f.LocalUnexpose(owner, key)
 }
 
 func (b *lossBackend) Exposed(owner cluster.CoreID, key transport.BufKey) (bool, error) {
-	if err := b.cut(); err != nil {
+	if err := b.cut(owner); err != nil {
 		return false, err
 	}
 	return b.f.LocalExposed(owner, key)

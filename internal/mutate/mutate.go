@@ -53,14 +53,15 @@ const (
 	// TCPBlockShift makes the owning process decode an exposed block's
 	// region shifted by one cell along its last dimension, so the put half
 	// of the block wire codec lands the right bytes at the wrong
-	// coordinates. It only exists where an expose crosses a process
-	// boundary (a driver staging on a codsnode), never in process.
+	// coordinates. It only exists where an expose crosses the wire (a
+	// driver staging on a serving node: codsrun -backend=tcp, the
+	// conformance TCP leg), never in process.
 	TCPBlockShift = "tcp-block-shift"
 	// TCPClipRowSkew makes the owning process clip a block it received over
 	// the wire with every row after the first copied from one cell further
 	// along: the segment keeps its length and its first row, the rest of its
 	// cells are their neighbours'. Like TCPBlockShift it only exists where an
-	// expose crosses a process boundary.
+	// expose crosses the wire; the conformance sweep catches both.
 	TCPClipRowSkew = "tcp-clip-row-skew"
 	// TCPMsgEntryDrop makes the decoder of a DHT query response forget the
 	// last of two or more entries — every byte still consumed, so the strict

@@ -114,9 +114,8 @@ func (t *Tracer) Start(parent SpanID, name string) Span {
 }
 
 // StartNode begins a span like Start but with an explicit node label,
-// overriding the tracer-wide SetNode default. A backend that serves
-// several nodes from one process (the loopback backend in tests) uses
-// this to label each handler span with the node that executed it.
+// overriding the tracer-wide SetNode default. A serving backend uses this
+// to label each handler span with the node that executed it.
 func (t *Tracer) StartNode(parent SpanID, name, node string) Span {
 	if t == nil {
 		return Span{}

@@ -8,6 +8,7 @@ import (
 	"github.com/insitu/cods/internal/cods"
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/membership"
+	"github.com/insitu/cods/internal/node"
 	"github.com/insitu/cods/internal/obs"
 	"github.com/insitu/cods/internal/retry"
 	"github.com/insitu/cods/internal/transport"
@@ -118,17 +119,17 @@ func TestProposeMaxMovesTakesLargestGains(t *testing.T) {
 
 // TestApplyMigratesByteIdentically drives the full loop — stage away from
 // the consumer's node, pull (observing the skew), plan, apply, re-pull — on
-// an in-process fabric and over loopback sockets, where every block starts
-// on nodes 1..3 of a 4x4 machine and the only consumer sits on node 0. The
-// re-pull must be cell-identical, every block must have followed its
-// reader, and the inter-node coupled bytes of one pull must fall by the
-// row's floor.
+// an in-process fabric and over loopback sockets, a driver and one serving
+// node per node, where every block starts on nodes 1..3 of a 4x4 machine
+// and the only consumer sits on node 0. The re-pull must be cell-identical,
+// every block must have followed its reader, and the inter-node coupled
+// bytes of one pull must fall by the row's floor.
 func TestApplyMigratesByteIdentically(t *testing.T) {
 	const prodApp, consApp = 1, 2
 	rows := []struct {
 		name         string
 		nodes, cores int
-		loopback     bool
+		tcp          bool
 		grid, side   [2]int // blocks per dimension, cells per block side
 		owner        func(m *cluster.Machine, n int) cluster.CoreID
 		consumer     func(m *cluster.Machine) cluster.CoreID
@@ -142,7 +143,7 @@ func TestApplyMigratesByteIdentically(t *testing.T) {
 			minReduction: 1,
 		},
 		{
-			name: "tcp-loopback-skewed", nodes: 4, cores: 4, loopback: true,
+			name: "tcp", nodes: 4, cores: 4, tcp: true,
 			grid: [2]int{4, 4}, side: [2]int{32, 32},
 			owner: func(m *cluster.Machine, n int) cluster.CoreID {
 				remote := m.TotalCores() - m.CoresPerNode()
@@ -156,18 +157,14 @@ func TestApplyMigratesByteIdentically(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			m := mustMachine(t, row.nodes, row.cores)
 			f := transport.NewFabric(m)
-			if row.loopback {
-				be, err := tcpnet.NewLoopback(f, tcpnet.Config{Retry: retry.Default(), IOTimeout: 10 * time.Second})
-				if err != nil {
-					t.Fatalf("NewLoopback: %v", err)
-				}
-				f.SetBackend(be)
-				defer func() {
-					f.SetBackend(nil)
-					be.Close()
-				}()
-			}
 			domain := geometry.BoxFromSize([]int{row.grid[0] * row.side[0], row.grid[1] * row.side[1]})
+			if row.tcp {
+				nodes, err := node.NewCluster(f, domain, "", tcpnet.Config{Retry: retry.Default(), IOTimeout: 10 * time.Second})
+				if err != nil {
+					t.Fatalf("NewCluster: %v", err)
+				}
+				defer nodes.Close()
+			}
 			sp, err := cods.NewSpace(f, domain)
 			if err != nil {
 				t.Fatalf("NewSpace: %v", err)

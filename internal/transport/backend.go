@@ -2,12 +2,12 @@ package transport
 
 // The fabric's data movement is pluggable: every choke point on state a
 // node holds — the one-sided ReadMulti, the RPC Call, and the
-// buffer-exposure state ops — funnels through a Backend once the op is
-// determined to be remote. Send/Recv messaging is not among them: mailboxes
-// live in the process that runs the tasks (Endpoint.Send). An in-process
-// fabric has no backend; the internal/transport/tcpnet package provides a
-// real TCP implementation that runs each simulated node as its own endpoint
-// group over sockets (DESIGN §5f). The Local* methods on Fabric are the
+// buffer-exposure state ops — funnels through a Backend when the fabric
+// has one. Send/Recv messaging is not among them: mailboxes live in the
+// process that runs the tasks (Endpoint.Send). An in-process fabric has no
+// backend; the internal/transport/tcpnet package provides a real TCP
+// implementation that runs each simulated node as its own endpoint group
+// over sockets (DESIGN §5f). The Local* methods on Fabric are the
 // executing side of every routed operation: they contain the metering, so
 // an op records its bytes exactly once, in the process that actually moves
 // the data.
@@ -20,18 +20,15 @@ import (
 	"github.com/insitu/cods/internal/geometry"
 )
 
-// Backend moves data between endpoints on behalf of the fabric. Initiating
-// endpoints call it only for operations Remote reports as crossing the
-// process or node boundary; the backend is then responsible for executing
-// the operation where the target endpoint's state lives (exposed buffers,
-// RPC handlers) and for metering it there, via the Local* methods of the
-// owning fabric.
+// Backend moves data between endpoints on behalf of the fabric. A fabric
+// with a backend owns no node's state — it is a driver — so its endpoints
+// hand the backend every operation on node-held state; the backend is then
+// responsible for executing the operation where the target endpoint's state
+// lives (exposed buffers, RPC handlers) and for metering it there, via the
+// Local* methods of the owning fabric.
 type Backend interface {
 	// Name identifies the backend ("tcp") in logs and reports.
 	Name() string
-	// Remote reports whether an operation initiated by core initiator
-	// against the state or data of core target must traverse the backend.
-	Remote(initiator, target cluster.CoreID) bool
 	// ReadMulti pulls one or more exposed sub-regions in one batched
 	// operation, blocking until every buffer is published. All specs must
 	// target owners whose endpoint state lives behind the same peer, so a
@@ -124,14 +121,11 @@ func DecodeBlock(wire []byte) (any, error) {
 // installation is not synchronized with in-flight operations.
 func (f *Fabric) SetBackend(b Backend) { f.backend = b }
 
-// Routed reports whether an operation initiated by initiator against the
-// state of target traverses the backend — the backend's Remote predicate,
-// false on an in-process fabric. It is both the fabric's dispatch decision
-// and what the pull engine groups remote transfers into per-peer batches
-// by.
-func (f *Fabric) Routed(initiator, target cluster.CoreID) bool {
-	return f.backend != nil && f.backend.Remote(initiator, target)
-}
+// Routed reports whether operations on node-held state traverse a backend:
+// true on a driver's fabric, false on an in-process one. It is both the
+// fabric's dispatch decision and what makes the pull engine group transfers
+// into per-peer batches.
+func (f *Fabric) Routed() bool { return f.backend != nil }
 
 // LocalReadMulti is the executing side of ReadMulti against owner
 // endpoints in this process: each spec is a blocking LocalRead metered at
@@ -262,9 +256,11 @@ func (f *Fabric) LocalUnexpose(owner cluster.CoreID, key BufKey) (existed bool, 
 	return existed, nil
 }
 
-// ResetNode drops every buffer exposed on the node's endpoints in this
-// process — what a crash of the node's serving process leaves of them.
-// Where the node is served by another process there is nothing here to drop.
+// ResetNode drops every buffer exposed on the node's endpoints of this
+// fabric — what a crash of the node's serving process leaves of them on an
+// in-process fabric. A driver's fabric holds no exports, so there it drops
+// nothing: the node's buffers went with its serving process, and a
+// replacement starts on a fabric of its own.
 func (f *Fabric) ResetNode(node cluster.NodeID) {
 	for slot := 0; slot < f.machine.CoresPerNode(); slot++ {
 		oe := f.endpoints[int(f.machine.CoreOn(node, slot))]

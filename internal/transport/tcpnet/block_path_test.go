@@ -17,10 +17,8 @@ import (
 )
 
 // The block data path over loopback sockets, without cods above it: an
-// expose through Backend.Expose always crosses the wire (the conformance
-// loopback exposes in process, so only these tests, the multi-process
-// smokes and the repo benchmark ship blocks), and a ReadMulti from another
-// node streams owner-clipped segments back.
+// expose through the driver's Backend.Expose crosses the wire to its owning
+// node, and a ReadMulti streams owner-clipped segments back.
 
 const (
 	exposeSide  = 512 // 512 x 512 float64 = 2 MiB, a stream-lockstep-tcp block
@@ -50,7 +48,7 @@ func stageSegments(tb testing.TB, b *Backend) []transport.ReadSpec {
 // again: encode, one vectored write, the owner's read of the body it keeps
 // as the block.
 func BenchmarkExposeBlock(b *testing.B) {
-	_, be := newLoopbackFabric(b, 2, 1)
+	_, be, _ := newCluster(b, 2, 1)
 	region := geometry.BoxFromSize([]int{exposeSide, exposeSide})
 	obj := &cods.StoredObject{Region: region, Data: fillCells(region)}
 	key := transport.BufKey{Name: "blk", Version: 1}
@@ -71,7 +69,7 @@ func BenchmarkExposeBlock(b *testing.B) {
 // scatter-gather request and discards them, as the benchmark's
 // tcpnet.readmulti probe does.
 func BenchmarkReadMultiBlocks(b *testing.B) {
-	f, be := newLoopbackFabric(b, 2, 1)
+	f, be, _ := newCluster(b, 2, 1)
 	specs := stageSegments(b, be)
 	var total int64
 	for _, spec := range specs {
@@ -88,8 +86,8 @@ func BenchmarkReadMultiBlocks(b *testing.B) {
 	}
 }
 
-// BenchmarkPullPeers times one full-domain get of 12 blocks on the 4x4
-// loopback fabric with the blocks owned by 1, 2 and 3 remote nodes, at
+// BenchmarkPullPeers times one full-domain get of 12 blocks from a driver of
+// a 4x4 loopback cluster with the blocks owned by 1, 2 and 3 nodes, at
 // 8 KiB and at 512 KiB blocks. The get sends one scatter-gather request
 // per owning node and has them all in flight together, so at equal bytes
 // the rows of one block size differ only in how many peers serve them: it
@@ -99,8 +97,9 @@ func BenchmarkPullPeers(b *testing.B) {
 	for _, side := range []int{32, 256} { // 32² float64 = 8 KiB, 256² = 512 KiB
 		for peers := 1; peers <= 3; peers++ {
 			b.Run(fmt.Sprintf("block=%dKiB/peers=%d", side*side*cods.ElemSize>>10, peers), func(b *testing.B) {
-				f, _ := newLoopbackFabric(b, 4, 4)
+				f, _, servers := newCluster(b, 4, 4)
 				region := geometry.BoxFromSize([]int{blocks * side, side})
+				withSpaces(b, servers, region)
 				sp, err := cods.NewSpace(f, region)
 				if err != nil {
 					b.Fatal(err)
@@ -142,35 +141,12 @@ func BenchmarkPullPeers(b *testing.B) {
 func BenchmarkGetMiss(b *testing.B) {
 	const side, block = 512, 16
 	domain := geometry.BoxFromSize([]int{side, side})
-	newSpace := func() (*transport.Fabric, *cods.Space) {
-		m, err := cluster.NewMachine(2, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		f := transport.NewFabric(m)
-		sp, err := cods.NewSpace(f, domain)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return f, sp
-	}
-	peers := make(map[cluster.NodeID]string)
-	for node := cluster.NodeID(0); node < 2; node++ {
-		f, _ := newSpace() // the node's DHT core registers on its own fabric
-		be, err := Serve(f, node, "127.0.0.1:0", testConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer be.Close() // serves f; f itself gets no backend: a node never dials
-		peers[node] = be.Addr(node)
-	}
-	f, sp := newSpace()
-	be, err := Connect(f, peers, testConfig())
+	f, _, servers := newCluster(b, 2, 2)
+	withSpaces(b, servers, domain)
+	sp, err := cods.NewSpace(f, domain)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer be.Close()
-	f.SetBackend(be)
 	for n := 0; n < (side/block)*(side/block); n++ {
 		x, y := n/(side/block)*block, n%(side/block)*block
 		blk := geometry.NewBBox(geometry.Point{x, y}, geometry.Point{x + block, y + block})
@@ -204,7 +180,7 @@ func TestSegmentStagingAllocatesHeaderOnly(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds buffers at random under the race detector")
 	}
-	f, be := newLoopbackFabric(t, 2, 1)
+	f, be, _ := newCluster(t, 2, 1)
 	specs := stageSegments(t, be)
 	delivered := 0
 	count := func(_ int, _ any, clipped []byte) error {
@@ -250,7 +226,7 @@ func TestSegmentStagingAllocatesHeaderOnly(t *testing.T) {
 // SegmentFunc is scratch: a reader that keeps it past the callback and
 // overwrites it cannot corrupt what a later read delivers.
 func TestBlockBytesNeverAliased(t *testing.T) {
-	f, be := newLoopbackFabric(t, 2, 1)
+	f, be, _ := newCluster(t, 2, 1)
 	region := geometry.BoxFromSize([]int{64, 64}) // 32 KiB: vectored write, staged read
 	obj := &cods.StoredObject{Region: region, Data: fillCells(region)}
 	want, err := obj.ClipRegion(nil, region)
@@ -283,9 +259,9 @@ func TestBlockBytesNeverAliased(t *testing.T) {
 	}
 }
 
-// exposedSubBoxMismatch exposes 1-3-D blocks on core 1 through
-// Backend.Expose, so each crosses the loopback wire and its owner keeps the
-// block it decoded, then reads sub-boxes of each back from core 0 in one
+// exposedSubBoxMismatch exposes 1-3-D blocks on core 1 through the
+// driver's Backend.Expose, so each crosses the loopback wire and its owning
+// node keeps the block it decoded, then reads sub-boxes of each back from core 0 in one
 // ReadMulti a block: the whole block, its interior, boxes straddling its
 // lower and upper corners, a single cell and a disjoint box. It returns
 // the first segment that differs from StoredObject.ClipRegion of the same
@@ -299,7 +275,7 @@ func exposedSubBoxMismatch(tb testing.TB) error {
 		}
 		return b
 	}
-	f, be := newLoopbackFabric(tb, 2, 1)
+	f, be, _ := newCluster(tb, 2, 1)
 	for _, region := range []geometry.BBox{
 		geometry.NewBBox(geometry.Point{5}, geometry.Point{37}),
 		geometry.NewBBox(geometry.Point{8, 4}, geometry.Point{20, 14}),
@@ -350,9 +326,9 @@ func TestExposedBlockServesSubBoxes(t *testing.T) {
 // stays intact while later traffic reuses every pooled buffer, and is
 // charged to the wire counters byte for byte in both directions.
 func TestLargeFrameRoundTrip(t *testing.T) {
-	f, be := newLoopbackFabric(t, 2, 1)
+	f, be, servers := newCluster(t, 2, 1)
 	m := transport.Meter{Phase: "t", Class: cluster.Control, DstApp: 1}
-	f.Endpoint(1).RegisterHandler("echo", func(_ cluster.CoreID, req any) (any, error) { return req, nil })
+	servers[1].fabric.Endpoint(1).RegisterHandler("echo", func(_ cluster.CoreID, req any) (any, error) { return req, nil })
 	var sent, got []echoPayload
 	for i, size := range []int{3, 11, maxInlineBody, maxInlineBody + 1, 1 << 20} {
 		// Tag byte, u16 text length, text, then 8 bytes a value: size on the wire.

@@ -24,11 +24,11 @@ func (b *Backend) PeerIncarnation(node cluster.NodeID) uint64 {
 }
 
 // UpdatePeer installs a replacement identity for node: its new address
-// (ignored when empty or when the node is served by this process) and its
-// new incarnation, flushing the node's connection pool either way.
+// (ignored when empty or when the node is the one this backend serves) and
+// its new incarnation, flushing the node's connection pool either way.
 func (b *Backend) UpdatePeer(node cluster.NodeID, addr string, inc uint64) {
 	b.mu.Lock()
-	if addr != "" && int(node) >= 0 && int(node) < len(b.owned) && !b.owned[int(node)] {
+	if addr != "" && node != b.node {
 		b.addrs[node] = addr
 	}
 	b.peerInc[node] = inc

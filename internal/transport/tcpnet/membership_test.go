@@ -23,11 +23,7 @@ func serveNode(t *testing.T, m *cluster.Machine, inc uint64) *Backend {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs.SetBackend(be)
-	t.Cleanup(func() {
-		fs.SetBackend(nil)
-		be.Close()
-	})
+	t.Cleanup(func() { be.Close() })
 	return be
 }
 
@@ -59,7 +55,7 @@ func TestRedialAfterCrashRejectsStaleIncarnation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1 := serveNode(t, m, 1)
-	client := connectDriver(t, m, s1.Addr(1))
+	client := connectDriver(t, m, s1.Addr())
 
 	inc, err := client.ProbeLease(1, 0)
 	if err != nil || inc != 1 {
@@ -74,7 +70,7 @@ func TestRedialAfterCrashRejectsStaleIncarnation(t *testing.T) {
 	s1.Close()
 	s2 := serveNode(t, m, 2)
 	client.mu.Lock()
-	client.addrs[1] = s2.Addr(1) // the route only: no incarnation, no pool flush
+	client.addrs[1] = s2.Addr() // the route only: no incarnation, no pool flush
 	client.mu.Unlock()
 
 	// Concurrent operations race the dead pooled connection and the
@@ -120,7 +116,7 @@ func TestLeaseProbeAssertsIncarnation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := serveNode(t, m, 3)
-	client := connectDriver(t, m, s.Addr(1))
+	client := connectDriver(t, m, s.Addr())
 	if _, err := client.ProbeLease(1, 3); err != nil {
 		t.Fatalf("matching renewal: %v", err)
 	}

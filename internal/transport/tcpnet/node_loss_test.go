@@ -31,7 +31,7 @@ func TestMessagingSurvivesNodeLoss(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer be.Close()
-		peers[node] = be.Addr(node)
+		peers[node] = be.Addr()
 		nodes = append(nodes, be)
 	}
 	f := transport.NewFabric(m)
@@ -162,8 +162,7 @@ func TestAcceptLoopSurvivesTransientError(t *testing.T) {
 	flaky := &flakyListener{Listener: ln}
 	flaky.failures.Store(2)
 	b := newBackend(transport.NewFabric(m), testConfig())
-	b.owned[0] = true
-	b.listeners = append(b.listeners, flaky)
+	b.node, b.listener = 0, flaky
 	b.wg.Add(1)
 	go b.acceptLoop(flaky)
 

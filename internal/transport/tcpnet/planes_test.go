@@ -1,4 +1,4 @@
-package tcpnet
+package tcpnet_test
 
 import (
 	"bytes"
@@ -13,21 +13,24 @@ import (
 	"github.com/insitu/cods/internal/cods"
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/membership"
+	"github.com/insitu/cods/internal/node"
 	"github.com/insitu/cods/internal/obs"
 	"github.com/insitu/cods/internal/remap"
 	"github.com/insitu/cods/internal/retry"
 	"github.com/insitu/cods/internal/transport"
+	"github.com/insitu/cods/internal/transport/tcpnet"
 )
 
 // The optional planes on the pull path, each held to what it costs in
 // units that do not vary from run to run — wire bytes, request frames,
-// segments, flows, allocations — on one rig: a 4x4 machine behind the
-// loopback backend, sixteen 32x32 blocks (8 KiB) placed round-robin so
-// adjacent blocks always live on different cores, and a consumer on core 0
-// reading the half-block-inset region, which every boundary block's owner
-// has to clip. What the planes cost in time is measured end to end by the
-// repo benchmark's paired runs (`bash bench/run.sh`): trace.overhead_ratio
-// of its traced run for observability, stream-lockstep-tcp for streaming.
+// segments, flows, allocations — on one rig: a driver and the four serving
+// nodes of a 4x4 machine (node.Cluster, the shape codsrun -backend=tcp
+// deploys), sixteen 32x32 blocks (8 KiB) placed round-robin so adjacent
+// blocks always live on different cores, and a consumer on core 0 reading
+// the half-block-inset region, which every boundary block's owner has to
+// clip. What the planes cost in time is measured end to end by the repo
+// benchmark's paired runs (`bash bench/run.sh`): trace.overhead_ratio of
+// its traced run for observability, stream-lockstep-tcp for streaming.
 const (
 	planeGrid  = 4  // blocks per domain side
 	planeBlock = 32 // cells per block side
@@ -39,8 +42,8 @@ const (
 // Allocation bounds, each the value measured when its clause was written
 // (go1.24.0, without -race).
 const (
-	warmGetAllocs = 141 // one warm get of the inset, every plane off
-	obsGetAllocs  = 15  // what the observability plane adds to it
+	warmGetAllocs = 166 // one warm get of the inset, every plane off
+	obsGetAllocs  = 19  // what the observability plane adds to it
 	probeAllocs   = 7   // one lease probe and its answer, both sides
 	plannerAllocs = 444 // one flow-matrix build and remap proposal
 )
@@ -49,19 +52,19 @@ const (
 // bounds: not under -race, where sync.Pool drops what it is given at
 // random, and on the compiler release they were measured with, since
 // another may allocate differently.
-var allocsPinned = !raceEnabled && strings.HasPrefix(runtime.Version(), "go1.24")
+var allocsPinned = !tcpnet.RaceEnabled && strings.HasPrefix(runtime.Version(), "go1.24")
 
 // planeCost is what a stretch of work put on the wire — the WireStats
-// deltas of the loopback backend, which sees both sides of every exchange —
-// and into the machine's flow log.
+// deltas of the driver and every node, together both sides of every
+// exchange — and into the machine's flow log.
 type planeCost struct {
-	Wire           WireStats
+	Wire           tcpnet.WireStats
 	Flows, Control int
 }
 
 type planeRig struct {
 	f        *transport.Fabric
-	b        *Backend
+	nodes    *node.Cluster
 	sp       *cods.Space
 	domain   geometry.BBox
 	inset    geometry.BBox
@@ -71,7 +74,7 @@ type planeRig struct {
 	consumer *cods.Handle
 }
 
-// newPlaneRig builds the rig with every plane off. The backend serves
+// newPlaneRig builds the rig with every plane off. The nodes serve
 // incarnation 1, the one the elastic subtest's lease probes name.
 func newPlaneRig(t *testing.T) *planeRig {
 	t.Helper()
@@ -82,34 +85,25 @@ func newPlaneRig(t *testing.T) *planeRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := transport.NewFabric(m)
-	cfg := testConfig()
-	cfg.Incarnation = 1
-	b, err := NewLoopback(f, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.SetBackend(b)
-	t.Cleanup(func() {
-		f.SetBackend(nil)
-		b.Close()
-	})
 	side := planeGrid * planeBlock
 	r := &planeRig{
-		f:      f,
-		b:      b,
+		f:      transport.NewFabric(m),
 		domain: geometry.BoxFromSize([]int{side, side}),
 		inset: geometry.NewBBox(geometry.Point{planeBlock / 2, planeBlock / 2},
 			geometry.Point{side - planeBlock/2, side - planeBlock/2}),
 	}
-	if r.sp, err = cods.NewSpace(f, r.domain); err != nil {
+	if r.nodes, err = node.NewCluster(r.f, r.domain, "", tcpnet.TestConfig()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.nodes.Close)
+	if r.sp, err = cods.NewSpace(r.f, r.domain); err != nil {
 		t.Fatal(err)
 	}
 	for n := 0; n < planeGrid*planeGrid; n++ {
 		x, y := n/planeGrid*planeBlock, n%planeGrid*planeBlock
 		blk := geometry.NewBBox(geometry.Point{x, y}, geometry.Point{x + planeBlock, y + planeBlock})
 		r.blocks = append(r.blocks, blk)
-		r.data = append(r.data, fillCells(blk))
+		r.data = append(r.data, tcpnet.FillCells(blk))
 		r.owners = append(r.owners, r.sp.HandleAt(cluster.CoreID(n%m.TotalCores()), 1, "put"))
 	}
 	r.consumer = r.sp.HandleAt(0, 2, "get")
@@ -136,15 +130,30 @@ func (r *planeRig) get() error {
 	return err
 }
 
+// wire sums the WireStats of the driver and of every node: the driver's
+// bytes and request frames, the nodes' segments.
+func (r *planeRig) wire() tcpnet.WireStats {
+	w := r.nodes.Driver().WireStats()
+	for k := 0; k < r.f.Machine().NumNodes(); k++ {
+		n := r.nodes.Node(cluster.NodeID(k)).Backend().WireStats()
+		w.BytesOut += n.BytesOut
+		w.BytesIn += n.BytesIn
+		w.ReadMultiRequests += n.ReadMultiRequests
+		w.SegmentsServed += n.SegmentsServed
+		w.SegmentBytesServed += n.SegmentBytesServed
+	}
+	return w
+}
+
 func (r *planeRig) cost(t *testing.T, work func() error) planeCost {
 	t.Helper()
 	metrics := r.f.Machine().Metrics()
-	before, logged := r.b.WireStats(), len(metrics.Flows(""))
+	before, logged := r.wire(), len(metrics.Flows(""))
 	if err := work(); err != nil {
 		t.Fatal(err)
 	}
-	after := r.b.WireStats()
-	c := planeCost{Wire: WireStats{
+	after := r.wire()
+	c := planeCost{Wire: tcpnet.WireStats{
 		BytesOut:           after.BytesOut - before.BytesOut,
 		BytesIn:            after.BytesIn - before.BytesIn,
 		ReadMultiRequests:  after.ReadMultiRequests - before.ReadMultiRequests,
@@ -181,12 +190,11 @@ func (r *planeRig) getAllocs(t *testing.T) float64 {
 }
 
 // warmGet is the cost of one warm get of the inset from core 0: one
-// scatter-gather request to each of nodes 1-3, the twelve blocks they own
-// clipped to the inset (7,680 cells), and one flow per block, the four
-// blocks of node 0 included.
+// scatter-gather request to each of the four nodes, the sixteen blocks
+// they own clipped to the inset (9,216 cells), and one flow per block.
 var warmGet = planeCost{
-	Wire: WireStats{BytesOut: 1087, BytesIn: 61758, ReadMultiRequests: 3,
-		SegmentsServed: 12, SegmentBytesServed: 61440},
+	Wire: tcpnet.WireStats{BytesOut: 1444, BytesIn: 74152, ReadMultiRequests: 4,
+		SegmentsServed: 16, SegmentBytesServed: 73728},
 	Flows: 16,
 }
 
@@ -209,12 +217,15 @@ func TestPlaneCosts(t *testing.T) {
 			offAllocs = r.getAllocs(t)
 		}
 
-		r.b.EnableSpanCapture()
+		for k := 0; k < r.f.Machine().NumNodes(); k++ {
+			r.nodes.Node(cluster.NodeID(k)).Backend().EnableSpanCapture()
+		}
 		r.sp.SetTracer(obs.NewTracer(io.Discard))
 		obs.Enable(true)
-		mirrorOut, mirrorIn := obsWireBytesOut.Value(), obsWireBytesIn.Value()
+		mirrorBytesOut, mirrorBytesIn := obs.C("tcpnet.bytes_out"), obs.C("tcpnet.bytes_in")
+		mirrorOut, mirrorIn := mirrorBytesOut.Value(), mirrorBytesIn.Value()
 		on := r.cost(t, r.get)
-		if out, in := obsWireBytesOut.Value()-mirrorOut, obsWireBytesIn.Value()-mirrorIn; out != on.Wire.BytesOut || in != on.Wire.BytesIn {
+		if out, in := mirrorBytesOut.Value()-mirrorOut, mirrorBytesIn.Value()-mirrorIn; out != on.Wire.BytesOut || in != on.Wire.BytesIn {
 			t.Errorf("registry mirrors %d B out, %d B in; the wire counters %d, %d", out, in, on.Wire.BytesOut, on.Wire.BytesIn)
 		}
 		if off != warmGet || on != warmGet {
@@ -222,7 +233,7 @@ func TestPlaneCosts(t *testing.T) {
 		}
 		var lines bytes.Buffer
 		sink := obs.NewTracer(&lines)
-		if err := r.b.DrainRemoteSpans(sink); err != nil {
+		if err := r.nodes.Driver().DrainRemoteSpans(sink); err != nil {
 			t.Fatal(err)
 		}
 		if err := sink.Flush(); err != nil {
@@ -303,7 +314,7 @@ func TestPlaneCosts(t *testing.T) {
 		}
 		renew := func() error {
 			for _, mem := range reg.Members() {
-				if _, err := r.b.ProbeLease(mem.Node, mem.Incarnation); err != nil {
+				if _, err := r.nodes.Driver().ProbeLease(mem.Node, mem.Incarnation); err != nil {
 					return err
 				}
 				if err := reg.Renew(mem.Node, mem.Incarnation); err != nil {
@@ -315,7 +326,7 @@ func TestPlaneCosts(t *testing.T) {
 		if err := renew(); err != nil { // dials each node once
 			t.Fatal(err)
 		}
-		want := planeCost{Wire: WireStats{BytesOut: 4 * 70, BytesIn: 4 * 70}}
+		want := planeCost{Wire: tcpnet.WireStats{BytesOut: 4 * 70, BytesIn: 4 * 70}}
 		if c := r.cost(t, renew); c != want {
 			t.Errorf("a renewal pass costs %+v, want %+v", c, want)
 		}
@@ -327,7 +338,7 @@ func TestPlaneCosts(t *testing.T) {
 			return
 		}
 		probe := func() error {
-			_, err := r.b.ProbeLease(1, 1)
+			_, err := r.nodes.Driver().ProbeLease(1, 1)
 			return err
 		}
 		if n := allocs(t, probe); n > probeAllocs {
@@ -404,8 +415,8 @@ func TestPlaneCosts(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := planeCost{
-			Wire: WireStats{BytesOut: 7500, BytesIn: 201158, ReadMultiRequests: 6,
-				SegmentsServed: 24, SegmentBytesServed: 196608},
+			Wire: tcpnet.WireStats{BytesOut: 281744, BytesIn: 274184, ReadMultiRequests: 8,
+				SegmentsServed: 32, SegmentBytesServed: 262144},
 			Flows: 176, Control: 144,
 		}
 		classicCost := r.cost(t, func() error { return classic("c0") })

@@ -35,7 +35,7 @@ func fillCells(b geometry.BBox) []float64 {
 // exposed block and stream exactly those cells — including the edge cases
 // of an empty intersection, a single cell and the full block.
 func TestReadMultiClipsOnOwner(t *testing.T) {
-	f, _ := newLoopbackFabric(t, 2, 1)
+	f, _, _ := newCluster(t, 2, 1)
 	m := transport.Meter{Phase: "t", Class: cluster.InterApp, DstApp: 2}
 	region := geometry.NewBBox(geometry.Point{4, 4}, geometry.Point{8, 8})
 	obj := &cods.StoredObject{Region: region, Data: fillCells(region)}
@@ -88,9 +88,9 @@ func TestReadMultiClipsOnOwner(t *testing.T) {
 
 // TestBatchedPullFrameCount is the frame-count probe of the acceptance
 // criteria: a multi-transfer pull over the TCP backend issues
-// exactly one scatter-gather request per owning peer, and the bytes its
+// exactly one scatter-gather request per owning node, and the bytes its
 // servers clip equal the schedule-predicted byte count. It is also the
-// serial reference of the pull executor: over loopback the three peers'
+// serial reference of the pull executor: over loopback the four nodes'
 // requests run concurrently, on an in-process fabric the same get runs
 // transfer by transfer on the calling goroutine, and the two must return
 // the same cells and meter the same bytes and ops in every class and
@@ -99,12 +99,14 @@ func TestBatchedPullFrameCount(t *testing.T) {
 	// An inset get region: its first and last sub-boxes are smaller than
 	// their stored blocks, so clipping must shrink the wire traffic.
 	get := geometry.NewBBox(geometry.Point{3}, geometry.Point{37})
+	domain := geometry.BoxFromSize([]int{40})
 	// stagedGet stages five producer blocks — one on the reader's node,
 	// two on node 1, one each on nodes 2 and 3 — and retrieves get from
-	// core 0.
-	stagedGet := func(f *transport.Fabric) []float64 {
+	// core 0, with the medium counters of the fabrics that meter zeroed
+	// first.
+	stagedGet := func(f *transport.Fabric, meter []*transport.Fabric) []float64 {
 		t.Helper()
-		sp, err := cods.NewSpace(f, geometry.BoxFromSize([]int{40}))
+		sp, err := cods.NewSpace(f, domain)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +117,9 @@ func TestBatchedPullFrameCount(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		f.ResetMediumStats()
+		for _, mf := range meter {
+			mf.ResetMediumStats()
+		}
 		f.Machine().Metrics().Reset()
 		out, err := sp.HandleAt(0, 2, "get").GetSequential("v", 0, get)
 		if err != nil {
@@ -123,26 +127,42 @@ func TestBatchedPullFrameCount(t *testing.T) {
 		}
 		return out
 	}
+	// metered sums the medium counters of the fabrics that executed a get.
+	metered := func(fabrics []*transport.Fabric, md cluster.Medium) (bytes, ops int64) {
+		for _, mf := range fabrics {
+			bytes, ops = bytes+mf.MediumBytes(md), ops+mf.MediumOps(md)
+		}
+		return bytes, ops
+	}
 
-	f, b := newLoopbackFabric(t, 4, 2)
-	before := b.WireStats()
-	out := stagedGet(f)
-	after := b.WireStats()
+	// A fresh cluster: the puts issue no read, so every read counter below
+	// is the get's.
+	f, b, servers := newCluster(t, 4, 2)
+	withSpaces(t, servers, domain)
+	var nodes []*transport.Fabric
+	for _, srv := range servers {
+		nodes = append(nodes, srv.fabric)
+	}
+	out := stagedGet(f, nodes)
 	want := fillCells(get)
 	for i := range want {
 		if out[i] != want[i] {
 			t.Fatalf("cell %d = %v, want %v", i, out[i], want[i])
 		}
 	}
-	if n := after.ReadMultiRequests - before.ReadMultiRequests; n != 3 {
-		t.Errorf("batched pull issued %d scatter-gather requests, want 3 (one per owning peer)", n)
+	if n := b.WireStats().ReadMultiRequests; n != 4 {
+		t.Errorf("batched pull issued %d scatter-gather requests, want 4 (one per owning node)", n)
 	}
-	predicted := (get.Max[0] - 8) * cods.ElemSize // everything past the reader's own node
-	if n := after.SegmentBytesServed - before.SegmentBytesServed; n != int64(predicted) {
-		t.Errorf("served %d clipped bytes, want the schedule-predicted %d", n, predicted)
+	var segments, segBytes int64
+	for _, srv := range servers {
+		segments += srv.WireStats().SegmentsServed
+		segBytes += srv.WireStats().SegmentBytesServed
 	}
-	if n := after.SegmentsServed - before.SegmentsServed; n != 4 {
-		t.Errorf("served %d segments, want 4", n)
+	if predicted := get.Volume() * cods.ElemSize; segBytes != predicted {
+		t.Errorf("served %d clipped bytes, want the schedule-predicted %d", segBytes, predicted)
+	}
+	if segments != 5 {
+		t.Errorf("served %d segments, want 5", segments)
 	}
 
 	m, err := cluster.NewMachine(4, 2)
@@ -150,18 +170,20 @@ func TestBatchedPullFrameCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	inproc := transport.NewFabric(m)
-	ref := stagedGet(inproc)
+	ref := stagedGet(inproc, []*transport.Fabric{inproc})
 	for i := range ref {
 		if out[i] != ref[i] {
 			t.Fatalf("cell %d = %v over TCP, %v in process", i, out[i], ref[i])
 		}
 	}
 	for _, md := range []cluster.Medium{cluster.SharedMemory, cluster.Network} {
-		if tcp, in := f.MediumBytes(md), inproc.MediumBytes(md); tcp != in {
-			t.Errorf("%v: %d bytes metered over TCP, %d in process", md, tcp, in)
+		tcpBytes, tcpOps := metered(nodes, md)
+		inBytes, inOps := metered([]*transport.Fabric{inproc}, md)
+		if tcpBytes != inBytes {
+			t.Errorf("%v: %d bytes metered over TCP, %d in process", md, tcpBytes, inBytes)
 		}
-		if tcp, in := f.MediumOps(md), inproc.MediumOps(md); tcp != in {
-			t.Errorf("%v: %d ops metered over TCP, %d in process", md, tcp, in)
+		if tcpOps != inOps {
+			t.Errorf("%v: %d ops metered over TCP, %d in process", md, tcpOps, inOps)
 		}
 		for _, cl := range []cluster.Class{cluster.InterApp, cluster.IntraApp, cluster.Control} {
 			if tcp, in := f.Machine().Metrics().Bytes(cl, md), m.Metrics().Bytes(cl, md); tcp != in {
@@ -191,7 +213,9 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 // client reads the same stream: the announced count, then the segments in
 // order with the owner-clipped bytes.
 func TestSmallSegmentsShareOneWrite(t *testing.T) {
-	f, b := newLoopbackFabric(t, 1, 1)
+	_, _, servers := newCluster(t, 1, 1)
+	b := servers[0]
+	f := b.fabric
 	b.cfg.ReadPatience = 20 * time.Millisecond
 	m := transport.Meter{Phase: "t", Class: cluster.InterApp, DstApp: 2}
 	row := func(i, cells int) (transport.ReadSpec, []byte) {
@@ -292,9 +316,9 @@ func TestSmallSegmentsShareOneWrite(t *testing.T) {
 // versions; there is no per-op fallback or mixed-version mode that could
 // strand it mid-stream.
 func TestHandshakeRejectsOldWireVersion(t *testing.T) {
-	_, b := newLoopbackFabric(t, 1, 1)
+	_, _, servers := newCluster(t, 1, 1)
 	for _, version := range []int64{1, 4, 7, 8, 9, 10, 11, int64(wireVersion) - 1} {
-		c, err := net.Dial("tcp", b.Addr(0))
+		c, err := net.Dial("tcp", servers[0].Addr())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,22 +11,24 @@ import (
 )
 
 // TestRemoteSpanCapture drives reads and calls carrying trace context
-// through the loopback wire path and asserts the serving side emits one
-// node-labelled handler span per operation, parented under the requesting
-// span id that travelled in the frame.
+// from a driver and asserts the serving side emits one node-labelled
+// handler span per operation, parented under the requesting span id that
+// travelled in the frame.
 func TestRemoteSpanCapture(t *testing.T) {
-	f, b := newLoopbackFabric(t, 2, 2)
-	b.EnableSpanCapture()
+	f, b, servers := newCluster(t, 2, 2)
+	for _, srv := range servers {
+		srv.EnableSpanCapture()
+	}
 
 	key := transport.BufKey{Name: "var", Version: 1}
-	if err := f.Endpoint(3).Expose(key, &blockPayload{Text: "x", Vals: []float64{1}}); err != nil {
+	if err := servers[1].fabric.Endpoint(3).Expose(key, &blockPayload{Text: "x", Vals: []float64{1}}); err != nil {
 		t.Fatal(err)
 	}
 	m := transport.Meter{Phase: "test", Class: cluster.InterApp, DstApp: 2, Span: 42}
 	if _, err := readOne(f.Endpoint(0), 3, key, m, 8, 1); err != nil {
 		t.Fatal(err)
 	}
-	f.Endpoint(2).RegisterHandler("echo", func(_ cluster.CoreID, req any) (any, error) { return req, nil })
+	servers[1].fabric.Endpoint(2).RegisterHandler("echo", func(_ cluster.CoreID, req any) (any, error) { return req, nil })
 	cm := transport.Meter{Phase: "test", Class: cluster.Control, Span: 43}
 	if _, err := f.Endpoint(1).Call(2, "echo", echoPayload{Text: "hi"}, cm, 8, 8); err != nil {
 		t.Fatal(err)
@@ -87,10 +89,10 @@ func TestRemoteSpanCapture(t *testing.T) {
 // concurrent drains; the merged stream must stay whole JSON lines and
 // lose no span. Run with -race.
 func TestRemoteSpanDrainRace(t *testing.T) {
-	f, b := newLoopbackFabric(t, 2, 2)
-	b.EnableSpanCapture()
+	f, b, servers := newCluster(t, 2, 2)
+	servers[1].EnableSpanCapture()
 	key := transport.BufKey{Name: "var", Version: 1}
-	if err := f.Endpoint(2).Expose(key, &blockPayload{Text: "x", Vals: []float64{1}}); err != nil {
+	if err := servers[1].fabric.Endpoint(2).Expose(key, &blockPayload{Text: "x", Vals: []float64{1}}); err != nil {
 		t.Fatal(err)
 	}
 

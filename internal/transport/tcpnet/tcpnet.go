@@ -52,8 +52,8 @@ type Config struct {
 	// process for the same node must carry a higher value. It is announced
 	// in every handshake response and checked by reconnecting clients, so a
 	// crash-and-restart behind an unchanged address is detected instead of
-	// silently served by a peer with empty state. 0 disables the check (the
-	// loopback and plain-driver configurations).
+	// silently served by a peer with empty state. 0 disables the check; a
+	// driver, which serves nothing, leaves it 0.
 	Incarnation uint64
 	// ReadPatience bounds the deferred wait of a serving-side read (every
 	// opReadMulti segment): a buffer not exposed within the window fails
@@ -67,18 +67,20 @@ type Config struct {
 }
 
 // Backend is a transport.Backend moving operations between simulated
-// nodes over TCP. A process owns the endpoint state of zero or more
-// nodes: a codsnode child owns one, the conformance loopback backend owns
-// all of them (cross-node traffic still travels through real sockets),
-// and a driver owns none. Each owned node has its own listener; every
-// accepted connection is served by its own goroutine, which executes
-// operations against the fabric's Local* methods — metering therefore
-// happens in the process that moves the bytes.
+// nodes over TCP, in one of two roles: a serving backend (Serve) owns the
+// endpoint state of one node and answers on its listener, and a driver
+// (Connect) owns none and dials every node. Every accepted connection is
+// served by its own goroutine, which executes operations against the
+// fabric's Local* methods — metering therefore happens in the process that
+// moves the bytes.
 type Backend struct {
 	fabric  *transport.Fabric
 	machine *cluster.Machine
 	cfg     Config
-	owned   []bool
+	// node is the node a serving backend serves, with listener its
+	// listener; a driver has node -1 and no listener.
+	node     cluster.NodeID
+	listener net.Listener
 
 	mu          sync.Mutex
 	addrs       map[cluster.NodeID]string
@@ -90,9 +92,8 @@ type Backend struct {
 	// the new identity via UpdatePeer.
 	peerInc map[cluster.NodeID]uint64
 
-	listeners []net.Listener
-	wg        sync.WaitGroup
-	closed    atomic.Bool
+	wg     sync.WaitGroup
+	closed atomic.Bool
 
 	stats struct {
 		bytesOut, bytesIn      atomic.Int64
@@ -148,10 +149,9 @@ func (s *spanSink) drain() []byte {
 // WireStats is a snapshot of a backend's wire-level counters: the bytes
 // written to and read from its dialed (client-side) connections,
 // handshakes included; the one-sided read request frames it issued; and
-// the scatter-gather segments its server side clipped and streamed. In
-// loopback mode one backend is both sides, so a probe sees the whole
-// exchange; in a multi-process deployment each process reports its own
-// half.
+// the scatter-gather segments its server side clipped and streamed. Each
+// backend reports its own half: a driver's bytes and requests, a serving
+// node's segments.
 type WireStats struct {
 	BytesOut, BytesIn int64
 	// ReadRequests is always 0: bench/tcp.go still reads it; a benchmark
@@ -184,19 +184,10 @@ func (b *Backend) EnableSpanCapture() {
 		return
 	}
 	tr := obs.NewTracer(&b.spanSink)
-	tr.SetIDBase(uint64(b.firstOwnedNode()+1) << 48)
+	tr.SetIDBase(uint64(b.node+1) << 48)
 	if !b.spanTracer.CompareAndSwap(nil, tr) {
 		return // lost a concurrent enable; keep the winner
 	}
-}
-
-func (b *Backend) firstOwnedNode() int {
-	for node, owned := range b.owned {
-		if owned {
-			return node
-		}
-	}
-	return 0
 }
 
 // nodeLabel names the node that serves a target core, for span labels.
@@ -216,14 +207,12 @@ func (b *Backend) drainSpans() []byte {
 	return b.spanSink.drain()
 }
 
-// DrainRemoteSpans collects the handler spans every peer process
-// buffered — plus this process's own captured spans in loopback mode —
+// DrainRemoteSpans collects the handler spans every peer process buffered
 // and splices them into tr (the driver's trace file). Call it after the
 // workflow completes and before flushing the trace.
 func (b *Backend) DrainRemoteSpans(tr *obs.Tracer) error {
-	tr.AppendRaw(b.drainSpans())
-	return b.eachPeer(func(_ string, nodes []int) error {
-		resp, err := b.roundTrip(cluster.NodeID(nodes[0]), &frame{Op: opSpans})
+	return b.eachPeer(func(_ string, node cluster.NodeID) error {
+		resp, err := b.roundTrip(node, &frame{Op: opSpans})
 		if err != nil {
 			return err
 		}
@@ -275,7 +264,7 @@ func newBackend(f *transport.Fabric, cfg Config) *Backend {
 		fabric:      f,
 		machine:     f.Machine(),
 		cfg:         cfg,
-		owned:       make([]bool, f.Machine().NumNodes()),
+		node:        -1,
 		addrs:       make(map[cluster.NodeID]string),
 		pools:       make(map[cluster.NodeID][]net.Conn),
 		serverConns: make(map[net.Conn]bool),
@@ -284,32 +273,21 @@ func newBackend(f *transport.Fabric, cfg Config) *Backend {
 	}
 }
 
-// NewLoopback serves every node of the machine from this process, each on
-// its own 127.0.0.1 listener. Same-node operations stay in-process;
-// cross-node operations make a full round trip through the sockets. The
-// conformance harness uses it as the TCP dimension of every scenario.
-func NewLoopback(f *transport.Fabric, cfg Config) (*Backend, error) {
-	b := newBackend(f, cfg)
-	for node := range b.owned {
-		if err := b.listen(cluster.NodeID(node), "127.0.0.1:0"); err != nil {
-			b.Close()
-			return nil, err
-		}
-	}
-	return b, nil
-}
-
 // Serve owns a single node of the machine, listening on addr — the
 // codsnode child configuration. It learns no peer address: a serving
 // process answers operations on the cores it owns and never dials.
 func Serve(f *transport.Fabric, node cluster.NodeID, addr string, cfg Config) (*Backend, error) {
 	b := newBackend(f, cfg)
-	if int(node) < 0 || int(node) >= len(b.owned) {
+	if int(node) < 0 || int(node) >= b.machine.NumNodes() {
 		return nil, fmt.Errorf("tcpnet: node %d out of range", node)
 	}
-	if err := b.listen(node, addr); err != nil {
-		return nil, err
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("tcpnet: listening for node %d: %w", node, err)
 	}
+	b.node, b.listener = node, ln
+	b.wg.Add(1)
+	go b.acceptLoop(ln)
 	return b, nil
 }
 
@@ -318,9 +296,8 @@ func Serve(f *transport.Fabric, node cluster.NodeID, addr string, cfg Config) (*
 // address its codsnode child listens on.
 func Connect(f *transport.Fabric, peers map[cluster.NodeID]string, cfg Config) (*Backend, error) {
 	b := newBackend(f, cfg)
-	for node := range b.owned {
+	for node := 0; node < b.machine.NumNodes(); node++ {
 		if _, ok := peers[cluster.NodeID(node)]; !ok {
-			b.Close()
 			return nil, fmt.Errorf("tcpnet: no peer address for node %d", node)
 		}
 	}
@@ -330,45 +307,20 @@ func Connect(f *transport.Fabric, peers map[cluster.NodeID]string, cfg Config) (
 	return b, nil
 }
 
-func (b *Backend) listen(node cluster.NodeID, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("tcpnet: listening for node %d: %w", node, err)
-	}
-	b.owned[int(node)] = true
-	b.addrs[node] = ln.Addr().String()
-	b.listeners = append(b.listeners, ln)
-	b.wg.Add(1)
-	go b.acceptLoop(ln)
-	return nil
-}
-
 // Name implements transport.Backend.
 func (b *Backend) Name() string { return "tcp" }
 
-// Addr returns the listen address of an owned node ("" when not owned).
-func (b *Backend) Addr(node cluster.NodeID) string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.owned[int(node)] {
+// Addr returns the listen address of the node a serving backend serves
+// ("" for a driver).
+func (b *Backend) Addr() string {
+	if b.listener == nil {
 		return ""
 	}
-	return b.addrs[node]
+	return b.listener.Addr().String()
 }
 
 // Done is closed when a peer asks this backend's process to shut down.
 func (b *Backend) Done() <-chan struct{} { return b.shutdownCh }
-
-// Remote implements transport.Backend: an operation traverses the wire
-// when the target core's endpoint state lives in another process, or —
-// the HybridDART network path — when initiator and target sit on
-// different nodes even though both are owned here (loopback mode).
-func (b *Backend) Remote(initiator, target cluster.CoreID) bool {
-	if !b.owned[int(b.machine.NodeOf(target))] {
-		return true
-	}
-	return !b.machine.SameNode(initiator, target)
-}
 
 // ioTimeout is the per-frame deadline for writes and response reads.
 func (b *Backend) ioTimeout() time.Duration {
@@ -470,7 +422,7 @@ func (b *Backend) checkHello(fr *frame) error {
 		return fmt.Errorf("machine shape %dx%d, want %dx%d",
 			fr.Bytes, fr.Bytes2, b.machine.NumNodes(), b.machine.CoresPerNode())
 	}
-	if int(fr.Dst) < 0 || int(fr.Dst) >= len(b.owned) || !b.owned[int(fr.Dst)] {
+	if fr.Dst != int32(b.node) {
 		return fmt.Errorf("node %d is not served here", fr.Dst)
 	}
 	return nil
@@ -745,13 +697,12 @@ type nodeStats struct {
 }
 
 // NodeAccount is the retained accounting of one remote peer process, as
-// collected by the last MergeRemoteStats fan-out: which nodes it serves,
-// its fabric per-medium totals, its registry snapshot and its wire
-// counters. The driver's report builder turns each into a per-node
-// report section.
+// collected by the last MergeRemoteStats fan-out: the node it serves, its
+// fabric per-medium totals, its registry snapshot and its wire counters.
+// The driver's report builder turns each into a per-node report section.
 type NodeAccount struct {
 	Addr             string
-	Nodes            []int
+	Node             int
 	ShmBytes, ShmOps int64
 	NetBytes, NetOps int64
 	Metrics          cluster.MetricsSnapshot
@@ -767,27 +718,21 @@ func (b *Backend) NodeAccounts() []NodeAccount {
 	return append([]NodeAccount(nil), b.accounts...)
 }
 
-// eachPeer calls fn once per distinct remote peer process, in node order,
-// with the process's address and the nodes it serves (a peer owning
-// several nodes is visited once and reached through nodes[0]). It stops at
-// the first error fn returns.
-func (b *Backend) eachPeer(fn func(addr string, nodes []int) error) error {
+// eachPeer calls fn once per node in the peer table, in node order, with
+// the address of the process serving it. It stops at the first error fn
+// returns.
+func (b *Backend) eachPeer(fn func(addr string, node cluster.NodeID) error) error {
 	b.mu.Lock()
-	var addrs []string
-	served := make(map[string][]int)
-	for node, owned := range b.owned {
-		addr := b.addrs[cluster.NodeID(node)]
-		if owned || addr == "" {
-			continue
-		}
-		if served[addr] == nil {
-			addrs = append(addrs, addr)
-		}
-		served[addr] = append(served[addr], node)
+	addrs := make([]string, b.machine.NumNodes())
+	for node := range addrs {
+		addrs[node] = b.addrs[cluster.NodeID(node)]
 	}
 	b.mu.Unlock()
-	for _, addr := range addrs {
-		if err := fn(addr, served[addr]); err != nil {
+	for node, addr := range addrs {
+		if addr == "" {
+			continue
+		}
+		if err := fn(addr, cluster.NodeID(node)); err != nil {
 			return err
 		}
 	}
@@ -796,14 +741,13 @@ func (b *Backend) eachPeer(fn func(addr string, nodes []int) error) error {
 
 // MergeRemoteStats pulls the transfer accounting every remote peer
 // recorded while executing this process's operations and folds it into
-// the local fabric and machine metrics. Each peer process answers once for
-// all the nodes it serves, so the merged totals equal what a
+// the local fabric and machine metrics, so the merged totals equal what a
 // single-process run records. Call it after the workflow completes and
 // before reading any traffic report.
 func (b *Backend) MergeRemoteStats() error {
 	var accounts []NodeAccount
-	err := b.eachPeer(func(addr string, nodes []int) error {
-		resp, err := b.roundTrip(cluster.NodeID(nodes[0]), &frame{Op: opStats})
+	err := b.eachPeer(func(addr string, node cluster.NodeID) error {
+		resp, err := b.roundTrip(node, &frame{Op: opStats})
 		if err != nil {
 			return err
 		}
@@ -812,13 +756,13 @@ func (b *Backend) MergeRemoteStats() error {
 		}
 		var ns nodeStats
 		if err := gob.NewDecoder(bytes.NewReader(resp.Payload)).Decode(&ns); err != nil {
-			return fmt.Errorf("tcpnet: decoding stats from node %d: %w", nodes[0], err)
+			return fmt.Errorf("tcpnet: decoding stats from node %d: %w", node, err)
 		}
 		b.fabric.MergeMediumStats(ns.ShmBytes, ns.ShmOps, ns.NetBytes, ns.NetOps)
 		b.machine.Metrics().Merge(ns.Metrics)
 		accounts = append(accounts, NodeAccount{
 			Addr:     addr,
-			Nodes:    nodes,
+			Node:     int(node),
 			ShmBytes: ns.ShmBytes, ShmOps: ns.ShmOps,
 			NetBytes: ns.NetBytes, NetOps: ns.NetOps,
 			Metrics:  ns.Metrics,
@@ -844,8 +788,8 @@ func (b *Backend) PushPeers() error { return nil }
 // ShutdownPeers asks every remote peer process to exit. Errors do not
 // stop the fan-out — a peer that already exited is not a failure.
 func (b *Backend) ShutdownPeers() {
-	_ = b.eachPeer(func(_ string, nodes []int) error {
-		_, _ = b.roundTrip(cluster.NodeID(nodes[0]), &frame{Op: opShutdown})
+	_ = b.eachPeer(func(_ string, node cluster.NodeID) error {
+		_, _ = b.roundTrip(node, &frame{Op: opShutdown})
 		return nil
 	})
 }
@@ -858,8 +802,8 @@ func (b *Backend) Close() error {
 	if !b.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	for _, ln := range b.listeners {
-		ln.Close()
+	if b.listener != nil {
+		b.listener.Close()
 	}
 	b.mu.Lock()
 	for _, list := range b.pools {
@@ -1092,7 +1036,7 @@ func (b *Backend) checkTarget(c int32) error {
 	if err := b.checkCore(c); err != nil {
 		return err
 	}
-	if !b.owned[int(b.machine.NodeOf(cluster.CoreID(c)))] {
+	if b.machine.NodeOf(cluster.CoreID(c)) != b.node {
 		return fmt.Errorf("core %d is not served here", c)
 	}
 	return nil

@@ -22,7 +22,7 @@ import (
 // echoPayload is a representative RPC payload, a by-value wire message
 // like the dht and lock request types (registered under a tag of the
 // tests' own); blockPayload is an exposed buffer that can be clipped but
-// not shipped — enough for a loopback owner, which exposes in process.
+// not shipped — a test exposes it on the owning node's fabric.
 type echoPayload struct {
 	Text string
 	Vals []float64
@@ -103,23 +103,48 @@ func testConfig() Config {
 	return Config{Retry: p, IOTimeout: 5 * time.Second}
 }
 
-func newLoopbackFabric(t testing.TB, nodes, cores int) (*transport.Fabric, *Backend) {
+// newCluster starts the shape codsrun -backend=tcp deploys, on loopback
+// sockets: one Serve backend per node of a nodes x cores machine, each on
+// a fabric of its own, and a Connect driver installed on another. It
+// returns the driver's fabric and backend and the serving backends in node
+// order. A buffer that cannot cross the wire is exposed on its owning
+// node's fabric (servers[k].fabric), where that node's operations meter.
+func newCluster(t testing.TB, nodes, cores int) (*transport.Fabric, *Backend, []*Backend) {
 	t.Helper()
 	m, err := cluster.NewMachine(nodes, cores)
 	if err != nil {
 		t.Fatal(err)
 	}
+	peers := make(map[cluster.NodeID]string)
+	var servers []*Backend
+	for node := cluster.NodeID(0); int(node) < nodes; node++ {
+		srv, err := Serve(transport.NewFabric(m), node, "127.0.0.1:0", testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		peers[node] = srv.Addr()
+		servers = append(servers, srv)
+	}
 	f := transport.NewFabric(m)
-	b, err := NewLoopback(f, testConfig())
+	b, err := Connect(f, peers, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.SetBackend(b)
-	t.Cleanup(func() {
-		f.SetBackend(nil)
-		b.Close()
-	})
-	return f, b
+	t.Cleanup(func() { b.Close() })
+	return f, b, servers
+}
+
+// withSpaces builds a CoDS space over domain on every serving node's
+// fabric, registering the DHT handlers a driver-side space calls.
+func withSpaces(tb testing.TB, servers []*Backend, domain geometry.BBox) {
+	tb.Helper()
+	for _, srv := range servers {
+		if _, err := cods.NewSpace(srv.fabric, domain); err != nil {
+			tb.Fatal(err)
+		}
+	}
 }
 
 // v6OpMax is opMax as wire v6 had it, the largest it has ever been: the
@@ -188,7 +213,8 @@ func TestEveryOpHandled(t *testing.T) {
 	if n := int(opMax) - 1; n != 11 {
 		t.Fatalf("%d wire ops, want the 11 of wire v11 and v12", n)
 	}
-	_, b := newLoopbackFabric(t, 1, 1)
+	_, _, servers := newCluster(t, 1, 1)
+	b := servers[0]
 	sampled := make(map[uint8]*frame)
 	for _, fr := range sampleFrames() {
 		if sampled[fr.Op] == nil {
@@ -272,7 +298,7 @@ func dialServingNode(t *testing.T) (*transport.Fabric, *Backend, func(*frame) *f
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { b.Close() })
-	c, err := net.Dial("tcp", b.Addr(0))
+	c, err := net.Dial("tcp", b.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +444,8 @@ func TestWireStrictDecode(t *testing.T) {
 // sent as opaque or as a message — is refused before any codec runs, and
 // nothing gets exposed.
 func TestExposeAcceptsOnlyRawBlocks(t *testing.T) {
-	_, b := newLoopbackFabric(t, 1, 1)
+	_, b, servers := newCluster(t, 1, 1)
+	srv := servers[0]
 	region := geometry.NewBBox(geometry.Point{0}, geometry.Point{8})
 	var gobbed bytes.Buffer
 	if err := gob.NewEncoder(&gobbed).Encode(&cods.StoredObject{Region: region, Data: fillCells(region)}); err != nil {
@@ -426,7 +453,7 @@ func TestExposeAcceptsOnlyRawBlocks(t *testing.T) {
 	}
 	key := transport.BufKey{Name: "u|[0,8)", Version: 2}
 	for kind, payload := range map[uint8][]byte{payloadGob: gobbed.Bytes(), payloadRaw: sampleBlockPayload(), payloadMsg: sampleBlockPayload()} {
-		resp := b.execute(&frame{Op: opExpose, Kind: kind, Name: key.Name, Version: int64(key.Version), Payload: payload})
+		resp := srv.execute(&frame{Op: opExpose, Kind: kind, Name: key.Name, Version: int64(key.Version), Payload: payload})
 		if resp.Status != statusErr || !strings.Contains(resp.Err, "payload kind") {
 			t.Fatalf("expose with payload kind %d answered status %d, err %q; want a payload-kind rejection",
 				kind, resp.Status, resp.Err)
@@ -435,7 +462,7 @@ func TestExposeAcceptsOnlyRawBlocks(t *testing.T) {
 	if ok, err := b.Exposed(0, key); err != nil || ok {
 		t.Fatalf("a rejected expose left the buffer published (exposed=%v, err=%v)", ok, err)
 	}
-	resp := b.execute(&frame{Op: opExpose, Kind: payloadBlock, Name: key.Name, Version: int64(key.Version), Payload: sampleBlockPayload()})
+	resp := srv.execute(&frame{Op: opExpose, Kind: payloadBlock, Name: key.Name, Version: int64(key.Version), Payload: sampleBlockPayload()})
 	if resp.Status != statusOK {
 		t.Fatalf("raw-block expose answered status %d, err %q", resp.Status, resp.Err)
 	}
@@ -453,9 +480,10 @@ func TestExposeAcceptsOnlyRawBlocks(t *testing.T) {
 // handler runs; the same bytes under the right kind reach the handler, and
 // a payload whose tag nobody registered is an ordinary error.
 func TestCallAcceptsOnlyMessages(t *testing.T) {
-	f, b := newLoopbackFabric(t, 1, 1)
+	_, _, servers := newCluster(t, 1, 1)
+	b := servers[0]
 	calls := 0
-	f.Endpoint(0).RegisterHandler("echo", func(_ cluster.CoreID, req any) (any, error) {
+	b.fabric.Endpoint(0).RegisterHandler("echo", func(_ cluster.CoreID, req any) (any, error) {
 		calls++
 		return req, nil
 	})
@@ -487,22 +515,11 @@ func TestCallAcceptsOnlyMessages(t *testing.T) {
 	}
 }
 
-func TestLoopbackRemotePredicate(t *testing.T) {
-	f, b := newLoopbackFabric(t, 2, 2)
-	_ = f
-	if b.Remote(0, 1) {
-		t.Error("same-node cores must stay in-process")
-	}
-	if !b.Remote(0, 2) {
-		t.Error("cross-node cores must traverse the wire")
-	}
-}
-
 // TestLoopbackSendRecv: a message between cores of two nodes is delivered
-// and metered as a network flow under a loopback backend, and puts nothing
-// on the wire — mailboxes live in the process that runs the tasks.
+// and metered as a network flow by a driver, and puts nothing on the wire —
+// mailboxes live in the process that runs the tasks.
 func TestLoopbackSendRecv(t *testing.T) {
-	f, b := newLoopbackFabric(t, 2, 2)
+	f, b, _ := newCluster(t, 2, 2)
 	m := transport.Meter{Phase: "test", Class: cluster.InterApp, DstApp: 2}
 	done := make(chan transport.Message, 1)
 	go func() {
@@ -528,11 +545,14 @@ func TestLoopbackSendRecv(t *testing.T) {
 	}
 }
 
+// TestLoopbackExposeReadCall: a driver reads a buffer its owning node
+// exposed, asks whether it is exposed, withdraws it and calls a handler,
+// each over the wire; the node that served the read meters it.
 func TestLoopbackExposeReadCall(t *testing.T) {
-	f, b := newLoopbackFabric(t, 2, 2)
+	f, b, servers := newCluster(t, 2, 2)
 	m := transport.Meter{Phase: "test", Class: cluster.InterApp, DstApp: 2}
 	key := transport.BufKey{Name: "var", Version: 1}
-	owner, reader := f.Endpoint(1), f.Endpoint(3)
+	owner, reader := servers[0].fabric.Endpoint(1), f.Endpoint(3)
 
 	want := &blockPayload{Text: "block", Vals: []float64{1, 2, 3}}
 	if err := owner.Expose(key, want); err != nil {
@@ -548,8 +568,8 @@ func TestLoopbackExposeReadCall(t *testing.T) {
 	if !reflect.DeepEqual(want.Vals, got) {
 		t.Fatalf("read %v, want %v", got, want.Vals)
 	}
-	if f.MediumBytes(cluster.Network) != 24 {
-		t.Fatalf("cross-node read metered %d network bytes, want 24", f.MediumBytes(cluster.Network))
+	if n := servers[0].fabric.MediumBytes(cluster.Network); n != 24 {
+		t.Fatalf("cross-node read metered %d network bytes on its owner, want 24", n)
 	}
 	// Unexpose over the wire reports whether the buffer existed
 	// (statusNotFound on the second withdrawal).
@@ -563,7 +583,7 @@ func TestLoopbackExposeReadCall(t *testing.T) {
 		t.Fatalf("second Unexpose = %v, %v, want absent", existed, err)
 	}
 
-	f.Endpoint(0).RegisterHandler("echo", func(src cluster.CoreID, req any) (any, error) {
+	servers[0].fabric.Endpoint(0).RegisterHandler("echo", func(src cluster.CoreID, req any) (any, error) {
 		in := req.(echoPayload)
 		return echoPayload{Text: in.Text + "!", Vals: in.Vals}, nil
 	})
@@ -578,8 +598,8 @@ func TestLoopbackExposeReadCall(t *testing.T) {
 }
 
 func TestClosedEndpointErrorCrossesWire(t *testing.T) {
-	f, _ := newLoopbackFabric(t, 2, 1)
-	f.Endpoint(1).Close()
+	f, _, servers := newCluster(t, 2, 1)
+	servers[1].fabric.Endpoint(1).Close()
 	_, err := f.Endpoint(0).Call(1, "echo", echoPayload{Text: "x"}, transport.Meter{Class: cluster.Control}, 1, 1)
 	if !errors.Is(err, transport.ErrEndpointClosed) {
 		t.Fatalf("got %v, want ErrEndpointClosed through the wire", err)
@@ -587,7 +607,7 @@ func TestClosedEndpointErrorCrossesWire(t *testing.T) {
 }
 
 func TestHandshakeRejectsShapeMismatch(t *testing.T) {
-	_, server := newLoopbackFabric(t, 2, 2)
+	_, _, servers := newCluster(t, 2, 2)
 	mOther, err := cluster.NewMachine(3, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -596,7 +616,7 @@ func TestHandshakeRejectsShapeMismatch(t *testing.T) {
 	p := retry.Default()
 	p.MaxAttempts = 1
 	client, err := Connect(fOther, map[cluster.NodeID]string{
-		0: server.Addr(0), 1: server.Addr(1), 2: server.Addr(0),
+		0: servers[0].Addr(), 1: servers[1].Addr(), 2: servers[0].Addr(),
 	}, Config{Retry: p, IOTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -607,22 +627,28 @@ func TestHandshakeRejectsShapeMismatch(t *testing.T) {
 	}
 }
 
+// TestStatsMergeAcrossProcessShapes: a driver meters nothing a node
+// served; MergeRemoteStats folds each node's accounting into the driver's
+// fabric once, and keeps one account per node, in node order.
 func TestStatsMergeAcrossProcessShapes(t *testing.T) {
-	// Loopback owns every node, so MergeRemoteStats must be a no-op there.
-	f, b := newLoopbackFabric(t, 2, 2)
+	f, b, servers := newCluster(t, 2, 2)
 	m := transport.Meter{Phase: "t", Class: cluster.Control, DstApp: 2}
-	f.Endpoint(2).RegisterHandler("echo", func(_ cluster.CoreID, req any) (any, error) { return req, nil })
+	servers[1].fabric.Endpoint(2).RegisterHandler("echo", func(_ cluster.CoreID, req any) (any, error) { return req, nil })
 	if _, err := f.Endpoint(0).Call(2, "echo", echoPayload{Text: "abcd"}, m, 4, 4); err != nil {
 		t.Fatal(err)
 	}
-	before := f.MediumBytes(cluster.Network)
-	if before != 8 {
-		t.Fatalf("cross-node call metered %d network bytes, want 8", before)
+	if got, served := f.MediumBytes(cluster.Network), servers[1].fabric.MediumBytes(cluster.Network); got != 0 || served != 8 {
+		t.Fatalf("cross-node call metered %d network bytes on the driver, %d on its node; want 0 and 8", got, served)
 	}
 	if err := b.MergeRemoteStats(); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.MediumBytes(cluster.Network); got != before {
-		t.Fatalf("loopback MergeRemoteStats changed stats: %d -> %d", before, got)
+	if got := f.MediumBytes(cluster.Network); got != 8 {
+		t.Fatalf("driver holds %d network bytes after MergeRemoteStats, want the node's 8", got)
+	}
+	accts := b.NodeAccounts()
+	if len(accts) != 2 || accts[0].Node != 0 || accts[1].Node != 1 || accts[1].NetBytes != 8 ||
+		accts[1].Addr != servers[1].Addr() {
+		t.Fatalf("node accounts %+v; want node 0, then node 1 at %s with 8 network bytes", accts, servers[1].Addr())
 	}
 }

@@ -23,9 +23,9 @@ import (
 
 // Wire operations. opResp is the single response op; the request op a
 // response answers is implied by the connection's strict request/response
-// discipline. Every request is initiated by a process that runs tasks (a
-// driver, or the loopback backend on behalf of its own cores): no op
-// carries a peer address, so a serving process answers and never dials.
+// discipline. Every request is initiated by the driver, the process that
+// runs the tasks: no op carries a peer address, so a serving process
+// answers and never dials.
 const (
 	opHello uint8 = iota + 1
 	opResp

@@ -282,7 +282,7 @@ func (ep *Endpoint) Close() {
 // pull from it with ReadMulti. Re-exposing an existing key is an error
 // (versions distinguish iterations).
 func (ep *Endpoint) Expose(key BufKey, payload any) error {
-	if ep.fabric.Routed(ep.core, ep.core) {
+	if ep.fabric.Routed() {
 		return ep.fabric.backend.Expose(ep.core, key, payload)
 	}
 	return ep.fabric.LocalExpose(ep.core, key, payload)
@@ -291,7 +291,7 @@ func (ep *Endpoint) Expose(key BufKey, payload any) error {
 // Unexpose withdraws a published buffer, freeing its slot; existed reports
 // whether key was published on this endpoint.
 func (ep *Endpoint) Unexpose(key BufKey) (existed bool, err error) {
-	if ep.fabric.Routed(ep.core, ep.core) {
+	if ep.fabric.Routed() {
 		return ep.fabric.backend.Unexpose(ep.core, key)
 	}
 	return ep.fabric.LocalUnexpose(ep.core, key)
@@ -319,7 +319,7 @@ func (ep *Endpoint) ReadMulti(specs []ReadSpec, m Meter, deliver SegmentFunc) er
 			return err
 		}
 	}
-	if ep.fabric.Routed(ep.core, specs[0].Owner) {
+	if ep.fabric.Routed() {
 		return ep.fabric.backend.ReadMulti(ep.core, specs, m, deliver)
 	}
 	return ep.fabric.LocalReadMulti(ep.core, specs, m, deliver)
@@ -354,7 +354,7 @@ func (ep *Endpoint) Call(dst cluster.CoreID, service string, request any, m Mete
 	if err := ep.fabric.inject(FaultCall, int(ep.fabric.medium(ep.core, dst)), ep.core, dst); err != nil {
 		return nil, err
 	}
-	if ep.fabric.Routed(ep.core, dst) {
+	if ep.fabric.Routed() {
 		return ep.fabric.backend.Call(ep.core, dst, service, request, m, reqBytes, respBytes)
 	}
 	return ep.fabric.LocalCall(ep.core, dst, service, request, m, reqBytes, respBytes)

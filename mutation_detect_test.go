@@ -16,8 +16,6 @@ import (
 	"testing"
 	"time"
 
-	cods "github.com/insitu/cods"
-	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/conformance"
 	"github.com/insitu/cods/internal/decomp"
 	"github.com/insitu/cods/internal/genwf"
@@ -25,7 +23,6 @@ import (
 	"github.com/insitu/cods/internal/membership"
 	"github.com/insitu/cods/internal/mutate"
 	"github.com/insitu/cods/internal/sfc"
-	"github.com/insitu/cods/internal/transport/tcpnet"
 )
 
 // mutationScenario returns the directed scenario detecting one seeded
@@ -160,6 +157,22 @@ func mutationScenario(name string) genwf.Scenario {
 			ConsKind: decomp.Blocked, ConsGrid: []int{1},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
 		}
+	case mutate.TCPBlockShift, mutate.TCPClipRowSkew:
+		// Two producer blocks of 4x8 staged through the driver, so each
+		// crosses the wire and its owning node keeps the block it decoded;
+		// eight consumers read 4x2 boxes, each a clip of four rows, most of
+		// them strictly inside their block along the rows. A block decoded
+		// one cell over still covers an interior box, with its neighbours'
+		// values; a clip whose later rows start one cell late keeps every
+		// segment's length. Both put wrong cells where the model has the
+		// right ones, and only on the TCP leg.
+		return genwf.Scenario{
+			Seed: 0x19, Nodes: 2, CoresPerNode: 4, Domain: []int{8, 8},
+			Sequential: true,
+			ProdKind:   decomp.Blocked, ProdGrid: []int{2, 1},
+			ConsKind: decomp.Blocked, ConsGrid: []int{2, 4},
+			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
+		}
 	case mutate.ReconcileSkipReinsert:
 		// Both producer blocks are staged on node 0; the record of the
 		// second, [4,8), lies in the upper half of the index space and so
@@ -268,94 +281,6 @@ func detectLeaseExpiryIgnored(t *testing.T) {
 	t.Logf("detected %q: %v", mutate.LeaseExpiryIgnored, err)
 }
 
-// detectSplitProcess proves a defect in a block a serving process received
-// over the wire is watched: tcp-block-shift (the owning process decodes an
-// exposed region one cell over) and tcp-clip-row-skew (it clips the block
-// it kept with every row after the first one cell late). The conformance
-// loopback never ships a block — an owner it serves exposes in process —
-// so these defects only exist where codsrun -backend=tcp and the repo
-// benchmark run: a driver that owns no node, staging on separate serving
-// processes. The probe builds that shape inside this process — one
-// framework and tcpnet.Serve backend per node, a tcpnet.Connect driver —
-// stages a block on each node and requires the driver's get to match the
-// same put/get on an in-process fabric cell for cell: cross-backend
-// identity, on the one deployment shape where expose crosses the wire.
-func detectSplitProcess(t *testing.T, name string) {
-	cfg := cods.Config{Nodes: 2, CoresPerNode: 1, Domain: []int{8, 8}}
-	putGet := func(fw *cods.Framework) ([]float64, error) {
-		sp := fw.SharedSpace()
-		for core := 0; core < 2; core++ {
-			blk := geometry.NewBBox(geometry.Point{4 * core, 0}, geometry.Point{4 * (core + 1), 8})
-			data := make([]float64, blk.Volume())
-			for i := range data {
-				data[i] = float64(100*core + i)
-			}
-			if err := sp.HandleAt(cluster.CoreID(core), 1, "put").PutSequential("v", 0, blk, data); err != nil {
-				return nil, err
-			}
-		}
-		// An interior get: every sub-box is strictly inside its block, so a
-		// shifted block still covers it — with its neighbours' values — and
-		// each is a clip of several rows.
-		return sp.HandleAt(0, 2, "get").GetSequential("v", 0, geometry.NewBBox(geometry.Point{1, 2}, geometry.Point{7, 6}))
-	}
-	probe := func() error {
-		ref, err := cods.New(cfg)
-		if err != nil {
-			return err
-		}
-		want, err := putGet(ref)
-		if err != nil {
-			return fmt.Errorf("in-process leg: %w", err)
-		}
-		peers := make(map[cluster.NodeID]string)
-		for node := 0; node < cfg.Nodes; node++ {
-			fw, err := cods.New(cfg)
-			if err != nil {
-				return err
-			}
-			be, err := tcpnet.Serve(fw.TransportFabric(), cluster.NodeID(node), "127.0.0.1:0", tcpnet.Config{})
-			if err != nil {
-				return err
-			}
-			defer be.Close() // serves fw's fabric, which gets no backend: a node never dials
-			peers[cluster.NodeID(node)] = be.Addr(cluster.NodeID(node))
-		}
-		driver, err := cods.New(cfg)
-		if err != nil {
-			return err
-		}
-		be, err := tcpnet.Connect(driver.TransportFabric(), peers, tcpnet.Config{})
-		if err != nil {
-			return err
-		}
-		defer be.Close()
-		driver.TransportFabric().SetBackend(be)
-		got, err := putGet(driver)
-		if err != nil {
-			return fmt.Errorf("tcp leg: %w", err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return fmt.Errorf("cell %d = %v through a driver and two serving nodes, %v in process", i, got[i], want[i])
-			}
-		}
-		return nil
-	}
-	if err := probe(); err != nil {
-		t.Fatalf("split-process put/get fails even without the mutation: %v", err)
-	}
-	t.Setenv("CODS_MUTATION", name)
-	if !mutate.Enabled(name) {
-		t.Fatal("mutation hooks not compiled in (missing -tags conformance_mutations?)")
-	}
-	err := probe()
-	if err == nil {
-		t.Fatalf("cross-backend identity did not detect seeded defect %q", name)
-	}
-	t.Logf("detected %q: %v", name, err)
-}
-
 // detectMortonBitSwap proves the linearizer suite catches a transposed
 // Morton bit interleave. The defect is a consistent relabeling of the
 // index space: DHT inserts and queries route through the same mutated
@@ -419,12 +344,6 @@ func TestMutationDetection(t *testing.T) {
 				detectLeaseExpiryIgnored(t)
 				return
 			}
-			if name == mutate.TCPBlockShift || name == mutate.TCPClipRowSkew {
-				// The loopback leg of the sweep exposes in process; a block
-				// that crossed the wire needs the driver-plus-nodes shape.
-				detectSplitProcess(t, name)
-				return
-			}
 			if name == mutate.MortonBitSwap {
 				// A consistent index-space relabeling is invisible to the
 				// pipeline; the curve's own contracts catch it.
@@ -444,7 +363,8 @@ func TestMutationDetection(t *testing.T) {
 			// the cross-backend dimension of the sweep must catch.
 			runScenario := conformance.RunOpts
 			switch name {
-			case mutate.TCPTruncFrame, mutate.TCPMeterClass, mutate.TCPSGDrop, mutate.TCPSGReorder, mutate.TCPMsgEntryDrop:
+			case mutate.TCPTruncFrame, mutate.TCPMeterClass, mutate.TCPSGDrop, mutate.TCPSGReorder, mutate.TCPMsgEntryDrop,
+				mutate.TCPBlockShift, mutate.TCPClipRowSkew:
 				runScenario = conformance.RunCrossOpts
 			}
 
