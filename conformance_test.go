@@ -65,13 +65,14 @@ func TestConformanceFaultsConcurrentPulls(t *testing.T) {
 }
 
 // TestConformanceElastic is the sweep pinned to node-loss scenarios:
-// after the first get round a node's serving process is lost and replaced
-// in its slot — its exposed buffers and its DHT table are gone
-// (Space.ResetNode in process; on the TCP leg node.Cluster.Replace closes
-// the serving node and starts a fresh one at the next incarnation), which
-// the harness first proves through the lookup; the recovery is the
-// membership.Reconcile that codsrun -elastic runs, from the put ledger. The re-get round must stay byte-identical to the reference model,
-// whose ownership never changed, on both backends, with all accounting
+// after the first get round, on the TCP leg, node.Cluster.Replace closes a
+// serving node and starts a fresh one at the next incarnation — its
+// exposed buffers and its DHT table are gone, which the harness first
+// proves through the lookup; the recovery is the membership.Reconcile that
+// codsrun -elastic runs, from the put ledger. The in-process leg has no
+// process to lose and runs the same reconcile against its intact space.
+// The re-get round must stay byte-identical to the reference model, whose
+// ownership never changed, on both backends, with all accounting
 // invariants intact.
 func TestConformanceElastic(t *testing.T) {
 	n := conformanceSeeds(t, 12)

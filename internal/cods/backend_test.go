@@ -41,7 +41,6 @@ func (b *fakeBackend) roundTrip() error {
 	return nil
 }
 
-func (b *fakeBackend) Name() string { return "fake" }
 func (b *fakeBackend) Close() error { return nil }
 
 func (b *fakeBackend) ReadMulti(reader cluster.CoreID, specs []transport.ReadSpec, m transport.Meter, deliver transport.SegmentFunc) error {
@@ -66,11 +65,12 @@ func (b *fakeBackend) Expose(owner cluster.CoreID, key transport.BufKey, payload
 	return err
 }
 
-func (b *fakeBackend) Unexpose(owner cluster.CoreID, key transport.BufKey) (bool, error) {
+func (b *fakeBackend) Unexpose(owner cluster.CoreID, key transport.BufKey) error {
 	if err := b.roundTrip(); err != nil {
-		return false, err
+		return err
 	}
-	return b.f.LocalUnexpose(owner, key)
+	b.f.LocalUnexpose(owner, key)
+	return nil
 }
 
 func (b *fakeBackend) Exposed(owner cluster.CoreID, key transport.BufKey) (bool, error) {
@@ -80,17 +80,14 @@ func (b *fakeBackend) Exposed(owner cluster.CoreID, key transport.BufKey) (bool,
 	return b.f.LocalExposed(owner, key)
 }
 
-// TestDiscardSurvivesFailedRoundTrip is the regression test for the
-// staging-memory leak: when the first buffer-state round trip of a discard
-// fails, the error must surface, nothing may be released or withdrawn
-// behind the caller's back, and the retried discard must return the core's
-// staging memory to zero so later puts fit under the limit again.
+// TestDiscardSurvivesFailedRoundTrip: when the first buffer-state round
+// trip of a discard fails, the error must surface and the block stay
+// exposed, and the retried discard must withdraw it.
 func TestDiscardSurvivesFailedRoundTrip(t *testing.T) {
 	_, sp := testRig(t, 1, 2, []int{8, 8})
 	be := &fakeBackend{f: sp.Fabric()}
 	sp.Fabric().SetBackend(be)
 	blk := geometry.BoxFromSize([]int{8, 8})
-	sp.SetMemoryLimit(blk.Volume() * ElemSize)
 	h := sp.HandleAt(0, 1, "p")
 	if err := h.PutSequential("v", 0, blk, fillRegion(blk)); err != nil {
 		t.Fatal(err)
@@ -100,11 +97,14 @@ func TestDiscardSurvivesFailedRoundTrip(t *testing.T) {
 	if err := h.DiscardSequential("v", 0, blk); !errors.Is(err, errRoundTrip) {
 		t.Fatalf("discard over a failing round trip: err = %v, want the round-trip error", err)
 	}
+	if ok, _ := sp.Fabric().LocalExposed(0, bufKey("v", blk, 0)); !ok {
+		t.Fatal("the block was withdrawn by a discard that failed")
+	}
 	if err := h.DiscardSequential("v", 0, blk); err != nil {
 		t.Fatalf("retried discard: %v", err)
 	}
-	if got := sp.MemoryUsed(0); got != 0 {
-		t.Fatalf("MemoryUsed after retried discard = %d, want 0", got)
+	if ok, _ := sp.Fabric().LocalExposed(0, bufKey("v", blk, 0)); ok {
+		t.Fatal("the block is still exposed after the retried discard")
 	}
 	if err := h.PutSequential("v", 1, blk, fillRegion(blk)); err != nil {
 		t.Fatalf("put after retried discard: %v", err)
@@ -121,9 +121,8 @@ func (l *putLog) RecordDiscard(string, int, geometry.BBox, cluster.CoreID) { l.l
 
 // TestPutSequentialUndoesFailedInsert is the regression test for the
 // leaked put: when the lookup registration of a staged block fails, the
-// block must not stay exposed, reserved and on the put ledger — the error
-// surfaces, and the retried put succeeds against a single reservation
-// instead of failing with "already exposed".
+// block must not stay exposed and on the put ledger — the error surfaces,
+// and the retried put succeeds instead of failing with "already exposed".
 func TestPutSequentialUndoesFailedInsert(t *testing.T) {
 	_, sp := testRig(t, 1, 2, []int{8, 8})
 	be := &fakeBackend{f: sp.Fabric()}
@@ -131,15 +130,11 @@ func TestPutSequentialUndoesFailedInsert(t *testing.T) {
 	ledger := &putLog{}
 	sp.SetPutRecorder(ledger)
 	blk := geometry.BoxFromSize([]int{8, 8})
-	sp.SetMemoryLimit(blk.Volume() * ElemSize)
 	h := sp.HandleAt(0, 1, "p")
 
 	be.callFailures.Store(1)
 	if err := h.PutSequential("v", 0, blk, fillRegion(blk)); !errors.Is(err, errRoundTrip) {
 		t.Fatalf("put over a failing insert: err = %v, want the round-trip error", err)
-	}
-	if got := sp.MemoryUsed(0); got != 0 {
-		t.Fatalf("MemoryUsed after the failed put = %d, want 0", got)
 	}
 	if ok, err := be.Exposed(0, bufKey("v", blk, 0)); err != nil || ok {
 		t.Fatalf("block still exposed after the failed put (exposed=%v, err=%v)", ok, err)
@@ -150,8 +145,8 @@ func TestPutSequentialUndoesFailedInsert(t *testing.T) {
 	if err := h.PutSequential("v", 0, blk, fillRegion(blk)); err != nil {
 		t.Fatalf("retried put: %v", err)
 	}
-	if got, want := sp.MemoryUsed(0), blk.Volume()*ElemSize; got != want {
-		t.Fatalf("MemoryUsed after the retried put = %d, want one reservation of %d", got, want)
+	if n := sp.Lookup().TableSize(0); n != 1 {
+		t.Fatalf("%d location records after the retried put, want 1", n)
 	}
 	got, err := sp.HandleAt(1, 2, "g").GetSequential("v", 0, blk)
 	if err != nil {
@@ -162,8 +157,7 @@ func TestPutSequentialUndoesFailedInsert(t *testing.T) {
 
 // TestPutSequentialRetriesFailedExpose: under a retry policy a put whose
 // expose fails three times is staged by its fourth attempt — one exposure,
-// one location record, the block on the put ledger, one block's staging
-// memory, and each re-attempt counted in cods.put.retries and traced as a
+// one location record, the block on the put ledger, and each re-attempt counted in cods.put.retries and traced as a
 // retry:put:<var> event. With the policy disabled the first failure is
 // returned and nothing is left behind.
 func TestPutSequentialRetriesFailedExpose(t *testing.T) {
@@ -194,11 +188,11 @@ func TestPutSequentialRetriesFailedExpose(t *testing.T) {
 		if err := tr.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		state := fmt.Sprintf("exposed=%v, %d records, %d on the ledger, %d B staged, %d retries, %d events",
-			exposed, sp.Lookup().TableSize(0), ledger.live.Load(), sp.MemoryUsed(0),
+		state := fmt.Sprintf("exposed=%v, %d records, %d on the ledger, %d retries, %d events",
+			exposed, sp.Lookup().TableSize(0), ledger.live.Load(),
 			retries.Value()-before, strings.Count(spans.String(), `"retry:put:v"`))
 		if !pol.Enabled() {
-			if !errors.Is(err, errRoundTrip) || state != "exposed=false, 0 records, 0 on the ledger, 0 B staged, 0 retries, 0 events" {
+			if !errors.Is(err, errRoundTrip) || state != "exposed=false, 0 records, 0 on the ledger, 0 retries, 0 events" {
 				t.Fatalf("without a policy: err = %v, %s; want the expose's error and nothing left", err, state)
 			}
 			continue
@@ -206,8 +200,8 @@ func TestPutSequentialRetriesFailedExpose(t *testing.T) {
 		if err != nil {
 			t.Fatalf("put over %d failed exposes: %v", failures, err)
 		}
-		want := fmt.Sprintf("exposed=true, 1 records, 1 on the ledger, %d B staged, %d retries, %d events",
-			blk.Volume()*ElemSize, failures, failures)
+		want := fmt.Sprintf("exposed=true, 1 records, 1 on the ledger, %d retries, %d events",
+			failures, failures)
 		if state != want {
 			t.Fatalf("after the retried put: %s; want %s", state, want)
 		}
@@ -222,9 +216,8 @@ func TestPutSequentialRetriesFailedExpose(t *testing.T) {
 // TestRetriedPutReservesOnce: a core already holds block A when the put of
 // B fails once and is re-attempted. Whether B's expose landed and lost its
 // acknowledgement, or its registration and then its withdrawal failed, the
-// failed attempt gave its reservation back, so the re-attempt must not
-// give it back a second time: the core holds A + B afterwards, and the
-// memory limit still bounds it.
+// re-attempt must leave B staged once: exposed, with one location record,
+// and readable.
 func TestRetriedPutReservesOnce(t *testing.T) {
 	a := geometry.NewBBox(geometry.Point{0, 0}, geometry.Point{4, 8})
 	b := geometry.NewBBox(geometry.Point{4, 0}, geometry.Point{8, 8})
@@ -251,8 +244,15 @@ func TestRetriedPutReservesOnce(t *testing.T) {
 			if err := h.PutSequential("v", 0, b, fillRegion(b)); err != nil {
 				t.Fatalf("re-attempted put: %v", err)
 			}
-			if got, want := sp.MemoryUsed(0), (a.Volume()+b.Volume())*ElemSize; got != want {
-				t.Fatalf("MemoryUsed after the re-attempted put = %d, want A + B = %d", got, want)
+			if ok, _ := sp.Fabric().LocalExposed(0, bufKey("v", b, 0)); !ok {
+				t.Fatal("B is not exposed after the re-attempted put")
+			}
+			entries, err := sp.Lookup().ClientAt(1).Query("check", 2, "v", 0, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != 1 || entries[0].Owner != 0 || !entries[0].Region.Equal(b) {
+				t.Fatalf("the lookup answers %+v for B, want its one record at core 0", entries)
 			}
 			got, err := sp.HandleAt(1, 2, "g").GetSequential("v", 0, b)
 			if err != nil {

@@ -282,13 +282,6 @@ type Space struct {
 	fabric *transport.Fabric
 	lookup *dht.Service
 
-	// memLimit bounds the staging memory per core in bytes (0 = unlimited).
-	// Staging nodes have finite memory; exceeding it is an error the
-	// application must handle by discarding older versions.
-	memLimit int64
-	memMu    sync.Mutex
-	memUsed  map[cluster.CoreID]int64
-
 	// Schedule invalidation state: epoch is bumped by InvalidateAll
 	// (everything stale), varGen[v] by DiscardSequential of variable v (that
 	// variable's cached schedules stale). Handles stamp cached schedules
@@ -344,10 +337,9 @@ func NewSpaceWithCurve(f *transport.Fabric, domain geometry.BBox, curveName stri
 		return nil, fmt.Errorf("cods: %w", err)
 	}
 	return &Space{
-		fabric:  f,
-		lookup:  dht.NewService(f, curve),
-		memUsed: make(map[cluster.CoreID]int64),
-		varGen:  make(map[string]uint64),
+		fabric: f,
+		lookup: dht.NewService(f, curve),
+		varGen: make(map[string]uint64),
 	}, nil
 }
 
@@ -408,61 +400,6 @@ func (sp *Space) scheduleStamp(v string) (epoch, gen uint64) {
 	sp.invMu.Lock()
 	defer sp.invMu.Unlock()
 	return sp.epoch, sp.varGen[v]
-}
-
-// SetMemoryLimit bounds the per-core staging memory in bytes (0 removes
-// the bound). Puts that would exceed it fail; Discard releases space.
-func (sp *Space) SetMemoryLimit(bytes int64) {
-	sp.memMu.Lock()
-	defer sp.memMu.Unlock()
-	sp.memLimit = bytes
-}
-
-// MemoryUsed reports the staging bytes currently held by a core.
-func (sp *Space) MemoryUsed(c cluster.CoreID) int64 {
-	sp.memMu.Lock()
-	defer sp.memMu.Unlock()
-	return sp.memUsed[c]
-}
-
-// reserve books n staging bytes on a core, failing when over the limit.
-func (sp *Space) reserve(c cluster.CoreID, n int64) error {
-	sp.memMu.Lock()
-	defer sp.memMu.Unlock()
-	if sp.memLimit > 0 && sp.memUsed[c]+n > sp.memLimit {
-		return fmt.Errorf("cods: core %d staging memory exhausted (%d + %d > %d)",
-			c, sp.memUsed[c], n, sp.memLimit)
-	}
-	sp.memUsed[c] += n
-	return nil
-}
-
-// release frees n staging bytes on a core.
-func (sp *Space) release(c cluster.CoreID, n int64) {
-	sp.memMu.Lock()
-	defer sp.memMu.Unlock()
-	sp.memUsed[c] -= n
-	if sp.memUsed[c] < 0 {
-		sp.memUsed[c] = 0
-	}
-}
-
-// ResetNode makes the space what a crash of the node's serving process
-// leaves of it: on an in-process fabric the node's exposed buffers and its
-// DHT core's location table are dropped (there this is the crash), and the
-// staging memory booked on the node's cores is zeroed everywhere, since
-// whatever was staged there is gone whether or not a discard ever says so.
-// A driver's space holds neither buffers nor tables — they went with the
-// serving process — so there the account is all there is to reset.
-func (sp *Space) ResetNode(node cluster.NodeID) {
-	sp.fabric.ResetNode(node)
-	sp.lookup.ResetNode(int(node))
-	m := sp.fabric.Machine()
-	sp.memMu.Lock()
-	for slot := 0; slot < m.CoresPerNode(); slot++ {
-		delete(sp.memUsed, m.CoreOn(node, slot))
-	}
-	sp.memMu.Unlock()
 }
 
 // Lookup exposes the data lookup service (used by the client-side task
@@ -572,15 +509,7 @@ func (h *Handle) PutConcurrent(v string, version int, region geometry.BBox, data
 	if err := validatePut(v, region, data); err != nil {
 		return err
 	}
-	if err := h.sp.reserve(h.core, region.Volume()*ElemSize); err != nil {
-		return err
-	}
-	obj := &StoredObject{Region: region.Clone(), Data: data}
-	if err := h.endpoint().Expose(bufKey(v, region, version), obj); err != nil {
-		h.sp.release(h.core, region.Volume()*ElemSize)
-		return err
-	}
-	return nil
+	return h.endpoint().Expose(bufKey(v, region, version), &StoredObject{Region: region.Clone(), Data: data})
 }
 
 // ProducerInfo tells a concurrent consumer how the producer's data is laid
@@ -663,8 +592,7 @@ func orderSchedule(sched []transport.ReadSpec) []transport.ReadSpec {
 // backoff, so a put whose owner is lost mid-put waits out the replacement
 // and the reconcile instead of failing its task (tasks are never re-run).
 // An attempt after the first starts by withdrawing the buffer: an expose
-// whose acknowledgement was lost may have landed. The withdrawal releases
-// nothing, since the failed attempt released its reservation itself.
+// whose acknowledgement was lost may have landed.
 func (h *Handle) PutSequential(v string, version int, region geometry.BBox, data []float64) error {
 	if err := validatePut(v, region, data); err != nil {
 		return err
@@ -679,7 +607,7 @@ func (h *Handle) PutSequential(v string, version int, region geometry.BBox, data
 			if attempt > 1 {
 				obsPutRetries.Inc()
 				h.sp.tracer.Load().Event(h.spanParent, "retry:put:"+v)
-				if _, err := h.endpoint().Unexpose(bufKey(v, region, version)); err != nil {
+				if err := h.Discard(v, version, region); err != nil {
 					return err
 				}
 			}
@@ -688,14 +616,9 @@ func (h *Handle) PutSequential(v string, version int, region geometry.BBox, data
 	return err
 }
 
-// putAttempt is one staging of a validated block: reserve, record, expose,
-// register — undone on failure, so another attempt starts clean. A failed
-// attempt never holds its reservation, whether or not its buffer could be
-// withdrawn.
+// putAttempt is one staging of a validated block: record, expose, register
+// — undone on failure, so another attempt starts clean.
 func (h *Handle) putAttempt(v string, version int, region geometry.BBox, data []float64) error {
-	if err := h.sp.reserve(h.core, region.Volume()*ElemSize); err != nil {
-		return err
-	}
 	obj := &StoredObject{Region: region.Clone(), Data: data}
 	// Record the block BEFORE exposing it: an expose can be acknowledged
 	// by a process that dies immediately after, and a reconcile that runs
@@ -712,18 +635,15 @@ func (h *Handle) putAttempt(v string, version int, region geometry.BBox, data []
 		if r := h.sp.putRecorder.Load(); r != nil {
 			(*r).RecordDiscard(v, version, region, h.core)
 		}
-		h.sp.release(h.core, region.Volume()*ElemSize)
 		return err
 	}
 	cl := h.lookupClient()
 	if err := cl.Insert(h.phase, h.app, dht.Entry{Var: v, Version: version, Region: region, Owner: h.core}); err != nil {
-		// The block is exposed, reserved and in the ledger but cannot be
-		// found: undo all three (and any location record a partial insert
-		// left behind), so another attempt starts clean instead of failing
-		// with "already exposed" on top of a doubled reservation.
-		h.sp.release(h.core, region.Volume()*ElemSize)
-		_, uerr := h.endpoint().Unexpose(bufKey(v, region, version))
-		return errors.Join(err, uerr, h.unregister(v, version, region))
+		// The block is exposed and in the ledger but cannot be found: undo
+		// both (and any location record a partial insert left behind), so
+		// another attempt starts clean instead of failing with "already
+		// exposed".
+		return errors.Join(err, h.DiscardSequential(v, version, region))
 	}
 	return nil
 }
@@ -1060,43 +980,31 @@ func (h *Handle) pullBatch(out *lazyOutput, region geometry.BBox, v string, vers
 }
 
 // Discard withdraws a previously put block so its memory slot can be
-// reused (between iterations). The staging memory is released iff the
-// block was still exposed; on an error nothing was released and the
-// discard can be retried.
+// reused (between iterations). Withdrawing a block that is not exposed is
+// no error; a failed withdrawal can be retried.
 func (h *Handle) Discard(v string, version int, region geometry.BBox) error {
-	existed, err := h.endpoint().Unexpose(bufKey(v, region, version))
-	if existed {
-		h.sp.release(h.core, region.Volume()*ElemSize)
-	}
-	return err
+	return h.endpoint().Unexpose(bufKey(v, region, version))
 }
 
 // DiscardSequential garbage-collects a sequentially stored block: the
-// buffer is withdrawn, its staging memory freed and its location record
-// removed from the lookup service, so later gets of that version fail
-// with a coverage error instead of pulling stale data. Every consumer's
-// cached schedules for the variable are invalidated, so a restage of the
-// data at a different owner can never be pulled from the old owner via a
-// stale cached schedule. Iterative producers call it on versions no
-// consumer will read again.
+// buffer is withdrawn and its location record removed from the lookup
+// service, so later gets of that version fail with a coverage error
+// instead of pulling stale data. Every consumer's cached schedules for the
+// variable are invalidated, so a restage of the data at a different owner
+// can never be pulled from the old owner via a stale cached schedule, and
+// the put recorder drops the block. Iterative producers call it on
+// versions no consumer will read again.
 func (h *Handle) DiscardSequential(v string, version int, region geometry.BBox) error {
 	// A failed withdrawal does not stop the location record from being
 	// removed: consumers must stop being routed to the block either way.
 	derr := h.Discard(v, version, region)
-	return errors.Join(derr, h.unregister(v, version, region))
-}
-
-// unregister is the bookkeeping half of a sequential discard: the block's
-// location record is removed, every cached schedule of the variable is
-// invalidated and the put recorder drops the block.
-func (h *Handle) unregister(v string, version int, region geometry.BBox) error {
 	err := h.lookupClient().Remove(h.phase, h.app,
 		dht.Entry{Var: v, Version: version, Region: region, Owner: h.core})
 	h.sp.InvalidateSchedules(v)
 	if r := h.sp.putRecorder.Load(); r != nil {
 		(*r).RecordDiscard(v, version, region, h.core)
 	}
-	return err
+	return errors.Join(derr, err)
 }
 
 // schedKey builds the cache key for a schedule: operator, owning app,

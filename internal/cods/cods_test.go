@@ -397,59 +397,6 @@ func BenchmarkGetSequential(b *testing.B) {
 	}
 }
 
-func TestMemoryLimit(t *testing.T) {
-	_, sp := testRig(t, 1, 2, []int{8, 8})
-	blk := geometry.BoxFromSize([]int{8, 8}) // 64 cells = 512 B
-	sp.SetMemoryLimit(600)
-	h := sp.HandleAt(0, 1, "p")
-	if err := h.PutSequential("v", 0, blk, fillRegion(blk)); err != nil {
-		t.Fatal(err)
-	}
-	if got := sp.MemoryUsed(0); got != 512 {
-		t.Fatalf("MemoryUsed = %d", got)
-	}
-	// Second put exceeds the 600-byte budget.
-	if err := h.PutSequential("v", 1, blk, fillRegion(blk)); err == nil {
-		t.Fatal("over-budget put accepted")
-	}
-	// Discarding the first version frees the space.
-	if err := h.Discard("v", 0, blk); err != nil {
-		t.Fatal(err)
-	}
-	if got := sp.MemoryUsed(0); got != 0 {
-		t.Fatalf("MemoryUsed after discard = %d", got)
-	}
-	if err := h.PutSequential("v", 1, blk, fillRegion(blk)); err != nil {
-		t.Fatalf("put after discard failed: %v", err)
-	}
-	// Another core has its own budget.
-	h2 := sp.HandleAt(1, 1, "p")
-	if err := h2.PutConcurrent("w", 0, blk, fillRegion(blk)); err != nil {
-		t.Fatal(err)
-	}
-	// Removing the limit allows any volume.
-	sp.SetMemoryLimit(0)
-	if err := h2.PutConcurrent("w", 1, blk, fillRegion(blk)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDiscardOnlyReleasesExposed(t *testing.T) {
-	_, sp := testRig(t, 1, 1, []int{4})
-	blk := geometry.BoxFromSize([]int{4})
-	h := sp.HandleAt(0, 1, "p")
-	// Discarding something never put must not drive usage negative.
-	if err := h.Discard("ghost", 0, blk); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.PutConcurrent("v", 0, blk, fillRegion(blk)); err != nil {
-		t.Fatal(err)
-	}
-	if got := sp.MemoryUsed(0); got != 32 {
-		t.Fatalf("MemoryUsed = %d", got)
-	}
-}
-
 func TestDiscardSequentialRemovesLocation(t *testing.T) {
 	_, sp := testRig(t, 2, 2, []int{8, 8})
 	blk := geometry.BoxFromSize([]int{8, 8})
@@ -464,8 +411,8 @@ func TestDiscardSequentialRemovesLocation(t *testing.T) {
 	if err := h.DiscardSequential("v", 0, blk); err != nil {
 		t.Fatal(err)
 	}
-	if sp.MemoryUsed(0) != 0 {
-		t.Fatalf("memory not freed: %d", sp.MemoryUsed(0))
+	if ok, _ := sp.Fabric().LocalExposed(0, bufKey("v", blk, 0)); ok {
+		t.Fatal("the block is still exposed after its discard")
 	}
 	// A fresh handle (no cached schedule) must now fail with coverage.
 	g2 := sp.HandleAt(2, 2, "g2")

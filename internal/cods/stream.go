@@ -24,7 +24,6 @@ package cods
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 
 	"github.com/insitu/cods/internal/cluster"
@@ -126,6 +125,8 @@ type stream struct {
 	nextSub int
 	// Per-stream accounting, mirrored by the reference model.
 	published, consumed, dropped int64
+	// lag is the stream's one lag gauge (updateLagLocked).
+	lag *obs.Gauge
 }
 
 // DeclareStream registers a stream for variable v. It must be called once,
@@ -161,6 +162,7 @@ func (sp *Space) DeclareStream(v string, cfg StreamConfig) error {
 		latest:  -1,
 		blocks:  make(map[int][]streamBlock),
 		cursors: make(map[int]*Cursor),
+		lag:     obs.G("cods.stream.lag." + v),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	sp.streams[v] = s
@@ -269,18 +271,12 @@ func (s *stream) endedLocked() bool {
 	return true
 }
 
-// lagGauge is the watermark-lag gauge of one (variable, consumer) pair.
-func lagGauge(v string, sub int) *obs.Gauge {
-	return obs.G("cods.stream.lag." + v + "." + strconv.Itoa(sub))
-}
-
-// updateLagLocked refreshes one cursor's watermark-lag gauge.
-func (s *stream) updateLagLocked(c *Cursor) {
-	lag := s.latest + 1 - c.pos
-	if lag < 0 {
-		lag = 0
-	}
-	lagGauge(s.v, c.id).Set(int64(lag))
+// updateLagLocked refreshes cods.stream.lag.<var>: how many versions the
+// slowest cursor trails the watermark by, the quantity backpressure acts on
+// (0 with no cursor subscribed). It is one gauge per stream, so cursors that
+// come and go never grow the registry.
+func (s *stream) updateLagLocked() {
+	s.lag.Set(int64(max(0, s.latest+1-s.minPosLocked())))
 }
 
 // gcConsumedLocked retires every version all cursors have passed. With no
@@ -325,10 +321,9 @@ func (s *stream) dropOldestLocked() []retirement {
 	return out
 }
 
-// retire discards the blocks of retired versions — buffer, staging memory,
-// DHT record. Called outside the stream lock. A failed withdrawal leaves
-// the block's staging memory reserved; it is counted and traced, not
-// retried — a discard against a dead node legitimately fails.
+// retire discards the blocks of retired versions — buffer and DHT record.
+// Called outside the stream lock. A failed withdrawal is counted and
+// traced, not retried — a discard against a dead node legitimately fails.
 func (s *stream) retire(rets []retirement) {
 	for _, r := range rets {
 		for _, b := range r.blocks {
@@ -393,9 +388,7 @@ func (h *Handle) Publish(v string, producer int, region geometry.BBox, data []fl
 		rets = s.dropOldestLocked()
 	}
 	if advanced {
-		for _, c := range s.cursors {
-			s.updateLagLocked(c)
-		}
+		s.updateLagLocked()
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -453,12 +446,12 @@ func (h *Handle) SubscribeFrom(v string, from int) (*Cursor, error) {
 	c := &Cursor{h: h, s: s, id: s.nextSub, pos: pos}
 	s.nextSub++
 	s.cursors[c.id] = c
-	s.updateLagLocked(c)
+	s.updateLagLocked()
 	s.cond.Broadcast() // a new slowest cursor may re-constrain producers
 	return c, nil
 }
 
-// ID returns the cursor's subscriber id (the lag gauge suffix).
+// ID returns the cursor's subscriber id.
 func (c *Cursor) ID() int { return c.id }
 
 // Pos returns the lowest version the cursor has not acknowledged.
@@ -584,7 +577,7 @@ func (c *Cursor) Advance(to int) error {
 	c.pos = to
 	s.consumed += delta
 	obsStreamConsumed.Add(delta)
-	s.updateLagLocked(c)
+	s.updateLagLocked()
 	rets := s.gcConsumedLocked()
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -605,6 +598,7 @@ func (c *Cursor) Close() error {
 	}
 	c.closed = true
 	delete(s.cursors, c.id)
+	s.updateLagLocked()
 	s.cond.Broadcast() // producers constrained by this cursor re-check
 	return nil
 }

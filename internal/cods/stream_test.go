@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/insitu/cods/internal/geometry"
+	"github.com/insitu/cods/internal/obs"
 )
 
 // streamFill produces version-dependent row-major data for a region, so a
@@ -405,5 +406,69 @@ func TestStreamCursorValidation(t *testing.T) {
 	}
 	if err := sp.ClosePublisher("u", 1); err == nil {
 		t.Error("out-of-range publisher close accepted")
+	}
+}
+
+// TestStreamLagGaugeIsPerStream: a stream has one lag gauge,
+// cods.stream.lag.<var>, holding the slowest cursor's lag — latest + 1 minus
+// the lowest cursor position. A thousand subscribe/close cycles leave the
+// number of registry gauges unchanged.
+func TestStreamLagGaugeIsPerStream(t *testing.T) {
+	prev := obs.Enabled()
+	obs.Enable(true)
+	t.Cleanup(func() { obs.Enable(prev) })
+	_, sp := testRig(t, 1, 2, []int{8})
+	region := geometry.BoxFromSize([]int{8})
+	if err := sp.DeclareStream("lagged", StreamConfig{Producers: 1, MaxLag: 8}); err != nil {
+		t.Fatal(err)
+	}
+	prod := sp.HandleAt(0, 1, "prod")
+	cons := sp.HandleAt(1, 2, "cons")
+	slow, err := cons.Subscribe("lagged")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ver := 0; ver < 3; ver++ {
+		if _, err := prod.Publish("lagged", 0, region, streamFill(region, ver)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gauges := func() int { return len(obs.Default.Snapshot().Gauges) }
+	before := gauges()
+	for i := 0; i < 1000; i++ {
+		cur, err := cons.SubscribeFrom("lagged", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cur.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := gauges(); after != before {
+		t.Fatalf("1,000 subscribe/close cycles moved the registry from %d to %d gauges", before, after)
+	}
+	fast, err := cons.SubscribeFrom("lagged", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lag := obs.G("cods.stream.lag.lagged")
+	check := func(what string) {
+		t.Helper()
+		want := int64(slow.Latest() + 1 - min(slow.Pos(), fast.Pos()))
+		if got := lag.Value(); got != want {
+			t.Fatalf("%s: lag gauge = %d, want latest + 1 - lowest cursor = %d", what, got, want)
+		}
+	}
+	check("slow cursor at 0")
+	if err := slow.Advance(1); err != nil {
+		t.Fatal(err)
+	}
+	check("slow cursor advanced to 1")
+	if err := slow.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := int64(fast.Latest() + 1 - fast.Pos())
+	if got := lag.Value(); got != want {
+		t.Fatalf("after the slow cursor closed: lag gauge = %d, want %d", got, want)
 	}
 }

@@ -590,32 +590,31 @@ func remapRound(sc genwf.Scenario, opts Options, machine *cluster.Machine, space
 
 // loseNode is the node loss of the lock-step elastic round and of the
 // mid-stream kill, recovered by the function codsrun -elastic runs once the
-// replacement process has joined in the dead node's slot. The crash is
-// Space.ResetNode in process and Cluster.Replace on the TCP leg: either way
-// the node's buffers and its DHT core's table are gone. Before the
-// reconcile the loss must be visible — the lost table empty, and every
-// lookup short by exactly the records the model says only that table held —
-// so a crash that silently leaves state behind fails here instead of
-// passing the rounds that follow. After membership.Reconcile the lookup
-// must again answer with the model's owners, which never changed. versions
-// bounds the versions checked.
+// replacement process has joined in the dead node's slot. Only the TCP leg
+// has a process to lose: Cluster.Replace takes the node's buffers and its
+// DHT core's table, and before the reconcile the loss must be visible — the
+// lost table empty, and every lookup short by exactly the records the model
+// says only that table held — so a crash that silently leaves state behind
+// fails here instead of passing the rounds that follow. The in-process leg
+// loses nothing: its lookup must still answer with every owner, and the
+// same reconcile then runs against the intact space, an idempotence check
+// issuing the control RPCs the TCP leg issues. After membership.Reconcile
+// the lookup must answer with the model's owners, which never changed.
+// versions bounds the versions checked.
 func loseNode(sc genwf.Scenario, opts Options, machine *cluster.Machine, space *cods.Space, ledger *membership.Ledger,
 	cons *decomp.Decomposition, model *refmodel.Model, versions int) error {
-	killed := sc.Kill - 1
-	lost := space // where the lost table lives
+	killed, lost := sc.Kill-1, -1
 	if opts.nodes != nil {
 		n, err := opts.nodes.Replace(cluster.NodeID(killed))
 		if err != nil {
 			return fmt.Errorf("conformance: replacing node %d: %w", killed, err)
 		}
-		lost = n.Space()
-	} else {
-		space.ResetNode(cluster.NodeID(killed))
+		if left := n.Space().Lookup().TableSize(killed); left != 0 {
+			return fmt.Errorf("conformance: lost node %d still holds %d location records\n%s", killed, left, sc.GoLiteral())
+		}
+		lost = killed
 	}
-	if n := lost.Lookup().TableSize(killed); n != 0 {
-		return fmt.Errorf("conformance: lost node %d still holds %d location records\n%s", killed, n, sc.GoLiteral())
-	}
-	if err := checkOwners(sc, machine, space, cons, model, versions, killed); err != nil {
+	if err := checkOwners(sc, machine, space, cons, model, versions, lost); err != nil {
 		return fmt.Errorf("after losing node %d, before the reconcile: %w", killed, err)
 	}
 	if _, err := membership.Reconcile(space, ledger, []cluster.NodeID{cluster.NodeID(killed)}); err != nil {

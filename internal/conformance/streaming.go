@@ -126,11 +126,11 @@ func runStreamLockstep(sc genwf.Scenario, opts Options, machine *cluster.Machine
 		curs[i], ids[i] = cur, id
 	}
 
-	// A mid-stream kill lands at the half-way round: the node's serving
-	// process is lost and replaced in its slot, the reconcile re-stages its
-	// retained blocks from the ledger — the stream layer's block records
-	// stay valid because the replacement serves the same cores — and
-	// publishing continues.
+	// A mid-stream kill lands at the half-way round (loseNode): on the TCP
+	// leg the node's serving process is lost and replaced in its slot, the
+	// reconcile re-stages its retained blocks from the ledger — the stream
+	// layer's block records stay valid because the replacement serves the
+	// same cores — and publishing continues.
 	killAt := -1
 	if sc.Kill != 0 {
 		killAt = sc.Rounds / 2

@@ -467,15 +467,3 @@ func (s *Service) TableSize(node int) int {
 	}
 	return n
 }
-
-// ResetNode empties the location table of one node's DHT core — what a
-// crash of that node's process leaves of it, on an in-process fabric. Over
-// TCP the table lives in the process that serves the node, so a driver's
-// service has nothing here to drop, and a replacement node starts with an
-// empty table of its own.
-func (s *Service) ResetNode(node int) {
-	t := s.tables[node]
-	t.mu.Lock()
-	t.entries = make(map[tableKey][]Entry)
-	t.mu.Unlock()
-}

@@ -191,24 +191,6 @@ func TestControlTrafficMetered(t *testing.T) {
 	}
 }
 
-// TestClear: ResetNode — the one way a table is emptied — drops one node's
-// table and leaves the others.
-func TestClear(t *testing.T) {
-	s, _ := service(t, 2, 2, 2, 3)
-	cl := s.ClientAt(0)
-	// The full domain spans both nodes' intervals: one record on each.
-	if err := cl.Insert("p", 1, Entry{Var: "v", Region: geometry.BoxFromSize([]int{8, 8}), Owner: 0}); err != nil {
-		t.Fatal(err)
-	}
-	s.ResetNode(1)
-	if got := s.TableSize(1); got != 0 {
-		t.Fatalf("table 1 holds %d entries after ResetNode(1)", got)
-	}
-	if got := s.TableSize(0); got != 1 {
-		t.Fatalf("table 0 holds %d entries after ResetNode(1), want 1", got)
-	}
-}
-
 // TestQueryRejectsForeignReply: a query's reply is outside input — over a
 // network backend an acknowledgement decodes to nil and any registered
 // message decodes cleanly — so a DHT core that answers with something else

@@ -117,10 +117,11 @@ type Scenario struct {
 
 	// Kill names a node (1-based, so 0 disables) whose serving process is
 	// lost after the first get round of a sequential single-version
-	// scenario and replaced in its slot: its exposed buffers and its DHT
-	// table are gone, membership.Reconcile re-stages its blocks from the
-	// put ledger and re-registers the survivors' records, and a second get
-	// round must still return byte-identical data.
+	// scenario and replaced in its slot: on the TCP leg its exposed buffers
+	// and its DHT table are gone (in process there is no process to lose),
+	// membership.Reconcile re-stages its blocks from the put ledger and
+	// re-registers the survivors' records, and a second get round must
+	// still return byte-identical data.
 	Kill int
 
 	// Faults is an optional transport fault-plan JSON ("" = none). The

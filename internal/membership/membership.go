@@ -334,20 +334,18 @@ func Restage(sp *cods.Space, b Block, to cluster.CoreID, phase string) error {
 }
 
 // Reconcile converges the space after the affected nodes lost their serving
-// process and a replacement took each one's slot. The space is first made
-// what the crash left (Space.ResetNode: where the lost state lived in this
-// process it is dropped for real; everywhere, the lost cores' staging
-// account is zeroed). Then every ledger block owned by a core of an affected
-// node is re-staged in place; every other block has its location record
-// re-registered — it may have lived in an affected node's table, and
-// inserts are idempotent where it did not; finally every cached schedule is
-// invalidated so in-flight and future pulls see the converged state.
+// process and a replacement took each one's slot: every ledger block owned
+// by a core of an affected node is re-staged in place; every other block
+// has its location record re-registered — it may have lived in an affected
+// node's table, and inserts are idempotent where it did not; finally every
+// cached schedule is invalidated so in-flight and future pulls see the
+// converged state. Run against a space that lost nothing, it changes
+// nothing.
 func Reconcile(sp *cods.Space, ledger *Ledger, affected []cluster.NodeID) (Result, error) {
 	res := Result{Affected: append([]cluster.NodeID(nil), affected...)}
 	hit := make(map[cluster.NodeID]bool, len(affected))
 	for _, n := range affected {
 		hit[n] = true
-		sp.ResetNode(n)
 	}
 	machine := sp.Fabric().Machine()
 	for _, b := range ledger.Blocks() {

@@ -13,8 +13,10 @@ import (
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/cods"
 	"github.com/insitu/cods/internal/geometry"
+	"github.com/insitu/cods/internal/node"
 	"github.com/insitu/cods/internal/retry"
 	"github.com/insitu/cods/internal/transport"
+	"github.com/insitu/cods/internal/transport/tcpnet"
 )
 
 // fakeClock is an injectable time source driven by the test.
@@ -177,17 +179,27 @@ func TestLedgerKeepsThePutsSlice(t *testing.T) {
 	}
 }
 
-// stagedSpace builds an in-process nodes x cores space over an 8x8 domain
-// with a ledger installed and stages one block of variable "rho" (app 1)
-// per given owner: the domain cut into as many column strips as owners,
-// cell (x, y) holding 100*x + y.
-func stagedSpace(t *testing.T, nodes, cores int, owners ...cluster.CoreID) (*cods.Space, *Ledger, []geometry.BBox) {
+// stagedSpace builds a nodes x cores space over an 8x8 domain as a driver
+// over one serving node per machine node (node.Cluster, the shape codsrun
+// -backend=tcp deploys), installs a ledger and stages one block of variable
+// "rho" (app 1) per given owner: the domain cut into as many column strips
+// as owners, cell (x, y) holding 100*x + y.
+func stagedSpace(t *testing.T, nodes, cores int, owners ...cluster.CoreID) (*cods.Space, *Ledger, []geometry.BBox, *node.Cluster) {
 	t.Helper()
 	m, err := cluster.NewMachine(nodes, cores)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := cods.NewSpace(transport.NewFabric(m), geometry.BoxFromSize([]int{8, 8}))
+	domain := geometry.BoxFromSize([]int{8, 8})
+	f := transport.NewFabric(m)
+	p := retry.Default()
+	p.Deadline = 5 * time.Second
+	c, err := node.NewCluster(f, domain, "", tcpnet.Config{Retry: p, IOTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	sp, err := cods.NewSpace(f, domain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +213,7 @@ func stagedSpace(t *testing.T, nodes, cores int, owners ...cluster.CoreID) (*cod
 			t.Fatal(err)
 		}
 	}
-	return sp, l, regions
+	return sp, l, regions, c
 }
 
 func cells(region geometry.BBox) []float64 {
@@ -210,6 +222,8 @@ func cells(region geometry.BBox) []float64 {
 	return out
 }
 
+// records counts the location records the DHT cores of an in-process space
+// hold.
 func records(sp *cods.Space) int {
 	n := 0
 	for node := 0; node < sp.Fabric().Machine().NumNodes(); node++ {
@@ -218,34 +232,44 @@ func records(sp *cods.Space) int {
 	return n
 }
 
-// TestReconcileRestagesAffectedAndReinsertsRest loses node 1 of a real 3x2
-// in-process space — two of the four staged blocks and a DHT table — under
-// a staging-memory limit of exactly one block per core. The reconcile must
-// re-stage the two lost blocks (a re-stage that booked them twice would
-// exhaust the limit), re-register the survivors' records, and leave the
-// space as it was: a reader's cached handle re-gets the whole domain
-// cell-identically, with as many location records, ledger blocks and
-// staging bytes as before the loss.
+// served counts the location records the DHT cores of a cluster's serving
+// nodes hold, each in its own node's space.
+func served(c *node.Cluster, nodes int) int {
+	n := 0
+	for k := 0; k < nodes; k++ {
+		n += c.Node(cluster.NodeID(k)).Space().Lookup().TableSize(k)
+	}
+	return n
+}
+
+// TestReconcileRestagesAffectedAndReinsertsRest loses node 1 of a 3x2
+// cluster — two of the four staged blocks and a DHT table — with
+// node.Cluster.Replace. The reconcile must re-stage the two lost blocks,
+// re-register the survivors' records, and leave the space as it was: a
+// reader's cached handle re-gets the whole domain cell-identically, with as
+// many location records and ledger blocks as before the loss.
 func TestReconcileRestagesAffectedAndReinsertsRest(t *testing.T) {
 	// cores 0,1 on node 0; 2,3 on node 1; 4,5 on node 2: two owners on the
 	// node to lose, two on a survivor.
 	owners := []cluster.CoreID{2, 3, 4, 5}
-	sp, l, regions := stagedSpace(t, 3, 2, owners...)
+	sp, l, regions, nodes := stagedSpace(t, 3, 2, owners...)
 	blockBytes := regions[0].Volume() * cods.ElemSize
-	sp.SetMemoryLimit(blockBytes)
 	domain := geometry.BoxFromSize([]int{8, 8})
 	reader := sp.HandleAt(0, 2, "get")
 	if _, err := reader.GetSequential("rho", 0, domain); err != nil {
 		t.Fatal(err)
 	}
-	recsBefore, blocksBefore := records(sp), l.Len()
-	if sp.Lookup().TableSize(1) == 0 {
+	recsBefore, blocksBefore := served(nodes, 3), l.Len()
+	if nodes.Node(1).Space().Lookup().TableSize(1) == 0 {
 		t.Fatal("node 1's table is empty before the loss: the test would prove nothing about re-registration")
 	}
 
-	sp.ResetNode(1)
-	if n := sp.Lookup().TableSize(1); n != 0 {
-		t.Fatalf("node 1 holds %d records after ResetNode", n)
+	lost, err := nodes.Replace(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := lost.Space().Lookup().TableSize(1); n != 0 {
+		t.Fatalf("node 1 holds %d records after its replacement", n)
 	}
 	res, err := Reconcile(sp, l, []cluster.NodeID{1})
 	if err != nil {
@@ -265,25 +289,28 @@ func TestReconcileRestagesAffectedAndReinsertsRest(t *testing.T) {
 	if reader.CacheMisses != misses+1 {
 		t.Fatal("the reader's cached schedule survived the reconcile")
 	}
-	if now := records(sp); now != recsBefore || l.Len() != blocksBefore {
+	if now := served(nodes, 3); now != recsBefore || l.Len() != blocksBefore {
 		t.Fatalf("%d location records and %d ledger blocks after the reconcile, %d and %d before the loss",
 			now, l.Len(), recsBefore, blocksBefore)
 	}
-	for _, owner := range owners {
-		if used := sp.MemoryUsed(owner); used != blockBytes {
-			t.Fatalf("core %d holds %d staging bytes after the reconcile, want one block's %d", owner, used, blockBytes)
-		}
-	}
 }
 
-// TestReconcileStopsOnRestageFailure: a re-stage that cannot reserve its
-// staging memory stops the pass with the put's error.
+// failingExpose is a driver whose every expose fails, the way one over a
+// dropped connection would.
+type failingExpose struct{ transport.Backend }
+
+var errExpose = errors.New("failingExpose: connection reset")
+
+func (failingExpose) Expose(cluster.CoreID, transport.BufKey, any) error { return errExpose }
+
+// TestReconcileStopsOnRestageFailure: a re-stage whose expose fails stops
+// the pass with the put's error.
 func TestReconcileStopsOnRestageFailure(t *testing.T) {
-	sp, l, _ := stagedSpace(t, 2, 1, 1) // owner core 1 → node 1
-	sp.SetMemoryLimit(1)
+	sp, l, _, nodes := stagedSpace(t, 2, 1, 1) // owner core 1 → node 1
+	sp.Fabric().SetBackend(failingExpose{nodes.Driver()})
 	res, err := Reconcile(sp, l, []cluster.NodeID{1})
-	if err == nil || !strings.Contains(err.Error(), "staging memory exhausted") {
-		t.Fatalf("got %v, want the re-stage's reservation failure", err)
+	if !errors.Is(err, errExpose) {
+		t.Fatalf("got %v, want the re-stage's expose failure", err)
 	}
 	if res.RestagedCount != 0 {
 		t.Fatalf("result %+v counts a block that was not re-staged", res)
@@ -298,18 +325,21 @@ func TestReconcileStopsOnRestageFailure(t *testing.T) {
 func TestGetSequentialRidesOutNodeLoss(t *testing.T) {
 	// Both blocks live on node 0; the record of the second is kept by node
 	// 1's DHT core alone.
-	sp, l, regions := stagedSpace(t, 2, 2, 0, 1)
+	sp, l, regions, nodes := stagedSpace(t, 2, 2, 0, 1)
 	region := regions[1]
-	if a, b := sp.Lookup().TableSize(0), sp.Lookup().TableSize(1); a != 1 || b != 1 {
+	if a, b := nodes.Node(0).Space().Lookup().TableSize(0), nodes.Node(1).Space().Lookup().TableSize(1); a != 1 || b != 1 {
 		t.Fatalf("tables hold %d and %d records, want one block's record each", a, b)
 	}
 	sp.SetRetryPolicy(retry.Policy{MaxAttempts: 50, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Multiplier: 2})
-	sp.ResetNode(1)
+	lost, err := nodes.Replace(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := sp.Lookup().ClientAt(0).Query("check", 2, "rho", 0, region); err != nil {
 		t.Fatal(err)
 	}
-	if n := sp.Lookup().TableSize(1); n != 0 {
-		t.Fatalf("node 1 holds %d records after ResetNode", n)
+	if n := lost.Space().Lookup().TableSize(1); n != 0 {
+		t.Fatalf("node 1 holds %d records after its replacement", n)
 	}
 	done := make(chan error, 1)
 	go func() {
@@ -351,7 +381,6 @@ func (b *lossBackend) cut(target cluster.CoreID) error {
 	return nil
 }
 
-func (b *lossBackend) Name() string { return "loss" }
 func (b *lossBackend) Close() error { return nil }
 
 func (b *lossBackend) ReadMulti(reader cluster.CoreID, specs []transport.ReadSpec, m transport.Meter, deliver transport.SegmentFunc) error {
@@ -381,11 +410,12 @@ func (b *lossBackend) Expose(owner cluster.CoreID, key transport.BufKey, payload
 	return err
 }
 
-func (b *lossBackend) Unexpose(owner cluster.CoreID, key transport.BufKey) (bool, error) {
+func (b *lossBackend) Unexpose(owner cluster.CoreID, key transport.BufKey) error {
 	if err := b.cut(owner); err != nil {
-		return false, err
+		return err
 	}
-	return b.f.LocalUnexpose(owner, key)
+	b.f.LocalUnexpose(owner, key)
+	return nil
 }
 
 func (b *lossBackend) Exposed(owner cluster.CoreID, key transport.BufKey) (bool, error) {
@@ -400,7 +430,7 @@ func (b *lossBackend) Exposed(owner cluster.CoreID, key transport.BufKey) (bool,
 // put's next attempts fail against the dead node. Under a retry policy the
 // put must wait out the replacement and the reconcile running beside it,
 // and leave the block staged exactly once: one location record, one ledger
-// block, one block's staging memory, and a get that returns its cells.
+// block, the block exposed, and a get that returns its cells.
 func TestPutSequentialRidesOutNodeLoss(t *testing.T) {
 	m, err := cluster.NewMachine(2, 2)
 	if err != nil {
@@ -436,9 +466,10 @@ func TestPutSequentialRidesOutNodeLoss(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if n, blocks, used := records(sp), l.Len(), sp.MemoryUsed(owner); n != 1 || blocks != 1 || used != region.Volume()*cods.ElemSize {
-		t.Fatalf("%d location records, %d ledger blocks and %d staged bytes after the put; want 1, 1 and one block's %d",
-			n, blocks, used, region.Volume()*cods.ElemSize)
+	exposed, _ := sp.Fabric().LocalExposed(owner, transport.BufKey{Name: "rho|" + region.String()})
+	if n, blocks := records(sp), l.Len(); n != 1 || blocks != 1 || !exposed {
+		t.Fatalf("%d location records, %d ledger blocks and exposed=%v after the put; want 1, 1 and true",
+			n, blocks, exposed)
 	}
 	got, err := sp.HandleAt(0, 2, "get").GetSequential("rho", 0, region)
 	if err != nil {

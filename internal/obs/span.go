@@ -55,7 +55,6 @@ type Tracer struct {
 	err    error
 	start  time.Time
 	nextID atomic.Uint64
-	node   atomic.Pointer[string]
 }
 
 // NewTracer creates a tracer writing JSON Lines span events to w.
@@ -76,22 +75,6 @@ func (t *Tracer) SetIDBase(base uint64) {
 	t.nextID.Store(base)
 }
 
-// SetNode sets a node label stamped on every subsequent begin and instant
-// event, identifying the emitting process in a merged trace. Safe on nil.
-func (t *Tracer) SetNode(node string) {
-	if t == nil {
-		return
-	}
-	t.node.Store(&node)
-}
-
-func (t *Tracer) nodeLabel() string {
-	if p := t.node.Load(); p != nil {
-		return *p
-	}
-	return ""
-}
-
 // Span is a live span handle; call End exactly once.
 type Span struct {
 	tr    *Tracer
@@ -110,12 +93,12 @@ func (t *Tracer) Start(parent SpanID, name string) Span {
 	if t == nil {
 		return Span{}
 	}
-	return t.StartNode(parent, name, t.nodeLabel())
+	return t.StartNode(parent, name, "")
 }
 
-// StartNode begins a span like Start but with an explicit node label,
-// overriding the tracer-wide SetNode default. A serving backend uses this
-// to label each handler span with the node that executed it.
+// StartNode begins a span like Start, labelled with the node that emits
+// it. A serving backend uses this to label each handler span with the node
+// that executed it.
 func (t *Tracer) StartNode(parent SpanID, name, node string) Span {
 	if t == nil {
 		return Span{}
@@ -151,7 +134,7 @@ func (t *Tracer) Event(parent SpanID, name string) {
 		return
 	}
 	id := SpanID(t.nextID.Add(1))
-	t.emit(SpanEvent{Ev: "i", ID: id, Parent: parent, Name: name, T: time.Since(t.start).Nanoseconds(), Node: t.nodeLabel()})
+	t.emit(SpanEvent{Ev: "i", ID: id, Parent: parent, Name: name, T: time.Since(t.start).Nanoseconds()})
 }
 
 // AppendRaw splices pre-encoded JSON Lines span events — the drained

@@ -7,13 +7,13 @@ import (
 	"testing"
 )
 
-// TestTracerNodeLabels covers the cross-process additions: a tracer-wide
-// node label, per-span overrides, and ID namespacing via SetIDBase.
+// TestTracerNodeLabels covers the cross-process additions: a node label on
+// the spans StartNode begins and on no other, and ID namespacing via
+// SetIDBase.
 func TestTracerNodeLabels(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
 	tr.SetIDBase(1 << 48)
-	tr.SetNode("node3")
 
 	s := tr.Start(0, "pull:u")
 	tr.Event(s.ID(), "retry")
@@ -36,8 +36,8 @@ func TestTracerNodeLabels(t *testing.T) {
 		}
 		switch ev.Name {
 		case "pull:u", "retry":
-			if ev.Node != "node3" {
-				t.Fatalf("%s node = %q, want tracer-wide label", ev.Name, ev.Node)
+			if ev.Node != "" {
+				t.Fatalf("%s node = %q, want no label", ev.Name, ev.Node)
 			}
 		case "remote:read:u":
 			if ev.Node != "node5" {

@@ -27,8 +27,6 @@ import (
 // lives (exposed buffers, RPC handlers) and for metering it there, via the
 // Local* methods of the owning fabric.
 type Backend interface {
-	// Name identifies the backend ("tcp") in logs and reports.
-	Name() string
 	// ReadMulti pulls one or more exposed sub-regions in one batched
 	// operation, blocking until every buffer is published. All specs must
 	// target owners whose endpoint state lives behind the same peer, so a
@@ -41,10 +39,10 @@ type Backend interface {
 	// Call performs a synchronous RPC against a service on dst.
 	Call(src, dst cluster.CoreID, service string, request any, m Meter, reqBytes, respBytes int64) (any, error)
 	// Expose / Unexpose / Exposed manage owner's one-sided buffers;
-	// Unexpose reports whether the buffer existed. A backend that moves the
+	// withdrawing an absent buffer is no error. A backend that moves the
 	// payload to another process requires it to be a BlockPayload.
 	Expose(owner cluster.CoreID, key BufKey, payload any) error
-	Unexpose(owner cluster.CoreID, key BufKey) (existed bool, err error)
+	Unexpose(owner cluster.CoreID, key BufKey) error
 	Exposed(owner cluster.CoreID, key BufKey) (bool, error)
 	// Close releases the backend's resources (connections, listeners).
 	Close() error
@@ -246,28 +244,12 @@ func (f *Fabric) LocalExpose(owner cluster.CoreID, key BufKey, payload any) erro
 }
 
 // LocalUnexpose withdraws a buffer published on an owner endpoint in this
-// process and reports whether it existed.
-func (f *Fabric) LocalUnexpose(owner cluster.CoreID, key BufKey) (existed bool, err error) {
+// process; an absent buffer is no error.
+func (f *Fabric) LocalUnexpose(owner cluster.CoreID, key BufKey) {
 	oe := f.endpoints[int(owner)]
 	oe.exportMu.Lock()
-	defer oe.exportMu.Unlock()
-	_, existed = oe.exports[key]
 	delete(oe.exports, key)
-	return existed, nil
-}
-
-// ResetNode drops every buffer exposed on the node's endpoints of this
-// fabric — what a crash of the node's serving process leaves of them on an
-// in-process fabric. A driver's fabric holds no exports, so there it drops
-// nothing: the node's buffers went with its serving process, and a
-// replacement starts on a fabric of its own.
-func (f *Fabric) ResetNode(node cluster.NodeID) {
-	for slot := 0; slot < f.machine.CoresPerNode(); slot++ {
-		oe := f.endpoints[int(f.machine.CoreOn(node, slot))]
-		oe.exportMu.Lock()
-		clear(oe.exports)
-		oe.exportMu.Unlock()
-	}
+	oe.exportMu.Unlock()
 }
 
 // LocalExposed reports whether key is published on an owner endpoint in

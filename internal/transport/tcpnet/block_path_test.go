@@ -59,7 +59,7 @@ func BenchmarkExposeBlock(b *testing.B) {
 		if err := be.Expose(1, key, obj); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := be.Unexpose(1, key); err != nil {
+		if err := be.Unexpose(1, key); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -307,9 +307,6 @@ func Connect(f *transport.Fabric, peers map[cluster.NodeID]string, cfg Config) (
 	return b, nil
 }
 
-// Name implements transport.Backend.
-func (b *Backend) Name() string { return "tcp" }
-
 // Addr returns the listen address of the node a serving backend serves
 // ("" for a driver).
 func (b *Backend) Addr() string {
@@ -509,7 +506,7 @@ func (b *Backend) roundTrip(node cluster.NodeID, fr *frame) (*frame, error) {
 // treating it as terminal.
 func respErr(resp *frame) error {
 	switch resp.Status {
-	case statusOK, statusNotFound:
+	case statusOK:
 		return nil
 	case statusClosed:
 		return fmt.Errorf("tcpnet: %s: %w", resp.Err, transport.ErrEndpointClosed)
@@ -660,13 +657,13 @@ func (b *Backend) Expose(owner cluster.CoreID, key transport.BufKey, payload any
 }
 
 // Unexpose implements transport.Backend.
-func (b *Backend) Unexpose(owner cluster.CoreID, key transport.BufKey) (bool, error) {
+func (b *Backend) Unexpose(owner cluster.CoreID, key transport.BufKey) error {
 	fr := &frame{Op: opUnexpose, Dst: int32(owner), Name: key.Name, Version: int64(key.Version)}
 	resp, err := b.roundTrip(b.machine.NodeOf(owner), fr)
 	if err != nil {
-		return false, err
+		return err
 	}
-	return resp.Status == statusOK, respErr(resp)
+	return respErr(resp)
 }
 
 // Exposed implements transport.Backend.
@@ -1110,13 +1107,7 @@ func (b *Backend) execute(fr *frame) *frame {
 		if err := b.checkTarget(fr.Dst); err != nil {
 			return fail(err)
 		}
-		existed, err := b.fabric.LocalUnexpose(cluster.CoreID(fr.Dst), key)
-		if err != nil {
-			return fail(err)
-		}
-		if !existed {
-			resp.Status = statusNotFound
-		}
+		b.fabric.LocalUnexpose(cluster.CoreID(fr.Dst), key)
 	case opExposed:
 		if err := b.checkTarget(fr.Dst); err != nil {
 			return fail(err)

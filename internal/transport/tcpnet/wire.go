@@ -46,7 +46,7 @@ const (
 	statusOK uint8 = iota
 	statusErr
 	statusClosed   // the target endpoint is closed (transport.ErrEndpointClosed)
-	statusNotFound // Exposed/Unexpose of an absent buffer: not an error
+	statusNotFound // Exposed of an absent buffer: not an error
 )
 
 // Handshake constants. helloMagic rides in the Tag field of the opHello
@@ -58,7 +58,7 @@ const (
 // cannot decode. CHANGES.md (Wire versions) lists what each version changed.
 const (
 	helloMagic  uint64 = 0x434F44534E455400 // "CODSNET\0"
-	wireVersion uint8  = 12
+	wireVersion uint8  = 13
 )
 
 // Payload kinds: what the bytes in a frame's Payload section are. The kind

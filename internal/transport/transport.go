@@ -288,13 +288,14 @@ func (ep *Endpoint) Expose(key BufKey, payload any) error {
 	return ep.fabric.LocalExpose(ep.core, key, payload)
 }
 
-// Unexpose withdraws a published buffer, freeing its slot; existed reports
-// whether key was published on this endpoint.
-func (ep *Endpoint) Unexpose(key BufKey) (existed bool, err error) {
+// Unexpose withdraws a published buffer, freeing its slot; withdrawing a
+// key that is not published is no error.
+func (ep *Endpoint) Unexpose(key BufKey) error {
 	if ep.fabric.Routed() {
 		return ep.fabric.backend.Unexpose(ep.core, key)
 	}
-	return ep.fabric.LocalUnexpose(ep.core, key)
+	ep.fabric.LocalUnexpose(ep.core, key)
+	return nil
 }
 
 // ReadMulti is the one-sided read: a receiver-driven pull of one or more

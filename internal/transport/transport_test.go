@@ -142,36 +142,14 @@ func TestExposeReadRoundTrip(t *testing.T) {
 	if b := f.Machine().Metrics().Bytes(cluster.InterApp, cluster.Network); b != 24 {
 		t.Fatalf("metered %d bytes", b)
 	}
-	if existed, err := owner.Unexpose(key); err != nil || !existed {
-		t.Fatalf("Unexpose of an exposed buffer = %v, %v", existed, err)
+	if err := owner.Unexpose(key); err != nil {
+		t.Fatalf("Unexpose of an exposed buffer: %v", err)
 	}
 	if ok, _ := f.LocalExposed(0, key); ok {
 		t.Fatal("Unexpose did not remove buffer")
 	}
-	if existed, err := owner.Unexpose(key); err != nil || existed {
-		t.Fatalf("second Unexpose = %v, %v, want absent", existed, err)
-	}
-}
-
-// TestResetNodeDropsThatNodesBuffers: a node's crash takes the buffers of
-// every core of that node and of no other, and the freed keys can be exposed
-// again by the replacement.
-func TestResetNodeDropsThatNodesBuffers(t *testing.T) {
-	f := fabric(t, 2, 2)
-	key := BufKey{Name: "v", Version: 1}
-	for core := cluster.CoreID(0); core < 4; core++ {
-		if err := f.Endpoint(core).Expose(key, int(core)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f.ResetNode(1)
-	for core := cluster.CoreID(0); core < 4; core++ {
-		if ok, _ := f.LocalExposed(core, key); ok != (core < 2) {
-			t.Fatalf("core %d exposes the buffer after node 1 was reset: %v", core, ok)
-		}
-	}
-	if err := f.Endpoint(3).Expose(key, 3); err != nil {
-		t.Fatalf("re-exposing on the reset node: %v", err)
+	if err := owner.Unexpose(key); err != nil {
+		t.Fatalf("second Unexpose: %v", err)
 	}
 }
 
@@ -374,7 +352,7 @@ func TestReadAfterUnexposeBlocksUntilReexpose(t *testing.T) {
 	if err := owner.Expose(key, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := owner.Unexpose(key); err != nil {
+	if err := owner.Unexpose(key); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan any, 1)

@@ -176,11 +176,11 @@ func mutationScenario(name string) genwf.Scenario {
 	case mutate.ReconcileSkipReinsert:
 		// Both producer blocks are staged on node 0; the record of the
 		// second, [4,8), lies in the upper half of the index space and so
-		// in node 1's table alone. Node 1 is lost: a reconcile that
-		// re-stages the lost node's blocks (there are none) but skips
-		// re-registering the survivors' leaves that record lost, and the
-		// owner check after the reconcile sees no entry where the model
-		// predicts one.
+		// in node 1's table alone. Node 1 is lost on the TCP leg, the one
+		// with a process to lose: a reconcile that re-stages the lost
+		// node's blocks (there are none) but skips re-registering the
+		// survivors' leaves that record lost, and the owner check after the
+		// reconcile sees no entry where the model predicts one.
 		return genwf.Scenario{
 			Seed: 0x14, Nodes: 2, CoresPerNode: 2, Domain: []int{8},
 			Sequential: true,
@@ -359,12 +359,13 @@ func TestMutationDetection(t *testing.T) {
 				// Detection is a deliberate hang; keep the watchdog short.
 				opts.Timeout = 3 * time.Second
 			}
-			// The wire defects only exist on the TCP path; they are what
-			// the cross-backend dimension of the sweep must catch.
+			// The wire defects only exist on the TCP path, and only the TCP
+			// leg loses a node; they are what the cross-backend dimension of
+			// the sweep must catch.
 			runScenario := conformance.RunOpts
 			switch name {
 			case mutate.TCPTruncFrame, mutate.TCPMeterClass, mutate.TCPSGDrop, mutate.TCPSGReorder, mutate.TCPMsgEntryDrop,
-				mutate.TCPBlockShift, mutate.TCPClipRowSkew:
+				mutate.TCPBlockShift, mutate.TCPClipRowSkew, mutate.ReconcileSkipReinsert:
 				runScenario = conformance.RunCrossOpts
 			}
 
