@@ -44,26 +44,22 @@ func main() {
 		cores      = flag.Int("cores", 0, "cores per node (required)")
 		domainSpec = flag.String("domain", "", "coupled domain size, e.g. 32x32x32 (required)")
 		listen     = flag.String("listen", "127.0.0.1:0", "TCP listen address")
-		curve      = flag.String("curve", "", "lookup linearization policy: hilbert (default), morton or rowmajor; "+
-			"must match the driver")
-		obsOn = flag.Bool("obs", false, "enable the metrics registry from process start "+
+		obsOn      = flag.Bool("obs", false, "enable the metrics registry from process start "+
 			"(required for the driver's per-node report reconciliation)")
 		spans = flag.Bool("spans", false, "capture a handler span for every remote operation "+
 			"carrying trace context, for the driver to drain into its merged trace")
 		obsHTTP = flag.String("obs-http", "", "serve the metrics registry over HTTP on this address "+
 			"(announced as CODSNODE OBS)")
-		pprof        = flag.Bool("pprof", false, "also serve net/http/pprof handlers on the -obs-http listener")
-		readPatience = flag.Duration("read-patience", 0, "bound on a waiting read's deferred wait; "+
-			"0 waits forever (elastic drivers set a bound so reads that raced a node replacement retry)")
-		incarnation = flag.Uint64("incarnation", 0, "membership incarnation of this serving process "+
-			"(a replacement for a crashed node carries a strictly higher one)")
+		pprof       = flag.Bool("pprof", false, "also serve net/http/pprof handlers on the -obs-http listener")
+		incarnation = flag.Uint64("incarnation", 0, "membership incarnation of this serving process, set by "+
+			"elastic drivers (a replacement for a crashed node carries a strictly higher one)")
 	)
 	flag.Parse()
 	if err := run(nodeOptions{
 		node: *node, nodes: *nodes, cores: *cores,
-		domainSpec: *domainSpec, listen: *listen, curve: *curve,
+		domainSpec: *domainSpec, listen: *listen,
 		obs: *obsOn, spans: *spans, obsHTTP: *obsHTTP, pprof: *pprof,
-		readPatience: *readPatience, incarnation: *incarnation,
+		incarnation: *incarnation,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "codsnode: %v\n", err)
 		os.Exit(1)
@@ -73,13 +69,24 @@ func main() {
 type nodeOptions struct {
 	node, nodes, cores int
 	domainSpec, listen string
-	curve              string
 	obs                bool
 	spans              bool
 	obsHTTP            string
 	pprof              bool
-	readPatience       time.Duration
 	incarnation        uint64
+}
+
+// config is the node's server configuration. A node of an elastic run
+// (incarnation > 0) gives up on a deferred read after 2 s: one that raced
+// a node replacement — routed to a process that never receives the
+// buffer — goes back to the driver's retry layer. Any other node waits
+// forever, the classic in-situ deferred-read semantics.
+func (o nodeOptions) config() tcpnet.Config {
+	cfg := tcpnet.Config{Incarnation: o.incarnation}
+	if o.incarnation > 0 {
+		cfg.ReadPatience = 2 * time.Second
+	}
+	return cfg
 }
 
 func run(o nodeOptions) error {
@@ -101,8 +108,7 @@ func run(o nodeOptions) error {
 	if err != nil {
 		return err
 	}
-	n, err := node.Start(m, cluster.NodeID(o.node), o.listen, geometry.BoxFromSize(domain), o.curve,
-		tcpnet.Config{Incarnation: o.incarnation, ReadPatience: o.readPatience})
+	n, err := node.Start(m, cluster.NodeID(o.node), o.listen, geometry.BoxFromSize(domain), o.config())
 	if err != nil {
 		return err
 	}

@@ -2,18 +2,18 @@
 // simulated multi-core machine, using synthetic producer/consumer
 // applications, and reports the traffic and timing the framework measured.
 //
-// Each application is declared with -app id:kind:grid (kind one of
-// blocked, cyclic, block-cyclic; grid like 4x4x2). The first application
-// of a multi-application bundle produces data that the bundle's other
-// applications consume concurrently; an application with workflow parents
-// consumes the data its parent produced sequentially; other applications
-// produce data sequentially.
+// The DAG file is the whole workload: its DOMAIN line sizes the coupled
+// domain and one DECOMP line per application declares its decomposition.
+// The first application of a multi-application bundle produces data that
+// the bundle's other applications consume concurrently; an application
+// with workflow parents consumes the data its parent produced
+// sequentially; other applications produce data sequentially.
 //
 // Example (the paper's online data processing scenario):
 //
-//	codsrun -nodes 12 -cores 4 -domain 32x32x32 \
-//	    -app 1:blocked:4x4x2 -app 2:blocked:2x2x2 \
-//	    -dag online.dag -policy data-centric
+//	printf 'APP_ID 1\nAPP_ID 2\nBUNDLE 1 2\nDOMAIN 32 32 32\n' > online.dag
+//	printf 'DECOMP 1 blocked 4 4 2\nDECOMP 2 blocked 2 2 2\n' >> online.dag
+//	codsrun -nodes 12 -cores 4 -dag online.dag -policy data-centric
 package main
 
 import (
@@ -38,35 +38,26 @@ import (
 	"github.com/insitu/cods/internal/transport/tcpnet"
 )
 
-type appFlags []string
-
-func (a *appFlags) String() string     { return strings.Join(*a, ",") }
-func (a *appFlags) Set(s string) error { *a = append(*a, s); return nil }
-
 // options collects every knob of one codsrun invocation.
 type options struct {
 	nodes, cores     int
-	domainSpec       string
 	curve            string
 	dagPath          string
 	policyName       string
 	iterations, halo int
 	verify, verbose  bool
 	flowsPath        string
-	report           bool
 	reportPath       string
 	spansPath        string
 	obsHTTP          string
 	nodeObsHTTP      string
 	pprof            bool
-	appSpecs         []string
 	faultsPath       string
 	retrySpec        string
 	backend          string
 	codsnodePath     string
 	elastic          bool
 	leaseTTL         time.Duration
-	readPatience     time.Duration
 	chaosKill        int
 	chaosAfter       int
 	stream           bool
@@ -79,16 +70,14 @@ func main() {
 	var o options
 	flag.IntVar(&o.nodes, "nodes", 12, "number of compute nodes")
 	flag.IntVar(&o.cores, "cores", 4, "cores per node")
-	flag.StringVar(&o.domainSpec, "domain", "32x32x32", "coupled domain size, e.g. 32x32x32")
 	flag.StringVar(&o.curve, "curve", "", "lookup linearization policy: hilbert (default), morton or rowmajor")
-	flag.StringVar(&o.dagPath, "dag", "", "workflow description file (required)")
+	flag.StringVar(&o.dagPath, "dag", "", "workflow description file, with a DOMAIN line and a DECOMP line per application (required)")
 	flag.StringVar(&o.policyName, "policy", "data-centric", "task mapping: data-centric or round-robin")
 	flag.IntVar(&o.iterations, "iterations", 1, "coupling iterations for concurrent bundles")
 	flag.IntVar(&o.halo, "halo", 1, "stencil ghost width (0 disables intra-app exchange)")
 	flag.BoolVar(&o.verify, "verify", true, "verify retrieved data cell by cell")
 	flag.StringVar(&o.flowsPath, "flows", "", "write the recorded transfer flows as JSON Lines to this file")
-	flag.BoolVar(&o.report, "report", false, "enable the metrics registry and write a reconciled report")
-	flag.StringVar(&o.reportPath, "report-path", "results/report.json", "where -report writes the JSON report")
+	flag.StringVar(&o.reportPath, "report", "", "enable the metrics registry and write a reconciled JSON report to this file")
 	flag.StringVar(&o.spansPath, "spans", "", "write parent-linked span events as JSON Lines to this file")
 	flag.StringVar(&o.obsHTTP, "obs-http", "", "serve the metrics registry over HTTP on this address (e.g. :8970)")
 	flag.StringVar(&o.nodeObsHTTP, "node-obs-http", "", "with -backend=tcp, serve each codsnode's registry over HTTP "+
@@ -105,9 +94,6 @@ func main() {
 		"holds a heartbeat-renewed lease, and a crashed node is replaced and its staged data re-staged automatically")
 	flag.DurationVar(&o.leaseTTL, "lease-ttl", time.Second, "membership lease TTL for -elastic "+
 		"(heartbeats and expiry sweeps run at a quarter of this)")
-	flag.DurationVar(&o.readPatience, "read-patience", 2*time.Second, "with -elastic, bound each codsnode's "+
-		"deferred-read wait so reads that raced a node replacement are retried against the reconciled "+
-		"routing instead of blocking forever (0: wait forever)")
 	flag.IntVar(&o.chaosKill, "chaos-kill", -1, "with -elastic, kill this node's codsnode child once staging is done "+
 		"and a block it owns is fully staged, to exercise crash recovery under live traffic (-1 disables)")
 	flag.IntVar(&o.chaosAfter, "chaos-after", 0, "with -chaos-kill, fire no earlier than the put ledger holding this many "+
@@ -118,28 +104,12 @@ func main() {
 	flag.IntVar(&o.streamLag, "stream-lag", 2, "with -stream, max versions a consumer may trail the watermark")
 	flag.StringVar(&o.streamPolicy, "stream-policy", "backpressure", "with -stream, lag policy: backpressure or drop-oldest")
 	flag.BoolVar(&o.verbose, "v", false, "print the per-node task placement of every stage")
-	var appSpecs appFlags
-	flag.Var(&appSpecs, "app", "application spec id:kind:grid (repeatable)")
 	flag.Parse()
-	o.appSpecs = appSpecs
 
 	if err := run(o); err != nil {
 		fmt.Fprintf(os.Stderr, "codsrun: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-func parseInts(spec, sep string) ([]int, error) {
-	parts := strings.Split(spec, sep)
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad integer %q in %q", p, spec)
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 // parseRetrySpec builds a retry policy from the -retry flag: either a bare
@@ -210,10 +180,6 @@ func run(o options) error {
 			return fmt.Errorf("unknown stream policy %q (want backpressure or drop-oldest)", o.streamPolicy)
 		}
 	}
-	domain, err := parseInts(o.domainSpec, "x")
-	if err != nil {
-		return err
-	}
 	f, err := os.Open(o.dagPath)
 	if err != nil {
 		return err
@@ -224,11 +190,11 @@ func run(o options) error {
 		return err
 	}
 
-	// A DOMAIN directive in the DAG file overrides the -domain flag.
-	if d.Domain != nil {
-		domain = d.Domain
+	decomps, err := d.Decompositions()
+	if err != nil {
+		return fmt.Errorf("%s: %w", o.dagPath, err)
 	}
-	fw, err := cods.New(cods.Config{Nodes: o.nodes, CoresPerNode: o.cores, Domain: domain, Curve: o.curve})
+	fw, err := cods.New(cods.Config{Nodes: o.nodes, CoresPerNode: o.cores, Domain: d.Domain, Curve: o.curve})
 	if err != nil {
 		return err
 	}
@@ -238,7 +204,7 @@ func run(o options) error {
 	// enabled before any transport backend starts, so the wire-mirror
 	// counters see every byte (handshakes included) and reconcile exactly
 	// against the backend's own accounting.
-	if o.report || o.obsHTTP != "" || o.nodeObsHTTP != "" {
+	if o.reportPath != "" || o.obsHTTP != "" || o.nodeObsHTTP != "" {
 		cods.EnableObservability(true)
 		defer cods.EnableObservability(false)
 	}
@@ -288,7 +254,7 @@ func run(o options) error {
 			return fmt.Errorf("-elastic needs -backend=tcp (leases are held by codsnode processes)")
 		}
 	case "tcp":
-		tc, err = startTCPBackend(fw, o, domain)
+		tc, err = startTCPBackend(fw, o, d.Domain)
 		if err != nil {
 			return err
 		}
@@ -343,52 +309,6 @@ func run(o options) error {
 		return fmt.Errorf("-chaos-kill needs -elastic")
 	}
 
-	// Decomposition declarations come from the DAG file's DECOMP
-	// directives, optionally overridden/completed by -app flags.
-	decomps := make(map[int]*cods.Decomposition)
-	if len(d.Decomps) > 0 {
-		fromFile, err := d.Decompositions(domain)
-		if err != nil {
-			return err
-		}
-		for id, dc := range fromFile {
-			decomps[id] = dc
-		}
-	}
-	for _, spec := range o.appSpecs {
-		parts := strings.Split(spec, ":")
-		if len(parts) != 3 {
-			return fmt.Errorf("bad -app spec %q (want id:kind:grid)", spec)
-		}
-		id, err := strconv.Atoi(parts[0])
-		if err != nil {
-			return fmt.Errorf("bad app id in %q", spec)
-		}
-		grid, err := parseInts(parts[2], "x")
-		if err != nil {
-			return err
-		}
-		var dc *cods.Decomposition
-		switch parts[1] {
-		case "blocked":
-			dc, err = fw.BlockedDecomposition(grid)
-		case "cyclic":
-			dc, err = fw.CyclicDecomposition(grid)
-		case "block-cyclic":
-			block := make([]int, len(grid))
-			for i := range block {
-				block[i] = 2
-			}
-			dc, err = fw.BlockCyclicDecomposition(grid, block)
-		default:
-			return fmt.Errorf("unknown distribution %q in %q", parts[1], spec)
-		}
-		if err != nil {
-			return err
-		}
-		decomps[id] = dc
-	}
-
 	// Classify each application by its workflow role and register the
 	// matching synthetic subroutine.
 	bundleOf := make(map[int][]int)
@@ -400,7 +320,7 @@ func run(o options) error {
 	for _, id := range d.Apps {
 		dc, ok := decomps[id]
 		if !ok {
-			return fmt.Errorf("application %d has no -app declaration", id)
+			return fmt.Errorf("%s: application %d has no DECOMP line", o.dagPath, id)
 		}
 		bundle := bundleOf[id]
 		spec := cods.AppSpec{ID: id, Decomp: dc}
@@ -534,7 +454,7 @@ func run(o options) error {
 		}
 		fmt.Printf("span trace written to %s\n", o.spansPath)
 	}
-	if o.report {
+	if o.reportPath != "" {
 		if err := writeReport(fw, d, o, rep, tcpBE, el); err != nil {
 			return err
 		}
@@ -689,16 +609,11 @@ func startTCPBackend(fw *cods.Framework, o options, domain []int) (*tcpCluster, 
 		"-cores", strconv.Itoa(o.cores),
 		"-domain", strings.Join(dims, "x"),
 	}
-	// The DHT interval assignment is curve-relative: every serving node
-	// must linearize with the driver's policy or routing diverges.
-	if o.curve != "" {
-		args = append(args, "-curve", o.curve)
-	}
 	// Children mirror the driver's observability posture: a reconciled
 	// report needs every child's registry counting from process start, a
 	// span trace needs every child capturing handler spans for the driver
 	// to drain.
-	if o.report || o.nodeObsHTTP != "" {
+	if o.reportPath != "" || o.nodeObsHTTP != "" {
 		args = append(args, "-obs")
 	}
 	if o.spansPath != "" {
@@ -709,11 +624,6 @@ func startTCPBackend(fw *cods.Framework, o options, domain []int) (*tcpCluster, 
 		if o.pprof {
 			args = append(args, "-pprof")
 		}
-	}
-	// Replacements mean a read can land on a process that never receives
-	// the buffer; bounded patience turns that from a hang into a retry.
-	if o.elastic && o.readPatience > 0 {
-		args = append(args, "-read-patience", o.readPatience.String())
 	}
 	tc := &tcpCluster{bin: bin, args: args,
 		children: make(map[int]*exec.Cmd), addrs: make(map[int]string)}

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/insitu/cods/internal/cluster"
@@ -25,9 +26,9 @@ func writeDAG(t *testing.T, content string) string {
 
 // opts builds the options one test invocation needs, starting from the
 // flag defaults that matter.
-func opts(nodes, cores int, domain, dag, policy string, iterations, halo int, verify, verbose bool) options {
+func opts(nodes, cores int, dag, policy string, iterations, halo int, verify, verbose bool) options {
 	return options{
-		nodes: nodes, cores: cores, domainSpec: domain, dagPath: dag,
+		nodes: nodes, cores: cores, dagPath: dag,
 		policyName: policy, iterations: iterations, halo: halo,
 		verify: verify, verbose: verbose,
 		chaosKill: -1,
@@ -36,7 +37,7 @@ func opts(nodes, cores int, domain, dag, policy string, iterations, halo int, ve
 
 func TestRunConcurrentWorkflowFile(t *testing.T) {
 	dag := writeDAG(t, "DOMAIN 16 16 16\nAPP_ID 1\nAPP_ID 2\nDECOMP 1 blocked 2 2 2\nDECOMP 2 blocked 2 2 1\nBUNDLE 1 2\n")
-	o := opts(4, 4, "8x8x8", dag, "data-centric", 1, 1, true, true)
+	o := opts(4, 4, dag, "data-centric", 1, 1, true, true)
 	o.flowsPath = filepath.Join(t.TempDir(), "flows.jsonl")
 	if err := run(o); err != nil {
 		t.Fatal(err)
@@ -47,9 +48,9 @@ func TestRunConcurrentWorkflowFile(t *testing.T) {
 }
 
 func TestRunSequentialWorkflowFile(t *testing.T) {
-	dag := writeDAG(t, "APP_ID 1\nAPP_ID 2\nPARENT_APPID 1 CHILD_APPID 2\n")
-	o := opts(4, 4, "16x16", dag, "round-robin", 1, 1, true, false)
-	o.appSpecs = []string{"1:blocked:4x2", "2:cyclic:2x2"}
+	dag := writeDAG(t, "DOMAIN 16 16\nAPP_ID 1\nAPP_ID 2\nDECOMP 1 blocked 4 2\nDECOMP 2 cyclic 2 2\n"+
+		"PARENT_APPID 1 CHILD_APPID 2\n")
+	o := opts(4, 4, dag, "round-robin", 1, 1, true, false)
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +63,7 @@ func TestRunReportReconciles(t *testing.T) {
 	obs.Default.Reset()
 	dag := writeDAG(t, "DOMAIN 16 16 16\nAPP_ID 1\nAPP_ID 2\nDECOMP 1 blocked 2 2 1\nDECOMP 2 blocked 2 1 1\nBUNDLE 1 2\n")
 	dir := t.TempDir()
-	o := opts(2, 4, "8x8x8", dag, "data-centric", 1, 1, true, false)
-	o.report = true
+	o := opts(2, 4, dag, "data-centric", 1, 1, true, false)
 	o.reportPath = filepath.Join(dir, "report.json")
 	o.spansPath = filepath.Join(dir, "spans.jsonl")
 	if err := run(o); err != nil {
@@ -117,27 +117,34 @@ func TestRunReportReconciles(t *testing.T) {
 	}
 }
 
+// TestRunErrors: every refusal names what is missing or wrong — the DAG
+// file is the one declaration of the workload, so a file without a DOMAIN
+// line or without an application's DECOMP line is refused, not completed
+// from a default.
 func TestRunErrors(t *testing.T) {
-	dag := writeDAG(t, "APP_ID 1\n")
+	dag := writeDAG(t, "DOMAIN 8 8\nAPP_ID 1\nDECOMP 1 blocked 2 2\n")
 	bad := func(mutate func(*options)) error {
-		o := opts(2, 2, "8x8", dag, "data-centric", 1, 0, false, false)
+		o := opts(2, 2, dag, "data-centric", 1, 0, false, false)
 		mutate(&o)
 		return run(o)
 	}
 	cases := []struct {
 		name string
 		err  error
+		want string
 	}{
-		{"missing dag", bad(func(o *options) { o.dagPath = "" })},
-		{"bad policy", bad(func(o *options) { o.policyName = "fancy" })},
-		{"bad domain", bad(func(o *options) { o.domainSpec = "8xq" })},
-		{"missing app decl", bad(func(o *options) {})},
-		{"bad app spec", bad(func(o *options) { o.appSpecs = []string{"nope"} })},
-		{"bad app kind", bad(func(o *options) { o.appSpecs = []string{"1:fancy:2x2"} })},
+		{"missing dag", bad(func(o *options) { o.dagPath = "" }), "-dag"},
+		{"bad policy", bad(func(o *options) { o.policyName = "fancy" }), "policy"},
+		{"no DOMAIN", bad(func(o *options) { o.dagPath = writeDAG(t, "APP_ID 1\nDECOMP 1 blocked 2 2\n") }), "no DOMAIN"},
+		{"app without DECOMP", bad(func(o *options) {
+			o.dagPath = writeDAG(t, "DOMAIN 8 8\nAPP_ID 1\nAPP_ID 2\nDECOMP 1 blocked 2 2\nPARENT_APPID 1 CHILD_APPID 2\n")
+		}), "application 2 has no DECOMP"},
 	}
 	for _, c := range cases {
 		if c.err == nil {
 			t.Errorf("%s: accepted", c.name)
+		} else if !strings.Contains(c.err.Error(), c.want) {
+			t.Errorf("%s: %v does not name %q", c.name, c.err, c.want)
 		}
 	}
 }

@@ -25,7 +25,7 @@ func TestElasticChaos(t *testing.T) {
 	bin := buildTCPBinaries(t)
 	dir := t.TempDir()
 	dag := filepath.Join(dir, "wf.dag")
-	if err := os.WriteFile(dag, []byte("APP_ID 1\nAPP_ID 2\nPARENT_APPID 1 CHILD_APPID 2\n"), 0o644); err != nil {
+	if err := os.WriteFile(dag, []byte("DOMAIN 8 8\nAPP_ID 1\nAPP_ID 2\nDECOMP 1 blocked 2 2\nDECOMP 2 blocked 2 1\nPARENT_APPID 1 CHILD_APPID 2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	reportPath := filepath.Join(dir, "report.json")
@@ -35,15 +35,14 @@ func TestElasticChaos(t *testing.T) {
 	// operations ride out the loss, and no task is ever re-run.
 	text := runCodsrun(t, bin,
 		"-backend", "tcp",
-		"-nodes", "2", "-cores", "2", "-domain", "8x8",
+		"-nodes", "2", "-cores", "2",
 		"-dag", dag,
-		"-app", "1:blocked:2x2", "-app", "2:blocked:2x1",
 		"-policy", "round-robin",
 		"-elastic", "-lease-ttl", "250ms",
 		"-chaos-kill", "1", "-chaos-after", "4",
 		"-retry", "attempts=100,base=5ms,cap=50ms,deadline=60s",
 		"-verify",
-		"-report", "-report-path", reportPath)
+		"-report", reportPath)
 	for _, want := range []string{
 		"elastic membership: 2 leases",
 		"chaos: killing codsnode 1",

@@ -63,7 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	decomps, err := dag.Decompositions(nil)
+	decomps, err := dag.Decompositions()
 	if err != nil {
 		log.Fatal(err)
 	}

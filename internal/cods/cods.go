@@ -946,13 +946,6 @@ func (h *Handle) pullBatch(out *lazyOutput, region geometry.BBox, v string, vers
 				case *StoredObject:
 					copyRegion(out.cells(), region, obj.Data, obj.Region, sub)
 					return nil
-				case transport.RegionClipper:
-					// A block this process received over the wire, kept in
-					// wire form.
-					var err error
-					if clipped, err = obj.ClipRegion(nil, sub); err != nil {
-						return err
-					}
 				default:
 					return fmt.Errorf("cods: exposed payload %T cannot be read", payload)
 				}

@@ -117,8 +117,9 @@ func run(sc genwf.Scenario, opts Options) error {
 	switch opts.Backend {
 	case "", "inproc":
 	case "tcp":
-		nodes, err := node.NewCluster(fabric, sc.DomainBox(), sc.Curve,
-			tcpnet.Config{Retry: retry.Default(), IOTimeout: 10 * time.Second})
+		p := retry.Default()
+		p.Deadline = 10 * time.Second
+		nodes, err := node.NewCluster(fabric, sc.DomainBox(), tcpnet.Config{Retry: p})
 		if err != nil {
 			return fmt.Errorf("conformance: tcp cluster: %w", err)
 		}

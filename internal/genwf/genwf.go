@@ -15,6 +15,7 @@ import (
 	"github.com/insitu/cods/internal/decomp"
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/sfc"
+	"github.com/insitu/cods/internal/workflow"
 )
 
 // Policy selects the task-mapping strategy of a scenario.
@@ -607,15 +608,14 @@ func (sc Scenario) GoLiteral() string {
 	return b.String()
 }
 
-// DAG renders the scenario as a testdata/*.dag-style repro: the workflow
-// lines the framework's text parser understands, preceded by comment
-// lines carrying the full scenario so the repro is self-describing.
+// DAG renders the scenario as a testdata/*.dag-style repro: a run
+// description the framework's text parser reads back — the domain, both
+// decompositions and the coupling — preceded by comment lines carrying
+// the rest of the scenario.
 func (sc Scenario) DAG() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# conformance repro (seed %#x)\n", sc.Seed)
-	fmt.Fprintf(&b, "# machine: %d nodes x %d cores, domain %v\n", sc.Nodes, sc.CoresPerNode, sc.Domain)
-	fmt.Fprintf(&b, "# producer: %s grid=%v block=%v\n", sc.ProdKind, sc.ProdGrid, sc.ProdBlock)
-	fmt.Fprintf(&b, "# consumer: %s grid=%v block=%v ghost=%d\n", sc.ConsKind, sc.ConsGrid, sc.ConsBlock, sc.Ghost)
+	fmt.Fprintf(&b, "# machine: %d nodes x %d cores, ghost=%d\n", sc.Nodes, sc.CoresPerNode, sc.Ghost)
 	fmt.Fprintf(&b, "# vars=%d versions=%d mapping=%s staged=%v restage=%v\n",
 		sc.Vars, sc.Versions, sc.Mapping, sc.Staged, sc.Restage)
 	if sc.Curve != "" {
@@ -638,15 +638,27 @@ func (sc Scenario) DAG() string {
 	if sc.Faults != "" {
 		fmt.Fprintf(&b, "# faults: %s (retry %d)\n", sc.Faults, sc.Retry)
 	}
-	fmt.Fprintf(&b, "APP_ID 1\nAPP_ID 2\n")
+	d := workflow.DAG{Domain: sc.Domain, Apps: []int{1, 2}, Decomps: map[int]workflow.DecompSpec{
+		1: decompSpec(sc.ProdKind, sc.ProdGrid, sc.ProdBlock),
+		2: decompSpec(sc.ConsKind, sc.ConsGrid, sc.ConsBlock),
+	}}
 	if sc.Sequential && !sc.Stream {
-		fmt.Fprintf(&b, "PARENT_APPID 1 CHILD_APPID 2\n")
+		d.Edges = [][2]int{{1, 2}}
 	} else {
 		// Concurrent bundle — streaming producers and consumers run as one
 		// group, coupled through cursors instead of the DAG edge.
-		fmt.Fprintf(&b, "BUNDLE 1 2\n")
+		d.Bundles = [][]int{{1, 2}}
 	}
-	return b.String()
+	return b.String() + d.String()
+}
+
+// decompSpec is one DECOMP directive; only block-cyclic carries a BLOCK
+// clause, the one kind that reads it.
+func decompSpec(kind decomp.Kind, grid, block []int) workflow.DecompSpec {
+	if kind != decomp.BlockCyclic {
+		block = nil
+	}
+	return workflow.DecompSpec{Kind: kind, Grid: grid, Block: block}
 }
 
 // Clone deep-copies the scenario (the shrinker mutates candidate slices).

@@ -1,10 +1,12 @@
 package genwf
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/insitu/cods/internal/decomp"
+	"github.com/insitu/cods/internal/workflow"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -164,9 +166,39 @@ func TestPrinters(t *testing.T) {
 		t.Errorf("concurrent DAG missing bundle:\n%s", dag)
 	}
 	for _, line := range strings.Split(strings.TrimSpace(dag), "\n") {
-		if !strings.HasPrefix(line, "#") && !strings.HasPrefix(line, "APP_ID") &&
-			!strings.HasPrefix(line, "PARENT_APPID") && !strings.HasPrefix(line, "BUNDLE") {
-			t.Errorf("unexpected DAG line %q", line)
+		directive, _, _ := strings.Cut(line, " ")
+		switch directive {
+		case "APP_ID", "PARENT_APPID", "BUNDLE", "DOMAIN", "DECOMP":
+		default:
+			if !strings.HasPrefix(line, "#") {
+				t.Errorf("unexpected DAG line %q", line)
+			}
+		}
+	}
+}
+
+// TestDAGDescribesTheRun: a repro is a run description — parsing it
+// rebuilds both decompositions exactly, domain, kind, grid and block, and
+// a BLOCK clause appears only where it is read.
+func TestDAGDescribesTheRun(t *testing.T) {
+	for seed := uint64(0); seed < 300; seed++ {
+		sc := Generate(seed)
+		d, err := workflow.Parse(strings.NewReader(sc.DAG()))
+		if err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, sc.DAG())
+		}
+		got, err := d.Decompositions()
+		if err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, sc.DAG())
+		}
+		for app, build := range map[int]func() (*decomp.Decomposition, error){1: sc.ProdDecomp, 2: sc.ConsDecomp} {
+			want, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[app], want) {
+				t.Fatalf("seed %d app %d: DAG rebuilds %v, scenario has %v\n%s", seed, app, got[app], want, sc.DAG())
+			}
 		}
 	}
 }

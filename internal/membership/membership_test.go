@@ -194,7 +194,7 @@ func stagedSpace(t *testing.T, nodes, cores int, owners ...cluster.CoreID) (*cod
 	f := transport.NewFabric(m)
 	p := retry.Default()
 	p.Deadline = 5 * time.Second
-	c, err := node.NewCluster(f, domain, "", tcpnet.Config{Retry: p, IOTimeout: 5 * time.Second})
+	c, err := node.NewCluster(f, domain, tcpnet.Config{Retry: p})
 	if err != nil {
 		t.Fatal(err)
 	}

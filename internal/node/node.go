@@ -24,10 +24,13 @@ type Node struct {
 // Start builds node id of machine m and serves it on addr. The space is
 // built before the server listens, so its DHT handlers are registered
 // before the first request arrives; linking cods also installs the block
-// decoder an expose needs. domain and curve must match the driver's space.
-func Start(m *cluster.Machine, id cluster.NodeID, addr string, domain geometry.BBox, curve string, cfg tcpnet.Config) (*Node, error) {
+// decoder an expose needs. domain must match the driver's space. The node
+// never linearizes — the driver routes every DHT call to the node
+// intervals a region meets — so its space takes the default curve,
+// whichever one the driver picked.
+func Start(m *cluster.Machine, id cluster.NodeID, addr string, domain geometry.BBox, cfg tcpnet.Config) (*Node, error) {
 	f := transport.NewFabric(m)
-	sp, err := cods.NewSpaceWithCurve(f, domain, curve)
+	sp, err := cods.NewSpace(f, domain)
 	if err != nil {
 		return nil, err
 	}
@@ -71,17 +74,16 @@ type Cluster struct {
 	// replaced ones included: their traffic stays in the shared Metrics.
 	fabrics []*transport.Fabric
 	domain  geometry.BBox
-	curve   string
 	cfg     tcpnet.Config
 }
 
 // NewCluster starts one node per node of f's machine, at incarnation 1, and
 // installs on f a driver that dials them. cfg configures the driver and,
 // with the incarnation set, every node (a driver serves nothing, so it
-// ignores the incarnation); domain and curve are those of the space the
-// caller builds on f.
-func NewCluster(f *transport.Fabric, domain geometry.BBox, curve string, cfg tcpnet.Config) (*Cluster, error) {
-	c := &Cluster{fabrics: []*transport.Fabric{f}, domain: domain, curve: curve, cfg: cfg}
+// ignores the incarnation); domain is that of the space the caller builds
+// on f, with any curve.
+func NewCluster(f *transport.Fabric, domain geometry.BBox, cfg tcpnet.Config) (*Cluster, error) {
+	c := &Cluster{fabrics: []*transport.Fabric{f}, domain: domain, cfg: cfg}
 	peers := make(map[cluster.NodeID]string)
 	for k := cluster.NodeID(0); int(k) < f.Machine().NumNodes(); k++ {
 		n, err := c.start(k, 1)
@@ -105,7 +107,7 @@ func NewCluster(f *transport.Fabric, domain geometry.BBox, curve string, cfg tcp
 func (c *Cluster) start(k cluster.NodeID, inc uint64) (*Node, error) {
 	cfg := c.cfg
 	cfg.Incarnation = inc
-	n, err := Start(c.fabrics[0].Machine(), k, "127.0.0.1:0", c.domain, c.curve, cfg)
+	n, err := Start(c.fabrics[0].Machine(), k, "127.0.0.1:0", c.domain, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,7 @@ import (
 func testConfig() tcpnet.Config {
 	p := retry.Default()
 	p.Deadline = 5 * time.Second
-	return tcpnet.Config{Retry: p, IOTimeout: 5 * time.Second}
+	return tcpnet.Config{Retry: p}
 }
 
 // TestCloseReleasesParkedRead: a read parked on a buffer nobody will ever
@@ -30,7 +30,7 @@ func TestCloseReleasesParkedRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := Start(m, 1, "127.0.0.1:0", geometry.BoxFromSize([]int{8}), "", testConfig())
+	n, err := Start(m, 1, "127.0.0.1:0", geometry.BoxFromSize([]int{8}), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestReplaceStartsEmpty(t *testing.T) {
 	}
 	domain := geometry.BoxFromSize([]int{16})
 	f := transport.NewFabric(m)
-	nodes, err := NewCluster(f, domain, "", testConfig())
+	nodes, err := NewCluster(f, domain, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

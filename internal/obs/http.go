@@ -33,9 +33,6 @@ type HandlerOpts struct {
 	Members func() any
 }
 
-// Handler serves a registry over HTTP with the default options.
-func Handler(r *Registry) http.Handler { return NewHandler(r, HandlerOpts{}) }
-
 // NewHandler serves a registry over HTTP: / and /metrics (JSON snapshot),
 // /metrics.txt (text), /metrics.prom (Prometheus text exposition), plus
 // the optional views selected by opts.

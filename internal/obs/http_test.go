@@ -26,7 +26,7 @@ func get(t *testing.T, url string) (int, string) {
 // and leaking the accept loop.
 func TestServeLifecycle(t *testing.T) {
 	withObs(t, func() {
-		srv, err := Serve("127.0.0.1:0", Handler(NewRegistry()))
+		srv, err := Serve("127.0.0.1:0", NewHandler(NewRegistry(), HandlerOpts{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func TestServeLifecycle(t *testing.T) {
 			t.Fatal("listener still accepting after Close")
 		}
 		// The port is released: a second server can bind it immediately.
-		again, err := Serve(addr, Handler(NewRegistry()))
+		again, err := Serve(addr, NewHandler(NewRegistry(), HandlerOpts{}))
 		if err != nil {
 			t.Fatalf("rebinding released address: %v", err)
 		}

@@ -45,7 +45,7 @@ func TestHTTPEndpoint(t *testing.T) {
 	withObs(t, func() {
 		r := NewRegistry()
 		r.Counter("http.hits").Add(7)
-		srv, err := Serve("127.0.0.1:0", Handler(r))
+		srv, err := Serve("127.0.0.1:0", NewHandler(r, HandlerOpts{}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -121,16 +121,6 @@ func (s *Stream) Publish(producer int, region geometry.BBox, owner int, data []f
 // ClosePublisher marks producer rank's sequence finished.
 func (s *Stream) ClosePublisher(producer int) { s.closed[producer] = true }
 
-// Ended reports whether every producer rank has closed.
-func (s *Stream) Ended() bool {
-	for _, c := range s.closed {
-		if !c {
-			return false
-		}
-	}
-	return true
-}
-
 // Subscribe opens a cursor at version from, clamped up to the floor, and
 // returns its id and starting position.
 func (s *Stream) Subscribe(from int) (id, pos int) {

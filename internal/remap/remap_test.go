@@ -159,7 +159,9 @@ func TestApplyMigratesByteIdentically(t *testing.T) {
 			f := transport.NewFabric(m)
 			domain := geometry.BoxFromSize([]int{row.grid[0] * row.side[0], row.grid[1] * row.side[1]})
 			if row.tcp {
-				nodes, err := node.NewCluster(f, domain, "", tcpnet.Config{Retry: retry.Default(), IOTimeout: 10 * time.Second})
+				p := retry.Default()
+				p.Deadline = 10 * time.Second
+				nodes, err := node.NewCluster(f, domain, tcpnet.Config{Retry: p})
 				if err != nil {
 					t.Fatalf("NewCluster: %v", err)
 				}

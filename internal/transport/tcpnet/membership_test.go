@@ -34,7 +34,7 @@ func connectDriver(t *testing.T, m *cluster.Machine, addr string) *Backend {
 	p.MaxAttempts = 2
 	p.Deadline = 5 * time.Second
 	client, err := Connect(fc, map[cluster.NodeID]string{0: addr, 1: addr},
-		Config{Retry: p, IOTimeout: 5 * time.Second})
+		Config{Retry: p})
 	if err != nil {
 		t.Fatal(err)
 	}

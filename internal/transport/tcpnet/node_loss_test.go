@@ -75,7 +75,7 @@ func TestMessagingSurvivesNodeLoss(t *testing.T) {
 }
 
 // TestCallTimesOutOnHungNode: a node that completes the handshake and then
-// never answers fails a Call with a timeout within IOTimeout — a transient
+// never answers fails a Call with a timeout within the retry deadline — a transient
 // error the retry layers act on, not ErrEndpointClosed and not a hang.
 func TestCallTimesOutOnHungNode(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -108,8 +108,9 @@ func TestCallTimesOutOnHungNode(t *testing.T) {
 	p := retry.Default()
 	p.MaxAttempts = 1
 	const ioTimeout = 200 * time.Millisecond
+	p.Deadline = ioTimeout
 	driver, err := Connect(transport.NewFabric(m), map[cluster.NodeID]string{0: ln.Addr().String()},
-		Config{Retry: p, IOTimeout: ioTimeout})
+		Config{Retry: p})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ func newPlaneRig(t *testing.T) *planeRig {
 		inset: geometry.NewBBox(geometry.Point{planeBlock / 2, planeBlock / 2},
 			geometry.Point{side - planeBlock/2, side - planeBlock/2}),
 	}
-	if r.nodes, err = node.NewCluster(r.f, r.domain, "", tcpnet.TestConfig()); err != nil {
+	if r.nodes, err = node.NewCluster(r.f, r.domain, tcpnet.TestConfig()); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(r.nodes.Close)

@@ -100,11 +100,22 @@ func TestBatchedPullFrameCount(t *testing.T) {
 	// their stored blocks, so clipping must shrink the wire traffic.
 	get := geometry.NewBBox(geometry.Point{3}, geometry.Point{37})
 	domain := geometry.BoxFromSize([]int{40})
+	// metered sums, per medium, the bytes and ops counted by the fabrics
+	// that execute a get.
+	metered := func(fabrics []*transport.Fabric) map[cluster.Medium][2]int64 {
+		out := make(map[cluster.Medium][2]int64)
+		for _, md := range []cluster.Medium{cluster.SharedMemory, cluster.Network} {
+			for _, mf := range fabrics {
+				out[md] = [2]int64{out[md][0] + mf.MediumBytes(md), out[md][1] + mf.MediumOps(md)}
+			}
+		}
+		return out
+	}
 	// stagedGet stages five producer blocks — one on the reader's node,
-	// two on node 1, one each on nodes 2 and 3 — and retrieves get from
-	// core 0, with the medium counters of the fabrics that meter zeroed
-	// first.
-	stagedGet := func(f *transport.Fabric, meter []*transport.Fabric) []float64 {
+	// two on node 1, one each on nodes 2 and 3 — retrieves get from core
+	// 0, and returns the cells with what the fabrics in meter counted
+	// during the get alone.
+	stagedGet := func(f *transport.Fabric, meter []*transport.Fabric) ([]float64, map[cluster.Medium][2]int64) {
 		t.Helper()
 		sp, err := cods.NewSpace(f, domain)
 		if err != nil {
@@ -117,22 +128,17 @@ func TestBatchedPullFrameCount(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, mf := range meter {
-			mf.ResetMediumStats()
-		}
+		before := metered(meter)
 		f.Machine().Metrics().Reset()
 		out, err := sp.HandleAt(0, 2, "get").GetSequential("v", 0, get)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
-	}
-	// metered sums the medium counters of the fabrics that executed a get.
-	metered := func(fabrics []*transport.Fabric, md cluster.Medium) (bytes, ops int64) {
-		for _, mf := range fabrics {
-			bytes, ops = bytes+mf.MediumBytes(md), ops+mf.MediumOps(md)
+		during := metered(meter)
+		for md, c := range during {
+			during[md] = [2]int64{c[0] - before[md][0], c[1] - before[md][1]}
 		}
-		return bytes, ops
+		return out, during
 	}
 
 	// A fresh cluster: the puts issue no read, so every read counter below
@@ -143,7 +149,7 @@ func TestBatchedPullFrameCount(t *testing.T) {
 	for _, srv := range servers {
 		nodes = append(nodes, srv.fabric)
 	}
-	out := stagedGet(f, nodes)
+	out, tcpMetered := stagedGet(f, nodes)
 	want := fillCells(get)
 	for i := range want {
 		if out[i] != want[i] {
@@ -170,15 +176,15 @@ func TestBatchedPullFrameCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	inproc := transport.NewFabric(m)
-	ref := stagedGet(inproc, []*transport.Fabric{inproc})
+	ref, inMetered := stagedGet(inproc, []*transport.Fabric{inproc})
 	for i := range ref {
 		if out[i] != ref[i] {
 			t.Fatalf("cell %d = %v over TCP, %v in process", i, out[i], ref[i])
 		}
 	}
 	for _, md := range []cluster.Medium{cluster.SharedMemory, cluster.Network} {
-		tcpBytes, tcpOps := metered(nodes, md)
-		inBytes, inOps := metered([]*transport.Fabric{inproc}, md)
+		tcpBytes, tcpOps := tcpMetered[md][0], tcpMetered[md][1]
+		inBytes, inOps := inMetered[md][0], inMetered[md][1]
 		if tcpBytes != inBytes {
 			t.Errorf("%v: %d bytes metered over TCP, %d in process", md, tcpBytes, inBytes)
 		}

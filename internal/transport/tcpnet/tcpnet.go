@@ -38,16 +38,15 @@ var (
 // Config tunes a TCP backend.
 type Config struct {
 	// Retry governs dialing a peer: attempts, backoff and the deadline
-	// each connection attempt (dial + handshake) must finish within. The
-	// zero value means a single attempt with no deadline.
+	// each connection attempt (dial + handshake) must finish within. Its
+	// Deadline also bounds each frame write and each response read on an
+	// established connection (none when 0). The one exception is a
+	// ReadMulti's response stream: a deferred read legitimately blocks
+	// until the owner exposes the buffer, so it carries no deadline;
+	// ReadPatience and the layers above bound it (the conformance
+	// watchdog, the retry deadlines of gets). The zero value means a
+	// single attempt with no deadline.
 	Retry retry.Policy
-	// IOTimeout bounds each frame write and each response read on an
-	// established connection; 0 falls back to Retry.Deadline (and to none
-	// when that is 0 too). The one exception is a ReadMulti's response
-	// stream: a deferred read legitimately blocks until the owner exposes
-	// the buffer, so it carries no deadline; ReadPatience and the layers
-	// above bound it (the conformance watchdog, task-level retry deadlines).
-	IOTimeout time.Duration
 	// Incarnation identifies this serving process's lifetime: a replacement
 	// process for the same node must carry a higher value. It is announced
 	// in every handshake response and checked by reconnecting clients, so a
@@ -319,14 +318,6 @@ func (b *Backend) Addr() string {
 // Done is closed when a peer asks this backend's process to shut down.
 func (b *Backend) Done() <-chan struct{} { return b.shutdownCh }
 
-// ioTimeout is the per-frame deadline for writes and response reads.
-func (b *Backend) ioTimeout() time.Duration {
-	if b.cfg.IOTimeout > 0 {
-		return b.cfg.IOTimeout
-	}
-	return b.cfg.Retry.Deadline
-}
-
 // errHandshake marks a peer that answered but refused the handshake —
 // wrong wire version or machine shape. Retrying cannot fix it.
 var errHandshake = errors.New("tcpnet: handshake rejected")
@@ -345,7 +336,7 @@ func (b *Backend) dial(node cluster.NodeID) (net.Conn, error) {
 		return !errors.Is(err, errHandshake) && !errors.Is(err, ErrStaleIncarnation)
 	}
 	_, err := retry.Do(b.cfg.Retry, uint64(node)*0x9e3779b97f4a7c15, retryable, nil, func(int) error {
-		raw, err := net.DialTimeout("tcp", addr, b.ioTimeout())
+		raw, err := net.DialTimeout("tcp", addr, b.cfg.Retry.Deadline)
 		if err != nil {
 			return err
 		}
@@ -366,7 +357,7 @@ func (b *Backend) dial(node cluster.NodeID) (net.Conn, error) {
 // handshake announces the wire version and machine shape and waits for
 // the peer's acceptance.
 func (b *Backend) handshake(c net.Conn, node cluster.NodeID) error {
-	if d := b.ioTimeout(); d > 0 {
+	if d := b.cfg.Retry.Deadline; d > 0 {
 		c.SetDeadline(time.Now().Add(d))
 		defer c.SetDeadline(time.Time{})
 	}
@@ -486,7 +477,7 @@ func (b *Backend) roundTrip(node cluster.NodeID, fr *frame) (*frame, error) {
 		if err := writeFrame(c, fr); err != nil {
 			return false, err
 		}
-		if d := b.ioTimeout(); d > 0 {
+		if d := b.cfg.Retry.Deadline; d > 0 {
 			c.SetReadDeadline(time.Now().Add(d))
 		}
 		resp, err = readFrame(c)
@@ -1014,7 +1005,7 @@ func (b *Backend) serveReadMulti(c net.Conn, fr *frame) bool {
 
 // armWrite gives the next write on c the per-frame deadline.
 func (b *Backend) armWrite(c net.Conn) {
-	if d := b.ioTimeout(); d > 0 {
+	if d := b.cfg.Retry.Deadline; d > 0 {
 		c.SetWriteDeadline(time.Now().Add(d))
 	}
 }

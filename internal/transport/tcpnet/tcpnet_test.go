@@ -100,7 +100,7 @@ func init() {
 func testConfig() Config {
 	p := retry.Default()
 	p.Deadline = 5 * time.Second
-	return Config{Retry: p, IOTimeout: 5 * time.Second}
+	return Config{Retry: p}
 }
 
 // newCluster starts the shape codsrun -backend=tcp deploys, on loopback
@@ -615,9 +615,10 @@ func TestHandshakeRejectsShapeMismatch(t *testing.T) {
 	fOther := transport.NewFabric(mOther)
 	p := retry.Default()
 	p.MaxAttempts = 1
+	p.Deadline = 2 * time.Second
 	client, err := Connect(fOther, map[cluster.NodeID]string{
 		0: servers[0].Addr(), 1: servers[1].Addr(), 2: servers[0].Addr(),
-	}, Config{Retry: p, IOTimeout: 2 * time.Second})
+	}, Config{Retry: p})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,19 +168,11 @@ func (f *Fabric) record(m Meter, src, dst cluster.CoreID, n int64) {
 }
 
 // MediumBytes returns the total bytes moved through a medium since the
-// fabric was created (or ResetMediumStats).
+// fabric was created.
 func (f *Fabric) MediumBytes(md cluster.Medium) int64 { return f.stats[md].bytes.Load() }
 
 // MediumOps returns the number of transfers performed through a medium.
 func (f *Fabric) MediumOps(md cluster.Medium) int64 { return f.stats[md].ops.Load() }
-
-// ResetMediumStats zeroes the fabric's per-medium counters.
-func (f *Fabric) ResetMediumStats() {
-	for i := range f.stats {
-		f.stats[i].bytes.Store(0)
-		f.stats[i].ops.Store(0)
-	}
-}
 
 // Endpoint is the per-core attachment point to the fabric.
 type Endpoint struct {

@@ -27,6 +27,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -134,23 +135,25 @@ func Parse(r io.Reader) (*DAG, error) {
 			if err != nil {
 				return nil, fmt.Errorf("workflow: line %d: %v", lineNo, err)
 			}
-			rest := fields[3:]
-			var gridFields, blockFields []string
-			for i, f := range rest {
-				if f == "BLOCK" {
-					gridFields, blockFields = rest[:i], rest[i+1:]
-					break
-				}
-			}
-			if gridFields == nil {
-				gridFields = rest
+			gridFields, blockFields := fields[3:], []string(nil)
+			at := slices.Index(gridFields, "BLOCK")
+			if at >= 0 {
+				gridFields, blockFields = gridFields[:at], gridFields[at+1:]
 			}
 			grid, err := parseIntFields(gridFields)
 			if err != nil {
 				return nil, fmt.Errorf("workflow: line %d: %v", lineNo, err)
 			}
 			var block []int
-			if blockFields != nil {
+			if at >= 0 {
+				// Only block-cyclic reads a block size; one anywhere else
+				// would be silently ignored.
+				if kind != decomp.BlockCyclic {
+					return nil, fmt.Errorf("workflow: line %d: BLOCK applies to block-cyclic only, not %s", lineNo, kind)
+				}
+				if len(blockFields) == 0 {
+					return nil, fmt.Errorf("workflow: line %d: empty BLOCK clause", lineNo)
+				}
 				block, err = parseIntFields(blockFields)
 				if err != nil {
 					return nil, fmt.Errorf("workflow: line %d: %v", lineNo, err)
@@ -352,19 +355,14 @@ func (d *DAG) TopoOrder() ([]int, error) {
 }
 
 // Decompositions materializes the declared DECOMP specs over the declared
-// (or supplied) domain. domainOverride may be nil when the file has a
-// DOMAIN directive.
-func (d *DAG) Decompositions(domainOverride []int) (map[int]*decomp.Decomposition, error) {
-	domain := d.Domain
-	if domainOverride != nil {
-		domain = domainOverride
-	}
-	if domain == nil {
-		return nil, fmt.Errorf("workflow: no DOMAIN declared and no override supplied")
+// DOMAIN, erring when the file declares none.
+func (d *DAG) Decompositions() (map[int]*decomp.Decomposition, error) {
+	if d.Domain == nil {
+		return nil, fmt.Errorf("workflow: no DOMAIN declared")
 	}
 	out := make(map[int]*decomp.Decomposition, len(d.Decomps))
 	for id, spec := range d.Decomps {
-		dc, err := decomp.New(spec.Kind, geometry.BoxFromSize(domain), spec.Grid, spec.Block)
+		dc, err := decomp.New(spec.Kind, geometry.BoxFromSize(d.Domain), spec.Grid, spec.Block)
 		if err != nil {
 			return nil, fmt.Errorf("workflow: app %d: %w", id, err)
 		}

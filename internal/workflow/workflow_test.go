@@ -257,7 +257,7 @@ func TestParseDomainAndDecomps(t *testing.T) {
 	if len(spec.Block) != 3 || spec.Block[0] != 4 {
 		t.Fatalf("block spec = %+v", spec)
 	}
-	decomps, err := d.Decompositions(nil)
+	decomps, err := d.Decompositions()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,43 +274,34 @@ func TestParseDomainAndDecomps(t *testing.T) {
 	}
 }
 
-func TestDecompositionsOverride(t *testing.T) {
-	d, err := Parse(strings.NewReader("APP_ID 1\nDECOMP 1 blocked 2 2\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Decompositions(nil); err == nil {
-		t.Fatal("missing domain accepted")
-	}
-	decomps, err := d.Decompositions([]int{8, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if decomps[1].NumTasks() != 4 {
-		t.Fatalf("NumTasks = %d", decomps[1].NumTasks())
-	}
-}
-
 func TestParseDecompErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		in   string
+		at   string // the line the refusal must name, when the parser knows it
 	}{
-		{"domain twice", "DOMAIN 8 8\nDOMAIN 8 8\nAPP_ID 1\n"},
-		{"domain empty", "DOMAIN\nAPP_ID 1\n"},
-		{"domain garbage", "DOMAIN x\nAPP_ID 1\n"},
-		{"decomp arity", "APP_ID 1\nDECOMP 1 blocked\n"},
-		{"decomp bad id", "APP_ID 1\nDECOMP x blocked 2\n"},
-		{"decomp bad kind", "APP_ID 1\nDECOMP 1 fancy 2\n"},
-		{"decomp undeclared app", "APP_ID 1\nDECOMP 2 blocked 2\n"},
-		{"decomp twice", "APP_ID 1\nDECOMP 1 blocked 2\nDECOMP 1 blocked 2\n"},
-		{"decomp grid rank", "DOMAIN 8 8\nAPP_ID 1\nDECOMP 1 blocked 2\n"},
-		{"block rank", "APP_ID 1\nDECOMP 1 block-cyclic 2 2 BLOCK 4\n"},
-		{"bad grid int", "APP_ID 1\nDECOMP 1 blocked a b\n"},
+		{"domain twice", "DOMAIN 8 8\nDOMAIN 8 8\nAPP_ID 1\n", ""},
+		{"domain empty", "DOMAIN\nAPP_ID 1\n", ""},
+		{"domain garbage", "DOMAIN x\nAPP_ID 1\n", ""},
+		{"decomp arity", "APP_ID 1\nDECOMP 1 blocked\n", ""},
+		{"decomp bad id", "APP_ID 1\nDECOMP x blocked 2\n", ""},
+		{"decomp bad kind", "APP_ID 1\nDECOMP 1 fancy 2\n", ""},
+		{"decomp undeclared app", "APP_ID 1\nDECOMP 2 blocked 2\n", ""},
+		{"decomp twice", "APP_ID 1\nDECOMP 1 blocked 2\nDECOMP 1 blocked 2\n", ""},
+		{"decomp grid rank", "DOMAIN 8 8\nAPP_ID 1\nDECOMP 1 blocked 2\n", ""},
+		{"block rank", "APP_ID 1\nDECOMP 1 block-cyclic 2 2 BLOCK 4\n", ""},
+		{"bad grid int", "APP_ID 1\nDECOMP 1 blocked a b\n", ""},
+		{"block on cyclic", "APP_ID 1\nDECOMP 1 cyclic 2 1 BLOCK 3 3\n", "line 2:"},
+		{"block on blocked", "APP_ID 1\nDECOMP 1 blocked 2 2 BLOCK 1 1\n", "line 2:"},
+		{"empty block", "APP_ID 1\nDECOMP 1 blocked 2 2 BLOCK\n", "line 2:"},
+		{"empty block-cyclic block", "APP_ID 1\nDECOMP 1 block-cyclic 2 2 BLOCK\n", "line 2:"},
 	}
 	for _, c := range cases {
-		if _, err := Parse(strings.NewReader(c.in)); err == nil {
+		_, err := Parse(strings.NewReader(c.in))
+		if err == nil {
 			t.Errorf("%s: accepted", c.name)
+		} else if !strings.Contains(err.Error(), c.at) {
+			t.Errorf("%s: %v does not name %q", c.name, err, c.at)
 		}
 	}
 }

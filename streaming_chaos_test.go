@@ -30,7 +30,8 @@ func TestStreamingChaos(t *testing.T) {
 	bin := buildTCPBinaries(t)
 	dir := t.TempDir()
 	dag := filepath.Join(dir, "wf.dag")
-	if err := os.WriteFile(dag, []byte("APP_ID 1\nAPP_ID 2\nBUNDLE 1 2\n"), 0o644); err != nil {
+	if err := os.WriteFile(dag, []byte("DOMAIN 8 8\nAPP_ID 1\nAPP_ID 2\n"+
+		"DECOMP 1 blocked 2 2\nDECOMP 2 blocked 2 1\nBUNDLE 1 2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	reportPath := filepath.Join(dir, "report.json")
@@ -39,19 +40,19 @@ func TestStreamingChaos(t *testing.T) {
 	// kills it once the first version is fully staged and the next is in
 	// flight. A producer's versions survive the kill through the ledger
 	// restage and the put's own retry. The retry budget must outlive lease
-	// expiry plus replacement spawn plus the read-patience bounce.
+	// expiry plus replacement spawn plus the bounce of a read that waited
+	// out an elastic node's 2 s patience.
 	text := runCodsrun(t, bin,
 		"-backend", "tcp",
-		"-nodes", "2", "-cores", "3", "-domain", "8x8",
+		"-nodes", "2", "-cores", "3",
 		"-dag", dag,
-		"-app", "1:blocked:2x2", "-app", "2:blocked:2x1",
 		"-policy", "round-robin",
 		"-stream", "-stream-rounds", fmt.Sprint(rounds), "-halo", "0",
 		"-verify",
 		"-elastic", "-lease-ttl", "1s",
 		"-chaos-kill", "1", "-chaos-after", "4",
 		"-retry", "attempts=100,base=5ms,cap=50ms,deadline=60s",
-		"-report", "-report-path", reportPath)
+		"-report", reportPath)
 	for _, want := range []string{
 		"elastic membership: 2 leases",
 		"chaos: killing codsnode 1",

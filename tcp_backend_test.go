@@ -96,15 +96,14 @@ func TestTCPDistributedTrace(t *testing.T) {
 	bin := buildTCPBinaries(t)
 	dir := t.TempDir()
 	dag := filepath.Join(dir, "wf.dag")
-	if err := os.WriteFile(dag, []byte("APP_ID 1\nAPP_ID 2\nPARENT_APPID 1 CHILD_APPID 2\n"), 0o644); err != nil {
+	if err := os.WriteFile(dag, []byte("DOMAIN 8 8\nAPP_ID 1\nAPP_ID 2\nDECOMP 1 blocked 2 2\nDECOMP 2 blocked 2 1\nPARENT_APPID 1 CHILD_APPID 2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	spansPath := filepath.Join(dir, "spans.jsonl")
 	runCodsrun(t, bin,
 		"-backend", "tcp",
-		"-nodes", "2", "-cores", "2", "-domain", "8x8",
+		"-nodes", "2", "-cores", "2",
 		"-dag", dag,
-		"-app", "1:blocked:2x2", "-app", "2:blocked:2x1",
 		"-policy", "round-robin",
 		"-spans", spansPath)
 
@@ -171,14 +170,14 @@ func TestTCPKilledDriverTakesChildren(t *testing.T) {
 	}
 	bin := buildTCPBinaries(t)
 	dag := filepath.Join(t.TempDir(), "wf.dag")
-	if err := os.WriteFile(dag, []byte("APP_ID 1\nAPP_ID 2\nBUNDLE 1 2\n"), 0o644); err != nil {
+	if err := os.WriteFile(dag, []byte("DOMAIN 64 64\nAPP_ID 1\nAPP_ID 2\n"+
+		"DECOMP 1 blocked 2 1\nDECOMP 2 blocked 2 1\nBUNDLE 1 2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Far more coupling iterations than finish before the kill below.
 	cmd := exec.Command(filepath.Join(bin, "codsrun"),
-		"-backend", "tcp", "-nodes", "2", "-cores", "2", "-domain", "64x64",
-		"-dag", dag, "-app", "1:blocked:2x1", "-app", "2:blocked:2x1",
-		"-iterations", "10000000")
+		"-backend", "tcp", "-nodes", "2", "-cores", "2",
+		"-dag", dag, "-iterations", "10000000")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +225,7 @@ func TestTCPBackendSmoke(t *testing.T) {
 	}
 	bin := buildTCPBinaries(t)
 	dag := filepath.Join(t.TempDir(), "wf.dag")
-	if err := os.WriteFile(dag, []byte("APP_ID 1\nAPP_ID 2\nPARENT_APPID 1 CHILD_APPID 2\n"), 0o644); err != nil {
+	if err := os.WriteFile(dag, []byte("DOMAIN 8 8\nAPP_ID 1\nAPP_ID 2\nDECOMP 1 blocked 2 2\nDECOMP 2 blocked 2 1\nPARENT_APPID 1 CHILD_APPID 2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -234,11 +233,10 @@ func TestTCPBackendSmoke(t *testing.T) {
 		t.Helper()
 		return runCodsrun(t, bin,
 			"-backend", backend,
-			"-nodes", "2", "-cores", "2", "-domain", "8x8",
+			"-nodes", "2", "-cores", "2",
 			"-dag", dag,
-			"-app", "1:blocked:2x2", "-app", "2:blocked:2x1",
 			"-policy", "round-robin", "-verify",
-			"-report", "-report-path", reportPath)
+			"-report", reportPath)
 	}
 
 	dir := t.TempDir()
