@@ -18,8 +18,9 @@
 //	CODSNODE OBS <address>
 //
 // The driver scrapes those lines, runs the workflow, collects each child's
-// transfer accounting (and, with -spans, its captured handler spans), and
-// asks the children to exit.
+// transfer accounting (and, when it traces, the handler spans the child
+// captured for the operations that carried its trace context), and asks
+// the children to exit.
 package main
 
 import (
@@ -46,8 +47,6 @@ func main() {
 		listen     = flag.String("listen", "127.0.0.1:0", "TCP listen address")
 		obsOn      = flag.Bool("obs", false, "enable the metrics registry from process start "+
 			"(required for the driver's per-node report reconciliation)")
-		spans = flag.Bool("spans", false, "capture a handler span for every remote operation "+
-			"carrying trace context, for the driver to drain into its merged trace")
 		obsHTTP = flag.String("obs-http", "", "serve the metrics registry over HTTP on this address "+
 			"(announced as CODSNODE OBS)")
 		pprof       = flag.Bool("pprof", false, "also serve net/http/pprof handlers on the -obs-http listener")
@@ -58,7 +57,7 @@ func main() {
 	if err := run(nodeOptions{
 		node: *node, nodes: *nodes, cores: *cores,
 		domainSpec: *domainSpec, listen: *listen,
-		obs: *obsOn, spans: *spans, obsHTTP: *obsHTTP, pprof: *pprof,
+		obs: *obsOn, obsHTTP: *obsHTTP, pprof: *pprof,
 		incarnation: *incarnation,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "codsnode: %v\n", err)
@@ -70,7 +69,6 @@ type nodeOptions struct {
 	node, nodes, cores int
 	domainSpec, listen string
 	obs                bool
-	spans              bool
 	obsHTTP            string
 	pprof              bool
 	incarnation        uint64
@@ -114,9 +112,6 @@ func run(o nodeOptions) error {
 	}
 	defer n.Close()
 	be := n.Backend()
-	if o.spans {
-		be.EnableSpanCapture()
-	}
 	if o.obsHTTP != "" {
 		h := obs.NewHandler(obs.Default, obs.HandlerOpts{
 			Flows: func() []cluster.Flow { return m.Metrics().Flows("") },

@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -115,6 +116,8 @@ func main() {
 // parseRetrySpec builds a retry policy from the -retry flag: either a bare
 // attempt count (the default policy with that budget) or a comma-separated
 // key=value list of attempts, base, cap, multiplier, jitter and deadline.
+// Durations must not be negative and jitter must lie in [0, 1]; a finite
+// multiplier below 1 means the conventional doubling.
 func parseRetrySpec(spec string) (cods.RetryPolicy, error) {
 	pol := cods.DefaultRetryPolicy()
 	if n, err := strconv.Atoi(spec); err == nil {
@@ -150,8 +153,19 @@ func parseRetrySpec(spec string) (cods.RetryPolicy, error) {
 			return pol, fmt.Errorf("bad -retry value %q for %s: %v", v, k, err)
 		}
 	}
-	if pol.MaxAttempts < 1 {
+	switch {
+	case pol.MaxAttempts < 1:
 		return pol, fmt.Errorf("-retry attempts %d < 1", pol.MaxAttempts)
+	case pol.BaseDelay < 0:
+		return pol, fmt.Errorf("-retry base %s < 0", pol.BaseDelay)
+	case pol.MaxDelay < 0:
+		return pol, fmt.Errorf("-retry cap %s < 0", pol.MaxDelay)
+	case pol.Deadline < 0:
+		return pol, fmt.Errorf("-retry deadline %s < 0", pol.Deadline)
+	case !(pol.Jitter >= 0 && pol.Jitter <= 1):
+		return pol, fmt.Errorf("-retry jitter %v outside [0, 1]", pol.Jitter)
+	case math.IsNaN(pol.Multiplier) || math.IsInf(pol.Multiplier, 0):
+		return pol, fmt.Errorf("-retry multiplier %v is not finite", pol.Multiplier)
 	}
 	return pol, nil
 }
@@ -610,14 +624,11 @@ func startTCPBackend(fw *cods.Framework, o options, domain []int) (*tcpCluster, 
 		"-domain", strings.Join(dims, "x"),
 	}
 	// Children mirror the driver's observability posture: a reconciled
-	// report needs every child's registry counting from process start, a
-	// span trace needs every child capturing handler spans for the driver
-	// to drain.
+	// report needs every child's registry counting from process start.
+	// Span capture needs no switch: a child emits a handler span only for
+	// an operation that carries the driver's trace context.
 	if o.reportPath != "" || o.nodeObsHTTP != "" {
 		args = append(args, "-obs")
-	}
-	if o.spansPath != "" {
-		args = append(args, "-spans")
 	}
 	if o.nodeObsHTTP != "" {
 		args = append(args, "-obs-http", o.nodeObsHTTP)

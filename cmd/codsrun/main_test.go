@@ -6,7 +6,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	cods "github.com/insitu/cods"
 	"github.com/insitu/cods/internal/cluster"
 	icods "github.com/insitu/cods/internal/cods"
 	"github.com/insitu/cods/internal/geometry"
@@ -194,5 +196,59 @@ func TestRestageIsIdempotent(t *testing.T) {
 	}
 	if now := space.Lookup().TableSize(0) + space.Lookup().TableSize(1); now != records {
 		t.Fatalf("%d location records after two restages, %d after the put", now, records)
+	}
+}
+
+// TestParseRetrySpec: -retry comes from outside the program, so a value
+// the policy cannot honour is refused by name instead of silently running
+// a different policy (a negative deadline as none, a jitter of 7 as 1, a
+// NaN multiplier as a NaN backoff).
+func TestParseRetrySpec(t *testing.T) {
+	def := cods.DefaultRetryPolicy()
+	with := func(f func(*cods.RetryPolicy)) cods.RetryPolicy {
+		p := def
+		f(&p)
+		return p
+	}
+	for _, tc := range []struct {
+		spec string
+		want cods.RetryPolicy
+	}{
+		{"6", with(func(p *cods.RetryPolicy) { p.MaxAttempts = 6 })},
+		{"attempts=3, base=1ms,cap=10ms,multiplier=1.5,jitter=0.5,deadline=2s", cods.RetryPolicy{
+			MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond,
+			Multiplier: 1.5, Jitter: 0.5, Deadline: 2 * time.Second,
+		}},
+		{"base=0,cap=0,deadline=0,jitter=0", with(func(p *cods.RetryPolicy) {
+			p.BaseDelay, p.MaxDelay, p.Deadline, p.Jitter = 0, 0, 0, 0
+		})},
+		{"jitter=1", with(func(p *cods.RetryPolicy) { p.Jitter = 1 })},
+		// A finite multiplier below 1 is kept: the policy doubles for it.
+		{"multiplier=0.5", with(func(p *cods.RetryPolicy) { p.Multiplier = 0.5 })},
+	} {
+		got, err := parseRetrySpec(tc.spec)
+		if err != nil || got != tc.want {
+			t.Errorf("parseRetrySpec(%q) = %+v, %v; want %+v", tc.spec, got, err, tc.want)
+		}
+	}
+	for _, tc := range []struct{ spec, key string }{
+		{"0", "attempts"},
+		{"attempts=0", "attempts"},
+		{"base=-1ms", "base"},
+		{"cap=-1s", "cap"},
+		{"deadline=-5s", "deadline"},
+		{"jitter=7", "jitter"},
+		{"jitter=-0.1", "jitter"},
+		{"jitter=NaN", "jitter"},
+		{"multiplier=NaN", "multiplier"},
+		{"multiplier=Inf", "multiplier"},
+		{"multiplier=-Inf", "multiplier"},
+		{"base=soon", "base"},
+		{"base", "base"},
+		{"backoff=1ms", "backoff"},
+	} {
+		if pol, err := parseRetrySpec(tc.spec); err == nil || !strings.Contains(err.Error(), tc.key) {
+			t.Errorf("parseRetrySpec(%q) = %+v, %v; want an error naming %s", tc.spec, pol, err, tc.key)
+		}
 	}
 }

@@ -1,5 +1,6 @@
 // Command dagcheck validates a workflow DAG description file (the format
-// of the paper's Listing 1) and prints its structure and execution order.
+// of the paper's Listing 1) and prints its bundles, the launch stages the
+// runtime runs them in (workflow.DAG.Stages) and its canonical form.
 //
 // Usage:
 //
@@ -8,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -15,43 +17,52 @@ import (
 	"github.com/insitu/cods/internal/workflow"
 )
 
+var errUsage = errors.New("usage: dagcheck <file|->")
+
 func main() {
-	if len(os.Args) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: dagcheck <file|->")
-		os.Exit(2)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, errUsage) {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		fmt.Fprintf(os.Stderr, "dagcheck: %v\n", err)
+		os.Exit(1)
 	}
-	var r io.Reader
-	if os.Args[1] == "-" {
-		r = os.Stdin
-	} else {
-		f, err := os.Open(os.Args[1])
+}
+
+func run(args []string, stdout io.Writer) error {
+	if len(args) != 1 {
+		return errUsage
+	}
+	var r io.Reader = os.Stdin
+	if args[0] != "-" {
+		f, err := os.Open(args[0])
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dagcheck: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
 		r = f
 	}
 	d, err := workflow.Parse(r)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dagcheck: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Printf("valid workflow: %d applications, %d dependencies, %d bundles\n",
+	stages, err := d.Stages()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "valid workflow: %d applications, %d dependencies, %d bundles\n",
 		len(d.Apps), len(d.Edges), len(d.Bundles))
 	for i, b := range d.Bundles {
-		fmt.Printf("  bundle %d: apps %v\n", i, b)
+		fmt.Fprintf(stdout, "  bundle %d: apps %v\n", i, b)
 	}
-	order, err := d.TopoOrder()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dagcheck: %v\n", err)
-		os.Exit(1)
+	for i, stage := range stages {
+		fmt.Fprintf(stdout, "stage %d:", i+1)
+		for _, b := range stage {
+			fmt.Fprintf(stdout, " %v", d.Bundles[b])
+		}
+		fmt.Fprintln(stdout)
 	}
-	fmt.Print("execution order:")
-	for _, b := range order {
-		fmt.Printf(" %v", d.Bundles[b])
-	}
-	fmt.Println()
-	fmt.Println("\ncanonical form:")
-	fmt.Print(d.String())
+	fmt.Fprint(stdout, "\ncanonical form:\n", d.String())
+	return nil
 }

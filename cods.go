@@ -395,8 +395,7 @@ func (f *Framework) TransportFabric() *transport.Fabric { return f.server.Fabric
 
 // SharedSpace exposes the framework's CoDS shared space, so an elastic
 // driver can install membership hooks on it: the staged-block ledger
-// (SetPutRecorder), schedule invalidation after a topology change
-// (InvalidateAll), and lookup re-registration through Lookup.
+// (SetPutRecorder) and lookup re-registration through Lookup.
 func (f *Framework) SharedSpace() *icods.Space { return f.server.Space() }
 
 // DeclareStream registers a streaming coupling variable (DESIGN §5i). It

@@ -101,8 +101,8 @@ func TestConformanceElastic(t *testing.T) {
 // scenarios (DESIGN §5j): after the first get round the remap planner
 // consumes the observed flow matrix and migrates staged blocks toward
 // their readers (with a deterministic rotation fallback when the traffic
-// is already local) through membership.Restage, bumping the
-// schedule-cache epoch. The second get round must stay byte-identical to
+// is already local) through membership.Restage, whose discards bump the
+// moved variable's schedule generation. The second get round must stay byte-identical to
 // the reference model on both backends, and the flow deltas across the
 // remap epoch must equal the model prediction exactly. Seeds cycle the
 // linearization policy through all three curves so remapping is proven

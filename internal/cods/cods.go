@@ -282,13 +282,12 @@ type Space struct {
 	fabric *transport.Fabric
 	lookup *dht.Service
 
-	// Schedule invalidation state: epoch is bumped by InvalidateAll
-	// (everything stale), varGen[v] by DiscardSequential of variable v (that
-	// variable's cached schedules stale). Handles stamp cached schedules
-	// with both and recompute when either moved, so a discard-then-restage
-	// at a different owner can never be served from a stale schedule.
+	// Schedule invalidation state: varGen[v] is bumped by
+	// DiscardSequential of variable v (that variable's cached schedules
+	// stale). Handles stamp cached schedules with it and recompute when it
+	// moved, so a discard-then-restage at a different owner can never be
+	// served from a stale schedule.
 	invMu  sync.Mutex
-	epoch  uint64
 	varGen map[string]uint64
 
 	// tracer optionally receives pull spans; stored atomically so it can
@@ -376,15 +375,6 @@ func (sp *Space) InvalidateSchedules(v string) {
 	sp.invMu.Unlock()
 }
 
-// InvalidateAll marks every cached communication schedule of every
-// variable stale — a topology change moved ownership wholesale, so any
-// schedule computed before it may point at a departed owner.
-func (sp *Space) InvalidateAll() {
-	sp.invMu.Lock()
-	sp.epoch++
-	sp.invMu.Unlock()
-}
-
 // SetPutRecorder installs the staged-block observer (nil uninstalls).
 func (sp *Space) SetPutRecorder(r PutRecorder) {
 	if r == nil {
@@ -394,12 +384,12 @@ func (sp *Space) SetPutRecorder(r PutRecorder) {
 	sp.putRecorder.Store(&r)
 }
 
-// scheduleStamp returns the invalidation stamp (global epoch, variable
-// generation) a schedule for v computed now would carry.
-func (sp *Space) scheduleStamp(v string) (epoch, gen uint64) {
+// scheduleStamp returns the invalidation stamp (v's generation) a
+// schedule for v computed now would carry.
+func (sp *Space) scheduleStamp(v string) uint64 {
 	sp.invMu.Lock()
 	defer sp.invMu.Unlock()
-	return sp.epoch, sp.varGen[v]
+	return sp.varGen[v]
 }
 
 // Lookup exposes the data lookup service (used by the client-side task
@@ -416,8 +406,8 @@ func (sp *Space) Fabric() *transport.Fabric { return sp.fabric }
 // because coupling patterns repeat across versions — pullBatch stamps the
 // version of the get it serves.
 type schedEntry struct {
-	sched      []transport.ReadSpec
-	epoch, gen uint64
+	sched []transport.ReadSpec
+	gen   uint64
 }
 
 // Handle is an execution client's per-core view of the space.
@@ -432,8 +422,8 @@ type Handle struct {
 	// iterations so the DHT query and schedule computation are paid once
 	// (Section IV-A). The phase tag is deliberately not part of the key:
 	// it is a metering label that rotates every iteration and schedules do
-	// not depend on it. Entries carry the space's invalidation stamp and
-	// are dropped when InvalidateAll or DiscardSequential moves it. The
+	// not depend on it. Entries carry their variable's invalidation stamp
+	// and are dropped when DiscardSequential moves it. The
 	// ablation benchmarks disable the cache.
 	schedCache   map[string]schedEntry
 	CacheEnabled bool
@@ -1015,7 +1005,7 @@ func (h *Handle) schedule(key, v string, build func() ([]transport.ReadSpec, err
 	if sched, ok := h.cachedSchedule(key, v); ok {
 		return sched, nil
 	}
-	epoch, gen := h.sp.scheduleStamp(v)
+	gen := h.sp.scheduleStamp(v)
 	sched, err := build()
 	if err != nil {
 		return nil, err
@@ -1023,7 +1013,7 @@ func (h *Handle) schedule(key, v string, build func() ([]transport.ReadSpec, err
 	h.CacheMisses++
 	obsSchedMisses.Inc()
 	if h.CacheEnabled {
-		h.schedCache[key] = schedEntry{sched: sched, epoch: epoch, gen: gen}
+		h.schedCache[key] = schedEntry{sched: sched, gen: gen}
 	}
 	return sched, nil
 }
@@ -1036,8 +1026,7 @@ func (h *Handle) cachedSchedule(key, v string) ([]transport.ReadSpec, bool) {
 	if !ok {
 		return nil, false
 	}
-	epoch, gen := h.sp.scheduleStamp(v)
-	if (e.epoch != epoch || e.gen != gen) && !mutate.Enabled(mutate.StaleEpoch) {
+	if e.gen != h.sp.scheduleStamp(v) && !mutate.Enabled(mutate.StaleEpoch) {
 		delete(h.schedCache, key) // stale: discarded/restaged since computed
 		return nil, false
 	}

@@ -172,25 +172,6 @@ func TestDiscardInvalidatesCachedSchedule(t *testing.T) {
 	}
 }
 
-// TestClearInvalidatesCachedSchedule: a topology change (InvalidateAll)
-// may have moved any owner, so no cached schedule survives it.
-func TestClearInvalidatesCachedSchedule(t *testing.T) {
-	_, sp := testRig(t, 1, 2, []int{4})
-	blk := geometry.BoxFromSize([]int{4})
-	h := sp.HandleAt(0, 1, "p")
-	if err := h.PutSequential("v", 0, blk, fillRegion(blk)); err != nil {
-		t.Fatal(err)
-	}
-	g := sp.HandleAt(1, 2, "g")
-	if _, err := g.GetSequential("v", 0, blk); err != nil {
-		t.Fatal(err)
-	}
-	sp.InvalidateAll()
-	if _, ok := g.cachedSchedule(g.schedKey("seq", "v", blk), "v"); ok {
-		t.Fatal("cached schedule survived InvalidateAll")
-	}
-}
-
 // TestConcurrentPutGetDiscardStress hammers the space from many goroutines
 // (intended to run under -race): each owns a variable and loops
 // put/get/discard, while readers query the lookup service for other

@@ -474,6 +474,7 @@ func runSequential(sc genwf.Scenario, opts Options, machine *cluster.Machine, sp
 	}
 
 	if sc.Restage {
+		pred.voidOwned(sc, model, func(cluster.CoreID) bool { return true })
 		if err := restage(sc, machine, space, prod, prodPl, model); err != nil {
 			return err
 		}
@@ -489,7 +490,10 @@ func runSequential(sc genwf.Scenario, opts Options, machine *cluster.Machine, sp
 		// The node's serving process is lost and replaced in its slot: the
 		// model is untouched because ownership is where it was, and the
 		// re-gets must return byte-identical data through schedules the
-		// reconcile's epoch bump forced to be recomputed.
+		// reconcile's re-stages forced to be recomputed.
+		pred.voidOwned(sc, model, func(owner cluster.CoreID) bool {
+			return machine.NodeOf(owner) == cluster.NodeID(sc.Kill-1)
+		})
 		if err := loseNode(sc, opts, machine, space, ledger, cons, model, sc.Versions); err != nil {
 			return err
 		}
@@ -521,7 +525,7 @@ func reget(sc genwf.Scenario, opts Options, consumers []*consumer, model *refmod
 // remapRound runs one adaptive traffic-driven remap between get rounds:
 // the planner consumes the flow matrix observed during round 0 together
 // with the put ledger, the executor migrates the chosen blocks through the
-// elastic machinery (membership.Restage at the target, epoch bump), and a
+// elastic machinery (membership.Restage at the target), and a
 // second full get round must return byte-identical data. The
 // flow deltas across the remap epoch must equal exactly what the model
 // predicts for the re-pull under the new ownership — migration itself
@@ -552,6 +556,9 @@ func remapRound(sc genwf.Scenario, opts Options, machine *cluster.Machine, space
 	}
 	// Mirror the migration into the model before executing it for real.
 	for _, mv := range plan.Moves {
+		if mv.To != mv.Block.Owner {
+			pred.voided[mv.Block.Var] = true
+		}
 		if err := model.Move(mv.Block.Var, mv.Block.Version, mv.Block.Region, int(mv.Block.Owner), int(mv.To)); err != nil {
 			return err
 		}

@@ -29,10 +29,27 @@ type predictor struct {
 	m         *cluster.Machine
 	flows     map[flowKey]int64
 	perMedium [2]int64
+	// voided names the variables whose cached schedules the extra round
+	// (a restage, a remap or a node loss) voided: it re-staged one of
+	// their blocks, and the discard bumped the variable's schedule
+	// generation.
+	voided map[string]bool
 }
 
 func newPredictor(m *cluster.Machine) *predictor {
-	return &predictor{m: m, flows: make(map[flowKey]int64)}
+	return &predictor{m: m, flows: make(map[flowKey]int64), voided: make(map[string]bool)}
+}
+
+// voidOwned marks every variable of the scenario with a model block whose
+// owner the extra round is about to re-stage.
+func (p *predictor) voidOwned(sc genwf.Scenario, model *refmodel.Model, moves func(owner cluster.CoreID) bool) {
+	for _, v := range sc.VarNames() {
+		for _, b := range model.Owners(v, 0, geometry.BoxFromSize(sc.Domain)) {
+			if moves(cluster.CoreID(b.Owner)) {
+				p.voided[v] = true
+			}
+		}
+	}
 }
 
 // addGet predicts the transfers of one consumer get from the model's
@@ -151,33 +168,29 @@ func checkInvariants(sc genwf.Scenario, opts Options, machine *cluster.Machine, 
 	// changed what was transferred.
 	// Ghost expansion can clip two owned pieces to the same region; a
 	// schedule is computed once per distinct region per handle, so hits
-	// are total gets minus that.
-	var hits, misses, gets, distinct int
+	// are total gets minus that. An extra round (a restage, a remap or a
+	// node loss; they are exclusive) re-gets everything: a variable it
+	// voided misses once more per distinct region, the others hit.
+	rounds := 1
+	if sc.Restage || sc.Remap || sc.Kill != 0 {
+		rounds = 2
+	}
+	var hits, misses, gets, wantMisses int
 	for _, c := range consumers {
 		hits += c.h.CacheHits
 		misses += c.h.CacheMisses
-		gets += sc.Vars * len(c.regions) * sc.Versions
 		seen := make(map[string]bool)
 		for _, r := range c.regions {
 			seen[r.String()] = true
 		}
-		distinct += sc.Vars * len(seen)
+		for _, v := range sc.VarNames() {
+			gets += len(c.regions) * sc.Versions * rounds
+			wantMisses += len(seen)
+			if pred.voided[v] {
+				wantMisses += len(seen)
+			}
+		}
 	}
-	// Every extra round — a restage, a remap, a node loss — re-gets
-	// everything after an invalidation that voids every schedule, so
-	// gets and misses both scale with the round count.
-	rounds := 1
-	if sc.Restage {
-		rounds++
-	}
-	if sc.Remap {
-		rounds++
-	}
-	if sc.Kill != 0 {
-		rounds++
-	}
-	gets *= rounds
-	wantMisses := distinct * rounds
 	wantHits := gets - wantMisses
 	if hits != wantHits {
 		return fmt.Errorf("conformance: schedule cache hits = %d, want %d\n%s",

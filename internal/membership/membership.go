@@ -337,10 +337,10 @@ func Restage(sp *cods.Space, b Block, to cluster.CoreID, phase string) error {
 // process and a replacement took each one's slot: every ledger block owned
 // by a core of an affected node is re-staged in place; every other block
 // has its location record re-registered — it may have lived in an affected
-// node's table, and inserts are idempotent where it did not; finally every
-// cached schedule is invalidated so in-flight and future pulls see the
-// converged state. Run against a space that lost nothing, it changes
-// nothing.
+// node's table, and inserts are idempotent where it did not. A re-stage's
+// discard bumps its variable's schedule generation, so no cached schedule
+// outlives it; the survivors keep their owners, so schedules naming them
+// stay valid. Run against a space that lost nothing, it changes nothing.
 func Reconcile(sp *cods.Space, ledger *Ledger, affected []cluster.NodeID) (Result, error) {
 	res := Result{Affected: append([]cluster.NodeID(nil), affected...)}
 	hit := make(map[cluster.NodeID]bool, len(affected))
@@ -370,7 +370,6 @@ func Reconcile(sp *cods.Space, ledger *Ledger, affected []cluster.NodeID) (Resul
 		res.Reinserted++
 		obsReinserts.Inc()
 	}
-	sp.InvalidateAll()
 	return res, nil
 }
 

@@ -96,8 +96,8 @@ const (
 	VersionSkipOnResubscribe = "version-skip-on-resubscribe"
 	// RemapStaleOwner makes a re-stage at another core (the remap
 	// executor's move) leave the pre-migration owner's location record
-	// registered while its copy of the block is already discarded, so even
-	// after the epoch bump lookups keep routing pulls to the old owner —
+	// registered while its copy of the block is already discarded, so
+	// lookups keep routing pulls to the old owner —
 	// the adaptive-remapping twin of StaleEpoch, living in the lookup plane
 	// instead of the schedule cache.
 	RemapStaleOwner = "remap-stale-owner"

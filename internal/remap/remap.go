@@ -5,9 +5,10 @@
 // inter-node coupled bytes it actually moved, and emits a migration plan.
 // The executor applies the plan through the one block move the elastic
 // plane already trusts — membership.Restage from the put ledger: withdrawn
-// at the old owner, put at the new — and an epoch bump fencing out every
-// cached schedule, so in-flight pulls converge on the new placement with no
-// correctness change.
+// at the old owner, put at the new. The discard bumps the variable's
+// schedule generation, so the next get of a moved variable re-queries the
+// lookup service and converges on the new placement with no correctness
+// change.
 package remap
 
 import (
@@ -177,10 +178,10 @@ func Propose(m *cluster.Machine, fm obs.FlowMatrix, blocks []Block, opts Options
 
 // Apply executes a migration plan: every moved block is re-staged
 // byte-identically at its new owner from the put ledger's record
-// (membership.Restage — the location record moves with the block), and an
-// epoch bump fences out every consumer's cached schedule so no in-flight
-// pull can be served from pre-migration state. Returns the number of blocks
-// migrated. The space's put recorder must be the given ledger, so the
+// (membership.Restage — the location record moves with the block, and the
+// discard at the old owner bumps the variable's schedule generation, so the
+// next get of a moved variable re-queries the lookup service). Returns the
+// number of blocks migrated. The space's put recorder must be the given ledger, so the
 // restage re-records itself.
 func Apply(sp *cods.Space, ledger *membership.Ledger, plan Plan, phase string) (int, error) {
 	if len(plan.Moves) == 0 {
@@ -207,9 +208,6 @@ func Apply(sp *cods.Space, ledger *membership.Ledger, plan Plan, phase string) (
 		moved++
 		obsMoved.Inc()
 	}
-	// Fence: any schedule computed before the migration may name an old
-	// owner; the epoch bump forces recomputation from the fresh tables.
-	sp.InvalidateAll()
 	return moved, nil
 }
 

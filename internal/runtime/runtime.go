@@ -17,7 +17,6 @@ package runtime
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -202,86 +201,60 @@ type Report struct {
 	FaultsInjected int64
 }
 
-// Run executes a workflow to completion under the given mapping policy.
-// Ready bundles found at the same engine step run concurrently when they
-// are single-application consumers (the paper's land + sea-ice pattern);
-// multi-application bundles run as their own group.
+// Run executes a workflow to completion under the given mapping policy,
+// one launch stage of workflow.DAG.Stages at a time: each stage is mapped
+// as one group and its tasks run concurrently.
 func (s *Server) Run(d *workflow.DAG, policy Policy) (*Report, error) {
 	for _, a := range d.Apps {
 		if _, ok := s.apps[a]; !ok {
 			return nil, fmt.Errorf("runtime: workflow references unregistered application %d", a)
 		}
 	}
-	eng := workflow.NewEngine(d)
+	stages, err := d.Stages()
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{Policy: policy, PlacementOf: make(map[int]*cluster.Placement)}
 	tr := s.tracer.Load()
 	root := tr.Start(0, "workflow:"+policy.String())
 	defer root.End()
-	for !eng.Finished() {
-		ready := eng.Ready()
-		if len(ready) == 0 {
-			return nil, fmt.Errorf("runtime: workflow stuck with no ready bundles")
+	for _, stage := range stages {
+		var appIDs []int
+		for _, b := range stage {
+			appIDs = append(appIDs, d.Bundles[b]...)
 		}
-		// Group the ready set: each multi-app bundle is its own group;
-		// single-app bundles run together as one group so sibling
-		// consumers retrieve data simultaneously.
-		var groups [][]int
-		var singles []int
-		for _, b := range ready {
-			if len(d.Bundles[b]) > 1 {
-				groups = append(groups, []int{b})
-			} else {
-				singles = append(singles, b)
-			}
+		var mapStart time.Time
+		if obs.Enabled() {
+			mapStart = time.Now()
 		}
-		if len(singles) > 0 {
-			groups = append(groups, singles)
+		bundle := len(stage) == 1 && len(appIDs) > 1
+		pl, err := s.mapGroup(d, appIDs, bundle, policy)
+		if err != nil {
+			return nil, err
 		}
-		for _, grp := range groups {
-			var appIDs []int
-			for _, b := range grp {
-				if err := eng.Start(b); err != nil {
-					return nil, err
-				}
-				appIDs = append(appIDs, d.Bundles[b]...)
-			}
-			var mapStart time.Time
-			if obs.Enabled() {
-				mapStart = time.Now()
-			}
-			pl, err := s.mapGroup(d, appIDs, policy)
-			if err != nil {
-				return nil, err
-			}
-			if !mapStart.IsZero() {
-				obsMapNs.Observe(time.Since(mapStart).Nanoseconds())
-			}
-			gs := tr.Start(root.ID(), fmt.Sprintf("group:%v", appIDs))
-			var groupStart time.Time
-			if obs.Enabled() {
-				groupStart = time.Now()
-				obsBundlesRun.Add(int64(len(grp)))
-			}
-			err = s.launchGroup(appIDs, pl, gs.ID())
-			gs.End()
-			if err != nil {
-				rep.FaultsInjected = s.fabric.FaultsInjected()
-				return nil, err
-			}
-			if !groupStart.IsZero() {
-				obsGroupNs.Observe(time.Since(groupStart).Nanoseconds())
-			}
-			for _, a := range appIDs {
-				rep.PlacementOf[a] = pl
-				rep.TasksRun += s.apps[a].Decomp.NumTasks()
-			}
-			for _, b := range grp {
-				if err := eng.Complete(b); err != nil {
-					return nil, err
-				}
-				rep.BundlesRun++
-			}
+		if !mapStart.IsZero() {
+			obsMapNs.Observe(time.Since(mapStart).Nanoseconds())
 		}
+		gs := tr.Start(root.ID(), fmt.Sprintf("group:%v", appIDs))
+		var groupStart time.Time
+		if obs.Enabled() {
+			groupStart = time.Now()
+			obsBundlesRun.Add(int64(len(stage)))
+		}
+		err = s.launchGroup(appIDs, pl, gs.ID())
+		gs.End()
+		if err != nil {
+			rep.FaultsInjected = s.fabric.FaultsInjected()
+			return nil, err
+		}
+		if !groupStart.IsZero() {
+			obsGroupNs.Observe(time.Since(groupStart).Nanoseconds())
+		}
+		for _, a := range appIDs {
+			rep.PlacementOf[a] = pl
+			rep.TasksRun += s.apps[a].Decomp.NumTasks()
+		}
+		rep.BundlesRun += len(stage)
 	}
 	rep.FaultsInjected = s.fabric.FaultsInjected()
 	return rep, nil
@@ -297,8 +270,9 @@ func (s *Server) graphApps(appIDs []int) []graph.App {
 }
 
 // mapGroup chooses and computes the placement for a group of applications
-// scheduled together.
-func (s *Server) mapGroup(d *workflow.DAG, appIDs []int, policy Policy) (*cluster.Placement, error) {
+// scheduled together; bundle reports that the group is one concurrently
+// coupled bundle of several applications.
+func (s *Server) mapGroup(d *workflow.DAG, appIDs []int, bundle bool, policy Policy) (*cluster.Placement, error) {
 	apps := s.graphApps(appIDs)
 	if policy == RoundRobin {
 		// The launcher baseline: consecutive SMP placement, which is what
@@ -306,7 +280,7 @@ func (s *Server) mapGroup(d *workflow.DAG, appIDs []int, policy Policy) (*cluste
 		// produce per application.
 		return mapping.Consecutive(s.machine, apps, nil)
 	}
-	if len(appIDs) > 1 && sameBundle(d, appIDs) {
+	if bundle {
 		// Concurrently coupled bundle: server-side mapping over the
 		// inter-application communication graph. All producer->consumer
 		// pairs inside the bundle are coupled.
@@ -337,31 +311,6 @@ func (s *Server) mapGroup(d *workflow.DAG, appIDs []int, policy Policy) (*cluste
 			fmt.Sprintf("map:%v", appIDs))
 	}
 	return mapping.Consecutive(s.machine, apps, nil)
-}
-
-// sameBundle reports whether the app ids form exactly one bundle of the
-// DAG.
-func sameBundle(d *workflow.DAG, appIDs []int) bool {
-	want := append([]int(nil), appIDs...)
-	sort.Ints(want)
-	for _, b := range d.Bundles {
-		got := append([]int(nil), b...)
-		sort.Ints(got)
-		if len(got) != len(want) {
-			continue
-		}
-		same := true
-		for i := range got {
-			if got[i] != want[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return true
-		}
-	}
-	return false
 }
 
 // launchGroup runs every task of the group's applications on its placed

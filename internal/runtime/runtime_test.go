@@ -416,3 +416,55 @@ func TestTaskErrorContract(t *testing.T) {
 		}
 	}
 }
+
+// TestStagePlacements: Run maps each launch stage of DAG.Stages as one
+// group, so the apps of one stage share one *Placement and apps of
+// different stages never do.
+func TestStagePlacements(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		apps    []int
+		edges   [][2]int
+		bundles [][]int
+		stages  [][]int // app ids per stage
+	}{
+		{"listing 1", []int{1, 2, 3}, [][2]int{{1, 2}, {1, 3}}, nil, [][]int{{1}, {2, 3}}},
+		{"independent app", []int{1, 2, 3}, [][2]int{{1, 2}}, nil, [][]int{{1, 3}, {2}}},
+		{"bundle beside singles", []int{1, 2, 3, 4}, nil, [][]int{{1, 2}}, [][]int{{1, 2}, {3, 4}}},
+		{"two bundles in a wave", []int{1, 2, 3, 4, 5}, [][2]int{{1, 5}}, [][]int{{3, 4}, {1, 2}},
+			[][]int{{3, 4}, {1, 2}, {5}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			size := []int{4, 4}
+			s := newServer(t, 2, 4, size)
+			for _, id := range tc.apps {
+				if err := s.RegisterApp(AppSpec{ID: id, Decomp: mustDecomp(t, decomp.Blocked, size, []int{2, 1}),
+					Run: func(*AppContext) error { return nil }}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			d, err := workflow.New(tc.apps, tc.edges, tc.bundles)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := s.Run(d, DataCentric)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stageOf := map[int]int{}
+			for i, stage := range tc.stages {
+				for _, a := range stage {
+					stageOf[a] = i
+				}
+			}
+			for _, a := range tc.apps {
+				for _, b := range tc.apps {
+					shared := rep.PlacementOf[a] == rep.PlacementOf[b]
+					if rep.PlacementOf[a] == nil || shared != (stageOf[a] == stageOf[b]) {
+						t.Errorf("apps %d and %d share a placement: %v, want stages %v", a, b, shared, tc.stages)
+					}
+				}
+			}
+		})
+	}
+}

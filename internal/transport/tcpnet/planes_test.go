@@ -203,11 +203,12 @@ var warmGet = planeCost{
 // allocsPinned.
 func TestPlaneCosts(t *testing.T) {
 	// The registry on, with its wire-mirror counters, plus a tracer — every
-	// pull stamps its span id into the request frames — and span capture,
-	// so every served request emits a handler span. None of it may change a
-	// byte on the wire or a flow, the handler spans must be exactly one per
-	// request frame, and the whole plane costs a bounded number of
-	// allocations per get.
+	// pull stamps its span id into the request frames, so every served
+	// request emits a handler span (a serving node always captures; an
+	// untraced get sends span 0 and leaves its sink empty). None of it may
+	// change a byte on the wire or a flow, the handler spans must be
+	// exactly one per request frame, and the whole plane costs a bounded
+	// number of allocations per get.
 	t.Run("distributed-obs", func(t *testing.T) {
 		r := newPlaneRig(t)
 		r.stage(t)
@@ -217,8 +218,12 @@ func TestPlaneCosts(t *testing.T) {
 			offAllocs = r.getAllocs(t)
 		}
 
-		for k := 0; k < r.f.Machine().NumNodes(); k++ {
-			r.nodes.Node(cluster.NodeID(k)).Backend().EnableSpanCapture()
+		var untraced bytes.Buffer
+		if err := r.nodes.Driver().DrainRemoteSpans(obs.NewTracer(&untraced)); err != nil {
+			t.Fatal(err)
+		}
+		if untraced.Len() != 0 {
+			t.Errorf("untraced gets left %d bytes of handler spans on the nodes", untraced.Len())
 		}
 		r.sp.SetTracer(obs.NewTracer(io.Discard))
 		obs.Enable(true)

@@ -13,16 +13,20 @@ import (
 // TestRemoteSpanCapture drives reads and calls carrying trace context
 // from a driver and asserts the serving side emits one node-labelled
 // handler span per operation, parented under the requesting span id that
-// travelled in the frame.
+// travelled in the frame. A serving node always captures; a frame with
+// span 0 (an untraced driver) leaves its sink empty.
 func TestRemoteSpanCapture(t *testing.T) {
 	f, b, servers := newCluster(t, 2, 2)
-	for _, srv := range servers {
-		srv.EnableSpanCapture()
-	}
 
 	key := transport.BufKey{Name: "var", Version: 1}
 	if err := servers[1].fabric.Endpoint(3).Expose(key, &blockPayload{Text: "x", Vals: []float64{1}}); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := readOne(f.Endpoint(0), 3, key, transport.Meter{Class: cluster.InterApp}, 8, 1); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(servers[1].drainSpans()); n != 0 {
+		t.Fatalf("a read with span 0 left %d bytes in the node's span sink", n)
 	}
 	m := transport.Meter{Phase: "test", Class: cluster.InterApp, DstApp: 2, Span: 42}
 	if _, err := readOne(f.Endpoint(0), 3, key, m, 8, 1); err != nil {
@@ -90,7 +94,6 @@ func TestRemoteSpanCapture(t *testing.T) {
 // lose no span. Run with -race.
 func TestRemoteSpanDrainRace(t *testing.T) {
 	f, b, servers := newCluster(t, 2, 2)
-	servers[1].EnableSpanCapture()
 	key := transport.BufKey{Name: "var", Version: 1}
 	if err := servers[1].fabric.Endpoint(2).Expose(key, &blockPayload{Text: "x", Vals: []float64{1}}); err != nil {
 		t.Fatal(err)

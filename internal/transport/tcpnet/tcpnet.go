@@ -100,10 +100,14 @@ type Backend struct {
 		segments, segmentBytes atomic.Int64
 	}
 
-	// spanTracer, when set, emits a handler span for every remote
-	// operation that carries trace context (frame.Span != 0) into
-	// spanSink, to be drained by the driver through opSpans.
-	spanTracer atomic.Pointer[obs.Tracer]
+	// spanTracer, on a serving node, emits a handler span for every
+	// remote operation that carries trace context (frame.Span != 0) into
+	// spanSink, to be drained by the driver through opSpans. A frame
+	// carries a nonzero span only when the driver traces, so an untraced
+	// run leaves the sink empty. Span IDs are namespaced per process —
+	// node k's spans start above (k+1)<<48 — so merged traces never
+	// collide with the driver's own IDs, which stay far below.
+	spanTracer *obs.Tracer
 	spanSink   spanSink
 
 	// accounts is the per-peer accounting collected by the last
@@ -171,38 +175,15 @@ func (b *Backend) WireStats() WireStats {
 	}
 }
 
-// EnableSpanCapture starts emitting a node-labelled handler span for
-// every remote operation served here that carries trace context
-// (opReadMulti/opCall with a nonzero Span field). The spans are
-// buffered in-process and shipped to the driver on demand (opSpans /
-// DrainRemoteSpans). Span IDs are namespaced per process — node k's
-// spans start above (k+1)<<48 — so merged traces never collide with the
-// driver's own IDs, which stay far below. Idempotent.
-func (b *Backend) EnableSpanCapture() {
-	if b.spanTracer.Load() != nil {
-		return
-	}
-	tr := obs.NewTracer(&b.spanSink)
-	tr.SetIDBase(uint64(b.node+1) << 48)
-	if !b.spanTracer.CompareAndSwap(nil, tr) {
-		return // lost a concurrent enable; keep the winner
-	}
-}
-
 // nodeLabel names the node that serves a target core, for span labels.
 func (b *Backend) nodeLabel(target int32) string {
 	return fmt.Sprintf("node%d", b.machine.NodeOf(cluster.CoreID(target)))
 }
 
 // drainSpans flushes and returns the buffered remote span lines,
-// clearing the buffer. Returns nil when capture is off or nothing has
-// been emitted.
+// clearing the buffer. Returns nil when nothing has been emitted.
 func (b *Backend) drainSpans() []byte {
-	tr := b.spanTracer.Load()
-	if tr == nil {
-		return nil
-	}
-	_ = tr.Flush()
+	_ = b.spanTracer.Flush()
 	return b.spanSink.drain()
 }
 
@@ -285,6 +266,8 @@ func Serve(f *transport.Fabric, node cluster.NodeID, addr string, cfg Config) (*
 		return nil, fmt.Errorf("tcpnet: listening for node %d: %w", node, err)
 	}
 	b.node, b.listener = node, ln
+	b.spanTracer = obs.NewTracer(&b.spanSink)
+	b.spanTracer.SetIDBase(uint64(node+1) << 48)
 	b.wg.Add(1)
 	go b.acceptLoop(ln)
 	return b, nil
@@ -923,9 +906,9 @@ func (b *Backend) serveReadMulti(c net.Conn, fr *frame) bool {
 			return headerFail(err)
 		}
 	}
-	if tr := b.spanTracer.Load(); tr != nil && fr.Span != 0 {
+	if fr.Span != 0 {
 		name := fmt.Sprintf("remote:readmulti:%d", len(specs))
-		defer tr.StartNode(obs.SpanID(fr.Span), name, b.nodeLabel(fr.Dst)).End()
+		defer b.spanTracer.StartNode(obs.SpanID(fr.Span), name, b.nodeLabel(fr.Dst)).End()
 	}
 	count := len(specs)
 	if mutate.Enabled(mutate.TCPSGDrop) && count > 1 {
@@ -1031,12 +1014,12 @@ func (b *Backend) checkTarget(c int32) error {
 }
 
 // execute runs one decoded request against the local fabric and builds
-// the response frame. With span capture enabled, a call that carries
-// trace context gets a handler span parented under the requesting driver
-// span, labelled with the serving node.
+// the response frame. A call that carries trace context gets a handler
+// span parented under the requesting driver span, labelled with the
+// serving node.
 func (b *Backend) execute(fr *frame) *frame {
-	if tr := b.spanTracer.Load(); tr != nil && fr.Span != 0 && fr.Op == opCall {
-		defer tr.StartNode(obs.SpanID(fr.Span), "remote:call:"+fr.Name, b.nodeLabel(fr.Dst)).End()
+	if fr.Span != 0 && fr.Op == opCall {
+		defer b.spanTracer.StartNode(obs.SpanID(fr.Span), "remote:call:"+fr.Name, b.nodeLabel(fr.Dst)).End()
 	}
 	resp := &frame{Op: opResp}
 	fail := func(err error) *frame {

@@ -24,8 +24,16 @@ func FuzzParse(f *testing.F) {
 		if len(d.Apps) == 0 {
 			t.Fatal("accepted workflow without applications")
 		}
-		if _, err := d.TopoOrder(); err != nil {
-			t.Fatalf("accepted workflow has no topological order: %v", err)
+		stages, err := d.Stages()
+		if err != nil {
+			t.Fatalf("accepted workflow has no launch stages: %v", err)
+		}
+		launched := 0
+		for _, stage := range stages {
+			launched += len(stage)
+		}
+		if launched != len(d.Bundles) {
+			t.Fatalf("stages %v launch %d of %d bundles", stages, launched, len(d.Bundles))
 		}
 		if _, err := Parse(strings.NewReader(d.String())); err != nil {
 			t.Fatalf("canonical form does not re-parse: %v\n%s", err, d.String())

@@ -19,8 +19,8 @@
 //	BUNDLE 3
 //
 // Applications not named in any BUNDLE line form implicit singleton
-// bundles. The engine schedules a bundle once every parent application of
-// every member has completed.
+// bundles. Stages orders the bundles for launch: a bundle runs once every
+// parent application of every member has completed.
 package workflow
 
 import (
@@ -251,10 +251,8 @@ func (d *DAG) normalize() error {
 			return fmt.Errorf("workflow: dependency %d->%d inside one bundle", e[0], e[1])
 		}
 	}
-	if _, err := d.TopoOrder(); err != nil {
-		return err
-	}
-	return nil
+	_, err := d.Stages()
+	return err
 }
 
 // bundleOf maps app id to its bundle index.
@@ -280,78 +278,52 @@ func (d *DAG) Parents(app int) []int {
 	return out
 }
 
-// Children returns the sorted child applications of an app.
-func (d *DAG) Children(app int) []int {
-	var out []int
-	for _, e := range d.Edges {
-		if e[0] == app {
-			out = append(out, e[1])
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// bundleDeps returns, per bundle index, the set of bundle indices it
-// depends on.
-func (d *DAG) bundleDeps() [][]int {
+// Stages returns the launch stages of the workflow: the bundle indices
+// the runtime maps and launches together, in launch order. Bundles form
+// waves — a bundle joins the first wave after every bundle it depends on,
+// in ascending index — and within a wave each multi-application bundle is
+// a stage of its own, followed by one stage holding every
+// single-application bundle of the wave, so sibling consumers retrieve
+// their data simultaneously (the paper's land + sea-ice pattern). A
+// dependency cycle is an error.
+func (d *DAG) Stages() ([][]int, error) {
 	bundleOf := d.bundleOf()
-	depSet := make([]map[int]bool, len(d.Bundles))
-	for i := range depSet {
-		depSet[i] = make(map[int]bool)
-	}
-	for _, e := range d.Edges {
-		pb, cb := bundleOf[e[0]], bundleOf[e[1]]
-		if pb != cb {
-			depSet[cb][pb] = true
+	done := make([]bool, len(d.Bundles))
+	var stages [][]int
+	for left := len(d.Bundles); left > 0; {
+		ready := make([]bool, len(d.Bundles))
+		for b := range ready {
+			ready[b] = !done[b]
 		}
-	}
-	out := make([][]int, len(d.Bundles))
-	for i, s := range depSet {
-		for b := range s {
-			out[i] = append(out[i], b)
-		}
-		sort.Ints(out[i])
-	}
-	return out
-}
-
-// TopoOrder returns the bundle indices in a valid execution order, erring
-// on cycles.
-func (d *DAG) TopoOrder() ([]int, error) {
-	deps := d.bundleDeps()
-	n := len(d.Bundles)
-	indeg := make([]int, n)
-	dependents := make([][]int, n)
-	for b, ds := range deps {
-		indeg[b] = len(ds)
-		for _, p := range ds {
-			dependents[p] = append(dependents[p], b)
-		}
-	}
-	var queue []int
-	for b := 0; b < n; b++ {
-		if indeg[b] == 0 {
-			queue = append(queue, b)
-		}
-	}
-	var order []int
-	for len(queue) > 0 {
-		sort.Ints(queue)
-		b := queue[0]
-		queue = queue[1:]
-		order = append(order, b)
-		for _, c := range dependents[b] {
-			indeg[c]--
-			if indeg[c] == 0 {
-				queue = append(queue, c)
+		for _, e := range d.Edges {
+			if !done[bundleOf[e[0]]] {
+				ready[bundleOf[e[1]]] = false
 			}
 		}
+		var wave, singles []int
+		for b, r := range ready {
+			if !r {
+				continue
+			}
+			wave = append(wave, b)
+			if len(d.Bundles[b]) > 1 {
+				stages = append(stages, []int{b})
+			} else {
+				singles = append(singles, b)
+			}
+		}
+		if len(wave) == 0 {
+			return nil, fmt.Errorf("workflow: dependency cycle among bundles")
+		}
+		if len(singles) > 0 {
+			stages = append(stages, singles)
+		}
+		for _, b := range wave {
+			done[b] = true
+		}
+		left -= len(wave)
 	}
-	if len(order) != n {
-		return nil, fmt.Errorf("workflow: dependency cycle among bundles")
-	}
-	return order, nil
+	return stages, nil
 }
 
 // Decompositions materializes the declared DECOMP specs over the declared
@@ -420,109 +392,4 @@ func joinInts(vals []int) string {
 		parts[i] = strconv.Itoa(v)
 	}
 	return strings.Join(parts, " ")
-}
-
-// State tracks a bundle through the engine.
-type State int
-
-// Bundle states.
-const (
-	Pending State = iota
-	Running
-	Done
-)
-
-// String names the state.
-func (s State) String() string {
-	switch s {
-	case Pending:
-		return "pending"
-	case Running:
-		return "running"
-	case Done:
-		return "done"
-	default:
-		return fmt.Sprintf("State(%d)", int(s))
-	}
-}
-
-// Engine drives the enactment of a workflow: it hands out bundles whose
-// dependencies are satisfied and tracks completion. It is the bookkeeping
-// half of the paper's Workflow Engine; the runtime package supplies the
-// mapping and launching half.
-type Engine struct {
-	dag   *DAG
-	deps  [][]int
-	state []State
-}
-
-// NewEngine creates an engine over a validated DAG.
-func NewEngine(d *DAG) *Engine {
-	return &Engine{dag: d, deps: d.bundleDeps(), state: make([]State, len(d.Bundles))}
-}
-
-// DAG returns the engine's workflow.
-func (e *Engine) DAG() *DAG { return e.dag }
-
-// State returns the state of bundle b.
-func (e *Engine) State(b int) State { return e.state[b] }
-
-// Ready returns the pending bundles whose dependencies are all done.
-func (e *Engine) Ready() []int {
-	var out []int
-	for b := range e.state {
-		if e.state[b] != Pending {
-			continue
-		}
-		ok := true
-		for _, p := range e.deps[b] {
-			if e.state[p] != Done {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// Start marks a bundle running; it must be ready.
-func (e *Engine) Start(b int) error {
-	if b < 0 || b >= len(e.state) {
-		return fmt.Errorf("workflow: bundle %d out of range", b)
-	}
-	if e.state[b] != Pending {
-		return fmt.Errorf("workflow: bundle %d is %s, not pending", b, e.state[b])
-	}
-	for _, p := range e.deps[b] {
-		if e.state[p] != Done {
-			return fmt.Errorf("workflow: bundle %d dependency %d not done", b, p)
-		}
-	}
-	e.state[b] = Running
-	return nil
-}
-
-// Complete marks a running bundle done.
-func (e *Engine) Complete(b int) error {
-	if b < 0 || b >= len(e.state) {
-		return fmt.Errorf("workflow: bundle %d out of range", b)
-	}
-	if e.state[b] != Running {
-		return fmt.Errorf("workflow: bundle %d is %s, not running", b, e.state[b])
-	}
-	e.state[b] = Done
-	return nil
-}
-
-// Finished reports whether every bundle is done.
-func (e *Engine) Finished() bool {
-	for _, s := range e.state {
-		if s != Done {
-			return false
-		}
-	}
-	return true
 }
