@@ -1,16 +1,15 @@
 package main
 
-// The driver side of the elastic membership layer (DESIGN §5h): every
-// codsnode registers in a lease registry, a monitor renews the leases by
-// probing the children over the wire, and a reconcile loop sweeps for
-// expired leases — a crash — then converges: reap the corpse, spawn a
-// replacement at a higher incarnation, install its route on the driver's
-// backend (the only process that dials), and re-stage the crashed node's
-// staged blocks from the driver's put ledger while in-flight pulls retry
-// against the re-validated routing.
+// The driver side of the elastic membership layer (DESIGN §5h). The crash
+// signal is the exit of a codsnode child this driver spawned: tcpCluster's
+// watcher reports every exit nobody asked for, and the loop converges on
+// each — reap the child, spawn a replacement at a higher incarnation,
+// install its route on the driver's backend (the only process that dials),
+// and re-stage the lost node's staged blocks from the driver's put ledger
+// while in-flight pulls retry against the re-validated routing.
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -26,9 +25,7 @@ type elastic struct {
 	o      options
 	fw     *cods.Framework
 	tc     *tcpCluster
-	reg    *membership.Registry
 	ledger *membership.Ledger
-	mon    *membership.Monitor
 
 	stop chan struct{}
 	done chan struct{}
@@ -48,114 +45,80 @@ type elastic struct {
 	failure error
 }
 
-// startElastic joins every codsnode into the lease registry, installs the
-// put ledger, and starts the lease monitor and the reconcile loop.
-func startElastic(fw *cods.Framework, o options, tc *tcpCluster) (*elastic, error) {
+// startElastic installs the put ledger and starts the loop that converges
+// on each child exit.
+func startElastic(fw *cods.Framework, o options, tc *tcpCluster) *elastic {
 	el := &elastic{
 		o: o, fw: fw, tc: tc,
-		reg:    membership.NewRegistry(o.leaseTTL),
 		ledger: membership.NewLedger(),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	// Membership events become trace spans when the run traces at all, so
-	// a crash and its recovery are visible inline with the pulls they
-	// disrupted.
-	if tr := fw.SpanTracer(); tr != nil {
-		el.reg.SetEventHook(func(ev string, node cluster.NodeID) {
-			tr.Event(0, fmt.Sprintf("membership.%s node %d", ev, node))
-		})
-	}
-	for node := 0; node < o.nodes; node++ {
-		if err := el.reg.Join(cluster.NodeID(node), tc.addr(node), 1); err != nil {
-			return nil, err
-		}
-	}
 	fw.SharedSpace().SetPutRecorder(el.ledger)
-	interval := o.leaseTTL / 4
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	el.mon = membership.NewMonitor(el.reg, interval, func(node cluster.NodeID, inc uint64) error {
-		_, err := tc.be.ProbeLease(node, inc)
-		return err
-	})
-	el.mon.Start()
-	go el.loop(interval)
-	return el, nil
+	go el.loop()
+	return el
 }
 
-// loop sweeps the registry for expired leases and converges on each
-// topology change until stopped.
-func (el *elastic) loop(interval time.Duration) {
+// loop converges on each child exit until stopped, keeping the first
+// convergence failure for Settle.
+func (el *elastic) loop() {
 	defer close(el.done)
-	t := time.NewTicker(interval)
-	defer t.Stop()
 	for {
 		select {
 		case <-el.stop:
 			return
-		case <-t.C:
-			if expired := el.reg.Sweep(); len(expired) > 0 {
-				el.converge(expired)
+		case ex := <-el.tc.exits:
+			if err := el.converge(ex); err != nil {
+				fmt.Printf("membership: convergence failed: %v\n", err)
+				el.mu.Lock()
+				el.failure = cmp.Or(el.failure, err)
+				el.mu.Unlock()
 			}
 		}
 	}
 }
 
-// converge replaces each expired node's process — reap, spawn at the next
-// incarnation, route the driver's backend to it, re-join — then reconciles,
-// so the crashed processes' staged blocks are re-staged and every lookup
-// record and cached schedule reflects the new processes. The replacement
-// takes the dead node's slot, so who owns which DHT interval is unchanged.
-func (el *elastic) converge(expired []cluster.NodeID) {
+// converge replaces the exited node's process — reap, spawn at the next
+// incarnation, route the driver's backend to it — then reconciles, so the
+// lost process's staged blocks are re-staged and every lookup record and
+// cached schedule reflects the new process. The replacement takes the
+// dead node's slot, so who owns which DHT interval is unchanged. The exit
+// is printed, and traced when the run traces at all, so a crash and its
+// recovery are visible inline with the pulls they disrupted.
+func (el *elastic) converge(ex exit) error {
 	el.converging.Store(true)
 	defer el.converging.Store(false)
-	for _, node := range expired {
-		el.tc.reap(int(node))
-		inc := el.reg.Incarnation(node) + 1
-		addr, err := el.tc.spawnNode(int(node), inc)
-		if err != nil {
-			el.fail(fmt.Errorf("membership: replacing node %d: %w", node, err))
-			return
-		}
-		el.tc.be.UpdatePeer(node, addr, inc)
-		if err := el.reg.Join(node, addr, inc); err != nil {
-			el.fail(err)
-			return
-		}
+	status := "exit status 0"
+	if ex.err != nil {
+		status = ex.err.Error()
 	}
-	res, err := membership.Reconcile(el.fw.SharedSpace(), el.ledger, expired)
+	msg := fmt.Sprintf("membership: codsnode %d exited (%s)", ex.node, status)
+	fmt.Println(msg)
+	if tr := el.fw.SpanTracer(); tr != nil {
+		tr.Event(0, msg)
+	}
+	el.tc.reap(ex.node)
+	node, inc := cluster.NodeID(ex.node), ex.inc+1
+	addr, err := el.tc.spawnNode(ex.node, inc)
 	if err != nil {
-		el.fail(err)
-		return
+		return fmt.Errorf("membership: replacing node %d: %w", node, err)
+	}
+	el.tc.be.UpdatePeer(node, addr, inc)
+	res, err := membership.Reconcile(el.fw.SharedSpace(), el.ledger, []cluster.NodeID{node})
+	if err != nil {
+		return err
 	}
 	el.mu.Lock()
 	el.results = append(el.results, res)
 	el.mu.Unlock()
 	fmt.Printf("membership: reconciled %d node(s): re-staged %d blocks (%d B), re-registered %d records\n",
 		len(res.Affected), res.RestagedCount, res.MigratedBytes, res.Reinserted)
-}
-
-func (el *elastic) fail(err error) {
-	fmt.Printf("membership: convergence failed: %v\n", err)
-	el.mu.Lock()
-	if el.failure == nil {
-		el.failure = err
-	}
-	el.mu.Unlock()
-}
-
-// Err returns the first convergence failure, if any.
-func (el *elastic) Err() error {
-	el.mu.Lock()
-	defer el.mu.Unlock()
-	return el.failure
+	return nil
 }
 
 // totals sums every reconcile pass — the external side of the report's
-// membership reconciliation.
-func (el *elastic) totals() membership.Result {
+// membership reconciliation — and returns the first convergence failure.
+func (el *elastic) totals() (membership.Result, error) {
 	el.mu.Lock()
 	defer el.mu.Unlock()
 	var tot membership.Result
@@ -165,23 +128,11 @@ func (el *elastic) totals() membership.Result {
 		tot.MigratedBytes += r.MigratedBytes
 		tot.Reinserted += r.Reinserted
 	}
-	return tot
-}
-
-// members snapshots the registry for the obs /members endpoint.
-func (el *elastic) members() any { return el.reg.Members() }
-
-// membersJSON renders the member snapshot for the report metadata.
-func (el *elastic) membersJSON() string {
-	data, err := json.Marshal(el.reg.Members())
-	if err != nil {
-		return ""
-	}
-	return string(data)
+	return tot, el.failure
 }
 
 // Settle stops the crash hooks, then waits until no convergence is in
-// flight, every member holds a live lease and every kill that fired was
+// flight, every node has a live child and every kill that fired was
 // recovered, then surfaces any convergence failure — called between the
 // workflow and stats collection so the driver only talks to settled
 // children.
@@ -190,11 +141,12 @@ func (el *elastic) Settle(timeout time.Duration) error {
 	el.chaosHooks.Wait()
 	deadline := time.Now().Add(timeout)
 	for {
-		if err := el.Err(); err != nil {
+		tot, err := el.totals()
+		if err != nil {
 			return err
 		}
-		recovered := int64(len(el.totals().Affected))
-		if !el.converging.Load() && el.allAlive() && recovered >= el.chaosKills.Load() {
+		recovered := int64(len(tot.Affected))
+		if !el.converging.Load() && el.tc.live(el.o.nodes) && recovered >= el.chaosKills.Load() {
 			return nil
 		}
 		if time.Now().After(deadline) {
@@ -204,20 +156,11 @@ func (el *elastic) Settle(timeout time.Duration) error {
 	}
 }
 
-func (el *elastic) allAlive() bool {
-	for _, m := range el.reg.Members() {
-		if m.State != "alive" {
-			return false
-		}
-	}
-	return true
-}
-
 // startChaos arms the crash hook: once the put ledger shows staging done —
 // at least `after` blocks, or no growth for 50 ms when after is 0 — and a
 // block the doomed node owns is fully staged there (stagedOn), the node's
 // codsnode child is hard-killed in that same poll, and recovery is left
-// entirely to lease expiry and the reconcile loop. A ledger record alone
+// entirely to the exit watcher and the elastic loop. A ledger record alone
 // proves nothing: it is written before the expose, and every record may
 // belong to a surviving node. The hook polls every millisecond: a small
 // stream stages and retires all its versions in about five. Once Settle
@@ -282,9 +225,8 @@ func (el *elastic) stagedOn(node cluster.NodeID) bool {
 	return false
 }
 
-// Stop halts the monitor and the reconcile loop and detaches the ledger.
+// Stop halts the elastic loop and detaches the ledger.
 func (el *elastic) Stop() {
-	el.mon.Stop()
 	close(el.stop)
 	<-el.done
 	el.chaosHooks.Wait()

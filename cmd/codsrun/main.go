@@ -58,7 +58,6 @@ type options struct {
 	backend          string
 	codsnodePath     string
 	elastic          bool
-	leaseTTL         time.Duration
 	chaosKill        int
 	chaosAfter       int
 	stream           bool
@@ -91,10 +90,8 @@ func main() {
 		"tcp (one codsnode child process per node, operations over loopback TCP)")
 	flag.StringVar(&o.codsnodePath, "codsnode", "", "path to the codsnode binary for -backend=tcp "+
 		"(default: next to this binary, then $PATH)")
-	flag.BoolVar(&o.elastic, "elastic", false, "with -backend=tcp, run the elastic membership layer: every codsnode "+
-		"holds a heartbeat-renewed lease, and a crashed node is replaced and its staged data re-staged automatically")
-	flag.DurationVar(&o.leaseTTL, "lease-ttl", time.Second, "membership lease TTL for -elastic "+
-		"(heartbeats and expiry sweeps run at a quarter of this)")
+	flag.BoolVar(&o.elastic, "elastic", false, "with -backend=tcp, run the elastic membership layer: a codsnode "+
+		"child that exits is replaced and its staged data re-staged automatically")
 	flag.IntVar(&o.chaosKill, "chaos-kill", -1, "with -elastic, kill this node's codsnode child once staging is done "+
 		"and a block it owns is fully staged, to exercise crash recovery under live traffic (-1 disables)")
 	flag.IntVar(&o.chaosAfter, "chaos-after", 0, "with -chaos-kill, fire no earlier than the put ledger holding this many "+
@@ -174,6 +171,18 @@ func run(o options) error {
 	if o.dagPath == "" {
 		return fmt.Errorf("-dag is required")
 	}
+	switch {
+	case o.iterations < 1:
+		return fmt.Errorf("-iterations %d < 1", o.iterations)
+	case o.streamRounds < 1:
+		return fmt.Errorf("-stream-rounds %d < 1", o.streamRounds)
+	case o.halo < 0:
+		return fmt.Errorf("-halo %d < 0", o.halo)
+	case o.chaosAfter < 0:
+		return fmt.Errorf("-chaos-after %d < 0", o.chaosAfter)
+	case o.chaosKill < -1:
+		return fmt.Errorf("-chaos-kill %d < -1 (-1 disables)", o.chaosKill)
+	}
 	var policy cods.Policy
 	switch o.policyName {
 	case "data-centric":
@@ -222,25 +231,11 @@ func run(o options) error {
 		cods.EnableObservability(true)
 		defer cods.EnableObservability(false)
 	}
-	// The membership view is published before the elastic runtime exists:
-	// the /members closure dereferences this pointer on each request, so
-	// the handler can be mounted first and start answering once the
-	// registry is up.
-	var elPtr atomic.Pointer[elastic]
 	if o.obsHTTP != "" {
-		hopts := obs.HandlerOpts{
+		h := obs.NewHandler(obs.Default, obs.HandlerOpts{
 			Flows: func() []cluster.Flow { return fw.MachineInfo().Metrics().Flows("") },
 			Pprof: o.pprof,
-		}
-		if o.elastic {
-			hopts.Members = func() any {
-				if el := elPtr.Load(); el != nil {
-					return el.members()
-				}
-				return nil
-			}
-		}
-		h := obs.NewHandler(obs.Default, hopts)
+		})
 		srv, err := obs.Serve(o.obsHTTP, h)
 		if err != nil {
 			return err
@@ -265,7 +260,7 @@ func run(o options) error {
 	switch o.backend {
 	case "", "inproc":
 		if o.elastic {
-			return fmt.Errorf("-elastic needs -backend=tcp (leases are held by codsnode processes)")
+			return fmt.Errorf("-elastic needs -backend=tcp (it watches codsnode processes)")
 		}
 	case "tcp":
 		tc, err = startTCPBackend(fw, o, d.Domain)
@@ -300,19 +295,13 @@ func run(o options) error {
 		fw.SetRetryPolicy(pol)
 	}
 
-	// Elastic membership: leases on every codsnode, a monitor renewing
-	// them, and a reconcile loop that replaces crashed processes and
-	// re-stages their data while the workflow keeps running.
+	// Elastic membership: a loop that replaces each codsnode child that
+	// exits and re-stages its data while the workflow keeps running.
 	var el *elastic
 	if o.elastic {
-		el, err = startElastic(fw, o, tc)
-		if err != nil {
-			return err
-		}
-		elPtr.Store(el)
+		el = startElastic(fw, o, tc)
 		defer el.Stop()
-		fmt.Printf("elastic membership: %d leases of %s (heartbeat every %s)\n",
-			o.nodes, o.leaseTTL, o.leaseTTL/4)
+		fmt.Printf("elastic membership: watching %d codsnode processes\n", o.nodes)
 		if o.chaosKill >= 0 {
 			if o.chaosKill >= o.nodes {
 				return fmt.Errorf("-chaos-kill %d out of range (0..%d)", o.chaosKill, o.nodes-1)
@@ -486,9 +475,10 @@ func run(o options) error {
 // same stats reply — and its dialed-connection bytes against 0, since a
 // codsnode never dials — plus a driver-side check of the wire-mirror counters
 // against the backend's own byte accounting. With -elastic the report also
-// reconciles the membership counters — joins, expirations, migrated bytes
-// and blocks, re-registered records — against the reconciler's summed
-// results, so a crash recovery that moved data is accounted delta-0 too.
+// reconciles the membership counters — child exits the watchers detected,
+// migrated bytes and blocks, re-registered records — against the
+// reconciler's summed results: detector and reconciler count each crash
+// independently, and a recovery that moved data is accounted delta-0 too.
 func writeReport(fw *cods.Framework, d *cods.DAG, o options, rep *cods.Report, tcpBE *tcpnet.Backend, el *elastic) error {
 	r := obs.NewReport("codsrun")
 	r.SetMeta("dag", o.dagPath)
@@ -552,15 +542,12 @@ func writeReport(fw *cods.Framework, d *cods.DAG, o options, rep *cods.Report, t
 		}
 	}
 	if el != nil {
-		tot := el.totals()
+		tot, _ := el.totals()
 		c := r.Metrics.Counters
-		replaced := int64(len(tot.Affected))
-		r.AddCheck("membership.joins", c["membership.joins"], int64(o.nodes)+replaced)
-		r.AddCheck("membership.expirations", c["membership.expirations"], replaced)
+		r.AddCheck("membership.exits", c["membership.exits"], int64(len(tot.Affected)))
 		r.AddCheck("membership.migrated_blocks", c["membership.migrated_blocks"], tot.RestagedCount)
 		r.AddCheck("membership.migrated_bytes", c["membership.migrated_bytes"], tot.MigratedBytes)
 		r.AddCheck("membership.reinserted_records", c["membership.reinserted_records"], tot.Reinserted)
-		r.SetMeta("membership.members", el.membersJSON())
 	}
 	return r.WriteFile(o.reportPath)
 }
@@ -590,18 +577,44 @@ func findCodsnode(o options) (string, error) {
 	return "", fmt.Errorf("-backend=tcp needs the codsnode binary (build cmd/codsnode and pass -codsnode or put it on $PATH)")
 }
 
+// obsExits counts the child exits tcpCluster's watchers detected that
+// nobody asked for; the -elastic report reconciles it against the nodes
+// membership.Reconcile recovered.
+var obsExits = obs.C("membership.exits")
+
 // tcpCluster is the driver's handle on the codsnode child processes of a
-// -backend=tcp run: the connected backend, the shared child arguments,
-// and the live children keyed by node, so the elastic reconcile loop can
-// kill, reap and replace a single node's process while the rest serve.
+// -backend=tcp run: the connected backend, the shared child arguments and
+// the live children keyed by node, so the elastic loop can replace a
+// single node's process while the rest serve. It is where a child's death
+// is learned: each child has one watcher goroutine, the only caller of its
+// cmd.Wait, and an exit that stop or reap did not ask for is sent on
+// exits — the crash signal the elastic loop converges on.
 type tcpCluster struct {
 	be   *tcpnet.Backend
 	bin  string
 	args []string // shared child flags, without -node/-incarnation
 
+	exits chan exit
+	quit  chan struct{} // closed by stop: no exit is reported after it
+
 	mu       sync.Mutex
-	children map[int]*exec.Cmd
-	addrs    map[int]string
+	children map[int]*child
+}
+
+// child is one spawned codsnode process.
+type child struct {
+	cmd    *exec.Cmd
+	inc    uint64
+	asked  atomic.Bool   // stop or reap asked it to exit: no crash
+	exited chan struct{} // closed once cmd.Wait returned
+}
+
+// exit is a child's exit nobody asked for: its node, its incarnation and
+// what cmd.Wait returned.
+type exit struct {
+	node int
+	inc  uint64
+	err  error
 }
 
 // startTCPBackend launches one codsnode child per node, collects their
@@ -637,9 +650,12 @@ func startTCPBackend(fw *cods.Framework, o options, domain []int) (*tcpCluster, 
 		}
 	}
 	tc := &tcpCluster{bin: bin, args: args,
-		children: make(map[int]*exec.Cmd), addrs: make(map[int]string)}
+		exits: make(chan exit, o.nodes), quit: make(chan struct{}),
+		children: make(map[int]*child)}
 	fail := func(err error) (*tcpCluster, error) {
-		tc.killAll()
+		for node := 0; node < o.nodes; node++ {
+			tc.reap(node)
+		}
 		return nil, err
 	}
 	var inc uint64
@@ -664,8 +680,8 @@ func startTCPBackend(fw *cods.Framework, o options, domain []int) (*tcpCluster, 
 }
 
 // spawnNode launches one codsnode child (incarnation 0 omits the flag),
-// waits for its listen announcement, and records it as the node's serving
-// process.
+// starts its watcher, waits for its listen announcement, and records it as
+// the node's serving process.
 func (tc *tcpCluster) spawnNode(node int, inc uint64) (string, error) {
 	args := append([]string{"-node", strconv.Itoa(node)}, tc.args...)
 	if inc != 0 {
@@ -674,23 +690,33 @@ func (tc *tcpCluster) spawnNode(node int, inc uint64) (string, error) {
 	cmd := exec.Command(tc.bin, args...)
 	cmd.Stderr = os.Stderr
 	dieWithParent(cmd)
-	stdout, err := cmd.StdoutPipe()
+	// A pipe of this process's own, not cmd.StdoutPipe: the watcher's
+	// cmd.Wait would close that one under the reader.
+	stdout, w, err := os.Pipe()
 	if err != nil {
 		return "", err
 	}
-	if err := cmd.Start(); err != nil {
+	cmd.Stdout = w
+	err = cmd.Start()
+	w.Close()
+	if err != nil {
+		stdout.Close()
 		return "", fmt.Errorf("starting codsnode %d: %w", node, err)
 	}
+	c := &child{cmd: cmd, inc: inc, exited: make(chan struct{})}
+	go tc.watch(node, c)
 	addr, obsAddr, err := scrapeChildAddrs(stdout)
 	if err != nil {
-		cmd.Process.Kill()
-		cmd.Wait()
+		c.end()
+		stdout.Close()
 		return "", err
 	}
-	go io.Copy(io.Discard, stdout)
+	go func() {
+		io.Copy(io.Discard, stdout)
+		stdout.Close()
+	}()
 	tc.mu.Lock()
-	tc.children[node] = cmd
-	tc.addrs[node] = addr
+	tc.children[node] = c
 	tc.mu.Unlock()
 	fmt.Printf("codsnode %d serving at %s\n", node, addr)
 	if obsAddr != "" {
@@ -699,48 +725,73 @@ func (tc *tcpCluster) spawnNode(node int, inc uint64) (string, error) {
 	return addr, nil
 }
 
-// addr returns a node's announced listen address.
-func (tc *tcpCluster) addr(node int) string {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	return tc.addrs[node]
+// watch waits for c to exit and, unless stop or reap asked it to, counts
+// the exit before anyone sees it and reports it on exits. The report
+// never blocks past stop.
+func (tc *tcpCluster) watch(node int, c *child) {
+	err := c.cmd.Wait()
+	crash := !c.asked.Load()
+	if crash {
+		obsExits.Inc()
+	}
+	close(c.exited)
+	if !crash {
+		return
+	}
+	select {
+	case tc.exits <- exit{node: node, inc: c.inc, err: err}:
+	case <-tc.quit:
+	}
 }
 
-// kill terminates a node's child without reaping it — the chaos hook's
-// crash. The reconcile loop detects the expired lease, reaps the corpse
-// and spawns the replacement.
+// end asks c to exit by killing it, and returns once it has.
+func (c *child) end() {
+	c.asked.Store(true)
+	c.cmd.Process.Kill()
+	<-c.exited
+}
+
+// kill terminates a node's child unasked — the chaos hook's crash. Its
+// watcher reports the exit, and the elastic loop reaps the child and
+// spawns the replacement.
 func (tc *tcpCluster) kill(node int) {
 	tc.mu.Lock()
-	cmd := tc.children[node]
+	c := tc.children[node]
 	tc.mu.Unlock()
-	if cmd != nil {
-		cmd.Process.Kill()
+	if c != nil {
+		c.cmd.Process.Kill()
 	}
 }
 
-// reap kills (idempotent on a corpse) and waits out a node's child,
-// freeing the slot for a replacement spawn.
+// reap ends a node's child (at once if it already exited) and frees the
+// slot for a replacement spawn.
 func (tc *tcpCluster) reap(node int) {
 	tc.mu.Lock()
-	cmd := tc.children[node]
+	c := tc.children[node]
 	delete(tc.children, node)
 	tc.mu.Unlock()
-	if cmd != nil {
-		cmd.Process.Kill()
-		cmd.Wait()
+	if c != nil {
+		c.end()
 	}
 }
 
-// killAll hard-kills every child (startup failure cleanup).
-func (tc *tcpCluster) killAll() {
+// live reports whether each of nodes 0..nodes-1 has a child that has not
+// exited.
+func (tc *tcpCluster) live(nodes int) bool {
 	tc.mu.Lock()
-	children := tc.children
-	tc.children = make(map[int]*exec.Cmd)
-	tc.mu.Unlock()
-	for _, c := range children {
-		c.Process.Kill()
-		c.Wait()
+	defer tc.mu.Unlock()
+	for node := 0; node < nodes; node++ {
+		c := tc.children[node]
+		if c == nil {
+			return false
+		}
+		select {
+		case <-c.exited:
+			return false
+		default:
+		}
 	}
+	return true
 }
 
 // scrapeChildAddrs reads the child's stdout until its CODSNODE LISTEN
@@ -764,28 +815,26 @@ func scrapeChildAddrs(r io.Reader) (listen, obsAddr string, err error) {
 	return "", "", fmt.Errorf("exited before announcing a listen address")
 }
 
-// stop restores in-process routing, asks every child to exit and reaps
-// them, killing any straggler after a grace period.
+// stop restores in-process routing, asks every child to exit and waits
+// for them, killing any straggler after a grace period.
 func (tc *tcpCluster) stop(fw *cods.Framework) {
 	fw.TransportFabric().SetBackend(nil)
-	tc.be.ShutdownPeers()
-	tc.be.Close()
 	tc.mu.Lock()
 	children := tc.children
-	tc.children = make(map[int]*exec.Cmd)
+	tc.children = make(map[int]*child)
 	tc.mu.Unlock()
 	for _, c := range children {
-		c := c
-		done := make(chan struct{})
-		go func() {
-			c.Wait()
-			close(done)
-		}()
+		c.asked.Store(true)
+	}
+	close(tc.quit)
+	tc.be.ShutdownPeers()
+	tc.be.Close()
+	for _, c := range children {
 		select {
-		case <-done:
+		case <-c.exited:
 		case <-time.After(5 * time.Second):
-			c.Process.Kill()
-			<-done
+			c.cmd.Process.Kill()
+			<-c.exited
 		}
 	}
 }

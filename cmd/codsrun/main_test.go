@@ -33,7 +33,7 @@ func opts(nodes, cores int, dag, policy string, iterations, halo int, verify, ve
 		nodes: nodes, cores: cores, dagPath: dag,
 		policyName: policy, iterations: iterations, halo: halo,
 		verify: verify, verbose: verbose,
-		chaosKill: -1,
+		chaosKill: -1, streamRounds: 8,
 	}
 }
 
@@ -122,7 +122,8 @@ func TestRunReportReconciles(t *testing.T) {
 // TestRunErrors: every refusal names what is missing or wrong — the DAG
 // file is the one declaration of the workload, so a file without a DOMAIN
 // line or without an application's DECOMP line is refused, not completed
-// from a default.
+// from a default, and a number out of its flag's range is refused, not
+// rewritten into one in range.
 func TestRunErrors(t *testing.T) {
 	dag := writeDAG(t, "DOMAIN 8 8\nAPP_ID 1\nDECOMP 1 blocked 2 2\n")
 	bad := func(mutate func(*options)) error {
@@ -141,6 +142,11 @@ func TestRunErrors(t *testing.T) {
 		{"app without DECOMP", bad(func(o *options) {
 			o.dagPath = writeDAG(t, "DOMAIN 8 8\nAPP_ID 1\nAPP_ID 2\nDECOMP 1 blocked 2 2\nPARENT_APPID 1 CHILD_APPID 2\n")
 		}), "application 2 has no DECOMP"},
+		{"zero iterations", bad(func(o *options) { o.iterations = 0 }), "-iterations"},
+		{"zero stream rounds", bad(func(o *options) { o.streamRounds = 0 }), "-stream-rounds"},
+		{"negative halo", bad(func(o *options) { o.halo = -1 }), "-halo"},
+		{"negative chaos-after", bad(func(o *options) { o.chaosAfter = -3 }), "-chaos-after"},
+		{"chaos-kill below -1", bad(func(o *options) { o.chaosKill = -5 }), "-chaos-kill"},
 	}
 	for _, c := range cases {
 		if c.err == nil {

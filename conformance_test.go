@@ -49,12 +49,7 @@ func TestConformanceSweep(t *testing.T) {
 func TestConformanceFaultsConcurrentPulls(t *testing.T) {
 	n := conformanceSeeds(t, 12)
 	for seed := uint64(1); seed <= n; seed++ {
-		sc := genwf.Generate(1000 + seed)
-		sc.Retry = 4
-		sc.Remap = false // remap rounds exclude fault plans; this sweep pins faults
-		if sc.Faults == "" {
-			sc.Faults = `{"seed": 7, "rules": [{"op": "read", "mode": "drop", "prob": 0.3, "max": 3}, {"op": "call", "mode": "error", "prob": 0.1, "max": 3}]}`
-		}
+		sc := genwf.GenerateFaulty(seed)
 		if err := sc.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -77,17 +72,7 @@ func TestConformanceFaultsConcurrentPulls(t *testing.T) {
 func TestConformanceElastic(t *testing.T) {
 	n := conformanceSeeds(t, 12)
 	for seed := uint64(1); seed <= n; seed++ {
-		sc := genwf.Generate(2000 + seed)
-		sc.Sequential = true
-		sc.Versions = 1
-		sc.Restage = false
-		if sc.Mapping == genwf.ServerDataCentric {
-			sc.Mapping = genwf.Consecutive
-		}
-		if sc.Nodes < 2 {
-			sc.Nodes = 2
-		}
-		sc.Kill = 1 + int(seed)%sc.Nodes
+		sc := genwf.GenerateElastic(seed)
 		if err := sc.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -108,23 +93,9 @@ func TestConformanceElastic(t *testing.T) {
 // linearization policy through all three curves so remapping is proven
 // independent of the space-filling curve underneath.
 func TestConformanceRemap(t *testing.T) {
-	curves := []string{"hilbert", "morton", "rowmajor"}
 	n := conformanceSeeds(t, 12)
 	for seed := uint64(1); seed <= n; seed++ {
-		sc := genwf.Generate(4000 + seed)
-		sc.Sequential = true
-		sc.Versions = 1
-		sc.Restage = false
-		sc.Kill = 0
-		sc.Faults = ""
-		if sc.Mapping == genwf.ServerDataCentric {
-			sc.Mapping = genwf.Consecutive
-		}
-		if sc.Nodes < 2 {
-			sc.Nodes = 2
-		}
-		sc.Remap = true
-		sc.Curve = curves[int(seed)%len(curves)]
+		sc := genwf.GenerateRemap(seed)
 		if err := sc.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -145,18 +116,16 @@ func TestConformanceRemap(t *testing.T) {
 // verifiably gone from the DHT and all accounting invariants intact. The
 // generator draws a mid-stream kill rarely (for none of these seeds), so
 // the lock-step scenarios of even seeds that have a second node get one
-// pinned: the node is lost at the half-way round and recovered by
-// membership.Reconcile, as in TestConformanceElastic.
+// pinned (genwf.GenerateStreamingKills): the node is lost at the half-way
+// round and recovered by membership.Reconcile, as in
+// TestConformanceElastic.
 func TestConformanceStreaming(t *testing.T) {
 	n := conformanceSeeds(t, 16)
 	kills := 0
 	for seed := uint64(1); seed <= n; seed++ {
-		sc := genwf.GenerateStreaming(3000 + seed)
-		if seed%2 == 0 && sc.Drop && sc.Nodes > 1 {
-			sc.Kill = 1 + int(seed)%sc.Nodes
-			if err := sc.Validate(); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
+		sc := genwf.GenerateStreamingKills(seed)
+		if err := sc.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if sc.Kill != 0 {
 			kills++

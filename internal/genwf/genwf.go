@@ -426,6 +426,54 @@ func streamize(r *rng, sc *Scenario) {
 	}
 }
 
+// The pinned families: a draw of Generate or GenerateStreaming forced into
+// the shape one conformance sweep needs, from a seed range of its own.
+
+// GenerateFaulty pins a recoverable fault plan and a retry budget.
+func GenerateFaulty(seed uint64) Scenario {
+	sc := Generate(1000 + seed)
+	sc.Retry, sc.Remap = 4, false // remap rounds exclude fault plans
+	if sc.Faults == "" {
+		sc.Faults = `{"seed": 7, "rules": [{"op": "read", "mode": "drop", "prob": 0.3, "max": 3}, {"op": "call", "mode": "error", "prob": 0.1, "max": 3}]}`
+	}
+	return sc
+}
+
+// GenerateElastic pins the loss of a node after the first get round.
+func GenerateElastic(seed uint64) Scenario {
+	sc := lockStep(Generate(2000 + seed))
+	sc.Kill, sc.Remap = 1+int(seed)%sc.Nodes, false // remap excludes kill
+	return sc
+}
+
+// GenerateRemap pins a remap round, cycling the three curves.
+func GenerateRemap(seed uint64) Scenario {
+	sc := lockStep(Generate(4000 + seed))
+	sc.Kill, sc.Faults, sc.Remap = 0, "", true
+	sc.Curve = []string{"hilbert", "morton", "rowmajor"}[seed%3]
+	return sc
+}
+
+// GenerateStreamingKills pins a mid-stream node loss on every even seed
+// whose stream runs lock-step (drop-oldest) on two or more nodes.
+func GenerateStreamingKills(seed uint64) Scenario {
+	sc := GenerateStreaming(3000 + seed)
+	if seed%2 == 0 && sc.Drop && sc.Nodes > 1 {
+		sc.Kill = 1 + int(seed)%sc.Nodes
+	}
+	return sc
+}
+
+// lockStep forces sequential single-version coupling on two or more nodes.
+func lockStep(sc Scenario) Scenario {
+	sc.Sequential, sc.Versions, sc.Restage = true, 1, false
+	if sc.Mapping == ServerDataCentric {
+		sc.Mapping = Consecutive
+	}
+	sc.Nodes = max(sc.Nodes, 2)
+	return sc
+}
+
 // generate draws one candidate scenario (possibly invalid: the caller
 // retries until Validate accepts).
 func generate(r *rng, seed uint64) Scenario {

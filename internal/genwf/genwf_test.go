@@ -56,6 +56,25 @@ func TestGenerateValid(t *testing.T) {
 	}
 }
 
+// TestFamiliesValidate: every family a conformance sweep draws from yields
+// only scenarios Validate accepts, over twenty times the seeds a default
+// sweep runs — a pinning that contradicts a pairing rule fails here, not
+// on the one sweep seed that happens to reach it.
+func TestFamiliesValidate(t *testing.T) {
+	families := map[string]func(uint64) Scenario{
+		"Generate": Generate, "GenerateStreaming": GenerateStreaming,
+		"GenerateFaulty": GenerateFaulty, "GenerateElastic": GenerateElastic,
+		"GenerateRemap": GenerateRemap, "GenerateStreamingKills": GenerateStreamingKills,
+	}
+	for name, gen := range families {
+		for seed := uint64(1); seed <= 240; seed++ {
+			if sc := gen(seed); sc.Validate() != nil {
+				t.Errorf("%s(%d): %v\n%s", name, seed, sc.Validate(), sc.GoLiteral())
+			}
+		}
+	}
+}
+
 func TestValidateRejectsBadPairings(t *testing.T) {
 	base := Generate(7)
 	bad := base.Clone()

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"runtime"
 	"slices"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,123 +16,6 @@ import (
 	"github.com/insitu/cods/internal/transport"
 	"github.com/insitu/cods/internal/transport/tcpnet"
 )
-
-// fakeClock is an injectable time source driven by the test.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1000, 0)} }
-
-func (c *fakeClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-// states renders the lease state of every member, ascending by node, as
-// the /members snapshot reports it.
-func states(r *Registry) string {
-	var out []string
-	for _, m := range r.Members() {
-		out = append(out, m.State)
-	}
-	return strings.Join(out, " ")
-}
-
-func TestLeaseLifecycle(t *testing.T) {
-	clk := newFakeClock()
-	r := NewRegistry(time.Second)
-	r.SetClock(clk.now)
-
-	if err := r.Join(0, "a:1", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Join(1, "b:1", 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := states(r); got != "alive alive" {
-		t.Fatalf("members are %q, want both alive", got)
-	}
-	// Renewal within the TTL keeps the lease; time passes, node 1 stops
-	// renewing and expires while node 0's renewed lease survives.
-	clk.advance(700 * time.Millisecond)
-	if err := r.Renew(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	clk.advance(700 * time.Millisecond)
-	expired := r.Sweep()
-	if len(expired) != 1 || expired[0] != 1 {
-		t.Fatalf("sweep returned %v, want [1]", expired)
-	}
-	if got := states(r); got != "alive expired" {
-		t.Fatalf("members are %q, want node 1 expired", got)
-	}
-	// A second sweep reports nothing new.
-	if again := r.Sweep(); len(again) != 0 {
-		t.Fatalf("second sweep returned %v", again)
-	}
-	// An expired member cannot renew; a replacement must re-join with a
-	// higher incarnation, and a replayed identity is rejected.
-	if err := r.Renew(1, 1); err == nil {
-		t.Fatal("renew of an expired lease succeeded")
-	}
-	if err := r.Join(1, "b:2", 1); err == nil {
-		t.Fatal("join replaying the dead incarnation succeeded")
-	}
-	if err := r.Join(1, "b:2", 2); err != nil {
-		t.Fatal(err)
-	}
-	if got := states(r); got != "alive alive" {
-		t.Fatalf("members are %q after rejoin, want both alive", got)
-	}
-	if inc := r.Incarnation(1); inc != 2 {
-		t.Fatalf("incarnation %d after rejoin, want 2", inc)
-	}
-}
-
-func TestRenewRequiresMatchingIncarnation(t *testing.T) {
-	r := NewRegistry(time.Second)
-	if err := r.Join(3, "c:1", 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Renew(3, 4); err == nil {
-		t.Fatal("renew with a superseded incarnation succeeded")
-	}
-	if err := r.Renew(3, 5); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEventHookSeesTransitions(t *testing.T) {
-	clk := newFakeClock()
-	r := NewRegistry(time.Second)
-	r.SetClock(clk.now)
-	var events []string
-	r.SetEventHook(func(ev string, node cluster.NodeID) {
-		events = append(events, ev)
-	})
-	_ = r.Join(0, "a", 1)
-	_ = r.Renew(0, 1)
-	clk.advance(2 * time.Second)
-	r.Sweep()
-	want := []string{"join", "renew", "expire"}
-	if len(events) != len(want) {
-		t.Fatalf("events %v, want %v", events, want)
-	}
-	for i := range want {
-		if events[i] != want[i] {
-			t.Fatalf("events %v, want %v", events, want)
-		}
-	}
-}
 
 func TestLedgerRecordsAndDiscards(t *testing.T) {
 	l := NewLedger()
@@ -477,58 +358,5 @@ func TestPutSequentialRidesOutNodeLoss(t *testing.T) {
 	}
 	if !slices.Equal(got, cells(region)) {
 		t.Fatal("the get after the node loss differs from the put's cells")
-	}
-}
-
-func TestMonitorRenewsUntilProbeFails(t *testing.T) {
-	clk := newFakeClock()
-	reg := NewRegistry(50 * time.Millisecond)
-	reg.SetClock(clk.now)
-	_ = reg.Join(0, "a", 1)
-
-	var mu sync.Mutex
-	healthy := true
-	probes := 0
-	mo := NewMonitor(reg, time.Millisecond, func(node cluster.NodeID, inc uint64) error {
-		mu.Lock()
-		defer mu.Unlock()
-		probes++
-		if !healthy {
-			return errors.New("unreachable")
-		}
-		return nil
-	})
-	mo.Start()
-	defer mo.Stop()
-
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		n := probes
-		mu.Unlock()
-		if n >= 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("monitor never probed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Healthy probes renewed the lease, so advancing less than a TTL past
-	// the last renewal keeps the member alive.
-	if got := reg.Sweep(); len(got) != 0 {
-		t.Fatalf("swept %v while renewals flow", got)
-	}
-	// The node dies: probes fail, renewals stop, the lease expires. The
-	// loop is stopped first so no in-flight healthy probe races the clock.
-	mo.Stop()
-	mu.Lock()
-	healthy = false
-	mu.Unlock()
-	mo.renewAll() // a failing probe must not renew
-	clk.advance(time.Hour)
-	expired := reg.Sweep()
-	if len(expired) != 1 || expired[0] != 0 {
-		t.Fatalf("swept %v after probes fail, want [0]", expired)
 	}
 }

@@ -77,10 +77,6 @@ const (
 	// location record that lived only in the lost node's DHT table stays
 	// lost and lookups over its index interval come back short.
 	ReconcileSkipReinsert = "reconcile-skip-reinsert"
-	// LeaseExpiryIgnored makes the membership registry's expiry sweep treat
-	// every lease as live, so a crashed node that stopped renewing is never
-	// marked expired and the reconcile loop never converges around it.
-	LeaseExpiryIgnored = "lease-expiry-ignored"
 	// StaleWatermarkServed makes a stream's GetLatest serve the version one
 	// behind the complete watermark whenever an older version is still
 	// retained — the consumer silently reads stale data inside the lag
@@ -113,7 +109,7 @@ const (
 func Names() []string {
 	return []string{GeomIntersect, SfcSpanSplit, SchedDropTransfer, StaleEpoch, SwapFlow, NoRequery,
 		TCPTruncFrame, TCPMeterClass, TCPSGDrop, TCPSGReorder, TCPBlockShift, TCPClipRowSkew, TCPMsgEntryDrop, ObsFlowMisattribute,
-		ReconcileSkipReinsert, LeaseExpiryIgnored,
+		ReconcileSkipReinsert,
 		StaleWatermarkServed, GCBeforeConsume, VersionSkipOnResubscribe,
 		RemapStaleOwner, MortonBitSwap}
 }

@@ -27,10 +27,6 @@ type HandlerOpts struct {
 	// Pprof mounts net/http/pprof's profile endpoints under
 	// /debug/pprof/.
 	Pprof bool
-	// Members, when non-nil, enables GET /members: a JSON snapshot of
-	// the elastic membership view (node, address, incarnation, lease
-	// state) the serving process holds.
-	Members func() any
 }
 
 // NewHandler serves a registry over HTTP: / and /metrics (JSON snapshot),
@@ -63,14 +59,6 @@ func NewHandler(r *Registry, opts HandlerOpts) http.Handler {
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
 			_ = enc.Encode(m)
-		})
-	}
-	if opts.Members != nil {
-		mux.HandleFunc("/members", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(opts.Members())
 		})
 	}
 	if opts.Pprof {

@@ -26,7 +26,7 @@ func get(t *testing.T, url string) (int, string) {
 // and leaking the accept loop.
 func TestServeLifecycle(t *testing.T) {
 	withObs(t, func() {
-		srv, err := Serve("127.0.0.1:0", NewHandler(NewRegistry(), HandlerOpts{}))
+		srv, err := Serve("127.0.0.1:0", NewHandler(newRegistry(), HandlerOpts{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func TestServeLifecycle(t *testing.T) {
 			t.Fatal("listener still accepting after Close")
 		}
 		// The port is released: a second server can bind it immediately.
-		again, err := Serve(addr, NewHandler(NewRegistry(), HandlerOpts{}))
+		again, err := Serve(addr, NewHandler(newRegistry(), HandlerOpts{}))
 		if err != nil {
 			t.Fatalf("rebinding released address: %v", err)
 		}
@@ -53,7 +53,7 @@ func TestServeLifecycle(t *testing.T) {
 
 func TestHandlerProm(t *testing.T) {
 	withObs(t, func() {
-		r := NewRegistry()
+		r := newRegistry()
 		r.Counter("tcpnet.bytes_out").Add(512)
 		r.Gauge("pull.workers").Set(8)
 		h := r.Histogram("pull.ns", []int64{10, 100})
@@ -90,7 +90,7 @@ cods_pull_ns_count 3
 func TestHandlerFlows(t *testing.T) {
 	withObs(t, func() {
 		log := []cluster.Flow{{Src: 1, Dst: 0, Medium: "network", Class: "inter-app", Bytes: 100}}
-		base := serveOne(t, NewHandler(NewRegistry(), HandlerOpts{
+		base := serveOne(t, NewHandler(newRegistry(), HandlerOpts{
 			Flows: func() []cluster.Flow { return log },
 		}))
 
@@ -117,11 +117,11 @@ func TestHandlerPprofGating(t *testing.T) {
 	withObs(t, func() {
 		// Without the opt-in the path falls through to the catch-all JSON
 		// snapshot; the profile index must not be reachable.
-		withoutPprof := serveOne(t, NewHandler(NewRegistry(), HandlerOpts{}))
+		withoutPprof := serveOne(t, NewHandler(newRegistry(), HandlerOpts{}))
 		if _, body := get(t, withoutPprof+"/debug/pprof/"); strings.Contains(body, "profiles") {
 			t.Fatalf("pprof index served without opt-in:\n%s", body)
 		}
-		withPprof := serveOne(t, NewHandler(NewRegistry(), HandlerOpts{Pprof: true}))
+		withPprof := serveOne(t, NewHandler(newRegistry(), HandlerOpts{Pprof: true}))
 		if code, body := get(t, withPprof+"/debug/pprof/cmdline"); code != 200 {
 			t.Fatalf("pprof cmdline = %d %q", code, body)
 		}

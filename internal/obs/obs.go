@@ -163,8 +163,8 @@ type Registry struct {
 	histograms map[string]*Histogram
 }
 
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
+// newRegistry creates an empty registry.
+func newRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
@@ -174,7 +174,7 @@ func NewRegistry() *Registry {
 
 // Default is the process-wide registry the framework's packages register
 // their instruments in.
-var Default = NewRegistry()
+var Default = newRegistry()
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {

@@ -17,7 +17,7 @@ func withObs(t *testing.T, f func()) {
 }
 
 func TestCounterDisabledIsNoop(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	c := r.Counter("x")
 	Enable(false)
 	c.Add(5)
@@ -29,7 +29,7 @@ func TestCounterDisabledIsNoop(t *testing.T) {
 
 func TestCounterGaugeBasics(t *testing.T) {
 	withObs(t, func() {
-		r := NewRegistry()
+		r := newRegistry()
 		c := r.Counter("ops")
 		if again := r.Counter("ops"); again != c {
 			t.Fatal("Counter not idempotent")
@@ -50,7 +50,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	withObs(t, func() {
-		r := NewRegistry()
+		r := newRegistry()
 		h := r.Histogram("lat", []int64{10, 100, 1000})
 		for _, v := range []int64{1, 10, 11, 100, 5000} {
 			h.Observe(v)
@@ -75,7 +75,7 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestRegistryConcurrent(t *testing.T) {
 	withObs(t, func() {
-		r := NewRegistry()
+		r := newRegistry()
 		const workers = 8
 		const perWorker = 1000
 		var wg sync.WaitGroup
@@ -108,7 +108,7 @@ func TestRegistryConcurrent(t *testing.T) {
 func TestEnableRace(t *testing.T) {
 	prev := Enabled()
 	defer Enable(prev)
-	r := NewRegistry()
+	r := newRegistry()
 	c := r.Counter("racy")
 	h := r.Histogram("racy_h", []int64{10})
 	var wg sync.WaitGroup
@@ -137,7 +137,7 @@ func TestEnableRace(t *testing.T) {
 
 func TestResetKeepsPointersValid(t *testing.T) {
 	withObs(t, func() {
-		r := NewRegistry()
+		r := newRegistry()
 		c := r.Counter("c")
 		h := r.Histogram("h", []int64{10})
 		c.Add(9)
@@ -155,7 +155,7 @@ func TestResetKeepsPointersValid(t *testing.T) {
 
 func TestWriteTextStable(t *testing.T) {
 	withObs(t, func() {
-		r := NewRegistry()
+		r := newRegistry()
 		r.Counter("b.ops").Add(2)
 		r.Counter("a.ops").Add(1)
 		r.Gauge("depth").Set(3)
@@ -179,7 +179,7 @@ func TestWriteTextStable(t *testing.T) {
 
 func TestSnapshotDisabledFlag(t *testing.T) {
 	Enable(false)
-	if NewRegistry().Snapshot().Enabled {
+	if newRegistry().Snapshot().Enabled {
 		t.Fatal("snapshot claims enabled")
 	}
 }

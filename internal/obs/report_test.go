@@ -43,7 +43,7 @@ func TestReportReconciliation(t *testing.T) {
 
 func TestHTTPEndpoint(t *testing.T) {
 	withObs(t, func() {
-		r := NewRegistry()
+		r := newRegistry()
 		r.Counter("http.hits").Add(7)
 		srv, err := Serve("127.0.0.1:0", NewHandler(r, HandlerOpts{}))
 		if err != nil {

@@ -28,15 +28,15 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(append(append([]byte(nil), valid[4:]...), 0xFF))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, fixedHeaderLen+10))
-	// Membership-op adversarial seed: a lease renewal truncated mid-tag
-	// (the classic short heartbeat write).
-	lease, _ := marshalFrame(&frame{Op: opLease, Dst: 1, Tag: 3})
-	f.Add(lease[4 : fixedHeaderLen/2])
+	// A buffer op truncated mid-tag (the classic short write).
+	unexpose, _ := marshalFrame(&frame{Op: opUnexpose, Dst: 1, Name: "u", Version: 3})
+	f.Add(unexpose[4 : fixedHeaderLen/2])
 	// The op codes earlier wire versions used past today's opMax (the five
-	// ops v7 removed, the two v10 removed, the two v11 removed): otherwise
-	// well-formed bodies the decoder must reject as invalid ops.
+	// ops v7 removed, the two v10 removed, the two v11 removed, the one v14
+	// removed): otherwise well-formed bodies the decoder must reject as
+	// invalid ops.
 	for op := opMax; op < v6OpMax; op++ {
-		old := append([]byte(nil), lease[4:]...)
+		old := append([]byte(nil), unexpose[4:]...)
 		old[0] = op
 		f.Add(old)
 	}

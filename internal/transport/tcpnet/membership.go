@@ -39,19 +39,3 @@ func (b *Backend) UpdatePeer(node cluster.NodeID, addr string, inc uint64) {
 		c.Close()
 	}
 }
-
-// ProbeLease performs one lease probe/renewal round trip against node,
-// asserting the incarnation the lease was granted under (0 skips the
-// assertion). It returns the incarnation the serving process reports. An
-// error means the node is unreachable, not serving, or serving under a
-// different incarnation — in every case the lease must not be renewed.
-func (b *Backend) ProbeLease(node cluster.NodeID, inc uint64) (uint64, error) {
-	resp, err := b.roundTrip(node, &frame{Op: opLease, Dst: int32(node), Tag: inc})
-	if err != nil {
-		return 0, err
-	}
-	if err := respErr(resp); err != nil {
-		return 0, err
-	}
-	return resp.Tag, nil
-}

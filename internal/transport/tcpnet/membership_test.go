@@ -42,6 +42,14 @@ func connectDriver(t *testing.T, m *cluster.Machine, addr string) *Backend {
 	return client
 }
 
+// ping is one driver round trip to node on a machine of one core per node:
+// an Exposed query for a buffer nobody staged, which a serving process
+// answers without side effects.
+func ping(b *Backend, node cluster.NodeID) error {
+	_, err := b.Exposed(cluster.CoreID(node), transport.BufKey{Name: "ping"})
+	return err
+}
+
 // TestRedialAfterCrashRejectsStaleIncarnation is the regression test for
 // the silent-reuse bug: a codsnode crashes, a replacement process comes up
 // behind the node's route, and the driver's redial used to complete the
@@ -57,9 +65,8 @@ func TestRedialAfterCrashRejectsStaleIncarnation(t *testing.T) {
 	s1 := serveNode(t, m, 1)
 	client := connectDriver(t, m, s1.Addr())
 
-	inc, err := client.ProbeLease(1, 0)
-	if err != nil || inc != 1 {
-		t.Fatalf("first probe: inc=%d err=%v, want 1, nil", inc, err)
+	if err := ping(client, 1); err != nil {
+		t.Fatalf("first op: %v", err)
 	}
 	if got := client.PeerIncarnation(1); got != 1 {
 		t.Fatalf("recorded incarnation %d, want 1", got)
@@ -84,43 +91,48 @@ func TestRedialAfterCrashRejectsStaleIncarnation(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = client.ProbeLease(1, 0)
+			errs[i] = ping(client, 1)
 		}(i)
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err == nil {
-			t.Fatalf("probe %d after crash silently succeeded against the replacement", i)
+			t.Fatalf("op %d after crash silently succeeded against the replacement", i)
 		}
 	}
 	// With the stale pool drained, every fresh dial must report the
 	// incarnation mismatch specifically.
-	if _, err := client.ProbeLease(1, 0); !errors.Is(err, ErrStaleIncarnation) {
-		t.Fatalf("probe on fresh dial: got %v, want ErrStaleIncarnation", err)
+	if err := ping(client, 1); !errors.Is(err, ErrStaleIncarnation) {
+		t.Fatalf("op on fresh dial: got %v, want ErrStaleIncarnation", err)
 	}
 
 	// The membership layer acknowledges the new identity; traffic resumes.
 	client.UpdatePeer(1, "", 2)
-	inc, err = client.ProbeLease(1, 2)
-	if err != nil || inc != 2 {
-		t.Fatalf("probe after join: inc=%d err=%v, want 2, nil", inc, err)
+	if err := ping(client, 1); err != nil {
+		t.Fatalf("op after the update: %v", err)
+	}
+	if got := client.PeerIncarnation(1); got != 2 {
+		t.Fatalf("recorded incarnation %d after the update, want 2", got)
 	}
 }
 
-// TestLeaseProbeAssertsIncarnation: a renewal addressed to a dead
+// TestHandshakeAssertsIncarnation: an operation addressed to a dead
 // process's identity must fail even though a live replacement answers the
-// socket.
-func TestLeaseProbeAssertsIncarnation(t *testing.T) {
+// socket — the handshake compares the incarnation the driver recorded with
+// the one the server announces.
+func TestHandshakeAssertsIncarnation(t *testing.T) {
 	m, err := cluster.NewMachine(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := serveNode(t, m, 3)
 	client := connectDriver(t, m, s.Addr())
-	if _, err := client.ProbeLease(1, 3); err != nil {
-		t.Fatalf("matching renewal: %v", err)
+	client.UpdatePeer(1, "", 2)
+	if err := ping(client, 1); !errors.Is(err, ErrStaleIncarnation) {
+		t.Fatalf("op against a stale incarnation: got %v, want ErrStaleIncarnation", err)
 	}
-	if _, err := client.ProbeLease(1, 2); err == nil {
-		t.Fatal("renewal against a stale incarnation succeeded")
+	client.UpdatePeer(1, "", 3)
+	if err := ping(client, 1); err != nil {
+		t.Fatalf("op against the matching incarnation: %v", err)
 	}
 }

@@ -172,7 +172,7 @@ func TestAcceptLoopSurvivesTransientError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer driver.Close()
-	if _, err := driver.ProbeLease(0, 0); err != nil {
+	if err := ping(driver, 0); err != nil {
 		t.Fatalf("the listener died with its first failed accept: %v", err)
 	}
 	if left := flaky.failures.Load(); left >= 0 {

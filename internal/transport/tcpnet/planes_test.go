@@ -7,7 +7,6 @@ import (
 	"runtime/debug"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/cods"
@@ -44,7 +43,6 @@ const (
 const (
 	warmGetAllocs = 166 // one warm get of the inset, every plane off
 	obsGetAllocs  = 19  // what the observability plane adds to it
-	probeAllocs   = 7   // one lease probe and its answer, both sides
 	plannerAllocs = 444 // one flow-matrix build and remap proposal
 )
 
@@ -74,8 +72,7 @@ type planeRig struct {
 	consumer *cods.Handle
 }
 
-// newPlaneRig builds the rig with every plane off. The nodes serve
-// incarnation 1, the one the elastic subtest's lease probes name.
+// newPlaneRig builds the rig with every plane off.
 func newPlaneRig(t *testing.T) *planeRig {
 	t.Helper()
 	wasOn := obs.Enabled()
@@ -305,49 +302,32 @@ func TestPlaneCosts(t *testing.T) {
 		}
 	})
 
-	// One lease renewal pass, as membership.Monitor runs it at steady
-	// state: a probe of each of the four members, then its renewal. A pass
-	// costs four exchanges of 70-byte frames (length prefix, fixed header,
-	// empty sections) and books no flow, since a lease is not a transfer.
+	// What the elastic plane leaves on the pull path: the put ledger (a
+	// crash is detected by the driver that spawned the process, off the
+	// wire). The ledger records a put's own slice in the driver's memory,
+	// so with it installed a warm get costs exactly warmGet and a put moves
+	// the same wire bytes and books the same flows as without it.
 	t.Run("elastic", func(t *testing.T) {
 		r := newPlaneRig(t)
-		reg := membership.NewRegistry(time.Minute)
-		for node := cluster.NodeID(0); node < 4; node++ {
-			if err := reg.Join(node, "", 1); err != nil {
-				t.Fatal(err)
+		r.stage(t)
+		const blk = 5 // owned by core 5, on node 1
+		put := func(version int) func() error {
+			return func() error {
+				return r.owners[blk].PutSequential("u", version, r.blocks[blk], r.data[blk])
 			}
 		}
-		renew := func() error {
-			for _, mem := range reg.Members() {
-				if _, err := r.nodes.Driver().ProbeLease(mem.Node, mem.Incarnation); err != nil {
-					return err
-				}
-				if err := reg.Renew(mem.Node, mem.Incarnation); err != nil {
-					return err
-				}
-			}
-			return nil
+		without := r.cost(t, put(1))
+		ledger := membership.NewLedger()
+		r.sp.SetPutRecorder(ledger)
+		with := r.cost(t, put(2))
+		if with != without || with.Wire.BytesOut == 0 {
+			t.Errorf("a put costs %+v with the ledger, %+v without; want the same nonzero cost", with, without)
 		}
-		if err := renew(); err != nil { // dials each node once
-			t.Fatal(err)
+		if n := ledger.Len(); n != 1 {
+			t.Errorf("the ledger holds %d blocks after one put, want 1", n)
 		}
-		want := planeCost{Wire: tcpnet.WireStats{BytesOut: 4 * 70, BytesIn: 4 * 70}}
-		if c := r.cost(t, renew); c != want {
-			t.Errorf("a renewal pass costs %+v, want %+v", c, want)
-		}
-		if expired := reg.Sweep(); len(expired) != 0 {
-			t.Errorf("nodes %v expired at steady state", expired)
-		}
-
-		if !allocsPinned {
-			return
-		}
-		probe := func() error {
-			_, err := r.nodes.Driver().ProbeLease(1, 1)
-			return err
-		}
-		if n := allocs(t, probe); n > probeAllocs {
-			t.Errorf("a lease probe allocates %v times, want <= %d", n, probeAllocs)
+		if c := r.cost(t, r.get); c != warmGet {
+			t.Errorf("a warm get costs %+v with the ledger, want %+v", c, warmGet)
 		}
 	})
 

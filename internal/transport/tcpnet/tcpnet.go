@@ -1110,14 +1110,6 @@ func (b *Backend) execute(fr *frame) *frame {
 		resp.Kind, resp.Payload = payloadGob, buf.Bytes()
 	case opSpans:
 		resp.Payload = b.drainSpans()
-	case opLease:
-		// A lease probe/renewal: succeeds only when the prober's notion of
-		// this process's incarnation is current, so a renewal addressed to a
-		// dead process's identity fails even if a replacement answers.
-		if b.cfg.Incarnation != 0 && fr.Tag != 0 && fr.Tag != b.cfg.Incarnation {
-			return fail(fmt.Errorf("lease for incarnation %d, serving %d", fr.Tag, b.cfg.Incarnation))
-		}
-		resp.Tag = b.cfg.Incarnation
 	case opShutdown:
 		// Acknowledged here; serveConn triggers the shutdown channel after
 		// the response is on the wire.

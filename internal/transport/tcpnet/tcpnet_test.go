@@ -149,9 +149,9 @@ func withSpaces(tb testing.TB, servers []*Backend, domain geometry.BBox) {
 
 // v6OpMax is opMax as wire v6 had it, the largest it has ever been: the
 // five ops v7 removed (depart, transfer, publish, cursor, stream-gc), the
-// two v10 removed (peers, join) and the two v11 removed (send, recv) leave
-// the codes from today's opMax up to it unused, and the decoder must reject
-// them as invalid ops.
+// two v10 removed (peers, join), the two v11 removed (send, recv) and the
+// one v14 removed (lease) leave the codes from today's opMax up to it
+// unused, and the decoder must reject them as invalid ops.
 const v6OpMax = 21
 
 // v10MessageFrames are the two frames of the messaging plane wire v11
@@ -185,10 +185,7 @@ func sampleFrames() []*frame {
 		// The scatter-gather response header: Bytes announces the segment
 		// count of the raw stream that follows the frame.
 		{Op: opResp, Status: statusOK, Bytes: 2},
-		// The membership op (wire v4): a lease renewal asserting the granted
-		// incarnation, and the handshake/lease acceptance echoing the
-		// server's incarnation in Tag.
-		{Op: opLease, Dst: 1, Tag: 3},
+		// The handshake acceptance echoes the server's incarnation in Tag.
 		{Op: opResp, Status: statusOK, Tag: 12},
 		// Buffer-state and driver control ops. The expose carries its block
 		// in the raw block codec, announced by the payload-kind field.
@@ -210,8 +207,8 @@ func sampleFrames() []*frame {
 // branch answers. The 1x1 machine makes every row with a nonzero core
 // fail its range check, so no sampled op can block.
 func TestEveryOpHandled(t *testing.T) {
-	if n := int(opMax) - 1; n != 11 {
-		t.Fatalf("%d wire ops, want the 11 of wire v11 to v13", n)
+	if n := int(opMax) - 1; n != 10 {
+		t.Fatalf("%d wire ops, want the 10 of wire v14", n)
 	}
 	_, _, servers := newCluster(t, 1, 1)
 	b := servers[0]
@@ -274,7 +271,7 @@ func TestServingNodeRefusesForeignCore(t *testing.T) {
 			t.Errorf("op %d at a foreign core: status %d, err %q; want statusErr, %q", fr.Op, resp.Status, resp.Err, want)
 		}
 	}
-	if resp := ask(&frame{Op: opLease, Dst: 0}); resp.Status != statusOK {
+	if resp := ask(&frame{Op: opSpans}); resp.Status != statusOK {
 		t.Fatalf("connection unusable after the refusals: status %d, err %q", resp.Status, resp.Err)
 	}
 	if ws := b.WireStats(); ws.BytesOut != 0 || ws.BytesIn != 0 {
@@ -348,7 +345,7 @@ func TestServingNodeRefusesNegativeMeteredSize(t *testing.T) {
 			t.Errorf("op %d with a negative size: status %d, err %q; want a refusal", fr.Op, resp.Status, resp.Err)
 		}
 	}
-	if resp := ask(&frame{Op: opLease, Dst: 0}); resp.Status != statusOK {
+	if resp := ask(&frame{Op: opSpans}); resp.Status != statusOK {
 		t.Fatalf("connection unusable after the refusals: status %d, err %q", resp.Status, resp.Err)
 	}
 }

@@ -37,7 +37,6 @@ const (
 	opShutdown
 	opReadMulti // batched scatter-gather read: one frame out, segment stream back
 	opSpans     // drain the node's buffered remote span events (JSON Lines)
-	opLease     // membership: lease probe/renewal against incarnation Tag
 	opMax       // one past the last valid op
 )
 
@@ -58,7 +57,7 @@ const (
 // cannot decode. CHANGES.md (Wire versions) lists what each version changed.
 const (
 	helloMagic  uint64 = 0x434F44534E455400 // "CODSNET\0"
-	wireVersion uint8  = 13
+	wireVersion uint8  = 14
 )
 
 // Payload kinds: what the bytes in a frame's Payload section are. The kind
@@ -84,9 +83,9 @@ const maxFrame = 64 << 20
 //	Kind         what Payload holds (payloadRaw, payloadGob, payloadBlock,
 //	             payloadMsg)
 //	Src/Dst      initiating and target core (Dst also the owner for
-//	             buffer ops, the node for hello/lease)
-//	Tag          helloMagic (hello request), incarnation (lease, hello
-//	             and lease responses)
+//	             buffer ops, the node for hello)
+//	Tag          helloMagic (hello request), incarnation (hello
+//	             response)
 //	Version      BufKey version (expose/...), wire version (hello)
 //	Bytes/Bytes2 metered sizes: req/resp (call), machine shape
 //	             nodes/cores (hello); Bytes is the segment count in a

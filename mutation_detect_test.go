@@ -20,7 +20,6 @@ import (
 	"github.com/insitu/cods/internal/decomp"
 	"github.com/insitu/cods/internal/genwf"
 	"github.com/insitu/cods/internal/geometry"
-	"github.com/insitu/cods/internal/membership"
 	"github.com/insitu/cods/internal/mutate"
 	"github.com/insitu/cods/internal/sfc"
 )
@@ -249,38 +248,6 @@ func mutationScenario(name string) genwf.Scenario {
 	}
 }
 
-// detectLeaseExpiryIgnored proves the membership layer catches a sweep
-// that ignores lapsed leases: a joined member that stops renewing must be
-// reported as expired once its TTL passes. The defect makes Sweep report
-// nothing forever, so the reconcile loop would never observe a crash.
-func detectLeaseExpiryIgnored(t *testing.T) {
-	probe := func() error {
-		reg := membership.NewRegistry(time.Second)
-		now := time.Unix(1000, 0)
-		reg.SetClock(func() time.Time { return now })
-		if err := reg.Join(0, "n0:1", 1); err != nil {
-			return err
-		}
-		now = now.Add(time.Hour)
-		if expired := reg.Sweep(); len(expired) != 1 {
-			return fmt.Errorf("sweep reported %v, want the lapsed member", expired)
-		}
-		return nil
-	}
-	if err := probe(); err != nil {
-		t.Fatalf("lease sweep fails even without the mutation: %v", err)
-	}
-	t.Setenv("CODS_MUTATION", mutate.LeaseExpiryIgnored)
-	if !mutate.Enabled(mutate.LeaseExpiryIgnored) {
-		t.Fatal("mutation hooks not compiled in (missing -tags conformance_mutations?)")
-	}
-	err := probe()
-	if err == nil {
-		t.Fatalf("membership suite did not detect seeded defect %q", mutate.LeaseExpiryIgnored)
-	}
-	t.Logf("detected %q: %v", mutate.LeaseExpiryIgnored, err)
-}
-
 // detectMortonBitSwap proves the linearizer suite catches a transposed
 // Morton bit interleave. The defect is a consistent relabeling of the
 // index space: DHT inserts and queries route through the same mutated
@@ -338,12 +305,6 @@ func TestMutationDetection(t *testing.T) {
 	for _, name := range mutate.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			if name == mutate.LeaseExpiryIgnored {
-				// The lease registry lives outside the scenario pipeline;
-				// its detection drives the membership layer directly.
-				detectLeaseExpiryIgnored(t)
-				return
-			}
 			if name == mutate.MortonBitSwap {
 				// A consistent index-space relabeling is invisible to the
 				// pipeline; the curve's own contracts catch it.
