@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/insitu/cods/internal/geometry"
-	"github.com/insitu/cods/internal/transport"
 )
 
 // The two halves of a warm bulk get, in seq-bulk-tcp's shape: blocks of
@@ -49,20 +48,21 @@ func BenchmarkCopySegment(b *testing.B) {
 	}
 }
 
-// benchClip times one owner-side clip of each shape into a reused buffer.
-func benchClip(b *testing.B, clipper transport.RegionClipper) {
+// benchClip times clip, one owner-side clip into reused storage, on each
+// sub-box shape; a clip that copies reports the bytes it produced.
+func benchClip(b *testing.B, copies bool, clip func(sub geometry.BBox) error) {
 	for _, tc := range []struct {
 		name string
 		sub  geometry.BBox
 	}{{"whole", benchBlockBox}, {"inset", benchInsetBox}} {
 		b.Run(tc.name, func(b *testing.B) {
-			buf := make([]byte, 0, benchBlockBox.Volume()*ElemSize)
-			b.SetBytes(tc.sub.Volume() * ElemSize)
+			if copies {
+				b.SetBytes(tc.sub.Volume() * ElemSize)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				var err error
-				if buf, err = clipper.ClipRegion(buf[:0], tc.sub); err != nil {
+				if err := clip(tc.sub); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -70,9 +70,10 @@ func benchClip(b *testing.B, clipper transport.RegionClipper) {
 	}
 }
 
-// BenchmarkWireBlockClip is a serving process's clip: row copies out of the
-// block as it arrived.
-func BenchmarkWireBlockClip(b *testing.B) {
+// BenchmarkWireBlockClipRows is a serving process's clip: the runs of the
+// block as it arrived that hold the sub-box, into a reused run list. No
+// cell is copied, so the figure is the cost of the row walk alone.
+func BenchmarkWireBlockClipRows(b *testing.B) {
 	wire, err := (&StoredObject{Region: benchBlockBox, Data: fillRegion(benchBlockBox)}).AppendBlock(nil)
 	if err != nil {
 		b.Fatal(err)
@@ -81,11 +82,21 @@ func BenchmarkWireBlockClip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchClip(b, blk.(*wireBlock))
+	var rows [][]byte
+	benchClip(b, false, func(sub geometry.BBox) (err error) {
+		rows, err = blk.(*wireBlock).ClipRows(rows[:0], sub)
+		return err
+	})
 }
 
-// BenchmarkStoredObjectClip is an in-process owner's clip: every cell
-// encoded from the producer's []float64.
+// BenchmarkStoredObjectClip is the block encoder, every cell converted from
+// the producer's []float64 into a reused buffer: what each expose pays
+// (AppendBlock).
 func BenchmarkStoredObjectClip(b *testing.B) {
-	benchClip(b, &StoredObject{Region: benchBlockBox, Data: fillRegion(benchBlockBox)})
+	obj := &StoredObject{Region: benchBlockBox, Data: fillRegion(benchBlockBox)}
+	buf := make([]byte, 0, benchBlockBox.Volume()*ElemSize)
+	benchClip(b, true, func(sub geometry.BBox) (err error) {
+		buf, err = obj.ClipRegion(buf[:0], sub)
+		return err
+	})
 }

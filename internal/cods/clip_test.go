@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/insitu/cods/internal/geometry"
 )
@@ -159,10 +160,12 @@ func clipCases(region geometry.BBox) map[string]geometry.BBox {
 	}
 }
 
-// TestWireBlockClipMatchesStoredObject holds the owner's two clips to one
-// output: a block decoded from the wire and the StoredObject it was sent
-// from append the same bytes, onto a kept prefix, for 1-3-D blocks against
-// every sub-box of clipCases; a rank mismatch is an error on both.
+// TestWireBlockClipMatchesStoredObject holds the owner's clip to the
+// encoder: for 1-3-D blocks against every sub-box of clipCases, the runs a
+// block decoded from the wire serves are, end to end, the bytes the
+// StoredObject it was sent from encodes. Every run is a slice of the
+// block's cells capped at its own end, the whole block is one run, the
+// runs already listed stay, and a rank mismatch is an error.
 func TestWireBlockClipMatchesStoredObject(t *testing.T) {
 	for _, region := range []geometry.BBox{
 		geometry.NewBBox(geometry.Point{3}, geometry.Point{11}),
@@ -180,25 +183,44 @@ func TestWireBlockClipMatchesStoredObject(t *testing.T) {
 		}
 		blk := got.(*wireBlock)
 		for name, sub := range clipCases(region) {
-			prefix := []byte{0xDE, 0xAD}
-			want, err := obj.ClipRegion(slices.Clone(prefix), sub)
+			want, err := obj.ClipRegion(nil, sub)
 			if err != nil {
 				t.Fatal(err)
 			}
-			clip, err := blk.ClipRegion(slices.Clone(prefix), sub)
+			listed := []byte{0xDE, 0xAD}
+			rows, err := blk.ClipRows([][]byte{listed}, sub)
 			if err != nil {
 				t.Fatalf("%v %s: %v", region, name, err)
 			}
-			if !bytes.Equal(clip, want) {
-				t.Fatalf("%v %s (%v): wire block clips %d bytes %x, stored object %d bytes %x",
+			if len(rows) == 0 || !bytes.Equal(rows[0], listed) {
+				t.Fatalf("%v %s: the run already listed was dropped", region, name)
+			}
+			rows = rows[1:]
+			if clip := bytes.Join(rows, nil); !bytes.Equal(clip, want) {
+				t.Fatalf("%v %s (%v): wire block serves %d bytes %x, stored object encodes %d bytes %x",
 					region, name, sub, len(clip), clip, len(want), want)
+			}
+			for _, run := range rows {
+				if !within(run, blk.Cells) || cap(run) != len(run) {
+					t.Fatalf("%v %s: a run of %d bytes is not a capped slice of the block's cells", region, name, len(run))
+				}
+			}
+			if name == "whole" && len(rows) != 1 {
+				t.Fatalf("%v: the whole block is %d runs, want 1", region, len(rows))
 			}
 		}
 		other := geometry.BoxFromSize(make([]int, region.Dim()%3+1))
-		if _, err := blk.ClipRegion(nil, other); err == nil {
+		if _, err := blk.ClipRows(nil, other); err == nil {
 			t.Fatalf("%v: a rank-%d clip was accepted", region, other.Dim())
 		}
 	}
+}
+
+// within reports whether the non-empty run lies inside cells' memory.
+func within(run, cells []byte) bool {
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(cells)))
+	at := uintptr(unsafe.Pointer(unsafe.SliceData(run)))
+	return len(run) > 0 && at >= lo && at+uintptr(len(run)) <= lo+uintptr(len(cells))
 }
 
 // TestCopySegmentKernel holds the strided row decode to a per-cell

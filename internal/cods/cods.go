@@ -89,8 +89,9 @@ func init() {
 // The cell section is exactly what ClipRegion emits for the block's own
 // region and what copySegment scatters, so a put is the mirror of a get.
 // Cells are converted once, by the reader: the serving process keeps the
-// cell section it received (wireBlock) and clips it by copying rows, and
-// only copySegment, in the process that asked for the cells, decodes them.
+// cell section it received (wireBlock) and serves sub-boxes of it as runs
+// of those very bytes, and only copySegment, in the process that asked for
+// the cells, decodes them.
 
 // AppendBlock implements transport.BlockPayload.
 func (o *StoredObject) AppendBlock(dst []byte) ([]byte, error) {
@@ -143,27 +144,28 @@ func decodeBlock(wire []byte) (any, error) {
 
 // wireBlock is a stored block as a serving process keeps it: its region
 // and the cell section of the expose body it arrived in, in the wire's
-// cell format.
+// cell format. That body was allocated for this expose alone and nothing
+// writes to it again, so the runs ClipRows serves may alias it.
 type wireBlock struct {
 	Region geometry.BBox
 	Cells  []byte
 }
 
-// ClipRegion implements transport.RegionClipper, byte for byte like
-// StoredObject.ClipRegion: the whole block is one append, any other
-// intersection one append per row, and no cell is converted.
-func (b *wireBlock) ClipRegion(dst []byte, sub geometry.BBox) ([]byte, error) {
+// ClipRows implements transport.RegionClipper: the whole block is one run,
+// any other intersection one run per row, and every run is a slice of
+// Cells capped at its own end, so nothing is copied or converted. The runs
+// end to end are byte for byte StoredObject.ClipRegion of the same sub-box.
+func (b *wireBlock) ClipRows(rows [][]byte, sub geometry.BBox) ([][]byte, error) {
 	if sub.Dim() != b.Region.Dim() {
 		return nil, fmt.Errorf("cods: clip rank %d against stored rank %d", sub.Dim(), b.Region.Dim())
 	}
 	clip, ok := sub.Intersect(b.Region)
 	if !ok {
-		return dst, nil
+		return rows, nil
 	}
 	if clip.Equal(b.Region) {
-		return append(dst, b.Cells...), nil
+		return append(rows, b.Cells[:len(b.Cells):len(b.Cells)]), nil
 	}
-	dst = slices.Grow(dst, int(clip.Volume())*ElemSize)
 	run := int64(clip.Size(clip.Dim()-1)) * ElemSize
 	p := append(make([]int, 0, 4), clip.Min...)
 	at := b.Region.Offset(clip.Min) * ElemSize
@@ -172,20 +174,20 @@ func (b *wireBlock) ClipRegion(dst []byte, sub geometry.BBox) ([]byte, error) {
 		if row > 0 && mutate.Enabled(mutate.TCPClipRowSkew) && from+run < int64(len(b.Cells)) {
 			from += ElemSize // seeded defect: every row after the first starts one cell late
 		}
-		dst = append(dst, b.Cells[from:from+run]...)
+		rows = append(rows, b.Cells[from:from+run:from+run])
 		step, more := nextRow(p, clip, b.Region)
 		if !more {
-			return dst, nil
+			return rows, nil
 		}
 		at += step * ElemSize
 	}
 }
 
-// ClipRegion implements transport.RegionClipper: it appends the cells of
-// sub ∩ Region onto dst as big-endian float64 bits, row-major over the
-// intersection, so a scatter-gather server ships exactly the bytes a
-// sub-box read asked for instead of the whole block. An empty
-// intersection appends nothing.
+// ClipRegion appends the cells of sub ∩ Region onto dst as big-endian
+// float64 bits, row-major over the intersection: the block encoder behind
+// AppendBlock (the whole region) and what a serving process's
+// wireBlock.ClipRows runs spell out for any sub-box. An empty intersection
+// appends nothing.
 func (o *StoredObject) ClipRegion(dst []byte, sub geometry.BBox) ([]byte, error) {
 	if sub.Dim() != o.Region.Dim() {
 		return nil, fmt.Errorf("cods: clip rank %d against stored rank %d", sub.Dim(), o.Region.Dim())
@@ -201,9 +203,9 @@ func (o *StoredObject) ClipRegion(dst []byte, sub geometry.BBox) ([]byte, error)
 	p := append(make([]int, 0, 4), clip.Min...)
 	at := o.Region.Offset(clip.Min)
 	for {
-		for _, v := range o.Data[at : at+run] {
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
-		}
+		n := len(dst)
+		dst = dst[:n+int(run)*ElemSize]
+		encodeRow(dst[n:], o.Data[at:at+run])
 		step, more := nextRow(p, clip, o.Region)
 		if !more {
 			return dst, nil
@@ -257,6 +259,23 @@ func decodeRow(dst []float64, src []byte) {
 	for len(dst) > 0 && len(src) >= ElemSize {
 		dst[0] = math.Float64frombits(binary.BigEndian.Uint64(src[0:8]))
 		dst, src = dst[1:], src[ElemSize:]
+	}
+}
+
+// encodeRow is decodeRow's mirror: it writes src into dst as wire cells,
+// len(src)*ElemSize bytes, four cells a step with the lengths checked once
+// per step.
+func encodeRow(dst []byte, src []float64) {
+	for len(src) >= 4 && len(dst) >= 4*ElemSize {
+		binary.BigEndian.PutUint64(dst[0:8], math.Float64bits(src[0]))
+		binary.BigEndian.PutUint64(dst[8:16], math.Float64bits(src[1]))
+		binary.BigEndian.PutUint64(dst[16:24], math.Float64bits(src[2]))
+		binary.BigEndian.PutUint64(dst[24:32], math.Float64bits(src[3]))
+		dst, src = dst[4*ElemSize:], src[4:]
+	}
+	for len(src) > 0 && len(dst) >= ElemSize {
+		binary.BigEndian.PutUint64(dst[0:8], math.Float64bits(src[0]))
+		dst, src = dst[ElemSize:], src[1:]
 	}
 }
 

@@ -63,28 +63,29 @@ type ReadSpec struct {
 // of payload and clipped is set: payload is the owner's full exposed
 // buffer (in-process, where the reader clips), clipped is the owner-clipped
 // raw cell data of the spec's sub-box — Sub intersected with the exposed
-// region, row-major, big-endian float64 bits. clipped is only valid until
-// the callback returns; implementations reuse the buffer.
+// region, row-major, big-endian float64 bits, the runs of
+// RegionClipper.ClipRows end to end. clipped is only valid until the
+// callback returns; implementations reuse the buffer.
 type SegmentFunc func(i int, payload any, clipped []byte) error
 
-// RegionClipper is implemented by exposed payloads that support
-// owner-side clipping: ClipRegion appends the raw bytes of the cells of
-// sub (clipped to the payload's own region) to dst and returns the
-// extended slice. A network backend serving a ReadMulti uses it to put
-// only the requested bytes on the wire instead of the whole buffer.
+// RegionClipper is implemented by exposed payloads a network backend can
+// serve sub-boxes of: ClipRows appends to rows the runs of raw cell bytes
+// that hold sub (clipped to the payload's own region), row-major, and
+// returns the extended list. Every run aliases the payload, which nothing
+// writes to while it is exposed, so the backend serving a ReadMulti hands
+// the runs to one vectored write as they are and copies no cell.
 type RegionClipper interface {
-	ClipRegion(dst []byte, sub geometry.BBox) ([]byte, error)
+	ClipRows(rows [][]byte, sub geometry.BBox) ([][]byte, error)
 }
 
 // BlockPayload is implemented by exposed payloads a network backend can
 // ship between processes: AppendBlock appends the payload's whole wire form
-// — its region header, then every cell in the row-major big-endian float64
-// format ClipRegion produces — to dst and returns the extended slice. The
-// receiving process turns the bytes into a payload that can clip regions
-// through the decoder installed with RegisterBlockDecoder, so the backend
-// itself never learns the payload's type (tcpnet must not import cods).
+// — its region header, then every cell row-major as big-endian float64
+// bits — to dst and returns the extended slice. The receiving process turns
+// the bytes into a RegionClipper through the decoder installed with
+// RegisterBlockDecoder, so the backend itself never learns the payload's
+// type (tcpnet must not import cods).
 type BlockPayload interface {
-	RegionClipper
 	AppendBlock(dst []byte) ([]byte, error)
 }
 

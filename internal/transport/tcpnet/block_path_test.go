@@ -173,51 +173,67 @@ func BenchmarkGetMiss(b *testing.B) {
 }
 
 // TestSegmentStagingAllocatesHeaderOnly pins the steady state of the read
-// path: once the staging pool is warm, serving and receiving a 512 KiB
-// segment allocates a few hundred bytes of header bookkeeping on both
-// sides together — never a buffer sized by the segment.
+// path: once the pools are warm, serving and receiving a 512 KiB segment —
+// the whole block, or the block clipped by 16 cells per edge as in
+// seq-bulk-tcp, 224 runs written from the block itself — allocates a few
+// hundred bytes of header bookkeeping on both sides together: never a
+// buffer sized by the segment, nor a run list sized by its rows.
 func TestSegmentStagingAllocatesHeaderOnly(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds buffers at random under the race detector")
 	}
 	f, be, _ := newCluster(t, 2, 1)
-	specs := stageSegments(t, be)
-	delivered := 0
-	count := func(_ int, _ any, clipped []byte) error {
-		delivered += len(clipped)
-		return nil
+	whole := stageSegments(t, be)
+	inset := make([]transport.ReadSpec, len(whole))
+	for i, spec := range whole {
+		spec.Sub = spec.Sub.Expand(-16, spec.Sub)
+		spec.Bytes = spec.Sub.Volume() * cods.ElemSize
+		inset[i] = spec
 	}
-	read := func() {
-		if err := f.Endpoint(0).ReadMulti(specs, dataMeter, count); err != nil {
-			t.Fatal(err)
-		}
+	for _, tc := range []struct {
+		name  string
+		specs []transport.ReadSpec
+	}{{"whole", whole}, {"inset", inset}} {
+		t.Run(tc.name, func(t *testing.T) {
+			delivered := 0
+			count := func(_ int, _ any, clipped []byte) error {
+				delivered += len(clipped)
+				return nil
+			}
+			read := func() {
+				if err := f.Endpoint(0).ReadMulti(tc.specs, dataMeter, count); err != nil {
+					t.Fatal(err)
+				}
+			}
+			read() // dial, and hand each side its first pooled buffers
+			// A collection in the window would empty the pools; the window
+			// itself allocates next to nothing, so switching the collector
+			// off is safe.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			// sync.Pool keeps one buffer per P out of the other Ps' reach, so
+			// a round that migrates to a cold P still allocates once; the
+			// median round is the steady state.
+			const rounds = 9
+			perRound := make([]uint64, rounds)
+			for i := range perRound {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				read()
+				runtime.ReadMemStats(&after)
+				perRound[i] = after.TotalAlloc - before.TotalAlloc
+			}
+			if want := (rounds + 1) * segments * int(tc.specs[0].Bytes); delivered != want {
+				t.Fatalf("delivered %d bytes, want %d", delivered, want)
+			}
+			sort.Slice(perRound, func(i, j int) bool { return perRound[i] < perRound[j] })
+			perSegment := perRound[rounds/2] / segments
+			if perSegment > 1024 {
+				t.Fatalf("%d bytes allocated per %d-byte segment (both sides), want header-sized (<= 1 KiB); rounds: %v",
+					perSegment, tc.specs[0].Bytes, perRound)
+			}
+			t.Logf("%d bytes per segment, server and client together", perSegment)
+		})
 	}
-	read() // dial, and hand each side its first staging buffer
-	// A collection in the window would empty the pools; the window itself
-	// allocates next to nothing, so switching the collector off is safe.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	// sync.Pool keeps one buffer per P out of the other Ps' reach, so a
-	// round that migrates to a cold P still allocates once; the median
-	// round is the steady state.
-	const rounds = 9
-	perRound := make([]uint64, rounds)
-	for i := range perRound {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		read()
-		runtime.ReadMemStats(&after)
-		perRound[i] = after.TotalAlloc - before.TotalAlloc
-	}
-	if want := (rounds + 1) * segments * segmentSide * segmentSide * cods.ElemSize; delivered != want {
-		t.Fatalf("delivered %d bytes, want %d", delivered, want)
-	}
-	sort.Slice(perRound, func(i, j int) bool { return perRound[i] < perRound[j] })
-	perSegment := perRound[rounds/2] / segments
-	if perSegment > 1024 {
-		t.Fatalf("%d bytes allocated per 512 KiB segment (both sides), want header-sized (<= 1 KiB); rounds: %v",
-			perSegment, perRound)
-	}
-	t.Logf("%d bytes per segment, server and client together", perSegment)
 }
 
 // TestBlockBytesNeverAliased holds the two ownership rules of the block
@@ -261,11 +277,14 @@ func TestBlockBytesNeverAliased(t *testing.T) {
 
 // exposedSubBoxMismatch exposes 1-3-D blocks on core 1 through the
 // driver's Backend.Expose, so each crosses the loopback wire and its owning
-// node keeps the block it decoded, then reads sub-boxes of each back from core 0 in one
-// ReadMulti a block: the whole block, its interior, boxes straddling its
-// lower and upper corners, a single cell and a disjoint box. It returns
-// the first segment that differs from StoredObject.ClipRegion of the same
-// cells.
+// node keeps the block it decoded, then reads sub-boxes of each back from
+// core 0 in one ReadMulti a block: the whole block, its interior, the block
+// less its lower faces, boxes straddling its lower and upper corners, a
+// single cell and a disjoint box. It returns the first segment that differs
+// from StoredObject.ClipRegion of the same cells. The last block is tall
+// and thin: its clipped sub-boxes exceed maxInlineBody and have more rows
+// than one writev takes (1,024), so they leave as runs of the block in
+// several vectored writes, while every sub-box of the others is inlined.
 func exposedSubBoxMismatch(tb testing.TB) error {
 	// near is the box [at+lo, at+hi) in every dimension.
 	near := func(at geometry.Point, lo, hi int) geometry.BBox {
@@ -280,13 +299,14 @@ func exposedSubBoxMismatch(tb testing.TB) error {
 		geometry.NewBBox(geometry.Point{5}, geometry.Point{37}),
 		geometry.NewBBox(geometry.Point{8, 4}, geometry.Point{20, 14}),
 		geometry.NewBBox(geometry.Point{0, 3, 1}, geometry.Point{5, 9, 8}),
+		geometry.BoxFromSize([]int{4096, 4}), // less its lower faces: 4,095 rows of 24 B
 	} {
 		obj := &cods.StoredObject{Region: region, Data: fillCells(region)}
 		key := transport.BufKey{Name: "blk|" + region.String(), Version: 1}
 		if err := be.Expose(1, key, obj); err != nil {
 			return err
 		}
-		subs := []geometry.BBox{region, region.Expand(-1, region), near(region.Min, -2, 3),
+		subs := []geometry.BBox{region, region.Expand(-1, region), geometry.NewBBox(region.Expand(-1, region).Min, region.Max), near(region.Min, -2, 3),
 			near(region.Max, -3, 2), near(region.Min, 1, 2), near(region.Max, 0, 2)}
 		specs := make([]transport.ReadSpec, len(subs))
 		for i, sub := range subs {

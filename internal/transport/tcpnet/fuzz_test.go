@@ -8,6 +8,18 @@ import (
 	"github.com/insitu/cods/internal/transport"
 )
 
+// appendFrame encodes fr's whole body (without the length prefix) onto dst.
+func appendFrame(dst []byte, fr *frame) []byte {
+	return append(appendFrameHeader(dst, fr), fr.Payload...)
+}
+
+// marshalFrame is marshalFrameInto onto a fresh contiguous buffer: a
+// whole frame, length prefix included, for seed corpora and checks.
+func marshalFrame(fr *frame) ([]byte, error) {
+	head, tail, err := marshalFrameInto(nil, fr)
+	return append(head, tail...), err
+}
+
 // FuzzWireFrame throws arbitrary bodies at the strict frame decoder. Two
 // properties must hold: the decoder never panics, and any body it accepts
 // re-encodes to exactly the same bytes (the codec is canonical — a decoded

@@ -219,7 +219,7 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 // client reads the same stream: the announced count, then the segments in
 // order with the owner-clipped bytes.
 func TestSmallSegmentsShareOneWrite(t *testing.T) {
-	_, _, servers := newCluster(t, 1, 1)
+	_, be, servers := newCluster(t, 1, 1)
 	b := servers[0]
 	f := b.fabric
 	b.cfg.ReadPatience = 20 * time.Millisecond
@@ -229,7 +229,7 @@ func TestSmallSegmentsShareOneWrite(t *testing.T) {
 		obj := &cods.StoredObject{Region: region, Data: fillCells(region)}
 		key := transport.BufKey{Name: fmt.Sprintf("row%d", i), Version: cells}
 		if ok, _ := f.LocalExposed(0, key); !ok {
-			if err := f.Endpoint(0).Expose(key, obj); err != nil {
+			if err := be.Expose(0, key, obj); err != nil {
 				t.Fatal(err)
 			}
 		}

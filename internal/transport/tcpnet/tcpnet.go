@@ -559,7 +559,10 @@ func (b *Backend) readMultiExchange(c net.Conn, fr *frame, specs []transport.Rea
 		if index != i {
 			return true, fmt.Errorf("segment %d arrived at position %d", index, i)
 		}
-		body := grownBuf(bp, length)
+		if cap(*bp) < length {
+			*bp = make([]byte, length)
+		}
+		body := (*bp)[:length]
 		if _, err := io.ReadFull(c, body); err != nil {
 			return true, err
 		}
@@ -872,13 +875,14 @@ func (b *Backend) serveConn(c net.Conn) {
 
 // serveReadMulti executes one scatter-gather read: validate the batch,
 // announce the segment count in an ordinary response frame, then clip
-// each requested sub-box out of its exposed buffer and stream the
-// segments, each metered through LocalRead on this side, the side moving
-// the bytes. The response frame and every segment whose body fits
-// maxInlineBody gather in one pooled buffer that leaves in one write — at
-// the end, behind an error segment, or when the next segment would take it
-// past maxPooledBuf; a larger segment flushes the buffer and leaves
-// uncopied, header and body one vectored write. The return value reports
+// each requested sub-box out of its exposed buffer — the runs of its bytes
+// (transport.RegionClipper), no cell copied — and stream the segments,
+// each metered through LocalRead on this side, the side moving the bytes.
+// The response frame and every segment whose body fits maxInlineBody
+// gather in one pooled buffer that leaves in one write — at the end,
+// behind an error segment, or when the next segment would take it past
+// maxPooledBuf; a larger segment flushes the buffer and leaves uncopied,
+// its header and runs one vectored write. The return value reports
 // whether the connection is still in protocol sync; a failure after the
 // header frame is not (the client was promised segments), so the stream is
 // aborted with an error segment and the connection dropped.
@@ -934,26 +938,28 @@ func (b *Backend) serveReadMulti(c net.Conn, fr *frame) bool {
 	}
 	m := frameMeter(fr)
 	reader := cluster.CoreID(fr.Src)
-	clip := func(spec transport.ReadSpec, dst []byte) ([]byte, error) {
-		payload, err := b.fabric.LocalRead(reader, spec.Owner, spec.Key, m, spec.Bytes, b.cfg.ReadPatience)
-		if err != nil {
-			return nil, err
+	// runs: a slot for the segment header, then the runs of the segment;
+	// *rp is the copy of it a vectored write consumes.
+	rp := runsPool.Get().(*net.Buffers)
+	runs := (*rp)[:0]
+	defer func() {
+		if clear(runs[:cap(runs)]); cap(runs) <= maxPooledRuns {
+			*rp = runs[:0]
+			runsPool.Put(rp)
 		}
-		clipper, ok := payload.(transport.RegionClipper)
-		if !ok {
-			return nil, fmt.Errorf("tcpnet: exposed payload %T cannot clip regions", payload)
-		}
-		return clipper.ClipRegion(dst, spec.Sub)
-	}
-	bp := getStage()
-	defer putStage(bp)
+	}()
 	for i, spec := range specs {
 		if mutate.Enabled(mutate.TCPSGReorder) && count >= 2 && i < 2 {
 			// Seeded defect: the first two segments keep their indices but
 			// exchange payloads — protocol-valid, wrong bytes in each slot.
 			spec = specs[1-i]
 		}
-		body, err := clip(spec, (*bp)[:0])
+		payload, err := b.fabric.LocalRead(reader, spec.Owner, spec.Key, m, spec.Bytes, b.cfg.ReadPatience)
+		if clipper, ok := payload.(transport.RegionClipper); ok && err == nil {
+			runs, err = clipper.ClipRows(append(runs[:0], nil), spec.Sub)
+		} else if err == nil {
+			err = fmt.Errorf("tcpnet: exposed payload %T cannot clip regions", payload)
+		}
 		if err != nil {
 			status, text := statusErr, err.Error()
 			if errors.Is(err, transport.ErrEndpointClosed) {
@@ -963,22 +969,28 @@ func (b *Backend) serveReadMulti(c net.Conn, fr *frame) bool {
 			flush()
 			return false
 		}
-		// The clip may have replaced the staging buffer with a longer one.
-		*bp = body[:0]
+		n := 0
+		for _, run := range runs[1:] {
+			n += len(run)
+		}
 		b.stats.segments.Add(1)
-		b.stats.segmentBytes.Add(int64(len(body)))
+		b.stats.segmentBytes.Add(int64(n))
 		obsWireSegments.Inc()
-		obsWireSegmentBytes.Add(int64(len(body)))
-		if (len(body) > maxInlineBody || len(pending)+segHeaderLen+len(body) > maxPooledBuf) && !flush() {
+		obsWireSegmentBytes.Add(int64(n))
+		if (n > maxInlineBody || len(pending)+segHeaderLen+n > maxPooledBuf) && !flush() {
 			return false
 		}
-		pending = appendSegmentHeader(pending, statusOK, i, len(body))
-		if len(body) <= maxInlineBody {
-			pending = append(pending, body...)
+		pending = appendSegmentHeader(pending, statusOK, i, n)
+		if n <= maxInlineBody {
+			for _, run := range runs[1:] {
+				pending = append(pending, run...)
+			}
 			continue
 		}
 		b.armWrite(c)
-		err = writeVectored(c, pending, body)
+		runs[0] = pending
+		*rp = runs
+		err = writeBuffers(c, rp)
 		if pending = pending[:0]; err != nil {
 			return false
 		}

@@ -62,17 +62,19 @@ type blockPayload struct {
 	Vals []float64
 }
 
-// ClipRegion implements transport.RegionClipper over the 1-D index range
-// of Vals, in the wire's cell format (big-endian float64 bits).
-func (p *blockPayload) ClipRegion(dst []byte, sub geometry.BBox) ([]byte, error) {
+// ClipRows implements transport.RegionClipper over the 1-D index range of
+// Vals: one run, freshly encoded in the wire's cell format (big-endian
+// float64 bits).
+func (p *blockPayload) ClipRows(rows [][]byte, sub geometry.BBox) ([][]byte, error) {
 	clip, ok := sub.Intersect(geometry.BoxFromSize([]int{len(p.Vals)}))
 	if !ok {
-		return dst, nil
+		return rows, nil
 	}
+	var run []byte
 	for _, v := range p.Vals[clip.Min[0]:clip.Max[0]] {
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
+		run = binary.BigEndian.AppendUint64(run, math.Float64bits(v))
 	}
-	return dst, nil
+	return append(rows, run), nil
 }
 
 // readOne issues a single-spec ReadMulti of n metered bytes for the cells

@@ -151,11 +151,6 @@ func appendFrameHeader(dst []byte, fr *frame) []byte {
 	return binary.BigEndian.AppendUint32(dst, uint32(len(fr.Payload)))
 }
 
-// appendFrame encodes fr's whole body (without the length prefix) onto dst.
-func appendFrame(dst []byte, fr *frame) []byte {
-	return append(appendFrameHeader(dst, fr), fr.Payload...)
-}
-
 // bufPool recycles the encode buffers of the write path: frame and segment
 // headers with their inlined small bodies, and spec lists. Oversized
 // buffers are not returned, so one huge string section cannot pin its
@@ -183,11 +178,11 @@ func putBuf(bp *[]byte) {
 }
 
 // stagePool recycles the staging buffers block bytes pass through: the wire
-// form of a block being exposed (sender), the segment an owner clips before
-// writing it and the segment a reader receives before scattering it. A
-// buffer grows to the largest body it has held, so in steady state none of
-// the three allocates. The frame body an exposed block arrives in is not
-// staged: the owner keeps it as the block (transport.DecodeBlock).
+// form of a block being exposed (sender) and the segment a reader receives
+// before scattering it. A buffer grows to the largest body it has held, so
+// in steady state neither allocates. The frame body an exposed block
+// arrives in is not staged: the owner keeps it as the block
+// (transport.DecodeBlock), and serves segments as runs of it (runsPool).
 var stagePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxStagedBuf bounds the capacity of a staging buffer the pool will keep
@@ -206,19 +201,17 @@ func putStage(bp *[]byte) {
 	stagePool.Put(bp)
 }
 
-// grownBuf returns a length-n slice backed by *bp, growing the buffer
-// when its capacity is short.
-func grownBuf(bp *[]byte, n int) []byte {
-	if cap(*bp) < n {
-		*bp = make([]byte, n)
-	}
-	*bp = (*bp)[:n]
-	return *bp
-}
+// runsPool recycles the run lists serveReadMulti writes segments from, so
+// a warm serve allocates nothing per segment. A list is cleared before it
+// goes back (its runs alias exposed blocks); one longer than maxPooledRuns
+// (1.5 MiB of slice headers) is left to the collector.
+var runsPool = sync.Pool{New: func() any { return new(net.Buffers) }}
+
+const maxPooledRuns = 64 << 10
 
 // marshalFrameInto encodes a full frame — length prefix plus body — onto
 // dst and returns it as head; a payload above maxInlineBody is not copied
-// but returned as tail, to be written right behind head (writeVectored).
+// but returned as tail, to be written right behind head (writeFrame).
 // The string sections are bounded by their u16 length prefix; oversized
 // ones are a caller bug surfaced as an error rather than silent
 // truncation. Two seeded wire defects live here, compiled out of normal
@@ -264,13 +257,6 @@ func marshalFrameInto(dst []byte, fr *frame) (head, tail []byte, err error) {
 	}
 	binary.BigEndian.PutUint32(head[start:start+4], uint32(len(head)-start-4+len(tail)))
 	return head, tail, nil
-}
-
-// marshalFrame is marshalFrameInto onto a fresh contiguous buffer (tests
-// and seed corpora; the hot write path is writeFrame).
-func marshalFrame(fr *frame) ([]byte, error) {
-	head, tail, err := marshalFrameInto(nil, fr)
-	return append(head, tail...), err
 }
 
 // decodeFrame strictly decodes one frame body: every declared section must
@@ -353,17 +339,12 @@ type buffersWriter interface {
 	writeBuffers(*net.Buffers) (int64, error)
 }
 
-// writeVectored writes head and then tail as one operation: a single
-// writev on a TCP connection, so a large body is never copied behind its
-// header and the header never leaves in a packet of its own.
-func writeVectored(w io.Writer, head, tail []byte) error {
-	if len(tail) == 0 {
-		_, err := w.Write(head)
-		return err
-	}
-	bufs := net.Buffers{head, tail}
+// writeBuffers writes every buffer of bufs, in order, as one operation and
+// consumes bufs: one writev on a TCP connection (Go splits a list longer
+// than 1,024 buffers into several), so no buffer is copied behind another.
+func writeBuffers(w io.Writer, bufs *net.Buffers) error {
 	if bw, ok := w.(buffersWriter); ok {
-		_, err := bw.writeBuffers(&bufs)
+		_, err := bw.writeBuffers(bufs)
 		return err
 	}
 	_, err := bufs.WriteTo(w)
@@ -371,18 +352,22 @@ func writeVectored(w io.Writer, head, tail []byte) error {
 }
 
 // writeFrame marshals one frame through a pooled encode buffer and writes
-// it, a large payload straight from the caller's slice.
+// it. A large payload leaves straight from the caller's slice, one
+// vectored write behind its header: never copied, and the header never in
+// a packet of its own.
 func writeFrame(w io.Writer, fr *frame) error {
 	bp := getBuf()
+	defer putBuf(bp)
 	head, tail, err := marshalFrameInto((*bp)[:0], fr)
 	if err != nil {
-		putBuf(bp)
 		return err
 	}
-	werr := writeVectored(w, head, tail)
-	*bp = head[:0]
-	putBuf(bp)
-	return werr
+	if *bp = head[:0]; len(tail) == 0 {
+		_, err = w.Write(head)
+	} else {
+		err = writeBuffers(w, &net.Buffers{head, tail})
+	}
+	return err
 }
 
 // readFrame reads one length-prefixed frame, bounding the body at maxFrame.
