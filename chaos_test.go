@@ -27,8 +27,6 @@ func chaosRetry() cods.RetryPolicy {
 		MaxAttempts: 6,
 		BaseDelay:   time.Microsecond,
 		MaxDelay:    50 * time.Microsecond,
-		Multiplier:  2,
-		Jitter:      0.2,
 	}
 }
 

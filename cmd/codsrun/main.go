@@ -21,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -85,7 +84,7 @@ func main() {
 	flag.BoolVar(&o.pprof, "pprof", false, "also serve net/http/pprof handlers on the -obs-http and -node-obs-http listeners")
 	flag.StringVar(&o.faultsPath, "faults", "", "JSON fault plan to inject into the fabric (see ParseFaultPlan)")
 	flag.StringVar(&o.retrySpec, "retry", "", "retry policy of gets, puts and lookups: attempt count (e.g. 4) or "+
-		"attempts=4,base=200us,cap=50ms,multiplier=2,jitter=0.2,deadline=5s")
+		"attempts=4,base=200us,cap=50ms,deadline=5s")
 	flag.StringVar(&o.backend, "backend", "inproc", "transport backend: inproc (single process) or "+
 		"tcp (one codsnode child process per node, operations over loopback TCP)")
 	flag.StringVar(&o.codsnodePath, "codsnode", "", "path to the codsnode binary for -backend=tcp "+
@@ -112,9 +111,8 @@ func main() {
 
 // parseRetrySpec builds a retry policy from the -retry flag: either a bare
 // attempt count (the default policy with that budget) or a comma-separated
-// key=value list of attempts, base, cap, multiplier, jitter and deadline.
-// Durations must not be negative and jitter must lie in [0, 1]; a finite
-// multiplier below 1 means the conventional doubling.
+// key=value list of attempts, base, cap and deadline. Durations must not
+// be negative.
 func parseRetrySpec(spec string) (cods.RetryPolicy, error) {
 	pol := cods.DefaultRetryPolicy()
 	if n, err := strconv.Atoi(spec); err == nil {
@@ -137,10 +135,6 @@ func parseRetrySpec(spec string) (cods.RetryPolicy, error) {
 			pol.BaseDelay, err = time.ParseDuration(v)
 		case "cap":
 			pol.MaxDelay, err = time.ParseDuration(v)
-		case "multiplier":
-			pol.Multiplier, err = strconv.ParseFloat(v, 64)
-		case "jitter":
-			pol.Jitter, err = strconv.ParseFloat(v, 64)
 		case "deadline":
 			pol.Deadline, err = time.ParseDuration(v)
 		default:
@@ -159,10 +153,6 @@ func parseRetrySpec(spec string) (cods.RetryPolicy, error) {
 		return pol, fmt.Errorf("-retry cap %s < 0", pol.MaxDelay)
 	case pol.Deadline < 0:
 		return pol, fmt.Errorf("-retry deadline %s < 0", pol.Deadline)
-	case !(pol.Jitter >= 0 && pol.Jitter <= 1):
-		return pol, fmt.Errorf("-retry jitter %v outside [0, 1]", pol.Jitter)
-	case math.IsNaN(pol.Multiplier) || math.IsInf(pol.Multiplier, 0):
-		return pol, fmt.Errorf("-retry multiplier %v is not finite", pol.Multiplier)
 	}
 	return pol, nil
 }

@@ -43,6 +43,8 @@
 package cods
 
 import (
+	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -55,7 +57,6 @@ import (
 	"github.com/insitu/cods/internal/obs"
 	"github.com/insitu/cods/internal/retry"
 	"github.com/insitu/cods/internal/runtime"
-	"github.com/insitu/cods/internal/trace"
 	"github.com/insitu/cods/internal/transport"
 	"github.com/insitu/cods/internal/workflow"
 )
@@ -309,10 +310,17 @@ func (f *Framework) PhaseTime(phasePrefix string) (float64, error) {
 }
 
 // WriteFlows streams every transfer flow recorded so far to w as JSON
-// Lines (one flow per line: phase tag, source node, destination node,
-// bytes), for archiving or offline analysis.
+// Lines (one cluster.Flow per line: phase tag, source node, destination
+// node, bytes, medium and class), for archiving or offline analysis.
 func (f *Framework) WriteFlows(w io.Writer) error {
-	return trace.Write(w, f.machine.Metrics().Flows(""))
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for _, fl := range f.machine.Metrics().Flows("") {
+		if err := enc.Encode(fl); err != nil {
+			return fmt.Errorf("cods: writing flows: %w", err)
+		}
+	}
+	return bw.Flush()
 }
 
 // MediumStats is the fabric's independent per-medium accounting: every

@@ -1,11 +1,13 @@
 package cods_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
 
 	cods "github.com/insitu/cods"
+	"github.com/insitu/cods/internal/cluster"
 )
 
 func newFramework(t testing.TB) *cods.Framework {
@@ -224,8 +226,51 @@ func TestWriteFlows(t *testing.T) {
 	if err := fw.WriteFlows(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"phase"`) {
-		t.Fatalf("flow trace missing fields:\n%.200s", buf.String())
+	// Every line is one flow in exactly the six keys of the -flows format,
+	// and the lines sum, class by class, to the machine's byte totals.
+	keys := []string{"phase", "src", "dst", "bytes", "medium", "class"}
+	sums := map[string]int64{}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	for i, line := range lines {
+		dec := json.NewDecoder(strings.NewReader(line))
+		dec.DisallowUnknownFields()
+		var fl cluster.Flow
+		if err := dec.Decode(&fl); err != nil {
+			t.Fatalf("line %d %q: %v", i+1, line, err)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal([]byte(line), &fields); err != nil {
+			t.Fatalf("line %d %q: %v", i+1, line, err)
+		}
+		for _, k := range keys {
+			if _, ok := fields[k]; !ok || len(fields) != len(keys) {
+				t.Fatalf("line %d %q: want exactly the keys %q", i+1, line, keys)
+			}
+		}
+		sums[fl.Class] += fl.Bytes
+	}
+	mt := fw.MachineInfo().Metrics()
+	var total int64
+	for _, class := range []cluster.Class{cluster.InterApp, cluster.IntraApp, cluster.Control} {
+		want := mt.Bytes(class, cluster.SharedMemory) + mt.Bytes(class, cluster.Network)
+		if got := sums[class.String()]; got != want {
+			t.Errorf("%s flows sum to %d bytes, the metrics to %d", class, got, want)
+		}
+		total += want
+	}
+	if total == 0 {
+		t.Fatalf("the run recorded no bytes:\n%.200s", buf.String())
+	}
+
+	// A flow recorded without medium or class leaves both keys out.
+	mt.Merge(cluster.MetricsSnapshot{Flows: []cluster.Flow{{Phase: "p", Src: 1, Dst: 2, Bytes: 9}}})
+	buf.Reset()
+	if err := fw.WriteFlows(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const bare = `{"phase":"p","src":1,"dst":2,"bytes":9}` + "\n"
+	if !strings.HasSuffix(buf.String(), "\n"+bare) {
+		t.Fatalf("unlabelled flow not written as %q:\n%s", bare, buf.String())
 	}
 }
 

@@ -204,20 +204,21 @@ func (cl Class) String() string {
 
 // Flow is one recorded transfer between nodes, used by the network
 // simulator to compute transfer times under contention. Src == Dst flows
-// are shared-memory copies.
+// are shared-memory copies. Its JSON form is one line of a codsrun -flows
+// dump (Framework.WriteFlows).
 type Flow struct {
-	Phase string // logical phase tag, e.g. "couple:CAP2"
-	Src   NodeID
-	Dst   NodeID
-	Bytes int64
+	Phase string `json:"phase"` // logical phase tag, e.g. "couple:CAP2"
+	Src   NodeID `json:"src"`
+	Dst   NodeID `json:"dst"`
+	Bytes int64  `json:"bytes"`
 	// Medium is the String() form of the transfer's medium ("shm",
 	// "network"). Flows synthesized outside the metrics path (what-if
-	// analyses, old traces) may leave it empty, in which case consumers
-	// fall back to the Src == Dst heuristic.
-	Medium string
+	// analyses) may leave it empty, in which case consumers fall back to
+	// the Src == Dst heuristic.
+	Medium string `json:"medium,omitempty"`
 	// Class is the String() form of the traffic class ("inter-app",
 	// "intra-app", "control"); empty when unrecorded.
-	Class string
+	Class string `json:"class,omitempty"`
 }
 
 // Metrics accumulates transfer statistics. All methods are safe for

@@ -19,8 +19,6 @@ func fastPolicy(attempts int) retry.Policy {
 		MaxAttempts: attempts,
 		BaseDelay:   time.Microsecond,
 		MaxDelay:    20 * time.Microsecond,
-		Multiplier:  2,
-		Jitter:      0.2,
 	}
 }
 

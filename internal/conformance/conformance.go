@@ -145,8 +145,6 @@ func run(sc genwf.Scenario, opts Options) error {
 			MaxAttempts: sc.Retry,
 			BaseDelay:   time.Microsecond,
 			MaxDelay:    50 * time.Microsecond,
-			Multiplier:  2,
-			Jitter:      0.2,
 		})
 	}
 	if sc.Faults != "" {
@@ -541,7 +539,7 @@ func remapRound(sc genwf.Scenario, opts Options, machine *cluster.Machine, space
 	fm := obs.BuildFlowMatrix(machine.Metrics().Flows(""))
 	window.Update(&fm) // baseline: everything booked before the remap epoch
 
-	blocks := remap.LedgerBlocks(ledger)
+	blocks := ledger.Blocks()
 	if len(blocks) == 0 {
 		return fmt.Errorf("conformance: remap round found an empty put ledger\n%s", sc.GoLiteral())
 	}

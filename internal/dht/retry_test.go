@@ -29,7 +29,6 @@ func TestCallRetryRecoversInjectedFault(t *testing.T) {
 		MaxAttempts: 3,
 		BaseDelay:   time.Microsecond,
 		MaxDelay:    10 * time.Microsecond,
-		Multiplier:  2,
 	})
 	cl := s.ClientAt(0)
 	region := geometry.NewBBox(geometry.Point{0, 0}, geometry.Point{4, 4})
@@ -69,7 +68,6 @@ func TestCallClosedEndpointNotRetried(t *testing.T) {
 		MaxAttempts: 5,
 		BaseDelay:   time.Microsecond,
 		MaxDelay:    10 * time.Microsecond,
-		Multiplier:  2,
 	})
 	for n := 0; n < 2; n++ {
 		f.Endpoint(s.DHTCore(n)).Close()

@@ -16,81 +16,8 @@ import (
 
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/decomp"
+	"github.com/insitu/cods/internal/partition"
 )
-
-// Edge is a weighted link to another vertex.
-type Edge struct {
-	To     int
-	Weight int64
-}
-
-// Graph is an undirected weighted graph over computation tasks.
-type Graph struct {
-	labels []cluster.TaskID
-	vwgt   []int64
-	adj    []map[int]int64 // adjacency with accumulated weights
-}
-
-// New creates an empty graph.
-func New() *Graph { return &Graph{} }
-
-// AddVertex appends a vertex for a task with the given weight and returns
-// its index.
-func (g *Graph) AddVertex(t cluster.TaskID, weight int64) int {
-	g.labels = append(g.labels, t)
-	g.vwgt = append(g.vwgt, weight)
-	g.adj = append(g.adj, make(map[int]int64))
-	return len(g.labels) - 1
-}
-
-// NumVertices returns the vertex count.
-func (g *Graph) NumVertices() int { return len(g.labels) }
-
-// Label returns the task of vertex v.
-func (g *Graph) Label(v int) cluster.TaskID { return g.labels[v] }
-
-// VertexWeight returns the weight of vertex v.
-func (g *Graph) VertexWeight(v int) int64 { return g.vwgt[v] }
-
-// AddEdge accumulates weight onto the undirected edge (u, v). Self loops
-// are ignored.
-func (g *Graph) AddEdge(u, v int, weight int64) {
-	if u == v || weight <= 0 {
-		return
-	}
-	if u < 0 || v < 0 || u >= len(g.adj) || v >= len(g.adj) {
-		panic(fmt.Sprintf("graph: edge (%d,%d) out of range", u, v))
-	}
-	g.adj[u][v] += weight
-	g.adj[v][u] += weight
-}
-
-// Edges returns the sorted adjacency of vertex v.
-func (g *Graph) Edges(v int) []Edge {
-	out := make([]Edge, 0, len(g.adj[v]))
-	for to, w := range g.adj[v] {
-		out = append(out, Edge{To: to, Weight: w})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].To < out[j].To })
-	return out
-}
-
-// EdgeWeight returns the weight of edge (u, v), 0 if absent.
-func (g *Graph) EdgeWeight(u, v int) int64 { return g.adj[u][v] }
-
-// TotalEdgeWeight returns the sum of all edge weights (each undirected
-// edge counted once).
-func (g *Graph) TotalEdgeWeight() int64 {
-	var total int64
-	for u := range g.adj {
-		for v, w := range g.adj[u] {
-			if u < v {
-				total += w
-			}
-		}
-	}
-	return total
-}
 
 // App is one parallel application of a bundle: its id and declared data
 // decomposition.
@@ -99,29 +26,32 @@ type App struct {
 	Decomp *decomp.Decomposition
 }
 
-// BuildInterApp constructs the communication graph of a bundle: one unit
-// weight vertex per task of every application, and one edge per
-// producer/consumer task pair whose owned regions overlap, weighted by
-// overlap volume times elemSize bytes. couplings lists the (producer,
-// consumer) application pairs that exchange data; both must appear in
-// apps.
-func BuildInterApp(apps []App, couplings [][2]int, elemSize int64) (*Graph, map[cluster.TaskID]int, error) {
+// BuildInterApp constructs the communication graph of a bundle in the form
+// the partitioner reads: one unit weight vertex per task of every
+// application, in apps order and rank order within an app, and one edge
+// per producer/consumer task pair whose owned regions overlap, weighted by
+// overlap volume times elemSize bytes. A pair coupled more than once
+// accumulates its weights, self loops are dropped and every adjacency list
+// is sorted by neighbour. tasks[v] is the task of vertex v. couplings
+// lists the (producer, consumer) application pairs that exchange data;
+// both must appear in apps.
+func BuildInterApp(apps []App, couplings [][2]int, elemSize int64) (g *partition.Graph, tasks []cluster.TaskID, err error) {
 	if elemSize <= 0 {
 		return nil, nil, fmt.Errorf("graph: element size %d", elemSize)
 	}
-	g := New()
-	index := make(map[cluster.TaskID]int)
+	first := make(map[int]int) // application id -> vertex of its rank 0
 	byID := make(map[int]App)
 	for _, a := range apps {
 		if _, dup := byID[a.ID]; dup {
 			return nil, nil, fmt.Errorf("graph: duplicate application id %d", a.ID)
 		}
 		byID[a.ID] = a
+		first[a.ID] = len(tasks)
 		for r := 0; r < a.Decomp.NumTasks(); r++ {
-			t := cluster.TaskID{App: a.ID, Rank: r}
-			index[t] = g.AddVertex(t, 1)
+			tasks = append(tasks, cluster.TaskID{App: a.ID, Rank: r})
 		}
 	}
+	weight := make(map[[2]int]int64) // both directions of every edge
 	for _, cp := range couplings {
 		prod, ok := byID[cp[0]]
 		if !ok {
@@ -136,12 +66,24 @@ func BuildInterApp(apps []App, couplings [][2]int, elemSize int64) (*Graph, map[
 			return nil, nil, fmt.Errorf("graph: coupling %d->%d: %w", cp[0], cp[1], err)
 		}
 		overlap.EachPair(func(rp, rc int, vol int64) {
-			u := index[cluster.TaskID{App: prod.ID, Rank: rp}]
-			v := index[cluster.TaskID{App: cons.ID, Rank: rc}]
-			g.AddEdge(u, v, vol*elemSize)
+			u, v, w := first[prod.ID]+rp, first[cons.ID]+rc, vol*elemSize
+			if u != v && w > 0 {
+				weight[[2]int{u, v}] += w
+				weight[[2]int{v, u}] += w
+			}
 		})
 	}
-	return g, index, nil
+	g = &partition.Graph{VWgt: make([]int64, len(tasks)), Adj: make([][]partition.Edge, len(tasks))}
+	for v := range g.VWgt {
+		g.VWgt[v] = 1
+	}
+	for uv, w := range weight {
+		g.Adj[uv[0]] = append(g.Adj[uv[0]], partition.Edge{To: uv[1], Wgt: w})
+	}
+	for _, adj := range g.Adj {
+		sort.Slice(adj, func(i, j int) bool { return adj[i].To < adj[j].To })
+	}
+	return g, tasks, nil
 }
 
 // StencilBytes returns, for one application, the per-task-pair halo

@@ -6,6 +6,7 @@ import (
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/decomp"
 	"github.com/insitu/cods/internal/geometry"
+	"github.com/insitu/cods/internal/partition"
 )
 
 func mustDecomp(t testing.TB, kind decomp.Kind, size, grid, block []int) *decomp.Decomposition {
@@ -17,38 +18,81 @@ func mustDecomp(t testing.TB, kind decomp.Kind, size, grid, block []int) *decomp
 	return dc
 }
 
-func TestAddVertexAndEdges(t *testing.T) {
-	g := New()
-	a := g.AddVertex(cluster.TaskID{App: 1, Rank: 0}, 1)
-	b := g.AddVertex(cluster.TaskID{App: 2, Rank: 0}, 1)
-	c := g.AddVertex(cluster.TaskID{App: 2, Rank: 1}, 1)
-	g.AddEdge(a, b, 10)
-	g.AddEdge(a, b, 5) // accumulates
-	g.AddEdge(a, c, 3)
-	g.AddEdge(a, a, 99) // self loop ignored
-	g.AddEdge(b, c, 0)  // zero weight ignored
+// build runs BuildInterApp and holds its graph to the partitioner's
+// structural invariants: symmetric, positive edges and no self loop.
+func build(t *testing.T, apps []App, couplings [][2]int) (*partition.Graph, []cluster.TaskID) {
+	t.Helper()
+	g, tasks, err := BuildInterApp(apps, couplings, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatalf("BuildInterApp graph: %v", err)
+	}
+	if len(tasks) != g.NumVertices() {
+		t.Fatalf("%d tasks for %d vertices", len(tasks), g.NumVertices())
+	}
+	return g, tasks
+}
 
-	if g.NumVertices() != 3 {
-		t.Fatalf("NumVertices = %d", g.NumVertices())
+// vertexOf returns the vertex of task (app, rank).
+func vertexOf(t *testing.T, tasks []cluster.TaskID, app, rank int) int {
+	t.Helper()
+	for v, task := range tasks {
+		if task == (cluster.TaskID{App: app, Rank: rank}) {
+			return v
+		}
 	}
-	if g.EdgeWeight(a, b) != 15 || g.EdgeWeight(b, a) != 15 {
-		t.Fatalf("edge (a,b) weight = %d", g.EdgeWeight(a, b))
+	t.Fatalf("no vertex for task %d.%d", app, rank)
+	return -1
+}
+
+// totalEdgeWeight sums every undirected edge once.
+func totalEdgeWeight(g *partition.Graph) int64 {
+	var total int64
+	for u, adj := range g.Adj {
+		for _, e := range adj {
+			if u < e.To {
+				total += e.Wgt
+			}
+		}
 	}
-	if g.EdgeWeight(a, a) != 0 || g.EdgeWeight(b, c) != 0 {
-		t.Fatal("ignored edges present")
+	return total
+}
+
+// TestBuildInterAppEdges: a pair coupled twice accumulates both weights,
+// an application coupled with itself adds no self loop, every vertex
+// weighs 1, vertices follow apps then ranks, and adjacency lists are
+// sorted by neighbour.
+func TestBuildInterAppEdges(t *testing.T) {
+	prod := mustDecomp(t, decomp.Blocked, []int{8, 8}, []int{2, 1}, nil)
+	cons := mustDecomp(t, decomp.Blocked, []int{8, 8}, []int{1, 1}, nil)
+	apps := []App{{ID: 1, Decomp: prod}, {ID: 2, Decomp: cons}}
+	once, _ := build(t, apps, [][2]int{{1, 2}})
+	g, tasks := build(t, apps, [][2]int{{1, 2}, {2, 1}, {1, 1}})
+	want := []cluster.TaskID{{App: 1, Rank: 0}, {App: 1, Rank: 1}, {App: 2, Rank: 0}}
+	if len(tasks) != len(want) {
+		t.Fatalf("tasks = %v, want %v", tasks, want)
 	}
-	edges := g.Edges(a)
-	if len(edges) != 2 || edges[0].To != b || edges[1].To != c {
-		t.Fatalf("Edges(a) = %v", edges)
+	for v := range want {
+		if tasks[v] != want[v] || g.VWgt[v] != 1 {
+			t.Fatalf("vertex %d: task %v weight %d, want %v weight 1", v, tasks[v], g.VWgt[v], want[v])
+		}
 	}
-	if g.TotalEdgeWeight() != 18 {
-		t.Fatalf("TotalEdgeWeight = %d", g.TotalEdgeWeight())
+	// Each producer half (4x8 cells) overlaps the consumer's whole block.
+	if got := totalEdgeWeight(once); got != 8*8*8 {
+		t.Fatalf("one coupling: total edge weight %d, want %d", got, 8*8*8)
 	}
-	if g.Label(b) != (cluster.TaskID{App: 2, Rank: 0}) {
-		t.Fatalf("Label = %v", g.Label(b))
+	if got := totalEdgeWeight(g); got != 2*8*8*8 {
+		t.Fatalf("coupled both ways: total edge weight %d, want %d", got, 2*8*8*8)
 	}
-	if g.VertexWeight(a) != 1 {
-		t.Fatalf("VertexWeight = %d", g.VertexWeight(a))
+	c := vertexOf(t, tasks, 2, 0)
+	edges := g.Adj[c]
+	if len(edges) != 2 || edges[0].To != 0 || edges[1].To != 1 {
+		t.Fatalf("consumer adjacency %v, want producers 0 and 1 in order", edges)
+	}
+	if self, _ := build(t, apps[:1], [][2]int{{1, 1}}); totalEdgeWeight(self) != 0 {
+		t.Fatalf("an app coupled with itself has edges %v", self.Adj)
 	}
 }
 
@@ -57,30 +101,24 @@ func TestBuildInterAppMatchedBlocked(t *testing.T) {
 	// every consumer block covers exactly 4 producer blocks.
 	prod := mustDecomp(t, decomp.Blocked, []int{16, 16}, []int{4, 4}, nil)
 	cons := mustDecomp(t, decomp.Blocked, []int{16, 16}, []int{2, 2}, nil)
-	g, index, err := BuildInterApp(
-		[]App{{ID: 1, Decomp: prod}, {ID: 2, Decomp: cons}},
-		[][2]int{{1, 2}}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, tasks := build(t, []App{{ID: 1, Decomp: prod}, {ID: 2, Decomp: cons}}, [][2]int{{1, 2}})
 	if g.NumVertices() != 16+4 {
 		t.Fatalf("NumVertices = %d", g.NumVertices())
 	}
 	// Total edge weight must equal the full coupled volume in bytes.
-	if got, want := g.TotalEdgeWeight(), int64(16*16*8); got != want {
-		t.Fatalf("TotalEdgeWeight = %d, want %d", got, want)
+	if got, want := totalEdgeWeight(g), int64(16*16*8); got != want {
+		t.Fatalf("total edge weight = %d, want %d", got, want)
 	}
 	// Each consumer vertex (8x8 region) covers exactly 4 producer blocks
 	// (4x4 = 16 cells each): 4 edges of 16*8 = 128 bytes.
 	for r := 0; r < 4; r++ {
-		v := index[cluster.TaskID{App: 2, Rank: r}]
-		edges := g.Edges(v)
+		edges := g.Adj[vertexOf(t, tasks, 2, r)]
 		if len(edges) != 4 {
 			t.Fatalf("consumer %d has %d edges", r, len(edges))
 		}
 		for _, e := range edges {
-			if e.Weight != 16*8 {
-				t.Fatalf("consumer %d edge weight %d", r, e.Weight)
+			if e.Wgt != 16*8 {
+				t.Fatalf("consumer %d edge weight %d", r, e.Wgt)
 			}
 		}
 	}
@@ -90,16 +128,10 @@ func TestBuildInterAppMismatchedDense(t *testing.T) {
 	// Blocked producer vs cyclic consumer: every pair overlaps.
 	prod := mustDecomp(t, decomp.Blocked, []int{8, 8}, []int{2, 2}, nil)
 	cons := mustDecomp(t, decomp.Cyclic, []int{8, 8}, []int{2, 2}, nil)
-	g, index, err := BuildInterApp(
-		[]App{{ID: 1, Decomp: prod}, {ID: 2, Decomp: cons}},
-		[][2]int{{1, 2}}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, tasks := build(t, []App{{ID: 1, Decomp: prod}, {ID: 2, Decomp: cons}}, [][2]int{{1, 2}})
 	for r := 0; r < 4; r++ {
-		v := index[cluster.TaskID{App: 2, Rank: r}]
-		if len(g.Edges(v)) != 4 {
-			t.Fatalf("cyclic consumer %d should touch all 4 producers, got %d", r, len(g.Edges(v)))
+		if edges := g.Adj[vertexOf(t, tasks, 2, r)]; len(edges) != 4 {
+			t.Fatalf("cyclic consumer %d should touch all 4 producers, got %d", r, len(edges))
 		}
 	}
 }

@@ -136,11 +136,11 @@ func ServerDataCentric(m *cluster.Machine, b Bundle, nodes []cluster.NodeID, ele
 // count.
 func ServerDataCentricOpts(m *cluster.Machine, b Bundle, nodes []cluster.NodeID, elemSize int64, opts partition.Options) (*cluster.Placement, error) {
 	nodes = allNodes(m, nodes)
-	g, index, err := graph.BuildInterApp(b.Apps, b.Couplings, elemSize)
+	g, tasks, err := graph.BuildInterApp(b.Apps, b.Couplings, elemSize)
 	if err != nil {
 		return nil, err
 	}
-	n := g.NumVertices()
+	n := len(tasks)
 	if n > len(nodes)*m.CoresPerNode() {
 		return nil, fmt.Errorf("mapping: %d tasks exceed %d cores", n, len(nodes)*m.CoresPerNode())
 	}
@@ -148,32 +148,23 @@ func ServerDataCentricOpts(m *cluster.Machine, b Bundle, nodes []cluster.NodeID,
 	if k > len(nodes) {
 		k = len(nodes)
 	}
-	// Convert to the partitioner's graph form.
-	pg := &partition.Graph{VWgt: make([]int64, n), Adj: make([][]partition.Edge, n)}
-	for v := 0; v < n; v++ {
-		pg.VWgt[v] = 1
-		for _, e := range g.Edges(v) {
-			pg.Adj[v] = append(pg.Adj[v], partition.Edge{To: e.To, Wgt: e.Weight})
-		}
-	}
 	opts.MaxPartWeight = int64(m.CoresPerNode())
-	parts, err := partition.KWay(pg, k, opts)
+	parts, err := partition.KWay(g, k, opts)
 	if err != nil {
 		return nil, err
 	}
 	p := cluster.NewPlacement(m)
 	slots := make([]int, len(nodes))
-	for v := 0; v < n; v++ {
+	for v, t := range tasks {
 		ni := parts[v]
 		if slots[ni] >= m.CoresPerNode() {
 			return nil, fmt.Errorf("mapping: partition overfilled node %d", ni)
 		}
-		if err := p.Assign(g.Label(v), m.CoreOn(nodes[ni], slots[ni])); err != nil {
+		if err := p.Assign(t, m.CoreOn(nodes[ni], slots[ni])); err != nil {
 			return nil, err
 		}
 		slots[ni]++
 	}
-	_ = index
 	return p, nil
 }
 

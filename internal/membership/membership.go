@@ -79,6 +79,15 @@ func (l *Ledger) RecordDiscard(v string, version int, region geometry.BBox, owne
 	l.mu.Unlock()
 }
 
+// Lookup returns the ledger's current record of the block with b's
+// variable, version, region and owner, and whether it still holds one.
+func (l *Ledger) Lookup(b Block) (Block, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	rec, ok := l.blocks[blockKey(b.Var, b.Version, b.Region, b.Owner)]
+	return rec, ok
+}
+
 // Blocks returns a snapshot of every recorded block, sorted by key so
 // convergence order is deterministic.
 func (l *Ledger) Blocks() []Block {

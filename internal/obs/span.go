@@ -14,10 +14,11 @@ import (
 // The span tracer records begin/end events of named operations with parent
 // linkage, so a workflow run can be unfolded into a tree: workflow ->
 // bundle group -> task -> pull. Events are serialized as JSON Lines, the
-// same stream-appendable one-object-per-line format internal/trace uses
-// for flow dumps — a span trace extends a flow trace rather than replacing
-// it, and the two can be concatenated into one file without ambiguity
-// (span events carry an "ev" discriminator field flows never have).
+// same stream-appendable one-object-per-line format the flow dump
+// (cluster.Flow, codsrun -flows) uses — a span trace extends a flow trace
+// rather than replacing it, and the two can be concatenated into one file
+// without ambiguity (span events carry an "ev" discriminator field flows
+// never have).
 
 // SpanID identifies one span within a tracer. 0 means "no span" and is
 // used as the root parent.

@@ -18,7 +18,6 @@ import (
 
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/cods"
-	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/membership"
 	"github.com/insitu/cods/internal/obs"
 )
@@ -35,24 +34,10 @@ var (
 	obsMoved   = obs.C("remap.moves.applied")
 )
 
-// Block is one staged block of the current mapping: what the planner
-// scores and the executor migrates. It mirrors the put ledger's record
-// minus the payload.
-type Block struct {
-	Var     string
-	Version int
-	Region  geometry.BBox
-	Owner   cluster.CoreID
-}
-
-// key is the ledger-compatible identity of a block.
-func (b Block) key() string {
-	return fmt.Sprintf("%s|%d|%s|%d", b.Var, b.Version, b.Region.String(), b.Owner)
-}
-
-// Move relocates one block to a new owner core.
+// Move relocates one staged block, a put ledger record, to a new owner
+// core.
 type Move struct {
-	Block Block
+	Block membership.Block
 	To    cluster.CoreID
 	// Gain is the predicted inter-node byte reduction of this move under
 	// a repeat of the observed traffic: the destination's share becomes
@@ -86,10 +71,11 @@ type Options struct {
 // how much from whom at node granularity; each source node's outgoing
 // volume is apportioned over the blocks stored there by block volume, and a
 // block whose heaviest reader is a remote node is planned to move next to
-// that reader (same core slot on the reader's node). The result is
-// deterministic: blocks are visited in ledger order and ties break toward
-// the lower node id.
-func Propose(m *cluster.Machine, fm obs.FlowMatrix, blocks []Block, opts Options) Plan {
+// that reader (same core slot on the reader's node). blocks is the put
+// ledger's snapshot (membership.Ledger.Blocks), in its key order. The
+// result is deterministic: blocks are visited in ledger order and ties
+// break toward the lower node id.
+func Propose(m *cluster.Machine, fm obs.FlowMatrix, blocks []membership.Block, opts Options) Plan {
 	start := time.Now()
 	defer func() {
 		obsPlans.Inc()
@@ -125,11 +111,8 @@ func Propose(m *cluster.Machine, fm obs.FlowMatrix, blocks []Block, opts Options
 		volByNode[m.NodeOf(b.Owner)] += b.Region.Volume()
 	}
 
-	sorted := append([]Block(nil), blocks...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].key() < sorted[j].key() })
-
 	var cands []Move
-	for _, b := range sorted {
+	for _, b := range blocks {
 		src := int(m.NodeOf(b.Owner))
 		vol := b.Region.Volume()
 		if volByNode[src] == 0 || vol == 0 {
@@ -187,17 +170,14 @@ func Apply(sp *cods.Space, ledger *membership.Ledger, plan Plan, phase string) (
 	if len(plan.Moves) == 0 {
 		return 0, nil
 	}
-	byKey := make(map[string]membership.Block)
-	for _, b := range ledger.Blocks() {
-		byKey[Block{Var: b.Var, Version: b.Version, Region: b.Region, Owner: b.Owner}.key()] = b
-	}
 	moved := 0
 	for _, mv := range plan.Moves {
 		b := mv.Block
 		if mv.To == b.Owner {
 			continue
 		}
-		rec, ok := byKey[b.key()]
+		// A stale plan must not re-stage a block discarded since.
+		rec, ok := ledger.Lookup(b)
 		if !ok {
 			return moved, fmt.Errorf("remap: block %q v%d %v at core %d not in the put ledger",
 				b.Var, b.Version, b.Region, b.Owner)
@@ -209,15 +189,4 @@ func Apply(sp *cods.Space, ledger *membership.Ledger, plan Plan, phase string) (
 		obsMoved.Inc()
 	}
 	return moved, nil
-}
-
-// LedgerBlocks converts a put ledger's snapshot into the planner's block
-// form (the payloads stay behind in the ledger).
-func LedgerBlocks(l *membership.Ledger) []Block {
-	recs := l.Blocks()
-	out := make([]Block, 0, len(recs))
-	for _, b := range recs {
-		out = append(out, Block{Var: b.Var, Version: b.Version, Region: b.Region, Owner: b.Owner})
-	}
-	return out
 }

@@ -1,6 +1,8 @@
 package remap
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,7 +39,7 @@ func matrixCell(src, dst int, bytes int64) obs.FlowCell {
 func TestProposeMovesHotBlockToItsReader(t *testing.T) {
 	m := mustMachine(t, 2, 2)
 	box := geometry.BoxFromSize([]int{4, 4})
-	blocks := []Block{
+	blocks := []membership.Block{
 		{Var: "u", Version: 0, Region: box, Owner: m.CoreOn(0, 1)},
 	}
 	fm := obs.FlowMatrix{Cells: []obs.FlowCell{
@@ -62,7 +64,7 @@ func TestProposeMovesHotBlockToItsReader(t *testing.T) {
 func TestProposeKeepsLocallyReadBlocks(t *testing.T) {
 	m := mustMachine(t, 2, 2)
 	box := geometry.BoxFromSize([]int{4, 4})
-	blocks := []Block{{Var: "u", Version: 0, Region: box, Owner: m.CoreOn(0, 0)}}
+	blocks := []membership.Block{{Var: "u", Version: 0, Region: box, Owner: m.CoreOn(0, 0)}}
 	fm := obs.FlowMatrix{Cells: []obs.FlowCell{
 		matrixCell(0, 0, 4096), // mostly local reads
 		matrixCell(0, 1, 512),  // a thin remote tail
@@ -79,7 +81,7 @@ func TestProposeKeepsLocallyReadBlocks(t *testing.T) {
 func TestProposeMinGainKeepsStatic(t *testing.T) {
 	m := mustMachine(t, 2, 2)
 	box := geometry.BoxFromSize([]int{4, 4})
-	blocks := []Block{
+	blocks := []membership.Block{
 		{Var: "u", Version: 0, Region: box, Owner: m.CoreOn(0, 0)},
 		{Var: "w", Version: 0, Region: box, Owner: m.CoreOn(1, 0)},
 	}
@@ -100,7 +102,7 @@ func TestProposeMaxMovesTakesLargestGains(t *testing.T) {
 	m := mustMachine(t, 3, 1)
 	boxA := geometry.NewBBox(geometry.Point{0, 0}, geometry.Point{4, 4})
 	boxB := geometry.NewBBox(geometry.Point{4, 0}, geometry.Point{8, 4})
-	blocks := []Block{
+	blocks := []membership.Block{
 		{Var: "a", Version: 0, Region: boxA, Owner: m.CoreOn(0, 0)},
 		{Var: "b", Version: 0, Region: boxB, Owner: m.CoreOn(1, 0)},
 	}
@@ -203,7 +205,7 @@ func TestApplyMigratesByteIdentically(t *testing.T) {
 			}
 
 			fm := obs.BuildFlowMatrix(m.Metrics().Flows(""))
-			plan := Propose(m, fm, LedgerBlocks(ledger), Options{})
+			plan := Propose(m, fm, ledger.Blocks(), Options{})
 			if len(plan.Moves) != n {
 				t.Fatalf("planned %d moves, want all %d staged blocks: %+v", len(plan.Moves), n, plan)
 			}
@@ -240,5 +242,58 @@ func TestApplyMigratesByteIdentically(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestApplyRefusesDiscardedBlock: a plan made before one of its blocks was
+// discarded must not bring that block back. Apply fails naming it, and
+// neither the ledger nor the lookup service holds it afterwards.
+func TestApplyRefusesDiscardedBlock(t *testing.T) {
+	m := mustMachine(t, 2, 2)
+	f := transport.NewFabric(m)
+	domain := geometry.BoxFromSize([]int{8, 4})
+	sp, err := cods.NewSpace(f, domain)
+	if err != nil {
+		t.Fatalf("NewSpace: %v", err)
+	}
+	ledger := membership.NewLedger()
+	sp.SetPutRecorder(ledger)
+	for slot, v := range []string{"a", "b"} {
+		rg := geometry.NewBBox(geometry.Point{4 * slot, 0}, geometry.Point{4 * (slot + 1), 4})
+		if err := sp.HandleAt(m.CoreOn(0, slot), 1, "put").PutSequential(v, 0, rg, make([]float64, rg.Volume())); err != nil {
+			t.Fatalf("PutSequential %s: %v", v, err)
+		}
+	}
+	consumer := sp.HandleAt(m.CoreOn(1, 0), 2, "get")
+	for slot, v := range []string{"a", "b"} {
+		rg := geometry.NewBBox(geometry.Point{4 * slot, 0}, geometry.Point{4 * (slot + 1), 4})
+		if _, err := consumer.GetSequential(v, 0, rg); err != nil {
+			t.Fatalf("GetSequential %s: %v", v, err)
+		}
+	}
+	plan := Propose(m, obs.BuildFlowMatrix(m.Metrics().Flows("")), ledger.Blocks(), Options{})
+	if len(plan.Moves) != 2 {
+		t.Fatalf("planned %d moves, want both blocks: %+v", len(plan.Moves), plan)
+	}
+	gone := plan.Moves[0].Block
+	if err := sp.HandleAt(gone.Owner, 1, "discard").DiscardSequential(gone.Var, gone.Version, gone.Region); err != nil {
+		t.Fatalf("DiscardSequential: %v", err)
+	}
+
+	moved, err := Apply(sp, ledger, plan, "remap")
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", gone.Var)) ||
+		!strings.Contains(err.Error(), gone.Region.String()) {
+		t.Fatalf("Apply = %d, %v; want an error naming block %q %v", moved, err, gone.Var, gone.Region)
+	}
+	if moved != 0 {
+		t.Fatalf("Apply moved %d blocks before the discarded one, want 0", moved)
+	}
+	for _, b := range ledger.Blocks() {
+		if b.Var == gone.Var {
+			t.Fatalf("the ledger holds discarded block %q again, at core %d", b.Var, b.Owner)
+		}
+	}
+	if _, err := consumer.GetSequential(gone.Var, gone.Version, gone.Region); err == nil {
+		t.Fatalf("a get of discarded block %q succeeds after Apply", gone.Var)
 	}
 }

@@ -27,12 +27,6 @@ type Policy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the grown backoff (0 = uncapped).
 	MaxDelay time.Duration
-	// Multiplier grows the delay per attempt (values < 1 are treated as 2,
-	// the conventional doubling).
-	Multiplier float64
-	// Jitter is the fraction of each delay that is randomized, in [0, 1]:
-	// the slept delay is uniform in [d*(1-Jitter), d). 0 disables jitter.
-	Jitter float64
 	// Deadline bounds the whole operation across attempts (0 = none): no
 	// further attempt starts once Deadline has elapsed since the first.
 	Deadline time.Duration
@@ -45,11 +39,16 @@ func Default() Policy {
 		MaxAttempts: 4,
 		BaseDelay:   200 * time.Microsecond,
 		MaxDelay:    50 * time.Millisecond,
-		Multiplier:  2,
-		Jitter:      0.2,
 		Deadline:    5 * time.Second,
 	}
 }
+
+// The backoff doubles per attempt, and the fraction jitter of each delay is
+// randomized: the slept delay is uniform in [d*(1-jitter), d).
+const (
+	multiplier = 2
+	jitter     = 0.2
+)
 
 // Enabled reports whether the policy performs any retrying at all.
 func (p Policy) Enabled() bool { return p.MaxAttempts > 1 }
@@ -68,35 +67,30 @@ func unit(h uint64) float64 { return float64(h>>11) / float64(1<<53) }
 
 // Backoff returns the delay to sleep before attempt+1, where attempt is
 // the 1-based index of the attempt that just failed. The un-jittered delay
-// is min(MaxDelay, BaseDelay * Multiplier^(attempt-1)); jitter then picks a
-// point in [d*(1-Jitter), d) deterministically from seed and attempt.
+// is min(MaxDelay, BaseDelay * 2^(attempt-1)); jitter then picks a point in
+// [d*(1-jitter), d) deterministically from seed and attempt.
 func (p Policy) Backoff(attempt int, seed uint64) time.Duration {
+	d := p.delay(attempt)
+	u := unit(splitmix64(seed ^ uint64(attempt)*0x9e3779b97f4a7c15))
+	return time.Duration(d*(1-jitter) + u*d*jitter)
+}
+
+// delay is Backoff's un-jittered delay.
+func (p Policy) delay(attempt int) float64 {
 	if attempt < 1 || p.BaseDelay <= 0 {
 		return 0
 	}
-	mult := p.Multiplier
-	if mult < 1 {
-		mult = 2
-	}
 	d := float64(p.BaseDelay)
 	for i := 1; i < attempt; i++ {
-		d *= mult
+		d *= multiplier
 		if p.MaxDelay > 0 && d >= float64(p.MaxDelay) {
-			d = float64(p.MaxDelay)
 			break
 		}
 	}
 	if p.MaxDelay > 0 && d > float64(p.MaxDelay) {
 		d = float64(p.MaxDelay)
 	}
-	if j := p.Jitter; j > 0 {
-		if j > 1 {
-			j = 1
-		}
-		u := unit(splitmix64(seed ^ uint64(attempt)*0x9e3779b97f4a7c15))
-		d = d*(1-j) + u*d*j
-	}
-	return time.Duration(d)
+	return d
 }
 
 // Do runs op up to MaxAttempts times, sleeping the policy's backoff

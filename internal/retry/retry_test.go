@@ -6,6 +6,8 @@ import (
 	"time"
 )
 
+// TestBackoffTable pins the un-jittered delay exactly and holds Backoff to
+// the jitter window below it.
 func TestBackoffTable(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -15,29 +17,32 @@ func TestBackoffTable(t *testing.T) {
 	}{
 		{"zero policy", Policy{}, 1, 0},
 		{"attempt zero", Policy{BaseDelay: time.Millisecond}, 0, 0},
-		{"first backoff is base", Policy{BaseDelay: time.Millisecond, Multiplier: 2}, 1, time.Millisecond},
-		{"doubles per attempt", Policy{BaseDelay: time.Millisecond, Multiplier: 2}, 3, 4 * time.Millisecond},
-		{"triples per attempt", Policy{BaseDelay: time.Millisecond, Multiplier: 3}, 3, 9 * time.Millisecond},
+		{"first backoff is base", Policy{BaseDelay: time.Millisecond}, 1, time.Millisecond},
+		{"doubles per attempt", Policy{BaseDelay: time.Millisecond}, 3, 4 * time.Millisecond},
 		{"default multiplier is 2", Policy{BaseDelay: time.Millisecond}, 2, 2 * time.Millisecond},
-		{"sub-1 multiplier treated as 2", Policy{BaseDelay: time.Millisecond, Multiplier: 0.5}, 2, 2 * time.Millisecond},
-		{"cap applies", Policy{BaseDelay: time.Millisecond, Multiplier: 2, MaxDelay: 5 * time.Millisecond}, 4, 5 * time.Millisecond},
-		{"cap on deep attempt", Policy{BaseDelay: time.Millisecond, Multiplier: 2, MaxDelay: 5 * time.Millisecond}, 60, 5 * time.Millisecond},
-		{"cap above growth is inert", Policy{BaseDelay: time.Millisecond, Multiplier: 2, MaxDelay: time.Minute}, 3, 4 * time.Millisecond},
+		{"cap applies", Policy{BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}, 4, 5 * time.Millisecond},
+		{"cap on deep attempt", Policy{BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}, 60, 5 * time.Millisecond},
+		{"cap above growth is inert", Policy{BaseDelay: time.Millisecond, MaxDelay: time.Minute}, 3, 4 * time.Millisecond},
+		{"cap below base", Policy{BaseDelay: time.Millisecond, MaxDelay: time.Microsecond}, 1, time.Microsecond},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.p.Backoff(tc.attempt, 7); got != tc.want {
-				t.Fatalf("Backoff(%d) = %v, want %v", tc.attempt, got, tc.want)
+			if got := time.Duration(tc.p.delay(tc.attempt)); got != tc.want {
+				t.Fatalf("delay(%d) = %v, want %v", tc.attempt, got, tc.want)
+			}
+			got := tc.p.Backoff(tc.attempt, 7)
+			if lo := time.Duration(float64(tc.want) * (1 - jitter)); got < lo || got > tc.want || (tc.want > 0 && got == tc.want) {
+				t.Fatalf("Backoff(%d) = %v, want in [%v, %v)", tc.attempt, got, lo, tc.want)
 			}
 		})
 	}
 }
 
 func TestBackoffJitterBounds(t *testing.T) {
-	p := Policy{BaseDelay: time.Millisecond, Multiplier: 2, Jitter: 0.5}
+	p := Policy{BaseDelay: time.Millisecond}
 	for attempt := 1; attempt <= 8; attempt++ {
-		base := Policy{BaseDelay: p.BaseDelay, Multiplier: p.Multiplier}.Backoff(attempt, 0)
-		lo := time.Duration(float64(base) * 0.5)
+		base := time.Duration(p.delay(attempt))
+		lo := time.Duration(float64(base) * (1 - jitter))
 		for seed := uint64(0); seed < 64; seed++ {
 			d := p.Backoff(attempt, seed)
 			if d < lo || d >= base {
@@ -48,7 +53,7 @@ func TestBackoffJitterBounds(t *testing.T) {
 }
 
 func TestBackoffJitterDeterministic(t *testing.T) {
-	p := Policy{BaseDelay: time.Millisecond, Multiplier: 2, Jitter: 0.3}
+	p := Policy{BaseDelay: time.Millisecond}
 	for attempt := 1; attempt <= 5; attempt++ {
 		a := p.Backoff(attempt, 42)
 		b := p.Backoff(attempt, 42)
@@ -63,14 +68,6 @@ func TestBackoffJitterDeterministic(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Fatalf("jitter produced a single value across 32 seeds")
-	}
-}
-
-func TestBackoffJitterClamped(t *testing.T) {
-	p := Policy{BaseDelay: time.Millisecond, Jitter: 3}
-	d := p.Backoff(1, 9)
-	if d < 0 || d >= time.Millisecond {
-		t.Fatalf("over-unity jitter gave %v, want [0, 1ms)", d)
 	}
 }
 
@@ -140,10 +137,10 @@ func TestDoZeroPolicySingleAttempt(t *testing.T) {
 
 func TestDoReportsSleeps(t *testing.T) {
 	var slept []time.Duration
-	p := Policy{MaxAttempts: 3, BaseDelay: 100 * time.Microsecond, Multiplier: 2}
+	p := Policy{MaxAttempts: 3, BaseDelay: 100 * time.Microsecond}
 	_, _ = Do(p, 1, nil, func(d time.Duration) { slept = append(slept, d) },
 		func(int) error { return errors.New("transient") })
-	if len(slept) != 2 || slept[0] != 100*time.Microsecond || slept[1] != 200*time.Microsecond {
-		t.Fatalf("slept = %v, want [100µs 200µs]", slept)
+	if want := []time.Duration{p.Backoff(1, 1), p.Backoff(2, 1)}; len(slept) != 2 || slept[0] != want[0] || slept[1] != want[1] {
+		t.Fatalf("slept = %v, want %v", slept, want)
 	}
 }

@@ -43,7 +43,7 @@ const (
 const (
 	warmGetAllocs = 166 // one warm get of the inset, every plane off
 	obsGetAllocs  = 19  // what the observability plane adds to it
-	plannerAllocs = 444 // one flow-matrix build and remap proposal
+	plannerAllocs = 28  // one flow-matrix build and remap proposal
 )
 
 // allocsPinned reports whether this build is held to the allocation
@@ -421,7 +421,7 @@ func TestPlaneCosts(t *testing.T) {
 		r.sp.SetPutRecorder(ledger)
 		r.stage(t)
 		m := r.f.Machine()
-		blocks := remap.LedgerBlocks(ledger)
+		blocks := ledger.Blocks()
 		var cells, moves int
 		pass := func() error {
 			fm := obs.BuildFlowMatrix(m.Metrics().Flows(""))

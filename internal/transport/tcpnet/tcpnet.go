@@ -656,24 +656,14 @@ func (b *Backend) Exposed(owner cluster.CoreID, key transport.BufKey) (bool, err
 	return true, respErr(resp)
 }
 
-// nodeStats ships one process's recorded transfer accounting to the
-// driver: the fabric's per-medium counters, the full metrics snapshot
-// (class/medium totals, per-app volumes, flows), the process's obs
-// registry and its wire-level counters — everything the driver needs to
-// build a per-node report section that reconciles registry values
-// against the two independent sources.
-type nodeStats struct {
-	ShmBytes, ShmOps int64
-	NetBytes, NetOps int64
-	Metrics          cluster.MetricsSnapshot
-	Registry         obs.Snapshot
-	Wire             WireStats
-}
-
-// NodeAccount is the retained accounting of one remote peer process, as
-// collected by the last MergeRemoteStats fan-out: the node it serves, its
-// fabric per-medium totals, its registry snapshot and its wire counters.
-// The driver's report builder turns each into a per-node report section.
+// NodeAccount is one process's recorded transfer accounting: the
+// fabric's per-medium counters, the full metrics snapshot (class/medium
+// totals, per-app volumes, flows), the process's obs registry and its
+// wire-level counters — everything the driver needs to build a per-node
+// report section that reconciles registry values against the two
+// independent sources. A serving node ships it in answer to opStats; the
+// driver fills in Addr and Node, the peer it asked, and retains it until
+// the next MergeRemoteStats fan-out.
 type NodeAccount struct {
 	Addr             string
 	Node             int
@@ -728,21 +718,14 @@ func (b *Backend) MergeRemoteStats() error {
 		if err := respErr(resp); err != nil {
 			return err
 		}
-		var ns nodeStats
-		if err := gob.NewDecoder(bytes.NewReader(resp.Payload)).Decode(&ns); err != nil {
+		var acct NodeAccount
+		if err := gob.NewDecoder(bytes.NewReader(resp.Payload)).Decode(&acct); err != nil {
 			return fmt.Errorf("tcpnet: decoding stats from node %d: %w", node, err)
 		}
-		b.fabric.MergeMediumStats(ns.ShmBytes, ns.ShmOps, ns.NetBytes, ns.NetOps)
-		b.machine.Metrics().Merge(ns.Metrics)
-		accounts = append(accounts, NodeAccount{
-			Addr:     addr,
-			Node:     int(node),
-			ShmBytes: ns.ShmBytes, ShmOps: ns.ShmOps,
-			NetBytes: ns.NetBytes, NetOps: ns.NetOps,
-			Metrics:  ns.Metrics,
-			Registry: ns.Registry,
-			Wire:     ns.Wire,
-		})
+		acct.Addr, acct.Node = addr, int(node)
+		b.fabric.MergeMediumStats(acct.ShmBytes, acct.ShmOps, acct.NetBytes, acct.NetOps)
+		b.machine.Metrics().Merge(acct.Metrics)
+		accounts = append(accounts, acct)
 		return nil
 	})
 	if err != nil {
@@ -1106,7 +1089,7 @@ func (b *Backend) execute(fr *frame) *frame {
 			resp.Status = statusNotFound
 		}
 	case opStats:
-		ns := nodeStats{
+		acct := NodeAccount{
 			ShmBytes: b.fabric.MediumBytes(cluster.SharedMemory),
 			ShmOps:   b.fabric.MediumOps(cluster.SharedMemory),
 			NetBytes: b.fabric.MediumBytes(cluster.Network),
@@ -1116,7 +1099,7 @@ func (b *Backend) execute(fr *frame) *frame {
 			Wire:     b.WireStats(),
 		}
 		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(ns); err != nil {
+		if err := gob.NewEncoder(&buf).Encode(acct); err != nil {
 			return fail(err)
 		}
 		resp.Kind, resp.Payload = payloadGob, buf.Bytes()

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"github.com/insitu/cods/internal/obs"
-	"github.com/insitu/cods/internal/trace"
 )
 
 // buildTCPBinaries compiles codsrun and codsnode into one directory so the
@@ -148,12 +147,26 @@ func TestTCPDistributedTrace(t *testing.T) {
 		t.Fatal("two-node TCP run captured no remote handler spans")
 	}
 
-	tree := trace.BuildSpanTree(evs)
-	if len(tree.Orphans) != 0 {
-		t.Fatalf("merged trace has %d orphaned spans", len(tree.Orphans))
+	// One tree: every span's parent was seen somewhere in the merged
+	// file, and the workflow span is the only root.
+	seen := map[obs.SpanID]bool{}
+	for _, ev := range evs {
+		if ev.Ev != "e" {
+			seen[ev.ID] = true
+		}
 	}
-	if len(tree.Roots) != 1 || tree.Roots[0].Name != "workflow:round-robin" {
-		t.Fatalf("trace roots = %+v", tree.Roots)
+	var roots []string
+	for _, ev := range evs {
+		switch {
+		case ev.Ev == "e":
+		case ev.Parent == 0:
+			roots = append(roots, ev.Name)
+		case !seen[ev.Parent]:
+			t.Errorf("span %q (%d) parents under %d, which the trace never opened", ev.Name, ev.ID, ev.Parent)
+		}
+	}
+	if len(roots) != 1 || roots[0] != "workflow:round-robin" {
+		t.Fatalf("trace roots = %q, want only workflow:round-robin", roots)
 	}
 }
 
