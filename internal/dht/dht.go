@@ -33,6 +33,7 @@ import (
 // Registry instruments for the lookup service.
 var (
 	obsQueryNs     = obs.H("dht.query_ns", obs.DefaultLatencyBounds())
+	obsServeNs     = obs.H("dht.serve_ns", obs.DefaultLatencyBounds())
 	obsQueryOps    = obs.C("dht.query.ops")
 	obsQueryFanout = obs.C("dht.query.fanout_calls")
 	obsInsertOps   = obs.C("dht.insert.ops")
@@ -81,14 +82,36 @@ type tableKey struct {
 	version int
 }
 
+// bucket holds the entries of one variable version and, packed beside
+// them in one flat slice, their corners: entry i's Min then Max at
+// corners[i*2*dim:]. A query tests overlap on the packed corners alone and
+// reads an Entry only for a hit. Every write keeps the two in step.
+type bucket struct {
+	entries []Entry
+	corners []int
+}
+
+// find returns the index of the entry of owner with exactly region's
+// corners, or -1.
+func (b *bucket) find(owner cluster.CoreID, region geometry.BBox) int {
+	w := 2 * region.Dim()
+	for i := range b.entries {
+		c := b.corners[i*w : i*w+w]
+		if b.entries[i].Owner == owner && slices.Equal(c[:w/2], region.Min) && slices.Equal(c[w/2:], region.Max) {
+			return i
+		}
+	}
+	return -1
+}
+
 // table is one DHT core's location table. Writes lock it exclusively;
 // queries share the read lock.
 type table struct {
 	mu      sync.RWMutex
-	entries map[tableKey][]Entry
+	buckets map[tableKey]*bucket
 }
 
-func newTable() *table { return &table{entries: make(map[tableKey][]Entry)} }
+func newTable() *table { return &table{buckets: make(map[tableKey]*bucket)} }
 
 // Service is the machine-wide lookup service. One DHT core per node serves
 // one contiguous interval of the linearized index space.
@@ -243,10 +266,12 @@ func (s *Service) checkRegion(b geometry.BBox) error {
 	return nil
 }
 
-// serve processes one RPC on the DHT core of node. Writes take the
-// table lock exclusively; queries only read-lock it, so concurrent
-// lookups proceed in parallel. A query scans the entries of its
-// variable version, one corner comparison each, and allocates only the answer.
+// serve processes one RPC on the DHT core of node. It runs on the caller's
+// goroutine (transport.Endpoint.RegisterHandler) and waits only for the
+// table lock: writes take it exclusively, queries share it, so concurrent
+// lookups proceed in parallel. A query scans the packed corners of its
+// variable version, two comparisons per dimension, and allocates only the
+// answer; with observability on, dht.serve_ns times that table work.
 func (s *Service) serve(node int, req any) (any, error) {
 	t := s.tables[node]
 	switch r := req.(type) {
@@ -258,12 +283,16 @@ func (s *Service) serve(node int, req any) (any, error) {
 		t.mu.Lock()
 		defer t.mu.Unlock()
 		k := tableKey{r.Entry.Var, r.Entry.Version}
-		for _, e := range t.entries[k] {
-			if e.Owner == r.Entry.Owner && e.Region.Equal(r.Entry.Region) {
-				return nil, nil // idempotent re-insert
-			}
+		b := t.buckets[k]
+		if b == nil {
+			b = &bucket{}
+			t.buckets[k] = b
 		}
-		t.entries[k] = append(t.entries[k], r.Entry)
+		if b.find(r.Entry.Owner, r.Entry.Region) >= 0 {
+			return nil, nil // idempotent re-insert
+		}
+		b.entries = append(b.entries, r.Entry)
+		b.corners = append(append(b.corners, r.Entry.Region.Min...), r.Entry.Region.Max...)
 		return nil, nil
 	case removeReq:
 		if err := s.checkRegion(r.Entry.Region); err != nil {
@@ -273,15 +302,17 @@ func (s *Service) serve(node int, req any) (any, error) {
 		t.mu.Lock()
 		defer t.mu.Unlock()
 		k := tableKey{r.Entry.Var, r.Entry.Version}
-		entries := t.entries[k]
-		for i, e := range entries {
-			if e.Owner == r.Entry.Owner && e.Region.Equal(r.Entry.Region) {
-				t.entries[k] = append(entries[:i], entries[i+1:]...)
-				break
-			}
+		b := t.buckets[k]
+		if b == nil {
+			return nil, nil
 		}
-		if len(t.entries[k]) == 0 {
-			delete(t.entries, k)
+		if i := b.find(r.Entry.Owner, r.Entry.Region); i >= 0 {
+			w := 2 * r.Entry.Region.Dim()
+			b.entries = slices.Delete(b.entries, i, i+1)
+			b.corners = slices.Delete(b.corners, i*w, i*w+w)
+		}
+		if len(b.entries) == 0 {
+			delete(t.buckets, k)
 		}
 		return nil, nil
 	case queryReq:
@@ -289,18 +320,43 @@ func (s *Service) serve(node int, req any) (any, error) {
 			return nil, err
 		}
 		obsTableReads.Inc()
+		var start time.Time
+		if obs.Enabled() {
+			start = time.Now()
+		}
 		t.mu.RLock()
-		defer t.mu.RUnlock()
-		var out []Entry
-		for _, e := range t.entries[tableKey{r.Var, r.Version}] {
-			if e.Region.Overlaps(r.Region) {
-				out = append(out, e)
-			}
+		out := t.buckets[tableKey{r.Var, r.Version}].overlapping(r.Region)
+		t.mu.RUnlock()
+		if obs.Enabled() {
+			obsServeNs.Observe(time.Since(start).Nanoseconds())
 		}
 		return queryResp{Entries: out}, nil
 	default:
 		return nil, fmt.Errorf("dht: unknown request type %T", req)
 	}
+}
+
+// overlapping returns the entries whose regions overlap q, in insertion
+// order; a nil bucket holds none. Every region in a table and every query
+// is non-empty and of the curve's rank (checkRegion), so two boxes overlap
+// exactly when, on every axis, each lower corner lies below the other's
+// upper corner.
+func (b *bucket) overlapping(q geometry.BBox) []Entry {
+	if b == nil {
+		return nil
+	}
+	dim := q.Dim()
+	var out []Entry
+next:
+	for i, c := 0, b.corners; len(c) > 0; i, c = i+1, c[2*dim:] {
+		for d := 0; d < dim; d++ {
+			if c[d] >= q.Max[d] || q.Min[d] >= c[dim+d] {
+				continue next
+			}
+		}
+		out = append(out, b.entries[i])
+	}
+	return out
 }
 
 // Client is a per-core handle used by execution clients to talk to the
@@ -410,21 +466,26 @@ func (cl *Client) Query(phase string, app int, v string, version int, region geo
 		defer func() { obsQueryNs.Observe(time.Since(queryStart).Nanoseconds()) }()
 	}
 	// Fan the per-node lookups out concurrently: a region spanning several
-	// DHT intervals pays one round trip instead of len(nodes). Results are
-	// gathered per node index, keeping the merge deterministic.
+	// DHT intervals pays one round trip instead of len(nodes). The first
+	// node's lookup runs on this goroutine, one more goroutine each asks the
+	// others. Results are gathered per node index, keeping the merge
+	// deterministic.
 	results := make([][]Entry, len(nodes))
 	errs := make([]error, len(nodes))
-	if len(nodes) == 1 {
+	switch len(nodes) {
+	case 0:
+	case 1:
 		results[0], errs[0] = cl.queryNode(nodes[0], req, phase, app)
-	} else {
+	default:
 		var wg sync.WaitGroup
-		for i, node := range nodes {
+		for i := 1; i < len(nodes); i++ {
 			wg.Add(1)
-			go func(i, node int) {
+			go func(i int) {
 				defer wg.Done()
-				results[i], errs[i] = cl.queryNode(node, req, phase, app)
-			}(i, node)
+				results[i], errs[i] = cl.queryNode(nodes[i], req, phase, app)
+			}(i)
 		}
+		results[0], errs[0] = cl.queryNode(nodes[0], req, phase, app)
 		wg.Wait()
 	}
 	var all []Entry
@@ -462,8 +523,8 @@ func (s *Service) TableSize(node int) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	n := 0
-	for _, es := range t.entries {
-		n += len(es)
+	for _, b := range t.buckets {
+		n += len(b.entries)
 	}
 	return n
 }

@@ -7,6 +7,7 @@ import (
 
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/geometry"
+	"github.com/insitu/cods/internal/obs"
 	"github.com/insitu/cods/internal/sfc"
 	"github.com/insitu/cods/internal/transport"
 )
@@ -138,5 +139,36 @@ func TestConcurrentQuerySameVariable(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)
+	}
+}
+
+// TestServeTimesQueries: with observability on, each query a DHT core
+// answers adds one dht.serve_ns sample — one per node a region's query
+// reaches — and inserts, removes and queries with observability off add
+// none.
+func TestServeTimesQueries(t *testing.T) {
+	s := tableRig(t, 2, 1, 2, 4)
+	cl := s.ClientAt(0)
+	whole := geometry.BoxFromSize([]int{16, 16})
+	e := Entry{Var: "v", Version: 1, Region: whole, Owner: 1}
+	if err := cl.Insert("t", 1, e); err != nil {
+		t.Fatal(err)
+	}
+	prev := obs.Enabled()
+	t.Cleanup(func() { obs.Enable(prev) })
+	obs.Enable(false)
+	before := obsServeNs.Count()
+	if _, err := cl.Query("t", 1, "v", 1, whole); err != nil {
+		t.Fatal(err)
+	}
+	obs.Enable(true)
+	if got, err := cl.Query("t", 1, "v", 1, whole); err != nil || len(got) != 1 {
+		t.Fatalf("Query = %v, %v", got, err)
+	}
+	if err := cl.Remove("t", 1, e); err != nil {
+		t.Fatal(err)
+	}
+	if n := obsServeNs.Count() - before; n != 2 {
+		t.Fatalf("a query reaching both DHT cores left %d dht.serve_ns samples, want 2", n)
 	}
 }

@@ -185,14 +185,13 @@ func (f *Fabric) LocalRead(reader, owner cluster.CoreID, key BufKey, m Meter, n 
 }
 
 // LocalCall is the executing side of Call against a dst endpoint in this
-// process. The handler runs in its own goroutine so that closing the
-// serving endpoint mid-call unblocks the caller with ErrEndpointClosed
-// instead of hanging on a stuck handler.
-func (f *Fabric) LocalCall(src, dst cluster.CoreID, service string, request any, m Meter, reqBytes, respBytes int64) (any, error) {
+// process. The handler runs inline, on the calling goroutine — the serving
+// connection's goroutine on a network backend — so a handler must not wait
+// on another task (RegisterHandler). A handler panic comes back as an error.
+func (f *Fabric) LocalCall(src, dst cluster.CoreID, service string, request any, m Meter, reqBytes, respBytes int64) (resp any, err error) {
 	de := f.endpoints[int(dst)]
 	de.mu.Lock()
 	closed := de.closed
-	done := de.done
 	de.mu.Unlock()
 	if closed {
 		return nil, fmt.Errorf("transport: calling %q on endpoint %d: %w", service, dst, ErrEndpointClosed)
@@ -205,30 +204,16 @@ func (f *Fabric) LocalCall(src, dst cluster.CoreID, service string, request any,
 	}
 	// Request travels src -> dst, response dst -> src.
 	f.record(m, src, dst, reqBytes)
-	type callResult struct {
-		resp any
-		err  error
-	}
-	resc := make(chan callResult, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				resc <- callResult{err: fmt.Errorf("transport: handler %q on core %d panicked: %v", service, dst, r)}
-			}
-		}()
-		resp, err := h(src, request)
-		resc <- callResult{resp: resp, err: err}
-	}()
-	select {
-	case r := <-resc:
-		if r.err != nil {
-			return nil, r.err
+	defer func() {
+		if r := recover(); r != nil {
+			resp, err = nil, fmt.Errorf("transport: handler %q on core %d panicked: %v", service, dst, r)
 		}
-		f.record(m, dst, src, respBytes)
-		return r.resp, nil
-	case <-done:
-		return nil, fmt.Errorf("transport: calling %q on endpoint %d: %w", service, dst, ErrEndpointClosed)
+	}()
+	if resp, err = h(src, request); err != nil {
+		return nil, err
 	}
+	f.record(m, dst, src, respBytes)
+	return resp, nil
 }
 
 // LocalExpose publishes a buffer on an owner endpoint in this process.

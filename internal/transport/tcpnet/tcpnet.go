@@ -1,6 +1,7 @@
 package tcpnet
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/gob"
 	"errors"
@@ -83,7 +84,7 @@ type Backend struct {
 
 	mu          sync.Mutex
 	addrs       map[cluster.NodeID]string
-	pools       map[cluster.NodeID][]net.Conn
+	pools       map[cluster.NodeID][]*peerConn
 	serverConns map[net.Conn]bool
 	// peerInc records the last incarnation observed for each peer node
 	// (0 = none yet). A handshake that reports a different incarnation
@@ -234,6 +235,24 @@ func (c countingConn) writeBuffers(bufs *net.Buffers) (int64, error) {
 	return n, err
 }
 
+// readBufSize is the read buffer every connection gets, on both ends: a
+// control frame, or a response frame with the small segments gathered
+// behind it, arrives in one read. A body larger than the buffer is read
+// straight into its destination (bufio.Reader bypasses its buffer then).
+const readBufSize = 4 << 10
+
+// peerConn is a dialed connection and its read buffer: reads go through
+// the buffer, writes (vectored ones included) straight to the counted
+// connection. The buffer may read ahead of the exchange that filled it,
+// so a connection it still holds bytes for is out of protocol sync and is
+// never pooled (release).
+type peerConn struct {
+	countingConn
+	r *bufio.Reader
+}
+
+func (c *peerConn) Read(p []byte) (int, error) { return c.r.Read(p) }
+
 func newBackend(f *transport.Fabric, cfg Config) *Backend {
 	if cfg.Retry == (retry.Policy{}) {
 		// An unconfigured backend still gets bounded dials: the default
@@ -246,7 +265,7 @@ func newBackend(f *transport.Fabric, cfg Config) *Backend {
 		cfg:         cfg,
 		node:        -1,
 		addrs:       make(map[cluster.NodeID]string),
-		pools:       make(map[cluster.NodeID][]net.Conn),
+		pools:       make(map[cluster.NodeID][]*peerConn),
 		serverConns: make(map[net.Conn]bool),
 		peerInc:     make(map[cluster.NodeID]uint64),
 		shutdownCh:  make(chan struct{}),
@@ -307,14 +326,14 @@ var errHandshake = errors.New("tcpnet: handshake rejected")
 
 // dial connects to a node's server and completes the versioned handshake,
 // retrying transient failures under the configured policy.
-func (b *Backend) dial(node cluster.NodeID) (net.Conn, error) {
+func (b *Backend) dial(node cluster.NodeID) (*peerConn, error) {
 	b.mu.Lock()
 	addr := b.addrs[node]
 	b.mu.Unlock()
 	if addr == "" {
 		return nil, fmt.Errorf("tcpnet: no address for node %d", node)
 	}
-	var conn net.Conn
+	var conn *peerConn
 	retryable := func(err error) bool {
 		return !errors.Is(err, errHandshake) && !errors.Is(err, ErrStaleIncarnation)
 	}
@@ -323,7 +342,8 @@ func (b *Backend) dial(node cluster.NodeID) (net.Conn, error) {
 		if err != nil {
 			return err
 		}
-		c := countingConn{Conn: raw, in: &b.stats.bytesIn, out: &b.stats.bytesOut}
+		c := &peerConn{countingConn: countingConn{Conn: raw, in: &b.stats.bytesIn, out: &b.stats.bytesOut}}
+		c.r = bufio.NewReaderSize(c.countingConn, readBufSize)
 		if err := b.handshake(c, node); err != nil {
 			c.Close()
 			return err
@@ -401,7 +421,7 @@ func (b *Backend) checkHello(fr *frame) error {
 
 // conn returns a pooled connection to node, dialing when the pool is
 // empty; cached reports whether the connection was reused.
-func (b *Backend) conn(node cluster.NodeID) (c net.Conn, cached bool, err error) {
+func (b *Backend) conn(node cluster.NodeID) (c *peerConn, cached bool, err error) {
 	b.mu.Lock()
 	if list := b.pools[node]; len(list) > 0 {
 		c = list[len(list)-1]
@@ -414,8 +434,12 @@ func (b *Backend) conn(node cluster.NodeID) (c net.Conn, cached bool, err error)
 	return c, false, err
 }
 
-func (b *Backend) release(node cluster.NodeID, c net.Conn) {
-	if b.closed.Load() {
+// release returns c to node's pool after a completed exchange. A
+// connection whose read buffer still holds bytes the exchange did not
+// consume would hand them to the next exchange as its response, so it is
+// closed instead.
+func (b *Backend) release(node cluster.NodeID, c *peerConn) {
+	if b.closed.Load() || c.r.Buffered() > 0 {
 		c.Close()
 		return
 	}
@@ -430,7 +454,7 @@ func (b *Backend) release(node cluster.NodeID, c net.Conn) {
 // wrote on a cached connection means the peer closed it while pooled, which
 // is safe to retry on a fresh connection; any later failure is not, since
 // the operation may already have executed remotely.
-func (b *Backend) onConn(node cluster.NodeID, exchange func(c net.Conn) (wrote bool, err error)) error {
+func (b *Backend) onConn(node cluster.NodeID, exchange func(c *peerConn) (wrote bool, err error)) error {
 	for {
 		c, cached, err := b.conn(node)
 		if err != nil {
@@ -455,7 +479,7 @@ func (b *Backend) onConn(node cluster.NodeID, exchange func(c net.Conn) (wrote b
 // answer in time is a transient failure, not a wait.
 func (b *Backend) roundTrip(node cluster.NodeID, fr *frame) (*frame, error) {
 	var resp *frame
-	err := b.onConn(node, func(c net.Conn) (wrote bool, err error) {
+	err := b.onConn(node, func(c *peerConn) (wrote bool, err error) {
 		b.armWrite(c)
 		if err := writeFrame(c, fr); err != nil {
 			return false, err
@@ -520,7 +544,7 @@ func (b *Backend) ReadMulti(reader cluster.CoreID, specs []transport.ReadSpec, m
 	meterFrame(fr, m)
 	b.stats.readMultiReqs.Add(1)
 	obsWireReadMultiReqs.Inc()
-	return b.onConn(node, func(c net.Conn) (bool, error) {
+	return b.onConn(node, func(c *peerConn) (bool, error) {
 		return b.readMultiExchange(c, fr, specs, deliver)
 	})
 }
@@ -528,7 +552,7 @@ func (b *Backend) ReadMulti(reader cluster.CoreID, specs []transport.ReadSpec, m
 // readMultiExchange writes one scatter-gather request and consumes its
 // response stream, delivering each segment through a pooled staging
 // buffer that is only valid for the duration of the callback.
-func (b *Backend) readMultiExchange(c net.Conn, fr *frame, specs []transport.ReadSpec, deliver transport.SegmentFunc) (wrote bool, err error) {
+func (b *Backend) readMultiExchange(c *peerConn, fr *frame, specs []transport.ReadSpec, deliver transport.SegmentFunc) (wrote bool, err error) {
 	b.armWrite(c)
 	if err := writeFrame(c, fr); err != nil {
 		return false, err
@@ -768,7 +792,7 @@ func (b *Backend) Close() error {
 			c.Close()
 		}
 	}
-	b.pools = make(map[cluster.NodeID][]net.Conn)
+	b.pools = make(map[cluster.NodeID][]*peerConn)
 	for c := range b.serverConns {
 		c.Close()
 	}
@@ -813,12 +837,15 @@ func (b *Backend) forgetConn(c net.Conn) {
 }
 
 // serveConn drives one client connection: handshake, then a strict
-// request/response loop. A deferred read blocks this goroutine only — the
-// client holds the connection out of its pool for the duration.
+// request/response loop, reading through the connection's buffer and
+// writing to it directly. A deferred read blocks this goroutine only — the
+// client holds the connection out of its pool for the duration — and so
+// does an RPC, whose handler runs inline here (transport.Fabric.LocalCall).
 func (b *Backend) serveConn(c net.Conn) {
 	defer c.Close()
 	defer b.forgetConn(c)
-	hello, err := readFrame(c)
+	r := bufio.NewReaderSize(c, readBufSize)
+	hello, err := readFrame(r)
 	if err != nil {
 		return
 	}
@@ -832,7 +859,7 @@ func (b *Backend) serveConn(c net.Conn) {
 		return
 	}
 	for {
-		fr, err := readFrame(c)
+		fr, err := readFrame(r)
 		if err != nil {
 			return
 		}

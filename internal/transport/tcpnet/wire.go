@@ -371,9 +371,10 @@ func writeFrame(w io.Writer, fr *frame) error {
 }
 
 // readFrame reads one length-prefixed frame, bounding the body at maxFrame.
-// The length prefix and the fixed header arrive in one read; the rest of
-// the body gets an allocation of its own, which Payload may alias for as
-// long as it likes — an exposed block's owner keeps it as the block.
+// r is a connection's read buffer (readBufSize), so a frame that fits it
+// costs one read from the socket. The body past the fixed header gets an
+// allocation of its own, which Payload may alias for as long as it likes —
+// an exposed block's owner keeps it as the block.
 func readFrame(r io.Reader) (*frame, error) {
 	var fixed [4 + fixedHeaderLen]byte
 	if _, err := io.ReadFull(r, fixed[:]); err != nil {

@@ -125,7 +125,6 @@ func NewFabric(m *cluster.Machine) *Fabric {
 			core:    cluster.CoreID(c),
 			fabric:  f,
 			exports: make(map[BufKey]any),
-			done:    make(chan struct{}),
 		}
 		ep.inboxCond = sync.NewCond(&ep.mu)
 		ep.exportCond = sync.NewCond(&ep.exportMu)
@@ -183,9 +182,6 @@ type Endpoint struct {
 	inbox     []Message
 	inboxCond *sync.Cond
 	closed    bool
-	// done is closed by Close; in-flight Calls select on it so a stuck
-	// handler cannot hang a caller past the endpoint's teardown.
-	done chan struct{}
 
 	exportMu     sync.Mutex
 	exports      map[BufKey]any
@@ -258,10 +254,7 @@ func (ep *Endpoint) Recv(src cluster.CoreID, tag uint64) (Message, error) {
 // used to tear down a simulation.
 func (ep *Endpoint) Close() {
 	ep.mu.Lock()
-	if !ep.closed {
-		ep.closed = true
-		close(ep.done)
-	}
+	ep.closed = true
 	ep.inboxCond.Broadcast()
 	ep.mu.Unlock()
 	ep.exportMu.Lock()
@@ -327,7 +320,11 @@ type Handler func(src cluster.CoreID, request any) (response any, err error)
 var handlerMu sync.Mutex
 
 // RegisterHandler installs an RPC handler for the named service on this
-// endpoint. It replaces any previous handler with the same name.
+// endpoint. It replaces any previous handler with the same name. A handler
+// runs on the caller's goroutine (on a serving node, the goroutine of the
+// connection the request arrived on), so it may take its own locks but must
+// never wait on another task: a handler that blocks holds its caller, and
+// Close of the endpoint does not release it.
 func (ep *Endpoint) RegisterHandler(service string, h Handler) {
 	handlerMu.Lock()
 	defer handlerMu.Unlock()
