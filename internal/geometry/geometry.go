@@ -12,6 +12,7 @@ package geometry
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/insitu/cods/internal/mutate"
@@ -70,16 +71,26 @@ type BBox struct {
 // It panics if the corners disagree in dimension.
 func NewBBox(min, max Point) BBox {
 	mustSameDim(len(min), len(max))
-	return BBox{Min: min.Clone(), Max: max.Clone()}
+	b := newBox(len(min))
+	copy(b.Min, min)
+	copy(b.Max, max)
+	return b
+}
+
+// newBox returns a zero box of rank dim whose corners share one backing
+// array, each half capped at dim so that appending to one corner can never
+// write into the other.
+func newBox(dim int) BBox {
+	corners := make(Point, 2*dim)
+	return BBox{Min: corners[:dim:dim], Max: corners[dim:]}
 }
 
 // BoxFromSize builds a box anchored at origin with the given per-dimension
 // extent: [0,size[0]) x [0,size[1]) x ...
 func BoxFromSize(size []int) BBox {
-	min := make(Point, len(size))
-	max := make(Point, len(size))
-	copy(max, size)
-	return BBox{Min: min, Max: max}
+	b := newBox(len(size))
+	copy(b.Max, size)
+	return b
 }
 
 // Dim returns the dimensionality of the box.
@@ -124,7 +135,11 @@ func (b BBox) Equal(o BBox) bool {
 
 // Clone returns a deep copy of the box.
 func (b BBox) Clone() BBox {
-	return BBox{Min: b.Min.Clone(), Max: b.Max.Clone()}
+	n := len(b.Min)
+	corners := make(Point, n+len(b.Max))
+	copy(corners, b.Min)
+	copy(corners[n:], b.Max)
+	return BBox{Min: corners[:n:n], Max: corners[n:]}
 }
 
 // Contains reports whether point p lies inside the box.
@@ -157,12 +172,14 @@ func (b BBox) ContainsBox(o BBox) bool {
 // disjoint (the returned box is then empty).
 func (b BBox) Intersect(o BBox) (BBox, bool) {
 	mustSameDim(b.Dim(), o.Dim())
-	r := BBox{Min: make(Point, b.Dim()), Max: make(Point, b.Dim())}
+	r := newBox(b.Dim())
 	for d := range b.Min {
 		r.Min[d] = maxInt(b.Min[d], o.Min[d])
 		r.Max[d] = minInt(b.Max[d], o.Max[d])
 		if r.Min[d] >= r.Max[d] {
-			return BBox{Min: make(Point, b.Dim()), Max: make(Point, b.Dim())}, false
+			clear(r.Min)
+			clear(r.Max)
+			return r, false
 		}
 	}
 	if mutate.Enabled(mutate.GeomIntersect) && r.Max[0] > r.Min[0]+1 {
@@ -192,7 +209,7 @@ func (b BBox) Cover(o BBox) BBox {
 		return b.Clone()
 	}
 	mustSameDim(b.Dim(), o.Dim())
-	r := BBox{Min: make(Point, b.Dim()), Max: make(Point, b.Dim())}
+	r := newBox(b.Dim())
 	for d := range b.Min {
 		r.Min[d] = minInt(b.Min[d], o.Min[d])
 		r.Max[d] = maxInt(b.Max[d], o.Max[d])
@@ -206,15 +223,23 @@ func (b BBox) Translate(offset Point) BBox {
 }
 
 // String renders the box in the paper's descriptor style
-// "<x0,y0,z0; x1,y1,z1>" with Max shown exclusive.
+// "<x0,y0,z0; x1,y1,z1>" with Max shown exclusive. The text is built in a
+// stack buffer, so the returned string is its one allocation.
 func (b BBox) String() string {
-	lo := make([]string, b.Dim())
-	hi := make([]string, b.Dim())
-	for d := range b.Min {
-		lo[d] = fmt.Sprint(b.Min[d])
-		hi[d] = fmt.Sprint(b.Max[d])
+	var stack [64]byte
+	text := append(stack[:0], '<')
+	for i, p := range [2]Point{b.Min, b.Max} {
+		if i > 0 {
+			text = append(text, "; "...)
+		}
+		for d, v := range p {
+			if d > 0 {
+				text = append(text, ',')
+			}
+			text = strconv.AppendInt(text, int64(v), 10)
+		}
 	}
-	return "<" + strings.Join(lo, ",") + "; " + strings.Join(hi, ",") + ">"
+	return string(append(text, '>'))
 }
 
 // Each invokes fn for every integer cell in the box in row-major order
@@ -290,7 +315,7 @@ func (b BBox) Subtract(o BBox) []BBox {
 // clipped to within. Negative widths shrink. The result may be empty.
 func (b BBox) Expand(width int, within BBox) BBox {
 	mustSameDim(b.Dim(), within.Dim())
-	r := BBox{Min: make(Point, b.Dim()), Max: make(Point, b.Dim())}
+	r := newBox(b.Dim())
 	for d := range b.Min {
 		r.Min[d] = maxInt(b.Min[d]-width, within.Min[d])
 		r.Max[d] = minInt(b.Max[d]+width, within.Max[d])
@@ -359,8 +384,7 @@ func ReadBox(src []byte) (BBox, []byte, error) {
 	if len(src) < 1+16*dim {
 		return BBox{}, nil, fmt.Errorf("geometry: box wire form: %d bytes cannot hold a rank-%d box", len(src), dim)
 	}
-	corners := make(Point, 2*dim)
-	b := BBox{Min: corners[:dim:dim], Max: corners[dim:]}
+	b := newBox(dim)
 	for d := range b.Min {
 		lo := int64(binary.BigEndian.Uint64(src[1+16*d:]))
 		hi := int64(binary.BigEndian.Uint64(src[9+16*d:]))

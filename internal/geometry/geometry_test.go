@@ -204,6 +204,71 @@ func TestStringFormats(t *testing.T) {
 	}
 }
 
+// TestBoxString pins BBox.String byte for byte — buffer keys are built from
+// it, and the frozen benchmark rebuilds the same text on its own — over
+// 1-, 2- and 3-D boxes, negative and multi-digit corners, the zero box and
+// one whose text outgrows the stack buffer.
+func TestBoxString(t *testing.T) {
+	for _, tc := range []struct {
+		b    BBox
+		want string
+	}{
+		{BBox{}, "<; >"},
+		{box(3, 7), "<3; 7>"},
+		{box(0, 0, 16, 16), "<0,0; 16,16>"},
+		{box(-5, -12, -1, 4), "<-5,-12; -1,4>"},
+		{box(496, 32, 512, 48), "<496,32; 512,48>"},
+		{box(0, 0, 0, 10, 10, 20), "<0,0,0; 10,10,20>"},
+		{box(-100, 0, -3, -99, 1, 2), "<-100,0,-3; -99,1,2>"},
+		{box(-1<<40, 0, 1<<40, -1<<40+1, 1, 1<<40+1),
+			"<-1099511627776,0,1099511627776; -1099511627775,1,1099511627777>"},
+	} {
+		if got := tc.b.String(); got != tc.want {
+			t.Errorf("String of %#v = %q, want %q", tc.b, got, tc.want)
+		}
+	}
+}
+
+// TestBoxAllocations: String makes its text in one allocation, and the box
+// builders put both corners in one backing array whose halves are capped,
+// so appending to Min never writes into Max.
+func TestBoxAllocations(t *testing.T) {
+	a, b := box(0, 0, 0, 128, 128, 128), box(64, 64, 64, 192, 192, 192)
+	if n := testing.AllocsPerRun(100, func() { stringSink = a.String() }); n != 1 {
+		t.Errorf("String allocates %v times, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { boxSink, _ = a.Intersect(b) }); n != 1 {
+		t.Errorf("Intersect of overlapping boxes allocates %v times, want 1", n)
+	}
+	far := box(200, 0, 0, 201, 1, 1)
+	if n := testing.AllocsPerRun(100, func() { boxSink, _ = a.Intersect(far) }); n != 1 {
+		t.Errorf("a disjoint Intersect allocates %v times, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { boxSink = a.Clone() }); n != 1 {
+		t.Errorf("Clone allocates %v times, want 1", n)
+	}
+	inter, _ := a.Intersect(b)
+	for name, got := range map[string]BBox{
+		"NewBBox":   NewBBox(Point{1, 2}, Point{3, 4}),
+		"Clone":     a.Clone(),
+		"Intersect": inter,
+		"Cover":     a.Cover(b),
+		"Expand":    a.Expand(1, BoxFromSize([]int{256, 256, 256})),
+		"BoxFrom":   BoxFromSize([]int{4, 4}),
+	} {
+		max := got.Max.Clone()
+		got.Min = append(got.Min, 99)
+		if !got.Max.Equal(max) {
+			t.Errorf("%s: appending to Min changed Max to %v", name, got.Max)
+		}
+	}
+}
+
+var (
+	stringSink string
+	boxSink    BBox
+)
+
 func TestDimensionMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -27,14 +27,15 @@ import (
 // lives (exposed buffers, RPC handlers) and for metering it there, via the
 // Local* methods of the owning fabric.
 type Backend interface {
-	// ReadMulti pulls one or more exposed sub-regions in one batched
-	// operation, blocking until every buffer is published. All specs must
-	// target owners whose endpoint state lives behind the same peer, so a
-	// network backend can serve the whole batch with a single request
-	// frame. Each spec is metered at spec.Bytes on the executing side.
-	// deliver is invoked once per spec, in spec order, with the
-	// owner-clipped raw cell bytes of spec.Sub (see SegmentFunc); the
-	// clipped slice is only valid for the duration of the call.
+	// ReadMulti pulls one or more exposed sub-regions in one operation,
+	// blocking until every buffer is published. The specs may target owners
+	// behind any number of peers; a network backend sends each peer one
+	// request frame for its run of specs. Each spec is metered at
+	// spec.Bytes on the executing side. deliver is invoked once per spec,
+	// with the spec's index in the call and the owner-clipped raw cell
+	// bytes of spec.Sub (see SegmentFunc), in spec order among the specs of
+	// one peer; specs of different peers may be delivered concurrently. A
+	// backend attributes a failure to a spec by returning a *SpecError.
 	ReadMulti(reader cluster.CoreID, specs []ReadSpec, m Meter, deliver SegmentFunc) error
 	// Call performs a synchronous RPC against a service on dst.
 	Call(src, dst cluster.CoreID, service string, request any, m Meter, reqBytes, respBytes int64) (any, error)
@@ -59,13 +60,27 @@ type ReadSpec struct {
 	Bytes int64
 }
 
+// SpecError is a ReadMulti failure attributed to one spec of the call:
+// Index is its position among the call's specs — for a network backend the
+// first spec of the peer whose exchange failed, for an injected fault the
+// spec the fault was drawn for. It prints and unwraps as its cause.
+type SpecError struct {
+	Index int
+	Err   error
+}
+
+func (e *SpecError) Error() string { return e.Err.Error() }
+
+func (e *SpecError) Unwrap() error { return e.Err }
+
 // SegmentFunc consumes the result of one ReadSpec of a batch. Exactly one
 // of payload and clipped is set: payload is the owner's full exposed
 // buffer (in-process, where the reader clips), clipped is the owner-clipped
 // raw cell data of the spec's sub-box — Sub intersected with the exposed
 // region, row-major, big-endian float64 bits, the runs of
 // RegionClipper.ClipRows end to end. clipped is only valid until the
-// callback returns; implementations reuse the buffer.
+// callback returns; implementations reuse the buffer. A network backend
+// may run the function for specs of different peers at the same time.
 type SegmentFunc func(i int, payload any, clipped []byte) error
 
 // RegionClipper is implemented by exposed payloads a network backend can
@@ -122,8 +137,8 @@ func (f *Fabric) SetBackend(b Backend) { f.backend = b }
 
 // Routed reports whether operations on node-held state traverse a backend:
 // true on a driver's fabric, false on an in-process one. It is both the
-// fabric's dispatch decision and what makes the pull engine group transfers
-// into per-peer batches.
+// fabric's dispatch decision and what makes the pull engine hand a whole
+// schedule to one ReadMulti.
 func (f *Fabric) Routed() bool { return f.backend != nil }
 
 // LocalReadMulti is the executing side of ReadMulti against owner

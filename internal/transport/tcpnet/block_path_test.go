@@ -3,7 +3,6 @@ package tcpnet
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -125,49 +124,6 @@ func BenchmarkPullPeers(b *testing.B) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// BenchmarkGetMiss times one uncached small get in the deployment shape of
-// the repo benchmark's seq-lookup-tcp workload, inside one process: a
-// driver that owns no node (Connect) and two serving nodes (Serve), a
-// 512x512 domain staged as 1024 blocks of 16x16 round-robin over the four
-// cores, and seeded regions of 17-32 cells a side that never repeat, read
-// with the schedule cache off. Every get pays the span walk, the DHT query
-// over the wire, the schedule and a scatter-gather read of a few 1-2 KiB
-// segments per node: it is the in-repo witness of what a lookup miss
-// costs, allocations included.
-func BenchmarkGetMiss(b *testing.B) {
-	const side, block = 512, 16
-	domain := geometry.BoxFromSize([]int{side, side})
-	f, _, servers := newCluster(b, 2, 2)
-	withSpaces(b, servers, domain)
-	sp, err := cods.NewSpace(f, domain)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for n := 0; n < (side/block)*(side/block); n++ {
-		x, y := n/(side/block)*block, n%(side/block)*block
-		blk := geometry.NewBBox(geometry.Point{x, y}, geometry.Point{x + block, y + block})
-		if err := sp.HandleAt(cluster.CoreID(n%4), 1, "put").PutSequential("u", 0, blk, fillCells(blk)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	consumer := sp.HandleAt(0, 2, "get")
-	consumer.CacheEnabled = false
-	rng := rand.New(rand.NewSource(1))
-	regions := make([]geometry.BBox, 4096)
-	for i := range regions {
-		w, h := 17+rng.Intn(16), 17+rng.Intn(16)
-		x, y := rng.Intn(side-w+1), rng.Intn(side-h+1)
-		regions[i] = geometry.NewBBox(geometry.Point{x, y}, geometry.Point{x + w, y + h})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := consumer.GetSequential("u", 0, regions[i%len(regions)]); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package tcpnet_test
 import (
 	"bytes"
 	"io"
+	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -41,7 +42,8 @@ const (
 // Allocation bounds, each the value measured when its clause was written
 // (go1.24.0, without -race).
 const (
-	warmGetAllocs = 166 // one warm get of the inset, every plane off
+	warmGetAllocs = 118 // one warm get of the inset, every plane off
+	getMissAllocs = 108 // one uncached small get on the getMissRig
 	obsGetAllocs  = 19  // what the observability plane adds to it
 	plannerAllocs = 28  // one flow-matrix build and remap proposal
 )
@@ -259,6 +261,7 @@ func TestPlaneCosts(t *testing.T) {
 			return
 		}
 		onAllocs := r.getAllocs(t)
+		t.Logf("a warm get allocates %v times with the plane off, %v on", offAllocs, onAllocs)
 		if offAllocs > warmGetAllocs || onAllocs > offAllocs+obsGetAllocs {
 			t.Errorf("a warm get allocates %v times with the plane off, %v on; want <= %d and <= off + %d",
 				offAllocs, onAllocs, warmGetAllocs, obsGetAllocs)
@@ -444,4 +447,96 @@ func TestPlaneCosts(t *testing.T) {
 			t.Errorf("a planner pass allocates %v times, want <= %d", n, plannerAllocs)
 		}
 	})
+}
+
+// getMissRig is the deployment shape of the repo benchmark's seq-lookup-tcp
+// workload in one process: a driver and the two serving nodes of a 2x2
+// machine (node.Cluster), a 512x512 domain staged as 1024 blocks of 16x16
+// round-robin over the four cores, and seeded regions of 17-32 cells a
+// side, read with the schedule cache off. Every get pays the cover walk,
+// the DHT query over the wire, the schedule and a scatter-gather read of a
+// few 1-2 KiB segments per node.
+type getMissRig struct {
+	consumer *cods.Handle
+	regions  []geometry.BBox
+	next     int
+}
+
+func newGetMissRig(tb testing.TB) *getMissRig {
+	tb.Helper()
+	wasOn := obs.Enabled()
+	obs.Enable(false)
+	tb.Cleanup(func() { obs.Enable(wasOn) })
+	const side, block = 512, 16
+	m, err := cluster.NewMachine(2, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f := transport.NewFabric(m)
+	domain := geometry.BoxFromSize([]int{side, side})
+	nodes, err := node.NewCluster(f, domain, tcpnet.TestConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(nodes.Close)
+	sp, err := cods.NewSpace(f, domain)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for n := 0; n < (side/block)*(side/block); n++ {
+		x, y := n/(side/block)*block, n%(side/block)*block
+		blk := geometry.NewBBox(geometry.Point{x, y}, geometry.Point{x + block, y + block})
+		if err := sp.HandleAt(cluster.CoreID(n%4), 1, "put").PutSequential("u", 0, blk, tcpnet.FillCells(blk)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	r := &getMissRig{consumer: sp.HandleAt(0, 2, "get"), regions: make([]geometry.BBox, 4096)}
+	r.consumer.CacheEnabled = false
+	rng := rand.New(rand.NewSource(1))
+	for i := range r.regions {
+		w, h := 17+rng.Intn(16), 17+rng.Intn(16)
+		x, y := rng.Intn(side-w+1), rng.Intn(side-h+1)
+		r.regions[i] = geometry.NewBBox(geometry.Point{x, y}, geometry.Point{x + w, y + h})
+	}
+	return r
+}
+
+// get reads the rig's next region.
+func (r *getMissRig) get() error {
+	_, err := r.consumer.GetSequential("u", 0, r.regions[r.next%len(r.regions)])
+	r.next++
+	return err
+}
+
+// BenchmarkGetMiss times one uncached small get on the getMissRig: the
+// in-repo witness of what a lookup miss costs, allocations included.
+func BenchmarkGetMiss(b *testing.B) {
+	r := newGetMissRig(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.get(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestGetMissAllocations holds one uncached small get on the getMissRig to
+// its allocation count, after a few gets have filled the connection and
+// buffer pools.
+func TestGetMissAllocations(t *testing.T) {
+	if !allocsPinned {
+		t.Skip("allocation counts are pinned without -race, on go1.24")
+	}
+	r := newGetMissRig(t)
+	for i := 0; i < 16; i++ {
+		if err := r.get(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := allocs(t, r.get)
+	t.Logf("an uncached small get allocates %v times", n)
+	if n > getMissAllocs {
+		t.Errorf("an uncached small get allocates %v times, want <= %d", n, getMissAllocs)
+	}
 }

@@ -113,6 +113,13 @@ func testConfig() Config {
 // node's fabric (servers[k].fabric), where that node's operations meter.
 func newCluster(t testing.TB, nodes, cores int) (*transport.Fabric, *Backend, []*Backend) {
 	t.Helper()
+	return newClusterServing(t, nodes, cores, testConfig())
+}
+
+// newClusterServing is newCluster with the serving nodes' configuration
+// given.
+func newClusterServing(t testing.TB, nodes, cores int, serve Config) (*transport.Fabric, *Backend, []*Backend) {
+	t.Helper()
 	m, err := cluster.NewMachine(nodes, cores)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +127,7 @@ func newCluster(t testing.TB, nodes, cores int) (*transport.Fabric, *Backend, []
 	peers := make(map[cluster.NodeID]string)
 	var servers []*Backend
 	for node := cluster.NodeID(0); int(node) < nodes; node++ {
-		srv, err := Serve(transport.NewFabric(m), node, "127.0.0.1:0", testConfig())
+		srv, err := Serve(transport.NewFabric(m), node, "127.0.0.1:0", serve)
 		if err != nil {
 			t.Fatal(err)
 		}

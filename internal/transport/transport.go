@@ -285,24 +285,26 @@ func (ep *Endpoint) Unexpose(key BufKey) error {
 
 // ReadMulti is the one-sided read: a receiver-driven pull of one or more
 // exposed sub-regions in one operation, blocking until every buffer is
-// published. All specs must target owner endpoints living behind the
-// same peer (for the network backends, owners on one node), which lets a
-// network backend issue a single request frame for the whole batch and
-// clip every region on the owning side. Each spec is metered at
-// spec.Bytes on the executing side and matches fault rules individually,
-// so a batch observes the same injected faults as the equivalent sequence
-// of single-spec reads. deliver runs once per spec in spec order; see
-// SegmentFunc for the payload-vs-clipped contract.
+// published. The owners may sit behind any number of peers: a network
+// backend sends each owning node one request frame for its run of specs,
+// every request before it reads any answer, and clips every region on the
+// owning side. Each spec is metered at spec.Bytes on the executing side and
+// matches fault rules individually, so a batch observes the same injected
+// faults as the equivalent sequence of single-spec reads; an injected fault
+// fails the call as a *SpecError naming its spec. deliver runs once per
+// spec, with the spec's index in the call, in spec order within one peer;
+// see Backend.ReadMulti for which calls may overlap and SegmentFunc for the
+// payload-vs-clipped contract.
 func (ep *Endpoint) ReadMulti(specs []ReadSpec, m Meter, deliver SegmentFunc) error {
 	if len(specs) == 0 {
 		return nil
 	}
-	for _, spec := range specs {
+	for i, spec := range specs {
 		if int(spec.Owner) < 0 || int(spec.Owner) >= len(ep.fabric.endpoints) {
 			return fmt.Errorf("transport: owner core %d out of range", spec.Owner)
 		}
 		if err := ep.fabric.inject(FaultRead, int(ep.fabric.medium(spec.Owner, ep.core)), ep.core, spec.Owner); err != nil {
-			return err
+			return &SpecError{Index: i, Err: err}
 		}
 	}
 	if ep.fabric.Routed() {
