@@ -54,24 +54,21 @@ func TestReleaseDropsConnWithUnreadBytes(t *testing.T) {
 	_, b, _ := newCluster(t, 1, 1)
 	key := transport.BufKey{Name: "absent", Version: 1}
 	probe := &frame{Op: opExposed, Dst: 0, Name: key.Name, Version: int64(key.Version)}
-	var used *peerConn
-	err := b.onConn(0, func(c *peerConn) (bool, error) {
-		used = c
-		c.SetReadDeadline(time.Now().Add(5 * time.Second))
-		for i := 0; i < 2; i++ {
-			if err := writeFrame(c, probe); err != nil {
-				return false, err
-			}
-		}
-		if _, err := readFrame(c); err != nil {
-			return true, err
-		}
-		_, err := c.r.Peek(1) // the second response, buffered and unread
-		return true, err
-	})
+	used, err := b.writeRequest(0, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
+	used.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if err := writeFrame(used, probe); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readFrame(used); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := used.r.Peek(1); err != nil { // the second response, buffered and unread
+		t.Fatal(err)
+	}
+	b.release(0, used)
 	if n := len(pooled(b, 0)); n != 0 {
 		t.Fatalf("a connection with unread bytes went back to the pool (%d pooled)", n)
 	}
