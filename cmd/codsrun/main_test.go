@@ -159,7 +159,7 @@ func TestRunErrors(t *testing.T) {
 
 // TestRestageIsIdempotent: the reconcile re-stages a block that may be
 // exposed already — the producer's own retry can win the race — so
-// membership.Restage must succeed over an existing exposure and leave
+// membership.Reconcile must succeed over an existing exposure and leave
 // exactly one block: one location record, the same cells.
 func TestRestageIsIdempotent(t *testing.T) {
 	m, err := cluster.NewMachine(2, 2)
@@ -177,13 +177,16 @@ func TestRestageIsIdempotent(t *testing.T) {
 		data[i] = float64(i) + 0.5
 	}
 	b := membership.Block{Var: "data.1", Version: 2, Region: region, Owner: owner, App: app, Data: data}
+	ledger := membership.NewLedger()
+	space.SetPutRecorder(ledger)
 	if err := space.HandleAt(owner, app, "stage").PutSequential(b.Var, b.Version, b.Region, b.Data); err != nil {
 		t.Fatal(err)
 	}
 	records := space.Lookup().TableSize(0) + space.Lookup().TableSize(1)
 	for i := 1; i <= 2; i++ {
-		if err := membership.Restage(space, b, owner, "elastic"); err != nil {
-			t.Fatalf("restage %d over an exposed block: %v", i, err)
+		res, err := membership.Reconcile(space, ledger, []cluster.NodeID{m.NodeOf(owner)})
+		if err != nil || res.RestagedCount != 1 {
+			t.Fatalf("reconcile %d over an exposed block: %d restaged, %v", i, res.RestagedCount, err)
 		}
 	}
 	got, err := space.HandleAt(0, app, "get").GetSequential(b.Var, b.Version, region)

@@ -82,29 +82,6 @@ func TestConformanceElastic(t *testing.T) {
 	}
 }
 
-// TestConformanceRemap is the sweep pinned to adaptive-remapping
-// scenarios (DESIGN §5j): after the first get round the remap planner
-// consumes the observed flow matrix and migrates staged blocks toward
-// their readers (with a deterministic rotation fallback when the traffic
-// is already local) through membership.Restage, whose discards bump the
-// moved variable's schedule generation. The second get round must stay byte-identical to
-// the reference model on both backends, and the flow deltas across the
-// remap epoch must equal the model prediction exactly. Seeds cycle the
-// linearization policy through all three curves so remapping is proven
-// independent of the space-filling curve underneath.
-func TestConformanceRemap(t *testing.T) {
-	n := conformanceSeeds(t, 12)
-	for seed := uint64(1); seed <= n; seed++ {
-		sc := genwf.GenerateRemap(seed)
-		if err := sc.Validate(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if err := conformance.RunCross(sc); err != nil {
-			reportShrunkCross(t, sc, err)
-		}
-	}
-}
-
 // TestConformanceStreaming is the sweep over streaming-coupling
 // scenarios (DESIGN §5i): producers publish a bounded-lag stream of
 // versions and consumers follow through cursors, under both lag policies

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -166,6 +168,38 @@ func TestAllSmall(t *testing.T) {
 	}
 	if len(tables) != 9 {
 		t.Fatalf("All returned %d tables", len(tables))
+	}
+}
+
+// TestPaperFiguresMatchResults regenerates Figures 8-15 at paper scale and
+// holds both renderings to the committed results/ files byte for byte. The
+// files are read in place and never rewritten by -update: a change to the
+// mapping, decomposition or overlap arithmetic that moves a paper figure
+// fails here. Figure 16 takes too long for a unit test.
+func TestPaperFiguresMatchResults(t *testing.T) {
+	figs := []func(Scale) (*Table, error){Fig8, Fig9, Fig10, Fig11, Fig12, Fig13, Fig14, Fig15}
+	for _, fig := range figs {
+		tbl, err := fig(PaperScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var txt, csv bytes.Buffer
+		if err := tbl.Render(&txt); err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.CSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		for ext, got := range map[string][]byte{".txt": txt.Bytes(), ".csv": csv.Bytes()} {
+			path := filepath.Join("..", "..", "results", tbl.ID+ext)
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s drifted from %s.\n--- got ---\n%s\n--- want ---\n%s", tbl.ID+ext, path, got, want)
+			}
+		}
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"github.com/insitu/cods/internal/node"
 	"github.com/insitu/cods/internal/obs"
 	"github.com/insitu/cods/internal/refmodel"
-	"github.com/insitu/cods/internal/remap"
 	"github.com/insitu/cods/internal/retry"
 	"github.com/insitu/cods/internal/transport"
 	"github.com/insitu/cods/internal/transport/tcpnet"
@@ -133,10 +132,9 @@ func run(sc genwf.Scenario, opts Options) error {
 		return err
 	}
 	var ledger *membership.Ledger
-	if sc.Remap || sc.Kill != 0 {
-		// The remap planner and the node-loss reconcile read staged blocks
-		// from the put ledger; the recorder must be installed before the
-		// producer stages anything.
+	if sc.Kill != 0 {
+		// The node-loss reconcile re-stages blocks from the put ledger; the
+		// recorder must be installed before the producer stages anything.
 		ledger = membership.NewLedger()
 		space.SetPutRecorder(ledger)
 	}
@@ -465,13 +463,14 @@ func runSequential(sc genwf.Scenario, opts Options, machine *cluster.Machine, sp
 		return err
 	}
 
-	if sc.Remap {
-		if err := remapRound(sc, opts, machine, space, ledger, cons, model, pred, consumers, get); err != nil {
-			return err
-		}
-	}
-
 	if sc.Restage {
+		// Every block changes owner. The flow deltas across this epoch —
+		// the move and the re-get — must equal what the model predicts
+		// for the re-get alone under the new ownership: moving a block
+		// books no coupled bytes.
+		window := obs.NewFlowWindow()
+		before := obs.BuildFlowMatrix(machine.Metrics().Flows(""))
+		window.Update(&before)
 		pred.voidOwned(sc, model, func(cluster.CoreID) bool { return true })
 		if err := restage(sc, machine, space, prod, prodPl, model); err != nil {
 			return err
@@ -479,8 +478,23 @@ func runSequential(sc genwf.Scenario, opts Options, machine *cluster.Machine, sp
 		if err := checkOwners(sc, machine, space, cons, model, sc.Versions, -1); err != nil {
 			return err
 		}
-		if err := reget(sc, opts, consumers, model, get, pred); err != nil {
+		// The round is predicted twice: into the cumulative predictor
+		// (invariants 1-4b run over the whole scenario) and into one that
+		// holds only this epoch.
+		epoch := newPredictor(machine)
+		if err := reget(sc, opts, consumers, model, get, pred, epoch); err != nil {
 			return err
+		}
+		after := obs.BuildFlowMatrix(machine.Metrics().Flows(""))
+		window.Update(&after)
+		deltas := make(map[flowKey]int64)
+		for _, c := range after.Cells {
+			if c.Class == cluster.InterApp.String() {
+				deltas[flowKey{src: cluster.NodeID(c.Src), dst: cluster.NodeID(c.Dst)}] += c.Delta
+			}
+		}
+		if err := compareFlowMaps(deltas, epoch.flows); err != nil {
+			return fmt.Errorf("restage epoch delta: %w\n%s", err, sc.GoLiteral())
 		}
 	}
 
@@ -503,7 +517,7 @@ func runSequential(sc genwf.Scenario, opts Options, machine *cluster.Machine, sp
 }
 
 // reget is the second get round every ownership event of a single-version
-// scenario ends with — a restage, a remap, a node loss: the model's current
+// scenario ends with — a restage or a node loss: the model's current
 // ownership predicts the round's traffic into each given predictor, then
 // every consumer re-gets everything as round 1.
 func reget(sc genwf.Scenario, opts Options, consumers []*consumer, model *refmodel.Model,
@@ -518,80 +532,6 @@ func reget(sc genwf.Scenario, opts Options, consumers []*consumer, model *refmod
 		}
 	}
 	return consumeRound(sc, opts, consumers, model, get, 1)
-}
-
-// remapRound runs one adaptive traffic-driven remap between get rounds:
-// the planner consumes the flow matrix observed during round 0 together
-// with the put ledger, the executor migrates the chosen blocks through the
-// elastic machinery (membership.Restage at the target), and a
-// second full get round must return byte-identical data. The
-// flow deltas across the remap epoch must equal exactly what the model
-// predicts for the re-pull under the new ownership — migration itself
-// books no coupled bytes. When the planner finds no profitable move (the
-// observed traffic is already local) a deterministic rotation plan —
-// every block one node over, same core slot — exercises the executor path
-// anyway.
-func remapRound(sc genwf.Scenario, opts Options, machine *cluster.Machine, space *cods.Space,
-	ledger *membership.Ledger, cons *decomp.Decomposition, model *refmodel.Model, pred *predictor,
-	consumers []*consumer,
-	get func(c *consumer, v string, version int, region geometry.BBox) ([]float64, error)) error {
-	window := obs.NewFlowWindow()
-	fm := obs.BuildFlowMatrix(machine.Metrics().Flows(""))
-	window.Update(&fm) // baseline: everything booked before the remap epoch
-
-	blocks := ledger.Blocks()
-	if len(blocks) == 0 {
-		return fmt.Errorf("conformance: remap round found an empty put ledger\n%s", sc.GoLiteral())
-	}
-	plan := remap.Propose(machine, fm, blocks, remap.Options{})
-	if len(plan.Moves) == 0 {
-		for _, b := range blocks {
-			node := int(machine.NodeOf(b.Owner))
-			slot := int(b.Owner) % machine.CoresPerNode()
-			to := machine.CoreOn(cluster.NodeID((node+1)%machine.NumNodes()), slot)
-			plan.Moves = append(plan.Moves, remap.Move{Block: b, To: to})
-		}
-	}
-	// Mirror the migration into the model before executing it for real.
-	for _, mv := range plan.Moves {
-		if mv.To != mv.Block.Owner {
-			pred.voided[mv.Block.Var] = true
-		}
-		if err := model.Move(mv.Block.Var, mv.Block.Version, mv.Block.Region, int(mv.Block.Owner), int(mv.To)); err != nil {
-			return err
-		}
-	}
-	moved, err := remap.Apply(space, ledger, plan, "remap")
-	if err != nil {
-		return fmt.Errorf("conformance: remap apply: %w\n%s", err, sc.GoLiteral())
-	}
-	if moved != len(plan.Moves) {
-		return fmt.Errorf("conformance: remap applied %d of %d planned moves\n%s",
-			moved, len(plan.Moves), sc.GoLiteral())
-	}
-	if err := checkOwners(sc, machine, space, cons, model, sc.Versions, -1); err != nil {
-		return err
-	}
-	// Predict the post-remap round twice: into the cumulative predictor
-	// (invariants 1-4b run over the whole scenario) and into a fresh one
-	// holding only this epoch, compared against the window deltas below.
-	epoch := newPredictor(machine)
-	if err := reget(sc, opts, consumers, model, get, pred, epoch); err != nil {
-		return err
-	}
-	after := obs.BuildFlowMatrix(machine.Metrics().Flows(""))
-	window.Update(&after)
-	deltas := make(map[flowKey]int64)
-	for _, c := range after.Cells {
-		if c.Class != cluster.InterApp.String() || c.Delta == 0 {
-			continue
-		}
-		deltas[flowKey{src: cluster.NodeID(c.Src), dst: cluster.NodeID(c.Dst)}] += c.Delta
-	}
-	if err := compareFlowMaps(deltas, epoch.flows); err != nil {
-		return fmt.Errorf("remap epoch delta: %w\n%s", err, sc.GoLiteral())
-	}
-	return nil
 }
 
 // loseNode is the node loss of the lock-step elastic round and of the

@@ -30,7 +30,7 @@ type predictor struct {
 	flows     map[flowKey]int64
 	perMedium [2]int64
 	// voided names the variables whose cached schedules the extra round
-	// (a restage, a remap or a node loss) voided: it re-staged one of
+	// (a restage or a node loss) voided: it re-staged one of
 	// their blocks, and the discard bumped the variable's schedule
 	// generation.
 	voided map[string]bool
@@ -150,7 +150,7 @@ func checkInvariants(sc genwf.Scenario, opts Options, machine *cluster.Machine, 
 	// totals for halo-free, restage-free, topology-stable scenarios (its
 	// overlap model covers exactly the owned regions, once per variable
 	// per version).
-	if sc.Ghost == 0 && !sc.Restage && sc.Kill == 0 && !sc.Remap {
+	if sc.Ghost == 0 && !sc.Restage && sc.Kill == 0 {
 		tr, err := mapping.CoupledTraffic(machine, prodPl, consPl, prodApp, consApp, cods.ElemSize)
 		if err != nil {
 			return err
@@ -168,11 +168,11 @@ func checkInvariants(sc genwf.Scenario, opts Options, machine *cluster.Machine, 
 	// changed what was transferred.
 	// Ghost expansion can clip two owned pieces to the same region; a
 	// schedule is computed once per distinct region per handle, so hits
-	// are total gets minus that. An extra round (a restage, a remap or a
-	// node loss; they are exclusive) re-gets everything: a variable it
+	// are total gets minus that. An extra round (a restage or a node loss;
+	// they are exclusive) re-gets everything: a variable it
 	// voided misses once more per distinct region, the others hit.
 	rounds := 1
-	if sc.Restage || sc.Remap || sc.Kill != 0 {
+	if sc.Restage || sc.Kill != 0 {
 		rounds = 2
 	}
 	var hits, misses, gets, wantMisses int

@@ -101,15 +101,6 @@ type Scenario struct {
 	// alternatives. Both backends of a cross run share the choice.
 	Curve string
 
-	// Remap runs one adaptive traffic-driven remap round after the first
-	// get round of a sequential single-version scenario: the planner
-	// scores the observed flow matrix against the block→core mapping,
-	// migrated blocks restage next to their heaviest reader (with a
-	// deterministic rotation fallback when the planner finds no gain), and
-	// a second get round must return byte-identical data with exact flow
-	// accounting across the remap epoch.
-	Remap bool
-
 	// Restage makes the producers of a sequential single-version scenario
 	// discard every block after the first get round and re-stage it at
 	// the next rank's core, followed by a second get round — exercising
@@ -266,23 +257,6 @@ func (sc Scenario) Validate() error {
 	if sc.Restage && (!sc.Sequential || sc.Versions != 1) {
 		return fmt.Errorf("genwf: restage requires sequential single-version coupling")
 	}
-	if sc.Remap {
-		if !sc.Sequential || sc.Versions != 1 {
-			return fmt.Errorf("genwf: remap requires sequential single-version coupling")
-		}
-		if sc.Nodes < 2 {
-			return fmt.Errorf("genwf: remap needs a second node to migrate toward")
-		}
-		if sc.Restage || sc.Kill != 0 {
-			return fmt.Errorf("genwf: remap is exclusive with restage/kill")
-		}
-		if sc.Stream {
-			return fmt.Errorf("genwf: remap applies to lock-step coupling only")
-		}
-		if sc.Faults != "" {
-			return fmt.Errorf("genwf: remap rounds hold exact flow accounting; no fault plan")
-		}
-	}
 	if sc.Kill < 0 || sc.Kill > sc.Nodes {
 		return fmt.Errorf("genwf: kill = %d with %d nodes", sc.Kill, sc.Nodes)
 	}
@@ -408,7 +382,6 @@ func streamize(r *rng, sc *Scenario) {
 	sc.Versions = 1
 	sc.Vars = 1
 	sc.Restage = false
-	sc.Remap = false
 	if sc.Mapping != Consecutive && sc.Mapping != RoundRobin {
 		sc.Mapping = Policy(r.pick(int(Consecutive), int(RoundRobin)))
 	}
@@ -432,7 +405,7 @@ func streamize(r *rng, sc *Scenario) {
 // GenerateFaulty pins a recoverable fault plan and a retry budget.
 func GenerateFaulty(seed uint64) Scenario {
 	sc := Generate(1000 + seed)
-	sc.Retry, sc.Remap = 4, false // remap rounds exclude fault plans
+	sc.Retry = 4
 	if sc.Faults == "" {
 		sc.Faults = `{"seed": 7, "rules": [{"op": "read", "mode": "drop", "prob": 0.3, "max": 3}, {"op": "call", "mode": "error", "prob": 0.1, "max": 3}]}`
 	}
@@ -442,15 +415,7 @@ func GenerateFaulty(seed uint64) Scenario {
 // GenerateElastic pins the loss of a node after the first get round.
 func GenerateElastic(seed uint64) Scenario {
 	sc := lockStep(Generate(2000 + seed))
-	sc.Kill, sc.Remap = 1+int(seed)%sc.Nodes, false // remap excludes kill
-	return sc
-}
-
-// GenerateRemap pins a remap round, cycling the three curves.
-func GenerateRemap(seed uint64) Scenario {
-	sc := lockStep(Generate(4000 + seed))
-	sc.Kill, sc.Faults, sc.Remap = 0, "", true
-	sc.Curve = []string{"hilbert", "morton", "rowmajor"}[seed%3]
+	sc.Kill = 1 + int(seed)%sc.Nodes
 	return sc
 }
 
@@ -512,8 +477,8 @@ func generate(r *rng, seed uint64) Scenario {
 		if sc.Nodes > 1 && sc.Versions == 1 && !sc.Restage && r.intn(2) == 0 {
 			sc.Kill = 1 + r.intn(sc.Nodes)
 		}
-		if sc.Nodes > 1 && sc.Versions == 1 && !sc.Restage && sc.Kill == 0 && r.intn(4) == 0 {
-			sc.Remap = true
+		if sc.Nodes > 1 && sc.Versions == 1 && !sc.Restage && sc.Kill == 0 {
+			r.intn(4) // a retired draw, kept so every seed draws the scenario it always drew
 		}
 	} else {
 		sc.Mapping = Policy(r.pick(int(Consecutive), int(RoundRobin), int(ServerDataCentric)))
@@ -522,9 +487,6 @@ func generate(r *rng, seed uint64) Scenario {
 	switch r.intn(3) {
 	case 0:
 		sc.Retry = 4
-		if sc.Remap {
-			break // remap rounds hold exact flow accounting; no fault plan
-		}
 		sc.Faults = genFaultPlan(r, sc.Retry)
 	case 1:
 		sc.Retry = 3
@@ -641,9 +603,6 @@ func (sc Scenario) GoLiteral() string {
 	if sc.Curve != "" {
 		fmt.Fprintf(&b, "\tCurve: %q,\n", sc.Curve)
 	}
-	if sc.Remap {
-		fmt.Fprintf(&b, "\tRemap: true,\n")
-	}
 	if sc.Kill != 0 {
 		fmt.Fprintf(&b, "\tKill: %d,\n", sc.Kill)
 	}
@@ -668,9 +627,6 @@ func (sc Scenario) DAG() string {
 		sc.Vars, sc.Versions, sc.Mapping, sc.Staged, sc.Restage)
 	if sc.Curve != "" {
 		fmt.Fprintf(&b, "# curve: %s\n", sc.Curve)
-	}
-	if sc.Remap {
-		fmt.Fprintf(&b, "# remap: one adaptive traffic-driven round after round 0\n")
 	}
 	if sc.Kill != 0 {
 		fmt.Fprintf(&b, "# elastic: node %d lost and replaced after round 0\n", sc.Kill-1)

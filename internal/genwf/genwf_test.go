@@ -64,7 +64,7 @@ func TestFamiliesValidate(t *testing.T) {
 	families := map[string]func(uint64) Scenario{
 		"Generate": Generate, "GenerateStreaming": GenerateStreaming,
 		"GenerateFaulty": GenerateFaulty, "GenerateElastic": GenerateElastic,
-		"GenerateRemap": GenerateRemap, "GenerateStreamingKills": GenerateStreamingKills,
+		"GenerateStreamingKills": GenerateStreamingKills,
 	}
 	for name, gen := range families {
 		for seed := uint64(1); seed <= 240; seed++ {

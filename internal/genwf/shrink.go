@@ -50,9 +50,6 @@ func candidates(sc Scenario) []Scenario {
 	if sc.Restage {
 		add(func(c *Scenario) { c.Restage = false })
 	}
-	if sc.Remap {
-		add(func(c *Scenario) { c.Remap = false })
-	}
 	if sc.Resub != 0 {
 		add(func(c *Scenario) { c.Resub = 0 })
 	}

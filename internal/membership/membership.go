@@ -4,9 +4,7 @@
 // replaced in its node's slot, so the DHT interval assignment never changes
 // and recovery is one function: Reconcile re-stages the lost node's blocks
 // from the put ledger and re-registers every other block's location records
-// (some lived in the lost node's table), while in-flight pulls retry. The
-// elastic driver, the remap executor and the conformance harness all move a
-// ledger block through the same Restage.
+// (some lived in the lost node's table), while in-flight pulls retry.
 package membership
 
 import (
@@ -32,7 +30,7 @@ var (
 
 // Block is one ledger record of a sequentially staged block: enough to
 // re-stage it byte-identically, in the lookup namespace of the application
-// that staged it, at the same owner or another.
+// that staged it, at its owner.
 type Block struct {
 	Var     string
 	Version int
@@ -79,15 +77,6 @@ func (l *Ledger) RecordDiscard(v string, version int, region geometry.BBox, owne
 	l.mu.Unlock()
 }
 
-// Lookup returns the ledger's current record of the block with b's
-// variable, version, region and owner, and whether it still holds one.
-func (l *Ledger) Lookup(b Block) (Block, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	rec, ok := l.blocks[blockKey(b.Var, b.Version, b.Region, b.Owner)]
-	return rec, ok
-}
-
 // Blocks returns a snapshot of every recorded block, sorted by key so
 // convergence order is deterministic.
 func (l *Ledger) Blocks() []Block {
@@ -121,30 +110,6 @@ type Result struct {
 	Reinserted    int64
 }
 
-// Restage is the one way a ledger block is moved: its exposure and location
-// record are withdrawn at the recorded owner, then the ledger's block is put
-// at core to — the same core after a crash (Reconcile), another one for a
-// remap (remap.Apply). An absent buffer is no error: the owner's process
-// may be gone, or the producer's own retry re-staged the block first. The
-// space's put recorder follows the move (the discard drops the record, the
-// put writes it again under the new owner); like any failed PutSequential,
-// a failed re-stage leaves the block off the ledger.
-func Restage(sp *cods.Space, b Block, to cluster.CoreID, phase string) error {
-	from := sp.HandleAt(b.Owner, b.App, phase)
-	if mutate.Enabled(mutate.RemapStaleOwner) && to != b.Owner {
-		// Seeded defect: free the old copy's bytes but leave its location
-		// record registered (and skip the schedule invalidation that rides
-		// on the removal), so lookups keep naming the pre-migration owner.
-		_ = from.Discard(b.Var, b.Version, b.Region)
-	} else if err := from.DiscardSequential(b.Var, b.Version, b.Region); err != nil {
-		return fmt.Errorf("membership: withdrawing %q v%d %v at core %d: %w", b.Var, b.Version, b.Region, b.Owner, err)
-	}
-	if err := sp.HandleAt(to, b.App, phase).PutSequential(b.Var, b.Version, b.Region, b.Data); err != nil {
-		return fmt.Errorf("membership: re-staging %q v%d %v at core %d: %w", b.Var, b.Version, b.Region, to, err)
-	}
-	return nil
-}
-
 // Reconcile converges the space after the affected nodes lost their serving
 // process and a replacement took each one's slot: every ledger block owned
 // by a core of an affected node is re-staged in place; every other block
@@ -162,8 +127,19 @@ func Reconcile(sp *cods.Space, ledger *Ledger, affected []cluster.NodeID) (Resul
 	machine := sp.Fabric().Machine()
 	for _, b := range ledger.Blocks() {
 		if hit[machine.NodeOf(b.Owner)] {
-			if err := Restage(sp, b, b.Owner, "elastic"); err != nil {
-				return res, err
+			// Withdraw the exposure and location record, then put the
+			// ledger's copy back at the same core. An absent buffer is no
+			// error: the owner's process may be gone, or the producer's own
+			// retry re-staged the block first. The put recorder follows
+			// (the discard drops the record, the put writes it again); like
+			// any failed PutSequential, a failed re-stage leaves the block
+			// off the ledger.
+			h := sp.HandleAt(b.Owner, b.App, "elastic")
+			if err := h.DiscardSequential(b.Var, b.Version, b.Region); err != nil {
+				return res, fmt.Errorf("membership: withdrawing %q v%d %v at core %d: %w", b.Var, b.Version, b.Region, b.Owner, err)
+			}
+			if err := h.PutSequential(b.Var, b.Version, b.Region, b.Data); err != nil {
+				return res, fmt.Errorf("membership: re-staging %q v%d %v at core %d: %w", b.Var, b.Version, b.Region, b.Owner, err)
 			}
 			res.RestagedCount++
 			res.MigratedBytes += b.Bytes()

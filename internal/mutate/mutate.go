@@ -90,13 +90,6 @@ const (
 	// past the position it asked for, so the first unconsumed version is
 	// silently skipped across a Close/SubscribeFrom boundary.
 	VersionSkipOnResubscribe = "version-skip-on-resubscribe"
-	// RemapStaleOwner makes a re-stage at another core (the remap
-	// executor's move) leave the pre-migration owner's location record
-	// registered while its copy of the block is already discarded, so
-	// lookups keep routing pulls to the old owner —
-	// the adaptive-remapping twin of StaleEpoch, living in the lookup plane
-	// instead of the schedule cache.
-	RemapStaleOwner = "remap-stale-owner"
 	// MortonBitSwap transposes the z-order decode of a Morton curve (the
 	// one de-interleave its Decode and span walk share): bit l of
 	// dimension d is read from l*dim+d instead of l*dim+(dim-1-d), so
@@ -111,5 +104,5 @@ func Names() []string {
 		TCPTruncFrame, TCPMeterClass, TCPSGDrop, TCPSGReorder, TCPBlockShift, TCPClipRowSkew, TCPMsgEntryDrop, ObsFlowMisattribute,
 		ReconcileSkipReinsert,
 		StaleWatermarkServed, GCBeforeConsume, VersionSkipOnResubscribe,
-		RemapStaleOwner, MortonBitSwap}
+		MortonBitSwap}
 }

@@ -87,21 +87,6 @@ func (m *Model) Discard(v string, version int, region geometry.BBox, owner int) 
 	return fmt.Errorf("refmodel: no block %v owned by %d for %q v%d", region, owner, v, version)
 }
 
-// Move re-homes the block stored for exactly (region, from) onto another
-// owner, keeping its data — the model mirror of one adaptive-remap
-// migration (discard at the source, restage at the target).
-func (m *Model) Move(v string, version int, region geometry.BBox, from, to int) error {
-	for _, b := range m.blocks(v, version) {
-		if b.Owner == from && b.Region.Equal(region) {
-			if err := m.Discard(v, version, region, from); err != nil {
-				return err
-			}
-			return m.Put(v, version, region, to, b.Data)
-		}
-	}
-	return fmt.Errorf("refmodel: no block %v owned by %d for %q v%d to move", region, from, v, version)
-}
-
 // Get assembles the cells of region row-major from the stored blocks,
 // cell by cell. Every cell must be covered by exactly the blocks' data;
 // an uncovered cell is an error naming the shortfall, mirroring the real

@@ -15,7 +15,6 @@ import (
 	"github.com/insitu/cods/internal/membership"
 	"github.com/insitu/cods/internal/node"
 	"github.com/insitu/cods/internal/obs"
-	"github.com/insitu/cods/internal/remap"
 	"github.com/insitu/cods/internal/retry"
 	"github.com/insitu/cods/internal/transport"
 	"github.com/insitu/cods/internal/transport/tcpnet"
@@ -45,7 +44,6 @@ const (
 	warmGetAllocs = 118 // one warm get of the inset, every plane off
 	getMissAllocs = 108 // one uncached small get on the getMissRig
 	obsGetAllocs  = 19  // what the observability plane adds to it
-	plannerAllocs = 28  // one flow-matrix build and remap proposal
 )
 
 // allocsPinned reports whether this build is held to the allocation
@@ -411,40 +409,6 @@ func TestPlaneCosts(t *testing.T) {
 		streamCost := r.cost(t, func() error { return streamed("s0") })
 		if classicCost != want || streamCost != want {
 			t.Errorf("two versions cost %+v classic, %+v streamed; want %+v both", classicCost, streamCost, want)
-		}
-	})
-
-	// One pass of the remap planner over the staged blocks — the flow
-	// matrix rebuilt from the machine's flow log, the mapping re-scored
-	// against it — as an adaptive driver runs it between iterations. It
-	// reads only process state: no byte on the wire, no flow.
-	t.Run("remap-planner", func(t *testing.T) {
-		r := newPlaneRig(t)
-		ledger := membership.NewLedger()
-		r.sp.SetPutRecorder(ledger)
-		r.stage(t)
-		m := r.f.Machine()
-		blocks := ledger.Blocks()
-		var cells, moves int
-		pass := func() error {
-			fm := obs.BuildFlowMatrix(m.Metrics().Flows(""))
-			plan := remap.Propose(m, fm, blocks, remap.Options{})
-			cells, moves = len(fm.Cells), len(plan.Moves)
-			return nil
-		}
-		if c := r.cost(t, pass); c != (planeCost{}) {
-			t.Errorf("a planner pass costs %+v, want nothing", c)
-		}
-		if len(blocks) != 16 || cells != 16 || moves != 12 {
-			t.Errorf("the planner scored %d blocks against %d flow cells and planned %d moves; want 16, 16, 12",
-				len(blocks), cells, moves)
-		}
-
-		if !allocsPinned {
-			return
-		}
-		if n := allocs(t, pass); n > plannerAllocs {
-			t.Errorf("a planner pass allocates %v times, want <= %d", n, plannerAllocs)
 		}
 	})
 }

@@ -216,20 +216,6 @@ func mutationScenario(name string) genwf.Scenario {
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
 			Stream: true, Drop: true, Rounds: 4, MaxLag: 2, ConsumeEvery: 2,
 		}
-	case mutate.RemapStaleOwner:
-		// One adaptive remap round migrates every staged block across
-		// nodes. The defective move (membership.Restage to another core)
-		// discards the source copy but leaves its location record registered, so the post-remap owner check
-		// sees one entry more than the model predicts — and a pull routed
-		// to the stale owner would double-cover its region.
-		return genwf.Scenario{
-			Seed: 0x18, Nodes: 2, CoresPerNode: 2, Domain: []int{8},
-			Sequential: true,
-			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
-			ConsKind: decomp.Blocked, ConsGrid: []int{2},
-			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			Remap: true,
-		}
 	case mutate.VersionSkipOnResubscribe:
 		// Keep-up consumers resubscribe after round 2 from position 1: the
 		// mutated resume lands at 2 and silently skips a version — the
