@@ -11,11 +11,21 @@ import (
 	"github.com/insitu/cods/internal/transport"
 )
 
+// appendBlock appends the whole block wire form of obj to dst: its header,
+// then every cell in one piece.
+func appendBlock(dst []byte, obj *StoredObject) ([]byte, error) {
+	dst, cells, err := obj.AppendBlockHeader(dst)
+	if err != nil {
+		return nil, err
+	}
+	return obj.AppendBlockCells(dst, 0, cells), nil
+}
+
 // blockWire encodes a stored block of the given region, filled by
 // fillRegion, in the block wire form.
 func blockWire(t testing.TB, region geometry.BBox) []byte {
 	t.Helper()
-	wire, err := (&StoredObject{Region: region, Data: fillRegion(region)}).AppendBlock(nil)
+	wire, err := appendBlock(nil, &StoredObject{Region: region, Data: fillRegion(region)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,11 +43,11 @@ func rawBlock(bounds [][2]int64, cellBytes int) []byte {
 }
 
 // TestBlockCodecRoundTrip pins the wire form of a stored block: decode is
-// the inverse of AppendBlock, the header is rank plus per-dimension bounds,
+// the inverse of the encoder, the header is rank plus per-dimension bounds,
 // the cell section is byte for byte what ClipRegion emits for the whole
-// region, and AppendBlock appends — what dst already held stays. The
-// decoded block keeps the cell section as it came, and serves it back
-// unchanged.
+// region whatever pieces it is encoded in, and both encoder halves append —
+// what dst already held stays. The decoded block keeps the cell section as
+// it came, and serves it back unchanged.
 func TestBlockCodecRoundTrip(t *testing.T) {
 	for _, region := range []geometry.BBox{
 		geometry.BoxFromSize([]int{1}),
@@ -46,12 +56,12 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 		geometry.NewBBox(geometry.Point{1, 0, 2}, geometry.Point{3, 4, 5}),
 	} {
 		obj := &StoredObject{Region: region, Data: fillRegion(region)}
-		wire, err := obj.AppendBlock([]byte("prefix"))
+		wire, err := appendBlock([]byte("prefix"), obj)
 		if err != nil {
 			t.Fatalf("%v: %v", region, err)
 		}
 		if !bytes.HasPrefix(wire, []byte("prefix")) {
-			t.Fatalf("%v: AppendBlock overwrote dst", region)
+			t.Fatalf("%v: the encoder overwrote dst", region)
 		}
 		wire = wire[len("prefix"):]
 		hdr := 1 + 16*region.Dim()
@@ -64,6 +74,16 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(wire[hdr:], cells) {
 			t.Fatalf("%v: cell section differs from ClipRegion of the whole region", region)
+		}
+		// In pieces of every size from one cell up, as a sender streams it.
+		for piece := 1; piece <= len(obj.Data); piece++ {
+			var chunked []byte
+			for from := 0; from < len(obj.Data); from += piece {
+				chunked = obj.AppendBlockCells(chunked, from, min(from+piece, len(obj.Data)))
+			}
+			if !bytes.Equal(chunked, cells) {
+				t.Fatalf("%v: the cell section encoded %d cells a piece differs from the whole", region, piece)
+			}
 		}
 		got, err := transport.DecodeBlock(wire)
 		if err != nil {
@@ -126,8 +146,8 @@ func TestBlockCodecStrict(t *testing.T) {
 		{Region: geometry.BoxFromSize([]int{0}), Data: nil},
 		{Region: geometry.BoxFromSize([]int{4}), Data: make([]float64, 3)},
 	} {
-		if wire, err := obj.AppendBlock(nil); err == nil {
-			t.Errorf("AppendBlock accepted %+v as %d bytes", obj, len(wire))
+		if wire, cells, err := obj.AppendBlockHeader(nil); err == nil {
+			t.Errorf("AppendBlockHeader accepted %+v as %d bytes and %d cells", obj, len(wire), cells)
 		}
 	}
 }

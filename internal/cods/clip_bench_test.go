@@ -74,7 +74,7 @@ func benchClip(b *testing.B, copies bool, clip func(sub geometry.BBox) error) {
 // block as it arrived that hold the sub-box, into a reused run list. No
 // cell is copied, so the figure is the cost of the row walk alone.
 func BenchmarkWireBlockClipRows(b *testing.B) {
-	wire, err := (&StoredObject{Region: benchBlockBox, Data: fillRegion(benchBlockBox)}).AppendBlock(nil)
+	wire, err := appendBlock(nil, &StoredObject{Region: benchBlockBox, Data: fillRegion(benchBlockBox)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -89,9 +89,9 @@ func BenchmarkWireBlockClipRows(b *testing.B) {
 	})
 }
 
-// BenchmarkStoredObjectClip is the block encoder, every cell converted from
-// the producer's []float64 into a reused buffer: what each expose pays
-// (AppendBlock).
+// BenchmarkStoredObjectClip is the cell encoder, every cell converted from
+// the producer's []float64 into a reused buffer: for the whole block, what
+// each expose pays (AppendBlockCells, piece by piece).
 func BenchmarkStoredObjectClip(b *testing.B) {
 	obj := &StoredObject{Region: benchBlockBox, Data: fillRegion(benchBlockBox)}
 	buf := make([]byte, 0, benchBlockBox.Volume()*ElemSize)

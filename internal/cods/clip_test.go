@@ -173,7 +173,7 @@ func TestWireBlockClipMatchesStoredObject(t *testing.T) {
 		geometry.NewBBox(geometry.Point{1, 0, 2}, geometry.Point{4, 5, 6}),
 	} {
 		obj := &StoredObject{Region: region, Data: fillRegion(region)}
-		wire, err := obj.AppendBlock(nil)
+		wire, err := appendBlock(nil, obj)
 		if err != nil {
 			t.Fatal(err)
 		}

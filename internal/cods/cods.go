@@ -94,18 +94,28 @@ func init() {
 // of those very bytes, and only copySegment, in the process that asked for
 // the cells, decodes them.
 
-// AppendBlock implements transport.BlockPayload.
-func (o *StoredObject) AppendBlock(dst []byte) ([]byte, error) {
+// AppendBlockHeader implements transport.BlockPayload: the region header,
+// and the cell count behind it, for a block the wire can carry.
+func (o *StoredObject) AppendBlockHeader(dst []byte) ([]byte, int, error) {
 	dim := o.Region.Dim()
 	if dim == 0 || dim > 0xFF {
-		return nil, fmt.Errorf("cods: block rank %d outside the wire range 1..255", dim)
+		return nil, 0, fmt.Errorf("cods: block rank %d outside the wire range 1..255", dim)
 	}
 	if int64(len(o.Data)) != o.Region.Volume() || len(o.Data) == 0 {
-		return nil, fmt.Errorf("cods: block %v carries %d cells, want %d (and at least one)",
+		return nil, 0, fmt.Errorf("cods: block %v carries %d cells, want %d (and at least one)",
 			o.Region, len(o.Data), o.Region.Volume())
 	}
-	dst = slices.Grow(dst, 1+16*dim+len(o.Data)*ElemSize)
-	return o.ClipRegion(geometry.AppendBox(dst, o.Region), o.Region)
+	return geometry.AppendBox(dst, o.Region), len(o.Data), nil
+}
+
+// AppendBlockCells implements transport.BlockPayload. The block's own
+// region is row-major over itself, so its cells [from, to) are Data[from:to]
+// in order: one encodeRow, whatever the rows.
+func (o *StoredObject) AppendBlockCells(dst []byte, from, to int) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, (to-from)*ElemSize)[:n+(to-from)*ElemSize]
+	encodeRow(dst[n:], o.Data[from:to])
+	return dst
 }
 
 // decodeBlock strictly decodes the block wire form into a *wireBlock that
@@ -145,8 +155,10 @@ func decodeBlock(wire []byte) (any, error) {
 
 // wireBlock is a stored block as a serving process keeps it: its region
 // and the cell section of the expose body it arrived in, in the wire's
-// cell format. That body was allocated for this expose alone and nothing
-// writes to it again, so the runs ClipRows serves may alias it.
+// cell format. Nothing writes to that body while the block is exposed, nor
+// after, until no segment served from it is still being written (the
+// serving backend recycles it only then), so the runs ClipRows serves may
+// alias it.
 type wireBlock struct {
 	Region geometry.BBox
 	Cells  []byte
@@ -185,9 +197,9 @@ func (b *wireBlock) ClipRows(rows [][]byte, sub geometry.BBox) ([][]byte, error)
 }
 
 // ClipRegion appends the cells of sub ∩ Region onto dst as big-endian
-// float64 bits, row-major over the intersection: the block encoder behind
-// AppendBlock (the whole region) and what a serving process's
-// wireBlock.ClipRows runs spell out for any sub-box. An empty intersection
+// float64 bits, row-major over the intersection: for the whole region the
+// cell section AppendBlockCells encodes, and for any sub-box what a serving
+// process's wireBlock.ClipRows runs spell out. An empty intersection
 // appends nothing.
 func (o *StoredObject) ClipRegion(dst []byte, sub geometry.BBox) ([]byte, error) {
 	if sub.Dim() != o.Region.Dim() {
@@ -786,10 +798,11 @@ func (e *PullError) Error() string {
 func (e *PullError) Unwrap() error { return e.Err }
 
 // retryableTransfer classifies transfer errors: a closed endpoint is
-// terminal (the owner will not come back), everything else — injected
-// faults included — is worth another attempt.
+// terminal (the owner will not come back), and so is a block too large for
+// the wire; everything else — injected faults included — is worth another
+// attempt.
 func retryableTransfer(err error) bool {
-	return !errors.Is(err, transport.ErrEndpointClosed)
+	return !errors.Is(err, transport.ErrEndpointClosed) && !errors.Is(err, transport.ErrTooLarge)
 }
 
 // putSeed derives the deterministic backoff seed of one put from its

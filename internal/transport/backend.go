@@ -94,18 +94,26 @@ type RegionClipper interface {
 }
 
 // BlockPayload is implemented by exposed payloads a network backend can
-// ship between processes: AppendBlock appends the payload's whole wire form
-// — its region header, then every cell row-major as big-endian float64
-// bits — to dst and returns the extended slice. The receiving process turns
-// the bytes into a RegionClipper through the decoder installed with
+// ship between processes. Their wire form is a region header, then every
+// cell row-major as big-endian float64 bits, CellBytes a cell. A sender
+// encodes it piece by piece and never holds all of it at once:
+// AppendBlockHeader appends the header to dst and returns how many cells
+// follow it (or why the payload cannot be shipped), and AppendBlockCells
+// appends the cells [from, to) of those. The receiving process turns the
+// bytes into a RegionClipper through the decoder installed with
 // RegisterBlockDecoder, so the backend itself never learns the payload's
 // type (tcpnet must not import cods).
 type BlockPayload interface {
-	AppendBlock(dst []byte) ([]byte, error)
+	AppendBlockHeader(dst []byte) ([]byte, int, error)
+	AppendBlockCells(dst []byte, from, to int) []byte
 }
 
-// blockDecoder reverses BlockPayload.AppendBlock in the receiving process;
-// set once, from the init of the package that owns the block type.
+// CellBytes is the size of one cell in the block wire form and in a
+// segment: a float64.
+const CellBytes = 8
+
+// blockDecoder reverses the BlockPayload wire form in the receiving
+// process; set once, from the init of the package that owns the block type.
 var blockDecoder func(wire []byte) (any, error)
 
 // RegisterBlockDecoder installs the decoder of the block wire form. It is
@@ -120,9 +128,9 @@ func RegisterBlockDecoder(dec func(wire []byte) (any, error)) {
 	blockDecoder = dec
 }
 
-// DecodeBlock rebuilds an exposed payload, a RegionClipper, from the bytes
-// AppendBlock produced. The payload may retain wire, so a caller hands over
-// a buffer nothing else will write to.
+// DecodeBlock rebuilds an exposed payload, a RegionClipper, from the wire
+// form of a BlockPayload. The payload may retain wire, so a caller hands
+// over a buffer nothing writes to while the payload is in use.
 func DecodeBlock(wire []byte) (any, error) {
 	if blockDecoder == nil {
 		return nil, fmt.Errorf("transport: no block decoder registered")
@@ -147,7 +155,7 @@ func (f *Fabric) Routed() bool { return f.backend != nil }
 // clip.
 func (f *Fabric) LocalReadMulti(reader cluster.CoreID, specs []ReadSpec, m Meter, deliver SegmentFunc) error {
 	for i, spec := range specs {
-		payload, err := f.LocalRead(reader, spec.Owner, spec.Key, m, spec.Bytes, 0)
+		payload, err := f.LocalRead(reader, spec.Owner, spec.Key, m, spec.Bytes, 0, nil)
 		if err != nil {
 			return err
 		}
@@ -167,8 +175,11 @@ func (f *Fabric) LocalReadMulti(reader cluster.CoreID, specs []ReadSpec, m Meter
 // routed to a process that will never receive the buffer (staged before
 // the replacement, re-staged elsewhere) must surface a retryable error
 // rather than hold the exchange open forever while the reader's retry
-// layer sees no failure.
-func (f *Fabric) LocalRead(reader, owner cluster.CoreID, key BufKey, m Meter, n int64, patience time.Duration) (any, error) {
+// layer sees no failure. hold, when not nil, is called with the payload
+// while it is still exposed, under the lock a withdrawal takes: a serving
+// backend that recycles the memory of withdrawn payloads pins it there, so
+// no withdrawal can come between the read and the pin.
+func (f *Fabric) LocalRead(reader, owner cluster.CoreID, key BufKey, m Meter, n int64, patience time.Duration, hold func(payload any)) (any, error) {
 	oe := f.endpoints[int(owner)]
 	expired := false
 	if patience > 0 {
@@ -187,6 +198,9 @@ func (f *Fabric) LocalRead(reader, owner cluster.CoreID, key BufKey, m Meter, n 
 			return nil, fmt.Errorf("transport: reading %v from endpoint %d: %w", key, owner, ErrEndpointClosed)
 		}
 		if payload, ok := oe.exports[key]; ok {
+			if hold != nil {
+				hold(payload)
+			}
 			oe.exportMu.Unlock()
 			f.record(m, owner, reader, n)
 			return payload, nil
@@ -245,12 +259,15 @@ func (f *Fabric) LocalExpose(owner cluster.CoreID, key BufKey, payload any) erro
 }
 
 // LocalUnexpose withdraws a buffer published on an owner endpoint in this
-// process; an absent buffer is no error.
-func (f *Fabric) LocalUnexpose(owner cluster.CoreID, key BufKey) {
+// process and returns the payload it withdrew; an absent buffer is no
+// error, and returns nil.
+func (f *Fabric) LocalUnexpose(owner cluster.CoreID, key BufKey) any {
 	oe := f.endpoints[int(owner)]
 	oe.exportMu.Lock()
+	payload := oe.exports[key]
 	delete(oe.exports, key)
 	oe.exportMu.Unlock()
+	return payload
 }
 
 // LocalExposed reports whether key is published on an owner endpoint in

@@ -2,16 +2,20 @@ package tcpnet
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"runtime/debug"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/cods"
 	"github.com/insitu/cods/internal/geometry"
+	"github.com/insitu/cods/internal/retry"
 	"github.com/insitu/cods/internal/transport"
 )
 
@@ -44,8 +48,9 @@ func stageSegments(tb testing.TB, b *Backend) []transport.ReadSpec {
 }
 
 // BenchmarkExposeBlock ships one 2 MiB block to its owner and withdraws it
-// again: encode, one vectored write, the owner's read of the body it keeps
-// as the block.
+// again: the block encoded and written a piece at a time, the owner's read
+// into the body it keeps as the block — warm, the one the previous
+// iteration withdrew.
 func BenchmarkExposeBlock(b *testing.B) {
 	_, be, _ := newCluster(b, 2, 1)
 	region := geometry.BoxFromSize([]int{exposeSide, exposeSide})
@@ -330,5 +335,151 @@ func TestLargeFrameRoundTrip(t *testing.T) {
 		if !bytes.Equal(got[i].AppendWire(nil), sent[i].AppendWire(nil)) {
 			t.Fatalf("payload %d (%d values) changed after later frames reused the buffers", i, len(sent[i].Vals))
 		}
+	}
+}
+
+// TestExposeRefusesOversizedBlock: a block whose frame would exceed
+// maxFrame is refused by the sender with the limit in the message, as
+// terminal (transport.ErrTooLarge), before a byte reaches the wire — and a
+// put of it under a retry policy fails on its first attempt, not after
+// retrying what cannot succeed.
+func TestExposeRefusesOversizedBlock(t *testing.T) {
+	f, be, servers := newCluster(t, 2, 1)
+	// 8 Mi cells: the cell section alone is maxFrame bytes. The cells are
+	// never touched, so their pages are never faulted in.
+	region := geometry.BoxFromSize([]int{4096, 2048})
+	data := make([]float64, region.Volume())
+	withSpaces(t, servers, region)
+	sp, err := cods.NewSpace(f, region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.SetRetryPolicy(retry.Policy{MaxAttempts: 4, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond})
+	before := be.WireStats()
+	err = be.Expose(1, transport.BufKey{Name: "huge", Version: 1}, &cods.StoredObject{Region: region, Data: data})
+	if !errors.Is(err, transport.ErrTooLarge) || !strings.Contains(err.Error(), fmt.Sprintf("exceeds limit %d", maxFrame)) {
+		t.Fatalf("exposing a %d-cell block: err = %v, want the frame limit (transport.ErrTooLarge)", len(data), err)
+	}
+	if err := sp.HandleAt(1, 1, "put").PutSequential("u", 0, region, data); !errors.Is(err, transport.ErrTooLarge) {
+		t.Fatalf("putting the block: err = %v, want transport.ErrTooLarge", err)
+	}
+	// A retried put would have withdrawn the block first: an unexpose and
+	// DHT removals on the wire.
+	if after := be.WireStats(); after != before {
+		t.Fatalf("refused exposes moved the wire counters from %+v to %+v", before, after)
+	}
+}
+
+// TestRefusedExposeHandsBodyBack: the body an expose arrived in goes back
+// to its node's free list when the expose is refused — the key is already
+// exposed, or the block does not decode — and when the block is withdrawn.
+func TestRefusedExposeHandsBodyBack(t *testing.T) {
+	_, be, servers := newCluster(t, 2, 1)
+	owner := servers[1].bodies
+	freeBytes := func() int {
+		owner.mu.Lock()
+		defer owner.mu.Unlock()
+		return owner.freeBytes
+	}
+	region := geometry.BoxFromSize([]int{64, 64})
+	obj := &cods.StoredObject{Region: region, Data: fillCells(region)}
+	key := transport.BufKey{Name: "blk", Version: 1}
+	body := 1 + 16*region.Dim() + int(region.Volume())*cods.ElemSize
+	if err := be.Expose(1, key, obj); err != nil {
+		t.Fatal(err)
+	}
+	if err := be.Expose(1, key, obj); err == nil || !strings.Contains(err.Error(), "already exposed") {
+		t.Fatalf("a second expose of %v: err = %v, want already exposed", key, err)
+	}
+	if n := freeBytes(); n != body {
+		t.Fatalf("after a refused expose the free list holds %d bytes, want its %d-byte body", n, body)
+	}
+	bad := sampleBlockPayload()
+	if resp := servers[1].execute(&frame{Op: opExpose, Kind: payloadBlock, Dst: 1, Name: "bad", Payload: bad[:len(bad)-1]}); resp.Status != statusErr {
+		t.Fatalf("a block that does not decode was exposed: status %d", resp.Status)
+	}
+	if n := freeBytes(); n != body+len(bad)-1 {
+		t.Fatalf("after a refused decode the free list holds %d bytes, want %d", n, body+len(bad)-1)
+	}
+	if err := be.Unexpose(1, key); err != nil {
+		t.Fatal(err)
+	}
+	if n := freeBytes(); n != 2*body+len(bad)-1 {
+		t.Fatalf("after the withdrawal the free list holds %d bytes, want %d", n, 2*body+len(bad)-1)
+	}
+}
+
+// TestServedSegmentNeverSeesRecycledBody: a block withdrawn while a
+// segment of it is still being written keeps its body until the write is
+// done. The reader's socket buffer is shrunk so the owner's write of an
+// 8 MiB segment stalls with most of it unsent; meanwhile the block is
+// withdrawn and a block of the same size with other cells is exposed on
+// the same node. The late reader still receives the first block cell for
+// cell, and the withdrawn body is recycled once the write completes.
+func TestServedSegmentNeverSeesRecycledBody(t *testing.T) {
+	_, be, servers := newCluster(t, 2, 1)
+	region := geometry.BoxFromSize([]int{1024, 1024})
+	first := &cods.StoredObject{Region: region, Data: fillCells(region)}
+	want, err := first.ClipRegion(nil, region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k1, k2 := transport.BufKey{Name: "first", Version: 1}, transport.BufKey{Name: "second", Version: 1}
+	if err := be.Expose(1, k1, first); err != nil {
+		t.Fatal(err)
+	}
+	c, _, err := be.conn(1) // the connection the read will go out on
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Conn.(*net.TCPConn).SetReadBuffer(64 << 10); err != nil {
+		t.Fatal(err)
+	}
+	be.release(1, c)
+	specs := []transport.ReadSpec{{Owner: 1, Key: k1, Sub: region, Bytes: region.Volume() * cods.ElemSize}}
+	x := exchange{node: 1, lo: 0, hi: 1, big: true}
+	if err := be.send(&x, 0, specs, dataMeter); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if x.c != nil {
+			x.c.Close()
+		}
+	}()
+	// The owner counts a segment served just before it writes it.
+	for start := time.Now(); servers[1].WireStats().SegmentsServed == 0; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 10*time.Second {
+			t.Fatal("the owner never started serving the segment")
+		}
+	}
+	if err := be.Unexpose(1, k1); err != nil {
+		t.Fatal(err)
+	}
+	second := &cods.StoredObject{Region: region, Data: make([]float64, region.Volume())}
+	for i := range second.Data {
+		second.Data[i] = -1
+	}
+	if err := be.Expose(1, k2, second); err != nil {
+		t.Fatal(err)
+	}
+	be.receive(&x, specs, func(_ int, _ any, clipped []byte) error {
+		if !bytes.Equal(clipped, want) {
+			for i := range clipped {
+				if clipped[i] != want[i] {
+					return fmt.Errorf("the segment differs from the block as exposed from byte %d of %d", i, len(want))
+				}
+			}
+			return fmt.Errorf("the segment is %d bytes, want %d", len(clipped), len(want))
+		}
+		return nil
+	})
+	if x.err != nil {
+		t.Fatal(x.err)
+	}
+	owner := servers[1].bodies
+	owner.mu.Lock()
+	defer owner.mu.Unlock()
+	if body := len(want) + 1 + 16*region.Dim(); owner.freeBytes != body {
+		t.Fatalf("after the write the free list holds %d bytes, want the withdrawn %d-byte body", owner.freeBytes, body)
 	}
 }

@@ -2,6 +2,7 @@ package tcpnet
 
 import (
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -54,7 +55,7 @@ func TestReleaseDropsConnWithUnreadBytes(t *testing.T) {
 	_, b, _ := newCluster(t, 1, 1)
 	key := transport.BufKey{Name: "absent", Version: 1}
 	probe := &frame{Op: opExposed, Dst: 0, Name: key.Name, Version: int64(key.Version)}
-	used, err := b.writeRequest(0, probe)
+	used, err := b.writeRequest(0, func(w io.Writer) error { return writeFrame(w, probe) })
 	if err != nil {
 		t.Fatal(err)
 	}

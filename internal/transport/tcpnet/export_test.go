@@ -9,3 +9,14 @@ var (
 	FillCells  = fillCells
 	TestConfig = testConfig
 )
+
+// MaxFreeBodies is the bound on a serving node's free list of expose
+// bodies.
+const MaxFreeBodies = maxFreeBodies
+
+// FreeBodyBytes is the bytes b's free list of expose bodies holds.
+func FreeBodyBytes(b *Backend) int {
+	b.bodies.mu.Lock()
+	defer b.bodies.mu.Unlock()
+	return b.bodies.freeBytes
+}

@@ -10,7 +10,7 @@ import (
 
 // appendFrame encodes fr's whole body (without the length prefix) onto dst.
 func appendFrame(dst []byte, fr *frame) []byte {
-	return append(appendFrameHeader(dst, fr), fr.Payload...)
+	return append(appendFrameHeader(dst, fr, len(fr.Payload)), fr.Payload...)
 }
 
 // marshalFrame is marshalFrameInto onto a fresh contiguous buffer: a

@@ -44,6 +44,13 @@ const (
 	warmGetAllocs = 118 // one warm get of the inset, every plane off
 	getMissAllocs = 108 // one uncached small get on the getMissRig
 	obsGetAllocs  = 19  // what the observability plane adds to it
+
+	// One warm expose and withdrawal of a 2 MiB block, sender and owner
+	// together: at most the allocations the cycle took when the owner read
+	// every block into a fresh body (BenchmarkExposeBlock), and a bounded
+	// number of bytes, so that no buffer sized by the block is allocated.
+	exposeAllocs     = 23
+	exposeAllocBytes = 64 << 10
 )
 
 // allocsPinned reports whether this build is held to the allocation
@@ -195,10 +202,55 @@ var warmGet = planeCost{
 	Flows: 16,
 }
 
+// warmExpose is the cost of exposing a 512x512 block (2 MiB, a
+// stream-lockstep-tcp block) on core 5 and withdrawing it again: the
+// block's frame (2,097,258 bytes: 73 of frame, 33 of block header, the
+// cells) and the 73-byte unexpose frame out, two bare 70-byte response
+// frames back, no segment and no flow — the fabric meters no expose.
+var warmExpose = planeCost{Wire: tcpnet.WireStats{BytesOut: 2097331, BytesIn: 140}}
+
 // TestPlaneCosts holds each optional plane of the pull path to its cost on
-// the rig; one subtest per plane. The allocation clauses run where
-// allocsPinned.
+// the rig; one subtest per plane, and one for the write path the planes
+// ride beside. The allocation clauses run where allocsPinned.
 func TestPlaneCosts(t *testing.T) {
+	// The write path: a warm expose and withdrawal of a 2 MiB block through
+	// the driver. Warm, the owner's free list holds a body of the block's
+	// size and the sender's staging buffer is pooled, so the cycle
+	// allocates bookkeeping only.
+	t.Run("expose", func(t *testing.T) {
+		r := newPlaneRig(t)
+		region := geometry.BoxFromSize([]int{512, 512})
+		obj := &cods.StoredObject{Region: region, Data: tcpnet.FillCells(region)}
+		ep, key := r.f.Endpoint(5), transport.BufKey{Name: "blk", Version: 1}
+		cycle := func() error {
+			if err := ep.Expose(key, obj); err != nil {
+				return err
+			}
+			return ep.Unexpose(key)
+		}
+		if err := cycle(); err != nil {
+			t.Fatal(err)
+		}
+		if c := r.cost(t, cycle); c != warmExpose {
+			t.Errorf("a warm expose and withdrawal costs %+v, want %+v", c, warmExpose)
+		}
+		if !allocsPinned {
+			return
+		}
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n := allocs(t, cycle)
+		runtime.ReadMemStats(&after)
+		// AllocsPerRun runs the cycle once more than it averages over.
+		perCycle := (after.TotalAlloc - before.TotalAlloc) / (planeRuns + 1)
+		t.Logf("a warm expose and withdrawal allocates %v times, %d bytes", n, perCycle)
+		if n > exposeAllocs || perCycle > exposeAllocBytes {
+			t.Errorf("a warm expose and withdrawal allocates %v times, %d bytes; want <= %d, <= %d",
+				n, perCycle, exposeAllocs, exposeAllocBytes)
+		}
+	})
+
 	// The registry on, with its wire-mirror counters, plus a tracer — every
 	// pull stamps its span id into the request frames, so every served
 	// request emits a handler span (a serving node always captures; an

@@ -95,6 +95,10 @@ type Backend struct {
 	wg     sync.WaitGroup
 	closed atomic.Bool
 
+	// bodies holds the expose bodies of the blocks a serving backend keeps
+	// and recycles the withdrawn ones; a driver never uses it.
+	bodies *bodies
+
 	stats struct {
 		bytesOut, bytesIn      atomic.Int64
 		readMultiReqs          atomic.Int64
@@ -268,6 +272,7 @@ func newBackend(f *transport.Fabric, cfg Config) *Backend {
 		pools:       make(map[cluster.NodeID][]*peerConn),
 		serverConns: make(map[net.Conn]bool),
 		peerInc:     make(map[cluster.NodeID]uint64),
+		bodies:      newBodies(),
 		shutdownCh:  make(chan struct{}),
 	}
 }
@@ -448,20 +453,23 @@ func (b *Backend) release(node cluster.NodeID, c *peerConn) {
 	b.mu.Unlock()
 }
 
-// writeRequest writes fr to the server of node on a pooled connection,
-// dialing when the pool is empty, and returns the connection, whose answer
-// the caller reads and then releases or closes. A write that fails on a
-// pooled connection found it closed by the peer while pooled: nothing was
-// sent, so it is redialed. Once a request has hit the wire nothing is
-// retried here, since the operation may already have executed remotely.
-func (b *Backend) writeRequest(node cluster.NodeID, fr *frame) (*peerConn, error) {
+// writeRequest writes a request to the server of node on a pooled
+// connection, dialing when the pool is empty, and returns the connection,
+// whose answer the caller reads and then releases or closes. write puts the
+// whole request frame on the connection it is given, from its first byte:
+// a write that fails on a pooled connection found it closed by the peer
+// while pooled, and the server executes no frame it did not receive whole,
+// so the request is written again on a fresh connection. Once a request
+// has hit the wire nothing is retried here, since the operation may
+// already have executed remotely.
+func (b *Backend) writeRequest(node cluster.NodeID, write func(w io.Writer) error) (*peerConn, error) {
 	for {
 		c, cached, err := b.conn(node)
 		if err != nil {
 			return nil, err
 		}
 		b.armWrite(c)
-		if err = writeFrame(c, fr); err == nil {
+		if err = write(c); err == nil {
 			return c, nil
 		}
 		c.Close()
@@ -476,7 +484,13 @@ func (b *Backend) writeRequest(node cluster.NodeID, fr *frame) (*peerConn, error
 // behind a frame exchange waits on another task, so a node that does not
 // answer in time is a transient failure, not a wait.
 func (b *Backend) roundTrip(node cluster.NodeID, fr *frame) (*frame, error) {
-	c, err := b.writeRequest(node, fr)
+	return b.roundTripWith(node, func(w io.Writer) error { return writeFrame(w, fr) })
+}
+
+// roundTripWith is roundTrip of the request frame write puts on the wire
+// (writeRequest).
+func (b *Backend) roundTripWith(node cluster.NodeID, write func(w io.Writer) error) (*frame, error) {
+	c, err := b.writeRequest(node, write)
 	if err != nil {
 		return nil, err
 	}
@@ -652,7 +666,7 @@ func (b *Backend) send(x *exchange, reader cluster.CoreID, run []transport.ReadS
 	meterFrame(&fr, m)
 	b.stats.readMultiReqs.Add(1)
 	obsWireReadMultiReqs.Inc()
-	x.c, err = b.writeRequest(x.node, &fr)
+	x.c, err = b.writeRequest(x.node, func(w io.Writer) error { return writeFrame(w, &fr) })
 	return err
 }
 
@@ -752,27 +766,74 @@ func checkKind(fr *frame, want uint8) error {
 	return nil
 }
 
-// Expose implements transport.Backend: the block's wire form is built once
-// in a pooled staging buffer and leaves behind the frame header in the same
-// vectored write. The caller's payload is not referenced after the call.
+// exposeChunk is the size of the pieces an exposed block is encoded and
+// written in (256 KiB): each piece leaves for the socket while it is still
+// in the cache it was encoded into, and the sender never holds more of the
+// block's wire form than one piece.
+const exposeChunk = 256 << 10
+
+// Expose implements transport.Backend: the block's wire form is encoded
+// piece by piece into a pooled staging buffer, each piece written as soon
+// as it is encoded — the frame header leads the first, and a block that
+// fits one piece costs one write. A frame the peer would refuse as too
+// large is refused here, before a byte is written. Expose returns once the
+// last byte is written and the owner has answered; the caller's payload is
+// not referenced after the call.
 func (b *Backend) Expose(owner cluster.CoreID, key transport.BufKey, payload any) error {
 	block, ok := payload.(transport.BlockPayload)
 	if !ok {
 		return fmt.Errorf("tcpnet: exposing %T on core %d: not a transport.BlockPayload", payload, owner)
 	}
-	bp := getStage()
-	defer putStage(bp)
-	wire, err := block.AppendBlock((*bp)[:0])
+	hp := getBuf()
+	defer putBuf(hp)
+	// The block header decides the payload length the frame head carries,
+	// so it is encoded once to size the head, then again behind it.
+	boxHdr, cells, err := block.AppendBlockHeader((*hp)[:0])
 	if err != nil {
 		return err
 	}
-	*bp = wire[:0]
-	fr := &frame{Op: opExpose, Kind: payloadBlock, Dst: int32(owner), Name: key.Name, Version: int64(key.Version), Payload: wire}
-	resp, err := b.roundTrip(b.machine.NodeOf(owner), fr)
+	n := len(boxHdr) + cells*transport.CellBytes
+	fr := &frame{Op: opExpose, Kind: payloadBlock, Dst: int32(owner), Name: key.Name, Version: int64(key.Version)}
+	pre, send, err := appendFrameHead((*hp)[:0], fr, n)
+	if err != nil {
+		return err
+	}
+	if body := len(pre) - 4 + send; body > maxFrame {
+		return fmt.Errorf("tcpnet: exposing %v on core %d: frame of %d bytes exceeds limit %d: %w",
+			key, owner, body, maxFrame, transport.ErrTooLarge)
+	}
+	pre, _, _ = block.AppendBlockHeader(pre)
+	*hp = pre[:0]
+	sp := getStage()
+	defer putStage(sp)
+	resp, err := b.roundTripWith(b.machine.NodeOf(owner), func(w io.Writer) error {
+		return writeBlock(w, sp, pre, block, cells, n-send)
+	})
 	if err != nil {
 		return err
 	}
 	return respErr(resp)
+}
+
+// writeBlock writes a block frame: pre, the frame head and the block
+// header, then the block's cells, encoded into *sp at most exposeChunk
+// bytes at a time and each piece written as soon as it is full. The last
+// short bytes of the frame are not sent (a seeded wire defect).
+func writeBlock(w io.Writer, sp *[]byte, pre []byte, block transport.BlockPayload, cells, short int) error {
+	*sp = append((*sp)[:0], pre...)
+	for from := 0; ; {
+		to := min(cells, from+max(exposeChunk-len(*sp), 0)/transport.CellBytes)
+		*sp = block.AppendBlockCells(*sp, from, to)
+		if to == cells {
+			*sp = (*sp)[:len(*sp)-short]
+		}
+		if _, err := w.Write(*sp); err != nil {
+			return err
+		}
+		if *sp, from = (*sp)[:0], to; from == cells {
+			return nil
+		}
+	}
 }
 
 // Unexpose implements transport.Backend.
@@ -977,7 +1038,7 @@ func (b *Backend) serveConn(c net.Conn) {
 		return
 	}
 	for {
-		fr, err := readFrame(r)
+		fr, err := readFrameInto(r, b.bodies)
 		if err != nil {
 			return
 		}
@@ -1006,11 +1067,13 @@ func (b *Backend) serveConn(c net.Conn) {
 // each requested sub-box out of its exposed buffer — the runs of its bytes
 // (transport.RegionClipper), no cell copied — and stream the segments,
 // each metered through LocalRead on this side, the side moving the bytes.
-// The response frame and every segment whose body fits maxInlineBody
-// gather in one pooled buffer that leaves in one write — at the end,
-// behind an error segment, or when the next segment would take it past
-// maxPooledBuf; a larger segment flushes the buffer and leaves uncopied,
-// its header and runs one vectored write. The return value reports
+// A segment pins the body of the block it is clipped from (bodies) from
+// its LocalRead until its bytes are copied or written. The response frame
+// and every segment whose body fits maxInlineBody gather in one pooled
+// buffer that leaves in one write — at the end, behind an error segment,
+// or when the next segment would take it past maxPooledBuf; a larger
+// segment flushes the buffer and leaves uncopied, its header and runs one
+// vectored write. The return value reports
 // whether the connection is still in protocol sync; a failure after the
 // header frame is not (the client was promised segments), so the stream is
 // aborted with an error segment and the connection dropped.
@@ -1082,13 +1145,16 @@ func (b *Backend) serveReadMulti(c net.Conn, fr *frame) bool {
 			// exchange payloads — protocol-valid, wrong bytes in each slot.
 			spec = specs[1-i]
 		}
-		payload, err := b.fabric.LocalRead(reader, spec.Owner, spec.Key, m, spec.Bytes, b.cfg.ReadPatience)
+		var pinned *heldBody
+		payload, err := b.fabric.LocalRead(reader, spec.Owner, spec.Key, m, spec.Bytes, b.cfg.ReadPatience,
+			func(block any) { pinned = b.bodies.pin(block) })
 		if clipper, ok := payload.(transport.RegionClipper); ok && err == nil {
 			runs, err = clipper.ClipRows(append(runs[:0], nil), spec.Sub)
 		} else if err == nil {
 			err = fmt.Errorf("tcpnet: exposed payload %T cannot clip regions", payload)
 		}
 		if err != nil {
+			b.bodies.unpin(pinned)
 			status, text := statusErr, err.Error()
 			if errors.Is(err, transport.ErrEndpointClosed) {
 				status = statusClosed
@@ -1106,6 +1172,7 @@ func (b *Backend) serveReadMulti(c net.Conn, fr *frame) bool {
 		obsWireSegments.Inc()
 		obsWireSegmentBytes.Add(int64(n))
 		if (n > maxInlineBody || len(pending)+segHeaderLen+n > maxPooledBuf) && !flush() {
+			b.bodies.unpin(pinned)
 			return false
 		}
 		pending = appendSegmentHeader(pending, statusOK, i, n)
@@ -1113,17 +1180,42 @@ func (b *Backend) serveReadMulti(c net.Conn, fr *frame) bool {
 			for _, run := range runs[1:] {
 				pending = append(pending, run...)
 			}
+			b.bodies.unpin(pinned)
 			continue
 		}
 		b.armWrite(c)
 		runs[0] = pending
 		*rp = runs
 		err = writeBuffers(c, rp)
+		b.bodies.unpin(pinned)
 		if pending = pending[:0]; err != nil {
 			return false
 		}
 	}
 	return flush()
+}
+
+// expose publishes the block an opExpose frame carries. The block keeps
+// fr.Payload, a body from the free list (readFrameInto) that goes back to
+// it when the block is withdrawn; a refused expose hands it back at once.
+func (b *Backend) expose(fr *frame, key transport.BufKey) error {
+	// Only the raw block codec is accepted: a gob-encoded block from a
+	// stale sender is refused, not decoded.
+	err := checkKind(fr, payloadBlock)
+	var block any
+	if err == nil {
+		block, err = transport.DecodeBlock(fr.Payload)
+	}
+	if err != nil {
+		b.bodies.give(fr.Payload)
+		return err
+	}
+	b.bodies.hold(block, fr.Payload)
+	if err := b.fabric.LocalExpose(cluster.CoreID(fr.Dst), key, block); err != nil {
+		b.bodies.release(block)
+		return err
+	}
+	return nil
 }
 
 // armWrite gives the next write on c the per-frame deadline.
@@ -1203,25 +1295,14 @@ func (b *Backend) execute(fr *frame) *frame {
 		if err := b.checkTarget(fr.Dst); err != nil {
 			return fail(err)
 		}
-		// Only the raw block codec is accepted: a gob-encoded block from a
-		// stale sender is refused, not decoded.
-		if err := checkKind(fr, payloadBlock); err != nil {
-			return fail(err)
-		}
-		// The block keeps fr.Payload: a body readFrame allocated for this
-		// frame alone.
-		payload, err := transport.DecodeBlock(fr.Payload)
-		if err != nil {
-			return fail(err)
-		}
-		if err := b.fabric.LocalExpose(cluster.CoreID(fr.Dst), key, payload); err != nil {
+		if err := b.expose(fr, key); err != nil {
 			return fail(err)
 		}
 	case opUnexpose:
 		if err := b.checkTarget(fr.Dst); err != nil {
 			return fail(err)
 		}
-		b.fabric.LocalUnexpose(cluster.CoreID(fr.Dst), key)
+		b.bodies.release(b.fabric.LocalUnexpose(cluster.CoreID(fr.Dst), key))
 	case opExposed:
 		if err := b.checkTarget(fr.Dst); err != nil {
 			return fail(err)

@@ -362,11 +362,12 @@ func TestServingNodeRefusesNegativeMeteredSize(t *testing.T) {
 // sampleBlockPayload is the wire form of a representative exposed block.
 func sampleBlockPayload() []byte {
 	region := geometry.NewBBox(geometry.Point{0}, geometry.Point{8})
-	wire, err := (&cods.StoredObject{Region: region, Data: fillCells(region)}).AppendBlock(nil)
+	obj := &cods.StoredObject{Region: region, Data: fillCells(region)}
+	wire, cells, err := obj.AppendBlockHeader(nil)
 	if err != nil {
 		panic(err)
 	}
-	return wire
+	return obj.AppendBlockCells(wire, 0, cells)
 }
 
 // sampleSpecPayload is the encoded spec list of a representative
@@ -441,6 +442,48 @@ func TestWireStrictDecode(t *testing.T) {
 	bad[3] = payloadKindMax
 	if _, err := decodeFrame(bad); err == nil {
 		t.Fatal("decode accepted out-of-range payload kind")
+	}
+}
+
+// TestServerReadsExposeStrictly holds a serving node's read of an expose
+// frame — strings through the read buffer, the payload into a body from
+// the free list — to the strict decoder: a valid frame reads as
+// decodeFrame decodes it, into a recycled body when the list holds one of
+// its size; a stream cut anywhere fails; and a frame whose payload length
+// disagrees with its body length is a short frame or trailing data.
+func TestServerReadsExposeStrictly(t *testing.T) {
+	fr := &frame{Op: opExpose, Kind: payloadBlock, Dst: 1, Name: "u|[0,8)", Version: 3, Phase: "put", Payload: sampleBlockPayload()}
+	buf, err := marshalFrame(fr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := decodeFrame(buf[4:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := newBodies()
+	recycled := make([]byte, len(fr.Payload))
+	pool.give(recycled)
+	got, err := readFrameInto(bytes.NewReader(buf), pool)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("read %+v, %v; want %+v", got, err, want)
+	}
+	if &got.Payload[0] != &recycled[0] {
+		t.Fatal("the payload was not read into the recycled body of its size")
+	}
+	for n := 0; n < len(buf); n++ {
+		if _, err := readFrameInto(bytes.NewReader(buf[:n]), newBodies()); err == nil {
+			t.Fatalf("read accepted a %d-byte prefix of a %d-byte frame", n, len(buf))
+		}
+	}
+	// The payload length field is the last 4 bytes before the payload.
+	at := len(buf) - len(fr.Payload) - 4
+	for delta, wantErr := range map[int]error{+1: errShortFrame, -1: errTrailingData} {
+		bad := append([]byte(nil), buf...)
+		binary.BigEndian.PutUint32(bad[at:], uint32(len(fr.Payload)+delta))
+		if _, err := readFrameInto(bytes.NewReader(bad), newBodies()); !errors.Is(err, wantErr) {
+			t.Errorf("payload length %+d: err = %v, want %v", delta, err, wantErr)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 
 	"github.com/insitu/cods/internal/cluster"
@@ -133,8 +134,9 @@ var (
 )
 
 // appendFrameHeader encodes fr's body up to and including the payload
-// length — everything but the payload bytes — onto dst.
-func appendFrameHeader(dst []byte, fr *frame) []byte {
+// length, for a payload of n bytes — everything but the payload bytes —
+// onto dst.
+func appendFrameHeader(dst []byte, fr *frame, n int) []byte {
 	dst = append(dst, fr.Op, fr.Status, fr.MeterClass, fr.Kind)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(fr.Src))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(fr.Dst))
@@ -148,7 +150,7 @@ func appendFrameHeader(dst []byte, fr *frame) []byte {
 		dst = binary.BigEndian.AppendUint16(dst, uint16(len(s)))
 		dst = append(dst, s...)
 	}
-	return binary.BigEndian.AppendUint32(dst, uint32(len(fr.Payload)))
+	return binary.BigEndian.AppendUint32(dst, uint32(n))
 }
 
 // bufPool recycles the encode buffers of the write path: frame and segment
@@ -177,16 +179,18 @@ func putBuf(bp *[]byte) {
 	bufPool.Put(bp)
 }
 
-// stagePool recycles the staging buffers block bytes pass through: the wire
-// form of a block being exposed (sender) and the segment a reader receives
-// before scattering it. A buffer grows to the largest body it has held, so
-// in steady state neither allocates. The frame body an exposed block
-// arrives in is not staged: the owner keeps it as the block
-// (transport.DecodeBlock), and serves segments as runs of it (runsPool).
+// stagePool recycles the staging buffers block bytes pass through: the
+// piece of a block being exposed that is encoded and written next
+// (sender, at most exposeChunk and the frame header) and the segment a
+// reader receives before scattering it. A buffer grows to the largest body
+// it has held, so in steady state neither allocates. The frame body an
+// exposed block arrives in is not staged: the owner keeps it as the block
+// (transport.DecodeBlock), serves segments as runs of it (runsPool) and
+// recycles it once withdrawn (bodies).
 var stagePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxStagedBuf bounds the capacity of a staging buffer the pool will keep
-// (8 MiB, four times the benchmark's largest block); a larger body is
+// (8 MiB, four times the benchmark's largest segment); a larger segment is
 // staged in a one-off allocation the collector reclaims, so the pool's
 // footprint is at most maxStagedBuf per concurrently served connection.
 const maxStagedBuf = 8 << 20
@@ -212,51 +216,61 @@ const maxPooledRuns = 64 << 10
 // marshalFrameInto encodes a full frame — length prefix plus body — onto
 // dst and returns it as head; a payload above maxInlineBody is not copied
 // but returned as tail, to be written right behind head (writeFrame).
-// The string sections are bounded by their u16 length prefix; oversized
-// ones are a caller bug surfaced as an error rather than silent
-// truncation. Two seeded wire defects live here, compiled out of normal
-// builds: a one-byte body truncation and an InterApp<->Control
-// meter-class swap.
 func marshalFrameInto(dst []byte, fr *frame) (head, tail []byte, err error) {
+	head, send, err := appendFrameHead(dst, fr, len(fr.Payload))
+	if err != nil {
+		return nil, nil, err
+	}
+	if tail = fr.Payload[:send]; len(fr.Payload) <= maxInlineBody {
+		head, tail = append(head, tail...), nil
+	}
+	return head, tail, nil
+}
+
+// appendFrameHead encodes the length prefix of fr and its body up to the
+// payload, for a payload of n bytes written behind it, onto dst, and
+// returns how many of those n bytes to send. The string sections are
+// bounded by their u16 length prefix; oversized ones are a caller bug
+// surfaced as an error rather than silent truncation. Two seeded wire
+// defects live here, compiled out of normal builds: a one-byte body
+// truncation (one payload byte fewer to send, or, without a payload, a
+// shorter head) and an InterApp<->Control meter-class swap.
+func appendFrameHead(dst []byte, fr *frame, n int) (head []byte, send int, err error) {
 	for _, s := range []string{fr.Name, fr.Phase, fr.Err} {
 		if len(s) > 0xFFFF {
-			return nil, nil, fmt.Errorf("tcpnet: string section of %d bytes exceeds wire limit", len(s))
+			return nil, 0, fmt.Errorf("tcpnet: string section of %d bytes exceeds wire limit", len(s))
 		}
 	}
 	if fr.Op == 0 || fr.Op >= opMax {
-		return nil, nil, fmt.Errorf("tcpnet: invalid op %d", fr.Op)
+		return nil, 0, fmt.Errorf("tcpnet: invalid op %d", fr.Op)
 	}
 	if fr.Kind >= payloadKindMax {
-		return nil, nil, fmt.Errorf("tcpnet: invalid payload kind %d", fr.Kind)
+		return nil, 0, fmt.Errorf("tcpnet: invalid payload kind %d", fr.Kind)
 	}
-	send := *fr
-	if mutate.Enabled(mutate.TCPMeterClass) && send.Op != opHello {
-		switch cluster.Class(send.MeterClass) {
+	hdr := *fr
+	if mutate.Enabled(mutate.TCPMeterClass) && hdr.Op != opHello {
+		switch cluster.Class(hdr.MeterClass) {
 		case cluster.InterApp:
-			send.MeterClass = uint8(cluster.Control)
+			hdr.MeterClass = uint8(cluster.Control)
 		case cluster.Control:
-			send.MeterClass = uint8(cluster.InterApp)
+			hdr.MeterClass = uint8(cluster.InterApp)
 		}
 	}
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
-	head = appendFrameHeader(dst, &send)
-	tail = send.Payload
-	if len(tail) <= maxInlineBody {
-		head, tail = append(head, tail...), nil
-	}
-	if mutate.Enabled(mutate.TCPTruncFrame) && send.Op != opHello {
+	head, send = appendFrameHeader(dst, &hdr, n), n
+	if mutate.Enabled(mutate.TCPTruncFrame) && hdr.Op != opHello {
 		// The length prefix is computed over the already-truncated body, so
 		// the peer's strict decoder fails fast instead of blocking on a
 		// byte that never comes.
-		if len(tail) > 0 {
-			tail = tail[:len(tail)-1]
+		if send > 0 {
+			send--
 		} else {
 			head = head[:len(head)-1]
 		}
 	}
-	binary.BigEndian.PutUint32(head[start:start+4], uint32(len(head)-start-4+len(tail)))
-	return head, tail, nil
+	binary.BigEndian.PutUint32(head[start:start+4], uint32(len(head)-start-4+send))
+	return head, send, nil
 }
 
 // decodeFrame strictly decodes one frame body: every declared section must
@@ -373,9 +387,13 @@ func writeFrame(w io.Writer, fr *frame) error {
 // readFrame reads one length-prefixed frame, bounding the body at maxFrame.
 // r is a connection's read buffer (readBufSize), so a frame that fits it
 // costs one read from the socket. The body past the fixed header gets an
-// allocation of its own, which Payload may alias for as long as it likes —
-// an exposed block's owner keeps it as the block.
-func readFrame(r io.Reader) (*frame, error) {
+// allocation of its own, which Payload may alias for as long as it likes.
+func readFrame(r io.Reader) (*frame, error) { return readFrameInto(r, nil) }
+
+// readFrameInto is readFrame on a serving node: an expose's payload, the
+// block its owner will keep, is read into a body the node's free list
+// hands out (bodies.take), not into an allocation of the whole frame.
+func readFrameInto(r io.Reader, pool *bodies) (*frame, error) {
 	var fixed [4 + fixedHeaderLen]byte
 	if _, err := io.ReadFull(r, fixed[:]); err != nil {
 		return nil, err
@@ -391,6 +409,9 @@ func readFrame(r io.Reader) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
+	if pool != nil && fr.Op == opExpose {
+		return fr, readExposeSections(r, fr, n-fixedHeaderLen, pool)
+	}
 	rest := make([]byte, n-fixedHeaderLen)
 	if _, err := io.ReadFull(r, rest); err != nil {
 		return nil, err
@@ -399,6 +420,49 @@ func readFrame(r io.Reader) (*frame, error) {
 		return nil, err
 	}
 	return fr, nil
+}
+
+// readExposeSections reads the rest sections of an expose frame — strings,
+// then the payload — as decodeSections decodes them, the payload into a
+// body from pool. The payload length is checked against the frame's before
+// a body is taken.
+func readExposeSections(r io.Reader, fr *frame, rest int, pool *bodies) error {
+	bp := getBuf()
+	defer putBuf(bp)
+	field := func(n int) ([]byte, error) {
+		if rest < n {
+			return nil, errShortFrame
+		}
+		rest -= n
+		*bp = slices.Grow((*bp)[:0], n)[:n]
+		_, err := io.ReadFull(r, *bp)
+		return *bp, err
+	}
+	for _, dst := range []*string{&fr.Name, &fr.Phase, &fr.Err} {
+		b, err := field(2)
+		if err != nil {
+			return err
+		}
+		if b, err = field(int(binary.BigEndian.Uint16(b))); err != nil {
+			return err
+		}
+		*dst = string(b)
+	}
+	b, err := field(4)
+	if err != nil {
+		return err
+	}
+	if n := int(binary.BigEndian.Uint32(b)); n > rest {
+		return errShortFrame
+	} else if n < rest {
+		return errTrailingData
+	}
+	if rest == 0 {
+		return nil
+	}
+	fr.Payload = pool.take(rest)
+	_, err = io.ReadFull(r, fr.Payload)
+	return err
 }
 
 // Scatter-gather read codec. An opReadMulti request frame carries the

@@ -38,6 +38,11 @@ var ErrEndpointClosed = errors.New("endpoint closed")
 // layers re-resolve routing and pull again instead of giving up.
 var ErrReadPatience = errors.New("deferred read patience exhausted")
 
+// ErrTooLarge marks a payload larger than a network backend can carry in
+// one frame. Like ErrEndpointClosed it is terminal: the same payload fails
+// the same way on every attempt.
+var ErrTooLarge = errors.New("payload exceeds the wire limit")
+
 // Registry instruments, indexed by cluster.Medium. The fabric's own
 // per-instance counters (MediumBytes/MediumOps) and these process-wide
 // counters are incremented at the same call site in record, so the obs

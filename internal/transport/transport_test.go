@@ -205,7 +205,7 @@ func TestLocalReadWaits(t *testing.T) {
 			}
 			done := make(chan result, 1)
 			go func() {
-				p, err := f.LocalRead(1, 0, key, testMeter, 8, tc.patience)
+				p, err := f.LocalRead(1, 0, key, testMeter, 8, tc.patience, nil)
 				done <- result{p, err}
 			}()
 			if tc.unblock != nil {
