@@ -29,7 +29,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/geometry"
@@ -49,16 +48,13 @@ func main() {
 			"(required for the driver's per-node report reconciliation)")
 		obsHTTP = flag.String("obs-http", "", "serve the metrics registry over HTTP on this address "+
 			"(announced as CODSNODE OBS)")
-		pprof       = flag.Bool("pprof", false, "also serve net/http/pprof handlers on the -obs-http listener")
-		incarnation = flag.Uint64("incarnation", 0, "membership incarnation of this serving process, set by "+
-			"elastic drivers (a replacement for a crashed node carries a strictly higher one)")
+		pprof = flag.Bool("pprof", false, "also serve net/http/pprof handlers on the -obs-http listener")
 	)
 	flag.Parse()
 	if err := run(nodeOptions{
 		node: *node, nodes: *nodes, cores: *cores,
 		domainSpec: *domainSpec, listen: *listen,
 		obs: *obsOn, obsHTTP: *obsHTTP, pprof: *pprof,
-		incarnation: *incarnation,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "codsnode: %v\n", err)
 		os.Exit(1)
@@ -71,20 +67,6 @@ type nodeOptions struct {
 	obs                bool
 	obsHTTP            string
 	pprof              bool
-	incarnation        uint64
-}
-
-// config is the node's server configuration. A node of an elastic run
-// (incarnation > 0) gives up on a deferred read after 2 s: one that raced
-// a node replacement — routed to a process that never receives the
-// buffer — goes back to the driver's retry layer. Any other node waits
-// forever, the classic in-situ deferred-read semantics.
-func (o nodeOptions) config() tcpnet.Config {
-	cfg := tcpnet.Config{Incarnation: o.incarnation}
-	if o.incarnation > 0 {
-		cfg.ReadPatience = 2 * time.Second
-	}
-	return cfg
 }
 
 func run(o nodeOptions) error {
@@ -106,7 +88,7 @@ func run(o nodeOptions) error {
 	if err != nil {
 		return err
 	}
-	n, err := node.Start(m, cluster.NodeID(o.node), o.listen, geometry.BoxFromSize(domain), o.config())
+	n, err := node.Start(m, cluster.NodeID(o.node), o.listen, geometry.BoxFromSize(domain), tcpnet.Config{})
 	if err != nil {
 		return err
 	}

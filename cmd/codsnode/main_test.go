@@ -3,7 +3,6 @@ package main
 import (
 	"slices"
 	"testing"
-	"time"
 )
 
 // TestParseDomain: -domain comes from outside the program. Every refusal
@@ -36,21 +35,6 @@ func TestParseDomain(t *testing.T) {
 		}
 		if err != nil || !slices.Equal(got, tc.want) {
 			t.Errorf("parseDomain(%q) = %v, %v; want %v", tc.spec, got, err, tc.want)
-		}
-	}
-}
-
-// TestNodeConfig: a node bounds its deferred reads exactly when it serves
-// an elastic run — the driver passes -incarnation only then — and
-// announces the incarnation it was given.
-func TestNodeConfig(t *testing.T) {
-	if cfg := (nodeOptions{}).config(); cfg.ReadPatience != 0 || cfg.Incarnation != 0 {
-		t.Errorf("incarnation 0: %+v, want no patience", cfg)
-	}
-	for _, inc := range []uint64{1, 7} {
-		cfg := nodeOptions{incarnation: inc}.config()
-		if cfg.ReadPatience != 2*time.Second || cfg.Incarnation != inc {
-			t.Errorf("incarnation %d: %+v, want 2s patience", inc, cfg)
 		}
 	}
 }

@@ -3,9 +3,9 @@ package main
 // The driver side of the elastic membership layer (DESIGN §5h). The crash
 // signal is the exit of a codsnode child this driver spawned: tcpCluster's
 // watcher reports every exit nobody asked for, and the loop converges on
-// each — reap the child, spawn a replacement at a higher incarnation,
-// install its route on the driver's backend (the only process that dials),
-// and re-stage the lost node's staged blocks from the driver's put ledger
+// each — reap the child, spawn a replacement on a fresh port, install its
+// route on the driver's backend (the only process that dials), and
+// re-stage the lost node's staged blocks from the driver's put ledger
 // while in-flight pulls retry against the re-validated routing.
 
 import (
@@ -78,10 +78,10 @@ func (el *elastic) loop() {
 	}
 }
 
-// converge replaces the exited node's process — reap, spawn at the next
-// incarnation, route the driver's backend to it — then reconciles, so the
-// lost process's staged blocks are re-staged and every lookup record and
-// cached schedule reflects the new process. The replacement takes the
+// converge replaces the exited node's process — reap, spawn, route the
+// driver's backend to it — then reconciles, so the lost process's staged
+// blocks are re-staged and every lookup record and cached schedule
+// reflects the new process. The replacement takes the
 // dead node's slot, so who owns which DHT interval is unchanged. The exit
 // is printed, and traced when the run traces at all, so a crash and its
 // recovery are visible inline with the pulls they disrupted.
@@ -98,12 +98,12 @@ func (el *elastic) converge(ex exit) error {
 		tr.Event(0, msg)
 	}
 	el.tc.reap(ex.node)
-	node, inc := cluster.NodeID(ex.node), ex.inc+1
-	addr, err := el.tc.spawnNode(ex.node, inc)
+	node := cluster.NodeID(ex.node)
+	addr, err := el.tc.spawnNode(ex.node)
 	if err != nil {
 		return fmt.Errorf("membership: replacing node %d: %w", node, err)
 	}
-	el.tc.be.UpdatePeer(node, addr, inc)
+	el.tc.be.UpdatePeer(node, addr)
 	res, err := membership.Reconcile(el.fw.SharedSpace(), el.ledger, []cluster.NodeID{node})
 	if err != nil {
 		return err

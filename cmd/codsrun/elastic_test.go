@@ -35,7 +35,7 @@ func TestSettleWithUnfiredChaosHook(t *testing.T) {
 // TestExitWatcherReportsCrashesOnly runs stand-in children — a script that
 // announces a listen address the way codsnode does, then sleeps. Killing
 // one unasked, as the chaos hook does, delivers exactly one exit for its
-// node, with its incarnation and the kill as the reason, and counts one in
+// node, with the kill as the reason, and counts one in
 // membership.exits; the children stop asks to exit deliver and count none.
 func TestExitWatcherReportsCrashesOnly(t *testing.T) {
 	if runtime.GOOS == "windows" {
@@ -59,7 +59,7 @@ func TestExitWatcherReportsCrashesOnly(t *testing.T) {
 	tc := &tcpCluster{bin: bin, exits: make(chan exit, 2), quit: make(chan struct{}),
 		children: make(map[int]*child)}
 	for node := 0; node < 2; node++ {
-		if got, err := tc.spawnNode(node, 1); err != nil || got != addr {
+		if got, err := tc.spawnNode(node); err != nil || got != addr {
 			t.Fatalf("spawning node %d: %q, %v", node, got, err)
 		}
 	}
@@ -70,8 +70,8 @@ func TestExitWatcherReportsCrashesOnly(t *testing.T) {
 	tc.kill(1)
 	select {
 	case ex := <-tc.exits:
-		if ex.node != 1 || ex.inc != 1 || ex.err == nil || ex.err.Error() != "signal: killed" {
-			t.Fatalf("the kill reported node %d, incarnation %d, %v; want 1, 1, signal: killed", ex.node, ex.inc, ex.err)
+		if ex.node != 1 || ex.err == nil || ex.err.Error() != "signal: killed" {
+			t.Fatalf("the kill reported node %d, %v; want 1, signal: killed", ex.node, ex.err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("no exit reported for the killed child")

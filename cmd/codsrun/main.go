@@ -582,7 +582,7 @@ var obsExits = obs.C("membership.exits")
 type tcpCluster struct {
 	be   *tcpnet.Backend
 	bin  string
-	args []string // shared child flags, without -node/-incarnation
+	args []string // shared child flags, without -node
 
 	exits chan exit
 	quit  chan struct{} // closed by stop: no exit is reported after it
@@ -594,24 +594,20 @@ type tcpCluster struct {
 // child is one spawned codsnode process.
 type child struct {
 	cmd    *exec.Cmd
-	inc    uint64
 	asked  atomic.Bool   // stop or reap asked it to exit: no crash
 	exited chan struct{} // closed once cmd.Wait returned
 }
 
-// exit is a child's exit nobody asked for: its node, its incarnation and
-// what cmd.Wait returned.
+// exit is a child's exit nobody asked for: its node and what cmd.Wait
+// returned.
 type exit struct {
 	node int
-	inc  uint64
 	err  error
 }
 
 // startTCPBackend launches one codsnode child per node, collects their
 // listen addresses and installs the connected TCP backend on the
-// framework's fabric; the children learn nothing of each other. With
-// -elastic every child starts at incarnation 1, so a replacement can
-// supersede it with a strictly higher one.
+// framework's fabric; the children learn nothing of each other.
 func startTCPBackend(fw *cods.Framework, o options, domain []int) (*tcpCluster, error) {
 	bin, err := findCodsnode(o)
 	if err != nil {
@@ -648,19 +644,23 @@ func startTCPBackend(fw *cods.Framework, o options, domain []int) (*tcpCluster, 
 		}
 		return nil, err
 	}
-	var inc uint64
-	if o.elastic {
-		inc = 1
-	}
 	peers := make(map[cluster.NodeID]string, o.nodes)
 	for node := 0; node < o.nodes; node++ {
-		addr, err := tc.spawnNode(node, inc)
+		addr, err := tc.spawnNode(node)
 		if err != nil {
 			return fail(fmt.Errorf("codsnode %d: %w", node, err))
 		}
 		peers[cluster.NodeID(node)] = addr
 	}
-	be, err := tcpnet.Connect(fw.TransportFabric(), peers, tcpnet.Config{})
+	var cfg tcpnet.Config
+	if o.elastic {
+		// A read that raced a node replacement, parked on a process that
+		// will never receive the buffer, fails after 2 s and goes back to
+		// the consumer's retry, which re-pulls against the reconciled
+		// routing. Without -elastic a read waits for its producer forever.
+		cfg.ReadPatience = 2 * time.Second
+	}
+	be, err := tcpnet.Connect(fw.TransportFabric(), peers, cfg)
 	if err != nil {
 		return fail(err)
 	}
@@ -669,15 +669,10 @@ func startTCPBackend(fw *cods.Framework, o options, domain []int) (*tcpCluster, 
 	return tc, nil
 }
 
-// spawnNode launches one codsnode child (incarnation 0 omits the flag),
-// starts its watcher, waits for its listen announcement, and records it as
-// the node's serving process.
-func (tc *tcpCluster) spawnNode(node int, inc uint64) (string, error) {
-	args := append([]string{"-node", strconv.Itoa(node)}, tc.args...)
-	if inc != 0 {
-		args = append(args, "-incarnation", strconv.FormatUint(inc, 10))
-	}
-	cmd := exec.Command(tc.bin, args...)
+// spawnNode launches one codsnode child, starts its watcher, waits for its
+// listen announcement, and records it as the node's serving process.
+func (tc *tcpCluster) spawnNode(node int) (string, error) {
+	cmd := exec.Command(tc.bin, append([]string{"-node", strconv.Itoa(node)}, tc.args...)...)
 	cmd.Stderr = os.Stderr
 	dieWithParent(cmd)
 	// A pipe of this process's own, not cmd.StdoutPipe: the watcher's
@@ -693,7 +688,7 @@ func (tc *tcpCluster) spawnNode(node int, inc uint64) (string, error) {
 		stdout.Close()
 		return "", fmt.Errorf("starting codsnode %d: %w", node, err)
 	}
-	c := &child{cmd: cmd, inc: inc, exited: make(chan struct{})}
+	c := &child{cmd: cmd, exited: make(chan struct{})}
 	go tc.watch(node, c)
 	addr, obsAddr, err := scrapeChildAddrs(stdout)
 	if err != nil {
@@ -729,7 +724,7 @@ func (tc *tcpCluster) watch(node int, c *child) {
 		return
 	}
 	select {
-	case tc.exits <- exit{node: node, inc: c.inc, err: err}:
+	case tc.exits <- exit{node: node, err: err}:
 	case <-tc.quit:
 	}
 }

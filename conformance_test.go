@@ -61,7 +61,7 @@ func TestConformanceFaultsConcurrentPulls(t *testing.T) {
 
 // TestConformanceElastic is the sweep pinned to node-loss scenarios:
 // after the first get round, on the TCP leg, node.Cluster.Replace closes a
-// serving node and starts a fresh one at the next incarnation — its
+// serving node and starts a fresh one on a new port — its
 // exposed buffers and its DHT table are gone, which the harness first
 // proves through the lookup; the recovery is the membership.Reconcile that
 // codsrun -elastic runs, from the put ledger. The in-process leg has no

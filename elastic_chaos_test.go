@@ -3,8 +3,8 @@ package cods_test
 // Topology-chaos end-to-end test of the elastic membership layer: a
 // multi-process TCP run where one codsnode is hard-killed after staging,
 // while the consumer's pulls are in flight. The driver must learn of the
-// crash from the child's exit, the elastic loop must spawn a replacement at a higher
-// incarnation and re-stage the dead node's blocks from the put ledger,
+// crash from the child's exit, the elastic loop must spawn a replacement on
+// a fresh port and re-stage the dead node's blocks from the put ledger,
 // and every pull must still verify cell-by-cell (codsrun -verify fails
 // the run on the first wrong cell). The observability report must
 // reconcile delta-0, including the membership counters against the

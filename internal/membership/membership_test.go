@@ -1,6 +1,7 @@
 package membership
 
 import (
+	"bytes"
 	"errors"
 	"runtime"
 	"slices"
@@ -10,6 +11,7 @@ import (
 
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/cods"
+	"github.com/insitu/cods/internal/decomp"
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/node"
 	"github.com/insitu/cods/internal/retry"
@@ -359,4 +361,70 @@ func TestPutSequentialRidesOutNodeLoss(t *testing.T) {
 	if !slices.Equal(got, cells(region)) {
 		t.Fatal("the get after the node loss differs from the put's cells")
 	}
+}
+
+// TestConcurrentCouplingFailsOnProducerLoss: a concurrent coupling has no
+// put ledger, so nothing re-stages what a lost producer node exposed. A
+// producer exposes its block from a core of node 1 and the node is
+// replaced; a consumer's get under a 2-attempt policy, with 100 ms of read
+// patience set on the driver alone, then fails cleanly — a *cods.PullError
+// naming the lost owner and wrapping transport.ErrReadPatience, within a
+// bound — and leaves no read parked on the replacement.
+func TestConcurrentCouplingFailsOnProducerLoss(t *testing.T) {
+	m, err := cluster.NewMachine(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	domain := geometry.BoxFromSize([]int{8, 8})
+	f := transport.NewFabric(m)
+	p := retry.Default()
+	p.Deadline = 5 * time.Second
+	c, err := node.NewCluster(f, domain, tcpnet.Config{Retry: p, ReadPatience: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	sp, err := cods.NewSpace(f, domain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc, err := decomp.New(decomp.Blocked, domain, []int{1, 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const producer = cluster.CoreID(2) // node 1
+	info := cods.ProducerInfo{Decomp: dc, CoreOf: func(int) cluster.CoreID { return producer }}
+	if err := sp.HandleAt(producer, 1, "put").PutConcurrent("rho", 0, domain, cells(domain)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Replace(1); err != nil {
+		t.Fatal(err)
+	}
+
+	sp.SetRetryPolicy(retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond})
+	done := make(chan error, 1)
+	go func() {
+		_, err := sp.HandleAt(0, 2, "get").GetConcurrent(info, "rho", 0, domain)
+		done <- err
+	}()
+	select {
+	case err = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the get still waits on the lost producer after 10 s")
+	}
+	var pe *cods.PullError
+	if !errors.As(err, &pe) || pe.Owner != producer || pe.Attempts != 2 || !errors.Is(err, transport.ErrReadPatience) {
+		t.Fatalf("err = %v, want a *cods.PullError from core %d after 2 attempts wrapping transport.ErrReadPatience", err, producer)
+	}
+	if n := parkedReads(); n != 0 {
+		t.Fatalf("%d reads still parked after the get failed, want 0", n)
+	}
+}
+
+// parkedReads counts the goroutines of this process inside a serving
+// node's deferred read (transport.Fabric.LocalRead).
+func parkedReads() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return bytes.Count(buf, []byte("transport.(*Fabric).LocalRead("))
 }

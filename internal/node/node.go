@@ -18,7 +18,6 @@ import (
 type Node struct {
 	space *cods.Space
 	be    *tcpnet.Backend
-	inc   uint64
 }
 
 // Start builds node id of machine m and serves it on addr. The space is
@@ -38,7 +37,7 @@ func Start(m *cluster.Machine, id cluster.NodeID, addr string, domain geometry.B
 	if err != nil {
 		return nil, err
 	}
-	return &Node{space: sp, be: be, inc: cfg.Incarnation}, nil
+	return &Node{space: sp, be: be}, nil
 }
 
 // Space returns the node's space: its exports and its DHT core's table.
@@ -77,16 +76,16 @@ type Cluster struct {
 	cfg     tcpnet.Config
 }
 
-// NewCluster starts one node per node of f's machine, at incarnation 1, and
-// installs on f a driver that dials them. cfg configures the driver and,
-// with the incarnation set, every node (a driver serves nothing, so it
-// ignores the incarnation); domain is that of the space the caller builds
-// on f, with any curve.
+// NewCluster starts one node per node of f's machine and installs on f a
+// driver that dials them. cfg configures the driver; a node takes its
+// Retry only, since the patience of a read is the reader's and travels in
+// the request. domain is that of the space the caller builds on f, with
+// any curve.
 func NewCluster(f *transport.Fabric, domain geometry.BBox, cfg tcpnet.Config) (*Cluster, error) {
 	c := &Cluster{fabrics: []*transport.Fabric{f}, domain: domain, cfg: cfg}
 	peers := make(map[cluster.NodeID]string)
 	for k := cluster.NodeID(0); int(k) < f.Machine().NumNodes(); k++ {
-		n, err := c.start(k, 1)
+		n, err := c.start(k)
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -104,10 +103,8 @@ func NewCluster(f *transport.Fabric, domain geometry.BBox, cfg tcpnet.Config) (*
 	return c, nil
 }
 
-func (c *Cluster) start(k cluster.NodeID, inc uint64) (*Node, error) {
-	cfg := c.cfg
-	cfg.Incarnation = inc
-	n, err := Start(c.fabrics[0].Machine(), k, "127.0.0.1:0", c.domain, cfg)
+func (c *Cluster) start(k cluster.NodeID) (*Node, error) {
+	n, err := Start(c.fabrics[0].Machine(), k, "127.0.0.1:0", c.domain, tcpnet.Config{Retry: c.cfg.Retry})
 	if err != nil {
 		return nil, err
 	}
@@ -123,19 +120,19 @@ func (c *Cluster) Node(k cluster.NodeID) *Node { return c.nodes[k] }
 
 // Replace is the crash and restart of node k's serving process: it closes
 // the node, starts a fresh one in its slot — empty exports, an empty DHT
-// table — at the next incarnation, and installs the new identity on the
-// driver, as the membership layer does once a replacement has joined.
+// table, a fresh port — and routes the driver to it, as the membership
+// layer does once a replacement has joined.
 // Recovering what the node held is membership.Reconcile's job. Replace
 // must not run beside Node or MediumBytes.
 func (c *Cluster) Replace(k cluster.NodeID) (*Node, error) {
 	old := c.nodes[k]
 	old.Close()
-	n, err := c.start(k, old.inc+1)
+	n, err := c.start(k)
 	if err != nil {
 		return nil, err
 	}
 	c.nodes[k] = n
-	c.driver.UpdatePeer(k, n.be.Addr(), n.inc)
+	c.driver.UpdatePeer(k, n.be.Addr())
 	return n, nil
 }
 

@@ -170,12 +170,12 @@ func (f *Fabric) LocalReadMulti(reader cluster.CoreID, specs []ReadSpec, m Meter
 // endpoint in this process: it waits for the buffer to be exposed, meters
 // the pull and returns the exposed payload for the reader to copy from.
 // patience bounds the deferred wait (0 waits forever): a buffer not
-// exposed within it fails the read with ErrReadPatience. Serving
-// processes that can be replaced mid-run use the bounded form — a read
-// routed to a process that will never receive the buffer (staged before
-// the replacement, re-staged elsewhere) must surface a retryable error
-// rather than hold the exchange open forever while the reader's retry
-// layer sees no failure. hold, when not nil, is called with the payload
+// exposed within it fails the read with ErrReadPatience. A serving
+// process passes the patience its reader sent: a reader that may race a
+// node replacement sends a bound — a read routed to a process that will
+// never receive the buffer (staged before the replacement, re-staged
+// elsewhere) must surface a retryable error rather than hold the exchange
+// open forever while the reader's retry layer sees no failure. hold, when not nil, is called with the payload
 // while it is still exposed, under the lock a withdrawal takes: a serving
 // backend that recycles the memory of withdrawn payloads pins it there, so
 // no withdrawal can come between the read and the pin.

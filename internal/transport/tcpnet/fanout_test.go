@@ -156,20 +156,20 @@ func TestReadMultiWritesEveryRequestFirst(t *testing.T) {
 }
 
 // TestReadMultiSmallAnswerDoesNotStallBigOne: a small answer whose buffer
-// is exposed only after the serving nodes' IO deadline, ahead of an 8 MiB
+// is exposed only after the IO deadline, ahead of an 8 MiB
 // answer, does not fail the call. The caller reads the big answer first,
 // so its server's write, which the socket buffers cannot absorb, never
 // waits on the small answer's producer and its write deadline.
 func TestReadMultiSmallAnswerDoesNotStallBigOne(t *testing.T) {
-	serve := testConfig()
-	serve.Retry.Deadline = 250 * time.Millisecond
-	f, _, _ := newClusterServing(t, 3, 1, serve)
+	cfg := testConfig()
+	cfg.Retry.Deadline = 250 * time.Millisecond
+	f, _, _ := newClusterWith(t, 3, 1, cfg)
 	specs := []transport.ReadSpec{fanoutBlock(t, f, 1, 0, smallSide), fanoutBlock(t, f, 2, 1, hugeSide)}
 	if err := f.Endpoint(1).Unexpose(specs[0].Key); err != nil {
 		t.Fatal(err)
 	}
 	ready := make(chan struct{})
-	time.AfterFunc(4*serve.Retry.Deadline, func() { close(ready) })
+	time.AfterFunc(4*cfg.Retry.Deadline, func() { close(ready) })
 	exposed := exposeLater(f, specs[0], ready)
 	err := f.Endpoint(0).ReadMulti(specs, dataMeter, func(i int, _ any, clipped []byte) error {
 		return checkSegment(specs[i], clipped)
@@ -251,16 +251,15 @@ func TestReadMultiOverlapsBigAnswers(t *testing.T) {
 }
 
 // TestReadMultiNodeFailsMidAnswer: node 2 answers its first segment and
-// then fails the second (a buffer never exposed, bounced after the serving
-// node's ReadPatience). The call fails with node 2's own error, attributed
+// then fails the second (a buffer never exposed, bounced after the driver's
+// ReadPatience). The call fails with node 2's own error, attributed
 // to node 2's first spec; node 1's connection, read to its end, is pooled;
 // node 2's and node 3's — whose answer was never read — are closed, not
 // pooled; and the next call, once the buffer is exposed, succeeds on fresh
 // dials.
 func TestReadMultiNodeFailsMidAnswer(t *testing.T) {
-	serve := testConfig()
-	serve.ReadPatience = 50 * time.Millisecond
-	f, b, _ := newClusterServing(t, 4, 1, serve)
+	f, b, _ := newCluster(t, 4, 1)
+	b.cfg.ReadPatience = 50 * time.Millisecond
 	specs := []transport.ReadSpec{
 		fanoutBlock(t, f, 1, 0, smallSide),
 		fanoutBlock(t, f, 2, 1, smallSide),
@@ -319,11 +318,10 @@ func TestReadMultiNodeFailsMidAnswer(t *testing.T) {
 // fails with the lower-indexed node's error even when the other's arrives
 // first. Both answers are big, so node 3's is read on a goroutine while
 // the caller waits on node 2's: node 3 fails at once (its owner endpoint is
-// closed), node 2 only after the serving node's ReadPatience.
+// closed), node 2 only after the driver's ReadPatience.
 func TestReadMultiReportsLowestFailingNode(t *testing.T) {
-	serve := testConfig()
-	serve.ReadPatience = 50 * time.Millisecond
-	f, _, servers := newClusterServing(t, 4, 1, serve)
+	f, b, servers := newCluster(t, 4, 1)
+	b.cfg.ReadPatience = 50 * time.Millisecond
 	specs := []transport.ReadSpec{
 		fanoutBlock(t, f, 1, 0, smallSide),
 		fanoutBlock(t, f, 2, 1, bigSide),

@@ -43,6 +43,10 @@ func FuzzWireFrame(f *testing.F) {
 	// A buffer op truncated mid-tag (the classic short write).
 	unexpose, _ := marshalFrame(&frame{Op: opUnexpose, Dst: 1, Name: "u", Version: 3})
 	f.Add(unexpose[4 : fixedHeaderLen/2])
+	// A read whose patience is no non-negative duration: it decodes, and
+	// serveReadMulti refuses it.
+	patience, _ := marshalFrame(&frame{Op: opReadMulti, Src: 1, Tag: 1 << 63, Payload: sampleSpecPayload()})
+	f.Add(patience[4:])
 	// The op codes earlier wire versions used past today's opMax (the five
 	// ops v7 removed, the two v10 removed, the two v11 removed, the one v14
 	// removed): otherwise well-formed bodies the decoder must reject as

@@ -180,3 +180,11 @@ func TestAcceptLoopSurvivesTransientError(t *testing.T) {
 	}
 	b.Close() // returns only once acceptLoop has
 }
+
+// ping is one driver round trip to node on a machine of one core per node:
+// an Exposed query for a buffer nobody staged, which a serving process
+// answers without side effects.
+func ping(b *Backend, node cluster.NodeID) error {
+	_, err := b.Exposed(cluster.CoreID(node), transport.BufKey{Name: "ping"})
+	return err
+}

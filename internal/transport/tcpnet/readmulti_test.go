@@ -2,6 +2,7 @@ package tcpnet
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -222,7 +223,7 @@ func TestSmallSegmentsShareOneWrite(t *testing.T) {
 	_, be, servers := newCluster(t, 1, 1)
 	b := servers[0]
 	f := b.fabric
-	b.cfg.ReadPatience = 20 * time.Millisecond
+	be.cfg.ReadPatience = 20 * time.Millisecond
 	m := transport.Meter{Phase: "t", Class: cluster.InterApp, DstApp: 2}
 	row := func(i, cells int) (transport.ReadSpec, []byte) {
 		region := geometry.NewBBox(geometry.Point{i, 0}, geometry.Point{i + 1, cells})
@@ -267,7 +268,8 @@ func TestSmallSegmentsShareOneWrite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fr := &frame{Op: opReadMulti, Payload: payload}
+			// The request as the driver sends it, its patience in Tag.
+			fr := &frame{Op: opReadMulti, Tag: uint64(be.cfg.ReadPatience), Payload: payload}
 			meterFrame(fr, m)
 			client, server := net.Pipe()
 			defer client.Close()
@@ -291,7 +293,7 @@ func TestSmallSegmentsShareOneWrite(t *testing.T) {
 					t.Fatal(err)
 				}
 				if want[i] == nil {
-					if status != statusErr || !strings.Contains(string(body), "patience") {
+					if status != statusPatience || !strings.Contains(string(body), "patience") {
 						t.Fatalf("segment %d: status %d, body %q; want the read's error", i, status, body)
 					}
 					continue
@@ -315,15 +317,14 @@ func TestSmallSegmentsShareOneWrite(t *testing.T) {
 // (membership, no streaming), v7 (the last to gob-encode exposed blocks),
 // v8 (the last to gob-encode RPC payloads), v9 (the last with a
 // node-to-node plane: a peer-table op and a join op), v10 (the last whose
-// nodes held mailboxes: a send op and a recv op) and v11 (the last whose DHT
-// cores answered dump and clear messages), all spelled out so a later bump
-// cannot quietly re-admit them, or the one just before the current — is
-// turned away at the handshake with an error naming both
-// versions; there is no per-op fallback or mixed-version mode that could
+// nodes held mailboxes: a send op and a recv op), v11 (the last whose DHT
+// cores answered dump and clear messages) and v14 (the last whose nodes
+// set their own read patience), all spelled out so a later bump cannot quietly re-admit them —
+// is turned away at the handshake with an error naming both versions; there is no per-op fallback or mixed-version mode that could
 // strand it mid-stream.
 func TestHandshakeRejectsOldWireVersion(t *testing.T) {
 	_, _, servers := newCluster(t, 1, 1)
-	for _, version := range []int64{1, 4, 7, 8, 9, 10, 11, int64(wireVersion) - 1} {
+	for _, version := range []int64{1, 4, 7, 8, 9, 10, 11, 14} {
 		c, err := net.Dial("tcp", servers[0].Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -342,6 +343,117 @@ func TestHandshakeRejectsOldWireVersion(t *testing.T) {
 			t.Fatalf("v%d hello answered with status %d, err %q; want a rejection saying %q",
 				version, resp.Status, resp.Err, want)
 		}
+	}
+}
+
+// TestReaderPatienceGovernsNode: the patience of a read is the reader's. A
+// node configured with nothing bounds a driver's read of a buffer nobody
+// exposes by the driver's 50 ms — a *transport.SpecError wrapping
+// transport.ErrReadPatience, its connection closed, not pooled — and,
+// under a driver patience of 0, waits for the same buffer until it is
+// exposed. Every wait is bounded here, so a node that ignored the reader's
+// patience fails the test instead of hanging it.
+func TestReaderPatienceGovernsNode(t *testing.T) {
+	m, err := cluster.NewMachine(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve(transport.NewFabric(m), 0, "127.0.0.1:0", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	const patience = 50 * time.Millisecond
+	cfg := testConfig()
+	cfg.ReadPatience = patience
+	f := transport.NewFabric(m)
+	b, err := Connect(f, map[cluster.NodeID]string{0: srv.Addr()}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.SetBackend(b)
+	t.Cleanup(func() { b.Close() })
+	region := geometry.BoxFromSize([]int{4, 4})
+	spec := transport.ReadSpec{Owner: 0, Key: transport.BufKey{Name: "u|" + region.String(), Version: 1},
+		Sub: region, Bytes: region.Volume() * cods.ElemSize}
+	read := func() error {
+		done := make(chan error, 1)
+		go func() {
+			done <- f.Endpoint(0).ReadMulti([]transport.ReadSpec{spec}, dataMeter, func(_ int, _ any, clipped []byte) error {
+				return checkSegment(spec, clipped)
+			})
+		}()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(10 * time.Second):
+			t.Fatalf("the read still waits after 10 s under a driver patience of %s", b.cfg.ReadPatience)
+			return nil
+		}
+	}
+
+	err = read()
+	var se *transport.SpecError
+	if !errors.As(err, &se) || se.Index != 0 || !errors.Is(err, transport.ErrReadPatience) {
+		t.Fatalf("err = %v, want a *transport.SpecError at index 0 wrapping transport.ErrReadPatience", err)
+	}
+	if n := len(pooled(b, 0)); n != 0 {
+		t.Fatalf("%d connections pooled after the failed read, want 0", n)
+	}
+
+	b.cfg.ReadPatience = 0
+	ready := make(chan struct{})
+	time.AfterFunc(4*patience, func() { close(ready) })
+	exposed := exposeLater(f, spec, ready)
+	if err := read(); err != nil {
+		t.Fatalf("the read without patience failed before its buffer was exposed: %v", err)
+	}
+	if err := <-exposed; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReadMultiRefusesBadPatience: a read patience is a non-negative
+// time.Duration in nanoseconds. A request whose Tag is none is refused
+// with an error response before any segment, and its connection stays in
+// protocol sync: the next request on it is answered.
+func TestReadMultiRefusesBadPatience(t *testing.T) {
+	f, b, _ := newCluster(t, 1, 1)
+	spec := fanoutBlock(t, f, 0, 0, smallSide)
+	payload, err := appendReadSpecs(nil, []transport.ReadSpec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _, err := b.conn(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fr := &frame{Op: opReadMulti, Tag: 1 << 63, Payload: payload}
+	if err := writeFrame(c, fr); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := readFrame(c)
+	if err != nil || resp.Status != statusErr || !strings.Contains(resp.Err, "read patience") {
+		t.Fatalf("a patience of %#x answered with %+v, %v; want an error response naming the read patience", fr.Tag, resp, err)
+	}
+	fr.Tag = uint64(time.Second)
+	if err := writeFrame(c, fr); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := readFrame(c); err != nil || resp.Status != statusOK || resp.Bytes != 1 {
+		t.Fatalf("the next request on the connection answered with %+v, %v; want one segment announced", resp, err)
+	}
+	status, index, length, err := readSegmentHeader(c)
+	if err != nil || status != statusOK || index != 0 {
+		t.Fatalf("segment header: status %d, index %d, %v", status, index, err)
+	}
+	body := make([]byte, length)
+	if _, err := io.ReadFull(c, body); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkSegment(spec, body); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -48,21 +48,12 @@ type Config struct {
 	// watchdog, the retry deadlines of gets). The zero value means a
 	// single attempt with no deadline.
 	Retry retry.Policy
-	// Incarnation identifies this serving process's lifetime: a replacement
-	// process for the same node must carry a higher value. It is announced
-	// in every handshake response and checked by reconnecting clients, so a
-	// crash-and-restart behind an unchanged address is detected instead of
-	// silently served by a peer with empty state. 0 disables the check; a
-	// driver, which serves nothing, leaves it 0.
-	Incarnation uint64
-	// ReadPatience bounds the deferred wait of a serving-side read (every
-	// opReadMulti segment): a buffer not exposed within the window fails
-	// the read with a retryable error instead of holding the exchange open
-	// indefinitely. Elastic clusters set it on every codsnode so a read
-	// that raced a node replacement — routed to a process that never
-	// receives the buffer — is bounced back to the reader's retry layer,
-	// which re-pulls against the reconciled routing. 0 (the default) waits
-	// forever, the classic in-situ deferred-read semantics.
+	// ReadPatience is how long a ReadMulti this backend issues lets the
+	// owner wait for a buffer that is not exposed yet: it travels in each
+	// opReadMulti request, and the serving node fails a segment not
+	// exposed within it with the retryable transport.ErrReadPatience.
+	// 0 (the default) waits forever, the classic in-situ deferred-read
+	// semantics. A serving backend ignores it: the reader's value governs.
 	ReadPatience time.Duration
 }
 
@@ -86,11 +77,6 @@ type Backend struct {
 	addrs       map[cluster.NodeID]string
 	pools       map[cluster.NodeID][]*peerConn
 	serverConns map[net.Conn]bool
-	// peerInc records the last incarnation observed for each peer node
-	// (0 = none yet). A handshake that reports a different incarnation
-	// fails with ErrStaleIncarnation until the membership layer installs
-	// the new identity via UpdatePeer.
-	peerInc map[cluster.NodeID]uint64
 
 	wg     sync.WaitGroup
 	closed atomic.Bool
@@ -201,7 +187,7 @@ func (b *Backend) DrainRemoteSpans(tr *obs.Tracer) error {
 		if err != nil {
 			return err
 		}
-		if err := respErr(resp); err != nil {
+		if err := remoteErr(resp.Status, resp.Err); err != nil {
 			return err
 		}
 		tr.AppendRaw(resp.Payload)
@@ -271,7 +257,6 @@ func newBackend(f *transport.Fabric, cfg Config) *Backend {
 		addrs:       make(map[cluster.NodeID]string),
 		pools:       make(map[cluster.NodeID][]*peerConn),
 		serverConns: make(map[net.Conn]bool),
-		peerInc:     make(map[cluster.NodeID]uint64),
 		bodies:      newBodies(),
 		shutdownCh:  make(chan struct{}),
 	}
@@ -313,6 +298,19 @@ func Connect(f *transport.Fabric, peers map[cluster.NodeID]string, cfg Config) (
 	return b, nil
 }
 
+// UpdatePeer routes node to the replacement process listening on addr
+// and closes the connections pooled to the process it replaces.
+func (b *Backend) UpdatePeer(node cluster.NodeID, addr string) {
+	b.mu.Lock()
+	b.addrs[node] = addr
+	stale := b.pools[node]
+	delete(b.pools, node)
+	b.mu.Unlock()
+	for _, c := range stale {
+		c.Close()
+	}
+}
+
 // Addr returns the listen address of the node a serving backend serves
 // ("" for a driver).
 func (b *Backend) Addr() string {
@@ -339,9 +337,7 @@ func (b *Backend) dial(node cluster.NodeID) (*peerConn, error) {
 		return nil, fmt.Errorf("tcpnet: no address for node %d", node)
 	}
 	var conn *peerConn
-	retryable := func(err error) bool {
-		return !errors.Is(err, errHandshake) && !errors.Is(err, ErrStaleIncarnation)
-	}
+	retryable := func(err error) bool { return !errors.Is(err, errHandshake) }
 	_, err := retry.Do(b.cfg.Retry, uint64(node)*0x9e3779b97f4a7c15, retryable, nil, func(int) error {
 		raw, err := net.DialTimeout("tcp", addr, b.cfg.Retry.Deadline)
 		if err != nil {
@@ -369,7 +365,6 @@ func (b *Backend) handshake(c net.Conn, node cluster.NodeID) error {
 		c.SetDeadline(time.Now().Add(d))
 		defer c.SetDeadline(time.Time{})
 	}
-	want := b.PeerIncarnation(node)
 	hello := &frame{
 		Op:      opHello,
 		Dst:     int32(node),
@@ -377,7 +372,6 @@ func (b *Backend) handshake(c net.Conn, node cluster.NodeID) error {
 		Version: int64(wireVersion),
 		Bytes:   int64(b.machine.NumNodes()),
 		Bytes2:  int64(b.machine.CoresPerNode()),
-		Span:    want, // the incarnation this client expects (0 = none)
 	}
 	if err := writeFrame(c, hello); err != nil {
 		return err
@@ -388,20 +382,6 @@ func (b *Backend) handshake(c net.Conn, node cluster.NodeID) error {
 	}
 	if resp.Op != opResp || resp.Status != statusOK {
 		return fmt.Errorf("%w: %s", errHandshake, resp.Err)
-	}
-	// The response Tag is the server's incarnation. A peer that restarted
-	// behind the same address answers the handshake happily — but with
-	// empty endpoint state, so silently reusing the route would turn every
-	// staged buffer into a hang. Reject the connection until the
-	// membership layer acknowledges the new incarnation.
-	if resp.Tag != 0 {
-		if want != 0 && resp.Tag != want {
-			return fmt.Errorf("tcpnet: node %d reports incarnation %d, expected %d: %w",
-				node, resp.Tag, want, ErrStaleIncarnation)
-		}
-		b.mu.Lock()
-		b.peerInc[node] = resp.Tag
-		b.mu.Unlock()
 	}
 	return nil
 }
@@ -509,18 +489,31 @@ func (b *Backend) roundTripWith(node cluster.NodeID, write func(w io.Writer) err
 	return resp, nil
 }
 
-// respErr maps a response status to the caller-visible error, preserving
-// the ErrEndpointClosed sentinel across the wire so retry layers keep
-// treating it as terminal.
-func respErr(resp *frame) error {
-	switch resp.Status {
+// statusOf is the status that carries err across the wire: the two
+// sentinels retry layers classify by have codes of their own.
+func statusOf(err error) uint8 {
+	switch {
+	case errors.Is(err, transport.ErrEndpointClosed):
+		return statusClosed
+	case errors.Is(err, transport.ErrReadPatience):
+		return statusPatience
+	}
+	return statusErr
+}
+
+// remoteErr is the caller-visible error of a status and its text, the
+// inverse of statusOf: ErrEndpointClosed stays terminal across the wire
+// and ErrReadPatience retryable.
+func remoteErr(status uint8, text string) error {
+	switch status {
 	case statusOK:
 		return nil
 	case statusClosed:
-		return fmt.Errorf("tcpnet: %s: %w", resp.Err, transport.ErrEndpointClosed)
-	default:
-		return fmt.Errorf("tcpnet: remote: %s", resp.Err)
+		return fmt.Errorf("tcpnet: %s: %w", text, transport.ErrEndpointClosed)
+	case statusPatience:
+		return fmt.Errorf("tcpnet: %s: %w", text, transport.ErrReadPatience)
 	}
+	return fmt.Errorf("tcpnet: remote: %s", text)
 }
 
 func meterFrame(fr *frame, m transport.Meter) {
@@ -652,8 +645,9 @@ func (st *fanout) put() {
 	fanoutPool.Put(st)
 }
 
-// send writes the request of one run to its node and leaves the
-// connection the answer will arrive on in x.c.
+// send writes the request of one run to its node, with the backend's
+// ReadPatience in its Tag, and leaves the connection the answer will
+// arrive on in x.c.
 func (b *Backend) send(x *exchange, reader cluster.CoreID, run []transport.ReadSpec, m transport.Meter) error {
 	bp := getBuf()
 	defer putBuf(bp)
@@ -662,7 +656,8 @@ func (b *Backend) send(x *exchange, reader cluster.CoreID, run []transport.ReadS
 		return err
 	}
 	*bp = payload[:0]
-	fr := frame{Op: opReadMulti, Src: int32(reader), Dst: int32(run[0].Owner), Payload: payload}
+	fr := frame{Op: opReadMulti, Src: int32(reader), Dst: int32(run[0].Owner),
+		Tag: uint64(b.cfg.ReadPatience), Payload: payload}
 	meterFrame(&fr, m)
 	b.stats.readMultiReqs.Add(1)
 	obsWireReadMultiReqs.Inc()
@@ -699,7 +694,7 @@ func (b *Backend) readAnswer(c *peerConn, run []transport.ReadSpec, base int, de
 	if resp.Op != opResp {
 		return fmt.Errorf("unexpected response op %d", resp.Op)
 	}
-	if err := respErr(resp); err != nil {
+	if err := remoteErr(resp.Status, resp.Err); err != nil {
 		return err
 	}
 	if int(resp.Bytes) != len(run) {
@@ -722,12 +717,8 @@ func (b *Backend) readAnswer(c *peerConn, run []transport.ReadSpec, base int, de
 		if _, err := io.ReadFull(c, body); err != nil {
 			return err
 		}
-		switch status {
-		case statusOK:
-		case statusClosed:
-			return fmt.Errorf("%s: %w", string(body), transport.ErrEndpointClosed)
-		default:
-			return fmt.Errorf("remote: %s", string(body))
+		if status != statusOK {
+			return remoteErr(status, string(body))
 		}
 		if err := deliver(base+i, nil, body); err != nil {
 			return err
@@ -748,7 +739,7 @@ func (b *Backend) Call(src, dst cluster.CoreID, service string, request any, m t
 	if err != nil {
 		return nil, err
 	}
-	if err := respErr(resp); err != nil {
+	if err := remoteErr(resp.Status, resp.Err); err != nil {
 		return nil, err
 	}
 	if err := checkKind(resp, payloadMsg); err != nil {
@@ -812,7 +803,7 @@ func (b *Backend) Expose(owner cluster.CoreID, key transport.BufKey, payload any
 	if err != nil {
 		return err
 	}
-	return respErr(resp)
+	return remoteErr(resp.Status, resp.Err)
 }
 
 // writeBlock writes a block frame: pre, the frame head and the block
@@ -843,7 +834,7 @@ func (b *Backend) Unexpose(owner cluster.CoreID, key transport.BufKey) error {
 	if err != nil {
 		return err
 	}
-	return respErr(resp)
+	return remoteErr(resp.Status, resp.Err)
 }
 
 // Exposed implements transport.Backend.
@@ -856,7 +847,7 @@ func (b *Backend) Exposed(owner cluster.CoreID, key transport.BufKey) (bool, err
 	if resp.Status == statusNotFound {
 		return false, nil
 	}
-	return true, respErr(resp)
+	return true, remoteErr(resp.Status, resp.Err)
 }
 
 // NodeAccount is one process's recorded transfer accounting: the
@@ -918,7 +909,7 @@ func (b *Backend) MergeRemoteStats() error {
 		if err != nil {
 			return err
 		}
-		if err := respErr(resp); err != nil {
+		if err := remoteErr(resp.Status, resp.Err); err != nil {
 			return err
 		}
 		var acct NodeAccount
@@ -957,7 +948,7 @@ func (b *Backend) ShutdownPeers() {
 // Close implements transport.Backend: it stops the listeners, closes all
 // cached and serving connections and waits for the accept loops. A server
 // goroutine parked in a deferred read is not waited for: the owning
-// endpoint's teardown (or ReadPatience) releases it.
+// endpoint's teardown (or the reader's patience) releases it.
 func (b *Backend) Close() error {
 	if !b.closed.CompareAndSwap(false, true) {
 		return nil
@@ -1032,9 +1023,7 @@ func (b *Backend) serveConn(c net.Conn) {
 		_ = writeFrame(c, &frame{Op: opResp, Status: statusErr, Err: err.Error()})
 		return
 	}
-	// The acceptance carries this process's incarnation so a reconnecting
-	// client can tell a restarted server from the one it knew.
-	if err := writeFrame(c, &frame{Op: opResp, Status: statusOK, Tag: b.cfg.Incarnation}); err != nil {
+	if err := writeFrame(c, &frame{Op: opResp, Status: statusOK}); err != nil {
 		return
 	}
 	for {
@@ -1079,18 +1068,18 @@ func (b *Backend) serveConn(c net.Conn) {
 // aborted with an error segment and the connection dropped.
 func (b *Backend) serveReadMulti(c net.Conn, fr *frame) bool {
 	headerFail := func(err error) bool {
-		resp := &frame{Op: opResp, Err: err.Error()}
-		if errors.Is(err, transport.ErrEndpointClosed) {
-			resp.Status = statusClosed
-		} else {
-			resp.Status = statusErr
-		}
 		// A pre-stream failure is an ordinary request/response exchange;
 		// the connection stays usable.
-		return writeFrame(c, resp) == nil
+		return writeFrame(c, &frame{Op: opResp, Status: statusOf(err), Err: err.Error()}) == nil
 	}
 	if err := b.checkCore(fr.Src); err != nil {
 		return headerFail(err)
+	}
+	// The reader's patience bounds every segment's wait; this node has none
+	// of its own.
+	patience := time.Duration(fr.Tag)
+	if patience < 0 {
+		return headerFail(fmt.Errorf("read patience %#x is not a non-negative duration", fr.Tag))
 	}
 	specs, err := decodeReadSpecs(fr.Payload)
 	if err != nil {
@@ -1146,7 +1135,7 @@ func (b *Backend) serveReadMulti(c net.Conn, fr *frame) bool {
 			spec = specs[1-i]
 		}
 		var pinned *heldBody
-		payload, err := b.fabric.LocalRead(reader, spec.Owner, spec.Key, m, spec.Bytes, b.cfg.ReadPatience,
+		payload, err := b.fabric.LocalRead(reader, spec.Owner, spec.Key, m, spec.Bytes, patience,
 			func(block any) { pinned = b.bodies.pin(block) })
 		if clipper, ok := payload.(transport.RegionClipper); ok && err == nil {
 			runs, err = clipper.ClipRows(append(runs[:0], nil), spec.Sub)
@@ -1155,11 +1144,8 @@ func (b *Backend) serveReadMulti(c net.Conn, fr *frame) bool {
 		}
 		if err != nil {
 			b.bodies.unpin(pinned)
-			status, text := statusErr, err.Error()
-			if errors.Is(err, transport.ErrEndpointClosed) {
-				status = statusClosed
-			}
-			pending = append(appendSegmentHeader(pending, status, i, len(text)), text...)
+			text := err.Error()
+			pending = append(appendSegmentHeader(pending, statusOf(err), i, len(text)), text...)
 			flush()
 			return false
 		}
@@ -1255,12 +1241,7 @@ func (b *Backend) execute(fr *frame) *frame {
 	}
 	resp := &frame{Op: opResp}
 	fail := func(err error) *frame {
-		if errors.Is(err, transport.ErrEndpointClosed) {
-			resp.Status = statusClosed
-		} else {
-			resp.Status = statusErr
-		}
-		resp.Err = err.Error()
+		resp.Status, resp.Err = statusOf(err), err.Error()
 		return resp
 	}
 	key := transport.BufKey{Name: fr.Name, Version: int(fr.Version)}

@@ -113,12 +113,12 @@ func testConfig() Config {
 // node's fabric (servers[k].fabric), where that node's operations meter.
 func newCluster(t testing.TB, nodes, cores int) (*transport.Fabric, *Backend, []*Backend) {
 	t.Helper()
-	return newClusterServing(t, nodes, cores, testConfig())
+	return newClusterWith(t, nodes, cores, testConfig())
 }
 
-// newClusterServing is newCluster with the serving nodes' configuration
-// given.
-func newClusterServing(t testing.TB, nodes, cores int, serve Config) (*transport.Fabric, *Backend, []*Backend) {
+// newClusterWith is newCluster with the configuration of the driver and
+// of every node given.
+func newClusterWith(t testing.TB, nodes, cores int, cfg Config) (*transport.Fabric, *Backend, []*Backend) {
 	t.Helper()
 	m, err := cluster.NewMachine(nodes, cores)
 	if err != nil {
@@ -127,7 +127,7 @@ func newClusterServing(t testing.TB, nodes, cores int, serve Config) (*transport
 	peers := make(map[cluster.NodeID]string)
 	var servers []*Backend
 	for node := cluster.NodeID(0); int(node) < nodes; node++ {
-		srv, err := Serve(transport.NewFabric(m), node, "127.0.0.1:0", serve)
+		srv, err := Serve(transport.NewFabric(m), node, "127.0.0.1:0", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func newClusterServing(t testing.TB, nodes, cores int, serve Config) (*transport
 		servers = append(servers, srv)
 	}
 	f := transport.NewFabric(m)
-	b, err := Connect(f, peers, testConfig())
+	b, err := Connect(f, peers, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +194,9 @@ func sampleFrames() []*frame {
 		// The scatter-gather response header: Bytes announces the segment
 		// count of the raw stream that follows the frame.
 		{Op: opResp, Status: statusOK, Bytes: 2},
-		// The handshake acceptance echoes the server's incarnation in Tag.
-		{Op: opResp, Status: statusOK, Tag: 12},
+		// A read that carries the reader's patience, in nanoseconds, in Tag.
+		{Op: opReadMulti, Src: 1, Dst: 4, MeterClass: uint8(cluster.InterApp), DstApp: 1,
+			Phase: "couple:1", Payload: sampleSpecPayload(), Tag: uint64(2 * time.Second)},
 		// Buffer-state and driver control ops. The expose carries its block
 		// in the raw block codec, announced by the payload-kind field.
 		{Op: opExpose, Kind: payloadBlock, Dst: 1, Name: "u|[0,8)", Version: 2, Payload: sampleBlockPayload()},

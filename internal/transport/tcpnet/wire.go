@@ -47,6 +47,7 @@ const (
 	statusErr
 	statusClosed   // the target endpoint is closed (transport.ErrEndpointClosed)
 	statusNotFound // Exposed of an absent buffer: not an error
+	statusPatience // not exposed within the reader's patience (transport.ErrReadPatience)
 )
 
 // Handshake constants. helloMagic rides in the Tag field of the opHello
@@ -58,7 +59,7 @@ const (
 // cannot decode. CHANGES.md (Wire versions) lists what each version changed.
 const (
 	helloMagic  uint64 = 0x434F44534E455400 // "CODSNET\0"
-	wireVersion uint8  = 14
+	wireVersion uint8  = 15
 )
 
 // Payload kinds: what the bytes in a frame's Payload section are. The kind
@@ -85,8 +86,8 @@ const maxFrame = 64 << 20
 //	             payloadMsg)
 //	Src/Dst      initiating and target core (Dst also the owner for
 //	             buffer ops, the node for hello)
-//	Tag          helloMagic (hello request), incarnation (hello
-//	             response)
+//	Tag          helloMagic (hello), the reader's read patience in
+//	             nanoseconds (readmulti request)
 //	Version      BufKey version (expose/...), wire version (hello)
 //	Bytes/Bytes2 metered sizes: req/resp (call), machine shape
 //	             nodes/cores (hello); Bytes is the segment count in a
@@ -94,11 +95,10 @@ const maxFrame = 64 << 20
 //	MeterClass   cluster.Class of the carried Meter
 //	DstApp       Meter.DstApp
 //	Span         requesting-side span id (Meter.Span), 0 = no span;
-//	             trace context only, never metered; the incarnation the
-//	             client expects (hello request)
+//	             trace context only, never metered
 //	Name         BufKey name or RPC service name
 //	Phase        Meter.Phase
-//	Err          error text (opResp with statusErr/statusClosed)
+//	Err          error text (opResp with an error status)
 //	Payload      a spec list or span lines (raw), a stats reply (gob), an
 //	             exposed block (block), an RPC request or response (msg)
 //
@@ -480,8 +480,8 @@ func readExposeSections(r io.Reader, fr *frame, rest int, pool *bodies) error {
 // The response is an opResp header frame whose Bytes field is the segment
 // count, followed by count raw segments outside frame framing:
 //
-//	u8   status (statusOK, or statusErr/statusClosed with the body
-//	     carrying the error text instead of cell bytes)
+//	u8   status (statusOK, or an error status with the body carrying
+//	     the error text instead of cell bytes)
 //	u32  index  (must equal the segment's position in the stream)
 //	u32  length
 //	     body: big-endian float64 cell bits of the owner-clipped sub-box

@@ -31,8 +31,8 @@ import (
 var ErrEndpointClosed = errors.New("endpoint closed")
 
 // ErrReadPatience marks a deferred read abandoned after a bounded wait:
-// the owner did not expose the requested buffer within the serving
-// process's patience window. Unlike ErrEndpointClosed it is transient —
+// the owner did not expose the requested buffer within the reader's
+// patience window. Unlike ErrEndpointClosed it is transient —
 // the buffer may simply not have been staged yet, or the read may have
 // been routed to a replacement process that never receives it — so retry
 // layers re-resolve routing and pull again instead of giving up.

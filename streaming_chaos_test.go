@@ -3,11 +3,11 @@ package cods_test
 // Streaming-chaos end-to-end test (ISSUE 9 satellite): a multi-process
 // TCP run couples a stream producer to a stream consumer, and one
 // producer-owning codsnode is hard-killed mid-stream. The driver must
-// learn of the crash from the child's exit, the replacement must come up at a higher
-// incarnation (holding no stream state: the driver's stream engine is the
+// learn of the crash from the child's exit, the replacement must come up on
+// a fresh port (holding no stream state: the driver's stream engine is the
 // only authority), the reconcile must re-stage the dead process's ledger
 // blocks — including a version whose expose was
-// acknowledged by the doomed incarnation moments before the kill — and
+// acknowledged by the doomed process moments before the kill — and
 // under the backpressure policy every consumer must still observe a
 // gap-free version sequence, verified cell by cell. The observability
 // report must reconcile delta-0, stream counters included.
@@ -40,8 +40,8 @@ func TestStreamingChaos(t *testing.T) {
 	// kills it once the first version is fully staged and the next is in
 	// flight. A producer's versions survive the kill through the ledger
 	// restage and the put's own retry. The retry budget must outlive the
-	// replacement spawn plus the bounce of a read that waited out an
-	// elastic node's 2 s patience.
+	// replacement spawn plus the bounce of a read that waited out the
+	// elastic driver's 2 s read patience.
 	text := runCodsrun(t, bin,
 		"-backend", "tcp",
 		"-nodes", "2", "-cores", "3",
