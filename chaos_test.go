@@ -130,16 +130,16 @@ func runConcurrentWorkload(t *testing.T, plan *cods.FaultPlan) (map[string][]flo
 	return got.data, fw
 }
 
-// runSequentialWorkload runs a heatdiffusion-style staged pipeline: the
-// producer stages its field through the space, the sequentially coupled
-// consumer pulls it back out through the lookup service.
-func runSequentialWorkload(t *testing.T, plan *cods.FaultPlan) (map[string][]float64, *cods.Framework) {
+// runSequentialWorkload runs a heatdiffusion-style staged pipeline under
+// pol: the producer stages its field through the space, the sequentially
+// coupled consumer pulls it back out through the lookup service.
+func runSequentialWorkload(t *testing.T, pol cods.RetryPolicy, plan *cods.FaultPlan) (map[string][]float64, *cods.Framework) {
 	t.Helper()
 	fw, err := cods.New(cods.Config{Nodes: 4, CoresPerNode: 4, Domain: []int{16, 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw.SetRetryPolicy(chaosRetry())
+	fw.SetRetryPolicy(pol)
 	if plan != nil {
 		fw.SetFaultPlan(plan)
 	}
@@ -235,13 +235,13 @@ func TestChaosConcurrentReadDropRates(t *testing.T) {
 	}
 }
 
-// The same drop plan over the staged pipeline: here recovery additionally
-// exercises the lookup requery path of GetSequential.
+// The same drop plan over the staged pipeline: a get retries its read
+// against the schedule its one lookup built.
 func TestChaosSequentialReadDrops(t *testing.T) {
-	baseline, _ := runSequentialWorkload(t, nil)
+	baseline, _ := runSequentialWorkload(t, chaosRetry(), nil)
 	plan := mustPlan(t,
 		`{"seed": 9, "rules": [{"op": "read", "mode": "drop", "prob": 0.1, "max": 40}]}`)
-	got, fw := runSequentialWorkload(t, plan)
+	got, fw := runSequentialWorkload(t, chaosRetry(), plan)
 	if !reflect.DeepEqual(got, baseline) {
 		t.Fatal("faulty run diverged from the fault-free baseline")
 	}
@@ -251,13 +251,17 @@ func TestChaosSequentialReadDrops(t *testing.T) {
 }
 
 // An owner endpoint going dark for a stretch of reads and then healing
-// (the scripted window) is survived by per-transfer retries plus the
-// requery loop; the result still matches the baseline bit for bit.
+// (the scripted window) is survived by the get's retries; the result still
+// matches the baseline bit for bit. An attempt's first failing spec ends
+// it, so one get may meet all six failing matches, one per attempt: the
+// policy gives it a seventh.
 func TestChaosSequentialDarkWindowHeals(t *testing.T) {
-	baseline, _ := runSequentialWorkload(t, nil)
+	pol := chaosRetry()
+	pol.MaxAttempts = 7
+	baseline, _ := runSequentialWorkload(t, pol, nil)
 	plan := mustPlan(t,
 		`{"seed": 3, "rules": [{"op": "read", "mode": "error", "from_op": 3, "to_op": 9}]}`)
-	got, fw := runSequentialWorkload(t, plan)
+	got, fw := runSequentialWorkload(t, pol, plan)
 	if !reflect.DeepEqual(got, baseline) {
 		t.Fatal("faulty run diverged from the fault-free baseline")
 	}

@@ -42,10 +42,10 @@ func TestConformanceSweep(t *testing.T) {
 
 // TestConformanceFaultsConcurrentPulls is the sweep pinned to the
 // hardest configuration: a recoverable fault plan on both backends, so
-// that on the TCP leg — where a get's batches to its remote owning nodes
-// run concurrently — retries, backoff and the requery path run under
-// per-peer contention. Results must still be byte-identical — recovered
-// faults may never change data or double-meter traffic.
+// that on the TCP leg — where a get's requests to its remote owning nodes
+// run concurrently — retries and backoff run under per-peer contention.
+// Results must still be byte-identical — recovered faults may never change
+// data or double-meter traffic.
 func TestConformanceFaultsConcurrentPulls(t *testing.T) {
 	n := conformanceSeeds(t, 12)
 	for seed := uint64(1); seed <= n; seed++ {

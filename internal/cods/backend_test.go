@@ -316,44 +316,58 @@ func TestRetireCountsFailedDiscard(t *testing.T) {
 	}
 }
 
-// TestPartitionPulls pins the batch shape of the pull engine: on a driver's
-// fabric the whole schedule is one batch — one ReadMulti of every spec, in
-// schedule order — and in process every transfer is a batch of its own
-// (counted in cods.pull.transfer_ns, observed once per batch attempt);
-// every spec of a batch reads the get's version while the cached schedule
-// stays versionless.
+// TestPartitionPulls pins how a get attempt splits its schedule across
+// ReadMulti calls on either fabric: it does not. One attempt is one
+// ReadMulti of the whole schedule (cods.pull.ops moves by one; a routed
+// fabric's backend sees one call, none for an empty schedule), its specs
+// in schedule order — the order the flow log books their reads in — each
+// stamped with the get's version on a copy while the cached schedule stays
+// versionless. Block i of the 36-cell variable holds i+1 cells and sits on
+// core i, so a read's metered bytes name its spec; version 0 holds zeros,
+// so a read of the wrong version shows in the result. On a driver's fabric
+// the call runs on the calling goroutine, where tcpnet overlaps the
+// requests to the peers (TestReadMultiOverlapsBigAnswers): pull itself
+// spawns nothing, sampled while the get is inside the call.
 func TestPartitionPulls(t *testing.T) {
 	prev := obs.Enabled()
 	obs.Enable(true)
 	t.Cleanup(func() { obs.Enable(prev) })
 	const version = 7
-	// Block i of the 32-cell variable sits on core i; the puller on core 0.
 	for _, tc := range []struct {
-		name    string
-		inproc  bool
-		lo, hi  int // the region read
-		calls   int
-		batches int64
+		name   string
+		inproc bool
+		lo, hi int // the region read by the puller on core 0, of node 0
 	}{
-		{name: "empty schedule", calls: 0, batches: 0},
-		{name: "one remote node", lo: 8, hi: 16, calls: 1, batches: 1},
-		{name: "interleaved", lo: 0, hi: 32, calls: 1, batches: 1},
-		{name: "no backend routes nothing", inproc: true, lo: 0, hi: 32, calls: 0, batches: 8},
+		{name: "empty schedule"},
+		{name: "one remote node", lo: 3, hi: 10},
+		{name: "three remote nodes", lo: 3, hi: 36},
+		{name: "interleaved", lo: 0, hi: 36},
+		{name: "no backend routes nothing", inproc: true, lo: 0, hi: 36},
+		{name: "in process, one remote node", inproc: true, lo: 3, hi: 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sp, be, blocks := peerRig(t)
-			for i, blk := range blocks {
-				if err := sp.HandleAt(cluster.CoreID(i), 1, "put").PutSequential("v", version, blk, fillRegion(blk)); err != nil {
+			m, sp := testRig(t, 4, 2, []int{36})
+			be := &peerBackend{}
+			be.f = sp.Fabric()
+			if !tc.inproc {
+				sp.Fabric().SetBackend(be)
+			}
+			for i, lo := 0, 0; i < m.TotalCores(); i, lo = i+1, lo+i+1 {
+				blk := geometry.NewBBox(geometry.Point{lo}, geometry.Point{lo + i + 1})
+				h := sp.HandleAt(cluster.CoreID(i), 1, "put")
+				if err := h.PutSequential("v", 0, blk, make([]float64, i+1)); err != nil {
+					t.Fatal(err)
+				}
+				if err := h.PutSequential("v", version, blk, fillRegion(blk)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if tc.inproc {
-				sp.Fabric().SetBackend(nil) // the staged buffers stay: they live on this fabric
-			}
+			spawned := -1
+			be.hold = func() { spawned = spawnedByPull() }
 			h := sp.HandleAt(0, 2, "get")
 			region := geometry.NewBBox(geometry.Point{tc.lo}, geometry.Point{tc.hi})
+			ops, logged := obsPullOps.Value(), len(m.Metrics().Flows(""))
 			var sched []transport.ReadSpec
-			batches := obsTransferNs.Count()
 			if tc.hi > tc.lo {
 				out, err := h.GetSequential("v", version, region)
 				if err != nil {
@@ -361,33 +375,49 @@ func TestPartitionPulls(t *testing.T) {
 				}
 				checkRegion(t, region, out)
 				sched = h.schedCache[h.schedKey("seq", "v", region)].sched
-				if len(sched) != (tc.hi-tc.lo)/4 {
-					t.Fatalf("a schedule of %d transfers, want one per block read", len(sched))
-				}
 			} else if _, err := h.pull("v", version, region, nil); err != nil {
 				t.Fatal(err)
 			}
-			if got := obsTransferNs.Count() - batches; got != tc.batches {
-				t.Fatalf("%d batches, want %d", got, tc.batches)
+			if got := obsPullOps.Value() - ops; got != 1 {
+				t.Fatalf("cods.pull.ops moved by %d, want 1", got)
 			}
-			if len(be.calls) != tc.calls {
-				t.Fatalf("%d ReadMulti calls, want %d", len(be.calls), tc.calls)
+			var flows []cluster.Flow
+			for _, fl := range m.Metrics().Flows("")[logged:] {
+				if fl.Class == cluster.InterApp.String() {
+					flows = append(flows, fl)
+				}
+			}
+			if len(flows) != len(sched) {
+				t.Fatalf("%d reads booked for a schedule of %d", len(flows), len(sched))
 			}
 			for i, tr := range sched {
 				if tr.Key.Version != 0 {
 					t.Fatalf("the pull stamped version %d on the cached schedule", tr.Key.Version)
 				}
-				if tc.calls == 0 {
-					continue
+				if fl := flows[i]; fl.Bytes != tr.Bytes || fl.Src != m.NodeOf(tr.Owner) {
+					t.Fatalf("read %d booked %d bytes from node %d, want spec %d's %d from node %d",
+						i, fl.Bytes, fl.Src, i, tr.Bytes, m.NodeOf(tr.Owner))
 				}
-				spec := be.calls[0][i]
-				if spec.Key.Version != version {
-					t.Fatalf("transfer %d reads version %d, want the get's %d", i, spec.Key.Version, version)
+			}
+			calls := 0
+			if !tc.inproc && len(sched) > 0 {
+				calls = 1
+			}
+			if len(be.calls) != calls {
+				t.Fatalf("%d ReadMulti calls on the backend, want %d", len(be.calls), calls)
+			}
+			if calls == 0 {
+				return
+			}
+			for i, spec := range be.calls[0] {
+				if want := sched[i]; spec.Key.Version != version || spec.Owner != want.Owner || !spec.Sub.Equal(want.Sub) {
+					t.Fatalf("spec %d reads %v v%d on core %d, want the schedule's %v v%d on core %d",
+						i, spec.Sub, spec.Key.Version, spec.Owner, want.Sub, version, want.Owner)
 				}
-				if spec.Owner != tr.Owner || !spec.Sub.Equal(tr.Sub) {
-					t.Fatalf("transfer %d is %v on core %d, want the schedule's %v on core %d",
-						i, spec.Sub, spec.Owner, tr.Sub, tr.Owner)
-				}
+			}
+			if len(be.calls[0]) != len(sched) || spawned != 0 {
+				t.Fatalf("the call carries %d of %d specs and the get spawned %d goroutines, want all and 0",
+					len(be.calls[0]), len(sched), spawned)
 			}
 		})
 	}
@@ -447,37 +477,6 @@ func spawnedByPull() int {
 	return bytes.Count(buf, []byte("created by github.com/insitu/cods/internal/cods.(*Handle).pull"))
 }
 
-// TestPullSendsOneReadMulti: a get whose blocks sit on three nodes hands
-// its whole schedule — every owning node's specs, in schedule order — to
-// one ReadMulti on the calling goroutine, which is where the requests to
-// the three peers are overlapped (tcpnet's TestReadMultiOverlapsBigAnswers);
-// pull itself spawns nothing, sampled while the get is inside the call.
-func TestPullSendsOneReadMulti(t *testing.T) {
-	sp, be, blocks := peerRig(t)
-	spawned := -1
-	be.hold = func() { spawned = spawnedByPull() }
-	region := geometry.NewBBox(geometry.Point{8}, geometry.Point{32})
-	out, err := sp.HandleAt(0, 2, "get").GetSequential("v", 0, region)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkRegion(t, region, out)
-	if len(be.calls) != 1 {
-		t.Fatalf("%d ReadMulti calls, want one per routed pull", len(be.calls))
-	}
-	if got := be.calls[0]; len(got) != 6 {
-		t.Fatalf("the call carries %d specs, want the six blocks of nodes 1-3", len(got))
-	}
-	for i, spec := range be.calls[0] {
-		if want := blocks[2+i]; spec.Owner != cluster.CoreID(2+i) || !spec.Sub.Equal(want) {
-			t.Fatalf("spec %d reads %v on core %d, want %v on core %d", i, spec.Sub, spec.Owner, want, 2+i)
-		}
-	}
-	if spawned != 0 {
-		t.Fatalf("a routed get spawned %d goroutines, want 0", spawned)
-	}
-}
-
 // TestPullLocalRunsInline: a get on an in-process fabric runs its
 // transfers on the calling goroutine and spawns nothing — sampled while the
 // get is blocked inside its last transfer.
@@ -524,8 +523,8 @@ func TestPullLocalRunsInline(t *testing.T) {
 // TestPullErrorNamesFailedNode: a routed pull that fails names, in its
 // *PullError, the first sub-box of the owning node the backend attributes
 // the failure to (a transport.SpecError at any of that node's specs), and
-// the schedule's first sub-box when the failure names no spec. The one
-// batch gets one retry budget.
+// the schedule's first sub-box when the failure names no spec, after the
+// get's whole attempt budget.
 func TestPullErrorNamesFailedNode(t *testing.T) {
 	region := geometry.NewBBox(geometry.Point{8}, geometry.Point{32})
 	for _, tc := range []struct {

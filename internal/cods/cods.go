@@ -58,10 +58,8 @@ var (
 	obsPullTransfers  = obs.C("cods.pull.transfers")
 	obsPullBytes      = obs.C("cods.pull.bytes")
 	obsPullNs         = obs.H("cods.pull.ns", obs.DefaultLatencyBounds())
-	obsTransferNs     = obs.H("cods.pull.transfer_ns", obs.DefaultLatencyBounds()) // one batch's ReadMulti: on a driver, a pull's whole fan-out
 	obsPullRetries    = obs.C("cods.pull.retries")
 	obsPullRecoveries = obs.C("cods.pull.recoveries")
-	obsPullRequeries  = obs.C("cods.pull.requeries")
 	obsPullBackoffNs  = obs.H("cods.pull.backoff_ns", obs.DefaultLatencyBounds())
 	obsPutRetries     = obs.C("cods.put.retries")
 )
@@ -379,12 +377,12 @@ func NewSpaceWithCurve(f *transport.Fabric, domain geometry.BBox, curveName stri
 // one). nil detaches.
 func (sp *Space) SetTracer(tr *obs.Tracer) { sp.tracer.Store(tr) }
 
-// SetRetryPolicy installs the transfer retry policy: failed pulls are
-// retried with exponential backoff up to the policy's attempt budget,
-// sequential gets whose owner turned out to be gone re-query the lookup
-// service for a restaged copy, and a failed sequential put is staged
-// again. The same policy governs the lookup service's RPC fan-out. The
-// zero policy (the default) disables retrying.
+// SetRetryPolicy installs the transfer retry policy: a get whose read
+// failed, or whose lookup answer fell short of its region, is attempted
+// again with exponential backoff up to the policy's attempt budget, and a
+// failed sequential put is staged again. The same policy governs the
+// lookup service's RPC fan-out. The zero policy (the default) disables
+// retrying.
 func (sp *Space) SetRetryPolicy(p retry.Policy) {
 	sp.retryPol.Store(&p)
 	sp.lookup.SetRetryPolicy(p)
@@ -435,8 +433,8 @@ func (sp *Space) Fabric() *transport.Fabric { return sp.fabric }
 // invalidation stamp it was computed under. A schedule is the read list
 // Endpoint.ReadMulti executes: one spec per stored block holding cells of
 // the region, ordered by (Owner, Sub), its keys versionless (Version 0)
-// because coupling patterns repeat across versions — pullBatch stamps the
-// version of the get it serves.
+// because coupling patterns repeat across versions — pull stamps the
+// version of the get it serves on a copy.
 type schedEntry struct {
 	sched []transport.ReadSpec
 	gen   uint64
@@ -546,16 +544,9 @@ type ProducerInfo struct {
 // producer has exposed the needed blocks. The result is row-major over
 // region.
 func (h *Handle) GetConcurrent(info ProducerInfo, v string, version int, region geometry.BBox) ([]float64, error) {
-	if region.Empty() {
-		return nil, fmt.Errorf("cods: empty get region for %q", v)
-	}
-	sched, err := h.schedule(h.schedKey("cont", v, region), v, func() ([]transport.ReadSpec, error) {
+	return h.get("cont", v, version, region, func() ([]transport.ReadSpec, error) {
 		return h.concurrentSchedule(info, v, region), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return h.pull(v, version, region, sched)
 }
 
 // concurrentSchedule computes the read list against the producer's
@@ -623,7 +614,7 @@ func (h *Handle) PutSequential(v string, version int, region geometry.BBox, data
 	if !pol.Enabled() {
 		return h.putAttempt(v, version, region, data)
 	}
-	_, err := retry.Do(pol, putSeed(h.core, v, version), retryableTransfer,
+	_, err := retry.Do(pol, opSeed(h.core, v, version), retryableTransfer,
 		func(d time.Duration) { obsPullBackoffNs.Observe(d.Nanoseconds()) },
 		func(attempt int) error {
 			if attempt > 1 {
@@ -670,55 +661,62 @@ func (h *Handle) putAttempt(v string, version int, region geometry.BBox, data []
 	return nil
 }
 
-// maxRequeries bounds how many times a sequential get recomputes its
-// schedule from a fresh lookup query after the pull itself failed.
-const maxRequeries = 2
-
 // GetSequential retrieves the cells of region for a variable from the
 // space's distributed storage, using the lookup service to build the
 // communication schedule. The result is row-major over region.
-//
-// Under a retry policy, a pull that fails even after per-transfer retries
-// is treated as an owner-lookup failure: the cached schedule is dropped,
-// the lookup service is re-queried (the data may have been restaged at a
-// different owner since the schedule was computed) and the pull is re-run
-// against the fresh schedule, up to maxRequeries times. A lookup answer
-// that does not cover the region is retried under the same policy
-// (sequentialSchedule).
 func (h *Handle) GetSequential(v string, version int, region geometry.BBox) ([]float64, error) {
+	return h.get("seq", v, version, region, func() ([]transport.ReadSpec, error) {
+		return h.sequentialSchedule(v, version, region)
+	})
+}
+
+// get is the one retrieval loop of both Get operators, and the only place
+// a get retries. Each attempt takes the schedule — cached, or built by
+// build — and pulls it. Under the space's retry policy a failed read and a
+// lookup answer short of the region are attempted again after the policy's
+// backoff, at most MaxAttempts times in all: between a replacement process
+// coming up and the reconcile re-registering what its DHT core held, the
+// records of live data are missing from the table, and a consumer that
+// asks in that window waits it out like any other transient failure. A
+// lookup RPC error (the DHT client has retried it already), a closed owner
+// and a block too large for the wire end the get. A retry keeps its
+// schedule unless the variable's invalidation stamp has moved since it was
+// taken: it re-queries the lookup exactly when a discard or re-stage
+// happened, and counts no extra cache hit.
+func (h *Handle) get(op, v string, version int, region geometry.BBox, build func() ([]transport.ReadSpec, error)) ([]float64, error) {
 	if region.Empty() {
 		return nil, fmt.Errorf("cods: empty get region for %q", v)
 	}
-	key := h.schedKey("seq", v, region)
-	build := func() ([]transport.ReadSpec, error) { return h.sequentialSchedule(v, version, region) }
-	sched, err := h.schedule(key, v, build)
+	key := h.schedKey(op, v, region)
+	var (
+		sched []transport.ReadSpec
+		gen   uint64 // the invalidation stamp sched was taken under
+		out   []float64
+	)
+	attempts, err := retry.Do(h.sp.RetryPolicy(), opSeed(h.core, v, version), retryableGet,
+		func(d time.Duration) { obsPullBackoffNs.Observe(d.Nanoseconds()) },
+		func(attempt int) (err error) {
+			if attempt > 1 {
+				obsPullRetries.Inc()
+				h.sp.tracer.Load().Event(h.spanParent, "retry:pull:"+v)
+			}
+			if sched == nil || gen != h.sp.scheduleStamp(v) {
+				if sched, gen, err = h.schedule(key, v, build); err != nil {
+					return err
+				}
+			}
+			out, err = h.pull(v, version, region, sched)
+			return err
+		})
 	if err != nil {
+		if pe, ok := err.(*PullError); ok {
+			pe.Attempts = attempts
+		}
 		return nil, err
 	}
-	out, err := h.pull(v, version, region, sched)
-	for requery := 0; err != nil && requery < maxRequeries; requery++ {
-		var pe *PullError
-		if !h.sp.RetryPolicy().Enabled() || !errors.As(err, &pe) {
-			break
-		}
-		if mutate.Enabled(mutate.NoRequery) {
-			break // seeded defect: give up instead of re-querying the lookup
-		}
-		obsPullRequeries.Inc()
-		if t := h.sp.tracer.Load(); t != nil {
-			t.Event(h.spanParent, "requery:"+v)
-		}
-		delete(h.schedCache, key)
-		sched, serr := h.schedule(key, v, build)
-		if serr != nil {
-			// The lookup has no full coverage either: the original pull
-			// failure is the more informative error.
-			return nil, err
-		}
-		out, err = h.pull(v, version, region, sched)
-	}
-	if err != nil {
-		return nil, err
+	if attempts > 1 {
+		obsPullRecoveries.Inc()
+		h.sp.tracer.Load().Event(h.spanParent, "recovered:pull:"+v)
 	}
 	return out, nil
 }
@@ -730,41 +728,26 @@ type coverageError string
 func (e coverageError) Error() string { return string(e) }
 
 // sequentialSchedule queries the lookup service and converts the location
-// entries into a read list covering the region exactly. An answer that
-// falls short is re-queried under the retry policy's backoff and budget:
-// between a replacement process coming up and the reconcile re-registering
-// what its DHT core held, the records of live data are missing from the
-// table, and a consumer that asks in that window must wait it out like any
-// other transient failure. With no policy, and for data that is really
-// absent once the budget is spent, the shortfall is the error.
+// entries into a read list covering the region exactly; an answer that
+// falls short is a coverageError.
 func (h *Handle) sequentialSchedule(v string, version int, region geometry.BBox) ([]transport.ReadSpec, error) {
-	var sched []transport.ReadSpec
-	_, err := retry.Do(h.sp.RetryPolicy(), uint64(h.core)<<32^uint64(uint32(version)),
-		func(err error) bool { return errors.As(err, new(coverageError)) },
-		func(d time.Duration) { obsPullBackoffNs.Observe(d.Nanoseconds()) },
-		func(int) error {
-			entries, err := h.lookupClient().Query(h.phase, h.app, v, version, region)
-			if err != nil {
-				return err
-			}
-			sched = sched[:0]
-			var covered int64
-			for _, e := range entries {
-				sub, ok := e.Region.Intersect(region)
-				if !ok {
-					continue
-				}
-				covered += sub.Volume()
-				sched = append(sched, readSpec(e.Owner, v, e.Region, sub))
-			}
-			if covered != region.Volume() {
-				return coverageError(fmt.Sprintf("cods: %q v%d: stored data covers %d of %d cells of %v",
-					v, version, covered, region.Volume(), region))
-			}
-			return nil
-		})
+	entries, err := h.lookupClient().Query(h.phase, h.app, v, version, region)
 	if err != nil {
 		return nil, err
+	}
+	sched := make([]transport.ReadSpec, 0, len(entries))
+	var covered int64
+	for _, e := range entries {
+		sub, ok := e.Region.Intersect(region)
+		if !ok {
+			continue
+		}
+		covered += sub.Volume()
+		sched = append(sched, readSpec(e.Owner, v, e.Region, sub))
+	}
+	if covered != region.Volume() {
+		return nil, coverageError(fmt.Sprintf("cods: %q v%d: stored data covers %d of %d cells of %v",
+			v, version, covered, region.Volume(), region))
 	}
 	return orderSchedule(sched), nil
 }
@@ -782,7 +765,7 @@ type PullError struct {
 	// pulled from.
 	Sub   geometry.BBox
 	Owner cluster.CoreID
-	// Attempts is the number of times the transfer was tried.
+	// Attempts is the number of attempts the get made.
 	Attempts int
 	// Err is the underlying failure of the last attempt.
 	Err error
@@ -805,9 +788,23 @@ func retryableTransfer(err error) bool {
 	return !errors.Is(err, transport.ErrEndpointClosed) && !errors.Is(err, transport.ErrTooLarge)
 }
 
-// putSeed derives the deterministic backoff seed of one put from its
-// coordinates, mirroring transferSeed.
-func putSeed(core cluster.CoreID, v string, version int) uint64 {
+// retryableGet classifies the failure of one get attempt: a read that
+// failed retryably (retryableTransfer) and a lookup answer short of the
+// region are worth another attempt, a lookup RPC error is not.
+func retryableGet(err error) bool {
+	if mutate.Enabled(mutate.GetNoRetry) {
+		return false // seeded defect: every failure ends the get
+	}
+	if pe, ok := err.(*PullError); ok {
+		return retryableTransfer(pe.Err)
+	}
+	_, short := err.(coverageError)
+	return short
+}
+
+// opSeed derives the deterministic backoff seed of one put or get from its
+// coordinates, so backoff schedules are reproducible run to run.
+func opSeed(core cluster.CoreID, v string, version int) uint64 {
 	s := uint64(core)<<32 ^ uint64(uint32(version))
 	for _, ch := range v {
 		s = s*0x100000001b3 + uint64(ch)
@@ -815,29 +812,18 @@ func putSeed(core cluster.CoreID, v string, version int) uint64 {
 	return s
 }
 
-// transferSeed derives the deterministic jitter seed of one transfer from
-// its coordinates, so backoff schedules are reproducible run to run.
-func transferSeed(core cluster.CoreID, tr transport.ReadSpec, version int) uint64 {
-	s := uint64(core)<<32 ^ uint64(uint32(tr.Owner))<<16 ^ uint64(uint32(version))
-	for _, x := range tr.Sub.Min {
-		s = s*0x100000001b3 + uint64(uint32(x))
-	}
-	return s
-}
-
-// pull executes a schedule: a receiver-driven pull of every piece,
-// assembling the row-major result. On a driver's fabric the whole schedule
-// is one batch — one ReadMulti under one retry budget, in which the backend
-// writes every owning node its request before it reads any answer and
-// decides which answers get a goroutine of their own; pull spawns nothing.
-// In process this goroutine runs one batch per transfer, in turn, so each
-// transfer keeps its own fault draw and retry budget. Since
-// schedule sub-boxes are disjoint, every segment lands in its own cells of
-// the output without locking, so the result does not depend on delivery
-// order — nor on how many times a batch was retried, since a repeated copy
-// writes the same cells. The output is allocated by the first segment
-// delivered (lazyOutput), so zeroing it overlaps the owners' clipping and
-// sending instead of delaying the requests.
+// pull is one attempt of a get: a receiver-driven pull of every piece of
+// the schedule as one Endpoint.ReadMulti, on either fabric, assembling the
+// row-major result. On a driver's fabric the backend writes every owning
+// node its request before it reads any answer and decides which answers
+// get a goroutine of their own; in process the reads run in turn on this
+// goroutine. pull spawns nothing. Since schedule sub-boxes are disjoint,
+// every segment lands in its own cells of the output without locking, so
+// the result does not depend on delivery order. The output is allocated by
+// the first segment delivered (lazyOutput), so zeroing it overlaps the
+// owners' clipping and sending instead of delaying the requests. A failed
+// read is a *PullError naming the first sub-box of the owning node it is
+// attributed to (failedSpec); get fills in its Attempts.
 func (h *Handle) pull(v string, version int, region geometry.BBox, sched []transport.ReadSpec) ([]float64, error) {
 	if obs.Enabled() {
 		start := time.Now()
@@ -855,33 +841,34 @@ func (h *Handle) pull(v string, version int, region geometry.BBox, sched []trans
 		// remote backend's handler spans parent under this pull span.
 		m.Span = uint64(span.ID())
 	}
-	pol := h.sp.RetryPolicy()
 	// A private copy stamped with the get's version: the cached schedule
 	// stays versionless.
-	specs := make([]transport.ReadSpec, len(sched))
-	for i, tr := range sched {
-		tr.Key.Version = version
-		specs[i] = tr
-	}
-	if h.sp.fabric.Routed() {
-		if len(specs) > 0 {
-			if err := h.pullBatch(out, region, v, version, specs, m, pol); err != nil {
-				return nil, err
-			}
-		}
-		return out.cells(), nil
-	}
+	specs := append([]transport.ReadSpec(nil), sched...)
 	for i := range specs {
-		if err := h.pullBatch(out, region, v, version, specs[i:i+1], m, pol); err != nil {
-			return nil, err
+		specs[i].Key.Version = version
+	}
+	err := h.endpoint().ReadMulti(specs, m, func(i int, payload any, clipped []byte) error {
+		sub := specs[i].Sub
+		switch obj := payload.(type) {
+		case nil: // clipped by its owner in another process
+		case *StoredObject:
+			copyRegion(out.cells(), region, obj.Data, obj.Region, sub)
+			return nil
+		default:
+			return fmt.Errorf("cods: exposed payload %T cannot be read", payload)
 		}
+		return copySegment(out.cells(), region, clipped, sub)
+	})
+	if err != nil {
+		failed := failedSpec(h.sp.fabric.Machine(), specs, err)
+		return nil, &PullError{Var: v, Version: version, Sub: failed.Sub, Owner: failed.Owner, Err: err}
 	}
 	return out.cells(), nil
 }
 
-// lazyOutput is the row-major result buffer of one get, shared by the
-// segments of its batches, which a backend may deliver from several
-// goroutines: the first call to cells allocates it, whichever makes it.
+// lazyOutput is the row-major result buffer of one pull, shared by its
+// segments, which a backend may deliver from several goroutines: the first
+// call to cells allocates it, whichever makes it.
 type lazyOutput struct {
 	once sync.Once
 	n    int64
@@ -893,78 +880,19 @@ func (o *lazyOutput) cells() []float64 {
 	return o.buf
 }
 
-// pullBatch executes one batch as a single ReadMulti, copying the pulled
-// cells into their slots of the output buffer. Over a network backend the
-// batch is the whole schedule: one request frame per owning node carries
-// that node's sub-boxes, the owners clip each region server-side and stream
-// the segments back; in process the read delivers the owner's full payload
-// and the region is clipped here. Under a retry policy a failed batch is
-// re-attempted as a whole with exponential backoff (jitter seeded from its
-// first transfer) until the attempt budget or per-operation deadline runs
-// out; a closed owner endpoint stops the attempts immediately. The ultimate
-// failure is a *PullError naming the first sub-box of the owning node that
-// failed (failedSpec).
-func (h *Handle) pullBatch(out *lazyOutput, region geometry.BBox, v string, version int, batch []transport.ReadSpec, m transport.Meter, pol retry.Policy) error {
-	attempts, err := retry.Do(pol, transferSeed(h.core, batch[0], version), retryableTransfer,
-		func(d time.Duration) { obsPullBackoffNs.Observe(d.Nanoseconds()) },
-		func(attempt int) error {
-			if attempt > 1 {
-				obsPullRetries.Inc()
-				if t := h.sp.tracer.Load(); t != nil {
-					t.Event(h.spanParent, "retry:pull:"+v)
-				}
-			}
-			var start time.Time
-			if obs.Enabled() {
-				start = time.Now()
-			}
-			rerr := h.endpoint().ReadMulti(batch, m, func(i int, payload any, clipped []byte) error {
-				sub := batch[i].Sub
-				switch obj := payload.(type) {
-				case nil: // clipped by its owner in another process
-				case *StoredObject:
-					copyRegion(out.cells(), region, obj.Data, obj.Region, sub)
-					return nil
-				default:
-					return fmt.Errorf("cods: exposed payload %T cannot be read", payload)
-				}
-				return copySegment(out.cells(), region, clipped, sub)
-			})
-			if !start.IsZero() {
-				// Includes the blocking wait for the producers' Expose: it is
-				// the consumer-observed latency of one batch — on a driver,
-				// of a whole pull's fan-out to its owning nodes.
-				obsTransferNs.Observe(time.Since(start).Nanoseconds())
-			}
-			return rerr
-		})
-	if err != nil {
-		failed := failedSpec(h.sp.fabric.Machine(), batch, err)
-		return &PullError{Var: v, Version: version, Sub: failed.Sub, Owner: failed.Owner,
-			Attempts: attempts, Err: err}
-	}
-	if attempts > 1 {
-		obsPullRecoveries.Inc()
-		if t := h.sp.tracer.Load(); t != nil {
-			t.Event(h.spanParent, "recovered:pull:"+v)
-		}
-	}
-	return nil
-}
-
-// failedSpec is the spec a failed batch's PullError names: the first spec
+// failedSpec is the spec a failed pull's PullError names: the first spec
 // on the owning node of the spec the failure is attributed to
-// (transport.SpecError), or the batch's first spec when it is attributed to
-// none. A schedule is sorted by owner, so a node's specs are one run.
-func failedSpec(m *cluster.Machine, batch []transport.ReadSpec, err error) transport.ReadSpec {
+// (transport.SpecError), or the schedule's first spec when it is attributed
+// to none. A schedule is sorted by owner, so a node's specs are one run.
+func failedSpec(m *cluster.Machine, specs []transport.ReadSpec, err error) transport.ReadSpec {
 	i := 0
-	if se := (*transport.SpecError)(nil); errors.As(err, &se) && se.Index >= 0 && se.Index < len(batch) {
+	if se := (*transport.SpecError)(nil); errors.As(err, &se) && se.Index >= 0 && se.Index < len(specs) {
 		i = se.Index
 	}
-	for i > 0 && m.NodeOf(batch[i-1].Owner) == m.NodeOf(batch[i].Owner) {
+	for i > 0 && m.NodeOf(specs[i-1].Owner) == m.NodeOf(specs[i].Owner) {
 		i--
 	}
-	return batch[i]
+	return specs[i]
 }
 
 // Discard withdraws a previously put block so its memory slot can be
@@ -1003,41 +931,41 @@ func (h *Handle) schedKey(op, v string, region geometry.BBox) string {
 }
 
 // schedule returns the communication schedule cached under key, or builds
-// one and caches it. The invalidation stamp is captured before the build,
-// so an invalidation racing with it leaves the entry already stale instead
-// of masked.
-func (h *Handle) schedule(key, v string, build func() ([]transport.ReadSpec, error)) ([]transport.ReadSpec, error) {
-	if sched, ok := h.cachedSchedule(key, v); ok {
-		return sched, nil
+// one and caches it, with the invalidation stamp it was computed under.
+// The stamp is captured before the build, so an invalidation racing with
+// it leaves the entry already stale instead of masked.
+func (h *Handle) schedule(key, v string, build func() ([]transport.ReadSpec, error)) ([]transport.ReadSpec, uint64, error) {
+	if e, ok := h.cachedSchedule(key, v); ok {
+		return e.sched, e.gen, nil
 	}
 	gen := h.sp.scheduleStamp(v)
 	sched, err := build()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	h.CacheMisses++
 	obsSchedMisses.Inc()
 	if h.CacheEnabled {
 		h.schedCache[key] = schedEntry{sched: sched, gen: gen}
 	}
-	return sched, nil
+	return sched, gen, nil
 }
 
-func (h *Handle) cachedSchedule(key, v string) ([]transport.ReadSpec, bool) {
+func (h *Handle) cachedSchedule(key, v string) (schedEntry, bool) {
 	if !h.CacheEnabled {
-		return nil, false
+		return schedEntry{}, false
 	}
 	e, ok := h.schedCache[key]
 	if !ok {
-		return nil, false
+		return schedEntry{}, false
 	}
 	if e.gen != h.sp.scheduleStamp(v) && !mutate.Enabled(mutate.StaleEpoch) {
 		delete(h.schedCache, key) // stale: discarded/restaged since computed
-		return nil, false
+		return schedEntry{}, false
 	}
 	h.CacheHits++
 	obsSchedHits.Inc()
-	return e.sched, true
+	return e, true
 }
 
 // copyRegion copies the cells of sub from src (row-major over srcBox) to

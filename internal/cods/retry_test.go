@@ -2,6 +2,7 @@ package cods
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -60,34 +61,53 @@ func TestPullRetryRecoversInjectedFault(t *testing.T) {
 	}
 }
 
-// When the transfer retry budget runs out, GetSequential re-queries the
-// lookup service and pulls against a fresh schedule: a fault window longer
-// than one pull's attempts but shorter than two is healed by the requery.
-func TestGetSequentialRequeryHealsAfterWindow(t *testing.T) {
-	_, sp := testRig(t, 2, 4, []int{8, 8})
-	dc, err := decomp.New(decomp.Blocked, geometry.BoxFromSize([]int{8, 8}), []int{2, 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	putAll(t, sp, dc, func(r int) cluster.CoreID { return cluster.CoreID(r) }, "u", 0, true)
-	sp.SetRetryPolicy(fastPolicy(4))
-	// One transfer (owner core 0). The first pull's 4 read attempts land on
-	// matches 0..3, all inside the window, so the pull fails; the requery's
-	// pull sees matches 4, 5 (fail) and 6 (outside the window: success).
-	plan := mustPlan(t, `{"seed": 1, "rules": [
-		{"op": "read", "dst": 0, "mode": "error", "from_op": 0, "to_op": 6}]}`)
-	sp.Fabric().SetFaultPlan(plan)
-	defer sp.Fabric().SetFaultPlan(nil)
+// TestGetRetryBudget pins the one budget a get has: under fastPolicy(4) a
+// one-transfer get makes at most four reads, all against the one schedule
+// its single lookup built. A fault window of three matches heals on the
+// fourth read; one of four exhausts the budget.
+func TestGetRetryBudget(t *testing.T) {
+	for _, tc := range []struct {
+		window int // read matches that fail
+		heals  bool
+	}{
+		{window: 3, heals: true},
+		{window: 4, heals: false},
+	} {
+		t.Run(fmt.Sprintf("window %d", tc.window), func(t *testing.T) {
+			_, sp := testRig(t, 2, 4, []int{8, 8})
+			dc, err := decomp.New(decomp.Blocked, geometry.BoxFromSize([]int{8, 8}), []int{2, 2}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			putAll(t, sp, dc, func(r int) cluster.CoreID { return cluster.CoreID(r) }, "u", 0, true)
+			sp.SetRetryPolicy(fastPolicy(4))
+			// One transfer, owner core 0: the first window reads of it fail.
+			plan := mustPlan(t, fmt.Sprintf(`{"seed": 1, "rules": [
+				{"op": "read", "dst": 0, "mode": "error", "from_op": 0, "to_op": %d}]}`, tc.window))
+			sp.Fabric().SetFaultPlan(plan)
+			defer sp.Fabric().SetFaultPlan(nil)
 
-	h := sp.HandleAt(6, 2, "get")
-	region := geometry.NewBBox(geometry.Point{0, 0}, geometry.Point{3, 3})
-	got, err := h.GetSequential("u", 0, region)
-	if err != nil {
-		t.Fatalf("requery did not heal the window: %v", err)
-	}
-	checkRegion(t, region, got)
-	if plan.Injected() != 6 {
-		t.Fatalf("Injected = %d, want 6 (4 on the first pull, 2 after requery)", plan.Injected())
+			h := sp.HandleAt(6, 2, "get")
+			region := geometry.NewBBox(geometry.Point{0, 0}, geometry.Point{3, 3})
+			got, err := h.GetSequential("u", 0, region)
+			if tc.heals {
+				if err != nil {
+					t.Fatalf("a %d-match window outlasted four attempts: %v", tc.window, err)
+				}
+				checkRegion(t, region, got)
+			} else {
+				var pe *PullError
+				if !errors.As(err, &pe) || pe.Attempts != 4 {
+					t.Fatalf("err = %v, want a *PullError after 4 attempts", err)
+				}
+			}
+			if plan.Injected() != int64(tc.window) {
+				t.Fatalf("Injected = %d, want %d: one read per attempt", plan.Injected(), tc.window)
+			}
+			if h.CacheMisses != 1 || h.CacheHits != 0 {
+				t.Fatalf("%d schedule misses and %d hits, want one lookup and no hit", h.CacheMisses, h.CacheHits)
+			}
+		})
 	}
 }
 
@@ -176,6 +196,6 @@ func TestPullNoPolicySingleAttempt(t *testing.T) {
 		t.Fatalf("Attempts = %d, want 1", pe.Attempts)
 	}
 	if plan.Injected() != 1 {
-		t.Fatalf("Injected = %d, want 1 (no requery without a policy)", plan.Injected())
+		t.Fatalf("Injected = %d, want 1 (one read without a policy)", plan.Injected())
 	}
 }

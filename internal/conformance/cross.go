@@ -76,8 +76,9 @@ func RunCrossOpts(sc genwf.Scenario, opts Options) error {
 // control traffic) are compared only for fault-free scenarios, where the
 // retry layer cannot legitimately vary the op count between runs, and not
 // for backpressure streaming runs, where the racing garbage collection
-// invalidates schedules at interleaving-dependent points and the requery
-// count legitimately differs between runs.
+// invalidates schedules at interleaving-dependent points, so how many gets
+// rebuild their schedule from a fresh lookup legitimately differs between
+// runs.
 func compareRuns(sc genwf.Scenario, ref, tcp *RunStats) error {
 	if len(ref.Gets) != len(tcp.Gets) {
 		return fmt.Errorf("conformance: backends disagree on get count: inproc %d, tcp %d\n%s",

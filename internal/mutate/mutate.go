@@ -32,9 +32,9 @@ const (
 	// SwapFlow records every fabric transfer with source and destination
 	// exchanged, corrupting the flow log while leaving totals intact.
 	SwapFlow = "swap-flow"
-	// NoRequery disables GetSequential's lookup re-query after an
-	// exhausted pull, so a healed owner is never found again.
-	NoRequery = "no-requery"
+	// GetNoRetry makes a get's retry loop treat every failure as terminal,
+	// so a transient read fault fails a get the policy would have healed.
+	GetNoRetry = "get-no-retry"
 	// TCPTruncFrame truncates every encoded TCP wire frame by one byte
 	// before the length prefix is computed, so the peer's strict decoder
 	// rejects the frame — the classic short-write bug.
@@ -100,7 +100,7 @@ const (
 
 // Names lists every seeded defect, in a stable order.
 func Names() []string {
-	return []string{GeomIntersect, SfcSpanSplit, SchedDropTransfer, StaleEpoch, SwapFlow, NoRequery,
+	return []string{GeomIntersect, SfcSpanSplit, SchedDropTransfer, StaleEpoch, SwapFlow, GetNoRetry,
 		TCPTruncFrame, TCPMeterClass, TCPSGDrop, TCPSGReorder, TCPBlockShift, TCPClipRowSkew, TCPMsgEntryDrop, ObsFlowMisattribute,
 		ReconcileSkipReinsert,
 		StaleWatermarkServed, GCBeforeConsume, VersionSkipOnResubscribe,

@@ -4,8 +4,9 @@
 //
 // The paper's platform (Jaguar-scale Cray XT5 allocations) treats transport
 // stalls and lost staging buffers as routine, so every fabric-facing layer
-// — the CoDS pull engine, the DHT fan-out, the workflow runtime — retries
-// transient failures under one policy instead of growing ad-hoc loops.
+// — a CoDS get, a CoDS put, the DHT fan-out — retries transient failures
+// under one policy instead of growing ad-hoc loops, each failure in exactly
+// one of them.
 // Jitter is derived from a caller-provided seed with a splitmix64 hash, not
 // from a global RNG: the backoff schedule of a given operation is a pure
 // function of (policy, seed, attempt), which is what makes chaos tests

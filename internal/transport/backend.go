@@ -143,24 +143,24 @@ func DecodeBlock(wire []byte) (any, error) {
 // installation is not synchronized with in-flight operations.
 func (f *Fabric) SetBackend(b Backend) { f.backend = b }
 
-// Routed reports whether operations on node-held state traverse a backend:
-// true on a driver's fabric, false on an in-process one. It is both the
-// fabric's dispatch decision and what makes the pull engine hand a whole
-// schedule to one ReadMulti.
-func (f *Fabric) Routed() bool { return f.backend != nil }
+// routed reports whether operations on node-held state traverse a backend:
+// true on a driver's fabric, false on an in-process one. It is the
+// dispatch decision of every endpoint operation.
+func (f *Fabric) routed() bool { return f.backend != nil }
 
 // LocalReadMulti is the executing side of ReadMulti against owner
-// endpoints in this process: each spec is a blocking LocalRead metered at
-// spec.Bytes, delivered as the full exposed payload for the reader to
-// clip.
+// endpoints in this process: each spec, in turn, is a blocking LocalRead
+// metered at spec.Bytes, delivered as the full exposed payload for the
+// reader to clip. A failure is a *SpecError naming its spec, as a network
+// backend names the spec of the failing run.
 func (f *Fabric) LocalReadMulti(reader cluster.CoreID, specs []ReadSpec, m Meter, deliver SegmentFunc) error {
 	for i, spec := range specs {
 		payload, err := f.LocalRead(reader, spec.Owner, spec.Key, m, spec.Bytes, 0, nil)
-		if err != nil {
-			return err
+		if err == nil {
+			err = deliver(i, payload, nil)
 		}
-		if err := deliver(i, payload, nil); err != nil {
-			return err
+		if err != nil {
+			return &SpecError{Index: i, Err: err}
 		}
 	}
 	return nil

@@ -272,7 +272,7 @@ func (ep *Endpoint) Close() {
 // pull from it with ReadMulti. Re-exposing an existing key is an error
 // (versions distinguish iterations).
 func (ep *Endpoint) Expose(key BufKey, payload any) error {
-	if ep.fabric.Routed() {
+	if ep.fabric.routed() {
 		return ep.fabric.backend.Expose(ep.core, key, payload)
 	}
 	return ep.fabric.LocalExpose(ep.core, key, payload)
@@ -281,7 +281,7 @@ func (ep *Endpoint) Expose(key BufKey, payload any) error {
 // Unexpose withdraws a published buffer, freeing its slot; withdrawing a
 // key that is not published is no error.
 func (ep *Endpoint) Unexpose(key BufKey) error {
-	if ep.fabric.Routed() {
+	if ep.fabric.routed() {
 		return ep.fabric.backend.Unexpose(ep.core, key)
 	}
 	ep.fabric.LocalUnexpose(ep.core, key)
@@ -312,7 +312,7 @@ func (ep *Endpoint) ReadMulti(specs []ReadSpec, m Meter, deliver SegmentFunc) er
 			return &SpecError{Index: i, Err: err}
 		}
 	}
-	if ep.fabric.Routed() {
+	if ep.fabric.routed() {
 		return ep.fabric.backend.ReadMulti(ep.core, specs, m, deliver)
 	}
 	return ep.fabric.LocalReadMulti(ep.core, specs, m, deliver)
@@ -351,7 +351,7 @@ func (ep *Endpoint) Call(dst cluster.CoreID, service string, request any, m Mete
 	if err := ep.fabric.inject(FaultCall, int(ep.fabric.medium(ep.core, dst)), ep.core, dst); err != nil {
 		return nil, err
 	}
-	if ep.fabric.Routed() {
+	if ep.fabric.routed() {
 		return ep.fabric.backend.Call(ep.core, dst, service, request, m, reqBytes, respBytes)
 	}
 	return ep.fabric.LocalCall(ep.core, dst, service, request, m, reqBytes, respBytes)

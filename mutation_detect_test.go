@@ -86,18 +86,17 @@ func mutationScenario(name string) genwf.Scenario {
 			ConsKind: decomp.Blocked, ConsGrid: []int{2},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
 		}
-	case mutate.NoRequery:
-		// A single-transfer schedule under a fault window that outlasts
-		// the per-transfer retry budget (2 attempts, first 2 reads fail):
-		// only the requery path's fresh pull can succeed. Skipping it
-		// turns a recoverable fault into a failed get.
+	case mutate.GetNoRetry:
+		// A single-transfer schedule whose first read fails (a fault window
+		// of one match) under a two-attempt policy: the get heals on its
+		// second attempt, unless its loop gives up on the first failure.
 		return genwf.Scenario{
 			Seed: 0xF, Nodes: 1, CoresPerNode: 1, Domain: []int{8},
 			Sequential: true,
 			ProdKind:   decomp.Blocked, ProdGrid: []int{1},
 			ConsKind: decomp.Blocked, ConsGrid: []int{1},
 			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
-			Faults: `{"seed": 1, "rules": [{"op": "read", "mode": "error", "from_op": 0, "to_op": 2}]}`,
+			Faults: `{"seed": 1, "rules": [{"op": "read", "mode": "error", "from_op": 0, "to_op": 1}]}`,
 			Retry:  2,
 		}
 	case mutate.TCPTruncFrame:
