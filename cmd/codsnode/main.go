@@ -34,7 +34,6 @@ import (
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/node"
 	"github.com/insitu/cods/internal/obs"
-	"github.com/insitu/cods/internal/transport/tcpnet"
 )
 
 func main() {
@@ -88,7 +87,7 @@ func run(o nodeOptions) error {
 	if err != nil {
 		return err
 	}
-	n, err := node.Start(m, cluster.NodeID(o.node), o.listen, geometry.BoxFromSize(domain), tcpnet.Config{})
+	n, err := node.Start(m, cluster.NodeID(o.node), o.listen, geometry.BoxFromSize(domain))
 	if err != nil {
 		return err
 	}

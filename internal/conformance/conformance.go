@@ -116,9 +116,7 @@ func run(sc genwf.Scenario, opts Options) error {
 	switch opts.Backend {
 	case "", "inproc":
 	case "tcp":
-		p := retry.Default()
-		p.Deadline = 10 * time.Second
-		nodes, err := node.NewCluster(fabric, sc.DomainBox(), tcpnet.Config{Retry: p})
+		nodes, err := node.NewCluster(fabric, sc.DomainBox(), tcpnet.Config{})
 		if err != nil {
 			return fmt.Errorf("conformance: tcp cluster: %w", err)
 		}

@@ -22,7 +22,7 @@ func TestServeRejectsRankMismatch(t *testing.T) {
 	s, f := service(t, 2, 1, 2, 4)
 	peers := make(map[cluster.NodeID]string)
 	for node := cluster.NodeID(0); node < 2; node++ {
-		srv, err := tcpnet.Serve(f, node, "127.0.0.1:0", tcpnet.Config{})
+		srv, err := tcpnet.Serve(f, node, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -75,9 +75,7 @@ func stagedSpace(t *testing.T, nodes, cores int, owners ...cluster.CoreID) (*cod
 	}
 	domain := geometry.BoxFromSize([]int{8, 8})
 	f := transport.NewFabric(m)
-	p := retry.Default()
-	p.Deadline = 5 * time.Second
-	c, err := node.NewCluster(f, domain, tcpnet.Config{Retry: p})
+	c, err := node.NewCluster(f, domain, tcpnet.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,9 +375,7 @@ func TestConcurrentCouplingFailsOnProducerLoss(t *testing.T) {
 	}
 	domain := geometry.BoxFromSize([]int{8, 8})
 	f := transport.NewFabric(m)
-	p := retry.Default()
-	p.Deadline = 5 * time.Second
-	c, err := node.NewCluster(f, domain, tcpnet.Config{Retry: p, ReadPatience: 100 * time.Millisecond})
+	c, err := node.NewCluster(f, domain, tcpnet.Config{ReadPatience: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,13 +27,13 @@ type Node struct {
 // never linearizes — the driver routes every DHT call to the node
 // intervals a region meets — so its space takes the default curve,
 // whichever one the driver picked.
-func Start(m *cluster.Machine, id cluster.NodeID, addr string, domain geometry.BBox, cfg tcpnet.Config) (*Node, error) {
+func Start(m *cluster.Machine, id cluster.NodeID, addr string, domain geometry.BBox) (*Node, error) {
 	f := transport.NewFabric(m)
 	sp, err := cods.NewSpace(f, domain)
 	if err != nil {
 		return nil, err
 	}
-	be, err := tcpnet.Serve(f, id, addr, cfg)
+	be, err := tcpnet.Serve(f, id, addr)
 	if err != nil {
 		return nil, err
 	}
@@ -73,16 +73,13 @@ type Cluster struct {
 	// replaced ones included: their traffic stays in the shared Metrics.
 	fabrics []*transport.Fabric
 	domain  geometry.BBox
-	cfg     tcpnet.Config
 }
 
 // NewCluster starts one node per node of f's machine and installs on f a
-// driver that dials them. cfg configures the driver; a node takes its
-// Retry only, since the patience of a read is the reader's and travels in
-// the request. domain is that of the space the caller builds on f, with
-// any curve.
+// driver that dials them, configured by cfg. domain is that of the space
+// the caller builds on f, with any curve.
 func NewCluster(f *transport.Fabric, domain geometry.BBox, cfg tcpnet.Config) (*Cluster, error) {
-	c := &Cluster{fabrics: []*transport.Fabric{f}, domain: domain, cfg: cfg}
+	c := &Cluster{fabrics: []*transport.Fabric{f}, domain: domain}
 	peers := make(map[cluster.NodeID]string)
 	for k := cluster.NodeID(0); int(k) < f.Machine().NumNodes(); k++ {
 		n, err := c.start(k)
@@ -104,7 +101,7 @@ func NewCluster(f *transport.Fabric, domain geometry.BBox, cfg tcpnet.Config) (*
 }
 
 func (c *Cluster) start(k cluster.NodeID) (*Node, error) {
-	n, err := Start(c.fabrics[0].Machine(), k, "127.0.0.1:0", c.domain, tcpnet.Config{Retry: c.cfg.Retry})
+	n, err := Start(c.fabrics[0].Machine(), k, "127.0.0.1:0", c.domain)
 	if err != nil {
 		return nil, err
 	}

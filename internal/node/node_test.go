@@ -10,16 +10,9 @@ import (
 	"github.com/insitu/cods/internal/cods"
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/membership"
-	"github.com/insitu/cods/internal/retry"
 	"github.com/insitu/cods/internal/transport"
 	"github.com/insitu/cods/internal/transport/tcpnet"
 )
-
-func testConfig() tcpnet.Config {
-	p := retry.Default()
-	p.Deadline = 5 * time.Second
-	return tcpnet.Config{Retry: p}
-}
 
 // TestCloseReleasesParkedRead: a read parked on a buffer nobody will ever
 // expose returns, once its node closes, with an error wrapping
@@ -30,7 +23,7 @@ func TestCloseReleasesParkedRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := Start(m, 1, "127.0.0.1:0", geometry.BoxFromSize([]int{8}), testConfig())
+	n, err := Start(m, 1, "127.0.0.1:0", geometry.BoxFromSize([]int{8}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +58,7 @@ func TestReplaceStartsEmpty(t *testing.T) {
 	}
 	domain := geometry.BoxFromSize([]int{16})
 	f := transport.NewFabric(m)
-	nodes, err := NewCluster(f, domain, testConfig())
+	nodes, err := NewCluster(f, domain, tcpnet.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

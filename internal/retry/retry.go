@@ -6,7 +6,9 @@
 // stalls and lost staging buffers as routine, so every fabric-facing layer
 // — a CoDS get, a CoDS put, the DHT fan-out — retries transient failures
 // under one policy instead of growing ad-hoc loops, each failure in exactly
-// one of them.
+// one of them. The transport below them retries nothing: a dial is
+// attempted once, and its failure is the failed attempt of the layer that
+// asked.
 // Jitter is derived from a caller-provided seed with a splitmix64 hash, not
 // from a global RNG: the backoff schedule of a given operation is a pure
 // function of (policy, seed, attempt), which is what makes chaos tests

@@ -395,7 +395,7 @@ func TestRefusedExposeHandsBodyBack(t *testing.T) {
 		t.Fatalf("after a refused expose the free list holds %d bytes, want its %d-byte body", n, body)
 	}
 	bad := sampleBlockPayload()
-	if resp := servers[1].execute(&frame{Op: opExpose, Kind: payloadBlock, Dst: 1, Name: "bad", Payload: bad[:len(bad)-1]}); resp.Status != statusErr {
+	if resp := answer(servers[1], &frame{Op: opExpose, Kind: payloadBlock, Dst: 1, Name: "bad", Payload: bad[:len(bad)-1]}); resp.Status != statusErr {
 		t.Fatalf("a block that does not decode was exposed: status %d", resp.Status)
 	}
 	if n := freeBytes(); n != body+len(bad)-1 {

@@ -40,7 +40,7 @@ func TestStreamingNodeMemoryBounded(t *testing.T) {
 	}
 	f := transport.NewFabric(m)
 	domain := geometry.BoxFromSize([]int{2 * side, side})
-	nodes, err := node.NewCluster(f, domain, tcpnet.TestConfig())
+	nodes, err := node.NewCluster(f, domain, tcpnet.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package tcpnet
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -82,5 +83,72 @@ func TestReleaseDropsConnWithUnreadBytes(t *testing.T) {
 	if now := pooled(b, 0); len(now) != 1 || now[0] == used {
 		t.Fatalf("after the next call the pool holds %d connections (the dropped one: %v), want one fresh",
 			len(now), len(now) == 1 && now[0] == used)
+	}
+}
+
+// TestPooledConnOutlivesIOTimeout: a connection pooled after a read and
+// left idle past the I/O timeout serves the next exchange. The node arms
+// the write deadline of every answer it writes, not only of the segment
+// streams, so an answer behind a read does not meet that read's expired
+// deadline.
+func TestPooledConnOutlivesIOTimeout(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	f, b, servers := newClusterWith(t, 2, 1, timeout)
+	key := transport.BufKey{Name: "u", Version: 1}
+	if err := servers[1].fabric.Endpoint(1).Expose(key, &blockPayload{Vals: []float64{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readOne(f.Endpoint(0), 1, key, transport.Meter{Class: cluster.InterApp}, 16, 2); err != nil {
+		t.Fatal(err)
+	}
+	read := pooled(b, 1)
+	time.Sleep(3 * timeout)
+	if ok, err := b.Exposed(1, key); err != nil || !ok {
+		t.Fatalf("Exposed on the idle pooled connection = %v, %v; want true, nil", ok, err)
+	}
+	if now := pooled(b, 1); len(read) != 1 || len(now) != 1 || now[0] != read[0] {
+		t.Fatal("the probe did not ride the connection the read was pooled on")
+	}
+}
+
+// TestExposedFalseBesideAnError pins Exposed to the status of its answer:
+// statusOK is true, statusNotFound false without an error, and a refusal —
+// statusErr, what a node answers for a core it does not serve, or
+// statusClosed, which keeps transport.ErrEndpointClosed across the wire —
+// is false beside its error.
+func TestExposedFalseBesideAnError(t *testing.T) {
+	m, err := cluster.NewMachine(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		status  uint8
+		exposed bool
+		want    error // nil: no error
+	}{
+		{statusOK, true, nil},
+		{statusNotFound, false, nil},
+		{statusErr, false, errors.New("core 0 is not served here")},
+		{statusClosed, false, transport.ErrEndpointClosed},
+	} {
+		addr := stubNode(t, func(*frame) *frame {
+			resp := &frame{Op: opResp, Status: tc.status}
+			if tc.want != nil {
+				resp.Err = tc.want.Error()
+			}
+			return resp
+		})
+		b, err := Connect(transport.NewFabric(m), map[cluster.NodeID]string{0: addr}, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		ok, err := b.Exposed(0, transport.BufKey{Name: "u"})
+		if ok != tc.exposed || (err == nil) != (tc.want == nil) || !strings.Contains(fmt.Sprint(err), fmt.Sprint(tc.want)) {
+			t.Errorf("status %d: Exposed = %v, %v; want %v beside %v", tc.status, ok, err, tc.exposed, tc.want)
+		}
+		if tc.status == statusClosed && !errors.Is(err, transport.ErrEndpointClosed) {
+			t.Errorf("status %d: %v does not wrap transport.ErrEndpointClosed", tc.status, err)
+		}
 	}
 }

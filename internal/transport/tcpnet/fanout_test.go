@@ -161,15 +161,14 @@ func TestReadMultiWritesEveryRequestFirst(t *testing.T) {
 // so its server's write, which the socket buffers cannot absorb, never
 // waits on the small answer's producer and its write deadline.
 func TestReadMultiSmallAnswerDoesNotStallBigOne(t *testing.T) {
-	cfg := testConfig()
-	cfg.Retry.Deadline = 250 * time.Millisecond
-	f, _, _ := newClusterWith(t, 3, 1, cfg)
+	const timeout = 250 * time.Millisecond
+	f, _, _ := newClusterWith(t, 3, 1, timeout)
 	specs := []transport.ReadSpec{fanoutBlock(t, f, 1, 0, smallSide), fanoutBlock(t, f, 2, 1, hugeSide)}
 	if err := f.Endpoint(1).Unexpose(specs[0].Key); err != nil {
 		t.Fatal(err)
 	}
 	ready := make(chan struct{})
-	time.AfterFunc(4*cfg.Retry.Deadline, func() { close(ready) })
+	time.AfterFunc(4*timeout, func() { close(ready) })
 	exposed := exposeLater(f, specs[0], ready)
 	err := f.Endpoint(0).ReadMulti(specs, dataMeter, func(i int, _ any, clipped []byte) error {
 		return checkSegment(specs[i], clipped)

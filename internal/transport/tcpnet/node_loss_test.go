@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/insitu/cods/internal/cluster"
-	"github.com/insitu/cods/internal/retry"
 	"github.com/insitu/cods/internal/transport"
 )
 
@@ -26,7 +25,7 @@ func TestMessagingSurvivesNodeLoss(t *testing.T) {
 	peers := make(map[cluster.NodeID]string)
 	var nodes []*Backend
 	for node := cluster.NodeID(0); node < 2; node++ {
-		be, err := Serve(transport.NewFabric(m), node, "127.0.0.1:0", testConfig())
+		be, err := Serve(transport.NewFabric(m), node, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +34,7 @@ func TestMessagingSurvivesNodeLoss(t *testing.T) {
 		nodes = append(nodes, be)
 	}
 	f := transport.NewFabric(m)
-	driver, err := Connect(f, peers, testConfig())
+	driver, err := Connect(f, peers, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,46 +74,20 @@ func TestMessagingSurvivesNodeLoss(t *testing.T) {
 }
 
 // TestCallTimesOutOnHungNode: a node that completes the handshake and then
-// never answers fails a Call with a timeout within the retry deadline — a transient
+// never answers fails a Call with a timeout within the I/O timeout — an
 // error the retry layers act on, not ErrEndpointClosed and not a hang.
 func TestCallTimesOutOnHungNode(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		if _, err := readFrame(c); err != nil {
-			return
-		}
-		if err := writeFrame(c, &frame{Op: opResp, Status: statusOK}); err != nil {
-			return
-		}
-		for { // swallow every request, answer none
-			if _, err := readFrame(c); err != nil {
-				return
-			}
-		}
-	}()
+	addr := stubNode(t, func(*frame) *frame { return nil })
 	m, err := cluster.NewMachine(1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := retry.Default()
-	p.MaxAttempts = 1
-	const ioTimeout = 200 * time.Millisecond
-	p.Deadline = ioTimeout
-	driver, err := Connect(transport.NewFabric(m), map[cluster.NodeID]string{0: ln.Addr().String()},
-		Config{Retry: p})
+	driver, err := Connect(transport.NewFabric(m), map[cluster.NodeID]string{0: addr}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer driver.Close()
+	const timeout = 200 * time.Millisecond
+	defer withIOTimeout(driver, timeout).Close()
 
 	start := time.Now()
 	done := make(chan error, 1)
@@ -127,8 +100,8 @@ func TestCallTimesOutOnHungNode(t *testing.T) {
 		if !errors.Is(err, os.ErrDeadlineExceeded) || errors.Is(err, transport.ErrEndpointClosed) {
 			t.Fatalf("call against a hung node: %v; want a timeout", err)
 		}
-		if took := time.Since(start); took < ioTimeout || took > ioTimeout+5*time.Second {
-			t.Fatalf("call returned after %s, want about the %s IO timeout", took, ioTimeout)
+		if took := time.Since(start); took < timeout || took > timeout+5*time.Second {
+			t.Fatalf("call returned after %s, want about the %s I/O timeout", took, timeout)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("call still waiting on a node that never answers: its response read has no deadline")
@@ -162,12 +135,12 @@ func TestAcceptLoopSurvivesTransientError(t *testing.T) {
 	}
 	flaky := &flakyListener{Listener: ln}
 	flaky.failures.Store(2)
-	b := newBackend(transport.NewFabric(m), testConfig())
+	b := newBackend(transport.NewFabric(m))
 	b.node, b.listener = 0, flaky
 	b.wg.Add(1)
 	go b.acceptLoop(flaky)
 
-	driver, err := Connect(transport.NewFabric(m), map[cluster.NodeID]string{0: ln.Addr().String()}, testConfig())
+	driver, err := Connect(transport.NewFabric(m), map[cluster.NodeID]string{0: ln.Addr().String()}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,4 +160,46 @@ func TestAcceptLoopSurvivesTransientError(t *testing.T) {
 func ping(b *Backend, node cluster.NodeID) error {
 	_, err := b.Exposed(cluster.CoreID(node), transport.BufKey{Name: "ping"})
 	return err
+}
+
+// stubNode is a node that completes the handshake and then answers each
+// request with respond's frame, or swallows it when respond returns nil.
+// It returns the stub's address.
+func stubNode(t *testing.T, respond func(*frame) *frame) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	serve := func(c net.Conn) {
+		defer c.Close()
+		if _, err := readFrame(c); err != nil {
+			return
+		}
+		if err := writeFrame(c, &frame{Op: opResp, Status: statusOK}); err != nil {
+			return
+		}
+		for {
+			fr, err := readFrame(c)
+			if err != nil {
+				return
+			}
+			if resp := respond(fr); resp != nil {
+				if err := writeFrame(c, resp); err != nil {
+					return
+				}
+			}
+		}
+	}
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go serve(c)
+		}
+	}()
+	return ln.Addr().String()
 }

@@ -36,7 +36,7 @@ func TestClosedOwnerNamedOnBothFabrics(t *testing.T) {
 			f := transport.NewFabric(m)
 			owners := f // the fabric whose endpoint for core closed holds its block
 			if routed {
-				c, err := node.NewCluster(f, domain, tcpnet.TestConfig())
+				c, err := node.NewCluster(f, domain, tcpnet.Config{})
 				if err != nil {
 					t.Fatal(err)
 				}

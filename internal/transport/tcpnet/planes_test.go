@@ -96,7 +96,7 @@ func newPlaneRig(t *testing.T) *planeRig {
 		inset: geometry.NewBBox(geometry.Point{planeBlock / 2, planeBlock / 2},
 			geometry.Point{side - planeBlock/2, side - planeBlock/2}),
 	}
-	if r.nodes, err = node.NewCluster(r.f, r.domain, tcpnet.TestConfig()); err != nil {
+	if r.nodes, err = node.NewCluster(r.f, r.domain, tcpnet.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(r.nodes.Close)
@@ -490,7 +490,7 @@ func newGetMissRig(tb testing.TB) *getMissRig {
 	}
 	f := transport.NewFabric(m)
 	domain := geometry.BoxFromSize([]int{side, side})
-	nodes, err := node.NewCluster(f, domain, tcpnet.TestConfig())
+	nodes, err := node.NewCluster(f, domain, tcpnet.Config{})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -358,16 +358,14 @@ func TestReaderPatienceGovernsNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := Serve(transport.NewFabric(m), 0, "127.0.0.1:0", Config{})
+	srv, err := Serve(transport.NewFabric(m), 0, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
 	const patience = 50 * time.Millisecond
-	cfg := testConfig()
-	cfg.ReadPatience = patience
 	f := transport.NewFabric(m)
-	b, err := Connect(f, map[cluster.NodeID]string{0: srv.Addr()}, cfg)
+	b, err := Connect(f, map[cluster.NodeID]string{0: srv.Addr()}, Config{ReadPatience: patience})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,8 +25,8 @@ func TestRemoteSpanCapture(t *testing.T) {
 	if _, err := readOne(f.Endpoint(0), 3, key, transport.Meter{Class: cluster.InterApp}, 8, 1); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(servers[1].drainSpans()); n != 0 {
-		t.Fatalf("a read with span 0 left %d bytes in the node's span sink", n)
+	if spans, _ := servers[1].serveSpans(nil); len(spans) != 0 {
+		t.Fatalf("a read with span 0 left %d bytes in the node's span sink", len(spans))
 	}
 	m := transport.Meter{Phase: "test", Class: cluster.InterApp, DstApp: 2, Span: 42}
 	if _, err := readOne(f.Endpoint(0), 3, key, m, 8, 1); err != nil {

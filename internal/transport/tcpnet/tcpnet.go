@@ -16,7 +16,6 @@ import (
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/mutate"
 	"github.com/insitu/cods/internal/obs"
-	"github.com/insitu/cods/internal/retry"
 	"github.com/insitu/cods/internal/transport"
 )
 
@@ -36,18 +35,9 @@ var (
 	obsWireSegmentBytes  = obs.C("tcpnet.segments.bytes_served")
 )
 
-// Config tunes a TCP backend.
+// Config tunes a driver. A backend retries nothing: a dial is attempted
+// once, and a failed exchange is the caller's to retry.
 type Config struct {
-	// Retry governs dialing a peer: attempts, backoff and the deadline
-	// each connection attempt (dial + handshake) must finish within. Its
-	// Deadline also bounds each frame write and each response read on an
-	// established connection (none when 0). The one exception is a
-	// ReadMulti's response stream: a deferred read legitimately blocks
-	// until the owner exposes the buffer, so it carries no deadline;
-	// ReadPatience and the layers above bound it (the conformance
-	// watchdog, the retry deadlines of gets). The zero value means a
-	// single attempt with no deadline.
-	Retry retry.Policy
 	// ReadPatience is how long a ReadMulti this backend issues lets the
 	// owner wait for a buffer that is not exposed yet: it travels in each
 	// opReadMulti request, and the serving node fails a segment not
@@ -56,6 +46,10 @@ type Config struct {
 	// semantics. A serving backend ignores it: the reader's value governs.
 	ReadPatience time.Duration
 }
+
+// ioTimeout bounds a dial with its handshake, each frame write and each
+// response read but a ReadMulti's segment stream, which ReadPatience bounds.
+const ioTimeout = 5 * time.Second
 
 // Backend is a transport.Backend moving operations between simulated
 // nodes over TCP, in one of two roles: a serving backend (Serve) owns the
@@ -68,6 +62,8 @@ type Backend struct {
 	fabric  *transport.Fabric
 	machine *cluster.Machine
 	cfg     Config
+	// timeout is ioTimeout; tests shorten it (withIOTimeout).
+	timeout time.Duration
 	// node is the node a serving backend serves, with listener its
 	// listener; a driver has node -1 and no listener.
 	node     cluster.NodeID
@@ -171,27 +167,16 @@ func (b *Backend) nodeLabel(target int32) string {
 	return fmt.Sprintf("node%d", b.machine.NodeOf(cluster.CoreID(target)))
 }
 
-// drainSpans flushes and returns the buffered remote span lines,
-// clearing the buffer. Returns nil when nothing has been emitted.
-func (b *Backend) drainSpans() []byte {
-	_ = b.spanTracer.Flush()
-	return b.spanSink.drain()
-}
-
 // DrainRemoteSpans collects the handler spans every peer process buffered
 // and splices them into tr (the driver's trace file). Call it after the
 // workflow completes and before flushing the trace.
 func (b *Backend) DrainRemoteSpans(tr *obs.Tracer) error {
 	return b.eachPeer(func(_ string, node cluster.NodeID) error {
-		resp, err := b.roundTrip(node, &frame{Op: opSpans})
-		if err != nil {
-			return err
+		lines, err := b.exchange(node, &frame{Op: opSpans}, nil)
+		if err == nil {
+			tr.AppendRaw(lines)
 		}
-		if err := remoteErr(resp.Status, resp.Err); err != nil {
-			return err
-		}
-		tr.AppendRaw(resp.Payload)
-		return nil
+		return err
 	})
 }
 
@@ -243,16 +228,11 @@ type peerConn struct {
 
 func (c *peerConn) Read(p []byte) (int, error) { return c.r.Read(p) }
 
-func newBackend(f *transport.Fabric, cfg Config) *Backend {
-	if cfg.Retry == (retry.Policy{}) {
-		// An unconfigured backend still gets bounded dials: the default
-		// policy's deadline also becomes the per-frame IO timeout.
-		cfg.Retry = retry.Default()
-	}
+func newBackend(f *transport.Fabric) *Backend {
 	return &Backend{
 		fabric:      f,
 		machine:     f.Machine(),
-		cfg:         cfg,
+		timeout:     ioTimeout,
 		node:        -1,
 		addrs:       make(map[cluster.NodeID]string),
 		pools:       make(map[cluster.NodeID][]*peerConn),
@@ -265,8 +245,12 @@ func newBackend(f *transport.Fabric, cfg Config) *Backend {
 // Serve owns a single node of the machine, listening on addr — the
 // codsnode child configuration. It learns no peer address: a serving
 // process answers operations on the cores it owns and never dials.
-func Serve(f *transport.Fabric, node cluster.NodeID, addr string, cfg Config) (*Backend, error) {
-	b := newBackend(f, cfg)
+func Serve(f *transport.Fabric, node cluster.NodeID, addr string) (*Backend, error) {
+	return newBackend(f).listen(node, addr)
+}
+
+// listen starts b serving node on addr.
+func (b *Backend) listen(node cluster.NodeID, addr string) (*Backend, error) {
 	if int(node) < 0 || int(node) >= b.machine.NumNodes() {
 		return nil, fmt.Errorf("tcpnet: node %d out of range", node)
 	}
@@ -286,7 +270,8 @@ func Serve(f *transport.Fabric, node cluster.NodeID, addr string, cfg Config) (*
 // configuration of codsrun -backend=tcp. peers maps each node to the
 // address its codsnode child listens on.
 func Connect(f *transport.Fabric, peers map[cluster.NodeID]string, cfg Config) (*Backend, error) {
-	b := newBackend(f, cfg)
+	b := newBackend(f)
+	b.cfg = cfg
 	for node := 0; node < b.machine.NumNodes(); node++ {
 		if _, ok := peers[cluster.NodeID(node)]; !ok {
 			return nil, fmt.Errorf("tcpnet: no peer address for node %d", node)
@@ -324,11 +309,12 @@ func (b *Backend) Addr() string {
 func (b *Backend) Done() <-chan struct{} { return b.shutdownCh }
 
 // errHandshake marks a peer that answered but refused the handshake —
-// wrong wire version or machine shape. Retrying cannot fix it.
+// wrong wire version or machine shape.
 var errHandshake = errors.New("tcpnet: handshake rejected")
 
 // dial connects to a node's server and completes the versioned handshake,
-// retrying transient failures under the configured policy.
+// once: a failure is the exchange's, and the layer above decides whether
+// to try again.
 func (b *Backend) dial(node cluster.NodeID) (*peerConn, error) {
 	b.mu.Lock()
 	addr := b.addrs[node]
@@ -336,35 +322,23 @@ func (b *Backend) dial(node cluster.NodeID) (*peerConn, error) {
 	if addr == "" {
 		return nil, fmt.Errorf("tcpnet: no address for node %d", node)
 	}
-	var conn *peerConn
-	retryable := func(err error) bool { return !errors.Is(err, errHandshake) }
-	_, err := retry.Do(b.cfg.Retry, uint64(node)*0x9e3779b97f4a7c15, retryable, nil, func(int) error {
-		raw, err := net.DialTimeout("tcp", addr, b.cfg.Retry.Deadline)
-		if err != nil {
-			return err
-		}
+	raw, err := net.DialTimeout("tcp", addr, b.timeout)
+	if err == nil {
 		c := &peerConn{countingConn: countingConn{Conn: raw, in: &b.stats.bytesIn, out: &b.stats.bytesOut}}
 		c.r = bufio.NewReaderSize(c.countingConn, readBufSize)
-		if err := b.handshake(c, node); err != nil {
-			c.Close()
-			return err
+		if err = b.handshake(c, node); err == nil {
+			return c, nil
 		}
-		conn = c
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("tcpnet: dialing node %d at %s: %w", node, addr, err)
+		c.Close()
 	}
-	return conn, nil
+	return nil, fmt.Errorf("tcpnet: dialing node %d at %s: %w", node, addr, err)
 }
 
 // handshake announces the wire version and machine shape and waits for
 // the peer's acceptance.
 func (b *Backend) handshake(c net.Conn, node cluster.NodeID) error {
-	if d := b.cfg.Retry.Deadline; d > 0 {
-		c.SetDeadline(time.Now().Add(d))
-		defer c.SetDeadline(time.Time{})
-	}
+	c.SetDeadline(time.Now().Add(b.timeout))
+	defer c.SetDeadline(time.Time{})
 	hello := &frame{
 		Op:      opHello,
 		Dst:     int32(node),
@@ -459,44 +433,51 @@ func (b *Backend) writeRequest(node cluster.NodeID, write func(w io.Writer) erro
 	}
 }
 
-// roundTrip performs one request/response frame exchange against the
-// server of node. The response read carries the IO deadline: no handler
-// behind a frame exchange waits on another task, so a node that does not
-// answer in time is a transient failure, not a wait.
-func (b *Backend) roundTrip(node cluster.NodeID, fr *frame) (*frame, error) {
-	return b.roundTripWith(node, func(w io.Writer) error { return writeFrame(w, fr) })
-}
-
-// roundTripWith is roundTrip of the request frame write puts on the wire
-// (writeRequest).
-func (b *Backend) roundTripWith(node cluster.NodeID, write func(w io.Writer) error) (*frame, error) {
+// exchange is the driver's side of every op answered by one frame: it
+// writes request fr (or what write puts on the wire) to node, reads the
+// answer under the I/O deadline — no handler behind such an op waits on
+// another task — and returns its status as the error or, when its kind is
+// the one fr's op row declares, its payload.
+func (b *Backend) exchange(node cluster.NodeID, fr *frame, write func(w io.Writer) error) ([]byte, error) {
+	if write == nil {
+		write = func(w io.Writer) error { return writeFrame(w, fr) }
+	}
 	c, err := b.writeRequest(node, write)
 	if err != nil {
 		return nil, err
 	}
-	if d := b.cfg.Retry.Deadline; d > 0 {
-		c.SetReadDeadline(time.Now().Add(d))
-	}
+	c.SetReadDeadline(time.Now().Add(b.timeout))
 	resp, err := readFrame(c)
 	if err != nil {
 		c.Close()
 		return nil, fmt.Errorf("tcpnet: exchange with node %d: %w", node, err)
 	}
 	b.release(node, c)
-	if resp.Op != opResp {
+	switch want := ops[fr.Op].resp; {
+	case resp.Op != opResp:
 		return nil, fmt.Errorf("tcpnet: unexpected response op %d from node %d", resp.Op, node)
+	case resp.Status != statusOK:
+		return nil, remoteErr(resp.Status, resp.Err)
+	case resp.Kind != want:
+		return nil, fmt.Errorf("tcpnet: op %d answered with payload kind %d, want %d", fr.Op, resp.Kind, want)
 	}
-	return resp, nil
+	return resp.Payload, nil
 }
 
-// statusOf is the status that carries err across the wire: the two
-// sentinels retry layers classify by have codes of their own.
+// errNotExposed is the answer to an Exposed probe of an absent buffer,
+// sent as statusNotFound without text.
+var errNotExposed = errors.New("tcpnet: buffer not exposed")
+
+// statusOf is the status that carries err across the wire: the sentinels
+// callers classify by have codes of their own.
 func statusOf(err error) uint8 {
 	switch {
 	case errors.Is(err, transport.ErrEndpointClosed):
 		return statusClosed
 	case errors.Is(err, transport.ErrReadPatience):
 		return statusPatience
+	case err == errNotExposed:
+		return statusNotFound
 	}
 	return statusErr
 }
@@ -508,6 +489,8 @@ func remoteErr(status uint8, text string) error {
 	switch status {
 	case statusOK:
 		return nil
+	case statusNotFound:
+		return errNotExposed
 	case statusClosed:
 		return fmt.Errorf("tcpnet: %s: %w", text, transport.ErrEndpointClosed)
 	case statusPatience:
@@ -735,26 +718,11 @@ func (b *Backend) Call(src, dst cluster.CoreID, service string, request any, m t
 	}
 	fr := &frame{Op: opCall, Kind: payloadMsg, Src: int32(src), Dst: int32(dst), Name: service, Bytes: reqBytes, Bytes2: respBytes, Payload: enc}
 	meterFrame(fr, m)
-	resp, err := b.roundTrip(b.machine.NodeOf(dst), fr)
+	out, err := b.exchange(b.machine.NodeOf(dst), fr, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := remoteErr(resp.Status, resp.Err); err != nil {
-		return nil, err
-	}
-	if err := checkKind(resp, payloadMsg); err != nil {
-		return nil, err
-	}
-	return transport.DecodePayload(resp.Payload)
-}
-
-// checkKind rejects a frame whose payload is not of the kind its op
-// carries, before any codec touches the bytes.
-func checkKind(fr *frame, want uint8) error {
-	if fr.Kind != want {
-		return fmt.Errorf("tcpnet: op %d carries payload kind %d, want %d", fr.Op, fr.Kind, want)
-	}
-	return nil
+	return transport.DecodePayload(out)
 }
 
 // exposeChunk is the size of the pieces an exposed block is encoded and
@@ -797,13 +765,10 @@ func (b *Backend) Expose(owner cluster.CoreID, key transport.BufKey, payload any
 	*hp = pre[:0]
 	sp := getStage()
 	defer putStage(sp)
-	resp, err := b.roundTripWith(b.machine.NodeOf(owner), func(w io.Writer) error {
+	_, err = b.exchange(b.machine.NodeOf(owner), fr, func(w io.Writer) error {
 		return writeBlock(w, sp, pre, block, cells, n-send)
 	})
-	if err != nil {
-		return err
-	}
-	return remoteErr(resp.Status, resp.Err)
+	return err
 }
 
 // writeBlock writes a block frame: pre, the frame head and the block
@@ -830,24 +795,19 @@ func writeBlock(w io.Writer, sp *[]byte, pre []byte, block transport.BlockPayloa
 // Unexpose implements transport.Backend.
 func (b *Backend) Unexpose(owner cluster.CoreID, key transport.BufKey) error {
 	fr := &frame{Op: opUnexpose, Dst: int32(owner), Name: key.Name, Version: int64(key.Version)}
-	resp, err := b.roundTrip(b.machine.NodeOf(owner), fr)
-	if err != nil {
-		return err
-	}
-	return remoteErr(resp.Status, resp.Err)
+	_, err := b.exchange(b.machine.NodeOf(owner), fr, nil)
+	return err
 }
 
-// Exposed implements transport.Backend.
+// Exposed implements transport.Backend: true only when the owner answered
+// that the buffer is exposed, false beside any error.
 func (b *Backend) Exposed(owner cluster.CoreID, key transport.BufKey) (bool, error) {
 	fr := &frame{Op: opExposed, Dst: int32(owner), Name: key.Name, Version: int64(key.Version)}
-	resp, err := b.roundTrip(b.machine.NodeOf(owner), fr)
-	if err != nil {
-		return false, err
-	}
-	if resp.Status == statusNotFound {
+	_, err := b.exchange(b.machine.NodeOf(owner), fr, nil)
+	if err == errNotExposed {
 		return false, nil
 	}
-	return true, remoteErr(resp.Status, resp.Err)
+	return err == nil, err
 }
 
 // NodeAccount is one process's recorded transfer accounting: the
@@ -900,30 +860,31 @@ func (b *Backend) eachPeer(fn func(addr string, node cluster.NodeID) error) erro
 // MergeRemoteStats pulls the transfer accounting every remote peer
 // recorded while executing this process's operations and folds it into
 // the local fabric and machine metrics, so the merged totals equal what a
-// single-process run records. Call it after the workflow completes and
-// before reading any traffic report.
+// single-process run records. Every account is fetched before any is
+// merged: a fan-out that fails merges nothing, so calling it again counts
+// no peer twice. Call it after the workflow completes and before reading
+// any traffic report.
 func (b *Backend) MergeRemoteStats() error {
 	var accounts []NodeAccount
 	err := b.eachPeer(func(addr string, node cluster.NodeID) error {
-		resp, err := b.roundTrip(node, &frame{Op: opStats})
+		payload, err := b.exchange(node, &frame{Op: opStats}, nil)
 		if err != nil {
 			return err
 		}
-		if err := remoteErr(resp.Status, resp.Err); err != nil {
-			return err
-		}
 		var acct NodeAccount
-		if err := gob.NewDecoder(bytes.NewReader(resp.Payload)).Decode(&acct); err != nil {
+		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&acct); err != nil {
 			return fmt.Errorf("tcpnet: decoding stats from node %d: %w", node, err)
 		}
 		acct.Addr, acct.Node = addr, int(node)
-		b.fabric.MergeMediumStats(acct.ShmBytes, acct.ShmOps, acct.NetBytes, acct.NetOps)
-		b.machine.Metrics().Merge(acct.Metrics)
 		accounts = append(accounts, acct)
 		return nil
 	})
 	if err != nil {
 		return err
+	}
+	for _, acct := range accounts {
+		b.fabric.MergeMediumStats(acct.ShmBytes, acct.ShmOps, acct.NetBytes, acct.NetOps)
+		b.machine.Metrics().Merge(acct.Metrics)
 	}
 	b.mu.Lock()
 	b.accounts = accounts
@@ -940,7 +901,7 @@ func (b *Backend) PushPeers() error { return nil }
 // stop the fan-out — a peer that already exited is not a failure.
 func (b *Backend) ShutdownPeers() {
 	_ = b.eachPeer(func(_ string, node cluster.NodeID) error {
-		_, _ = b.roundTrip(node, &frame{Op: opShutdown})
+		_, _ = b.exchange(node, &frame{Op: opShutdown}, nil)
 		return nil
 	})
 }
@@ -1000,20 +961,19 @@ func (b *Backend) acceptLoop(ln net.Listener) {
 	}
 }
 
-func (b *Backend) forgetConn(c net.Conn) {
-	b.mu.Lock()
-	delete(b.serverConns, c)
-	b.mu.Unlock()
-}
-
 // serveConn drives one client connection: handshake, then a strict
 // request/response loop, reading through the connection's buffer and
-// writing to it directly. A deferred read blocks this goroutine only — the
+// writing to it directly, each request answered through its row of the op
+// table (dispatch). A deferred read blocks this goroutine only — the
 // client holds the connection out of its pool for the duration — and so
 // does an RPC, whose handler runs inline here (transport.Fabric.LocalCall).
 func (b *Backend) serveConn(c net.Conn) {
-	defer c.Close()
-	defer b.forgetConn(c)
+	defer func() {
+		b.mu.Lock()
+		delete(b.serverConns, c)
+		b.mu.Unlock()
+		c.Close()
+	}()
 	r := bufio.NewReaderSize(c, readBufSize)
 	hello, err := readFrame(r)
 	if err != nil {
@@ -1028,27 +988,83 @@ func (b *Backend) serveConn(c net.Conn) {
 	}
 	for {
 		fr, err := readFrameInto(r, b.bodies)
-		if err != nil {
-			return
-		}
-		if fr.Op == opReadMulti {
-			// The scatter-gather response is a header frame plus a raw
-			// segment stream, not a single frame; it writes to the
-			// connection itself.
-			if !b.serveReadMulti(c, fr) {
-				return
-			}
-			continue
-		}
-		resp := b.execute(fr)
-		if err := writeFrame(c, resp); err != nil {
-			return
-		}
-		if fr.Op == opShutdown {
-			b.shutdownOnce.Do(func() { close(b.shutdownCh) })
+		if err != nil || !b.dispatch(c, fr) {
 			return
 		}
 	}
+}
+
+// opRow is one request op: the payload kinds of its request and answer,
+// whether its Dst must be a core this node serves, and its handler, which
+// returns the answer's payload — or stream, which writes the answer itself
+// and reports whether the connection is still in protocol sync. exit makes
+// the answer the process's last: the connection closes and Done fires.
+type opRow struct {
+	req, resp uint8
+	target    bool
+	handle    func(b *Backend, fr *frame) ([]byte, error)
+	stream    func(b *Backend, c net.Conn, fr *frame) bool
+	exit      bool
+}
+
+// ops is the op table, indexed by op code; opHello and opResp have no row.
+// Every request is admitted and answered through its row (dispatch), and
+// every one-frame answer checked against it (exchange).
+var ops = [opMax]opRow{
+	opCall:      {req: payloadMsg, resp: payloadMsg, target: true, handle: (*Backend).serveCall},
+	opExpose:    {req: payloadBlock, target: true, handle: (*Backend).serveExpose},
+	opUnexpose:  {target: true, handle: (*Backend).serveUnexpose},
+	opExposed:   {target: true, handle: (*Backend).serveExposed},
+	opStats:     {resp: payloadGob, handle: (*Backend).serveStats},
+	opSpans:     {handle: (*Backend).serveSpans},
+	opShutdown:  {handle: func(*Backend, *frame) ([]byte, error) { return nil, nil }, exit: true},
+	opReadMulti: {target: true, stream: (*Backend).serveReadMulti},
+}
+
+// dispatch answers one request through its row and reports whether the
+// connection still serves. The row admits the request first: an op it
+// answers, a payload of its kind (refused before any codec touches the
+// bytes) and a target served here. A refused or failed request is answered
+// with its status and error text.
+func (b *Backend) dispatch(c net.Conn, fr *frame) bool {
+	row := &ops[fr.Op]
+	var err error
+	switch {
+	case row.handle == nil && row.stream == nil:
+		err = fmt.Errorf("unhandled op %d", fr.Op)
+	case fr.Kind != row.req:
+		err = fmt.Errorf("tcpnet: op %d carries payload kind %d, want %d", fr.Op, fr.Kind, row.req)
+	case row.target:
+		err = b.checkTarget(fr.Dst)
+	}
+	if err == nil && row.stream != nil {
+		return row.stream(b, c, fr)
+	}
+	resp := &frame{Op: opResp, Kind: row.resp}
+	if err == nil {
+		resp.Payload, err = row.handle(b, fr)
+	}
+	if err != nil {
+		resp = &frame{Op: opResp, Status: statusOf(err)}
+		if resp.Status != statusNotFound {
+			resp.Err = err.Error()
+		}
+	}
+	if !b.reply(c, resp) {
+		return false
+	}
+	if row.exit {
+		b.shutdownOnce.Do(func() { close(b.shutdownCh) })
+		return false
+	}
+	return true
+}
+
+// reply writes one answer frame under the write deadline and reports
+// whether it left.
+func (b *Backend) reply(c net.Conn, resp *frame) bool {
+	b.armWrite(c)
+	return writeFrame(c, resp) == nil
 }
 
 // serveReadMulti executes one scatter-gather read: validate the batch,
@@ -1070,7 +1086,7 @@ func (b *Backend) serveReadMulti(c net.Conn, fr *frame) bool {
 	headerFail := func(err error) bool {
 		// A pre-stream failure is an ordinary request/response exchange;
 		// the connection stays usable.
-		return writeFrame(c, &frame{Op: opResp, Status: statusOf(err), Err: err.Error()}) == nil
+		return b.reply(c, &frame{Op: opResp, Status: statusOf(err), Err: err.Error()})
 	}
 	if err := b.checkCore(fr.Src); err != nil {
 		return headerFail(err)
@@ -1181,34 +1197,87 @@ func (b *Backend) serveReadMulti(c net.Conn, fr *frame) bool {
 	return flush()
 }
 
-// expose publishes the block an opExpose frame carries. The block keeps
-// fr.Payload, a body from the free list (readFrameInto) that goes back to
-// it when the block is withdrawn; a refused expose hands it back at once.
-func (b *Backend) expose(fr *frame, key transport.BufKey) error {
-	// Only the raw block codec is accepted: a gob-encoded block from a
-	// stale sender is refused, not decoded.
-	err := checkKind(fr, payloadBlock)
-	var block any
-	if err == nil {
-		block, err = transport.DecodeBlock(fr.Payload)
+// serveCall runs an RPC's handler inline, under a handler span when the
+// call carries trace context, parented under the requesting driver span
+// and labelled with the serving node.
+func (b *Backend) serveCall(fr *frame) ([]byte, error) {
+	if fr.Span != 0 {
+		defer b.spanTracer.StartNode(obs.SpanID(fr.Span), "remote:call:"+fr.Name, b.nodeLabel(fr.Dst)).End()
 	}
+	if err := b.checkCore(fr.Src); err != nil {
+		return nil, err
+	}
+	if fr.Bytes < 0 || fr.Bytes2 < 0 {
+		return nil, fmt.Errorf("negative metered size %d/%d", fr.Bytes, fr.Bytes2)
+	}
+	req, err := transport.DecodePayload(fr.Payload)
+	if err != nil {
+		return nil, err
+	}
+	out, err := b.fabric.LocalCall(cluster.CoreID(fr.Src), cluster.CoreID(fr.Dst), fr.Name, req, frameMeter(fr), fr.Bytes, fr.Bytes2)
+	if err != nil {
+		return nil, err
+	}
+	return transport.EncodePayload(out)
+}
+
+// serveExpose publishes the block an opExpose frame carries. The block
+// keeps fr.Payload, a body from the free list (readFrameInto) that goes
+// back to it when the block is withdrawn; a refused expose hands it back at
+// once.
+func (b *Backend) serveExpose(fr *frame) ([]byte, error) {
+	block, err := transport.DecodeBlock(fr.Payload)
 	if err != nil {
 		b.bodies.give(fr.Payload)
-		return err
+		return nil, err
 	}
 	b.bodies.hold(block, fr.Payload)
-	if err := b.fabric.LocalExpose(cluster.CoreID(fr.Dst), key, block); err != nil {
+	if err := b.fabric.LocalExpose(cluster.CoreID(fr.Dst), transport.BufKey{Name: fr.Name, Version: int(fr.Version)}, block); err != nil {
 		b.bodies.release(block)
-		return err
+		return nil, err
 	}
-	return nil
+	return nil, nil
+}
+
+func (b *Backend) serveUnexpose(fr *frame) ([]byte, error) {
+	b.bodies.release(b.fabric.LocalUnexpose(cluster.CoreID(fr.Dst), transport.BufKey{Name: fr.Name, Version: int(fr.Version)}))
+	return nil, nil
+}
+
+func (b *Backend) serveExposed(fr *frame) ([]byte, error) {
+	ok, err := b.fabric.LocalExposed(cluster.CoreID(fr.Dst), transport.BufKey{Name: fr.Name, Version: int(fr.Version)})
+	if err == nil && !ok {
+		err = errNotExposed
+	}
+	return nil, err
+}
+
+// serveStats answers with this process's NodeAccount, in gob.
+func (b *Backend) serveStats(*frame) ([]byte, error) {
+	acct := NodeAccount{
+		ShmBytes: b.fabric.MediumBytes(cluster.SharedMemory),
+		ShmOps:   b.fabric.MediumOps(cluster.SharedMemory),
+		NetBytes: b.fabric.MediumBytes(cluster.Network),
+		NetOps:   b.fabric.MediumOps(cluster.Network),
+		Metrics:  b.machine.Metrics().Snapshot(),
+		Registry: obs.Default.Snapshot(),
+		Wire:     b.WireStats(),
+	}
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(acct)
+	return buf.Bytes(), err
+}
+
+// serveSpans flushes and answers with the buffered remote span lines,
+// clearing the buffer (nil when nothing has been emitted).
+func (b *Backend) serveSpans(*frame) ([]byte, error) {
+	_ = b.spanTracer.Flush()
+	return b.spanSink.drain(), nil
 }
 
 // armWrite gives the next write on c the per-frame deadline.
 func (b *Backend) armWrite(c net.Conn) {
-	if d := b.cfg.Retry.Deadline; d > 0 {
-		c.SetWriteDeadline(time.Now().Add(d))
-	}
+	c.SetWriteDeadline(time.Now().Add(b.timeout))
 }
 
 // checkCore validates a wire-supplied core id.
@@ -1229,94 +1298,4 @@ func (b *Backend) checkTarget(c int32) error {
 		return fmt.Errorf("core %d is not served here", c)
 	}
 	return nil
-}
-
-// execute runs one decoded request against the local fabric and builds
-// the response frame. A call that carries trace context gets a handler
-// span parented under the requesting driver span, labelled with the
-// serving node.
-func (b *Backend) execute(fr *frame) *frame {
-	if fr.Span != 0 && fr.Op == opCall {
-		defer b.spanTracer.StartNode(obs.SpanID(fr.Span), "remote:call:"+fr.Name, b.nodeLabel(fr.Dst)).End()
-	}
-	resp := &frame{Op: opResp}
-	fail := func(err error) *frame {
-		resp.Status, resp.Err = statusOf(err), err.Error()
-		return resp
-	}
-	key := transport.BufKey{Name: fr.Name, Version: int(fr.Version)}
-	switch fr.Op {
-	case opCall:
-		if err := b.checkCore(fr.Src); err != nil {
-			return fail(err)
-		}
-		if err := b.checkTarget(fr.Dst); err != nil {
-			return fail(err)
-		}
-		if err := checkKind(fr, payloadMsg); err != nil {
-			return fail(err)
-		}
-		if fr.Bytes < 0 || fr.Bytes2 < 0 {
-			return fail(fmt.Errorf("negative metered size %d/%d", fr.Bytes, fr.Bytes2))
-		}
-		req, err := transport.DecodePayload(fr.Payload)
-		if err != nil {
-			return fail(err)
-		}
-		out, err := b.fabric.LocalCall(cluster.CoreID(fr.Src), cluster.CoreID(fr.Dst), fr.Name, req, frameMeter(fr), fr.Bytes, fr.Bytes2)
-		if err != nil {
-			return fail(err)
-		}
-		enc, err := transport.EncodePayload(out)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Kind, resp.Payload = payloadMsg, enc
-	case opExpose:
-		if err := b.checkTarget(fr.Dst); err != nil {
-			return fail(err)
-		}
-		if err := b.expose(fr, key); err != nil {
-			return fail(err)
-		}
-	case opUnexpose:
-		if err := b.checkTarget(fr.Dst); err != nil {
-			return fail(err)
-		}
-		b.bodies.release(b.fabric.LocalUnexpose(cluster.CoreID(fr.Dst), key))
-	case opExposed:
-		if err := b.checkTarget(fr.Dst); err != nil {
-			return fail(err)
-		}
-		ok, err := b.fabric.LocalExposed(cluster.CoreID(fr.Dst), key)
-		if err != nil {
-			return fail(err)
-		}
-		if !ok {
-			resp.Status = statusNotFound
-		}
-	case opStats:
-		acct := NodeAccount{
-			ShmBytes: b.fabric.MediumBytes(cluster.SharedMemory),
-			ShmOps:   b.fabric.MediumOps(cluster.SharedMemory),
-			NetBytes: b.fabric.MediumBytes(cluster.Network),
-			NetOps:   b.fabric.MediumOps(cluster.Network),
-			Metrics:  b.machine.Metrics().Snapshot(),
-			Registry: obs.Default.Snapshot(),
-			Wire:     b.WireStats(),
-		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(acct); err != nil {
-			return fail(err)
-		}
-		resp.Kind, resp.Payload = payloadGob, buf.Bytes()
-	case opSpans:
-		resp.Payload = b.drainSpans()
-	case opShutdown:
-		// Acknowledged here; serveConn triggers the shutdown channel after
-		// the response is on the wire.
-	default:
-		return fail(fmt.Errorf("unhandled op %d", fr.Op))
-	}
-	return resp
 }

@@ -15,7 +15,6 @@ import (
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/cods"
 	"github.com/insitu/cods/internal/geometry"
-	"github.com/insitu/cods/internal/retry"
 	"github.com/insitu/cods/internal/transport"
 )
 
@@ -99,12 +98,6 @@ func init() {
 	transport.RegisterMessage(tagEcho, echoPayload{}, decodeEcho)
 }
 
-func testConfig() Config {
-	p := retry.Default()
-	p.Deadline = 5 * time.Second
-	return Config{Retry: p}
-}
-
 // newCluster starts the shape codsrun -backend=tcp deploys, on loopback
 // sockets: one Serve backend per node of a nodes x cores machine, each on
 // a fabric of its own, and a Connect driver installed on another. It
@@ -113,12 +106,12 @@ func testConfig() Config {
 // node's fabric (servers[k].fabric), where that node's operations meter.
 func newCluster(t testing.TB, nodes, cores int) (*transport.Fabric, *Backend, []*Backend) {
 	t.Helper()
-	return newClusterWith(t, nodes, cores, testConfig())
+	return newClusterWith(t, nodes, cores, ioTimeout)
 }
 
-// newClusterWith is newCluster with the configuration of the driver and
-// of every node given.
-func newClusterWith(t testing.TB, nodes, cores int, cfg Config) (*transport.Fabric, *Backend, []*Backend) {
+// newClusterWith is newCluster with the I/O timeout of the driver and of
+// every node given.
+func newClusterWith(t testing.TB, nodes, cores int, timeout time.Duration) (*transport.Fabric, *Backend, []*Backend) {
 	t.Helper()
 	m, err := cluster.NewMachine(nodes, cores)
 	if err != nil {
@@ -127,7 +120,7 @@ func newClusterWith(t testing.TB, nodes, cores int, cfg Config) (*transport.Fabr
 	peers := make(map[cluster.NodeID]string)
 	var servers []*Backend
 	for node := cluster.NodeID(0); int(node) < nodes; node++ {
-		srv, err := Serve(transport.NewFabric(m), node, "127.0.0.1:0", cfg)
+		srv, err := withIOTimeout(newBackend(transport.NewFabric(m)), timeout).listen(node, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,11 +129,11 @@ func newClusterWith(t testing.TB, nodes, cores int, cfg Config) (*transport.Fabr
 		servers = append(servers, srv)
 	}
 	f := transport.NewFabric(m)
-	b, err := Connect(f, peers, cfg)
+	b, err := Connect(f, peers, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.SetBackend(b)
+	f.SetBackend(withIOTimeout(b, timeout))
 	t.Cleanup(func() { b.Close() })
 	return f, b, servers
 }
@@ -210,52 +203,55 @@ func sampleFrames() []*frame {
 	}
 }
 
-// TestEveryOpHandled walks the op space: every request op between opHello
-// and opMax has a representative row in sampleFrames() (so the round-trip
-// test and the fuzz corpus cover it) and is dispatched by the server to a
-// handler — a renumbering cannot leave a hole that only the default
-// branch answers. The 1x1 machine makes every row with a nonzero core
-// fail its range check, so no sampled op can block.
+// TestEveryOpHandled walks the op table: every op code but the
+// handshake's and the response's has a row that executes it, and that op a
+// representative frame in sampleFrames() (so the round-trip test and the
+// fuzz corpus cover it) which the server dispatches to the row's handler —
+// a renumbering cannot leave a hole that only the refusal of an unhandled
+// op answers. The 1x1 machine makes every frame with a nonzero core fail
+// its range check, so no sampled op can block.
 func TestEveryOpHandled(t *testing.T) {
-	if n := int(opMax) - 1; n != 10 {
-		t.Fatalf("%d wire ops, want the 10 of wire v14", n)
-	}
 	_, _, servers := newCluster(t, 1, 1)
-	b := servers[0]
 	sampled := make(map[uint8]*frame)
 	for _, fr := range sampleFrames() {
 		if sampled[fr.Op] == nil {
 			sampled[fr.Op] = fr
 		}
 	}
-	for op := opHello + 1; op < opMax; op++ {
-		if op == opResp {
+	for op, row := range ops {
+		served := row.handle != nil || row.stream != nil
+		if request := op > int(opResp); served != request {
+			t.Errorf("op %d: row executes it = %v, want %v", op, served, request)
+		}
+		if !served {
 			continue
 		}
-		fr := sampled[op]
+		fr := sampled[uint8(op)]
 		if fr == nil {
-			t.Errorf("op %d has no row in sampleFrames()", op)
+			t.Errorf("op %d has no frame in sampleFrames()", op)
 			continue
 		}
-		var resp *frame
-		if op == opReadMulti {
-			// Served outside execute: the handler writes its own response.
-			client, server := net.Pipe()
-			go func() {
-				b.serveReadMulti(server, fr)
-				server.Close()
-			}()
-			var err error
-			if resp, err = readFrame(client); err != nil {
-				t.Fatalf("op %d: %v", op, err)
-			}
-		} else {
-			resp = b.execute(fr)
-		}
-		if resp.Op != opResp || strings.Contains(resp.Err, "unhandled op") {
+		if resp := answer(servers[0], fr); resp.Op != opResp || strings.Contains(resp.Err, "unhandled op") {
 			t.Errorf("op %d answered with op %d, err %q; want a handler's response", op, resp.Op, resp.Err)
 		}
 	}
+}
+
+// answer dispatches one request on b as a served connection would and
+// returns the frame that answers it: the whole answer of a one-frame op,
+// the header frame of a read.
+func answer(b *Backend, fr *frame) *frame {
+	client, server := net.Pipe()
+	defer client.Close()
+	go func() {
+		b.dispatch(server, fr)
+		server.Close()
+	}()
+	resp, err := readFrame(client)
+	if err != nil {
+		return &frame{Status: statusErr, Err: err.Error()}
+	}
+	return resp
 }
 
 // TestServingNodeRefusesForeignCore pins "a codsnode serves, it never
@@ -300,7 +296,7 @@ func dialServingNode(t *testing.T) (*transport.Fabric, *Backend, func(*frame) *f
 		t.Fatal(err)
 	}
 	f := transport.NewFabric(m)
-	b, err := Serve(f, 0, "127.0.0.1:0", testConfig())
+	b, err := Serve(f, 0, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +499,7 @@ func TestExposeAcceptsOnlyRawBlocks(t *testing.T) {
 	}
 	key := transport.BufKey{Name: "u|[0,8)", Version: 2}
 	for kind, payload := range map[uint8][]byte{payloadGob: gobbed.Bytes(), payloadRaw: sampleBlockPayload(), payloadMsg: sampleBlockPayload()} {
-		resp := srv.execute(&frame{Op: opExpose, Kind: kind, Name: key.Name, Version: int64(key.Version), Payload: payload})
+		resp := answer(srv, &frame{Op: opExpose, Kind: kind, Name: key.Name, Version: int64(key.Version), Payload: payload})
 		if resp.Status != statusErr || !strings.Contains(resp.Err, "payload kind") {
 			t.Fatalf("expose with payload kind %d answered status %d, err %q; want a payload-kind rejection",
 				kind, resp.Status, resp.Err)
@@ -512,7 +508,7 @@ func TestExposeAcceptsOnlyRawBlocks(t *testing.T) {
 	if ok, err := b.Exposed(0, key); err != nil || ok {
 		t.Fatalf("a rejected expose left the buffer published (exposed=%v, err=%v)", ok, err)
 	}
-	resp := srv.execute(&frame{Op: opExpose, Kind: payloadBlock, Name: key.Name, Version: int64(key.Version), Payload: sampleBlockPayload()})
+	resp := answer(srv, &frame{Op: opExpose, Kind: payloadBlock, Name: key.Name, Version: int64(key.Version), Payload: sampleBlockPayload()})
 	if resp.Status != statusOK {
 		t.Fatalf("raw-block expose answered status %d, err %q", resp.Status, resp.Err)
 	}
@@ -546,7 +542,7 @@ func TestCallAcceptsOnlyMessages(t *testing.T) {
 	}
 	wire := req.AppendWire(nil)
 	for kind, payload := range map[uint8][]byte{payloadGob: gobbed.Bytes(), payloadRaw: wire, payloadBlock: wire} {
-		resp := b.execute(&frame{Op: opCall, Kind: kind, Name: "echo", Payload: payload})
+		resp := answer(b, &frame{Op: opCall, Kind: kind, Name: "echo", Payload: payload})
 		if resp.Status != statusErr || !strings.Contains(resp.Err, "payload kind") {
 			t.Fatalf("call with payload kind %d answered status %d, err %q; want a payload-kind rejection",
 				kind, resp.Status, resp.Err)
@@ -555,11 +551,11 @@ func TestCallAcceptsOnlyMessages(t *testing.T) {
 	if calls != 0 {
 		t.Fatalf("a refused call reached the handler %d times", calls)
 	}
-	resp := b.execute(&frame{Op: opCall, Kind: payloadMsg, Name: "echo", Payload: wire})
+	resp := answer(b, &frame{Op: opCall, Kind: payloadMsg, Name: "echo", Payload: wire})
 	if resp.Status != statusOK || resp.Kind != payloadMsg || !bytes.Equal(resp.Payload, wire) || calls != 1 {
 		t.Fatalf("message call answered status %d kind %d err %q after %d handler calls", resp.Status, resp.Kind, resp.Err, calls)
 	}
-	resp = b.execute(&frame{Op: opCall, Kind: payloadMsg, Name: "echo", Payload: []byte{0xEF, 1, 2}})
+	resp = answer(b, &frame{Op: opCall, Kind: payloadMsg, Name: "echo", Payload: []byte{0xEF, 1, 2}})
 	if resp.Status != statusErr || !strings.Contains(resp.Err, "unknown message tag 239") || calls != 1 {
 		t.Fatalf("unregistered tag answered status %d, err %q", resp.Status, resp.Err)
 	}
@@ -663,16 +659,13 @@ func TestHandshakeRejectsShapeMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	fOther := transport.NewFabric(mOther)
-	p := retry.Default()
-	p.MaxAttempts = 1
-	p.Deadline = 2 * time.Second
 	client, err := Connect(fOther, map[cluster.NodeID]string{
 		0: servers[0].Addr(), 1: servers[1].Addr(), 2: servers[0].Addr(),
-	}, Config{Retry: p})
+	}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
+	defer withIOTimeout(client, 2*time.Second).Close()
 	if _, err := client.dial(0); !errors.Is(err, errHandshake) {
 		t.Fatalf("got %v, want handshake rejection", err)
 	}
@@ -701,5 +694,32 @@ func TestStatsMergeAcrossProcessShapes(t *testing.T) {
 	if len(accts) != 2 || accts[0].Node != 0 || accts[1].Node != 1 || accts[1].NetBytes != 8 ||
 		accts[1].Addr != servers[1].Addr() {
 		t.Fatalf("node accounts %+v; want node 0, then node 1 at %s with 8 network bytes", accts, servers[1].Addr())
+	}
+}
+
+// TestMergeRemoteStatsAllOrNothing: a fan-out that fails at its second
+// node merges nothing, not even the first node's account, so the driver's
+// fabric and metrics do not move and a later fan-out counts no node twice.
+func TestMergeRemoteStatsAllOrNothing(t *testing.T) {
+	f, b, servers := newCluster(t, 2, 1)
+	servers[0].fabric.Endpoint(0).RegisterHandler("echo", func(_ cluster.CoreID, req any) (any, error) { return req, nil })
+	m := transport.Meter{Phase: "t", Class: cluster.Control, DstApp: 2}
+	if _, err := f.Endpoint(1).Call(0, "echo", echoPayload{Text: "abcd"}, m, 4, 4); err != nil {
+		t.Fatal(err)
+	}
+	metered := func() (int64, int64) {
+		return f.MediumBytes(cluster.Network), f.Machine().Metrics().Bytes(cluster.Control, cluster.Network)
+	}
+	medium, metrics := metered()
+	if metrics == 0 {
+		t.Fatal("node 0 metered nothing: the test would not see a merge")
+	}
+	servers[1].Close()
+	if err := b.MergeRemoteStats(); err == nil {
+		t.Fatal("MergeRemoteStats with node 1 closed succeeded")
+	}
+	if m2, mt2 := metered(); m2 != medium || mt2 != metrics {
+		t.Fatalf("a failed MergeRemoteStats moved the driver's network bytes %d -> %d and metrics %d -> %d",
+			medium, m2, metrics, mt2)
 	}
 }

@@ -1,10 +1,11 @@
 // Package tcpnet is the real-network transport backend (DESIGN §5f): each
 // simulated node is served by its own endpoint group over TCP sockets,
 // with a length-prefixed binary wire protocol, per-peer connection caching
-// behind a versioned handshake, and IO deadlines derived from the shared
-// internal/retry policies. Operations are metered by the serving side
-// through the fabric's Local* methods, so per-medium accounting reconciles
-// with the in-process backend byte for byte.
+// behind a versioned handshake, and one I/O timeout. It moves bytes and
+// retries nothing: a failed exchange is the caller's to retry. Operations
+// are metered by the serving side through the fabric's Local* methods, so
+// per-medium accounting reconciles with the in-process backend byte for
+// byte.
 package tcpnet
 
 import (
@@ -26,7 +27,8 @@ import (
 // response answers is implied by the connection's strict request/response
 // discipline. Every request is initiated by the driver, the process that
 // runs the tasks: no op carries a peer address, so a serving process
-// answers and never dials.
+// answers and never dials. What each request carries and how it is
+// answered is its row of the op table (ops).
 const (
 	opHello uint8 = iota + 1
 	opResp
@@ -64,8 +66,8 @@ const (
 
 // Payload kinds: what the bytes in a frame's Payload section are. The kind
 // travels in its own header field, so a handler never guesses a codec from
-// the op — an opExpose of anything but a block, an opCall of anything but a
-// message is refused.
+// the op: a request of another kind than its op row's is refused, and so
+// is an answer.
 const (
 	payloadRaw   uint8 = iota // opaque bytes or none: spec lists, span lines
 	payloadGob                // gob: the opStats reply, once per run
