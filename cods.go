@@ -114,8 +114,8 @@ type (
 var (
 	// ErrInjected marks failures produced by the fault injector.
 	ErrInjected = transport.ErrInjected
-	// ErrEndpointClosed marks operations against a closed endpoint; the
-	// retry layers treat it as terminal.
+	// ErrEndpointClosed marks operations against a closed endpoint; it is
+	// terminal, never retried.
 	ErrEndpointClosed = transport.ErrEndpointClosed
 	// ErrStreamEnded marks operations against a stream whose producers
 	// have all closed.

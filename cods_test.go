@@ -263,7 +263,7 @@ func TestWriteFlows(t *testing.T) {
 	}
 
 	// A flow recorded without medium or class leaves both keys out.
-	mt.Merge(cluster.MetricsSnapshot{Flows: []cluster.Flow{{Phase: "p", Src: 1, Dst: 2, Bytes: 9}}})
+	mt.Merge(cluster.MetricsSnapshot{Flows: []cluster.Flow{{Phase: "p", Src: 1, Dst: 2, Bytes: 9}}}, cluster.MetricsSnapshot{})
 	buf.Reset()
 	if err := fw.WriteFlows(&buf); err != nil {
 		t.Fatal(err)

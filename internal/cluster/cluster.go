@@ -329,17 +329,23 @@ func (mt *Metrics) Snapshot() MetricsSnapshot {
 	return s
 }
 
-// Merge folds a snapshot taken elsewhere into this metric set. Transfers
-// executed by distinct processes are disjoint, so merging every child's
-// snapshot into the driver's metrics yields the same totals an in-process
-// run records.
-func (mt *Metrics) Merge(s MetricsSnapshot) {
+// Merge folds into this metric set what a snapshot s taken elsewhere holds
+// beyond prev, an earlier snapshot of the same metrics (the zero snapshot
+// for all of s): the counts s added and the flows recorded after prev's.
+// Transfers executed by distinct processes are disjoint, so merging every
+// child's snapshot into the driver's metrics yields the same totals an
+// in-process run records.
+func (mt *Metrics) Merge(s, prev MetricsSnapshot) {
 	mt.mu.Lock()
 	defer mt.mu.Unlock()
 	for class := range s.Bytes {
 		for medium := range s.Bytes[class] {
-			mt.bytes[class][medium] += s.Bytes[class][medium]
+			mt.bytes[class][medium] += s.Bytes[class][medium] - prev.Bytes[class][medium]
 		}
+	}
+	before := make(map[appClass][2]int64, len(prev.PerApp))
+	for _, row := range prev.PerApp {
+		before[appClass{row.App, row.Class}] = row.Bytes
 	}
 	for _, row := range s.PerApp {
 		key := appClass{app: row.App, class: row.Class}
@@ -348,10 +354,10 @@ func (mt *Metrics) Merge(s MetricsSnapshot) {
 			e = new([2]int64)
 			mt.perApp[key] = e
 		}
-		e[0] += row.Bytes[0]
-		e[1] += row.Bytes[1]
+		e[0] += row.Bytes[0] - before[key][0]
+		e[1] += row.Bytes[1] - before[key][1]
 	}
-	mt.flows = append(mt.flows, s.Flows...)
+	mt.flows = append(mt.flows, s.Flows[min(len(prev.Flows), len(s.Flows)):]...)
 }
 
 // Reset clears all counters and flows.

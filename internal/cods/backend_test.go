@@ -22,8 +22,9 @@ import (
 // fabric's own Local* side, standing in for a wire: the first failures
 // buffer-state round trips (Exposed/Unexpose), the first exposeFailures
 // exposes and the first callFailures RPCs fail the way a dropped connection
-// would, and the first lostAcks exposes that get through land and then
-// fail, the way a lost acknowledgement would.
+// would — with an error marked transient, as a wire marks it — and the
+// first lostAcks exposes that get through land and then fail, the way a
+// lost acknowledgement would.
 type fakeBackend struct {
 	f              *transport.Fabric
 	failures       atomic.Int32
@@ -32,7 +33,7 @@ type fakeBackend struct {
 	lostAcks       atomic.Int32
 }
 
-var errRoundTrip = errors.New("fake backend: connection reset")
+var errRoundTrip = transport.Transient(errors.New("fake backend: connection reset"))
 
 func (b *fakeBackend) roundTrip() error {
 	if b.failures.Add(-1) >= 0 {
@@ -214,9 +215,9 @@ func TestPutSequentialRetriesFailedExpose(t *testing.T) {
 }
 
 // TestRetriedPutReservesOnce: a core already holds block A when the put of
-// B fails once and is re-attempted. Whether B's expose landed and lost its
-// acknowledgement, or its registration and then its withdrawal failed, the
-// re-attempt must leave B staged once: exposed, with one location record,
+// B fails and is re-attempted. Whether B's expose landed and lost its
+// acknowledgement, or also the re-attempt's withdrawal of it failed, the
+// re-attempts must leave B staged once: exposed, with one location record,
 // and readable.
 func TestRetriedPutReservesOnce(t *testing.T) {
 	a := geometry.NewBBox(geometry.Point{0, 0}, geometry.Point{4, 8})
@@ -226,8 +227,8 @@ func TestRetriedPutReservesOnce(t *testing.T) {
 		fail func(be *fakeBackend)
 	}{
 		{"lost expose acknowledgement", func(be *fakeBackend) { be.lostAcks.Store(1) }},
-		{"failed insert, then failed withdrawal", func(be *fakeBackend) {
-			be.callFailures.Store(2) // both attempts of the DHT client's own retry
+		{"lost ack, then failed withdrawal", func(be *fakeBackend) {
+			be.lostAcks.Store(1)
 			be.failures.Store(1)
 		}},
 	} {
@@ -235,7 +236,7 @@ func TestRetriedPutReservesOnce(t *testing.T) {
 			_, sp := testRig(t, 1, 2, []int{8, 8})
 			be := &fakeBackend{f: sp.Fabric()}
 			sp.Fabric().SetBackend(be)
-			sp.SetRetryPolicy(fastPolicy(2))
+			sp.SetRetryPolicy(fastPolicy(3))
 			h := sp.HandleAt(0, 1, "p")
 			if err := h.PutSequential("v", 0, a, fillRegion(a)); err != nil {
 				t.Fatal(err)

@@ -377,12 +377,11 @@ func NewSpaceWithCurve(f *transport.Fabric, domain geometry.BBox, curveName stri
 // one). nil detaches.
 func (sp *Space) SetTracer(tr *obs.Tracer) { sp.tracer.Store(tr) }
 
-// SetRetryPolicy installs the transfer retry policy: a get whose read
-// failed, or whose lookup answer fell short of its region, is attempted
-// again with exponential backoff up to the policy's attempt budget, and a
-// failed sequential put is staged again. The same policy governs the
-// lookup service's RPC fan-out. The zero policy (the default) disables
-// retrying.
+// SetRetryPolicy installs the transfer retry policy: a get or sequential
+// put whose attempt failed transiently is attempted again with exponential
+// backoff up to the policy's attempt budget (Handle.get, PutSequential).
+// The same policy governs the lookup service's RPC fan-out. The zero
+// policy (the default) disables retrying.
 func (sp *Space) SetRetryPolicy(p retry.Policy) {
 	sp.retryPol.Store(&p)
 	sp.lookup.SetRetryPolicy(p)
@@ -601,9 +600,10 @@ func orderSchedule(sched []transport.ReadSpec) []transport.ReadSpec {
 // the space afterwards: the exposed block and the put recorder both keep
 // it, uncopied.
 //
-// Under the space's retry policy a failed staging is attempted again with
-// backoff, so a put whose owner is lost mid-put waits out the replacement
-// and the reconcile instead of failing its task (tasks are never re-run).
+// Under the space's retry policy a staging that failed transiently is
+// attempted again with backoff, so a put whose owner is lost mid-put waits
+// out the replacement and the reconcile instead of failing its task (tasks
+// are never re-run); a registration the lookup client gave up on is not.
 // An attempt after the first starts by withdrawing the buffer: an expose
 // whose acknowledgement was lost may have landed.
 func (h *Handle) PutSequential(v string, version int, region geometry.BBox, data []float64) error {
@@ -614,7 +614,7 @@ func (h *Handle) PutSequential(v string, version int, region geometry.BBox, data
 	if !pol.Enabled() {
 		return h.putAttempt(v, version, region, data)
 	}
-	_, err := retry.Do(pol, opSeed(h.core, v, version), retryableTransfer,
+	_, err := retry.Do(pol, opSeed(h.core, v, version),
 		func(d time.Duration) { obsPullBackoffNs.Observe(d.Nanoseconds()) },
 		func(attempt int) error {
 			if attempt > 1 {
@@ -672,14 +672,14 @@ func (h *Handle) GetSequential(v string, version int, region geometry.BBox) ([]f
 
 // get is the one retrieval loop of both Get operators, and the only place
 // a get retries. Each attempt takes the schedule — cached, or built by
-// build — and pulls it. Under the space's retry policy a failed read and a
-// lookup answer short of the region are attempted again after the policy's
+// build — and pulls it. Under the space's retry policy an attempt that
+// failed transiently — a read its transport marked so, or a lookup answer
+// short of the region (coverageError) — is made again after the policy's
 // backoff, at most MaxAttempts times in all: between a replacement process
 // coming up and the reconcile re-registering what its DHT core held, the
 // records of live data are missing from the table, and a consumer that
-// asks in that window waits it out like any other transient failure. A
-// lookup RPC error (the DHT client has retried it already), a closed owner
-// and a block too large for the wire end the get. A retry keeps its
+// asks in that window waits it out. Every other error ends the get,
+// including a lookup the DHT client gave up on. A retry keeps its
 // schedule unless the variable's invalidation stamp has moved since it was
 // taken: it re-queries the lookup exactly when a discard or re-stage
 // happened, and counts no extra cache hit.
@@ -693,7 +693,11 @@ func (h *Handle) get(op, v string, version int, region geometry.BBox, build func
 		gen   uint64 // the invalidation stamp sched was taken under
 		out   []float64
 	)
-	attempts, err := retry.Do(h.sp.RetryPolicy(), opSeed(h.core, v, version), retryableGet,
+	pol := h.sp.RetryPolicy()
+	if mutate.Enabled(mutate.GetNoRetry) {
+		pol.MaxAttempts = 1 // seeded defect: every failure ends the get
+	}
+	attempts, err := retry.Do(pol, opSeed(h.core, v, version),
 		func(d time.Duration) { obsPullBackoffNs.Observe(d.Nanoseconds()) },
 		func(attempt int) (err error) {
 			if attempt > 1 {
@@ -709,7 +713,7 @@ func (h *Handle) get(op, v string, version int, region geometry.BBox, build func
 			return err
 		})
 	if err != nil {
-		if pe, ok := err.(*PullError); ok {
+		if pe := (*PullError)(nil); errors.As(err, &pe) {
 			pe.Attempts = attempts
 		}
 		return nil, err
@@ -722,10 +726,12 @@ func (h *Handle) get(op, v string, version int, region geometry.BBox, build func
 }
 
 // coverageError reports a lookup answer whose records do not cover a get's
-// region.
+// region. It is transient: the missing records may be re-registered.
 type coverageError string
 
 func (e coverageError) Error() string { return string(e) }
+
+func (coverageError) Transient() bool { return true }
 
 // sequentialSchedule queries the lookup service and converts the location
 // entries into a read list covering the region exactly; an answer that
@@ -779,28 +785,6 @@ func (e *PullError) Error() string {
 
 // Unwrap exposes the underlying transport error.
 func (e *PullError) Unwrap() error { return e.Err }
-
-// retryableTransfer classifies transfer errors: a closed endpoint is
-// terminal (the owner will not come back), and so is a block too large for
-// the wire; everything else — injected faults included — is worth another
-// attempt.
-func retryableTransfer(err error) bool {
-	return !errors.Is(err, transport.ErrEndpointClosed) && !errors.Is(err, transport.ErrTooLarge)
-}
-
-// retryableGet classifies the failure of one get attempt: a read that
-// failed retryably (retryableTransfer) and a lookup answer short of the
-// region are worth another attempt, a lookup RPC error is not.
-func retryableGet(err error) bool {
-	if mutate.Enabled(mutate.GetNoRetry) {
-		return false // seeded defect: every failure ends the get
-	}
-	if pe, ok := err.(*PullError); ok {
-		return retryableTransfer(pe.Err)
-	}
-	_, short := err.(coverageError)
-	return short
-}
 
 // opSeed derives the deterministic backoff seed of one put or get from its
 // coordinates, so backoff schedules are reproducible run to run.

@@ -199,3 +199,40 @@ func TestPullNoPolicySingleAttempt(t *testing.T) {
 		t.Fatalf("Injected = %d, want 1 (one read without a policy)", plan.Injected())
 	}
 }
+
+// TestPutSpendsLookupBudgetOnce: with every control RPC failing under
+// fastPolicy(4), a put makes one attempt — four insert RPCs, then four
+// removal RPCs of its cleanup — since the lookup client's spent budget is
+// terminal and the put loop does not spend its own on it again; a get
+// under the same plan makes its four query RPCs and stops.
+func TestPutSpendsLookupBudgetOnce(t *testing.T) {
+	_, sp := testRig(t, 2, 4, []int{8, 8})
+	sp.SetRetryPolicy(fastPolicy(4))
+	region := geometry.NewBBox(geometry.Point{0, 0}, geometry.Point{2, 2})
+	if err := sp.HandleAt(1, 1, "put").PutSequential("w", 0, region, fillRegion(region)); err != nil {
+		t.Fatal(err)
+	}
+	if n := sp.Lookup().TableSize(0) + sp.Lookup().TableSize(1); n != 1 {
+		t.Fatalf("the region's record is kept by %d DHT cores, want 1", n)
+	}
+	for _, tc := range []struct {
+		name string
+		op   func() error
+		want int64
+	}{
+		{"put", func() error { return sp.HandleAt(1, 1, "put").PutSequential("u", 0, region, fillRegion(region)) }, 8},
+		{"get", func() error { _, err := sp.HandleAt(5, 2, "get").GetSequential("u", 0, region); return err }, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := mustPlan(t, `{"seed": 5, "rules": [{"op": "call", "mode": "error", "prob": 1}]}`)
+			sp.Fabric().SetFaultPlan(plan)
+			defer sp.Fabric().SetFaultPlan(nil)
+			if err := tc.op(); !errors.Is(err, transport.ErrInjected) {
+				t.Fatalf("err = %v, want the injected fault", err)
+			}
+			if got := plan.Injected(); got != tc.want {
+				t.Fatalf("%d injected faults, want %d", got, tc.want)
+			}
+		})
+	}
+}

@@ -15,7 +15,6 @@ package dht
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -164,9 +163,10 @@ func NewService(f *transport.Fabric, curve sfc.Linearizer) *Service {
 // Curve returns the linearizer the service uses.
 func (s *Service) Curve() sfc.Linearizer { return s.curve }
 
-// SetRetryPolicy installs the retry policy for control RPCs: inserts,
-// removes and query fan-out calls that fail transiently are re-attempted
-// with backoff. The zero policy disables retrying (the default).
+// SetRetryPolicy installs the retry policy for control RPCs: an insert,
+// remove or query fan-out call whose error its transport marked transient
+// is re-attempted with backoff, and a call that gives up returns a
+// terminal error. The zero policy disables retrying (the default).
 func (s *Service) SetRetryPolicy(p retry.Policy) { s.retryPol.Store(&p) }
 
 // retryPolicy returns the installed policy (zero when none).
@@ -177,18 +177,14 @@ func (s *Service) retryPolicy() retry.Policy {
 	return retry.Policy{}
 }
 
-// retryableRPC classifies control-RPC failures: a closed DHT core is
-// terminal, everything else (injected faults in particular) is transient.
-func retryableRPC(err error) bool {
-	return !errors.Is(err, transport.ErrEndpointClosed)
-}
-
 // call performs one control RPC under the service's retry policy.
-func (cl *Client) call(node int, req any, m transport.Meter, reqBytes, respBytes int64, seed uint64) (any, error) {
-	pol := cl.svc.retryPolicy()
-	attempts, resp, err := doCall(pol, seed, func() (any, error) {
-		return cl.ep.Call(cl.svc.DHTCore(node), serviceName, req, m, reqBytes, respBytes)
-	})
+func (cl *Client) call(node int, req any, m transport.Meter, reqBytes, respBytes int64, seed uint64) (resp any, err error) {
+	attempts, err := retry.Do(cl.svc.retryPolicy(), seed,
+		func(d time.Duration) { obsBackoffNs.Observe(d.Nanoseconds()) },
+		func(int) (err error) {
+			resp, err = cl.ep.Call(cl.svc.DHTCore(node), serviceName, req, m, reqBytes, respBytes)
+			return err
+		})
 	if attempts > 1 {
 		obsRetries.Add(int64(attempts - 1))
 		if err == nil {
@@ -196,22 +192,6 @@ func (cl *Client) call(node int, req any, m transport.Meter, reqBytes, respBytes
 		}
 	}
 	return resp, err
-}
-
-// doCall adapts retry.Do to an operation with a result.
-func doCall(pol retry.Policy, seed uint64, op func() (any, error)) (int, any, error) {
-	var resp any
-	attempts, err := retry.Do(pol, seed, retryableRPC,
-		func(d time.Duration) { obsBackoffNs.Observe(d.Nanoseconds()) },
-		func(int) error {
-			var cerr error
-			resp, cerr = op()
-			return cerr
-		})
-	if err != nil {
-		return attempts, nil, err
-	}
-	return attempts, resp, nil
 }
 
 // intervalOf returns the index interval [lo, hi) owned by a node.

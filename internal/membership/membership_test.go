@@ -243,7 +243,8 @@ func TestGetSequentialRidesOutNodeLoss(t *testing.T) {
 // lossBackend carries every operation over a wire that node 1's loss cuts:
 // the first expose after crashOnExpose is set lands and then loses its
 // acknowledgement as the node goes down, and every operation on node 1
-// fails from then on until the test brings the replacement up.
+// fails from then on, with an error marked transient as a wire marks a
+// reset, until the test brings the replacement up.
 type lossBackend struct {
 	f             *transport.Fabric
 	crashOnExpose atomic.Bool
@@ -251,7 +252,7 @@ type lossBackend struct {
 	failed        atomic.Int32
 }
 
-var errCut = errors.New("lossBackend: connection reset")
+var errCut = transport.Transient(errors.New("lossBackend: connection reset"))
 
 // cut fails an operation on target's state while node 1 is down.
 func (b *lossBackend) cut(target cluster.CoreID) error {

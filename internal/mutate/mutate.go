@@ -32,8 +32,8 @@ const (
 	// SwapFlow records every fabric transfer with source and destination
 	// exchanged, corrupting the flow log while leaving totals intact.
 	SwapFlow = "swap-flow"
-	// GetNoRetry makes a get's retry loop treat every failure as terminal,
-	// so a transient read fault fails a get the policy would have healed.
+	// GetNoRetry gives a get one attempt whatever its retry policy, so a
+	// transient read fault fails a get the policy would have healed.
 	GetNoRetry = "get-no-retry"
 	// TCPTruncFrame truncates every encoded TCP wire frame by one byte
 	// before the length prefix is computed, so the peer's strict decoder

@@ -4,11 +4,12 @@
 //
 // The paper's platform (Jaguar-scale Cray XT5 allocations) treats transport
 // stalls and lost staging buffers as routine, so every fabric-facing layer
-// — a CoDS get, a CoDS put, the DHT fan-out — retries transient failures
-// under one policy instead of growing ad-hoc loops, each failure in exactly
-// one of them. The transport below them retries nothing: a dial is
-// attempted once, and its failure is the failed attempt of the layer that
-// asked.
+// — a CoDS get, a CoDS put, the DHT fan-out — retries under one policy
+// instead of growing ad-hoc loops. Whether an error can be retried is
+// decided where it is made: an error is transient only when it carries
+// the mark (a Transient method returning true, found with errors.As), and
+// every other error is terminal. A loop that gives up returns a terminal
+// error, so no loop around it spends its budget on the same failure again.
 // Jitter is derived from a caller-provided seed with a splitmix64 hash, not
 // from a global RNG: the backoff schedule of a given operation is a pure
 // function of (policy, seed, attempt), which is what makes chaos tests
@@ -16,6 +17,7 @@
 package retry
 
 import (
+	"errors"
 	"time"
 )
 
@@ -97,35 +99,23 @@ func (p Policy) delay(attempt int) float64 {
 }
 
 // Do runs op up to MaxAttempts times, sleeping the policy's backoff
-// between attempts. retryable classifies errors: a non-retryable error
-// stops immediately. The per-operation Deadline is consulted before every
-// sleep — if the next backoff would land past it, Do returns the last
-// error instead of sleeping. It returns the number of attempts performed
-// alongside the final error (nil on success).
+// between attempts, while it fails with a transient error; it stops before
+// a backoff that would land past the Deadline. It returns the number of
+// attempts alongside the final error (nil on success), which is always
+// terminal: the last attempt's error, wrapped to unwrap to its cause.
 //
 // sleeps, when non-nil, receives each backoff actually slept; callers use
 // it to feed histograms without the policy importing obs.
-func Do(p Policy, seed uint64, retryable func(error) bool, sleeps func(time.Duration), op func(attempt int) error) (int, error) {
-	max := p.MaxAttempts
-	if max < 1 {
-		max = 1
-	}
+func Do(p Policy, seed uint64, sleeps func(time.Duration), op func(attempt int) error) (int, error) {
 	start := time.Now()
-	var err error
 	for attempt := 1; ; attempt++ {
-		err = op(attempt)
+		err := op(attempt)
 		if err == nil {
 			return attempt, nil
 		}
-		if attempt >= max {
-			return attempt, err
-		}
-		if retryable != nil && !retryable(err) {
-			return attempt, err
-		}
 		d := p.Backoff(attempt, seed)
-		if p.Deadline > 0 && time.Since(start)+d > p.Deadline {
-			return attempt, err
+		if attempt >= p.MaxAttempts || !transient(err) || p.Deadline > 0 && time.Since(start)+d > p.Deadline {
+			return attempt, terminal{err}
 		}
 		if d > 0 {
 			if sleeps != nil {
@@ -135,3 +125,16 @@ func Do(p Policy, seed uint64, retryable func(error) bool, sleeps func(time.Dura
 		}
 	}
 }
+
+// transient reports whether err carries a transient mark.
+func transient(err error) bool {
+	var t interface{ Transient() bool }
+	return errors.As(err, &t) && t.Transient()
+}
+
+// terminal is the error of a loop that gave up on its cause.
+type terminal struct{ error }
+
+func (terminal) Transient() bool { return false }
+
+func (e terminal) Unwrap() error { return e.error }

@@ -2,6 +2,7 @@ package retry
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -71,10 +72,18 @@ func TestBackoffJitterDeterministic(t *testing.T) {
 	}
 }
 
+// transientErr is an error marked transient the way its source would
+// mark it.
+type transientErr struct{ error }
+
+func (transientErr) Transient() bool { return true }
+
+func (e transientErr) Unwrap() error { return e.error }
+
 func TestDoStopsAtMaxAttempts(t *testing.T) {
-	fail := errors.New("transient")
+	fail := transientErr{errors.New("transient")}
 	calls := 0
-	attempts, err := Do(Policy{MaxAttempts: 3}, 1, nil, nil, func(int) error {
+	attempts, err := Do(Policy{MaxAttempts: 3}, 1, nil, func(int) error {
 		calls++
 		return fail
 	})
@@ -85,10 +94,10 @@ func TestDoStopsAtMaxAttempts(t *testing.T) {
 
 func TestDoSucceedsMidway(t *testing.T) {
 	calls := 0
-	attempts, err := Do(Policy{MaxAttempts: 5}, 1, nil, nil, func(int) error {
+	attempts, err := Do(Policy{MaxAttempts: 5}, 1, nil, func(int) error {
 		calls++
 		if calls < 3 {
-			return errors.New("transient")
+			return transientErr{errors.New("transient")}
 		}
 		return nil
 	})
@@ -97,13 +106,54 @@ func TestDoSucceedsMidway(t *testing.T) {
 	}
 }
 
+// An error without a transient mark is terminal: it stops at once.
 func TestDoRespectsNonRetryable(t *testing.T) {
 	fatal := errors.New("fatal")
-	attempts, err := Do(Policy{MaxAttempts: 5}, 1,
-		func(err error) bool { return !errors.Is(err, fatal) }, nil,
-		func(int) error { return fatal })
+	attempts, err := Do(Policy{MaxAttempts: 5}, 1, nil, func(int) error { return fatal })
 	if attempts != 1 || !errors.Is(err, fatal) {
 		t.Fatalf("attempts=%d err=%v, want 1/fatal", attempts, err)
+	}
+}
+
+// TestDoRetriesOnlyMarkedErrors: an error is retried only when it carries
+// a transient mark, through any wrapping; one whose outermost mark says
+// terminal stops at once.
+func TestDoRetriesOnlyMarkedErrors(t *testing.T) {
+	cause := errors.New("cause")
+	for _, tc := range []struct {
+		name string
+		err  error
+		want int
+	}{
+		{"marked", transientErr{cause}, 5},
+		{"wrapped mark", fmt.Errorf("op: %w", transientErr{cause}), 5},
+		{"joined mark", errors.Join(cause, transientErr{cause}), 5},
+		{"terminal over a mark", terminal{transientErr{cause}}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			attempts, err := Do(Policy{MaxAttempts: 5}, 1, nil, func(int) error { return tc.err })
+			if attempts != tc.want || !errors.Is(err, cause) {
+				t.Fatalf("attempts=%d err=%v, want %d attempts and the cause", attempts, err, tc.want)
+			}
+		})
+	}
+}
+
+// TestDoSpentBudgetIsTerminal: whatever Do gives up on is terminal, so a
+// loop around it makes one attempt and the inner loop's budget is spent
+// once; the cause stays reachable through both.
+func TestDoSpentBudgetIsTerminal(t *testing.T) {
+	fail := transientErr{errors.New("transient")}
+	calls := 0
+	outer, err := Do(Policy{MaxAttempts: 4}, 1, nil, func(int) error {
+		_, err := Do(Policy{MaxAttempts: 4}, 2, nil, func(int) error { calls++; return fail })
+		return err
+	})
+	if outer != 1 || calls != 4 || !errors.Is(err, fail) {
+		t.Fatalf("outer attempts=%d inner calls=%d err=%v, want 1/4/the cause", outer, calls, err)
+	}
+	if transient(err) {
+		t.Fatal("the error of a spent budget is transient")
 	}
 }
 
@@ -112,7 +162,7 @@ func TestDoDeadlineStopsBeforeSleep(t *testing.T) {
 	// must give up after one attempt without sleeping.
 	p := Policy{MaxAttempts: 10, BaseDelay: 10 * time.Millisecond, Deadline: time.Millisecond}
 	start := time.Now()
-	attempts, err := Do(p, 1, nil, nil, func(int) error { return errors.New("transient") })
+	attempts, err := Do(p, 1, nil, func(int) error { return transientErr{errors.New("transient")} })
 	if attempts != 1 || err == nil {
 		t.Fatalf("attempts=%d err=%v, want 1/non-nil", attempts, err)
 	}
@@ -123,7 +173,7 @@ func TestDoDeadlineStopsBeforeSleep(t *testing.T) {
 
 func TestDoZeroPolicySingleAttempt(t *testing.T) {
 	calls := 0
-	attempts, err := Do(Policy{}, 1, nil, nil, func(int) error { calls++; return errors.New("x") })
+	attempts, err := Do(Policy{}, 1, nil, func(int) error { calls++; return transientErr{errors.New("x")} })
 	if attempts != 1 || calls != 1 || err == nil {
 		t.Fatalf("zero policy: attempts=%d calls=%d err=%v", attempts, calls, err)
 	}
@@ -138,8 +188,8 @@ func TestDoZeroPolicySingleAttempt(t *testing.T) {
 func TestDoReportsSleeps(t *testing.T) {
 	var slept []time.Duration
 	p := Policy{MaxAttempts: 3, BaseDelay: 100 * time.Microsecond}
-	_, _ = Do(p, 1, nil, func(d time.Duration) { slept = append(slept, d) },
-		func(int) error { return errors.New("transient") })
+	_, _ = Do(p, 1, func(d time.Duration) { slept = append(slept, d) },
+		func(int) error { return transientErr{errors.New("transient")} })
 	if want := []time.Duration{p.Backoff(1, 1), p.Backoff(2, 1)}; len(slept) != 2 || slept[0] != want[0] || slept[1] != want[1] {
 		t.Fatalf("slept = %v, want %v", slept, want)
 	}

@@ -174,7 +174,7 @@ func (f *Fabric) LocalReadMulti(reader cluster.CoreID, specs []ReadSpec, m Meter
 // process passes the patience its reader sent: a reader that may race a
 // node replacement sends a bound — a read routed to a process that will
 // never receive the buffer (staged before the replacement, re-staged
-// elsewhere) must surface a retryable error rather than hold the exchange
+// elsewhere) must surface a transient error rather than hold the exchange
 // open forever while the reader's retry layer sees no failure. hold, when not nil, is called with the payload
 // while it is still exposed, under the lock a withdrawal takes: a serving
 // backend that recycles the memory of withdrawn payloads pins it there, so

@@ -26,8 +26,8 @@ import (
 )
 
 // ErrInjected marks an error produced by the fault injector rather than a
-// real condition of the fabric; retry layers treat it as transient.
-var ErrInjected = errors.New("injected fault")
+// real condition of the fabric. It is Transient.
+var ErrInjected = Transient(errors.New("injected fault"))
 
 // Fault-injection instruments, one counter per faultable operation kind
 // plus a histogram of injected delays.

@@ -1,6 +1,8 @@
 package tcpnet
 
 import (
+	"errors"
+	"io"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -88,4 +90,77 @@ func TestOneDialPerAttempt(t *testing.T) {
 			t.Fatalf("a get of %d attempts dialed %d times, want %d", attempts, n, attempts)
 		}
 	})
+}
+
+// countingProxy listens on a loopback port and forwards every connection it
+// accepts to target, counting them: each is one dial. It returns its
+// address and the count.
+func countingProxy(t *testing.T, target string) (string, *atomic.Int32) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	dials := new(atomic.Int32)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			dials.Add(1)
+			up, err := net.Dial("tcp", target)
+			if err != nil {
+				c.Close()
+				continue
+			}
+			go func() { io.Copy(up, c); up.Close() }()
+			go func() { io.Copy(c, up); c.Close() }()
+		}
+	}()
+	return ln.Addr().String(), dials
+}
+
+// TestWrongShapeDialsOnce: a node served by a process of another machine
+// shape refuses the handshake, and no retry changes its answer. A get
+// under a policy of four attempts dials it once and fails after one
+// attempt, with the refusal.
+func TestWrongShapeDialsOnce(t *testing.T) {
+	f, b, servers := newCluster(t, 2, 1)
+	domain := geometry.BoxFromSize([]int{8})
+	withSpaces(t, servers, domain)
+	sp, err := cods.NewSpace(f, domain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.SetRetryPolicy(retry.Policy{MaxAttempts: 4, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond})
+	if err := sp.HandleAt(1, 1, "put").PutSequential("u", 0, domain, fillCells(domain)); err != nil {
+		t.Fatal(err)
+	}
+	// The first get caches the schedule, so the second reads node 1
+	// without a lookup.
+	h := sp.HandleAt(0, 2, "get")
+	if _, err := h.GetSequential("u", 0, domain); err != nil {
+		t.Fatal(err)
+	}
+	other, err := cluster.NewMachine(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve(transport.NewFabric(other), 1, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	addr, dials := countingProxy(t, srv.Addr())
+	b.UpdatePeer(1, addr)
+	_, err = h.GetSequential("u", 0, domain)
+	var pe *cods.PullError
+	if !errors.As(err, &pe) || !errors.Is(err, errHandshake) || pe.Attempts != 1 {
+		t.Fatalf("get from a node of another shape: %v; want a *PullError after 1 attempt wrapping the handshake refusal", err)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("the get dialed %d times, want 1", n)
+	}
 }

@@ -41,7 +41,7 @@ type Config struct {
 	// ReadPatience is how long a ReadMulti this backend issues lets the
 	// owner wait for a buffer that is not exposed yet: it travels in each
 	// opReadMulti request, and the serving node fails a segment not
-	// exposed within it with the retryable transport.ErrReadPatience.
+	// exposed within it with the transient transport.ErrReadPatience.
 	// 0 (the default) waits forever, the classic in-situ deferred-read
 	// semantics. A serving backend ignores it: the reader's value governs.
 	ReadPatience time.Duration
@@ -309,7 +309,7 @@ func (b *Backend) Addr() string {
 func (b *Backend) Done() <-chan struct{} { return b.shutdownCh }
 
 // errHandshake marks a peer that answered but refused the handshake —
-// wrong wire version or machine shape.
+// wrong wire version or machine shape. It is terminal.
 var errHandshake = errors.New("tcpnet: handshake rejected")
 
 // dial connects to a node's server and completes the versioned handshake,
@@ -331,7 +331,18 @@ func (b *Backend) dial(node cluster.NodeID) (*peerConn, error) {
 		}
 		c.Close()
 	}
-	return nil, fmt.Errorf("tcpnet: dialing node %d at %s: %w", node, addr, err)
+	return nil, fmt.Errorf("tcpnet: dialing node %d at %s: %w", node, addr, lost(err))
+}
+
+// lost marks err transient when the connection failed under it — refused,
+// reset, closed or past its deadline: another connection can succeed.
+// Every other error of an exchange is terminal.
+func lost(err error) error {
+	var ne net.Error
+	if errors.As(err, &ne) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return transport.Transient(err)
+	}
+	return err
 }
 
 // handshake announces the wire version and machine shape and waits for
@@ -428,7 +439,7 @@ func (b *Backend) writeRequest(node cluster.NodeID, write func(w io.Writer) erro
 		}
 		c.Close()
 		if !cached {
-			return nil, fmt.Errorf("tcpnet: exchange with node %d: %w", node, err)
+			return nil, fmt.Errorf("tcpnet: exchange with node %d: %w", node, lost(err))
 		}
 	}
 }
@@ -450,7 +461,7 @@ func (b *Backend) exchange(node cluster.NodeID, fr *frame, write func(w io.Write
 	resp, err := readFrame(c)
 	if err != nil {
 		c.Close()
-		return nil, fmt.Errorf("tcpnet: exchange with node %d: %w", node, err)
+		return nil, fmt.Errorf("tcpnet: exchange with node %d: %w", node, lost(err))
 	}
 	b.release(node, c)
 	switch want := ops[fr.Op].resp; {
@@ -469,7 +480,7 @@ func (b *Backend) exchange(node cluster.NodeID, fr *frame, write func(w io.Write
 var errNotExposed = errors.New("tcpnet: buffer not exposed")
 
 // statusOf is the status that carries err across the wire: the sentinels
-// callers classify by have codes of their own.
+// callers test for have codes of their own.
 func statusOf(err error) uint8 {
 	switch {
 	case errors.Is(err, transport.ErrEndpointClosed):
@@ -483,8 +494,8 @@ func statusOf(err error) uint8 {
 }
 
 // remoteErr is the caller-visible error of a status and its text, the
-// inverse of statusOf: ErrEndpointClosed stays terminal across the wire
-// and ErrReadPatience retryable.
+// inverse of statusOf: ErrEndpointClosed stays terminal across the wire,
+// ErrReadPatience transient, and any other remote error is terminal.
 func remoteErr(status uint8, text string) error {
 	switch status {
 	case statusOK:
@@ -659,7 +670,7 @@ func (b *Backend) receive(x *exchange, specs []transport.ReadSpec, deliver trans
 		return
 	}
 	c.Close()
-	x.err = fmt.Errorf("tcpnet: exchange with node %d: %w", x.node, err)
+	x.err = fmt.Errorf("tcpnet: exchange with node %d: %w", x.node, lost(err))
 }
 
 // readAnswer consumes the response stream of one run's request,
@@ -860,10 +871,11 @@ func (b *Backend) eachPeer(fn func(addr string, node cluster.NodeID) error) erro
 // MergeRemoteStats pulls the transfer accounting every remote peer
 // recorded while executing this process's operations and folds it into
 // the local fabric and machine metrics, so the merged totals equal what a
-// single-process run records. Every account is fetched before any is
-// merged: a fan-out that fails merges nothing, so calling it again counts
-// no peer twice. Call it after the workflow completes and before reading
-// any traffic report.
+// single-process run records. A node ships its whole account, and what is
+// merged is what it recorded since the account the last fan-out retained
+// for its address; a node at a new address (a replacement) counts in full.
+// Every account is fetched before any is merged: a fan-out that fails
+// merges nothing, so calling it again counts no peer twice.
 func (b *Backend) MergeRemoteStats() error {
 	var accounts []NodeAccount
 	err := b.eachPeer(func(addr string, node cluster.NodeID) error {
@@ -882,13 +894,18 @@ func (b *Backend) MergeRemoteStats() error {
 	if err != nil {
 		return err
 	}
-	for _, acct := range accounts {
-		b.fabric.MergeMediumStats(acct.ShmBytes, acct.ShmOps, acct.NetBytes, acct.NetOps)
-		b.machine.Metrics().Merge(acct.Metrics)
-	}
 	b.mu.Lock()
+	defer b.mu.Unlock()
+	prev := make(map[string]NodeAccount, len(b.accounts))
+	for _, acct := range b.accounts {
+		prev[acct.Addr] = acct
+	}
+	for _, acct := range accounts {
+		old := prev[acct.Addr]
+		b.fabric.MergeMediumStats(acct.ShmBytes-old.ShmBytes, acct.ShmOps-old.ShmOps, acct.NetBytes-old.NetBytes, acct.NetOps-old.NetOps)
+		b.machine.Metrics().Merge(acct.Metrics, old.Metrics)
+	}
 	b.accounts = accounts
-	b.mu.Unlock()
 	return nil
 }
 

@@ -697,6 +697,67 @@ func TestStatsMergeAcrossProcessShapes(t *testing.T) {
 	}
 }
 
+// TestMergeRemoteStatsCountsOnce: a node ships its whole account on every
+// fan-out, and the driver merges only what the node recorded since the
+// last one. A second merge with no traffic between leaves the driver's
+// fabric, metrics and flows where the first left them; a node at a new
+// address (a replacement) counts in full. Each process has a machine of
+// its own here, as a codsnode has (newCluster's share one).
+func TestMergeRemoteStatsCountsOnce(t *testing.T) {
+	echo := func(_ cluster.CoreID, req any) (any, error) { return req, nil }
+	serve := func(node cluster.NodeID) string {
+		m, err := cluster.NewMachine(2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := Serve(transport.NewFabric(m), node, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		srv.fabric.Endpoint(1).RegisterHandler("echo", echo)
+		return srv.Addr()
+	}
+	m, err := cluster.NewMachine(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := transport.NewFabric(m)
+	b, err := Connect(f, map[cluster.NodeID]string{0: serve(0), 1: serve(1)}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.SetBackend(b)
+	t.Cleanup(func() { b.Close() })
+	call := func() {
+		t.Helper()
+		meter := transport.Meter{Phase: "t", Class: cluster.Control, DstApp: 2}
+		if _, err := f.Endpoint(0).Call(1, "echo", echoPayload{Text: "abcd"}, meter, 4, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merged := func() [3]int64 {
+		t.Helper()
+		if err := b.MergeRemoteStats(); err != nil {
+			t.Fatal(err)
+		}
+		return [3]int64{f.MediumBytes(cluster.Network), m.Metrics().Bytes(cluster.Control, cluster.Network), int64(len(m.Metrics().Flows("")))}
+	}
+	call()
+	once := merged()
+	if once != [3]int64{8, 8, 2} {
+		t.Fatalf("one merge left the driver's (fabric bytes, metrics bytes, flows) at %v, want the node's [8 8 2]", once)
+	}
+	if twice := merged(); twice != once {
+		t.Fatalf("a second merge with no traffic moved the driver's (fabric bytes, metrics bytes, flows) from %v to %v", once, twice)
+	}
+	b.UpdatePeer(1, serve(1))
+	call()
+	if got := merged(); got != [3]int64{16, 16, 4} {
+		t.Fatalf("merging the replacement's call left the driver at %v, want [16 16 4]", got)
+	}
+}
+
 // TestMergeRemoteStatsAllOrNothing: a fan-out that fails at its second
 // node merges nothing, not even the first node's account, so the driver's
 // fabric and metrics do not move and a later fan-out counts no node twice.

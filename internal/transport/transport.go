@@ -26,22 +26,31 @@ import (
 
 // ErrEndpointClosed marks operations against an endpoint that has been
 // closed: Send to it, Recv on it, ReadMulti of its buffers, Call of its
-// services. Callers test for it with errors.Is; it is terminal, not
-// transient — retry layers give up on it immediately.
+// services. Callers test for it with errors.Is; it is terminal.
 var ErrEndpointClosed = errors.New("endpoint closed")
 
 // ErrReadPatience marks a deferred read abandoned after a bounded wait:
 // the owner did not expose the requested buffer within the reader's
-// patience window. Unlike ErrEndpointClosed it is transient —
-// the buffer may simply not have been staged yet, or the read may have
-// been routed to a replacement process that never receives it — so retry
-// layers re-resolve routing and pull again instead of giving up.
-var ErrReadPatience = errors.New("deferred read patience exhausted")
+// patience window. It is Transient — the buffer may simply not have been
+// staged yet, or the read may have been routed to a replacement process
+// that never receives it — so a get re-resolves routing and pulls again.
+var ErrReadPatience = Transient(errors.New("deferred read patience exhausted"))
 
 // ErrTooLarge marks a payload larger than a network backend can carry in
-// one frame. Like ErrEndpointClosed it is terminal: the same payload fails
-// the same way on every attempt.
+// one frame. It is terminal: the same payload fails on every attempt.
 var ErrTooLarge = errors.New("payload exceeds the wire limit")
+
+// Transient marks err as one a retry can help with, where it is made: the
+// condition behind it can pass (a fault, a lost connection, a buffer not
+// exposed yet). internal/retry reads the mark through its Transient method
+// (errors.As) and retries nothing else; the mark unwraps to err.
+func Transient(err error) error { return &transient{err} }
+
+type transient struct{ error }
+
+func (*transient) Transient() bool { return true }
+
+func (e *transient) Unwrap() error { return e.error }
 
 // Registry instruments, indexed by cluster.Medium. The fabric's own
 // per-instance counters (MediumBytes/MediumOps) and these process-wide
