@@ -156,6 +156,51 @@ func TestPutSequentialUndoesFailedInsert(t *testing.T) {
 	checkRegion(t, blk, got)
 }
 
+// TestPutSequentialRestagesStrandedBlock: a put whose lookup insert fails
+// after the DHT client spent its budget, and whose cleanup then fails to
+// withdraw the block, leaves the block exposed with no location record.
+// A later put of the same block stages it — exposed once, one location
+// record, one ledger entry — instead of failing on "already exposed".
+func TestPutSequentialRestagesStrandedBlock(t *testing.T) {
+	_, sp := testRig(t, 1, 2, []int{8, 8})
+	be := &fakeBackend{f: sp.Fabric()}
+	sp.Fabric().SetBackend(be)
+	sp.SetRetryPolicy(fastPolicy(2))
+	ledger := &putLog{}
+	sp.SetPutRecorder(ledger)
+	blk := geometry.BoxFromSize([]int{8, 8})
+	h := sp.HandleAt(0, 1, "p")
+
+	be.callFailures.Store(2)
+	be.failures.Store(1)
+	if err := h.PutSequential("v", 0, blk, fillRegion(blk)); !errors.Is(err, errRoundTrip) {
+		t.Fatalf("put over a failing insert and withdrawal: err = %v, want the round-trip error", err)
+	}
+	if ok, _ := sp.Fabric().LocalExposed(0, bufKey("v", blk, 0)); !ok {
+		t.Fatal("the failed put's withdrawal failed, yet the block is not exposed: the scenario did not happen")
+	}
+	if n := sp.Lookup().TableSize(0); n != 0 {
+		t.Fatalf("%d location records after the failed put, want 0", n)
+	}
+	if err := h.PutSequential("v", 0, blk, fillRegion(blk)); err != nil {
+		t.Fatalf("put of the stranded block: %v", err)
+	}
+	if ok, _ := sp.Fabric().LocalExposed(0, bufKey("v", blk, 0)); !ok {
+		t.Fatal("the block is not exposed after the second put")
+	}
+	if n := sp.Lookup().TableSize(0); n != 1 {
+		t.Fatalf("%d location records after the second put, want 1", n)
+	}
+	if got := ledger.live.Load(); got != 1 {
+		t.Fatalf("put ledger holds %d records after the second put, want 1", got)
+	}
+	got, err := sp.HandleAt(1, 2, "g").GetSequential("v", 0, blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRegion(t, blk, got)
+}
+
 // TestPutSequentialRetriesFailedExpose: under a retry policy a put whose
 // expose fails three times is staged by its fourth attempt — one exposure,
 // one location record, the block on the put ledger, and each re-attempt counted in cods.put.retries and traced as a

@@ -6,19 +6,24 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/transport"
 )
 
-// appendBlock appends the whole block wire form of obj to dst: its header,
-// then every cell in one piece.
+// appendBlock appends the block wire form of obj, as a serving process
+// keeps it, to dst: its header, then every cell in big-endian order, into
+// which the receiving backend puts the cells AppendBlock hands over.
 func appendBlock(dst []byte, obj *StoredObject) ([]byte, error) {
-	dst, cells, err := obj.AppendBlockHeader(dst)
+	dst, cells, err := obj.AppendBlock(dst)
 	if err != nil {
 		return nil, err
 	}
-	return obj.AppendBlockCells(dst, 0, cells), nil
+	for ; len(cells) > 0; cells = cells[ElemSize:] {
+		dst = binary.BigEndian.AppendUint64(dst, binary.NativeEndian.Uint64(cells))
+	}
+	return dst, nil
 }
 
 // blockWire encodes a stored block of the given region, filled by
@@ -42,12 +47,13 @@ func rawBlock(bounds [][2]int64, cellBytes int) []byte {
 	return append(wire, make([]byte, cellBytes)...)
 }
 
-// TestBlockCodecRoundTrip pins the wire form of a stored block: decode is
-// the inverse of the encoder, the header is rank plus per-dimension bounds,
-// the cell section is byte for byte what ClipRegion emits for the whole
-// region whatever pieces it is encoded in, and both encoder halves append —
-// what dst already held stays. The decoded block keeps the cell section as
-// it came, and serves it back unchanged.
+// TestBlockCodecRoundTrip pins the wire form of a stored block: the
+// encoder appends the header — rank plus per-dimension bounds; what dst
+// already held stays — and hands over Data's own memory as the cells, in
+// host order; in big-endian order those are byte for byte what ClipRegion
+// emits for the whole region, and decode is the inverse of the two. The
+// decoded block keeps the cell section as it came, and serves it back
+// unchanged.
 func TestBlockCodecRoundTrip(t *testing.T) {
 	for _, region := range []geometry.BBox{
 		geometry.BoxFromSize([]int{1}),
@@ -56,17 +62,28 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 		geometry.NewBBox(geometry.Point{1, 0, 2}, geometry.Point{3, 4, 5}),
 	} {
 		obj := &StoredObject{Region: region, Data: fillRegion(region)}
-		wire, err := appendBlock([]byte("prefix"), obj)
+		head, host, err := obj.AppendBlock([]byte("prefix"))
 		if err != nil {
 			t.Fatalf("%v: %v", region, err)
 		}
-		if !bytes.HasPrefix(wire, []byte("prefix")) {
+		if !bytes.HasPrefix(head, []byte("prefix")) {
 			t.Fatalf("%v: the encoder overwrote dst", region)
 		}
-		wire = wire[len("prefix"):]
 		hdr := 1 + 16*region.Dim()
-		if want := hdr + int(region.Volume())*ElemSize; len(wire) != want {
-			t.Fatalf("%v: wire form is %d bytes, want %d", region, len(wire), want)
+		if !bytes.Equal(head[len("prefix"):], geometry.AppendBox(nil, region)) || len(head) != len("prefix")+hdr {
+			t.Fatalf("%v: header %x, want the %d-byte box", region, head[len("prefix"):], hdr)
+		}
+		if unsafe.Pointer(unsafe.SliceData(host)) != unsafe.Pointer(unsafe.SliceData(obj.Data)) || len(host) != len(obj.Data)*ElemSize {
+			t.Fatalf("%v: the cells handed over are not Data's own %d bytes", region, len(obj.Data)*ElemSize)
+		}
+		for i, v := range obj.Data {
+			if binary.NativeEndian.Uint64(host[i*ElemSize:]) != math.Float64bits(v) {
+				t.Fatalf("%v: cell %d is not in host order", region, i)
+			}
+		}
+		wire, err := appendBlock(nil, obj)
+		if err != nil {
+			t.Fatal(err)
 		}
 		cells, err := obj.ClipRegion(nil, region)
 		if err != nil {
@@ -74,16 +91,6 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(wire[hdr:], cells) {
 			t.Fatalf("%v: cell section differs from ClipRegion of the whole region", region)
-		}
-		// In pieces of every size from one cell up, as a sender streams it.
-		for piece := 1; piece <= len(obj.Data); piece++ {
-			var chunked []byte
-			for from := 0; from < len(obj.Data); from += piece {
-				chunked = obj.AppendBlockCells(chunked, from, min(from+piece, len(obj.Data)))
-			}
-			if !bytes.Equal(chunked, cells) {
-				t.Fatalf("%v: the cell section encoded %d cells a piece differs from the whole", region, piece)
-			}
 		}
 		got, err := transport.DecodeBlock(wire)
 		if err != nil {
@@ -146,8 +153,8 @@ func TestBlockCodecStrict(t *testing.T) {
 		{Region: geometry.BoxFromSize([]int{0}), Data: nil},
 		{Region: geometry.BoxFromSize([]int{4}), Data: make([]float64, 3)},
 	} {
-		if wire, cells, err := obj.AppendBlockHeader(nil); err == nil {
-			t.Errorf("AppendBlockHeader accepted %+v as %d bytes and %d cells", obj, len(wire), cells)
+		if head, cells, err := obj.AppendBlock(nil); err == nil {
+			t.Errorf("AppendBlock accepted %+v as %d header bytes and %d cell bytes", obj, len(head), len(cells))
 		}
 	}
 }

@@ -90,8 +90,9 @@ func BenchmarkWireBlockClipRows(b *testing.B) {
 }
 
 // BenchmarkStoredObjectClip is the cell encoder, every cell converted from
-// the producer's []float64 into a reused buffer: for the whole block, what
-// each expose pays (AppendBlockCells, piece by piece).
+// the producer's []float64 into a reused buffer: for the whole block, the
+// conversion an expose no longer pays on the producer (AppendBlock hands
+// its cells over as they lie).
 func BenchmarkStoredObjectClip(b *testing.B) {
 	obj := &StoredObject{Region: benchBlockBox, Data: fillRegion(benchBlockBox)}
 	buf := make([]byte, 0, benchBlockBox.Volume()*ElemSize)

@@ -29,6 +29,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"strconv"
@@ -80,40 +81,30 @@ func init() {
 	transport.RegisterBlockDecoder(decodeBlock)
 }
 
-// Block wire form — the one codec stored blocks use in both directions:
+// Block wire form, as a serving process receives and keeps it:
 //
 //	box       the block's region (geometry.AppendBox)
 //	cells:    big-endian float64 bits, row-major over the region
 //
 // The cell section is exactly what ClipRegion emits for the block's own
-// region and what copySegment scatters, so a put is the mirror of a get.
-// Cells are converted once, by the reader: the serving process keeps the
-// cell section it received (wireBlock) and serves sub-boxes of it as runs
-// of those very bytes, and only copySegment, in the process that asked for
-// the cells, decodes them.
+// region and what copySegment scatters. A put sends the cells as Data holds
+// them (AppendBlock), and the receiving backend puts them in this order as
+// they land. The serving process keeps the cell section (wireBlock) and
+// serves sub-boxes of it as runs of those very bytes, and only
+// copySegment, in the process that asked for the cells, decodes them.
 
-// AppendBlockHeader implements transport.BlockPayload: the region header,
-// and the cell count behind it, for a block the wire can carry.
-func (o *StoredObject) AppendBlockHeader(dst []byte) ([]byte, int, error) {
+// AppendBlock implements transport.BlockPayload: the region header, and
+// Data's own bytes (hostCells) as the cells, for a block the wire can carry.
+func (o *StoredObject) AppendBlock(dst []byte) ([]byte, []byte, error) {
 	dim := o.Region.Dim()
 	if dim == 0 || dim > 0xFF {
-		return nil, 0, fmt.Errorf("cods: block rank %d outside the wire range 1..255", dim)
+		return nil, nil, fmt.Errorf("cods: block rank %d outside the wire range 1..255", dim)
 	}
-	if int64(len(o.Data)) != o.Region.Volume() || len(o.Data) == 0 {
-		return nil, 0, fmt.Errorf("cods: block %v carries %d cells, want %d (and at least one)",
-			o.Region, len(o.Data), o.Region.Volume())
+	if vol := o.Region.Volume(); int64(len(o.Data)) != vol || vol == 0 {
+		return nil, nil, fmt.Errorf("cods: block %v carries %d cells, want %d (and at least one)",
+			o.Region, len(o.Data), vol)
 	}
-	return geometry.AppendBox(dst, o.Region), len(o.Data), nil
-}
-
-// AppendBlockCells implements transport.BlockPayload. The block's own
-// region is row-major over itself, so its cells [from, to) are Data[from:to]
-// in order: one encodeRow, whatever the rows.
-func (o *StoredObject) AppendBlockCells(dst []byte, from, to int) []byte {
-	n := len(dst)
-	dst = slices.Grow(dst, (to-from)*ElemSize)[:n+(to-from)*ElemSize]
-	encodeRow(dst[n:], o.Data[from:to])
-	return dst
+	return geometry.AppendBox(dst, o.Region), hostCells(o.Data), nil
 }
 
 // decodeBlock strictly decodes the block wire form into a *wireBlock that
@@ -196,7 +187,7 @@ func (b *wireBlock) ClipRows(rows [][]byte, sub geometry.BBox) ([][]byte, error)
 
 // ClipRegion appends the cells of sub ∩ Region onto dst as big-endian
 // float64 bits, row-major over the intersection: for the whole region the
-// cell section AppendBlockCells encodes, and for any sub-box what a serving
+// cell section a serving process keeps, and for any sub-box what a serving
 // process's wireBlock.ClipRows runs spell out. An empty intersection
 // appends nothing.
 func (o *StoredObject) ClipRegion(dst []byte, sub geometry.BBox) ([]byte, error) {
@@ -428,16 +419,21 @@ func (sp *Space) Lookup() *dht.Service { return sp.lookup }
 // Fabric returns the underlying transport fabric.
 func (sp *Space) Fabric() *transport.Fabric { return sp.fabric }
 
-// schedEntry is one cached communication schedule together with the
+// schedEntry is one cached communication schedule, its variable and the
 // invalidation stamp it was computed under. A schedule is the read list
 // Endpoint.ReadMulti executes: one spec per stored block holding cells of
 // the region, ordered by (Owner, Sub), its keys versionless (Version 0)
 // because coupling patterns repeat across versions — pull stamps the
 // version of the get it serves on a copy.
 type schedEntry struct {
+	v     string
 	sched []transport.ReadSpec
 	gen   uint64
 }
+
+// maxCachedSchedules bounds a handle's schedule cache; a miss that finds
+// it full empties it.
+const maxCachedSchedules = 128
 
 // Handle is an execution client's per-core view of the space.
 type Handle struct {
@@ -451,9 +447,9 @@ type Handle struct {
 	// iterations so the DHT query and schedule computation are paid once
 	// (Section IV-A). The phase tag is deliberately not part of the key:
 	// it is a metering label that rotates every iteration and schedules do
-	// not depend on it. Entries carry their variable's invalidation stamp
-	// and are dropped when DiscardSequential moves it. The
-	// ablation benchmarks disable the cache.
+	// not depend on it. Entries carry their variable's invalidation stamp,
+	// and are dropped once DiscardSequential moves it. The ablation
+	// benchmarks disable the cache.
 	schedCache   map[string]schedEntry
 	CacheEnabled bool
 
@@ -644,7 +640,18 @@ func (h *Handle) putAttempt(v string, version int, region geometry.BBox, data []
 	if r := h.sp.putRecorder.Load(); r != nil {
 		(*r).RecordPut(v, version, region, h.core, h.app, data)
 	}
-	if err := h.endpoint().Expose(bufKey(v, region, version), obj); err != nil {
+	err := h.endpoint().Expose(bufKey(v, region, version), obj)
+	if errors.Is(err, transport.ErrExposed) {
+		// Exposed but not located: an earlier put failed and so did its
+		// cleanup below. Withdraw it and stage this one.
+		if at, qerr := h.lookupClient().Query(h.phase, h.app, v, version, region); qerr == nil &&
+			!slices.ContainsFunc(at, func(e dht.Entry) bool { return e.Owner == h.core && e.Region.Equal(region) }) {
+			if err = h.Discard(v, version, region); err == nil {
+				err = h.endpoint().Expose(bufKey(v, region, version), obj)
+			}
+		}
+	}
+	if err != nil {
 		if r := h.sp.putRecorder.Load(); r != nil {
 			(*r).RecordDiscard(v, version, region, h.core)
 		}
@@ -917,12 +924,18 @@ func (h *Handle) schedKey(op, v string, region geometry.BBox) string {
 // schedule returns the communication schedule cached under key, or builds
 // one and caches it, with the invalidation stamp it was computed under.
 // The stamp is captured before the build, so an invalidation racing with
-// it leaves the entry already stale instead of masked.
+// it leaves the entry already stale instead of masked. A stale entry
+// drops every entry of v computed before the stamp moved.
 func (h *Handle) schedule(key, v string, build func() ([]transport.ReadSpec, error)) ([]transport.ReadSpec, uint64, error) {
-	if e, ok := h.cachedSchedule(key, v); ok {
-		return e.sched, e.gen, nil
-	}
 	gen := h.sp.scheduleStamp(v)
+	if e, ok := h.schedCache[key]; ok && h.CacheEnabled {
+		if e.gen == gen || mutate.Enabled(mutate.StaleEpoch) {
+			h.CacheHits++
+			obsSchedHits.Inc()
+			return e.sched, e.gen, nil
+		}
+		maps.DeleteFunc(h.schedCache, func(_ string, o schedEntry) bool { return o.v == v && o.gen != gen })
+	}
 	sched, err := build()
 	if err != nil {
 		return nil, 0, err
@@ -930,26 +943,12 @@ func (h *Handle) schedule(key, v string, build func() ([]transport.ReadSpec, err
 	h.CacheMisses++
 	obsSchedMisses.Inc()
 	if h.CacheEnabled {
-		h.schedCache[key] = schedEntry{sched: sched, gen: gen}
+		if len(h.schedCache) >= maxCachedSchedules {
+			clear(h.schedCache)
+		}
+		h.schedCache[key] = schedEntry{v: v, sched: sched, gen: gen}
 	}
 	return sched, gen, nil
-}
-
-func (h *Handle) cachedSchedule(key, v string) (schedEntry, bool) {
-	if !h.CacheEnabled {
-		return schedEntry{}, false
-	}
-	e, ok := h.schedCache[key]
-	if !ok {
-		return schedEntry{}, false
-	}
-	if e.gen != h.sp.scheduleStamp(v) && !mutate.Enabled(mutate.StaleEpoch) {
-		delete(h.schedCache, key) // stale: discarded/restaged since computed
-		return schedEntry{}, false
-	}
-	h.CacheHits++
-	obsSchedHits.Inc()
-	return e, true
 }
 
 // copyRegion copies the cells of sub from src (row-major over srcBox) to

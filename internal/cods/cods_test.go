@@ -243,6 +243,58 @@ func TestScheduleCache(t *testing.T) {
 	}
 }
 
+// TestScheduleCacheBounded: a handle that never repeats a region keeps at
+// most maxCachedSchedules schedules, however many gets it makes; a loop
+// over four regions is served from the cache on every get after its first
+// round; and once a variable's stamp has moved, the first get that finds
+// a stale schedule of it drops every one, while another variable's stay.
+func TestScheduleCacheBounded(t *testing.T) {
+	_, sp := testRig(t, 2, 2, []int{128, 128})
+	domain := geometry.BoxFromSize([]int{128, 128})
+	for _, v := range []string{"v", "w"} {
+		if err := sp.HandleAt(0, 1, "put").PutSequential(v, 0, domain, fillRegion(domain)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cell := func(i int) geometry.BBox {
+		return geometry.NewBBox(geometry.Point{i / 128, i % 128}, geometry.Point{i/128 + 1, i%128 + 1})
+	}
+	distinct := sp.HandleAt(3, 2, "get")
+	for i := 0; i < 10000; i++ {
+		if _, err := distinct.GetSequential("v", 0, cell(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(distinct.schedCache); n > maxCachedSchedules || distinct.CacheMisses != 10000 {
+		t.Fatalf("10000 distinct gets left %d schedules and %d misses, want at most %d and 10000",
+			n, distinct.CacheMisses, maxCachedSchedules)
+	}
+
+	loop := sp.HandleAt(2, 2, "get")
+	for round := 0; round < 50; round++ {
+		for i := 0; i < 4; i++ {
+			if _, err := loop.GetSequential("v", 0, cell(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if loop.CacheMisses != 4 || loop.CacheHits != 4*round {
+			t.Fatalf("after round %d of a 4-region loop: %d misses and %d hits, want 4 and %d",
+				round+1, loop.CacheMisses, loop.CacheHits, 4*round)
+		}
+	}
+	if _, err := loop.GetSequential("w", 0, cell(0)); err != nil {
+		t.Fatal(err)
+	}
+	sp.InvalidateSchedules("v")
+	if _, err := loop.GetSequential("v", 0, cell(1)); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(loop.schedCache); n != 2 || loop.CacheMisses != 6 {
+		t.Fatalf("after v's stamp moved: %d schedules and %d misses, want 2 (v's rebuilt one and w's) and 6",
+			n, loop.CacheMisses)
+	}
+}
+
 func TestPutValidation(t *testing.T) {
 	_, sp := testRig(t, 1, 2, []int{4, 4})
 	h := sp.HandleAt(0, 1, "p")

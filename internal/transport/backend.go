@@ -94,26 +94,24 @@ type RegionClipper interface {
 }
 
 // BlockPayload is implemented by exposed payloads a network backend can
-// ship between processes. Their wire form is a region header, then every
-// cell row-major as big-endian float64 bits, CellBytes a cell. A sender
-// encodes it piece by piece and never holds all of it at once:
-// AppendBlockHeader appends the header to dst and returns how many cells
-// follow it (or why the payload cannot be shipped), and AppendBlockCells
-// appends the cells [from, to) of those. The receiving process turns the
-// bytes into a RegionClipper through the decoder installed with
-// RegisterBlockDecoder, so the backend itself never learns the payload's
-// type (tcpnet must not import cods).
+// ship between processes. AppendBlock appends the payload's region header
+// to dst and returns it with the cells (or why the payload cannot be
+// shipped): row-major float64 bits in this host's byte order, a view of the
+// payload's memory the backend only reads, and only until Expose returns.
+// The receiving process is told that order, puts the cells in big-endian
+// order as they land, and turns header and cells into a RegionClipper
+// through the decoder installed with RegisterBlockDecoder, so the backend
+// never learns the payload's type (tcpnet must not import cods).
 type BlockPayload interface {
-	AppendBlockHeader(dst []byte) ([]byte, int, error)
-	AppendBlockCells(dst []byte, from, to int) []byte
+	AppendBlock(dst []byte) (header, cells []byte, err error)
 }
 
 // CellBytes is the size of one cell in the block wire form and in a
 // segment: a float64.
 const CellBytes = 8
 
-// blockDecoder reverses the BlockPayload wire form in the receiving
-// process; set once, from the init of the package that owns the block type.
+// blockDecoder reverses the BlockPayload wire form, its cells big-endian,
+// in the receiving process; set once, from the init of the block's package.
 var blockDecoder func(wire []byte) (any, error)
 
 // RegisterBlockDecoder installs the decoder of the block wire form. It is
@@ -251,7 +249,7 @@ func (f *Fabric) LocalExpose(owner cluster.CoreID, key BufKey, payload any) erro
 	oe.exportMu.Lock()
 	defer oe.exportMu.Unlock()
 	if _, ok := oe.exports[key]; ok {
-		return fmt.Errorf("transport: buffer %v already exposed on core %d", key, owner)
+		return fmt.Errorf("%w: %v on core %d", ErrExposed, key, owner)
 	}
 	oe.exports[key] = payload
 	oe.exportCond.Broadcast()

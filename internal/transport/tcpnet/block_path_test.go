@@ -48,9 +48,10 @@ func stageSegments(tb testing.TB, b *Backend) []transport.ReadSpec {
 }
 
 // BenchmarkExposeBlock ships one 2 MiB block to its owner and withdraws it
-// again: the block encoded and written a piece at a time, the owner's read
-// into the body it keeps as the block — warm, the one the previous
-// iteration withdrew.
+// again: the block's cells written a piece at a time from its memory, the
+// owner's read into the body it keeps as the block — warm, the one the
+// previous iteration withdrew — each piece converted to big-endian as it
+// lands.
 func BenchmarkExposeBlock(b *testing.B) {
 	_, be, _ := newCluster(b, 2, 1)
 	region := geometry.BoxFromSize([]int{exposeSide, exposeSide})
@@ -372,7 +373,8 @@ func TestExposeRefusesOversizedBlock(t *testing.T) {
 
 // TestRefusedExposeHandsBodyBack: the body an expose arrived in goes back
 // to its node's free list when the expose is refused — the key is already
-// exposed, or the block does not decode — and when the block is withdrawn.
+// exposed (transport.ErrExposed, which crosses the wire as statusExposed),
+// or the block does not decode — and when the block is withdrawn.
 func TestRefusedExposeHandsBodyBack(t *testing.T) {
 	_, be, servers := newCluster(t, 2, 1)
 	owner := servers[1].bodies
@@ -388,8 +390,8 @@ func TestRefusedExposeHandsBodyBack(t *testing.T) {
 	if err := be.Expose(1, key, obj); err != nil {
 		t.Fatal(err)
 	}
-	if err := be.Expose(1, key, obj); err == nil || !strings.Contains(err.Error(), "already exposed") {
-		t.Fatalf("a second expose of %v: err = %v, want already exposed", key, err)
+	if err := be.Expose(1, key, obj); !errors.Is(err, transport.ErrExposed) {
+		t.Fatalf("a second expose of %v: err = %v, want transport.ErrExposed across the wire", key, err)
 	}
 	if n := freeBytes(); n != body {
 		t.Fatalf("after a refused expose the free list holds %d bytes, want its %d-byte body", n, body)

@@ -345,13 +345,14 @@ func lost(err error) error {
 	return err
 }
 
-// handshake announces the wire version and machine shape and waits for
-// the peer's acceptance.
+// handshake announces the wire version, the machine shape and this host's
+// cell order and waits for the peer's acceptance.
 func (b *Backend) handshake(c net.Conn, node cluster.NodeID) error {
 	c.SetDeadline(time.Now().Add(b.timeout))
 	defer c.SetDeadline(time.Time{})
 	hello := &frame{
 		Op:      opHello,
+		Status:  hostCells,
 		Dst:     int32(node),
 		Tag:     helloMagic,
 		Version: int64(wireVersion),
@@ -385,6 +386,9 @@ func (b *Backend) checkHello(fr *frame) error {
 	}
 	if fr.Dst != int32(b.node) {
 		return fmt.Errorf("node %d is not served here", fr.Dst)
+	}
+	if fr.Status > cellsLittleEndian {
+		return fmt.Errorf("cell order %d unknown", fr.Status)
 	}
 	return nil
 }
@@ -489,6 +493,8 @@ func statusOf(err error) uint8 {
 		return statusPatience
 	case err == errNotExposed:
 		return statusNotFound
+	case errors.Is(err, transport.ErrExposed):
+		return statusExposed
 	}
 	return statusErr
 }
@@ -506,6 +512,8 @@ func remoteErr(status uint8, text string) error {
 		return fmt.Errorf("tcpnet: %s: %w", text, transport.ErrEndpointClosed)
 	case statusPatience:
 		return fmt.Errorf("tcpnet: %s: %w", text, transport.ErrReadPatience)
+	case statusExposed:
+		return fmt.Errorf("tcpnet: %s: %w", text, transport.ErrExposed)
 	}
 	return fmt.Errorf("tcpnet: remote: %s", text)
 }
@@ -736,19 +744,20 @@ func (b *Backend) Call(src, dst cluster.CoreID, service string, request any, m t
 	return transport.DecodePayload(out)
 }
 
-// exposeChunk is the size of the pieces an exposed block is encoded and
-// written in (256 KiB): each piece leaves for the socket while it is still
-// in the cache it was encoded into, and the sender never holds more of the
-// block's wire form than one piece.
+// exposeChunk is the size of the pieces an exposed block is written and
+// read in (256 KiB): the sender's kernel copies each piece while the next
+// is still to come, and the owner converts each piece it reads while the
+// piece is still in cache.
 const exposeChunk = 256 << 10
 
-// Expose implements transport.Backend: the block's wire form is encoded
-// piece by piece into a pooled staging buffer, each piece written as soon
-// as it is encoded — the frame header leads the first, and a block that
-// fits one piece costs one write. A frame the peer would refuse as too
-// large is refused here, before a byte is written. Expose returns once the
-// last byte is written and the owner has answered; the caller's payload is
-// not referenced after the call.
+// Expose implements transport.Backend: the frame head and the block header
+// leave in one vectored write with the first cells, and the rest of the
+// cells exposeChunk bytes at a time — all of them straight from the
+// payload's memory (transport.BlockPayload), in this host's cell order,
+// which the handshake declared. A frame the peer would refuse as too large
+// is refused here, before a byte is written. Expose returns once the last
+// byte is written and the owner has answered; the caller's payload is not
+// referenced after the call.
 func (b *Backend) Expose(owner cluster.CoreID, key transport.BufKey, payload any) error {
 	block, ok := payload.(transport.BlockPayload)
 	if !ok {
@@ -756,51 +765,34 @@ func (b *Backend) Expose(owner cluster.CoreID, key transport.BufKey, payload any
 	}
 	hp := getBuf()
 	defer putBuf(hp)
-	// The block header decides the payload length the frame head carries,
-	// so it is encoded once to size the head, then again behind it.
-	boxHdr, cells, err := block.AppendBlockHeader((*hp)[:0])
+	boxHdr, cells, err := block.AppendBlock((*hp)[:0])
 	if err != nil {
 		return err
 	}
-	n := len(boxHdr) + cells*transport.CellBytes
+	// The frame head is encoded behind the block header, and sent before it.
 	fr := &frame{Op: opExpose, Kind: payloadBlock, Dst: int32(owner), Name: key.Name, Version: int64(key.Version)}
-	pre, send, err := appendFrameHead((*hp)[:0], fr, n)
+	head, send, err := appendFrameHead(boxHdr[len(boxHdr):], fr, len(boxHdr)+len(cells))
 	if err != nil {
 		return err
 	}
-	if body := len(pre) - 4 + send; body > maxFrame {
+	if body := len(head) - 4 + send; body > maxFrame {
 		return fmt.Errorf("tcpnet: exposing %v on core %d: frame of %d bytes exceeds limit %d: %w",
 			key, owner, body, maxFrame, transport.ErrTooLarge)
 	}
-	pre, _, _ = block.AppendBlockHeader(pre)
-	*hp = pre[:0]
-	sp := getStage()
-	defer putStage(sp)
+	cells = cells[:send-len(boxHdr)] // a seeded wire defect sends fewer bytes
 	_, err = b.exchange(b.machine.NodeOf(owner), fr, func(w io.Writer) error {
-		return writeBlock(w, sp, pre, block, cells, n-send)
-	})
-	return err
-}
-
-// writeBlock writes a block frame: pre, the frame head and the block
-// header, then the block's cells, encoded into *sp at most exposeChunk
-// bytes at a time and each piece written as soon as it is full. The last
-// short bytes of the frame are not sent (a seeded wire defect).
-func writeBlock(w io.Writer, sp *[]byte, pre []byte, block transport.BlockPayload, cells, short int) error {
-	*sp = append((*sp)[:0], pre...)
-	for from := 0; ; {
-		to := min(cells, from+max(exposeChunk-len(*sp), 0)/transport.CellBytes)
-		*sp = block.AppendBlockCells(*sp, from, to)
-		if to == cells {
-			*sp = (*sp)[:len(*sp)-short]
-		}
-		if _, err := w.Write(*sp); err != nil {
+		first := min(len(cells), exposeChunk-len(head)-len(boxHdr))
+		if err := writeBuffers(w, &net.Buffers{head, boxHdr, cells[:first]}); err != nil {
 			return err
 		}
-		if *sp, from = (*sp)[:0], to; from == cells {
-			return nil
+		for rest := cells[first:]; len(rest) > 0; rest = rest[min(len(rest), exposeChunk):] {
+			if _, err := w.Write(rest[:min(len(rest), exposeChunk)]); err != nil {
+				return err
+			}
 		}
-	}
+		return nil
+	})
+	return err
 }
 
 // Unexpose implements transport.Backend.
@@ -1004,7 +996,7 @@ func (b *Backend) serveConn(c net.Conn) {
 		return
 	}
 	for {
-		fr, err := readFrameInto(r, b.bodies)
+		fr, err := readFrameInto(r, b.bodies, hello.Status == cellsLittleEndian)
 		if err != nil || !b.dispatch(c, fr) {
 			return
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"reflect"
@@ -172,7 +173,9 @@ func v10MessageFrames() []*frame {
 
 func sampleFrames() []*frame {
 	return []*frame{
-		{Op: opHello, Dst: 1, Tag: helloMagic, Version: int64(wireVersion), Bytes: 2, Bytes2: 4},
+		// A driver's hello declares the byte order of its expose cells in
+		// Status (wire v16).
+		{Op: opHello, Status: cellsLittleEndian, Dst: 1, Tag: helloMagic, Version: int64(wireVersion), Bytes: 2, Bytes2: 4},
 		// An RPC carries its request as a tagged message (wire v9); the
 		// response answers in the same kind.
 		{Op: opCall, Kind: payloadMsg, Src: 1, Dst: 0, Name: "echo", Bytes: 64, Bytes2: 128,
@@ -356,15 +359,22 @@ func TestServingNodeRefusesNegativeMeteredSize(t *testing.T) {
 	}
 }
 
-// sampleBlockPayload is the wire form of a representative exposed block.
+// sampleBlockPayload is the wire form of a representative exposed block
+// with big-endian cells: what a sender that declared big-endian cells
+// sends, and what a node keeps whatever the sender declared.
 func sampleBlockPayload() []byte {
 	region := geometry.NewBBox(geometry.Point{0}, geometry.Point{8})
-	obj := &cods.StoredObject{Region: region, Data: fillCells(region)}
-	wire, cells, err := obj.AppendBlockHeader(nil)
-	if err != nil {
-		panic(err)
+	return blockWire(region, fillCells(region), binary.BigEndian)
+}
+
+// blockWire is the body of an expose of a block of cells over region, its
+// cells in the given byte order.
+func blockWire(region geometry.BBox, cells []float64, order binary.AppendByteOrder) []byte {
+	wire := geometry.AppendBox(nil, region)
+	for _, v := range cells {
+		wire = order.AppendUint64(wire, math.Float64bits(v))
 	}
-	return obj.AppendBlockCells(wire, 0, cells)
+	return wire
 }
 
 // sampleSpecPayload is the encoded spec list of a representative
@@ -444,10 +454,12 @@ func TestWireStrictDecode(t *testing.T) {
 
 // TestServerReadsExposeStrictly holds a serving node's read of an expose
 // frame — strings through the read buffer, the payload into a body from
-// the free list — to the strict decoder: a valid frame reads as
-// decodeFrame decodes it, into a recycled body when the list holds one of
-// its size; a stream cut anywhere fails; and a frame whose payload length
-// disagrees with its body length is a short frame or trailing data.
+// the free list, its cells a piece at a time — to the strict decoder: a
+// valid frame reads as decodeFrame decodes it, into a recycled body when
+// the list holds one of its size; the same block with little-endian cells,
+// read for a sender that declared them, reads the same; a stream cut
+// anywhere fails; and a frame whose payload length disagrees with its body
+// length is a short frame or trailing data.
 func TestServerReadsExposeStrictly(t *testing.T) {
 	fr := &frame{Op: opExpose, Kind: payloadBlock, Dst: 1, Name: "u|[0,8)", Version: 3, Phase: "put", Payload: sampleBlockPayload()}
 	buf, err := marshalFrame(fr)
@@ -461,16 +473,28 @@ func TestServerReadsExposeStrictly(t *testing.T) {
 	pool := newBodies()
 	recycled := make([]byte, len(fr.Payload))
 	pool.give(recycled)
-	got, err := readFrameInto(bytes.NewReader(buf), pool)
+	got, err := readFrameInto(bytes.NewReader(buf), pool, false)
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("read %+v, %v; want %+v", got, err, want)
 	}
 	if &got.Payload[0] != &recycled[0] {
 		t.Fatal("the payload was not read into the recycled body of its size")
 	}
+	region := geometry.NewBBox(geometry.Point{0}, geometry.Point{8})
+	little := *fr
+	little.Payload = blockWire(region, fillCells(region), binary.LittleEndian)
+	lbuf, err := marshalFrame(&little)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := readFrameInto(bytes.NewReader(lbuf), newBodies(), true); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("read little-endian cells as %+v, %v; want %+v", got, err, want)
+	}
 	for n := 0; n < len(buf); n++ {
-		if _, err := readFrameInto(bytes.NewReader(buf[:n]), newBodies()); err == nil {
-			t.Fatalf("read accepted a %d-byte prefix of a %d-byte frame", n, len(buf))
+		for _, swap := range []bool{false, true} {
+			if _, err := readFrameInto(bytes.NewReader(buf[:n]), newBodies(), swap); err == nil {
+				t.Fatalf("read accepted a %d-byte prefix of a %d-byte frame", n, len(buf))
+			}
 		}
 	}
 	// The payload length field is the last 4 bytes before the payload.
@@ -478,9 +502,72 @@ func TestServerReadsExposeStrictly(t *testing.T) {
 	for delta, wantErr := range map[int]error{+1: errShortFrame, -1: errTrailingData} {
 		bad := append([]byte(nil), buf...)
 		binary.BigEndian.PutUint32(bad[at:], uint32(len(fr.Payload)+delta))
-		if _, err := readFrameInto(bytes.NewReader(bad), newBodies()); !errors.Is(err, wantErr) {
+		if _, err := readFrameInto(bytes.NewReader(bad), newBodies(), false); !errors.Is(err, wantErr) {
 			t.Errorf("payload length %+d: err = %v, want %v", delta, err, wantErr)
 		}
+	}
+}
+
+// TestCellOrdersServeSameSegments: a node serves a block sent by a driver
+// that declared little-endian cells and the same block sent by one that
+// declared big-endian cells — each a crafted hello and expose body, the
+// block 1.5 pieces (exposeChunk) long — as byte-identical segments, whole
+// and clipped, and those are the big-endian cells ClipRegion spells out. A
+// cell order the node does not know is refused at the handshake.
+func TestCellOrdersServeSameSegments(t *testing.T) {
+	f, _, servers := newCluster(t, 1, 1)
+	region := geometry.BoxFromSize([]int{48, 1024}) // 384 KiB of cells
+	cells := fillCells(region)
+	hello := func(order uint8) (net.Conn, *frame) {
+		c, err := net.Dial("tcp", servers[0].Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		if err := writeFrame(c, &frame{Op: opHello, Status: order, Tag: helloMagic, Version: int64(wireVersion), Bytes: 1, Bytes2: 1}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := readFrame(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, resp
+	}
+	for order, enc := range map[uint8]binary.AppendByteOrder{cellsBigEndian: binary.BigEndian, cellsLittleEndian: binary.LittleEndian} {
+		c, resp := hello(order)
+		if resp.Status != statusOK {
+			t.Fatalf("cell order %d refused: %q", order, resp.Err)
+		}
+		name := fmt.Sprint("blk", order)
+		if err := writeFrame(c, &frame{Op: opExpose, Kind: payloadBlock, Name: name, Payload: blockWire(region, cells, enc)}); err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := readFrame(c); err != nil || resp.Status != statusOK {
+			t.Fatalf("expose in cell order %d: %+v, %v", order, resp, err)
+		}
+	}
+	obj := &cods.StoredObject{Region: region, Data: cells}
+	for _, sub := range []geometry.BBox{region, geometry.NewBBox(geometry.Point{3, 5}, geometry.Point{41, 1000})} {
+		want, err := obj.ClipRegion(nil, sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var specs []transport.ReadSpec
+		for _, name := range []string{fmt.Sprint("blk", cellsBigEndian), fmt.Sprint("blk", cellsLittleEndian)} {
+			specs = append(specs, transport.ReadSpec{Key: transport.BufKey{Name: name}, Sub: sub, Bytes: int64(len(want))})
+		}
+		err = f.Endpoint(0).ReadMulti(specs, dataMeter, func(i int, _ any, seg []byte) error {
+			if !bytes.Equal(seg, want) {
+				return fmt.Errorf("%s served other bytes for %v than ClipRegion", specs[i].Key.Name, sub)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, resp := hello(cellsLittleEndian + 1); resp.Status != statusErr || !strings.Contains(resp.Err, "cell order") {
+		t.Fatalf("an unknown cell order answered status %d, err %q; want a refusal naming the cell order", resp.Status, resp.Err)
 	}
 }
 

@@ -11,15 +11,14 @@ import (
 	"github.com/insitu/cods/internal/transport"
 )
 
-// hugeBlock is a block whose header announces one cell more than a frame
-// can carry; a sender refuses it before it asks for a cell.
+// hugeBlock is a block of one cell more than a frame can carry; a sender
+// refuses it before it writes a byte. The cells are never touched, so
+// their pages are never faulted in.
 type hugeBlock struct{}
 
-func (hugeBlock) AppendBlockHeader(dst []byte) ([]byte, int, error) {
-	return dst, maxFrame/transport.CellBytes + 1, nil
+func (hugeBlock) AppendBlock(dst []byte) ([]byte, []byte, error) {
+	return dst, make([]byte, maxFrame+transport.CellBytes), nil
 }
-
-func (hugeBlock) AppendBlockCells(dst []byte, _, _ int) []byte { return dst }
 
 // halfAnswerNode accepts the handshake of every connection, then answers
 // its first request with half a frame header and resets the connection.

@@ -50,6 +50,7 @@ const (
 	statusClosed   // the target endpoint is closed (transport.ErrEndpointClosed)
 	statusNotFound // Exposed of an absent buffer: not an error
 	statusPatience // not exposed within the reader's patience (transport.ErrReadPatience)
+	statusExposed  // expose of a key already exposed (transport.ErrExposed)
 )
 
 // Handshake constants. helloMagic rides in the Tag field of the opHello
@@ -61,8 +62,18 @@ const (
 // cannot decode. CHANGES.md (Wire versions) lists what each version changed.
 const (
 	helloMagic  uint64 = 0x434F44534E455400 // "CODSNET\0"
-	wireVersion uint8  = 15
+	wireVersion uint8  = 16
 )
+
+// Cell orders a driver's hello declares (Status): the byte order of the
+// cells its expose bodies carry, its host's (transport.BlockPayload).
+const (
+	cellsBigEndian uint8 = iota
+	cellsLittleEndian
+)
+
+// hostCells is this host's cell order: {1, 0} is 1 little-endian, 256 (0 as a byte) big-endian.
+var hostCells = uint8(binary.NativeEndian.Uint16([]byte{cellsLittleEndian, cellsBigEndian}))
 
 // Payload kinds: what the bytes in a frame's Payload section are. The kind
 // travels in its own header field, so a handler never guesses a codec from
@@ -86,6 +97,7 @@ const maxFrame = 64 << 20
 //
 //	Kind         what Payload holds (payloadRaw, payloadGob, payloadBlock,
 //	             payloadMsg)
+//	Status       response status (opResp), the sender's cell order (hello)
 //	Src/Dst      initiating and target core (Dst also the owner for
 //	             buffer ops, the node for hello)
 //	Tag          helloMagic (hello), the reader's read patience in
@@ -181,12 +193,11 @@ func putBuf(bp *[]byte) {
 	bufPool.Put(bp)
 }
 
-// stagePool recycles the staging buffers block bytes pass through: the
-// piece of a block being exposed that is encoded and written next
-// (sender, at most exposeChunk and the frame header) and the segment a
-// reader receives before scattering it. A buffer grows to the largest body
-// it has held, so in steady state neither allocates. The frame body an
-// exposed block arrives in is not staged: the owner keeps it as the block
+// stagePool recycles the staging buffers a reader receives segments into
+// before scattering them. A buffer grows to the largest body it has held,
+// so in steady state none allocates. An exposed block is staged on neither
+// side: the sender writes its cells from the payload's memory, and the
+// owner keeps the frame body it arrives in as the block
 // (transport.DecodeBlock), serves segments as runs of it (runsPool) and
 // recycles it once withdrawn (bodies).
 var stagePool = sync.Pool{New: func() any { return new([]byte) }}
@@ -390,12 +401,13 @@ func writeFrame(w io.Writer, fr *frame) error {
 // r is a connection's read buffer (readBufSize), so a frame that fits it
 // costs one read from the socket. The body past the fixed header gets an
 // allocation of its own, which Payload may alias for as long as it likes.
-func readFrame(r io.Reader) (*frame, error) { return readFrameInto(r, nil) }
+func readFrame(r io.Reader) (*frame, error) { return readFrameInto(r, nil, false) }
 
 // readFrameInto is readFrame on a serving node: an expose's payload, the
 // block its owner will keep, is read into a body the node's free list
-// hands out (bodies.take), not into an allocation of the whole frame.
-func readFrameInto(r io.Reader, pool *bodies) (*frame, error) {
+// hands out (bodies.take), not into an allocation of the whole frame, and
+// its cells are swapped to big-endian when the sender's are not.
+func readFrameInto(r io.Reader, pool *bodies, swap bool) (*frame, error) {
 	var fixed [4 + fixedHeaderLen]byte
 	if _, err := io.ReadFull(r, fixed[:]); err != nil {
 		return nil, err
@@ -412,7 +424,7 @@ func readFrameInto(r io.Reader, pool *bodies) (*frame, error) {
 		return nil, err
 	}
 	if pool != nil && fr.Op == opExpose {
-		return fr, readExposeSections(r, fr, n-fixedHeaderLen, pool)
+		return fr, readExposeSections(r, fr, n-fixedHeaderLen, pool, swap)
 	}
 	rest := make([]byte, n-fixedHeaderLen)
 	if _, err := io.ReadFull(r, rest); err != nil {
@@ -427,8 +439,11 @@ func readFrameInto(r io.Reader, pool *bodies) (*frame, error) {
 // readExposeSections reads the rest sections of an expose frame — strings,
 // then the payload — as decodeSections decodes them, the payload into a
 // body from pool. The payload length is checked against the frame's before
-// a body is taken.
-func readExposeSections(r io.Reader, fr *frame, rest int, pool *bodies) error {
+// a body is taken. A block's header is a geometry box, its rank and 16
+// bytes a dimension, so every cell starts one byte past a multiple of
+// CellBytes; the payload is read in exposeChunk pieces that end there too,
+// and with swap set each piece's cells are swapped while it is in cache.
+func readExposeSections(r io.Reader, fr *frame, rest int, pool *bodies, swap bool) error {
 	bp := getBuf()
 	defer putBuf(bp)
 	field := func(n int) ([]byte, error) {
@@ -463,8 +478,30 @@ func readExposeSections(r io.Reader, fr *frame, rest int, pool *bodies) error {
 		return nil
 	}
 	fr.Payload = pool.take(rest)
-	_, err = io.ReadFull(r, fr.Payload)
-	return err
+	for at, end := 0, 0; at < rest; at = end {
+		end = min(rest, 1+(at/exposeChunk+1)*exposeChunk)
+		if _, err := io.ReadFull(r, fr.Payload[at:end]); err != nil {
+			return err
+		}
+		if cells := max(at, 1+16*int(fr.Payload[0])); swap && cells < end {
+			toBigEndian(fr.Payload[cells:end])
+		}
+	}
+	return nil
+}
+
+// toBigEndian converts little-endian cells to big-endian in place, four a
+// step; a torn last cell is left for the block decoder to refuse.
+func toBigEndian(b []byte) {
+	for ; len(b) >= 4*transport.CellBytes; b = b[4*transport.CellBytes:] {
+		binary.BigEndian.PutUint64(b[0:], binary.LittleEndian.Uint64(b[0:]))
+		binary.BigEndian.PutUint64(b[8:], binary.LittleEndian.Uint64(b[8:]))
+		binary.BigEndian.PutUint64(b[16:], binary.LittleEndian.Uint64(b[16:]))
+		binary.BigEndian.PutUint64(b[24:], binary.LittleEndian.Uint64(b[24:]))
+	}
+	for ; len(b) >= transport.CellBytes; b = b[transport.CellBytes:] {
+		binary.BigEndian.PutUint64(b, binary.LittleEndian.Uint64(b))
+	}
 }
 
 // Scatter-gather read codec. An opReadMulti request frame carries the

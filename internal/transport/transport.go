@@ -40,6 +40,9 @@ var ErrReadPatience = Transient(errors.New("deferred read patience exhausted"))
 // one frame. It is terminal: the same payload fails on every attempt.
 var ErrTooLarge = errors.New("payload exceeds the wire limit")
 
+// ErrExposed marks an Expose of a key its owner already exposes; terminal.
+var ErrExposed = errors.New("transport: buffer already exposed")
+
 // Transient marks err as one a retry can help with, where it is made: the
 // condition behind it can pass (a fault, a lost connection, a buffer not
 // exposed yet). internal/retry reads the mark through its Transient method
