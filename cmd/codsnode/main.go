@@ -92,7 +92,7 @@ func run(o nodeOptions) error {
 		return err
 	}
 	defer n.Close()
-	be := n.Backend()
+	server := n.Server()
 	if o.obsHTTP != "" {
 		h := obs.NewHandler(obs.Default, obs.HandlerOpts{
 			Flows: func() []cluster.Flow { return m.Metrics().Flows("") },
@@ -105,8 +105,8 @@ func run(o nodeOptions) error {
 		defer srv.Close()
 		fmt.Printf("CODSNODE OBS %s\n", srv.Addr())
 	}
-	fmt.Printf("CODSNODE LISTEN %s\n", be.Addr())
-	<-be.Done()
+	fmt.Printf("CODSNODE LISTEN %s\n", server.Addr())
+	<-server.Done()
 	return nil
 }
 

@@ -146,7 +146,7 @@ func decodeBlock(wire []byte) (any, error) {
 // and the cell section of the expose body it arrived in, in the wire's
 // cell format. Nothing writes to that body while the block is exposed, nor
 // after, until no segment served from it is still being written (the
-// serving backend recycles it only then), so the runs ClipRows serves may
+// tcpnet server recycles it only then), so the runs ClipRows serves may
 // alias it.
 type wireBlock struct {
 	Region geometry.BBox

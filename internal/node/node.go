@@ -13,11 +13,11 @@ import (
 	"github.com/insitu/cods/internal/transport/tcpnet"
 )
 
-// Node is one serving node: its own fabric and CoDS space behind a tcpnet
-// server. The fabric gets no backend — a node never dials.
+// Node is one serving node: its own fabric and CoDS space behind a
+// tcpnet.Server. The fabric gets no backend — a node never dials.
 type Node struct {
-	space *cods.Space
-	be    *tcpnet.Backend
+	space  *cods.Space
+	server *tcpnet.Server
 }
 
 // Start builds node id of machine m and serves it on addr. The space is
@@ -33,25 +33,25 @@ func Start(m *cluster.Machine, id cluster.NodeID, addr string, domain geometry.B
 	if err != nil {
 		return nil, err
 	}
-	be, err := tcpnet.Serve(f, id, addr)
+	server, err := tcpnet.Serve(f, id, addr)
 	if err != nil {
 		return nil, err
 	}
-	return &Node{space: sp, be: be}, nil
+	return &Node{space: sp, server: server}, nil
 }
 
 // Space returns the node's space: its exports and its DHT core's table.
 func (n *Node) Space() *cods.Space { return n.space }
 
-// Backend returns the node's server.
-func (n *Node) Backend() *tcpnet.Backend { return n.be }
+// Server returns the node's server.
+func (n *Node) Server() *tcpnet.Server { return n.server }
 
 // Close stops serving, then closes every endpoint of the node's fabric, as
 // the exit of its process would: a read parked on a buffer that will never
 // be exposed fails with transport.ErrEndpointClosed instead of leaking its
 // goroutine.
 func (n *Node) Close() error {
-	err := n.be.Close()
+	err := n.server.Close()
 	f := n.space.Fabric()
 	for c := 0; c < f.Machine().TotalCores(); c++ {
 		f.Endpoint(cluster.CoreID(c)).Close()
@@ -88,7 +88,7 @@ func NewCluster(f *transport.Fabric, domain geometry.BBox, cfg tcpnet.Config) (*
 			return nil, err
 		}
 		c.nodes = append(c.nodes, n)
-		peers[k] = n.be.Addr()
+		peers[k] = n.server.Addr()
 	}
 	driver, err := tcpnet.Connect(f, peers, cfg)
 	if err != nil {
@@ -129,7 +129,7 @@ func (c *Cluster) Replace(k cluster.NodeID) (*Node, error) {
 		return nil, err
 	}
 	c.nodes[k] = n
-	c.driver.UpdatePeer(k, n.be.Addr())
+	c.driver.UpdatePeer(k, n.server.Addr())
 	return n, nil
 }
 

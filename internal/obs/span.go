@@ -98,7 +98,7 @@ func (t *Tracer) Start(parent SpanID, name string) Span {
 }
 
 // StartNode begins a span like Start, labelled with the node that emits
-// it. A serving backend uses this to label each handler span with the node
+// it. A tcpnet.Server uses this to label each handler span with the node
 // that executed it.
 func (t *Tracer) StartNode(parent SpanID, name, node string) Span {
 	if t == nil {

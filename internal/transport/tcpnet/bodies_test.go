@@ -105,7 +105,7 @@ func TestStreamingNodeMemoryBounded(t *testing.T) {
 		t.Errorf("%d fresh and %d reused bodies for %d exposes", total, recycled, versions*len(blocks))
 	}
 	for k := 0; k < m.NumNodes(); k++ {
-		if n := tcpnet.FreeBodyBytes(nodes.Node(cluster.NodeID(k)).Backend()); n > tcpnet.MaxFreeBodies {
+		if n := tcpnet.FreeBodyBytes(nodes.Node(cluster.NodeID(k)).Server()); n > tcpnet.MaxFreeBodies {
 			t.Errorf("node %d's free list holds %d bytes, above its bound %d", k, n, tcpnet.MaxFreeBodies)
 		}
 	}

@@ -13,16 +13,16 @@ var FillCells = fillCells
 // bodies.
 const MaxFreeBodies = maxFreeBodies
 
-// FreeBodyBytes is the bytes b's free list of expose bodies holds.
-func FreeBodyBytes(b *Backend) int {
-	b.bodies.mu.Lock()
-	defer b.bodies.mu.Unlock()
-	return b.bodies.freeBytes
+// FreeBodyBytes is the bytes s's free list of expose bodies holds.
+func FreeBodyBytes(s *Server) int {
+	s.bodies.mu.Lock()
+	defer s.bodies.mu.Unlock()
+	return s.bodies.freeBytes
 }
 
-// withIOTimeout gives b the I/O timeout d in place of ioTimeout, so that a
-// test of a hung node or a stalled write fails in milliseconds. It must
-// run before b dials or serves.
+// withIOTimeout gives driver b the I/O timeout d in place of ioTimeout, so
+// that a test of a hung node or a stalled write fails in milliseconds. It
+// must run before b dials. A server takes its timeout from serve.
 func withIOTimeout(b *Backend, d time.Duration) *Backend {
 	b.timeout = d
 	return b

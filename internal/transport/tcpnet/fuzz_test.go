@@ -20,6 +20,20 @@ func marshalFrame(fr *frame) ([]byte, error) {
 	return append(head, tail...), err
 }
 
+// decodeFrame strictly decodes one frame body, as readFrame reads one: every declared section must
+// be fully present and no bytes may remain. The returned frame's Payload
+// aliases body.
+func decodeFrame(body []byte) (*frame, error) {
+	if len(body) < fixedHeaderLen {
+		return nil, errShortFrame
+	}
+	fr, err := decodeFixedHeader(body[:fixedHeaderLen])
+	if err != nil {
+		return nil, err
+	}
+	return fr, decodeSections(fr, body[fixedHeaderLen:])
+}
+
 // FuzzWireFrame throws arbitrary bodies at the strict frame decoder. Two
 // properties must hold: the decoder never panics, and any body it accepts
 // re-encodes to exactly the same bytes (the codec is canonical — a decoded

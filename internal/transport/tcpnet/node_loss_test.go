@@ -23,7 +23,7 @@ func TestMessagingSurvivesNodeLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	peers := make(map[cluster.NodeID]string)
-	var nodes []*Backend
+	var nodes []*Server
 	for node := cluster.NodeID(0); node < 2; node++ {
 		be, err := Serve(transport.NewFabric(m), node, "127.0.0.1:0")
 		if err != nil {
@@ -135,10 +135,7 @@ func TestAcceptLoopSurvivesTransientError(t *testing.T) {
 	}
 	flaky := &flakyListener{Listener: ln}
 	flaky.failures.Store(2)
-	b := newBackend(transport.NewFabric(m))
-	b.node, b.listener = 0, flaky
-	b.wg.Add(1)
-	go b.acceptLoop(flaky)
+	b := serve(transport.NewFabric(m), 0, flaky, ioTimeout)
 
 	driver, err := Connect(transport.NewFabric(m), map[cluster.NodeID]string{0: ln.Addr().String()}, Config{})
 	if err != nil {

@@ -47,11 +47,12 @@ const (
 
 	// One warm expose and withdrawal of a 2 MiB block, sender and owner
 	// together (BenchmarkExposeBlock): 16 when the sender encoded its cells
-	// into a pooled staging buffer (wire v15), 18 since it writes them from
+	// into a pooled staging buffer (wire v15), 18 once it wrote them from
 	// the block's memory, the first piece behind the frame head in one
-	// vectored write whose two-buffer list is allocated. The bytes are
-	// bounded, so that no buffer sized by the block is allocated.
-	exposeAllocs     = 18
+	// vectored write whose buffer list it allocated, and 16 since that list
+	// comes from runsPool. The bytes are bounded, so that no buffer sized by
+	// the block is allocated.
+	exposeAllocs     = 16
 	exposeAllocBytes = 64 << 10
 )
 
@@ -141,7 +142,7 @@ func (r *planeRig) get() error {
 func (r *planeRig) wire() tcpnet.WireStats {
 	w := r.nodes.Driver().WireStats()
 	for k := 0; k < r.f.Machine().NumNodes(); k++ {
-		n := r.nodes.Node(cluster.NodeID(k)).Backend().WireStats()
+		n := r.nodes.Node(cluster.NodeID(k)).Server().WireStats()
 		w.BytesOut += n.BytesOut
 		w.BytesIn += n.BytesIn
 		w.ReadMultiRequests += n.ReadMultiRequests

@@ -10,6 +10,7 @@ import (
 	"net"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -100,31 +101,31 @@ func init() {
 }
 
 // newCluster starts the shape codsrun -backend=tcp deploys, on loopback
-// sockets: one Serve backend per node of a nodes x cores machine, each on
-// a fabric of its own, and a Connect driver installed on another. It
-// returns the driver's fabric and backend and the serving backends in node
-// order. A buffer that cannot cross the wire is exposed on its owning
+// sockets: one Server per node of a nodes x cores machine, each on a
+// fabric of its own, and a Connect driver installed on another. It
+// returns the driver's fabric and backend and the servers in node order. A buffer that cannot cross the wire is exposed on its owning
 // node's fabric (servers[k].fabric), where that node's operations meter.
-func newCluster(t testing.TB, nodes, cores int) (*transport.Fabric, *Backend, []*Backend) {
+func newCluster(t testing.TB, nodes, cores int) (*transport.Fabric, *Backend, []*Server) {
 	t.Helper()
 	return newClusterWith(t, nodes, cores, ioTimeout)
 }
 
 // newClusterWith is newCluster with the I/O timeout of the driver and of
 // every node given.
-func newClusterWith(t testing.TB, nodes, cores int, timeout time.Duration) (*transport.Fabric, *Backend, []*Backend) {
+func newClusterWith(t testing.TB, nodes, cores int, timeout time.Duration) (*transport.Fabric, *Backend, []*Server) {
 	t.Helper()
 	m, err := cluster.NewMachine(nodes, cores)
 	if err != nil {
 		t.Fatal(err)
 	}
 	peers := make(map[cluster.NodeID]string)
-	var servers []*Backend
+	var servers []*Server
 	for node := cluster.NodeID(0); int(node) < nodes; node++ {
-		srv, err := withIOTimeout(newBackend(transport.NewFabric(m)), timeout).listen(node, "127.0.0.1:0")
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
+		srv := serve(transport.NewFabric(m), node, ln, timeout)
 		t.Cleanup(func() { srv.Close() })
 		peers[node] = srv.Addr()
 		servers = append(servers, srv)
@@ -141,7 +142,7 @@ func newClusterWith(t testing.TB, nodes, cores int, timeout time.Duration) (*tra
 
 // withSpaces builds a CoDS space over domain on every serving node's
 // fabric, registering the DHT handlers a driver-side space calls.
-func withSpaces(tb testing.TB, servers []*Backend, domain geometry.BBox) {
+func withSpaces(tb testing.TB, servers []*Server, domain geometry.BBox) {
 	tb.Helper()
 	for _, srv := range servers {
 		if _, err := cods.NewSpace(srv.fabric, domain); err != nil {
@@ -206,13 +207,16 @@ func sampleFrames() []*frame {
 	}
 }
 
-// TestEveryOpHandled walks the op table: every op code but the
-// handshake's and the response's has a row that executes it, and that op a
-// representative frame in sampleFrames() (so the round-trip test and the
-// fuzz corpus cover it) which the server dispatches to the row's handler —
-// a renumbering cannot leave a hole that only the refusal of an unhandled
-// op answers. The 1x1 machine makes every frame with a nonzero core fail
-// its range check, so no sampled op can block.
+// TestEveryOpHandled walks the op table from both sides. Every op code but
+// the handshake's and the response's has a row, every row exactly one
+// server handler, and the row's op a representative frame in
+// sampleFrames() (so the round-trip test and the fuzz corpus cover it)
+// which the server dispatches to that handler — a renumbering cannot leave
+// a hole that only the refusal of an unhandled op answers. The 1x1 machine
+// makes every frame with a nonzero core fail its range check, so no sampled
+// op can block. And every op the driver sends has a row: a stub node
+// records each request the driver's methods send, and together they send
+// the op of every row.
 func TestEveryOpHandled(t *testing.T) {
 	_, _, servers := newCluster(t, 1, 1)
 	sampled := make(map[uint8]*frame)
@@ -222,11 +226,20 @@ func TestEveryOpHandled(t *testing.T) {
 		}
 	}
 	for op, row := range ops {
-		served := row.handle != nil || row.stream != nil
-		if request := op > int(opResp); served != request {
-			t.Errorf("op %d: row executes it = %v, want %v", op, served, request)
+		request := row.name != ""
+		if want := op > int(opResp); request != want {
+			t.Errorf("op %d: has a row = %v, want %v", op, request, want)
 		}
-		if !served {
+		bound := 0
+		for _, set := range []bool{handlers[op].handle != nil, handlers[op].stream != nil} {
+			if set {
+				bound++
+			}
+		}
+		if want := map[bool]int{true: 1}[request]; bound != want {
+			t.Errorf("op %d (%q): %d server handlers, want %d", op, row.name, bound, want)
+		}
+		if !request {
 			continue
 		}
 		fr := sampled[uint8(op)]
@@ -238,16 +251,98 @@ func TestEveryOpHandled(t *testing.T) {
 			t.Errorf("op %d answered with op %d, err %q; want a handler's response", op, resp.Op, resp.Err)
 		}
 	}
+
+	var mu sync.Mutex
+	sent := make(map[uint8]bool)
+	addr := stubNode(t, func(fr *frame) *frame {
+		mu.Lock()
+		sent[fr.Op] = true
+		mu.Unlock()
+		return &frame{Op: opResp, Status: statusErr, Err: "stub"}
+	})
+	m, err := cluster.NewMachine(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Connect(transport.NewFabric(m), map[cluster.NodeID]string{0: addr}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	key := transport.BufKey{Name: "u"}
+	region := geometry.BoxFromSize([]int{1})
+	_, _ = b.Call(0, 0, "echo", echoPayload{Text: "ping"}, transport.Meter{}, 4, 4)
+	_ = b.Expose(0, key, &cods.StoredObject{Region: region, Data: []float64{1}})
+	_ = b.Unexpose(0, key)
+	_, _ = b.Exposed(0, key)
+	_ = b.ReadMulti(0, []transport.ReadSpec{{Owner: 0, Key: key, Sub: region, Bytes: 8}}, transport.Meter{},
+		func(int, any, []byte) error { return nil })
+	_ = b.MergeRemoteStats()
+	_ = b.DrainRemoteSpans(nil)
+	b.ShutdownPeers()
+	mu.Lock()
+	defer mu.Unlock()
+	for op, row := range ops {
+		if request := row.name != ""; sent[uint8(op)] != request {
+			t.Errorf("op %d (%q): the driver sends it = %v, has a row = %v", op, row.name, sent[uint8(op)], request)
+		}
+	}
 }
 
-// answer dispatches one request on b as a served connection would and
+// TestDriverRefusesAnswerOfWrongKind: an answer whose payload kind is not
+// its op row's is refused before any decoder reads it. A node that
+// completes the handshake and then answers opStats with a message payload
+// and opCall with none makes MergeRemoteStats and Call fail with a terminal
+// error naming the op and both kinds, and the driver merges nothing.
+func TestDriverRefusesAnswerOfWrongKind(t *testing.T) {
+	addr := stubNode(t, func(fr *frame) *frame {
+		switch fr.Op {
+		case opStats:
+			return &frame{Op: opResp, Kind: payloadMsg, Payload: echoPayload{Text: "not an account"}.AppendWire(nil)}
+		case opCall:
+			return &frame{Op: opResp, Payload: echoPayload{Text: "pong"}.AppendWire(nil)}
+		}
+		return &frame{Op: opResp, Status: statusErr, Err: "unexpected op"}
+	})
+	m, err := cluster.NewMachine(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := transport.NewFabric(m)
+	b, err := Connect(f, map[cluster.NodeID]string{0: addr}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	terminal := func(what string, err error, want string) {
+		t.Helper()
+		var tr interface{ Transient() bool }
+		switch {
+		case err == nil:
+			t.Fatalf("%s accepted an answer of the wrong payload kind", what)
+		case errors.As(err, &tr):
+			t.Fatalf("%s: %v is transient, want terminal", what, err)
+		case !strings.Contains(err.Error(), want):
+			t.Fatalf("%s: err = %v, want it to say %q", what, err, want)
+		}
+	}
+	err = b.MergeRemoteStats()
+	terminal("MergeRemoteStats", err, fmt.Sprintf("stats answered with payload kind %d, want %d", payloadMsg, payloadGob))
+	if accts, netOps := b.NodeAccounts(), f.MediumOps(cluster.Network); len(accts) != 0 || netOps != 0 {
+		t.Fatalf("a refused answer merged %d accounts and %d network ops", len(accts), netOps)
+	}
+	_, err = b.Call(0, 0, "echo", echoPayload{Text: "ping"}, transport.Meter{Class: cluster.Control}, 4, 4)
+	terminal("Call", err, fmt.Sprintf("call answered with payload kind %d, want %d", payloadRaw, payloadMsg))
+}
+
+// answer dispatches one request on s as a served connection would and
 // returns the frame that answers it: the whole answer of a one-frame op,
 // the header frame of a read.
-func answer(b *Backend, fr *frame) *frame {
+func answer(s *Server, fr *frame) *frame {
 	client, server := net.Pipe()
 	defer client.Close()
 	go func() {
-		b.dispatch(server, fr)
+		s.dispatch(server, fr)
 		server.Close()
 	}()
 	resp, err := readFrame(client)
@@ -258,12 +353,12 @@ func answer(b *Backend, fr *frame) *frame {
 }
 
 // TestServingNodeRefusesForeignCore pins "a codsnode serves, it never
-// dials": a Serve backend for node 0, which knows no peer address, answers
+// dials": a Server for node 0, which knows no peer address, answers
 // an opExpose, opCall or opReadMulti aimed at a core of node 1 with an error
 // naming the core — it does not forward, dial or hang — and the connection
 // stays in protocol sync for the next request.
 func TestServingNodeRefusesForeignCore(t *testing.T) {
-	_, b, ask := dialServingNode(t)
+	_, _, ask := dialServingNode(t)
 	const foreign = 3 // node 1's second core
 	specs, err := appendReadSpecs(nil, []transport.ReadSpec{{Owner: foreign, Key: transport.BufKey{Name: "u"},
 		Sub: geometry.NewBBox(geometry.Point{0}, geometry.Point{1}), Bytes: 8}})
@@ -283,16 +378,13 @@ func TestServingNodeRefusesForeignCore(t *testing.T) {
 	if resp := ask(&frame{Op: opSpans}); resp.Status != statusOK {
 		t.Fatalf("connection unusable after the refusals: status %d, err %q", resp.Status, resp.Err)
 	}
-	if ws := b.WireStats(); ws.BytesOut != 0 || ws.BytesIn != 0 {
-		t.Fatalf("the serving backend dialed: %+v", ws)
-	}
 }
 
-// dialServingNode starts a Serve backend for node 0 of a 2x2 machine —
-// the codsnode configuration — and returns its fabric, the backend and a
+// dialServingNode starts a Server for node 0 of a 2x2 machine — the
+// codsnode configuration — and returns its fabric, the server and a
 // function that sends one request frame on a connection that completed the
 // handshake and returns the response.
-func dialServingNode(t *testing.T) (*transport.Fabric, *Backend, func(*frame) *frame) {
+func dialServingNode(t *testing.T) (*transport.Fabric, *Server, func(*frame) *frame) {
 	t.Helper()
 	m, err := cluster.NewMachine(2, 2)
 	if err != nil {

@@ -77,7 +77,7 @@ func TestErrorsAreMarkedAtTheirSource(t *testing.T) {
 		return f
 	}
 	// wire is a driver and two serving nodes, echo served on core 1.
-	wire := func(t *testing.T) (*transport.Fabric, *Backend, []*Backend) {
+	wire := func(t *testing.T) (*transport.Fabric, *Backend, []*Server) {
 		f, b, servers := newCluster(t, 2, 1)
 		servers[1].fabric.Endpoint(1).RegisterHandler("echo", echo)
 		return f, b, servers

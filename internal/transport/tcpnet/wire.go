@@ -1,11 +1,11 @@
-// Package tcpnet is the real-network transport backend (DESIGN §5f): each
-// simulated node is served by its own endpoint group over TCP sockets,
-// with a length-prefixed binary wire protocol, per-peer connection caching
-// behind a versioned handshake, and one I/O timeout. It moves bytes and
-// retries nothing: a failed exchange is the caller's to retry. Operations
-// are metered by the serving side through the fabric's Local* methods, so
-// per-medium accounting reconciles with the in-process backend byte for
-// byte.
+// Package tcpnet is the real-network transport backend (DESIGN §5f), in
+// two halves that share only this file, the wire: the driver (Backend,
+// from Connect) dials every node behind a versioned handshake and sends
+// every request; a server (Server, from Serve) answers one node's. A
+// binary links the half it builds. Neither retries: a failed exchange is
+// the caller's to retry. The serving side meters each operation through
+// the fabric's Local* methods, so accounting reconciles byte for byte
+// with the in-process backend.
 package tcpnet
 
 import (
@@ -14,12 +14,13 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"sync"
+	"time"
 
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/mutate"
+	"github.com/insitu/cods/internal/obs"
 	"github.com/insitu/cods/internal/transport"
 )
 
@@ -27,8 +28,8 @@ import (
 // response answers is implied by the connection's strict request/response
 // discipline. Every request is initiated by the driver, the process that
 // runs the tasks: no op carries a peer address, so a serving process
-// answers and never dials. What each request carries and how it is
-// answered is its row of the op table (ops).
+// answers and never dials. What each request and its answer carry is its
+// row of the op table (ops).
 const (
 	opHello uint8 = iota + 1
 	opResp
@@ -43,6 +44,27 @@ const (
 	opMax       // one past the last valid op
 )
 
+// opRow is one request op on the wire: its name, the payload kinds of its
+// request and answer, and whether its Dst must be a core served there. A
+// server admits requests by it (dispatch), a driver checks answers (exchange).
+type opRow struct {
+	name      string
+	req, resp uint8
+	target    bool
+}
+
+// ops is the op table by op code; opHello and opResp have none (no name).
+var ops = [opMax]opRow{
+	opCall:      {name: "call", req: payloadMsg, resp: payloadMsg, target: true},
+	opExpose:    {name: "expose", req: payloadBlock, target: true},
+	opUnexpose:  {name: "unexpose", target: true},
+	opExposed:   {name: "exposed", target: true},
+	opStats:     {name: "stats", resp: payloadGob},
+	opSpans:     {name: "spans"},
+	opShutdown:  {name: "shutdown"},
+	opReadMulti: {name: "readmulti", target: true},
+}
+
 // Response statuses.
 const (
 	statusOK uint8 = iota
@@ -52,6 +74,10 @@ const (
 	statusPatience // not exposed within the reader's patience (transport.ErrReadPatience)
 	statusExposed  // expose of a key already exposed (transport.ErrExposed)
 )
+
+// errNotExposed is the answer to an Exposed probe of an absent buffer,
+// sent as statusNotFound without text.
+var errNotExposed = errors.New("tcpnet: buffer not exposed")
 
 // Handshake constants. helloMagic rides in the Tag field of the opHello
 // frame; bumping wireVersion invalidates cached connections from older
@@ -90,6 +116,25 @@ const (
 // maxFrame bounds a frame body and a segment body (64 MiB) so a corrupted
 // length prefix cannot make a reader allocate unboundedly.
 const maxFrame = 64 << 20
+
+// ioTimeout bounds a dial with its handshake, each frame write and each
+// response read but a ReadMulti's segment stream, which ReadPatience bounds.
+const ioTimeout = 5 * time.Second
+
+// armWrite gives the next write on c the per-frame deadline d.
+func armWrite(c net.Conn, d time.Duration) { c.SetWriteDeadline(time.Now().Add(d)) }
+
+// readBufSize is the read buffer every connection gets, on both ends: a
+// control frame, or a response frame with the small segments gathered
+// behind it, arrives in one read. A body larger than the buffer is read
+// straight into its destination (bufio.Reader bypasses its buffer then).
+const readBufSize = 4 << 10
+
+// exposeChunk is the size of the pieces an exposed block is written and
+// read in (256 KiB): the sender's kernel copies each piece while the next
+// is still to come, and the owner converts each piece it reads while the
+// piece is still in cache.
+const exposeChunk = 256 << 10
 
 // frame is the unit of the wire protocol: a 4-byte big-endian body length
 // followed by a fixed header, three length-prefixed strings and the
@@ -193,13 +238,10 @@ func putBuf(bp *[]byte) {
 	bufPool.Put(bp)
 }
 
-// stagePool recycles the staging buffers a reader receives segments into
+// stagePool recycles the staging buffers a driver receives segments into
 // before scattering them. A buffer grows to the largest body it has held,
 // so in steady state none allocates. An exposed block is staged on neither
-// side: the sender writes its cells from the payload's memory, and the
-// owner keeps the frame body it arrives in as the block
-// (transport.DecodeBlock), serves segments as runs of it (runsPool) and
-// recycles it once withdrawn (bodies).
+// side (DESIGN §5f).
 var stagePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxStagedBuf bounds the capacity of a staging buffer the pool will keep
@@ -218,13 +260,24 @@ func putStage(bp *[]byte) {
 	stagePool.Put(bp)
 }
 
-// runsPool recycles the run lists serveReadMulti writes segments from, so
-// a warm serve allocates nothing per segment. A list is cleared before it
-// goes back (its runs alias exposed blocks); one longer than maxPooledRuns
-// (1.5 MiB of slice headers) is left to the collector.
+// runsPool recycles the buffer lists vectored writes are made from — the
+// runs a server writes a segment from, the head of an expose — so a warm
+// serve allocates nothing per segment, nor an expose its list. A list is
+// cleared before it goes back (its runs alias exposed blocks); one longer
+// than maxPooledRuns (1.5 MiB of slice headers) is left to the collector.
 var runsPool = sync.Pool{New: func() any { return new(net.Buffers) }}
 
 const maxPooledRuns = 64 << 10
+
+// putRuns returns rp to runsPool with runs, the list last built on its
+// backing array. The array is kept apart from *rp because a vectored write
+// consumes *rp down to length and capacity 0.
+func putRuns(rp *net.Buffers, runs net.Buffers) {
+	if clear(runs[:cap(runs)]); cap(runs) <= maxPooledRuns {
+		*rp = runs[:0]
+		runsPool.Put(rp)
+	}
+}
 
 // marshalFrameInto encodes a full frame — length prefix plus body — onto
 // dst and returns it as head; a payload above maxInlineBody is not copied
@@ -284,20 +337,6 @@ func appendFrameHead(dst []byte, fr *frame, n int) (head []byte, send int, err e
 	}
 	binary.BigEndian.PutUint32(head[start:start+4], uint32(len(head)-start-4+send))
 	return head, send, nil
-}
-
-// decodeFrame strictly decodes one frame body: every declared section must
-// be fully present and no bytes may remain. The returned frame's Payload
-// aliases body.
-func decodeFrame(body []byte) (*frame, error) {
-	if len(body) < fixedHeaderLen {
-		return nil, errShortFrame
-	}
-	fr, err := decodeFixedHeader(body[:fixedHeaderLen])
-	if err != nil {
-		return nil, err
-	}
-	return fr, decodeSections(fr, body[fixedHeaderLen:])
 }
 
 // decodeFixedHeader decodes the fixed part of a frame body.
@@ -401,107 +440,40 @@ func writeFrame(w io.Writer, fr *frame) error {
 // r is a connection's read buffer (readBufSize), so a frame that fits it
 // costs one read from the socket. The body past the fixed header gets an
 // allocation of its own, which Payload may alias for as long as it likes.
-func readFrame(r io.Reader) (*frame, error) { return readFrameInto(r, nil, false) }
+func readFrame(r io.Reader) (*frame, error) {
+	fr, n, err := readFixedHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	return fr, readSections(r, fr, n)
+}
 
-// readFrameInto is readFrame on a serving node: an expose's payload, the
-// block its owner will keep, is read into a body the node's free list
-// hands out (bodies.take), not into an allocation of the whole frame, and
-// its cells are swapped to big-endian when the sender's are not.
-func readFrameInto(r io.Reader, pool *bodies, swap bool) (*frame, error) {
+// readFixedHeader reads a frame's length prefix and fixed header and
+// returns the frame and the length of the sections behind the header.
+func readFixedHeader(r io.Reader) (*frame, int, error) {
 	var fixed [4 + fixedHeaderLen]byte
 	if _, err := io.ReadFull(r, fixed[:]); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	n := int(binary.BigEndian.Uint32(fixed[:4]))
 	if n > maxFrame {
-		return nil, fmt.Errorf("tcpnet: frame of %d bytes exceeds limit %d", n, maxFrame)
+		return nil, 0, fmt.Errorf("tcpnet: frame of %d bytes exceeds limit %d", n, maxFrame)
 	}
 	if n < fixedHeaderLen {
-		return nil, errShortFrame
+		return nil, 0, errShortFrame
 	}
 	fr, err := decodeFixedHeader(fixed[4:])
-	if err != nil {
-		return nil, err
-	}
-	if pool != nil && fr.Op == opExpose {
-		return fr, readExposeSections(r, fr, n-fixedHeaderLen, pool, swap)
-	}
-	rest := make([]byte, n-fixedHeaderLen)
-	if _, err := io.ReadFull(r, rest); err != nil {
-		return nil, err
-	}
-	if err := decodeSections(fr, rest); err != nil {
-		return nil, err
-	}
-	return fr, nil
+	return fr, n - fixedHeaderLen, err
 }
 
-// readExposeSections reads the rest sections of an expose frame — strings,
-// then the payload — as decodeSections decodes them, the payload into a
-// body from pool. The payload length is checked against the frame's before
-// a body is taken. A block's header is a geometry box, its rank and 16
-// bytes a dimension, so every cell starts one byte past a multiple of
-// CellBytes; the payload is read in exposeChunk pieces that end there too,
-// and with swap set each piece's cells are swapped while it is in cache.
-func readExposeSections(r io.Reader, fr *frame, rest int, pool *bodies, swap bool) error {
-	bp := getBuf()
-	defer putBuf(bp)
-	field := func(n int) ([]byte, error) {
-		if rest < n {
-			return nil, errShortFrame
-		}
-		rest -= n
-		*bp = slices.Grow((*bp)[:0], n)[:n]
-		_, err := io.ReadFull(r, *bp)
-		return *bp, err
-	}
-	for _, dst := range []*string{&fr.Name, &fr.Phase, &fr.Err} {
-		b, err := field(2)
-		if err != nil {
-			return err
-		}
-		if b, err = field(int(binary.BigEndian.Uint16(b))); err != nil {
-			return err
-		}
-		*dst = string(b)
-	}
-	b, err := field(4)
-	if err != nil {
+// readSections reads the n bytes of fr's sections into an allocation of
+// their own and decodes them.
+func readSections(r io.Reader, fr *frame, n int) error {
+	rest := make([]byte, n)
+	if _, err := io.ReadFull(r, rest); err != nil {
 		return err
 	}
-	if n := int(binary.BigEndian.Uint32(b)); n > rest {
-		return errShortFrame
-	} else if n < rest {
-		return errTrailingData
-	}
-	if rest == 0 {
-		return nil
-	}
-	fr.Payload = pool.take(rest)
-	for at, end := 0, 0; at < rest; at = end {
-		end = min(rest, 1+(at/exposeChunk+1)*exposeChunk)
-		if _, err := io.ReadFull(r, fr.Payload[at:end]); err != nil {
-			return err
-		}
-		if cells := max(at, 1+16*int(fr.Payload[0])); swap && cells < end {
-			toBigEndian(fr.Payload[cells:end])
-		}
-	}
-	return nil
-}
-
-// toBigEndian converts little-endian cells to big-endian in place, four a
-// step; a torn last cell is left for the block decoder to refuse.
-func toBigEndian(b []byte) {
-	for ; len(b) >= 4*transport.CellBytes; b = b[4*transport.CellBytes:] {
-		binary.BigEndian.PutUint64(b[0:], binary.LittleEndian.Uint64(b[0:]))
-		binary.BigEndian.PutUint64(b[8:], binary.LittleEndian.Uint64(b[8:]))
-		binary.BigEndian.PutUint64(b[16:], binary.LittleEndian.Uint64(b[16:]))
-		binary.BigEndian.PutUint64(b[24:], binary.LittleEndian.Uint64(b[24:]))
-	}
-	for ; len(b) >= transport.CellBytes; b = b[transport.CellBytes:] {
-		binary.BigEndian.PutUint64(b, binary.LittleEndian.Uint64(b))
-	}
+	return decodeSections(fr, rest)
 }
 
 // Scatter-gather read codec. An opReadMulti request frame carries the
@@ -614,4 +586,44 @@ func readSegmentHeader(r io.Reader) (status uint8, index int, length int, err er
 		return 0, 0, 0, fmt.Errorf("tcpnet: segment of %d bytes exceeds limit %d", length, maxFrame)
 	}
 	return status, index, length, nil
+}
+
+// WireStats is a snapshot of wire-level counters, in two halves: a
+// driver's are the bytes of its dialed connections, handshakes included,
+// and the read request frames it issued; a server's are the segments it
+// clipped and streamed.
+type WireStats struct {
+	BytesOut, BytesIn int64
+	// ReadRequests is always 0: bench/tcp.go still reads it; a benchmark
+	// PR may drop it.
+	ReadRequests, ReadMultiRequests int64
+	SegmentsServed                  int64
+	SegmentBytesServed              int64
+}
+
+// Registry instruments mirroring the WireStats counters, each incremented
+// beside its own: process-wide, they equal the WireStats of a process's one
+// driver or server when observability is on from the start (codsrun and
+// codsnode), so a node's shipped registry reconciles against its Wire.
+var (
+	obsWireBytesOut      = obs.C("tcpnet.bytes_out")
+	obsWireBytesIn       = obs.C("tcpnet.bytes_in")
+	obsWireReadMultiReqs = obs.C("tcpnet.readmulti.requests")
+	obsWireSegments      = obs.C("tcpnet.segments.served")
+	obsWireSegmentBytes  = obs.C("tcpnet.segments.bytes_served")
+)
+
+// NodeAccount is one process's recorded transfer accounting — the fabric's
+// per-medium counters, its metrics snapshot, its obs registry and its
+// server's wire counters, all a per-node report section reconciles — which
+// a server ships in answer to opStats. The driver fills in Addr and Node,
+// the peer it asked, and keeps it until the next MergeRemoteStats fan-out.
+type NodeAccount struct {
+	Addr             string
+	Node             int
+	ShmBytes, ShmOps int64
+	NetBytes, NetOps int64
+	Metrics          cluster.MetricsSnapshot
+	Registry         obs.Snapshot
+	Wire             WireStats
 }
