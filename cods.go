@@ -397,7 +397,7 @@ func (f *Framework) SetRetryPolicy(p RetryPolicy) { f.server.Space().SetRetryPol
 func (f *Framework) FaultsInjected() int64 { return f.server.Fabric().FaultsInjected() }
 
 // TransportFabric exposes the framework's transport fabric, so a caller
-// can install an alternative data-movement backend (transport.SetBackend)
+// can install an alternative data-movement backend (Fabric.SetBackend)
 // — e.g. the TCP backend that routes operations to codsnode processes.
 func (f *Framework) TransportFabric() *transport.Fabric { return f.server.Fabric() }
 

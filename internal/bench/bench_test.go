@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/insitu/cods/internal/cluster"
+	"github.com/insitu/cods/internal/graph"
 	"github.com/insitu/cods/internal/mapping"
 	"github.com/insitu/cods/internal/runtime"
 )
@@ -203,66 +204,79 @@ func TestPaperFiguresMatchResults(t *testing.T) {
 	}
 }
 
-// The analytic harness must agree with the executed workflows: same
-// placements, same inter-application network bytes.
+// The analytic harness must agree with the executed workflows on every
+// pattern and policy: the same placements move the same inter-application
+// network bytes, to the byte.
 func TestAnalyticMatchesFunctionalConcurrent(t *testing.T) {
 	sc := SmallScale()
-	for _, policy := range []runtime.Policy{runtime.RoundRobin, runtime.DataCentric} {
-		m, err := RunConcurrentFunctional(sc, policy, 1, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		measured := m.Metrics().Bytes(cluster.InterApp, cluster.Network)
-
-		cs, err := NewConcurrent(sc, Patterns()[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		base, dc, err := cs.Placements()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl := base
-		if policy == runtime.DataCentric {
-			pl = dc
-		}
-		tr, err := mapping.CoupledTraffic(cs.Machine, pl, pl, cs.Prod, cs.Cons, ElemSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if measured != tr.Network {
-			t.Fatalf("%v: functional %d bytes != analytic %d bytes", policy, measured, tr.Network)
+	for _, pat := range Patterns() {
+		for _, policy := range []runtime.Policy{runtime.RoundRobin, runtime.DataCentric} {
+			t.Run(pat.Name+" "+policy.String(), func(t *testing.T) {
+				m, err := RunConcurrentFunctional(sc, pat, policy, 1, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cs, err := NewConcurrent(sc, pat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				base, dc, err := cs.Placements()
+				if err != nil {
+					t.Fatal(err)
+				}
+				pl := base
+				if policy == runtime.DataCentric {
+					pl = dc
+				}
+				tr, err := mapping.CoupledTraffic(cs.Machine, pl, pl, cs.Prod, cs.Cons, ElemSize)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if measured := m.Metrics().Bytes(cluster.InterApp, cluster.Network); measured != tr.Network {
+					t.Fatalf("functional %d bytes != analytic %d bytes", measured, tr.Network)
+				}
+			})
 		}
 	}
 }
 
+// The sequential rows hold the same to the byte; a data-centric row also
+// holds the runtime's lookup-based placement of the consumers to
+// mapping.ClientDataCentricAnalytic.
 func TestAnalyticMatchesFunctionalSequential(t *testing.T) {
 	sc := SmallScale()
-	m, err := RunSequentialFunctional(sc, runtime.RoundRobin, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	measured := m.Metrics().Bytes(cluster.InterApp, cluster.Network)
-
-	ss, err := NewSequential(sc, Patterns()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, _, err := ss.ConsumerPlacements()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr2, err := mapping.CoupledTraffic(ss.Machine, ss.ProdPl, base, ss.Prod, ss.Cons2, ElemSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr3, err := mapping.CoupledTraffic(ss.Machine, ss.ProdPl, base, ss.Prod, ss.Cons3, ElemSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := tr2.Network + tr3.Network
-	if measured != want {
-		t.Fatalf("functional %d bytes != analytic %d bytes", measured, want)
+	for _, pat := range Patterns() {
+		for _, policy := range []runtime.Policy{runtime.RoundRobin, runtime.DataCentric} {
+			t.Run(pat.Name+" "+policy.String(), func(t *testing.T) {
+				m, err := RunSequentialFunctional(sc, pat, policy, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ss, err := NewSequential(sc, pat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				base, dc, err := ss.ConsumerPlacements()
+				if err != nil {
+					t.Fatal(err)
+				}
+				pl := base
+				if policy == runtime.DataCentric {
+					pl = dc
+				}
+				var want int64
+				for _, cons := range []graph.App{ss.Cons2, ss.Cons3} {
+					tr, err := mapping.CoupledTraffic(ss.Machine, ss.ProdPl, pl, ss.Prod, cons, ElemSize)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want += tr.Network
+				}
+				if measured := m.Metrics().Bytes(cluster.InterApp, cluster.Network); measured != want {
+					t.Fatalf("functional %d bytes != analytic %d bytes", measured, want)
+				}
+			})
+		}
 	}
 }
 

@@ -16,30 +16,20 @@ import (
 // scale. The tests cross-validate it against the analytic path: the same
 // placements must produce the same inter-application network bytes.
 
-// RunConcurrentFunctional executes the CAP1/CAP2 workflow with blocked
-// decompositions at the given scale and policy, returning the machine
-// whose metrics carry the measured traffic.
-func RunConcurrentFunctional(sc Scale, policy runtime.Policy, iterations int, verify bool) (*cluster.Machine, error) {
-	prodDc, err := sc.newDecomp(decomp.Blocked, sc.CAP1Grid)
+// RunConcurrentFunctional executes the CAP1/CAP2 workflow with the
+// pattern's decompositions at the given scale and policy, returning the
+// machine whose metrics carry the measured traffic.
+func RunConcurrentFunctional(sc Scale, pat Pattern, policy runtime.Policy, iterations int, verify bool) (*cluster.Machine, error) {
+	cs, err := NewConcurrent(sc, pat)
 	if err != nil {
 		return nil, err
 	}
-	consDc, err := sc.newDecomp(decomp.Blocked, sc.CAP2Grid)
-	if err != nil {
-		return nil, err
-	}
-	total := prodDc.NumTasks() + consDc.NumTasks()
-	nodes := (total + sc.CoresPerNode - 1) / sc.CoresPerNode
-	m, err := cluster.NewMachine(nodes, sc.CoresPerNode)
-	if err != nil {
-		return nil, err
-	}
-	srv, err := runtime.NewServer(m, geometry.BoxFromSize(sc.Domain), sc.Seed)
+	srv, err := runtime.NewServer(cs.Machine, geometry.BoxFromSize(sc.Domain), sc.Seed)
 	if err != nil {
 		return nil, err
 	}
 	if err := srv.RegisterApp(runtime.AppSpec{
-		ID: 1, Decomp: prodDc,
+		ID: 1, Decomp: cs.Prod.Decomp,
 		Run: apps.NewProducer(apps.ProducerConfig{
 			Var: "field", Iterations: iterations, Halo: sc.Halo, Mode: apps.Concurrent,
 		}),
@@ -47,7 +37,7 @@ func RunConcurrentFunctional(sc Scale, policy runtime.Policy, iterations int, ve
 		return nil, err
 	}
 	if err := srv.RegisterApp(runtime.AppSpec{
-		ID: 2, Decomp: consDc,
+		ID: 2, Decomp: cs.Cons.Decomp,
 		Run: apps.NewConsumer(apps.ConsumerConfig{
 			Var: "field", Producer: 1, Iterations: iterations, Halo: sc.Halo,
 			Mode: apps.Concurrent, Verify: verify,
@@ -62,35 +52,22 @@ func RunConcurrentFunctional(sc Scale, policy runtime.Policy, iterations int, ve
 	if _, err := srv.Run(d, policy); err != nil {
 		return nil, err
 	}
-	return m, nil
+	return cs.Machine, nil
 }
 
 // RunSequentialFunctional executes the SAP1 -> SAP2 + SAP3 workflow with
-// blocked decompositions at the given scale and policy.
-func RunSequentialFunctional(sc Scale, policy runtime.Policy, verify bool) (*cluster.Machine, error) {
-	prodDc, err := sc.newDecomp(decomp.Blocked, sc.SAP1Grid)
+// the pattern's decompositions at the given scale and policy.
+func RunSequentialFunctional(sc Scale, pat Pattern, policy runtime.Policy, verify bool) (*cluster.Machine, error) {
+	ss, err := NewSequential(sc, pat)
 	if err != nil {
 		return nil, err
 	}
-	cons2Dc, err := sc.newDecomp(decomp.Blocked, sc.SAP2Grid)
-	if err != nil {
-		return nil, err
-	}
-	cons3Dc, err := sc.newDecomp(decomp.Blocked, sc.SAP3Grid)
-	if err != nil {
-		return nil, err
-	}
-	nodes := (prodDc.NumTasks() + sc.CoresPerNode - 1) / sc.CoresPerNode
-	m, err := cluster.NewMachine(nodes, sc.CoresPerNode)
-	if err != nil {
-		return nil, err
-	}
-	srv, err := runtime.NewServer(m, geometry.BoxFromSize(sc.Domain), sc.Seed)
+	srv, err := runtime.NewServer(ss.Machine, geometry.BoxFromSize(sc.Domain), sc.Seed)
 	if err != nil {
 		return nil, err
 	}
 	if err := srv.RegisterApp(runtime.AppSpec{
-		ID: 1, Decomp: prodDc,
+		ID: 1, Decomp: ss.Prod.Decomp,
 		Run: apps.NewProducer(apps.ProducerConfig{
 			Var: "state", Iterations: 1, Halo: sc.Halo, Mode: apps.Sequential,
 		}),
@@ -106,12 +83,12 @@ func RunSequentialFunctional(sc Scale, policy runtime.Policy, verify bool) (*clu
 			ReadsVar: "state",
 		}
 	}
-	c2 := consumer(cons2Dc)
+	c2 := consumer(ss.Cons2.Decomp)
 	c2.ID = 2
 	if err := srv.RegisterApp(c2); err != nil {
 		return nil, err
 	}
-	c3 := consumer(cons3Dc)
+	c3 := consumer(ss.Cons3.Decomp)
 	c3.ID = 3
 	if err := srv.RegisterApp(c3); err != nil {
 		return nil, err
@@ -123,7 +100,7 @@ func RunSequentialFunctional(sc Scale, policy runtime.Policy, verify bool) (*clu
 	if _, err := srv.Run(d, policy); err != nil {
 		return nil, err
 	}
-	return m, nil
+	return ss.Machine, nil
 }
 
 // FunctionalComparison runs both policies functionally at a scale and
@@ -142,9 +119,9 @@ func FunctionalComparison(sc Scale) (*Table, error) {
 	for _, scenario := range []string{"concurrent", "sequential"} {
 		run := func(policy runtime.Policy) (*cluster.Machine, error) {
 			if scenario == "concurrent" {
-				return RunConcurrentFunctional(sc, policy, 1, false)
+				return RunConcurrentFunctional(sc, Patterns()[0], policy, 1, false)
 			}
-			return RunSequentialFunctional(sc, policy, false)
+			return RunSequentialFunctional(sc, Patterns()[0], policy, false)
 		}
 		rr, err := run(runtime.RoundRobin)
 		if err != nil {

@@ -2,9 +2,12 @@ package cods
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,15 +21,14 @@ import (
 	"github.com/insitu/cods/internal/transport"
 )
 
-// fakeBackend is a transport.Backend that executes every operation on the
-// fabric's own Local* side, standing in for a wire: the first failures
-// buffer-state round trips (Exposed/Unexpose), the first exposeFailures
-// exposes and the first callFailures RPCs fail the way a dropped connection
-// would — with an error marked transient, as a wire marks it — and the
-// first lostAcks exposes that get through land and then fail, the way a
-// lost acknowledgement would.
+// fakeBackend is a transport.Backend standing in for a wire: the fabric it
+// embeds executes every operation, and the first failures withdrawals, the
+// first exposeFailures exposes and the first callFailures RPCs fail the way
+// a dropped connection would — with an error marked transient, as a wire
+// marks it — and the first lostAcks exposes that get through land and then
+// fail, the way a lost acknowledgement would.
 type fakeBackend struct {
-	f              *transport.Fabric
+	*transport.Fabric
 	failures       atomic.Int32
 	exposeFailures atomic.Int32
 	callFailures   atomic.Int32
@@ -35,31 +37,18 @@ type fakeBackend struct {
 
 var errRoundTrip = transport.Transient(errors.New("fake backend: connection reset"))
 
-func (b *fakeBackend) roundTrip() error {
-	if b.failures.Add(-1) >= 0 {
-		return errRoundTrip
-	}
-	return nil
-}
-
-func (b *fakeBackend) Close() error { return nil }
-
-func (b *fakeBackend) ReadMulti(reader cluster.CoreID, specs []transport.ReadSpec, m transport.Meter, deliver transport.SegmentFunc) error {
-	return b.f.LocalReadMulti(reader, specs, m, deliver)
-}
-
 func (b *fakeBackend) Call(src, dst cluster.CoreID, service string, request any, m transport.Meter, reqBytes, respBytes int64) (any, error) {
 	if b.callFailures.Add(-1) >= 0 {
 		return nil, errRoundTrip
 	}
-	return b.f.LocalCall(src, dst, service, request, m, reqBytes, respBytes)
+	return b.Fabric.Call(src, dst, service, request, m, reqBytes, respBytes)
 }
 
 func (b *fakeBackend) Expose(owner cluster.CoreID, key transport.BufKey, payload any) error {
 	if b.exposeFailures.Add(-1) >= 0 {
 		return errRoundTrip
 	}
-	err := b.f.LocalExpose(owner, key, payload)
+	err := b.Fabric.Expose(owner, key, payload)
 	if b.lostAcks.Add(-1) >= 0 {
 		return errRoundTrip
 	}
@@ -67,18 +56,99 @@ func (b *fakeBackend) Expose(owner cluster.CoreID, key transport.BufKey, payload
 }
 
 func (b *fakeBackend) Unexpose(owner cluster.CoreID, key transport.BufKey) error {
-	if err := b.roundTrip(); err != nil {
-		return err
+	if b.failures.Add(-1) >= 0 {
+		return errRoundTrip
 	}
-	b.f.LocalUnexpose(owner, key)
-	return nil
+	return b.Fabric.Unexpose(owner, key)
 }
 
-func (b *fakeBackend) Exposed(owner cluster.CoreID, key transport.BufKey) (bool, error) {
-	if err := b.roundTrip(); err != nil {
-		return false, err
+// recordingBackend counts the operations the endpoints hand their fabric's
+// backend and passes each to the fabric it embeds.
+type recordingBackend struct {
+	*transport.Fabric
+	mu  sync.Mutex
+	ops map[string]int
+}
+
+func (b *recordingBackend) saw(op string) {
+	b.mu.Lock()
+	b.ops[op]++
+	b.mu.Unlock()
+}
+
+func (b *recordingBackend) ReadMulti(reader cluster.CoreID, specs []transport.ReadSpec, m transport.Meter, deliver transport.SegmentFunc) error {
+	b.saw("ReadMulti")
+	return b.Fabric.ReadMulti(reader, specs, m, deliver)
+}
+
+func (b *recordingBackend) Call(src, dst cluster.CoreID, service string, request any, m transport.Meter, reqBytes, respBytes int64) (any, error) {
+	b.saw("Call")
+	return b.Fabric.Call(src, dst, service, request, m, reqBytes, respBytes)
+}
+
+func (b *recordingBackend) Expose(owner cluster.CoreID, key transport.BufKey, payload any) error {
+	b.saw("Expose")
+	return b.Fabric.Expose(owner, key, payload)
+}
+
+func (b *recordingBackend) Unexpose(owner cluster.CoreID, key transport.BufKey) error {
+	b.saw("Unexpose")
+	return b.Fabric.Unexpose(owner, key)
+}
+
+// TestFabricIsItsOwnBackend: an in-process fabric executes through the
+// same Backend interface a driver's fabric does, so a backend that embeds
+// the fabric sees every operation on node-held state — a put's Expose and
+// DHT Call, a get's ReadMulti, a discard's Unexpose — and the machine
+// meters the same bytes and flows as a run without it.
+func TestFabricIsItsOwnBackend(t *testing.T) {
+	run := func(wrap bool) (map[string]int, cluster.MetricsSnapshot) {
+		m, sp := testRig(t, 2, 2, []int{8, 8})
+		be := &recordingBackend{Fabric: sp.Fabric(), ops: map[string]int{}}
+		if wrap {
+			sp.Fabric().SetBackend(be)
+		}
+		blocks := []geometry.BBox{ // one on core 0 of node 0, one on core 2 of node 1
+			geometry.NewBBox(geometry.Point{0, 0}, geometry.Point{4, 8}),
+			geometry.NewBBox(geometry.Point{4, 0}, geometry.Point{8, 8}),
+		}
+		for i, blk := range blocks {
+			if err := sp.HandleAt(cluster.CoreID(2*i), 1, "put").PutSequential("v", 0, blk, fillRegion(blk)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		domain := geometry.BoxFromSize([]int{8, 8})
+		got, err := sp.HandleAt(1, 2, "get").GetSequential("v", 0, domain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRegion(t, domain, got)
+		for i, blk := range blocks {
+			if err := sp.HandleAt(cluster.CoreID(2*i), 1, "put").DiscardSequential("v", 0, blk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := m.Metrics().Snapshot()
+		slices.SortFunc(snap.Flows, func(a, b cluster.Flow) int {
+			return strings.Compare(fmt.Sprint(a), fmt.Sprint(b))
+		})
+		slices.SortFunc(snap.PerApp, func(a, b cluster.AppClassBytes) int {
+			return cmp.Or(cmp.Compare(a.App, b.App), cmp.Compare(a.Class, b.Class))
+		})
+		return be.ops, snap
 	}
-	return b.f.LocalExposed(owner, key)
+	ops, wrapped := run(true)
+	if len(wrapped.Flows) == 0 {
+		t.Fatal("the run metered no flow")
+	}
+	for _, op := range []string{"Expose", "Call", "ReadMulti", "Unexpose"} {
+		if ops[op] == 0 {
+			t.Errorf("the backend saw no %s (saw %v)", op, ops)
+		}
+	}
+	if _, plain := run(false); !reflect.DeepEqual(wrapped, plain) {
+		t.Fatalf("metered through the wrapper:\n%+v\nwithout it:\n%+v", wrapped, plain)
+	}
 }
 
 // TestDiscardSurvivesFailedRoundTrip: when the first buffer-state round
@@ -86,7 +156,7 @@ func (b *fakeBackend) Exposed(owner cluster.CoreID, key transport.BufKey) (bool,
 // exposed, and the retried discard must withdraw it.
 func TestDiscardSurvivesFailedRoundTrip(t *testing.T) {
 	_, sp := testRig(t, 1, 2, []int{8, 8})
-	be := &fakeBackend{f: sp.Fabric()}
+	be := &fakeBackend{Fabric: sp.Fabric()}
 	sp.Fabric().SetBackend(be)
 	blk := geometry.BoxFromSize([]int{8, 8})
 	h := sp.HandleAt(0, 1, "p")
@@ -98,13 +168,13 @@ func TestDiscardSurvivesFailedRoundTrip(t *testing.T) {
 	if err := h.DiscardSequential("v", 0, blk); !errors.Is(err, errRoundTrip) {
 		t.Fatalf("discard over a failing round trip: err = %v, want the round-trip error", err)
 	}
-	if ok, _ := sp.Fabric().LocalExposed(0, bufKey("v", blk, 0)); !ok {
+	if !sp.Fabric().Exposed(0, bufKey("v", blk, 0)) {
 		t.Fatal("the block was withdrawn by a discard that failed")
 	}
 	if err := h.DiscardSequential("v", 0, blk); err != nil {
 		t.Fatalf("retried discard: %v", err)
 	}
-	if ok, _ := sp.Fabric().LocalExposed(0, bufKey("v", blk, 0)); ok {
+	if sp.Fabric().Exposed(0, bufKey("v", blk, 0)) {
 		t.Fatal("the block is still exposed after the retried discard")
 	}
 	if err := h.PutSequential("v", 1, blk, fillRegion(blk)); err != nil {
@@ -126,7 +196,7 @@ func (l *putLog) RecordDiscard(string, int, geometry.BBox, cluster.CoreID) { l.l
 // and the retried put succeeds instead of failing with "already exposed".
 func TestPutSequentialUndoesFailedInsert(t *testing.T) {
 	_, sp := testRig(t, 1, 2, []int{8, 8})
-	be := &fakeBackend{f: sp.Fabric()}
+	be := &fakeBackend{Fabric: sp.Fabric()}
 	sp.Fabric().SetBackend(be)
 	ledger := &putLog{}
 	sp.SetPutRecorder(ledger)
@@ -137,8 +207,8 @@ func TestPutSequentialUndoesFailedInsert(t *testing.T) {
 	if err := h.PutSequential("v", 0, blk, fillRegion(blk)); !errors.Is(err, errRoundTrip) {
 		t.Fatalf("put over a failing insert: err = %v, want the round-trip error", err)
 	}
-	if ok, err := be.Exposed(0, bufKey("v", blk, 0)); err != nil || ok {
-		t.Fatalf("block still exposed after the failed put (exposed=%v, err=%v)", ok, err)
+	if be.Exposed(0, bufKey("v", blk, 0)) {
+		t.Fatal("block still exposed after the failed put")
 	}
 	if got := ledger.live.Load(); got != 0 {
 		t.Fatalf("put ledger holds %d records after the failed put, want 0", got)
@@ -163,7 +233,7 @@ func TestPutSequentialUndoesFailedInsert(t *testing.T) {
 // record, one ledger entry — instead of failing on "already exposed".
 func TestPutSequentialRestagesStrandedBlock(t *testing.T) {
 	_, sp := testRig(t, 1, 2, []int{8, 8})
-	be := &fakeBackend{f: sp.Fabric()}
+	be := &fakeBackend{Fabric: sp.Fabric()}
 	sp.Fabric().SetBackend(be)
 	sp.SetRetryPolicy(fastPolicy(2))
 	ledger := &putLog{}
@@ -176,7 +246,7 @@ func TestPutSequentialRestagesStrandedBlock(t *testing.T) {
 	if err := h.PutSequential("v", 0, blk, fillRegion(blk)); !errors.Is(err, errRoundTrip) {
 		t.Fatalf("put over a failing insert and withdrawal: err = %v, want the round-trip error", err)
 	}
-	if ok, _ := sp.Fabric().LocalExposed(0, bufKey("v", blk, 0)); !ok {
+	if !sp.Fabric().Exposed(0, bufKey("v", blk, 0)) {
 		t.Fatal("the failed put's withdrawal failed, yet the block is not exposed: the scenario did not happen")
 	}
 	if n := sp.Lookup().TableSize(0); n != 0 {
@@ -185,7 +255,7 @@ func TestPutSequentialRestagesStrandedBlock(t *testing.T) {
 	if err := h.PutSequential("v", 0, blk, fillRegion(blk)); err != nil {
 		t.Fatalf("put of the stranded block: %v", err)
 	}
-	if ok, _ := sp.Fabric().LocalExposed(0, bufKey("v", blk, 0)); !ok {
+	if !sp.Fabric().Exposed(0, bufKey("v", blk, 0)) {
 		t.Fatal("the block is not exposed after the second put")
 	}
 	if n := sp.Lookup().TableSize(0); n != 1 {
@@ -213,7 +283,7 @@ func TestPutSequentialRetriesFailedExpose(t *testing.T) {
 	const failures = 3
 	for _, pol := range []retry.Policy{{}, fastPolicy(failures + 1)} {
 		_, sp := testRig(t, 1, 2, []int{8, 8})
-		be := &fakeBackend{f: sp.Fabric()}
+		be := &fakeBackend{Fabric: sp.Fabric()}
 		sp.Fabric().SetBackend(be)
 		ledger := &putLog{}
 		sp.SetPutRecorder(ledger)
@@ -227,10 +297,7 @@ func TestPutSequentialRetriesFailedExpose(t *testing.T) {
 
 		be.exposeFailures.Store(failures)
 		err := sp.HandleAt(0, 1, "p").PutSequential("v", 0, blk, fillRegion(blk))
-		exposed, xerr := be.Exposed(0, bufKey("v", blk, 0))
-		if xerr != nil {
-			t.Fatal(xerr)
-		}
+		exposed := be.Exposed(0, bufKey("v", blk, 0))
 		if err := tr.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +346,7 @@ func TestRetriedPutReservesOnce(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, sp := testRig(t, 1, 2, []int{8, 8})
-			be := &fakeBackend{f: sp.Fabric()}
+			be := &fakeBackend{Fabric: sp.Fabric()}
 			sp.Fabric().SetBackend(be)
 			sp.SetRetryPolicy(fastPolicy(3))
 			h := sp.HandleAt(0, 1, "p")
@@ -290,7 +357,7 @@ func TestRetriedPutReservesOnce(t *testing.T) {
 			if err := h.PutSequential("v", 0, b, fillRegion(b)); err != nil {
 				t.Fatalf("re-attempted put: %v", err)
 			}
-			if ok, _ := sp.Fabric().LocalExposed(0, bufKey("v", b, 0)); !ok {
+			if !sp.Fabric().Exposed(0, bufKey("v", b, 0)) {
 				t.Fatal("B is not exposed after the re-attempted put")
 			}
 			entries, err := sp.Lookup().ClientAt(1).Query("check", 2, "v", 0, b)
@@ -319,7 +386,7 @@ func TestRetireCountsFailedDiscard(t *testing.T) {
 	obs.Enable(true)
 	t.Cleanup(func() { obs.Enable(prev) })
 	_, sp := testRig(t, 1, 2, []int{8})
-	be := &fakeBackend{f: sp.Fabric()}
+	be := &fakeBackend{Fabric: sp.Fabric()}
 	sp.Fabric().SetBackend(be)
 	var spans bytes.Buffer
 	tr := obs.NewTracer(&spans)
@@ -394,7 +461,7 @@ func TestPartitionPulls(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m, sp := testRig(t, 4, 2, []int{36})
 			be := &peerBackend{}
-			be.f = sp.Fabric()
+			be.Fabric = sp.Fabric()
 			if !tc.inproc {
 				sp.Fabric().SetBackend(be)
 			}
@@ -491,7 +558,7 @@ func (b *peerBackend) ReadMulti(reader cluster.CoreID, specs []transport.ReadSpe
 	if b.fail != nil {
 		return b.fail
 	}
-	return b.f.LocalReadMulti(reader, specs, m, deliver)
+	return b.Fabric.ReadMulti(reader, specs, m, deliver)
 }
 
 // peerRig stages a 32-cell variable as eight 4-cell blocks, block i on
@@ -501,7 +568,7 @@ func peerRig(t *testing.T) (*Space, *peerBackend, []geometry.BBox) {
 	t.Helper()
 	m, sp := testRig(t, 4, 2, []int{32})
 	be := &peerBackend{}
-	be.f = sp.Fabric()
+	be.Fabric = sp.Fabric()
 	sp.Fabric().SetBackend(be)
 	blocks := make([]geometry.BBox, m.TotalCores())
 	for i := range blocks {

@@ -463,7 +463,7 @@ func TestDiscardSequentialRemovesLocation(t *testing.T) {
 	if err := h.DiscardSequential("v", 0, blk); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := sp.Fabric().LocalExposed(0, bufKey("v", blk, 0)); ok {
+	if sp.Fabric().Exposed(0, bufKey("v", blk, 0)) {
 		t.Fatal("the block is still exposed after its discard")
 	}
 	// A fresh handle (no cached schedule) must now fail with coverage.

@@ -241,12 +241,13 @@ func TestGetSequentialRidesOutNodeLoss(t *testing.T) {
 }
 
 // lossBackend carries every operation over a wire that node 1's loss cuts:
-// the first expose after crashOnExpose is set lands and then loses its
-// acknowledgement as the node goes down, and every operation on node 1
-// fails from then on, with an error marked transient as a wire marks a
-// reset, until the test brings the replacement up.
+// the fabric it embeds executes what gets through, the first expose after
+// crashOnExpose is set lands and then loses its acknowledgement as the node
+// goes down, and every operation on node 1 fails from then on, with an
+// error marked transient as a wire marks a reset, until the test brings the
+// replacement up.
 type lossBackend struct {
-	f             *transport.Fabric
+	*transport.Fabric
 	crashOnExpose atomic.Bool
 	down          atomic.Bool
 	failed        atomic.Int32
@@ -256,34 +257,32 @@ var errCut = transport.Transient(errors.New("lossBackend: connection reset"))
 
 // cut fails an operation on target's state while node 1 is down.
 func (b *lossBackend) cut(target cluster.CoreID) error {
-	if b.f.Machine().NodeOf(target) == 1 && b.down.Load() {
+	if b.Machine().NodeOf(target) == 1 && b.down.Load() {
 		b.failed.Add(1)
 		return errCut
 	}
 	return nil
 }
 
-func (b *lossBackend) Close() error { return nil }
-
 func (b *lossBackend) ReadMulti(reader cluster.CoreID, specs []transport.ReadSpec, m transport.Meter, deliver transport.SegmentFunc) error {
 	if err := b.cut(specs[0].Owner); err != nil {
 		return err
 	}
-	return b.f.LocalReadMulti(reader, specs, m, deliver)
+	return b.Fabric.ReadMulti(reader, specs, m, deliver)
 }
 
 func (b *lossBackend) Call(src, dst cluster.CoreID, service string, request any, m transport.Meter, reqBytes, respBytes int64) (any, error) {
 	if err := b.cut(dst); err != nil {
 		return nil, err
 	}
-	return b.f.LocalCall(src, dst, service, request, m, reqBytes, respBytes)
+	return b.Fabric.Call(src, dst, service, request, m, reqBytes, respBytes)
 }
 
 func (b *lossBackend) Expose(owner cluster.CoreID, key transport.BufKey, payload any) error {
 	if err := b.cut(owner); err != nil {
 		return err
 	}
-	err := b.f.LocalExpose(owner, key, payload)
+	err := b.Fabric.Expose(owner, key, payload)
 	if b.crashOnExpose.CompareAndSwap(true, false) {
 		b.down.Store(true)
 		b.failed.Add(1)
@@ -296,15 +295,7 @@ func (b *lossBackend) Unexpose(owner cluster.CoreID, key transport.BufKey) error
 	if err := b.cut(owner); err != nil {
 		return err
 	}
-	b.f.LocalUnexpose(owner, key)
-	return nil
-}
-
-func (b *lossBackend) Exposed(owner cluster.CoreID, key transport.BufKey) (bool, error) {
-	if err := b.cut(owner); err != nil {
-		return false, err
-	}
-	return b.f.LocalExposed(owner, key)
+	return b.Fabric.Unexpose(owner, key)
 }
 
 // TestPutSequentialRidesOutNodeLoss: the owner of a put is lost mid-put —
@@ -324,7 +315,7 @@ func TestPutSequentialRidesOutNodeLoss(t *testing.T) {
 	}
 	l := NewLedger()
 	sp.SetPutRecorder(l)
-	be := &lossBackend{f: sp.Fabric()}
+	be := &lossBackend{Fabric: sp.Fabric()}
 	sp.Fabric().SetBackend(be)
 	sp.SetRetryPolicy(retry.Policy{MaxAttempts: 50, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond})
 	region := geometry.NewBBox(geometry.Point{4, 0}, geometry.Point{8, 8})
@@ -348,7 +339,7 @@ func TestPutSequentialRidesOutNodeLoss(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	exposed, _ := sp.Fabric().LocalExposed(owner, transport.BufKey{Name: "rho|" + region.String()})
+	exposed := sp.Fabric().Exposed(owner, transport.BufKey{Name: "rho|" + region.String()})
 	if n, blocks := records(sp), l.Len(); n != 1 || blocks != 1 || !exposed {
 		t.Fatalf("%d location records, %d ledger blocks and exposed=%v after the put; want 1, 1 and true",
 			n, blocks, exposed)
@@ -419,9 +410,9 @@ func TestConcurrentCouplingFailsOnProducerLoss(t *testing.T) {
 }
 
 // parkedReads counts the goroutines of this process inside a serving
-// node's deferred read (transport.Fabric.LocalRead).
+// node's deferred read (transport.Fabric.Read).
 func parkedReads() int {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
-	return bytes.Count(buf, []byte("transport.(*Fabric).LocalRead("))
+	return bytes.Count(buf, []byte("transport.(*Fabric).Read("))
 }

@@ -83,11 +83,7 @@ func TestReplaceStartsEmpty(t *testing.T) {
 	state := func() (bool, int) {
 		t.Helper()
 		lost := nodes.Node(1).Space()
-		exposed, err := lost.Fabric().LocalExposed(owner, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return exposed, lost.Lookup().TableSize(1)
+		return lost.Fabric().Exposed(owner, key), lost.Lookup().TableSize(1)
 	}
 	if exposed, records := state(); !exposed || records != 1 {
 		t.Fatalf("before the loss node 1 holds exposed=%v and %d records, want the block and its record", exposed, records)

@@ -1,15 +1,15 @@
 package transport
 
-// The fabric's data movement is pluggable: every choke point on state a
-// node holds — the one-sided ReadMulti, the RPC Call, and the
-// buffer-exposure state ops — funnels through a Backend when the fabric
-// has one. Send/Recv messaging is not among them: mailboxes live in the
-// process that runs the tasks (Endpoint.Send). An in-process fabric has no
-// backend; the internal/transport/tcpnet package provides a real TCP
-// implementation that runs each simulated node as its own endpoint group
-// over sockets (DESIGN §5f). The Local* methods on Fabric are the
-// executing side of every routed operation: they contain the metering, so
-// an op records its bytes exactly once, in the process that actually moves
+// The fabric's data movement is pluggable: every operation on state a node
+// holds — the one-sided ReadMulti, the RPC Call, and the buffer-exposure
+// ops — is executed by the fabric's Backend. Send/Recv messaging is not
+// among them: mailboxes live in the process that runs the tasks
+// (Endpoint.Send). Each process has one executor. An in-process fabric is
+// its own backend, and a serving node's fabric executes what its server
+// hands it; the internal/transport/tcpnet package provides the driver, a
+// backend that runs each simulated node as its own endpoint group over
+// sockets (DESIGN §5f). The executing methods contain the metering, so an
+// op records its bytes exactly once, in the process that actually moves
 // the data.
 
 import (
@@ -20,12 +20,10 @@ import (
 	"github.com/insitu/cods/internal/geometry"
 )
 
-// Backend moves data between endpoints on behalf of the fabric. A fabric
-// with a backend owns no node's state — it is a driver — so its endpoints
-// hand the backend every operation on node-held state; the backend is then
-// responsible for executing the operation where the target endpoint's state
-// lives (exposed buffers, RPC handlers) and for metering it there, via the
-// Local* methods of the owning fabric.
+// Backend executes the fabric's operations on node-held state where that
+// state lives (exposed buffers, RPC handlers) and meters them there. A
+// fabric is its own backend until SetBackend installs another; a fabric
+// with a network backend owns no node's state — it is a driver.
 type Backend interface {
 	// ReadMulti pulls one or more exposed sub-regions in one operation,
 	// blocking until every buffer is published. The specs may target owners
@@ -39,15 +37,14 @@ type Backend interface {
 	ReadMulti(reader cluster.CoreID, specs []ReadSpec, m Meter, deliver SegmentFunc) error
 	// Call performs a synchronous RPC against a service on dst.
 	Call(src, dst cluster.CoreID, service string, request any, m Meter, reqBytes, respBytes int64) (any, error)
-	// Expose / Unexpose / Exposed manage owner's one-sided buffers;
-	// withdrawing an absent buffer is no error. A backend that moves the
-	// payload to another process requires it to be a BlockPayload.
+	// Expose / Unexpose manage owner's one-sided buffers; withdrawing an
+	// absent buffer is no error. A backend that moves the payload to
+	// another process requires it to be a BlockPayload.
 	Expose(owner cluster.CoreID, key BufKey, payload any) error
 	Unexpose(owner cluster.CoreID, key BufKey) error
-	Exposed(owner cluster.CoreID, key BufKey) (bool, error)
-	// Close releases the backend's resources (connections, listeners).
-	Close() error
 }
+
+var _ Backend = (*Fabric)(nil)
 
 // ReadSpec is one element of a batched ReadMulti: pull the cells of Sub
 // out of the buffer Key exposed by Owner. Bytes is the metered volume of
@@ -136,24 +133,25 @@ func DecodeBlock(wire []byte) (any, error) {
 	return blockDecoder(wire)
 }
 
-// SetBackend installs a network backend; nil restores in-process
-// execution. It must be called before any endpoint traffic starts —
-// installation is not synchronized with in-flight operations.
-func (f *Fabric) SetBackend(b Backend) { f.backend = b }
+// SetBackend installs a network backend; nil makes the fabric its own
+// backend again, executing in process. It must be called before any
+// endpoint traffic starts — installation is not synchronized with
+// in-flight operations.
+func (f *Fabric) SetBackend(b Backend) {
+	if b == nil {
+		b = f
+	}
+	f.backend = b
+}
 
-// routed reports whether operations on node-held state traverse a backend:
-// true on a driver's fabric, false on an in-process one. It is the
-// dispatch decision of every endpoint operation.
-func (f *Fabric) routed() bool { return f.backend != nil }
-
-// LocalReadMulti is the executing side of ReadMulti against owner
-// endpoints in this process: each spec, in turn, is a blocking LocalRead
-// metered at spec.Bytes, delivered as the full exposed payload for the
-// reader to clip. A failure is a *SpecError naming its spec, as a network
-// backend names the spec of the failing run.
-func (f *Fabric) LocalReadMulti(reader cluster.CoreID, specs []ReadSpec, m Meter, deliver SegmentFunc) error {
+// ReadMulti executes a batch of reads against owner endpoints in this
+// process: each spec, in turn, is a blocking Read metered at spec.Bytes,
+// delivered as the full exposed payload for the reader to clip. A failure
+// is a *SpecError naming its spec, as a network backend names the spec of
+// the failing run.
+func (f *Fabric) ReadMulti(reader cluster.CoreID, specs []ReadSpec, m Meter, deliver SegmentFunc) error {
 	for i, spec := range specs {
-		payload, err := f.LocalRead(reader, spec.Owner, spec.Key, m, spec.Bytes, 0, nil)
+		payload, err := f.Read(reader, spec.Owner, spec.Key, m, spec.Bytes, 0, nil)
 		if err == nil {
 			err = deliver(i, payload, nil)
 		}
@@ -164,20 +162,20 @@ func (f *Fabric) LocalReadMulti(reader cluster.CoreID, specs []ReadSpec, m Meter
 	return nil
 }
 
-// LocalRead is the executing side of one read spec against an owner
-// endpoint in this process: it waits for the buffer to be exposed, meters
-// the pull and returns the exposed payload for the reader to copy from.
-// patience bounds the deferred wait (0 waits forever): a buffer not
-// exposed within it fails the read with ErrReadPatience. A serving
-// process passes the patience its reader sent: a reader that may race a
-// node replacement sends a bound — a read routed to a process that will
-// never receive the buffer (staged before the replacement, re-staged
-// elsewhere) must surface a transient error rather than hold the exchange
-// open forever while the reader's retry layer sees no failure. hold, when not nil, is called with the payload
-// while it is still exposed, under the lock a withdrawal takes: a serving
-// backend that recycles the memory of withdrawn payloads pins it there, so
-// no withdrawal can come between the read and the pin.
-func (f *Fabric) LocalRead(reader, owner cluster.CoreID, key BufKey, m Meter, n int64, patience time.Duration, hold func(payload any)) (any, error) {
+// Read executes one read spec against an owner endpoint in this process:
+// it waits for the buffer to be exposed, meters the pull and returns the
+// exposed payload for the reader to copy from. patience bounds the
+// deferred wait (0 waits forever): a buffer not exposed within it fails
+// the read with ErrReadPatience. A serving process passes the patience its
+// reader sent: a reader that may race a node replacement sends a bound — a
+// read routed to a process that will never receive the buffer (staged
+// before the replacement, re-staged elsewhere) must surface a transient
+// error rather than hold the exchange open forever while the reader's
+// retry layer sees no failure. hold, when not nil, is called with the
+// payload while it is still exposed, under the lock a withdrawal takes: a
+// serving node that recycles the memory of withdrawn payloads pins it
+// there, so no withdrawal can come between the read and the pin.
+func (f *Fabric) Read(reader, owner cluster.CoreID, key BufKey, m Meter, n int64, patience time.Duration, hold func(payload any)) (any, error) {
 	oe := f.endpoints[int(owner)]
 	expired := false
 	if patience > 0 {
@@ -211,11 +209,11 @@ func (f *Fabric) LocalRead(reader, owner cluster.CoreID, key BufKey, m Meter, n 
 	}
 }
 
-// LocalCall is the executing side of Call against a dst endpoint in this
-// process. The handler runs inline, on the calling goroutine — the serving
-// connection's goroutine on a network backend — so a handler must not wait
-// on another task (RegisterHandler). A handler panic comes back as an error.
-func (f *Fabric) LocalCall(src, dst cluster.CoreID, service string, request any, m Meter, reqBytes, respBytes int64) (resp any, err error) {
+// Call executes an RPC against a dst endpoint in this process. The handler
+// runs inline, on the calling goroutine — the serving connection's
+// goroutine on a serving node — so a handler must not wait on another task
+// (RegisterHandler). A handler panic comes back as an error.
+func (f *Fabric) Call(src, dst cluster.CoreID, service string, request any, m Meter, reqBytes, respBytes int64) (resp any, err error) {
 	de := f.endpoints[int(dst)]
 	de.mu.Lock()
 	closed := de.closed
@@ -243,8 +241,8 @@ func (f *Fabric) LocalCall(src, dst cluster.CoreID, service string, request any,
 	return resp, nil
 }
 
-// LocalExpose publishes a buffer on an owner endpoint in this process.
-func (f *Fabric) LocalExpose(owner cluster.CoreID, key BufKey, payload any) error {
+// Expose publishes a buffer on an owner endpoint in this process.
+func (f *Fabric) Expose(owner cluster.CoreID, key BufKey, payload any) error {
 	oe := f.endpoints[int(owner)]
 	oe.exportMu.Lock()
 	defer oe.exportMu.Unlock()
@@ -256,10 +254,16 @@ func (f *Fabric) LocalExpose(owner cluster.CoreID, key BufKey, payload any) erro
 	return nil
 }
 
-// LocalUnexpose withdraws a buffer published on an owner endpoint in this
-// process and returns the payload it withdrew; an absent buffer is no
-// error, and returns nil.
-func (f *Fabric) LocalUnexpose(owner cluster.CoreID, key BufKey) any {
+// Unexpose withdraws a buffer published on an owner endpoint in this
+// process; an absent buffer is no error.
+func (f *Fabric) Unexpose(owner cluster.CoreID, key BufKey) error {
+	f.Withdraw(owner, key)
+	return nil
+}
+
+// Withdraw is Unexpose for a serving node that recycles withdrawn memory:
+// it returns the payload it withdrew, or nil for an absent buffer.
+func (f *Fabric) Withdraw(owner cluster.CoreID, key BufKey) any {
 	oe := f.endpoints[int(owner)]
 	oe.exportMu.Lock()
 	payload := oe.exports[key]
@@ -268,14 +272,14 @@ func (f *Fabric) LocalUnexpose(owner cluster.CoreID, key BufKey) any {
 	return payload
 }
 
-// LocalExposed reports whether key is published on an owner endpoint in
-// this process.
-func (f *Fabric) LocalExposed(owner cluster.CoreID, key BufKey) (bool, error) {
+// Exposed reports whether key is published on an owner endpoint in this
+// process.
+func (f *Fabric) Exposed(owner cluster.CoreID, key BufKey) bool {
 	oe := f.endpoints[int(owner)]
 	oe.exportMu.Lock()
 	defer oe.exportMu.Unlock()
 	_, ok := oe.exports[key]
-	return ok, nil
+	return ok
 }
 
 // MergeMediumStats folds the per-medium transfer totals recorded by

@@ -229,7 +229,7 @@ func TestSmallSegmentsShareOneWrite(t *testing.T) {
 		region := geometry.NewBBox(geometry.Point{i, 0}, geometry.Point{i + 1, cells})
 		obj := &cods.StoredObject{Region: region, Data: fillCells(region)}
 		key := transport.BufKey{Name: fmt.Sprintf("row%d", i), Version: cells}
-		if ok, _ := f.LocalExposed(0, key); !ok {
+		if !f.Exposed(0, key) {
 			if err := be.Expose(0, key, obj); err != nil {
 				t.Fatal(err)
 			}

@@ -23,8 +23,8 @@ import (
 
 // Server is the serving half, the HybridDART node that holds exposed
 // blocks: it answers the driver's requests on one node's endpoints, one
-// goroutine per connection, through the fabric's Local* methods — so the
-// process that moves the bytes meters them. A server dials nobody.
+// goroutine per connection, through its own fabric's executing methods — so
+// the process that moves the bytes meters them. A server dials nobody.
 type Server struct {
 	fabric   *transport.Fabric
 	machine  *cluster.Machine
@@ -167,7 +167,7 @@ func (s *Server) acceptLoop() {
 // writing to it directly, each request answered through its row of the op
 // table (dispatch). A deferred read blocks this goroutine only — the
 // client holds the connection out of its pool for the duration — and so
-// does an RPC, whose handler runs inline here (transport.Fabric.LocalCall).
+// does an RPC, whose handler runs inline here (transport.Fabric.Call).
 func (s *Server) serveConn(c net.Conn) {
 	defer func() {
 		s.mu.Lock()
@@ -302,9 +302,9 @@ func (s *Server) reply(c net.Conn, resp *frame) bool {
 // announce the segment count in an ordinary response frame, then clip
 // each requested sub-box out of its exposed buffer — the runs of its bytes
 // (transport.RegionClipper), no cell copied — and stream the segments,
-// each metered through LocalRead on this side, the side moving the bytes.
-// A segment pins the body of the block it is clipped from (bodies) from
-// its LocalRead until its bytes are copied or written. The response frame
+// each metered through the fabric's Read on this side, the side moving the
+// bytes. A segment pins the body of the block it is clipped from (bodies)
+// from its Read until its bytes are copied or written. The response frame
 // and every segment whose body fits maxInlineBody gather in one pooled
 // buffer that leaves in one write — at the end, behind an error segment,
 // or when the next segment would take it past maxPooledBuf; a larger
@@ -377,7 +377,7 @@ func (s *Server) serveReadMulti(c net.Conn, fr *frame) bool {
 			spec = specs[1-i]
 		}
 		var pinned *heldBody
-		payload, err := s.fabric.LocalRead(reader, spec.Owner, spec.Key, m, spec.Bytes, patience,
+		payload, err := s.fabric.Read(reader, spec.Owner, spec.Key, m, spec.Bytes, patience,
 			func(block any) { pinned = s.bodies.pin(block) })
 		if clipper, ok := payload.(transport.RegionClipper); ok && err == nil {
 			runs, err = clipper.ClipRows(append(runs[:0], nil), spec.Sub)
@@ -440,7 +440,7 @@ func (s *Server) serveCall(fr *frame) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := s.fabric.LocalCall(cluster.CoreID(fr.Src), cluster.CoreID(fr.Dst), fr.Name, req, frameMeter(fr), fr.Bytes, fr.Bytes2)
+	out, err := s.fabric.Call(cluster.CoreID(fr.Src), cluster.CoreID(fr.Dst), fr.Name, req, frameMeter(fr), fr.Bytes, fr.Bytes2)
 	if err != nil {
 		return nil, err
 	}
@@ -458,7 +458,7 @@ func (s *Server) serveExpose(fr *frame) ([]byte, error) {
 		return nil, err
 	}
 	s.bodies.hold(block, fr.Payload)
-	if err := s.fabric.LocalExpose(cluster.CoreID(fr.Dst), transport.BufKey{Name: fr.Name, Version: int(fr.Version)}, block); err != nil {
+	if err := s.fabric.Expose(cluster.CoreID(fr.Dst), transport.BufKey{Name: fr.Name, Version: int(fr.Version)}, block); err != nil {
 		s.bodies.release(block)
 		return nil, err
 	}
@@ -466,16 +466,15 @@ func (s *Server) serveExpose(fr *frame) ([]byte, error) {
 }
 
 func (s *Server) serveUnexpose(fr *frame) ([]byte, error) {
-	s.bodies.release(s.fabric.LocalUnexpose(cluster.CoreID(fr.Dst), transport.BufKey{Name: fr.Name, Version: int(fr.Version)}))
+	s.bodies.release(s.fabric.Withdraw(cluster.CoreID(fr.Dst), transport.BufKey{Name: fr.Name, Version: int(fr.Version)}))
 	return nil, nil
 }
 
 func (s *Server) serveExposed(fr *frame) ([]byte, error) {
-	ok, err := s.fabric.LocalExposed(cluster.CoreID(fr.Dst), transport.BufKey{Name: fr.Name, Version: int(fr.Version)})
-	if err == nil && !ok {
-		err = errNotExposed
+	if !s.fabric.Exposed(cluster.CoreID(fr.Dst), transport.BufKey{Name: fr.Name, Version: int(fr.Version)}) {
+		return nil, errNotExposed
 	}
-	return nil, err
+	return nil, nil
 }
 
 // serveStats answers with this process's NodeAccount, in gob.
@@ -541,7 +540,7 @@ const maxFreeBodies = 64 << 20
 // and leave each withdrawn one to the collector. Instead a withdrawn body
 // goes on a free list, and the next expose of a block of the same wire size
 // is read into it. A body is reused only once nothing can read it: a served
-// segment pins the block it is clipped from from its LocalRead until its
+// segment pins the block it is clipped from from its Read until its
 // bytes are written (serveReadMulti), and a block withdrawn while pinned is
 // recycled by its last unpin.
 type bodies struct {
@@ -628,7 +627,7 @@ func (p *bodies) release(block any) {
 
 // pin marks block's body as read from until unpin. It runs under the
 // fabric's export lock, while block is still exposed (transport.Fabric.
-// LocalRead), so a withdrawal cannot slip between the read and the pin.
+// Read), so a withdrawal cannot slip between the read and the pin.
 // It returns nil for a block whose body this node does not hold.
 func (p *bodies) pin(block any) *heldBody {
 	p.mu.Lock()

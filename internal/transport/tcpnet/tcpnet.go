@@ -589,8 +589,8 @@ func (b *Backend) Unexpose(owner cluster.CoreID, key transport.BufKey) error {
 	return err
 }
 
-// Exposed implements transport.Backend: true only when the owner answered
-// that the buffer is exposed, false beside any error.
+// Exposed asks owner's node whether key is exposed: true only when the
+// owner answered that it is, false beside any error.
 func (b *Backend) Exposed(owner cluster.CoreID, key transport.BufKey) (bool, error) {
 	fr := &frame{Op: opExposed, Dst: int32(owner), Name: key.Name, Version: int64(key.Version)}
 	_, err := b.exchange(b.machine.NodeOf(owner), fr, nil)
@@ -684,8 +684,8 @@ func (b *Backend) ShutdownPeers() {
 	})
 }
 
-// Close implements transport.Backend: it closes every pooled connection;
-// one out of its pool is closed when its exchange ends.
+// Close closes every pooled connection; one out of its pool is closed
+// when its exchange ends.
 func (b *Backend) Close() error {
 	b.closed.Store(true)
 	b.mu.Lock()

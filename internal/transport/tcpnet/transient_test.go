@@ -101,7 +101,7 @@ func TestErrorsAreMarkedAtTheirSource(t *testing.T) {
 		{"patience, local", true, func(t *testing.T) func() error {
 			f := local(t)
 			return func() error {
-				_, err := f.LocalRead(0, 1, never, meter, 8, time.Millisecond, nil)
+				_, err := f.Read(0, 1, never, meter, 8, time.Millisecond, nil)
 				return err
 			}
 		}},

@@ -4,8 +4,8 @@
 // every request; a server (Server, from Serve) answers one node's. A
 // binary links the half it builds. Neither retries: a failed exchange is
 // the caller's to retry. The serving side meters each operation through
-// the fabric's Local* methods, so accounting reconciles byte for byte
-// with the in-process backend.
+// its fabric's executing methods, so accounting reconciles byte for byte
+// with the in-process fabric.
 package tcpnet
 
 import (

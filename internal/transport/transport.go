@@ -128,9 +128,8 @@ type Fabric struct {
 	fault          atomic.Pointer[FaultPlan]
 	faultsInjected atomic.Int64
 
-	// backend executes operations whose target state lives outside this
-	// process; nil on an in-process fabric, where every op executes
-	// directly. See backend.go.
+	// backend executes every operation on node-held state: the fabric
+	// itself in process, a network backend on a driver. See backend.go.
 	backend Backend
 }
 
@@ -147,6 +146,7 @@ func NewFabric(m *cluster.Machine) *Fabric {
 		ep.exportCond = sync.NewCond(&ep.exportMu)
 		f.endpoints[c] = ep
 	}
+	f.backend = f
 	return f
 }
 
@@ -284,20 +284,13 @@ func (ep *Endpoint) Close() {
 // pull from it with ReadMulti. Re-exposing an existing key is an error
 // (versions distinguish iterations).
 func (ep *Endpoint) Expose(key BufKey, payload any) error {
-	if ep.fabric.routed() {
-		return ep.fabric.backend.Expose(ep.core, key, payload)
-	}
-	return ep.fabric.LocalExpose(ep.core, key, payload)
+	return ep.fabric.backend.Expose(ep.core, key, payload)
 }
 
 // Unexpose withdraws a published buffer, freeing its slot; withdrawing a
 // key that is not published is no error.
 func (ep *Endpoint) Unexpose(key BufKey) error {
-	if ep.fabric.routed() {
-		return ep.fabric.backend.Unexpose(ep.core, key)
-	}
-	ep.fabric.LocalUnexpose(ep.core, key)
-	return nil
+	return ep.fabric.backend.Unexpose(ep.core, key)
 }
 
 // ReadMulti is the one-sided read: a receiver-driven pull of one or more
@@ -324,10 +317,7 @@ func (ep *Endpoint) ReadMulti(specs []ReadSpec, m Meter, deliver SegmentFunc) er
 			return &SpecError{Index: i, Err: err}
 		}
 	}
-	if ep.fabric.routed() {
-		return ep.fabric.backend.ReadMulti(ep.core, specs, m, deliver)
-	}
-	return ep.fabric.LocalReadMulti(ep.core, specs, m, deliver)
+	return ep.fabric.backend.ReadMulti(ep.core, specs, m, deliver)
 }
 
 // Handler processes an RPC request on the serving core and returns a
@@ -363,8 +353,5 @@ func (ep *Endpoint) Call(dst cluster.CoreID, service string, request any, m Mete
 	if err := ep.fabric.inject(FaultCall, int(ep.fabric.medium(ep.core, dst)), ep.core, dst); err != nil {
 		return nil, err
 	}
-	if ep.fabric.routed() {
-		return ep.fabric.backend.Call(ep.core, dst, service, request, m, reqBytes, respBytes)
-	}
-	return ep.fabric.LocalCall(ep.core, dst, service, request, m, reqBytes, respBytes)
+	return ep.fabric.backend.Call(ep.core, dst, service, request, m, reqBytes, respBytes)
 }

@@ -145,7 +145,7 @@ func TestExposeReadRoundTrip(t *testing.T) {
 	if err := owner.Unexpose(key); err != nil {
 		t.Fatalf("Unexpose of an exposed buffer: %v", err)
 	}
-	if ok, _ := f.LocalExposed(0, key); ok {
+	if f.Exposed(0, key) {
 		t.Fatal("Unexpose did not remove buffer")
 	}
 	if err := owner.Unexpose(key); err != nil {
@@ -205,13 +205,13 @@ func TestLocalReadWaits(t *testing.T) {
 			}
 			done := make(chan result, 1)
 			go func() {
-				p, err := f.LocalRead(1, 0, key, testMeter, 8, tc.patience, nil)
+				p, err := f.Read(1, 0, key, testMeter, 8, tc.patience, nil)
 				done <- result{p, err}
 			}()
 			if tc.unblock != nil {
 				select {
 				case r := <-done:
-					t.Fatalf("LocalRead returned (%v, %v) before the buffer was exposed", r.payload, r.err)
+					t.Fatalf("Read returned (%v, %v) before the buffer was exposed", r.payload, r.err)
 				case <-time.After(20 * time.Millisecond):
 				}
 				tc.unblock(f.Endpoint(0))
@@ -228,7 +228,7 @@ func TestLocalReadWaits(t *testing.T) {
 					t.Fatalf("metered %d ops for err %v", ops, r.err)
 				}
 			case <-time.After(5 * time.Second):
-				t.Fatal("LocalRead never returned")
+				t.Fatal("Read never returned")
 			}
 		})
 	}
