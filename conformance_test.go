@@ -1,8 +1,8 @@
 package cods_test
 
 // Model-based conformance tests (DESIGN §5e): randomized scenarios from
-// internal/genwf run through the real pipeline and the reference model in
-// internal/conformance, with deterministic shrinking on failure.
+// internal/conformance run through the real pipeline and its reference
+// model, with deterministic shrinking on failure.
 
 import (
 	"strings"
@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/insitu/cods/internal/conformance"
-	"github.com/insitu/cods/internal/genwf"
 )
 
 // conformanceSeeds returns how many generated scenarios a sweep runs.
@@ -33,7 +32,7 @@ func conformanceSeeds(t *testing.T, full int) uint64 {
 func TestConformanceSweep(t *testing.T) {
 	n := conformanceSeeds(t, 24)
 	for seed := uint64(1); seed <= n; seed++ {
-		sc := genwf.Generate(seed)
+		sc := conformance.Generate(seed)
 		if err := conformance.RunCross(sc); err != nil {
 			reportShrunkCross(t, sc, err)
 		}
@@ -49,7 +48,7 @@ func TestConformanceSweep(t *testing.T) {
 func TestConformanceFaultsConcurrentPulls(t *testing.T) {
 	n := conformanceSeeds(t, 12)
 	for seed := uint64(1); seed <= n; seed++ {
-		sc := genwf.GenerateFaulty(seed)
+		sc := conformance.GenerateFaulty(seed)
 		if err := sc.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -72,7 +71,7 @@ func TestConformanceFaultsConcurrentPulls(t *testing.T) {
 func TestConformanceElastic(t *testing.T) {
 	n := conformanceSeeds(t, 12)
 	for seed := uint64(1); seed <= n; seed++ {
-		sc := genwf.GenerateElastic(seed)
+		sc := conformance.GenerateElastic(seed)
 		if err := sc.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -93,14 +92,14 @@ func TestConformanceElastic(t *testing.T) {
 // verifiably gone from the DHT and all accounting invariants intact. The
 // generator draws a mid-stream kill rarely (for none of these seeds), so
 // the lock-step scenarios of even seeds that have a second node get one
-// pinned (genwf.GenerateStreamingKills): the node is lost at the half-way
+// pinned (conformance.GenerateStreamingKills): the node is lost at the half-way
 // round and recovered by membership.Reconcile, as in
 // TestConformanceElastic.
 func TestConformanceStreaming(t *testing.T) {
 	n := conformanceSeeds(t, 16)
 	kills := 0
 	for seed := uint64(1); seed <= n; seed++ {
-		sc := genwf.GenerateStreamingKills(seed)
+		sc := conformance.GenerateStreamingKills(seed)
 		if err := sc.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -121,12 +120,12 @@ func TestConformanceStreaming(t *testing.T) {
 // and the .dag-style repro. The cross-backend runner is the shrinking
 // predicate, so failures only one backend exhibits keep reproducing while
 // the scenario is minimized.
-func reportShrunkCross(t *testing.T, sc genwf.Scenario, err error) {
+func reportShrunkCross(t *testing.T, sc conformance.Scenario, err error) {
 	t.Helper()
-	fails := func(c genwf.Scenario) bool {
+	fails := func(c conformance.Scenario) bool {
 		return conformance.RunCrossOpts(c, conformance.Options{Timeout: 20 * time.Second}) != nil
 	}
-	min := genwf.Shrink(sc, fails)
+	min := conformance.Shrink(sc, fails)
 	t.Fatalf("cross-backend conformance failure: %v\n\nminimal failing scenario:\n%s\n\nrepro DAG:\n%s", err, min.GoLiteral(), min.DAG())
 }
 
@@ -138,13 +137,13 @@ func reportShrunkCross(t *testing.T, sc genwf.Scenario, err error) {
 // Go literal plus a .dag-style repro.
 func TestConformanceShrinkOnForcedFailure(t *testing.T) {
 	opts := conformance.Options{CorruptGet: true, Timeout: 20 * time.Second}
-	fails := func(c genwf.Scenario) bool { return conformance.RunOpts(c, opts) != nil }
+	fails := func(c conformance.Scenario) bool { return conformance.RunOpts(c, opts) != nil }
 
-	sc := genwf.Generate(3) // arbitrary; any scenario fails under CorruptGet
+	sc := conformance.Generate(3) // arbitrary; any scenario fails under CorruptGet
 	if !fails(sc) {
 		t.Fatal("corrupted scenario unexpectedly passed")
 	}
-	min := genwf.Shrink(sc, fails)
+	min := conformance.Shrink(sc, fails)
 	if err := min.Validate(); err != nil {
 		t.Fatalf("shrunk scenario invalid: %v", err)
 	}
@@ -169,7 +168,7 @@ func TestConformanceShrinkOnForcedFailure(t *testing.T) {
 	}
 
 	lit := min.GoLiteral()
-	if !strings.Contains(lit, "genwf.Scenario{") || !strings.Contains(lit, "Seed: 0x") {
+	if !strings.Contains(lit, "conformance.Scenario{") || !strings.Contains(lit, "Seed: 0x") {
 		t.Errorf("bad Go literal:\n%s", lit)
 	}
 	dag := min.DAG()

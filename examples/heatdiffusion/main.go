@@ -19,7 +19,6 @@ import (
 	"math"
 
 	cods "github.com/insitu/cods"
-	"github.com/insitu/cods/internal/analysis"
 	"github.com/insitu/cods/internal/apps"
 )
 
@@ -72,8 +71,8 @@ func main() {
 		Decomp: analysisDecomp,
 		Run: func(ctx *cods.AppContext) error {
 			solver := ctx.Producers[solverID]
-			moments := analysis.NewMoments()
-			hist, err := analysis.NewHistogram(0, 100, 10)
+			moments := apps.NewMoments()
+			hist, err := apps.NewHistogram(0, 100, 10)
 			if err != nil {
 				return err
 			}
@@ -85,11 +84,11 @@ func main() {
 				moments.AddAll(field)
 				hist.AddAll(field)
 			}
-			global, err := analysis.ReduceMoments(ctx.Comm, moments)
+			global, err := apps.ReduceMoments(ctx.Comm, moments)
 			if err != nil {
 				return err
 			}
-			ghist, err := analysis.ReduceHistogram(ctx.Comm, hist)
+			ghist, err := apps.ReduceHistogram(ctx.Comm, hist)
 			if err != nil {
 				return err
 			}

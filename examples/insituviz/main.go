@@ -21,7 +21,7 @@ import (
 	"math"
 
 	cods "github.com/insitu/cods"
-	"github.com/insitu/cods/internal/analysis"
+	"github.com/insitu/cods/internal/apps"
 )
 
 const (
@@ -101,7 +101,7 @@ func main() {
 		Run: func(ctx *cods.AppContext) error {
 			producer := ctx.Producers[simulationID]
 			for version := 0; version < iterations; version++ {
-				moments := analysis.NewMoments()
+				moments := apps.NewMoments()
 				var isoCells int64
 				for _, region := range ctx.Decomp.Region(ctx.Rank) {
 					field, err := ctx.Space.GetConcurrent(producer, "density", version, region)
@@ -109,7 +109,7 @@ func main() {
 						return err
 					}
 					moments.AddAll(field)
-					n, err := analysis.IsoCells(region, field, 0.5)
+					n, err := apps.IsoCells(region, field, 0.5)
 					if err != nil {
 						return err
 					}
@@ -126,11 +126,11 @@ func main() {
 						}
 					}
 				}
-				global, err := analysis.ReduceMoments(ctx.Comm, moments)
+				global, err := apps.ReduceMoments(ctx.Comm, moments)
 				if err != nil {
 					return err
 				}
-				totalIso, err := analysis.ReduceCount(ctx.Comm, isoCells)
+				totalIso, err := apps.ReduceCount(ctx.Comm, isoCells)
 				if err != nil {
 					return err
 				}

@@ -1,11 +1,12 @@
-// Package analysis provides the parallel in-situ analysis kernels the
-// end-to-end workflows run against the simulation data they pull from the
-// space: descriptive moments, extrema, histograms and isosurface cell
-// counting, each computed locally per task over its retrieved regions and
-// reduced across the analysis application's communicator. These are the
-// online data-processing operations (redistribution, reduction) the paper
-// motivates with the ADIOS I/O pipelines (Sections I and II-A).
-package analysis
+package apps
+
+// The parallel in-situ analysis kernels the end-to-end workflows run against
+// the simulation data they pull from the space: descriptive moments,
+// extrema, histograms and isosurface cell counting, each computed locally
+// per task over its retrieved regions and reduced across the analysis
+// application's communicator. These are the online data-processing
+// operations (redistribution, reduction) the paper motivates with the ADIOS
+// I/O pipelines (Sections I and II-A).
 
 import (
 	"fmt"
@@ -30,8 +31,8 @@ func NewMoments() Moments {
 	return Moments{Min: math.Inf(1), Max: math.Inf(-1)}
 }
 
-// Add folds one sample in.
-func (m *Moments) Add(v float64) {
+// add folds one sample in.
+func (m *Moments) add(v float64) {
 	m.Count++
 	m.Sum += v
 	m.SumSq += v * v
@@ -46,7 +47,7 @@ func (m *Moments) Add(v float64) {
 // AddAll folds a slice of samples in.
 func (m *Moments) AddAll(vs []float64) {
 	for _, v := range vs {
-		m.Add(v)
+		m.add(v)
 	}
 }
 
@@ -100,9 +101,10 @@ type Histogram struct {
 	Bins   []float64
 }
 
-// NewHistogram builds a histogram with the given bounds and bin count.
+// NewHistogram builds a histogram with the given bounds and bin count. The
+// width hi-lo must be finite, so that a sample's bin is too.
 func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if !(lo < hi) {
+	if !(lo < hi) || math.IsInf(hi-lo, 1) {
 		return nil, fmt.Errorf("analysis: histogram bounds [%v, %v)", lo, hi)
 	}
 	if bins < 1 {
@@ -111,14 +113,18 @@ func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
 	return &Histogram{Lo: lo, Hi: hi, Bins: make([]float64, bins)}, nil
 }
 
-// Add counts one sample.
-func (h *Histogram) Add(v float64) {
-	idx := int(float64(len(h.Bins)) * (v - h.Lo) / (h.Hi - h.Lo))
-	if idx < 0 {
+// add counts one sample. The range is checked in float64 before the bin
+// index is converted to int: an out-of-range float-to-int conversion is
+// implementation-defined (MinInt64 on amd64, which would put 1e300 and +Inf
+// in bin 0).
+func (h *Histogram) add(v float64) {
+	last := len(h.Bins) - 1
+	idx := last
+	switch {
+	case !(v >= h.Lo): // below the range, -Inf and NaN
 		idx = 0
-	}
-	if idx >= len(h.Bins) {
-		idx = len(h.Bins) - 1
+	case v < h.Hi:
+		idx = min(int(float64(len(h.Bins))*(v-h.Lo)/(h.Hi-h.Lo)), last)
 	}
 	h.Bins[idx]++
 }
@@ -126,12 +132,12 @@ func (h *Histogram) Add(v float64) {
 // AddAll counts a slice of samples.
 func (h *Histogram) AddAll(vs []float64) {
 	for _, v := range vs {
-		h.Add(v)
+		h.add(v)
 	}
 }
 
-// Total returns the number of counted samples.
-func (h *Histogram) Total() float64 {
+// total returns the number of counted samples.
+func (h *Histogram) total() float64 {
 	var t float64
 	for _, b := range h.Bins {
 		t += b

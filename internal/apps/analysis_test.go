@@ -1,4 +1,4 @@
-package analysis
+package apps
 
 import (
 	"math"
@@ -45,14 +45,40 @@ func TestHistogram(t *testing.T) {
 			t.Fatalf("Bins = %v, want %v", h.Bins, want)
 		}
 	}
-	if h.Total() != 7 {
-		t.Fatalf("Total = %v", h.Total())
+	if h.total() != 7 {
+		t.Fatalf("total = %v", h.total())
 	}
 	if _, err := NewHistogram(5, 5, 3); err == nil {
 		t.Error("empty range accepted")
 	}
+	if _, err := NewHistogram(-math.MaxFloat64, math.MaxFloat64, 3); err == nil {
+		t.Error("range of infinite width accepted")
+	}
 	if _, err := NewHistogram(0, 1, 0); err == nil {
 		t.Error("zero bins accepted")
+	}
+}
+
+// TestHistogramOutOfRange holds samples far outside the range, infinities
+// and NaN to the edge bins: the index is clamped before it is converted.
+func TestHistogramOutOfRange(t *testing.T) {
+	for _, c := range []struct {
+		v   float64
+		bin int
+	}{
+		{2, 3}, {-1, 0},
+		{1e300, 3}, {-1e300, 0},
+		{math.Inf(1), 3}, {math.Inf(-1), 0},
+		{math.NaN(), 0},
+	} {
+		h, err := NewHistogram(0, 1, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.add(c.v)
+		if h.Bins[c.bin] != 1 {
+			t.Errorf("add(%v): Bins = %v, want the sample in bin %d", c.v, h.Bins, c.bin)
+		}
 	}
 }
 
@@ -147,7 +173,7 @@ func TestReduceHistogram(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		h.Add(float64(c.Rank()) + 0.5) // each rank fills its own bin
+		h.add(float64(c.Rank()) + 0.5) // each rank fills its own bin
 		g, err := ReduceHistogram(c, h)
 		if err != nil {
 			return err

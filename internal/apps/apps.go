@@ -4,7 +4,9 @@
 // coupled producer and consumer) and SAP1/SAP2/SAP3 (a sequential
 // producer and its two consumers), each optionally performing 2-D/3-D
 // stencil-like near-neighbour exchanges to model intra-application
-// communication (paper Section V).
+// communication (paper Section V). Beside them: a data-correct ghost
+// exchange under a distributed Jacobi solver (halo.go, jacobi.go) and the
+// in-situ analysis kernels two examples run as tasks (analysis.go).
 package apps
 
 import (

@@ -1,16 +1,16 @@
-// Package halo implements data-correct ghost-cell exchange for the
-// decomposed data-parallel applications: each rank owns a block of the
-// domain plus a ghost margin, and every iteration the margins are filled
-// with the neighbours' boundary data. It is the intra-application
-// communication of the paper's evaluation (2-D/3-D stencil-like
-// near-neighbour exchange, Section V-B) carried out with real data, not
-// just metered slab sizes.
+package apps
+
+// Data-correct ghost-cell exchange for the decomposed data-parallel
+// applications: each rank owns a block of the domain plus a ghost margin,
+// and every iteration the margins are filled with the neighbours' boundary
+// data. It is the intra-application communication of the paper's evaluation
+// (2-D/3-D stencil-like near-neighbour exchange, Section V-B) carried out
+// with real data, not just metered slab sizes.
 //
 // The exchange schedule is derived purely from the decomposition: for each
 // rank, the ghost region around its owned block is intersected with the
 // other ranks' owned blocks (periodic boundaries supported by wrapping the
 // ghost pieces around the domain), producing matching send/receive lists.
-package halo
 
 import (
 	"fmt"
@@ -20,18 +20,18 @@ import (
 	"github.com/insitu/cods/internal/mpi"
 )
 
-// Exchange is one rank's halo schedule: matching sends and receives.
-type Exchange struct {
+// haloSchedule is one rank's halo schedule: matching sends and receives.
+type haloSchedule struct {
 	// Sends lists regions of this rank's OWNED data wanted by peers.
-	Sends []Piece
+	Sends []haloPiece
 	// Recvs lists regions of this rank's GHOST margin owned by peers.
 	// Region coordinates may lie outside the domain for periodic wraps;
 	// Source gives the in-domain region the data comes from.
-	Recvs []Piece
+	Recvs []haloPiece
 }
 
-// Piece is one transfer of a halo exchange.
-type Piece struct {
+// haloPiece is one transfer of a halo exchange.
+type haloPiece struct {
 	Peer int
 	// Region is the box in the local array's coordinate frame.
 	Region geometry.BBox
@@ -40,12 +40,12 @@ type Piece struct {
 	Source geometry.BBox
 }
 
-// BuildSchedule computes every rank's halo exchange for a blocked
+// buildHaloSchedule computes every rank's halo exchange for a blocked
 // decomposition with ghost width w and periodic boundaries. Only Blocked
 // distributions are supported: stencil applications decompose blocked (the
 // evaluation's applications do), and (block-)cyclic layouts have no
 // meaningful contiguous halo.
-func BuildSchedule(dc *decomp.Decomposition, w int) ([]Exchange, error) {
+func buildHaloSchedule(dc *decomp.Decomposition, w int) ([]haloSchedule, error) {
 	if dc.Kind() != decomp.Blocked {
 		return nil, fmt.Errorf("halo: only blocked decompositions have halos, got %s", dc.Kind())
 	}
@@ -55,7 +55,7 @@ func BuildSchedule(dc *decomp.Decomposition, w int) ([]Exchange, error) {
 	n := dc.NumTasks()
 	domain := dc.Domain()
 	dim := domain.Dim()
-	out := make([]Exchange, n)
+	out := make([]haloSchedule, n)
 	if w == 0 {
 		return out, nil
 	}
@@ -113,8 +113,8 @@ func BuildSchedule(dc *decomp.Decomposition, w int) ([]Exchange, error) {
 						if peer == r && src.Equal(piece) {
 							continue
 						}
-						out[r].Recvs = append(out[r].Recvs, Piece{Peer: peer, Region: piece, Source: src})
-						out[peer].Sends = append(out[peer].Sends, Piece{Peer: r, Region: src, Source: src})
+						out[r].Recvs = append(out[r].Recvs, haloPiece{Peer: peer, Region: piece, Source: src})
+						out[peer].Sends = append(out[peer].Sends, haloPiece{Peer: r, Region: src, Source: src})
 					}
 					continue
 				}
@@ -122,8 +122,8 @@ func BuildSchedule(dc *decomp.Decomposition, w int) ([]Exchange, error) {
 				if peer == r && src.Equal(inter) {
 					continue // own interior, not a wrap image
 				}
-				out[r].Recvs = append(out[r].Recvs, Piece{Peer: peer, Region: inter, Source: src})
-				out[peer].Sends = append(out[peer].Sends, Piece{Peer: r, Region: src, Source: src})
+				out[r].Recvs = append(out[r].Recvs, haloPiece{Peer: peer, Region: inter, Source: src})
+				out[peer].Sends = append(out[peer].Sends, haloPiece{Peer: r, Region: src, Source: src})
 			}
 		}
 	}
@@ -141,13 +141,13 @@ func negate(p geometry.Point) geometry.Point {
 // haloTag is the reserved tag of halo traffic.
 const haloTag = 1<<24 - 3
 
-// Run executes one rank's halo exchange over its application
+// runHalo executes one rank's halo exchange over its application
 // communicator: owned data is read through read (region in domain
 // coordinates), received ghost pieces are delivered through write (region
 // in the local ghost frame, possibly outside the domain). Pieces between a
 // pair are sent in schedule order; frames carry no headers, so both sides'
-// schedules must come from the same BuildSchedule call.
-func Run(comm *mpi.Comm, ex Exchange,
+// schedules must come from the same buildHaloSchedule call.
+func runHalo(comm *mpi.Comm, ex haloSchedule,
 	read func(geometry.BBox) ([]float64, error),
 	write func(geometry.BBox, []float64) error) error {
 	for _, p := range ex.Sends {

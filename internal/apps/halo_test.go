@@ -1,4 +1,4 @@
-package halo
+package apps
 
 import (
 	"fmt"
@@ -43,17 +43,17 @@ func TestBuildScheduleValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildSchedule(cyc, 1); err == nil {
+	if _, err := buildHaloSchedule(cyc, 1); err == nil {
 		t.Error("cyclic decomposition accepted")
 	}
 	blk := mustBlocked(t, []int{8, 8}, []int{2, 2})
-	if _, err := BuildSchedule(blk, -1); err == nil {
+	if _, err := buildHaloSchedule(blk, -1); err == nil {
 		t.Error("negative width accepted")
 	}
-	if _, err := BuildSchedule(blk, 5); err == nil {
+	if _, err := buildHaloSchedule(blk, 5); err == nil {
 		t.Error("over-wide ghost accepted")
 	}
-	sched, err := BuildSchedule(blk, 0)
+	sched, err := buildHaloSchedule(blk, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestScheduleCoversGhostExactly(t *testing.T) {
 	}
 	for ci, c := range cases {
 		dc := mustBlocked(t, c.size, c.grid)
-		sched, err := BuildSchedule(dc, c.w)
+		sched, err := buildHaloSchedule(dc, c.w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestRunExchangeCorrectness(t *testing.T) {
 	size := []int{8, 8}
 	dc := mustBlocked(t, size, []int{2, 2})
 	const w = 2
-	sched, err := BuildSchedule(dc, w)
+	sched, err := buildHaloSchedule(dc, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestRunExchangeCorrectness(t *testing.T) {
 			owned.Each(func(p geometry.Point) {
 				local[ghostBox.Offset(p)] = cellValue(p)
 			})
-			err := Run(comms[r], sched[r],
+			err := runHalo(comms[r], sched[r],
 				func(region geometry.BBox) ([]float64, error) {
 					data := make([]float64, region.Volume())
 					i := 0
@@ -229,7 +229,7 @@ func TestRunExchangeCorrectness(t *testing.T) {
 
 func TestRunReadSizeMismatch(t *testing.T) {
 	dc := mustBlocked(t, []int{8}, []int{2})
-	sched, err := BuildSchedule(dc, 1)
+	sched, err := buildHaloSchedule(dc, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestRunReadSizeMismatch(t *testing.T) {
 	var got error
 	go func() {
 		defer wg.Done()
-		got = Run(comms[0], sched[0],
+		got = runHalo(comms[0], sched[0],
 			func(region geometry.BBox) ([]float64, error) { return []float64{1, 2, 3, 4, 5}, nil },
 			func(geometry.BBox, []float64) error { return nil })
 	}()

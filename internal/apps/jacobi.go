@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/insitu/cods/internal/geometry"
-	"github.com/insitu/cods/internal/halo"
 	"github.com/insitu/cods/internal/runtime"
 )
 
@@ -35,7 +34,7 @@ func NewJacobi(cfg JacobiConfig) runtime.AppFunc {
 			return fmt.Errorf("apps: jacobi needs an Init function")
 		}
 		dc := ctx.Decomp
-		sched, err := halo.BuildSchedule(dc, 1)
+		sched, err := buildHaloSchedule(dc, 1)
 		if err != nil {
 			return err
 		}
@@ -70,7 +69,7 @@ func NewJacobi(cfg JacobiConfig) runtime.AppFunc {
 		}
 		for iter := 0; iter < cfg.Iterations; iter++ {
 			ctx.Comm.SetPhase(fmt.Sprintf("halo:%d:%d", ctx.AppID, iter))
-			if err := halo.Run(ctx.Comm, sched[ctx.Rank], read, write); err != nil {
+			if err := runHalo(ctx.Comm, sched[ctx.Rank], read, write); err != nil {
 				return err
 			}
 			owned.Each(func(p geometry.Point) {

@@ -6,8 +6,8 @@ import (
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/cods"
 	"github.com/insitu/cods/internal/geometry"
+	"github.com/insitu/cods/internal/graph"
 	"github.com/insitu/cods/internal/mapping"
-	"github.com/insitu/cods/internal/partition"
 	"github.com/insitu/cods/internal/sfc"
 	"github.com/insitu/cods/internal/transport"
 )
@@ -148,7 +148,7 @@ func AblationPartitioner(sc Scale) (*Table, error) {
 		return nil, err
 	}
 	single, err := mapping.ServerDataCentricOpts(cs.Machine, cs.Bundle(), nil, ElemSize,
-		partition.Options{Seed: sc.Seed, SingleLevel: true})
+		graph.Options{Seed: sc.Seed, SingleLevel: true})
 	if err != nil {
 		return nil, err
 	}

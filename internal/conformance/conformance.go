@@ -1,13 +1,14 @@
-// Package conformance runs generated workflow scenarios (internal/genwf)
+// Package conformance runs generated workflow scenarios (scenario.go)
 // through the real shared-space pipeline and through the sequential
-// reference model (internal/refmodel) side by side, asserting that the
+// reference model (refmodel.go) side by side, asserting that the
 // two agree byte for byte and that the cross-layer accounting invariants
 // hold (DESIGN §5e): metered inter-application traffic equals the
 // model-computed intersection volumes partitioned by medium, the fabric's
 // medium totals reconcile with the per-class metrics, recorded flows match
 // the model-predicted (source node, destination node) aggregation, lookup
 // queries return exactly the owners the model predicts, and schedule-cache
-// hits never change the bytes moved.
+// hits never change the bytes moved. Shrink (shrink.go) reduces a failing
+// scenario to a minimal one.
 package conformance
 
 import (
@@ -17,14 +18,12 @@ import (
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/cods"
 	"github.com/insitu/cods/internal/decomp"
-	"github.com/insitu/cods/internal/genwf"
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/graph"
 	"github.com/insitu/cods/internal/mapping"
 	"github.com/insitu/cods/internal/membership"
 	"github.com/insitu/cods/internal/node"
 	"github.com/insitu/cods/internal/obs"
-	"github.com/insitu/cods/internal/refmodel"
 	"github.com/insitu/cods/internal/retry"
 	"github.com/insitu/cods/internal/transport"
 	"github.com/insitu/cods/internal/transport/tcpnet"
@@ -75,10 +74,10 @@ func (o Options) mediumBytes(space *cods.Space, md cluster.Medium) int64 {
 
 // Run executes the scenario and returns nil when the real pipeline agrees
 // with the reference model and every invariant holds.
-func Run(sc genwf.Scenario) error { return RunOpts(sc, Options{}) }
+func Run(sc Scenario) error { return RunOpts(sc, Options{}) }
 
 // RunOpts is Run with explicit options.
-func RunOpts(sc genwf.Scenario, opts Options) error {
+func RunOpts(sc Scenario, opts Options) error {
 	timeout := opts.Timeout
 	if timeout <= 0 {
 		timeout = 60 * time.Second
@@ -103,7 +102,7 @@ type consumer struct {
 	regions []geometry.BBox
 }
 
-func run(sc genwf.Scenario, opts Options) error {
+func run(sc Scenario, opts Options) error {
 	if err := sc.Validate(); err != nil {
 		return err
 	}
@@ -116,7 +115,7 @@ func run(sc genwf.Scenario, opts Options) error {
 	switch opts.Backend {
 	case "", "inproc":
 	case "tcp":
-		nodes, err := node.NewCluster(fabric, sc.DomainBox(), tcpnet.Config{})
+		nodes, err := node.NewCluster(fabric, sc.domainBox(), tcpnet.Config{})
 		if err != nil {
 			return fmt.Errorf("conformance: tcp cluster: %w", err)
 		}
@@ -125,7 +124,7 @@ func run(sc genwf.Scenario, opts Options) error {
 	default:
 		return fmt.Errorf("conformance: unknown backend %q", opts.Backend)
 	}
-	space, err := cods.NewSpaceWithCurve(fabric, sc.DomainBox(), sc.Curve)
+	space, err := cods.NewSpaceWithCurve(fabric, sc.domainBox(), sc.Curve)
 	if err != nil {
 		return err
 	}
@@ -151,17 +150,17 @@ func run(sc genwf.Scenario, opts Options) error {
 		fabric.SetFaultPlan(plan)
 	}
 
-	prod, err := sc.ProdDecomp()
+	prod, err := sc.prodDecomp()
 	if err != nil {
 		return err
 	}
-	cons, err := sc.ConsDecomp()
+	cons, err := sc.consDecomp()
 	if err != nil {
 		return err
 	}
 	prodApp := graph.App{ID: prodAppID, Decomp: prod}
 	consApp := graph.App{ID: consAppID, Decomp: cons}
-	model := refmodel.New(sc.DomainBox())
+	model := newRefModel(sc.domainBox())
 	pred := newPredictor(machine)
 
 	if sc.Stream {
@@ -188,12 +187,12 @@ func run(sc genwf.Scenario, opts Options) error {
 }
 
 // placeConcurrent maps both applications of a concurrent bundle at once.
-func placeConcurrent(sc genwf.Scenario, m *cluster.Machine, prodApp, consApp graph.App) (*cluster.Placement, error) {
+func placeConcurrent(sc Scenario, m *cluster.Machine, prodApp, consApp graph.App) (*cluster.Placement, error) {
 	apps := []graph.App{prodApp, consApp}
 	switch sc.Mapping {
-	case genwf.RoundRobin:
+	case RoundRobin:
 		return mapping.RoundRobin(m, apps, nil)
-	case genwf.ServerDataCentric:
+	case ServerDataCentric:
 		return mapping.ServerDataCentric(m, mapping.Bundle{
 			Apps:      apps,
 			Couplings: [][2]int{{prodAppID, consAppID}},
@@ -206,13 +205,13 @@ func placeConcurrent(sc genwf.Scenario, m *cluster.Machine, prodApp, consApp gra
 // placeSequentialConsumer maps the consumer of a sequential coupling; for
 // the client-side data-centric policy the lookup service must already hold
 // the producer's registrations.
-func placeSequentialConsumer(sc genwf.Scenario, m *cluster.Machine, space *cods.Space, consApp graph.App) (*cluster.Placement, error) {
+func placeSequentialConsumer(sc Scenario, m *cluster.Machine, space *cods.Space, consApp graph.App) (*cluster.Placement, error) {
 	switch sc.Mapping {
-	case genwf.RoundRobin:
+	case RoundRobin:
 		return mapping.RoundRobin(m, []graph.App{consApp}, nil)
-	case genwf.ClientDataCentric:
+	case ClientDataCentric:
 		return mapping.ClientDataCentric(m, space.Lookup(), []mapping.Consumer{
-			{App: consApp, Var: sc.VarNames()[0], Version: 0},
+			{App: consApp, Var: sc.varNames()[0], Version: 0},
 		}, nil, "map")
 	default:
 		return mapping.Consecutive(m, []graph.App{consApp}, nil)
@@ -245,7 +244,7 @@ func runTasks(n int, fn func(i int) error) error {
 }
 
 // newConsumers builds the persistent consumer states from a placement.
-func newConsumers(sc genwf.Scenario, space *cods.Space, consPl *cluster.Placement, cons *decomp.Decomposition) []*consumer {
+func newConsumers(sc Scenario, space *cods.Space, consPl *cluster.Placement, cons *decomp.Decomposition) []*consumer {
 	out := make([]*consumer, cons.NumTasks())
 	for r := range out {
 		core := consPl.MustCoreOf(cluster.TaskID{App: consAppID, Rank: r})
@@ -277,13 +276,13 @@ func rotate(n int, seed uint64, rank int) []int {
 // every version) and checks every retrieved region byte for byte against
 // the model. round tags restage rounds; the forced corruption only applies
 // to round 0 so the second round of a restage scenario stays meaningful.
-func consumeRound(sc genwf.Scenario, opts Options, consumers []*consumer, model *refmodel.Model,
+func consumeRound(sc Scenario, opts Options, consumers []*consumer, model *refModel,
 	get func(c *consumer, v string, version int, region geometry.BBox) ([]float64, error), round int) error {
 	return runTasks(len(consumers), func(i int) error {
 		c := consumers[i]
 		order := rotate(len(c.regions), sc.Seed, c.rank)
 		for version := 0; version < sc.Versions; version++ {
-			for _, v := range sc.VarNames() {
+			for _, v := range sc.varNames() {
 				for _, ri := range order {
 					region := c.regions[ri]
 					got, err := get(c, v, version, region)
@@ -291,7 +290,7 @@ func consumeRound(sc genwf.Scenario, opts Options, consumers []*consumer, model 
 						return fmt.Errorf("conformance: rank %d get %q v%d %v: %w\n%s",
 							c.rank, v, version, region, err, sc.GoLiteral())
 					}
-					if opts.CorruptGet && round == 0 && c.rank == 0 && ri == 0 && version == 0 && v == sc.VarNames()[0] {
+					if opts.CorruptGet && round == 0 && c.rank == 0 && ri == 0 && version == 0 && v == sc.varNames()[0] {
 						got[0]++ // forced divergence for the shrinking tests
 					}
 					if opts.stats != nil {
@@ -318,8 +317,8 @@ func consumeRound(sc genwf.Scenario, opts Options, consumers []*consumer, model 
 // applications are placed as one bundle, producers expose their blocks for
 // direct pulls and consumers locate them through the producer's
 // decomposition, overlapped in time unless the scenario is staged.
-func runConcurrent(sc genwf.Scenario, opts Options, machine *cluster.Machine, space *cods.Space,
-	prodApp, consApp graph.App, model *refmodel.Model, pred *predictor) error {
+func runConcurrent(sc Scenario, opts Options, machine *cluster.Machine, space *cods.Space,
+	prodApp, consApp graph.App, model *refModel, pred *predictor) error {
 	pl, err := placeConcurrent(sc, machine, prodApp, consApp)
 	if err != nil {
 		return err
@@ -332,9 +331,9 @@ func runConcurrent(sc genwf.Scenario, opts Options, machine *cluster.Machine, sp
 	for r := 0; r < prod.NumTasks(); r++ {
 		core := pl.MustCoreOf(cluster.TaskID{App: prodAppID, Rank: r})
 		for version := 0; version < sc.Versions; version++ {
-			for _, v := range sc.VarNames() {
+			for _, v := range sc.varNames() {
 				for _, piece := range prod.Region(r) {
-					if err := model.Put(v, version, piece, int(core), sc.FillRegion(v, version, piece)); err != nil {
+					if err := model.Put(v, version, piece, int(core), sc.fillRegion(v, version, piece)); err != nil {
 						return err
 					}
 				}
@@ -344,7 +343,7 @@ func runConcurrent(sc genwf.Scenario, opts Options, machine *cluster.Machine, sp
 	consumers := newConsumers(sc, space, pl, cons)
 	for _, c := range consumers {
 		for version := 0; version < sc.Versions; version++ {
-			for _, v := range sc.VarNames() {
+			for _, v := range sc.varNames() {
 				for _, region := range c.regions {
 					pred.addGet(model, v, version, region, c.h.Core())
 				}
@@ -361,9 +360,9 @@ func runConcurrent(sc genwf.Scenario, opts Options, machine *cluster.Machine, sp
 	produce := func(r int) error {
 		h := space.HandleAt(pl.MustCoreOf(cluster.TaskID{App: prodAppID, Rank: r}), prodAppID, "stage")
 		for version := 0; version < sc.Versions; version++ {
-			for _, v := range sc.VarNames() {
+			for _, v := range sc.varNames() {
 				for _, piece := range prod.Region(r) {
-					if err := h.PutConcurrent(v, version, piece, sc.FillRegion(v, version, piece)); err != nil {
+					if err := h.PutConcurrent(v, version, piece, sc.fillRegion(v, version, piece)); err != nil {
 						return fmt.Errorf("conformance: rank %d put %q v%d %v: %w", r, v, version, piece, err)
 					}
 				}
@@ -401,8 +400,8 @@ func runConcurrent(sc genwf.Scenario, opts Options, machine *cluster.Machine, sp
 // consumer is then placed (possibly data-centrically, from the populated
 // lookup) and retrieves everything; a restage scenario then moves every
 // block to a different core and re-runs the gets.
-func runSequential(sc genwf.Scenario, opts Options, machine *cluster.Machine, space *cods.Space,
-	ledger *membership.Ledger, prodApp, consApp graph.App, model *refmodel.Model, pred *predictor) error {
+func runSequential(sc Scenario, opts Options, machine *cluster.Machine, space *cods.Space,
+	ledger *membership.Ledger, prodApp, consApp graph.App, model *refModel, pred *predictor) error {
 	prod, cons := prodApp.Decomp, consApp.Decomp
 	prodPl, err := mapping.Consecutive(machine, []graph.App{prodApp}, nil)
 	if err != nil {
@@ -412,9 +411,9 @@ func runSequential(sc genwf.Scenario, opts Options, machine *cluster.Machine, sp
 		core := prodPl.MustCoreOf(cluster.TaskID{App: prodAppID, Rank: r})
 		h := space.HandleAt(core, prodAppID, "stage")
 		for version := 0; version < sc.Versions; version++ {
-			for _, v := range sc.VarNames() {
+			for _, v := range sc.varNames() {
 				for _, piece := range prod.Region(r) {
-					if err := h.PutSequential(v, version, piece, sc.FillRegion(v, version, piece)); err != nil {
+					if err := h.PutSequential(v, version, piece, sc.fillRegion(v, version, piece)); err != nil {
 						return fmt.Errorf("conformance: rank %d put %q v%d %v: %w", r, v, version, piece, err)
 					}
 				}
@@ -427,9 +426,9 @@ func runSequential(sc genwf.Scenario, opts Options, machine *cluster.Machine, sp
 	for r := 0; r < prod.NumTasks(); r++ {
 		core := prodPl.MustCoreOf(cluster.TaskID{App: prodAppID, Rank: r})
 		for version := 0; version < sc.Versions; version++ {
-			for _, v := range sc.VarNames() {
+			for _, v := range sc.varNames() {
 				for _, piece := range prod.Region(r) {
-					if err := model.Put(v, version, piece, int(core), sc.FillRegion(v, version, piece)); err != nil {
+					if err := model.Put(v, version, piece, int(core), sc.fillRegion(v, version, piece)); err != nil {
 						return err
 					}
 				}
@@ -447,7 +446,7 @@ func runSequential(sc genwf.Scenario, opts Options, machine *cluster.Machine, sp
 	consumers := newConsumers(sc, space, consPl, cons)
 	for _, c := range consumers {
 		for version := 0; version < sc.Versions; version++ {
-			for _, v := range sc.VarNames() {
+			for _, v := range sc.varNames() {
 				for _, region := range c.regions {
 					pred.addGet(model, v, version, region, c.h.Core())
 				}
@@ -518,10 +517,10 @@ func runSequential(sc genwf.Scenario, opts Options, machine *cluster.Machine, sp
 // scenario ends with — a restage or a node loss: the model's current
 // ownership predicts the round's traffic into each given predictor, then
 // every consumer re-gets everything as round 1.
-func reget(sc genwf.Scenario, opts Options, consumers []*consumer, model *refmodel.Model,
+func reget(sc Scenario, opts Options, consumers []*consumer, model *refModel,
 	get func(c *consumer, v string, version int, region geometry.BBox) ([]float64, error), preds ...*predictor) error {
 	for _, c := range consumers {
-		for _, v := range sc.VarNames() {
+		for _, v := range sc.varNames() {
 			for _, region := range c.regions {
 				for _, p := range preds {
 					p.addGet(model, v, 0, region, c.h.Core())
@@ -545,8 +544,8 @@ func reget(sc genwf.Scenario, opts Options, consumers []*consumer, model *refmod
 // issuing the control RPCs the TCP leg issues. After membership.Reconcile
 // the lookup must answer with the model's owners, which never changed.
 // versions bounds the versions checked.
-func loseNode(sc genwf.Scenario, opts Options, machine *cluster.Machine, space *cods.Space, ledger *membership.Ledger,
-	cons *decomp.Decomposition, model *refmodel.Model, versions int) error {
+func loseNode(sc Scenario, opts Options, machine *cluster.Machine, space *cods.Space, ledger *membership.Ledger,
+	cons *decomp.Decomposition, model *refModel, versions int) error {
 	killed, lost := sc.Kill-1, -1
 	if opts.nodes != nil {
 		n, err := opts.nodes.Replace(cluster.NodeID(killed))
@@ -571,8 +570,8 @@ func loseNode(sc genwf.Scenario, opts Options, machine *cluster.Machine, space *
 // single-node machine): discard at the old core, re-stage at the new one.
 // Schedule caches must notice — a consumer still pulling at the old core
 // would block forever on the unexposed buffer.
-func restage(sc genwf.Scenario, machine *cluster.Machine, space *cods.Space,
-	prod *decomp.Decomposition, prodPl *cluster.Placement, model *refmodel.Model) error {
+func restage(sc Scenario, machine *cluster.Machine, space *cods.Space,
+	prod *decomp.Decomposition, prodPl *cluster.Placement, model *refModel) error {
 	shift := machine.CoresPerNode()
 	if machine.NumNodes() == 1 {
 		shift = 1
@@ -582,7 +581,7 @@ func restage(sc genwf.Scenario, machine *cluster.Machine, space *cods.Space,
 		newCore := cluster.CoreID((int(oldCore) + shift) % machine.TotalCores())
 		hOld := space.HandleAt(oldCore, prodAppID, "restage")
 		hNew := space.HandleAt(newCore, prodAppID, "restage")
-		for _, v := range sc.VarNames() {
+		for _, v := range sc.varNames() {
 			for _, piece := range prod.Region(r) {
 				if err := hOld.DiscardSequential(v, 0, piece); err != nil {
 					return fmt.Errorf("conformance: restage discard %q %v: %w", v, piece, err)
@@ -590,10 +589,10 @@ func restage(sc genwf.Scenario, machine *cluster.Machine, space *cods.Space,
 				if err := model.Discard(v, 0, piece, int(oldCore)); err != nil {
 					return err
 				}
-				if err := hNew.PutSequential(v, 0, piece, sc.FillRegion(v, 0, piece)); err != nil {
+				if err := hNew.PutSequential(v, 0, piece, sc.fillRegion(v, 0, piece)); err != nil {
 					return fmt.Errorf("conformance: restage put %q %v: %w", v, piece, err)
 				}
-				if err := model.Put(v, 0, piece, int(newCore), sc.FillRegion(v, 0, piece)); err != nil {
+				if err := model.Put(v, 0, piece, int(newCore), sc.fillRegion(v, 0, piece)); err != nil {
 					return err
 				}
 			}

@@ -7,7 +7,6 @@ import (
 	"math"
 	"sync"
 
-	"github.com/insitu/cods/internal/genwf"
 	"github.com/insitu/cods/internal/geometry"
 )
 
@@ -51,11 +50,11 @@ func (s *RunStats) recordGet(key string, data []float64) {
 // asserts both produce byte-identical gets and identical metered traffic. It is the backend dimension of the
 // conformance sweep: every operation the scenario performs must mean the
 // same thing whether it stays in-process or crosses real sockets.
-func RunCross(sc genwf.Scenario) error { return RunCrossOpts(sc, Options{}) }
+func RunCross(sc Scenario) error { return RunCrossOpts(sc, Options{}) }
 
 // RunCrossOpts is RunCross with explicit options (Backend and stats are
 // overwritten per leg).
-func RunCrossOpts(sc genwf.Scenario, opts Options) error {
+func RunCrossOpts(sc Scenario, opts Options) error {
 	ref := opts
 	ref.Backend = "inproc"
 	ref.stats = newRunStats()
@@ -79,7 +78,7 @@ func RunCrossOpts(sc genwf.Scenario, opts Options) error {
 // invalidates schedules at interleaving-dependent points, so how many gets
 // rebuild their schedule from a fresh lookup legitimately differs between
 // runs.
-func compareRuns(sc genwf.Scenario, ref, tcp *RunStats) error {
+func compareRuns(sc Scenario, ref, tcp *RunStats) error {
 	if len(ref.Gets) != len(tcp.Gets) {
 		return fmt.Errorf("conformance: backends disagree on get count: inproc %d, tcp %d\n%s",
 			len(ref.Gets), len(tcp.Gets), sc.GoLiteral())

@@ -8,12 +8,10 @@ import (
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/cods"
 	"github.com/insitu/cods/internal/decomp"
-	"github.com/insitu/cods/internal/genwf"
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/graph"
 	"github.com/insitu/cods/internal/mapping"
 	"github.com/insitu/cods/internal/obs"
-	"github.com/insitu/cods/internal/refmodel"
 	"github.com/insitu/cods/internal/sfc"
 )
 
@@ -42,8 +40,8 @@ func newPredictor(m *cluster.Machine) *predictor {
 
 // voidOwned marks every variable of the scenario with a model block whose
 // owner the extra round is about to re-stage.
-func (p *predictor) voidOwned(sc genwf.Scenario, model *refmodel.Model, moves func(owner cluster.CoreID) bool) {
-	for _, v := range sc.VarNames() {
+func (p *predictor) voidOwned(sc Scenario, model *refModel, moves func(owner cluster.CoreID) bool) {
+	for _, v := range sc.varNames() {
 		for _, b := range model.Owners(v, 0, geometry.BoxFromSize(sc.Domain)) {
 			if moves(cluster.CoreID(b.Owner)) {
 				p.voided[v] = true
@@ -57,10 +55,10 @@ func (p *predictor) voidOwned(sc genwf.Scenario, model *refmodel.Model, moves fu
 // contributes its intersection volume, pulled from the block owner's node
 // to the consumer core's node — one read per stored block, which is what a
 // schedule of the real pipeline holds.
-func (p *predictor) addGet(model *refmodel.Model, v string, version int, region geometry.BBox, consCore cluster.CoreID) {
+func (p *predictor) addGet(model *refModel, v string, version int, region geometry.BBox, consCore cluster.CoreID) {
 	dst := p.m.NodeOf(consCore)
 	for _, b := range model.Owners(v, version, region) {
-		n := refmodel.IntersectionVolume(b.Region, region) * cods.ElemSize
+		n := IntersectionVolume(b.Region, region) * cods.ElemSize
 		src := p.m.NodeOf(cluster.CoreID(b.Owner))
 		p.flows[flowKey{src: src, dst: dst}] += n
 		if src == dst {
@@ -79,20 +77,20 @@ func (p *predictor) addGet(model *refmodel.Model, v string, version int, region 
 // lost names a node whose DHT table was just lost (-1: none): the model's
 // set is then narrowed to the blocks a surviving table asked by the query
 // still records.
-func checkOwners(sc genwf.Scenario, machine *cluster.Machine, space *cods.Space,
-	cons *decomp.Decomposition, model *refmodel.Model, versions, lost int) error {
+func checkOwners(sc Scenario, machine *cluster.Machine, space *cods.Space,
+	cons *decomp.Decomposition, model *refModel, versions, lost int) error {
 	cl := space.Lookup().ClientAt(machine.CoreOn(0, 0))
 	for r := 0; r < cons.NumTasks(); r++ {
 		for _, region := range getRegions(cons, r, sc.Ghost) {
 			for version := 0; version < versions; version++ {
-				for _, v := range sc.VarNames() {
+				for _, v := range sc.varNames() {
 					entries, err := cl.Query("check", consAppID, v, version, region)
 					if err != nil {
 						return fmt.Errorf("conformance: lookup %q v%d %v: %w", v, version, region, err)
 					}
 					want := model.Owners(v, version, region)
 					if lost >= 0 {
-						want = slices.DeleteFunc(want, func(b refmodel.Block) bool {
+						want = slices.DeleteFunc(want, func(b refBlock) bool {
 							return !recordedBeside(space.Lookup().Curve(), machine.NumNodes(), lost, region, b.Region)
 						})
 					}
@@ -139,7 +137,7 @@ func recordedBeside(curve sfc.Linearizer, nodes, lost int, region, block geometr
 
 // checkInvariants runs the cross-layer accounting checks after all rounds
 // completed.
-func checkInvariants(sc genwf.Scenario, opts Options, machine *cluster.Machine, space *cods.Space,
+func checkInvariants(sc Scenario, opts Options, machine *cluster.Machine, space *cods.Space,
 	pred *predictor, consumers []*consumer, prodPl, consPl *cluster.Placement,
 	prodApp, consApp graph.App) error {
 	if err := checkFlowAccounting(sc, opts, machine, space, pred); err != nil {
@@ -183,7 +181,7 @@ func checkInvariants(sc genwf.Scenario, opts Options, machine *cluster.Machine, 
 		for _, r := range c.regions {
 			seen[r.String()] = true
 		}
-		for _, v := range sc.VarNames() {
+		for _, v := range sc.varNames() {
 			gets += len(c.regions) * sc.Versions * rounds
 			wantMisses += len(seen)
 			if pred.voided[v] {
@@ -213,7 +211,7 @@ func checkInvariants(sc genwf.Scenario, opts Options, machine *cluster.Machine, 
 // runner: metered inter-app bytes against the model prediction, fabric
 // counter reconciliation, intra-app silence, and the per-(src, dst) flow
 // aggregation in both the metrics plane and the obs flow matrix.
-func checkFlowAccounting(sc genwf.Scenario, opts Options, machine *cluster.Machine, space *cods.Space,
+func checkFlowAccounting(sc Scenario, opts Options, machine *cluster.Machine, space *cods.Space,
 	pred *predictor) error {
 	mx := machine.Metrics()
 

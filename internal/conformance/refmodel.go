@@ -1,7 +1,9 @@
-// Package refmodel is the sequential reference model of CoDS semantics the
-// conformance harness checks the real pipeline against (DESIGN §5e). It
-// models the space as nothing but a map from (variable, version) to a set
-// of stored n-D blocks, and answers gets by per-cell assembly.
+package conformance
+
+// The sequential reference model of CoDS semantics the conformance harness
+// checks the real pipeline against (DESIGN §5e). It models the space as
+// nothing but a map from (variable, version) to a set of stored n-D blocks,
+// and answers gets by per-cell assembly.
 //
 // Everything here is deliberately naive and self-contained: region
 // arithmetic is written out over BBox corners cell by cell, with no calls
@@ -9,7 +11,6 @@
 // caching and no transport. The two implementations share only the BBox
 // struct itself, so a seeded defect in any layer of the real pipeline
 // (internal/mutate) diverges from the model instead of cancelling out.
-package refmodel
 
 import (
 	"fmt"
@@ -18,30 +19,30 @@ import (
 	"github.com/insitu/cods/internal/geometry"
 )
 
-// Block is one stored region of a variable version, together with the core
+// refBlock is one stored region of a variable version, together with the core
 // that holds it (Owner is what the DHT invariant compares against; use -1
 // when ownership is irrelevant).
-type Block struct {
+type refBlock struct {
 	Region geometry.BBox
 	Owner  int
 	Data   []float64
 }
 
-// Model is the sequential reference store. It is not safe for concurrent
+// refModel is the sequential reference store. It is not safe for concurrent
 // use: the conformance driver mutates and queries it only between the
 // joined phases of a scenario.
-type Model struct {
+type refModel struct {
 	domain geometry.BBox
-	vars   map[string]map[int][]Block // variable -> version -> blocks
+	vars   map[string]map[int][]refBlock // variable -> version -> blocks
 }
 
-// New creates an empty model over the given domain.
-func New(domain geometry.BBox) *Model {
-	return &Model{domain: domain, vars: make(map[string]map[int][]Block)}
+// newRefModel creates an empty model over the given domain.
+func newRefModel(domain geometry.BBox) *refModel {
+	return &refModel{domain: domain, vars: make(map[string]map[int][]refBlock)}
 }
 
 // blocks returns the block list of a variable version (nil when none).
-func (m *Model) blocks(v string, version int) []Block {
+func (m *refModel) blocks(v string, version int) []refBlock {
 	return m.vars[v][version]
 }
 
@@ -49,12 +50,12 @@ func (m *Model) blocks(v string, version int) []Block {
 // outside the domain and regions overlapping an already stored block of
 // the same variable version — the producers of a valid scenario own
 // disjoint blocks, and the model's per-cell Get depends on that.
-func (m *Model) Put(v string, version int, region geometry.BBox, owner int, data []float64) error {
-	if Volume(region) == 0 {
+func (m *refModel) Put(v string, version int, region geometry.BBox, owner int, data []float64) error {
+	if volume(region) == 0 {
 		return fmt.Errorf("refmodel: empty region %v for %q", region, v)
 	}
-	if int64(len(data)) != Volume(region) {
-		return fmt.Errorf("refmodel: %q data length %d != region volume %d", v, len(data), Volume(region))
+	if int64(len(data)) != volume(region) {
+		return fmt.Errorf("refmodel: %q data length %d != region volume %d", v, len(data), volume(region))
 	}
 	if !containsBox(m.domain, region) {
 		return fmt.Errorf("refmodel: region %v outside domain %v", region, m.domain)
@@ -66,17 +67,17 @@ func (m *Model) Put(v string, version int, region geometry.BBox, owner int, data
 		}
 	}
 	if m.vars[v] == nil {
-		m.vars[v] = make(map[int][]Block)
+		m.vars[v] = make(map[int][]refBlock)
 	}
 	cp := make([]float64, len(data))
 	copy(cp, data)
-	m.vars[v][version] = append(m.vars[v][version], Block{Region: region.Clone(), Owner: owner, Data: cp})
+	m.vars[v][version] = append(m.vars[v][version], refBlock{Region: region.Clone(), Owner: owner, Data: cp})
 	return nil
 }
 
 // Discard removes the block stored for exactly (region, owner); removing
 // an absent block is an error (the driver only discards what it put).
-func (m *Model) Discard(v string, version int, region geometry.BBox, owner int) error {
+func (m *refModel) Discard(v string, version int, region geometry.BBox, owner int) error {
 	blocks := m.blocks(v, version)
 	for i, b := range blocks {
 		if b.Owner == owner && b.Region.Equal(region) {
@@ -91,8 +92,8 @@ func (m *Model) Discard(v string, version int, region geometry.BBox, owner int) 
 // cell by cell. Every cell must be covered by exactly the blocks' data;
 // an uncovered cell is an error naming the shortfall, mirroring the real
 // coverage error.
-func (m *Model) Get(v string, version int, region geometry.BBox) ([]float64, error) {
-	vol := Volume(region)
+func (m *refModel) Get(v string, version int, region geometry.BBox) ([]float64, error) {
+	vol := volume(region)
 	if vol == 0 {
 		return nil, fmt.Errorf("refmodel: empty get region %v for %q", region, v)
 	}
@@ -120,8 +121,8 @@ func (m *Model) Get(v string, version int, region geometry.BBox) ([]float64, err
 // Owners predicts the exact answer of a DHT query for the region: every
 // stored block whose region shares at least one cell with it, sorted by
 // owner then region corners (the order the real lookup service returns).
-func (m *Model) Owners(v string, version int, region geometry.BBox) []Block {
-	var out []Block
+func (m *refModel) Owners(v string, version int, region geometry.BBox) []refBlock {
+	var out []refBlock
 	for _, b := range m.blocks(v, version) {
 		if Overlaps(b.Region, region) {
 			out = append(out, b)
@@ -136,8 +137,8 @@ func (m *Model) Owners(v string, version int, region geometry.BBox) []Block {
 	return out
 }
 
-// Volume counts the cells of a box, treating any inverted extent as empty.
-func Volume(b geometry.BBox) int64 {
+// volume counts the cells of a box, treating any inverted extent as empty.
+func volume(b geometry.BBox) int64 {
 	if len(b.Min) == 0 {
 		return 0
 	}
@@ -182,7 +183,7 @@ func Overlaps(a, b geometry.BBox) bool { return IntersectionVolume(a, b) > 0 }
 // ground-truth set representation the differential fuzz target compares
 // geometry's interval arithmetic against. Intended for small boxes only.
 func CellSet(b geometry.BBox) map[string]bool {
-	set := make(map[string]bool, Volume(b))
+	set := make(map[string]bool, volume(b))
 	eachCell(b, func(p []int) {
 		set[cellKey(p)] = true
 	})
@@ -200,9 +201,9 @@ func IntersectCellSet(a, b geometry.BBox) map[string]bool {
 	return set
 }
 
-// UnionVolume counts the distinct cells covered by a list of boxes, by
+// unionVolume counts the distinct cells covered by a list of boxes, by
 // materializing the union cell set. Intended for small boxes only.
-func UnionVolume(boxes []geometry.BBox) int64 {
+func unionVolume(boxes []geometry.BBox) int64 {
 	set := make(map[string]bool)
 	for _, b := range boxes {
 		eachCell(b, func(p []int) {
@@ -226,7 +227,7 @@ func cellKey(p []int) string {
 // eachCell visits the cells of a box in row-major order (last dimension
 // fastest), the layout both the model and the real space use.
 func eachCell(b geometry.BBox, fn func(p []int)) {
-	if Volume(b) == 0 {
+	if volume(b) == 0 {
 		return
 	}
 	p := make([]int, len(b.Min))

@@ -1,4 +1,4 @@
-package refmodel
+package conformance
 
 import (
 	"strings"
@@ -12,7 +12,7 @@ func box(min, max []int) geometry.BBox {
 }
 
 func fill(b geometry.BBox, base float64) []float64 {
-	data := make([]float64, Volume(b))
+	data := make([]float64, volume(b))
 	for i := range data {
 		data[i] = base + float64(i)
 	}
@@ -21,7 +21,7 @@ func fill(b geometry.BBox, base float64) []float64 {
 
 func TestPutGetRoundTrip(t *testing.T) {
 	domain := box([]int{0, 0}, []int{8, 8})
-	m := New(domain)
+	m := newRefModel(domain)
 	left := box([]int{0, 0}, []int{8, 4})
 	right := box([]int{0, 4}, []int{8, 8})
 	if err := m.Put("u", 0, left, 1, fill(left, 100)); err != nil {
@@ -59,7 +59,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 func TestGetReportsCoverageShortfall(t *testing.T) {
 	domain := box([]int{0}, []int{8})
-	m := New(domain)
+	m := newRefModel(domain)
 	if err := m.Put("u", 0, box([]int{0}, []int{4}), 0, fill(box([]int{0}, []int{4}), 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestGetReportsCoverageShortfall(t *testing.T) {
 
 func TestPutValidation(t *testing.T) {
 	domain := box([]int{0, 0}, []int{4, 4})
-	m := New(domain)
+	m := newRefModel(domain)
 	b := box([]int{0, 0}, []int{2, 2})
 	if err := m.Put("u", 0, b, 0, fill(b, 0)); err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestPutValidation(t *testing.T) {
 
 func TestDiscardAndOwners(t *testing.T) {
 	domain := box([]int{0}, []int{8})
-	m := New(domain)
+	m := newRefModel(domain)
 	a, b := box([]int{0}, []int{4}), box([]int{4}, []int{8})
 	if err := m.Put("u", 0, a, 3, fill(a, 0)); err != nil {
 		t.Fatal(err)
@@ -142,8 +142,8 @@ func TestNaiveArithmeticAgreesWithGeometry(t *testing.T) {
 		box([]int{3, 3}, []int{3, 5}), // empty
 	}
 	for _, a := range boxes {
-		if got, want := Volume(a), a.Volume(); got != want {
-			t.Fatalf("Volume(%v) = %d, geometry says %d", a, got, want)
+		if got, want := volume(a), a.Volume(); got != want {
+			t.Fatalf("volume(%v) = %d, geometry says %d", a, got, want)
 		}
 		for _, b := range boxes {
 			gotV := IntersectionVolume(a, b)
@@ -167,11 +167,11 @@ func TestNaiveArithmeticAgreesWithGeometry(t *testing.T) {
 	}
 	// Union of disjoint pieces equals total volume; overlapping pieces
 	// count shared cells once.
-	u := UnionVolume([]geometry.BBox{boxes[0], boxes[2]})
+	u := unionVolume([]geometry.BBox{boxes[0], boxes[2]})
 	if u != boxes[0].Volume()+boxes[2].Volume() {
 		t.Fatalf("disjoint union = %d", u)
 	}
-	u = UnionVolume([]geometry.BBox{boxes[0], boxes[1]})
+	u = unionVolume([]geometry.BBox{boxes[0], boxes[1]})
 	if want := boxes[0].Volume() + boxes[1].Volume() - IntersectionVolume(boxes[0], boxes[1]); u != want {
 		t.Fatalf("overlapping union = %d, want %d", u, want)
 	}

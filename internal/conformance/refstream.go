@@ -1,4 +1,4 @@
-package refmodel
+package conformance
 
 import (
 	"fmt"
@@ -6,8 +6,8 @@ import (
 	"github.com/insitu/cods/internal/geometry"
 )
 
-// Stream is the sequential reference of the streaming coupling semantics
-// (DESIGN §5i), layered over the versioned Model exactly as the real
+// refStream is the sequential reference of the streaming coupling semantics
+// (DESIGN §5i), layered over the versioned refModel exactly as the real
 // stream layer sits over the sequential put/get path: version n of the
 // stream is every producer rank's nth published block, the complete
 // watermark is the highest version every rank has staged, and retirement
@@ -15,12 +15,12 @@ import (
 // version's blocks from the model so a later get fails its coverage
 // check, mirroring the real GC.
 //
-// Like the Model it is single-threaded by design: the conformance driver
+// Like the refModel it is single-threaded by design: the conformance driver
 // applies the same operations to both sides in the same order and
 // compares watermarks, floors, cursor positions, per-version accounting
 // and bytes.
-type Stream struct {
-	m      *Model
+type refStream struct {
+	m      *refModel
 	v      string
 	maxLag int
 	drop   bool
@@ -36,11 +36,11 @@ type Stream struct {
 	published, consumed, dropped int64
 }
 
-// NewStream declares a stream over variable v of the model, with the same
+// newRefStream declares a stream over variable v of the model, with the same
 // shape parameters as the real StreamConfig (drop selects drop-oldest
 // over backpressure).
-func NewStream(m *Model, v string, producers, maxLag int, drop bool) *Stream {
-	return &Stream{
+func newRefStream(m *refModel, v string, producers, maxLag int, drop bool) *refStream {
+	return &refStream{
 		m:       m,
 		v:       v,
 		maxLag:  maxLag,
@@ -54,7 +54,7 @@ func NewStream(m *Model, v string, producers, maxLag int, drop bool) *Stream {
 
 // minPos returns the lowest cursor position, or latest+1 when no cursor
 // is subscribed.
-func (s *Stream) minPos() int {
+func (s *refStream) minPos() int {
 	min := s.latest + 1
 	first := true
 	for _, pos := range s.cursors {
@@ -66,7 +66,7 @@ func (s *Stream) minPos() int {
 	return min
 }
 
-func (s *Stream) complete() int {
+func (s *refStream) complete() int {
 	min := s.pub[0]
 	for _, n := range s.pub[1:] {
 		if n < min {
@@ -77,8 +77,8 @@ func (s *Stream) complete() int {
 }
 
 // retire removes every block of a version from the model.
-func (s *Stream) retire(version int) {
-	for _, b := range append([]Block(nil), s.m.blocks(s.v, version)...) {
+func (s *refStream) retire(version int) {
+	for _, b := range append([]refBlock(nil), s.m.blocks(s.v, version)...) {
 		s.m.Discard(s.v, version, b.Region, b.Owner)
 	}
 }
@@ -87,7 +87,7 @@ func (s *Stream) retire(version int) {
 // the version stamped. A watermark advance under the drop-oldest policy
 // force-retires versions older than maxLag behind, bumping lagging
 // cursors past them and counting each skipped version as dropped.
-func (s *Stream) Publish(producer int, region geometry.BBox, owner int, data []float64) (int, error) {
+func (s *refStream) Publish(producer int, region geometry.BBox, owner int, data []float64) (int, error) {
 	if producer < 0 || producer >= len(s.pub) {
 		return 0, fmt.Errorf("refmodel: stream %q: producer %d out of range", s.v, producer)
 	}
@@ -119,11 +119,11 @@ func (s *Stream) Publish(producer int, region geometry.BBox, owner int, data []f
 }
 
 // ClosePublisher marks producer rank's sequence finished.
-func (s *Stream) ClosePublisher(producer int) { s.closed[producer] = true }
+func (s *refStream) ClosePublisher(producer int) { s.closed[producer] = true }
 
 // Subscribe opens a cursor at version from, clamped up to the floor, and
 // returns its id and starting position.
-func (s *Stream) Subscribe(from int) (id, pos int) {
+func (s *refStream) Subscribe(from int) (id, pos int) {
 	pos = from
 	if pos < s.floor {
 		pos = s.floor
@@ -135,7 +135,7 @@ func (s *Stream) Subscribe(from int) (id, pos int) {
 }
 
 // Close removes a cursor.
-func (s *Stream) Close(id int) error {
+func (s *refStream) Close(id int) error {
 	if _, ok := s.cursors[id]; !ok {
 		return fmt.Errorf("refmodel: stream %q: no cursor %d", s.v, id)
 	}
@@ -144,7 +144,7 @@ func (s *Stream) Close(id int) error {
 }
 
 // Pos returns a cursor's position.
-func (s *Stream) Pos(id int) (int, error) {
+func (s *refStream) Pos(id int) (int, error) {
 	pos, ok := s.cursors[id]
 	if !ok {
 		return 0, fmt.Errorf("refmodel: stream %q: no cursor %d", s.v, id)
@@ -154,11 +154,11 @@ func (s *Stream) Pos(id int) (int, error) {
 
 // Latest returns the complete watermark; Floor the lowest retained
 // version.
-func (s *Stream) Latest() int { return s.latest }
-func (s *Stream) Floor() int  { return s.floor }
+func (s *refStream) Latest() int { return s.latest }
+func (s *refStream) Floor() int  { return s.floor }
 
 // Stats returns the per-version accounting.
-func (s *Stream) Stats() (published, consumed, dropped int64) {
+func (s *refStream) Stats() (published, consumed, dropped int64) {
 	return s.published, s.consumed, s.dropped
 }
 
@@ -166,7 +166,7 @@ func (s *Stream) Stats() (published, consumed, dropped int64) {
 // row-major slice per version. The window must start at or after both the
 // cursor position and the floor, and end at or below the watermark (the
 // model never blocks — the driver only asks for complete versions).
-func (s *Stream) GetWindow(id int, region geometry.BBox, from, to int) ([][]float64, error) {
+func (s *refStream) GetWindow(id int, region geometry.BBox, from, to int) ([][]float64, error) {
 	pos, ok := s.cursors[id]
 	if !ok {
 		return nil, fmt.Errorf("refmodel: stream %q: no cursor %d", s.v, id)
@@ -194,7 +194,7 @@ func (s *Stream) GetWindow(id int, region geometry.BBox, from, to int) ([][]floa
 
 // GetLatest assembles region at the watermark and returns the version
 // read.
-func (s *Stream) GetLatest(region geometry.BBox) ([]float64, int, error) {
+func (s *refStream) GetLatest(region geometry.BBox) ([]float64, int, error) {
 	if s.latest < 0 {
 		return nil, 0, fmt.Errorf("refmodel: stream %q: no complete version", s.v)
 	}
@@ -207,7 +207,7 @@ func (s *Stream) GetLatest(region geometry.BBox) ([]float64, int, error) {
 
 // Advance acknowledges every version below to for a cursor, then retires
 // versions every cursor has passed.
-func (s *Stream) Advance(id, to int) error {
+func (s *refStream) Advance(id, to int) error {
 	pos, ok := s.cursors[id]
 	if !ok {
 		return fmt.Errorf("refmodel: stream %q: no cursor %d", s.v, id)

@@ -1,12 +1,11 @@
-// Package genwf generates randomized coupled-workflow scenarios for the
-// model-based conformance harness (DESIGN §5e). A Scenario is a plain
-// value describing one complete coupled run — machine shape, 1-D to 3-D
-// domain, producer and consumer decompositions, ghost overlap, coupling
-// mode, task-mapping policy, pull-engine tuning, optional fault plan —
-// drawn deterministically from a single seed. The conformance driver
-// (internal/conformance) executes scenarios against the real Space and the
+package conformance
+
+// Scenario generation (DESIGN §5e). A Scenario is a plain value describing
+// one complete coupled run — machine shape, 1-D to 3-D domain, producer and
+// consumer decompositions, ghost overlap, coupling mode, task-mapping
+// policy, pull-engine tuning, optional fault plan — drawn deterministically
+// from a single seed. Run executes scenarios against the real Space and the
 // reference model; Shrink reduces a failing scenario to a minimal one.
-package genwf
 
 import (
 	"fmt"
@@ -126,7 +125,7 @@ type Scenario struct {
 	Retry int
 
 	// Stream turns a sequential single-version scenario into a streaming
-	// coupling run (GenerateStreaming): the producers publish Rounds
+	// coupling run (generateStreaming): the producers publish Rounds
 	// versions of the stream variable and the consumers follow through
 	// bounded-lag cursors instead of lock-step gets. Drop selects the
 	// drop-oldest policy (false = backpressure, run with concurrent
@@ -153,30 +152,30 @@ type Scenario struct {
 	Resub int
 }
 
-// DomainBox returns the scenario domain as a box anchored at the origin.
-func (sc Scenario) DomainBox() geometry.BBox { return geometry.BoxFromSize(sc.Domain) }
+// domainBox returns the scenario domain as a box anchored at the origin.
+func (sc Scenario) domainBox() geometry.BBox { return geometry.BoxFromSize(sc.Domain) }
 
-// ProdDecomp builds the producer decomposition.
-func (sc Scenario) ProdDecomp() (*decomp.Decomposition, error) {
-	return decomp.New(sc.ProdKind, sc.DomainBox(), sc.ProdGrid, sc.ProdBlock)
+// prodDecomp builds the producer decomposition.
+func (sc Scenario) prodDecomp() (*decomp.Decomposition, error) {
+	return decomp.New(sc.ProdKind, sc.domainBox(), sc.ProdGrid, sc.ProdBlock)
 }
 
-// ConsDecomp builds the consumer decomposition.
-func (sc Scenario) ConsDecomp() (*decomp.Decomposition, error) {
-	return decomp.New(sc.ConsKind, sc.DomainBox(), sc.ConsGrid, sc.ConsBlock)
+// consDecomp builds the consumer decomposition.
+func (sc Scenario) consDecomp() (*decomp.Decomposition, error) {
+	return decomp.New(sc.ConsKind, sc.domainBox(), sc.ConsGrid, sc.ConsBlock)
 }
 
-// VarNames returns the variable names the scenario couples.
-func (sc Scenario) VarNames() []string {
+// varNames returns the variable names the scenario couples.
+func (sc Scenario) varNames() []string {
 	names := []string{"u", "w"}
 	return names[:sc.Vars]
 }
 
-// Fill is the deterministic content of one cell of a variable at a
+// fill is the deterministic content of one cell of a variable at a
 // version: a pure function of the scenario seed and the coordinates, so
 // the reference model and the real producers agree by construction and a
 // restaged block carries identical bytes.
-func (sc Scenario) Fill(v string, version int, p []int) float64 {
+func (sc Scenario) fill(v string, version int, p []int) float64 {
 	h := sc.Seed ^ 0x9e3779b97f4a7c15
 	for i := 0; i < len(v); i++ {
 		h = splitmix64(h ^ uint64(v[i]))
@@ -189,12 +188,12 @@ func (sc Scenario) Fill(v string, version int, p []int) float64 {
 	return float64(h % (1 << 30))
 }
 
-// FillRegion materializes a region's data row-major.
-func (sc Scenario) FillRegion(v string, version int, region geometry.BBox) []float64 {
+// fillRegion materializes a region's data row-major.
+func (sc Scenario) fillRegion(v string, version int, region geometry.BBox) []float64 {
 	data := make([]float64, region.Volume())
 	i := 0
 	region.Each(func(p geometry.Point) {
-		data[i] = sc.Fill(v, version, p)
+		data[i] = sc.fill(v, version, p)
 		i++
 	})
 	return data
@@ -205,24 +204,24 @@ func (sc Scenario) FillRegion(v string, version int, region geometry.BBox) []flo
 // pairings the framework defines.
 func (sc Scenario) Validate() error {
 	if sc.Nodes < 1 || sc.CoresPerNode < 1 {
-		return fmt.Errorf("genwf: machine %dx%d", sc.Nodes, sc.CoresPerNode)
+		return fmt.Errorf("scenario: machine %dx%d", sc.Nodes, sc.CoresPerNode)
 	}
 	if len(sc.Domain) < 1 || len(sc.Domain) > 3 {
-		return fmt.Errorf("genwf: domain rank %d", len(sc.Domain))
+		return fmt.Errorf("scenario: domain rank %d", len(sc.Domain))
 	}
 	for d, ext := range sc.Domain {
 		if ext < 1 {
-			return fmt.Errorf("genwf: domain[%d] = %d", d, ext)
+			return fmt.Errorf("scenario: domain[%d] = %d", d, ext)
 		}
 	}
 	if _, err := sfc.ForDomain(sc.Curve, sc.Domain); err != nil {
-		return fmt.Errorf("genwf: %w", err)
+		return fmt.Errorf("scenario: %w", err)
 	}
-	prod, err := sc.ProdDecomp()
+	prod, err := sc.prodDecomp()
 	if err != nil {
 		return err
 	}
-	cons, err := sc.ConsDecomp()
+	cons, err := sc.consDecomp()
 	if err != nil {
 		return err
 	}
@@ -230,80 +229,80 @@ func (sc Scenario) Validate() error {
 	np, nc := prod.NumTasks(), cons.NumTasks()
 	if sc.Sequential {
 		if np > cores || nc > cores {
-			return fmt.Errorf("genwf: %d/%d tasks exceed %d cores", np, nc, cores)
+			return fmt.Errorf("scenario: %d/%d tasks exceed %d cores", np, nc, cores)
 		}
 	} else if np+nc > cores {
-		return fmt.Errorf("genwf: %d tasks exceed %d cores", np+nc, cores)
+		return fmt.Errorf("scenario: %d tasks exceed %d cores", np+nc, cores)
 	}
 	if sc.Vars < 1 || sc.Vars > 2 {
-		return fmt.Errorf("genwf: vars = %d", sc.Vars)
+		return fmt.Errorf("scenario: vars = %d", sc.Vars)
 	}
 	if sc.Ghost < 0 || sc.Versions < 1 {
-		return fmt.Errorf("genwf: negative tuning field")
+		return fmt.Errorf("scenario: negative tuning field")
 	}
 	switch sc.Mapping {
 	case ServerDataCentric:
 		if sc.Sequential {
-			return fmt.Errorf("genwf: server-data-centric maps concurrent bundles only")
+			return fmt.Errorf("scenario: server-data-centric maps concurrent bundles only")
 		}
 	case ClientDataCentric:
 		if !sc.Sequential {
-			return fmt.Errorf("genwf: client-data-centric maps sequential consumers only")
+			return fmt.Errorf("scenario: client-data-centric maps sequential consumers only")
 		}
 	case Consecutive, RoundRobin:
 	default:
-		return fmt.Errorf("genwf: unknown mapping %d", int(sc.Mapping))
+		return fmt.Errorf("scenario: unknown mapping %d", int(sc.Mapping))
 	}
 	if sc.Restage && (!sc.Sequential || sc.Versions != 1) {
-		return fmt.Errorf("genwf: restage requires sequential single-version coupling")
+		return fmt.Errorf("scenario: restage requires sequential single-version coupling")
 	}
 	if sc.Kill < 0 || sc.Kill > sc.Nodes {
-		return fmt.Errorf("genwf: kill = %d with %d nodes", sc.Kill, sc.Nodes)
+		return fmt.Errorf("scenario: kill = %d with %d nodes", sc.Kill, sc.Nodes)
 	}
 	if sc.Kill != 0 {
 		if !sc.Sequential || sc.Versions != 1 {
-			return fmt.Errorf("genwf: kill requires sequential single-version coupling")
+			return fmt.Errorf("scenario: kill requires sequential single-version coupling")
 		}
 		if sc.Nodes < 2 {
-			return fmt.Errorf("genwf: kill needs a surviving node")
+			return fmt.Errorf("scenario: kill needs a surviving node")
 		}
 		if sc.Restage {
-			return fmt.Errorf("genwf: kill and restage are exclusive")
+			return fmt.Errorf("scenario: kill and restage are exclusive")
 		}
 	}
 	if sc.Faults != "" && sc.Retry < 2 {
-		return fmt.Errorf("genwf: fault plan without a retry budget")
+		return fmt.Errorf("scenario: fault plan without a retry budget")
 	}
 	if sc.Stream {
 		if !sc.Sequential || sc.Versions != 1 {
-			return fmt.Errorf("genwf: streaming requires sequential single-version coupling")
+			return fmt.Errorf("scenario: streaming requires sequential single-version coupling")
 		}
 		if sc.Vars != 1 {
-			return fmt.Errorf("genwf: streaming couples one stream variable")
+			return fmt.Errorf("scenario: streaming couples one stream variable")
 		}
 		if sc.Restage {
-			return fmt.Errorf("genwf: streaming excludes restage")
+			return fmt.Errorf("scenario: streaming excludes restage")
 		}
 		if sc.Mapping != Consecutive && sc.Mapping != RoundRobin {
-			return fmt.Errorf("genwf: streaming consumers subscribe before data exists; data-centric mapping undefined")
+			return fmt.Errorf("scenario: streaming consumers subscribe before data exists; data-centric mapping undefined")
 		}
 		if sc.Rounds < 1 || sc.MaxLag < 1 {
-			return fmt.Errorf("genwf: streaming rounds=%d maxlag=%d", sc.Rounds, sc.MaxLag)
+			return fmt.Errorf("scenario: streaming rounds=%d maxlag=%d", sc.Rounds, sc.MaxLag)
 		}
 		if sc.ConsumeEvery < 1 {
-			return fmt.Errorf("genwf: consume-every = %d", sc.ConsumeEvery)
+			return fmt.Errorf("scenario: consume-every = %d", sc.ConsumeEvery)
 		}
 		if sc.ConsumeEvery > 1 && !sc.Drop {
-			return fmt.Errorf("genwf: a lagging lock-step consumer deadlocks a backpressure producer; stride needs drop-oldest")
+			return fmt.Errorf("scenario: a lagging lock-step consumer deadlocks a backpressure producer; stride needs drop-oldest")
 		}
 		if sc.Resub != 0 && (!sc.Drop || sc.Resub < 1 || sc.Resub >= sc.Rounds) {
-			return fmt.Errorf("genwf: resub = %d needs drop-oldest and 1 <= resub < rounds", sc.Resub)
+			return fmt.Errorf("scenario: resub = %d needs drop-oldest and 1 <= resub < rounds", sc.Resub)
 		}
 		if sc.Kill != 0 && !sc.Drop {
-			return fmt.Errorf("genwf: mid-stream kill runs lock-step (drop-oldest) only")
+			return fmt.Errorf("scenario: mid-stream kill runs lock-step (drop-oldest) only")
 		}
 	} else if sc.Drop || sc.Rounds != 0 || sc.MaxLag != 0 || sc.ConsumeEvery != 0 || sc.Resub != 0 {
-		return fmt.Errorf("genwf: streaming fields set without Stream")
+		return fmt.Errorf("scenario: streaming fields set without Stream")
 	}
 	return nil
 }
@@ -349,12 +348,12 @@ func Generate(seed uint64) Scenario {
 	}
 }
 
-// GenerateStreaming derives a valid streaming scenario from a seed: a
+// generateStreaming derives a valid streaming scenario from a seed: a
 // sequential coupling whose producers publish a bounded-lag stream of
 // versions instead of lock-step iterations. Like Generate the derivation
 // is pure, and the two generators draw from distinct sequences so the
 // existing sweep seeds keep their scenarios.
-func GenerateStreaming(seed uint64) Scenario {
+func generateStreaming(seed uint64) Scenario {
 	r := &rng{s: seed ^ 0x57bea315c0d5f10d}
 	for attempt := 0; attempt < 100; attempt++ {
 		sc := generate(r, seed)
@@ -399,7 +398,7 @@ func streamize(r *rng, sc *Scenario) {
 	}
 }
 
-// The pinned families: a draw of Generate or GenerateStreaming forced into
+// The pinned families: a draw of Generate or generateStreaming forced into
 // the shape one conformance sweep needs, from a seed range of its own.
 
 // GenerateFaulty pins a recoverable fault plan and a retry budget.
@@ -422,7 +421,7 @@ func GenerateElastic(seed uint64) Scenario {
 // GenerateStreamingKills pins a mid-stream node loss on every even seed
 // whose stream runs lock-step (drop-oldest) on two or more nodes.
 func GenerateStreamingKills(seed uint64) Scenario {
-	sc := GenerateStreaming(3000 + seed)
+	sc := generateStreaming(3000 + seed)
 	if seed%2 == 0 && sc.Drop && sc.Nodes > 1 {
 		sc.Kill = 1 + int(seed)%sc.Nodes
 	}
@@ -562,15 +561,15 @@ func kindLiteral(k decomp.Kind) string {
 func policyLiteral(p Policy) string {
 	switch p {
 	case Consecutive:
-		return "genwf.Consecutive"
+		return "conformance.Consecutive"
 	case RoundRobin:
-		return "genwf.RoundRobin"
+		return "conformance.RoundRobin"
 	case ServerDataCentric:
-		return "genwf.ServerDataCentric"
+		return "conformance.ServerDataCentric"
 	case ClientDataCentric:
-		return "genwf.ClientDataCentric"
+		return "conformance.ClientDataCentric"
 	default:
-		return fmt.Sprintf("genwf.Policy(%d)", int(p))
+		return fmt.Sprintf("conformance.Policy(%d)", int(p))
 	}
 }
 
@@ -586,11 +585,11 @@ func intsLiteral(v []int) string {
 }
 
 // GoLiteral renders the scenario as a runnable Go composite literal
-// (imports: internal/genwf, internal/decomp). Pasting it into a test and
+// (imports: internal/conformance, internal/decomp). Pasting it into a test and
 // calling conformance.Run reproduces the exact failing run.
 func (sc Scenario) GoLiteral() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "genwf.Scenario{\n")
+	fmt.Fprintf(&b, "conformance.Scenario{\n")
 	fmt.Fprintf(&b, "\tSeed: %#x, Nodes: %d, CoresPerNode: %d,\n", sc.Seed, sc.Nodes, sc.CoresPerNode)
 	fmt.Fprintf(&b, "\tDomain: %s, Sequential: %v,\n", intsLiteral(sc.Domain), sc.Sequential)
 	fmt.Fprintf(&b, "\tProdKind: %s, ProdGrid: %s, ProdBlock: %s,\n",
@@ -665,8 +664,8 @@ func decompSpec(kind decomp.Kind, grid, block []int) workflow.DecompSpec {
 	return workflow.DecompSpec{Kind: kind, Grid: grid, Block: block}
 }
 
-// Clone deep-copies the scenario (the shrinker mutates candidate slices).
-func (sc Scenario) Clone() Scenario {
+// clone deep-copies the scenario (the shrinker mutates candidate slices).
+func (sc Scenario) clone() Scenario {
 	cp := sc
 	cp.Domain = append([]int(nil), sc.Domain...)
 	cp.ProdGrid = append([]int(nil), sc.ProdGrid...)

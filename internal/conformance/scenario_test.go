@@ -1,4 +1,4 @@
-package genwf
+package conformance
 
 import (
 	"reflect"
@@ -62,7 +62,7 @@ func TestGenerateValid(t *testing.T) {
 // on the one sweep seed that happens to reach it.
 func TestFamiliesValidate(t *testing.T) {
 	families := map[string]func(uint64) Scenario{
-		"Generate": Generate, "GenerateStreaming": GenerateStreaming,
+		"Generate": Generate, "generateStreaming": generateStreaming,
 		"GenerateFaulty": GenerateFaulty, "GenerateElastic": GenerateElastic,
 		"GenerateStreamingKills": GenerateStreamingKills,
 	}
@@ -77,26 +77,26 @@ func TestFamiliesValidate(t *testing.T) {
 
 func TestValidateRejectsBadPairings(t *testing.T) {
 	base := Generate(7)
-	bad := base.Clone()
+	bad := base.clone()
 	bad.Sequential = false
 	bad.Mapping = ClientDataCentric
 	bad.Restage = false
 	if err := bad.Validate(); err == nil {
 		t.Error("concurrent client-data-centric accepted")
 	}
-	bad = base.Clone()
+	bad = base.clone()
 	bad.Sequential = true
 	bad.Mapping = ServerDataCentric
 	if err := bad.Validate(); err == nil {
 		t.Error("sequential server-data-centric accepted")
 	}
-	bad = base.Clone()
+	bad = base.clone()
 	bad.Faults = `{"rules": []}`
 	bad.Retry = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("fault plan without retry budget accepted")
 	}
-	bad = base.Clone()
+	bad = base.clone()
 	bad.Sequential = false
 	bad.Restage = true
 	if bad.Mapping == ClientDataCentric {
@@ -111,17 +111,17 @@ func TestFillDeterministicAndSeedSensitive(t *testing.T) {
 	a := Scenario{Seed: 1}
 	b := Scenario{Seed: 2}
 	p := []int{3, 4}
-	if a.Fill("u", 0, p) != a.Fill("u", 0, p) {
+	if a.fill("u", 0, p) != a.fill("u", 0, p) {
 		t.Fatal("fill not deterministic")
 	}
-	if a.Fill("u", 0, p) == b.Fill("u", 0, p) &&
-		a.Fill("u", 1, p) == b.Fill("u", 1, p) {
+	if a.fill("u", 0, p) == b.fill("u", 0, p) &&
+		a.fill("u", 1, p) == b.fill("u", 1, p) {
 		t.Fatal("fill ignores seed")
 	}
-	if a.Fill("u", 0, p) == a.Fill("w", 0, p) {
+	if a.fill("u", 0, p) == a.fill("w", 0, p) {
 		t.Fatal("fill ignores variable")
 	}
-	if a.Fill("u", 0, p) == a.Fill("u", 1, p) {
+	if a.fill("u", 0, p) == a.fill("u", 1, p) {
 		t.Fatal("fill ignores version")
 	}
 }
@@ -169,7 +169,7 @@ func TestShrinkReachesMinimalScenario(t *testing.T) {
 func TestPrinters(t *testing.T) {
 	sc := Generate(42)
 	lit := sc.GoLiteral()
-	for _, want := range []string{"genwf.Scenario{", "Seed: 0x", "Domain: []int{", "Mapping: genwf."} {
+	for _, want := range []string{"conformance.Scenario{", "Seed: 0x", "Domain: []int{", "Mapping: conformance."} {
 		if !strings.Contains(lit, want) {
 			t.Errorf("GoLiteral missing %q:\n%s", want, lit)
 		}
@@ -210,7 +210,7 @@ func TestDAGDescribesTheRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, sc.DAG())
 		}
-		for app, build := range map[int]func() (*decomp.Decomposition, error){1: sc.ProdDecomp, 2: sc.ConsDecomp} {
+		for app, build := range map[int]func() (*decomp.Decomposition, error){1: sc.prodDecomp, 2: sc.consDecomp} {
 			want, err := build()
 			if err != nil {
 				t.Fatal(err)

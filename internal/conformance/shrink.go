@@ -1,4 +1,4 @@
-package genwf
+package conformance
 
 import (
 	"github.com/insitu/cods/internal/decomp"
@@ -36,7 +36,7 @@ func Shrink(sc Scenario, fails func(Scenario) bool) Scenario {
 func candidates(sc Scenario) []Scenario {
 	var out []Scenario
 	add := func(mutate func(*Scenario)) {
-		c := sc.Clone()
+		c := sc.clone()
 		mutate(&c)
 		out = append(out, c)
 	}

@@ -2,8 +2,7 @@ package conformance
 
 // Streaming conformance (DESIGN §5i): scenarios with Stream set run the
 // bounded-lag publish/subscribe coupling instead of lock-step iterations
-// and are checked against the versioned stream reference in
-// internal/refmodel.
+// and are checked against the versioned stream reference (refStream).
 //
 // Two execution modes mirror the two lag policies:
 //
@@ -11,7 +10,7 @@ package conformance
 //     the consumers read and acknowledge on their stride. Forced
 //     retirements, cursor bumps and mid-stream resubscribes are therefore
 //     deterministic, and the runner mirrors every operation into a
-//     refmodel.Stream, comparing bytes, stamped versions, watermarks,
+//     refStream, comparing bytes, stamped versions, watermarks,
 //     floors, cursor positions and the published/consumed/dropped
 //     accounting after every step.
 //
@@ -33,12 +32,10 @@ import (
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/cods"
 	"github.com/insitu/cods/internal/decomp"
-	"github.com/insitu/cods/internal/genwf"
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/graph"
 	"github.com/insitu/cods/internal/mapping"
 	"github.com/insitu/cods/internal/membership"
-	"github.com/insitu/cods/internal/refmodel"
 )
 
 // publisher is one (producer rank, owned piece) pair. The stream layer
@@ -55,9 +52,9 @@ type publisher struct {
 // runStreaming executes a streaming scenario: producers placed like a
 // sequential stage publish sc.Rounds versions of the single stream
 // variable and the consumers follow through bounded-lag cursors.
-func runStreaming(sc genwf.Scenario, opts Options, machine *cluster.Machine, space *cods.Space,
-	ledger *membership.Ledger, prodApp, consApp graph.App, model *refmodel.Model, pred *predictor) error {
-	v := sc.VarNames()[0]
+func runStreaming(sc Scenario, opts Options, machine *cluster.Machine, space *cods.Space,
+	ledger *membership.Ledger, prodApp, consApp graph.App, model *refModel, pred *predictor) error {
+	v := sc.varNames()[0]
 	prod, cons := prodApp.Decomp, consApp.Decomp
 	prodPl, err := mapping.Consecutive(machine, []graph.App{prodApp}, nil)
 	if err != nil {
@@ -104,10 +101,10 @@ func runStreaming(sc genwf.Scenario, opts Options, machine *cluster.Machine, spa
 
 // runStreamLockstep drives a drop-oldest scenario one round at a time,
 // mirroring every operation into the stream reference model.
-func runStreamLockstep(sc genwf.Scenario, opts Options, machine *cluster.Machine, space *cods.Space,
+func runStreamLockstep(sc Scenario, opts Options, machine *cluster.Machine, space *cods.Space,
 	ledger *membership.Ledger, v string, pubs []*publisher, consumers []*consumer, cons *decomp.Decomposition,
-	model *refmodel.Model, pred *predictor) error {
-	ms := refmodel.NewStream(model, v, len(pubs), sc.MaxLag, true)
+	model *refModel, pred *predictor) error {
+	ms := newRefStream(model, v, len(pubs), sc.MaxLag, true)
 
 	// Subscribe in rank order so real and model subscriber ids stay
 	// aligned for the rest of the run.
@@ -145,7 +142,7 @@ func runStreamLockstep(sc genwf.Scenario, opts Options, machine *cluster.Machine
 
 		if err := runTasks(len(pubs), func(i int) error {
 			p := pubs[i]
-			ver, err := p.h.Publish(v, p.idx, p.piece, sc.FillRegion(v, r, p.piece))
+			ver, err := p.h.Publish(v, p.idx, p.piece, sc.fillRegion(v, r, p.piece))
 			if err != nil {
 				return fmt.Errorf("conformance: publisher %d publish round %d %v: %w\n%s",
 					p.idx, r, p.piece, err, sc.GoLiteral())
@@ -159,7 +156,7 @@ func runStreamLockstep(sc genwf.Scenario, opts Options, machine *cluster.Machine
 			return err
 		}
 		for _, p := range pubs {
-			mver, err := ms.Publish(p.idx, p.piece, int(p.h.Core()), sc.FillRegion(v, r, p.piece))
+			mver, err := ms.Publish(p.idx, p.piece, int(p.h.Core()), sc.fillRegion(v, r, p.piece))
 			if err != nil {
 				return err
 			}
@@ -245,8 +242,8 @@ func runStreamLockstep(sc genwf.Scenario, opts Options, machine *cluster.Machine
 // window from its position to the watermark, reads the latest value while
 // older versions are still retained, then acknowledges everything read.
 // Consumers run sequentially so retirements land at deterministic points.
-func consumeStreamStride(sc genwf.Scenario, opts Options, v string, consumers []*consumer,
-	curs []*cods.Cursor, ids []int, ms *refmodel.Stream, model *refmodel.Model,
+func consumeStreamStride(sc Scenario, opts Options, v string, consumers []*consumer,
+	curs []*cods.Cursor, ids []int, ms *refStream, model *refModel,
 	pred *predictor, r int) error {
 	for i, c := range consumers {
 		cur := curs[i]
@@ -339,9 +336,9 @@ func consumeStreamStride(sc genwf.Scenario, opts Options, v string, consumers []
 // state — every version published, consumed by every cursor, nothing
 // dropped, everything retired — is checked afterwards, and the flow
 // prediction is rebuilt sequentially from the static placement.
-func runStreamConcurrent(sc genwf.Scenario, opts Options, machine *cluster.Machine, space *cods.Space,
+func runStreamConcurrent(sc Scenario, opts Options, machine *cluster.Machine, space *cods.Space,
 	v string, pubs []*publisher, consumers []*consumer, cons *decomp.Decomposition,
-	model *refmodel.Model, pred *predictor) error {
+	model *refModel, pred *predictor) error {
 	// All cursors subscribe before the first publish so the lag bound
 	// constrains the producers from version zero.
 	curs := make([]*cods.Cursor, len(consumers))
@@ -356,7 +353,7 @@ func runStreamConcurrent(sc genwf.Scenario, opts Options, machine *cluster.Machi
 	produce := func(i int) error {
 		p := pubs[i]
 		for r := 0; r < sc.Rounds; r++ {
-			ver, err := p.h.Publish(v, p.idx, p.piece, sc.FillRegion(v, r, p.piece))
+			ver, err := p.h.Publish(v, p.idx, p.piece, sc.fillRegion(v, r, p.piece))
 			if err != nil {
 				// Close the sequence so blocked consumers fail with
 				// ErrStreamEnded instead of hanging.
@@ -396,7 +393,7 @@ func runStreamConcurrent(sc genwf.Scenario, opts Options, machine *cluster.Machi
 				if opts.stats != nil {
 					opts.stats.recordGet(getKey(c.rank, v, r, 0, region), got)
 				}
-				want := sc.FillRegion(v, r, region)
+				want := sc.fillRegion(v, r, region)
 				for j := range want {
 					if got[j] != want[j] {
 						return fmt.Errorf("conformance: rank %d %q v%d %v: cell %d = %v, fill says %v\n%s",
@@ -427,7 +424,7 @@ func runStreamConcurrent(sc genwf.Scenario, opts Options, machine *cluster.Machi
 			if opts.stats != nil {
 				opts.stats.recordGet(getKey(c.rank, v, ver, -1, region), got)
 			}
-			want := sc.FillRegion(v, ver, region)
+			want := sc.fillRegion(v, ver, region)
 			for j := range want {
 				if got[j] != want[j] {
 					return fmt.Errorf("conformance: rank %d latest %q v%d %v: cell %d = %v, fill says %v\n%s",
@@ -474,7 +471,7 @@ func runStreamConcurrent(sc genwf.Scenario, opts Options, machine *cluster.Machi
 	// regions once, plus one latest-value read of the final version.
 	for ver := 0; ver < sc.Rounds; ver++ {
 		for _, p := range pubs {
-			if err := model.Put(v, ver, p.piece, int(p.h.Core()), sc.FillRegion(v, ver, p.piece)); err != nil {
+			if err := model.Put(v, ver, p.piece, int(p.h.Core()), sc.fillRegion(v, ver, p.piece)); err != nil {
 				return err
 			}
 		}
@@ -506,8 +503,8 @@ func runStreamConcurrent(sc genwf.Scenario, opts Options, machine *cluster.Machi
 
 // checkStreamSync asserts the real stream and the model agree on the
 // watermark, the retained floor and every cursor position.
-func checkStreamSync(sc genwf.Scenario, v string, space *cods.Space,
-	curs []*cods.Cursor, ids []int, ms *refmodel.Stream) error {
+func checkStreamSync(sc Scenario, v string, space *cods.Space,
+	curs []*cods.Cursor, ids []int, ms *refStream) error {
 	latest, floor, err := space.StreamState(v)
 	if err != nil {
 		return err

@@ -1,17 +1,17 @@
 package geometry_test
 
 // Differential fuzzing of the region arithmetic against the conformance
-// harness's naive reference implementation (internal/refmodel): geometry
-// computes intersections and subtractions with interval arithmetic;
-// refmodel materializes cell sets. Any divergence on the small
-// boxes fuzzed here is a bug in one of them. The test lives in an external
-// package because refmodel imports geometry.
+// harness's naive reference implementation (internal/conformance):
+// geometry computes intersections and subtractions with interval
+// arithmetic; the reference model materializes cell sets. Any divergence on
+// the small boxes fuzzed here is a bug in one of them. The test lives in an
+// external package because conformance imports geometry.
 
 import (
 	"testing"
 
+	"github.com/insitu/cods/internal/conformance"
 	"github.com/insitu/cods/internal/geometry"
-	"github.com/insitu/cods/internal/refmodel"
 )
 
 // buildBoxes decodes the fuzz input into two same-dimension boxes with
@@ -54,7 +54,7 @@ func FuzzRegionOpsAgainstModel(f *testing.F) {
 		a, b := buildBoxes(dimSel, [12]int8{c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11})
 
 		// Intersection: interval arithmetic vs cell-set membership.
-		wantInter := refmodel.IntersectCellSet(a, b)
+		wantInter := conformance.IntersectCellSet(a, b)
 		inter, ok := a.Intersect(b)
 		if ok != (len(wantInter) > 0) && !(a.Empty() || b.Empty()) {
 			t.Fatalf("Intersect(%v, %v) ok=%v, model has %d shared cells", a, b, ok, len(wantInter))
@@ -63,27 +63,27 @@ func FuzzRegionOpsAgainstModel(f *testing.F) {
 			if got := inter.Volume(); got != int64(len(wantInter)) {
 				t.Fatalf("Intersect(%v, %v) = %v (%d cells), model says %d", a, b, inter, got, len(wantInter))
 			}
-			for cell := range refmodel.CellSet(inter) {
+			for cell := range conformance.CellSet(inter) {
 				if !wantInter[cell] {
 					t.Fatalf("Intersect(%v, %v) contains cell %s outside the model intersection", a, b, cell)
 				}
 			}
 		}
-		if v := refmodel.IntersectionVolume(a, b); v != int64(len(wantInter)) {
-			t.Fatalf("refmodel.IntersectionVolume(%v, %v) = %d, cell set has %d", a, b, v, len(wantInter))
+		if v := conformance.IntersectionVolume(a, b); v != int64(len(wantInter)) {
+			t.Fatalf("conformance.IntersectionVolume(%v, %v) = %d, cell set has %d", a, b, v, len(wantInter))
 		}
 
 		// Subtraction: a \ b piece volumes must sum to the cell-set
 		// difference, and every piece must stay inside a and outside b.
 		diff := a.Subtract(b)
-		wantDiff := int64(len(refmodel.CellSet(a))) - int64(len(wantInter))
+		wantDiff := int64(len(conformance.CellSet(a))) - int64(len(wantInter))
 		var diffVol int64
 		for _, p := range diff {
 			diffVol += p.Volume()
-			if refmodel.IntersectionVolume(p, a) != p.Volume() {
+			if conformance.IntersectionVolume(p, a) != p.Volume() {
 				t.Fatalf("Subtract(%v, %v) piece %v leaves a", a, b, p)
 			}
-			if refmodel.Overlaps(p, b) {
+			if conformance.Overlaps(p, b) {
 				t.Fatalf("Subtract(%v, %v) piece %v still overlaps b", a, b, p)
 			}
 		}

@@ -7,7 +7,8 @@
 // of bytes the coupling moves between them. The graph is computed offline
 // from the applications' declared data decompositions: the coupled bytes
 // between producer rank p and consumer rank c are the overlap volume of
-// their owned regions times the element size.
+// their owned regions times the element size. KWay (partition.go), the
+// METIS substitute, splits the graph into per-node groups.
 package graph
 
 import (
@@ -16,7 +17,6 @@ import (
 
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/decomp"
-	"github.com/insitu/cods/internal/partition"
 )
 
 // App is one parallel application of a bundle: its id and declared data
@@ -35,7 +35,7 @@ type App struct {
 // is sorted by neighbour. tasks[v] is the task of vertex v. couplings
 // lists the (producer, consumer) application pairs that exchange data;
 // both must appear in apps.
-func BuildInterApp(apps []App, couplings [][2]int, elemSize int64) (g *partition.Graph, tasks []cluster.TaskID, err error) {
+func BuildInterApp(apps []App, couplings [][2]int, elemSize int64) (g *Graph, tasks []cluster.TaskID, err error) {
 	if elemSize <= 0 {
 		return nil, nil, fmt.Errorf("graph: element size %d", elemSize)
 	}
@@ -73,12 +73,12 @@ func BuildInterApp(apps []App, couplings [][2]int, elemSize int64) (g *partition
 			}
 		})
 	}
-	g = &partition.Graph{VWgt: make([]int64, len(tasks)), Adj: make([][]partition.Edge, len(tasks))}
+	g = &Graph{VWgt: make([]int64, len(tasks)), Adj: make([][]Edge, len(tasks))}
 	for v := range g.VWgt {
 		g.VWgt[v] = 1
 	}
 	for uv, w := range weight {
-		g.Adj[uv[0]] = append(g.Adj[uv[0]], partition.Edge{To: uv[1], Wgt: w})
+		g.Adj[uv[0]] = append(g.Adj[uv[0]], Edge{To: uv[1], Wgt: w})
 	}
 	for _, adj := range g.Adj {
 		sort.Slice(adj, func(i, j int) bool { return adj[i].To < adj[j].To })

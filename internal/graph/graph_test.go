@@ -6,7 +6,6 @@ import (
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/decomp"
 	"github.com/insitu/cods/internal/geometry"
-	"github.com/insitu/cods/internal/partition"
 )
 
 func mustDecomp(t testing.TB, kind decomp.Kind, size, grid, block []int) *decomp.Decomposition {
@@ -20,17 +19,17 @@ func mustDecomp(t testing.TB, kind decomp.Kind, size, grid, block []int) *decomp
 
 // build runs BuildInterApp and holds its graph to the partitioner's
 // structural invariants: symmetric, positive edges and no self loop.
-func build(t *testing.T, apps []App, couplings [][2]int) (*partition.Graph, []cluster.TaskID) {
+func build(t *testing.T, apps []App, couplings [][2]int) (*Graph, []cluster.TaskID) {
 	t.Helper()
 	g, tasks, err := BuildInterApp(apps, couplings, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Validate(); err != nil {
+	if err := g.validate(); err != nil {
 		t.Fatalf("BuildInterApp graph: %v", err)
 	}
-	if len(tasks) != g.NumVertices() {
-		t.Fatalf("%d tasks for %d vertices", len(tasks), g.NumVertices())
+	if len(tasks) != g.numVertices() {
+		t.Fatalf("%d tasks for %d vertices", len(tasks), g.numVertices())
 	}
 	return g, tasks
 }
@@ -48,7 +47,7 @@ func vertexOf(t *testing.T, tasks []cluster.TaskID, app, rank int) int {
 }
 
 // totalEdgeWeight sums every undirected edge once.
-func totalEdgeWeight(g *partition.Graph) int64 {
+func totalEdgeWeight(g *Graph) int64 {
 	var total int64
 	for u, adj := range g.Adj {
 		for _, e := range adj {
@@ -102,8 +101,8 @@ func TestBuildInterAppMatchedBlocked(t *testing.T) {
 	prod := mustDecomp(t, decomp.Blocked, []int{16, 16}, []int{4, 4}, nil)
 	cons := mustDecomp(t, decomp.Blocked, []int{16, 16}, []int{2, 2}, nil)
 	g, tasks := build(t, []App{{ID: 1, Decomp: prod}, {ID: 2, Decomp: cons}}, [][2]int{{1, 2}})
-	if g.NumVertices() != 16+4 {
-		t.Fatalf("NumVertices = %d", g.NumVertices())
+	if g.numVertices() != 16+4 {
+		t.Fatalf("numVertices = %d", g.numVertices())
 	}
 	// Total edge weight must equal the full coupled volume in bytes.
 	if got, want := totalEdgeWeight(g), int64(16*16*8); got != want {

@@ -1,9 +1,11 @@
-// Package partition implements the multilevel k-way graph partitioner the
-// workflow management server uses for server-side data-centric task
-// mapping. The paper uses METIS to split the num_task vertices of the
-// inter-application communication graph into num_task/core_count groups so
-// that heavily communicating tasks land on the same compute node; this
-// package reimplements the same multilevel scheme from scratch:
+package graph
+
+// The multilevel k-way graph partitioner the workflow management server
+// uses for server-side data-centric task mapping. The paper uses METIS to
+// split the num_task vertices of the inter-application communication graph
+// into num_task/core_count groups so that heavily communicating tasks land
+// on the same compute node; KWay reimplements the same multilevel scheme
+// from scratch:
 //
 //  1. Coarsening by heavy-edge matching until the graph is small.
 //  2. Initial partitioning of the coarsest graph by greedy graph growing.
@@ -11,7 +13,6 @@
 //     refinement at every level.
 //  4. A final repair pass that enforces the strict per-part capacity
 //     (a compute node has exactly core_count cores).
-package partition
 
 import (
 	"fmt"
@@ -32,11 +33,11 @@ type Graph struct {
 	Adj  [][]Edge
 }
 
-// NumVertices returns the vertex count.
-func (g *Graph) NumVertices() int { return len(g.VWgt) }
+// numVertices returns the vertex count.
+func (g *Graph) numVertices() int { return len(g.VWgt) }
 
-// TotalVertexWeight sums all vertex weights.
-func (g *Graph) TotalVertexWeight() int64 {
+// totalVertexWeight sums all vertex weights.
+func (g *Graph) totalVertexWeight() int64 {
 	var t int64
 	for _, w := range g.VWgt {
 		t += w
@@ -44,8 +45,8 @@ func (g *Graph) TotalVertexWeight() int64 {
 	return t
 }
 
-// Validate checks structural invariants (symmetry, weight positivity).
-func (g *Graph) Validate() error {
+// validate checks structural invariants (symmetry, weight positivity).
+func (g *Graph) validate() error {
 	if len(g.VWgt) != len(g.Adj) {
 		return fmt.Errorf("partition: VWgt has %d entries, Adj has %d", len(g.VWgt), len(g.Adj))
 	}
@@ -78,8 +79,8 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// EdgeCut returns the total weight of edges crossing parts.
-func EdgeCut(g *Graph, parts []int) int64 {
+// edgeCut returns the total weight of edges crossing parts.
+func edgeCut(g *Graph, parts []int) int64 {
 	var cut int64
 	for u := range g.Adj {
 		for _, e := range g.Adj[u] {
@@ -91,8 +92,8 @@ func EdgeCut(g *Graph, parts []int) int64 {
 	return cut
 }
 
-// PartWeights returns the vertex weight of each part.
-func PartWeights(g *Graph, parts []int, k int) []int64 {
+// partWeights returns the vertex weight of each part.
+func partWeights(g *Graph, parts []int, k int) []int64 {
 	w := make([]int64, k)
 	for v, p := range parts {
 		w[p] += g.VWgt[v]
@@ -121,11 +122,11 @@ type Options struct {
 // weight of crossing edges. The returned slice maps vertex to part in
 // [0,k). It errors if the capacity cannot hold the vertices.
 func KWay(g *Graph, k int, opts Options) ([]int, error) {
-	n := g.NumVertices()
+	n := g.numVertices()
 	if k < 1 {
 		return nil, fmt.Errorf("partition: k = %d < 1", k)
 	}
-	total := g.TotalVertexWeight()
+	total := g.totalVertexWeight()
 	cap := opts.MaxPartWeight
 	if cap == 0 {
 		cap = (total + int64(k) - 1) / int64(k)
@@ -162,9 +163,9 @@ func KWay(g *Graph, k int, opts Options) ([]int, error) {
 	levels := []level{{g: g}}
 	if !opts.SingleLevel {
 		cur := g
-		for cur.NumVertices() > coarsenTo {
+		for cur.numVertices() > coarsenTo {
 			coarse, cmap := coarsen(cur, cap, rng)
-			if coarse.NumVertices() >= cur.NumVertices() {
+			if coarse.numVertices() >= cur.numVertices() {
 				break // no progress; stop coarsening
 			}
 			levels[len(levels)-1].cmap = cmap
@@ -183,7 +184,7 @@ func KWay(g *Graph, k int, opts Options) ([]int, error) {
 	for li := len(levels) - 2; li >= 0; li-- {
 		fine := levels[li].g
 		cmap := levels[li].cmap
-		fineParts := make([]int, fine.NumVertices())
+		fineParts := make([]int, fine.numVertices())
 		for v := range fineParts {
 			fineParts[v] = parts[cmap[v]]
 		}
@@ -198,7 +199,7 @@ func KWay(g *Graph, k int, opts Options) ([]int, error) {
 // graph plus the fine-to-coarse vertex map. Matches whose combined weight
 // would exceed cap are skipped so coarse vertices stay placeable.
 func coarsen(g *Graph, cap int64, rng *rand.Rand) (*Graph, []int) {
-	n := g.NumVertices()
+	n := g.numVertices()
 	match := make([]int, n)
 	for i := range match {
 		match[i] = -1
@@ -281,13 +282,13 @@ func coarsen(g *Graph, cap int64, rng *rand.Rand) (*Graph, []int) {
 // time from a seed by repeatedly absorbing the unassigned vertex with the
 // strongest connection to the growing part.
 func growInitial(g *Graph, k int, cap int64, rng *rand.Rand) []int {
-	n := g.NumVertices()
+	n := g.numVertices()
 	parts := make([]int, n)
 	for i := range parts {
 		parts[i] = -1
 	}
 	unassigned := n
-	remainingWeight := g.TotalVertexWeight()
+	remainingWeight := g.totalVertexWeight()
 	order := rng.Perm(n)
 	for p := 0; p < k && unassigned > 0; p++ {
 		target := remainingWeight / int64(k-p)
@@ -379,8 +380,8 @@ func growInitial(g *Graph, k int, cap int64, rng *rand.Rand) []int {
 // the neighbouring part that maximally reduces the cut, if the capacity
 // allows. Sweeps stop early when a pass makes no move.
 func refine(g *Graph, parts []int, k int, cap int64, passes int) {
-	n := g.NumVertices()
-	w := PartWeights(g, parts, k)
+	n := g.numVertices()
+	w := partWeights(g, parts, k)
 	for pass := 0; pass < passes; pass++ {
 		moves := 0
 		for v := 0; v < n; v++ {
@@ -423,7 +424,7 @@ func refine(g *Graph, parts []int, k int, cap int64, passes int) {
 // overweight parts into the lightest fitting parts, choosing the vertex
 // with the smallest cut penalty.
 func repair(g *Graph, parts []int, k int, cap int64) {
-	w := PartWeights(g, parts, k)
+	w := partWeights(g, parts, k)
 	// The fallback branch can in principle oscillate on heavily weighted
 	// coarse graphs; bound the work (the finest level has unit weights and
 	// always converges long before this).

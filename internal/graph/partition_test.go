@@ -1,4 +1,4 @@
-package partition
+package graph
 
 import (
 	"math/rand"
@@ -43,15 +43,15 @@ func twoCliques(size int) *Graph {
 
 func checkPartition(t *testing.T, g *Graph, parts []int, k int, cap int64) {
 	t.Helper()
-	if len(parts) != g.NumVertices() {
-		t.Fatalf("parts length %d != vertices %d", len(parts), g.NumVertices())
+	if len(parts) != g.numVertices() {
+		t.Fatalf("parts length %d != vertices %d", len(parts), g.numVertices())
 	}
 	for v, p := range parts {
 		if p < 0 || p >= k {
 			t.Fatalf("vertex %d in invalid part %d", v, p)
 		}
 	}
-	for p, w := range PartWeights(g, parts, k) {
+	for p, w := range partWeights(g, parts, k) {
 		if w > cap {
 			t.Fatalf("part %d weight %d exceeds capacity %d", p, w, cap)
 		}
@@ -60,19 +60,19 @@ func checkPartition(t *testing.T, g *Graph, parts []int, k int, cap int64) {
 
 func TestValidate(t *testing.T) {
 	good := buildGraph(3, nil, [][3]int64{{0, 1, 5}, {1, 2, 2}})
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := &Graph{VWgt: []int64{1, 1}, Adj: [][]Edge{{{To: 1, Wgt: 3}}, {}}}
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Error("asymmetric graph validated")
 	}
 	loop := &Graph{VWgt: []int64{1}, Adj: [][]Edge{{{To: 0, Wgt: 1}}}}
-	if err := loop.Validate(); err == nil {
+	if err := loop.validate(); err == nil {
 		t.Error("self loop validated")
 	}
 	zero := &Graph{VWgt: []int64{0}, Adj: [][]Edge{nil}}
-	if err := zero.Validate(); err == nil {
+	if err := zero.validate(); err == nil {
 		t.Error("zero vertex weight validated")
 	}
 }
@@ -106,7 +106,7 @@ func TestKWaySeparatesCliques(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPartition(t, g, parts, 2, 8)
-	if cut := EdgeCut(g, parts); cut != 1 {
+	if cut := edgeCut(g, parts); cut != 1 {
 		t.Fatalf("edge cut = %d, want 1 (only the bridge)", cut)
 	}
 }
@@ -132,7 +132,7 @@ func TestKWayFourCliquesFourParts(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPartition(t, g, parts, k, int64(size))
-	if cut := EdgeCut(g, parts); cut != int64(k) {
+	if cut := edgeCut(g, parts); cut != int64(k) {
 		t.Fatalf("edge cut = %d, want %d (only bridges)", cut, k)
 	}
 }
@@ -171,7 +171,7 @@ func TestKWayWeightedVertices(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPartition(t, g, parts, 2, 6)
-	if cut := EdgeCut(g, parts); cut > 5 {
+	if cut := edgeCut(g, parts); cut > 5 {
 		t.Fatalf("edge cut = %d, expected the light bridge region (<=5)", cut)
 	}
 }
@@ -201,7 +201,7 @@ func TestSingleLevelOption(t *testing.T) {
 	}
 	checkPartition(t, g, parts, 2, 8)
 	// Single-level should still find the obvious split on this easy graph.
-	if cut := EdgeCut(g, parts); cut != 1 {
+	if cut := edgeCut(g, parts); cut != 1 {
 		t.Fatalf("single-level cut = %d", cut)
 	}
 }
@@ -230,14 +230,14 @@ func TestMultilevelBeatsOrEqualsRandomOnGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPartition(t, g, parts, k, int64(n/k))
-	cut := EdgeCut(g, parts)
+	cut := edgeCut(g, parts)
 
 	rng := rand.New(rand.NewSource(5))
 	randomParts := make([]int, n)
 	for i := range randomParts {
 		randomParts[i] = rng.Intn(k)
 	}
-	randomCut := EdgeCut(g, randomParts)
+	randomCut := edgeCut(g, randomParts)
 	if cut*2 >= randomCut {
 		t.Fatalf("multilevel cut %d not clearly better than random cut %d", cut, randomCut)
 	}
@@ -246,12 +246,12 @@ func TestMultilevelBeatsOrEqualsRandomOnGrid(t *testing.T) {
 func TestEdgeCutAndPartWeights(t *testing.T) {
 	g := buildGraph(4, []int64{1, 2, 3, 4}, [][3]int64{{0, 1, 5}, {2, 3, 7}, {1, 2, 11}})
 	parts := []int{0, 0, 1, 1}
-	if cut := EdgeCut(g, parts); cut != 11 {
-		t.Fatalf("EdgeCut = %d", cut)
+	if cut := edgeCut(g, parts); cut != 11 {
+		t.Fatalf("edgeCut = %d", cut)
 	}
-	w := PartWeights(g, parts, 2)
+	w := partWeights(g, parts, 2)
 	if w[0] != 3 || w[1] != 7 {
-		t.Fatalf("PartWeights = %v", w)
+		t.Fatalf("partWeights = %v", w)
 	}
 }
 
@@ -283,7 +283,7 @@ func TestQuickPartitionInvariants(t *testing.T) {
 			clean = append(clean, [3]int64{int64(p[0]), int64(p[1]), w})
 		}
 		g := buildGraph(n, nil, clean)
-		if err := g.Validate(); err != nil {
+		if err := g.validate(); err != nil {
 			return false
 		}
 		cap := int64((n + k - 1) / k)
@@ -296,7 +296,7 @@ func TestQuickPartitionInvariants(t *testing.T) {
 				return false
 			}
 		}
-		for _, w := range PartWeights(g, parts, k) {
+		for _, w := range partWeights(g, parts, k) {
 			if w > cap {
 				return false
 			}

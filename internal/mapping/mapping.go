@@ -35,7 +35,6 @@ import (
 	"github.com/insitu/cods/internal/decomp"
 	"github.com/insitu/cods/internal/dht"
 	"github.com/insitu/cods/internal/graph"
-	"github.com/insitu/cods/internal/partition"
 )
 
 // allNodes returns the node list or the whole machine when nil.
@@ -127,14 +126,14 @@ type Bundle struct {
 // num_task/core_count groups (capacity = cores per node), then map each
 // group to one node and its tasks to the node's cores round-robin.
 func ServerDataCentric(m *cluster.Machine, b Bundle, nodes []cluster.NodeID, elemSize int64, seed int64) (*cluster.Placement, error) {
-	return ServerDataCentricOpts(m, b, nodes, elemSize, partition.Options{Seed: seed})
+	return ServerDataCentricOpts(m, b, nodes, elemSize, graph.Options{Seed: seed})
 }
 
 // ServerDataCentricOpts is ServerDataCentric with explicit partitioner
 // options (the ablation benchmarks use it to compare partitioner
 // variants). The capacity option is always overridden with the node core
 // count.
-func ServerDataCentricOpts(m *cluster.Machine, b Bundle, nodes []cluster.NodeID, elemSize int64, opts partition.Options) (*cluster.Placement, error) {
+func ServerDataCentricOpts(m *cluster.Machine, b Bundle, nodes []cluster.NodeID, elemSize int64, opts graph.Options) (*cluster.Placement, error) {
 	nodes = allNodes(m, nodes)
 	g, tasks, err := graph.BuildInterApp(b.Apps, b.Couplings, elemSize)
 	if err != nil {
@@ -149,7 +148,7 @@ func ServerDataCentricOpts(m *cluster.Machine, b Bundle, nodes []cluster.NodeID,
 		k = len(nodes)
 	}
 	opts.MaxPartWeight = int64(m.CoresPerNode())
-	parts, err := partition.KWay(g, k, opts)
+	parts, err := graph.KWay(g, k, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,6 @@ import (
 	"github.com/insitu/cods/internal/dht"
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/graph"
-	"github.com/insitu/cods/internal/partition"
 	"github.com/insitu/cods/internal/sfc"
 	"github.com/insitu/cods/internal/transport"
 )
@@ -402,7 +401,7 @@ func TestDescribe(t *testing.T) {
 
 func TestServerDataCentricSingleLevelStillValid(t *testing.T) {
 	m, b := concurrentScenario(t)
-	p, err := ServerDataCentricOpts(m, b, nil, 8, partition.Options{Seed: 1, SingleLevel: true})
+	p, err := ServerDataCentricOpts(m, b, nil, 8, graph.Options{Seed: 1, SingleLevel: true})
 	if err != nil {
 		t.Fatal(err)
 	}

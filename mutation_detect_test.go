@@ -18,7 +18,6 @@ import (
 
 	"github.com/insitu/cods/internal/conformance"
 	"github.com/insitu/cods/internal/decomp"
-	"github.com/insitu/cods/internal/genwf"
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/mutate"
 	"github.com/insitu/cods/internal/sfc"
@@ -27,75 +26,75 @@ import (
 // mutationScenario returns the directed scenario detecting one seeded
 // defect. Randomized sweeps catch most of these too; the directed ones
 // make each detection deterministic.
-func mutationScenario(name string) genwf.Scenario {
+func mutationScenario(name string) conformance.Scenario {
 	switch name {
 	case mutate.GeomIntersect:
 		// Ghost halos make every sequential schedule intersect stored
 		// blocks with wider get regions; the clipped upper bound loses a
 		// row and the schedule no longer covers the region.
-		return genwf.Scenario{
+		return conformance.Scenario{
 			Seed: 0xA, Nodes: 2, CoresPerNode: 2, Domain: []int{8, 8},
 			Sequential: true,
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2, 2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2, 2},
-			Vars: 1, Ghost: 1, Versions: 1, Mapping: genwf.Consecutive,
+			Vars: 1, Ghost: 1, Versions: 1, Mapping: conformance.Consecutive,
 		}
 	case mutate.SfcSpanSplit:
 		// 1-D domain of 16 over 8 lookup nodes (two SFC indices each).
 		// The producer's second block [8,16) registers on nodes 4..7; the
 		// consumer's ghost region [0,9) queries — mutated to [0,8) — only
 		// nodes 0..3 and misses the entry entirely.
-		return genwf.Scenario{
+		return conformance.Scenario{
 			Seed: 0xB, Nodes: 8, CoresPerNode: 1, Domain: []int{16},
 			Sequential: true,
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2},
-			Vars: 1, Ghost: 1, Versions: 1, Mapping: genwf.Consecutive,
+			Vars: 1, Ghost: 1, Versions: 1, Mapping: conformance.Consecutive,
 		}
 	case mutate.SchedDropTransfer:
 		// One consumer pulling the whole domain from two producer blocks:
 		// a two-transfer schedule, so dropping the last transfer leaves
 		// half the cells zero.
-		return genwf.Scenario{
+		return conformance.Scenario{
 			Seed: 0xC, Nodes: 2, CoresPerNode: 2, Domain: []int{16},
 			Sequential: true,
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{1},
-			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
+			Vars: 1, Ghost: 0, Versions: 1, Mapping: conformance.Consecutive,
 		}
 	case mutate.StaleEpoch:
 		// Restaging moves every block one node over; a schedule cache
 		// that ignores the invalidation stamp keeps pulling the old,
 		// unexposed buffer and blocks forever (caught by the watchdog).
-		return genwf.Scenario{
+		return conformance.Scenario{
 			Seed: 0xD, Nodes: 2, CoresPerNode: 2, Domain: []int{8},
 			Sequential: true,
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2},
-			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
+			Vars: 1, Ghost: 0, Versions: 1, Mapping: conformance.Consecutive,
 			Restage: true,
 		}
 	case mutate.SwapFlow:
 		// Producers fill node 0, consumers node 1: all coupling flows
 		// cross 0 -> 1. Swapped endpoints keep every per-medium total
 		// identical — only the per-(src, dst) flow aggregation catches it.
-		return genwf.Scenario{
+		return conformance.Scenario{
 			Seed: 0xE, Nodes: 2, CoresPerNode: 2, Domain: []int{8},
 			Sequential: false, Staged: true,
 			ProdKind: decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2},
-			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
+			Vars: 1, Ghost: 0, Versions: 1, Mapping: conformance.Consecutive,
 		}
 	case mutate.GetNoRetry:
 		// A single-transfer schedule whose first read fails (a fault window
 		// of one match) under a two-attempt policy: the get heals on its
 		// second attempt, unless its loop gives up on the first failure.
-		return genwf.Scenario{
+		return conformance.Scenario{
 			Seed: 0xF, Nodes: 1, CoresPerNode: 1, Domain: []int{8},
 			Sequential: true,
 			ProdKind:   decomp.Blocked, ProdGrid: []int{1},
 			ConsKind: decomp.Blocked, ConsGrid: []int{1},
-			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
+			Vars: 1, Ghost: 0, Versions: 1, Mapping: conformance.Consecutive,
 			Faults: `{"seed": 1, "rules": [{"op": "read", "mode": "error", "from_op": 0, "to_op": 1}]}`,
 			Retry:  2,
 		}
@@ -105,24 +104,24 @@ func mutationScenario(name string) genwf.Scenario {
 		// mutated frame is one byte short and the strict decoder rejects
 		// it. The in-process leg of the cross-backend run stays green —
 		// only the real network path carries the defect.
-		return genwf.Scenario{
+		return conformance.Scenario{
 			Seed: 0x10, Nodes: 2, CoresPerNode: 1, Domain: []int{16},
 			Sequential: true,
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{1},
-			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
+			Vars: 1, Ghost: 0, Versions: 1, Mapping: conformance.Consecutive,
 		}
 	case mutate.TCPMeterClass:
 		// Same cross-node shape: the swapped class byte books the coupled
 		// network pull as control traffic on the serving side. Data stays
 		// byte-identical; the inter-app-bytes-vs-model invariant of the
 		// TCP leg is what must catch it.
-		return genwf.Scenario{
+		return conformance.Scenario{
 			Seed: 0x11, Nodes: 2, CoresPerNode: 1, Domain: []int{16},
 			Sequential: true,
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{1},
-			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
+			Vars: 1, Ghost: 0, Versions: 1, Mapping: conformance.Consecutive,
 		}
 	case mutate.ObsFlowMisattribute:
 		// Producers fill node 0, consumers node 1: the coupling flows
@@ -130,12 +129,12 @@ func mutationScenario(name string) genwf.Scenario {
 		// next node inside the obs aggregation only — the raw flow log
 		// and every byte total stay correct, so only the flow-matrix
 		// regrouping check (invariant 4b) can see it.
-		return genwf.Scenario{
+		return conformance.Scenario{
 			Seed: 0x13, Nodes: 2, CoresPerNode: 2, Domain: []int{8},
 			Sequential: false, Staged: true,
 			ProdKind: decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2},
-			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
+			Vars: 1, Ghost: 0, Versions: 1, Mapping: conformance.Consecutive,
 		}
 	case mutate.TCPSGDrop, mutate.TCPSGReorder, mutate.TCPMsgEntryDrop:
 		// Four producer blocks over a 2x2 machine, consumer on core 0:
@@ -148,12 +147,12 @@ func mutationScenario(name string) genwf.Scenario {
 		// consumer's query with — the one lookup that crosses the wire — so
 		// a response decoder that forgets its last entry leaves the get a
 		// quarter of the domain short of coverage.
-		return genwf.Scenario{
+		return conformance.Scenario{
 			Seed: 0x12, Nodes: 2, CoresPerNode: 2, Domain: []int{32},
 			Sequential: true,
 			ProdKind:   decomp.Blocked, ProdGrid: []int{4},
 			ConsKind: decomp.Blocked, ConsGrid: []int{1},
-			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
+			Vars: 1, Ghost: 0, Versions: 1, Mapping: conformance.Consecutive,
 		}
 	case mutate.TCPBlockShift, mutate.TCPClipRowSkew:
 		// Two producer blocks of 4x8 staged through the driver, so each
@@ -164,12 +163,12 @@ func mutationScenario(name string) genwf.Scenario {
 		// values; a clip whose later rows start one cell late keeps every
 		// segment's length. Both put wrong cells where the model has the
 		// right ones, and only on the TCP leg.
-		return genwf.Scenario{
+		return conformance.Scenario{
 			Seed: 0x19, Nodes: 2, CoresPerNode: 4, Domain: []int{8, 8},
 			Sequential: true,
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2, 1},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2, 4},
-			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
+			Vars: 1, Ghost: 0, Versions: 1, Mapping: conformance.Consecutive,
 		}
 	case mutate.ReconcileSkipReinsert:
 		// Both producer blocks are staged on node 0; the record of the
@@ -179,12 +178,12 @@ func mutationScenario(name string) genwf.Scenario {
 		// node's blocks (there are none) but skips re-registering the
 		// survivors' leaves that record lost, and the owner check after the
 		// reconcile sees no entry where the model predicts one.
-		return genwf.Scenario{
+		return conformance.Scenario{
 			Seed: 0x14, Nodes: 2, CoresPerNode: 2, Domain: []int{8},
 			Sequential: true,
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2},
-			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
+			Vars: 1, Ghost: 0, Versions: 1, Mapping: conformance.Consecutive,
 			Kill: 2,
 		}
 	case mutate.StaleWatermarkServed:
@@ -193,12 +192,12 @@ func mutationScenario(name string) genwf.Scenario {
 		// watermark (2), so the mutated latest-value read serves the
 		// retained version 1 — the model answers version 2 with different
 		// bytes, and the version comparison catches it deterministically.
-		return genwf.Scenario{
+		return conformance.Scenario{
 			Seed: 0x15, Nodes: 2, CoresPerNode: 2, Domain: []int{8},
 			Sequential: true,
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2},
-			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
+			Vars: 1, Ghost: 0, Versions: 1, Mapping: conformance.Consecutive,
 			Stream: true, Drop: true, Rounds: 3, MaxLag: 3, ConsumeEvery: 3,
 		}
 	case mutate.GCBeforeConsume:
@@ -207,12 +206,12 @@ func mutationScenario(name string) genwf.Scenario {
 		// mutated bound retires one version consumers were still entitled
 		// to at the round-1 watermark advance — the floor and cursor
 		// positions diverge from the model immediately after that publish.
-		return genwf.Scenario{
+		return conformance.Scenario{
 			Seed: 0x16, Nodes: 2, CoresPerNode: 2, Domain: []int{8},
 			Sequential: true,
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2},
-			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
+			Vars: 1, Ghost: 0, Versions: 1, Mapping: conformance.Consecutive,
 			Stream: true, Drop: true, Rounds: 4, MaxLag: 2, ConsumeEvery: 2,
 		}
 	case mutate.VersionSkipOnResubscribe:
@@ -220,12 +219,12 @@ func mutationScenario(name string) genwf.Scenario {
 		// mutated resume lands at 2 and silently skips a version — the
 		// position check against the model's cursor catches the gap before
 		// any data is read.
-		return genwf.Scenario{
+		return conformance.Scenario{
 			Seed: 0x17, Nodes: 2, CoresPerNode: 2, Domain: []int{8},
 			Sequential: true,
 			ProdKind:   decomp.Blocked, ProdGrid: []int{2},
 			ConsKind: decomp.Blocked, ConsGrid: []int{2},
-			Vars: 1, Ghost: 0, Versions: 1, Mapping: genwf.Consecutive,
+			Vars: 1, Ghost: 0, Versions: 1, Mapping: conformance.Consecutive,
 			Stream: true, Drop: true, Rounds: 3, MaxLag: 2, ConsumeEvery: 1, Resub: 2,
 		}
 	default:
