@@ -21,7 +21,9 @@
 // metered as such. A communication schedule is the list of
 // transport.ReadSpec that Endpoint.ReadMulti executes, one spec per stored
 // block; schedules are cached per client and reused across iterations
-// (versions), as coupling patterns repeat in iterative simulations.
+// (versions), as coupling patterns repeat in iterative simulations. A
+// client also keeps the locations its lookups returned, so a get of a new
+// region that they tile needs no lookup.
 package cods
 
 import (
@@ -435,6 +437,33 @@ type schedEntry struct {
 // it full empties it.
 const maxCachedSchedules = 128
 
+// maxLocatedEntries bounds the location entries a handle's located tables
+// hold in all; a fill that would pass it empties them. A 512x512 domain
+// of 16x16 blocks (seq-lookup-tcp) is 1,024 entries.
+const maxLocatedEntries = 4096
+
+// locatedKey names one variable version in a handle's located tables.
+type locatedKey struct {
+	v       string
+	version int
+}
+
+// located is what a handle's lookups found of one variable version: every
+// entry of every answer that covered its get, and the invalidation stamp
+// the first of those lookups was made under.
+type located struct {
+	gen uint64
+	at  dht.Locations
+}
+
+// answer is a lookup answer that covered its get: the entries of one
+// variable version and the invalidation stamp the lookup was made under.
+type answer struct {
+	key     locatedKey
+	gen     uint64
+	entries []dht.Entry
+}
+
 // Handle is an execution client's per-core view of the space.
 type Handle struct {
 	sp    *Space
@@ -452,6 +481,18 @@ type Handle struct {
 	// benchmarks disable the cache.
 	schedCache   map[string]schedEntry
 	CacheEnabled bool
+
+	// located keeps, per variable version, the entries the handle's lookups
+	// returned, so a get whose region they tile exactly builds its schedule
+	// without a lookup (locatedSchedule). It follows the schedule cache: the
+	// same stamp, off with it, and bounded (maxLocatedEntries, nLocated in
+	// all). It is per handle so that what a handle sends never depends on
+	// what other tasks looked up, and when. The latest answer waits in
+	// pending until another get could use it, so a handle that reads one
+	// region per version, as a workflow task does, indexes nothing.
+	located  map[locatedKey]*located
+	nLocated int
+	pending  answer
 
 	// stats
 	CacheHits   int
@@ -740,14 +781,31 @@ func (e coverageError) Error() string { return string(e) }
 
 func (coverageError) Transient() bool { return true }
 
-// sequentialSchedule queries the lookup service and converts the location
-// entries into a read list covering the region exactly; an answer that
-// falls short is a coverageError.
+// sequentialSchedule converts the location entries of the region into a
+// read list covering it exactly: the entries the handle has located when
+// they tile the region, else the lookup service's answer, which it then
+// locates. An answer that falls short is a coverageError.
 func (h *Handle) sequentialSchedule(v string, version int, region geometry.BBox) ([]transport.ReadSpec, error) {
+	gen := h.sp.scheduleStamp(v)
+	if sched := h.locatedSchedule(v, version, region, gen); sched != nil {
+		return sched, nil
+	}
 	entries, err := h.lookupClient().Query(h.phase, h.app, v, version, region)
 	if err != nil {
 		return nil, err
 	}
+	sched, covered := readList(v, entries, region)
+	if want := region.Volume(); covered != want {
+		return nil, coverageError(fmt.Sprintf("cods: %q v%d: stored data covers %d of %d cells of %v",
+			v, version, covered, want, region))
+	}
+	h.locate(v, version, gen, entries)
+	return orderSchedule(sched), nil
+}
+
+// readList is one spec per entry meeting region, reading the part of
+// region it holds, and the cells those parts add up to.
+func readList(v string, entries []dht.Entry, region geometry.BBox) ([]transport.ReadSpec, int64) {
 	sched := make([]transport.ReadSpec, 0, len(entries))
 	var covered int64
 	for _, e := range entries {
@@ -758,11 +816,104 @@ func (h *Handle) sequentialSchedule(v string, version int, region geometry.BBox)
 		covered += sub.Volume()
 		sched = append(sched, readSpec(e.Owner, v, e.Region, sub))
 	}
-	if covered != region.Volume() {
-		return nil, coverageError(fmt.Sprintf("cods: %q v%d: stored data covers %d of %d cells of %v",
-			v, version, covered, region.Volume(), region))
+	return sched, covered
+}
+
+// locatedSchedule builds the schedule of a get from the handle's located
+// entries of v at version, or returns nil when they cannot answer: the
+// cache is off, the stamp has moved since they were located (which drops
+// every stale table of v), or the entries meeting region are not pairwise
+// disjoint or do not cover it. Entries that tile the region are, under an
+// unmoved stamp, those a lookup would return, so the schedule is the one it
+// would build, spec for spec.
+func (h *Handle) locatedSchedule(v string, version int, region geometry.BBox, gen uint64) []transport.ReadSpec {
+	if !h.CacheEnabled || region.Dim() != h.sp.lookup.Curve().Dim() {
+		return nil
 	}
-	return orderSchedule(sched), nil
+	k := locatedKey{v, version}
+	if h.pending.key == k {
+		h.index()
+	}
+	l := h.located[k]
+	if l == nil {
+		return nil
+	}
+	if l.gen != gen {
+		maps.DeleteFunc(h.located, func(k locatedKey, o *located) bool {
+			if k.v == v && o.gen != gen {
+				h.nLocated -= o.at.Len()
+				return true
+			}
+			return false
+		})
+		return nil
+	}
+	hits := l.at.Overlapping(region)
+	sched, covered := readList(v, hits, region)
+	if covered != region.Volume() || !disjoint(hits) {
+		return nil
+	}
+	return orderSchedule(sched)
+}
+
+// disjoint reports whether no two of the entries' regions overlap. It sorts
+// them by lower corner on the first axis, so each is compared only with
+// those that start before it ends there.
+func disjoint(entries []dht.Entry) bool {
+	slices.SortFunc(entries, func(a, b dht.Entry) int { return cmp.Compare(a.Region.Min[0], b.Region.Min[0]) })
+	for i, a := range entries {
+		for _, b := range entries[i+1:] {
+			if b.Region.Min[0] >= a.Region.Max[0] {
+				break
+			}
+			if a.Region.Overlaps(b.Region) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// locate keeps the entries of a lookup answer of v at version that covered
+// its get, taken under stamp gen, as the pending answer, and indexes the
+// one it replaces.
+func (h *Handle) locate(v string, version int, gen uint64, entries []dht.Entry) {
+	if !h.CacheEnabled || len(entries) > maxLocatedEntries {
+		return
+	}
+	h.index()
+	h.pending = answer{key: locatedKey{v, version}, gen: gen, entries: entries}
+}
+
+// index moves the pending answer into the located table of its variable
+// version. A table of an older stamp is replaced, and a fill that could
+// pass maxLocatedEntries first empties every table.
+func (h *Handle) index() {
+	a := h.pending
+	if a.entries == nil {
+		return
+	}
+	h.pending = answer{}
+	if h.nLocated+len(a.entries) > maxLocatedEntries {
+		clear(h.located)
+		h.nLocated = 0
+	}
+	l := h.located[a.key]
+	if l == nil || l.gen != a.gen {
+		if l != nil {
+			h.nLocated -= l.at.Len()
+		}
+		if h.located == nil {
+			h.located = make(map[locatedKey]*located)
+		}
+		l = &located{gen: a.gen}
+		h.located[a.key] = l
+	}
+	for _, e := range a.entries {
+		if l.at.Insert(e) {
+			h.nLocated++
+		}
+	}
 }
 
 // PullError reports the transfer of a schedule that ultimately failed:

@@ -201,18 +201,6 @@ func IntersectCellSet(a, b geometry.BBox) map[string]bool {
 	return set
 }
 
-// unionVolume counts the distinct cells covered by a list of boxes, by
-// materializing the union cell set. Intended for small boxes only.
-func unionVolume(boxes []geometry.BBox) int64 {
-	set := make(map[string]bool)
-	for _, b := range boxes {
-		eachCell(b, func(p []int) {
-			set[cellKey(p)] = true
-		})
-	}
-	return int64(len(set))
-}
-
 func cellKey(p []int) string {
 	s := ""
 	for d, x := range p {

@@ -19,6 +19,18 @@ func fill(b geometry.BBox, base float64) []float64 {
 	return data
 }
 
+// unionVolume counts the distinct cells covered by a list of boxes, by
+// materializing the union cell set. Intended for small boxes only.
+func unionVolume(boxes []geometry.BBox) int64 {
+	set := make(map[string]bool)
+	for _, b := range boxes {
+		eachCell(b, func(p []int) {
+			set[cellKey(p)] = true
+		})
+	}
+	return int64(len(set))
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
 	domain := box([]int{0, 0}, []int{8, 8})
 	m := newRefModel(domain)

@@ -15,7 +15,9 @@ package dht
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -81,36 +83,128 @@ type tableKey struct {
 	version int
 }
 
-// bucket holds the entries of one variable version and, packed beside
-// them in one flat slice, their corners: entry i's Min then Max at
+// Locations holds the location entries of one variable version and, packed
+// beside them in one flat slice, their corners: entry i's Min then Max at
 // corners[i*2*dim:]. A query tests overlap on the packed corners alone and
-// reads an Entry only for a hit. Every write keeps the two in step.
-type bucket struct {
-	entries []Entry
+// reads an Entry only for a hit. An index from (owner, corners) to position
+// makes the duplicate check of an insert, and a remove, O(1): a removed
+// entry leaves a hole, corners no box can overlap, until holes are half the
+// slice and one pass closes them and rebuilds the index. So the entries keep
+// their insertion order, and every write keeps entries, corners and index in
+// step. Every entry of one Locations has the same rank.
+//
+// It has two homes: a DHT core's table holds one per variable version, and
+// a cods handle one per variable version its lookups located. The zero
+// value is empty; it is not safe for concurrent use.
+type Locations struct {
+	entries []Entry // a hole's is the zero Entry
 	corners []int
+	index   map[string]int
+	holes   int
 }
 
-// find returns the index of the entry of owner with exactly region's
-// corners, or -1.
-func (b *bucket) find(owner cluster.CoreID, region geometry.BBox) int {
-	w := 2 * region.Dim()
-	for i := range b.entries {
-		c := b.corners[i*w : i*w+w]
-		if b.entries[i].Owner == owner && slices.Equal(c[:w/2], region.Min) && slices.Equal(c[w/2:], region.Max) {
-			return i
-		}
+// locKey spells owner and region's corners as an index key.
+func locKey(dst []byte, owner cluster.CoreID, region geometry.BBox) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(owner))
+	for _, c := range region.Min {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(c))
 	}
-	return -1
+	for _, c := range region.Max {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(c))
+	}
+	return dst
+}
+
+// Len returns how many entries l holds.
+func (l *Locations) Len() int { return len(l.entries) - l.holes }
+
+// Insert adds e unless l holds an entry of the same owner and region, and
+// reports whether it did.
+func (l *Locations) Insert(e Entry) bool {
+	var buf [80]byte
+	k := locKey(buf[:0], e.Owner, e.Region)
+	if _, ok := l.index[string(k)]; ok {
+		return false
+	}
+	if l.index == nil {
+		l.index = make(map[string]int)
+	}
+	l.index[string(k)] = len(l.entries)
+	l.entries = append(l.entries, e)
+	l.corners = append(append(l.corners, e.Region.Min...), e.Region.Max...)
+	return true
+}
+
+// Remove withdraws the entry of owner with exactly region's corners, and
+// reports whether l held one.
+func (l *Locations) Remove(owner cluster.CoreID, region geometry.BBox) bool {
+	var buf [80]byte
+	k := locKey(buf[:0], owner, region)
+	i, ok := l.index[string(k)]
+	if !ok {
+		return false
+	}
+	delete(l.index, string(k))
+	dim := region.Dim()
+	l.entries[i] = Entry{}
+	c := l.corners[i*2*dim : (i+1)*2*dim]
+	for d := 0; d < dim; d++ {
+		c[d], c[dim+d] = math.MaxInt, math.MinInt
+	}
+	if l.holes++; 2*l.holes > len(l.entries) {
+		l.compact(dim)
+	}
+	return true
+}
+
+// compact closes l's holes in order and re-points the index.
+func (l *Locations) compact(dim int) {
+	w := 2 * dim
+	n := 0
+	var buf [80]byte
+	for i, e := range l.entries {
+		if e.Region.Min == nil {
+			continue
+		}
+		l.entries[n] = e
+		copy(l.corners[n*w:], l.corners[i*w:i*w+w])
+		l.index[string(locKey(buf[:0], e.Owner, e.Region))] = n
+		n++
+	}
+	clear(l.entries[n:])
+	l.entries, l.corners, l.holes = l.entries[:n], l.corners[:n*w], 0
+}
+
+// Overlapping returns the entries whose regions overlap q, in insertion
+// order; a nil l holds none. q must be non-empty and of the entries' rank,
+// and so two boxes overlap exactly when, on every axis, each lower corner
+// lies below the other's upper corner. No box overlaps a hole.
+func (l *Locations) Overlapping(q geometry.BBox) []Entry {
+	if l == nil {
+		return nil
+	}
+	dim := q.Dim()
+	var out []Entry
+next:
+	for i, c := 0, l.corners; len(c) > 0; i, c = i+1, c[2*dim:] {
+		for d := 0; d < dim; d++ {
+			if c[d] >= q.Max[d] || q.Min[d] >= c[dim+d] {
+				continue next
+			}
+		}
+		out = append(out, l.entries[i])
+	}
+	return out
 }
 
 // table is one DHT core's location table. Writes lock it exclusively;
 // queries share the read lock.
 type table struct {
 	mu      sync.RWMutex
-	buckets map[tableKey]*bucket
+	buckets map[tableKey]*Locations
 }
 
-func newTable() *table { return &table{buckets: make(map[tableKey]*bucket)} }
+func newTable() *table { return &table{buckets: make(map[tableKey]*Locations)} }
 
 // Service is the machine-wide lookup service. One DHT core per node serves
 // one contiguous interval of the linearized index space.
@@ -265,14 +359,10 @@ func (s *Service) serve(node int, req any) (any, error) {
 		k := tableKey{r.Entry.Var, r.Entry.Version}
 		b := t.buckets[k]
 		if b == nil {
-			b = &bucket{}
+			b = &Locations{}
 			t.buckets[k] = b
 		}
-		if b.find(r.Entry.Owner, r.Entry.Region) >= 0 {
-			return nil, nil // idempotent re-insert
-		}
-		b.entries = append(b.entries, r.Entry)
-		b.corners = append(append(b.corners, r.Entry.Region.Min...), r.Entry.Region.Max...)
+		b.Insert(r.Entry) // a re-insert is idempotent
 		return nil, nil
 	case removeReq:
 		if err := s.checkRegion(r.Entry.Region); err != nil {
@@ -286,12 +376,8 @@ func (s *Service) serve(node int, req any) (any, error) {
 		if b == nil {
 			return nil, nil
 		}
-		if i := b.find(r.Entry.Owner, r.Entry.Region); i >= 0 {
-			w := 2 * r.Entry.Region.Dim()
-			b.entries = slices.Delete(b.entries, i, i+1)
-			b.corners = slices.Delete(b.corners, i*w, i*w+w)
-		}
-		if len(b.entries) == 0 {
+		b.Remove(r.Entry.Owner, r.Entry.Region)
+		if b.Len() == 0 {
 			delete(t.buckets, k)
 		}
 		return nil, nil
@@ -305,7 +391,7 @@ func (s *Service) serve(node int, req any) (any, error) {
 			start = time.Now()
 		}
 		t.mu.RLock()
-		out := t.buckets[tableKey{r.Var, r.Version}].overlapping(r.Region)
+		out := t.buckets[tableKey{r.Var, r.Version}].Overlapping(r.Region)
 		t.mu.RUnlock()
 		if obs.Enabled() {
 			obsServeNs.Observe(time.Since(start).Nanoseconds())
@@ -314,29 +400,6 @@ func (s *Service) serve(node int, req any) (any, error) {
 	default:
 		return nil, fmt.Errorf("dht: unknown request type %T", req)
 	}
-}
-
-// overlapping returns the entries whose regions overlap q, in insertion
-// order; a nil bucket holds none. Every region in a table and every query
-// is non-empty and of the curve's rank (checkRegion), so two boxes overlap
-// exactly when, on every axis, each lower corner lies below the other's
-// upper corner.
-func (b *bucket) overlapping(q geometry.BBox) []Entry {
-	if b == nil {
-		return nil
-	}
-	dim := q.Dim()
-	var out []Entry
-next:
-	for i, c := 0, b.corners; len(c) > 0; i, c = i+1, c[2*dim:] {
-		for d := 0; d < dim; d++ {
-			if c[d] >= q.Max[d] || q.Min[d] >= c[dim+d] {
-				continue next
-			}
-		}
-		out = append(out, b.entries[i])
-	}
-	return out
 }
 
 // Client is a per-core handle used by execution clients to talk to the
@@ -504,7 +567,7 @@ func (s *Service) TableSize(node int) int {
 	defer t.mu.RUnlock()
 	n := 0
 	for _, b := range t.buckets {
-		n += len(b.entries)
+		n += b.Len()
 	}
 	return n
 }

@@ -1,6 +1,8 @@
 package dht
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -40,20 +42,24 @@ func sameEntry(a, b Entry) bool {
 	return a.Var == b.Var && a.Version == b.Version && a.Owner == b.Owner && a.Region.Equal(b.Region)
 }
 
-// runTableOps decodes data into steps against the location table of a
-// one-node service of rank dim and replays each on an oracle: the held
-// entries in insertion order, queried by a brute-force Overlaps scan. A
-// step is 4 + 4*dim bytes: kind, variable version, owner, pick, the
-// entry's region and a probe region; a trailing partial step is ignored.
-// After every step each of the four variable versions — those a remove
-// has emptied too — must answer the step's region, its probe and the
-// whole domain exactly as the oracle does, in the same order; the table
+// runTableOps decodes data into steps against both homes of a Locations —
+// the location table of a one-node service of rank dim, through its RPC
+// handler, and a Locations per variable version used directly, as a cods
+// handle uses it — and replays each on an oracle: the held entries in
+// insertion order, queried by a brute-force Overlaps scan. A step is
+// 4 + 4*dim bytes: kind, variable version, owner, pick, the entry's region
+// and a probe region; a trailing partial step is ignored. After every step
+// each of the four variable versions — those a remove has emptied too —
+// must answer the step's region, its probe and the whole domain exactly as
+// the oracle does, in the same order, in both homes; a direct Insert or
+// Remove must report whether it changed what the oracle holds; the table
 // must hold as many entries as the oracle and keep no empty version; and
-// every version's packed corners must be its entries' corners.
+// every Locations must be in step with itself (checkLocations).
 func runTableOps(t testing.TB, dim int, data []byte) tableRun {
 	t.Helper()
 	s, _ := service(t, 1, 1, dim, 3)
 	var held []Entry
+	direct := map[tableKey]*Locations{}
 	var run tableRun
 	vars := [...]string{"a", "b"}
 	whole := geometry.BoxFromSize([]int{8, 8, 8}[:dim])
@@ -81,15 +87,26 @@ func runTableOps(t testing.TB, dim int, data []byte) tableRun {
 		} else if kind == stepRemove {
 			kind = stepRemoveAbsent
 		}
+		k := tableKey{e.Var, e.Version}
+		if direct[k] == nil {
+			direct[k] = &Locations{}
+		}
+		i := slices.IndexFunc(held, func(h Entry) bool { return sameEntry(h, e) })
 		switch kind {
 		case stepInsert, stepReinsert:
 			call(insertReq{Entry: e})
-			if i := slices.IndexFunc(held, func(h Entry) bool { return sameEntry(h, e) }); i < 0 {
+			if added := direct[k].Insert(e); added != (i < 0) {
+				t.Fatalf("Insert(%+v) = %v, but the oracle held it: %v", e, added, i >= 0)
+			}
+			if i < 0 {
 				held = append(held, e)
 			}
 		case stepRemove, stepRemoveAbsent:
 			call(removeReq{Entry: e})
-			if i := slices.IndexFunc(held, func(h Entry) bool { return sameEntry(h, e) }); i >= 0 {
+			if removed := direct[k].Remove(e.Owner, e.Region); removed != (i >= 0) {
+				t.Fatalf("Remove(%+v) = %v, but the oracle held it: %v", e, removed, i >= 0)
+			}
+			if i >= 0 {
 				held = slices.Delete(held, i, i+1)
 				if !slices.ContainsFunc(held, func(h Entry) bool { return h.Var == e.Var && h.Version == e.Version }) {
 					run.emptied++
@@ -115,6 +132,10 @@ func runTableOps(t testing.TB, dim int, data []byte) tableRun {
 					if !slices.EqualFunc(got, want, sameEntry) {
 						t.Fatalf("after %+v, query %s@%d %v = %v; Overlaps scan says %v", e, v, version, q, got, want)
 					}
+					got = direct[tableKey{v, version}].Overlapping(q)
+					if !slices.EqualFunc(got, want, sameEntry) {
+						t.Fatalf("after %+v, Overlapping %s@%d %v = %v; Overlaps scan says %v", e, v, version, q, got, want)
+					}
 				}
 			}
 		}
@@ -126,16 +147,54 @@ func runTableOps(t testing.TB, dim int, data []byte) tableRun {
 			t.Fatalf("after %+v the table keeps %d variable versions, %d hold entries", e, len(tb.buckets), len(keys))
 		}
 		for k, b := range tb.buckets {
-			var corners []int
-			for _, h := range b.entries {
-				corners = append(append(corners, h.Region.Min...), h.Region.Max...)
+			if err := checkLocations(b); err != nil {
+				t.Fatalf("after %+v the table's %v: %v", e, k, err)
 			}
-			if !slices.Equal(b.corners, corners) {
-				t.Fatalf("after %+v the packed corners of %v are %v, its entries' %v", e, k, b.corners, corners)
+		}
+		for k, l := range direct {
+			if err := checkLocations(l); err != nil {
+				t.Fatalf("after %+v the direct %v: %v", e, k, err)
 			}
 		}
 	}
 	return run
+}
+
+// checkLocations holds l in step with itself: each live entry's packed
+// corners are its region's and the index points its key at it, each hole's
+// corners are the ones no box overlaps and no key points at it, the index
+// has one key per live entry, and holes never outnumber live entries.
+func checkLocations(l *Locations) error {
+	if len(l.entries) == 0 {
+		return nil
+	}
+	w := len(l.corners) / len(l.entries)
+	if len(l.corners) != w*len(l.entries) || w%2 != 0 {
+		return fmt.Errorf("%d corners for %d entries", len(l.corners), len(l.entries))
+	}
+	holes := 0
+	for i, e := range l.entries {
+		c := l.corners[i*w : i*w+w]
+		if e.Region.Min == nil {
+			holes++
+			for d := 0; d < w/2; d++ {
+				if c[d] != math.MaxInt || c[w/2+d] != math.MinInt {
+					return fmt.Errorf("hole %d has corners %v", i, c)
+				}
+			}
+			continue
+		}
+		if !slices.Equal(c[:w/2], e.Region.Min) || !slices.Equal(c[w/2:], e.Region.Max) {
+			return fmt.Errorf("entry %d %v has packed corners %v", i, e.Region, c)
+		}
+		if at, ok := l.index[string(locKey(nil, e.Owner, e.Region))]; !ok || at != i {
+			return fmt.Errorf("entry %d %+v is indexed at %d (%v)", i, e, at, ok)
+		}
+	}
+	if holes != l.holes || len(l.index) != l.Len() || 2*holes > len(l.entries) {
+		return fmt.Errorf("%d holes (counted %d) and %d keys among %d entries", holes, l.holes, len(l.index), len(l.entries))
+	}
+	return nil
 }
 
 // TestTableMatchesOverlapsScan replays seeded random insert, duplicate

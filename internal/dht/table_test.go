@@ -172,3 +172,44 @@ func TestServeTimesQueries(t *testing.T) {
 		t.Fatalf("a query reaching both DHT cores left %d dht.serve_ns samples, want 2", n)
 	}
 }
+
+// BenchmarkInsert times one insert and one remove of a fresh one-cell entry
+// on a DHT core whose table holds n one-cell entries of the same variable
+// version — a cyclic decomposition's pieces. The index makes both O(1), so
+// ns/op stays flat from 10³ to 10⁵ entries; a scan for the duplicate would
+// grow a hundredfold.
+func BenchmarkInsert(b *testing.B) {
+	const side = 512 // 2^18 cells, room for 10^5 entries and the fresh ones
+	for _, n := range []int{1_000, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
+			s := tableRig(b, 1, 1, 2, 9)
+			cell := func(i int) Entry {
+				x, y := i/side, i%side
+				return Entry{Var: "v", Region: geometry.NewBBox(geometry.Point{x, y}, geometry.Point{x + 1, y + 1})}
+			}
+			serve := func(req any) {
+				if _, err := s.serve(0, req); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < n; i++ {
+				serve(insertReq{Entry: cell(i)})
+			}
+			fresh := make([]Entry, side*side-n)
+			for i := range fresh {
+				fresh[i] = cell(n + i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e := fresh[i%len(fresh)]
+				serve(insertReq{Entry: e})
+				serve(removeReq{Entry: e})
+			}
+			b.StopTimer()
+			if got := s.TableSize(0); got != n {
+				b.Fatalf("the table holds %d entries after balanced inserts and removes, want %d", got, n)
+			}
+		})
+	}
+}

@@ -79,19 +79,6 @@ func (g *Graph) validate() error {
 	return nil
 }
 
-// edgeCut returns the total weight of edges crossing parts.
-func edgeCut(g *Graph, parts []int) int64 {
-	var cut int64
-	for u := range g.Adj {
-		for _, e := range g.Adj[u] {
-			if u < e.To && parts[u] != parts[e.To] {
-				cut += e.Wgt
-			}
-		}
-	}
-	return cut
-}
-
 // partWeights returns the vertex weight of each part.
 func partWeights(g *Graph, parts []int, k int) []int64 {
 	w := make([]int64, k)

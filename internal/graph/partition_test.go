@@ -24,6 +24,19 @@ func buildGraph(n int, vwgt []int64, edges [][3]int64) *Graph {
 	return g
 }
 
+// edgeCut returns the total weight of edges crossing parts.
+func edgeCut(g *Graph, parts []int) int64 {
+	var cut int64
+	for u := range g.Adj {
+		for _, e := range g.Adj[u] {
+			if u < e.To && parts[u] != parts[e.To] {
+				cut += e.Wgt
+			}
+		}
+	}
+	return cut
+}
+
 // twoCliques builds two k-cliques with heavy internal edges joined by one
 // light bridge; the optimal bipartition separates the cliques.
 func twoCliques(size int) *Graph {

@@ -211,7 +211,9 @@ func TestGetSequentialRidesOutNodeLoss(t *testing.T) {
 	if a, b := nodes.Node(0).Space().Lookup().TableSize(0), nodes.Node(1).Space().Lookup().TableSize(1); a != 1 || b != 1 {
 		t.Fatalf("tables hold %d and %d records, want one block's record each", a, b)
 	}
-	sp.SetRetryPolicy(retry.Policy{MaxAttempts: 50, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond})
+	// 50 attempts at most 50 ms apart: over two seconds of patience, which
+	// only a stalled reconcile outlasts, however loaded the host.
+	sp.SetRetryPolicy(retry.Policy{MaxAttempts: 50, BaseDelay: time.Millisecond, MaxDelay: 50 * time.Millisecond})
 	lost, err := nodes.Replace(1)
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +319,9 @@ func TestPutSequentialRidesOutNodeLoss(t *testing.T) {
 	sp.SetPutRecorder(l)
 	be := &lossBackend{Fabric: sp.Fabric()}
 	sp.Fabric().SetBackend(be)
-	sp.SetRetryPolicy(retry.Policy{MaxAttempts: 50, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond})
+	// 50 attempts at most 50 ms apart: over two seconds of patience, which
+	// only a stalled reconcile outlasts, however loaded the host.
+	sp.SetRetryPolicy(retry.Policy{MaxAttempts: 50, BaseDelay: time.Millisecond, MaxDelay: 50 * time.Millisecond})
 	region := geometry.NewBBox(geometry.Point{4, 0}, geometry.Point{8, 8})
 	const owner = cluster.CoreID(2) // node 1
 

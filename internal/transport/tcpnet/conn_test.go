@@ -90,9 +90,10 @@ func TestReleaseDropsConnWithUnreadBytes(t *testing.T) {
 // left idle past the I/O timeout serves the next exchange. The node arms
 // the write deadline of every answer it writes, not only of the segment
 // streams, so an answer behind a read does not meet that read's expired
-// deadline.
+// deadline. The timeout is long enough that only a stalled 16-byte
+// exchange meets it, however loaded the host.
 func TestPooledConnOutlivesIOTimeout(t *testing.T) {
-	const timeout = 100 * time.Millisecond
+	const timeout = 500 * time.Millisecond
 	f, b, servers := newClusterWith(t, 2, 1, timeout)
 	key := transport.BufKey{Name: "u", Version: 1}
 	if err := servers[1].fabric.Endpoint(1).Expose(key, &blockPayload{Vals: []float64{1, 2}}); err != nil {
@@ -102,7 +103,7 @@ func TestPooledConnOutlivesIOTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	read := pooled(b, 1)
-	time.Sleep(3 * timeout)
+	time.Sleep(timeout + timeout/2)
 	if ok, err := b.Exposed(1, key); err != nil || !ok {
 		t.Fatalf("Exposed on the idle pooled connection = %v, %v; want true, nil", ok, err)
 	}

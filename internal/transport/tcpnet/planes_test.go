@@ -212,9 +212,21 @@ var warmGet = planeCost{
 // frames back, no segment and no flow — the fabric meters no expose.
 var warmExpose = planeCost{Wire: tcpnet.WireStats{BytesOut: 2097331, BytesIn: 140}}
 
+// locatedGet is the cost of one get of the inset moved a quarter block along
+// both axes, by the consumer whose first get of the inset located all
+// sixteen blocks: a schedule-cache miss that makes no lookup, so no control
+// flow, and the same scatter-gather requests, segments and flows as a warm
+// get of a region of that size.
+var locatedGet = planeCost{
+	Wire: tcpnet.WireStats{BytesOut: 1444, BytesIn: 74152, ReadMultiRequests: 4,
+		SegmentsServed: 16, SegmentBytesServed: 73728},
+	Flows: 16,
+}
+
 // TestPlaneCosts holds each optional plane of the pull path to its cost on
-// the rig; one subtest per plane, and one for the write path the planes
-// ride beside. The allocation clauses run where allocsPinned.
+// the rig; one subtest per plane, one for the write path the planes ride
+// beside, and one for a get whose blocks the consumer has located. The
+// allocation clauses run where allocsPinned.
 func TestPlaneCosts(t *testing.T) {
 	// The write path: a warm expose and withdrawal of a 2 MiB block through
 	// the driver. The sender writes the cells from the block's memory, and
@@ -251,6 +263,30 @@ func TestPlaneCosts(t *testing.T) {
 		if n > exposeAllocs || perCycle > exposeAllocBytes {
 			t.Errorf("a warm expose and withdrawal allocates %v times, %d bytes; want <= %d, <= %d",
 				n, perCycle, exposeAllocs, exposeAllocBytes)
+		}
+	})
+
+	// A get of a region no get has read, inside the blocks the consumer's
+	// first get located: it costs what a warm get of the region costs —
+	// the wire is byte for byte the one a lookup's schedule puts there — and
+	// only that.
+	t.Run("located-get", func(t *testing.T) {
+		r := newPlaneRig(t)
+		r.stage(t)
+		q := planeBlock / 4
+		moved := geometry.NewBBox(geometry.Point{r.inset.Min[0] + q, r.inset.Min[1] + q},
+			geometry.Point{r.inset.Max[0] + q, r.inset.Max[1] + q})
+		get := func() error {
+			_, err := r.consumer.GetSequential("u", 0, moved)
+			return err
+		}
+		misses := r.consumer.CacheMisses
+		located := r.cost(t, get)
+		if r.consumer.CacheMisses != misses+1 {
+			t.Errorf("the located get was not a schedule-cache miss")
+		}
+		if warm := r.cost(t, get); located != locatedGet || warm != locatedGet {
+			t.Errorf("a located get costs %+v, a warm get of its region %+v; want %+v both", located, warm, locatedGet)
 		}
 	})
 
@@ -477,6 +513,7 @@ func TestPlaneCosts(t *testing.T) {
 // few 1-2 KiB segments per node.
 type getMissRig struct {
 	consumer *cods.Handle
+	domain   geometry.BBox
 	regions  []geometry.BBox
 	next     int
 }
@@ -509,7 +546,7 @@ func newGetMissRig(tb testing.TB) *getMissRig {
 			tb.Fatal(err)
 		}
 	}
-	r := &getMissRig{consumer: sp.HandleAt(0, 2, "get"), regions: make([]geometry.BBox, 4096)}
+	r := &getMissRig{consumer: sp.HandleAt(0, 2, "get"), domain: domain, regions: make([]geometry.BBox, 4096)}
 	r.consumer.CacheEnabled = false
 	rng := rand.New(rand.NewSource(1))
 	for i := range r.regions {
@@ -537,6 +574,31 @@ func BenchmarkGetMiss(b *testing.B) {
 		if err := r.get(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkGetLocated times one small get on the getMissRig with the
+// schedule cache on, after a get of the whole domain located every block:
+// each get is still a schedule-cache miss, but builds its schedule from the
+// consumer's located entries instead of a DHT query over the wire —
+// BenchmarkGetMiss less the lookup.
+func BenchmarkGetLocated(b *testing.B) {
+	r := newGetMissRig(b)
+	r.consumer.CacheEnabled = true
+	if _, err := r.consumer.GetSequential("u", 0, r.domain); err != nil {
+		b.Fatal(err)
+	}
+	hits := r.consumer.CacheHits
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.get(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if n := r.consumer.CacheHits - hits; n > b.N/100 {
+		b.Fatalf("%d of %d gets hit the schedule cache", n, b.N)
 	}
 }
 
