@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 	"sync"
@@ -630,6 +631,108 @@ func orderSchedule(sched []transport.ReadSpec) []transport.ReadSpec {
 	return sched
 }
 
+// maxTileDim bounds the rank of a region tiles checks: a box has 2^d
+// corners.
+const maxTileDim = 16
+
+// tileScratch is the working table of one tiles call: the signed count at
+// every corner met so far whose counts have not cancelled, how many such
+// corners there are, and the lattice strides and per-axis steps of the box
+// being counted. Pooled (tilePool), so a warm check allocates nothing.
+type tileScratch struct {
+	count        map[int64]int32
+	nonzero      int
+	stride, step [maxTileDim]int64
+}
+
+var tilePool = sync.Pool{New: func() any { return &tileScratch{count: make(map[int64]int32)} }}
+
+// tiles reports whether the sub-boxes of sched tile region exactly: every
+// cell of region lies in exactly one of them, and none reaches outside it.
+// It compares signed corner counts. The 2^d corners of a box, each counted
+// (−1)^k where k is the number of its upper coordinates, are the
+// d-dimensional difference of the box's indicator function, and that
+// difference is invertible: the sub-boxes' counts add up to the region's
+// at every point exactly when their indicators add up to the region's. So
+// the check is exact and costs O(n·2^d) for n sub-boxes: a sub-box outside
+// region fails at once, and every other corner is keyed by its offset in
+// region's lattice of corners, size+1 points a side.
+func tiles(region geometry.BBox, sched []transport.ReadSpec) bool {
+	s := tilePool.Get().(*tileScratch)
+	ok := s.tiles(region, sched)
+	if len(s.count) > 0 {
+		clear(s.count)
+	}
+	s.nonzero = 0
+	tilePool.Put(s)
+	return ok
+}
+
+func (s *tileScratch) tiles(region geometry.BBox, sched []transport.ReadSpec) bool {
+	d := region.Dim()
+	if d == 0 || d > maxTileDim || region.Empty() {
+		return false
+	}
+	stride := int64(1)
+	for i := d - 1; i >= 0; i-- {
+		s.stride[i] = stride
+		side := int64(region.Size(i)) + 1
+		if stride > math.MaxInt64/side {
+			return false
+		}
+		stride *= side
+	}
+	s.add(region, region, -1)
+	for _, spec := range sched {
+		if spec.Sub.Dim() != d || spec.Sub.Empty() || !region.ContainsBox(spec.Sub) {
+			return false
+		}
+		s.add(region, spec.Sub, 1)
+	}
+	return s.nonzero == 0
+}
+
+// add counts the corners of b, a box inside region, with weight w at its
+// lower corner. It walks them in Gray-code order: each step moves one
+// coordinate between its lower and upper bound and flips the sign.
+func (s *tileScratch) add(region, b geometry.BBox, w int32) {
+	d := b.Dim()
+	var key int64
+	for i := 0; i < d; i++ {
+		key += int64(b.Min[i]-region.Min[i]) * s.stride[i]
+		s.step[i] = int64(b.Size(i)) * s.stride[i]
+	}
+	upper := 0
+	for g := 1; ; g++ {
+		s.bump(key, w)
+		if g == 1<<d {
+			return
+		}
+		i := bits.TrailingZeros(uint(g))
+		if upper ^= 1 << i; upper&(1<<i) != 0 {
+			key += s.step[i]
+		} else {
+			key -= s.step[i]
+		}
+		w = -w
+	}
+}
+
+// bump adds w to the count at key. A count that cancels is deleted, so the
+// table holds only the corners still waiting for their match.
+func (s *tileScratch) bump(key int64, w int32) {
+	n := s.count[key] + w
+	if n == 0 {
+		delete(s.count, key)
+		s.nonzero--
+		return
+	}
+	if n == w { // was zero
+		s.nonzero++
+	}
+	s.count[key] = n
+}
+
 // PutSequential stores one block of a variable in the space: the data
 // stays in this core's memory, is exposed for remote pulls, and its
 // location is registered with the lookup service so consumers launched
@@ -753,7 +856,7 @@ func (h *Handle) get(op, v string, version int, region geometry.BBox, build func
 				h.sp.tracer.Load().Event(h.spanParent, "retry:pull:"+v)
 			}
 			if sched == nil || gen != h.sp.scheduleStamp(v) {
-				if sched, gen, err = h.schedule(key, v, build); err != nil {
+				if sched, gen, err = h.schedule(key, v, region, build); err != nil {
 					return err
 				}
 			}
@@ -773,8 +876,10 @@ func (h *Handle) get(op, v string, version int, region geometry.BBox, build func
 	return out, nil
 }
 
-// coverageError reports a lookup answer whose records do not cover a get's
-// region. It is transient: the missing records may be re-registered.
+// coverageError reports a schedule whose pieces do not tile a get's region
+// (tiles): a lookup answer short of the region, or with records that
+// overlap. It is transient: the missing records may be re-registered, and
+// a reconcile's duplicate record removed.
 type coverageError string
 
 func (e coverageError) Error() string { return string(e) }
@@ -782,9 +887,9 @@ func (e coverageError) Error() string { return string(e) }
 func (coverageError) Transient() bool { return true }
 
 // sequentialSchedule converts the location entries of the region into a
-// read list covering it exactly: the entries the handle has located when
-// they tile the region, else the lookup service's answer, which it then
-// locates. An answer that falls short is a coverageError.
+// read list: the entries the handle has located when they tile the region,
+// else the lookup service's answer, which it then locates (schedule drops
+// an answer that does not tile).
 func (h *Handle) sequentialSchedule(v string, version int, region geometry.BBox) ([]transport.ReadSpec, error) {
 	gen := h.sp.scheduleStamp(v)
 	if sched := h.locatedSchedule(v, version, region, gen); sched != nil {
@@ -794,38 +899,28 @@ func (h *Handle) sequentialSchedule(v string, version int, region geometry.BBox)
 	if err != nil {
 		return nil, err
 	}
-	sched, covered := readList(v, entries, region)
-	if want := region.Volume(); covered != want {
-		return nil, coverageError(fmt.Sprintf("cods: %q v%d: stored data covers %d of %d cells of %v",
-			v, version, covered, want, region))
-	}
 	h.locate(v, version, gen, entries)
-	return orderSchedule(sched), nil
+	return orderSchedule(readList(v, entries, region)), nil
 }
 
 // readList is one spec per entry meeting region, reading the part of
-// region it holds, and the cells those parts add up to.
-func readList(v string, entries []dht.Entry, region geometry.BBox) ([]transport.ReadSpec, int64) {
+// region it holds.
+func readList(v string, entries []dht.Entry, region geometry.BBox) []transport.ReadSpec {
 	sched := make([]transport.ReadSpec, 0, len(entries))
-	var covered int64
 	for _, e := range entries {
-		sub, ok := e.Region.Intersect(region)
-		if !ok {
-			continue
+		if sub, ok := e.Region.Intersect(region); ok {
+			sched = append(sched, readSpec(e.Owner, v, e.Region, sub))
 		}
-		covered += sub.Volume()
-		sched = append(sched, readSpec(e.Owner, v, e.Region, sub))
 	}
-	return sched, covered
+	return sched
 }
 
 // locatedSchedule builds the schedule of a get from the handle's located
 // entries of v at version, or returns nil when they cannot answer: the
 // cache is off, the stamp has moved since they were located (which drops
-// every stale table of v), or the entries meeting region are not pairwise
-// disjoint or do not cover it. Entries that tile the region are, under an
-// unmoved stamp, those a lookup would return, so the schedule is the one it
-// would build, spec for spec.
+// every stale table of v), or the entries meeting region do not tile it.
+// Entries that tile the region are, under an unmoved stamp, those a lookup
+// would return, so the schedule is the one it would build, spec for spec.
 func (h *Handle) locatedSchedule(v string, version int, region geometry.BBox, gen uint64) []transport.ReadSpec {
 	if !h.CacheEnabled || region.Dim() != h.sp.lookup.Curve().Dim() {
 		return nil
@@ -848,30 +943,11 @@ func (h *Handle) locatedSchedule(v string, version int, region geometry.BBox, ge
 		})
 		return nil
 	}
-	hits := l.at.Overlapping(region)
-	sched, covered := readList(v, hits, region)
-	if covered != region.Volume() || !disjoint(hits) {
+	sched := readList(v, l.at.Overlapping(region), region)
+	if !tiles(region, sched) {
 		return nil
 	}
 	return orderSchedule(sched)
-}
-
-// disjoint reports whether no two of the entries' regions overlap. It sorts
-// them by lower corner on the first axis, so each is compared only with
-// those that start before it ends there.
-func disjoint(entries []dht.Entry) bool {
-	slices.SortFunc(entries, func(a, b dht.Entry) int { return cmp.Compare(a.Region.Min[0], b.Region.Min[0]) })
-	for i, a := range entries {
-		for _, b := range entries[i+1:] {
-			if b.Region.Min[0] >= a.Region.Max[0] {
-				break
-			}
-			if a.Region.Overlaps(b.Region) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // locate keeps the entries of a lookup answer of v at version that covered
@@ -959,11 +1035,12 @@ func opSeed(core cluster.CoreID, v string, version int) uint64 {
 // row-major result. On a driver's fabric the backend writes every owning
 // node its request before it reads any answer and decides which answers
 // get a goroutine of their own; in process the reads run in turn on this
-// goroutine. pull spawns nothing. Since schedule sub-boxes are disjoint,
-// every segment lands in its own cells of the output without locking, so
-// the result does not depend on delivery order. The output is allocated by
-// the first segment delivered (lazyOutput), so zeroing it overlaps the
-// owners' clipping and sending instead of delaying the requests. A failed
+// goroutine. pull spawns nothing. A schedule's sub-boxes tile the region
+// (schedule checked it when it built the schedule), so every segment lands
+// in its own cells of the output without locking and the result does not
+// depend on delivery order. The output is not cleared (lazyOutput): pull
+// counts the cells its segments wrote, and a read that returns with any
+// cell unwritten is an error, so no cell is returned unwritten. A failed
 // read is a *PullError naming the first sub-box of the owning node it is
 // attributed to (failedSpec); get fills in its Attempts.
 func (h *Handle) pull(v string, version int, region geometry.BBox, sched []transport.ReadSpec) ([]float64, error) {
@@ -993,32 +1070,44 @@ func (h *Handle) pull(v string, version int, region geometry.BBox, sched []trans
 		sub := specs[i].Sub
 		switch obj := payload.(type) {
 		case nil: // clipped by its owner in another process
+			if err := copySegment(out.cells(), region, clipped, sub); err != nil {
+				return err
+			}
 		case *StoredObject:
 			copyRegion(out.cells(), region, obj.Data, obj.Region, sub)
-			return nil
 		default:
 			return fmt.Errorf("cods: exposed payload %T cannot be read", payload)
 		}
-		return copySegment(out.cells(), region, clipped, sub)
+		out.written.Add(sub.Volume())
+		return nil
 	})
 	if err != nil {
 		failed := failedSpec(h.sp.fabric.Machine(), specs, err)
 		return nil, &PullError{Var: v, Version: version, Sub: failed.Sub, Owner: failed.Owner, Err: err}
+	}
+	if n := out.written.Load(); n != out.n {
+		return nil, fmt.Errorf("cods: pulling %v of %q v%d: the read delivered %d of its %d cells",
+			region, v, version, n, out.n)
 	}
 	return out.cells(), nil
 }
 
 // lazyOutput is the row-major result buffer of one pull, shared by its
 // segments, which a backend may deliver from several goroutines: the first
-// call to cells allocates it, whichever makes it.
+// call to cells allocates it, whichever makes it, and written counts the
+// cells the segments wrote. The buffer is not cleared (uninitCells): each
+// cell is written exactly once, by the one segment whose sub-box holds it,
+// as the schedule's sub-boxes tile the region and pull returns the buffer
+// only once written has reached n.
 type lazyOutput struct {
-	once sync.Once
-	n    int64
-	buf  []float64
+	once    sync.Once
+	n       int64
+	buf     []float64
+	written atomic.Int64
 }
 
 func (o *lazyOutput) cells() []float64 {
-	o.once.Do(func() { o.buf = make([]float64, o.n) })
+	o.once.Do(func() { o.buf = uninitCells(o.n) })
 	return o.buf
 }
 
@@ -1076,8 +1165,11 @@ func (h *Handle) schedKey(op, v string, region geometry.BBox) string {
 // one and caches it, with the invalidation stamp it was computed under.
 // The stamp is captured before the build, so an invalidation racing with
 // it leaves the entry already stale instead of masked. A stale entry
-// drops every entry of v computed before the stamp moved.
-func (h *Handle) schedule(key, v string, build func() ([]transport.ReadSpec, error)) ([]transport.ReadSpec, uint64, error) {
+// drops every entry of v computed before the stamp moved. Every schedule
+// it builds, whichever the builder, must tile region (tiles), or the get
+// fails with a coverageError and the pending lookup answer (on a lookup,
+// the one just kept) is dropped.
+func (h *Handle) schedule(key, v string, region geometry.BBox, build func() ([]transport.ReadSpec, error)) ([]transport.ReadSpec, uint64, error) {
 	gen := h.sp.scheduleStamp(v)
 	if e, ok := h.schedCache[key]; ok && h.CacheEnabled {
 		if e.gen == gen || mutate.Enabled(mutate.StaleEpoch) {
@@ -1090,6 +1182,11 @@ func (h *Handle) schedule(key, v string, build func() ([]transport.ReadSpec, err
 	sched, err := build()
 	if err != nil {
 		return nil, 0, err
+	}
+	if !tiles(region, sched) {
+		h.pending = answer{}
+		return nil, 0, coverageError(fmt.Sprintf("cods: %q: the stored pieces found (%d) do not tile the %d cells of %v",
+			v, len(sched), region.Volume(), region))
 	}
 	h.CacheMisses++
 	obsSchedMisses.Inc()

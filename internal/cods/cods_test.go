@@ -440,6 +440,7 @@ func BenchmarkGetSequential(b *testing.B) {
 	}
 	g := sp.HandleAt(9, 2, "get")
 	region := geometry.NewBBox(geometry.Point{4, 4, 4}, geometry.Point{28, 28, 28})
+	b.SetBytes(region.Volume() * ElemSize)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

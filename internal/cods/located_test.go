@@ -1,6 +1,7 @@
 package cods
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/insitu/cods/internal/cluster"
@@ -30,8 +31,8 @@ func controlFlows(m *cluster.Machine, phase string) int {
 // a schedule-cache miss. The located entries are not used once the
 // variable's stamp has moved, at another version, with the cache off, or
 // by another handle, and a region that meets two overlapping located
-// entries is looked up. A get of another variable in between does not
-// lose what was located.
+// entries is looked up, and fails when they do not tile it. A get of
+// another variable in between does not lose what was located.
 func TestLocatedGets(t *testing.T) {
 	m, sp := testRig(t, 2, 2, []int{16, 16})
 	blocks := []geometry.BBox{box(0, 0, 8, 8), box(0, 8, 8, 16), box(8, 0, 16, 8), box(8, 8, 16, 16)}
@@ -110,7 +111,8 @@ func TestLocatedGets(t *testing.T) {
 
 	// Two overlapping blocks of w, each located by a get that meets only
 	// it. A region that meets both is looked up, although the cells of the
-	// two clipped to it add up to its volume.
+	// two clipped to it add up to its volume, and the get fails: the two
+	// overlap on [2,4)x[3,4) and leave [0,2)x[4,5) uncovered.
 	e1, e2 := box(0, 0, 4, 4), box(2, 2, 6, 6)
 	for i, blk := range []geometry.BBox{e1, e2} {
 		if err := sp.HandleAt(cluster.CoreID(1+i), 1, "put").PutSequential("w", 0, blk, fillRegion(blk)); err != nil {
@@ -124,11 +126,16 @@ func TestLocatedGets(t *testing.T) {
 		}
 	}
 	before := controlFlows(m, "w")
-	if _, err := w.GetSequential("w", 0, box(0, 3, 4, 5)); err != nil {
-		t.Fatal(err)
+	if got, err := w.GetSequential("w", 0, box(0, 3, 4, 5)); err == nil {
+		t.Fatalf("a get of overlapping blocks that leave a gap returned %v", got)
+	} else if ce := coverageError(""); !errors.As(err, &ce) {
+		t.Fatalf("the overlap and gap were reported as %v, want a coverage error", err)
 	}
 	if controlFlows(m, "w") == before {
 		t.Fatal("a region meeting two overlapping located entries was not looked up")
+	}
+	if w.pending.entries != nil {
+		t.Fatalf("the answer that did not tile its region was kept: %v", w.pending.entries)
 	}
 
 	// A get of another variable in between keeps what was located of v.

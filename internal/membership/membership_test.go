@@ -202,7 +202,7 @@ func TestReconcileStopsOnRestageFailure(t *testing.T) {
 // the reconcile re-registering records its DHT table is empty, so a
 // consumer's lookup comes back short for data that is alive. Under a retry
 // policy the get must wait that window out instead of failing at once with
-// "stored data covers 0 of 32 cells".
+// "the stored pieces found (0) do not tile the 32 cells".
 func TestGetSequentialRidesOutNodeLoss(t *testing.T) {
 	// Both blocks live on node 0; the record of the second is kept by node
 	// 1's DHT core alone.

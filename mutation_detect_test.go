@@ -54,7 +54,7 @@ func mutationScenario(name string) conformance.Scenario {
 	case mutate.SchedDropTransfer:
 		// One consumer pulling the whole domain from two producer blocks:
 		// a two-transfer schedule, so dropping the last transfer leaves
-		// half the cells zero.
+		// half the region unread, and the schedule no longer tiles it.
 		return conformance.Scenario{
 			Seed: 0xC, Nodes: 2, CoresPerNode: 2, Domain: []int{16},
 			Sequential: true,
