@@ -373,7 +373,9 @@ func run(o options) error {
 		}
 	}
 
+	start := time.Now()
 	rep, err := fw.RunWorkflow(d, policy)
+	wall := time.Since(start)
 	if err != nil {
 		return err
 	}
@@ -425,11 +427,7 @@ func run(o options) error {
 		tr.CoupledNetwork, tr.CoupledShm, 100*ratio(tr.CoupledShm, tr.CoupledNetwork+tr.CoupledShm))
 	fmt.Printf("intra-app data: %12d B network, %12d B shared memory\n", tr.IntraNetwork, tr.IntraShm)
 	fmt.Printf("control:        %12d B network, %12d B shared memory\n", tr.ControlNetwork, tr.ControlShm)
-	secs, err := fw.PhaseTime("couple:")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("simulated coupled-data retrieval time: %.3f ms\n", secs*1e3)
+	fmt.Printf("workflow wall time: %.3f ms\n", float64(wall)/float64(time.Millisecond))
 	if o.flowsPath != "" {
 		out, err := os.Create(o.flowsPath)
 		if err != nil {

@@ -22,9 +22,9 @@
 // shared-space abstraction: PutConcurrent/GetConcurrent for direct
 // producer-to-consumer coupling and PutSequential/GetSequential for
 // staging through the distributed in-memory store. All transfers run on
-// HybridDART, which picks shared memory or the (simulated) network fabric
-// per transfer and meters every byte; a flow-level 3-D torus network
-// simulator turns the recorded transfers into transfer times. Producers
+// HybridDART, which picks shared memory or the network per transfer and
+// meters every byte; the paper's transfer times are modelled only where
+// its figures are rebuilt, in internal/bench. Producers
 // and consumers are ordered by the workflow (DAG edges, bundles), by the
 // version in every buffer key and by the receiver-driven read, which waits
 // until its buffer is exposed: tasks take no locks.
@@ -53,7 +53,6 @@ import (
 	icods "github.com/insitu/cods/internal/cods"
 	"github.com/insitu/cods/internal/decomp"
 	"github.com/insitu/cods/internal/geometry"
-	"github.com/insitu/cods/internal/netsim"
 	"github.com/insitu/cods/internal/obs"
 	"github.com/insitu/cods/internal/retry"
 	"github.com/insitu/cods/internal/runtime"
@@ -294,20 +293,6 @@ func (f *Framework) Traffic() TrafficReport {
 // ResetTraffic clears the byte counters and the flow log (between
 // experiments on one framework instance).
 func (f *Framework) ResetTraffic() { f.machine.Metrics().Reset() }
-
-// PhaseTime replays the transfers whose phase tag starts with the given
-// prefix through the flow-level torus network simulator and returns the
-// phase's completion time in seconds. Application code tags phases via
-// AppContext.Space.SetPhase; the framework uses "couple:<app>:<version>"
-// for consumer retrievals and "halo:<app>:<version>" for stencil
-// exchanges.
-func (f *Framework) PhaseTime(phasePrefix string) (float64, error) {
-	sim, err := netsim.New(netsim.DefaultConfig(), f.machine.NumNodes())
-	if err != nil {
-		return 0, err
-	}
-	return sim.PhaseTime(f.machine.Metrics(), phasePrefix), nil
-}
 
 // WriteFlows streams every transfer flow recorded so far to w as JSON
 // Lines (one cluster.Flow per line: phase tag, source node, destination

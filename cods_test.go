@@ -118,7 +118,7 @@ func TestPublicAPIConcurrentWorkflow(t *testing.T) {
 	}
 }
 
-func TestPublicAPISequentialWorkflowAndPhaseTime(t *testing.T) {
+func TestPublicAPISequentialWorkflow(t *testing.T) {
 	fw := newFramework(t)
 	prodDc, err := fw.BlockedDecomposition([]int{2, 2, 2})
 	if err != nil {
@@ -162,12 +162,11 @@ func TestPublicAPISequentialWorkflowAndPhaseTime(t *testing.T) {
 	if _, err := fw.RunWorkflow(d, cods.DataCentric); err != nil {
 		t.Fatal(err)
 	}
-	secs, err := fw.PhaseTime("couple:2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if secs <= 0 {
-		t.Fatalf("PhaseTime = %v", secs)
+	// Every consumer cell is delivered exactly once, whichever medium
+	// carried it.
+	tr := fw.Traffic()
+	if total := tr.CoupledNetwork + tr.CoupledShm; total != 16*16*16*cods.ElemSize {
+		t.Fatalf("coupled bytes = %d (network %d, shm %d)", total, tr.CoupledNetwork, tr.CoupledShm)
 	}
 }
 

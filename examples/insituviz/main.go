@@ -188,9 +188,4 @@ func main() {
 	tr := fw.Traffic()
 	fmt.Printf("pipeline traffic: %d B coupled over network, %d B coupled in-situ\n",
 		tr.CoupledNetwork, tr.CoupledShm)
-	retrieval, err := fw.PhaseTime("couple:")
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("simulated retrieval time across the pipeline: %.3f ms\n", retrieval*1e3)
 }

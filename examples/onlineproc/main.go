@@ -130,12 +130,8 @@ func main() {
 		}
 		tr := fw.Traffic()
 		total := tr.CoupledNetwork + tr.CoupledShm
-		retrieval, err := fw.PhaseTime(fmt.Sprintf("couple:%d", analysisID))
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%-13s coupled %8d B over network, %8d B in-situ (%.1f%%); retrieval %.3f ms\n",
+		fmt.Printf("%-13s coupled %8d B over network, %8d B in-situ (%.1f%%)\n",
 			policy.String()+":", tr.CoupledNetwork, tr.CoupledShm,
-			100*float64(tr.CoupledShm)/float64(total), retrieval*1e3)
+			100*float64(tr.CoupledShm)/float64(total))
 	}
 }

@@ -124,10 +124,6 @@ func Fig10(sc Scale) (*Table, error) {
 // completion time per application id.
 func retrieveTimes(m *cluster.Machine, prodPl *cluster.Placement, prod graph.App,
 	consPl *cluster.Placement, consumers []graph.App) (map[int]float64, error) {
-	sim, err := simulator(m)
-	if err != nil {
-		return nil, err
-	}
 	var flows []cluster.Flow
 	owner := make([]int, 0) // flow index -> app id
 	for _, cons := range consumers {
@@ -141,9 +137,9 @@ func retrieveTimes(m *cluster.Machine, prodPl *cluster.Placement, prod graph.App
 			owner = append(owner, cons.ID)
 		}
 	}
-	res := sim.Simulate(flows)
+	completion, _ := torusFor(m.NumNodes()).simulate(flows)
 	times := make(map[int]float64, len(consumers))
-	for i, c := range res.Completion {
+	for i, c := range completion {
 		id := owner[i]
 		if c > times[id] {
 			times[id] = c

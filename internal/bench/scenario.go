@@ -8,7 +8,6 @@ import (
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/graph"
 	"github.com/insitu/cods/internal/mapping"
-	"github.com/insitu/cods/internal/netsim"
 )
 
 // ElemSize is the coupled-field element size in bytes.
@@ -267,9 +266,4 @@ func (s *Sequential) ConsumerPlacements() (rr, dc *cluster.Placement, err error)
 		return nil, nil, err
 	}
 	return rr, dc, nil
-}
-
-// simulator builds the torus network simulator for a machine.
-func simulator(m *cluster.Machine) (*netsim.Simulator, error) {
-	return netsim.New(netsim.DefaultConfig(), m.NumNodes())
 }

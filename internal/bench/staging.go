@@ -7,7 +7,6 @@ import (
 	"github.com/insitu/cods/internal/decomp"
 	"github.com/insitu/cods/internal/graph"
 	"github.com/insitu/cods/internal/mapping"
-	"github.com/insitu/cods/internal/netsim"
 )
 
 // StagingComparison quantifies the argument of the paper's related-work
@@ -106,16 +105,8 @@ func StagingComparison(sc Scale) (*Table, error) {
 
 	// Retrieval times: consumers' pull phase only (the paper's metric);
 	// staging pulls fan into the few staging nodes.
-	insituSim, err := simulator(ss.Machine)
-	if err != nil {
-		return nil, err
-	}
-	stagingSim, err := netsim.New(netsim.DefaultConfig(), bigMachine.NumNodes())
-	if err != nil {
-		return nil, err
-	}
-	insituTime := insituSim.Simulate(insituFlows).Makespan
-	stagingTime := stagingSim.Simulate(stageOutFlows).Makespan
+	_, insituTime := torusFor(ss.Machine.NumNodes()).simulate(insituFlows)
+	_, stagingTime := torusFor(bigMachine.NumNodes()).simulate(stageOutFlows)
 
 	t.AddRow("staging area", gb(stageInNet+stageOutNet), "2 (in + out)", ms(stagingTime))
 	t.AddRow("in-situ CoDS (data-centric)", gb(insituNet), "1 (direct pull)", ms(insituTime))

@@ -4,7 +4,7 @@
 // mapping algorithms' placements (exact — the same arithmetic the
 // functional path meters, validated against it in the tests), and transfer
 // times come from replaying the coupling's transfer set through the
-// flow-level torus network simulator.
+// flow-level torus model of torus.go.
 package bench
 
 import (
