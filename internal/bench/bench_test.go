@@ -182,35 +182,32 @@ func TestAllSmall(t *testing.T) {
 // text rendering's column widths depend on all five rows); mapping-cost
 // holds wall times and is not compared.
 func TestPaperFiguresMatchResults(t *testing.T) {
-	one := func(f func(Scale) (*Table, error)) func() ([]*Table, error) {
-		return func() ([]*Table, error) {
-			tbl, err := f(PaperScale())
-			return []*Table{tbl}, err
-		}
+	figs := []func(Scale) (*Table, error){
+		Fig8, Fig9, Fig10, Fig11, Fig12, Fig13, Fig14, Fig15, StagingComparison,
+		func(sc Scale) (*Table, error) { return RatioSweep(sc, nil) },
+		func(Scale) (*Table, error) { return FunctionalComparison(SmallScale()) },
 	}
-	gens := []func() ([]*Table, error){
-		one(Fig8), one(Fig9), one(Fig10), one(Fig11), one(Fig12), one(Fig13), one(Fig14), one(Fig15),
-		one(StagingComparison),
-		one(func(sc Scale) (*Table, error) { return RatioSweep(sc, nil) }),
-		one(func(Scale) (*Table, error) { return FunctionalComparison(SmallScale()) }),
-		func() ([]*Table, error) { return Ablations(PaperScale()) },
+	tables, err := Ablations(PaperScale())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, gen := range gens {
-		tables, err := gen()
+	for _, fig := range figs {
+		tbl, err := fig(PaperScale())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, tbl := range tables {
-			var txt, csv bytes.Buffer
-			if err := tbl.Render(&txt); err != nil {
-				t.Fatal(err)
-			}
-			if err := tbl.CSV(&csv); err != nil {
-				t.Fatal(err)
-			}
-			matchResult(t, tbl.ID+".txt", txt.Bytes(), false)
-			matchResult(t, tbl.ID+".csv", csv.Bytes(), false)
+		tables = append(tables, tbl)
+	}
+	for _, tbl := range tables {
+		var txt, csv bytes.Buffer
+		if err := tbl.Render(&txt); err != nil {
+			t.Fatal(err)
 		}
+		if err := tbl.CSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		matchResult(t, tbl.ID+".txt", txt.Bytes(), false)
+		matchResult(t, tbl.ID+".csv", csv.Bytes(), false)
 	}
 
 	fig16, err := Fig16(PaperScale(), []int{1, 2})
