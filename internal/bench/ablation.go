@@ -125,63 +125,48 @@ func AblationPartitioner(sc Scale) (*Table, error) {
 		total *= int64(s)
 	}
 	total *= ElemSize
-	add := func(name string, pl *cluster.Placement) error {
+	apps := cs.Bundle().Apps
+	strategies := []struct {
+		name  string
+		place func() (*cluster.Placement, error)
+	}{
+		{"launcher (consecutive)", func() (*cluster.Placement, error) { return mapping.Consecutive(cs.Machine, apps, nil) }},
+		{"round-robin deal", func() (*cluster.Placement, error) { return mapping.RoundRobin(cs.Machine, apps, nil) }},
+		{"single-level greedy", func() (*cluster.Placement, error) {
+			return mapping.ServerDataCentricOpts(cs.Machine, cs.Bundle(), nil, ElemSize, graph.Options{Seed: sc.Seed, SingleLevel: true})
+		}},
+		{"multilevel (data-centric)", func() (*cluster.Placement, error) {
+			return mapping.ServerDataCentric(cs.Machine, cs.Bundle(), nil, ElemSize, sc.Seed)
+		}},
+	}
+	for _, st := range strategies {
+		pl, err := st.place()
+		if err != nil {
+			return nil, err
+		}
 		tr, err := mapping.CoupledTraffic(cs.Machine, pl, pl, cs.Prod, cs.Cons, ElemSize)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		t.AddRow(name, gb(tr.Network), pct(tr.Network, total))
-		return nil
-	}
-	cons, err := mapping.Consecutive(cs.Machine, cs.Bundle().Apps, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := add("launcher (consecutive)", cons); err != nil {
-		return nil, err
-	}
-	rr, err := mapping.RoundRobin(cs.Machine, cs.Bundle().Apps, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := add("round-robin deal", rr); err != nil {
-		return nil, err
-	}
-	single, err := mapping.ServerDataCentricOpts(cs.Machine, cs.Bundle(), nil, ElemSize,
-		graph.Options{Seed: sc.Seed, SingleLevel: true})
-	if err != nil {
-		return nil, err
-	}
-	if err := add("single-level greedy", single); err != nil {
-		return nil, err
-	}
-	multi, err := mapping.ServerDataCentric(cs.Machine, cs.Bundle(), nil, ElemSize, sc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := add("multilevel (data-centric)", multi); err != nil {
-		return nil, err
+		t.AddRow(st.name, gb(tr.Network), pct(tr.Network, total))
 	}
 	return t, nil
 }
 
 // Ablations runs every ablation study.
 func Ablations(sc Scale) ([]*Table, error) {
-	var out []*Table
-	lin, err := AblationLinearization()
-	if err != nil {
-		return nil, err
+	studies := []func() (*Table, error){
+		AblationLinearization,
+		func() (*Table, error) { return AblationScheduleCache(8) },
+		func() (*Table, error) { return AblationPartitioner(sc) },
 	}
-	out = append(out, lin)
-	cache, err := AblationScheduleCache(8)
-	if err != nil {
-		return nil, err
+	out := make([]*Table, len(studies))
+	for i, study := range studies {
+		tbl, err := study()
+		if err != nil {
+			return nil, err
+		}
+		out[i] = tbl
 	}
-	out = append(out, cache)
-	part, err := AblationPartitioner(sc)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, part)
 	return out, nil
 }

@@ -9,8 +9,7 @@ import (
 	"testing"
 
 	"github.com/insitu/cods/internal/cluster"
-	"github.com/insitu/cods/internal/graph"
-	"github.com/insitu/cods/internal/mapping"
+	"github.com/insitu/cods/internal/decomp"
 	"github.com/insitu/cods/internal/runtime"
 )
 
@@ -254,20 +253,12 @@ func TestAnalyticMatchesFunctionalConcurrent(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				base, dc, err := cs.Placements()
+				want, err := cs.CoupledNetwork(policy)
 				if err != nil {
 					t.Fatal(err)
 				}
-				pl := base
-				if policy == runtime.DataCentric {
-					pl = dc
-				}
-				tr, err := mapping.CoupledTraffic(cs.Machine, pl, pl, cs.Prod, cs.Cons, ElemSize)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if measured := m.Metrics().Bytes(cluster.InterApp, cluster.Network); measured != tr.Network {
-					t.Fatalf("functional %d bytes != analytic %d bytes", measured, tr.Network)
+				if measured := m.Metrics().Bytes(cluster.InterApp, cluster.Network); measured != want {
+					t.Fatalf("functional %d bytes != analytic %d bytes", measured, want)
 				}
 			})
 		}
@@ -276,12 +267,18 @@ func TestAnalyticMatchesFunctionalConcurrent(t *testing.T) {
 
 // The sequential rows hold the same to the byte; a data-centric row also
 // holds the runtime's lookup-based placement of the consumers to
-// mapping.ClientDataCentricAnalytic.
+// mapping.ClientDataCentricAnalytic. Under the race detector the two
+// cyclic/cyclic rows, about 48 s of the run there, are skipped: the plain
+// run holds all ten, and blocked/cyclic keeps cyclic consumers in the race
+// run.
 func TestAnalyticMatchesFunctionalSequential(t *testing.T) {
 	sc := SmallScale()
 	for _, pat := range Patterns() {
 		for _, policy := range []runtime.Policy{runtime.RoundRobin, runtime.DataCentric} {
 			t.Run(pat.Name+" "+policy.String(), func(t *testing.T) {
+				if raceEnabled && pat.Prod == decomp.Cyclic {
+					t.Skip("a cyclic producer runs only without -race")
+				}
 				m, err := RunSequentialFunctional(sc, pat, policy, true)
 				if err != nil {
 					t.Fatal(err)
@@ -290,21 +287,9 @@ func TestAnalyticMatchesFunctionalSequential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				base, dc, err := ss.ConsumerPlacements()
+				want, err := ss.CoupledNetwork(policy)
 				if err != nil {
 					t.Fatal(err)
-				}
-				pl := base
-				if policy == runtime.DataCentric {
-					pl = dc
-				}
-				var want int64
-				for _, cons := range []graph.App{ss.Cons2, ss.Cons3} {
-					tr, err := mapping.CoupledTraffic(ss.Machine, ss.ProdPl, pl, ss.Prod, cons, ElemSize)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want += tr.Network
 				}
 				if measured := m.Metrics().Bytes(cluster.InterApp, cluster.Network); measured != want {
 					t.Fatalf("functional %d bytes != analytic %d bytes", measured, want)

@@ -2,11 +2,10 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
-	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/decomp"
-	"github.com/insitu/cods/internal/graph"
-	"github.com/insitu/cods/internal/mapping"
+	"github.com/insitu/cods/internal/runtime"
 )
 
 // Fig8 reproduces Figure 8: the amount of coupled data transferred over
@@ -28,19 +27,9 @@ func Fig8(sc Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rr, dc, err := cs.Placements()
-		if err != nil {
+		if err := t.addCoupled(pat.Name, &cs.scenario); err != nil {
 			return nil, err
 		}
-		trRR, err := mapping.CoupledTraffic(cs.Machine, rr, rr, cs.Prod, cs.Cons, ElemSize)
-		if err != nil {
-			return nil, err
-		}
-		trDC, err := mapping.CoupledTraffic(cs.Machine, dc, dc, cs.Prod, cs.Cons, ElemSize)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(pat.Name, gb(trRR.Network), gb(trDC.Network), pct(trRR.Network-trDC.Network, trRR.Network))
 	}
 	return t, nil
 }
@@ -63,26 +52,22 @@ func Fig9(sc Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rr, dc, err := ss.ConsumerPlacements()
-		if err != nil {
+		if err := t.addCoupled(pat.Name, &ss.scenario); err != nil {
 			return nil, err
 		}
-		var netRR, netDC int64
-		for _, cons := range []graph.App{ss.Cons2, ss.Cons3} {
-			trRR, err := mapping.CoupledTraffic(ss.Machine, ss.ProdPl, rr, ss.Prod, cons, ElemSize)
-			if err != nil {
-				return nil, err
-			}
-			trDC, err := mapping.CoupledTraffic(ss.Machine, ss.ProdPl, dc, ss.Prod, cons, ElemSize)
-			if err != nil {
-				return nil, err
-			}
-			netRR += trRR.Network
-			netDC += trDC.Network
-		}
-		t.AddRow(pat.Name, gb(netRR), gb(netDC), pct(netRR-netDC, netRR))
 	}
 	return t, nil
+}
+
+// addCoupled adds a row of s's coupled network bytes under both mappings
+// and the data-centric reduction.
+func (t *Table) addCoupled(name string, s *scenario) error {
+	rr, dc, err := both(s.CoupledNetwork)
+	if err != nil {
+		return err
+	}
+	t.AddRow(name, gb(rr), gb(dc), pct(rr-dc, rr))
+	return nil
 }
 
 // Fig10 reproduces Figure 10's effect quantitatively: the fan-out (number
@@ -106,46 +91,10 @@ func Fig10(sc Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sum, max := 0, 0
-		for _, f := range fan {
-			sum += f
-			if f > max {
-				max = f
-			}
-		}
-		avg := float64(sum) / float64(len(fan))
-		t.AddRow(pat.Name, fmt.Sprintf("%.1f", avg), fmt.Sprint(max), fmt.Sprint(cs.Prod.Decomp.NumTasks()))
+		avg := float64(sum(fan)) / float64(len(fan))
+		t.AddRow(pat.Name, fmt.Sprintf("%.1f", avg), fmt.Sprint(slices.Max(fan)), fmt.Sprint(cs.Prod.Decomp.NumTasks()))
 	}
 	return t, nil
-}
-
-// retrieveTimes simulates the coupled-data retrieval of one or more
-// consumer applications whose pulls start simultaneously, returning the
-// completion time per application id.
-func retrieveTimes(m *cluster.Machine, prodPl *cluster.Placement, prod graph.App,
-	consPl *cluster.Placement, consumers []graph.App) (map[int]float64, error) {
-	var flows []cluster.Flow
-	owner := make([]int, 0) // flow index -> app id
-	for _, cons := range consumers {
-		fl, err := mapping.CoupledFlows(prodPl, consPl, prod, cons, ElemSize,
-			fmt.Sprintf("couple:%d", cons.ID))
-		if err != nil {
-			return nil, err
-		}
-		flows = append(flows, fl...)
-		for range fl {
-			owner = append(owner, cons.ID)
-		}
-	}
-	completion, _ := torusFor(m.NumNodes()).simulate(flows)
-	times := make(map[int]float64, len(consumers))
-	for i, c := range completion {
-		id := owner[i]
-		if c > times[id] {
-			times[id] = c
-		}
-	}
-	return times, nil
 }
 
 // Fig11 reproduces Figure 11: the time to retrieve the coupled data for
@@ -161,53 +110,45 @@ func Fig11(sc Scale) (*Table, error) {
 			"expected shape: large reduction under data-centric mapping; SAP2/SAP3 slower than CAP2 despite smaller per-task volumes (twice the concurrent retrieve queries)",
 		},
 	}
-	pat := Patterns()[0]
-
-	cs, err := NewConcurrent(sc, pat)
+	times, err := retrieveTimes(sc, runtime.RoundRobin, runtime.DataCentric)
 	if err != nil {
 		return nil, err
 	}
-	csRR, csDC, err := cs.Placements()
-	if err != nil {
-		return nil, err
-	}
-	rrT, err := retrieveTimes(cs.Machine, csRR, cs.Prod, csRR, []graph.App{cs.Cons})
-	if err != nil {
-		return nil, err
-	}
-	dcT, err := retrieveTimes(cs.Machine, csDC, cs.Prod, csDC, []graph.App{cs.Cons})
-	if err != nil {
-		return nil, err
-	}
-	addRow := func(name string, rr, dc float64) {
+	rr, dc := times[0], times[1]
+	for i, name := range []string{"CAP2", "SAP2", "SAP3"} {
 		speed := "n/a"
-		if dc > 0 {
-			speed = fmt.Sprintf("%.1fx", rr/dc)
+		if dc[i] > 0 {
+			speed = fmt.Sprintf("%.1fx", rr[i]/dc[i])
 		}
-		t.AddRow(name, ms(rr), ms(dc), speed)
+		t.AddRow(name, ms(rr[i]), ms(dc[i]), speed)
 	}
-	addRow("CAP2", rrT[cs.Cons.ID], dcT[cs.Cons.ID])
-
-	ss, err := NewSequential(sc, pat)
-	if err != nil {
-		return nil, err
-	}
-	ssRR, ssDC, err := ss.ConsumerPlacements()
-	if err != nil {
-		return nil, err
-	}
-	seqCons := []graph.App{ss.Cons2, ss.Cons3}
-	rrS, err := retrieveTimes(ss.Machine, ss.ProdPl, ss.Prod, ssRR, seqCons)
-	if err != nil {
-		return nil, err
-	}
-	dcS, err := retrieveTimes(ss.Machine, ss.ProdPl, ss.Prod, ssDC, seqCons)
-	if err != nil {
-		return nil, err
-	}
-	addRow("SAP2", rrS[ss.Cons2.ID], dcS[ss.Cons2.ID])
-	addRow("SAP3", rrS[ss.Cons3.ID], dcS[ss.Cons3.ID])
 	return t, nil
+}
+
+// retrieveTimes returns, per policy, the retrieval times of CAP2, SAP2 and
+// SAP3, blocked/blocked.
+func retrieveTimes(sc Scale, policies ...runtime.Policy) ([][]float64, error) {
+	cs, err := NewConcurrent(sc, Patterns()[0])
+	if err != nil {
+		return nil, err
+	}
+	ss, err := NewSequential(sc, Patterns()[0])
+	if err != nil {
+		return nil, err
+	}
+	times := make([][]float64, len(policies))
+	for i, p := range policies {
+		capT, err := cs.RetrieveTimes(p)
+		if err != nil {
+			return nil, err
+		}
+		sapT, err := ss.RetrieveTimes(p)
+		if err != nil {
+			return nil, err
+		}
+		times[i] = append(capT, sapT...)
+	}
+	return times, nil
 }
 
 // Fig12 reproduces Figure 12: intra-application (stencil) data exchanged
@@ -223,34 +164,11 @@ func Fig12(sc Scale) (*Table, error) {
 			"expected shape: data-centric roughly doubles the smaller application's (CAP2) intra-app network bytes; CAP1 barely changes",
 		},
 	}
-	pat := Patterns()[0]
-	cs, err := NewConcurrent(sc, pat)
+	cs, err := NewConcurrent(sc, Patterns()[0])
 	if err != nil {
 		return nil, err
 	}
-	rr, dc, err := cs.Placements()
-	if err != nil {
-		return nil, err
-	}
-	for _, app := range []struct {
-		name string
-		a    graph.App
-	}{{"CAP1", cs.Prod}, {"CAP2", cs.Cons}} {
-		trRR, err := mapping.StencilTraffic(cs.Machine, rr, app.a, sc.Halo, ElemSize)
-		if err != nil {
-			return nil, err
-		}
-		trDC, err := mapping.StencilTraffic(cs.Machine, dc, app.a, sc.Halo, ElemSize)
-		if err != nil {
-			return nil, err
-		}
-		change := "n/a"
-		if trRR.Network > 0 {
-			change = fmt.Sprintf("%.2fx", float64(trDC.Network)/float64(trRR.Network))
-		}
-		t.AddRow(app.name, gb(trRR.Network), gb(trDC.Network), change)
-	}
-	return t, nil
+	return t.intraRows(&cs.scenario, "CAP1", "CAP2")
 }
 
 // Fig13 reproduces Figure 13: intra-application network exchange in the
@@ -265,40 +183,26 @@ func Fig13(sc Scale) (*Table, error) {
 			"expected shape: SAP2 (the small consumer) roughly doubles; SAP1 and SAP3 change little",
 		},
 	}
-	pat := Patterns()[0]
-	ss, err := NewSequential(sc, pat)
+	ss, err := NewSequential(sc, Patterns()[0])
 	if err != nil {
 		return nil, err
 	}
-	rr, dc, err := ss.ConsumerPlacements()
+	return t.intraRows(&ss.scenario, "SAP1", "SAP2", "SAP3")
+}
+
+// intraRows adds one row per application of s, named by names: its stencil
+// network bytes at the scale's halo under both mappings, and their ratio.
+func (t *Table) intraRows(s *scenario, names ...string) (*Table, error) {
+	rr, dc, err := s.stencil(s.Scale.Halo)
 	if err != nil {
 		return nil, err
 	}
-	type row struct {
-		name string
-		a    graph.App
-		rrPl *cluster.Placement
-		dcPl *cluster.Placement
-	}
-	rows := []row{
-		{"SAP1", ss.Prod, ss.ProdPl, ss.ProdPl},
-		{"SAP2", ss.Cons2, rr, dc},
-		{"SAP3", ss.Cons3, rr, dc},
-	}
-	for _, r := range rows {
-		trRR, err := mapping.StencilTraffic(ss.Machine, r.rrPl, r.a, sc.Halo, ElemSize)
-		if err != nil {
-			return nil, err
-		}
-		trDC, err := mapping.StencilTraffic(ss.Machine, r.dcPl, r.a, sc.Halo, ElemSize)
-		if err != nil {
-			return nil, err
-		}
+	for i, name := range names {
 		change := "n/a"
-		if trRR.Network > 0 {
-			change = fmt.Sprintf("%.2fx", float64(trDC.Network)/float64(trRR.Network))
+		if rr[i] > 0 {
+			change = fmt.Sprintf("%.2fx", float64(dc[i])/float64(rr[i]))
 		}
-		t.AddRow(r.name, gb(trRR.Network), gb(trDC.Network), change)
+		t.AddRow(name, gb(rr[i]), gb(dc[i]), change)
 	}
 	return t, nil
 }
@@ -315,34 +219,11 @@ func Fig14(sc Scale) (*Table, error) {
 			"expected shape: coupling dominates under round-robin; data-centric wins overall despite the intra-app increase",
 		},
 	}
-	pat := Patterns()[0]
-	cs, err := NewConcurrent(sc, pat)
+	cs, err := NewConcurrent(sc, Patterns()[0])
 	if err != nil {
 		return nil, err
 	}
-	rr, dc, err := cs.Placements()
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range []struct {
-		name string
-		pl   *cluster.Placement
-	}{{"round-robin", rr}, {"data-centric", dc}} {
-		inter, err := mapping.CoupledTraffic(cs.Machine, m.pl, m.pl, cs.Prod, cs.Cons, ElemSize)
-		if err != nil {
-			return nil, err
-		}
-		var intra int64
-		for _, a := range []graph.App{cs.Prod, cs.Cons} {
-			st, err := mapping.StencilTraffic(cs.Machine, m.pl, a, sc.Halo, ElemSize)
-			if err != nil {
-				return nil, err
-			}
-			intra += st.Network
-		}
-		t.AddRow(m.name, gb(inter.Network), gb(intra), gb(inter.Network+intra))
-	}
-	return t, nil
+	return t.breakdownRows(&cs.scenario)
 }
 
 // Fig15 reproduces Figure 15: the same breakdown for the sequential
@@ -356,40 +237,37 @@ func Fig15(sc Scale) (*Table, error) {
 			"expected shape: as Figure 14 — the coupling reduction outweighs the intra-app increase",
 		},
 	}
-	pat := Patterns()[0]
-	ss, err := NewSequential(sc, pat)
+	ss, err := NewSequential(sc, Patterns()[0])
 	if err != nil {
 		return nil, err
 	}
-	rr, dc, err := ss.ConsumerPlacements()
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range []struct {
-		name string
-		pl   *cluster.Placement
-	}{{"round-robin", rr}, {"data-centric", dc}} {
-		var inter, intra int64
-		for _, cons := range []graph.App{ss.Cons2, ss.Cons3} {
-			tr, err := mapping.CoupledTraffic(ss.Machine, ss.ProdPl, m.pl, ss.Prod, cons, ElemSize)
-			if err != nil {
-				return nil, err
-			}
-			inter += tr.Network
-			st, err := mapping.StencilTraffic(ss.Machine, m.pl, cons, sc.Halo, ElemSize)
-			if err != nil {
-				return nil, err
-			}
-			intra += st.Network
-		}
-		st, err := mapping.StencilTraffic(ss.Machine, ss.ProdPl, ss.Prod, sc.Halo, ElemSize)
+	return t.breakdownRows(&ss.scenario)
+}
+
+// breakdownRows adds one row per mapping of s: its coupled and its
+// intra-application network bytes, at the scale's halo, and their total.
+func (t *Table) breakdownRows(s *scenario) (*Table, error) {
+	for _, p := range []runtime.Policy{runtime.RoundRobin, runtime.DataCentric} {
+		inter, err := s.CoupledNetwork(p)
 		if err != nil {
 			return nil, err
 		}
-		intra += st.Network
-		t.AddRow(m.name, gb(inter), gb(intra), gb(inter+intra))
+		intra, err := s.StencilNetwork(p, s.Scale.Halo)
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(p.String(), gb(inter), gb(sum(intra)), gb(inter+sum(intra)))
 	}
 	return t, nil
+}
+
+// sum adds up a column of counts.
+func sum[T int | int64](xs []T) T {
+	var total T
+	for _, x := range xs {
+		total += x
+	}
+	return total
 }
 
 // Fig16 reproduces Figure 16: weak scaling of the coupled-data retrieval
@@ -406,43 +284,22 @@ func Fig16(sc Scale, factors []int) (*Table, error) {
 			"expected shape: slow growth (link contention) as scale grows 16x; SAP2/SAP3 grow faster than CAP2 (twice the concurrent retrieve queries)",
 		},
 	}
-	pat := Patterns()[0]
 	for _, f := range factors {
 		scaled, err := sc.WeakScale(f)
 		if err != nil {
 			return nil, err
 		}
-		cs, err := NewConcurrent(scaled, pat)
-		if err != nil {
-			return nil, err
-		}
-		_, csDC, err := cs.Placements()
-		if err != nil {
-			return nil, err
-		}
-		capT, err := retrieveTimes(cs.Machine, csDC, cs.Prod, csDC, []graph.App{cs.Cons})
-		if err != nil {
-			return nil, err
-		}
-		ss, err := NewSequential(scaled, pat)
-		if err != nil {
-			return nil, err
-		}
-		_, ssDC, err := ss.ConsumerPlacements()
-		if err != nil {
-			return nil, err
-		}
-		seqT, err := retrieveTimes(ss.Machine, ss.ProdPl, ss.Prod, ssDC, []graph.App{ss.Cons2, ss.Cons3})
+		dc, err := retrieveTimes(scaled, runtime.DataCentric)
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(
 			fmt.Sprintf("x%d", f),
 			fmt.Sprintf("%d/%d", tasks(scaled.CAP1Grid), tasks(scaled.CAP2Grid)),
-			ms(capT[cs.Cons.ID]),
+			ms(dc[0][0]),
 			fmt.Sprint(tasks(scaled.SAP1Grid)),
-			ms(seqT[ss.Cons2.ID]),
-			ms(seqT[ss.Cons3.ID]),
+			ms(dc[0][1]),
+			ms(dc[0][2]),
 		)
 	}
 	return t, nil
@@ -450,26 +307,17 @@ func Fig16(sc Scale, factors []int) (*Table, error) {
 
 // All runs every figure at a scale (Fig16 with the default factors).
 func All(sc Scale) ([]*Table, error) {
-	var out []*Table
-	type fig struct {
-		name string
-		fn   func(Scale) (*Table, error)
+	figs := []func(Scale) (*Table, error){
+		Fig8, Fig9, Fig10, Fig11, Fig12, Fig13, Fig14, Fig15,
+		func(sc Scale) (*Table, error) { return Fig16(sc, nil) },
 	}
-	figs := []fig{
-		{"fig8", Fig8}, {"fig9", Fig9}, {"fig10", Fig10}, {"fig11", Fig11},
-		{"fig12", Fig12}, {"fig13", Fig13}, {"fig14", Fig14}, {"fig15", Fig15},
-	}
-	for _, f := range figs {
-		tbl, err := f.fn(sc)
+	out := make([]*Table, len(figs))
+	for i, fig := range figs {
+		tbl, err := fig(sc)
 		if err != nil {
-			return nil, fmt.Errorf("bench: %s: %w", f.name, err)
+			return nil, fmt.Errorf("bench: fig%d: %w", 8+i, err)
 		}
-		out = append(out, tbl)
+		out[i] = tbl
 	}
-	tbl, err := Fig16(sc, nil)
-	if err != nil {
-		return nil, fmt.Errorf("bench: fig16: %w", err)
-	}
-	out = append(out, tbl)
 	return out, nil
 }

@@ -5,7 +5,6 @@ import (
 
 	"github.com/insitu/cods/internal/apps"
 	"github.com/insitu/cods/internal/cluster"
-	"github.com/insitu/cods/internal/decomp"
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/runtime"
 	"github.com/insitu/cods/internal/workflow"
@@ -24,35 +23,11 @@ func RunConcurrentFunctional(sc Scale, pat Pattern, policy runtime.Policy, itera
 	if err != nil {
 		return nil, err
 	}
-	srv, err := runtime.NewServer(cs.Machine, geometry.BoxFromSize(sc.Domain), sc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := srv.RegisterApp(runtime.AppSpec{
-		ID: 1, Decomp: cs.Prod.Decomp,
-		Run: apps.NewProducer(apps.ProducerConfig{
-			Var: "field", Iterations: iterations, Halo: sc.Halo, Mode: apps.Concurrent,
-		}),
-	}); err != nil {
-		return nil, err
-	}
-	if err := srv.RegisterApp(runtime.AppSpec{
-		ID: 2, Decomp: cs.Cons.Decomp,
-		Run: apps.NewConsumer(apps.ConsumerConfig{
-			Var: "field", Producer: 1, Iterations: iterations, Halo: sc.Halo,
-			Mode: apps.Concurrent, Verify: verify,
-		}),
-	}); err != nil {
-		return nil, err
-	}
 	d, err := workflow.New([]int{1, 2}, nil, [][]int{{1, 2}})
 	if err != nil {
 		return nil, err
 	}
-	if _, err := srv.Run(d, policy); err != nil {
-		return nil, err
-	}
-	return cs.Machine, nil
+	return cs.execute(d, policy, apps.Concurrent, "field", iterations, verify)
 }
 
 // RunSequentialFunctional executes the SAP1 -> SAP2 + SAP3 workflow with
@@ -62,45 +37,42 @@ func RunSequentialFunctional(sc Scale, pat Pattern, policy runtime.Policy, verif
 	if err != nil {
 		return nil, err
 	}
-	srv, err := runtime.NewServer(ss.Machine, geometry.BoxFromSize(sc.Domain), sc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := srv.RegisterApp(runtime.AppSpec{
-		ID: 1, Decomp: ss.Prod.Decomp,
-		Run: apps.NewProducer(apps.ProducerConfig{
-			Var: "state", Iterations: 1, Halo: sc.Halo, Mode: apps.Sequential,
-		}),
-	}); err != nil {
-		return nil, err
-	}
-	consumer := func(dc *decomp.Decomposition) runtime.AppSpec {
-		return runtime.AppSpec{
-			Decomp: dc,
-			Run: apps.NewConsumer(apps.ConsumerConfig{
-				Var: "state", Iterations: 1, Halo: sc.Halo, Mode: apps.Sequential, Verify: verify,
-			}),
-			ReadsVar: "state",
-		}
-	}
-	c2 := consumer(ss.Cons2.Decomp)
-	c2.ID = 2
-	if err := srv.RegisterApp(c2); err != nil {
-		return nil, err
-	}
-	c3 := consumer(ss.Cons3.Decomp)
-	c3.ID = 3
-	if err := srv.RegisterApp(c3); err != nil {
-		return nil, err
-	}
 	d, err := workflow.New([]int{1, 2, 3}, [][2]int{{1, 2}, {1, 3}}, nil)
 	if err != nil {
 		return nil, err
 	}
+	return ss.execute(d, policy, apps.Sequential, "state", 1, verify)
+}
+
+// execute runs the scenario's applications as the DAG d orders them under
+// policy: the producer writes variable v for iterations steps and every
+// consumer reads it back, each with its stencil exchange.
+func (s *scenario) execute(d *workflow.DAG, policy runtime.Policy, mode apps.Coupling, v string, iterations int, verify bool) (*cluster.Machine, error) {
+	srv, err := runtime.NewServer(s.Machine, geometry.BoxFromSize(s.Scale.Domain), s.Scale.Seed)
+	if err != nil {
+		return nil, err
+	}
+	specs := []runtime.AppSpec{{
+		ID: s.Prod.ID, Decomp: s.Prod.Decomp,
+		Run: apps.NewProducer(apps.ProducerConfig{Var: v, Iterations: iterations, Halo: s.Scale.Halo, Mode: mode}),
+	}}
+	for _, cons := range s.consumers {
+		specs = append(specs, runtime.AppSpec{
+			ID: cons.ID, Decomp: cons.Decomp, ReadsVar: v,
+			Run: apps.NewConsumer(apps.ConsumerConfig{
+				Var: v, Producer: s.Prod.ID, Iterations: iterations, Halo: s.Scale.Halo, Mode: mode, Verify: verify,
+			}),
+		})
+	}
+	for _, spec := range specs {
+		if err := srv.RegisterApp(spec); err != nil {
+			return nil, err
+		}
+	}
 	if _, err := srv.Run(d, policy); err != nil {
 		return nil, err
 	}
-	return ss.Machine, nil
+	return s.Machine, nil
 }
 
 // FunctionalComparison runs both policies functionally at a scale and

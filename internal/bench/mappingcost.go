@@ -45,7 +45,7 @@ func MappingCost(sc Scale, factors []int) (*Table, error) {
 			return nil, err
 		}
 		start = time.Now()
-		if _, err := mapping.ClientDataCentricAnalytic(ss.Machine, ss.ProdPl, ss.Prod, ss.consumers(), nil); err != nil {
+		if _, err := mapping.ClientDataCentricAnalytic(ss.Machine, ss.ProdPl, ss.Prod, ss.clientConsumers(), nil); err != nil {
 			return nil, err
 		}
 		clientMs := float64(time.Since(start).Microseconds()) / 1e3

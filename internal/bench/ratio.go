@@ -1,11 +1,6 @@
 package bench
 
-import (
-	"fmt"
-
-	"github.com/insitu/cods/internal/graph"
-	"github.com/insitu/cods/internal/mapping"
-)
+import "fmt"
 
 // RatioSweep quantifies the sensitivity the paper states at the end of
 // Section V-B: "the effectiveness of the data-centric task mapping also
@@ -30,43 +25,26 @@ func RatioSweep(sc Scale, halos []int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, dc, err := cs.Placements()
-	if err != nil {
-		return nil, err
-	}
-	interBase, err := mapping.CoupledTraffic(cs.Machine, base, base, cs.Prod, cs.Cons, ElemSize)
-	if err != nil {
-		return nil, err
-	}
-	interDC, err := mapping.CoupledTraffic(cs.Machine, dc, dc, cs.Prod, cs.Cons, ElemSize)
+	interRR, interDC, err := both(cs.CoupledNetwork)
 	if err != nil {
 		return nil, err
 	}
 	for _, halo := range halos {
-		var intraBase, intraDC int64
-		for _, a := range []graph.App{cs.Prod, cs.Cons} {
-			sb, err := mapping.StencilTraffic(cs.Machine, base, a, halo, ElemSize)
-			if err != nil {
-				return nil, err
-			}
-			sd, err := mapping.StencilTraffic(cs.Machine, dc, a, halo, ElemSize)
-			if err != nil {
-				return nil, err
-			}
-			intraBase += sb.Network
-			intraDC += sd.Network
+		intraRR, intraDC, err := cs.stencil(halo)
+		if err != nil {
+			return nil, err
 		}
-		totalBase := interBase.Network + intraBase
-		totalDC := interDC.Network + intraDC
+		intra := sum(intraRR)
+		totalRR, totalDC := interRR+intra, interDC+sum(intraDC)
 		ratio := "inf"
-		if intraBase > 0 {
-			ratio = fmt.Sprintf("%.2f", float64(interBase.Network)/float64(intraBase))
+		if intra > 0 {
+			ratio = fmt.Sprintf("%.2f", float64(interRR)/float64(intra))
 		}
 		adv := "n/a"
 		if totalDC > 0 {
-			adv = fmt.Sprintf("%.2fx", float64(totalBase)/float64(totalDC))
+			adv = fmt.Sprintf("%.2fx", float64(totalRR)/float64(totalDC))
 		}
-		t.AddRow(fmt.Sprint(halo), ratio, gb(totalBase), gb(totalDC), adv)
+		t.AddRow(fmt.Sprint(halo), ratio, gb(totalRR), gb(totalDC), adv)
 	}
 	return t, nil
 }

@@ -8,6 +8,7 @@ import (
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/graph"
 	"github.com/insitu/cods/internal/mapping"
+	"github.com/insitu/cods/internal/runtime"
 )
 
 // ElemSize is the coupled-field element size in bytes.
@@ -132,13 +133,140 @@ func (sc Scale) newDecomp(kind decomp.Kind, grid []int) (*decomp.Decomposition, 
 	return decomp.New(kind, geometry.BoxFromSize(sc.Domain), grid, sc.Block)
 }
 
-// Concurrent is the CAP1/CAP2 concurrently coupled scenario at one scale
-// and pattern.
-type Concurrent struct {
+// scenario is what both evaluation workflows share: one machine, a
+// producer whose data its consumers pull, and the placements of the two
+// task mappings every figure compares, each computed on first use. Its
+// queries take the mapping as the runtime.Policy an executed run takes.
+// A scenario is not safe for concurrent use.
+type scenario struct {
 	Scale   Scale
 	Machine *cluster.Machine
-	Prod    graph.App // CAP1
-	Cons    graph.App // CAP2
+	Prod    graph.App
+	// ProdPl is the producer's placement when it ran alone before its
+	// consumers (SAP1, placed round-robin; its stored blocks live on its
+	// cores); nil when each mapping places it with its consumer (CAP1).
+	ProdPl    *cluster.Placement
+	consumers []graph.App
+	// dataCentric computes the data-centric placement of the mapped apps.
+	dataCentric func() (*cluster.Placement, error)
+	placed      [2]*cluster.Placement // by runtime.Policy
+}
+
+// placements returns where policy puts the producer's tasks and the
+// consumers'. The round-robin baseline is SMP-style consecutive placement
+// — what the paper's "round-robin task mapping employed by many MPI job
+// launchers" behaves like: each application's ranks pack node after node,
+// so intra-application neighbours co-locate but coupling is ignored.
+func (s *scenario) placements(policy runtime.Policy) (prod, cons *cluster.Placement, err error) {
+	if s.placed[policy] == nil {
+		if policy == runtime.RoundRobin {
+			mapped := s.consumers
+			if s.ProdPl == nil {
+				mapped = append([]graph.App{s.Prod}, mapped...)
+			}
+			s.placed[policy], err = mapping.Consecutive(s.Machine, mapped, nil)
+		} else {
+			s.placed[policy], err = s.dataCentric()
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	if s.ProdPl != nil {
+		return s.ProdPl, s.placed[policy], nil
+	}
+	return s.placed[policy], s.placed[policy], nil
+}
+
+// CoupledNetwork returns the coupled bytes that cross the network under
+// policy, summed over the consumers.
+func (s *scenario) CoupledNetwork(policy runtime.Policy) (int64, error) {
+	prodPl, consPl, err := s.placements(policy)
+	if err != nil {
+		return 0, err
+	}
+	var net int64
+	for _, cons := range s.consumers {
+		tr, err := mapping.CoupledTraffic(s.Machine, prodPl, consPl, s.Prod, cons, ElemSize)
+		if err != nil {
+			return 0, err
+		}
+		net += tr.Network
+	}
+	return net, nil
+}
+
+// StencilNetwork returns, per application (the producer, then the
+// consumers), the bytes its near-neighbour halo exchange of ghost width
+// halo sends over the network under policy.
+func (s *scenario) StencilNetwork(policy runtime.Policy, halo int) ([]int64, error) {
+	prodPl, consPl, err := s.placements(policy)
+	if err != nil {
+		return nil, err
+	}
+	net := make([]int64, 0, 1+len(s.consumers))
+	for i, app := range append([]graph.App{s.Prod}, s.consumers...) {
+		pl := consPl
+		if i == 0 {
+			pl = prodPl
+		}
+		tr, err := mapping.StencilTraffic(s.Machine, pl, app, halo, ElemSize)
+		if err != nil {
+			return nil, err
+		}
+		net = append(net, tr.Network)
+	}
+	return net, nil
+}
+
+// stencil answers StencilNetwork at ghost width halo under both mappings.
+func (s *scenario) stencil(halo int) (rr, dc []int64, err error) {
+	return both(func(p runtime.Policy) ([]int64, error) { return s.StencilNetwork(p, halo) })
+}
+
+// both answers a query under the round-robin and then the data-centric
+// mapping, the figures' column order.
+func both[T any](query func(runtime.Policy) (T, error)) (rr, dc T, err error) {
+	if rr, err = query(runtime.RoundRobin); err != nil {
+		return rr, dc, err
+	}
+	dc, err = query(runtime.DataCentric)
+	return rr, dc, err
+}
+
+// RetrieveTimes returns each consumer's coupled-data retrieval time under
+// policy, in seconds: the consumers' pulls start together and replay
+// through the torus model.
+func (s *scenario) RetrieveTimes(policy runtime.Policy) ([]float64, error) {
+	prodPl, consPl, err := s.placements(policy)
+	if err != nil {
+		return nil, err
+	}
+	var flows []cluster.Flow
+	var owner []int // flow index -> consumer index
+	for i, cons := range s.consumers {
+		fl, err := mapping.CoupledFlows(prodPl, consPl, s.Prod, cons, ElemSize, "get")
+		if err != nil {
+			return nil, err
+		}
+		flows = append(flows, fl...)
+		for range fl {
+			owner = append(owner, i)
+		}
+	}
+	completion, _ := torusFor(s.Machine.NumNodes()).simulate(flows)
+	times := make([]float64, len(s.consumers))
+	for i, c := range completion {
+		times[owner[i]] = max(times[owner[i]], c)
+	}
+	return times, nil
+}
+
+// Concurrent is the CAP1/CAP2 concurrently coupled scenario at one scale
+// and pattern: both mappings place CAP1 and CAP2 together.
+type Concurrent struct {
+	scenario
+	Cons graph.App // CAP2
 }
 
 // NewConcurrent builds the concurrent scenario: CAP1 and CAP2 share one
@@ -158,12 +286,15 @@ func NewConcurrent(sc Scale, pat Pattern) (*Concurrent, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Concurrent{
-		Scale:   sc,
-		Machine: m,
-		Prod:    graph.App{ID: 1, Decomp: prodDc},
-		Cons:    graph.App{ID: 2, Decomp: consDc},
-	}, nil
+	c := &Concurrent{Cons: graph.App{ID: 2, Decomp: consDc}}
+	c.scenario = scenario{
+		Scale: sc, Machine: m, Prod: graph.App{ID: 1, Decomp: prodDc},
+		consumers: []graph.App{c.Cons},
+		dataCentric: func() (*cluster.Placement, error) {
+			return mapping.ServerDataCentric(m, c.Bundle(), nil, ElemSize, sc.Seed)
+		},
+	}
+	return c, nil
 }
 
 // Bundle returns the mapping bundle of the scenario.
@@ -174,33 +305,13 @@ func (c *Concurrent) Bundle() mapping.Bundle {
 	}
 }
 
-// Placements computes the baseline (launcher) and data-centric
-// placements. The baseline is SMP-style consecutive placement — what the
-// paper's "round-robin task mapping employed by many MPI job launchers"
-// behaves like: each application's ranks pack node after node, so
-// intra-application neighbours co-locate but coupling is ignored.
-func (c *Concurrent) Placements() (rr, dc *cluster.Placement, err error) {
-	rr, err = mapping.Consecutive(c.Machine, c.Bundle().Apps, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	dc, err = mapping.ServerDataCentric(c.Machine, c.Bundle(), nil, ElemSize, c.Scale.Seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rr, dc, nil
-}
-
-// Sequential is the SAP1 -> SAP2 + SAP3 sequentially coupled scenario.
+// Sequential is the SAP1 -> SAP2 + SAP3 sequentially coupled scenario:
+// SAP1 runs first, alone, and the mappings place SAP2 + SAP3 jointly, as
+// they launch together.
 type Sequential struct {
-	Scale   Scale
-	Machine *cluster.Machine
-	Prod    graph.App // SAP1
-	Cons2   graph.App // SAP2
-	Cons3   graph.App // SAP3
-	// ProdPl is SAP1's placement: it runs first, alone, placed round-robin;
-	// its stored blocks live on its cores.
-	ProdPl *cluster.Placement
+	scenario
+	Cons2 graph.App // SAP2
+	Cons3 graph.App // SAP3
 }
 
 // NewSequential builds the sequential scenario. The allocation is sized to
@@ -234,36 +345,22 @@ func NewSequential(sc Scale, pat Pattern) (*Sequential, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Sequential{
-		Scale:   sc,
-		Machine: m,
-		Prod:    prod,
-		Cons2:   graph.App{ID: 2, Decomp: cons2Dc},
-		Cons3:   graph.App{ID: 3, Decomp: cons3Dc},
-		ProdPl:  prodPl,
-	}, nil
+	s := &Sequential{Cons2: graph.App{ID: 2, Decomp: cons2Dc}, Cons3: graph.App{ID: 3, Decomp: cons3Dc}}
+	s.scenario = scenario{
+		Scale: sc, Machine: m, Prod: prod, ProdPl: prodPl,
+		consumers: []graph.App{s.Cons2, s.Cons3},
+		dataCentric: func() (*cluster.Placement, error) {
+			return mapping.ClientDataCentricAnalytic(m, prodPl, prod, s.clientConsumers(), nil)
+		},
+	}
+	return s, nil
 }
 
-// consumers returns the mapping descriptors of SAP2 and SAP3.
-func (s *Sequential) consumers() []mapping.Consumer {
+// clientConsumers returns the client-side mapping descriptors of SAP2 and
+// SAP3.
+func (s *Sequential) clientConsumers() []mapping.Consumer {
 	return []mapping.Consumer{
 		{App: s.Cons2, Var: "state", Version: 0},
 		{App: s.Cons3, Var: "state", Version: 0},
 	}
-}
-
-// ConsumerPlacements computes the baseline (launcher) and client-side
-// data-centric placements of SAP2 + SAP3 (jointly, as they launch
-// together).
-func (s *Sequential) ConsumerPlacements() (rr, dc *cluster.Placement, err error) {
-	apps := []graph.App{s.Cons2, s.Cons3}
-	rr, err = mapping.Consecutive(s.Machine, apps, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	dc, err = mapping.ClientDataCentricAnalytic(s.Machine, s.ProdPl, s.Prod, s.consumers(), nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rr, dc, nil
 }

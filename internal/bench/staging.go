@@ -2,11 +2,11 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/decomp"
-	"github.com/insitu/cods/internal/graph"
-	"github.com/insitu/cods/internal/mapping"
+	"github.com/insitu/cods/internal/runtime"
 )
 
 // StagingComparison quantifies the argument of the paper's related-work
@@ -33,56 +33,40 @@ func StagingComparison(sc Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, dcPl, err := ss.ConsumerPlacements()
-	if err != nil {
-		return nil, err
-	}
-	consumers := []graph.App{ss.Cons2, ss.Cons3}
-
 	// ---- In-situ (CoDS, client-side data-centric mapping). Stores cost
 	// no movement (data stays in the producer task's memory); retrieval is
 	// the consumers' pull phase.
-	var insituNet int64
-	var insituFlows []cluster.Flow
-	for _, cons := range consumers {
-		tr, err := mapping.CoupledTraffic(ss.Machine, ss.ProdPl, dcPl, ss.Prod, cons, ElemSize)
-		if err != nil {
-			return nil, err
-		}
-		insituNet += tr.Network
-		fl, err := mapping.CoupledFlows(ss.ProdPl, dcPl, ss.Prod, cons, ElemSize, "get")
-		if err != nil {
-			return nil, err
-		}
-		insituFlows = append(insituFlows, fl...)
+	insituNet, err := ss.CoupledNetwork(runtime.DataCentric)
+	if err != nil {
+		return nil, err
+	}
+	insituTimes, err := ss.RetrieveTimes(runtime.DataCentric)
+	if err != nil {
+		return nil, err
+	}
+	_, dcPl, err := ss.placements(runtime.DataCentric)
+	if err != nil {
+		return nil, err
 	}
 
 	// ---- Staging area: compute nodes plus dedicated staging nodes on the
 	// same fabric.
 	computeNodes := ss.Machine.NumNodes()
 	stagingNodes := (computeNodes + 7) / 8
-	bigMachine, err := cluster.NewMachine(computeNodes+stagingNodes, sc.CoresPerNode)
-	if err != nil {
-		return nil, err
-	}
 	stagingOf := func(prodRank int) cluster.NodeID {
 		return cluster.NodeID(computeNodes + prodRank%stagingNodes)
 	}
 	// Producer -> staging: every stored block crosses to its staging node.
 	var stageInNet int64
-	var stageInFlows []cluster.Flow
 	for rp := 0; rp < ss.Prod.Decomp.NumTasks(); rp++ {
-		bytes := ss.Prod.Decomp.OwnedVolume(rp) * ElemSize
-		src, _ := ss.ProdPl.NodeOfTask(cluster.TaskID{App: ss.Prod.ID, Rank: rp})
-		stageInNet += bytes
-		stageInFlows = append(stageInFlows, cluster.Flow{Phase: "stage-in", Src: src, Dst: stagingOf(rp), Bytes: bytes})
+		stageInNet += ss.Prod.Decomp.OwnedVolume(rp) * ElemSize
 	}
 	// Staging -> consumer: each consumer piece comes from the staging node
 	// of the producer block holding it. Consumers run on the compute nodes
 	// (their placement is irrelevant for locality: nothing is node-local).
 	var stageOutNet int64
 	var stageOutFlows []cluster.Flow
-	for _, cons := range consumers {
+	for _, cons := range ss.consumers {
 		ov, err := decomp.NewOverlap(ss.Prod.Decomp, cons.Decomp)
 		if err != nil {
 			return nil, err
@@ -105,11 +89,10 @@ func StagingComparison(sc Scale) (*Table, error) {
 
 	// Retrieval times: consumers' pull phase only (the paper's metric);
 	// staging pulls fan into the few staging nodes.
-	_, insituTime := torusFor(ss.Machine.NumNodes()).simulate(insituFlows)
-	_, stagingTime := torusFor(bigMachine.NumNodes()).simulate(stageOutFlows)
+	_, stagingTime := torusFor(computeNodes + stagingNodes).simulate(stageOutFlows)
 
 	t.AddRow("staging area", gb(stageInNet+stageOutNet), "2 (in + out)", ms(stagingTime))
-	t.AddRow("in-situ CoDS (data-centric)", gb(insituNet), "1 (direct pull)", ms(insituTime))
+	t.AddRow("in-situ CoDS (data-centric)", gb(insituNet), "1 (direct pull)", ms(slices.Max(insituTimes)))
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"%d compute nodes + %d staging nodes; staging network volume is in+out of the staging area",
 		computeNodes, stagingNodes))

@@ -1,10 +1,11 @@
 // Package bench regenerates the paper's evaluation (Section V): one
 // function per figure, each returning a Table with the same series the
-// paper plots. Byte volumes are computed analytically from the real
-// mapping algorithms' placements (exact — the same arithmetic the
-// functional path meters, validated against it in the tests), and transfer
-// times come from replaying the coupling's transfer set through the
-// flow-level torus model of torus.go.
+// paper plots, projected from the two scenarios of scenario.go. Byte
+// volumes are computed analytically from the real mapping algorithms'
+// placements (exact — the same arithmetic the functional path meters,
+// validated against it in the tests), and transfer times come from
+// replaying the coupling's transfer set through the flow-level torus model
+// of torus.go.
 package bench
 
 import (

@@ -14,6 +14,7 @@ package cluster
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -292,7 +293,7 @@ func (mt *Metrics) Flows(phasePrefix string) []Flow {
 	defer mt.mu.Unlock()
 	var out []Flow
 	for _, f := range mt.flows {
-		if phasePrefix == "" || hasPrefix(f.Phase, phasePrefix) {
+		if strings.HasPrefix(f.Phase, phasePrefix) {
 			out = append(out, f)
 		}
 	}
@@ -367,8 +368,4 @@ func (mt *Metrics) Reset() {
 	mt.bytes = [3][2]int64{}
 	mt.perApp = make(map[appClass]*[2]int64)
 	mt.flows = nil
-}
-
-func hasPrefix(s, prefix string) bool {
-	return len(s) >= len(prefix) && s[:len(prefix)] == prefix
 }

@@ -174,8 +174,8 @@ func (b BBox) Intersect(o BBox) (BBox, bool) {
 	mustSameDim(b.Dim(), o.Dim())
 	r := newBox(b.Dim())
 	for d := range b.Min {
-		r.Min[d] = maxInt(b.Min[d], o.Min[d])
-		r.Max[d] = minInt(b.Max[d], o.Max[d])
+		r.Min[d] = max(b.Min[d], o.Min[d])
+		r.Max[d] = min(b.Max[d], o.Max[d])
 		if r.Min[d] >= r.Max[d] {
 			clear(r.Min)
 			clear(r.Max)
@@ -193,7 +193,7 @@ func (b BBox) Intersect(o BBox) (BBox, bool) {
 func (b BBox) Overlaps(o BBox) bool {
 	mustSameDim(b.Dim(), o.Dim())
 	for d := range b.Min {
-		if maxInt(b.Min[d], o.Min[d]) >= minInt(b.Max[d], o.Max[d]) {
+		if max(b.Min[d], o.Min[d]) >= min(b.Max[d], o.Max[d]) {
 			return false
 		}
 	}
@@ -211,8 +211,8 @@ func (b BBox) Cover(o BBox) BBox {
 	mustSameDim(b.Dim(), o.Dim())
 	r := newBox(b.Dim())
 	for d := range b.Min {
-		r.Min[d] = minInt(b.Min[d], o.Min[d])
-		r.Max[d] = maxInt(b.Max[d], o.Max[d])
+		r.Min[d] = min(b.Min[d], o.Min[d])
+		r.Max[d] = max(b.Max[d], o.Max[d])
 	}
 	return r
 }
@@ -317,8 +317,8 @@ func (b BBox) Expand(width int, within BBox) BBox {
 	mustSameDim(b.Dim(), within.Dim())
 	r := newBox(b.Dim())
 	for d := range b.Min {
-		r.Min[d] = maxInt(b.Min[d]-width, within.Min[d])
-		r.Max[d] = minInt(b.Max[d]+width, within.Max[d])
+		r.Min[d] = max(b.Min[d]-width, within.Min[d])
+		r.Max[d] = min(b.Max[d]+width, within.Max[d])
 		if r.Min[d] > r.Max[d] {
 			r.Min[d] = r.Max[d]
 		}
@@ -421,18 +421,4 @@ func mustSameDim(a, b int) {
 	if a != b {
 		panic(fmt.Sprintf("geometry: dimension mismatch %d vs %d", a, b))
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

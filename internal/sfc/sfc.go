@@ -426,15 +426,6 @@ func MergeSpans(spans []Span) []Span {
 	return out
 }
 
-// TotalLen sums the lengths of all spans.
-func TotalLen(spans []Span) uint64 {
-	var n uint64
-	for _, s := range spans {
-		n += s.Len()
-	}
-	return n
-}
-
 // RowMajor is a naive row-major (last dimension fastest) linearizer over
 // the same padded cubic grid as Curve. It exists to quantify, in the
 // ablation benchmarks, how much the Hilbert curve reduces the number of

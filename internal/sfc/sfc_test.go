@@ -17,6 +17,15 @@ func mustCurve(t testing.TB, dim, bits int) *Curve {
 	return c
 }
 
+// TotalLen sums the lengths of all spans.
+func TotalLen(spans []Span) uint64 {
+	var n uint64
+	for _, s := range spans {
+		n += s.Len()
+	}
+	return n
+}
+
 func TestNewCurveValidation(t *testing.T) {
 	if _, err := NewCurve(0, 4); err == nil {
 		t.Error("dim=0 accepted")
