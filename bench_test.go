@@ -91,7 +91,7 @@ func BenchmarkFunctionalConcurrent(b *testing.B) {
 	sc := bench.SmallScale()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunConcurrentFunctional(sc, bench.Patterns()[0], runtime.DataCentric, 1, false); err != nil {
+		if _, err := bench.RunConcurrentFunctional(sc, "blocked/blocked", runtime.DataCentric, 1, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -102,7 +102,7 @@ func BenchmarkFunctionalSequential(b *testing.B) {
 	sc := bench.SmallScale()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunSequentialFunctional(sc, bench.Patterns()[0], runtime.DataCentric, false); err != nil {
+		if _, err := bench.RunSequentialFunctional(sc, "blocked/blocked", runtime.DataCentric, false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,7 +22,6 @@ import (
 
 // elastic bundles the membership mechanisms of one -elastic run.
 type elastic struct {
-	o      options
 	fw     *cods.Framework
 	tc     *tcpCluster
 	ledger *membership.Ledger
@@ -47,9 +46,9 @@ type elastic struct {
 
 // startElastic installs the put ledger and starts the loop that converges
 // on each child exit.
-func startElastic(fw *cods.Framework, o options, tc *tcpCluster) *elastic {
+func startElastic(fw *cods.Framework, tc *tcpCluster) *elastic {
 	el := &elastic{
-		o: o, fw: fw, tc: tc,
+		fw: fw, tc: tc,
 		ledger: membership.NewLedger(),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
@@ -146,7 +145,7 @@ func (el *elastic) Settle(timeout time.Duration) error {
 			return err
 		}
 		recovered := int64(len(tot.Affected))
-		if !el.converging.Load() && el.tc.live(el.o.nodes) && recovered >= el.chaosKills.Load() {
+		if !el.converging.Load() && el.tc.live() && recovered >= el.chaosKills.Load() {
 			return nil
 		}
 		if time.Now().After(deadline) {

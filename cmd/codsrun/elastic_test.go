@@ -56,14 +56,14 @@ func TestExitWatcherReportsCrashesOnly(t *testing.T) {
 	defer obs.Enable(false)
 	exits := obs.C("membership.exits")
 	before := exits.Value()
-	tc := &tcpCluster{bin: bin, exits: make(chan exit, 2), quit: make(chan struct{}),
+	tc := &tcpCluster{bin: bin, nodes: 2, exits: make(chan exit, 2), quit: make(chan struct{}),
 		children: make(map[int]*child)}
 	for node := 0; node < 2; node++ {
 		if got, err := tc.spawnNode(node); err != nil || got != addr {
 			t.Fatalf("spawning node %d: %q, %v", node, got, err)
 		}
 	}
-	if !tc.live(2) {
+	if !tc.live() {
 		t.Fatal("the children are not live after their announcements")
 	}
 
@@ -76,7 +76,7 @@ func TestExitWatcherReportsCrashesOnly(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("no exit reported for the killed child")
 	}
-	if tc.live(2) {
+	if tc.live() {
 		t.Fatal("live with node 1's child gone")
 	}
 	tc.reap(1)

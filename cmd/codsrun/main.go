@@ -2,8 +2,8 @@
 // simulated multi-core machine, using synthetic producer/consumer
 // applications, and reports the traffic and timing the framework measured.
 //
-// The DAG file is the whole workload: its DOMAIN line sizes the coupled
-// domain and one DECOMP line per application declares its decomposition.
+// The DAG file is the whole workload: MACHINE, HALO (none: no stencil
+// exchange), DOMAIN and one DECOMP line per application.
 // The first application of a multi-application bundle produces data that
 // the bundle's other applications consume concurrently; an application
 // with workflow parents consumes the data its parent produced
@@ -11,9 +11,9 @@
 //
 // Example (the paper's online data processing scenario):
 //
-//	printf 'APP_ID 1\nAPP_ID 2\nBUNDLE 1 2\nDOMAIN 32 32 32\n' > online.dag
-//	printf 'DECOMP 1 blocked 4 4 2\nDECOMP 2 blocked 2 2 2\n' >> online.dag
-//	codsrun -nodes 12 -cores 4 -dag online.dag -policy data-centric
+//	printf 'MACHINE 12 4\nHALO 1\nAPP_ID 1\nAPP_ID 2\nBUNDLE 1 2\n' > online.dag
+//	printf 'DOMAIN 32 32 32\nDECOMP 1 blocked 4 4 2\nDECOMP 2 blocked 2 2 2\n' >> online.dag
+//	codsrun -dag online.dag -policy data-centric
 package main
 
 import (
@@ -40,40 +40,36 @@ import (
 
 // options collects every knob of one codsrun invocation.
 type options struct {
-	nodes, cores     int
-	curve            string
-	dagPath          string
-	policyName       string
-	iterations, halo int
-	verify, verbose  bool
-	flowsPath        string
-	reportPath       string
-	spansPath        string
-	obsHTTP          string
-	nodeObsHTTP      string
-	pprof            bool
-	faultsPath       string
-	retrySpec        string
-	backend          string
-	codsnodePath     string
-	elastic          bool
-	chaosKill        int
-	chaosAfter       int
-	stream           bool
-	streamRounds     int
-	streamLag        int
-	streamPolicy     string
+	curve           string
+	dagPath         string
+	policyName      string
+	iterations      int
+	verify, verbose bool
+	flowsPath       string
+	reportPath      string
+	spansPath       string
+	obsHTTP         string
+	nodeObsHTTP     string
+	pprof           bool
+	faultsPath      string
+	retrySpec       string
+	backend         string
+	codsnodePath    string
+	elastic         bool
+	chaosKill       int
+	chaosAfter      int
+	stream          bool
+	streamRounds    int
+	streamLag       int
+	streamPolicy    string
 }
 
 func main() {
 	var o options
-	flag.IntVar(&o.nodes, "nodes", 12, "number of compute nodes")
-	flag.IntVar(&o.cores, "cores", 4, "cores per node")
 	flag.StringVar(&o.curve, "curve", "", "lookup linearization policy: hilbert (default), morton or rowmajor")
-	flag.StringVar(&o.dagPath, "dag", "", "workflow description file, with a DOMAIN line and a DECOMP line per application (required)")
+	flag.StringVar(&o.dagPath, "dag", "", "workflow description file, with MACHINE and DOMAIN lines and a DECOMP line per application (required)")
 	flag.StringVar(&o.policyName, "policy", "data-centric", "task mapping: data-centric or round-robin")
 	flag.IntVar(&o.iterations, "iterations", 1, "coupling iterations for concurrent bundles")
-	flag.IntVar(&o.halo, "halo", 1, "stencil ghost width (0 disables intra-app exchange)")
 	flag.BoolVar(&o.verify, "verify", true, "verify retrieved data cell by cell")
 	flag.StringVar(&o.flowsPath, "flows", "", "write the recorded transfer flows as JSON Lines to this file")
 	flag.StringVar(&o.reportPath, "report", "", "enable the metrics registry and write a reconciled JSON report to this file")
@@ -166,8 +162,6 @@ func run(o options) error {
 		return fmt.Errorf("-iterations %d < 1", o.iterations)
 	case o.streamRounds < 1:
 		return fmt.Errorf("-stream-rounds %d < 1", o.streamRounds)
-	case o.halo < 0:
-		return fmt.Errorf("-halo %d < 0", o.halo)
 	case o.chaosAfter < 0:
 		return fmt.Errorf("-chaos-after %d < 0", o.chaosAfter)
 	case o.chaosKill < -1:
@@ -202,12 +196,14 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-
+	if d.Nodes == 0 {
+		return fmt.Errorf("%s: no MACHINE declared", o.dagPath)
+	}
 	decomps, err := d.Decompositions()
 	if err != nil {
 		return fmt.Errorf("%s: %w", o.dagPath, err)
 	}
-	fw, err := cods.New(cods.Config{Nodes: o.nodes, CoresPerNode: o.cores, Domain: d.Domain, Curve: o.curve})
+	fw, err := cods.New(cods.Config{Nodes: d.Nodes, CoresPerNode: d.CoresPerNode, Domain: d.Domain, Curve: o.curve})
 	if err != nil {
 		return err
 	}
@@ -253,7 +249,7 @@ func run(o options) error {
 			return fmt.Errorf("-elastic needs -backend=tcp (it watches codsnode processes)")
 		}
 	case "tcp":
-		tc, err = startTCPBackend(fw, o, d.Domain)
+		tc, err = startTCPBackend(fw, o, d)
 		if err != nil {
 			return err
 		}
@@ -289,12 +285,12 @@ func run(o options) error {
 	// exits and re-stages its data while the workflow keeps running.
 	var el *elastic
 	if o.elastic {
-		el = startElastic(fw, o, tc)
+		el = startElastic(fw, tc)
 		defer el.Stop()
-		fmt.Printf("elastic membership: watching %d codsnode processes\n", o.nodes)
+		fmt.Printf("elastic membership: watching %d codsnode processes\n", d.Nodes)
 		if o.chaosKill >= 0 {
-			if o.chaosKill >= o.nodes {
-				return fmt.Errorf("-chaos-kill %d out of range (0..%d)", o.chaosKill, o.nodes-1)
+			if o.chaosKill >= d.Nodes {
+				return fmt.Errorf("-chaos-kill %d out of range (0..%d)", o.chaosKill, d.Nodes-1)
 			}
 			el.startChaos(o.chaosKill, o.chaosAfter)
 		}
@@ -332,38 +328,38 @@ func run(o options) error {
 				return err
 			}
 			spec.Run = apps.NewStreamProducer(apps.StreamProducerConfig{
-				Var: v, Rounds: o.streamRounds, Halo: o.halo,
+				Var: v, Rounds: o.streamRounds, Halo: d.Halo,
 			})
 			fmt.Printf("app %d: stream producer (%d tasks, %d indices, %d rounds, lag %d, %s policy, %s)\n",
 				id, dc.NumTasks(), producers, o.streamRounds, o.streamLag, streamPol, dc)
 		case len(bundle) > 1 && o.stream:
 			spec.Run = apps.NewStreamConsumer(apps.StreamConsumerConfig{
-				Var: fmt.Sprintf("data.%d", bundle[0]), Halo: o.halo, Verify: o.verify,
+				Var: fmt.Sprintf("data.%d", bundle[0]), Halo: d.Halo, Verify: o.verify,
 			})
 			fmt.Printf("app %d: stream consumer of app %d (%d tasks, %s)\n", id, bundle[0], dc.NumTasks(), dc)
 		case len(bundle) > 1 && bundle[0] == id:
 			spec.Run = apps.NewProducer(apps.ProducerConfig{
-				Var: fmt.Sprintf("data.%d", id), Iterations: o.iterations, Halo: o.halo,
+				Var: fmt.Sprintf("data.%d", id), Iterations: o.iterations, Halo: d.Halo,
 				Mode: apps.Concurrent,
 			})
 			fmt.Printf("app %d: concurrent producer (%d tasks, %s)\n", id, dc.NumTasks(), dc)
 		case len(bundle) > 1:
 			spec.Run = apps.NewConsumer(apps.ConsumerConfig{
 				Var: fmt.Sprintf("data.%d", bundle[0]), Producer: bundle[0],
-				Iterations: o.iterations, Halo: o.halo, Mode: apps.Concurrent, Verify: o.verify,
+				Iterations: o.iterations, Halo: d.Halo, Mode: apps.Concurrent, Verify: o.verify,
 			})
 			fmt.Printf("app %d: concurrent consumer of app %d (%d tasks, %s)\n", id, bundle[0], dc.NumTasks(), dc)
 		case len(d.Parents(id)) > 0:
 			parent := d.Parents(id)[0]
 			spec.Run = apps.NewConsumer(apps.ConsumerConfig{
-				Var: fmt.Sprintf("data.%d", parent), Iterations: 1, Halo: o.halo,
+				Var: fmt.Sprintf("data.%d", parent), Iterations: 1, Halo: d.Halo,
 				Mode: apps.Sequential, Verify: o.verify,
 			})
 			spec.ReadsVar = fmt.Sprintf("data.%d", parent)
 			fmt.Printf("app %d: sequential consumer of app %d (%d tasks, %s)\n", id, parent, dc.NumTasks(), dc)
 		default:
 			spec.Run = apps.NewProducer(apps.ProducerConfig{
-				Var: fmt.Sprintf("data.%d", id), Iterations: 1, Halo: o.halo,
+				Var: fmt.Sprintf("data.%d", id), Iterations: 1, Halo: d.Halo,
 				Mode: apps.Sequential,
 			})
 			fmt.Printf("app %d: sequential producer (%d tasks, %s)\n", id, dc.NumTasks(), dc)
@@ -471,7 +467,7 @@ func writeReport(fw *cods.Framework, d *cods.DAG, o options, rep *cods.Report, t
 	r := obs.NewReport("codsrun")
 	r.SetMeta("dag", o.dagPath)
 	r.SetMeta("policy", o.policyName)
-	r.SetMeta("platform", fmt.Sprintf("%d nodes x %d cores", o.nodes, o.cores))
+	r.SetMeta("platform", fmt.Sprintf("%d nodes x %d cores", d.Nodes, d.CoresPerNode))
 	r.SetMeta("bundles_run", strconv.Itoa(rep.BundlesRun))
 	r.SetMeta("tasks_run", strconv.Itoa(rep.TasksRun))
 	r.SetMeta("faults_injected", strconv.FormatInt(rep.FaultsInjected, 10))
@@ -578,9 +574,10 @@ var obsExits = obs.C("membership.exits")
 // cmd.Wait, and an exit that stop or reap did not ask for is sent on
 // exits — the crash signal the elastic loop converges on.
 type tcpCluster struct {
-	be   *tcpnet.Backend
-	bin  string
-	args []string // shared child flags, without -node
+	be    *tcpnet.Backend
+	bin   string
+	args  []string // shared child flags, without -node
+	nodes int
 
 	exits chan exit
 	quit  chan struct{} // closed by stop: no exit is reported after it
@@ -606,18 +603,18 @@ type exit struct {
 // startTCPBackend launches one codsnode child per node, collects their
 // listen addresses and installs the connected TCP backend on the
 // framework's fabric; the children learn nothing of each other.
-func startTCPBackend(fw *cods.Framework, o options, domain []int) (*tcpCluster, error) {
+func startTCPBackend(fw *cods.Framework, o options, d *cods.DAG) (*tcpCluster, error) {
 	bin, err := findCodsnode(o)
 	if err != nil {
 		return nil, err
 	}
-	dims := make([]string, len(domain))
-	for i, d := range domain {
-		dims[i] = strconv.Itoa(d)
+	dims := make([]string, len(d.Domain))
+	for i, n := range d.Domain {
+		dims[i] = strconv.Itoa(n)
 	}
 	args := []string{
-		"-nodes", strconv.Itoa(o.nodes),
-		"-cores", strconv.Itoa(o.cores),
+		"-nodes", strconv.Itoa(d.Nodes),
+		"-cores", strconv.Itoa(d.CoresPerNode),
 		"-domain", strings.Join(dims, "x"),
 	}
 	// Children mirror the driver's observability posture: a reconciled
@@ -633,17 +630,17 @@ func startTCPBackend(fw *cods.Framework, o options, domain []int) (*tcpCluster, 
 			args = append(args, "-pprof")
 		}
 	}
-	tc := &tcpCluster{bin: bin, args: args,
-		exits: make(chan exit, o.nodes), quit: make(chan struct{}),
+	tc := &tcpCluster{bin: bin, args: args, nodes: d.Nodes,
+		exits: make(chan exit, d.Nodes), quit: make(chan struct{}),
 		children: make(map[int]*child)}
 	fail := func(err error) (*tcpCluster, error) {
-		for node := 0; node < o.nodes; node++ {
+		for node := 0; node < d.Nodes; node++ {
 			tc.reap(node)
 		}
 		return nil, err
 	}
-	peers := make(map[cluster.NodeID]string, o.nodes)
-	for node := 0; node < o.nodes; node++ {
+	peers := make(map[cluster.NodeID]string, d.Nodes)
+	for node := 0; node < d.Nodes; node++ {
 		addr, err := tc.spawnNode(node)
 		if err != nil {
 			return fail(fmt.Errorf("codsnode %d: %w", node, err))
@@ -758,12 +755,11 @@ func (tc *tcpCluster) reap(node int) {
 	}
 }
 
-// live reports whether each of nodes 0..nodes-1 has a child that has not
-// exited.
-func (tc *tcpCluster) live(nodes int) bool {
+// live reports whether each node has a child that has not exited.
+func (tc *tcpCluster) live() bool {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	for node := 0; node < nodes; node++ {
+	for node := 0; node < tc.nodes; node++ {
 		c := tc.children[node]
 		if c == nil {
 			return false

@@ -28,18 +28,18 @@ func writeDAG(t *testing.T, content string) string {
 
 // opts builds the options one test invocation needs, starting from the
 // flag defaults that matter.
-func opts(nodes, cores int, dag, policy string, iterations, halo int, verify, verbose bool) options {
+func opts(dag, policy string, iterations int, verify, verbose bool) options {
 	return options{
-		nodes: nodes, cores: cores, dagPath: dag,
-		policyName: policy, iterations: iterations, halo: halo,
+		dagPath: dag, policyName: policy, iterations: iterations,
 		verify: verify, verbose: verbose,
 		chaosKill: -1, streamRounds: 8,
 	}
 }
 
 func TestRunConcurrentWorkflowFile(t *testing.T) {
-	dag := writeDAG(t, "DOMAIN 16 16 16\nAPP_ID 1\nAPP_ID 2\nDECOMP 1 blocked 2 2 2\nDECOMP 2 blocked 2 2 1\nBUNDLE 1 2\n")
-	o := opts(4, 4, dag, "data-centric", 1, 1, true, true)
+	dag := writeDAG(t, "MACHINE 4 4\nHALO 1\nDOMAIN 16 16 16\nAPP_ID 1\nAPP_ID 2\n"+
+		"DECOMP 1 blocked 2 2 2\nDECOMP 2 blocked 2 2 1\nBUNDLE 1 2\n")
+	o := opts(dag, "data-centric", 1, true, true)
 	o.flowsPath = filepath.Join(t.TempDir(), "flows.jsonl")
 	if err := run(o); err != nil {
 		t.Fatal(err)
@@ -50,9 +50,9 @@ func TestRunConcurrentWorkflowFile(t *testing.T) {
 }
 
 func TestRunSequentialWorkflowFile(t *testing.T) {
-	dag := writeDAG(t, "DOMAIN 16 16\nAPP_ID 1\nAPP_ID 2\nDECOMP 1 blocked 4 2\nDECOMP 2 cyclic 2 2\n"+
+	dag := writeDAG(t, "MACHINE 4 4\nHALO 1\nDOMAIN 16 16\nAPP_ID 1\nAPP_ID 2\nDECOMP 1 blocked 4 2\nDECOMP 2 cyclic 2 2\n"+
 		"PARENT_APPID 1 CHILD_APPID 2\n")
-	o := opts(4, 4, dag, "round-robin", 1, 1, true, false)
+	o := opts(dag, "round-robin", 1, true, false)
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
@@ -63,9 +63,10 @@ func TestRunSequentialWorkflowFile(t *testing.T) {
 // -spans must emit a readable parent-linked trace.
 func TestRunReportReconciles(t *testing.T) {
 	obs.Default.Reset()
-	dag := writeDAG(t, "DOMAIN 16 16 16\nAPP_ID 1\nAPP_ID 2\nDECOMP 1 blocked 2 2 1\nDECOMP 2 blocked 2 1 1\nBUNDLE 1 2\n")
+	dag := writeDAG(t, "MACHINE 2 4\nHALO 1\nDOMAIN 16 16 16\nAPP_ID 1\nAPP_ID 2\n"+
+		"DECOMP 1 blocked 2 2 1\nDECOMP 2 blocked 2 1 1\nBUNDLE 1 2\n")
 	dir := t.TempDir()
-	o := opts(2, 4, dag, "data-centric", 1, 1, true, false)
+	o := opts(dag, "data-centric", 1, true, false)
 	o.reportPath = filepath.Join(dir, "report.json")
 	o.spansPath = filepath.Join(dir, "spans.jsonl")
 	if err := run(o); err != nil {
@@ -120,14 +121,15 @@ func TestRunReportReconciles(t *testing.T) {
 }
 
 // TestRunErrors: every refusal names what is missing or wrong — the DAG
-// file is the one declaration of the workload, so a file without a DOMAIN
-// line or without an application's DECOMP line is refused, not completed
-// from a default, and a number out of its flag's range is refused, not
-// rewritten into one in range.
+// file is the one declaration of the workload, so a file without a
+// MACHINE or DOMAIN line or without an application's DECOMP line is
+// refused, not completed from a default, and a number out of its flag's
+// range is refused, not rewritten into one in range. (A negative HALO is
+// the parser's refusal.)
 func TestRunErrors(t *testing.T) {
-	dag := writeDAG(t, "DOMAIN 8 8\nAPP_ID 1\nDECOMP 1 blocked 2 2\n")
+	dag := writeDAG(t, "MACHINE 2 2\nDOMAIN 8 8\nAPP_ID 1\nDECOMP 1 blocked 2 2\n")
 	bad := func(mutate func(*options)) error {
-		o := opts(2, 2, dag, "data-centric", 1, 0, false, false)
+		o := opts(dag, "data-centric", 1, false, false)
 		mutate(&o)
 		return run(o)
 	}
@@ -138,13 +140,13 @@ func TestRunErrors(t *testing.T) {
 	}{
 		{"missing dag", bad(func(o *options) { o.dagPath = "" }), "-dag"},
 		{"bad policy", bad(func(o *options) { o.policyName = "fancy" }), "policy"},
-		{"no DOMAIN", bad(func(o *options) { o.dagPath = writeDAG(t, "APP_ID 1\nDECOMP 1 blocked 2 2\n") }), "no DOMAIN"},
+		{"no MACHINE", bad(func(o *options) { o.dagPath = writeDAG(t, "DOMAIN 8 8\nAPP_ID 1\nDECOMP 1 blocked 2 2\n") }), "no MACHINE"},
+		{"no DOMAIN", bad(func(o *options) { o.dagPath = writeDAG(t, "MACHINE 2 2\nAPP_ID 1\nDECOMP 1 blocked 2 2\n") }), "no DOMAIN"},
 		{"app without DECOMP", bad(func(o *options) {
-			o.dagPath = writeDAG(t, "DOMAIN 8 8\nAPP_ID 1\nAPP_ID 2\nDECOMP 1 blocked 2 2\nPARENT_APPID 1 CHILD_APPID 2\n")
+			o.dagPath = writeDAG(t, "MACHINE 2 2\nDOMAIN 8 8\nAPP_ID 1\nAPP_ID 2\nDECOMP 1 blocked 2 2\nPARENT_APPID 1 CHILD_APPID 2\n")
 		}), "application 2 has no DECOMP"},
 		{"zero iterations", bad(func(o *options) { o.iterations = 0 }), "-iterations"},
 		{"zero stream rounds", bad(func(o *options) { o.streamRounds = 0 }), "-stream-rounds"},
-		{"negative halo", bad(func(o *options) { o.halo = -1 }), "-halo"},
 		{"negative chaos-after", bad(func(o *options) { o.chaosAfter = -3 }), "-chaos-after"},
 		{"chaos-kill below -1", bad(func(o *options) { o.chaosKill = -5 }), "-chaos-kill"},
 	}

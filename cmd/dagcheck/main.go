@@ -1,6 +1,7 @@
 // Command dagcheck validates a workflow DAG description file (the format
-// of the paper's Listing 1) and prints its bundles, the launch stages the
-// runtime runs them in (workflow.DAG.Stages) and its canonical form.
+// of the paper's Listing 1) and prints its machine shape and halo, its
+// bundles, the launch stages the runtime runs them in (workflow.DAG.Stages)
+// and its canonical form.
 //
 // Usage:
 //
@@ -53,6 +54,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "valid workflow: %d applications, %d dependencies, %d bundles\n",
 		len(d.Apps), len(d.Edges), len(d.Bundles))
+	fmt.Fprintf(stdout, "  machine: %d nodes x %d cores, halo %d\n", d.Nodes, d.CoresPerNode, d.Halo)
 	for i, b := range d.Bundles {
 		fmt.Fprintf(stdout, "  bundle %d: apps %v\n", i, b)
 	}

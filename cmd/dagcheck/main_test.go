@@ -6,13 +6,15 @@ import (
 	"testing"
 )
 
-// TestRunGolden: dagcheck prints one line per launch stage, each bundle's
-// apps in the order the runtime launches them. On Listing 1 the
+// TestRunGolden: dagcheck prints the machine shape and halo, then one line
+// per launch stage, each bundle's apps in the order the runtime launches
+// them. On Listing 1 the
 // atmosphere runs alone and land and sea-ice run together; with app 3
 // independent it launches beside app 1, and app 2 runs after them.
 func TestRunGolden(t *testing.T) {
 	for _, tc := range []struct{ file, want string }{
 		{"../../testdata/chaos.dag", `valid workflow: 3 applications, 2 dependencies, 3 bundles
+  machine: 6 nodes x 4 cores, halo 1
   bundle 0: apps [1]
   bundle 1: apps [2]
   bundle 2: apps [3]
@@ -20,6 +22,8 @@ stage 1: [1]
 stage 2: [2] [3]
 
 canonical form:
+MACHINE 6 4
+HALO 1
 DOMAIN 32 32
 APP_ID 1
 APP_ID 2
@@ -34,6 +38,7 @@ BUNDLE 2
 BUNDLE 3
 `},
 		{"../../testdata/independent.dag", `valid workflow: 3 applications, 1 dependencies, 3 bundles
+  machine: 6 nodes x 4 cores, halo 1
   bundle 0: apps [1]
   bundle 1: apps [2]
   bundle 2: apps [3]
@@ -41,6 +46,8 @@ stage 1: [1] [3]
 stage 2: [2]
 
 canonical form:
+MACHINE 6 4
+HALO 1
 DOMAIN 32 32
 APP_ID 1
 APP_ID 2

@@ -25,7 +25,7 @@ func TestElasticChaos(t *testing.T) {
 	bin := buildTCPBinaries(t)
 	dir := t.TempDir()
 	dag := filepath.Join(dir, "wf.dag")
-	if err := os.WriteFile(dag, []byte("DOMAIN 8 8\nAPP_ID 1\nAPP_ID 2\nDECOMP 1 blocked 2 2\nDECOMP 2 blocked 2 1\nPARENT_APPID 1 CHILD_APPID 2\n"), 0o644); err != nil {
+	if err := os.WriteFile(dag, []byte("MACHINE 2 2\nHALO 1\nDOMAIN 8 8\nAPP_ID 1\nAPP_ID 2\nDECOMP 1 blocked 2 2\nDECOMP 2 blocked 2 1\nPARENT_APPID 1 CHILD_APPID 2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	reportPath := filepath.Join(dir, "report.json")
@@ -35,7 +35,6 @@ func TestElasticChaos(t *testing.T) {
 	// the operations ride out the loss, and no task is ever re-run.
 	text := runCodsrun(t, bin,
 		"-backend", "tcp",
-		"-nodes", "2", "-cores", "2",
 		"-dag", dag,
 		"-policy", "round-robin",
 		"-elastic",

@@ -116,12 +116,12 @@ func AblationPartitioner(sc Scale) (*Table, error) {
 			"multilevel partitioning is what makes the server-side mapping effective; greedy single-level and placement-only baselines leave much more coupling on the network",
 		},
 	}
-	cs, err := NewConcurrent(sc, Patterns()[0])
+	cs, err := sc.scenario("concurrent", Patterns()[0])
 	if err != nil {
 		return nil, err
 	}
 	total := int64(1)
-	for _, s := range sc.Domain {
+	for _, s := range cs.DAG.Domain {
 		total *= int64(s)
 	}
 	total *= ElemSize
@@ -133,10 +133,10 @@ func AblationPartitioner(sc Scale) (*Table, error) {
 		{"launcher (consecutive)", func() (*cluster.Placement, error) { return mapping.Consecutive(cs.Machine, apps, nil) }},
 		{"round-robin deal", func() (*cluster.Placement, error) { return mapping.RoundRobin(cs.Machine, apps, nil) }},
 		{"single-level greedy", func() (*cluster.Placement, error) {
-			return mapping.ServerDataCentricOpts(cs.Machine, cs.Bundle(), nil, ElemSize, graph.Options{Seed: sc.Seed, SingleLevel: true})
+			return mapping.ServerDataCentricOpts(cs.Machine, cs.Bundle(), nil, ElemSize, graph.Options{Seed: seed, SingleLevel: true})
 		}},
 		{"multilevel (data-centric)", func() (*cluster.Placement, error) {
-			return mapping.ServerDataCentric(cs.Machine, cs.Bundle(), nil, ElemSize, sc.Seed)
+			return mapping.ServerDataCentric(cs.Machine, cs.Bundle(), nil, ElemSize, seed)
 		}},
 	}
 	for _, st := range strategies {
@@ -144,7 +144,7 @@ func AblationPartitioner(sc Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tr, err := mapping.CoupledTraffic(cs.Machine, pl, pl, cs.Prod, cs.Cons, ElemSize)
+		tr, err := mapping.CoupledTraffic(cs.Machine, pl, pl, cs.Prod, cs.Cons[0], ElemSize)
 		if err != nil {
 			return nil, err
 		}

@@ -12,62 +12,49 @@ import (
 // the network in the concurrent coupling scenario, for the data-centric
 // and round-robin task mappings, across decomposition pattern pairs.
 func Fig8(sc Scale) (*Table, error) {
-	t := &Table{
-		ID:      "fig8",
-		Title:   "Concurrent coupling: network-transferred coupled data (GB)",
-		Columns: []string{"pattern", "round-robin", "data-centric", "reduction"},
-		Notes: []string{
-			fmt.Sprintf("CAP1 %d tasks, CAP2 %d tasks, domain %v, %d-core nodes",
-				tasks(sc.CAP1Grid), tasks(sc.CAP2Grid), sc.Domain, sc.CoresPerNode),
-			"expected shape: ~80% fewer network bytes for matching distributions; little gain for mismatched pairs",
-		},
-	}
-	for _, pat := range Patterns() {
-		cs, err := NewConcurrent(sc, pat)
-		if err != nil {
-			return nil, err
-		}
-		if err := t.addCoupled(pat.Name, &cs.scenario); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
+	return coupledFig(sc, "concurrent", &Table{
+		ID:    "fig8",
+		Title: "Concurrent coupling: network-transferred coupled data (GB)",
+		Notes: []string{"expected shape: ~80% fewer network bytes for matching distributions; little gain for mismatched pairs"},
+	}, func(s *Scenario) string {
+		n := s.tasks()
+		return fmt.Sprintf("CAP1 %d tasks, CAP2 %d tasks, domain %v, %d-core nodes", n[0], n[1], s.DAG.Domain, s.DAG.CoresPerNode)
+	})
 }
 
 // Fig9 reproduces Figure 9: network-transferred coupled data in the
 // sequential coupling scenario (SAP1 -> SAP2 + SAP3) per pattern pair.
 func Fig9(sc Scale) (*Table, error) {
-	t := &Table{
-		ID:      "fig9",
-		Title:   "Sequential coupling: network-transferred coupled data (GB)",
-		Columns: []string{"pattern", "round-robin", "data-centric", "reduction"},
-		Notes: []string{
-			fmt.Sprintf("SAP1 %d tasks -> SAP2 %d + SAP3 %d tasks, domain %v",
-				tasks(sc.SAP1Grid), tasks(sc.SAP2Grid), tasks(sc.SAP3Grid), sc.Domain),
-			"expected shape: ~90% fewer network bytes for matching distributions",
-		},
-	}
-	for _, pat := range Patterns() {
-		ss, err := NewSequential(sc, pat)
+	return coupledFig(sc, "sequential", &Table{
+		ID:    "fig9",
+		Title: "Sequential coupling: network-transferred coupled data (GB)",
+		Notes: []string{"expected shape: ~90% fewer network bytes for matching distributions"},
+	}, func(s *Scenario) string {
+		n := s.tasks()
+		return fmt.Sprintf("SAP1 %d tasks -> SAP2 %d + SAP3 %d tasks, domain %v", n[0], n[1], n[2], s.DAG.Domain)
+	})
+}
+
+// coupledFig fills t with one row per pattern: the coupled network bytes
+// of the coupling's scenario under both mappings and the data-centric
+// reduction. Its first note is setup's description of the first scenario.
+func coupledFig(sc Scale, coupling string, t *Table, setup func(*Scenario) string) (*Table, error) {
+	t.Columns = []string{"pattern", "round-robin", "data-centric", "reduction"}
+	for i, pat := range Patterns() {
+		s, err := sc.scenario(coupling, pat)
 		if err != nil {
 			return nil, err
 		}
-		if err := t.addCoupled(pat.Name, &ss.scenario); err != nil {
+		if i == 0 {
+			t.Notes = append([]string{setup(s)}, t.Notes...)
+		}
+		rr, dc, err := both(s.CoupledNetwork)
+		if err != nil {
 			return nil, err
 		}
+		t.AddRow(pat, gb(rr), gb(dc), pct(rr-dc, rr))
 	}
 	return t, nil
-}
-
-// addCoupled adds a row of s's coupled network bytes under both mappings
-// and the data-centric reduction.
-func (t *Table) addCoupled(name string, s *scenario) error {
-	rr, dc, err := both(s.CoupledNetwork)
-	if err != nil {
-		return err
-	}
-	t.AddRow(name, gb(rr), gb(dc), pct(rr-dc, rr))
-	return nil
 }
 
 // Fig10 reproduces Figure 10's effect quantitatively: the fan-out (number
@@ -83,16 +70,16 @@ func Fig10(sc Scale) (*Table, error) {
 		},
 	}
 	for _, pat := range Patterns() {
-		cs, err := NewConcurrent(sc, pat)
+		cs, err := sc.scenario("concurrent", pat)
 		if err != nil {
 			return nil, err
 		}
-		fan, err := decomp.FanOut(cs.Cons.Decomp, cs.Prod.Decomp)
+		fan, err := decomp.FanOut(cs.Cons[0].Decomp, cs.Prod.Decomp)
 		if err != nil {
 			return nil, err
 		}
 		avg := float64(sum(fan)) / float64(len(fan))
-		t.AddRow(pat.Name, fmt.Sprintf("%.1f", avg), fmt.Sprint(slices.Max(fan)), fmt.Sprint(cs.Prod.Decomp.NumTasks()))
+		t.AddRow(pat, fmt.Sprintf("%.1f", avg), fmt.Sprint(slices.Max(fan)), fmt.Sprint(cs.Prod.Decomp.NumTasks()))
 	}
 	return t, nil
 }
@@ -110,7 +97,7 @@ func Fig11(sc Scale) (*Table, error) {
 			"expected shape: large reduction under data-centric mapping; SAP2/SAP3 slower than CAP2 despite smaller per-task volumes (twice the concurrent retrieve queries)",
 		},
 	}
-	times, err := retrieveTimes(sc, runtime.RoundRobin, runtime.DataCentric)
+	times, _, _, err := sc.retrieveTimes(runtime.RoundRobin, runtime.DataCentric)
 	if err != nil {
 		return nil, err
 	}
@@ -126,29 +113,26 @@ func Fig11(sc Scale) (*Table, error) {
 }
 
 // retrieveTimes returns, per policy, the retrieval times of CAP2, SAP2 and
-// SAP3, blocked/blocked.
-func retrieveTimes(sc Scale, policies ...runtime.Policy) ([][]float64, error) {
-	cs, err := NewConcurrent(sc, Patterns()[0])
-	if err != nil {
-		return nil, err
+// SAP3, and the blocked/blocked scenarios it timed.
+func (sc Scale) retrieveTimes(policies ...runtime.Policy) (times [][]float64, cs, ss *Scenario, err error) {
+	if cs, err = sc.scenario("concurrent", Patterns()[0]); err != nil {
+		return nil, nil, nil, err
 	}
-	ss, err := NewSequential(sc, Patterns()[0])
-	if err != nil {
-		return nil, err
+	if ss, err = sc.scenario("sequential", Patterns()[0]); err != nil {
+		return nil, nil, nil, err
 	}
-	times := make([][]float64, len(policies))
-	for i, p := range policies {
+	for _, p := range policies {
 		capT, err := cs.RetrieveTimes(p)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 		sapT, err := ss.RetrieveTimes(p)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
-		times[i] = append(capT, sapT...)
+		times = append(times, append(capT, sapT...))
 	}
-	return times, nil
+	return times, cs, ss, nil
 }
 
 // Fig12 reproduces Figure 12: intra-application (stencil) data exchanged
@@ -159,16 +143,16 @@ func Fig12(sc Scale) (*Table, error) {
 		ID:      "fig12",
 		Title:   "Concurrent scenario: intra-app network exchange (GB/iteration)",
 		Columns: []string{"application", "round-robin", "data-centric", "change"},
-		Notes: []string{
-			fmt.Sprintf("3-D near-neighbour halo exchange, ghost width %d", sc.Halo),
-			"expected shape: data-centric roughly doubles the smaller application's (CAP2) intra-app network bytes; CAP1 barely changes",
-		},
 	}
-	cs, err := NewConcurrent(sc, Patterns()[0])
+	cs, err := sc.scenario("concurrent", Patterns()[0])
 	if err != nil {
 		return nil, err
 	}
-	return t.intraRows(&cs.scenario, "CAP1", "CAP2")
+	t.Notes = []string{
+		fmt.Sprintf("3-D near-neighbour halo exchange, ghost width %d", cs.DAG.Halo),
+		"expected shape: data-centric roughly doubles the smaller application's (CAP2) intra-app network bytes; CAP1 barely changes",
+	}
+	return t.intraRows(cs, "CAP1", "CAP2")
 }
 
 // Fig13 reproduces Figure 13: intra-application network exchange in the
@@ -183,17 +167,17 @@ func Fig13(sc Scale) (*Table, error) {
 			"expected shape: SAP2 (the small consumer) roughly doubles; SAP1 and SAP3 change little",
 		},
 	}
-	ss, err := NewSequential(sc, Patterns()[0])
+	ss, err := sc.scenario("sequential", Patterns()[0])
 	if err != nil {
 		return nil, err
 	}
-	return t.intraRows(&ss.scenario, "SAP1", "SAP2", "SAP3")
+	return t.intraRows(ss, "SAP1", "SAP2", "SAP3")
 }
 
 // intraRows adds one row per application of s, named by names: its stencil
-// network bytes at the scale's halo under both mappings, and their ratio.
-func (t *Table) intraRows(s *scenario, names ...string) (*Table, error) {
-	rr, dc, err := s.stencil(s.Scale.Halo)
+// network bytes at the file's halo under both mappings, and their ratio.
+func (t *Table) intraRows(s *Scenario, names ...string) (*Table, error) {
+	rr, dc, err := s.stencil(s.DAG.Halo)
 	if err != nil {
 		return nil, err
 	}
@@ -219,11 +203,11 @@ func Fig14(sc Scale) (*Table, error) {
 			"expected shape: coupling dominates under round-robin; data-centric wins overall despite the intra-app increase",
 		},
 	}
-	cs, err := NewConcurrent(sc, Patterns()[0])
+	cs, err := sc.scenario("concurrent", Patterns()[0])
 	if err != nil {
 		return nil, err
 	}
-	return t.breakdownRows(&cs.scenario)
+	return t.breakdownRows(cs)
 }
 
 // Fig15 reproduces Figure 15: the same breakdown for the sequential
@@ -237,22 +221,22 @@ func Fig15(sc Scale) (*Table, error) {
 			"expected shape: as Figure 14 — the coupling reduction outweighs the intra-app increase",
 		},
 	}
-	ss, err := NewSequential(sc, Patterns()[0])
+	ss, err := sc.scenario("sequential", Patterns()[0])
 	if err != nil {
 		return nil, err
 	}
-	return t.breakdownRows(&ss.scenario)
+	return t.breakdownRows(ss)
 }
 
 // breakdownRows adds one row per mapping of s: its coupled and its
-// intra-application network bytes, at the scale's halo, and their total.
-func (t *Table) breakdownRows(s *scenario) (*Table, error) {
+// intra-application network bytes, at the file's halo, and their total.
+func (t *Table) breakdownRows(s *Scenario) (*Table, error) {
 	for _, p := range []runtime.Policy{runtime.RoundRobin, runtime.DataCentric} {
 		inter, err := s.CoupledNetwork(p)
 		if err != nil {
 			return nil, err
 		}
-		intra, err := s.StencilNetwork(p, s.Scale.Halo)
+		intra, err := s.StencilNetwork(p, s.DAG.Halo)
 		if err != nil {
 			return nil, err
 		}
@@ -289,15 +273,16 @@ func Fig16(sc Scale, factors []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dc, err := retrieveTimes(scaled, runtime.DataCentric)
+		dc, cs, ss, err := scaled.retrieveTimes(runtime.DataCentric)
 		if err != nil {
 			return nil, err
 		}
+		n := cs.tasks()
 		t.AddRow(
 			fmt.Sprintf("x%d", f),
-			fmt.Sprintf("%d/%d", tasks(scaled.CAP1Grid), tasks(scaled.CAP2Grid)),
+			fmt.Sprintf("%d/%d", n[0], n[1]),
 			ms(dc[0][0]),
-			fmt.Sprint(tasks(scaled.SAP1Grid)),
+			fmt.Sprint(ss.tasks()[0]),
 			ms(dc[0][1]),
 			ms(dc[0][2]),
 		)

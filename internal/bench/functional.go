@@ -7,7 +7,6 @@ import (
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/runtime"
-	"github.com/insitu/cods/internal/workflow"
 )
 
 // The functional path actually executes the workflows — real execution
@@ -15,52 +14,44 @@ import (
 // scale. The tests cross-validate it against the analytic path: the same
 // placements must produce the same inter-application network bytes.
 
-// RunConcurrentFunctional executes the CAP1/CAP2 workflow with the
-// pattern's decompositions at the given scale and policy, returning the
-// machine whose metrics carry the measured traffic.
-func RunConcurrentFunctional(sc Scale, pat Pattern, policy runtime.Policy, iterations int, verify bool) (*cluster.Machine, error) {
-	cs, err := NewConcurrent(sc, pat)
+// RunConcurrentFunctional executes the scale's concurrent file of one
+// pattern under policy, returning the machine whose metrics carry the
+// measured traffic.
+func RunConcurrentFunctional(sc Scale, pattern string, policy runtime.Policy, iterations int, verify bool) (*cluster.Machine, error) {
+	cs, err := sc.scenario("concurrent", pattern)
 	if err != nil {
 		return nil, err
 	}
-	d, err := workflow.New([]int{1, 2}, nil, [][]int{{1, 2}})
-	if err != nil {
-		return nil, err
-	}
-	return cs.execute(d, policy, apps.Concurrent, "field", iterations, verify)
+	return cs.execute(policy, apps.Concurrent, "field", iterations, verify)
 }
 
-// RunSequentialFunctional executes the SAP1 -> SAP2 + SAP3 workflow with
-// the pattern's decompositions at the given scale and policy.
-func RunSequentialFunctional(sc Scale, pat Pattern, policy runtime.Policy, verify bool) (*cluster.Machine, error) {
-	ss, err := NewSequential(sc, pat)
+// RunSequentialFunctional executes the scale's sequential file of one
+// pattern under policy.
+func RunSequentialFunctional(sc Scale, pattern string, policy runtime.Policy, verify bool) (*cluster.Machine, error) {
+	ss, err := sc.scenario("sequential", pattern)
 	if err != nil {
 		return nil, err
 	}
-	d, err := workflow.New([]int{1, 2, 3}, [][2]int{{1, 2}, {1, 3}}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return ss.execute(d, policy, apps.Sequential, "state", 1, verify)
+	return ss.execute(policy, apps.Sequential, "state", 1, verify)
 }
 
-// execute runs the scenario's applications as the DAG d orders them under
+// execute runs the scenario's applications as its file orders them under
 // policy: the producer writes variable v for iterations steps and every
 // consumer reads it back, each with its stencil exchange.
-func (s *scenario) execute(d *workflow.DAG, policy runtime.Policy, mode apps.Coupling, v string, iterations int, verify bool) (*cluster.Machine, error) {
-	srv, err := runtime.NewServer(s.Machine, geometry.BoxFromSize(s.Scale.Domain), s.Scale.Seed)
+func (s *Scenario) execute(policy runtime.Policy, mode apps.Coupling, v string, iterations int, verify bool) (*cluster.Machine, error) {
+	srv, err := runtime.NewServer(s.Machine, geometry.BoxFromSize(s.DAG.Domain), seed)
 	if err != nil {
 		return nil, err
 	}
 	specs := []runtime.AppSpec{{
 		ID: s.Prod.ID, Decomp: s.Prod.Decomp,
-		Run: apps.NewProducer(apps.ProducerConfig{Var: v, Iterations: iterations, Halo: s.Scale.Halo, Mode: mode}),
+		Run: apps.NewProducer(apps.ProducerConfig{Var: v, Iterations: iterations, Halo: s.DAG.Halo, Mode: mode}),
 	}}
-	for _, cons := range s.consumers {
+	for _, cons := range s.Cons {
 		specs = append(specs, runtime.AppSpec{
 			ID: cons.ID, Decomp: cons.Decomp, ReadsVar: v,
 			Run: apps.NewConsumer(apps.ConsumerConfig{
-				Var: v, Producer: s.Prod.ID, Iterations: iterations, Halo: s.Scale.Halo, Mode: mode, Verify: verify,
+				Var: v, Producer: s.Prod.ID, Iterations: iterations, Halo: s.DAG.Halo, Mode: mode, Verify: verify,
 			}),
 		})
 	}
@@ -69,7 +60,7 @@ func (s *scenario) execute(d *workflow.DAG, policy runtime.Policy, mode apps.Cou
 			return nil, err
 		}
 	}
-	if _, err := srv.Run(d, policy); err != nil {
+	if _, err := srv.Run(s.DAG, policy); err != nil {
 		return nil, err
 	}
 	return s.Machine, nil

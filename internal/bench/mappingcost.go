@@ -30,17 +30,17 @@ func MappingCost(sc Scale, factors []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cs, err := NewConcurrent(scaled, Patterns()[0])
+		cs, err := scaled.scenario("concurrent", Patterns()[0])
 		if err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		if _, err := mapping.ServerDataCentric(cs.Machine, cs.Bundle(), nil, ElemSize, scaled.Seed); err != nil {
+		if _, err := mapping.ServerDataCentric(cs.Machine, cs.Bundle(), nil, ElemSize, seed); err != nil {
 			return nil, err
 		}
 		serverMs := float64(time.Since(start).Microseconds()) / 1e3
 
-		ss, err := NewSequential(scaled, Patterns()[0])
+		ss, err := scaled.scenario("sequential", Patterns()[0])
 		if err != nil {
 			return nil, err
 		}
@@ -52,9 +52,9 @@ func MappingCost(sc Scale, factors []int) (*Table, error) {
 
 		t.AddRow(
 			fmt.Sprintf("x%d", f),
-			fmt.Sprint(tasks(scaled.CAP1Grid)+tasks(scaled.CAP2Grid)),
+			fmt.Sprint(sum(cs.tasks())),
 			fmt.Sprintf("%.1f", serverMs),
-			fmt.Sprint(tasks(scaled.SAP2Grid)+tasks(scaled.SAP3Grid)),
+			fmt.Sprint(sum(ss.tasks()[1:])),
 			fmt.Sprintf("%.1f", clientMs),
 		)
 	}

@@ -21,7 +21,7 @@ func RatioSweep(sc Scale, halos []int) (*Table, error) {
 			"as intra-application exchange grows relative to coupling, the data-centric advantage shrinks — the paper's stated applicability condition",
 		},
 	}
-	cs, err := NewConcurrent(sc, Patterns()[0])
+	cs, err := sc.scenario("concurrent", Patterns()[0])
 	if err != nil {
 		return nil, err
 	}

@@ -1,102 +1,106 @@
 package bench
 
 import (
+	"embed"
 	"fmt"
+	"strings"
 
 	"github.com/insitu/cods/internal/cluster"
-	"github.com/insitu/cods/internal/decomp"
-	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/graph"
 	"github.com/insitu/cods/internal/mapping"
 	"github.com/insitu/cods/internal/runtime"
+	"github.com/insitu/cods/internal/workflow"
 )
 
 // ElemSize is the coupled-field element size in bytes.
 const ElemSize = 8
 
-// Scale fixes the sizes of one experiment campaign. The paper's base
-// configuration: 12-core nodes, a 1024^3 shared domain, producer tasks
-// owning 128^3 blocks (16 MB), CAP1/CAP2 on 512/64 cores, SAP1 -> SAP2 +
-// SAP3 on 512 -> 128+384 cores.
+// seed is the runtime's mapping seed, the one codsrun runs with.
+const seed = 1
+
+// The evaluation's scenarios are DAG files, one per scale, coupling and
+// pattern: scenarios/<scale>-<coupling>-<producer>-<consumer>.dag. codsrun
+// runs the same files.
+//
+//go:embed scenarios
+var scenarioFiles embed.FS
+
+// Scale names one set of scenario files and what a file does not say. The
+// paper set has the paper's task counts, machines and halo on a 128^3
+// domain, which an executed run can hold; the small set is laptop-sized
+// with the same structure.
 type Scale struct {
-	Name         string
-	CoresPerNode int
-	Domain       []int
-	CAP1Grid     []int
-	CAP2Grid     []int
-	SAP1Grid     []int
-	SAP2Grid     []int
-	SAP3Grid     []int
-	// Block is the per-dimension block size of block-cyclic variants.
-	Block []int
-	// Halo is the stencil ghost width of the intra-application exchanges.
-	Halo int
-	Seed int64
+	Name string
+	// Domain and Block, when set, replace each file's DOMAIN and
+	// block-cyclic BLOCK: the analytic tables run the paper set on the
+	// paper's 1024^3 domain with 64^3 blocks.
+	Domain, Block []int
+	// Factor weak-scales each file (see WeakScale); 0 or 1 leaves it as is.
+	Factor int
 }
 
-// PaperScale reproduces the evaluation's sizes exactly.
+// PaperScale reproduces the evaluation's sizes exactly: 12-core nodes, a
+// 1024^3 shared domain, producer tasks owning 128^3 blocks (16 MB),
+// CAP1/CAP2 on 512/64 cores, SAP1 -> SAP2 + SAP3 on 512 -> 128+384 cores.
 func PaperScale() Scale {
-	return Scale{
-		Name:         "paper",
-		CoresPerNode: 12,
-		Domain:       []int{1024, 1024, 1024},
-		CAP1Grid:     []int{8, 8, 8}, // 512 tasks x 128^3 = 16 MB/task
-		CAP2Grid:     []int{4, 4, 4}, // 64 tasks x 128 MB
-		SAP1Grid:     []int{8, 8, 8},
-		SAP2Grid:     []int{8, 4, 4}, // 128 tasks x 64 MB
-		SAP3Grid:     []int{8, 8, 6}, // 384 tasks x ~21 MB
-		Block:        []int{64, 64, 64},
-		Halo:         2,
-		Seed:         1,
-	}
+	return Scale{Name: "paper", Domain: []int{1024, 1024, 1024}, Block: []int{64, 64, 64}}
 }
 
 // SmallScale is a laptop-sized configuration with the same structure
 // (used by tests, examples and the functional cross-validation path).
-func SmallScale() Scale {
-	return Scale{
-		Name:         "small",
-		CoresPerNode: 4,
-		Domain:       []int{32, 32, 32},
-		CAP1Grid:     []int{4, 4, 2}, // 32 tasks
-		CAP2Grid:     []int{2, 2, 2}, // 8 tasks
-		SAP1Grid:     []int{4, 4, 2},
-		SAP2Grid:     []int{2, 2, 2}, // 8 tasks
-		SAP3Grid:     []int{2, 3, 4}, // 24 tasks
-		Block:        []int{4, 4, 4},
-		Halo:         1,
-		Seed:         1,
-	}
-}
+func SmallScale() Scale { return Scale{Name: "small"} }
 
 // WeakScale multiplies the task counts (and the domain, keeping per-task
 // volume constant) by factor, which must be a power of two. Dimensions are
-// doubled round-robin, mirroring how the paper grows 512/64 to 8192/1024.
+// doubled round-robin, mirroring how the paper grows 512/64 to 8192/1024,
+// and the machine grows to hold the largest stage.
 func (sc Scale) WeakScale(factor int) (Scale, error) {
 	if factor < 1 || factor&(factor-1) != 0 {
 		return Scale{}, fmt.Errorf("bench: weak-scaling factor %d is not a power of two", factor)
 	}
-	out := sc
-	out.Name = fmt.Sprintf("%s-x%d", sc.Name, factor)
-	out.Domain = append([]int(nil), sc.Domain...)
-	grids := [][]int{
-		append([]int(nil), sc.CAP1Grid...),
-		append([]int(nil), sc.CAP2Grid...),
-		append([]int(nil), sc.SAP1Grid...),
-		append([]int(nil), sc.SAP2Grid...),
-		append([]int(nil), sc.SAP3Grid...),
+	sc.Factor = factor
+	return sc, nil
+}
+
+// dag parses the scale's file of one coupling ("concurrent" or
+// "sequential") and pattern, and applies the scale's domain, block and
+// factor.
+func (sc Scale) dag(coupling, pattern string) (*workflow.DAG, error) {
+	f, err := scenarioFiles.Open(fmt.Sprintf("scenarios/%s-%s-%s.dag", sc.Name, coupling, strings.ReplaceAll(pattern, "/", "-")))
+	if err != nil {
+		return nil, err
 	}
-	d := 0
-	for f := factor; f > 1; f >>= 1 {
-		out.Domain[d] *= 2
-		for _, g := range grids {
-			g[d] *= 2
+	defer f.Close()
+	d, err := workflow.Parse(f)
+	if err != nil {
+		return nil, err
+	}
+	copy(d.Domain, sc.Domain)
+	for _, spec := range d.Decomps {
+		copy(spec.Block, sc.Block) // block-cyclic only: no other kind has one
+	}
+	if sc.Factor <= 1 {
+		return d, nil
+	}
+	for x, dim := sc.Factor, 0; x > 1; x, dim = x>>1, (dim+1)%len(d.Domain) {
+		d.Domain[dim] *= 2
+		for _, spec := range d.Decomps {
+			spec.Grid[dim] *= 2
 		}
-		d = (d + 1) % len(out.Domain)
 	}
-	out.CAP1Grid, out.CAP2Grid = grids[0], grids[1]
-	out.SAP1Grid, out.SAP2Grid, out.SAP3Grid = grids[2], grids[3], grids[4]
-	return out, nil
+	most := 0
+	stages, _ := d.Stages() // Parse has ordered them
+	for _, stage := range stages {
+		n := 0
+		for _, b := range stage {
+			for _, app := range d.Bundles[b] {
+				n += tasks(d.Decomps[app].Grid)
+			}
+		}
+		most = max(most, n)
+	}
+	d.Nodes = (most + d.CoresPerNode - 1) / d.CoresPerNode
+	return d, nil
 }
 
 // tasks returns the product of a grid.
@@ -108,45 +112,26 @@ func tasks(grid []int) int {
 	return n
 }
 
-// Pattern is one x-axis entry of Figures 8/9: the distribution kinds of
-// the coupled producer and consumer.
-type Pattern struct {
-	Name string
-	Prod decomp.Kind
-	Cons decomp.Kind
+// Patterns returns the decomposition pattern pairs of Figures 8/9, as
+// producer/consumer: three matching pairs and two mismatched ones.
+func Patterns() []string {
+	return []string{"blocked/blocked", "cyclic/cyclic", "bcyclic/bcyclic", "blocked/cyclic", "blocked/bcyclic"}
 }
 
-// Patterns returns the decomposition pattern pairs of the evaluation:
-// three matching pairs and two mismatched ones.
-func Patterns() []Pattern {
-	return []Pattern{
-		{Name: "blocked/blocked", Prod: decomp.Blocked, Cons: decomp.Blocked},
-		{Name: "cyclic/cyclic", Prod: decomp.Cyclic, Cons: decomp.Cyclic},
-		{Name: "bcyclic/bcyclic", Prod: decomp.BlockCyclic, Cons: decomp.BlockCyclic},
-		{Name: "blocked/cyclic", Prod: decomp.Blocked, Cons: decomp.Cyclic},
-		{Name: "blocked/bcyclic", Prod: decomp.Blocked, Cons: decomp.BlockCyclic},
-	}
-}
-
-// newDecomp builds a decomposition of the scale's domain.
-func (sc Scale) newDecomp(kind decomp.Kind, grid []int) (*decomp.Decomposition, error) {
-	return decomp.New(kind, geometry.BoxFromSize(sc.Domain), grid, sc.Block)
-}
-
-// scenario is what both evaluation workflows share: one machine, a
+// Scenario is one evaluation workflow built from its file: one machine, a
 // producer whose data its consumers pull, and the placements of the two
 // task mappings every figure compares, each computed on first use. Its
 // queries take the mapping as the runtime.Policy an executed run takes.
-// A scenario is not safe for concurrent use.
-type scenario struct {
-	Scale   Scale
+// A Scenario is not safe for concurrent use.
+type Scenario struct {
+	DAG     *workflow.DAG
 	Machine *cluster.Machine
 	Prod    graph.App
+	Cons    []graph.App
 	// ProdPl is the producer's placement when it ran alone before its
 	// consumers (SAP1, placed round-robin; its stored blocks live on its
 	// cores); nil when each mapping places it with its consumer (CAP1).
-	ProdPl    *cluster.Placement
-	consumers []graph.App
+	ProdPl *cluster.Placement
 	// dataCentric computes the data-centric placement of the mapped apps.
 	dataCentric func() (*cluster.Placement, error)
 	placed      [2]*cluster.Placement // by runtime.Policy
@@ -157,10 +142,10 @@ type scenario struct {
 // — what the paper's "round-robin task mapping employed by many MPI job
 // launchers" behaves like: each application's ranks pack node after node,
 // so intra-application neighbours co-locate but coupling is ignored.
-func (s *scenario) placements(policy runtime.Policy) (prod, cons *cluster.Placement, err error) {
+func (s *Scenario) placements(policy runtime.Policy) (prod, cons *cluster.Placement, err error) {
 	if s.placed[policy] == nil {
 		if policy == runtime.RoundRobin {
-			mapped := s.consumers
+			mapped := s.Cons
 			if s.ProdPl == nil {
 				mapped = append([]graph.App{s.Prod}, mapped...)
 			}
@@ -180,13 +165,13 @@ func (s *scenario) placements(policy runtime.Policy) (prod, cons *cluster.Placem
 
 // CoupledNetwork returns the coupled bytes that cross the network under
 // policy, summed over the consumers.
-func (s *scenario) CoupledNetwork(policy runtime.Policy) (int64, error) {
+func (s *Scenario) CoupledNetwork(policy runtime.Policy) (int64, error) {
 	prodPl, consPl, err := s.placements(policy)
 	if err != nil {
 		return 0, err
 	}
 	var net int64
-	for _, cons := range s.consumers {
+	for _, cons := range s.Cons {
 		tr, err := mapping.CoupledTraffic(s.Machine, prodPl, consPl, s.Prod, cons, ElemSize)
 		if err != nil {
 			return 0, err
@@ -199,13 +184,13 @@ func (s *scenario) CoupledNetwork(policy runtime.Policy) (int64, error) {
 // StencilNetwork returns, per application (the producer, then the
 // consumers), the bytes its near-neighbour halo exchange of ghost width
 // halo sends over the network under policy.
-func (s *scenario) StencilNetwork(policy runtime.Policy, halo int) ([]int64, error) {
+func (s *Scenario) StencilNetwork(policy runtime.Policy, halo int) ([]int64, error) {
 	prodPl, consPl, err := s.placements(policy)
 	if err != nil {
 		return nil, err
 	}
-	net := make([]int64, 0, 1+len(s.consumers))
-	for i, app := range append([]graph.App{s.Prod}, s.consumers...) {
+	net := make([]int64, 0, 1+len(s.Cons))
+	for i, app := range append([]graph.App{s.Prod}, s.Cons...) {
 		pl := consPl
 		if i == 0 {
 			pl = prodPl
@@ -220,7 +205,7 @@ func (s *scenario) StencilNetwork(policy runtime.Policy, halo int) ([]int64, err
 }
 
 // stencil answers StencilNetwork at ghost width halo under both mappings.
-func (s *scenario) stencil(halo int) (rr, dc []int64, err error) {
+func (s *Scenario) stencil(halo int) (rr, dc []int64, err error) {
 	return both(func(p runtime.Policy) ([]int64, error) { return s.StencilNetwork(p, halo) })
 }
 
@@ -237,14 +222,14 @@ func both[T any](query func(runtime.Policy) (T, error)) (rr, dc T, err error) {
 // RetrieveTimes returns each consumer's coupled-data retrieval time under
 // policy, in seconds: the consumers' pulls start together and replay
 // through the torus model.
-func (s *scenario) RetrieveTimes(policy runtime.Policy) ([]float64, error) {
+func (s *Scenario) RetrieveTimes(policy runtime.Policy) ([]float64, error) {
 	prodPl, consPl, err := s.placements(policy)
 	if err != nil {
 		return nil, err
 	}
 	var flows []cluster.Flow
 	var owner []int // flow index -> consumer index
-	for i, cons := range s.consumers {
+	for i, cons := range s.Cons {
 		fl, err := mapping.CoupledFlows(prodPl, consPl, s.Prod, cons, ElemSize, "get")
 		if err != nil {
 			return nil, err
@@ -255,112 +240,111 @@ func (s *scenario) RetrieveTimes(policy runtime.Policy) ([]float64, error) {
 		}
 	}
 	completion, _ := torusFor(s.Machine.NumNodes()).simulate(flows)
-	times := make([]float64, len(s.consumers))
+	times := make([]float64, len(s.Cons))
 	for i, c := range completion {
 		times[owner[i]] = max(times[owner[i]], c)
 	}
 	return times, nil
 }
 
-// Concurrent is the CAP1/CAP2 concurrently coupled scenario at one scale
-// and pattern: both mappings place CAP1 and CAP2 together.
-type Concurrent struct {
-	scenario
-	Cons graph.App // CAP2
-}
-
-// NewConcurrent builds the concurrent scenario: CAP1 and CAP2 share one
-// allocation sized to hold both applications.
-func NewConcurrent(sc Scale, pat Pattern) (*Concurrent, error) {
-	prodDc, err := sc.newDecomp(pat.Prod, sc.CAP1Grid)
+// newScenario builds what both couplings share from a scenario file: its
+// machine, its first application as the producer and the others as its
+// consumers.
+func newScenario(d *workflow.DAG) (*Scenario, error) {
+	decomps, err := d.Decompositions()
 	if err != nil {
 		return nil, err
 	}
-	consDc, err := sc.newDecomp(pat.Cons, sc.CAP2Grid)
-	if err != nil {
+	s := &Scenario{DAG: d}
+	if s.Machine, err = cluster.NewMachine(d.Nodes, d.CoresPerNode); err != nil {
 		return nil, err
 	}
-	total := prodDc.NumTasks() + consDc.NumTasks()
-	nodes := (total + sc.CoresPerNode - 1) / sc.CoresPerNode
-	m, err := cluster.NewMachine(nodes, sc.CoresPerNode)
-	if err != nil {
-		return nil, err
-	}
-	c := &Concurrent{Cons: graph.App{ID: 2, Decomp: consDc}}
-	c.scenario = scenario{
-		Scale: sc, Machine: m, Prod: graph.App{ID: 1, Decomp: prodDc},
-		consumers: []graph.App{c.Cons},
-		dataCentric: func() (*cluster.Placement, error) {
-			return mapping.ServerDataCentric(m, c.Bundle(), nil, ElemSize, sc.Seed)
-		},
-	}
-	return c, nil
-}
-
-// Bundle returns the mapping bundle of the scenario.
-func (c *Concurrent) Bundle() mapping.Bundle {
-	return mapping.Bundle{
-		Apps:      []graph.App{c.Prod, c.Cons},
-		Couplings: [][2]int{{c.Prod.ID, c.Cons.ID}},
-	}
-}
-
-// Sequential is the SAP1 -> SAP2 + SAP3 sequentially coupled scenario:
-// SAP1 runs first, alone, and the mappings place SAP2 + SAP3 jointly, as
-// they launch together.
-type Sequential struct {
-	scenario
-	Cons2 graph.App // SAP2
-	Cons3 graph.App // SAP3
-}
-
-// NewSequential builds the sequential scenario. The allocation is sized to
-// SAP1 (SAP2 and SAP3 together reuse the same cores afterwards).
-func NewSequential(sc Scale, pat Pattern) (*Sequential, error) {
-	prodDc, err := sc.newDecomp(pat.Prod, sc.SAP1Grid)
-	if err != nil {
-		return nil, err
-	}
-	cons2Dc, err := sc.newDecomp(pat.Cons, sc.SAP2Grid)
-	if err != nil {
-		return nil, err
-	}
-	cons3Dc, err := sc.newDecomp(pat.Cons, sc.SAP3Grid)
-	if err != nil {
-		return nil, err
-	}
-	if cons2Dc.NumTasks()+cons3Dc.NumTasks() > prodDc.NumTasks() {
-		// Consumers reuse SAP1's allocation; grow it if they don't fit.
-		// (The paper's 128+384 = 512 exactly reuses SAP1's cores.)
-		return nil, fmt.Errorf("bench: consumers (%d tasks) exceed producer allocation (%d)",
-			cons2Dc.NumTasks()+cons3Dc.NumTasks(), prodDc.NumTasks())
-	}
-	nodes := (prodDc.NumTasks() + sc.CoresPerNode - 1) / sc.CoresPerNode
-	m, err := cluster.NewMachine(nodes, sc.CoresPerNode)
-	if err != nil {
-		return nil, err
-	}
-	prod := graph.App{ID: 1, Decomp: prodDc}
-	prodPl, err := mapping.Consecutive(m, []graph.App{prod}, nil)
-	if err != nil {
-		return nil, err
-	}
-	s := &Sequential{Cons2: graph.App{ID: 2, Decomp: cons2Dc}, Cons3: graph.App{ID: 3, Decomp: cons3Dc}}
-	s.scenario = scenario{
-		Scale: sc, Machine: m, Prod: prod, ProdPl: prodPl,
-		consumers: []graph.App{s.Cons2, s.Cons3},
-		dataCentric: func() (*cluster.Placement, error) {
-			return mapping.ClientDataCentricAnalytic(m, prodPl, prod, s.clientConsumers(), nil)
-		},
+	for i, id := range d.Apps {
+		app := graph.App{ID: id, Decomp: decomps[id]}
+		if app.Decomp == nil {
+			return nil, fmt.Errorf("bench: application %d has no DECOMP line", id)
+		}
+		if i == 0 {
+			s.Prod = app
+		} else {
+			s.Cons = append(s.Cons, app)
+		}
 	}
 	return s, nil
 }
 
-// clientConsumers returns the client-side mapping descriptors of SAP2 and
-// SAP3.
-func (s *Sequential) clientConsumers() []mapping.Consumer {
-	return []mapping.Consumer{
-		{App: s.Cons2, Var: "state", Version: 0},
-		{App: s.Cons3, Var: "state", Version: 0},
+// NewConcurrent builds the CAP1/CAP2 concurrently coupled scenario of a file
+// whose one bundle is a producer and its consumer: both mappings place them
+// together.
+func NewConcurrent(d *workflow.DAG) (*Scenario, error) {
+	s, err := newScenario(d)
+	if err != nil {
+		return nil, err
 	}
+	if len(d.Bundles) != 1 || len(s.Cons) != 1 {
+		return nil, fmt.Errorf("bench: a concurrent scenario is one bundle of two applications")
+	}
+	s.dataCentric = func() (*cluster.Placement, error) {
+		return mapping.ServerDataCentric(s.Machine, s.Bundle(), nil, ElemSize, seed)
+	}
+	return s, nil
+}
+
+// NewSequential builds the SAP1 -> SAP2 + SAP3 sequentially coupled
+// scenario of a file whose first application is every other's one parent:
+// SAP1 runs first, alone, and the mappings place SAP2 + SAP3 jointly on its
+// cores, as they launch together.
+func NewSequential(d *workflow.DAG) (*Scenario, error) {
+	s, err := newScenario(d)
+	if err != nil {
+		return nil, err
+	}
+	if s.ProdPl, err = mapping.Consecutive(s.Machine, []graph.App{s.Prod}, nil); err != nil {
+		return nil, err
+	}
+	s.dataCentric = func() (*cluster.Placement, error) {
+		return mapping.ClientDataCentricAnalytic(s.Machine, s.ProdPl, s.Prod, s.clientConsumers(), nil)
+	}
+	return s, nil
+}
+
+// scenario builds the scale's scenario of one coupling ("concurrent" or
+// "sequential") and pattern.
+func (sc Scale) scenario(coupling, pattern string) (*Scenario, error) {
+	d, err := sc.dag(coupling, pattern)
+	if err != nil {
+		return nil, err
+	}
+	if coupling == "concurrent" {
+		return NewConcurrent(d)
+	}
+	return NewSequential(d)
+}
+
+// tasks returns each application's task count, the producer's first.
+func (s *Scenario) tasks() []int {
+	n := []int{s.Prod.Decomp.NumTasks()}
+	for _, c := range s.Cons {
+		n = append(n, c.Decomp.NumTasks())
+	}
+	return n
+}
+
+// Bundle returns the mapping bundle of a concurrent scenario.
+func (s *Scenario) Bundle() mapping.Bundle {
+	b := mapping.Bundle{Apps: append([]graph.App{s.Prod}, s.Cons...)}
+	for _, c := range s.Cons {
+		b.Couplings = append(b.Couplings, [2]int{s.Prod.ID, c.ID})
+	}
+	return b
+}
+
+// clientConsumers returns the client-side mapping descriptors of a
+// sequential scenario's consumers.
+func (s *Scenario) clientConsumers() []mapping.Consumer {
+	out := make([]mapping.Consumer, len(s.Cons))
+	for i, c := range s.Cons {
+		out[i] = mapping.Consumer{App: c, Var: "state", Version: 0}
+	}
+	return out
 }

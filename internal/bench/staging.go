@@ -29,7 +29,7 @@ func StagingComparison(sc Scale) (*Table, error) {
 			"staging-area sharing pays producer->staging AND staging->consumer network transfers; in-situ sharing stores data where it is produced and consumes most of it node-locally",
 		},
 	}
-	ss, err := NewSequential(sc, Patterns()[0])
+	ss, err := sc.scenario("sequential", Patterns()[0])
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +66,7 @@ func StagingComparison(sc Scale) (*Table, error) {
 	// (their placement is irrelevant for locality: nothing is node-local).
 	var stageOutNet int64
 	var stageOutFlows []cluster.Flow
-	for _, cons := range ss.consumers {
+	for _, cons := range ss.Cons {
 		ov, err := decomp.NewOverlap(ss.Prod.Decomp, cons.Decomp)
 		if err != nil {
 			return nil, err

@@ -13,6 +13,7 @@ func FuzzParse(f *testing.F) {
 	f.Add(climateModeling)
 	f.Add(fullWorkflow)
 	f.Add("DOMAIN 8 8\nAPP_ID 1\nDECOMP 1 cyclic 2 2\n")
+	f.Add(machineAndHalo)
 	f.Add("APP_ID 1\nBUNDLE 1 1\n")
 	f.Add("PARENT_APPID x CHILD_APPID y\n")
 	f.Fuzz(func(t *testing.T, input string) {

@@ -17,10 +17,15 @@
 //	BUNDLE 1
 //	BUNDLE 2
 //	BUNDLE 3
+//	MACHINE 6 4
+//	HALO 1
 //
-// Applications not named in any BUNDLE line form implicit singleton
-// bundles. Stages orders the bundles for launch: a bundle runs once every
-// parent application of every member has completed.
+// Beyond Listing 1, MACHINE <nodes> <cores per node> sizes the machine,
+// HALO <w> the stencil exchange (none without the line), DOMAIN the data
+// and DECOMP each application's decomposition. Applications not named in
+// any BUNDLE line form implicit singleton bundles. Stages orders the
+// bundles for launch: a bundle runs once every parent application of every
+// member has completed.
 package workflow
 
 import (
@@ -59,6 +64,9 @@ type DAG struct {
 	Domain []int
 	// Decomps holds the per-application DECOMP declarations.
 	Decomps map[int]DecompSpec
+	// Nodes and CoresPerNode are the MACHINE line's (0 without one), Halo
+	// the HALO line's stencil ghost width (0, no exchange, without one).
+	Nodes, CoresPerNode, Halo int
 }
 
 // Parse reads a workflow description in the Listing 1 format. Lines
@@ -67,6 +75,7 @@ func Parse(r io.Reader) (*DAG, error) {
 	d := &DAG{}
 	sc := bufio.NewScanner(r)
 	lineNo := 0
+	haloSeen := false
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -122,6 +131,18 @@ func Parse(r io.Reader) (*DAG, error) {
 				return nil, fmt.Errorf("workflow: line %d: %v", lineNo, err)
 			}
 			d.Domain = sizes
+		case "MACHINE":
+			v, err := counts(fields, 2, 1, d.Nodes > 0)
+			if err != nil {
+				return nil, fmt.Errorf("workflow: line %d: %v", lineNo, err)
+			}
+			d.Nodes, d.CoresPerNode = v[0], v[1]
+		case "HALO":
+			v, err := counts(fields, 1, 0, haloSeen)
+			if err != nil {
+				return nil, fmt.Errorf("workflow: line %d: %v", lineNo, err)
+			}
+			d.Halo, haloSeen = v[0], true
 		case "DECOMP":
 			// DECOMP <appid> <kind> <grid...> [BLOCK <block...>]
 			if len(fields) < 4 {
@@ -355,9 +376,31 @@ func parseIntFields(fields []string) ([]int, error) {
 	return out, nil
 }
 
+// counts parses the n integer fields, none below floor, of a directive
+// that may be declared once.
+func counts(fields []string, n, floor int, declared bool) ([]int, error) {
+	if declared {
+		return nil, fmt.Errorf("%s declared twice", fields[0])
+	}
+	if len(fields) != n+1 {
+		return nil, fmt.Errorf("%s takes %d field(s), not %d", fields[0], n, len(fields)-1)
+	}
+	v, err := parseIntFields(fields[1:])
+	if err == nil && slices.Min(v) < floor {
+		err = fmt.Errorf("%s value %d < %d", fields[0], slices.Min(v), floor)
+	}
+	return v, err
+}
+
 // String renders the DAG back in the description format.
 func (d *DAG) String() string {
 	var sb strings.Builder
+	if d.Nodes > 0 {
+		sb.WriteString("MACHINE " + joinInts([]int{d.Nodes, d.CoresPerNode}) + "\n")
+	}
+	if d.Halo > 0 {
+		sb.WriteString("HALO " + strconv.Itoa(d.Halo) + "\n")
+	}
 	if d.Domain != nil {
 		fmt.Fprintf(&sb, "DOMAIN %s\n", joinInts(d.Domain))
 	}

@@ -285,3 +285,52 @@ func TestParseDecompErrors(t *testing.T) {
 		}
 	}
 }
+
+const machineAndHalo = `
+MACHINE 6 4
+HALO 2
+DOMAIN 8 8
+APP_ID 1
+DECOMP 1 blocked 2 2
+`
+
+// TestParseMachineAndHalo: MACHINE and HALO declare the machine shape and
+// the stencil ghost width, survive the canonical form, and a file without
+// HALO exchanges nothing. A malformed or repeated directive is refused
+// with its line.
+func TestParseMachineAndHalo(t *testing.T) {
+	d, err := Parse(strings.NewReader(machineAndHalo))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Nodes != 6 || d.CoresPerNode != 4 || d.Halo != 2 {
+		t.Fatalf("MACHINE %d %d, HALO %d; want 6 4, 2", d.Nodes, d.CoresPerNode, d.Halo)
+	}
+	d2, err := Parse(strings.NewReader(d.String()))
+	if err != nil || d2.Nodes != 6 || d2.CoresPerNode != 4 || d2.Halo != 2 {
+		t.Fatalf("round trip: %+v, %v\n%s", d2, err, d.String())
+	}
+	if d, err := Parse(strings.NewReader("APP_ID 1\nHALO 0\n")); err != nil || d.Halo != 0 || d.Nodes != 0 {
+		t.Fatalf("HALO 0 without MACHINE: %+v, %v", d, err)
+	}
+	for _, c := range []struct{ name, in, at string }{
+		{"machine missing field", "APP_ID 1\nMACHINE 6\n", "line 2:"},
+		{"machine extra field", "APP_ID 1\nMACHINE 6 4 2\n", "line 2:"},
+		{"machine zero nodes", "APP_ID 1\nMACHINE 0 4\n", "line 2:"},
+		{"machine zero cores", "APP_ID 1\nMACHINE 6 0\n", "line 2:"},
+		{"machine negative nodes", "APP_ID 1\nMACHINE -1 4\n", "line 2:"},
+		{"machine negative cores", "APP_ID 1\nMACHINE 6 -4\n", "line 2:"},
+		{"machine not a number", "APP_ID 1\nMACHINE six 4\n", "line 2:"},
+		{"machine twice", "MACHINE 6 4\nAPP_ID 1\nMACHINE 6 4\n", "line 3:"},
+		{"halo missing field", "APP_ID 1\nHALO\n", "line 2:"},
+		{"halo extra field", "APP_ID 1\nHALO 1 1\n", "line 2:"},
+		{"halo negative", "APP_ID 1\nHALO -1\n", "line 2:"},
+		{"halo twice", "HALO 0\nAPP_ID 1\nHALO 0\n", "line 3:"},
+	} {
+		if _, err := Parse(strings.NewReader(c.in)); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		} else if !strings.Contains(err.Error(), c.at) {
+			t.Errorf("%s: %v does not name %q", c.name, err, c.at)
+		}
+	}
+}

@@ -30,7 +30,7 @@ func TestStreamingChaos(t *testing.T) {
 	bin := buildTCPBinaries(t)
 	dir := t.TempDir()
 	dag := filepath.Join(dir, "wf.dag")
-	if err := os.WriteFile(dag, []byte("DOMAIN 8 8\nAPP_ID 1\nAPP_ID 2\n"+
+	if err := os.WriteFile(dag, []byte("MACHINE 2 3\nDOMAIN 8 8\nAPP_ID 1\nAPP_ID 2\n"+
 		"DECOMP 1 blocked 2 2\nDECOMP 2 blocked 2 1\nBUNDLE 1 2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -44,10 +44,9 @@ func TestStreamingChaos(t *testing.T) {
 	// elastic driver's 2 s read patience.
 	text := runCodsrun(t, bin,
 		"-backend", "tcp",
-		"-nodes", "2", "-cores", "3",
 		"-dag", dag,
 		"-policy", "round-robin",
-		"-stream", "-stream-rounds", fmt.Sprint(rounds), "-halo", "0",
+		"-stream", "-stream-rounds", fmt.Sprint(rounds),
 		"-verify",
 		"-elastic",
 		"-chaos-kill", "1", "-chaos-after", "4",

@@ -95,13 +95,12 @@ func TestTCPDistributedTrace(t *testing.T) {
 	bin := buildTCPBinaries(t)
 	dir := t.TempDir()
 	dag := filepath.Join(dir, "wf.dag")
-	if err := os.WriteFile(dag, []byte("DOMAIN 8 8\nAPP_ID 1\nAPP_ID 2\nDECOMP 1 blocked 2 2\nDECOMP 2 blocked 2 1\nPARENT_APPID 1 CHILD_APPID 2\n"), 0o644); err != nil {
+	if err := os.WriteFile(dag, []byte("MACHINE 2 2\nHALO 1\nDOMAIN 8 8\nAPP_ID 1\nAPP_ID 2\nDECOMP 1 blocked 2 2\nDECOMP 2 blocked 2 1\nPARENT_APPID 1 CHILD_APPID 2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	spansPath := filepath.Join(dir, "spans.jsonl")
 	runCodsrun(t, bin,
 		"-backend", "tcp",
-		"-nodes", "2", "-cores", "2",
 		"-dag", dag,
 		"-policy", "round-robin",
 		"-spans", spansPath)
@@ -183,13 +182,13 @@ func TestTCPKilledDriverTakesChildren(t *testing.T) {
 	}
 	bin := buildTCPBinaries(t)
 	dag := filepath.Join(t.TempDir(), "wf.dag")
-	if err := os.WriteFile(dag, []byte("DOMAIN 64 64\nAPP_ID 1\nAPP_ID 2\n"+
+	if err := os.WriteFile(dag, []byte("MACHINE 2 2\nHALO 1\nDOMAIN 64 64\nAPP_ID 1\nAPP_ID 2\n"+
 		"DECOMP 1 blocked 2 1\nDECOMP 2 blocked 2 1\nBUNDLE 1 2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Far more coupling iterations than finish before the kill below.
 	cmd := exec.Command(filepath.Join(bin, "codsrun"),
-		"-backend", "tcp", "-nodes", "2", "-cores", "2",
+		"-backend", "tcp",
 		"-dag", dag, "-iterations", "10000000")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -238,7 +237,7 @@ func TestTCPBackendSmoke(t *testing.T) {
 	}
 	bin := buildTCPBinaries(t)
 	dag := filepath.Join(t.TempDir(), "wf.dag")
-	if err := os.WriteFile(dag, []byte("DOMAIN 8 8\nAPP_ID 1\nAPP_ID 2\nDECOMP 1 blocked 2 2\nDECOMP 2 blocked 2 1\nPARENT_APPID 1 CHILD_APPID 2\n"), 0o644); err != nil {
+	if err := os.WriteFile(dag, []byte("MACHINE 2 2\nHALO 1\nDOMAIN 8 8\nAPP_ID 1\nAPP_ID 2\nDECOMP 1 blocked 2 2\nDECOMP 2 blocked 2 1\nPARENT_APPID 1 CHILD_APPID 2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -246,7 +245,6 @@ func TestTCPBackendSmoke(t *testing.T) {
 		t.Helper()
 		return runCodsrun(t, bin,
 			"-backend", backend,
-			"-nodes", "2", "-cores", "2",
 			"-dag", dag,
 			"-policy", "round-robin", "-verify",
 			"-report", reportPath)
