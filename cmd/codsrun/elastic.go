@@ -5,8 +5,9 @@ package main
 // watcher reports every exit nobody asked for, and the loop converges on
 // each — reap the child, spawn a replacement on a fresh port, install its
 // route on the driver's backend (the only process that dials), and
-// re-stage the lost node's staged blocks from the driver's put ledger
-// while in-flight pulls retry against the re-validated routing.
+// re-stage the lost node's staged blocks from the payloads the driver's
+// staged table keeps while in-flight pulls retry against the re-validated
+// routing.
 
 import (
 	"cmp"
@@ -17,14 +18,14 @@ import (
 
 	cods "github.com/insitu/cods"
 	"github.com/insitu/cods/internal/cluster"
+	icods "github.com/insitu/cods/internal/cods"
 	"github.com/insitu/cods/internal/membership"
 )
 
 // elastic bundles the membership mechanisms of one -elastic run.
 type elastic struct {
-	fw     *cods.Framework
-	tc     *tcpCluster
-	ledger *membership.Ledger
+	fw *cods.Framework
+	tc *tcpCluster
 
 	stop chan struct{}
 	done chan struct{}
@@ -44,16 +45,15 @@ type elastic struct {
 	failure error
 }
 
-// startElastic installs the put ledger and starts the loop that converges
-// on each child exit.
+// startElastic makes the staged table keep payloads and starts the loop
+// that converges on each child exit.
 func startElastic(fw *cods.Framework, tc *tcpCluster) *elastic {
 	el := &elastic{
 		fw: fw, tc: tc,
-		ledger: membership.NewLedger(),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
-	fw.SharedSpace().SetPutRecorder(el.ledger)
+	fw.SharedSpace().SetKeepPayloads(true)
 	go el.loop()
 	return el
 }
@@ -103,7 +103,7 @@ func (el *elastic) converge(ex exit) error {
 		return fmt.Errorf("membership: replacing node %d: %w", node, err)
 	}
 	el.tc.be.UpdatePeer(node, addr)
-	res, err := membership.Reconcile(el.fw.SharedSpace(), el.ledger, []cluster.NodeID{node})
+	res, err := membership.Reconcile(el.fw.SharedSpace(), []cluster.NodeID{node})
 	if err != nil {
 		return err
 	}
@@ -155,11 +155,11 @@ func (el *elastic) Settle(timeout time.Duration) error {
 	}
 }
 
-// startChaos arms the crash hook: once the put ledger shows staging done —
+// startChaos arms the crash hook: once the staged table shows staging done —
 // at least `after` blocks, or no growth for 50 ms when after is 0 — and a
 // block the doomed node owns is fully staged there (stagedOn), the node's
 // codsnode child is hard-killed in that same poll, and recovery is left
-// entirely to the exit watcher and the elastic loop. A ledger record alone
+// entirely to the exit watcher and the elastic loop. A staged record alone
 // proves nothing: it is written before the expose, and every record may
 // belong to a surviving node. The hook polls every millisecond: a small
 // stream stages and retires all its versions in about five. Once Settle
@@ -180,14 +180,15 @@ func (el *elastic) startChaos(node, after int) {
 			case <-t.C:
 			}
 			final := el.chaosOff.Load()
-			n := el.ledger.Len()
+			staged := el.fw.SharedSpace().Staged()
+			n := len(staged)
 			if after == 0 && n != last {
 				last, stable = n, 0
 			} else {
 				stable++
 			}
 			ready := n > 0 && n >= after && (after > 0 || final || stable >= 50)
-			if ready && el.stagedOn(cluster.NodeID(node)) {
+			if ready && el.stagedOn(staged, cluster.NodeID(node)) {
 				fmt.Printf("chaos: killing codsnode %d (%d blocks staged)\n", node, n)
 				el.chaosKills.Add(1)
 				el.tc.kill(node)
@@ -200,14 +201,15 @@ func (el *elastic) startChaos(node, after int) {
 	}()
 }
 
-// stagedOn reports whether some ledger block owned by a core of node is
-// fully staged: the lookup answers a query for its region with its record.
-// The insert follows the acknowledged expose, so the record's presence
-// means the node's current process holds the block — a kill now strands it.
-func (el *elastic) stagedOn(node cluster.NodeID) bool {
+// stagedOn reports whether one of the staged blocks owned by a core of
+// node is fully staged: the lookup answers a query for its region with its
+// record. The insert follows the acknowledged expose, so the record's
+// presence means the node's current process holds the block — a kill now
+// strands it.
+func (el *elastic) stagedOn(staged []icods.StagedBlock, node cluster.NodeID) bool {
 	sp := el.fw.SharedSpace()
 	m := sp.Fabric().Machine()
-	for _, b := range el.ledger.Blocks() {
+	for _, b := range staged {
 		if m.NodeOf(b.Owner) != node {
 			continue
 		}
@@ -224,10 +226,10 @@ func (el *elastic) stagedOn(node cluster.NodeID) bool {
 	return false
 }
 
-// Stop halts the elastic loop and detaches the ledger.
+// Stop halts the elastic loop and stops keeping payloads.
 func (el *elastic) Stop() {
 	close(el.stop)
 	<-el.done
 	el.chaosHooks.Wait()
-	el.fw.SharedSpace().SetPutRecorder(nil)
+	el.fw.SharedSpace().SetKeepPayloads(false)
 }

@@ -10,20 +10,23 @@ import (
 
 	cods "github.com/insitu/cods"
 	"github.com/insitu/cods/internal/cluster"
-	"github.com/insitu/cods/internal/membership"
 	"github.com/insitu/cods/internal/obs"
 	"github.com/insitu/cods/internal/transport/tcpnet"
 )
 
 // TestSettleWithUnfiredChaosHook: a crash hook that never fired — the
-// ledger stayed empty, so no doomed block was ever seen — leaves nothing to
-// recover. Settle gives it its last poll and returns at once instead of
+// staged table stayed empty, so no doomed block was ever seen — leaves
+// nothing to recover. Settle gives it its last poll and returns at once instead of
 // waiting out its timeout for a recovery that cannot come.
 func TestSettleWithUnfiredChaosHook(t *testing.T) {
+	fw, err := cods.New(cods.Config{Nodes: 1, CoresPerNode: 1, Domain: []int{4}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	el := &elastic{
-		tc:     &tcpCluster{children: make(map[int]*child)},
-		ledger: membership.NewLedger(),
-		stop:   make(chan struct{}),
+		fw:   fw,
+		tc:   &tcpCluster{children: make(map[int]*child)},
+		stop: make(chan struct{}),
 	}
 	defer close(el.stop)
 	el.startChaos(0, 0)

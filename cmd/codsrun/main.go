@@ -89,8 +89,8 @@ func main() {
 		"child that exits is replaced and its staged data re-staged automatically")
 	flag.IntVar(&o.chaosKill, "chaos-kill", -1, "with -elastic, kill this node's codsnode child once staging is done "+
 		"and a block it owns is fully staged, to exercise crash recovery under live traffic (-1 disables)")
-	flag.IntVar(&o.chaosAfter, "chaos-after", 0, "with -chaos-kill, fire no earlier than the put ledger holding this many "+
-		"blocks (0: no earlier than the ledger stops growing)")
+	flag.IntVar(&o.chaosAfter, "chaos-after", 0, "with -chaos-kill, fire no earlier than the staged table holding this many "+
+		"blocks (0: no earlier than the table stops growing)")
 	flag.BoolVar(&o.stream, "stream", false, "couple multi-application bundles through a bounded-lag version stream "+
 		"(publish/subscribe cursors) instead of lock-step iterations")
 	flag.IntVar(&o.streamRounds, "stream-rounds", 8, "with -stream, versions each producer publishes")

@@ -178,15 +178,14 @@ func TestRestageIsIdempotent(t *testing.T) {
 	for i := range data {
 		data[i] = float64(i) + 0.5
 	}
-	b := membership.Block{Var: "data.1", Version: 2, Region: region, Owner: owner, App: app, Data: data}
-	ledger := membership.NewLedger()
-	space.SetPutRecorder(ledger)
+	b := icods.StagedBlock{Var: "data.1", Version: 2, Region: region, Owner: owner, App: app, Data: data}
+	space.SetKeepPayloads(true)
 	if err := space.HandleAt(owner, app, "stage").PutSequential(b.Var, b.Version, b.Region, b.Data); err != nil {
 		t.Fatal(err)
 	}
 	records := space.Lookup().TableSize(0) + space.Lookup().TableSize(1)
 	for i := 1; i <= 2; i++ {
-		res, err := membership.Reconcile(space, ledger, []cluster.NodeID{m.NodeOf(owner)})
+		res, err := membership.Reconcile(space, []cluster.NodeID{m.NodeOf(owner)})
 		if err != nil || res.RestagedCount != 1 {
 			t.Fatalf("reconcile %d over an exposed block: %d restaged, %v", i, res.RestagedCount, err)
 		}

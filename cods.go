@@ -387,8 +387,8 @@ func (f *Framework) FaultsInjected() int64 { return f.server.Fabric().FaultsInje
 func (f *Framework) TransportFabric() *transport.Fabric { return f.server.Fabric() }
 
 // SharedSpace exposes the framework's CoDS shared space, so an elastic
-// driver can install membership hooks on it: the staged-block ledger
-// (SetPutRecorder) and lookup re-registration through Lookup.
+// driver can reach what membership recovery needs: the staged table
+// (SetKeepPayloads, Staged) and lookup re-registration through Lookup.
 func (f *Framework) SharedSpace() *icods.Space { return f.server.Space() }
 
 // DeclareStream registers a streaming coupling variable (DESIGN §5i). It

@@ -63,7 +63,7 @@ func TestConformanceFaultsConcurrentPulls(t *testing.T) {
 // serving node and starts a fresh one on a new port — its
 // exposed buffers and its DHT table are gone, which the harness first
 // proves through the lookup; the recovery is the membership.Reconcile that
-// codsrun -elastic runs, from the put ledger. The in-process leg has no
+// codsrun -elastic runs, from the staged table. The in-process leg has no
 // process to lose and runs the same reconcile against its intact space.
 // The re-get round must stay byte-identical to the reference model, whose
 // ownership never changed, on both backends, with all accounting

@@ -4,7 +4,7 @@ package cods_test
 // multi-process TCP run where one codsnode is hard-killed after staging,
 // while the consumer's pulls are in flight. The driver must learn of the
 // crash from the child's exit, the elastic loop must spawn a replacement on
-// a fresh port and re-stage the dead node's blocks from the put ledger,
+// a fresh port and re-stage the dead node's blocks from the staged table,
 // and every pull must still verify cell-by-cell (codsrun -verify fails
 // the run on the first wrong cell). The observability report must
 // reconcile delta-0, including the membership counters against the

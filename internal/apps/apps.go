@@ -127,14 +127,26 @@ type ProducerConfig struct {
 	Mode Coupling
 }
 
+// retireLag is how far a concurrent producer runs ahead of its readers: it
+// puts version n only once version n-retireLag has retired, so at most the
+// versions in between stay exposed.
+const retireLag = 2
+
 // NewProducer builds the producer subroutine: per iteration it performs
 // its stencil exchange, then puts every owned block of the coupled domain
-// into the space.
+// into the space. In concurrent mode every task of the bundle's other
+// applications (ctx.Producers) is declared a reader of each version, and
+// a version's put waits until the version retireLag before it retired, so
+// a run exposes a bounded number of versions however many it iterates.
 func NewProducer(cfg ProducerConfig) runtime.AppFunc {
 	return func(ctx *runtime.AppContext) error {
 		iters := cfg.Iterations
 		if iters <= 0 {
 			iters = 1
+		}
+		readers := 0
+		for _, info := range ctx.Producers {
+			readers += info.Decomp.NumTasks()
 		}
 		for version := 0; version < iters; version++ {
 			ctx.Space.SetPhase(fmt.Sprintf("halo:%d:%d", ctx.AppID, version))
@@ -143,6 +155,14 @@ func NewProducer(cfg ProducerConfig) runtime.AppFunc {
 				return err
 			}
 			ctx.Space.SetPhase(fmt.Sprintf("put:%d:%d", ctx.AppID, version))
+			if cfg.Mode == Concurrent && readers > 0 {
+				if version >= retireLag {
+					ctx.Space.AwaitRetired(cfg.Var, version-retireLag)
+				}
+				if err := ctx.Space.DeclareReaders(cfg.Var, version, readers); err != nil {
+					return err
+				}
+			}
 			for _, blk := range ctx.Decomp.Region(ctx.Rank) {
 				data := FillRegion(blk, version)
 				var err error
@@ -185,12 +205,22 @@ type ConsumerConfig struct {
 // NewConsumer builds the consumer subroutine: per iteration it retrieves
 // the task's owned regions of the coupled domain from the space (directly
 // from the producer in concurrent mode), optionally verifies them, then
-// performs its stencil exchange.
+// performs its stencil exchange. In concurrent mode it releases each
+// version once read, and a task that returns early, failed or not, releases
+// every version it will not read, so its producer never waits on it.
 func NewConsumer(cfg ConsumerConfig) runtime.AppFunc {
 	return func(ctx *runtime.AppContext) error {
 		iters := cfg.Iterations
 		if iters <= 0 {
 			iters = 1
+		}
+		unread := 0 // the lowest version not yet released
+		if cfg.Mode == Concurrent {
+			defer func() {
+				for ; unread < iters; unread++ {
+					_ = ctx.Space.Release(cfg.Var, unread)
+				}
+			}()
 		}
 		regions := ctx.Decomp.Region(ctx.Rank)
 		if cfg.GhostWidth > 0 {
@@ -217,6 +247,12 @@ func NewConsumer(cfg ConsumerConfig) runtime.AppFunc {
 					if err := VerifyRegion(region, version, got); err != nil {
 						return fmt.Errorf("apps: app %d rank %d: %w", ctx.AppID, ctx.Rank, err)
 					}
+				}
+			}
+			if cfg.Mode == Concurrent {
+				unread++
+				if err := ctx.Space.Release(cfg.Var, version); err != nil {
+					return err
 				}
 			}
 			ctx.Space.SetPhase(fmt.Sprintf("halo:%d:%d", ctx.AppID, version))

@@ -182,24 +182,14 @@ func TestDiscardSurvivesFailedRoundTrip(t *testing.T) {
 	}
 }
 
-// putLog is a PutRecorder counting the blocks currently on record.
-type putLog struct{ live atomic.Int32 }
-
-func (l *putLog) RecordPut(string, int, geometry.BBox, cluster.CoreID, int, []float64) {
-	l.live.Add(1)
-}
-func (l *putLog) RecordDiscard(string, int, geometry.BBox, cluster.CoreID) { l.live.Add(-1) }
-
 // TestPutSequentialUndoesFailedInsert is the regression test for the
 // leaked put: when the lookup registration of a staged block fails, the
-// block must not stay exposed and on the put ledger — the error surfaces,
+// block must not stay exposed and in the staged table — the error surfaces,
 // and the retried put succeeds instead of failing with "already exposed".
 func TestPutSequentialUndoesFailedInsert(t *testing.T) {
 	_, sp := testRig(t, 1, 2, []int{8, 8})
 	be := &fakeBackend{Fabric: sp.Fabric()}
 	sp.Fabric().SetBackend(be)
-	ledger := &putLog{}
-	sp.SetPutRecorder(ledger)
 	blk := geometry.BoxFromSize([]int{8, 8})
 	h := sp.HandleAt(0, 1, "p")
 
@@ -210,8 +200,8 @@ func TestPutSequentialUndoesFailedInsert(t *testing.T) {
 	if be.Exposed(0, bufKey("v", blk, 0)) {
 		t.Fatal("block still exposed after the failed put")
 	}
-	if got := ledger.live.Load(); got != 0 {
-		t.Fatalf("put ledger holds %d records after the failed put, want 0", got)
+	if got := len(sp.Staged()); got != 0 {
+		t.Fatalf("staged table holds %d blocks after the failed put, want 0", got)
 	}
 	if err := h.PutSequential("v", 0, blk, fillRegion(blk)); err != nil {
 		t.Fatalf("retried put: %v", err)
@@ -230,14 +220,12 @@ func TestPutSequentialUndoesFailedInsert(t *testing.T) {
 // after the DHT client spent its budget, and whose cleanup then fails to
 // withdraw the block, leaves the block exposed with no location record.
 // A later put of the same block stages it — exposed once, one location
-// record, one ledger entry — instead of failing on "already exposed".
+// record, one staged-table record — instead of failing on "already exposed".
 func TestPutSequentialRestagesStrandedBlock(t *testing.T) {
 	_, sp := testRig(t, 1, 2, []int{8, 8})
 	be := &fakeBackend{Fabric: sp.Fabric()}
 	sp.Fabric().SetBackend(be)
 	sp.SetRetryPolicy(fastPolicy(2))
-	ledger := &putLog{}
-	sp.SetPutRecorder(ledger)
 	blk := geometry.BoxFromSize([]int{8, 8})
 	h := sp.HandleAt(0, 1, "p")
 
@@ -261,8 +249,8 @@ func TestPutSequentialRestagesStrandedBlock(t *testing.T) {
 	if n := sp.Lookup().TableSize(0); n != 1 {
 		t.Fatalf("%d location records after the second put, want 1", n)
 	}
-	if got := ledger.live.Load(); got != 1 {
-		t.Fatalf("put ledger holds %d records after the second put, want 1", got)
+	if got := len(sp.Staged()); got != 1 {
+		t.Fatalf("staged table holds %d blocks after the second put, want 1", got)
 	}
 	got, err := sp.HandleAt(1, 2, "g").GetSequential("v", 0, blk)
 	if err != nil {
@@ -273,7 +261,7 @@ func TestPutSequentialRestagesStrandedBlock(t *testing.T) {
 
 // TestPutSequentialRetriesFailedExpose: under a retry policy a put whose
 // expose fails three times is staged by its fourth attempt — one exposure,
-// one location record, the block on the put ledger, and each re-attempt counted in cods.put.retries and traced as a
+// one location record, the block in the staged table, and each re-attempt counted in cods.put.retries and traced as a
 // retry:put:<var> event. With the policy disabled the first failure is
 // returned and nothing is left behind.
 func TestPutSequentialRetriesFailedExpose(t *testing.T) {
@@ -285,8 +273,6 @@ func TestPutSequentialRetriesFailedExpose(t *testing.T) {
 		_, sp := testRig(t, 1, 2, []int{8, 8})
 		be := &fakeBackend{Fabric: sp.Fabric()}
 		sp.Fabric().SetBackend(be)
-		ledger := &putLog{}
-		sp.SetPutRecorder(ledger)
 		sp.SetRetryPolicy(pol)
 		var spans bytes.Buffer
 		tr := obs.NewTracer(&spans)
@@ -301,11 +287,11 @@ func TestPutSequentialRetriesFailedExpose(t *testing.T) {
 		if err := tr.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		state := fmt.Sprintf("exposed=%v, %d records, %d on the ledger, %d retries, %d events",
-			exposed, sp.Lookup().TableSize(0), ledger.live.Load(),
+		state := fmt.Sprintf("exposed=%v, %d records, %d staged, %d retries, %d events",
+			exposed, sp.Lookup().TableSize(0), len(sp.Staged()),
 			retries.Value()-before, strings.Count(spans.String(), `"retry:put:v"`))
 		if !pol.Enabled() {
-			if !errors.Is(err, errRoundTrip) || state != "exposed=false, 0 records, 0 on the ledger, 0 retries, 0 events" {
+			if !errors.Is(err, errRoundTrip) || state != "exposed=false, 0 records, 0 staged, 0 retries, 0 events" {
 				t.Fatalf("without a policy: err = %v, %s; want the expose's error and nothing left", err, state)
 			}
 			continue
@@ -313,7 +299,7 @@ func TestPutSequentialRetriesFailedExpose(t *testing.T) {
 		if err != nil {
 			t.Fatalf("put over %d failed exposes: %v", failures, err)
 		}
-		want := fmt.Sprintf("exposed=true, 1 records, 1 on the ledger, %d retries, %d events",
+		want := fmt.Sprintf("exposed=true, 1 records, 1 staged, %d retries, %d events",
 			failures, failures)
 		if state != want {
 			t.Fatalf("after the retried put: %s; want %s", state, want)

@@ -306,13 +306,12 @@ type Space struct {
 	fabric *transport.Fabric
 	lookup *dht.Service
 
-	// Schedule invalidation state: varGen[v] is bumped by
-	// DiscardSequential of variable v (that variable's cached schedules
-	// stale). Handles stamp cached schedules with it and recompute when it
-	// moved, so a discard-then-restage at a different owner can never be
-	// served from a stale schedule.
-	invMu  sync.Mutex
-	varGen map[string]uint64
+	// staged is the staged table (staged.go): what is staged of every
+	// variable version, each variable's floor, and its schedule
+	// invalidation stamp. Handles stamp cached schedules with the stamp and
+	// recompute when it moved, so a discard-then-restage at a different
+	// owner can never be served from a stale schedule.
+	staged table
 
 	// tracer optionally receives pull spans; stored atomically so it can
 	// be attached while handles are live.
@@ -322,26 +321,10 @@ type Space struct {
 	// attempt). Stored atomically so it can be installed while pulls run.
 	retryPol atomic.Pointer[retry.Policy]
 
-	// putRecorder, when set, observes the staged-block lifecycle (the
-	// membership layer's ledger — the source the reconcile loop re-stages
-	// from when an owner crashes without a graceful handoff).
-	putRecorder atomic.Pointer[PutRecorder]
-
 	// Streaming coupling state (stream.go): one stream per declared
 	// variable, created lazily by DeclareStream.
 	streamMu sync.Mutex
 	streams  map[string]*stream
-}
-
-// PutRecorder observes sequentially staged blocks as they are stored and
-// discarded. Implementations must be safe for concurrent use; RecordPut
-// may keep data without copying it, since a put hands its slice to the
-// space (PutSequential) and nothing writes to it again. app is the
-// application of the staging handle — the lookup namespace a re-stage of
-// the block must keep.
-type PutRecorder interface {
-	RecordPut(v string, version int, region geometry.BBox, owner cluster.CoreID, app int, data []float64)
-	RecordDiscard(v string, version int, region geometry.BBox, owner cluster.CoreID)
 }
 
 // NewSpace builds a CoDS over a fabric for a coupled data domain using the
@@ -359,11 +342,10 @@ func NewSpaceWithCurve(f *transport.Fabric, domain geometry.BBox, curveName stri
 	if err != nil {
 		return nil, fmt.Errorf("cods: %w", err)
 	}
-	return &Space{
-		fabric: f,
-		lookup: dht.NewService(f, curve),
-		varGen: make(map[string]uint64),
-	}, nil
+	sp := &Space{fabric: f, lookup: dht.NewService(f, curve)}
+	sp.staged.vars = make(map[string]*variable)
+	sp.staged.retired.L = &sp.staged.mu
+	return sp, nil
 }
 
 // SetTracer attaches a span tracer: every schedule execution emits a
@@ -388,31 +370,6 @@ func (sp *Space) RetryPolicy() retry.Policy {
 		return *p
 	}
 	return retry.Policy{}
-}
-
-// InvalidateSchedules marks every cached communication schedule of a
-// variable stale, forcing the next get to re-query the lookup service.
-func (sp *Space) InvalidateSchedules(v string) {
-	sp.invMu.Lock()
-	sp.varGen[v]++
-	sp.invMu.Unlock()
-}
-
-// SetPutRecorder installs the staged-block observer (nil uninstalls).
-func (sp *Space) SetPutRecorder(r PutRecorder) {
-	if r == nil {
-		sp.putRecorder.Store(nil)
-		return
-	}
-	sp.putRecorder.Store(&r)
-}
-
-// scheduleStamp returns the invalidation stamp (v's generation) a
-// schedule for v computed now would carry.
-func (sp *Space) scheduleStamp(v string) uint64 {
-	sp.invMu.Lock()
-	defer sp.invMu.Unlock()
-	return sp.varGen[v]
 }
 
 // Lookup exposes the data lookup service (used by the client-side task
@@ -561,12 +518,26 @@ func validatePut(v string, region geometry.BBox, data []float64) error {
 // PutConcurrent exposes one block of a variable for direct pulls by a
 // concurrently running consumer. The data slice is owned by the space
 // afterwards. Consumers locate it through the producer's decomposition, so
-// region must be a maximal owned block of the producer's decomposition.
+// region must be a maximal owned block of the producer's decomposition. The
+// block stays exposed until its version retires (Release); a put of a
+// version already retired stages nothing.
 func (h *Handle) PutConcurrent(v string, version int, region geometry.BBox, data []float64) error {
 	if err := validatePut(v, region, data); err != nil {
 		return err
 	}
-	return h.endpoint().Expose(bufKey(v, region, version), &StoredObject{Region: region.Clone(), Data: data})
+	region = region.Clone()
+	key := bufKey(v, region, version)
+	if !h.sp.stage(key.Name, StagedBlock{Var: v, Version: version, Region: region, Owner: h.core, App: h.app}) {
+		return nil
+	}
+	if err := h.endpoint().Expose(key, &StoredObject{Region: region, Data: data}); err != nil {
+		h.sp.unstage(v, version, region, h.core)
+		return err
+	}
+	if version < h.sp.floor(v) { // retired while the put exposed it
+		return h.Discard(v, version, region)
+	}
+	return nil
 }
 
 // ProducerInfo tells a concurrent consumer how the producer's data is laid
@@ -737,8 +708,9 @@ func (s *tileScratch) bump(key int64, w int32) {
 // stays in this core's memory, is exposed for remote pulls, and its
 // location is registered with the lookup service so consumers launched
 // after this application completes can find it. The data slice is owned by
-// the space afterwards: the exposed block and the put recorder both keep
-// it, uncopied.
+// the space afterwards: the exposed block and, when it keeps payloads, the
+// staged table both keep it, uncopied. A put of a version already retired
+// stages nothing.
 //
 // Under the space's retry policy a staging that failed transiently is
 // attempted again with backoff, so a put whose owner is lost mid-put waits
@@ -772,42 +744,46 @@ func (h *Handle) PutSequential(v string, version int, region geometry.BBox, data
 // putAttempt is one staging of a validated block: record, expose, register
 // — undone on failure, so another attempt starts clean.
 func (h *Handle) putAttempt(v string, version int, region geometry.BBox, data []float64) error {
-	obj := &StoredObject{Region: region.Clone(), Data: data}
+	region = region.Clone()
+	obj := &StoredObject{Region: region, Data: data}
+	key := bufKey(v, region, version)
 	// Record the block BEFORE exposing it: an expose can be acknowledged
 	// by a process that dies immediately after, and a reconcile that runs
-	// later must find the block in its ledger snapshot to re-stage it. The
-	// doomed process died before the reconcile observed its loss, so any
-	// expose it acknowledged — and therefore this record — happens-before
-	// the snapshot. Recording after the expose leaves a window where the
-	// lookup registration lands post-reconcile and the data is gone for
-	// good.
-	if r := h.sp.putRecorder.Load(); r != nil {
-		(*r).RecordPut(v, version, region, h.core, h.app, data)
+	// later must find the block in its snapshot of the staged table to
+	// re-stage it. The doomed process died before the reconcile observed
+	// its loss, so any expose it acknowledged — and therefore this record —
+	// happens-before the snapshot. Recording after the expose leaves a
+	// window where the lookup registration lands post-reconcile and the
+	// data is gone for good.
+	b := StagedBlock{Var: v, Version: version, Region: region, Owner: h.core, App: h.app, Data: data, seq: true}
+	if !h.sp.stage(key.Name, b) {
+		return nil
 	}
-	err := h.endpoint().Expose(bufKey(v, region, version), obj)
+	err := h.endpoint().Expose(key, obj)
 	if errors.Is(err, transport.ErrExposed) {
 		// Exposed but not located: an earlier put failed and so did its
 		// cleanup below. Withdraw it and stage this one.
 		if at, qerr := h.lookupClient().Query(h.phase, h.app, v, version, region); qerr == nil &&
 			!slices.ContainsFunc(at, func(e dht.Entry) bool { return e.Owner == h.core && e.Region.Equal(region) }) {
 			if err = h.Discard(v, version, region); err == nil {
-				err = h.endpoint().Expose(bufKey(v, region, version), obj)
+				err = h.endpoint().Expose(key, obj)
 			}
 		}
 	}
 	if err != nil {
-		if r := h.sp.putRecorder.Load(); r != nil {
-			(*r).RecordDiscard(v, version, region, h.core)
-		}
+		h.sp.unstage(v, version, region, h.core)
 		return err
 	}
 	cl := h.lookupClient()
 	if err := cl.Insert(h.phase, h.app, dht.Entry{Var: v, Version: version, Region: region, Owner: h.core}); err != nil {
-		// The block is exposed and in the ledger but cannot be found: undo
-		// both (and any location record a partial insert left behind), so
+		// The block is exposed and recorded but cannot be found: undo both
+		// (and any location record a partial insert left behind), so
 		// another attempt starts clean instead of failing with "already
 		// exposed".
 		return errors.Join(err, h.DiscardSequential(v, version, region))
+	}
+	if version < h.sp.floor(v) { // retired while the put staged it
+		h.sp.withdraw([]*record{{blocks: []StagedBlock{b}}}, h.phase)
 	}
 	return nil
 }
@@ -833,7 +809,9 @@ func (h *Handle) GetSequential(v string, version int, region geometry.BBox) ([]f
 // including a lookup the DHT client gave up on. A retry keeps its
 // schedule unless the variable's invalidation stamp has moved since it was
 // taken: it re-queries the lookup exactly when a discard or re-stage
-// happened, and counts no extra cache hit.
+// happened, and counts no extra cache hit. A version below its variable's
+// floor fails every attempt at once with ErrRetired: its blocks are gone,
+// and a cached schedule would wait for them forever.
 func (h *Handle) get(op, v string, version int, region geometry.BBox, build func() ([]transport.ReadSpec, error)) ([]float64, error) {
 	if region.Empty() {
 		return nil, fmt.Errorf("cods: empty get region for %q", v)
@@ -855,8 +833,12 @@ func (h *Handle) get(op, v string, version int, region geometry.BBox, build func
 				obsPullRetries.Inc()
 				h.sp.tracer.Load().Event(h.spanParent, "retry:pull:"+v)
 			}
-			if sched == nil || gen != h.sp.scheduleStamp(v) {
-				if sched, gen, err = h.schedule(key, v, region, build); err != nil {
+			now, err := h.sp.stamp(v, version)
+			if err != nil {
+				return err
+			}
+			if sched == nil || gen != now {
+				if sched, gen, err = h.schedule(key, v, region, now, build); err != nil {
 					return err
 				}
 			}
@@ -891,7 +873,10 @@ func (coverageError) Transient() bool { return true }
 // else the lookup service's answer, which it then locates (schedule drops
 // an answer that does not tile).
 func (h *Handle) sequentialSchedule(v string, version int, region geometry.BBox) ([]transport.ReadSpec, error) {
-	gen := h.sp.scheduleStamp(v)
+	gen, err := h.sp.stamp(v, version)
+	if err != nil {
+		return nil, err
+	}
 	if sched := h.locatedSchedule(v, version, region, gen); sched != nil {
 		return sched, nil
 	}
@@ -1134,13 +1119,12 @@ func (h *Handle) Discard(v string, version int, region geometry.BBox) error {
 }
 
 // DiscardSequential garbage-collects a sequentially stored block: the
-// buffer is withdrawn and its location record removed from the lookup
-// service, so later gets of that version fail with a coverage error
-// instead of pulling stale data. Every consumer's cached schedules for the
-// variable are invalidated, so a restage of the data at a different owner
-// can never be pulled from the old owner via a stale cached schedule, and
-// the put recorder drops the block. Iterative producers call it on
-// versions no consumer will read again.
+// buffer is withdrawn, its location record removed from the lookup service
+// and its record from the staged table, so later gets of that version fail
+// with a coverage error instead of pulling stale data. Every consumer's
+// cached schedules for the variable are invalidated, so a restage of the
+// data at a different owner can never be pulled from the old owner via a
+// stale cached schedule.
 func (h *Handle) DiscardSequential(v string, version int, region geometry.BBox) error {
 	// A failed withdrawal does not stop the location record from being
 	// removed: consumers must stop being routed to the block either way.
@@ -1148,9 +1132,7 @@ func (h *Handle) DiscardSequential(v string, version int, region geometry.BBox) 
 	err := h.lookupClient().Remove(h.phase, h.app,
 		dht.Entry{Var: v, Version: version, Region: region, Owner: h.core})
 	h.sp.InvalidateSchedules(v)
-	if r := h.sp.putRecorder.Load(); r != nil {
-		(*r).RecordDiscard(v, version, region, h.core)
-	}
+	h.sp.unstage(v, version, region, h.core)
 	return errors.Join(derr, err)
 }
 
@@ -1162,15 +1144,14 @@ func (h *Handle) schedKey(op, v string, region geometry.BBox) string {
 }
 
 // schedule returns the communication schedule cached under key, or builds
-// one and caches it, with the invalidation stamp it was computed under.
-// The stamp is captured before the build, so an invalidation racing with
-// it leaves the entry already stale instead of masked. A stale entry
+// one and caches it, with the invalidation stamp gen it was computed under.
+// The caller captures the stamp before the build, so an invalidation racing
+// with it leaves the entry already stale instead of masked. A stale entry
 // drops every entry of v computed before the stamp moved. Every schedule
 // it builds, whichever the builder, must tile region (tiles), or the get
 // fails with a coverageError and the pending lookup answer (on a lookup,
 // the one just kept) is dropped.
-func (h *Handle) schedule(key, v string, region geometry.BBox, build func() ([]transport.ReadSpec, error)) ([]transport.ReadSpec, uint64, error) {
-	gen := h.sp.scheduleStamp(v)
+func (h *Handle) schedule(key, v string, region geometry.BBox, gen uint64, build func() ([]transport.ReadSpec, error)) ([]transport.ReadSpec, uint64, error) {
 	if e, ok := h.schedCache[key]; ok && h.CacheEnabled {
 		if e.gen == gen || mutate.Enabled(mutate.StaleEpoch) {
 			h.CacheHits++

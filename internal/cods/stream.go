@@ -7,18 +7,21 @@
 // union of every rank's nth publish, and the stream's complete watermark
 // is min over ranks of their published count, minus one — the highest
 // version every rank has fully staged. Each published block rides the
-// ordinary sequential path (exposed buffer + DHT location record), so
-// windowed gets reuse the schedule, retry and scatter-gather machinery
-// unchanged; the stream layer only adds version bookkeeping, the lag
-// policy and garbage collection of retired versions.
+// ordinary sequential path (exposed buffer + DHT location record + staged
+// table record), so windowed gets reuse the schedule, retry and
+// scatter-gather machinery unchanged; the stream layer only adds version
+// bookkeeping and the lag policy, and decides when versions retire.
 //
 // The lag policy bounds how far a producer may run ahead of the slowest
 // cursor: under Backpressure the producer blocks, under DropOldest the
 // watermark advance force-retires versions older than maxLag behind and
 // bumps lagging cursors past them (each skipped version counts as dropped
-// for that cursor). Retired versions are withdrawn from the block stores
-// and the DHT, so a get of a retired version fails with a coverage error
-// instead of pulling stale data.
+// for that cursor). A version every cursor has passed retires too (an
+// advance is a release). Retirement is the staged table's (staged.go): the
+// version's blocks are withdrawn from the block stores and the DHT and the
+// floor rises, so a get of a retired version fails with ErrRetired instead
+// of pulling stale data, while cached schedules stay valid for the next
+// version.
 package cods
 
 import (
@@ -26,7 +29,6 @@ import (
 	"fmt"
 	"sync"
 
-	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/mutate"
 	"github.com/insitu/cods/internal/obs"
@@ -86,21 +88,6 @@ type StreamConfig struct {
 	Policy StreamPolicy
 }
 
-// streamBlock records one staged block of one version, so retirement can
-// discard it through a handle at the same (core, app) that staged it.
-type streamBlock struct {
-	region geometry.BBox
-	owner  cluster.CoreID
-	app    int
-}
-
-// retirement is one version's worth of blocks leaving the stream, applied
-// outside the stream lock (discards issue DHT and transport operations).
-type retirement struct {
-	version int
-	blocks  []streamBlock
-}
-
 // stream is the per-variable streaming state. All fields below mu are
 // guarded by it; cond is signalled on every watermark or cursor movement.
 type stream struct {
@@ -114,12 +101,10 @@ type stream struct {
 	// is set once rank i called ClosePublisher.
 	pub    []int
 	closed []bool
-	// latest is the complete watermark (min over pub, minus one); floor is
-	// the lowest retained version (everything below is retired).
+	// latest is the complete watermark (min over pub, minus one). The
+	// lowest retained version is the staged table's floor of v, raised
+	// under mu.
 	latest int
-	floor  int
-	// blocks holds the staged blocks of each retained version.
-	blocks map[int][]streamBlock
 	// cursors are the live subscriptions, keyed by subscriber id.
 	cursors map[int]*Cursor
 	nextSub int
@@ -160,7 +145,6 @@ func (sp *Space) DeclareStream(v string, cfg StreamConfig) error {
 		pub:     make([]int, cfg.Producers),
 		closed:  make([]bool, cfg.Producers),
 		latest:  -1,
-		blocks:  make(map[int][]streamBlock),
 		cursors: make(map[int]*Cursor),
 		lag:     obs.G("cods.stream.lag." + v),
 	}
@@ -210,7 +194,7 @@ func (sp *Space) StreamState(v string) (latest, floor int, err error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.latest, s.floor, nil
+	return s.latest, sp.floor(v), nil
 }
 
 // ClosePublisher marks producer rank's version sequence finished. Once
@@ -281,32 +265,24 @@ func (s *stream) updateLagLocked() {
 
 // gcConsumedLocked retires every version all cursors have passed. With no
 // cursor subscribed nothing is collected (nobody has acknowledged
-// anything). The blocks are returned for discarding outside the lock.
-func (s *stream) gcConsumedLocked() []retirement {
+// anything). The records are returned for withdrawal outside the lock.
+func (s *stream) gcConsumedLocked() []*record {
 	if len(s.cursors) == 0 {
 		return nil
 	}
-	bound := s.minPosLocked()
-	var out []retirement
-	for v := s.floor; v < bound; v++ {
-		out = append(out, retirement{version: v, blocks: s.blocks[v]})
-		delete(s.blocks, v)
-		s.floor = v + 1
-	}
-	return out
+	return s.sp.retireBelow(s.v, s.minPosLocked())
 }
 
 // dropOldestLocked applies the drop policy after a watermark advance:
 // versions older than MaxLag behind latest are force-retired and every
 // cursor still at or below them is bumped past, counting each skipped
 // version as dropped for that cursor.
-func (s *stream) dropOldestLocked() []retirement {
+func (s *stream) dropOldestLocked() []*record {
 	bound := s.latest - s.cfg.MaxLag + 1
 	if mutate.Enabled(mutate.GCBeforeConsume) {
 		bound++ // seeded defect: retire one version consumers were still entitled to
 	}
-	var out []retirement
-	for v := s.floor; v < bound; v++ {
+	for v := s.sp.floor(s.v); v < bound; v++ {
 		for _, c := range s.cursors {
 			if c.pos <= v {
 				c.pos = v + 1
@@ -314,26 +290,8 @@ func (s *stream) dropOldestLocked() []retirement {
 				obsStreamDropped.Inc()
 			}
 		}
-		out = append(out, retirement{version: v, blocks: s.blocks[v]})
-		delete(s.blocks, v)
-		s.floor = v + 1
 	}
-	return out
-}
-
-// retire discards the blocks of retired versions — buffer and DHT record.
-// Called outside the stream lock. A failed withdrawal is counted and
-// traced, not retried — a discard against a dead node legitimately fails.
-func (s *stream) retire(rets []retirement) {
-	for _, r := range rets {
-		for _, b := range r.blocks {
-			h := s.sp.HandleAt(b.owner, b.app, "stream:gc")
-			if err := h.DiscardSequential(s.v, r.version, b.region); err != nil {
-				obsStreamRetireErrors.Inc()
-				s.sp.tracer.Load().Event(0, "retire-failed:"+s.v)
-			}
-		}
-	}
+	return s.sp.retireBelow(s.v, bound)
 }
 
 // Publish stamps the next version of producer rank's sequence with one
@@ -376,16 +334,15 @@ func (h *Handle) Publish(v string, producer int, region geometry.BBox, data []fl
 	}
 
 	s.mu.Lock()
-	s.blocks[ver] = append(s.blocks[ver], streamBlock{region: region.Clone(), owner: h.core, app: h.app})
 	s.pub[producer] = ver + 1
 	s.published++
 	obsStreamPublished.Inc()
 	was := s.latest
 	s.latest = s.completeLocked()
 	advanced := s.latest > was
-	var rets []retirement
+	var recs []*record
 	if advanced && s.cfg.Policy == DropOldest {
-		rets = s.dropOldestLocked()
+		recs = s.dropOldestLocked()
 	}
 	if advanced {
 		s.updateLagLocked()
@@ -393,7 +350,7 @@ func (h *Handle) Publish(v string, producer int, region geometry.BBox, data []fl
 	s.cond.Broadcast()
 	s.mu.Unlock()
 
-	s.retire(rets)
+	s.sp.withdraw(recs, "stream:gc")
 	return ver, nil
 }
 
@@ -436,10 +393,7 @@ func (h *Handle) SubscribeFrom(v string, from int) (*Cursor, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pos := from
-	if pos < s.floor {
-		pos = s.floor
-	}
+	pos := max(from, h.sp.floor(v))
 	if from > 0 && mutate.Enabled(mutate.VersionSkipOnResubscribe) {
 		pos++ // seeded defect: resume one version past the requested position
 	}
@@ -465,7 +419,7 @@ func (c *Cursor) Pos() int {
 func (c *Cursor) Floor() int {
 	c.s.mu.Lock()
 	defer c.s.mu.Unlock()
-	return c.s.floor
+	return c.s.sp.floor(c.s.v)
 }
 
 // Latest returns the stream's complete watermark (-1 before the first
@@ -484,8 +438,8 @@ func (c *Cursor) Latest() int {
 // call fails with ErrStreamEnded.
 //
 // Under the DropOldest policy a concurrent watermark advance can retire
-// versions inside an in-flight window; the read then fails with a
-// coverage error. Lock-step consumers (advance before the producer's next
+// versions inside an in-flight window; the read of a version retired
+// before its get began then fails with ErrRetired. Lock-step consumers (advance before the producer's next
 // publish burst) never observe this.
 func (c *Cursor) GetWindow(region geometry.BBox, from, to int) ([][]float64, error) {
 	s := c.s
@@ -498,10 +452,10 @@ func (c *Cursor) GetWindow(region geometry.BBox, from, to int) ([][]float64, err
 		s.mu.Unlock()
 		return nil, fmt.Errorf("cods: stream %q: inverted window [%d,%d]", s.v, from, to)
 	}
-	if from < c.pos || from < s.floor {
+	if floor := s.sp.floor(s.v); from < c.pos || from < floor {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("cods: stream %q: window start %d behind cursor %d / floor %d (retired)",
-			s.v, from, c.pos, s.floor)
+			s.v, from, c.pos, floor)
 	}
 	for s.latest < to && !s.endedLocked() {
 		s.cond.Wait()
@@ -544,7 +498,7 @@ func (c *Cursor) GetLatest(region geometry.BBox) ([]float64, int, error) {
 		return nil, 0, fmt.Errorf("cods: stream %q: no complete version: %w", s.v, ErrStreamEnded)
 	}
 	ver := s.latest
-	if mutate.Enabled(mutate.StaleWatermarkServed) && ver > s.floor {
+	if mutate.Enabled(mutate.StaleWatermarkServed) && ver > s.sp.floor(s.v) {
 		ver-- // seeded defect: serve one behind the watermark while retained
 	}
 	s.mu.Unlock()
@@ -578,11 +532,11 @@ func (c *Cursor) Advance(to int) error {
 	s.consumed += delta
 	obsStreamConsumed.Add(delta)
 	s.updateLagLocked()
-	rets := s.gcConsumedLocked()
+	recs := s.gcConsumedLocked()
 	s.cond.Broadcast()
 	s.mu.Unlock()
 
-	s.retire(rets)
+	s.sp.withdraw(recs, "stream:gc")
 	return nil
 }
 

@@ -128,12 +128,10 @@ func run(sc Scenario, opts Options) error {
 	if err != nil {
 		return err
 	}
-	var ledger *membership.Ledger
 	if sc.Kill != 0 {
-		// The node-loss reconcile re-stages blocks from the put ledger; the
-		// recorder must be installed before the producer stages anything.
-		ledger = membership.NewLedger()
-		space.SetPutRecorder(ledger)
+		// The node-loss reconcile re-stages blocks from the payloads the
+		// staged table keeps, from before the producer stages anything.
+		space.SetKeepPayloads(true)
 	}
 	if sc.Retry > 0 {
 		space.SetRetryPolicy(retry.Policy{
@@ -164,9 +162,9 @@ func run(sc Scenario, opts Options) error {
 	pred := newPredictor(machine)
 
 	if sc.Stream {
-		err = runStreaming(sc, opts, machine, space, ledger, prodApp, consApp, model, pred)
+		err = runStreaming(sc, opts, machine, space, prodApp, consApp, model, pred)
 	} else if sc.Sequential {
-		err = runSequential(sc, opts, machine, space, ledger, prodApp, consApp, model, pred)
+		err = runSequential(sc, opts, machine, space, prodApp, consApp, model, pred)
 	} else {
 		err = runConcurrent(sc, opts, machine, space, prodApp, consApp, model, pred)
 	}
@@ -401,7 +399,7 @@ func runConcurrent(sc Scenario, opts Options, machine *cluster.Machine, space *c
 // lookup) and retrieves everything; a restage scenario then moves every
 // block to a different core and re-runs the gets.
 func runSequential(sc Scenario, opts Options, machine *cluster.Machine, space *cods.Space,
-	ledger *membership.Ledger, prodApp, consApp graph.App, model *refModel, pred *predictor) error {
+	prodApp, consApp graph.App, model *refModel, pred *predictor) error {
 	prod, cons := prodApp.Decomp, consApp.Decomp
 	prodPl, err := mapping.Consecutive(machine, []graph.App{prodApp}, nil)
 	if err != nil {
@@ -503,7 +501,7 @@ func runSequential(sc Scenario, opts Options, machine *cluster.Machine, space *c
 		pred.voidOwned(sc, model, func(owner cluster.CoreID) bool {
 			return machine.NodeOf(owner) == cluster.NodeID(sc.Kill-1)
 		})
-		if err := loseNode(sc, opts, machine, space, ledger, cons, model, sc.Versions); err != nil {
+		if err := loseNode(sc, opts, machine, space, cons, model, sc.Versions); err != nil {
 			return err
 		}
 		if err := reget(sc, opts, consumers, model, get, pred); err != nil {
@@ -544,7 +542,7 @@ func reget(sc Scenario, opts Options, consumers []*consumer, model *refModel,
 // issuing the control RPCs the TCP leg issues. After membership.Reconcile
 // the lookup must answer with the model's owners, which never changed.
 // versions bounds the versions checked.
-func loseNode(sc Scenario, opts Options, machine *cluster.Machine, space *cods.Space, ledger *membership.Ledger,
+func loseNode(sc Scenario, opts Options, machine *cluster.Machine, space *cods.Space,
 	cons *decomp.Decomposition, model *refModel, versions int) error {
 	killed, lost := sc.Kill-1, -1
 	if opts.nodes != nil {
@@ -560,7 +558,7 @@ func loseNode(sc Scenario, opts Options, machine *cluster.Machine, space *cods.S
 	if err := checkOwners(sc, machine, space, cons, model, versions, lost); err != nil {
 		return fmt.Errorf("after losing node %d, before the reconcile: %w", killed, err)
 	}
-	if _, err := membership.Reconcile(space, ledger, []cluster.NodeID{cluster.NodeID(killed)}); err != nil {
+	if _, err := membership.Reconcile(space, []cluster.NodeID{cluster.NodeID(killed)}); err != nil {
 		return fmt.Errorf("conformance: reconcile after losing node %d: %w\n%s", killed, err, sc.GoLiteral())
 	}
 	return checkOwners(sc, machine, space, cons, model, versions, -1)

@@ -110,7 +110,7 @@ type Scenario struct {
 	// lost after the first get round of a sequential single-version
 	// scenario and replaced in its slot: on the TCP leg its exposed buffers
 	// and its DHT table are gone (in process there is no process to lose),
-	// membership.Reconcile re-stages its blocks from the put ledger and
+	// membership.Reconcile re-stages its blocks from the staged table and
 	// re-registers the survivors' records, and a second get round must
 	// still return byte-identical data.
 	Kill int

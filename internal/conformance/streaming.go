@@ -35,7 +35,6 @@ import (
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/graph"
 	"github.com/insitu/cods/internal/mapping"
-	"github.com/insitu/cods/internal/membership"
 )
 
 // publisher is one (producer rank, owned piece) pair. The stream layer
@@ -53,7 +52,7 @@ type publisher struct {
 // sequential stage publish sc.Rounds versions of the single stream
 // variable and the consumers follow through bounded-lag cursors.
 func runStreaming(sc Scenario, opts Options, machine *cluster.Machine, space *cods.Space,
-	ledger *membership.Ledger, prodApp, consApp graph.App, model *refModel, pred *predictor) error {
+	prodApp, consApp graph.App, model *refModel, pred *predictor) error {
 	v := sc.varNames()[0]
 	prod, cons := prodApp.Decomp, consApp.Decomp
 	prodPl, err := mapping.Consecutive(machine, []graph.App{prodApp}, nil)
@@ -94,7 +93,7 @@ func runStreaming(sc Scenario, opts Options, machine *cluster.Machine, space *co
 	}
 
 	if sc.Drop {
-		return runStreamLockstep(sc, opts, machine, space, ledger, v, pubs, consumers, cons, model, pred)
+		return runStreamLockstep(sc, opts, machine, space, v, pubs, consumers, cons, model, pred)
 	}
 	return runStreamConcurrent(sc, opts, machine, space, v, pubs, consumers, cons, model, pred)
 }
@@ -102,7 +101,7 @@ func runStreaming(sc Scenario, opts Options, machine *cluster.Machine, space *co
 // runStreamLockstep drives a drop-oldest scenario one round at a time,
 // mirroring every operation into the stream reference model.
 func runStreamLockstep(sc Scenario, opts Options, machine *cluster.Machine, space *cods.Space,
-	ledger *membership.Ledger, v string, pubs []*publisher, consumers []*consumer, cons *decomp.Decomposition,
+	v string, pubs []*publisher, consumers []*consumer, cons *decomp.Decomposition,
 	model *refModel, pred *predictor) error {
 	ms := newRefStream(model, v, len(pubs), sc.MaxLag, true)
 
@@ -125,9 +124,9 @@ func runStreamLockstep(sc Scenario, opts Options, machine *cluster.Machine, spac
 
 	// A mid-stream kill lands at the half-way round (loseNode): on the TCP
 	// leg the node's serving process is lost and replaced in its slot, the
-	// reconcile re-stages its retained blocks from the ledger — the stream
-	// layer's block records stay valid because the replacement serves the
-	// same cores — and publishing continues.
+	// reconcile re-stages its retained blocks from the staged table — whose
+	// records stay valid because the replacement serves the same cores —
+	// and publishing continues.
 	killAt := -1
 	if sc.Kill != 0 {
 		killAt = sc.Rounds / 2
@@ -135,7 +134,7 @@ func runStreamLockstep(sc Scenario, opts Options, machine *cluster.Machine, spac
 
 	for r := 0; r < sc.Rounds; r++ {
 		if r == killAt {
-			if err := loseNode(sc, opts, machine, space, ledger, cons, model, ms.Latest()+1); err != nil {
+			if err := loseNode(sc, opts, machine, space, cons, model, ms.Latest()+1); err != nil {
 				return err
 			}
 		}

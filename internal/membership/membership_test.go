@@ -19,55 +19,12 @@ import (
 	"github.com/insitu/cods/internal/transport/tcpnet"
 )
 
-func TestLedgerRecordsAndDiscards(t *testing.T) {
-	l := NewLedger()
-	region := geometry.NewBBox(geometry.Point{0, 0}, geometry.Point{4, 4})
-	data := make([]float64, region.Volume())
-	l.RecordPut("rho", 0, region, 2, 7, data)
-	l.RecordPut("rho", 0, region, 3, 7, data) // same region, different owner
-	if l.Len() != 2 {
-		t.Fatalf("ledger has %d blocks, want 2", l.Len())
-	}
-	// The ledger keeps the staging app.
-	if got := l.Blocks()[0]; got.App != 7 {
-		t.Fatalf("ledger lost the staging app (app %d)", got.App)
-	}
-	l.RecordDiscard("rho", 0, region, 3)
-	if l.Len() != 1 {
-		t.Fatalf("ledger has %d blocks after discard, want 1", l.Len())
-	}
-}
-
-// TestLedgerKeepsThePutsSlice: the put hands its slice to the space, so the
-// ledger records a 4 KiB block without copying it — a record allocates
-// bytes for its key and region, never a second []float64 of the block.
-func TestLedgerKeepsThePutsSlice(t *testing.T) {
-	l := NewLedger()
-	region := geometry.BoxFromSize([]int{32, 16})
-	data := make([]float64, region.Volume())
-	blockBytes := uint64(len(data) * cods.ElemSize)
-	l.RecordPut("rho", 0, region, 2, 7, data) // the map entry exists from here on
-	const runs = 100
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		l.RecordPut("rho", 0, region, 2, 7, data)
-	}
-	runtime.ReadMemStats(&after)
-	if perRecord := (after.TotalAlloc - before.TotalAlloc) / runs; perRecord >= blockBytes {
-		t.Fatalf("a record allocates %d B, at least the %d B block: the ledger copies it", perRecord, blockBytes)
-	}
-	if got := l.Blocks()[0].Data; &got[0] != &data[0] {
-		t.Fatal("the ledger holds a copy of the put's slice")
-	}
-}
-
 // stagedSpace builds a nodes x cores space over an 8x8 domain as a driver
 // over one serving node per machine node (node.Cluster, the shape codsrun
-// -backend=tcp deploys), installs a ledger and stages one block of variable
+// -backend=tcp deploys), keeps staged payloads and stages one block of variable
 // "rho" (app 1) per given owner: the domain cut into as many column strips
 // as owners, cell (x, y) holding 100*x + y.
-func stagedSpace(t *testing.T, nodes, cores int, owners ...cluster.CoreID) (*cods.Space, *Ledger, []geometry.BBox, *node.Cluster) {
+func stagedSpace(t *testing.T, nodes, cores int, owners ...cluster.CoreID) (*cods.Space, []geometry.BBox, *node.Cluster) {
 	t.Helper()
 	m, err := cluster.NewMachine(nodes, cores)
 	if err != nil {
@@ -84,8 +41,7 @@ func stagedSpace(t *testing.T, nodes, cores int, owners ...cluster.CoreID) (*cod
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := NewLedger()
-	sp.SetPutRecorder(l)
+	sp.SetKeepPayloads(true)
 	w := 8 / len(owners)
 	regions := make([]geometry.BBox, len(owners))
 	for i, owner := range owners {
@@ -94,7 +50,7 @@ func stagedSpace(t *testing.T, nodes, cores int, owners ...cluster.CoreID) (*cod
 			t.Fatal(err)
 		}
 	}
-	return sp, l, regions, c
+	return sp, regions, c
 }
 
 func cells(region geometry.BBox) []float64 {
@@ -128,19 +84,19 @@ func served(c *node.Cluster, nodes int) int {
 // node.Cluster.Replace. The reconcile must re-stage the two lost blocks,
 // re-register the survivors' records, and leave the space as it was: a
 // reader's cached handle re-gets the whole domain cell-identically, with as
-// many location records and ledger blocks as before the loss.
+// many location records and staged blocks as before the loss.
 func TestReconcileRestagesAffectedAndReinsertsRest(t *testing.T) {
 	// cores 0,1 on node 0; 2,3 on node 1; 4,5 on node 2: two owners on the
 	// node to lose, two on a survivor.
 	owners := []cluster.CoreID{2, 3, 4, 5}
-	sp, l, regions, nodes := stagedSpace(t, 3, 2, owners...)
+	sp, regions, nodes := stagedSpace(t, 3, 2, owners...)
 	blockBytes := regions[0].Volume() * cods.ElemSize
 	domain := geometry.BoxFromSize([]int{8, 8})
 	reader := sp.HandleAt(0, 2, "get")
 	if _, err := reader.GetSequential("rho", 0, domain); err != nil {
 		t.Fatal(err)
 	}
-	recsBefore, blocksBefore := served(nodes, 3), l.Len()
+	recsBefore, blocksBefore := served(nodes, 3), len(sp.Staged())
 	if nodes.Node(1).Space().Lookup().TableSize(1) == 0 {
 		t.Fatal("node 1's table is empty before the loss: the test would prove nothing about re-registration")
 	}
@@ -152,7 +108,7 @@ func TestReconcileRestagesAffectedAndReinsertsRest(t *testing.T) {
 	if n := lost.Space().Lookup().TableSize(1); n != 0 {
 		t.Fatalf("node 1 holds %d records after its replacement", n)
 	}
-	res, err := Reconcile(sp, l, []cluster.NodeID{1})
+	res, err := Reconcile(sp, []cluster.NodeID{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,9 +126,9 @@ func TestReconcileRestagesAffectedAndReinsertsRest(t *testing.T) {
 	if reader.CacheMisses != misses+1 {
 		t.Fatal("the reader's cached schedule survived the reconcile")
 	}
-	if now := served(nodes, 3); now != recsBefore || l.Len() != blocksBefore {
-		t.Fatalf("%d location records and %d ledger blocks after the reconcile, %d and %d before the loss",
-			now, l.Len(), recsBefore, blocksBefore)
+	if now := served(nodes, 3); now != recsBefore || len(sp.Staged()) != blocksBefore {
+		t.Fatalf("%d location records and %d staged blocks after the reconcile, %d and %d before the loss",
+			now, len(sp.Staged()), recsBefore, blocksBefore)
 	}
 }
 
@@ -187,9 +143,9 @@ func (failingExpose) Expose(cluster.CoreID, transport.BufKey, any) error { retur
 // TestReconcileStopsOnRestageFailure: a re-stage whose expose fails stops
 // the pass with the put's error.
 func TestReconcileStopsOnRestageFailure(t *testing.T) {
-	sp, l, _, nodes := stagedSpace(t, 2, 1, 1) // owner core 1 → node 1
+	sp, _, nodes := stagedSpace(t, 2, 1, 1) // owner core 1 → node 1
 	sp.Fabric().SetBackend(failingExpose{nodes.Driver()})
-	res, err := Reconcile(sp, l, []cluster.NodeID{1})
+	res, err := Reconcile(sp, []cluster.NodeID{1})
 	if !errors.Is(err, errExpose) {
 		t.Fatalf("got %v, want the re-stage's expose failure", err)
 	}
@@ -206,7 +162,7 @@ func TestReconcileStopsOnRestageFailure(t *testing.T) {
 func TestGetSequentialRidesOutNodeLoss(t *testing.T) {
 	// Both blocks live on node 0; the record of the second is kept by node
 	// 1's DHT core alone.
-	sp, l, regions, nodes := stagedSpace(t, 2, 2, 0, 1)
+	sp, regions, nodes := stagedSpace(t, 2, 2, 0, 1)
 	region := regions[1]
 	if a, b := nodes.Node(0).Space().Lookup().TableSize(0), nodes.Node(1).Space().Lookup().TableSize(1); a != 1 || b != 1 {
 		t.Fatalf("tables hold %d and %d records, want one block's record each", a, b)
@@ -227,7 +183,7 @@ func TestGetSequentialRidesOutNodeLoss(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		time.Sleep(20 * time.Millisecond)
-		_, err := Reconcile(sp, l, []cluster.NodeID{1})
+		_, err := Reconcile(sp, []cluster.NodeID{1})
 		done <- err
 	}()
 	got, err := sp.HandleAt(3, 2, "get").GetSequential("rho", 0, region)
@@ -304,7 +260,7 @@ func (b *lossBackend) Unexpose(owner cluster.CoreID, key transport.BufKey) error
 // its expose lands, the node goes down before acknowledging it, and the
 // put's next attempts fail against the dead node. Under a retry policy the
 // put must wait out the replacement and the reconcile running beside it,
-// and leave the block staged exactly once: one location record, one ledger
+// and leave the block staged exactly once: one location record, one staged
 // block, the block exposed, and a get that returns its cells.
 func TestPutSequentialRidesOutNodeLoss(t *testing.T) {
 	m, err := cluster.NewMachine(2, 2)
@@ -315,8 +271,7 @@ func TestPutSequentialRidesOutNodeLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := NewLedger()
-	sp.SetPutRecorder(l)
+	sp.SetKeepPayloads(true)
 	be := &lossBackend{Fabric: sp.Fabric()}
 	sp.Fabric().SetBackend(be)
 	// 50 attempts at most 50 ms apart: over two seconds of patience, which
@@ -334,7 +289,7 @@ func TestPutSequentialRidesOutNodeLoss(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 		be.down.Store(false)
-		_, err := Reconcile(sp, l, []cluster.NodeID{1})
+		_, err := Reconcile(sp, []cluster.NodeID{1})
 		done <- err
 	}()
 	if err := sp.HandleAt(owner, 1, "put").PutSequential("rho", 0, region, cells(region)); err != nil {
@@ -344,8 +299,8 @@ func TestPutSequentialRidesOutNodeLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	exposed := sp.Fabric().Exposed(owner, transport.BufKey{Name: "rho|" + region.String()})
-	if n, blocks := records(sp), l.Len(); n != 1 || blocks != 1 || !exposed {
-		t.Fatalf("%d location records, %d ledger blocks and exposed=%v after the put; want 1, 1 and true",
+	if n, blocks := records(sp), len(sp.Staged()); n != 1 || blocks != 1 || !exposed {
+		t.Fatalf("%d location records, %d staged blocks and exposed=%v after the put; want 1, 1 and true",
 			n, blocks, exposed)
 	}
 	got, err := sp.HandleAt(0, 2, "get").GetSequential("rho", 0, region)
@@ -357,8 +312,8 @@ func TestPutSequentialRidesOutNodeLoss(t *testing.T) {
 	}
 }
 
-// TestConcurrentCouplingFailsOnProducerLoss: a concurrent coupling has no
-// put ledger, so nothing re-stages what a lost producer node exposed. A
+// TestConcurrentCouplingFailsOnProducerLoss: a concurrent coupling keeps no
+// payload to re-stage, so nothing re-stages what a lost producer node exposed. A
 // producer exposes its block from a core of node 1 and the node is
 // replaced; a consumer's get under a 2-attempt policy, with 100 ms of read
 // patience set on the driver alone, then fails cleanly — a *cods.PullError

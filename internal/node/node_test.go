@@ -50,7 +50,7 @@ func TestCloseReleasesParkedRead(t *testing.T) {
 // TestReplaceStartsEmpty: after Replace the driver's next operation
 // reaches the replacement, and the node holds neither the block it exposed
 // nor its DHT core's records, until membership.Reconcile re-stages the
-// block from the put ledger; the block then reads back cell for cell.
+// block from the staged table; the block then reads back cell for cell.
 func TestReplaceStartsEmpty(t *testing.T) {
 	m, err := cluster.NewMachine(2, 2)
 	if err != nil {
@@ -67,8 +67,7 @@ func TestReplaceStartsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ledger := membership.NewLedger()
-	sp.SetPutRecorder(ledger)
+	sp.SetKeepPayloads(true)
 	const owner = cluster.CoreID(3) // node 1
 	cells := make([]float64, domain.Volume())
 	for i := range cells {
@@ -99,7 +98,7 @@ func TestReplaceStartsEmpty(t *testing.T) {
 		t.Fatalf("the replacement holds exposed=%v and %d records, want an empty node", exposed, records)
 	}
 
-	if _, err := membership.Reconcile(sp, ledger, []cluster.NodeID{1}); err != nil {
+	if _, err := membership.Reconcile(sp, []cluster.NodeID{1}); err != nil {
 		t.Fatal(err)
 	}
 	if exposed, records := state(); !exposed || records != 1 {

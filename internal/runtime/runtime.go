@@ -79,7 +79,8 @@ type AppContext struct {
 	// Decomp is the application's declared data decomposition.
 	Decomp *decomp.Decomposition
 	// Producers describes the other applications of the same bundle, for
-	// GetConcurrent against a concurrently coupled producer.
+	// GetConcurrent against a concurrently coupled producer; the apps of
+	// other bundles launched in the same stage are not in it.
 	Producers map[int]cods.ProducerInfo
 	// Machine gives access to topology and metrics.
 	Machine *cluster.Machine
@@ -220,8 +221,12 @@ func (s *Server) Run(d *workflow.DAG, policy Policy) (*Report, error) {
 	defer root.End()
 	for _, stage := range stages {
 		var appIDs []int
+		bundleOf := make(map[int][]int)
 		for _, b := range stage {
 			appIDs = append(appIDs, d.Bundles[b]...)
+			for _, a := range d.Bundles[b] {
+				bundleOf[a] = d.Bundles[b]
+			}
 		}
 		var mapStart time.Time
 		if obs.Enabled() {
@@ -241,7 +246,7 @@ func (s *Server) Run(d *workflow.DAG, policy Policy) (*Report, error) {
 			groupStart = time.Now()
 			obsBundlesRun.Add(int64(len(stage)))
 		}
-		err = s.launchGroup(appIDs, pl, gs.ID())
+		err = s.launchGroup(appIDs, bundleOf, pl, gs.ID())
 		gs.End()
 		if err != nil {
 			rep.FaultsInjected = s.fabric.FaultsInjected()
@@ -314,13 +319,14 @@ func (s *Server) mapGroup(d *workflow.DAG, appIDs []int, bundle bool, policy Pol
 }
 
 // launchGroup runs every task of the group's applications on its placed
-// core: a bundle-wide communicator is created, each execution client
+// core (bundleOf names each application's bundle): a bundle-wide
+// communicator is created, each execution client
 // colors itself with its application id and splits into the per-app
 // communicator, then invokes the registered subroutine — once. A task that
 // has met a collective cannot be restarted without its peers, so a failed
 // task fails the run as a *TaskError; riding out a lost node is the job of
 // the data operations and their retry policy.
-func (s *Server) launchGroup(appIDs []int, pl *cluster.Placement, parent obs.SpanID) error {
+func (s *Server) launchGroup(appIDs []int, bundleOf map[int][]int, pl *cluster.Placement, parent obs.SpanID) error {
 	// Deterministic task order defines bundle-comm ranks.
 	tasks := pl.Tasks()
 	if len(tasks) == 0 {
@@ -376,10 +382,10 @@ func (s *Server) launchGroup(appIDs []int, pl *cluster.Placement, parent obs.Spa
 				return
 			}
 			spec := s.apps[t.App]
-			others := make(map[int]cods.ProducerInfo, len(producers)-1)
-			for a, info := range producers {
+			others := make(map[int]cods.ProducerInfo, len(bundleOf[t.App])-1)
+			for _, a := range bundleOf[t.App] {
 				if a != t.App {
-					others[a] = info
+					others[a] = producers[a]
 				}
 			}
 			h := s.space.HandleAt(cores[i], t.App, fmt.Sprintf("app:%d", t.App))

@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -419,7 +420,8 @@ func TestTaskErrorContract(t *testing.T) {
 
 // TestStagePlacements: Run maps each launch stage of DAG.Stages as one
 // group, so the apps of one stage share one *Placement and apps of
-// different stages never do.
+// different stages never do. A task's Producers are the other apps of its
+// own bundle, not of every bundle launched beside it.
 func TestStagePlacements(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -437,9 +439,20 @@ func TestStagePlacements(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			size := []int{4, 4}
 			s := newServer(t, 2, 4, size)
+			var mu sync.Mutex
+			producers := map[int][]int{}
 			for _, id := range tc.apps {
 				if err := s.RegisterApp(AppSpec{ID: id, Decomp: mustDecomp(t, decomp.Blocked, size, []int{2, 1}),
-					Run: func(*AppContext) error { return nil }}); err != nil {
+					Run: func(ctx *AppContext) error {
+						mu.Lock()
+						defer mu.Unlock()
+						var ids []int
+						for a := range ctx.Producers {
+							ids = append(ids, a)
+						}
+						producers[ctx.AppID] = ids
+						return nil
+					}}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -463,6 +476,17 @@ func TestStagePlacements(t *testing.T) {
 					if rep.PlacementOf[a] == nil || shared != (stageOf[a] == stageOf[b]) {
 						t.Errorf("apps %d and %d share a placement: %v, want stages %v", a, b, shared, tc.stages)
 					}
+				}
+				var want []int
+				for _, b := range tc.bundles {
+					if slices.Contains(b, a) {
+						want = slices.DeleteFunc(slices.Clone(b), func(o int) bool { return o == a })
+					}
+				}
+				slices.Sort(want)
+				slices.Sort(producers[a])
+				if !slices.Equal(producers[a], want) {
+					t.Errorf("app %d sees producers %v, want its bundle's others %v", a, producers[a], want)
 				}
 			}
 		})

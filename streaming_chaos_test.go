@@ -5,7 +5,7 @@ package cods_test
 // producer-owning codsnode is hard-killed mid-stream. The driver must
 // learn of the crash from the child's exit, the replacement must come up on
 // a fresh port (holding no stream state: the driver's stream engine is the
-// only authority), the reconcile must re-stage the dead process's ledger
+// only authority), the reconcile must re-stage the dead process's staged
 // blocks — including a version whose expose was
 // acknowledged by the doomed process moments before the kill — and
 // under the backpressure policy every consumer must still observe a
@@ -38,8 +38,8 @@ func TestStreamingChaos(t *testing.T) {
 	// Producer tasks land on cores 0-3, consumers on 4-5, so node 1
 	// (cores 3-5) owns one producer piece and one consumer; -chaos-after 4
 	// kills it once the first version is fully staged and the next is in
-	// flight. A producer's versions survive the kill through the ledger
-	// restage and the put's own retry. The retry budget must outlive the
+	// flight. A producer's versions survive the kill through the staged
+	// table's restage and the put's own retry. The retry budget must outlive the
 	// replacement spawn plus the bounce of a read that waited out the
 	// elastic driver's 2 s read patience.
 	text := runCodsrun(t, bin,
@@ -123,7 +123,7 @@ func TestStreamingChaos(t *testing.T) {
 		t.Errorf("cods.stream.dropped = %d, want 0", got)
 	}
 	// One crash, one replacement: one exit detected, and the dead
-	// process's ledger blocks re-staged.
+	// process's staged blocks re-staged.
 	if got := counters["membership.exits"]; got != 1 {
 		t.Errorf("membership.exits = %d, want 1", got)
 	}
