@@ -334,7 +334,7 @@ func run(o options) error {
 				id, dc.NumTasks(), producers, o.streamRounds, o.streamLag, streamPol, dc)
 		case len(bundle) > 1 && o.stream:
 			spec.Run = apps.NewStreamConsumer(apps.StreamConsumerConfig{
-				Var: fmt.Sprintf("data.%d", bundle[0]), Halo: d.Halo, Verify: o.verify,
+				Var: fmt.Sprintf("data.%d", bundle[0]), Rounds: o.streamRounds, Halo: d.Halo, Verify: o.verify,
 			})
 			fmt.Printf("app %d: stream consumer of app %d (%d tasks, %s)\n", id, bundle[0], dc.NumTasks(), dc)
 		case len(bundle) > 1 && bundle[0] == id:

@@ -40,16 +40,27 @@ type StreamProducerConfig struct {
 }
 
 // NewStreamProducer builds the producer subroutine: per round it performs
-// its stencil exchange, then publishes every owned piece of the coupled
-// domain as the next version of its piece's producer index. Version
-// content is the deterministic CellValue fill, so consumers verify
-// end to end. When its rounds are done the task closes its producer
-// indices, ending the stream once every rank has.
+// its stencil exchange, declares the bundle's reading tasks (those of the
+// other applications, ctx.Producers, that own part of the domain) readers
+// of the version, then publishes every owned piece of the coupled domain as
+// the next version of its piece's producer index. A version thus retires
+// once every reading task's cursor passed it, however late a task
+// subscribes. Version content is the deterministic CellValue fill, so
+// consumers verify end to end. When its rounds are done the task closes
+// its producer indices, ending the stream once every rank has.
 func NewStreamProducer(cfg StreamProducerConfig) runtime.AppFunc {
 	return func(ctx *runtime.AppContext) (err error) {
 		rounds := cfg.Rounds
 		if rounds <= 0 {
 			rounds = 1
+		}
+		readers := 0
+		for _, info := range ctx.Producers {
+			for r := 0; r < info.Decomp.NumTasks(); r++ {
+				if len(info.Decomp.Region(r)) > 0 {
+					readers++
+				}
+			}
 		}
 		base := StreamProducerIndexBase(ctx, ctx.Rank)
 		pieces := ctx.Decomp.Region(ctx.Rank)
@@ -71,6 +82,11 @@ func NewStreamProducer(cfg StreamProducerConfig) runtime.AppFunc {
 				return err
 			}
 			ctx.Space.SetPhase(fmt.Sprintf("publish:%d:%d", ctx.AppID, round))
+			if readers > 0 {
+				if err := ctx.Space.DeclareReaders(cfg.Var, round, readers); err != nil {
+					return err
+				}
+			}
 			for i, blk := range pieces {
 				ver, err := ctx.Space.Publish(cfg.Var, base+i, blk, FillRegion(blk, round))
 				if err != nil {
@@ -96,6 +112,9 @@ func NewStreamProducer(cfg StreamProducerConfig) runtime.AppFunc {
 type StreamConsumerConfig struct {
 	// Var is the declared stream variable read.
 	Var string
+	// Rounds is the number of versions the stream carries: a task that
+	// fails releases those it will not read.
+	Rounds int
 	// Halo enables a stencil exchange of this width after every consumed
 	// version.
 	Halo int
@@ -107,35 +126,43 @@ type StreamConsumerConfig struct {
 
 // NewStreamConsumer builds the consumer subroutine: the task subscribes a
 // cursor, then follows the stream one version at a time — window-read its
-// owned regions, verify, acknowledge — until the producers close. Under
-// the drop-oldest policy a slow task's cursor can be bumped mid-read; the
-// task then resumes at the bumped position, counting the skipped versions
-// as gaps. At the end it prints one summary line per task,
+// owned regions, verify, acknowledge — until the producers close. Each
+// acknowledgment releases the version (NewStreamProducer declares the task
+// a reader), and a task that fails releases every version it will not
+// read, so no version waits on it. Under the drop-oldest policy a slow
+// task's cursor can be bumped mid-read; the task then resumes at the bumped
+// position, counting the skipped versions as gaps. At the end it prints one
+// summary line per task,
 //
 //	stream consumer <app>.<rank> observed <n> versions [<lo>..<hi>] gaps <g>
 //
 // which the chaos suite parses: under backpressure the sequence must be
 // gap-free even across a mid-stream node replacement.
-//
-// Every rank subscribes, then meets the app's other ranks at a barrier
-// before its first read: the stream retires whatever all current cursors
-// have passed, so a cursor opened after another rank advanced would start
-// at the retired floor and miss versions. The barrier orders the cursors
-// of one app only; a bundle with several consumer apps can still retire
-// versions before a late app subscribes.
 func NewStreamConsumer(cfg StreamConsumerConfig) runtime.AppFunc {
-	return func(ctx *runtime.AppContext) error {
+	return func(ctx *runtime.AppContext) (err error) {
 		regions := ctx.Decomp.Region(ctx.Rank)
 		// A rank owning nothing neither reads nor subscribes — an idle
-		// cursor would throttle the producers forever.
+		// cursor would throttle the producers forever — and is no reader.
 		var cur *cods.Cursor
+		defer func() {
+			unread := 0
+			if cur != nil {
+				unread = cur.Pos()
+				cur.Close()
+			}
+			for ; err != nil && len(regions) > 0 && unread < cfg.Rounds; unread++ {
+				_ = ctx.Space.Release(cfg.Var, unread)
+			}
+		}()
 		if len(regions) > 0 {
-			var err error
 			if cur, err = ctx.Space.Subscribe(cfg.Var); err != nil {
 				return err
 			}
-			defer cur.Close()
 		}
+		// Every rank meets the app's others before the first read: the
+		// producer waits only on subscribed cursors, so a rank reading
+		// before its peers subscribed would let it run ahead, retaining
+		// every version for the peers' release.
 		if err := ctx.Comm.Barrier(); err != nil {
 			return err
 		}

@@ -363,10 +363,11 @@ func TestRetriedPutReservesOnce(t *testing.T) {
 }
 
 // TestRetireCountsFailedDiscard is the regression test for the dropped
-// retirement error: when the withdrawal of a retired stream block fails,
-// the stream still moves on (no retry, the advance succeeds), but the
-// failure is counted in cods.stream.retire_errors and traced as a
-// retire-failed:<var> event instead of vanishing.
+// retirement error: when the withdrawal of a retired block fails (here a
+// stream's, retired by a cursor's advance; every retirement withdraws
+// through the same path), the stream still moves on (no retry, the advance
+// succeeds), but the failure is counted in cods.retire_errors and traced
+// as a retire-failed:<var> event instead of vanishing.
 func TestRetireCountsFailedDiscard(t *testing.T) {
 	prev := obs.Enabled()
 	obs.Enable(true)
@@ -391,7 +392,7 @@ func TestRetireCountsFailedDiscard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	errs := obs.C("cods.stream.retire_errors")
+	errs := obs.C("cods.retire_errors")
 	before := errs.Value()
 
 	be.failures.Store(1)

@@ -307,8 +307,8 @@ type Space struct {
 	lookup *dht.Service
 
 	// staged is the staged table (staged.go): what is staged of every
-	// variable version, each variable's floor, and its schedule
-	// invalidation stamp. Handles stamp cached schedules with the stamp and
+	// variable version, each variable's floor, its schedule invalidation
+	// stamp and its stream. Handles stamp cached schedules with the stamp and
 	// recompute when it moved, so a discard-then-restage at a different
 	// owner can never be served from a stale schedule.
 	staged table
@@ -320,11 +320,6 @@ type Space struct {
 	// retryPol bounds the retrying of failed transfers (nil = single
 	// attempt). Stored atomically so it can be installed while pulls run.
 	retryPol atomic.Pointer[retry.Policy]
-
-	// Streaming coupling state (stream.go): one stream per declared
-	// variable, created lazily by DeclareStream.
-	streamMu sync.Mutex
-	streams  map[string]*stream
 }
 
 // NewSpace builds a CoDS over a fabric for a coupled data domain using the
@@ -344,7 +339,7 @@ func NewSpaceWithCurve(f *transport.Fabric, domain geometry.BBox, curveName stri
 	}
 	sp := &Space{fabric: f, lookup: dht.NewService(f, curve)}
 	sp.staged.vars = make(map[string]*variable)
-	sp.staged.retired.L = &sp.staged.mu
+	sp.staged.cond.L = &sp.staged.mu
 	return sp, nil
 }
 
@@ -534,7 +529,7 @@ func (h *Handle) PutConcurrent(v string, version int, region geometry.BBox, data
 		h.sp.unstage(v, version, region, h.core)
 		return err
 	}
-	if version < h.sp.floor(v) { // retired while the put exposed it
+	if version < h.sp.Floor(v) { // retired while the put exposed it
 		return h.Discard(v, version, region)
 	}
 	return nil
@@ -782,7 +777,7 @@ func (h *Handle) putAttempt(v string, version int, region geometry.BBox, data []
 		// exposed".
 		return errors.Join(err, h.DiscardSequential(v, version, region))
 	}
-	if version < h.sp.floor(v) { // retired while the put staged it
+	if version < h.sp.Floor(v) { // retired while the put staged it
 		h.sp.withdraw([]*record{{blocks: []StagedBlock{b}}}, h.phase)
 	}
 	return nil

@@ -1,13 +1,14 @@
 // The staged table (DESIGN §5i) is the one record of what is staged: per
 // (variable, version) every block a put exposed, with its owner core and
 // application, and the readers declared for the version and their
-// releases. A version retires once every declared reader released it, or
-// when a stream retires it: its blocks are withdrawn, with the location
-// records of the sequential ones, and the variable's floor rises. A get
-// below the floor fails at once with ErrRetired and a put below it stages
-// nothing. Retirement keeps cached schedules: only a discard, or a put of a
-// block at another owner than its region's last put, moves the variable's
-// invalidation stamp.
+// releases; per variable its floor, its schedule stamp and, once declared,
+// its stream (stream.go). One lock guards it all and one condition wakes
+// every waiter. A version retires through retireLocked and withdraw alone:
+// its blocks are withdrawn, with the location records of the sequential
+// ones, and the variable's floor rises. A get below the floor fails at once
+// with ErrRetired and a put below it stages nothing. Retirement keeps
+// cached schedules: only a discard, or a put of a block at another owner
+// than its region's last put, moves the variable's invalidation stamp.
 package cods
 
 import (
@@ -20,6 +21,7 @@ import (
 	"github.com/insitu/cods/internal/cluster"
 	"github.com/insitu/cods/internal/dht"
 	"github.com/insitu/cods/internal/geometry"
+	"github.com/insitu/cods/internal/obs"
 )
 
 // ErrRetired marks a get of a version below its variable's floor.
@@ -46,21 +48,23 @@ type record struct {
 }
 
 // variable is the table's state of one variable: its invalidation stamp,
-// its floor, the owner of each region's last put (by exposure name) and
-// the records at or above the floor.
+// its floor, the owner of each region's last put (by exposure name), the
+// records at or above the floor and its stream, nil until declared.
 type variable struct {
 	gen     uint64
 	floor   int
 	owners  map[string]cluster.CoreID
 	records map[int]*record
+	*stream
 }
 
-// table is the staged table; retired is signalled when a floor rises.
+// table is the staged table; cond is signalled on every change a waiter
+// may wait for: a floor, a watermark, a cursor or a closed producer.
 type table struct {
-	mu      sync.Mutex
-	retired sync.Cond
-	keep    bool
-	vars    map[string]*variable
+	mu   sync.Mutex
+	cond sync.Cond
+	keep bool
+	vars map[string]*variable
 }
 
 func (t *table) varLocked(v string) *variable {
@@ -120,8 +124,8 @@ func (sp *Space) stamp(v string, version int) (uint64, error) {
 	return s.gen, nil
 }
 
-// floor returns v's floor: every version below it is retired.
-func (sp *Space) floor(v string) int {
+// Floor returns v's floor: every version below it is retired.
+func (sp *Space) Floor(v string) int {
 	sp.staged.mu.Lock()
 	defer sp.staged.mu.Unlock()
 	if s := sp.staged.vars[v]; s != nil {
@@ -181,14 +185,22 @@ func (sp *Space) unstage(v string, version int, region geometry.BBox, owner clus
 	}
 }
 
-// retireLocked raises the floor of s past every version below bound, then
-// past every one all its declared readers released, and returns the
-// records it retired for withdrawal outside the lock.
+// retireLocked is the one retirement rule. It raises the floor of s past
+// every version below bound (the drop-oldest bound), then past every
+// version all its declared readers released and, for a version with no
+// readers declared, past every one all of a stream's cursors passed. It
+// returns the records it retired for withdrawal outside the lock.
 func (t *table) retireLocked(s *variable, bound int) []*record {
+	passed := s.floor
+	if s.stream != nil && len(s.cursors) > 0 {
+		passed = s.minPosLocked()
+	}
 	var out []*record
 	for ; ; s.floor++ {
 		r := s.records[s.floor]
-		if s.floor >= bound && (r == nil || r.readers == 0 || r.released < r.readers) {
+		released := r != nil && r.readers > 0 && r.released >= r.readers
+		bare := (r == nil || r.readers == 0) && s.floor < passed
+		if s.floor >= bound && !released && !bare {
 			break
 		}
 		if r != nil {
@@ -196,16 +208,12 @@ func (t *table) retireLocked(s *variable, bound int) []*record {
 			delete(s.records, s.floor)
 		}
 	}
-	t.retired.Broadcast()
+	t.cond.Broadcast()
 	return out
 }
 
-// retireBelow retires every version of v below bound.
-func (sp *Space) retireBelow(v string, bound int) []*record {
-	sp.staged.mu.Lock()
-	defer sp.staged.mu.Unlock()
-	return sp.staged.retireLocked(sp.staged.varLocked(v), bound)
-}
+// obsRetireErrors counts retired blocks whose withdrawal failed.
+var obsRetireErrors = obs.C("cods.retire_errors")
 
 // withdraw takes the blocks of retired versions out of the space: each
 // buffer at its owner, and a sequential block's location record under
@@ -220,7 +228,7 @@ func (sp *Space) withdraw(recs []*record, phase string) {
 					dht.Entry{Var: b.Var, Version: b.Version, Region: b.Region, Owner: b.Owner}))
 			}
 			if err != nil {
-				obsStreamRetireErrors.Inc()
+				obsRetireErrors.Inc()
 				sp.tracer.Load().Event(0, "retire-failed:"+b.Var)
 			}
 		}
@@ -272,6 +280,6 @@ func (h *Handle) AwaitRetired(v string, version int) {
 	h.sp.staged.mu.Lock()
 	defer h.sp.staged.mu.Unlock()
 	for version >= h.sp.staged.varLocked(v).floor {
-		h.sp.staged.retired.Wait()
+		h.sp.staged.cond.Wait()
 	}
 }

@@ -3,31 +3,27 @@
 // with a bounded lag, reading windows of versions instead of lock-step
 // iterations.
 //
-// Versions are stamped per producer rank: version n of the stream is the
-// union of every rank's nth publish, and the stream's complete watermark
-// is min over ranks of their published count, minus one — the highest
-// version every rank has fully staged. Each published block rides the
-// ordinary sequential path (exposed buffer + DHT location record + staged
-// table record), so windowed gets reuse the schedule, retry and
-// scatter-gather machinery unchanged; the stream layer only adds version
-// bookkeeping and the lag policy, and decides when versions retire.
+// A stream is state on its variable in the staged table (staged.go),
+// guarded by the table's one lock and woken by its one condition. Versions
+// are stamped per producer rank: version n of the stream is the union of
+// every rank's nth publish, and the complete watermark is min over ranks of
+// their published count, minus one. Each published block rides the
+// ordinary sequential path, so windowed gets reuse the schedule, retry and
+// scatter-gather machinery unchanged.
 //
-// The lag policy bounds how far a producer may run ahead of the slowest
-// cursor: under Backpressure the producer blocks, under DropOldest the
-// watermark advance force-retires versions older than maxLag behind and
-// bumps lagging cursors past them (each skipped version counts as dropped
-// for that cursor). A version every cursor has passed retires too (an
-// advance is a release). Retirement is the staged table's (staged.go): the
-// version's blocks are withdrawn from the block stores and the DHT and the
-// floor rises, so a get of a retired version fails with ErrRetired instead
-// of pulling stale data, while cached schedules stay valid for the next
-// version.
+// A cursor is a reader: its Advance releases the versions it passes, and
+// they retire through the table's one path — on the last declared reader's
+// release, or, with no readers declared, once every cursor has passed them.
+// Under Backpressure a producer waits while the slowest cursor trails by
+// MaxLag; under DropOldest the watermark advance force-retires versions
+// older than MaxLag behind and bumps lagging cursors past them (each
+// skipped version counts as dropped for that cursor).
 package cods
 
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"slices"
 
 	"github.com/insitu/cods/internal/geometry"
 	"github.com/insitu/cods/internal/mutate"
@@ -35,13 +31,12 @@ import (
 )
 
 // Streaming registry instruments: versions published across all streams,
-// versions acknowledged by cursors, versions skipped by lagging cursors
-// under the drop-oldest policy, and retired blocks whose withdrawal failed.
+// versions acknowledged by cursors and versions skipped by lagging cursors
+// under the drop-oldest policy.
 var (
-	obsStreamPublished    = obs.C("cods.stream.published")
-	obsStreamConsumed     = obs.C("cods.stream.consumed")
-	obsStreamDropped      = obs.C("cods.stream.dropped")
-	obsStreamRetireErrors = obs.C("cods.stream.retire_errors")
+	obsStreamPublished = obs.C("cods.stream.published")
+	obsStreamConsumed  = obs.C("cods.stream.consumed")
+	obsStreamDropped   = obs.C("cods.stream.dropped")
 )
 
 // ErrStreamEnded reports an operation against a stream whose producers
@@ -88,22 +83,15 @@ type StreamConfig struct {
 	Policy StreamPolicy
 }
 
-// stream is the per-variable streaming state. All fields below mu are
-// guarded by it; cond is signalled on every watermark or cursor movement.
+// stream is a declared stream's state on its variable, guarded by the
+// table's lock.
 type stream struct {
-	sp  *Space
-	v   string
 	cfg StreamConfig
-
-	mu   sync.Mutex
-	cond *sync.Cond
 	// pub[i] is the number of versions rank i has fully staged; closed[i]
 	// is set once rank i called ClosePublisher.
 	pub    []int
 	closed []bool
-	// latest is the complete watermark (min over pub, minus one). The
-	// lowest retained version is the staged table's floor of v, raised
-	// under mu.
+	// latest is the complete watermark (min over pub, minus one).
 	latest int
 	// cursors are the live subscriptions, keyed by subscriber id.
 	cursors map[int]*Cursor
@@ -130,17 +118,13 @@ func (sp *Space) DeclareStream(v string, cfg StreamConfig) error {
 	if cfg.Policy != Backpressure && cfg.Policy != DropOldest {
 		return fmt.Errorf("cods: stream %q: unknown policy %d", v, int(cfg.Policy))
 	}
-	sp.streamMu.Lock()
-	defer sp.streamMu.Unlock()
-	if sp.streams == nil {
-		sp.streams = make(map[string]*stream)
-	}
-	if _, ok := sp.streams[v]; ok {
+	sp.staged.mu.Lock()
+	defer sp.staged.mu.Unlock()
+	s := sp.staged.varLocked(v)
+	if s.stream != nil {
 		return fmt.Errorf("cods: stream %q already declared", v)
 	}
-	s := &stream{
-		sp:      sp,
-		v:       v,
+	s.stream = &stream{
 		cfg:     cfg,
 		pub:     make([]int, cfg.Producers),
 		closed:  make([]bool, cfg.Producers),
@@ -148,20 +132,15 @@ func (sp *Space) DeclareStream(v string, cfg StreamConfig) error {
 		cursors: make(map[int]*Cursor),
 		lag:     obs.G("cods.stream.lag." + v),
 	}
-	s.cond = sync.NewCond(&s.mu)
-	sp.streams[v] = s
 	return nil
 }
 
-// stream looks up a declared stream.
-func (sp *Space) stream(v string) (*stream, error) {
-	sp.streamMu.Lock()
-	s := sp.streams[v]
-	sp.streamMu.Unlock()
-	if s == nil {
-		return nil, fmt.Errorf("cods: stream %q not declared", v)
+// streamLocked looks up v's declared stream.
+func (t *table) streamLocked(v string) (*variable, error) {
+	if s := t.vars[v]; s != nil && s.stream != nil {
+		return s, nil
 	}
-	return s, nil
+	return nil, fmt.Errorf("cods: stream %q not declared", v)
 }
 
 // StreamStats sums the per-version accounting over every declared stream:
@@ -169,18 +148,14 @@ func (sp *Space) stream(v string) (*stream, error) {
 // past lagging cursors. The run report reconciles these against the
 // registry counters.
 func (sp *Space) StreamStats() (published, consumed, dropped int64) {
-	sp.streamMu.Lock()
-	streams := make([]*stream, 0, len(sp.streams))
-	for _, s := range sp.streams {
-		streams = append(streams, s)
-	}
-	sp.streamMu.Unlock()
-	for _, s := range streams {
-		s.mu.Lock()
-		published += s.published
-		consumed += s.consumed
-		dropped += s.dropped
-		s.mu.Unlock()
+	sp.staged.mu.Lock()
+	defer sp.staged.mu.Unlock()
+	for _, s := range sp.staged.vars {
+		if s.stream != nil {
+			published += s.published
+			consumed += s.consumed
+			dropped += s.dropped
+		}
 	}
 	return
 }
@@ -188,13 +163,13 @@ func (sp *Space) StreamStats() (published, consumed, dropped int64) {
 // StreamState reports stream v's complete watermark and lowest retained
 // version.
 func (sp *Space) StreamState(v string) (latest, floor int, err error) {
-	s, err := sp.stream(v)
+	sp.staged.mu.Lock()
+	defer sp.staged.mu.Unlock()
+	s, err := sp.staged.streamLocked(v)
 	if err != nil {
 		return 0, 0, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.latest, sp.floor(v), nil
+	return s.latest, s.floor, nil
 }
 
 // ClosePublisher marks producer rank's version sequence finished. Once
@@ -202,12 +177,12 @@ func (sp *Space) StreamState(v string) (latest, floor int, err error) {
 // return ErrStreamEnded past the final watermark and further publishes
 // fail. Closing a rank twice is an error.
 func (sp *Space) ClosePublisher(v string, producer int) error {
-	s, err := sp.stream(v)
+	sp.staged.mu.Lock()
+	defer sp.staged.mu.Unlock()
+	s, err := sp.staged.streamLocked(v)
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if producer < 0 || producer >= len(s.closed) {
 		return fmt.Errorf("cods: stream %q: producer %d out of range [0,%d)", v, producer, len(s.closed))
 	}
@@ -215,7 +190,7 @@ func (sp *Space) ClosePublisher(v string, producer int) error {
 		return fmt.Errorf("cods: stream %q: producer %d already closed", v, producer)
 	}
 	s.closed[producer] = true
-	s.cond.Broadcast()
+	sp.staged.cond.Broadcast()
 	return nil
 }
 
@@ -233,27 +208,8 @@ func (s *stream) minPosLocked() int {
 	return min
 }
 
-// completeLocked recomputes the watermark: the highest version every
-// producer rank has staged.
-func (s *stream) completeLocked() int {
-	min := s.pub[0]
-	for _, n := range s.pub[1:] {
-		if n < min {
-			min = n
-		}
-	}
-	return min - 1
-}
-
 // endedLocked reports whether every producer rank has closed.
-func (s *stream) endedLocked() bool {
-	for _, c := range s.closed {
-		if !c {
-			return false
-		}
-	}
-	return true
-}
+func (s *stream) endedLocked() bool { return !slices.Contains(s.closed, false) }
 
 // updateLagLocked refreshes cods.stream.lag.<var>: how many versions the
 // slowest cursor trails the watermark by, the quantity backpressure acts on
@@ -263,26 +219,16 @@ func (s *stream) updateLagLocked() {
 	s.lag.Set(int64(max(0, s.latest+1-s.minPosLocked())))
 }
 
-// gcConsumedLocked retires every version all cursors have passed. With no
-// cursor subscribed nothing is collected (nobody has acknowledged
-// anything). The records are returned for withdrawal outside the lock.
-func (s *stream) gcConsumedLocked() []*record {
-	if len(s.cursors) == 0 {
-		return nil
-	}
-	return s.sp.retireBelow(s.v, s.minPosLocked())
-}
-
 // dropOldestLocked applies the drop policy after a watermark advance:
 // versions older than MaxLag behind latest are force-retired and every
 // cursor still at or below them is bumped past, counting each skipped
 // version as dropped for that cursor.
-func (s *stream) dropOldestLocked() []*record {
+func (t *table) dropOldestLocked(s *variable) []*record {
 	bound := s.latest - s.cfg.MaxLag + 1
 	if mutate.Enabled(mutate.GCBeforeConsume) {
 		bound++ // seeded defect: retire one version consumers were still entitled to
 	}
-	for v := s.sp.floor(s.v); v < bound; v++ {
+	for v := s.floor; v < bound; v++ {
 		for _, c := range s.cursors {
 			if c.pos <= v {
 				c.pos = v + 1
@@ -291,7 +237,7 @@ func (s *stream) dropOldestLocked() []*record {
 			}
 		}
 	}
-	return s.sp.retireBelow(s.v, bound)
+	return t.retireLocked(s, bound)
 }
 
 // Publish stamps the next version of producer rank's sequence with one
@@ -305,52 +251,49 @@ func (s *stream) dropOldestLocked() []*record {
 // Publish for a given rank must be called from a single goroutine; distinct
 // ranks may publish concurrently.
 func (h *Handle) Publish(v string, producer int, region geometry.BBox, data []float64) (int, error) {
-	s, err := h.sp.stream(v)
-	if err != nil {
-		return 0, err
-	}
 	if err := validatePut(v, region, data); err != nil {
 		return 0, err
 	}
-	s.mu.Lock()
-	if producer < 0 || producer >= len(s.pub) {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("cods: stream %q: producer %d out of range [0,%d)", v, producer, len(s.pub))
+	t := &h.sp.staged
+	t.mu.Lock()
+	s, err := t.streamLocked(v)
+	switch {
+	case err != nil:
+	case producer < 0 || producer >= len(s.pub):
+		err = fmt.Errorf("cods: stream %q: producer %d out of range [0,%d)", v, producer, len(s.pub))
+	case s.closed[producer]:
+		err = fmt.Errorf("cods: stream %q: publish on closed producer %d: %w", v, producer, ErrStreamEnded)
 	}
-	if s.closed[producer] {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("cods: stream %q: publish on closed producer %d: %w", v, producer, ErrStreamEnded)
+	if err != nil {
+		t.mu.Unlock()
+		return 0, err
 	}
 	ver := s.pub[producer]
-	if s.cfg.Policy == Backpressure {
-		for len(s.cursors) > 0 && ver-s.minPosLocked() >= s.cfg.MaxLag {
-			s.cond.Wait()
-		}
+	for s.cfg.Policy == Backpressure && len(s.cursors) > 0 && ver-s.minPosLocked() >= s.cfg.MaxLag {
+		t.cond.Wait()
 	}
-	s.mu.Unlock()
+	t.mu.Unlock()
 
 	if err := h.PutSequential(v, ver, region, data); err != nil {
 		return 0, err
 	}
 
-	s.mu.Lock()
+	t.mu.Lock()
 	s.pub[producer] = ver + 1
 	s.published++
 	obsStreamPublished.Inc()
-	was := s.latest
-	s.latest = s.completeLocked()
-	advanced := s.latest > was
 	var recs []*record
-	if advanced && s.cfg.Policy == DropOldest {
-		recs = s.dropOldestLocked()
-	}
-	if advanced {
+	if latest := slices.Min(s.pub) - 1; latest > s.latest { // the highest version every rank staged
+		s.latest = latest
+		if s.cfg.Policy == DropOldest {
+			recs = t.dropOldestLocked(s)
+		}
 		s.updateLagLocked()
 	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
+	t.cond.Broadcast()
+	t.mu.Unlock()
 
-	s.sp.withdraw(recs, "stream:gc")
+	h.sp.withdraw(recs, "stream:gc")
 	return ver, nil
 }
 
@@ -367,10 +310,11 @@ func (h *Handle) ClosePublisher(v string, producer int) error {
 // by multiple goroutines; distinct cursors are independent.
 type Cursor struct {
 	h *Handle
-	s *stream
+	v string
+	s *variable
 
-	// id and pos are guarded by s.mu (the drop policy bumps pos from
-	// publishing goroutines).
+	// id, pos and closed are guarded by the table's lock (the drop policy
+	// bumps pos from publishing goroutines).
 	id     int
 	pos    int
 	closed bool
@@ -384,24 +328,25 @@ func (h *Handle) Subscribe(v string) (*Cursor, error) { return h.SubscribeFrom(v
 // the stream floor (versions below it are retired). A consumer resuming
 // after Close passes its last position to continue gap-free.
 func (h *Handle) SubscribeFrom(v string, from int) (*Cursor, error) {
-	s, err := h.sp.stream(v)
+	t := &h.sp.staged
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s, err := t.streamLocked(v)
 	if err != nil {
 		return nil, err
 	}
 	if from < 0 {
 		return nil, fmt.Errorf("cods: stream %q: subscribe from negative version %d", v, from)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	pos := max(from, h.sp.floor(v))
+	pos := max(from, s.floor)
 	if from > 0 && mutate.Enabled(mutate.VersionSkipOnResubscribe) {
 		pos++ // seeded defect: resume one version past the requested position
 	}
-	c := &Cursor{h: h, s: s, id: s.nextSub, pos: pos}
+	c := &Cursor{h: h, v: v, s: s, id: s.nextSub, pos: pos}
 	s.nextSub++
 	s.cursors[c.id] = c
 	s.updateLagLocked()
-	s.cond.Broadcast() // a new slowest cursor may re-constrain producers
+	t.cond.Broadcast() // a new slowest cursor may re-constrain producers
 	return c, nil
 }
 
@@ -410,24 +355,36 @@ func (c *Cursor) ID() int { return c.id }
 
 // Pos returns the lowest version the cursor has not acknowledged.
 func (c *Cursor) Pos() int {
-	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
+	c.h.sp.staged.mu.Lock()
+	defer c.h.sp.staged.mu.Unlock()
 	return c.pos
 }
 
 // Floor returns the stream's lowest retained version.
 func (c *Cursor) Floor() int {
-	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
-	return c.s.sp.floor(c.s.v)
+	c.h.sp.staged.mu.Lock()
+	defer c.h.sp.staged.mu.Unlock()
+	return c.s.floor
 }
 
 // Latest returns the stream's complete watermark (-1 before the first
 // complete version).
 func (c *Cursor) Latest() int {
-	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
+	c.h.sp.staged.mu.Lock()
+	defer c.h.sp.staged.mu.Unlock()
 	return c.s.latest
+}
+
+// locked runs fn on the cursor's stream under the table's lock, or fails
+// op on a closed cursor.
+func (c *Cursor) locked(op string, fn func(t *table, s *variable) error) error {
+	t := &c.h.sp.staged
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if c.closed {
+		return fmt.Errorf("cods: stream %q: %s on closed cursor %d", c.v, op, c.id)
+	}
+	return fn(t, c.s)
 }
 
 // GetWindow reads versions from..to (inclusive) of region, blocking until
@@ -439,39 +396,33 @@ func (c *Cursor) Latest() int {
 //
 // Under the DropOldest policy a concurrent watermark advance can retire
 // versions inside an in-flight window; the read of a version retired
-// before its get began then fails with ErrRetired. Lock-step consumers (advance before the producer's next
-// publish burst) never observe this.
+// before its get began then fails with ErrRetired. Lock-step consumers
+// (advance before the producer's next publish burst) never observe this.
 func (c *Cursor) GetWindow(region geometry.BBox, from, to int) ([][]float64, error) {
-	s := c.s
-	s.mu.Lock()
-	if c.closed {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("cods: stream %q: get on closed cursor %d", s.v, c.id)
+	if err := c.locked("get", func(t *table, s *variable) error {
+		if to < from {
+			return fmt.Errorf("cods: stream %q: inverted window [%d,%d]", c.v, from, to)
+		}
+		if from < c.pos || from < s.floor {
+			return fmt.Errorf("cods: stream %q: window start %d behind cursor %d / floor %d (retired)",
+				c.v, from, c.pos, s.floor)
+		}
+		for s.latest < to && !s.endedLocked() {
+			t.cond.Wait()
+		}
+		if s.latest < to {
+			return fmt.Errorf("cods: stream %q: window [%d,%d] past final watermark %d: %w",
+				c.v, from, to, s.latest, ErrStreamEnded)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	if to < from {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("cods: stream %q: inverted window [%d,%d]", s.v, from, to)
-	}
-	if floor := s.sp.floor(s.v); from < c.pos || from < floor {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("cods: stream %q: window start %d behind cursor %d / floor %d (retired)",
-			s.v, from, c.pos, floor)
-	}
-	for s.latest < to && !s.endedLocked() {
-		s.cond.Wait()
-	}
-	if s.latest < to {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("cods: stream %q: window [%d,%d] past final watermark %d: %w",
-			s.v, from, to, s.latest, ErrStreamEnded)
-	}
-	s.mu.Unlock()
-
 	out := make([][]float64, 0, to-from+1)
 	for ver := from; ver <= to; ver++ {
-		data, err := c.h.GetSequential(s.v, ver, region)
+		data, err := c.h.GetSequential(c.v, ver, region)
 		if err != nil {
-			return nil, fmt.Errorf("cods: stream %q v%d: %w", s.v, ver, err)
+			return nil, fmt.Errorf("cods: stream %q v%d: %w", c.v, ver, err)
 		}
 		out = append(out, data)
 	}
@@ -484,75 +435,72 @@ func (c *Cursor) GetWindow(region geometry.BBox, from, to int) ([][]float64, err
 // the final watermark; a stream that ended before any complete version
 // fails with ErrStreamEnded.
 func (c *Cursor) GetLatest(region geometry.BBox) ([]float64, int, error) {
-	s := c.s
-	s.mu.Lock()
-	if c.closed {
-		s.mu.Unlock()
-		return nil, 0, fmt.Errorf("cods: stream %q: get on closed cursor %d", s.v, c.id)
+	var ver int
+	if err := c.locked("get", func(t *table, s *variable) error {
+		for s.latest < 0 && !s.endedLocked() {
+			t.cond.Wait()
+		}
+		if s.latest < 0 {
+			return fmt.Errorf("cods: stream %q: no complete version: %w", c.v, ErrStreamEnded)
+		}
+		ver = s.latest
+		if mutate.Enabled(mutate.StaleWatermarkServed) && ver > s.floor {
+			ver-- // seeded defect: serve one behind the watermark while retained
+		}
+		return nil
+	}); err != nil {
+		return nil, 0, err
 	}
-	for s.latest < 0 && !s.endedLocked() {
-		s.cond.Wait()
-	}
-	if s.latest < 0 {
-		s.mu.Unlock()
-		return nil, 0, fmt.Errorf("cods: stream %q: no complete version: %w", s.v, ErrStreamEnded)
-	}
-	ver := s.latest
-	if mutate.Enabled(mutate.StaleWatermarkServed) && ver > s.sp.floor(s.v) {
-		ver-- // seeded defect: serve one behind the watermark while retained
-	}
-	s.mu.Unlock()
-	data, err := c.h.GetSequential(s.v, ver, region)
+	data, err := c.h.GetSequential(c.v, ver, region)
 	if err != nil {
-		return nil, 0, fmt.Errorf("cods: stream %q v%d: %w", s.v, ver, err)
+		return nil, 0, fmt.Errorf("cods: stream %q v%d: %w", c.v, ver, err)
 	}
 	return data, ver, nil
 }
 
 // Advance acknowledges every version below to: the cursor position moves
-// up, the versions are counted consumed, and versions every cursor has
-// passed are retired. Producers blocked on backpressure re-check the lag.
+// up and the versions count as consumed. The advance is the cursor's
+// release of each version it passes (staged.go's retireLocked says when a
+// version retires). Producers blocked on backpressure re-check the lag.
 func (c *Cursor) Advance(to int) error {
-	s := c.s
-	s.mu.Lock()
-	if c.closed {
-		s.mu.Unlock()
-		return fmt.Errorf("cods: stream %q: advance on closed cursor %d", s.v, c.id)
-	}
-	if to < c.pos {
-		s.mu.Unlock()
-		return fmt.Errorf("cods: stream %q: advance to %d behind cursor %d", s.v, to, c.pos)
-	}
-	if to > s.latest+1 {
-		s.mu.Unlock()
-		return fmt.Errorf("cods: stream %q: advance to %d past watermark %d", s.v, to, s.latest)
-	}
-	delta := int64(to - c.pos)
-	c.pos = to
-	s.consumed += delta
-	obsStreamConsumed.Add(delta)
-	s.updateLagLocked()
-	recs := s.gcConsumedLocked()
-	s.cond.Broadcast()
-	s.mu.Unlock()
-
-	s.sp.withdraw(recs, "stream:gc")
-	return nil
+	var recs []*record
+	err := c.locked("advance", func(t *table, s *variable) error {
+		if to < c.pos {
+			return fmt.Errorf("cods: stream %q: advance to %d behind cursor %d", c.v, to, c.pos)
+		}
+		if to > s.latest+1 {
+			return fmt.Errorf("cods: stream %q: advance to %d past watermark %d", c.v, to, s.latest)
+		}
+		for ver := c.pos; ver < to; ver++ {
+			if r := s.records[ver]; r != nil && r.released < r.readers {
+				r.released++
+			}
+		}
+		delta := int64(to - c.pos)
+		c.pos = to
+		s.consumed += delta
+		obsStreamConsumed.Add(delta)
+		s.updateLagLocked()
+		recs = t.retireLocked(s, s.floor)
+		return nil
+	})
+	c.h.sp.withdraw(recs, "stream:gc")
+	return err
 }
 
 // Close removes the cursor from the stream. Retained versions stay until
 // another cursor (or the drop policy) retires them; a consumer resuming
 // later passes its position to SubscribeFrom.
 func (c *Cursor) Close() error {
-	s := c.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	t, s := &c.h.sp.staged, c.s
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if c.closed {
-		return fmt.Errorf("cods: stream %q: cursor %d already closed", s.v, c.id)
+		return fmt.Errorf("cods: stream %q: cursor %d already closed", c.v, c.id)
 	}
 	c.closed = true
 	delete(s.cursors, c.id)
 	s.updateLagLocked()
-	s.cond.Broadcast() // producers constrained by this cursor re-check
+	t.cond.Broadcast() // producers constrained by this cursor re-check
 	return nil
 }
