@@ -34,11 +34,22 @@ type refBlock struct {
 type refModel struct {
 	domain geometry.BBox
 	vars   map[string]map[int][]refBlock // variable -> version -> blocks
+	floors map[string]int                // variable -> lowest version not retired
 }
 
 // newRefModel creates an empty model over the given domain.
 func newRefModel(domain geometry.BBox) *refModel {
-	return &refModel{domain: domain, vars: make(map[string]map[int][]refBlock)}
+	return &refModel{domain: domain, vars: make(map[string]map[int][]refBlock), floors: make(map[string]int)}
+}
+
+// Retire retires every version of v below bound: its blocks go and the
+// floor rises, so a Get of it fails as a real get below the floor fails
+// with ErrRetired.
+func (m *refModel) Retire(v string, bound int) {
+	for ver := m.floors[v]; ver < bound; ver++ {
+		delete(m.vars[v], ver)
+	}
+	m.floors[v] = max(m.floors[v], bound)
 }
 
 // blocks returns the block list of a variable version (nil when none).
@@ -96,6 +107,9 @@ func (m *refModel) Get(v string, version int, region geometry.BBox) ([]float64, 
 	vol := volume(region)
 	if vol == 0 {
 		return nil, fmt.Errorf("refmodel: empty get region %v for %q", region, v)
+	}
+	if version < m.floors[v] {
+		return nil, fmt.Errorf("refmodel: %q v%d is retired (floor %d)", v, version, m.floors[v])
 	}
 	blocks := m.blocks(v, version)
 	out := make([]float64, vol)
