@@ -282,6 +282,15 @@ func (f *Fabric) Exposed(owner cluster.CoreID, key BufKey) bool {
 	return ok
 }
 
+// ExposedCount returns how many buffers are published on an owner
+// endpoint in this process.
+func (f *Fabric) ExposedCount(owner cluster.CoreID) int {
+	oe := f.endpoints[int(owner)]
+	oe.exportMu.Lock()
+	defer oe.exportMu.Unlock()
+	return len(oe.exports)
+}
+
 // MergeMediumStats folds the per-medium transfer totals recorded by
 // another process's fabric (a codsnode child) into this one, mirroring
 // them into the obs registry exactly the way record does, so driver-side
