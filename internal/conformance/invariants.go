@@ -42,9 +42,11 @@ func newPredictor(m *cluster.Machine) *predictor {
 // owner the extra round is about to re-stage.
 func (p *predictor) voidOwned(sc Scenario, model *refModel, moves func(owner cluster.CoreID) bool) {
 	for _, v := range sc.varNames() {
-		for _, b := range model.Owners(v, 0, geometry.BoxFromSize(sc.Domain)) {
-			if moves(cluster.CoreID(b.Owner)) {
-				p.voided[v] = true
+		for version := range model.vars[v] {
+			for _, b := range model.blocks(v, version) {
+				if moves(cluster.CoreID(b.Owner)) {
+					p.voided[v] = true
+				}
 			}
 		}
 	}
@@ -136,10 +138,11 @@ func recordedBeside(curve sfc.Linearizer, nodes, lost int, region, block geometr
 }
 
 // checkInvariants runs the cross-layer accounting checks after all rounds
-// completed.
+// completed. reads is how many gets each consumer made of each of its
+// regions of each variable.
 func checkInvariants(sc Scenario, opts Options, machine *cluster.Machine, space *cods.Space,
 	pred *predictor, consumers []*consumer, prodPl, consPl *cluster.Placement,
-	prodApp, consApp graph.App) error {
+	prodApp, consApp graph.App, reads int) error {
 	if err := checkFlowAccounting(sc, opts, machine, space, pred); err != nil {
 		return err
 	}
@@ -153,7 +156,7 @@ func checkInvariants(sc Scenario, opts Options, machine *cluster.Machine, space 
 		if err != nil {
 			return err
 		}
-		mult := int64(sc.Versions * sc.Vars)
+		mult := int64(reads * sc.Vars)
 		if tr.Shm*mult != pred.perMedium[cluster.SharedMemory] || tr.Network*mult != pred.perMedium[cluster.Network] {
 			return fmt.Errorf("conformance: CoupledTraffic predicts shm=%d net=%d (x%d), model predicts shm=%d net=%d\n%s",
 				tr.Shm, tr.Network, mult, pred.perMedium[cluster.SharedMemory], pred.perMedium[cluster.Network], sc.GoLiteral())
@@ -169,10 +172,6 @@ func checkInvariants(sc Scenario, opts Options, machine *cluster.Machine, space 
 	// are total gets minus that. An extra round (a restage or a node loss;
 	// they are exclusive) re-gets everything: a variable it
 	// voided misses once more per distinct region, the others hit.
-	rounds := 1
-	if sc.Restage || sc.Kill != 0 {
-		rounds = 2
-	}
 	var hits, misses, gets, wantMisses int
 	for _, c := range consumers {
 		hits += c.h.CacheHits
@@ -182,7 +181,7 @@ func checkInvariants(sc Scenario, opts Options, machine *cluster.Machine, space 
 			seen[r.String()] = true
 		}
 		for _, v := range sc.varNames() {
-			gets += len(c.regions) * sc.Versions * rounds
+			gets += len(c.regions) * reads
 			wantMisses += len(seen)
 			if pred.voided[v] {
 				wantMisses += len(seen)
