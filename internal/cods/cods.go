@@ -866,7 +866,11 @@ func (coverageError) Transient() bool { return true }
 // sequentialSchedule converts the location entries of the region into a
 // read list: the entries the handle has located when they tile the region,
 // else the lookup service's answer, which it then locates (schedule drops
-// an answer that does not tile).
+// an answer that does not tile). The first lookup of a version is a region
+// query; a repeat one, made while the handle holds a located table of the
+// version, asks each DHT core the region reaches for its whole table of the
+// version, in the room the handle's tables have left (dht.Client.Tables),
+// so a handle that reads a version more than once soon needs no lookup.
 func (h *Handle) sequentialSchedule(v string, version int, region geometry.BBox) ([]transport.ReadSpec, error) {
 	gen, err := h.sp.stamp(v, version)
 	if err != nil {
@@ -875,7 +879,12 @@ func (h *Handle) sequentialSchedule(v string, version int, region geometry.BBox)
 	if sched := h.locatedSchedule(v, version, region, gen); sched != nil {
 		return sched, nil
 	}
-	entries, err := h.lookupClient().Query(h.phase, h.app, v, version, region)
+	var entries []dht.Entry
+	if cl := h.lookupClient(); h.CacheEnabled && h.located[locatedKey{v, version}] != nil {
+		entries, err = cl.Tables(h.phase, h.app, v, version, region, maxLocatedEntries-h.nLocated)
+	} else {
+		entries, err = cl.Query(h.phase, h.app, v, version, region)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -37,6 +37,7 @@ var (
 	obsServeNs     = obs.H("dht.serve_ns", obs.DefaultLatencyBounds())
 	obsQueryOps    = obs.C("dht.query.ops")
 	obsQueryFanout = obs.C("dht.query.fanout_calls")
+	obsQueryTables = obs.C("dht.query.tables")
 	obsInsertOps   = obs.C("dht.insert.ops")
 	obsRemoveOps   = obs.C("dht.remove.ops")
 	obsTableReads  = obs.C("dht.table.reads")
@@ -69,10 +70,15 @@ type insertReq struct{ Entry Entry }
 
 type removeReq struct{ Entry Entry }
 
+// queryReq asks a DHT core for the entries of a variable version that
+// overlap Region. A core whose table of the version holds at most Bound
+// entries answers with all of them instead (Locations.Answer), so Bound 0
+// is a plain region query.
 type queryReq struct {
 	Var     string
 	Version int
 	Region  geometry.BBox
+	Bound   int
 }
 
 type queryResp struct{ Entries []Entry }
@@ -193,6 +199,22 @@ next:
 			}
 		}
 		out = append(out, l.entries[i])
+	}
+	return out
+}
+
+// Answer is a DHT core's answer to a query of q bounded by bound (queryReq):
+// every entry, in insertion order, when l holds at most bound of them, else
+// Overlapping(q). A nil l holds none.
+func (l *Locations) Answer(q geometry.BBox, bound int) []Entry {
+	if l == nil || l.Len() > bound || l.Len() == 0 {
+		return l.Overlapping(q)
+	}
+	out := make([]Entry, 0, l.Len())
+	for _, e := range l.entries {
+		if e.Region.Min != nil {
+			out = append(out, e)
+		}
 	}
 	return out
 }
@@ -344,8 +366,9 @@ func (s *Service) checkRegion(b geometry.BBox) error {
 // goroutine (transport.Endpoint.RegisterHandler) and waits only for the
 // table lock: writes take it exclusively, queries share it, so concurrent
 // lookups proceed in parallel. A query scans the packed corners of its
-// variable version, two comparisons per dimension, and allocates only the
-// answer; with observability on, dht.serve_ns times that table work.
+// variable version, two comparisons per dimension, or copies the whole table
+// when its bound allows, and allocates only the answer; with observability
+// on, dht.serve_ns times that table work.
 func (s *Service) serve(node int, req any) (any, error) {
 	t := s.tables[node]
 	switch r := req.(type) {
@@ -385,13 +408,16 @@ func (s *Service) serve(node int, req any) (any, error) {
 		if err := s.checkRegion(r.Region); err != nil {
 			return nil, err
 		}
+		if r.Bound < 0 {
+			return nil, fmt.Errorf("dht: query bound %d is negative", r.Bound)
+		}
 		obsTableReads.Inc()
 		var start time.Time
 		if obs.Enabled() {
 			start = time.Now()
 		}
 		t.mu.RLock()
-		out := t.buckets[tableKey{r.Var, r.Version}].Overlapping(r.Region)
+		out := t.buckets[tableKey{r.Var, r.Version}].Answer(r.Region, r.Bound)
 		t.mu.RUnlock()
 		if obs.Enabled() {
 			obsServeNs.Observe(time.Since(start).Nanoseconds())
@@ -494,11 +520,30 @@ func (cl *Client) queryNode(node int, req queryReq, phase string, app int) ([]En
 // Query returns the deduplicated location entries overlapping the region
 // for a variable version, gathered from all responsible DHT cores.
 func (cl *Client) Query(phase string, app int, v string, version int, region geometry.BBox) ([]Entry, error) {
-	if region.Empty() {
-		return nil, fmt.Errorf("dht: querying empty region for %q", v)
+	return cl.query(phase, app, queryReq{Var: v, Version: version, Region: region}, 0)
+}
+
+// Tables is Query for a caller that keeps what it is told, such as a cods
+// handle's located table: each DHT core the region reaches answers with its
+// whole table of the version when that holds at most room/n entries, n the
+// cores asked, and with the entries overlapping the region otherwise. So the
+// answer, deduplicated like Query's, holds at most room entries more than
+// those overlapping the region.
+func (cl *Client) Tables(phase string, app int, v string, version int, region geometry.BBox, room int) ([]Entry, error) {
+	obsQueryTables.Inc()
+	return cl.query(phase, app, queryReq{Var: v, Version: version, Region: region}, max(room, 0))
+}
+
+// query fans req out to the DHT cores req.Region reaches, room shared
+// evenly among them as each one's bound, and merges the answers.
+func (cl *Client) query(phase string, app int, req queryReq, room int) ([]Entry, error) {
+	if req.Region.Empty() {
+		return nil, fmt.Errorf("dht: querying empty region for %q", req.Var)
 	}
-	req := queryReq{Var: v, Version: version, Region: region}
-	nodes := cl.svc.nodesForRegion(region)
+	nodes := cl.svc.nodesForRegion(req.Region)
+	if len(nodes) > 0 {
+		req.Bound = min(room/len(nodes), math.MaxInt32) // the wire carries an i32
+	}
 	// Meter the whole fan-out — span translation, the concurrent per-node
 	// RPCs, and the deduplicating merge — as one query latency sample.
 	var queryStart time.Time

@@ -401,3 +401,93 @@ func TestRemoveLeavesOtherEntries(t *testing.T) {
 		t.Fatalf("Query after partial remove = %v", got)
 	}
 }
+
+// TestTablesWithinRoom: Tables asks each DHT core the region reaches for
+// its whole table of the version, with an equal share of the room as its
+// bound, and a core whose table is larger answers with the overlapping
+// entries, as Query does. Four 8x8 blocks fill a 16x16 domain, two in each
+// core's half of the curve.
+func TestTablesWithinRoom(t *testing.T) {
+	s, _ := service(t, 2, 2, 2, 4)
+	cl := s.ClientAt(1)
+	box := func(x0, y0, x1, y1 int) geometry.BBox {
+		return geometry.NewBBox(geometry.Point{x0, y0}, geometry.Point{x1, y1})
+	}
+	blocks := []geometry.BBox{box(0, 0, 8, 8), box(0, 8, 8, 16), box(8, 0, 16, 8), box(8, 8, 16, 16)}
+	for i, b := range blocks {
+		for version := 0; version < 2; version++ {
+			if err := cl.Insert("p", 1, Entry{Var: "v", Version: version, Region: b, Owner: cluster.CoreID(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if s.TableSize(0) != 4 || s.TableSize(1) != 4 {
+		t.Fatalf("the tables hold %d and %d entries of two versions, want 4 each", s.TableSize(0), s.TableSize(1))
+	}
+	owners := func(es []Entry) []cluster.CoreID {
+		var out []cluster.CoreID
+		for _, e := range es {
+			if e.Version != 1 {
+				t.Fatalf("an answer for version 1 holds %+v", e)
+			}
+			out = append(out, e.Owner)
+		}
+		return out
+	}
+	tables := func(region geometry.BBox, room int) []cluster.CoreID {
+		t.Helper()
+		es, err := cl.Tables("p", 1, "v", 1, region, room)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return owners(es)
+	}
+
+	// Inside block 0: one core is asked.
+	q := box(1, 1, 3, 3)
+	if got, err := cl.Query("p", 1, "v", 1, q); err != nil || !slices.Equal(owners(got), []cluster.CoreID{0}) {
+		t.Fatalf("Query = %v, %v; want block 0", got, err)
+	}
+	half := owners(s.tables[s.nodesForRegion(q)[0]].buckets[tableKey{"v", 1}].Answer(q, 2))
+	slices.Sort(half)
+	if len(half) != 2 || !slices.Contains(half, 0) {
+		t.Fatalf("block 0's core holds %v, want block 0 and one more", half)
+	}
+	for _, c := range []struct {
+		room int
+		want []cluster.CoreID
+	}{{1000, half}, {2, half}, {1, []cluster.CoreID{0}}, {0, []cluster.CoreID{0}}, {-5, []cluster.CoreID{0}}} {
+		if got := tables(q, c.room); !slices.Equal(got, c.want) {
+			t.Fatalf("Tables in room %d = %v, want %v", c.room, got, c.want)
+		}
+	}
+
+	// Across the cut between the halves: two cores share the room, and an
+	// entry both hold comes back once.
+	var across geometry.BBox
+	for _, r := range []geometry.BBox{box(6, 1, 10, 3), box(1, 6, 3, 10)} {
+		if len(s.nodesForRegion(r)) == 2 {
+			across = r
+		}
+	}
+	if across.Empty() {
+		t.Fatal("no region across the two halves")
+	}
+	meets, err := cl.Query("p", 1, "v", 1, across)
+	if err != nil || len(meets) != 2 {
+		t.Fatalf("Query across the halves = %v, %v; want two blocks", meets, err)
+	}
+	if got := tables(across, 4); !slices.Equal(got, []cluster.CoreID{0, 1, 2, 3}) {
+		t.Fatalf("Tables across the halves in room 4 = %v, want every block", got)
+	}
+	if got := tables(across, 3); !slices.Equal(got, owners(meets)) {
+		t.Fatalf("Tables across the halves in room 3 = %v, want the overlapping %v", got, owners(meets))
+	}
+	whole := Entry{Var: "v", Version: 1, Region: box(0, 0, 16, 16), Owner: 9}
+	if err := cl.Insert("p", 1, whole); err != nil {
+		t.Fatal(err)
+	}
+	if got := tables(across, 6); !slices.Equal(got, []cluster.CoreID{0, 1, 2, 3, 9}) {
+		t.Fatalf("Tables of two tables that share an entry = %v, want every owner once", got)
+	}
+}

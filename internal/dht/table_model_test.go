@@ -21,10 +21,13 @@ const (
 )
 
 // tableRun counts what a table-ops run exercised: the steps of each kind,
-// and the removes that took the last entry of a variable version.
+// the removes that took the last entry of a variable version, and the
+// bounded queries a table answered whole and those it answered with the
+// overlapping entries.
 type tableRun struct {
-	steps   [stepKinds]int
-	emptied int
+	steps         [stepKinds]int
+	emptied       int
+	whole, within int
 }
 
 // stepBox decodes a non-empty box of rank dim from 2*dim bytes: each axis
@@ -51,7 +54,11 @@ func sameEntry(a, b Entry) bool {
 // and a probe region; a trailing partial step is ignored. After every step
 // each of the four variable versions — those a remove has emptied too —
 // must answer the step's region, its probe and the whole domain exactly as
-// the oracle does, in the same order, in both homes; a direct Insert or
+// the oracle does, in the same order, in both homes, and so must the
+// step's table answer: the same three regions queried with a bound drawn
+// from the pick byte, which the oracle answers with every entry of the
+// version when it holds at most that many, else with the overlapping
+// ones (Locations.Answer); a direct Insert or
 // Remove must report whether it changed what the oracle holds; the table
 // must hold as many entries as the oracle and keep no empty version; and
 // every Locations must be in step with itself (checkLocations).
@@ -119,12 +126,19 @@ func runTableOps(t testing.TB, dim int, data []byte) tableRun {
 		for _, h := range held {
 			keys[tableKey{h.Var, h.Version}] = true
 		}
+		bound := int(data[3] % 24)
 		for _, v := range vars {
 			for version := 0; version < 2; version++ {
+				var all []Entry
+				for _, h := range held {
+					if h.Var == v && h.Version == version {
+						all = append(all, h)
+					}
+				}
 				for _, q := range []geometry.BBox{e.Region, probe, whole} {
 					var want []Entry
-					for _, h := range held {
-						if h.Var == v && h.Version == version && h.Region.Overlaps(q) {
+					for _, h := range all {
+						if h.Region.Overlaps(q) {
 							want = append(want, h)
 						}
 					}
@@ -135,6 +149,21 @@ func runTableOps(t testing.TB, dim int, data []byte) tableRun {
 					got = direct[tableKey{v, version}].Overlapping(q)
 					if !slices.EqualFunc(got, want, sameEntry) {
 						t.Fatalf("after %+v, Overlapping %s@%d %v = %v; Overlaps scan says %v", e, v, version, q, got, want)
+					}
+
+					if len(all) > 0 && len(all) <= bound {
+						want = all
+						run.whole++
+					} else if len(all) > 0 {
+						run.within++
+					}
+					got = call(queryReq{Var: v, Version: version, Region: q, Bound: bound}).(queryResp).Entries
+					if !slices.EqualFunc(got, want, sameEntry) {
+						t.Fatalf("after %+v, query %s@%d %v bound %d = %v; the oracle says %v", e, v, version, q, bound, got, want)
+					}
+					got = direct[tableKey{v, version}].Answer(q, bound)
+					if !slices.EqualFunc(got, want, sameEntry) {
+						t.Fatalf("after %+v, Answer %s@%d %v bound %d = %v; the oracle says %v", e, v, version, q, bound, got, want)
 					}
 				}
 			}
@@ -200,8 +229,9 @@ func checkLocations(l *Locations) error {
 // TestTableMatchesOverlapsScan replays seeded random insert, duplicate
 // insert, remove and remove-absent sequences over 2-D and 3-D regions
 // against the packed location table and the brute-force oracle, and
-// checks that the seeds exercised every kind of step, and emptied a
-// variable version by removing its last entry.
+// checks that the seeds exercised every kind of step, emptied a variable
+// version by removing its last entry, and drew bounds that a table met and
+// bounds that it passed.
 func TestTableMatchesOverlapsScan(t *testing.T) {
 	var total tableRun
 	for seed := int64(1); seed <= 20; seed++ {
@@ -213,16 +243,19 @@ func TestTableMatchesOverlapsScan(t *testing.T) {
 				total.steps[k] += n
 			}
 			total.emptied += run.emptied
+			total.whole += run.whole
+			total.within += run.within
 		}
 	}
-	if slices.Contains(total.steps[:], 0) || total.emptied == 0 {
-		t.Fatalf("the seeds did not exercise every kind of step (insert, re-insert, remove, remove-absent; emptied): %+v", total)
+	if slices.Contains(total.steps[:], 0) || total.emptied == 0 || total.whole == 0 || total.within == 0 {
+		t.Fatalf("the seeds did not exercise every kind of step (insert, re-insert, remove, remove-absent; emptied; whole and bounded answers): %+v", total)
 	}
 }
 
 // FuzzTableOps decodes arbitrary bytes into table operations — the first
 // byte picks rank 2 or 3, at most 24 steps follow — and holds the packed
-// table to the Overlaps oracle after every one.
+// table's region queries and bounded table answers to the oracle after
+// every one.
 func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 0, 0, 1, 0, 2, 3, 4, 1, 1, 2, 2, 0, 0, 5, 5, 1, 1, 2, 0, 0, 0, 1})

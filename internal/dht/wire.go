@@ -4,7 +4,8 @@ package dht
 // messages*): the tag byte, a u32 entry count, then per entry the variable
 // name (u32 length + bytes), i64 version, i32 owner core and the region as a
 // box (geometry.AppendBox). insert, remove and query carry exactly one entry
-// (a query's owner is 0), the query response any number.
+// (a query's owner field carries its bound, never negative), the query
+// response any number.
 // The decoder is strict: another count than the tag allows, a count the
 // remaining bytes cannot hold (checked before the slice is allocated), a
 // field that ends early or a byte left over fails the message.
@@ -57,11 +58,11 @@ func init() {
 	}
 	register(tagInsert, insertReq{e}, 1, func(es []Entry) msg { return insertReq{es[0]} })
 	register(tagRemove, removeReq{e}, 1, func(es []Entry) msg { return removeReq{es[0]} })
-	register(tagQuery, queryReq{Var: "u", Version: 3, Region: e.Region}, 1, func(es []Entry) msg {
-		if es[0].Owner != 0 {
+	register(tagQuery, queryReq{Var: "u", Version: 3, Region: e.Region, Bound: 1024}, 1, func(es []Entry) msg {
+		if es[0].Owner < 0 {
 			return nil
 		}
-		return queryReq{Var: es[0].Var, Version: es[0].Version, Region: es[0].Region}
+		return queryReq{Var: es[0].Var, Version: es[0].Version, Region: es[0].Region, Bound: int(es[0].Owner)}
 	})
 	register(tagQueryResp, queryResp{[]Entry{e, f}}, -1, func(es []Entry) msg {
 		if mutate.Enabled(mutate.TCPMsgEntryDrop) && len(es) >= 2 {
@@ -74,7 +75,7 @@ func init() {
 func (r insertReq) AppendWire(dst []byte) []byte { return appendEntries(dst, tagInsert, r.Entry) }
 func (r removeReq) AppendWire(dst []byte) []byte { return appendEntries(dst, tagRemove, r.Entry) }
 func (r queryReq) AppendWire(dst []byte) []byte {
-	return appendEntries(dst, tagQuery, Entry{Var: r.Var, Version: r.Version, Region: r.Region})
+	return appendEntries(dst, tagQuery, Entry{Var: r.Var, Version: r.Version, Region: r.Region, Owner: cluster.CoreID(r.Bound)})
 }
 func (r queryResp) AppendWire(dst []byte) []byte {
 	return appendEntries(dst, tagQueryResp, r.Entries...)

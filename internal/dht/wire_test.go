@@ -1,6 +1,10 @@
 package dht
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,7 +17,7 @@ import (
 // TestServeRejectsRankMismatch sends a DHT core, over real loopback
 // sockets from a driver, the requests a malformed or hostile frame could carry: an
 // insert, a remove and a query whose region has another rank than the
-// curve, and ones whose region is empty. Each must come back as an ordinary
+// curve, ones whose region is empty, and a query whose bound is negative. Each must come back as an ordinary
 // error — not as a handler panic the fabric happened to recover — the table
 // must be untouched, and the same connection must keep serving.
 func TestServeRejectsRankMismatch(t *testing.T) {
@@ -52,6 +56,8 @@ func TestServeRejectsRankMismatch(t *testing.T) {
 		{insertReq{Entry{Var: "u", Version: 1, Owner: 0, Region: line}}, "not of the curve's rank 2"},
 		{removeReq{Entry{Var: "u", Version: 1, Owner: 1, Region: line}}, "not of the curve's rank 2"},
 		{queryReq{Var: "u", Version: 1, Region: line}, "not of the curve's rank 2"},
+		// A negative bound is refused by the node's decoder, before the core.
+		{queryReq{Var: "u", Version: 1, Region: stored.Region, Bound: -1}, "not what its tag encodes"},
 		// An empty box never leaves a sender: the box codec refuses it on the
 		// way in, before the core sees the request.
 		{queryReq{Var: "u", Version: 1, Region: flat}, "empty or inverted"},
@@ -65,6 +71,9 @@ func TestServeRejectsRankMismatch(t *testing.T) {
 	// included.
 	if _, err := s.serve(1, queryReq{Var: "u", Version: 1, Region: flat}); err == nil || !strings.Contains(err.Error(), "is empty or not") {
 		t.Fatalf("empty region in process: err = %v", err)
+	}
+	if _, err := s.serve(1, queryReq{Var: "u", Version: 1, Region: stored.Region, Bound: -1}); err == nil || !strings.Contains(err.Error(), "bound -1 is negative") {
+		t.Fatalf("negative bound in process: err = %v", err)
 	}
 	if n := s.TableSize(1); n != 1 {
 		t.Fatalf("node 1 holds %d entries after the rejected requests, want the 1 stored before", n)
@@ -83,5 +92,42 @@ func TestServeRejectsRankMismatch(t *testing.T) {
 	}
 	if cost[0] != cost[1] {
 		t.Fatalf("the first valid query sent %d bytes, the next %d: it redialled instead of reusing the connection", cost[0], cost[1])
+	}
+}
+
+// TestQueryBoundWire: a query's bound rides in the owner field of its one
+// entry. Every bound an i32 holds from 0 up round-trips, the decoded query
+// is the one sent, and the wire of a bounded query differs from a region
+// query's only there. A negative owner field, each proper prefix and a
+// trailing byte fail the decode.
+func TestQueryBoundWire(t *testing.T) {
+	region := geometry.NewBBox(geometry.Point{0, 8}, geometry.Point{8, 16})
+	plain := queryReq{Var: "u", Version: 3, Region: region}.AppendWire(nil)
+	const ownerAt = 1 + 4 + 4 + 1 + 8 // tag, count, name length, name, version
+	for _, bound := range []int{0, 1, 1024, math.MaxInt32} {
+		q := queryReq{Var: "u", Version: 3, Region: region, Bound: bound}
+		wire := q.AppendWire(nil)
+		if len(wire) != len(plain) || !bytes.Equal(wire[:ownerAt], plain[:ownerAt]) || !bytes.Equal(wire[ownerAt+4:], plain[ownerAt+4:]) {
+			t.Fatalf("bound %d: wire %x differs from the region query's %x outside the owner field", bound, wire, plain)
+		}
+		got, err := transport.DecodePayload(wire)
+		if err != nil || !reflect.DeepEqual(got, any(q)) {
+			t.Fatalf("bound %d decodes to %#v, %v; want %#v", bound, got, err, q)
+		}
+		for n := 1; n < len(wire); n++ {
+			if v, err := transport.DecodePayload(wire[:n]); err == nil {
+				t.Fatalf("bound %d: %d-byte prefix decoded to %#v", bound, n, v)
+			}
+		}
+		if v, err := transport.DecodePayload(append(wire, 0)); err == nil {
+			t.Fatalf("bound %d: a trailing byte was accepted: %#v", bound, v)
+		}
+	}
+	for _, owner := range []uint32{0x80000000, 0xFFFFFFFF} {
+		wire := bytes.Clone(plain)
+		binary.BigEndian.PutUint32(wire[ownerAt:], owner)
+		if v, err := transport.DecodePayload(wire); err == nil {
+			t.Fatalf("a query whose owner field is %#x decoded to %#v", owner, v)
+		}
 	}
 }

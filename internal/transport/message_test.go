@@ -153,9 +153,15 @@ func FuzzMessageCodec(f *testing.F) {
 		f.Add(wire[:len(wire)/2])
 		f.Add(append(wire[:len(wire):len(wire)], 0xFF))
 		if wire[0] == tagQuery {
-			owned := bytes.Clone(wire)
-			owned[1+4+4+1+8+3] = 5 // a query that names an owner: the last byte of its i32
-			f.Add(owned)
+			// A query's owner field carries its bound: another bound (the
+			// last byte of the i32), none (a region query), and a negative
+			// one, which no query may carry.
+			const bound = 1 + 4 + 4 + 1 + 8
+			for _, b := range [][4]byte{{0, 0, 0, 5}, {0, 0, 0, 0}, {0xFF, 0xFF, 0xFF, 0xFF}, {0x80, 0, 0, 0}} {
+				q := bytes.Clone(wire)
+				copy(q[bound:], b[:])
+				f.Add(q)
+			}
 		}
 	}
 	f.Add([]byte{})

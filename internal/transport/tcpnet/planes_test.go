@@ -222,10 +222,34 @@ var locatedGet = planeCost{
 	Flows: 16,
 }
 
+// tableFetch is the cost of the consumer's second get of a version, of
+// part of block 1 (core 1, node 0): a repeat lookup, so the one DHT core its
+// region reaches, node 0's, answers with its whole table of the version —
+// the four blocks of the domain's first quadrant, 0, 1, 4 and 5 — and the
+// read of the one block it meets. It is the same get's cost as a region
+// query plus the three other entries, 50 bytes each, in the answer.
+// tableGet is a get after it across blocks 4 and 5 (cores 4 and 5, node 1),
+// which neither get met: its schedule comes from the fetched table, so it
+// costs no control flow, one request frame to node 1, two segments and two
+// flows.
+var (
+	tableFetch = planeCost{
+		Wire: tcpnet.WireStats{BytesOut: 283, BytesIn: 866, ReadMultiRequests: 1,
+			SegmentsServed: 1, SegmentBytesServed: 512},
+		Flows: 3, Control: 2,
+	}
+	tableGet = planeCost{
+		Wire: tcpnet.WireStats{BytesOut: 218, BytesIn: 1624, ReadMultiRequests: 1,
+			SegmentsServed: 2, SegmentBytesServed: 1536},
+		Flows: 2,
+	}
+)
+
 // TestPlaneCosts holds each optional plane of the pull path to its cost on
 // the rig; one subtest per plane, one for the write path the planes ride
-// beside, and one for a get whose blocks the consumer has located. The
-// allocation clauses run where allocsPinned.
+// beside, one for a get whose blocks the consumer has located, and one for
+// a get served from a table a repeat lookup fetched. The allocation clauses
+// run where allocsPinned.
 func TestPlaneCosts(t *testing.T) {
 	// The write path: a warm expose and withdrawal of a 2 MiB block through
 	// the driver. The sender writes the cells from the block's memory, and
@@ -286,6 +310,47 @@ func TestPlaneCosts(t *testing.T) {
 		}
 		if warm := r.cost(t, get); located != locatedGet || warm != locatedGet {
 			t.Errorf("a located get costs %+v, a warm get of its region %+v; want %+v both", located, warm, locatedGet)
+		}
+	})
+
+	// A first get of a version is a region query; the second, a repeat
+	// lookup, brings back whole tables; a get elsewhere inside them makes no
+	// lookup and puts on the wire only its reads.
+	t.Run("table-get", func(t *testing.T) {
+		r := newPlaneRig(t)
+		for i, h := range r.owners {
+			if err := h.PutSequential("u", 0, r.blocks[i], r.data[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		get := func(region geometry.BBox) func() error {
+			return func() error {
+				_, err := r.consumer.GetSequential("u", 0, region)
+				return err
+			}
+		}
+		box := func(x0, y0, x1, y1 int) geometry.BBox {
+			return geometry.NewBBox(geometry.Point{x0, y0}, geometry.Point{x1, y1})
+		}
+		if c := r.cost(t, get(box(4, 4, 12, 12))); c.Control == 0 {
+			t.Fatalf("the first get of block 0 made no lookup: %+v", c)
+		}
+		// The same get as a region query, by a handle with the cache off.
+		off := r.sp.HandleAt(0, 2, "get")
+		off.CacheEnabled = false
+		inBlock1 := box(4, 36, 12, 44)
+		query := r.cost(t, func() error {
+			_, err := off.GetSequential("u", 0, inBlock1)
+			return err
+		})
+		query.Wire.BytesIn += 3 * 50
+		fetch := r.cost(t, get(inBlock1))
+		if fetch != tableFetch || query != tableFetch {
+			t.Errorf("the get that fetched a table costs %+v, as a region query with three more entries in %+v; want %+v both",
+				fetch, query, tableFetch)
+		}
+		if c := r.cost(t, get(box(36, 20, 44, 44))); c != tableGet {
+			t.Errorf("a get served from the fetched table costs %+v, want %+v", c, tableGet)
 		}
 	})
 

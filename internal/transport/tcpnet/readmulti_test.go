@@ -319,13 +319,14 @@ func TestSmallSegmentsShareOneWrite(t *testing.T) {
 // node-to-node plane: a peer-table op and a join op), v10 (the last whose
 // nodes held mailboxes: a send op and a recv op), v11 (the last whose DHT
 // cores answered dump and clear messages), v14 (the last whose nodes
-// set their own read patience) and v15 (the last whose expose cells were
-// always big-endian), all spelled out so a later bump cannot quietly re-admit them —
+// set their own read patience), v15 (the last whose expose cells were
+// always big-endian) and v16 (the last whose DHT queries carried no bound),
+// all spelled out so a later bump cannot quietly re-admit them —
 // is turned away at the handshake with an error naming both versions; there is no per-op fallback or mixed-version mode that could
 // strand it mid-stream.
 func TestHandshakeRejectsOldWireVersion(t *testing.T) {
 	_, _, servers := newCluster(t, 1, 1)
-	for _, version := range []int64{1, 4, 7, 8, 9, 10, 11, 14, 15} {
+	for _, version := range []int64{1, 4, 7, 8, 9, 10, 11, 14, 15, 16} {
 		c, err := net.Dial("tcp", servers[0].Addr())
 		if err != nil {
 			t.Fatal(err)

@@ -88,7 +88,7 @@ var errNotExposed = errors.New("tcpnet: buffer not exposed")
 // cannot decode. CHANGES.md (Wire versions) lists what each version changed.
 const (
 	helloMagic  uint64 = 0x434F44534E455400 // "CODSNET\0"
-	wireVersion uint8  = 16
+	wireVersion uint8  = 17
 )
 
 // Cell orders a driver's hello declares (Status): the byte order of the
